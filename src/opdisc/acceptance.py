@@ -48,7 +48,7 @@ from .layers import (
     NeuralOperatorLayer,
     make_layer,
 )
-from .monotone import ball_samples, bilipschitz_estimate, pairwise_alpha
+from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate, pairwise_alpha
 from .operators import FiniteRankOperator
 from .spectral import BasisSpec, Space, Subspace
 
@@ -257,19 +257,6 @@ def mixing_bilipschitz_layer(
     )
 
 
-def _pairwise_residual_lip(block, xs: np.ndarray) -> float:
-    """max over sample pairs of ||(B(x)-x) - (B(y)-y)|| / ||x-y||."""
-    res = block.eval_array(xs) - xs
-    worst = 0.0
-    for i in range(len(xs)):
-        dx = np.linalg.norm(xs[i + 1 :] - xs[i], axis=1)
-        dr = np.linalg.norm(res[i + 1 :] - res[i], axis=1)
-        good = dx > 0.0
-        if np.any(good):
-            worst = max(worst, float(np.max(dr[good] / dx[good])))
-    return worst
-
-
 def criterion_block_factorization() -> dict:
     """Factoring a bilipschitz layer yields blocks that are truly small.
 
@@ -293,7 +280,7 @@ def criterion_block_factorization() -> dict:
     result = decompose(layer, epsilon, 1.0, seed=0)
 
     xs = ball_samples(dim, 1.0, 64, seed=101)
-    lips = [_pairwise_residual_lip(b, xs) for b in result.blocks]
+    lips = [_sup_quotient(xs, b.eval_array(xs) - xs) for b in result.blocks]
     assert max(lips) < epsilon, (
         f"a factor's resampled residual Lipschitz constant {max(lips):.6g} "
         f"reaches epsilon={epsilon}"

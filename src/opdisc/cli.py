@@ -67,6 +67,17 @@ class CheckFailure(Exception):
     """A stated expectation did not hold; maps to exit code 2."""
 
 
+# exceptions a runner raises when the experiment ran but failed (exit code 2)
+_FAILURES = (
+    CheckFailure,
+    AssertionError,
+    InversionError,
+    DecompositionError,
+    RuntimeError,
+    ValueError,
+)
+
+
 # ---------------------------------------------------------------------------
 # experiment runners (shared by subcommands and batch mode)
 
@@ -462,6 +473,23 @@ def _validate_experiment(exp: dict, index: int, seed_override: int | None) -> di
     return exp
 
 
+def _run_experiment(exp: dict, out_dir: Path) -> dict:
+    """Run one validated experiment; its outcome record names the status."""
+    outcome = {"name": exp["name"], "kind": exp["kind"]}
+    try:
+        RUNNERS[exp["kind"]](exp, out_dir)
+    except (SpecError, ConfigError) as err:
+        return {**outcome, "status": "config-error", "error": str(err)}
+    except _FAILURES as err:
+        return {
+            **outcome,
+            "status": "failed",
+            "error": str(err),
+            "error_type": type(err).__name__,
+        }
+    return {**outcome, "status": "ok"}
+
+
 def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None) -> list[dict]:
     read_envelope(config, "config", {"experiments"})
     experiments = config["experiments"]
@@ -474,34 +502,10 @@ def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None
     if len(set(names)) != len(names):
         raise ConfigError("config: experiment names must be unique (artifacts are per-name files)")
 
-    def one(exp: dict) -> dict:
-        try:
-            RUNNERS[exp["kind"]](exp, out_dir)
-            return {"name": exp["name"], "kind": exp["kind"], "status": "ok"}
-        except (SpecError, ConfigError) as err:
-            return {"name": exp["name"], "kind": exp["kind"], "status": "config-error", "error": str(err)}
-        except (
-            CheckFailure,
-            AssertionError,
-            InversionError,
-            DecompositionError,
-            RuntimeError,
-            ValueError,
-        ) as err:
-            return {
-                "name": exp["name"],
-                "kind": exp["kind"],
-                "status": "failed",
-                "error": str(err),
-                "error_type": type(err).__name__,
-            }
-
     if jobs > 1 and len(validated) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(one, validated))
-    else:
-        outcomes = [one(exp) for exp in validated]
-    return outcomes
+            return list(pool.map(_run_experiment, validated, [out_dir] * len(validated)))
+    return [_run_experiment(exp, out_dir) for exp in validated]
 
 
 # ---------------------------------------------------------------------------
@@ -523,35 +527,13 @@ def _finish(outcomes: list[dict], out_dir: Path) -> None:
 
 def _run_single(exp: dict, out_dir: Path, seed_override: int | None) -> None:
     exp = _validate_experiment(exp, 0, seed_override)
-    try:
-        RUNNERS[exp["kind"]](exp, out_dir)
-    except (SpecError, ConfigError) as err:
-        raise click.ClickException(str(err)) from err
-    except (
-        CheckFailure,
-        AssertionError,
-        InversionError,
-        DecompositionError,
-        RuntimeError,
-        ValueError,
-    ) as err:
-        write_json(
-            out_dir / "failures.json",
-            {
-                "schema": SCHEMA_VERSION,
-                "failed": [
-                    {
-                        "name": exp["name"],
-                        "kind": exp["kind"],
-                        "status": "failed",
-                        "error": str(err),
-                        "error_type": type(err).__name__,
-                    }
-                ],
-            },
-        )
-        click.echo(f"failed: {err}", err=True)
-        raise SystemExit(2) from err
+    outcome = _run_experiment(exp, out_dir)
+    if outcome["status"] == "config-error":
+        raise click.ClickException(outcome["error"])
+    if outcome["status"] == "failed":
+        write_json(out_dir / "failures.json", {"schema": SCHEMA_VERSION, "failed": [outcome]})
+        click.echo(f"failed: {outcome['error']}", err=True)
+        raise SystemExit(2)
     click.echo(f"          ok  {exp['kind']}  {exp['name']}")
 
 

@@ -25,6 +25,7 @@ difference Newton solver otherwise.
 
 from __future__ import annotations
 
+import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -33,8 +34,8 @@ from typing import Callable, Sequence
 import numpy as np
 import scipy.linalg
 
-from .layers import NeuralOperatorLayer, eval_map
-from .monotone import ball_samples, bilipschitz_estimate
+from .layers import NeuralOperatorLayer, central_differences, eval_map
+from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate
 from .operators import DenseOnPrefix, Identity, Reflection, operator_norm_estimate
 from .spectral import as_coeffs
 
@@ -106,22 +107,6 @@ class Frame:
 
     def project_array(self, x: np.ndarray) -> np.ndarray:
         return self.coords(x) @ self.rows
-
-
-def _rows(f, xs: np.ndarray) -> np.ndarray:
-    return np.stack([eval_map(f, x) for x in xs])
-
-
-def _pair_sup_quotient(xs: np.ndarray, ys: np.ndarray) -> float:
-    """max over sample pairs of |Δy| / |Δx| — a sampled Lipschitz bound."""
-    i, j = np.triu_indices(xs.shape[0], k=1)
-    dx = xs[i] - xs[j]
-    dy = ys[i] - ys[j]
-    dist = np.linalg.norm(dx, axis=1)
-    ok = dist >= 1e-12
-    if not np.any(ok):
-        return 0.0
-    return float(np.max(np.linalg.norm(dy[ok], axis=1) / dist[ok]))
 
 
 # ---------------------------------------------------------------------------
@@ -210,37 +195,12 @@ def build_fw(layer: NeuralOperatorLayer, frame: Frame) -> CoreCompressedLayer:
 # ---------------------------------------------------------------------------
 
 
-def _damped_invert_rows(
-    f, ys: np.ndarray, alpha: float, lip: float, tol: float, max_iter: int
-) -> np.ndarray:
-    tau = alpha / lip**2
-    xs = ys.copy()
-    for _ in range(max_iter):
-        res = _rows(f, xs) - ys
-        if float(np.max(np.linalg.norm(res, axis=1))) <= tol:
-            return xs
-        xs = xs - tau * res
-    worst = float(np.max(np.linalg.norm(_rows(f, xs) - ys, axis=1)))
-    raise DecompositionError(
-        f"[invert] damped iteration did not reach tol={tol:g} in {max_iter} "
-        f"steps (last residual {worst:g})"
-    )
+def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
+    k = x.shape[-1]
+    return central_differences(f, x, np.eye(k)).T
 
 
-def _fd_jacobian(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    k = x.size
-    jac = np.empty((k, k))
-    for col in range(k):
-        e = np.zeros(k)
-        e[col] = h
-        jac[:, col] = (eval_map(f, x + e) - eval_map(f, x - e)) / (2.0 * h)
-    if not np.all(np.isfinite(jac)):
-        raise ValueError("non-finite Jacobian entries in finite differences")
-    return jac
-
-
-def _newton_invert_rows(f, ys: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _newton_invert(f, ys: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     xs = ys.copy()
     for row in range(xs.shape[0]):
         x, y = xs[row], ys[row]
@@ -279,26 +239,26 @@ def invert_monotone(
     lip: float,
     tol: float = 1e-10,
     max_iter: int = 100000,
-    x0=None,
     stats: dict | None = None,
-):
+) -> np.ndarray:
     """Solve f(x) = y for strongly monotone Lipschitz f by damped iteration.
 
-    The step x ← x − τ(f(x) − y) with τ = alpha/lip² contracts distances to
-    the solution by q = √(1 − alpha²/lip²) per iteration; the loop stops as
-    soon as ‖f(x) − y‖ ≤ tol.
+    ``y`` holds one target or a (..., k) batch of them, all iterated
+    together.  The step x ← x − τ(f(x) − y) with τ = alpha/lip² contracts
+    distances to the solution by q = √(1 − alpha²/lip²) per iteration; the
+    loop stops as soon as the largest row residual ‖f(x) − y‖ is ≤ tol.
     """
     if not alpha > 0.0:
         raise ValueError("monotonicity constant alpha must be positive")
     if lip < alpha:
         raise ValueError("Lipschitz bound cannot be smaller than alpha")
-    y = as_coeffs(y)
-    x = y.copy() if x0 is None else as_coeffs(x0).copy()
+    y = np.asarray(y, dtype=float)
+    x = y.copy()
     tau = alpha / lip**2
     q = math.sqrt(max(0.0, 1.0 - (alpha / lip) ** 2))
     iterations = 0
     res = eval_map(f, x) - y
-    rnorm = float(np.linalg.norm(res))
+    rnorm = float(np.max(np.linalg.norm(res, axis=-1), initial=0.0))
     while rnorm > tol:
         if iterations >= max_iter:
             raise DecompositionError(
@@ -308,7 +268,7 @@ def invert_monotone(
         x = x - tau * res
         iterations += 1
         res = eval_map(f, x) - y
-        rnorm = float(np.linalg.norm(res))
+        rnorm = float(np.max(np.linalg.norm(res, axis=-1), initial=0.0))
     if stats is not None:
         stats.update({"iterations": iterations, "residual": rnorm, "contraction": q})
     return x
@@ -344,25 +304,22 @@ class TailBlock:
         self.lip_sampled: float | None = None
         self.label = "tail"
 
-    def _invert_fw_rows(self, ys: np.ndarray) -> np.ndarray:
+    def _invert_fw(self, ys: np.ndarray) -> np.ndarray:
         frame = self.fw.frame
         if frame.dim == 0:
             return ys.copy()
         f = self.fw.core_map()
         cw = frame.coords(ys)
         if self.alpha is not None:
-            sol = _damped_invert_rows(f, cw, self.alpha, self.lip, self.tol, self.max_iter)
+            sol = invert_monotone(f, cw, self.alpha, self.lip, self.tol, self.max_iter)
         else:
-            sol = _newton_invert_rows(f, cw, self.tol, 100)
+            sol = _newton_invert(f, cw, self.tol, 100)
         return ys - frame.lift(cw) + frame.lift(sol)
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        one = x.ndim == 1
-        rows = x[None, :] if one else x
-        pre = self._invert_fw_rows(rows)
-        out = _rows(self.source, pre)
-        return out[0] if one else out
+        pre = self._invert_fw(x.reshape(-1, x.shape[-1]))
+        return eval_map(self.source, pre).reshape(x.shape)
 
 
 def peel_tail(
@@ -386,16 +343,16 @@ def peel_tail(
         raise ValueError("need a positive lower bilipschitz constant")
     block = TailBlock(source, fw, alpha, lip, tol)
     xs = ball_samples(fw.dim, sample_radius, n, seed=seed)
-    through = _rows(fw, xs)
+    through = fw.eval_array(xs)
     recon = block.eval_array(through)
-    direct = _rows(source, xs)
+    direct = eval_map(source, xs)
     roundtrip = float(np.max(np.linalg.norm(recon - direct, axis=1)))
     if roundtrip > 1e-8:
         raise DecompositionError(
             f"[peel_tail] factor roundtrip error {roundtrip:g} exceeds 1e-8"
         )
     ys = block.eval_array(xs)
-    lip_hat = _pair_sup_quotient(xs, ys - xs)
+    lip_hat = _sup_quotient(xs, ys - xs)
     if lip_hat >= epsilon:
         raise DecompositionError(
             f"[peel_tail] sampled Lip of the tail factor is {lip_hat:g}, "
@@ -426,17 +383,17 @@ class ScalingPath:
     def eval_t_rows(self, t: float, xs: np.ndarray) -> np.ndarray:
         if t == 0.0:
             return xs @ self.df0.T
-        return (_rows(self.f, t * xs) - self.f0_val) / t + t * self.f0_val
+        return (eval_map(self.f, t * xs) - self.f0_val) / t + t * self.f0_val
 
     def invert_t_rows(
         self, t: float, ys: np.ndarray, tol: float, max_iter: int = 100000
     ) -> np.ndarray:
         if t == 0.0:
             return np.linalg.solve(self.df0, ys.T).T
-        ft = lambda x: self.eval_t_rows(t, x[None, :])[0]
+        ft = functools.partial(self.eval_t_rows, t)
         if self.alpha is not None:
-            return _damped_invert_rows(ft, ys, self.alpha, self.lip, tol, max_iter)
-        return _newton_invert_rows(ft, ys, tol, 100)
+            return invert_monotone(ft, ys, self.alpha, self.lip, tol, max_iter)
+        return _newton_invert(ft, ys, tol, 100)
 
 
 class PathBlock:
@@ -460,15 +417,14 @@ class PathBlock:
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        one = x.ndim == 1
-        rows = x[None, :].copy() if one else x.copy()
+        rows = x.reshape(-1, x.shape[-1]).copy()
         phi = self.cutoff(np.linalg.norm(rows, axis=1))
         act = phi > 0.0
         if np.any(act):
             pre = self.path.invert_t_rows(self.t_lo, rows[act], self.tol)
             post = self.path.eval_t_rows(self.t_hi, pre)
             rows[act] = rows[act] + phi[act, None] * (post - rows[act])
-        return rows[0] if one else rows
+        return rows.reshape(x.shape)
 
 
 def _c2_estimate(f, k: int, radius: float, seed: int, n: int = 16, h: float = 1e-3) -> float:
@@ -477,25 +433,17 @@ def _c2_estimate(f, k: int, radius: float, seed: int, n: int = 16, h: float = 1e
     An estimate only: the t-grid it suggests is refined adaptively until the
     sampled block constants pass, so correctness never rests on it.
     """
-    rng = np.random.default_rng(seed)
     xs = ball_samples(k, radius, n, seed=seed)
-    worst = 0.0
-    for x in xs:
-        u = rng.standard_normal(k)
-        u /= np.linalg.norm(u)
-        v = rng.standard_normal(k)
-        v /= np.linalg.norm(v)
-        d2 = (
-            eval_map(f, x + h * (u + v))
-            - eval_map(f, x + h * u)
-            - eval_map(f, x + h * v)
-            + eval_map(f, x)
-        ) / h**2
-        val = float(np.linalg.norm(d2))
-        if not np.isfinite(val):
-            raise DecompositionError("[path_blocks] second-derivative estimate is not finite")
-        worst = max(worst, val)
-    return worst
+    # per sample a unit direction pair (u, v), drawn in the order u, v
+    uv = np.random.default_rng(seed).standard_normal((n, 2, k))
+    uv /= np.linalg.norm(uv, axis=2, keepdims=True)
+    u, v = uv[:, 0], uv[:, 1]
+    vals = eval_map(f, np.concatenate([xs + h * (u + v), xs + h * u, xs + h * v, xs]))
+    f_uv, f_u, f_v, f_x = np.split(vals, 4)
+    norms = np.linalg.norm((f_uv - f_u - f_v + f_x) / h**2, axis=1)
+    if not np.all(np.isfinite(norms)):
+        raise DecompositionError("[path_blocks] second-derivative estimate is not finite")
+    return float(np.max(norms, initial=0.0))
 
 
 def path_blocks(
@@ -541,7 +489,7 @@ def path_blocks(
 
     xs = ball_samples(k, 2.3 * r2, verify_points, seed=seed + 2)
     lin_dev = float(
-        np.max(np.linalg.norm(_rows(f, xs) - xs @ path.df0.T - path.f0_val, axis=1))
+        np.max(np.linalg.norm(eval_map(f, xs) - xs @ path.df0.T - path.f0_val, axis=1))
     )
     if lin_dev <= 1e-12 and r0 <= 1e-12:
         diag["linear_shortcut"] = True
@@ -560,7 +508,7 @@ def path_blocks(
         if key not in cache:
             block = PathBlock(path, lo, hi, r2, tol)
             ys = block.eval_array(xs)
-            lip_hat = _pair_sup_quotient(xs, ys - xs)
+            lip_hat = _sup_quotient(xs, ys - xs)
             dev = float(np.max(np.linalg.norm(ys - xs, axis=1)))
             cache[key] = (block, lip_hat, dev)
         return cache[key]
@@ -821,13 +769,10 @@ class DecompositionResult:
                 )
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        one = x.ndim == 1
-        rows = x[None, :] if one else x
-        rows = np.stack([eval_map(self.a0, r) for r in rows])
+        x = eval_map(self.a0, x)
         for b in self.blocks:
-            rows = b.eval_array(rows)
-        return rows[0] if one else rows
+            x = b.eval_array(x)
+        return x
 
     def __call__(self, x):
         return self.eval_array(as_coeffs(x))
@@ -882,7 +827,7 @@ def decompose(
     with _stage("build_fw"):
         fw = build_fw(layer, frame)
         xs = ball_samples(layer.dim, r1, 64, seed=seed + 3)
-        fw_dev = float(np.max(np.linalg.norm(_rows(layer, xs) - _rows(fw, xs), axis=1)))
+        fw_dev = float(np.max(np.linalg.norm(layer.eval_array(xs) - fw.eval_array(xs), axis=1)))
         fw_bound = 0.5 * (1.0 + r1) * epsilon
         diag["fw_deviation"] = fw_dev
         diag["fw_deviation_bound"] = fw_bound
@@ -956,7 +901,7 @@ def decompose(
     with _stage("verify"):
         xs = ball_samples(layer.dim, r1, n_verify, seed=seed + 7)
         err = float(
-            np.max(np.linalg.norm(result.eval_array(xs) - _rows(layer, xs), axis=1))
+            np.max(np.linalg.norm(result.eval_array(xs) - layer.eval_array(xs), axis=1))
         )
         diag["composite_error"] = err
         if err > composite_tol:

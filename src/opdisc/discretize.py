@@ -18,8 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .layers import eval_map, jvp
-from .monotone import ball_samples, map_dim, pairwise_alpha
+from .layers import central_differences, eval_map
+from .monotone import _resolve_dim, ball_samples, pairwise_alpha
 from .operators import FiniteRankOperator
 from .spectral import SpectralVector, Subspace, as_coeffs
 
@@ -44,13 +44,6 @@ def csv_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def _resolve_dim(f, dim: int | None) -> int:
-    m = dim if dim is not None else map_dim(f)
-    if m is None:
-        raise ValueError("map has no intrinsic dimension; pass dim=")
-    return m
-
-
 @dataclass(frozen=True, eq=False)
 class DiscretizedMap:
     """P_V∘F on a prefix subspace V: inputs and outputs both live in V.
@@ -69,11 +62,10 @@ class DiscretizedMap:
         d = self.v.dim
         if d == 0 or d > self.dim:
             raise ValueError("subspace must be a nonempty prefix of the ambient space")
-        worst = 0.0
-        for x in ball_samples(self.dim, 1.0, 4, seed=0, indices=list(range(d))):
-            direct = eval_map(self.source, x).copy()
-            direct[d:] = 0.0
-            worst = max(worst, float(np.linalg.norm(self.eval_array(x) - direct)))
+        xs = ball_samples(self.dim, 1.0, 4, seed=0, indices=list(range(d)))
+        direct = eval_map(self.source, xs).copy()
+        direct[:, d:] = 0.0
+        worst = float(np.max(np.linalg.norm(self.eval_array(xs) - direct, axis=1)))
         if worst > 1e-12:
             raise AssertionError(
                 f"compressed map disagrees with projected source by {worst:g}"
@@ -121,12 +113,8 @@ def functor_a_error(
     """Worst range tail over ball samples in V: max ‖(Id − P_V) f(x)‖."""
     m = _resolve_dim(f, dim)
     xs = _v_samples(m, v, r, n, seed, samples)
-    d = v.dim
-    worst = 0.0
-    for x in xs:
-        y = eval_map(f, x)
-        worst = max(worst, float(np.linalg.norm(y[d:])))
-    return worst
+    tails = eval_map(f, xs)[:, v.dim :]
+    return float(np.max(np.linalg.norm(tails, axis=1), initial=0.0))
 
 
 def epsilon_error(
@@ -146,13 +134,9 @@ def epsilon_error(
     m = _resolve_dim(f, dim)
     fv = linearize(f, v, dim=m)
     xs = _v_samples(m, v, r, n, seed, samples)
-    d = v.dim
-    worst = 0.0
-    for x in xs:
-        direct = eval_map(f, x).copy()
-        direct[d:] = 0.0
-        worst = max(worst, float(np.linalg.norm(fv.eval_array(x) - direct)))
-    return worst
+    direct = eval_map(f, xs).copy()
+    direct[:, v.dim :] = 0.0
+    return float(np.max(np.linalg.norm(fv.eval_array(xs) - direct, axis=1), initial=0.0))
 
 
 def weak_error(
@@ -178,15 +162,9 @@ def weak_error(
         if np.linalg.norm(p) == 0.0:
             raise ValueError("probes must be nonzero")
     xs = _v_samples(m, v, r, n, seed, samples)
-    d = v.dim
-    worst = 0.0
-    for x in xs:
-        y = eval_map(f, x)
-        defect = y.copy()
-        defect[:d] = 0.0  # f_V(x) − f(x) = −(Id − P_V) f(x)
-        for p in parr:
-            worst = max(worst, abs(float(defect @ p)))
-    return worst
+    defect = eval_map(f, xs).copy()
+    defect[:, : v.dim] = 0.0  # f_V(x) − f(x) = −(Id − P_V) f(x)
+    return float(np.max(np.abs(defect @ np.stack(parr).T), initial=0.0))
 
 
 @dataclass(frozen=True, eq=False)
@@ -318,7 +296,7 @@ def continuity_probe(
         raise ValueError("need a nonempty prefix subspace")
     xs = ball_samples(m, r, n, seed=seed, indices=list(range(d)))
     # the perturbation direction k(x) is shared by every j: evaluate once
-    defects = np.stack([k.apply_array(x) for x in xs])
+    defects = k.apply_array(xs)
     amb = np.linalg.norm(defects, axis=1)
     sub = np.linalg.norm(defects[:, :d], axis=1)
     rows = []
@@ -343,16 +321,6 @@ class OrientationScan:
     @property
     def sign_changed(self) -> bool:
         return len(self.crossings) > 0
-
-
-def _compressed_jacobian(f, d: int, m: int, base: np.ndarray, h: float) -> np.ndarray:
-    jac = np.empty((d, d))
-    basis = np.eye(m)
-    for col in range(d):
-        jac[:, col] = jvp(f, base, basis[col], h=h).coeffs[:d]
-    if not np.all(np.isfinite(jac)):
-        raise ValueError("finite-difference failure: non-finite Jacobian entries")
-    return jac
 
 
 def orientation_scan(
@@ -382,7 +350,9 @@ def orientation_scan(
     base[d:] = 0.0
 
     def det_at(t: float) -> float:
-        return float(np.linalg.det(_compressed_jacobian(path(t), d, m, base, h)))
+        # compressed Jacobian: first d outputs along the first d basis directions
+        deriv = central_differences(path(t), base, np.eye(m)[:d], h)
+        return float(np.linalg.det(deriv[:, :d].T))
 
     dets = [det_at(t) for t in ts]
     rows = tuple((t, int(np.sign(dv)), abs(dv)) for t, dv in zip(ts, dets))

@@ -1,21 +1,21 @@
-"""Residual operator layers, stacked operators, and coordinate networks.
+"""Residual operator layers, residual chains, and coordinate networks.
 
 A layer is the residual map x + T_out(G(T_in(x))) built from two finite-rank
 operators and a nonlinearity with a recorded Lipschitz bound.  On top of that
-this module provides multi-stage stacks (linear mix after a pointwise
-activation after a layer), residual chains acting through a coefficient
-prefix, their invertible variant with a certified contraction bound, the
-kernel-coefficient form of residual blocks, and a finite-difference
-Jacobian-vector probe.
+this module provides residual chains acting through a coefficient prefix,
+their invertible variant with a certified contraction bound, and the
+central-difference derivative probe the rest of the package shares.
 
-Networks are constructed from seeds and rescaled to target spectral bounds;
-nothing here is trained.
+Every map here follows one evaluation contract: it takes a (..., m) array
+and returns an array with the same leading shape, so callers evaluate whole
+sample sets at once.  Networks are constructed from seeds and rescaled to
+target spectral bounds; nothing here is trained.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -24,8 +24,9 @@ from .operators import (
     FiniteRankOperator,
     LinearExpr,
     PointwiseActivation,
+    nemytskii_apply,
 )
-from .spectral import Space, SpectralVector, Subspace, as_coeffs
+from .spectral import Space, SpectralVector, as_coeffs
 
 __all__ = [
     "Nonlinearity",
@@ -34,18 +35,14 @@ __all__ = [
     "CoordinateNetNonlinearity",
     "AffineNonlinearity",
     "NeuralOperatorLayer",
-    "Stage",
-    "GeneralizedNeuralOperator",
     "CoordinateNetwork",
     "ResidualChain",
     "InvertibleResidualChain",
-    "KernelStage",
-    "ResidualNeuralOperatorBlock",
     "make_layer",
     "scaled_leaky_activation",
-    "resnet_to_rno",
     "eval_map",
     "evaluate",
+    "central_differences",
     "jvp",
 ]
 
@@ -224,9 +221,7 @@ class NemytskiiNonlinearity(Nonlinearity):
         return f"nemytskii[{self.sigma.name}]"
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
-        if self.sigma.is_identity:
-            return np.array(x, dtype=float, copy=True)
-        return self.space.from_grid(self.sigma(self.space.to_grid(x))).coeffs
+        return nemytskii_apply(self.space, self.sigma, x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -301,7 +296,7 @@ class AffineNonlinearity(Nonlinearity):
 
 
 # ---------------------------------------------------------------------------
-# layers and stacks
+# layers
 # ---------------------------------------------------------------------------
 
 
@@ -338,44 +333,6 @@ class NeuralOperatorLayer:
         return x + self.out_op.apply_array(
             self.nonlin.apply_array(self.in_op.apply_array(x))
         )
-
-
-@dataclass(frozen=True, eq=False)
-class Stage:
-    """One stage of a stacked operator: layer, pointwise activation, mix."""
-
-    linear: LinearExpr
-    activation: PointwiseActivation
-    layer: NeuralOperatorLayer
-
-
-@dataclass(frozen=True, eq=False)
-class GeneralizedNeuralOperator:
-    """Composition mix_L . act_L . layer_L . ... . mix_1 . act_1 . layer_1."""
-
-    stages: tuple
-    space: Space | None = None
-
-    def __post_init__(self) -> None:
-        st = tuple(self.stages)
-        if not st:
-            raise ValueError("need at least one stage")
-        if self.space is None and any(not s.activation.is_identity for s in st):
-            raise ValueError("non-identity pointwise activations need a space")
-        object.__setattr__(self, "stages", st)
-
-    @property
-    def dim(self) -> int:
-        return self.stages[0].layer.dim
-
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        for s in self.stages:
-            x = s.layer.eval_array(x)
-            if not s.activation.is_identity:
-                assert self.space is not None
-                x = self.space.from_grid(s.activation(self.space.to_grid(x))).coeffs
-            x = s.linear.apply_array(x)
-        return x
 
 
 # ---------------------------------------------------------------------------
@@ -533,165 +490,13 @@ class InvertibleResidualChain:
 
 
 # ---------------------------------------------------------------------------
-# kernel-coefficient form of residual blocks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True, eq=False)
-class KernelStage:
-    """One affine stage: kernel on coefficients, local channel mix, bias.
-
-    ``kernel[p, q]`` is the (d_out, d_in) matrix sending the p-th input
-    coefficient of each channel to the q-th output basis direction.  Biases
-    are coefficient rows (a constant bias is a multiple of the constant
-    basis element).  ``activated`` says whether the block activation follows.
-    """
-
-    kernel: np.ndarray | None
-    local: np.ndarray | None
-    bias: np.ndarray | None
-    activated: bool
-    d_in: int
-    d_out: int
-
-    def __post_init__(self) -> None:
-        for name, arr, nd in (("kernel", self.kernel, 4), ("local", self.local, 2), ("bias", self.bias, 2)):
-            if arr is not None:
-                a = np.array(arr, dtype=float)
-                if a.ndim != nd:
-                    raise ValueError(f"{name} must be {nd}-dimensional")
-                a.flags.writeable = False
-                object.__setattr__(self, name, a)
-        if self.kernel is None and self.local is None:
-            raise ValueError("stage needs a kernel or local weights")
-
-
-@dataclass(frozen=True, eq=False)
-class ResidualNeuralOperatorBlock:
-    """x + body(x), the body a stack of kernel/local/bias stages.
-
-    Channels are coefficient rows; kernels touch only the first ``prefix_n``
-    coefficients, local weights mix channels pointwise (exact on
-    coefficients), and activations act pointwise on the quadrature grid,
-    jointly across channels (so pair-sorting activations see the channel
-    vector at each point).
-    """
-
-    space: Space
-    prefix_n: int
-    stages: tuple
-    activation: CoordinateActivation
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.prefix_n <= self.space.dim:
-            raise ValueError("prefix dimension must lie in 1..ambient_dim")
-        st = tuple(self.stages)
-        if not st:
-            raise ValueError("need at least one stage")
-        if st[0].d_in != 1 or st[-1].d_out != 1:
-            raise ValueError("block body must map one channel to one channel")
-        for i in range(1, len(st)):
-            if st[i].d_in != st[i - 1].d_out:
-                raise ValueError(f"stage {i} channel mismatch")
-        object.__setattr__(self, "stages", st)
-
-    def _activate(self, u: np.ndarray) -> np.ndarray:
-        # u: (channels, M) coefficient rows -> pointwise activation on grid
-        vals = np.stack([self.space.to_grid(row) for row in u])
-        vals = self.activation(vals.T).T  # joint across channels at each node
-        return np.stack([self.space.from_grid(v).coeffs for v in vals])
-
-    def body_array(self, x: np.ndarray) -> np.ndarray:
-        n = self.prefix_n
-        u = np.asarray(x, dtype=float).reshape(1, -1)
-        for stage in self.stages:
-            out = np.zeros((stage.d_out, u.shape[1]))
-            if stage.local is not None:
-                out += stage.local @ u
-            if stage.kernel is not None:
-                # out[:, q] += sum_p kernel[p, q] @ u[:, p]
-                out[:, :n] += np.einsum("pqoi,ip->oq", stage.kernel, u[:, :n])
-            if stage.bias is not None:
-                out += stage.bias
-            u = self._activate(out) if stage.activated else out
-        return u[0]
-
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.space.dim:
-            raise ValueError("dimension mismatch for kernel block")
-        return x + self.body_array(x)
-
-    @property
-    def dim(self) -> int:
-        return self.space.dim
-
-
-def _constant_first_basis(space: Space) -> None:
-    if space.spec.kind != "fourier":
-        raise ValueError(
-            "kernel-coefficient form needs a realized basis whose first "
-            "element is the constant function"
-        )
-
-
-def resnet_to_rno(chain: ResidualChain, space: Space) -> list[ResidualNeuralOperatorBlock]:
-    """Rewrite each chain block in kernel-coefficient form.
-
-    The first network stage becomes a kernel lifting coefficients into
-    constant-function channels, middle stages become local channel mixes
-    with constant biases, and the last stage becomes a kernel mapping the
-    constant channels back onto the coefficient prefix (its bias decoded as
-    a function).  Evaluation agrees with the chain to roundoff.
-    """
-    _constant_first_basis(space)
-    if space.dim != chain.ambient_dim:
-        raise ValueError("space and chain disagree on the ambient dimension")
-    n = chain.prefix_n
-    m = space.dim
-    out = []
-    for net in chain.blocks:
-        ws, bs = net.weights, net.biases
-        L = len(ws)
-        stages: list[KernelStage] = []
-        if L == 1:
-            kernel = np.zeros((n, n, 1, 1))
-            kernel[:, :, 0, 0] = ws[0].T  # coefficient p -> basis q weight W[q, p]
-            bias = np.zeros((1, m))
-            bias[0, :n] = bs[0]
-            stages.append(KernelStage(kernel, None, bias, False, 1, 1))
-        else:
-            w1 = ws[0]
-            d1 = w1.shape[0]
-            lift = np.zeros((n, n, d1, 1))
-            lift[:, 0, :, 0] = w1.T  # constant-channel lift: all mass on basis 0
-            bias1 = np.zeros((d1, m))
-            bias1[:, 0] = bs[0]
-            stages.append(KernelStage(lift, None, bias1, True, 1, d1))
-            for i in range(1, L - 1):
-                bias_i = np.zeros((ws[i].shape[0], m))
-                bias_i[:, 0] = bs[i]
-                stages.append(
-                    KernelStage(None, ws[i], bias_i, True, ws[i].shape[1], ws[i].shape[0])
-                )
-            wl = ws[-1]
-            dl = wl.shape[1]
-            proj = np.zeros((n, n, 1, dl))
-            proj[0, :, 0, :] = wl  # constant channels (coefficient 0) -> prefix
-            bias_l = np.zeros((1, m))
-            bias_l[0, :n] = bs[-1]
-            stages.append(KernelStage(proj, None, bias_l, False, dl, 1))
-        out.append(ResidualNeuralOperatorBlock(space, n, tuple(stages), net.activation))
-    return out
-
-
-# ---------------------------------------------------------------------------
 # evaluation protocol and derivative probe
 # ---------------------------------------------------------------------------
 
 
 def eval_map(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate any of the package's map types (or a callable) on an array."""
+    """Evaluate any of the package's map types (or a callable) on (..., m)
+    inputs; plain callables must accept batches too."""
     x = np.asarray(x, dtype=float)
     if isinstance(f, (FiniteRankOperator, LinearExpr)):
         return f.apply_array(x)
@@ -706,14 +511,29 @@ def evaluate(f, x) -> SpectralVector:
     return SpectralVector(eval_map(f, as_coeffs(x)))
 
 
-def jvp(f, x, v, h: float = 1e-5) -> SpectralVector:
-    """Directional derivative by central differences: O(h^2) for C^2 maps."""
+def central_differences(f, x: np.ndarray, dirs: np.ndarray, h: float = 1e-5) -> np.ndarray:
+    """Directional derivatives of f at x along each row of ``dirs``.
+
+    Central differences, O(h^2) for C^2 maps.  All 2n perturbed points go
+    through f as one (2n, m) batch; row i of the result is the derivative
+    along dirs[i], so the Jacobian's columns for the directions are the
+    transposed result.  Non-finite entries are an error.
+    """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    xc, vc = as_coeffs(x), as_coeffs(v)
-    plus = eval_map(f, xc + h * vc)
-    minus = eval_map(f, xc - h * vc)
-    return SpectralVector((plus - minus) / (2.0 * h))
+    x = np.asarray(x, dtype=float)
+    dirs = np.asarray(dirs, dtype=float)
+    n = dirs.shape[0]
+    out = eval_map(f, np.concatenate([x + h * dirs, x - h * dirs]))
+    deriv = (out[:n] - out[n:]) / (2.0 * h)
+    if not np.all(np.isfinite(deriv)):
+        raise ValueError("finite-difference failure: non-finite Jacobian entries")
+    return deriv
+
+
+def jvp(f, x, v, h: float = 1e-5) -> SpectralVector:
+    """Directional derivative by central differences: O(h^2) for C^2 maps."""
+    return SpectralVector(central_differences(f, as_coeffs(x), as_coeffs(v)[None], h)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,10 @@ proof-grade certificates derived from structural hypotheses: a contraction
 condition on a layer's middle map, eigenvalue bounds for linear maps, and
 derivative bounds for pointwise maps.  Rejections are returned as
 uncertified results carrying the violated quantity, not raised.
+
+The sampled estimators evaluate the map once on the whole (n, m) sample
+set and reduce over sample pairs with one shared pair-quotient kernel,
+which the factorization and acceptance modules reuse.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .layers import NeuralOperatorLayer, eval_map, jvp
+from .layers import NeuralOperatorLayer, eval_map
 from .operators import (
     DenseOnPrefix,
     Diagonal,
@@ -33,8 +37,6 @@ __all__ = [
     "linear_certificate",
     "nemytskii_certificate",
     "bilipschitz_estimate",
-    "jacobian_pd_scan",
-    "coercivity_margins",
     "ball_samples",
     "map_dim",
 ]
@@ -162,6 +164,13 @@ def _pair_quotients(xs: np.ndarray, ys: np.ndarray):
     return i[ok], j[ok], dx[ok], dy[ok], dist2[ok]
 
 
+def _sup_quotient(xs: np.ndarray, ys: np.ndarray) -> float:
+    """max over sample pairs of |Δy| / |Δx| — a sampled Lipschitz constant
+    (0 when every pair is degenerate)."""
+    _, _, _, dy, dist2 = _pair_quotients(xs, ys)
+    return float(np.sqrt(np.max(np.einsum("ij,ij->i", dy, dy) / dist2, initial=0.0)))
+
+
 def pairwise_alpha(
     f,
     r: float = 1.0,
@@ -181,7 +190,7 @@ def pairwise_alpha(
     m = _resolve_dim(f, dim)
     idx = sorted(subspace.indices) if subspace is not None else None
     xs = ball_samples(m, r, n, seed=seed, indices=idx)
-    ys = np.stack([eval_map(f, x) for x in xs])
+    ys = eval_map(f, xs)
     i, j, dx, dy, dist2 = _pair_quotients(xs, ys)
     if dx.shape[0] == 0:
         raise ValueError("all sampled pairs were degenerate")
@@ -298,7 +307,7 @@ def bilipschitz_estimate(
     m = _resolve_dim(f, dim)
     idx = sorted(subspace.indices) if subspace is not None else None
     xs = ball_samples(m, r, n, seed=seed, indices=idx)
-    ys = np.stack([eval_map(f, x) for x in xs])
+    ys = eval_map(f, xs)
     _, _, dx, dy, dist2 = _pair_quotients(xs, ys)
     if dx.shape[0] == 0:
         raise ValueError("all sampled pairs were degenerate")
@@ -310,74 +319,3 @@ def bilipschitz_estimate(
         sample_count=n,
         seed=seed,
     )
-
-
-def jacobian_pd_scan(
-    f,
-    v: Subspace,
-    r: float = 1.0,
-    n: int = 32,
-    seed: int = 0,
-    h: float = 1e-5,
-    dim: int | None = None,
-) -> dict:
-    """Positivity scan of the projected Jacobian on a prefix subspace.
-
-    Assembles D(P_V f|_V) column by column with central differences at n
-    sampled points of the V-ball and reports the worst symmetric-part
-    eigenvalue and the worst determinant.
-    """
-    if not v.is_prefix:
-        raise ValueError("scan is defined on prefix subspaces")
-    d = v.dim
-    if d == 0 or d > 50:
-        raise ValueError("prefix dimension must lie in 1..50 for a dense eigensolve")
-    m = _resolve_dim(f, dim)
-    if d > m:
-        raise ValueError("subspace exceeds ambient dimension")
-    xs = ball_samples(m, r, n, seed=seed, indices=list(range(d)))
-    min_sym = np.inf
-    min_det = np.inf
-    basis = np.eye(m)
-    for x in xs:
-        jac = np.empty((d, d))
-        for col in range(d):
-            deriv = jvp(f, x, basis[col], h=h).coeffs
-            jac[:, col] = deriv[:d]
-        if not np.all(np.isfinite(jac)):
-            raise ValueError("finite-difference failure: non-finite Jacobian entries")
-        sym_min = float(np.linalg.eigvalsh((jac + jac.T) / 2.0)[0])
-        det = float(np.linalg.det(jac))
-        min_sym = min(min_sym, sym_min)
-        min_det = min(min_det, det)
-    return {"min_sym_eig": min_sym, "min_det": min_det}
-
-
-def coercivity_margins(
-    f,
-    alpha: float,
-    radii: Sequence[float] = (1.0, 10.0, 100.0),
-    n: int = 64,
-    seed: int = 0,
-    dim: int | None = None,
-) -> dict:
-    """Margins of the coercivity inequality along sampled directions.
-
-    For each radius rho returns the minimum over sphere samples x of
-    <f(x), x/|x|> - <f(0), x/|x|> - alpha*|x|; a strongly monotone map
-    keeps every margin above a small negative tolerance.
-    """
-    m = _resolve_dim(f, dim)
-    rng = np.random.default_rng(seed)
-    f0 = eval_map(f, np.zeros(m))
-    out = {}
-    for rho in radii:
-        dirs = rng.standard_normal((n, m))
-        dirs /= np.linalg.norm(dirs, axis=1)[:, None]
-        worst = np.inf
-        for u in dirs:
-            x = rho * u
-            margin = float((eval_map(f, x) - f0) @ u) - alpha * rho
-            worst = min(worst, margin)
-        out[float(rho)] = worst
-    return out

@@ -194,7 +194,7 @@ class LinearExpr:
         return None
 
     def as_matrix(self, dim: int) -> np.ndarray:
-        return np.column_stack([self.apply_array(e) for e in np.eye(dim)])
+        return self.apply_array(np.eye(dim)).T
 
 
 @dataclass(frozen=True)
@@ -596,12 +596,14 @@ class CoordinateActivation:
         return f"CoordinateActivation({self.name})"
 
 
-def nemytskii_apply(space: Space, sigma: PointwiseActivation, u) -> SpectralVector:
+def nemytskii_apply(space: Space, sigma: PointwiseActivation, u) -> np.ndarray:
     """Compose with sigma pointwise: coefficients of sigma(u(t)).
 
-    Evaluates on the quadrature grid and re-expands; the identity activation
+    Takes (..., M) coefficients and returns the same shape.  Evaluates on
+    the quadrature grid and re-expands; the identity activation
     short-circuits and is exact.
     """
+    c = u.coeffs if isinstance(u, SpectralVector) else np.asarray(u, dtype=float)
     if sigma.is_identity:
-        return SpectralVector(as_coeffs(u))
-    return space.from_grid(sigma(space.to_grid(u)))
+        return c.copy()
+    return space.from_grid(sigma(space.to_grid(c)))

@@ -281,22 +281,24 @@ class Space:
         return out
 
     def to_grid(self, x) -> np.ndarray:
-        """Pointwise values of ``x`` on the quadrature nodes."""
+        """Pointwise values on the quadrature nodes: (..., M) coefficients in,
+        (..., nodes) values out."""
         bv = self._require_grid()
-        c = as_coeffs(x)
-        if c.size != self.dim:
-            raise ValueError(f"expected {self.dim} coefficients, got {c.size}")
-        return bv.T @ c
+        c = x.coeffs if isinstance(x, SpectralVector) else np.asarray(x, dtype=float)
+        if c.shape[-1] != self.dim:
+            raise ValueError(f"expected {self.dim} coefficients, got {c.shape[-1]}")
+        return c @ bv
 
-    def from_grid(self, values) -> SpectralVector:
-        """Coefficients of the grid function via quadrature inner products."""
+    def from_grid(self, values) -> np.ndarray:
+        """Coefficients of grid functions via quadrature inner products:
+        (..., nodes) values in, (..., M) coefficients out."""
         bv = self._require_grid()
-        v = np.asarray(values, dtype=float).reshape(-1)
-        if v.size != self.nodes.size:
+        v = np.asarray(values, dtype=float)
+        if v.shape[-1] != self.nodes.size:
             raise ValueError(
-                f"expected {self.nodes.size} grid values, got {v.size}"
+                f"expected {self.nodes.size} grid values, got {v.shape[-1]}"
             )
-        return SpectralVector(bv @ (self.weights * v))
+        return (v * self.weights) @ bv.T
 
     def gram(self) -> np.ndarray:
         """Quadrature Gram matrix of the basis (identity for abstract kind)."""

@@ -1,0 +1,157 @@
+"""Every map type evaluates a (..., m) batch exactly like its rows, one by one."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from opdisc.decompose import (
+    LinearBlock,
+    LiftedBlock,
+    PathBlock,
+    ScalingPath,
+    TailBlock,
+    build_fw,
+    choose_w,
+    decompose,
+)
+from opdisc.discretize import linearize
+from opdisc.layers import (
+    AffineNonlinearity,
+    CoordinateNetNonlinearity,
+    CoordinateNetwork,
+    InvertibleResidualChain,
+    NemytskiiNonlinearity,
+    NeuralOperatorLayer,
+    ResidualChain,
+    ZeroNonlinearity,
+    eval_map,
+    make_layer,
+    scaled_leaky_activation,
+)
+from opdisc.monotone import ball_samples
+from opdisc.operators import (
+    Compose,
+    DenseOnPrefix,
+    Diagonal,
+    FiniteRankOperator,
+    Identity,
+    Reflection,
+    Scalar,
+    Sum,
+)
+from opdisc.spectral import BasisSpec, Space, Subspace
+
+# roundoff-level tolerance for every inverting block, so that a batch
+# iterated until its slowest row converges agrees with single rows
+TIGHT = 1e-13
+
+
+def _flip_layer(dim: int) -> NeuralOperatorLayer:
+    t = FiniteRankOperator(np.ones(2), np.eye(dim)[:2].copy(), np.eye(dim)[:2].copy())
+    a = np.zeros((dim, dim))
+    a[0, 0] = -2.0
+    a[1, 1] = -0.5
+    return NeuralOperatorLayer(t, t, AffineNonlinearity(a, np.zeros(dim)))
+
+
+@pytest.fixture(scope="module")
+def maps():
+    """name -> (callable on (..., m) arrays, m)."""
+    space = Space(BasisSpec(ambient_dim=12))
+    m = space.dim
+    rng = np.random.default_rng(0)
+    out = {}
+
+    t = FiniteRankOperator.seeded(m, 4, seed=1)
+    dense = DenseOnPrefix(rng.standard_normal((5, 5)))
+    linear = {
+        "finite_rank": t,
+        "identity": Identity(),
+        "scalar": Scalar(-1.5),
+        "diagonal": Diagonal(np.linspace(0.5, 2.0, m)),
+        "dense_on_prefix": dense,
+        "reflection": Reflection.first_axis(m),
+        "compose": Compose((t, dense, Scalar(2.0))),
+        "sum": Sum((t, Identity(), Reflection.first_axis(m))),
+    }
+    for name, op in linear.items():
+        out[name] = (op, m)
+
+    net = CoordinateNetwork.seeded(m, m, target_bound=0.5, bias_scale=0.3, seed=2)
+    window = CoordinateNetwork.seeded(5, 5, target_bound=0.5, seed=3)
+    nonlins = {
+        "zero_nonlinearity": ZeroNonlinearity(),
+        "nemytskii": NemytskiiNonlinearity(space, scaled_leaky_activation(0.4)),
+        "coordinate_net_nonlinearity": CoordinateNetNonlinearity(net, m),
+        "coordinate_net_window": CoordinateNetNonlinearity(window, m),
+        "affine_nonlinearity": AffineNonlinearity(0.3 * np.eye(m), np.ones(m)),
+    }
+    for name, nl in nonlins.items():
+        out[name] = (nl.apply_array, m)
+
+    layer = make_layer(space, rank=6, lip_g=0.3, activation="tanh", seed=4)
+    out["layer"] = (layer, m)
+    out["nemytskii_layer"] = (make_layer(space, kind="nemytskii", lip_g=0.4, seed=5), m)
+    out["coordinate_network"] = (net, m)
+    chain = ResidualChain.seeded(m, 5, 2, block_bound=0.6, seed=6)
+    out["residual_chain"] = (chain, m)
+    out["invertible_chain"] = (InvertibleResidualChain(chain, delta=0.6), m)
+    out["discretized_map"] = (linearize(layer, Subspace.prefix(5)), m)
+
+    # a frame that drops directions, so the tail factor has work to do
+    narrow = make_layer(space, rank=3, lip_g=0.3, activation="tanh", seed=7)
+    frame, _ = choose_w(narrow, 0.4)
+    assert 0 < frame.dim < m
+    fw = build_fw(narrow, frame)
+    out["core_compressed_layer"] = (fw, m)
+    out["tail_damped"] = (TailBlock(narrow, fw, 0.7, 1.3, TIGHT), m)
+    out["tail_newton"] = (TailBlock(narrow, fw, None, None, TIGHT), m)
+
+    k = frame.dim
+    core = fw.core_map()
+    damped = PathBlock(ScalingPath(core, k, 0.7, 1.3), 0.25, 0.5, 1.0, TIGHT)
+    newton = PathBlock(ScalingPath(core, k, None, None), 0.25, 0.5, 1.0, TIGHT)
+    out["path_block_damped"] = (damped, k)
+    out["path_block_newton"] = (newton, k)
+    out["linear_block"] = (LinearBlock(np.eye(k) + 0.1 * rng.standard_normal((k, k))), k)
+    out["lifted_block"] = (LiftedBlock(damped, frame), m)
+
+    out["decomposition"] = (decompose(layer, 0.25, 1.0, composite_tol=64 * TIGHT), m)
+    out["decomposition_reflection"] = (
+        decompose(_flip_layer(m), 0.5, 1.0, composite_tol=64 * TIGHT),
+        m,
+    )
+    return out
+
+
+NAMES = [
+    "finite_rank", "identity", "scalar", "diagonal", "dense_on_prefix",
+    "reflection", "compose", "sum", "zero_nonlinearity", "nemytskii",
+    "coordinate_net_nonlinearity", "coordinate_net_window", "affine_nonlinearity",
+    "layer", "nemytskii_layer", "coordinate_network", "residual_chain",
+    "invertible_chain", "discretized_map", "core_compressed_layer", "tail_damped",
+    "tail_newton", "path_block_damped", "path_block_newton", "linear_block",
+    "lifted_block", "decomposition", "decomposition_reflection",
+]
+
+
+def test_every_case_is_listed(maps):
+    assert sorted(maps) == sorted(NAMES)
+
+
+@pytest.mark.parametrize("name", NAMES)
+@settings(max_examples=10, deadline=None)
+@given(
+    lead=st.sampled_from([(1,), (5,), (2, 3)]),
+    radius=st.floats(min_value=0.1, max_value=2.0),
+    seed=st.integers(min_value=0, max_value=2**31 - 1),
+)
+def test_batch_equals_rows(maps, name, lead, radius, seed):
+    f, m = maps[name]
+    xs = ball_samples(m, radius, int(np.prod(lead)), seed=seed).reshape(*lead, m)
+    batch = eval_map(f, xs)
+    rows = np.stack([eval_map(f, x) for x in xs.reshape(-1, m)]).reshape(batch.shape)
+    assert batch.shape == xs.shape
+    scale = max(1.0, float(np.max(np.abs(rows))))
+    assert np.max(np.abs(batch - rows)) <= 1e-12 * scale

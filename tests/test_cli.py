@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from opdisc.cli import SOURCES, main, quant_report
-from opdisc.serialize import chain_from_spec
+from opdisc.monotone import ball_samples
+from opdisc.serialize import chain_from_spec, layer_from_spec, space_from_config
 
 
 @pytest.fixture()
@@ -197,6 +198,33 @@ class TestBatchMode:
         result = runner.invoke(main, [])
         assert result.exit_code == 0
         assert "Usage:" in result.output
+
+    def test_nemytskii_layer_evaluates_batches(self, runner, tmp_path):
+        space = {"basis": "fourier", "ambient_dim": 8}
+        layer = {
+            "kind": "layer",
+            "in_op": {"kind": "seeded_finite_rank", "rank": 4, "seed": 1},
+            "out_op": {"kind": "seeded_finite_rank", "rank": 4, "seed": 2},
+            "nonlin": {"kind": "nemytskii", "activation": "scaled_leaky(0.4)"},
+        }
+        f = layer_from_spec(layer, space_from_config(space))
+        xs = ball_samples(8, 1.0, 5, seed=10)
+        rows = np.stack([f.eval_array(x) for x in xs])
+        assert np.abs(f.eval_array(xs) - rows).max() <= 1e-12 * np.abs(rows).max()
+
+        exp = {"name": "nem", "kind": "monotone-check", "seed": 5, "samples": 32,
+               "dims": [2, 5, 8], "space": space, "layer": layer}
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["--config", str(write_config(tmp_path, [exp])), "--out", str(out)]
+        )
+        assert result.exit_code == 0, result.output
+        report = json.loads((out / "nem.json").read_text())
+        # values of the row-at-a-time evaluation this batched path replaced
+        expected = [0.9655942125136553, 0.964818342991572, 0.9721362266614287]
+        got = [row["alpha_hat"] for row in report["scan"]]
+        assert got == pytest.approx(expected, rel=1e-12)
+        assert report["pass"]
 
 
 class TestSubcommands:
@@ -467,7 +495,7 @@ class TestQuantReport:
     def test_bounds_grow_as_the_tail_shrinks(self):
         def tail_map(x):
             y = np.array(x, dtype=float, copy=True)
-            y[-1] += 0.01
+            y[..., -1] += 0.01
             return y
 
         rows = quant_report(tail_map, [2, 4], 1.0, 16, 0, dim=8)
@@ -480,7 +508,7 @@ class TestQuantReport:
         # square does not underflow inside the sampled norm
         def tiny_tail(x):
             y = np.array(x, dtype=float, copy=True)
-            y[-1] += 1e-120
+            y[..., -1] += 1e-120
             return y
 
         rows = quant_report(tiny_tail, [3], 1.0, 8, 0, dim=4)

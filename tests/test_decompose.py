@@ -210,6 +210,24 @@ class TestInvertMonotone:
         x = invert_monotone(f, y, alpha=0.7, lip=1.3, tol=1e-11)
         assert np.linalg.norm(f(x) - y) <= 1e-11
 
+    def test_batch_of_targets_iterates_together(self):
+        d = np.array([1.0, 2.0])
+        f = lambda v: d * v
+        ys = np.array([[0.7, -1.1], [0.0, 0.0], [-2.0, 0.4]])
+        tol = 1e-10
+        stats = {}
+        xs = invert_monotone(f, ys, alpha=1.0, lip=2.0, tol=tol, stats=stats)
+        assert xs.shape == ys.shape
+        assert np.max(np.linalg.norm(f(xs) - ys, axis=1)) <= tol
+        assert stats["residual"] <= tol
+        # one shared loop: the batch stops when its slowest row converges
+        counts = []
+        for y in ys:
+            single = {}
+            invert_monotone(f, y, alpha=1.0, lip=2.0, tol=tol, stats=single)
+            counts.append(single["iterations"])
+        assert stats["iterations"] == max(counts)
+
     def test_parameter_validation(self):
         y = np.ones(2)
         with pytest.raises(ValueError, match="alpha"):

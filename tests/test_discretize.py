@@ -252,6 +252,14 @@ class TestOrientationScan:
         assert all(s == 1 for _, s, _ in scan.rows)
         assert not scan.sign_changed
 
+    def test_reflection_flips_orientation(self):
+        scan = orientation_scan(
+            lambda t: Reflection.first_axis(8), [0.0, 1.0], Subspace.prefix(5), dim=8
+        )
+        assert [s for _, s, _ in scan.rows] == [-1, -1]
+        assert all(abs(det - 1.0) < 1e-9 for _, _, det in scan.rows)
+        assert not scan.sign_changed
+
     def test_validation(self):
         with pytest.raises(ValueError, match="ascending"):
             orientation_scan(lambda t: Identity(), [1.0, 0.0], Subspace.prefix(2), dim=4)

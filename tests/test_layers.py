@@ -4,26 +4,19 @@ import pytest
 from opdisc.layers import (
     AffineNonlinearity,
     CoordinateNetwork,
-    GeneralizedNeuralOperator,
     InvertibleResidualChain,
     NeuralOperatorLayer,
     ResidualChain,
-    Stage,
     ZeroNonlinearity,
+    central_differences,
     eval_map,
     evaluate,
     jvp,
     make_layer,
-    resnet_to_rno,
 )
-from opdisc.operators import (
-    CoordinateActivation,
-    FiniteRankOperator,
-    Identity,
-    PointwiseActivation,
-    Scalar,
-)
-from opdisc.spectral import BasisSpec, Space, project, Subspace
+from opdisc.monotone import ball_samples
+from opdisc.operators import CoordinateActivation, FiniteRankOperator
+from opdisc.spectral import project, Subspace
 
 
 class TestCoordinateNetwork:
@@ -122,42 +115,6 @@ class TestLayer:
         assert layer.contraction == pytest.approx(0.8 * 1.25 * 0.4, rel=1e-6)
 
 
-class TestGeneralizedOperator:
-    def test_two_stage_order(self, space16):
-        l1 = make_layer(space16, rank=3, lip_g=0.3, seed=10)
-        l2 = make_layer(space16, rank=3, lip_g=0.3, seed=11)
-        act = PointwiseActivation.leaky_relu(0.5)
-        g = GeneralizedNeuralOperator(
-            (Stage(Scalar(2.0), act, l1), Stage(Identity(), act, l2)),
-            space=space16,
-        )
-        x = space16.sample_ball(1.0, 1, seed=12)[0].coeffs
-
-        def nem(v):
-            return space16.from_grid(act(space16.to_grid(v))).coeffs
-
-        manual = nem(l2.eval_array(2.0 * nem(l1.eval_array(x))))
-        assert np.allclose(g.eval_array(x), manual, atol=1e-14)
-
-    def test_identity_stages(self, space16):
-        ident = make_layer(space16, lip_g=0.0, seed=0)
-        g = GeneralizedNeuralOperator(
-            (
-                Stage(Identity(), PointwiseActivation.identity(), ident),
-                Stage(Identity(), PointwiseActivation.identity(), ident),
-            )
-        )
-        x = space16.sample_ball(1.0, 1, seed=1)[0].coeffs
-        assert np.array_equal(g.eval_array(x), x)
-
-    def test_activation_needs_space(self, space16):
-        layer = make_layer(space16, lip_g=0.0, seed=0)
-        with pytest.raises(ValueError, match="space"):
-            GeneralizedNeuralOperator(
-                (Stage(Identity(), PointwiseActivation.leaky_relu(0.2), layer),)
-            )
-
-
 class TestResidualChain:
     def test_tail_is_fixed(self):
         chain = ResidualChain.seeded(12, 5, 3, block_bound=0.8, bias_scale=0.4, seed=1)
@@ -209,65 +166,6 @@ class TestResidualChain:
                 )
 
 
-class TestKernelForm:
-    def test_chain_agreement(self, space16):
-        chain = ResidualChain.seeded(16, 6, 3, block_bound=0.7, bias_scale=0.4, seed=8)
-        blocks = resnet_to_rno(chain, space16)
-        rng = np.random.default_rng(9)
-        for _ in range(100):
-            x = rng.standard_normal(16)
-            y_chain = chain.eval_array(x)
-            y_rno = x
-            for b in blocks:
-                y_rno = b.eval_array(y_rno)
-            assert np.abs(y_chain - y_rno).max() < 1e-12
-
-    def test_groupsort_chain_agreement(self, space16):
-        chain = ResidualChain.seeded(
-            16, 4, 2, block_bound=0.9,
-            activation=CoordinateActivation.groupsort2(), bias_scale=0.5, seed=10,
-        )
-        blocks = resnet_to_rno(chain, space16)
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            x = rng.standard_normal(16)
-            y = x
-            for b in blocks:
-                y = b.eval_array(y)
-            assert np.abs(chain.eval_array(x) - y).max() < 1e-12
-
-    def test_zero_network_gives_zero_kernel(self, space16):
-        net = CoordinateNetwork.seeded(4, 4, target_bound=0.0, seed=0)
-        chain = ResidualChain(16, 4, (net,))
-        block = resnet_to_rno(chain, space16)[0]
-        for st in block.stages:
-            if st.kernel is not None:
-                assert np.all(st.kernel == 0.0)
-        x = space16.sample_ball(1.0, 1, seed=1)[0].coeffs
-        assert np.allclose(block.eval_array(x), x)
-
-    def test_single_linear_net(self, space16):
-        c = 0.35
-        net = CoordinateNetwork(
-            (c * np.eye(4),), (np.zeros(4),), CoordinateActivation.identity()
-        )
-        chain = ResidualChain(16, 4, (net,))
-        block = resnet_to_rno(chain, space16)[0]
-        assert len(block.stages) == 1
-        k = block.stages[0].kernel
-        assert np.allclose(k[:, :, 0, 0], c * np.eye(4))
-        x = space16.sample_ball(1.0, 1, seed=2)[0].coeffs
-        want = x.copy()
-        want[:4] *= 1.0 + c
-        assert np.abs(block.eval_array(x) - want).max() < 1e-14
-
-    def test_requires_constant_basis(self):
-        abstract = Space(BasisSpec(kind="abstract_orthonormal", ambient_dim=8))
-        chain = ResidualChain.seeded(8, 3, 1, seed=0)
-        with pytest.raises(ValueError, match="constant"):
-            resnet_to_rno(chain, abstract)
-
-
 class TestJvp:
     def test_identity_and_linear(self, space16):
         x = space16.sample_ball(1.0, 1, seed=0)[0]
@@ -282,7 +180,7 @@ class TestJvp:
         e1 = space16.basis_vector(0).coeffs
 
         def f(z):
-            return z + 0.1 * e1 * float(z @ e1) ** 2
+            return z + 0.1 * ((z @ e1) ** 2)[..., None] * e1
 
         got = jvp(f, e1, e1, h=1e-4)
         want = e1 + 0.2 * e1
@@ -316,6 +214,32 @@ class TestJvp:
         x = space16.zero()
         with pytest.raises(ValueError):
             jvp(lambda z: z, x, x, h=0.0)
+
+
+class TestCentralDifferences:
+    def test_linear_map_gives_its_matrix(self):
+        t = FiniteRankOperator.seeded(6, 3, seed=1)
+        x = ball_samples(6, 1.0, 1, seed=2)[0]
+        jac = central_differences(t, x, np.eye(6)).T
+        assert np.abs(jac - t.as_matrix()).max() < 1e-10
+
+    def test_certified_layer_keeps_half(self, space16):
+        # contraction product 0.4 <= 1/2: the symmetric part of the prefix
+        # Jacobian stays at or above 1/2 and its determinant positive
+        layer = make_layer(space16, lip_g=0.4, seed=13)
+        for x in ball_samples(16, 1.0, 8, seed=2, indices=range(6)):
+            jac = central_differences(layer, x, np.eye(16)[:6])[:, :6].T
+            assert np.linalg.eigvalsh((jac + jac.T) / 2.0)[0] >= 0.5 - 1e-4
+            assert np.linalg.det(jac) > 0.0
+
+    def test_non_finite_jacobian_is_an_error(self):
+        def bad(x):
+            y = np.array(x, copy=True)
+            y[..., 0] = np.inf
+            return y
+
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            central_differences(bad, np.zeros(4), np.eye(4)[:2])
 
 
 def test_eval_map_rejects_unknown():

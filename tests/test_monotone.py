@@ -11,8 +11,6 @@ from opdisc.monotone import (
     MonotonicityCertificate,
     ball_samples,
     bilipschitz_estimate,
-    coercivity_margins,
-    jacobian_pd_scan,
     layer_contraction_certificate,
     linear_certificate,
     nemytskii_certificate,
@@ -259,52 +257,19 @@ class TestBilipschitz:
             bilipschitz_estimate(Identity(), dim=4, n=1)
 
 
-class TestJacobianScan:
-    def test_identity(self):
-        out = jacobian_pd_scan(Identity(), Subspace.prefix(4), dim=8, n=4)
-        assert out["min_sym_eig"] == pytest.approx(1.0, abs=1e-9)
-        assert out["min_det"] == pytest.approx(1.0, abs=1e-9)
-
-    def test_certified_layer_keeps_half(self, space16):
-        layer = make_layer(space16, lip_g=0.4, seed=13)
-        out = jacobian_pd_scan(layer, Subspace.prefix(6), n=8, seed=2)
-        assert out["min_sym_eig"] >= 0.5 - 1e-4
-        assert out["min_det"] > 0.0
-
-    def test_reflection_flips_orientation(self):
-        out = jacobian_pd_scan(Reflection.first_axis(8), Subspace.prefix(5), n=4)
-        assert out["min_det"] == pytest.approx(-1.0, abs=1e-9)
-        assert out["min_sym_eig"] == pytest.approx(-1.0, abs=1e-9)
-
-    def test_dimension_cap_and_prefix_requirement(self):
-        with pytest.raises(ValueError, match="1..50"):
-            jacobian_pd_scan(Identity(), Subspace.prefix(51), dim=64)
-        with pytest.raises(ValueError, match="prefix"):
-            jacobian_pd_scan(Identity(), Subspace(frozenset({1, 3})), dim=8)
-        with pytest.raises(ValueError, match="ambient"):
-            jacobian_pd_scan(Identity(), Subspace.prefix(9), dim=8)
-
-    def test_non_finite_jacobian_is_an_error(self):
-        def bad(x):
-            y = np.array(x, copy=True)
-            y[0] = np.inf
-            return y
-
-        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            jacobian_pd_scan(bad, Subspace.prefix(2), dim=4, n=2)
-
-
 class TestInvariants:
     def test_coercivity_along_rays(self, space16):
         """Strong monotonicity forces <F(x), x/|x|> to grow at rate alpha
         along every ray, up to the value at the origin."""
         layer = make_layer(space16, lip_g=0.4, bias_scale=0.5, seed=31)
         cert = layer_contraction_certificate(layer)
-        margins = coercivity_margins(layer, cert.alpha, radii=(1.0, 10.0, 100.0),
-                                     n=64, seed=8)
-        assert set(margins) == {1.0, 10.0, 100.0}
-        for worst in margins.values():
-            assert worst >= -1e-6
+        rng = np.random.default_rng(8)
+        f0 = layer.eval_array(np.zeros(16))
+        for rho in (1.0, 10.0, 100.0):
+            dirs = rng.standard_normal((64, 16))
+            dirs /= np.linalg.norm(dirs, axis=1)[:, None]
+            gain = np.einsum("ij,ij->i", layer.eval_array(rho * dirs) - f0, dirs)
+            assert np.min(gain - cert.alpha * rho) >= -1e-6
 
     def test_projection_does_not_lose_monotonicity(self, space16):
         """Compressing through a prefix subspace preserves pair quotients on
