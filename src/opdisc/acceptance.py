@@ -516,12 +516,12 @@ def criterion_isotopy_crossing() -> dict:
 
 
 # ---------------------------------------------------------------------------
-# 9. the hat-function solver converges at second order with tame Newton steps
+# 9. the hat-function solver converges at first order in H1 with tame Newton steps
 # ---------------------------------------------------------------------------
 
 
 def criterion_fem_rates() -> dict:
-    """Manufactured problems halve their H1 error like h^2; energy falls.
+    """Manufactured problems halve their H1 error with h; energy falls.
 
     For reactions g(u) = 0 and g(u) = u with sources chosen so the
     solution is sin(pi t), the H1 error ratio between successive meshes

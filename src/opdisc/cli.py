@@ -332,13 +332,21 @@ def run_fem_solve(exp: dict, out_dir: Path) -> dict:
         raise ConfigError(f"unknown reaction {g_name!r}; know {sorted(SOURCES)}")
     reaction = ConvexNonlinearity.named(g_name)
     source = SOURCES[g_name]
-    sizes = [int(c) for c in exp["mesh"]]
+    try:
+        sizes = [int(c) for c in exp["mesh"]]
+    except (TypeError, ValueError) as err:
+        raise ConfigError(f"experiment {exp['name']!r}: mesh must be integers") from err
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError(
             f"experiment {exp['name']!r}: mesh needs at least two strictly "
             "increasing cell counts"
         )
-    if any(sizes[0] < 1 or (8 * sizes[-1]) % s != 0 for s in sizes):
+    if sizes[0] < 2:
+        raise ConfigError(
+            f"experiment {exp['name']!r}: the coarsest mesh needs at least 2 "
+            f"cells to carry a hat function, got {sizes[0]}"
+        )
+    if any((8 * sizes[-1]) % s != 0 for s in sizes):
         raise ConfigError(
             f"experiment {exp['name']!r}: every mesh size must divide the "
             f"reference mesh of {8 * sizes[-1]} cells"
@@ -512,6 +520,18 @@ def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None
 # click wiring
 
 
+def _int_list(ctx, param, value):
+    """Click callback: a comma-separated flag value as a list of integers."""
+    if value is None:
+        return None
+    try:
+        return [int(tok) for tok in value.split(",")]
+    except ValueError as err:
+        raise click.ClickException(
+            f"{param.opts[0]} wants comma-separated integers, got {value!r}"
+        ) from err
+
+
 def _finish(outcomes: list[dict], out_dir: Path) -> None:
     for o in outcomes:
         click.echo(f"{o['status']:>12}  {o['kind']}  {o['name']}")
@@ -594,7 +614,8 @@ def main(ctx, config, out_dir, jobs, seed):
 @main.command("monotone-check")
 @click.option("--layer", "layer_path", type=click.Path(exists=True, dir_okay=False),
               help="Layer file: {schema, space, layer}.")
-@click.option("--dims", type=str, default=None, help="Comma-separated prefix dims.")
+@click.option("--dims", type=str, default=None, callback=_int_list,
+              help="Comma-separated prefix dims.")
 @click.option("--radius", type=float, default=None)
 @click.option("--samples", type=int, default=None)
 @click.option("--seed", type=int, default=None)
@@ -607,9 +628,8 @@ def monotone_check_cmd(ctx, layer_path, dims, radius, samples, seed, name):
         "samples": samples,
         "seed": seed if seed is not None else ctx.obj.get("seed"),
         "name": name,
+        "dims": dims,
     }
-    if dims is not None:
-        flags["dims"] = [int(d) for d in dims.split(",")]
     if layer_path is not None:
         blob = read_envelope(load_json(layer_path), "layer file", {"space", "layer"})
         flags["space"] = blob["space"]
@@ -620,7 +640,8 @@ def monotone_check_cmd(ctx, layer_path, dims, radius, samples, seed, name):
 
 @main.command("discretize-scan")
 @click.option("--layer", "layer_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--dims", type=str, default=None, help="Comma-separated prefix dims.")
+@click.option("--dims", type=str, default=None, callback=_int_list,
+              help="Comma-separated prefix dims.")
 @click.option("--radius", type=float, default=None)
 @click.option("--samples", type=int, default=None)
 @click.option("--seed", type=int, default=None)
@@ -633,9 +654,8 @@ def discretize_scan_cmd(ctx, layer_path, dims, radius, samples, seed, name):
         "samples": samples,
         "seed": seed if seed is not None else ctx.obj.get("seed"),
         "name": name,
+        "dims": dims,
     }
-    if dims is not None:
-        flags["dims"] = [int(d) for d in dims.split(",")]
     if layer_path is not None:
         blob = read_envelope(load_json(layer_path), "layer file", {"space", "layer"})
         flags["space"] = blob["space"]
@@ -748,7 +768,8 @@ def nogo_isotopy_cmd(ctx, m, grid, bisect_tol, out_file, seed, name):
 @main.command("fem-solve")
 @click.option("--g", type=click.Choice(sorted(SOURCES)), default=None,
               help="Reaction term; the source is manufactured for sin(pi t).")
-@click.option("--mesh", type=str, default=None, help="Comma-separated cell counts.")
+@click.option("--mesh", type=str, default=None, callback=_int_list,
+              help="Comma-separated cell counts.")
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 @click.pass_context
@@ -758,16 +779,16 @@ def fem_solve_cmd(ctx, g, mesh, seed, name):
         "g": g,
         "seed": seed if seed is not None else ctx.obj.get("seed"),
         "name": name,
+        "mesh": mesh,
     }
-    if mesh is not None:
-        flags["mesh"] = [int(c) for c in mesh.split(",")]
     exp = _merge_config(ctx, "fem-solve", flags)
     _run_single(exp, ctx.obj["out"], None)
 
 
 @main.command("quant-report")
 @click.option("--layer", "layer_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--dims", type=str, default=None)
+@click.option("--dims", type=str, default=None, callback=_int_list,
+              help="Comma-separated prefix dims.")
 @click.option("--radius", type=float, default=None)
 @click.option("--samples", type=int, default=None)
 @click.option("--seed", type=int, default=None)
@@ -780,9 +801,8 @@ def quant_report_cmd(ctx, layer_path, dims, radius, samples, seed, name):
         "samples": samples,
         "seed": seed if seed is not None else ctx.obj.get("seed"),
         "name": name,
+        "dims": dims,
     }
-    if dims is not None:
-        flags["dims"] = [int(d) for d in dims.split(",")]
     if layer_path is not None:
         blob = read_envelope(load_json(layer_path), "layer file", {"space", "layer"})
         flags["space"] = blob["space"]
@@ -792,17 +812,12 @@ def quant_report_cmd(ctx, layer_path, dims, radius, samples, seed, name):
 
 
 @main.command("accept")
-@click.option("--only", type=str, default=None,
+@click.option("--only", type=str, default=None, callback=_int_list,
               help="Comma-separated criterion numbers to run (default: all ten).")
 @click.pass_context
 def accept_cmd(ctx, only):
     """Run the full acceptance suite; one pass/fail line per criterion."""
-    numbers = None
-    if only is not None:
-        try:
-            numbers = sorted({int(tok) for tok in only.split(",")})
-        except ValueError as err:
-            raise click.ClickException(f"--only wants criterion numbers: {err}") from err
+    numbers = None if only is None else sorted(set(only))
     out_dir = ctx.obj["out"]
     results = acceptance_mod.run_suite(numbers)
     for res in results:

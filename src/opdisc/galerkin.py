@@ -4,7 +4,10 @@ Two computations live here.  The first discretizes the two-point boundary
 value problem u'' - g(u) = x (homogeneous Dirichlet data, g the derivative
 of a convex function) with piecewise-linear hat elements and solves the
 resulting nonlinear system by a damped Newton iteration whose merit
-function is the problem's own convex energy.
+function is the problem's own convex energy.  Each cell touches only its
+two hats, so integrals are per-cell Gauss sums scattered to the nodes and
+the stiffness matrix and Newton Jacobian are tridiagonals kept in LAPACK
+banded ``(3, n)`` layout: a Newton step costs O(n) time and memory.
 
 The second builds one-parameter families of Galerkin matrices whose
 continuum counterparts are invertible multiplication-type operators for
@@ -24,6 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+from scipy.linalg import solve_banded
 
 from .spectral import gauss_legendre_panels
 
@@ -91,11 +95,21 @@ class FemMesh:
     def n_active(self) -> int:
         return self.active_nodes.size
 
-    def hat_values(self, points: np.ndarray) -> np.ndarray:
-        """Active hat functions at arbitrary points, shape (n_active, n_pts)."""
-        t = np.asarray(points, dtype=float).reshape(-1)
-        centers = self.nodes[self.active_nodes][:, None]
-        return np.clip(1.0 - np.abs(t[None, :] - centers) / self.h, 0.0, None)
+    def cell_quadrature(self) -> tuple:
+        """Five-point Gauss rule on every cell and the two hats touching it.
+
+        Returns ``(points, weights, left, right)``, each of shape
+        ``(n_cells, 5)``: ``left`` and ``right`` are the hats centred at the
+        cell's left and right node, evaluated at the cell's Gauss points.
+        No other hat is nonzero inside a cell.
+        """
+        nodes = self.nodes
+        pts, wts = gauss_legendre_panels(nodes, points_per_panel=5)
+        pts = pts.reshape(self.n_cells, 5)
+        wts = wts.reshape(self.n_cells, 5)
+        left = np.clip(1.0 - np.abs(pts - nodes[:-1, None]) / self.h, 0.0, None)
+        right = np.clip(1.0 - np.abs(pts - nodes[1:, None]) / self.h, 0.0, None)
+        return pts, wts, left, right
 
     def full_nodal(self, coeffs: np.ndarray) -> np.ndarray:
         """Nodal values on all nodes, zeros filled in at constrained ones."""
@@ -198,26 +212,31 @@ class ConvexNonlinearity:
 
 
 def assemble_stiffness(mesh: FemMesh) -> np.ndarray:
-    """Hat-element stiffness matrix: tridiagonal 2/h with -1/h couplings.
+    """Hat-element stiffness matrix in LAPACK banded ``(3, n_active)`` layout.
 
-    A right Neumann end carries a half hat, so its diagonal entry is 1/h.
+    Row 1 is the diagonal 2/h, rows 0 and 2 hold the -1/h couplings
+    (``ab[0, 1:]`` above, ``ab[2, :-1]`` below the diagonal; the unused
+    corners are zero), the form ``scipy.linalg.solve_banded((1, 1), ...)``
+    takes.  A right Neumann end carries a half hat, so its diagonal entry
+    is 1/h.
     """
     n = mesh.n_active
     h = mesh.h
-    mat = np.zeros((n, n))
-    np.fill_diagonal(mat, 2.0 / h)
+    ab = np.zeros((3, n))
+    ab[1] = 2.0 / h
     if mesh.bc[1] == "neumann":
-        mat[-1, -1] = 1.0 / h
-    idx = np.arange(n - 1)
-    mat[idx, idx + 1] = -1.0 / h
-    mat[idx + 1, idx] = -1.0 / h
-    return mat
+        ab[1, -1] = 1.0 / h
+    ab[0, 1:] = -1.0 / h
+    ab[2, :-1] = -1.0 / h
+    return ab
 
 
-def _quadrature(mesh: FemMesh) -> tuple:
-    """Element-wise Gauss nodes/weights and active hat values there."""
-    nodes, weights = gauss_legendre_panels(mesh.nodes, points_per_panel=5)
-    return nodes, weights, mesh.hat_values(nodes)
+def _banded_matvec(ab: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Product of a ``(3, n)`` banded tridiagonal matrix with a vector."""
+    out = ab[1] * w
+    out[:-1] += ab[0, 1:] * w[1:]
+    out[1:] += ab[2, :-1] * w[:-1]
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -282,21 +301,36 @@ def solve_semilinear_trace(
     """
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    pts, wts, hats = _quadrature(mesh)
+    pts, wts, left, right = mesh.cell_quadrature()
     x_vals = np.asarray(x_source(pts), dtype=float)
     if x_vals.shape != pts.shape:
         raise ValueError("the source must map points to values elementwise")
     stiff = assemble_stiffness(mesh)
-    load = hats @ (wts * x_vals)
+    active = mesh.active_nodes
+    couplings = active[:-1]  # cell c couples the active nodes c and c + 1
 
-    def residual(w: np.ndarray) -> np.ndarray:
-        u_q = w @ hats
-        return stiff @ w + hats @ (wts * g.g(u_q)) + load
+    def to_nodes(at_left: np.ndarray, at_right: np.ndarray) -> np.ndarray:
+        """Per-cell Gauss sums onto the cells' left/right nodes, active only."""
+        full = np.zeros(mesh.n_cells + 1)
+        full[:-1] += np.sum(at_left, axis=1)
+        full[1:] += np.sum(at_right, axis=1)
+        return full[active]
+
+    def u_at_points(w: np.ndarray) -> np.ndarray:
+        full = mesh.full_nodal(w)
+        return full[:-1, None] * left + full[1:, None] * right
+
+    def weak_form(vals: np.ndarray) -> np.ndarray:
+        """``integral(vals * phi_j)`` for every active hat j."""
+        return to_nodes(wts * vals * left, wts * vals * right)
+
+    load = weak_form(x_vals)
 
     def energy(w: np.ndarray) -> float:
-        u_q = w @ hats
+        u_q = u_at_points(w)
         return float(
-            0.5 * w @ stiff @ w + np.sum(wts * (g.primitive(u_q) + x_vals * u_q))
+            0.5 * w @ _banded_matvec(stiff, w)
+            + np.sum(wts * (g.primitive(u_q) + x_vals * u_q))
         )
 
     w = np.zeros(mesh.n_active)
@@ -304,7 +338,8 @@ def solve_semilinear_trace(
     residual_norms = []
     step_scales = []
     for _ in range(max_iter):
-        res = residual(w)
+        u_q = u_at_points(w)
+        res = _banded_matvec(stiff, w) + weak_form(g.g(u_q)) + load
         rnorm = float(np.linalg.norm(res))
         residual_norms.append(rnorm)
         if rnorm <= tol:
@@ -312,9 +347,13 @@ def solve_semilinear_trace(
                 tuple(energies), tuple(residual_norms), tuple(step_scales), tol
             )
             return w, trace
-        u_q = w @ hats
-        jac = stiff + (hats * (wts * g.derivative(u_q))[None, :]) @ hats.T
-        direction = np.linalg.solve(jac, -res)
+        wd = wts * g.derivative(u_q)
+        jac = stiff.copy()
+        jac[1] += to_nodes(wd * left * left, wd * right * right)
+        off = np.sum(wd * left * right, axis=1)[couplings]
+        jac[0, 1:] += off
+        jac[2, :-1] += off
+        direction = solve_banded((1, 1), jac, -res)
         current = energies[-1]
         lam = 1.0
         while energy(w + lam * direction) > current:

@@ -286,6 +286,40 @@ class TestSubcommands:
         assert result.exit_code == 1
         assert "divide" in result.output
 
+    @pytest.mark.parametrize("mesh", ["1,2", "0,2"])
+    def test_fem_solve_refuses_a_mesh_below_two_cells(self, runner, tmp_path, mesh):
+        out = tmp_path / "o"
+        result = runner.invoke(
+            main, ["--out", str(out), "fem-solve", "--g", "zero", "--mesh", mesh]
+        )
+        assert result.exit_code == 1
+        assert "at least 2 cells" in result.output
+        assert not (out / "failures.json").exists()
+
+    def test_fem_solve_config_mesh_must_be_integers(self, runner, tmp_path):
+        config = write_config(
+            tmp_path,
+            [{"name": "f", "kind": "fem-solve", "seed": 0, "g": "zero", "mesh": [8, "x"]}],
+        )
+        result = runner.invoke(main, ["--config", str(config), "--out", str(tmp_path / "o")])
+        assert result.exit_code == 1
+        assert "config-error" in result.output
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [
+            ("monotone-check", "--dims"),
+            ("discretize-scan", "--dims"),
+            ("quant-report", "--dims"),
+            ("fem-solve", "--mesh"),
+        ],
+    )
+    def test_comma_list_flags_refuse_non_integers(self, runner, tmp_path, command, flag):
+        result = runner.invoke(main, ["--out", str(tmp_path / "o"), command, flag, "16,abc"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
+        assert f"{flag} wants comma-separated integers" in result.output
+
     def test_monotone_check_report(self, runner, tmp_path, layer_file):
         out = tmp_path / "out"
         result = runner.invoke(

@@ -1,9 +1,11 @@
 """Hat-element semilinear solves and the singular Galerkin matrix paths."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -21,6 +23,7 @@ from opdisc.galerkin import (
     solve_semilinear,
     solve_semilinear_trace,
 )
+from opdisc.spectral import gauss_legendre_panels
 
 
 def sin_pi(t):
@@ -59,9 +62,11 @@ class TestFemMesh:
 
     def test_hat_values_partition_of_unity_inside(self):
         mesh = FemMesh(10)
-        t = np.linspace(0.15, 0.85, 23)
-        vals = mesh.hat_values(t)
-        np.testing.assert_allclose(vals.sum(axis=0), 1.0, atol=1e-12)
+        pts, wts, left, right = mesh.cell_quadrature()
+        assert pts.shape == wts.shape == left.shape == right.shape == (10, 5)
+        assert np.all((pts > mesh.nodes[:-1, None]) & (pts < mesh.nodes[1:, None]))
+        np.testing.assert_allclose(left + right, 1.0, atol=1e-12)
+        np.testing.assert_allclose(wts.sum(axis=1), mesh.h, rtol=1e-14)
 
     def test_full_nodal_inserts_boundary_zeros(self):
         mesh = FemMesh(4)
@@ -133,34 +138,43 @@ class TestConvexNonlinearity:
         np.testing.assert_allclose(nl.derivative(np.array([0.5])), [0.75], atol=1e-8)
 
 
+def dense_from_banded(ab):
+    """The full matrix of a (3, n) tridiagonal in LAPACK banded layout."""
+    return np.diag(ab[1]) + np.diag(ab[0, 1:], 1) + np.diag(ab[2, :-1], -1)
+
+
 class TestAssembleStiffness:
     def test_single_interior_node(self):
-        mat = assemble_stiffness(FemMesh(2))
-        np.testing.assert_array_equal(mat, [[4.0]])
+        ab = assemble_stiffness(FemMesh(2))
+        np.testing.assert_array_equal(dense_from_banded(ab), [[4.0]])
 
     def test_tridiagonal_pattern(self):
         mesh = FemMesh(5)
-        mat = assemble_stiffness(mesh)
-        np.testing.assert_allclose(np.diag(mat), 2.0 / mesh.h)
-        np.testing.assert_allclose(np.diag(mat, 1), -1.0 / mesh.h)
-        assert np.all(mat[np.abs(np.subtract.outer(range(4), range(4))) > 1] == 0.0)
+        ab = assemble_stiffness(mesh)
+        assert ab.shape == (3, 4)
+        np.testing.assert_allclose(ab[1], 2.0 / mesh.h)
+        np.testing.assert_allclose(ab[0, 1:], -1.0 / mesh.h)
+        np.testing.assert_allclose(ab[2, :-1], -1.0 / mesh.h)
+        # the corners outside the matrix stay zero
+        assert ab[0, 0] == 0.0 and ab[2, -1] == 0.0
 
     def test_cholesky_succeeds(self):
-        np.linalg.cholesky(assemble_stiffness(FemMesh(16)))
-        np.linalg.cholesky(assemble_stiffness(FemMesh(16, bc=("dirichlet", "neumann"))))
+        for mesh in (FemMesh(16), FemMesh(16, bc=("dirichlet", "neumann"))):
+            # cholesky_banded wants the upper form: superdiagonal, diagonal
+            scipy.linalg.cholesky_banded(assemble_stiffness(mesh)[:2])
 
     def test_classical_eigenvalues(self):
         mesh = FemMesh(12)
-        ev = np.sort(np.linalg.eigvalsh(assemble_stiffness(mesh)))
+        ev = np.sort(scipy.linalg.eigvals_banded(assemble_stiffness(mesh)[:2]))
         k = np.arange(1, 12)
         formula = np.sort(2.0 / mesh.h * (1.0 - np.cos(k * np.pi * mesh.h)))
         np.testing.assert_allclose(ev, formula, rtol=1e-12)
 
     def test_neumann_halves_the_last_diagonal(self):
         mesh = FemMesh(4, bc=("dirichlet", "neumann"))
-        mat = assemble_stiffness(mesh)
-        assert mat[-1, -1] == 1.0 / mesh.h
-        assert mat[0, 0] == 2.0 / mesh.h
+        ab = assemble_stiffness(mesh)
+        assert ab[1, -1] == 1.0 / mesh.h
+        assert ab[1, 0] == 2.0 / mesh.h
 
 
 class TestSolveSemilinear:
@@ -218,6 +232,68 @@ class TestSolveSemilinear:
     def test_newton_trace_rejects_rising_energy(self):
         with pytest.raises(ValueError, match="energy rose"):
             NewtonTrace((1.0, 2.0), (0.1, 0.01), (1.0,), 1e-10)
+
+
+def dense_reference_solve(x_source, mesh, g, tol=1e-10, max_iter=60):
+    """The damped Newton solve on dense hat matrices; returns (coeffs, steps).
+
+    Every active hat is evaluated at every Gauss point, the Jacobian is the
+    full ``(n, n)`` matrix and each step is an ``np.linalg.solve``.
+    """
+    pts, wts = gauss_legendre_panels(mesh.nodes, points_per_panel=5)
+    centers = mesh.nodes[mesh.active_nodes][:, None]
+    hats = np.clip(1.0 - np.abs(pts[None, :] - centers) / mesh.h, 0.0, None)
+    x_vals = x_source(pts)
+    stiff = dense_from_banded(assemble_stiffness(mesh))
+    load = hats @ (wts * x_vals)
+
+    def energy(w):
+        u_q = w @ hats
+        return 0.5 * w @ stiff @ w + np.sum(wts * (g.primitive(u_q) + x_vals * u_q))
+
+    w = np.zeros(mesh.n_active)
+    for steps in range(max_iter):
+        u_q = w @ hats
+        res = stiff @ w + hats @ (wts * g.g(u_q)) + load
+        if np.linalg.norm(res) <= tol:
+            return w, steps
+        jac = stiff + (hats * (wts * g.derivative(u_q))[None, :]) @ hats.T
+        direction = np.linalg.solve(jac, -res)
+        current, lam = energy(w), 1.0
+        while energy(w + lam * direction) > current:
+            lam *= 0.5
+        w = w + lam * direction
+    raise AssertionError("the dense reference did not converge")
+
+
+class TestBandedAgainstDense:
+    @pytest.mark.parametrize("bc", [("dirichlet", "dirichlet"), ("dirichlet", "neumann")])
+    @pytest.mark.parametrize(
+        "name,source",
+        [
+            ("zero", source_for_zero_g),
+            ("linear", source_for_linear_g),
+            ("cubic", source_for_cubic_g),
+        ],
+    )
+    def test_same_coefficients_and_steps(self, bc, name, source):
+        mesh = FemMesh(24, bc=bc)
+        g = ConvexNonlinearity.named(name)
+        w, trace = solve_semilinear_trace(source, mesh, g)
+        w_ref, steps = dense_reference_solve(source, mesh, g)
+        assert trace.iterations == steps
+        assert np.linalg.norm(w - w_ref) <= 1e-12 * np.linalg.norm(w_ref)
+
+    def test_oracle_mesh_solve_stays_small(self):
+        mesh = FemMesh(2048)
+        tracemalloc.start()
+        try:
+            solve_semilinear(source_for_cubic_g, mesh, ConvexNonlinearity.cubic())
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # the dense hat matrices alone take 2047 * 10240 * 8 B = 168 MB
+        assert peak < 16e6
 
 
 class TestFemConvergence:
