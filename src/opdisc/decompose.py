@@ -36,7 +36,13 @@ import scipy.linalg
 
 from .layers import NeuralOperatorLayer, central_differences, eval_map
 from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate
-from .operators import DenseOnPrefix, Identity, Reflection, operator_norm_estimate
+from .operators import (
+    DenseOnPrefix,
+    Identity,
+    Reflection,
+    operator_norm_estimate,
+    spectral_norm,
+)
 from .spectral import as_coeffs
 
 __all__ = [
@@ -681,8 +687,9 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
         a0_kind = "identity"
 
     factors = factors_align + factors_u + factors_p
-    for fmat in factors:
-        gap = float(np.linalg.norm(fmat - np.eye(k), 2))
+    # each power/rotation step repeats one matrix object: check it once
+    for fmat in {id(f): f for f in factors}.values():
+        gap = spectral_norm(fmat - np.eye(k))
         if gap >= epsilon:
             raise AssertionError(f"linear factor deviates from identity by {gap:g}")
 
@@ -697,7 +704,7 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
             acc = uu @ vv
             repolar += 1
     diag["repolar_applied"] = repolar
-    err = float(np.linalg.norm(acc - df0, 2))
+    err = spectral_norm(acc - df0)
     diag["product_error"] = err
     if err > 1e-8:
         raise AssertionError(f"linear factor product misses the matrix by {err:g}")
@@ -714,7 +721,7 @@ class LinearBlock:
 
     def __init__(self, matrix: np.ndarray, label: str = "linear"):
         self.matrix = np.asarray(matrix, dtype=float)
-        self.lip_sampled = float(np.linalg.norm(self.matrix - np.eye(self.matrix.shape[0]), 2))
+        self.lip_sampled = spectral_norm(self.matrix - np.eye(self.matrix.shape[0]))
         self.label = label
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
@@ -882,7 +889,9 @@ def decompose(
                 a0_kind, lin_factors, lin_diag = linear_path_blocks(df0, epsilon)
                 diag["linear"] = lin_diag
 
-        blocks: list = [LiftedBlock(LinearBlock(mat), frame) for mat in lin_factors]
+        # one block per distinct factor matrix, shared by its repeats
+        linear = {id(mat): LinearBlock(mat) for mat in lin_factors}
+        blocks: list = [LiftedBlock(linear[id(mat)], frame) for mat in lin_factors]
         blocks += [LiftedBlock(b, frame) for b in nl_blocks]
         if tail.deviation > max(1e-10, 4.0 * block_tol):
             blocks.append(tail)

@@ -14,7 +14,7 @@ target spectral bounds; nothing here is trained.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
@@ -25,6 +25,7 @@ from .operators import (
     LinearExpr,
     PointwiseActivation,
     nemytskii_apply,
+    spectral_norm,
 )
 from .spectral import Space, SpectralVector, as_coeffs
 
@@ -56,16 +57,23 @@ __all__ = [
 class CoordinateNetwork:
     """Plain MLP on coordinate vectors with a certified Lipschitz bound.
 
-    ``spectral_bound`` is the product of per-stage spectral norms times the
-    activation's global Lipschitz constant per hidden junction — an upper
-    bound on the network's Lipschitz constant (infinite when the activation
-    has no global constant; see :meth:`ball_bound` for the local version).
+    ``stage_norms`` holds each weight matrix's exact spectral norm, the root
+    of its Gram matrix's top eigenvalue (:func:`~opdisc.operators.spectral_norm`),
+    computed once per stage at construction; :meth:`ball_bound` and the chain
+    certificates read them instead of decomposing again.  ``spectral_bound``
+    is their product times the activation's global Lipschitz constant per
+    hidden junction — an upper bound on the network's Lipschitz constant
+    (infinite when the activation has no global constant; see
+    :meth:`ball_bound` for the local version).  Both are derived, not
+    constructor arguments.  Non-finite weights or biases are refused, so no
+    bound is ever NaN from the parameters.
     """
 
     weights: tuple
     biases: tuple
     activation: CoordinateActivation
-    spectral_bound: float = 0.0  # recomputed in __post_init__
+    stage_norms: tuple = field(init=False)
+    spectral_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
         ws = tuple(np.array(w, dtype=float) for w in self.weights)
@@ -77,13 +85,16 @@ class CoordinateNetwork:
                 raise ValueError(f"stage {i}: bias length must match output rows")
             if i and w.shape[1] != ws[i - 1].shape[0]:
                 raise ValueError(f"stage {i}: width mismatch with previous stage")
+            if not (np.all(np.isfinite(w)) and np.all(np.isfinite(b))):
+                raise ValueError(f"stage {i}: non-finite weight or bias entries")
             w.flags.writeable = False
             b.flags.writeable = False
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "biases", bs)
-        norms = [float(np.linalg.norm(w, 2)) for w in ws]
+        norms = tuple(spectral_norm(w) for w in ws)
         act = self.activation.lipschitz
-        bound = float(np.prod(norms)) * act ** (len(ws) - 1) if norms else 0.0
+        bound = float(np.prod(norms)) * act ** (len(ws) - 1)
+        object.__setattr__(self, "stage_norms", norms)
         object.__setattr__(self, "spectral_bound", float(bound))
 
     @property
@@ -121,8 +132,7 @@ class CoordinateNetwork:
         r = float(input_radius)
         bound = 1.0
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            wn = float(np.linalg.norm(w, 2))
+        for i, (wn, b) in enumerate(zip(self.stage_norms, self.biases)):
             r = wn * r + float(np.linalg.norm(b))
             bound *= wn
             if i != last:
@@ -169,7 +179,7 @@ class CoordinateNetwork:
                 w = np.zeros_like(w)
                 b = np.zeros_like(b)
             else:
-                w *= stage_scale / np.linalg.norm(w, 2)
+                w *= stage_scale / spectral_norm(w)
             ws.append(w)
             bs.append(b)
         return cls(tuple(ws), tuple(bs), act)
@@ -265,10 +275,11 @@ class CoordinateNetNonlinearity(Nonlinearity):
 
 @dataclass(frozen=True, eq=False)
 class AffineNonlinearity(Nonlinearity):
-    """x -> A x + b with the exact spectral norm of A recorded."""
+    """x -> A x + b with the exact spectral norm of A recorded as ``lip``."""
 
     matrix: np.ndarray
     bias: np.ndarray
+    lip: float = field(init=False)
 
     def __post_init__(self) -> None:
         m = np.array(self.matrix, dtype=float)
@@ -279,10 +290,7 @@ class AffineNonlinearity(Nonlinearity):
         b.flags.writeable = False
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "bias", b)
-
-    @property
-    def lip(self) -> float:  # type: ignore[override]
-        return float(np.linalg.norm(self.matrix, 2))
+        object.__setattr__(self, "lip", spectral_norm(m))
 
     @property
     def name(self) -> str:  # type: ignore[override]
@@ -438,7 +446,7 @@ class InvertibleResidualChain:
                     )
                 bound = net.ball_bound(self.ball_radius)
                 method = "ball_local"
-            if bound > self.delta + 1e-12:
+            if not bound <= self.delta + 1e-12:
                 raise ValueError(
                     f"block {i} certificate {bound:.6g} exceeds delta={self.delta}"
                 )
@@ -637,7 +645,7 @@ def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **ov
         nonlin = NemytskiiNonlinearity(space, scaled_leaky_activation(lip_g))
     elif kind == "affine_contraction":
         a = rng.standard_normal((m, m))
-        a *= lip_g / np.linalg.norm(a, 2)
+        a *= lip_g / spectral_norm(a)
         b = bias_scale * rng.standard_normal(m)
         nonlin = AffineNonlinearity(a, b)
     else:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from opdisc import layers, operators
+from opdisc.invert import invert_chain
 from opdisc.layers import (
     AffineNonlinearity,
     CoordinateNetwork,
@@ -15,7 +17,7 @@ from opdisc.layers import (
     make_layer,
 )
 from opdisc.monotone import ball_samples
-from opdisc.operators import CoordinateActivation, FiniteRankOperator
+from opdisc.operators import CoordinateActivation, FiniteRankOperator, Identity
 from opdisc.spectral import project, Subspace
 
 
@@ -65,6 +67,109 @@ class TestCoordinateNetwork:
                 (np.zeros(3), np.zeros(4)),
                 CoordinateActivation.identity(),
             )
+
+    def test_seeded_hits_target_bound_at_certify_shape(self):
+        net = CoordinateNetwork.seeded(256, 256, target_bound=0.5)
+        assert net.widths == (256, 1024, 1024, 256)
+        assert net.spectral_bound == pytest.approx(0.5, rel=1e-12)
+
+    def test_stage_norms_are_the_top_singular_values(self):
+        net = CoordinateNetwork.seeded(5, 3, hidden=(7,), target_bound=0.8, seed=2)
+        svd = [np.linalg.svd(w, compute_uv=False)[0] for w in net.weights]
+        assert net.stage_norms == pytest.approx(svd, rel=1e-13)
+        assert net.spectral_bound == pytest.approx(np.prod(svd), rel=1e-13)
+
+    def test_nan_weight_is_refused_naming_its_stage(self):
+        w = np.eye(3)
+        w[1, 2] = np.nan
+        with pytest.raises(ValueError, match="stage 1: non-finite"):
+            CoordinateNetwork(
+                (np.eye(3), w), (np.zeros(3), np.zeros(3)), CoordinateActivation.tanh()
+            )
+
+    def test_non_finite_bias_is_refused(self):
+        with pytest.raises(ValueError, match="stage 0: non-finite"):
+            CoordinateNetwork(
+                (np.eye(2),), (np.array([0.0, np.inf]),), CoordinateActivation.identity()
+            )
+
+    def test_inf_weight_gets_no_ball_local_certificate(self):
+        w = 0.05 * np.eye(4)
+        w[0, 0] = np.inf
+        with pytest.raises(ValueError, match="stage 0: non-finite"):
+            InvertibleResidualChain(
+                ResidualChain(
+                    4,
+                    4,
+                    (
+                        CoordinateNetwork(
+                            (w, 0.05 * np.eye(4)),
+                            (np.zeros(4), np.zeros(4)),
+                            CoordinateActivation.recu(),
+                        ),
+                    ),
+                ),
+                delta=0.5,
+                ball_radius=1.0,
+            )
+
+    def test_spectral_bound_is_not_a_constructor_argument(self):
+        with pytest.raises(TypeError):
+            CoordinateNetwork(
+                (np.eye(2),), (np.zeros(2),), CoordinateActivation.identity(), 5.0
+            )
+        with pytest.raises(TypeError):
+            CoordinateNetwork(
+                (np.eye(2),),
+                (np.zeros(2),),
+                CoordinateActivation.identity(),
+                stage_norms=(1.0,),
+            )
+
+
+class TestSpectralNormCalls:
+    """Every matrix norm is worked out once, when its owner is built."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = []
+
+        def counted(w):
+            seen.append(np.shape(w))
+            return operators.spectral_norm(w)
+
+        monkeypatch.setattr(layers, "spectral_norm", counted)
+        return seen
+
+    def test_one_call_per_stage_at_construction(self, calls):
+        ws = (np.eye(3), 0.5 * np.ones((4, 3)), np.ones((3, 4)))
+        bs = (np.zeros(3), np.zeros(4), np.zeros(3))
+        CoordinateNetwork(ws, bs, CoordinateActivation.tanh())
+        assert calls == [(3, 3), (4, 3), (3, 4)]
+
+    def test_seeded_draw_and_scaled_stage_once_each(self, calls):
+        CoordinateNetwork.seeded(4, 4, hidden=(6,), target_bound=0.5, seed=1)
+        assert calls == [(6, 4), (4, 6), (6, 4), (4, 6)]
+
+    def test_bounds_and_certificates_never_recompute(self, calls):
+        chain = ResidualChain.seeded(6, 4, 2, block_bound=0.5, seed=3)
+        recu = ResidualChain.seeded(
+            6, 4, 1, block_bound=0.05, activation=CoordinateActivation.recu(),
+            bias_scale=0.0, seed=4,
+        )
+        affine = AffineNonlinearity(0.3 * np.eye(4), np.ones(4))
+        built = len(calls)
+        net = chain.blocks[0]
+        assert net.spectral_bound == pytest.approx(0.5, rel=1e-12)
+        assert np.isfinite(net.ball_bound(1.0))
+        assert affine.lip == pytest.approx(0.3, rel=1e-15)
+        certified = InvertibleResidualChain(chain, delta=0.6)
+        local = InvertibleResidualChain(recu, delta=0.9, ball_radius=1.0)
+        y = np.linspace(-0.5, 0.5, 6)
+        invert_chain(certified, Identity(), y)
+        invert_chain(local, Identity(), y)
+        invert_chain(chain, Identity(), y)
+        assert len(calls) == built
 
 
 class TestLayer:
@@ -140,6 +245,14 @@ class TestResidualChain:
             InvertibleResidualChain(chain, delta=1.5)
         with pytest.raises(ValueError, match="\\(0, 1\\)"):
             InvertibleResidualChain.seeded(8, 4, 1, 1.5, seed=4)
+
+    def test_nan_certificate_is_refused(self, monkeypatch):
+        chain = ResidualChain.seeded(
+            6, 3, 1, block_bound=0.05, activation=CoordinateActivation.recu(), seed=5
+        )
+        monkeypatch.setattr(CoordinateNetwork, "ball_bound", lambda self, r: float("nan"))
+        with pytest.raises(ValueError, match="certificate nan exceeds"):
+            InvertibleResidualChain(chain, delta=0.9, ball_radius=1.0)
 
     def test_recu_chain_needs_ball_certificate(self):
         chain = ResidualChain.seeded(

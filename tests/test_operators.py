@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opdisc.operators import (
     Compose,
@@ -16,6 +18,7 @@ from opdisc.operators import (
     nemytskii_apply,
     operator_norm_estimate,
     orthonormal_family,
+    spectral_norm,
     truncate_rank,
 )
 from opdisc.spectral import Subspace, inner, project
@@ -219,6 +222,63 @@ class TestNormEstimate:
         with pytest.raises(ValueError, match="dim"):
             operator_norm_estimate(Identity())
         assert operator_norm_estimate(Scalar(2.5), dim=3) == pytest.approx(2.5, abs=1e-6)
+
+
+def _top_singular_value(w: np.ndarray) -> float:
+    return float(np.linalg.svd(w, compute_uv=False)[0])
+
+
+class TestSpectralNorm:
+    """The Gram-eigenvalue kernel equals the SVD's top singular value."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.integers(1, 64),
+        cols=st.integers(1, 64),
+        scale_exp=st.integers(-300, 300),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_dense_matches_svd(self, rows, cols, scale_exp, seed):
+        w = np.random.default_rng(seed).standard_normal((rows, cols)) * 10.0**scale_exp
+        assert spectral_norm(w) == pytest.approx(_top_singular_value(w), rel=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(rows=st.integers(1, 64), cols=st.integers(1, 64), seed=st.integers(0, 2**32 - 1))
+    def test_rank_one_matches_svd(self, rows, cols, seed):
+        rng = np.random.default_rng(seed)
+        w = np.outer(rng.standard_normal(rows), rng.standard_normal(cols))
+        assert spectral_norm(w) == pytest.approx(_top_singular_value(w), rel=1e-13)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        extra=st.integers(0, 16),
+        wide=st.booleans(),
+        scale=st.floats(1e-3, 1e3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_scaled_orthogonal_frame_ties(self, n, extra, wide, scale, seed):
+        # every singular value equals ``scale``: the top eigenvalue is tied
+        q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n + extra, n)))
+        w = scale * (q.T if wide else q)
+        assert spectral_norm(w) == pytest.approx(scale, rel=1e-13)
+        assert spectral_norm(w) == pytest.approx(_top_singular_value(w), rel=1e-13)
+
+    @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 5), (0, 4)])
+    def test_zero_matrix_is_exactly_zero(self, shape):
+        got = spectral_norm(np.zeros(shape))
+        assert got == 0.0 and not np.signbit(got)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_entries_are_refused(self, bad):
+        w = np.array([[1.0, 1.0], [1.0, 1.0]])
+        w[0, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            spectral_norm(w)
+
+    def test_needs_a_matrix(self):
+        with pytest.raises(ValueError, match="matrix"):
+            spectral_norm(np.ones(3))
 
 
 class TestActivations:
