@@ -522,18 +522,20 @@ def evaluate(f, x) -> SpectralVector:
 def central_differences(f, x: np.ndarray, dirs: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Directional derivatives of f at x along each row of ``dirs``.
 
-    Central differences, O(h^2) for C^2 maps.  All 2n perturbed points go
-    through f as one (2n, m) batch; row i of the result is the derivative
-    along dirs[i], so the Jacobian's columns for the directions are the
-    transposed result.  Non-finite entries are an error.
+    Central differences, O(h^2) for C^2 maps.  ``x`` holds one base point
+    or a (..., m) batch of them; all 2n perturbed points of every base
+    point go through f as one (..., 2n, m) batch.  Row i (axis −2) of the
+    result is the derivative along dirs[i], so the Jacobian's columns for
+    the directions are the result with its last two axes swapped.
+    Non-finite entries are an error.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
-    x = np.asarray(x, dtype=float)
+    x = np.asarray(x, dtype=float)[..., None, :]
     dirs = np.asarray(dirs, dtype=float)
     n = dirs.shape[0]
-    out = eval_map(f, np.concatenate([x + h * dirs, x - h * dirs]))
-    deriv = (out[:n] - out[n:]) / (2.0 * h)
+    out = eval_map(f, np.concatenate([x + h * dirs, x - h * dirs], axis=-2))
+    deriv = (out[..., :n, :] - out[..., n:, :]) / (2.0 * h)
     if not np.all(np.isfinite(deriv)):
         raise ValueError("finite-difference failure: non-finite Jacobian entries")
     return deriv

@@ -30,7 +30,6 @@ __all__ = [
     "CoordinateActivation",
     "apply",
     "nemytskii_apply",
-    "operator_norm_estimate",
     "spectral_norm",
     "truncate_rank",
     "orthonormal_family",
@@ -421,38 +420,6 @@ def spectral_norm(w) -> float:
     gram = v.T @ v if v.shape[0] >= v.shape[1] else v @ v.T
     top = float(np.linalg.eigvalsh(gram)[-1])
     return math.ldexp(math.sqrt(top), exp) if top > 0.0 else 0.0
-
-
-def operator_norm_estimate(op, dim: int | None = None, iters: int = 200, seed: int = 0) -> float:
-    """Operator norm by power iteration on the normal map.
-
-    ``dim`` may be omitted when the operator carries one (finite-rank,
-    diagonal, reflection, or any expression containing such a factor).
-    Returns exactly 0.0 for the zero operator.
-    """
-    if iters < 10:
-        raise ValueError("power iteration needs at least 10 iterations")
-    m = dim if dim is not None else _dim_of(op)
-    if m is None:
-        raise ValueError("operator has no intrinsic dimension; pass dim=")
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(m)
-    x /= np.linalg.norm(x)
-    sigma = 0.0
-    for _ in range(iters):
-        w = _apply_any(op, x)
-        sigma = float(np.linalg.norm(w))
-        if sigma == 0.0:
-            # landed in the kernel: restart (stays 0 for the zero operator)
-            x = rng.standard_normal(m)
-            x /= np.linalg.norm(x)
-            continue
-        z = _adjoint_any(op, w)
-        nz = np.linalg.norm(z)
-        if nz == 0.0:
-            break
-        x = z / nz
-    return sigma
 
 
 # ---------------------------------------------------------------------------

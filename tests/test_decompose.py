@@ -1,12 +1,17 @@
+import functools
 import math
 
 import numpy as np
 import pytest
 
+from opdisc.acceptance import mixing_bilipschitz_layer
 from opdisc.decompose import (
     DecompositionError,
     DecompositionResult,
     Frame,
+    ScalingPath,
+    _fd_jacobian,
+    _newton_invert,
     build_fw,
     choose_w,
     decompose,
@@ -24,6 +29,7 @@ from opdisc.layers import (
 )
 from opdisc.monotone import ball_samples, pairwise_alpha
 from opdisc.operators import FiniteRankOperator, Identity, Reflection
+from opdisc.spectral import BasisSpec, Space
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -118,6 +124,23 @@ class TestChooseW:
         assert frame.dim == 0
         for side in report["tails"].values():
             assert side["right"] <= 1.0 + 1e-12 < 10.0
+
+    @pytest.mark.parametrize("seed, h", [(5, 0.3), (14, 0.15)])
+    def test_tails_are_exact_spectral_norms(self, seed, h):
+        # layers on which a 200-step power iteration read a tail up to
+        # 2.2e-6 (seed 5) and 1.2e-8 (seed 14) relative below its value
+        layer = make_layer(
+            Space(BasisSpec(ambient_dim=32)), rank=12, lip_g=0.3, activation="tanh",
+            seed=seed,
+        )
+        frame, report = choose_w(layer, h)
+        comp = np.eye(32) - frame.rows.T @ frame.rows
+        for name, t in (("in", layer.in_op), ("out", layer.out_op)):
+            mat = t.as_matrix()
+            for side, tail in (("right", mat @ comp), ("left", comp @ mat)):
+                exact = np.linalg.svd(tail, compute_uv=False)[0]
+                assert exact > 1e-3
+                assert report["tails"][name][side] == pytest.approx(exact, rel=1e-13)
 
     def test_nonpositive_threshold_rejected(self, smooth_layer):
         with pytest.raises(ValueError, match="positive"):
@@ -239,6 +262,118 @@ class TestInvertMonotone:
         f = lambda v: 0.5 * v
         with pytest.raises(DecompositionError, match="residual"):
             invert_monotone(f, np.ones(3), alpha=0.3, lip=1.0, tol=1e-14, max_iter=2)
+
+
+def _newton_rows(f, ys, tol, max_iter, trace=None):
+    """Reference: the Newton solver one row at a time.
+
+    Appends (steps taken, smallest accepted λ) per row to ``trace``.
+    """
+    xs = ys.copy()
+    for row in range(xs.shape[0]):
+        x, y = xs[row], ys[row]
+        res = eval_map(f, x) - y
+        rnorm = float(np.linalg.norm(res))
+        steps, lam_min = 0, 1.0
+        for _ in range(max_iter):
+            if rnorm <= tol:
+                break
+            step = np.linalg.solve(_fd_jacobian(f, x), res)
+            lam = 1.0
+            while lam > 1e-8:
+                cand = x - lam * step
+                cres = eval_map(f, cand) - y
+                cnorm = float(np.linalg.norm(cres))
+                if cnorm < rnorm:
+                    x, res, rnorm = cand, cres, cnorm
+                    break
+                lam *= 0.5
+            else:
+                raise DecompositionError(
+                    f"[invert] Newton line search stagnated at residual {rnorm:g}"
+                )
+            steps, lam_min = steps + 1, min(lam_min, lam)
+        if rnorm > tol:
+            raise DecompositionError(
+                f"[invert] Newton did not reach tol={tol:g} in {max_iter} "
+                f"steps (last residual {rnorm:g})"
+            )
+        if trace is not None:
+            trace.append((steps, lam_min))
+        xs[row] = x
+    return xs
+
+
+def _newton_maps(kappa):
+    """The core map of a thin-margin layer (as a Newton tail block inverts
+    it) and its scaling path at t = 0.5 (as a Newton path block does)."""
+    layer = mixing_bilipschitz_layer(12, kappa=kappa, seed=3)
+    frame, _ = choose_w(layer, 0.5)
+    core = build_fw(layer, frame).core_map()
+    path = ScalingPath(core, frame.dim, None, None)
+    return frame.dim, {"core": core, "path": functools.partial(path.eval_t_rows, 0.5)}
+
+
+class TestNewtonInvert:
+    @pytest.mark.parametrize("name", ["core", "path"])
+    def test_batch_equals_per_row_reference(self, name):
+        k, maps = _newton_maps(0.9)
+        rows = []
+
+        def f(x):
+            rows.append(x[..., 0].size)
+            return maps[name](x)
+
+        ys = ball_samples(k, 3.0, 16, seed=1)
+        trace = []
+        want = _newton_rows(f, ys, 1e-13, 100, trace)
+        # rows need different step counts, and some backtrack (λ < 1)
+        assert len({steps for steps, _ in trace}) > 1
+        assert min(lam for _, lam in trace) < 1.0
+        want_rows, rows[:] = sum(rows), []
+        got = _newton_invert(f, ys, 1e-13, 100)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        # the same points are evaluated, only in fewer calls
+        assert sum(rows) == want_rows
+        assert np.max(np.linalg.norm(maps[name](got) - ys, axis=1)) <= 1e-13
+
+    def test_map_calls_do_not_grow_with_rows(self):
+        k, maps = _newton_maps(0.7)
+        calls = []
+
+        def counted(x):
+            calls.append(np.shape(x))
+            return maps["core"](x)
+
+        def count(ys):
+            calls.clear()
+            _newton_invert(counted, ys, 1e-13, 100)
+            return len(calls)
+
+        ys = ball_samples(k, 1.0, 64, seed=2)
+        slowest = max(count(y[None]) for y in ys)
+        assert count(ys) == slowest
+
+    def test_row_without_preimage_stagnates(self):
+        # x ↦ x² + 1 never reaches 0.5 in the first coordinate of row 1
+        f = lambda x: x**2 + 1.0
+        ys = np.array([[2.0, 5.0], [0.5, 2.0], [3.0, 1.5]])
+        stagnated = r"\[invert\] Newton line search stagnated"
+        with pytest.raises(DecompositionError, match=stagnated):
+            _newton_invert(f, ys, 1e-12, 100)
+
+    def test_nan_residual_is_not_converged(self):
+        # the second row starts at a point where the map is NaN
+        ys = np.array([[4.0, 1.0], [4.0, -1.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            _newton_invert(np.sqrt, ys, 1e-12, 100)
+
+    def test_exhausted_step_budget_raises(self):
+        f = lambda x: x**2 + 1.0
+        ys = np.array([[5.0, 2.0], [2.0, 10.0]])
+        assert np.allclose(_newton_invert(f, ys, 1e-12, 100), [[2.0, 1.0], [1.0, 3.0]])
+        with pytest.raises(DecompositionError, match="did not reach tol"):
+            _newton_invert(f, ys, 1e-12, 1)
 
 
 class TestPeelTail:

@@ -353,6 +353,17 @@ class TestCentralDifferences:
 
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             central_differences(bad, np.zeros(4), np.eye(4)[:2])
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
+            central_differences(bad, np.zeros((3, 4)), np.eye(4)[:2])
+
+    def test_batch_of_base_points_equals_a_loop(self, space16):
+        layer = make_layer(space16, lip_g=0.4, seed=13)
+        xs = ball_samples(16, 1.0, 7, seed=2)
+        dirs = np.eye(16)[:6]
+        batch = central_differences(layer, xs, dirs)
+        loop = np.stack([central_differences(layer, x, dirs) for x in xs])
+        assert batch.shape == (7, 6, 16)
+        assert np.max(np.abs(batch - loop)) <= 1e-12 * np.max(np.abs(loop))
 
 
 def test_eval_map_rejects_unknown():

@@ -16,7 +16,6 @@ from opdisc.operators import (
     Sum,
     apply,
     nemytskii_apply,
-    operator_norm_estimate,
     orthonormal_family,
     spectral_norm,
     truncate_rank,
@@ -192,36 +191,6 @@ class TestLinearExpr:
             Compose(())
         with pytest.raises(ValueError):
             Sum(())
-
-
-class TestNormEstimate:
-    def test_diagonal(self):
-        d = Diagonal(1.0 / np.arange(1, 9))
-        assert operator_norm_estimate(d) == pytest.approx(1.0, abs=1e-6)
-
-    def test_reflection(self):
-        r = Reflection.first_axis(5)
-        assert operator_norm_estimate(r) == pytest.approx(1.0, abs=1e-6)
-
-    def test_matches_top_singular_value(self):
-        psi = orthonormal_family(8, 2, seed=3)
-        phi = orthonormal_family(8, 2, seed=4)
-        t = FiniteRankOperator([3.0, 1.0], psi, phi)
-        assert operator_norm_estimate(t) == pytest.approx(3.0, abs=1e-6)
-        for seed in range(5):
-            s = FiniteRankOperator.seeded(10, 5, decay=1.2, seed=seed)
-            assert operator_norm_estimate(s) == pytest.approx(s.norm, abs=1e-6)
-
-    def test_zero_operator(self):
-        z = FiniteRankOperator.zero(6)
-        assert operator_norm_estimate(z) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="iterations"):
-            operator_norm_estimate(Identity(), dim=4, iters=5)
-        with pytest.raises(ValueError, match="dim"):
-            operator_norm_estimate(Identity())
-        assert operator_norm_estimate(Scalar(2.5), dim=3) == pytest.approx(2.5, abs=1e-6)
 
 
 def _top_singular_value(w: np.ndarray) -> float:
