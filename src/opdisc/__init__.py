@@ -20,7 +20,7 @@ from .layers import (
     make_layer,
 )
 from .monotone import bilipschitz_estimate, pairwise_alpha
-from .spectral import BasisSpec, Space, SpectralVector, Subspace, inner, project
+from .spectral import BasisSpec, Space, Subspace
 
 __version__ = "0.1.0"
 
@@ -36,7 +36,6 @@ __all__ = [
     "NeuralOperatorLayer",
     "ResidualChain",
     "Space",
-    "SpectralVector",
     "Subspace",
     "bilipschitz_estimate",
     "block_fixed_point",
@@ -46,11 +45,9 @@ __all__ = [
     "fem_convergence",
     "galerkin_path_matrix",
     "global_inverse_check",
-    "inner",
     "invert_chain",
     "make_layer",
     "pairwise_alpha",
-    "project",
     "singularity_scan",
     "solve_semilinear",
     "__version__",

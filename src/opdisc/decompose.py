@@ -41,7 +41,6 @@ import scipy.linalg
 from .layers import NeuralOperatorLayer, central_differences, eval_map
 from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate
 from .operators import Identity, Reflection, spectral_norm
-from .spectral import as_coeffs
 
 __all__ = [
     "Frame",
@@ -791,10 +790,6 @@ class DecompositionResult:
         for b in self.blocks:
             x = b.eval_array(x)
         return x
-
-    def __call__(self, x):
-        return self.eval_array(as_coeffs(x))
-
 
 def decompose(
     layer: NeuralOperatorLayer,

@@ -21,7 +21,7 @@ import numpy as np
 from .layers import central_differences, eval_map
 from .monotone import _resolve_dim, ball_samples, pairwise_alpha
 from .operators import FiniteRankOperator
-from .spectral import SpectralVector, Subspace, as_coeffs
+from .spectral import Subspace
 
 __all__ = [
     "DiscretizedMap",
@@ -34,7 +34,6 @@ __all__ = [
     "convergence_scan",
     "continuity_probe",
     "orientation_scan",
-    "trend_converged",
     "csv_float",
 ]
 
@@ -49,7 +48,8 @@ class DiscretizedMap:
     """P_V∘F on a prefix subspace V: inputs and outputs both live in V.
 
     Construction runs a short self-check that the compressed values agree
-    with project(F(x), V) to machine precision on seeded ball samples.
+    with the projected values P_V F(x) to machine precision on seeded ball
+    samples.
     """
 
     source: object
@@ -71,10 +71,6 @@ class DiscretizedMap:
                 f"compressed map disagrees with projected source by {worst:g}"
             )
 
-    @property
-    def prefix_dim(self) -> int:
-        return self.v.dim
-
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         d = self.v.dim
@@ -83,9 +79,6 @@ class DiscretizedMap:
         y = eval_map(self.source, xin).copy()
         y[..., d:] = 0.0
         return y
-
-    def __call__(self, x) -> SpectralVector:
-        return SpectralVector(self.eval_array(as_coeffs(x)))
 
 
 def linearize(f, v: Subspace, dim: int | None = None) -> DiscretizedMap:
@@ -155,7 +148,7 @@ def weak_error(
     exactly zero for probes inside V.
     """
     m = _resolve_dim(f, dim)
-    parr = [as_coeffs(p) for p in probes]
+    parr = [np.asarray(p, dtype=float) for p in probes]
     if not parr:
         raise ValueError("need at least one probe")
     for p in parr:
@@ -346,7 +339,7 @@ def orientation_scan(
         raise ValueError("need a nonempty prefix subspace of dimension at most 50")
     d = v.dim
     m = _resolve_dim(path(ts[0]), dim)
-    base = np.zeros(m) if base_point is None else as_coeffs(base_point).copy()
+    base = np.zeros(m) if base_point is None else np.array(base_point, dtype=float)
     base[d:] = 0.0
 
     def det_at(t: float) -> float:
@@ -374,13 +367,3 @@ def orientation_scan(
                 hi = mid
         crossings.append((lo, hi))
     return OrientationScan(rows=rows, crossings=tuple(crossings))
-
-
-def trend_converged(values: Sequence[float], final_threshold: float = 1e-3) -> bool:
-    """Operational reading of "tends to zero" for a finite scan: the last
-    value clears the threshold and the sequence strictly decreases."""
-    vals = [float(x) for x in values]
-    if not vals:
-        return False
-    decreasing = all(b < a for a, b in zip(vals, vals[1:]))
-    return decreasing and vals[-1] < final_threshold

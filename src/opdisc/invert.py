@@ -77,7 +77,7 @@ class InversionTrace:
     deltas: tuple
     tol: float
     max_iter: int
-    contraction_ratios: tuple = field(default=())
+    contraction_ratios: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         counts = tuple(int(c) for c in self.iteration_counts)
@@ -131,10 +131,6 @@ class InversionTrace:
     @property
     def total_iterations(self) -> int:
         return int(sum(self.iteration_counts))
-
-    def median_contraction_ratio(self, block: int) -> float:
-        ratios = self.contraction_ratios[block]
-        return _median(ratios) if ratios else 0.0
 
     def as_dict(self) -> dict:
         return {

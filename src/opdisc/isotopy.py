@@ -33,7 +33,6 @@ __all__ = [
     "TruncationScan",
     "block_angle",
     "glued_truncation_matrix",
-    "isotopy_map",
     "reflected_rotation_cascade",
     "rotation_cascade",
     "truncated_det_scan",
@@ -121,19 +120,6 @@ def glued_truncation_matrix(t: float, m: int) -> np.ndarray:
         ambient = m if m % 2 == 1 else m + 1
         full = reflected_rotation_cascade(2.0 - 2.0 * t, ambient)
     return np.ascontiguousarray(full[:m, :m])
-
-
-def isotopy_map(v: np.ndarray, t: float, m: int) -> np.ndarray:
-    """Apply the m-truncated glued path at parameter ``t`` to ``v``.
-
-    Accepts a single coefficient vector or a batch with trailing axis ``m``.
-    At ``t = 0`` this is the identity, at ``t = 1/2`` it is -I, and at
-    ``t = 1`` it negates exactly the first coordinate.
-    """
-    v = np.asarray(v, dtype=float)
-    if v.ndim == 0 or v.shape[-1] != m:
-        raise ValueError(f"expected vectors with trailing axis {m}, got shape {v.shape}")
-    return v @ glued_truncation_matrix(t, m).T
 
 
 @dataclass(frozen=True)

@@ -27,7 +27,7 @@ from .operators import (
     nemytskii_apply,
     spectral_norm,
 )
-from .spectral import Space, SpectralVector, as_coeffs
+from .spectral import Space
 
 __all__ = [
     "Nonlinearity",
@@ -42,9 +42,7 @@ __all__ = [
     "make_layer",
     "scaled_leaky_activation",
     "eval_map",
-    "evaluate",
     "central_differences",
-    "jvp",
 ]
 
 
@@ -428,7 +426,7 @@ class InvertibleResidualChain:
     chain: ResidualChain
     delta: float
     ball_radius: float | None = None
-    cert_method: str = "spectral"  # filled in __post_init__
+    cert_method: str = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
@@ -515,10 +513,6 @@ def eval_map(f, x: np.ndarray) -> np.ndarray:
     raise TypeError(f"cannot evaluate object of type {type(f).__name__}")
 
 
-def evaluate(f, x) -> SpectralVector:
-    return SpectralVector(eval_map(f, as_coeffs(x)))
-
-
 def central_differences(f, x: np.ndarray, dirs: np.ndarray, h: float = 1e-5) -> np.ndarray:
     """Directional derivatives of f at x along each row of ``dirs``.
 
@@ -539,11 +533,6 @@ def central_differences(f, x: np.ndarray, dirs: np.ndarray, h: float = 1e-5) -> 
     if not np.all(np.isfinite(deriv)):
         raise ValueError("finite-difference failure: non-finite Jacobian entries")
     return deriv
-
-
-def jvp(f, x, v, h: float = 1e-5) -> SpectralVector:
-    """Directional derivative by central differences: O(h^2) for C^2 maps."""
-    return SpectralVector(central_differences(f, as_coeffs(x), as_coeffs(v)[None], h)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Linear and pointwise-nonlinear building blocks.
 
-Finite-rank operators in singular-triple form, a small expression language
-for structured linear maps (reflections, diagonals, dense-on-prefix blocks,
-compositions, sums), scalar activations applied pointwise on the quadrature
+Finite-rank operators in singular-triple form, a few structured linear maps
+(identity, scalars, diagonals, dense-on-prefix blocks, reflections), the exact
+spectral-norm kernel, scalar activations applied pointwise on the quadrature
 grid, and coordinate activations for finite-dimensional networks.
 """
 
@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
-from .spectral import Space, SpectralVector, as_coeffs
+from .spectral import Space
 
 __all__ = [
     "FiniteRankOperator",
@@ -24,35 +24,11 @@ __all__ = [
     "Diagonal",
     "DenseOnPrefix",
     "Reflection",
-    "Compose",
-    "Sum",
     "PointwiseActivation",
     "CoordinateActivation",
-    "apply",
     "nemytskii_apply",
     "spectral_norm",
-    "truncate_rank",
-    "orthonormal_family",
 ]
-
-
-def orthonormal_family(dim: int, rank: int, seed: int = 0, prefix: bool = False) -> np.ndarray:
-    """Rows of shape (rank, dim) forming an orthonormal family.
-
-    ``prefix=True`` returns the first ``rank`` coordinate vectors; otherwise a
-    seeded Gaussian matrix is orthonormalized by QR (signs fixed so the result
-    is canonical for the seed).
-    """
-    if not 0 <= rank <= dim:
-        raise ValueError(f"rank must lie in 0..{dim}, got {rank}")
-    if prefix:
-        return np.eye(dim)[:rank].copy()
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, rank))
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return (q * signs).T.copy()
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,26 +109,12 @@ class FiniteRankOperator:
         phi = fam(phi_prefix)
         return cls(w, psi, phi)
 
-    @classmethod
-    def from_matrix(cls, a: np.ndarray, tol: float | None = None) -> "FiniteRankOperator":
-        a = np.asarray(a, dtype=float)
-        u, s, vt = np.linalg.svd(a, full_matrices=False)
-        if tol is None:
-            tol = (s[0] * 1e-14) if s.size and s[0] > 0 else 0.0
-        r = int(np.count_nonzero(s > tol))
-        return cls(s[:r], vt[:r], u[:, :r].T)
-
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.dim:
             raise ValueError(f"dimension mismatch: operator dim {self.dim}, vector {x.shape[-1]}")
         if not self.rank:
             return np.zeros_like(x, dtype=float)
         return (x @ self.psi.T * self.omegas) @ self.phi
-
-    def adjoint_apply_array(self, x: np.ndarray) -> np.ndarray:
-        if not self.rank:
-            return np.zeros_like(x, dtype=float)
-        return (x @ self.phi.T * self.omegas) @ self.psi
 
     def as_matrix(self) -> np.ndarray:
         if not self.rank:
@@ -163,47 +125,25 @@ class FiniteRankOperator:
         return f"FiniteRankOperator(rank={self.rank}, dim={self.dim}, norm={self.norm:.6g})"
 
 
-def truncate_rank(t: FiniteRankOperator, h: float) -> tuple[FiniteRankOperator, float]:
-    """Split at singular threshold h: keep omegas >= h, report the tail norm.
-
-    The tail norm is the largest discarded singular value (0 if nothing was
-    discarded), which equals the operator norm of the difference.
-    """
-    if h <= 0.0:
-        raise ValueError("threshold must be positive")
-    r = int(np.count_nonzero(t.omegas >= h))
-    head = FiniteRankOperator(t.omegas[:r], t.psi[:r], t.phi[:r])
-    tail_norm = float(t.omegas[r]) if r < t.rank else 0.0
-    return head, tail_norm
-
-
 # ---------------------------------------------------------------------------
 # structured linear maps
 # ---------------------------------------------------------------------------
 
 
 class LinearExpr:
-    """Linear map described by an expression over a few primitives."""
+    """A structured linear map on (..., m) coefficient arrays."""
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def adjoint_apply_array(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
     def intrinsic_dim(self) -> int | None:
         return None
-
-    def as_matrix(self, dim: int) -> np.ndarray:
-        return self.apply_array(np.eye(dim)).T
 
 
 @dataclass(frozen=True)
 class Identity(LinearExpr):
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         return np.array(x, dtype=float, copy=True)
-
-    adjoint_apply_array = apply_array
 
 
 @dataclass(frozen=True)
@@ -212,8 +152,6 @@ class Scalar(LinearExpr):
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         return float(self.c) * np.asarray(x, dtype=float)
-
-    adjoint_apply_array = apply_array
 
 
 @dataclass(frozen=True, eq=False)
@@ -229,8 +167,6 @@ class Diagonal(LinearExpr):
         if x.shape[-1] != self.entries.size:
             raise ValueError("dimension mismatch for diagonal operator")
         return self.entries * x
-
-    adjoint_apply_array = apply_array
 
     def intrinsic_dim(self) -> int | None:
         return self.entries.size
@@ -253,24 +189,14 @@ class DenseOnPrefix(LinearExpr):
     def block_dim(self) -> int:
         return self.matrix.shape[0]
 
-    def _check(self, x: np.ndarray) -> None:
+    def apply_array(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] < self.block_dim:
             raise ValueError(
                 f"vector dimension {x.shape[-1]} smaller than prefix block {self.block_dim}"
             )
-
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
-        self._check(x)
         y = np.array(x, dtype=float, copy=True)
         d = self.block_dim
         y[..., :d] = x[..., :d] @ self.matrix.T
-        return y
-
-    def adjoint_apply_array(self, x: np.ndarray) -> np.ndarray:
-        self._check(x)
-        y = np.array(x, dtype=float, copy=True)
-        d = self.block_dim
-        y[..., :d] = x[..., :d] @ self.matrix
         return y
 
 
@@ -281,9 +207,11 @@ class Reflection(LinearExpr):
     e: np.ndarray
 
     def __post_init__(self) -> None:
-        e = as_coeffs(self.e).copy()
+        e = np.array(self.e, dtype=float)
+        if e.ndim != 1:
+            raise ValueError(f"reflection vector must be one-dimensional, got shape {e.shape}")
         nrm = np.linalg.norm(e)
-        if abs(nrm - 1.0) > 1e-8:
+        if not abs(nrm - 1.0) <= 1e-8:
             raise ValueError(f"reflection vector must be unit length, got norm {nrm}")
         e /= nrm
         e.flags.writeable = False
@@ -301,95 +229,8 @@ class Reflection(LinearExpr):
         proj = x @ self.e
         return x - 2.0 * np.multiply.outer(proj, self.e)
 
-    adjoint_apply_array = apply_array
-
     def intrinsic_dim(self) -> int | None:
         return self.e.size
-
-
-@dataclass(frozen=True)
-class Compose(LinearExpr):
-    """Compose([A, B, C]) acts as A(B(C(x))): rightmost factor first."""
-
-    factors: tuple
-
-    def __post_init__(self) -> None:
-        fs = tuple(self.factors)
-        if not fs:
-            raise ValueError("composition needs at least one factor")
-        object.__setattr__(self, "factors", fs)
-
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
-        for f in reversed(self.factors):
-            x = _apply_any(f, x)
-        return x
-
-    def adjoint_apply_array(self, x: np.ndarray) -> np.ndarray:
-        for f in self.factors:
-            x = _adjoint_any(f, x)
-        return x
-
-    def intrinsic_dim(self) -> int | None:
-        for f in self.factors:
-            d = _dim_of(f)
-            if d is not None:
-                return d
-        return None
-
-
-@dataclass(frozen=True)
-class Sum(LinearExpr):
-    terms: tuple
-
-    def __post_init__(self) -> None:
-        ts = tuple(self.terms)
-        if not ts:
-            raise ValueError("sum needs at least one term")
-        object.__setattr__(self, "terms", ts)
-
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
-        out = _apply_any(self.terms[0], x)
-        for t in self.terms[1:]:
-            out = out + _apply_any(t, x)
-        return out
-
-    def adjoint_apply_array(self, x: np.ndarray) -> np.ndarray:
-        out = _adjoint_any(self.terms[0], x)
-        for t in self.terms[1:]:
-            out = out + _adjoint_any(t, x)
-        return out
-
-    def intrinsic_dim(self) -> int | None:
-        for t in self.terms:
-            d = _dim_of(t)
-            if d is not None:
-                return d
-        return None
-
-
-def _apply_any(op, x: np.ndarray) -> np.ndarray:
-    if isinstance(op, (FiniteRankOperator, LinearExpr)):
-        return op.apply_array(np.asarray(x, dtype=float))
-    raise TypeError(f"not a linear operator: {type(op).__name__}")
-
-
-def _adjoint_any(op, x: np.ndarray) -> np.ndarray:
-    if isinstance(op, (FiniteRankOperator, LinearExpr)):
-        return op.adjoint_apply_array(np.asarray(x, dtype=float))
-    raise TypeError(f"not a linear operator: {type(op).__name__}")
-
-
-def _dim_of(op) -> int | None:
-    if isinstance(op, FiniteRankOperator):
-        return op.dim
-    if isinstance(op, LinearExpr):
-        return op.intrinsic_dim()
-    return None
-
-
-def apply(op, x) -> SpectralVector:
-    """Apply a linear operator to a coefficient vector."""
-    return SpectralVector(_apply_any(op, as_coeffs(x)))
 
 
 def spectral_norm(w) -> float:
@@ -602,7 +443,7 @@ def nemytskii_apply(space: Space, sigma: PointwiseActivation, u) -> np.ndarray:
     the quadrature grid and re-expands; the identity activation
     short-circuits and is exact.
     """
-    c = u.coeffs if isinstance(u, SpectralVector) else np.asarray(u, dtype=float)
+    c = np.asarray(u, dtype=float)
     if sigma.is_identity:
         return c.copy()
     return space.from_grid(sigma(space.to_grid(c)))

@@ -1,11 +1,13 @@
-"""JSON round-trips for spaces, operators, layers, chains, and certificates.
+"""JSON specs for spaces, operators, layers and chains; canonical artifacts.
 
-Every artifact file carries ``"schema": 1`` and is validated strictly: an
-unknown key is an error, never a silent default.  Floats pass through
-``format(x, ".17g")`` on the way out so that artifacts are byte-reproducible
-and re-parse to the identical value.  Seeded object specs (``seeded_layer``,
-``seeded_chain``, ...) describe an object by its generator arguments instead
-of its coefficients; both forms rebuild to the same evaluators.
+The ``*_from_spec`` readers define the spec format: they build objects from
+JSON and validate strictly, so an unknown key is an error, never a silent
+default.  Nothing here writes objects back out as specs.  Every artifact
+file carries ``"schema": 1``, and floats pass through ``format(x, ".17g")``
+on the way out so that artifacts are byte-reproducible and re-parse to the
+identical value.  Seeded object specs (``seeded_layer``, ``seeded_chain``,
+...) describe an object by its generator arguments instead of its
+coefficients; both forms rebuild to the same evaluators.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .layers import (
     make_layer,
     scaled_leaky_activation,
 )
-from .operators import CoordinateActivation, Identity, PointwiseActivation, Reflection
+from .operators import CoordinateActivation, PointwiseActivation, Reflection
 from .spectral import BasisSpec, Space
 
 SCHEMA_VERSION = 1
@@ -43,19 +45,12 @@ __all__ = [
     "blob_hash",
     "check_keys",
     "space_from_config",
-    "space_to_config",
     "operator_from_spec",
-    "operator_to_spec",
     "network_from_spec",
-    "network_to_spec",
     "nonlinearity_from_spec",
-    "nonlinearity_to_spec",
     "layer_from_spec",
-    "layer_to_spec",
     "chain_from_spec",
-    "chain_to_spec",
     "head_from_spec",
-    "head_to_spec",
     "load_json",
     "read_envelope",
     "write_json",
@@ -118,14 +113,6 @@ def space_from_config(d: dict) -> Space:
     return Space(spec)
 
 
-def space_to_config(space: Space) -> dict:
-    return {
-        "basis": space.spec.kind,
-        "ambient_dim": space.spec.ambient_dim,
-        "quadrature": space.spec.quadrature_panels,
-    }
-
-
 # ---------------------------------------------------------------------------
 # activations
 
@@ -160,15 +147,6 @@ def _pointwise_from_name(name: str) -> PointwiseActivation:
 
 # ---------------------------------------------------------------------------
 # operators
-
-
-def operator_to_spec(op: FiniteRankOperator) -> dict:
-    return {
-        "kind": "finite_rank",
-        "omegas": canonical(op.omegas),
-        "psi": canonical(op.psi),
-        "phi": canonical(op.phi),
-    }
 
 
 def _seeded_frame(dim: int, rank: int, seed: int) -> np.ndarray:
@@ -229,15 +207,6 @@ def operator_from_spec(d: dict, ambient_dim: int | None = None) -> FiniteRankOpe
 # coordinate networks
 
 
-def network_to_spec(net: CoordinateNetwork) -> dict:
-    return {
-        "kind": "coordinate_network",
-        "weights": canonical(list(net.weights)),
-        "biases": canonical(list(net.biases)),
-        "activation": net.activation.name,
-    }
-
-
 def network_from_spec(d: dict) -> CoordinateNetwork:
     kind = d.get("kind")
     if kind == "coordinate_network":
@@ -269,26 +238,6 @@ def network_from_spec(d: dict) -> CoordinateNetwork:
 # nonlinearities and layers
 
 
-def nonlinearity_to_spec(nonlin) -> dict:
-    if isinstance(nonlin, ZeroNonlinearity):
-        return {"kind": "zero"}
-    if isinstance(nonlin, AffineNonlinearity):
-        return {
-            "kind": "affine",
-            "matrix": canonical(nonlin.matrix),
-            "bias": canonical(nonlin.bias),
-        }
-    if isinstance(nonlin, CoordinateNetNonlinearity):
-        return {
-            "kind": "coordinate_net",
-            "net": network_to_spec(nonlin.net),
-            "ambient_dim": nonlin.ambient_dim,
-        }
-    if isinstance(nonlin, NemytskiiNonlinearity):
-        return {"kind": "nemytskii", "activation": nonlin.sigma.name}
-    raise SpecError(f"cannot serialize nonlinearity of type {type(nonlin).__name__}")
-
-
 def nonlinearity_from_spec(d: dict, space: Space | None = None):
     kind = d.get("kind")
     if kind == "zero":
@@ -310,15 +259,6 @@ def nonlinearity_from_spec(d: dict, space: Space | None = None):
             raise SpecError("nonlinearity: a Nemytskii map needs the space")
         return NemytskiiNonlinearity(space, _pointwise_from_name(d["activation"]))
     raise SpecError(f"unknown nonlinearity kind {kind!r}")
-
-
-def layer_to_spec(layer: NeuralOperatorLayer) -> dict:
-    return {
-        "kind": "layer",
-        "in_op": operator_to_spec(layer.in_op),
-        "out_op": operator_to_spec(layer.out_op),
-        "nonlin": nonlinearity_to_spec(layer.nonlin),
-    }
 
 
 def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
@@ -345,26 +285,6 @@ def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
 # residual chains and their linear heads
 
 
-def chain_to_spec(chain) -> dict:
-    if isinstance(chain, InvertibleResidualChain):
-        out = {
-            "kind": "invertible_residual_chain",
-            "delta": canonical(chain.delta),
-            "chain": chain_to_spec(chain.chain),
-        }
-        if chain.ball_radius is not None:
-            out["ball_radius"] = canonical(chain.ball_radius)
-        return out
-    if isinstance(chain, ResidualChain):
-        return {
-            "kind": "residual_chain",
-            "ambient_dim": chain.ambient_dim,
-            "prefix_n": chain.prefix_n,
-            "blocks": [network_to_spec(b) for b in chain.blocks],
-        }
-    raise SpecError(f"cannot serialize chain of type {type(chain).__name__}")
-
-
 def chain_from_spec(d: dict):
     kind = d.get("kind")
     if kind == "residual_chain":
@@ -376,10 +296,7 @@ def chain_from_spec(d: dict):
         inner = chain_from_spec(d["chain"])
         ball = d.get("ball_radius")
         return InvertibleResidualChain(
-            inner,
-            float(d["delta"]),
-            ball_radius=None if ball is None else float(ball),
-            cert_method="spectral" if ball is None else "ball_local",
+            inner, float(d["delta"]), ball_radius=None if ball is None else float(ball)
         )
     if kind == "seeded_chain":
         check_keys(
@@ -405,20 +322,9 @@ def chain_from_spec(d: dict):
             return chain
         ball = d.get("ball_radius")
         return InvertibleResidualChain(
-            chain,
-            float(delta),
-            ball_radius=None if ball is None else float(ball),
-            cert_method="spectral" if ball is None else "ball_local",
+            chain, float(delta), ball_radius=None if ball is None else float(ball)
         )
     raise SpecError(f"unknown chain kind {kind!r}")
-
-
-def head_to_spec(head) -> dict:
-    if head is None or isinstance(head, Identity):
-        return {"kind": "identity"}
-    if isinstance(head, Reflection):
-        return {"kind": "reflection", "e": canonical(head.e)}
-    raise SpecError(f"cannot serialize head of type {type(head).__name__}")
 
 
 def head_from_spec(d: dict, dim: int | None = None):
@@ -429,10 +335,22 @@ def head_from_spec(d: dict, dim: int | None = None):
     if kind == "reflection":
         check_keys(d, "head", {"kind"}, {"e", "axis_dim"})
         if "e" in d:
-            return Reflection(np.asarray(d["e"], dtype=float))
+            want = "" if dim is None else f"{dim} "
+            try:
+                e = np.asarray(d["e"], dtype=float)
+                if dim is not None and e.shape != (dim,):
+                    raise ValueError(f"got shape {e.shape}")
+                return Reflection(e)
+            except (TypeError, ValueError) as err:
+                raise SpecError(
+                    f"head: 'e' must be a flat list of {want}finite numbers "
+                    f"of unit length ({err})"
+                ) from err
         n = d.get("axis_dim", dim)
         if n is None:
             raise SpecError("head: a reflection needs 'e' or 'axis_dim'")
+        if dim is not None and int(n) != dim:
+            raise SpecError(f"head: axis_dim {n} does not match the dimension {dim}")
         return Reflection.first_axis(int(n))
     raise SpecError(f"unknown head kind {kind!r}")
 

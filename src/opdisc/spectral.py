@@ -1,10 +1,10 @@
 """Finite ambient model of L2(0,1).
 
 Fixes the coefficient representation the rest of the package computes in: an
-orthonormal basis truncated to an ambient dimension M, coefficient vectors,
-prefix subspaces with orthogonal projections, encoder/decoder pairs, and a
-composite Gauss-Legendre grid for pointwise work.  All values are immutable
-and all operations are pure.
+orthonormal basis truncated to an ambient dimension M, whose elements are
+plain (..., M) float arrays of coefficients, prefix subspaces named by basis
+indices, and a composite Gauss-Legendre grid for pointwise work.  All values
+are immutable and all operations are pure.
 """
 
 from __future__ import annotations
@@ -17,12 +17,8 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "BasisSpec",
-    "SpectralVector",
     "Subspace",
     "Space",
-    "inner",
-    "project",
-    "as_coeffs",
     "gauss_legendre_panels",
 ]
 
@@ -87,56 +83,6 @@ class BasisSpec:
         object.__setattr__(self, "quadrature_panels", q)
 
 
-@dataclass(frozen=True, eq=False)
-class SpectralVector:
-    """Coefficient vector over the orthonormal basis; norm is Euclidean."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self) -> None:
-        c = np.array(self.coeffs, dtype=float, copy=True).reshape(-1)
-        c.flags.writeable = False
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def dim(self) -> int:
-        return self.coeffs.size
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
-
-    def __add__(self, other: "SpectralVector | np.ndarray") -> "SpectralVector":
-        return SpectralVector(self.coeffs + as_coeffs(other))
-
-    def __sub__(self, other: "SpectralVector | np.ndarray") -> "SpectralVector":
-        return SpectralVector(self.coeffs - as_coeffs(other))
-
-    def __mul__(self, s: float) -> "SpectralVector":
-        return SpectralVector(self.coeffs * float(s))
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralVector":
-        return SpectralVector(-self.coeffs)
-
-    def __repr__(self) -> str:
-        return f"SpectralVector(dim={self.dim}, norm={self.norm():.6g})"
-
-
-def as_coeffs(x) -> np.ndarray:
-    """Coefficient array of ``x`` (SpectralVector, array, or sequence)."""
-    if isinstance(x, SpectralVector):
-        return x.coeffs
-    return np.asarray(x, dtype=float).reshape(-1)
-
-
-def inner(a, b) -> float:
-    ca, cb = as_coeffs(a), as_coeffs(b)
-    if ca.shape != cb.shape:
-        raise ValueError(f"dimension mismatch: {ca.size} vs {cb.size}")
-    return float(ca @ cb)
-
-
 @dataclass(frozen=True)
 class Subspace:
     """Span of a set of basis elements, named by 0-based indices.
@@ -168,35 +114,15 @@ class Subspace:
     def is_prefix(self) -> bool:
         return self.indices == frozenset(range(len(self.indices)))
 
-    def union(self, other: "Subspace") -> "Subspace":
-        return Subspace(self.indices | other.indices)
-
-    def contains(self, other: "Subspace") -> bool:
-        return other.indices <= self.indices
-
-    def mask(self, ambient_dim: int) -> np.ndarray:
-        """Boolean membership mask of length ``ambient_dim``."""
-        if self.indices and max(self.indices) >= ambient_dim:
-            raise ValueError("subspace index outside the ambient dimension")
-        m = np.zeros(ambient_dim, dtype=bool)
-        if self.indices:
-            m[sorted(self.indices)] = True
-        return m
-
     def __repr__(self) -> str:
         if self.is_prefix:
             return f"Subspace.prefix({self.dim})"
         return f"Subspace({sorted(self.indices)})"
 
 
-def project(x, V: Subspace) -> SpectralVector:
-    """Orthogonal projection onto V: coefficients outside V are zeroed."""
-    c = as_coeffs(x)
-    return SpectralVector(np.where(V.mask(c.size), c, 0.0))
-
-
 class Space:
-    """A realized :class:`BasisSpec`: grid, basis values, and the coder pair.
+    """A realized :class:`BasisSpec`: grid, basis values, and the transforms
+    between (..., M) coefficients and values on the grid.
 
     ``fourier`` uses {1, sqrt(2) cos(2 pi k t), sqrt(2) sin(2 pi k t)} with
     the constant function first, so pointwise evaluation is available.
@@ -235,27 +161,6 @@ class Space:
             f"panels={self.spec.quadrature_panels})"
         )
 
-    # -- construction helpers -------------------------------------------------
-
-    def vector(self, coeffs) -> SpectralVector:
-        c = as_coeffs(coeffs)
-        if c.size != self.dim:
-            raise ValueError(f"expected {self.dim} coefficients, got {c.size}")
-        return SpectralVector(c)
-
-    def zero(self) -> SpectralVector:
-        return SpectralVector(np.zeros(self.dim))
-
-    def basis_vector(self, i: int) -> SpectralVector:
-        if not 0 <= i < self.dim:
-            raise ValueError(f"basis index {i} outside 0..{self.dim - 1}")
-        c = np.zeros(self.dim)
-        c[i] = 1.0
-        return SpectralVector(c)
-
-    def full_subspace(self) -> Subspace:
-        return Subspace.prefix(self.dim)
-
     # -- pointwise realization -------------------------------------------------
 
     def _require_grid(self) -> np.ndarray:
@@ -284,7 +189,7 @@ class Space:
         """Pointwise values on the quadrature nodes: (..., M) coefficients in,
         (..., nodes) values out."""
         bv = self._require_grid()
-        c = x.coeffs if isinstance(x, SpectralVector) else np.asarray(x, dtype=float)
+        c = np.asarray(x, dtype=float)
         if c.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} coefficients, got {c.shape[-1]}")
         return c @ bv
@@ -299,65 +204,3 @@ class Space:
                 f"expected {self.nodes.size} grid values, got {v.shape[-1]}"
             )
         return (v * self.weights) @ bv.T
-
-    def gram(self) -> np.ndarray:
-        """Quadrature Gram matrix of the basis (identity for abstract kind)."""
-        if self._basis_values is None:
-            return np.eye(self.dim)
-        bv = self._basis_values
-        return (bv * self.weights) @ bv.T
-
-    # -- coder pair ------------------------------------------------------------
-
-    def encode(self, x, n: int) -> np.ndarray:
-        """First ``n`` coefficients of ``x``."""
-        if n > self.dim:
-            raise ValueError(f"prefix size {n} exceeds ambient dimension {self.dim}")
-        if n < 0:
-            raise ValueError("prefix size must be nonnegative")
-        c = as_coeffs(x)
-        if c.size != self.dim:
-            raise ValueError(f"expected {self.dim} coefficients, got {c.size}")
-        return c[:n].copy()
-
-    def decode(self, alpha) -> SpectralVector:
-        """Embed a coefficient prefix as an ambient vector (zero tail)."""
-        a = np.asarray(alpha, dtype=float).reshape(-1)
-        if a.size > self.dim:
-            raise ValueError(
-                f"prefix size {a.size} exceeds ambient dimension {self.dim}"
-            )
-        c = np.zeros(self.dim)
-        c[: a.size] = a
-        return SpectralVector(c)
-
-    # -- sampling ----------------------------------------------------------------
-
-    def sample_ball(
-        self, r: float, n: int, decay: float = 1.0, seed: int = 0
-    ) -> list[SpectralVector]:
-        """Deterministic samples from the closed ball of radius ``r``.
-
-        Gaussian coefficients are damped by ``(index + 1) ** -decay`` so the
-        draws look like smooth elements, then rescaled to radius
-        ``r * u**(1/3)`` with u uniform: the ball is filled but mass leans
-        toward the shell, where sup-over-ball quantities are attained.
-        """
-        if r <= 0.0:
-            raise ValueError("ball radius must be positive")
-        if decay < 0.0:
-            raise ValueError("decay must be nonnegative")
-        if n < 0:
-            raise ValueError("sample count must be nonnegative")
-        rng = np.random.default_rng(seed)
-        damp = np.arange(1, self.dim + 1, dtype=float) ** (-float(decay))
-        out: list[SpectralVector] = []
-        for _ in range(n):
-            g = rng.standard_normal(self.dim) * damp
-            radius = r * rng.uniform() ** (1.0 / 3.0)
-            nrm = np.linalg.norm(g)
-            if nrm == 0.0:
-                out.append(self.zero())
-            else:
-                out.append(SpectralVector(g * (radius / nrm)))
-        return out

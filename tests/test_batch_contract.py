@@ -31,14 +31,12 @@ from opdisc.layers import (
 )
 from opdisc.monotone import ball_samples
 from opdisc.operators import (
-    Compose,
     DenseOnPrefix,
     Diagonal,
     FiniteRankOperator,
     Identity,
     Reflection,
     Scalar,
-    Sum,
 )
 from opdisc.spectral import BasisSpec, Space, Subspace
 
@@ -64,16 +62,13 @@ def maps():
     out = {}
 
     t = FiniteRankOperator.seeded(m, 4, seed=1)
-    dense = DenseOnPrefix(rng.standard_normal((5, 5)))
     linear = {
         "finite_rank": t,
         "identity": Identity(),
         "scalar": Scalar(-1.5),
         "diagonal": Diagonal(np.linspace(0.5, 2.0, m)),
-        "dense_on_prefix": dense,
+        "dense_on_prefix": DenseOnPrefix(rng.standard_normal((5, 5))),
         "reflection": Reflection.first_axis(m),
-        "compose": Compose((t, dense, Scalar(2.0))),
-        "sum": Sum((t, Identity(), Reflection.first_axis(m))),
     }
     for name, op in linear.items():
         out[name] = (op, m)
@@ -127,7 +122,7 @@ def maps():
 
 NAMES = [
     "finite_rank", "identity", "scalar", "diagonal", "dense_on_prefix",
-    "reflection", "compose", "sum", "zero_nonlinearity", "nemytskii",
+    "reflection", "zero_nonlinearity", "nemytskii",
     "coordinate_net_nonlinearity", "coordinate_net_window", "affine_nonlinearity",
     "layer", "nemytskii_layer", "coordinate_network", "residual_chain",
     "invertible_chain", "discretized_map", "core_compressed_layer", "tail_damped",

@@ -457,6 +457,29 @@ class TestSubcommands:
         assert result.exit_code == 1
         assert "finite numbers" in result.output
 
+    @pytest.mark.parametrize(
+        "e", [[[0.5, 0.5], [0.5, 0.5]], [1.0, 0.0, 0.0]], ids=["nested", "short"]
+    )
+    def test_invert_refuses_a_bad_reflection_head(self, runner, tmp_path, e):
+        # a nested e used to be flattened into a reflection nobody asked for,
+        # and a short one ended as a failed run (exit 2) instead of a config error
+        exp = {
+            "name": "inv",
+            "kind": "invert",
+            "seed": 0,
+            "chain": {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 3,
+                      "seed": 51, "delta": 0.5},
+            "head": {"kind": "reflection", "e": e},
+            "y": [0.1, -0.2, 0.3, 0.05],
+        }
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, [exp])
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "config-error" in result.output
+        assert not (out / "inv.json").exists()
+        assert not (out / "failures.json").exists()
+
     def test_quant_report_artifacts(self, runner, tmp_path, layer_file):
         out = tmp_path / "out"
         result = runner.invoke(

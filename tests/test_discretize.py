@@ -13,7 +13,6 @@ from opdisc.discretize import (
     functor_a_error,
     linearize,
     orientation_scan,
-    trend_converged,
     weak_error,
 )
 from opdisc.layers import NeuralOperatorLayer, eval_map, make_layer
@@ -51,11 +50,6 @@ class TestDiscretizedMap:
         fv = linearize(layer, Subspace.prefix(3))
         for x in ball_samples(16, 1.0, 8, seed=4, indices=[0, 1, 2]):
             assert np.allclose(fv.eval_array(x), x, atol=1e-15)
-
-    def test_callable_interface_returns_vector(self):
-        fv = linearize(Identity(), Subspace.prefix(2), dim=4)
-        y = fv(np.array([1.0, 2.0, 0.0, 0.0]))
-        assert y.coeffs.shape == (4,)
 
     def test_validation(self):
         with pytest.raises(ValueError, match="prefix"):
@@ -270,12 +264,6 @@ class TestOrientationScan:
 
 
 class TestHelpers:
-    def test_trend_converged(self):
-        assert trend_converged([1.0, 0.5, 0.1, 1e-4])
-        assert not trend_converged([1.0, 0.5, 0.5, 1e-4])  # not strictly decreasing
-        assert not trend_converged([1.0, 0.5, 0.1, 0.01])  # final too large
-        assert not trend_converged([])
-
     def test_csv_float_is_exact(self):
         for x in (0.1, 1 / 3, 2e-300, 12345.6789, 5e-324):
             assert float(csv_float(x)) == x

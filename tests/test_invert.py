@@ -92,7 +92,7 @@ class TestBlockFixedPoint:
         assert len(hist) > 5
         for a, b in zip(hist[1:], hist[2:]):
             assert b < a
-        assert trace.median_contraction_ratio(0) <= 0.6 + 0.05
+        assert np.median(trace.contraction_ratios[0]) <= 0.6 + 0.05
 
     def test_tail_coordinates_pass_through_exactly(self):
         net = CoordinateNetwork.seeded(3, 3, target_bound=0.4, seed=7)
@@ -210,6 +210,14 @@ class TestInversionTrace:
         hist = (0.1, 0.01, 1e-3)
         with pytest.raises(ValueError, match="a priori bound"):
             InversionTrace((3,), (1e-4,), (hist,), (2,), (0.5,), 1e-10, 100)
+
+    def test_contraction_ratios_are_not_a_constructor_argument(self):
+        args = ((2,), (1e-12,), ((0.1, 0.04),), (40,), (0.5,), 1e-10, 100)
+        with pytest.raises(TypeError):
+            InversionTrace(*args, ((0.9,),))
+        with pytest.raises(TypeError):
+            InversionTrace(*args, contraction_ratios=((0.9,),))
+        assert InversionTrace(*args).contraction_ratios == ((0.04 / 0.1,),)
 
     def test_as_dict_is_json_ready(self):
         trace = InversionTrace(

@@ -10,7 +10,6 @@ from opdisc.isotopy import (
     IsotopyConfig,
     block_angle,
     glued_truncation_matrix,
-    isotopy_map,
     reflected_rotation_cascade,
     rotation_cascade,
     truncated_det_scan,
@@ -92,28 +91,20 @@ class TestReflectedCascade:
 
 
 class TestIsotopyMap:
+    """The m-truncated glued path applied to coefficient vectors."""
+
     def test_path_endpoints_and_seam(self):
         v = np.arange(1.0, 8.0)
-        assert np.array_equal(isotopy_map(v, 0.0, 7), v)
-        assert np.array_equal(isotopy_map(v, 0.5, 7), -v)
-        assert np.array_equal(isotopy_map(v, 1.0, 7), np.concatenate([[-1.0], v[1:]]))
-
-    def test_batch_application(self):
-        rng = np.random.default_rng(11)
-        batch = rng.standard_normal((4, 7))
-        out = isotopy_map(batch, 0.3, 7)
-        assert out.shape == (4, 7)
-        np.testing.assert_allclose(out[2], isotopy_map(batch[2], 0.3, 7))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="trailing axis"):
-            isotopy_map(np.ones(5), 0.3, 7)
+        assert np.array_equal(v @ glued_truncation_matrix(0.0, 7).T, v)
+        assert np.array_equal(v @ glued_truncation_matrix(0.5, 7).T, -v)
+        flipped = np.concatenate([[-1.0], v[1:]])
+        assert np.array_equal(v @ glued_truncation_matrix(1.0, 7).T, flipped)
 
     def test_low_modes_finish_early(self):
         # a vector living in the first block stops moving once the sweep passes it
         v = np.array([0.7, -0.2] + [0.0] * 14)
         for t in (0.25, 0.3, 0.4, 0.5):
-            assert np.array_equal(isotopy_map(v, t, 16), -v)
+            assert np.array_equal(v @ glued_truncation_matrix(t, 16).T, -v)
 
     def test_tail_estimate_at_dyadic_steps(self):
         # between t_k = (1 - 2^-k)/2 and t_{k+1} only blocks past 2^k move,
@@ -122,7 +113,8 @@ class TestIsotopyMap:
         for k in (1, 2, 3):
             t0 = 0.5 * (1.0 - 2.0**-k)
             t1 = 0.5 * (1.0 - 2.0 ** -(k + 1))
-            step = np.linalg.norm(isotopy_map(v, t1, 16) - isotopy_map(v, t0, 16))
+            moved = glued_truncation_matrix(t1, 16) - glued_truncation_matrix(t0, 16)
+            step = np.linalg.norm(v @ moved.T)
             k_star = int(1.0 / (1.0 - 2.0 * t0))
             tail = 2.0 * np.sqrt(np.sum(v[2 * k_star - 2 :] ** 2))
             assert step <= tail + 1e-12

@@ -276,10 +276,11 @@ class TestInvariants:
         samples drawn inside that subspace."""
         layer = make_layer(space16, lip_g=0.45, seed=41)
         v = Subspace.prefix(5)
-        mask = v.mask(16)
 
         def projected(x):
-            return eval_map(layer, x) * mask
+            y = eval_map(layer, x)
+            y[..., v.dim :] = 0.0
+            return y
 
         full = pairwise_alpha(layer, subspace=v, n=96, seed=6)
         compressed = pairwise_alpha(projected, dim=16, subspace=v, n=96, seed=6)

@@ -1,11 +1,10 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opdisc.layers import (
+    AffineNonlinearity,
     CoordinateActivation,
     CoordinateNetNonlinearity,
     CoordinateNetwork,
@@ -17,7 +16,7 @@ from opdisc.layers import (
     make_layer,
     scaled_leaky_activation,
 )
-from opdisc.operators import FiniteRankOperator, Identity, Reflection
+from opdisc.operators import FiniteRankOperator, PointwiseActivation, Reflection
 from opdisc.serialize import (
     SCHEMA_VERSION,
     SpecError,
@@ -25,25 +24,35 @@ from opdisc.serialize import (
     canonical,
     canonical_json,
     chain_from_spec,
-    chain_to_spec,
     check_keys,
     head_from_spec,
-    head_to_spec,
     layer_from_spec,
-    layer_to_spec,
     load_json,
     network_from_spec,
-    network_to_spec,
     nonlinearity_from_spec,
-    nonlinearity_to_spec,
     operator_from_spec,
-    operator_to_spec,
     read_envelope,
     space_from_config,
-    space_to_config,
     write_csv,
     write_json,
 )
+
+# a literal two-stage network on R^2, as a config file would spell it
+NET_SPEC = {
+    "kind": "coordinate_network",
+    "weights": [[[0.5, 0.1], [0.0, 0.3]], [[0.2, 0.0], [0.1, 0.4]]],
+    "biases": [[0.1, -0.2], [0.0, 0.05]],
+    "activation": "tanh",
+}
+
+
+def net_from_literal(activation=None):
+    """The network NET_SPEC describes, built without the reader."""
+    return CoordinateNetwork(
+        tuple(np.array(w) for w in NET_SPEC["weights"]),
+        tuple(np.array(b) for b in NET_SPEC["biases"]),
+        activation or CoordinateActivation.tanh(),
+    )
 
 
 def probe_points(dim, n=6, seed=0):
@@ -100,8 +109,10 @@ class TestValidation:
 
 class TestSpace:
     def test_roundtrip(self, space16):
-        rebuilt = space_from_config(space_to_config(space16))
-        assert rebuilt.spec == space16.spec
+        config = {"basis": "fourier", "ambient_dim": 16, "quadrature": 64}
+        assert space_from_config(config).spec == space16.spec
+        abstract = space_from_config({"basis": "abstract_orthonormal", "ambient_dim": 5})
+        assert (abstract.spec.kind, abstract.dim) == ("abstract_orthonormal", 5)
 
     def test_quadrature_default_follows_dimension(self):
         space = space_from_config({"basis": "fourier", "ambient_dim": 12})
@@ -114,11 +125,16 @@ class TestSpace:
 
 class TestOperator:
     def test_explicit_roundtrip_is_exact(self):
-        op = FiniteRankOperator.seeded(10, 4, decay=2.0, seed=3)
-        rebuilt = operator_from_spec(operator_to_spec(op))
-        assert np.array_equal(rebuilt.omegas, op.omegas)
-        assert np.array_equal(rebuilt.psi, op.psi)
-        assert np.array_equal(rebuilt.phi, op.phi)
+        spec = {
+            "kind": "finite_rank",
+            "omegas": [0.9, 0.1],
+            "psi": [[0.6, 0.8, 0.0], [0.0, 0.0, 1.0]],
+            "phi": [[1.0, 0.0, 0.0], [0.0, 0.8, -0.6]],
+        }
+        op = operator_from_spec(spec)
+        assert np.array_equal(op.omegas, spec["omegas"])
+        assert np.array_equal(op.psi, spec["psi"])
+        assert np.array_equal(op.phi, spec["phi"])
 
     def test_seeded_form_matches_constructor(self):
         spec = {"kind": "seeded_finite_rank", "rank": 4, "seed": 7, "decay": 2.0}
@@ -153,11 +169,10 @@ class TestOperator:
 
 class TestNetwork:
     def test_explicit_roundtrip_evaluates_identically(self):
-        net = CoordinateNetwork.seeded(4, 4, target_bound=0.7, bias_scale=0.2, seed=5)
-        rebuilt = network_from_spec(network_to_spec(net))
-        xs = probe_points(4)
-        assert np.array_equal(rebuilt.eval_array(xs), net.eval_array(xs))
-        assert rebuilt.activation.name == net.activation.name
+        net = network_from_spec(NET_SPEC)
+        xs = probe_points(2)
+        assert np.array_equal(net.eval_array(xs), net_from_literal().eval_array(xs))
+        assert net.activation.name == "tanh"
 
     def test_seeded_form_matches_constructor(self):
         spec = {
@@ -176,47 +191,49 @@ class TestNetwork:
         assert np.array_equal(rebuilt.eval_array(xs), direct.eval_array(xs))
 
     def test_parametrized_leaky_slope_survives(self):
-        net = CoordinateNetwork.seeded(
-            3, 3, activation=CoordinateActivation.leaky_relu(0.35), seed=1
-        )
-        rebuilt = network_from_spec(network_to_spec(net))
-        assert rebuilt.activation.name == "leaky_relu(0.35)"
+        net = network_from_spec({**NET_SPEC, "activation": "leaky_relu(0.35)"})
+        assert net.activation.name == "leaky_relu(0.35)"
+        direct = net_from_literal(CoordinateActivation.leaky_relu(0.35))
+        xs = probe_points(2)
+        assert np.array_equal(net.eval_array(xs), direct.eval_array(xs))
 
     def test_only_leaky_takes_a_parameter(self):
-        spec = network_to_spec(CoordinateNetwork.seeded(2, 2, seed=0))
-        spec["activation"] = "tanh(0.3)"
+        spec = {**NET_SPEC, "activation": "tanh(0.3)"}
         with pytest.raises(SpecError, match="takes no parameter"):
             network_from_spec(spec)
 
     def test_unknown_activation_lists_the_table(self):
-        spec = network_to_spec(CoordinateNetwork.seeded(2, 2, seed=0))
-        spec["activation"] = "swish"
+        spec = {**NET_SPEC, "activation": "swish"}
         with pytest.raises(SpecError, match="know \\["):
             network_from_spec(spec)
 
 
 class TestNonlinearity:
     def test_zero_roundtrip(self):
-        assert isinstance(
-            nonlinearity_from_spec(nonlinearity_to_spec(ZeroNonlinearity())),
-            ZeroNonlinearity,
-        )
+        assert isinstance(nonlinearity_from_spec({"kind": "zero"}), ZeroNonlinearity)
+
+    def test_affine_from_spec(self):
+        spec = {"kind": "affine", "matrix": [[0.3, 0.1], [0.0, 0.2]], "bias": [1.0, -1.0]}
+        nonlin = nonlinearity_from_spec(spec)
+        direct = AffineNonlinearity(np.array(spec["matrix"]), np.array(spec["bias"]))
+        xs = probe_points(2)
+        assert np.array_equal(nonlin.apply_array(xs), direct.apply_array(xs))
+        assert nonlin.lip == direct.lip
 
     def test_coordinate_net_roundtrip(self):
-        net = CoordinateNetwork.seeded(4, 4, target_bound=0.5, seed=9)
-        nonlin = CoordinateNetNonlinearity(net, 12)
-        rebuilt = nonlinearity_from_spec(nonlinearity_to_spec(nonlin))
+        spec = {"kind": "coordinate_net", "net": NET_SPEC, "ambient_dim": 12}
+        nonlin = nonlinearity_from_spec(spec)
+        direct = CoordinateNetNonlinearity(net_from_literal(), 12)
         xs = probe_points(12)
-        assert np.array_equal(rebuilt.apply_array(xs), nonlin.apply_array(xs))
+        assert np.array_equal(nonlin.apply_array(xs), direct.apply_array(xs))
 
     def test_nemytskii_roundtrip_keeps_scaled_slope(self, space16):
-        nonlin = NemytskiiNonlinearity(space16, scaled_leaky_activation(0.3))
-        spec = nonlinearity_to_spec(nonlin)
-        assert spec == {"kind": "nemytskii", "activation": "scaled_leaky(0.3)"}
-        rebuilt = nonlinearity_from_spec(spec, space16)
+        spec = {"kind": "nemytskii", "activation": "scaled_leaky(0.3)"}
+        nonlin = nonlinearity_from_spec(spec, space16)
+        direct = NemytskiiNonlinearity(space16, scaled_leaky_activation(0.3))
         for x in probe_points(16):
-            assert np.array_equal(rebuilt.apply_array(x), nonlin.apply_array(x))
-        assert rebuilt.lip == nonlin.lip
+            assert np.array_equal(nonlin.apply_array(x), direct.apply_array(x))
+        assert nonlin.lip == direct.lip
 
     def test_nemytskii_needs_the_space(self):
         with pytest.raises(SpecError, match="needs the space"):
@@ -229,17 +246,41 @@ class TestNonlinearity:
 
 class TestLayer:
     def test_explicit_roundtrip_evaluates_identically(self, space16):
-        layer = make_layer(space16, lip_g=0.4, rank=5, seed=13)
-        rebuilt = layer_from_spec(layer_to_spec(layer), space16)
+        frame = np.eye(16)
+        spec = {
+            "kind": "layer",
+            "in_op": {"kind": "finite_rank", "omegas": [0.8, 0.5],
+                      "psi": frame[:2].tolist(), "phi": frame[:2].tolist()},
+            "out_op": {"kind": "finite_rank", "omegas": [0.5, 0.25],
+                       "psi": frame[:2].tolist(), "phi": frame[2:4].tolist()},
+            "nonlin": {"kind": "affine", "matrix": (0.3 * frame).tolist(), "bias": [0.0] * 16},
+        }
+        layer = layer_from_spec(spec, space16)
+        direct = NeuralOperatorLayer(
+            FiniteRankOperator([0.8, 0.5], frame[:2], frame[:2]),
+            FiniteRankOperator([0.5, 0.25], frame[:2], frame[2:4]),
+            AffineNonlinearity(0.3 * frame, np.zeros(16)),
+        )
         xs = probe_points(16)
-        assert np.array_equal(rebuilt.eval_array(xs), layer.eval_array(xs))
-        assert rebuilt.contraction == layer.contraction
+        assert np.array_equal(layer.eval_array(xs), direct.eval_array(xs))
+        assert layer.contraction == direct.contraction
 
     def test_nemytskii_layer_roundtrip(self, space16):
-        layer = make_layer(space16, kind="nemytskii", lip_g=0.3, seed=2)
-        rebuilt = layer_from_spec(layer_to_spec(layer), space16)
+        spec = {
+            "kind": "layer",
+            "in_op": {"kind": "seeded_finite_rank", "rank": 4, "seed": 1},
+            "out_op": {"kind": "finite_rank", "omegas": [0.5, 0.25],
+                       "psi_seed": 4, "phi_seed": 6},
+            "nonlin": {"kind": "nemytskii", "activation": "tanh"},
+        }
+        layer = layer_from_spec(spec, space16)
+        direct = NeuralOperatorLayer(
+            operator_from_spec(spec["in_op"], 16),
+            operator_from_spec(spec["out_op"], 16),
+            NemytskiiNonlinearity(space16, PointwiseActivation.tanh()),
+        )
         for x in probe_points(16):
-            assert np.array_equal(rebuilt.eval_array(x), layer.eval_array(x))
+            assert np.array_equal(layer.eval_array(x), direct.eval_array(x))
 
     def test_seeded_form_matches_make_layer(self, space16):
         spec = {"kind": "seeded_layer", "seed": 4, "lip_g": 0.5, "rank": 6}
@@ -267,21 +308,30 @@ class TestLayer:
 
 class TestChain:
     def test_residual_roundtrip_evaluates_identically(self):
-        chain = ResidualChain.seeded(8, 5, 3, block_bound=0.4, seed=17)
-        rebuilt = chain_from_spec(chain_to_spec(chain))
-        xs = probe_points(8)
-        assert np.array_equal(rebuilt.eval_array(xs), chain.eval_array(xs))
+        spec = {"kind": "residual_chain", "ambient_dim": 5, "prefix_n": 2,
+                "blocks": [NET_SPEC, NET_SPEC]}
+        chain = chain_from_spec(spec)
+        direct = ResidualChain(5, 2, (net_from_literal(), net_from_literal()))
+        xs = probe_points(5)
+        assert np.array_equal(chain.eval_array(xs), direct.eval_array(xs))
 
     def test_certified_roundtrip_keeps_the_certificate(self):
-        cert = InvertibleResidualChain.seeded(6, 6, 2, 0.5, seed=19)
-        rebuilt = chain_from_spec(chain_to_spec(cert))
-        assert isinstance(rebuilt, InvertibleResidualChain)
-        assert rebuilt.delta == cert.delta
-        assert rebuilt.cert_method == "spectral"
-        xs = probe_points(6)
-        assert np.array_equal(
-            rebuilt.chain.eval_array(xs), cert.chain.eval_array(xs)
+        inner = {"kind": "residual_chain", "ambient_dim": 5, "prefix_n": 2,
+                 "blocks": [NET_SPEC]}
+        cert = chain_from_spec(
+            {"kind": "invertible_residual_chain", "delta": 0.5, "chain": inner}
         )
+        assert isinstance(cert, InvertibleResidualChain)
+        assert cert.delta == 0.5
+        assert cert.cert_method == "spectral"
+        xs = probe_points(5)
+        assert np.array_equal(cert.chain.eval_array(xs), chain_from_spec(inner).eval_array(xs))
+        local = chain_from_spec(
+            {"kind": "invertible_residual_chain", "delta": 0.5, "chain": inner,
+             "ball_radius": 2.0}
+        )
+        # the recorded method is the one that certified: tanh has a global bound
+        assert (local.cert_method, local.ball_radius) == ("spectral", 2.0)
 
     def test_seeded_chain_without_delta_is_uncertified(self):
         spec = {"kind": "seeded_chain", "ambient_dim": 6, "num_blocks": 2, "seed": 1}
@@ -334,14 +384,33 @@ class TestChain:
 class TestHead:
     def test_identity_is_no_head(self):
         assert head_from_spec({"kind": "identity"}) is None
-        assert head_to_spec(None) == {"kind": "identity"}
-        assert head_to_spec(Identity()) == {"kind": "identity"}
+        assert head_from_spec({"kind": "identity"}, dim=4) is None
 
     def test_reflection_roundtrip(self):
-        head = Reflection(np.array([0.6, 0.8]))
-        rebuilt = head_from_spec(head_to_spec(head))
-        assert isinstance(rebuilt, Reflection)
-        assert np.allclose(rebuilt.e, head.e)
+        head = head_from_spec({"kind": "reflection", "e": [0.6, 0.8]}, dim=2)
+        assert isinstance(head, Reflection)
+        assert np.allclose(head.e, [0.6, 0.8], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize(
+        "e",
+        [
+            [[0.5, 0.5], [0.5, 0.5]],  # unit norm once flattened, but not a vector
+            [1.0, 0.0, 0.0],  # one entry short
+            [1.0, 0.0, 0.0, 0.0, 0.0],  # one entry too many
+            [1.0, 1.0, 0.0, 0.0],  # not unit length
+            [float("nan"), 0.0, 0.0, 0.0],
+            ["x", 0.0, 0.0, 0.0],
+            1.0,
+        ],
+        ids=["nested", "short", "long", "not_unit", "nan", "not_a_number", "scalar"],
+    )
+    def test_reflection_vector_must_be_a_unit_row_of_the_dimension(self, e):
+        with pytest.raises(SpecError, match="flat list of 4 finite numbers"):
+            head_from_spec({"kind": "reflection", "e": e}, dim=4)
+
+    def test_axis_dim_must_match_the_dimension(self):
+        with pytest.raises(SpecError, match="axis_dim 3"):
+            head_from_spec({"kind": "reflection", "axis_dim": 3}, dim=4)
 
     def test_reflection_from_axis_dim(self):
         head = head_from_spec({"kind": "reflection", "axis_dim": 3})

@@ -4,15 +4,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from opdisc.spectral import (
-    BasisSpec,
-    Space,
-    SpectralVector,
-    Subspace,
-    gauss_legendre_panels,
-    inner,
-    project,
-)
+from opdisc.discretize import linearize
+from opdisc.monotone import ball_samples
+from opdisc.operators import Identity
+from opdisc.spectral import BasisSpec, Space, Subspace, gauss_legendre_panels
+
+
+def quadrature_inner(space, a, b):
+    """L2(0, 1) inner product of two coefficient rows, by quadrature on the grid."""
+    return float(space.weights @ (space.to_grid(a) * space.to_grid(b)))
+
+
+def project(x, d):
+    """Orthogonal projection onto the prefix of size d: the prefix
+    compression of the identity."""
+    return linearize(Identity(), Subspace.prefix(d), dim=x.shape[-1]).eval_array(x)
 
 
 def test_basis_spec_validation():
@@ -34,39 +40,37 @@ def test_fem_hat_has_no_spectral_realization():
 @pytest.mark.parametrize("m", [1, 4, 16, 33, 64])
 def test_gram_is_identity(m):
     sp = Space(BasisSpec(ambient_dim=m))
-    err = np.abs(sp.gram() - np.eye(m)).max()
+    bv = sp.basis_matrix(sp.nodes)
+    err = np.abs((bv * sp.weights) @ bv.T - np.eye(m)).max()
     assert err < 1e-10
 
 
 def test_abstract_space_is_coefficient_only():
     sp = Space(BasisSpec(kind="abstract_orthonormal", ambient_dim=6))
-    assert np.array_equal(sp.gram(), np.eye(6))
     with pytest.raises(ValueError, match="pointwise"):
-        sp.to_grid(sp.basis_vector(0))
+        sp.to_grid(np.eye(6)[0])
+    with pytest.raises(ValueError, match="pointwise"):
+        sp.basis_matrix([0.5])
     with pytest.raises(ValueError, match="pointwise"):
         sp.from_grid(np.zeros(sp.nodes.size))
 
 
 def test_inner_orthonormality(space16):
-    e1 = space16.basis_vector(0)
-    e2 = space16.basis_vector(1)
-    assert inner(e1, e1) == pytest.approx(1.0)
-    assert inner(e1, e2) == 0.0
-    assert inner(2.0 * e1 + 3.0 * e2, e2) == pytest.approx(3.0)
-    with pytest.raises(ValueError, match="mismatch"):
-        inner(e1, np.zeros(3))
+    # the L2 inner product of the realized functions is the coefficient one
+    e1, e2 = np.eye(16)[:2]
+    assert quadrature_inner(space16, e1, e1) == pytest.approx(1.0, abs=1e-13)
+    assert quadrature_inner(space16, e1, e2) == pytest.approx(0.0, abs=1e-13)
+    assert quadrature_inner(space16, 2.0 * e1 + 3.0 * e2, e2) == pytest.approx(3.0)
+    with pytest.raises(ValueError, match="expected 16 coefficients"):
+        space16.to_grid(np.zeros(3))
 
 
-def test_projection_basics(space16):
-    v2 = Subspace.prefix(2)
-    e1 = space16.basis_vector(0)
-    e3 = space16.basis_vector(2)
-    assert project(e3, v2).norm() == 0.0
-    full = space16.full_subspace()
-    x = space16.sample_ball(1.0, 1, seed=1)[0]
-    assert np.array_equal(project(x, full).coeffs, x.coeffs)
-    got = project(e1 + e3, v2)
-    assert np.array_equal(got.coeffs, e1.coeffs)
+def test_projection_basics():
+    e1, e3 = np.eye(16)[[0, 2]]
+    assert np.linalg.norm(project(e3, 2)) == 0.0
+    x = ball_samples(16, 1.0, 1, seed=1)[0]
+    assert np.array_equal(project(x, 16), x)
+    assert np.array_equal(project(e1 + e3, 2), e1)
 
 
 coeff_arrays = st.lists(
@@ -76,66 +80,46 @@ coeff_arrays = st.lists(
 ).map(np.asarray)
 
 
-@given(coeff_arrays, st.integers(0, 24))
+@given(coeff_arrays, st.integers(1, 24))
 @settings(max_examples=60, deadline=None)
 def test_projection_pythagoras(c, d):
-    x = SpectralVector(c)
-    v = Subspace.prefix(min(d, x.dim))
-    px = project(x, v)
-    qx = x - px
-    assert px.norm() ** 2 + qx.norm() ** 2 == pytest.approx(x.norm() ** 2, abs=1e-12)
+    px = project(c, min(d, c.size))
+    qx = c - px
+    norm = np.linalg.norm
+    assert norm(px) ** 2 + norm(qx) ** 2 == pytest.approx(norm(c) ** 2, abs=1e-12)
     # idempotent, norm nonincreasing
-    assert np.array_equal(project(px, v).coeffs, px.coeffs)
-    assert px.norm() <= x.norm() + 1e-15
+    assert np.array_equal(project(px, min(d, c.size)), px)
+    assert norm(px) <= norm(c) + 1e-15
 
 
-@given(coeff_arrays, st.integers(0, 24), st.integers(0, 24))
+@given(coeff_arrays, st.integers(1, 24), st.integers(1, 24))
 @settings(max_examples=60, deadline=None)
 def test_projection_error_shrinks_with_nesting(c, d1, d2):
-    x = SpectralVector(c)
-    lo, hi = sorted((min(d1, x.dim), min(d2, x.dim)))
-    err_lo = (x - project(x, Subspace.prefix(lo))).norm()
-    err_hi = (x - project(x, Subspace.prefix(hi))).norm()
+    lo, hi = sorted((min(d1, c.size), min(d2, c.size)))
+    err_lo = np.linalg.norm(c - project(c, lo))
+    err_hi = np.linalg.norm(c - project(c, hi))
     assert err_hi <= err_lo + 1e-15
 
 
 def test_prefix_union_is_prefix():
     a = Subspace.prefix(3)
     b = Subspace.prefix(7)
-    u = a.union(b)
+    u = Subspace(a.indices | b.indices)
     assert u.is_prefix and u.dim == 7
     odd = Subspace(frozenset({0, 2}))
     assert not odd.is_prefix
 
 
-def test_encode_decode(space16):
-    alpha = np.array([1.0, 2.0, 3.0])
-    assert np.array_equal(space16.encode(space16.decode(alpha), 3), alpha)
-    e4 = space16.basis_vector(3)
-    back = space16.decode(space16.encode(e4, 3))
-    assert back.norm() == 0.0
-    assert space16.decode(alpha).norm() == pytest.approx(np.linalg.norm(alpha))
-    with pytest.raises(ValueError):
-        space16.encode(e4, 17)
-    with pytest.raises(ValueError):
-        space16.decode(np.zeros(17))
-    # decode . encode = prefix projection
-    x = space16.sample_ball(2.0, 1, seed=9)[0]
-    p5 = space16.decode(space16.encode(x, 5))
-    assert np.allclose(p5.coeffs, project(x, Subspace.prefix(5)).coeffs)
-
-
 def test_grid_roundtrip_trivials(space16):
-    const = space16.to_grid(space16.basis_vector(0))
+    const = space16.to_grid(np.eye(16)[0])
     assert np.allclose(const, 1.0)
-    assert np.array_equal(space16.to_grid(space16.zero()), np.zeros_like(space16.nodes))
+    assert np.array_equal(space16.to_grid(np.zeros(16)), np.zeros_like(space16.nodes))
 
 
 def test_grid_roundtrip_band_limited(space64):
-    for seed in range(3):
-        x = space64.sample_ball(5.0, 1, decay=0.5, seed=seed)[0]
-        got = space64.from_grid(space64.to_grid(x))
-        assert np.abs(got - x.coeffs).max() < 1e-8
+    xs = ball_samples(64, 5.0, 3, seed=0)
+    got = space64.from_grid(space64.to_grid(xs))
+    assert np.abs(got - xs).max() < 1e-8
 
 
 def test_from_grid_matches_direct_integration(space16):
@@ -161,28 +145,20 @@ def test_quadrature_against_adaptive_oracle():
         gauss_legendre_panels([0.0, 0.5, 0.25, 1.0])
 
 
-def test_sample_ball_contract(space16):
-    assert space16.sample_ball(1.0, 0, seed=0) == []
-    xs = space16.sample_ball(0.7, 40, decay=1.0, seed=42)
-    assert len(xs) == 40
-    assert all(x.norm() <= 0.7 + 1e-12 for x in xs)
-    ys = space16.sample_ball(0.7, 40, decay=1.0, seed=42)
-    for x, y in zip(xs, ys):
-        assert np.array_equal(x.coeffs, y.coeffs)
-    zs = space16.sample_ball(0.7, 40, decay=1.0, seed=43)
-    assert any(not np.array_equal(x.coeffs, z.coeffs) for x, z in zip(xs, zs))
+def test_sample_ball_contract():
+    # every sampler of the package draws through monotone.ball_samples
+    assert ball_samples(16, 1.0, 0, seed=0).shape == (0, 16)
+    xs = ball_samples(16, 0.7, 40, seed=42)
+    assert xs.shape == (40, 16)
+    assert np.all(np.linalg.norm(xs, axis=1) <= 0.7 + 1e-12)
+    assert np.array_equal(xs, ball_samples(16, 0.7, 40, seed=42))
+    assert not np.array_equal(xs, ball_samples(16, 0.7, 40, seed=43))
     with pytest.raises(ValueError):
-        space16.sample_ball(-1.0, 4)
+        ball_samples(16, -1.0, 4)
     with pytest.raises(ValueError):
-        space16.sample_ball(1.0, 4, decay=-0.5)
-
-
-def test_spectral_vector_is_immutable(space16):
-    x = space16.basis_vector(0)
-    with pytest.raises(ValueError):
-        x.coeffs[0] = 2.0
+        ball_samples(16, 1.0, -1)
 
 
 def test_parseval(space16):
-    x = space16.vector(np.arange(16.0))
-    assert x.norm() ** 2 == pytest.approx(float(np.sum(np.arange(16.0) ** 2)))
+    c = np.arange(16.0)
+    assert quadrature_inner(space16, c, c) == pytest.approx(float(np.sum(c**2)))
