@@ -584,11 +584,10 @@ def criterion_orientation_tracking() -> dict:
         return step
 
     v = Subspace.prefix(6)
-    t_grid = np.linspace(0.0, 1.0, 21)
     bases = ball_samples(dim, 1.0, 5, seed=73)
     checked = 0
     for base in bases:
-        scan = orientation_scan(monotone_path, t_grid, v, base_point=base, dim=dim)
+        scan = orientation_scan(monotone_path, 21, v, base_point=base, dim=dim)
         assert not scan.sign_changed, (
             "a strongly monotone path shows a determinant sign change"
         )
@@ -605,13 +604,7 @@ def criterion_orientation_tracking() -> dict:
         return step
 
     odd = Subspace.prefix(7)
-    scan = orientation_scan(
-        scalar_path,
-        np.linspace(0.0, 1.0, 20),
-        odd,
-        dim=dim,
-        refine_tol=1e-7,
-    )
+    scan = orientation_scan(scalar_path, 20, odd, dim=dim, refine_tol=1e-7)
     assert len(scan.crossings) == 1, (
         f"scalar path shows {len(scan.crossings)} sign changes, expected 1"
     )

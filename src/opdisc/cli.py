@@ -27,6 +27,7 @@ from . import acceptance as acceptance_mod
 from .discretize import convergence_scan, functor_a_error
 from .decompose import DecompositionError, decompose
 from .galerkin import (
+    ORACLE_FACTOR,
     ConvexNonlinearity,
     FemMesh,
     fem_convergence,
@@ -346,10 +347,11 @@ def run_fem_solve(exp: dict, out_dir: Path) -> dict:
             f"experiment {exp['name']!r}: the coarsest mesh needs at least 2 "
             f"cells to carry a hat function, got {sizes[0]}"
         )
-    if any((8 * sizes[-1]) % s != 0 for s in sizes):
+    oracle_cells = ORACLE_FACTOR * sizes[-1]
+    if any(oracle_cells % s != 0 for s in sizes):
         raise ConfigError(
             f"experiment {exp['name']!r}: every mesh size must divide the "
-            f"reference mesh of {8 * sizes[-1]} cells"
+            f"reference mesh of {oracle_cells} cells"
         )
     tol = float(exp.get("tol", 1e-10))
     conv = fem_convergence(source, reaction, sizes, tol=tol)

@@ -21,7 +21,7 @@ import numpy as np
 from .layers import central_differences, eval_map
 from .monotone import _resolve_dim, ball_samples, pairwise_alpha
 from .operators import FiniteRankOperator
-from .spectral import Subspace
+from .spectral import Subspace, sign_crossings, unit_grid
 
 __all__ = [
     "DiscretizedMap",
@@ -309,7 +309,7 @@ class OrientationScan:
     """Determinant signs of the compressed Jacobian along an operator path."""
 
     rows: tuple  # (t, sign, |det|)
-    crossings: tuple  # (t_lo, t_hi) brackets, each of width < refine_tol
+    crossings: tuple  # (t_lo, t_hi) brackets, each of width <= refine_tol
 
     @property
     def sign_changed(self) -> bool:
@@ -318,52 +318,33 @@ class OrientationScan:
 
 def orientation_scan(
     path: Callable[[float], object],
-    t_grid: Sequence[float],
+    t_grid: int,
     v: Subspace,
     base_point=None,
     dim: int | None = None,
-    h: float = 1e-5,
     refine_tol: float = 1e-6,
 ) -> OrientationScan:
     """Track the compressed Jacobian's orientation along t ↦ path(t).
 
-    Reports (t, det sign, |det|) at every grid point and brackets each
-    detected sign change by bisection to a t-window below ``refine_tol``.
+    Reports (t, det sign, |det|) at ``t_grid`` equispaced points of [0, 1]
+    and brackets every sign change by bisection to a t-window of at most
+    ``refine_tol``; an exact zero of the determinant gives a ``(t, t)``
+    bracket.
     """
-    ts = [float(t) for t in t_grid]
-    if len(ts) < 1:
-        raise ValueError("empty t grid")
-    if any(b <= a for a, b in zip(ts, ts[1:])):
-        raise ValueError("t grid must be strictly ascending")
+    ts = unit_grid(t_grid)
     if not v.is_prefix or v.dim == 0 or v.dim > 50:
         raise ValueError("need a nonempty prefix subspace of dimension at most 50")
     d = v.dim
-    m = _resolve_dim(path(ts[0]), dim)
+    m = _resolve_dim(path(0.0), dim)
     base = np.zeros(m) if base_point is None else np.array(base_point, dtype=float)
     base[d:] = 0.0
 
     def det_at(t: float) -> float:
         # compressed Jacobian: first d outputs along the first d basis directions
-        deriv = central_differences(path(t), base, np.eye(m)[:d], h)
+        deriv = central_differences(path(t), base, np.eye(m)[:d])
         return float(np.linalg.det(deriv[:, :d].T))
 
-    dets = [det_at(t) for t in ts]
-    rows = tuple((t, int(np.sign(dv)), abs(dv)) for t, dv in zip(ts, dets))
-    crossings = []
-    for (t0, d0), (t1, d1) in zip(zip(ts, dets), zip(ts[1:], dets[1:])):
-        if np.sign(d0) == np.sign(d1) and d0 != 0.0 and d1 != 0.0:
-            continue
-        lo, hi, dlo = t0, t1, d0
-        while hi - lo > refine_tol:
-            mid = 0.5 * (lo + hi)
-            dmid = det_at(mid)
-            if dmid == 0.0:
-                half = 0.25 * refine_tol
-                lo, hi = mid - half, mid + half
-                break
-            if np.sign(dmid) == np.sign(dlo):
-                lo, dlo = mid, dmid
-            else:
-                hi = mid
-        crossings.append((lo, hi))
-    return OrientationScan(rows=rows, crossings=tuple(crossings))
+    dets = [det_at(float(t)) for t in ts]
+    rows = tuple((float(t), int(np.sign(dv)), abs(dv)) for t, dv in zip(ts, dets))
+    crossings = tuple(sign_crossings(det_at, ts, dets, refine_tol))
+    return OrientationScan(rows=rows, crossings=crossings)

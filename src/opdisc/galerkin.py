@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .spectral import gauss_legendre_panels
+from .spectral import gauss_legendre_panels, sign_crossings, unit_grid
 
 __all__ = [
     "FemMesh",
@@ -40,6 +40,7 @@ __all__ = [
     "solve_semilinear_trace",
     "h1_seminorm_difference",
     "FemConvergence",
+    "ORACLE_FACTOR",
     "fem_convergence",
     "galerkin_path_matrix",
     "SingularityScan",
@@ -403,6 +404,11 @@ def h1_seminorm_difference(
     return float(math.sqrt(fine.h * np.sum(gap * gap)))
 
 
+# The refinement study's reference mesh is this many times finer than the
+# finest mesh it measures, so every measured mesh size must divide it.
+ORACLE_FACTOR = 8
+
+
 @dataclass(frozen=True)
 class FemConvergence:
     """H1-seminorm errors against a common fine-mesh reference solution."""
@@ -428,19 +434,16 @@ def fem_convergence(
     g: ConvexNonlinearity,
     mesh_sizes: Sequence[int],
     *,
-    oracle_factor: int = 8,
     tol: float = 1e-10,
 ) -> FemConvergence:
     """Solve on each mesh and measure H1 errors against an oracle solution
-    on a mesh ``oracle_factor`` times finer than the finest one requested."""
+    on a mesh :data:`ORACLE_FACTOR` times finer than the finest one requested."""
     sizes = [int(m) for m in mesh_sizes]
     if len(sizes) < 2:
         raise ValueError("need at least two mesh sizes to report ratios")
     if any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ValueError("mesh sizes must be strictly increasing")
-    if oracle_factor < 2:
-        raise ValueError("the oracle mesh must be finer than the scan")
-    oracle_cells = oracle_factor * sizes[-1]
+    oracle_cells = ORACLE_FACTOR * sizes[-1]
     for m in sizes:
         if oracle_cells % m != 0:
             raise ValueError(
@@ -522,12 +525,7 @@ def _split_weight_integral(a: float, b: float, s: float) -> float:
     return _linear_weight_integral(s, b) - _linear_weight_integral(a, s)
 
 
-def galerkin_path_matrix(
-    kind: str,
-    s: float,
-    n: int,
-    basis: str | None = None,
-) -> np.ndarray:
+def galerkin_path_matrix(kind: str, s: float, n: int) -> np.ndarray:
     """Finite section of a sign-flip operator path at parameter ``s``.
 
     ``kind "a"`` integrates sign(t - s) against an orthonormal trig basis
@@ -544,11 +542,6 @@ def galerkin_path_matrix(
     if n < 1:
         raise ValueError("need at least one basis function")
     if kind == "a":
-        if basis not in (None, "fourier"):
-            raise ValueError(
-                "the sign-multiplication path is implemented on the "
-                f"orthonormal trig basis, not {basis!r}"
-            )
         # gram - 2 * integral over [0, s]; the gram matrix is the identity
         # analytically, which keeps the endpoints exact (at s = 1 the sign
         # is -1 almost everywhere, so the limit is minus the gram matrix)
@@ -563,11 +556,6 @@ def galerkin_path_matrix(
                     mat[k, j] += val
         return mat
     if kind == "b":
-        if basis not in (None, "hat"):
-            raise ValueError(
-                "the weighted-gradient path is implemented on the hat "
-                f"basis, not {basis!r}"
-            )
         mesh = FemMesh(n, bc=("dirichlet", "neumann"))
         h = mesh.h
         nodes = mesh.nodes
@@ -624,15 +612,17 @@ class SingularityScan:
 def singularity_scan(
     kind: str,
     n: int,
-    s_grid=101,
+    s_grid: int = 101,
     bisect_tol: float = 1e-12,
 ) -> SingularityScan:
     """Locate a singular parameter of the matrix path by sign bisection.
 
-    The endpoint determinants have opposite signs for odd ``n`` (the path
-    connects a positive matrix to minus one of the same shape), so a
-    determinant zero crossing always exists; it is bracketed on the grid
-    and bisected to ``bisect_tol``.
+    The determinant and least singular value are recorded on ``s_grid``
+    equispaced points of [0, 1].  The endpoint determinants have opposite
+    signs for odd ``n`` (the path connects a positive matrix to minus one of
+    the same shape), so a determinant zero crossing always exists; the first
+    one on the grid is bisected to ``bisect_tol`` and later ones are left
+    alone.
     """
     n = int(n)
     if n % 2 == 0:
@@ -640,18 +630,7 @@ def singularity_scan(
             "need an odd number of basis functions so the endpoint "
             "determinants differ in sign"
         )
-    if bisect_tol <= 0.0:
-        raise ValueError("bisection tolerance must be positive")
-    if isinstance(s_grid, (int, np.integer)):
-        if s_grid < 2:
-            raise ValueError("need at least two grid points")
-        grid = np.linspace(0.0, 1.0, int(s_grid))
-    else:
-        grid = np.asarray(s_grid, dtype=float).reshape(-1)
-        if grid.size < 2 or np.any(np.diff(grid) <= 0.0):
-            raise ValueError("grid must be strictly increasing")
-        if grid[0] != 0.0 or grid[-1] != 1.0:
-            raise ValueError("grid must span [0, 1] so endpoint signs are seen")
+    grid = unit_grid(s_grid)
 
     def det_at(s: float) -> float:
         return float(np.linalg.det(galerkin_path_matrix(kind, s, n)))
@@ -662,34 +641,13 @@ def singularity_scan(
         mat = galerkin_path_matrix(kind, float(s), n)
         dets.append(float(np.linalg.det(mat)))
         min_svs.append(float(np.linalg.svd(mat, compute_uv=False)[-1]))
-    signs = (int(np.sign(dets[0])), int(np.sign(dets[-1])))
-
-    bracket = None
-    for i in range(len(grid) - 1):
-        if dets[i] == 0.0:
-            bracket = (grid[i], grid[i])
-            break
-        if dets[i] * dets[i + 1] < 0.0:
-            bracket = (grid[i], grid[i + 1])
-            break
+    bracket = next(sign_crossings(det_at, grid, dets, bisect_tol), None)
     if bracket is None:
         raise RuntimeError(
             "no determinant sign change on the grid; this cannot happen for "
             "an odd basis count unless the path is broken"
         )
-    lo, hi = bracket
-    f_lo = det_at(lo)
-    while hi - lo > bisect_tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = det_at(mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if f_lo * f_mid < 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    s_star = 0.5 * (lo + hi)
+    s_star = 0.5 * (bracket[0] + bracket[1])
     star_mat = galerkin_path_matrix(kind, s_star, n)
     return SingularityScan(
         kind=str(kind).lower(),
@@ -697,7 +655,7 @@ def singularity_scan(
         s_grid=tuple(float(s) for s in grid),
         dets=tuple(dets),
         min_svs=tuple(min_svs),
-        det_endpoint_signs=signs,
+        det_endpoint_signs=(int(np.sign(dets[0])), int(np.sign(dets[-1]))),
         s_star=float(s_star),
         det_at_star=float(np.linalg.det(star_mat)),
         min_sv_at_star=float(np.linalg.svd(star_mat, compute_uv=False)[-1]),

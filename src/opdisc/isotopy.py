@@ -22,14 +22,14 @@ side by side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .decompose import quintic_smoothstep
+from .spectral import sign_crossings, unit_grid
 
 __all__ = [
-    "IsotopyConfig",
     "TruncationScan",
     "block_angle",
     "glued_truncation_matrix",
@@ -123,63 +123,6 @@ def glued_truncation_matrix(t: float, m: int) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class IsotopyConfig:
-    """Grid and smoothing choices for scanning the glued path.
-
-    The smooth step is the clamped quintic ramp; its boundary values and
-    monotonicity are re-checked at construction.  ``faithful_t_max`` reports
-    how far along the first half of the path the m-dimensional model still
-    resolves the sweep: beyond it the transitioning block has left the model
-    and the truncation sits frozen at -I.
-    """
-
-    m: int
-    t_resolution: int = 65
-    step_name: str = "quintic_smoothstep"
-
-    def __post_init__(self) -> None:
-        if self.m < 3:
-            raise ValueError("need at least three coordinates to cut a block")
-        if self.t_resolution < 3:
-            raise ValueError("need at least three grid points")
-        if self.step_name != "quintic_smoothstep":
-            raise ValueError(
-                f"only the quintic smoothstep ramp is shipped, got {self.step_name!r}"
-            )
-        probe = np.linspace(-0.5, 1.5, 81)
-        vals = quintic_smoothstep(probe)
-        if not (np.all(vals[probe <= 0.0] == 0.0) and np.all(vals[probe >= 1.0] == 1.0)):
-            raise ValueError("smooth step must be 0 below 0 and 1 above 1")
-        if np.any(np.diff(vals) < 0.0):
-            raise ValueError("smooth step must be monotone")
-
-    @property
-    def faithful_t_max(self) -> float:
-        """Largest first-half ``t`` whose transitioning block the model holds.
-
-        The sweep sits inside block ``k`` while ``1/(1 - 2t)`` is in
-        ``[k, k + 1]``; the model holds ``m // 2`` whole blocks, so it stays
-        faithful for ``1/(1 - 2t) <= m // 2 + 1``.
-        """
-        return 0.5 * (1.0 - 1.0 / (self.m // 2 + 1))
-
-    def t_grid(self) -> np.ndarray:
-        """Uniform grid on [0, 1] plus dyadic refinements toward the seam.
-
-        The extra points ``(1 - 2**-k) / 2`` approach ``t = 1/2`` the way the
-        continuity proof does — each one doubles the index of the block in
-        transit — and stop once that index would leave the model.
-        """
-        base = np.linspace(0.0, 1.0, self.t_resolution)
-        dyadic = []
-        k = 1
-        while 2**k <= self.m // 2:
-            dyadic.append(0.5 * (1.0 - 2.0**-k))
-            k += 1
-        return np.unique(np.concatenate([base, dyadic]))
-
-
-@dataclass(frozen=True)
 class TruncationScan:
     """Determinant record of one truncated sweep along the glued path.
 
@@ -198,7 +141,6 @@ class TruncationScan:
     det_endpoint_signs: tuple[int, int]
     crossings: tuple[tuple[float, float, float], ...]
     bisect_tol: float
-    config: IsotopyConfig | None = field(repr=False, default=None)
 
     @property
     def t_star(self) -> float:
@@ -245,36 +187,20 @@ def _aligned_det(t: float, m: int) -> float:
     return float(np.linalg.det(reflected_rotation_cascade(2.0 - 2.0 * t, m)))
 
 
-def truncated_det_scan(m, t_grid=101, bisect_tol=1e-12, config=None):
+def truncated_det_scan(
+    m: int, t_grid: int = 101, bisect_tol: float = 1e-12
+) -> TruncationScan:
     """Scan det and least singular value of the m-truncated glued path.
 
     ``m`` must be odd and at least 3 so that the first half of the path cuts a
-    rotation block.  ``t_grid`` is an integer grid size, an explicit strictly
-    increasing grid spanning [0, 1], or None to use ``config.t_grid()``.
-    Every sign change of the determinant is bisected to ``bisect_tol``; the
+    rotation block.  The scan records ``t_grid`` equispaced points of [0, 1]
+    and bisects every sign change of the determinant to ``bisect_tol``; the
     endpoints are the identity (det +1) and the single-coordinate reflection
     (det -1), so at least one crossing always exists.
     """
     if m < 3 or m % 2 != 1:
         raise ValueError(f"need an odd truncation of at least 3 to cut a block, got m={m}")
-    if bisect_tol <= 0.0:
-        raise ValueError("bisection tolerance must be positive")
-    if config is None:
-        config = IsotopyConfig(m)
-    if t_grid is None:
-        ts = config.t_grid()
-    elif isinstance(t_grid, (int, np.integer)):
-        if t_grid < 2:
-            raise ValueError("need at least two grid points")
-        ts = np.linspace(0.0, 1.0, int(t_grid))
-    else:
-        ts = np.asarray(t_grid, dtype=float)
-        if ts.ndim != 1 or ts.size < 2:
-            raise ValueError("need at least two grid points")
-        if np.any(np.diff(ts) <= 0.0):
-            raise ValueError("the grid must be strictly increasing")
-        if ts[0] != 0.0 or ts[-1] != 1.0:
-            raise ValueError("the grid must span [0, 1]")
+    ts = unit_grid(t_grid)
 
     def det_and_sv(t: float) -> tuple[float, float]:
         mat = glued_truncation_matrix(t, m)
@@ -287,30 +213,14 @@ def truncated_det_scan(m, t_grid=101, bisect_tol=1e-12, config=None):
     for idx, t in enumerate(ts):
         dets[idx], min_svs[idx] = det_and_sv(float(t))
         aligned[idx] = _aligned_det(float(t), m)
-    signs = (int(np.sign(dets[0])), int(np.sign(dets[-1])))
+
+    def det_at(t: float) -> float:
+        return float(np.linalg.det(glued_truncation_matrix(t, m)))
 
     crossings = []
-    for idx in range(ts.size - 1):
-        if dets[idx] == 0.0:
-            crossings.append((float(ts[idx]), dets[idx], min_svs[idx]))
-            continue
-        if dets[idx] * dets[idx + 1] >= 0.0:
-            continue
-        lo, hi = float(ts[idx]), float(ts[idx + 1])
-        det_lo = dets[idx]
-        while hi - lo > bisect_tol:
-            mid = 0.5 * (lo + hi)
-            det_mid, _ = det_and_sv(mid)
-            if det_mid == 0.0:
-                lo = hi = mid
-                break
-            if det_lo * det_mid < 0.0:
-                hi = mid
-            else:
-                lo, det_lo = mid, det_mid
+    for lo, hi in sign_crossings(det_at, ts, dets, bisect_tol):
         t_star = 0.5 * (lo + hi)
-        det_star, sv_star = det_and_sv(t_star)
-        crossings.append((t_star, det_star, sv_star))
+        crossings.append((t_star, *det_and_sv(t_star)))
     if not crossings:
         raise RuntimeError(
             "no determinant sign change on the grid; this cannot happen for an odd "
@@ -323,8 +233,7 @@ def truncated_det_scan(m, t_grid=101, bisect_tol=1e-12, config=None):
         dets=dets,
         min_svs=min_svs,
         aligned_dets=aligned,
-        det_endpoint_signs=signs,
+        det_endpoint_signs=(int(np.sign(dets[0])), int(np.sign(dets[-1]))),
         crossings=tuple(crossings),
         bisect_tol=float(bisect_tol),
-        config=config,
     )

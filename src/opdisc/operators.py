@@ -79,10 +79,6 @@ class FiniteRankOperator:
         return float(self.omegas[0]) if self.rank else 0.0
 
     @classmethod
-    def zero(cls, dim: int) -> "FiniteRankOperator":
-        return cls(np.zeros(0), np.zeros((0, dim)), np.zeros((0, dim)))
-
-    @classmethod
     def seeded(
         cls,
         dim: int,

@@ -62,10 +62,14 @@ class SpecError(ValueError):
     """A JSON object spec that does not match the schema."""
 
 
-def check_keys(d: dict, where: str, required: set, optional: set = frozenset()):
+def _require_object(d, where: str) -> dict:
     if not isinstance(d, dict):
         raise SpecError(f"{where}: expected an object, got {type(d).__name__}")
-    missing = required - set(d)
+    return d
+
+
+def check_keys(d: dict, where: str, required: set, optional: set = frozenset()):
+    missing = required - set(_require_object(d, where))
     if missing:
         raise SpecError(f"{where}: missing required keys {sorted(missing)}")
     unknown = set(d) - required - set(optional)
@@ -160,7 +164,7 @@ def _seeded_frame(dim: int, rank: int, seed: int) -> np.ndarray:
 
 
 def operator_from_spec(d: dict, ambient_dim: int | None = None) -> FiniteRankOperator:
-    kind = d.get("kind")
+    kind = _require_object(d, "operator").get("kind")
     if kind == "finite_rank":
         check_keys(
             d, "operator", {"kind", "omegas"}, {"psi", "phi", "psi_seed", "phi_seed"}
@@ -208,7 +212,7 @@ def operator_from_spec(d: dict, ambient_dim: int | None = None) -> FiniteRankOpe
 
 
 def network_from_spec(d: dict) -> CoordinateNetwork:
-    kind = d.get("kind")
+    kind = _require_object(d, "network").get("kind")
     if kind == "coordinate_network":
         check_keys(d, "network", {"kind", "weights", "biases", "activation"})
         weights = tuple(np.asarray(w, dtype=float) for w in d["weights"])
@@ -239,7 +243,7 @@ def network_from_spec(d: dict) -> CoordinateNetwork:
 
 
 def nonlinearity_from_spec(d: dict, space: Space | None = None):
-    kind = d.get("kind")
+    kind = _require_object(d, "nonlinearity").get("kind")
     if kind == "zero":
         check_keys(d, "nonlinearity", {"kind"})
         return ZeroNonlinearity()
@@ -262,7 +266,7 @@ def nonlinearity_from_spec(d: dict, space: Space | None = None):
 
 
 def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
-    kind = d.get("kind")
+    kind = _require_object(d, "layer").get("kind")
     if kind == "layer":
         check_keys(d, "layer", {"kind", "in_op", "out_op", "nonlin"})
         ambient = space.dim if space is not None else None
@@ -286,7 +290,7 @@ def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
 
 
 def chain_from_spec(d: dict):
-    kind = d.get("kind")
+    kind = _require_object(d, "chain").get("kind")
     if kind == "residual_chain":
         check_keys(d, "chain", {"kind", "ambient_dim", "prefix_n", "blocks"})
         blocks = tuple(network_from_spec(b) for b in d["blocks"])
@@ -328,7 +332,7 @@ def chain_from_spec(d: dict):
 
 
 def head_from_spec(d: dict, dim: int | None = None):
-    kind = d.get("kind")
+    kind = _require_object(d, "head").get("kind")
     if kind == "identity":
         check_keys(d, "head", {"kind"})
         return None

@@ -5,12 +5,15 @@ orthonormal basis truncated to an ambient dimension M, whose elements are
 plain (..., M) float arrays of coefficients, prefix subspaces named by basis
 indices, and a composite Gauss-Legendre grid for pointwise work.  All values
 are immutable and all operations are pure.
+
+It also holds the parameter grid and the sign-crossing bisection that every
+determinant sweep along a path on [0, 1] shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -20,6 +23,8 @@ __all__ = [
     "Subspace",
     "Space",
     "gauss_legendre_panels",
+    "sign_crossings",
+    "unit_grid",
 ]
 
 _BASIS_KINDS = ("fourier", "fem_hat", "abstract_orthonormal")
@@ -204,3 +209,47 @@ class Space:
                 f"expected {self.nodes.size} grid values, got {v.shape[-1]}"
             )
         return (v * self.weights) @ bv.T
+
+
+def unit_grid(n: int) -> np.ndarray:
+    """``n >= 2`` equispaced points on [0, 1], both endpoints included."""
+    if n < 2:
+        raise ValueError("need at least two grid points")
+    return np.linspace(0.0, 1.0, int(n))
+
+
+def sign_crossings(
+    det_at: Callable[[float], float],
+    ts: Sequence[float],
+    dets: Sequence[float],
+    tol: float,
+) -> Iterator[tuple[float, float]]:
+    """Brackets of the sign changes of ``det_at`` along the grid ``ts``.
+
+    ``dets`` holds ``det_at`` already evaluated on ``ts``.  Yields one
+    ``(lo, hi)`` bracket per crossing, in grid order: an exact zero at a
+    grid point is ``(t, t)``; a sign change between neighbouring points is
+    bisected until ``hi - lo <= tol``, and an exact zero at a midpoint
+    collapses the bracket to ``(mid, mid)``.  The generator is lazy, so a
+    caller that takes only the first crossing bisects only that one.
+    """
+    if tol <= 0.0:
+        raise ValueError("bisection tolerance must be positive")
+    for i, (t, d) in enumerate(zip(ts, dets)):
+        if d == 0.0:
+            yield float(t), float(t)
+            continue
+        if i + 1 == len(ts) or dets[i + 1] == 0.0 or (d > 0.0) == (dets[i + 1] > 0.0):
+            continue
+        lo, hi, d_lo = float(t), float(ts[i + 1]), d
+        while hi - lo > tol:
+            mid = 0.5 * (lo + hi)
+            d_mid = det_at(mid)
+            if d_mid == 0.0:
+                lo = hi = mid
+                break
+            if (d_mid > 0.0) == (d_lo > 0.0):
+                lo, d_lo = mid, d_mid
+            else:
+                hi = mid
+        yield lo, hi

@@ -51,6 +51,41 @@ def chain_and_target(tmp_path):
     return chain_path, y_path, x
 
 
+def _bad_monotone_check(layer):
+    return {"name": "bad", "kind": "monotone-check", "seed": 0,
+            "space": {"basis": "fourier", "ambient_dim": 4}, "layer": layer}
+
+
+def _bad_invert(chain, head=None):
+    exp = {"name": "bad", "kind": "invert", "seed": 0, "chain": chain,
+           "y": [0.1, -0.2, 0.3, 0.05]}
+    return exp if head is None else {**exp, "head": head}
+
+
+_OPERATOR = {"kind": "seeded_finite_rank", "rank": 2, "seed": 1}
+
+# One experiment per spec reader, each with a string where that reader's
+# object belongs.
+NON_OBJECT_SPECS = {
+    "operator": _bad_monotone_check(
+        {"kind": "layer", "in_op": "x", "out_op": _OPERATOR, "nonlin": {"kind": "zero"}}
+    ),
+    "network": _bad_invert(
+        {"kind": "residual_chain", "ambient_dim": 4, "prefix_n": 4, "blocks": ["x"]}
+    ),
+    "nonlinearity": _bad_monotone_check(
+        {"kind": "layer", "in_op": _OPERATOR, "out_op": _OPERATOR, "nonlin": "x"}
+    ),
+    "layer": _bad_monotone_check("x"),
+    "chain": _bad_invert("x"),
+    "head": _bad_invert(
+        {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 3, "seed": 51,
+         "delta": 0.5},
+        "reflection",
+    ),
+}
+
+
 def write_config(tmp_path, experiments, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps({"schema": 1, "experiments": experiments}))
@@ -479,6 +514,22 @@ class TestSubcommands:
         assert "config-error" in result.output
         assert not (out / "inv.json").exists()
         assert not (out / "failures.json").exists()
+
+    @pytest.mark.parametrize("reader", sorted(NON_OBJECT_SPECS))
+    def test_a_non_object_spec_is_a_config_error(self, runner, tmp_path, reader):
+        # a string where a spec object belongs used to escape as an
+        # AttributeError and stop the whole batch
+        after = {"name": "after", "kind": "nogo-isotopy", "seed": 0, "m": 3, "grid": 11}
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, [NON_OBJECT_SPECS[reader], after])
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        lines = [line.split() for line in result.output.splitlines()]
+        assert lines[0][0] == "config-error" and lines[0][-1] == "bad"
+        assert lines[1] == ["ok", "nogo-isotopy", "after"]
+        assert (out / "after.json").exists()
 
     def test_quant_report_artifacts(self, runner, tmp_path, layer_file):
         out = tmp_path / "out"

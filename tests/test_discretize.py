@@ -20,6 +20,9 @@ from opdisc.monotone import ball_samples
 from opdisc.operators import FiniteRankOperator, Identity, Reflection, Scalar
 from opdisc.spectral import Subspace
 
+# the rank-0 operator on 16 coordinates
+ZERO16 = FiniteRankOperator(np.zeros(0), np.zeros((0, 16)), np.zeros((0, 16)))
+
 
 class TestDiscretizedMap:
     def test_output_confined_to_subspace(self, space16):
@@ -181,9 +184,7 @@ class TestConvergenceScan:
 class TestContinuityProbe:
     def test_zero_perturbation(self, space16):
         layer = make_layer(space16, lip_g=0.4, seed=31)
-        rows = continuity_probe(
-            layer, FiniteRankOperator.zero(16), [1, 2, 3], Subspace.prefix(4), n=16
-        )
+        rows = continuity_probe(layer, ZERO16, [1, 2, 3], Subspace.prefix(4), n=16)
         for row in rows:
             assert row["ambient_error"] == 0.0
             assert row["subspace_error"] == 0.0
@@ -209,30 +210,33 @@ class TestContinuityProbe:
     def test_validation(self, space16):
         layer = make_layer(space16, lip_g=0.4, seed=31)
         with pytest.raises(ValueError, match="positive"):
-            continuity_probe(layer, FiniteRankOperator.zero(16), [0], Subspace.prefix(2))
+            continuity_probe(layer, ZERO16, [0], Subspace.prefix(2))
 
 
 class TestOrientationScan:
     def test_constant_identity_path(self):
-        scan = orientation_scan(
-            lambda t: Identity(), [0.0, 0.5, 1.0], Subspace.prefix(3), dim=6
-        )
+        scan = orientation_scan(lambda t: Identity(), 3, Subspace.prefix(3), dim=6)
         assert [s for _, s, _ in scan.rows] == [1, 1, 1]
         assert not scan.sign_changed
 
     def test_scalar_path_flips_at_one_half(self):
+        # the zero at t = 1/2 falls on a bisection midpoint of [1/3, 2/3] with
+        # four points and on a grid point with five: both brackets collapse
+        for points in (4, 5):
+            scan = orientation_scan(
+                lambda t: Scalar(1.0 - 2.0 * t), points, Subspace.prefix(5), dim=8
+            )
+            signs = [s for _, s, _ in scan.rows]
+            assert signs[0] == 1 and signs[-1] == -1
+            assert scan.crossings == ((0.5, 0.5),)
+
+    def test_bisected_flip_is_bracketed_within_the_tolerance(self):
         scan = orientation_scan(
-            lambda t: Scalar(1.0 - 2.0 * t),
-            [0.0, 0.25, 0.75, 1.0],
-            Subspace.prefix(5),
-            dim=8,
+            lambda t: Scalar(0.7 - t), 4, Subspace.prefix(3), dim=6, refine_tol=1e-9
         )
-        signs = [s for _, s, _ in scan.rows]
-        assert signs[0] == 1 and signs[-1] == -1
         assert len(scan.crossings) == 1
         lo, hi = scan.crossings[0]
-        assert hi - lo < 1e-6
-        assert abs(0.5 * (lo + hi) - 0.5) <= 1e-6
+        assert lo <= 0.7 <= hi and hi - lo <= 1e-9
 
     def test_monotone_path_keeps_orientation(self, space16):
         layer = make_layer(space16, lip_g=0.4, seed=37)
@@ -240,26 +244,26 @@ class TestOrientationScan:
         def path(t):
             return lambda x, s=t: (1.0 - s) * x + s * eval_map(layer, x)
 
-        scan = orientation_scan(
-            path, np.linspace(0.0, 1.0, 9), Subspace.prefix(6), dim=16
-        )
+        scan = orientation_scan(path, 9, Subspace.prefix(6), dim=16)
         assert all(s == 1 for _, s, _ in scan.rows)
         assert not scan.sign_changed
 
     def test_reflection_flips_orientation(self):
         scan = orientation_scan(
-            lambda t: Reflection.first_axis(8), [0.0, 1.0], Subspace.prefix(5), dim=8
+            lambda t: Reflection.first_axis(8), 2, Subspace.prefix(5), dim=8
         )
         assert [s for _, s, _ in scan.rows] == [-1, -1]
         assert all(abs(det - 1.0) < 1e-9 for _, _, det in scan.rows)
         assert not scan.sign_changed
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="ascending"):
-            orientation_scan(lambda t: Identity(), [1.0, 0.0], Subspace.prefix(2), dim=4)
+        with pytest.raises(ValueError, match="at least two"):
+            orientation_scan(lambda t: Identity(), 1, Subspace.prefix(2), dim=4)
         with pytest.raises(ValueError, match="at most 50"):
+            orientation_scan(lambda t: Identity(), 2, Subspace.prefix(51), dim=64)
+        with pytest.raises(ValueError, match="bisection tolerance"):
             orientation_scan(
-                lambda t: Identity(), [0.0, 1.0], Subspace.prefix(51), dim=64
+                lambda t: Identity(), 2, Subspace.prefix(2), dim=4, refine_tol=0.0
             )
 
 

@@ -1,9 +1,10 @@
 """Every exported name resolves, and so does every hook the benchmark tracer
-wraps: a hook whose target was renamed or deleted would make its per-layer
-metric read 0 without any error."""
+wraps or probes: a hook whose target was renamed or deleted would make its
+per-layer metric read 0 without any error."""
 
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 import pytest
@@ -42,6 +43,25 @@ TRACER = _load_tracer()
 HOOKS = sorted({name for members in TRACER.GROUPS.values() for name in members})
 
 
+def _probed_names(source: str) -> list[str]:
+    """Names the tracer counts outside GROUPS: its ``name == "..."`` and
+    ``name in ("...", ...)`` probe sites and its ``calls("...")`` metrics."""
+    names = set(re.findall(r'name == "([\w.]+)"', source))
+    names |= set(re.findall(r'calls\("([\w.]+)"\)', source))
+    for group in re.findall(r"name in \(([^)]*)\)", source):
+        names |= set(re.findall(r'"([\w.]+)"', group))
+    return sorted(names)
+
+
+PROBES = _probed_names(TRACER_PATH.read_text())
+
+# Probed names whose target is gone, so the metric they feed reads 0.
+STALE_PROBES = {
+    "galerkin.FemMesh.hat_values": "the dense hat matrices were replaced by "
+    "per-cell quadrature, so galerkin.hats_mb reads 0",
+}
+
+
 def _resolve(dotted: str):
     module, *attrs = dotted.split(".")
     obj = importlib.import_module(f"opdisc.{module}")
@@ -65,6 +85,19 @@ def test_module_exports_resolve(module):
 @pytest.mark.parametrize("hook", HOOKS)
 def test_tracer_hook_resolves(hook):
     assert callable(_resolve(hook))
+
+
+@pytest.mark.parametrize("name", PROBES)
+def test_tracer_probe_resolves(name):
+    if name in STALE_PROBES:
+        with pytest.raises(AttributeError):
+            _resolve(name)
+    else:
+        assert callable(_resolve(name))
+
+
+def test_stale_probes_are_still_probed():
+    assert set(STALE_PROBES) <= set(PROBES)
 
 
 def test_total_iterations_sums_the_block_counts():

@@ -185,9 +185,8 @@ class TestLayer:
 
     def test_zero_out_op_is_identity(self, space16):
         layer = make_layer(space16, rank=4, lip_g=0.5, seed=4)
-        layer = NeuralOperatorLayer(
-            layer.in_op, FiniteRankOperator.zero(space16.dim), layer.nonlin
-        )
+        zero = FiniteRankOperator(np.zeros(0), np.zeros((0, 16)), np.zeros((0, 16)))
+        layer = NeuralOperatorLayer(layer.in_op, zero, layer.nonlin)
         x = ball_samples(16, 1.0, 4, seed=5)
         assert np.array_equal(layer.eval_array(x), x)
 

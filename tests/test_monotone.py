@@ -140,7 +140,8 @@ class TestLayerContraction:
 
     def test_zero_output_operator_gives_identity_constant(self, space16):
         base = make_layer(space16, lip_g=0.4, seed=2)
-        layer = NeuralOperatorLayer(base.in_op, FiniteRankOperator.zero(16), base.nonlin)
+        zero = FiniteRankOperator(np.zeros(0), np.zeros((0, 16)), np.zeros((0, 16)))
+        layer = NeuralOperatorLayer(base.in_op, zero, base.nonlin)
         cert = layer_contraction_certificate(layer)
         assert cert.certified
         assert cert.alpha == 1.0

@@ -7,7 +7,14 @@ from scipy.integrate import quad
 from opdisc.discretize import linearize
 from opdisc.monotone import ball_samples
 from opdisc.operators import Identity
-from opdisc.spectral import BasisSpec, Space, Subspace, gauss_legendre_panels
+from opdisc.spectral import (
+    BasisSpec,
+    Space,
+    Subspace,
+    gauss_legendre_panels,
+    sign_crossings,
+    unit_grid,
+)
 
 
 def quadrature_inner(space, a, b):
@@ -162,3 +169,50 @@ def test_sample_ball_contract():
 def test_parseval(space16):
     c = np.arange(16.0)
     assert quadrature_inner(space16, c, c) == pytest.approx(float(np.sum(c**2)))
+
+
+def _crossings(f, n, tol):
+    ts = unit_grid(n)
+    return list(sign_crossings(f, ts, [f(t) for t in ts], tol))
+
+
+def test_unit_grid():
+    assert unit_grid(5).tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+    with pytest.raises(ValueError, match="at least two"):
+        unit_grid(1)
+
+
+def test_sign_crossings_collapse_on_exact_zeros():
+    def line(t):
+        return t - 0.5
+
+    # a zero on the grid, then a zero at the first midpoint of [1/3, 2/3]
+    assert _crossings(line, 5, 1e-12) == [(0.5, 0.5)]
+    assert _crossings(line, 4, 1e-12) == [(0.5, 0.5)]
+    for tol in (0.0, -1.0):
+        with pytest.raises(ValueError, match="bisection tolerance"):
+            _crossings(line, 5, tol)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_sign_crossings_bracket_every_simple_root(data):
+    n = 21
+    cells = data.draw(
+        st.lists(st.integers(0, n - 2), min_size=1, max_size=5, unique=True)
+    )
+    fracs = data.draw(
+        st.lists(st.floats(0.05, 0.95), min_size=len(cells), max_size=len(cells))
+    )
+    # one root strictly inside each chosen grid cell
+    roots = sorted((c + f) / (n - 1) for c, f in zip(cells, fracs))
+    tol = 1e-10
+
+    def poly(t):
+        return float(np.prod([t - r for r in roots]))
+
+    brackets = _crossings(poly, n, tol)
+    assert len(brackets) == len(roots)
+    for (lo, hi), r in zip(brackets, roots):
+        assert lo <= r <= hi
+        assert hi - lo <= tol
