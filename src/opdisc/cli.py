@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -42,6 +43,7 @@ from .serialize import (
     SCHEMA_VERSION,
     SpecError,
     blob_hash,
+    canonical_json,
     chain_from_spec,
     check_keys,
     head_from_spec,
@@ -83,17 +85,69 @@ _FAILURES = (
 # experiment runners (shared by subcommands and batch mode)
 
 
-def _space_of(exp: dict):
+class _BuildMemo:
+    """Chains and spaces built from specs, shared by the experiments of one
+    :func:`run_config` call and keyed by the spec's canonical JSON.
+
+    Sharing is safe because every memoized object is immutable (frozen
+    dataclasses, read-only arrays).  Builds run under one lock, so a spec is
+    built once even at ``--jobs 2``; a spec that fails to build is not
+    stored, and every experiment naming it reports its own error.
+    """
+
+    def __init__(self) -> None:
+        self._built: dict = {}
+        self._lock = threading.Lock()
+
+    def get(self, build, spec):
+        key = (build.__name__, canonical_json(spec))
+        with self._lock:
+            if key not in self._built:
+                self._built[key] = build(spec)
+            return self._built[key]
+
+
+def _integral(value) -> int:
+    """``int(value)``, refusing a float with a fractional part."""
+    out = int(value)
+    if isinstance(value, float) and value != out:
+        raise ValueError(f"{value!r} is not integral")
+    return out
+
+
+def _int_field(exp: dict, key: str, default=None) -> int:
+    """``exp[key]`` (else ``default``) as an int; integral floats pass."""
+    value = exp.get(key, default)
+    try:
+        return _integral(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(
+            f"experiment {exp['name']!r}: {key} must be an integer, got {value!r}"
+        ) from err
+
+
+def _float_field(exp: dict, key: str, default=None) -> float:
+    """``exp[key]`` (else ``default``) as a float."""
+    value = exp.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ConfigError(
+            f"experiment {exp['name']!r}: {key} must be a number, got {value!r}"
+        ) from err
+
+
+def _space_of(exp: dict, memo: _BuildMemo):
     if "space" not in exp:
         raise ConfigError(f"experiment {exp.get('name', '?')!r} needs a 'space'")
-    return space_from_config(exp["space"])
+    return memo.get(space_from_config, exp["space"])
 
 
 def _check_dims(exp: dict, dims, ambient: int) -> list[int]:
     """Prefix dimensions must be a strictly ascending chain inside 1..ambient."""
     try:
-        out = [int(d) for d in dims]
-    except (TypeError, ValueError) as err:
+        out = [_integral(d) for d in dims]
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"experiment {exp['name']!r}: dims must be integers") from err
     if not out:
         raise ConfigError(f"experiment {exp['name']!r}: dims must be nonempty")
@@ -106,18 +160,18 @@ def _check_dims(exp: dict, dims, ambient: int) -> list[int]:
     return out
 
 
-def run_monotone_check(exp: dict, out_dir: Path) -> dict:
+def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     check_keys(
         exp,
         "monotone-check",
         {"name", "kind", "seed", "space", "layer"},
         {"dims", "radius", "samples", "floor", "out"},
     )
-    space = _space_of(exp)
+    space = _space_of(exp, memo)
     layer = layer_from_spec(exp["layer"], space)
-    seed = int(exp["seed"])
-    radius = float(exp.get("radius", 1.0))
-    samples = int(exp.get("samples", 128))
+    seed = _int_field(exp, "seed")
+    radius = _float_field(exp, "radius", 1.0)
+    samples = _int_field(exp, "samples", 128)
     dims = _check_dims(exp, exp.get("dims", _prefix_dims(space.dim, 8)), space.dim)
     report = {
         "schema": SCHEMA_VERSION,
@@ -133,7 +187,7 @@ def run_monotone_check(exp: dict, out_dir: Path) -> dict:
             "monotonicity certificate"
         )
     else:
-        floor = float(exp.get("floor", 1.0 - layer.contraction))
+        floor = _float_field(exp, "floor", 1.0 - layer.contraction)
         rows = []
         worst = math.inf
         for d in dims:
@@ -143,12 +197,12 @@ def run_monotone_check(exp: dict, out_dir: Path) -> dict:
                 n=samples,
                 seed=seed,
                 dim=space.dim,
-                subspace=Subspace.prefix(int(d)),
+                subspace=Subspace.prefix(d),
             )
             worst = min(worst, cert.alpha)
             rows.append(
                 {
-                    "dim": int(d),
+                    "dim": d,
                     "alpha_hat": cert.alpha,
                     "certificate": cert.as_dict(),
                     "certificate_hash": blob_hash(cert.as_dict()),
@@ -172,21 +226,21 @@ def run_monotone_check(exp: dict, out_dir: Path) -> dict:
     return report
 
 
-def run_discretize_scan(exp: dict, out_dir: Path) -> dict:
+def run_discretize_scan(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     check_keys(
         exp,
         "discretize-scan",
         {"name", "kind", "seed", "space", "layer", "dims"},
         {"radius", "samples", "out"},
     )
-    space = _space_of(exp)
+    space = _space_of(exp, memo)
     layer = layer_from_spec(exp["layer"], space)
     report = convergence_scan(
         layer.eval_array,
         _check_dims(exp, exp["dims"], space.dim),
-        r=float(exp.get("radius", 1.0)),
-        n=int(exp.get("samples", 256)),
-        seed=int(exp["seed"]),
+        r=_float_field(exp, "radius", 1.0),
+        n=_int_field(exp, "samples", 256),
+        seed=_int_field(exp, "seed"),
         dim=space.dim,
         description=exp["name"],
     )
@@ -197,17 +251,19 @@ def run_discretize_scan(exp: dict, out_dir: Path) -> dict:
     return report.as_dict()
 
 
-def run_decompose(exp: dict, out_dir: Path) -> dict:
+def run_decompose(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     check_keys(
         exp,
         "decompose",
         {"name", "kind", "seed", "space", "layer", "epsilon", "radius"},
         {"composite_tol", "n_verify", "out"},
     )
-    space = _space_of(exp)
+    space = _space_of(exp, memo)
     layer = layer_from_spec(exp["layer"], space)
-    epsilon = float(exp["epsilon"])
-    radius = float(exp["radius"])
+    epsilon = _float_field(exp, "epsilon")
+    radius = _float_field(exp, "radius")
+    composite_tol = _float_field(exp, "composite_tol", 1e-6)
+    seed = _int_field(exp, "seed")
     if not (epsilon > 0.0 and radius > 0.0):
         raise ConfigError(
             f"experiment {exp['name']!r}: epsilon and radius must be positive"
@@ -216,15 +272,15 @@ def run_decompose(exp: dict, out_dir: Path) -> dict:
         layer,
         epsilon,
         radius,
-        composite_tol=float(exp.get("composite_tol", 1e-6)),
-        seed=int(exp["seed"]),
-        n_verify=int(exp.get("n_verify", 200)),
+        composite_tol=composite_tol,
+        seed=seed,
+        n_verify=_int_field(exp, "n_verify", 200),
     )
     report = {
         "schema": SCHEMA_VERSION,
         "name": exp["name"],
         "kind": "decompose",
-        "seed": int(exp["seed"]),
+        "seed": seed,
         "j": result.j,
         "epsilon": result.epsilon,
         "r1": result.r1,
@@ -232,10 +288,10 @@ def run_decompose(exp: dict, out_dir: Path) -> dict:
         "replay": {
             "space": exp["space"],
             "layer": exp["layer"],
-            "epsilon": float(exp["epsilon"]),
-            "radius": float(exp["radius"]),
-            "composite_tol": float(exp.get("composite_tol", 1e-6)),
-            "seed": int(exp["seed"]),
+            "epsilon": epsilon,
+            "radius": radius,
+            "composite_tol": composite_tol,
+            "seed": seed,
             "note": "decompose is deterministic: rerunning this spec rebuilds "
             "the identical block sequence",
         },
@@ -245,14 +301,14 @@ def run_decompose(exp: dict, out_dir: Path) -> dict:
     return report
 
 
-def run_invert(exp: dict, out_dir: Path) -> dict:
+def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     check_keys(
         exp,
         "invert",
         {"name", "kind", "seed", "chain", "y"},
         {"head", "tol", "max_iter", "out"},
     )
-    chain = chain_from_spec(exp["chain"])
+    chain = memo.get(chain_from_spec, exp["chain"])
     head = head_from_spec(exp.get("head", {"kind": "identity"}), dim=chain.dim)
     try:
         y = np.asarray(exp["y"], dtype=float)
@@ -266,14 +322,14 @@ def run_invert(exp: dict, out_dir: Path) -> dict:
         chain,
         head,
         y,
-        tol=float(exp.get("tol", 1e-10)),
-        max_iter=int(exp.get("max_iter", 10_000)),
+        tol=_float_field(exp, "tol", 1e-10),
+        max_iter=_int_field(exp, "max_iter", 10_000),
     )
     report = {
         "schema": SCHEMA_VERSION,
         "name": exp["name"],
         "kind": "invert",
-        "seed": int(exp["seed"]),
+        "seed": _int_field(exp, "seed"),
         "x": result.x.tolist(),
         "trace": result.trace.as_dict(),
         "roundtrip_target": result.roundtrip_target,
@@ -282,7 +338,7 @@ def run_invert(exp: dict, out_dir: Path) -> dict:
     return report
 
 
-def run_nogo_galerkin(exp: dict, out_dir: Path) -> dict:
+def run_nogo_galerkin(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     check_keys(
         exp,
         "nogo-galerkin",
@@ -291,14 +347,14 @@ def run_nogo_galerkin(exp: dict, out_dir: Path) -> dict:
     )
     if exp["path_kind"] not in ("a", "b"):
         raise ConfigError(f"experiment {exp['name']!r}: path_kind must be 'a' or 'b'")
-    n = int(exp["n"])
+    n = _int_field(exp, "n")
     if n < 1 or n % 2 == 0:
         raise ConfigError(f"experiment {exp['name']!r}: n must be an odd positive count")
     scan = singularity_scan(
         exp["path_kind"],
         n,
-        int(exp.get("grid", 101)),
-        float(exp.get("bisect_tol", 1e-12)),
+        _int_field(exp, "grid", 101),
+        _float_field(exp, "bisect_tol", 1e-12),
     )
     stem = out_dir / exp.get("out", exp["name"])
     write_csv(f"{stem}.csv", "s,det,min_sv", scan.rows())
@@ -306,17 +362,17 @@ def run_nogo_galerkin(exp: dict, out_dir: Path) -> dict:
     return scan.as_dict()
 
 
-def run_nogo_isotopy(exp: dict, out_dir: Path) -> dict:
+def run_nogo_isotopy(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     check_keys(
         exp, "nogo-isotopy", {"name", "kind", "seed", "m"}, {"grid", "bisect_tol", "out"}
     )
-    m = int(exp["m"])
+    m = _int_field(exp, "m")
     if m < 3 or m % 2 == 0:
         raise ConfigError(f"experiment {exp['name']!r}: m must be odd and at least 3")
     scan = truncated_det_scan(
         m,
-        int(exp.get("grid", 101)),
-        float(exp.get("bisect_tol", 1e-12)),
+        _int_field(exp, "grid", 101),
+        _float_field(exp, "bisect_tol", 1e-12),
     )
     stem = out_dir / exp.get("out", exp["name"])
     write_csv(f"{stem}.csv", "t,det,min_sv", scan.rows())
@@ -324,7 +380,7 @@ def run_nogo_isotopy(exp: dict, out_dir: Path) -> dict:
     return scan.as_dict()
 
 
-def run_fem_solve(exp: dict, out_dir: Path) -> dict:
+def run_fem_solve(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     check_keys(
         exp, "fem-solve", {"name", "kind", "seed", "g", "mesh"}, {"tol", "out"}
     )
@@ -334,8 +390,8 @@ def run_fem_solve(exp: dict, out_dir: Path) -> dict:
     reaction = ConvexNonlinearity.named(g_name)
     source = SOURCES[g_name]
     try:
-        sizes = [int(c) for c in exp["mesh"]]
-    except (TypeError, ValueError) as err:
+        sizes = [_integral(c) for c in exp["mesh"]]
+    except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"experiment {exp['name']!r}: mesh must be integers") from err
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
         raise ConfigError(
@@ -353,7 +409,7 @@ def run_fem_solve(exp: dict, out_dir: Path) -> dict:
             f"experiment {exp['name']!r}: every mesh size must divide the "
             f"reference mesh of {oracle_cells} cells"
         )
-    tol = float(exp.get("tol", 1e-10))
+    tol = _float_field(exp, "tol", 1e-10)
     conv = fem_convergence(source, reaction, sizes, tol=tol)
     _, trace = solve_semilinear_trace(source, FemMesh(sizes[-1]), reaction, tol=tol)
     stem = out_dir / exp.get("out", exp["name"])
@@ -411,22 +467,22 @@ def quant_report(f, dims, r, n, seed, dim):
     return rows
 
 
-def run_quant_report(exp: dict, out_dir: Path) -> dict:
+def run_quant_report(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     check_keys(
         exp,
         "quant-report",
         {"name", "kind", "seed", "space", "layer", "dims"},
         {"radius", "samples", "out"},
     )
-    space = _space_of(exp)
+    space = _space_of(exp, memo)
     layer = layer_from_spec(exp["layer"], space)
-    r = float(exp.get("radius", 1.0))
+    r = _float_field(exp, "radius", 1.0)
     rows = quant_report(
         layer.eval_array,
         _check_dims(exp, exp["dims"], space.dim),
         r,
-        int(exp.get("samples", 256)),
-        int(exp["seed"]),
+        _int_field(exp, "samples", 256),
+        _int_field(exp, "seed"),
         dim=space.dim,
     )
     stem = out_dir / exp.get("out", exp["name"])
@@ -483,11 +539,11 @@ def _validate_experiment(exp: dict, index: int, seed_override: int | None) -> di
     return exp
 
 
-def _run_experiment(exp: dict, out_dir: Path) -> dict:
+def _run_experiment(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     """Run one validated experiment; its outcome record names the status."""
     outcome = {"name": exp["name"], "kind": exp["kind"]}
     try:
-        RUNNERS[exp["kind"]](exp, out_dir)
+        RUNNERS[exp["kind"]](exp, out_dir, memo)
     except (SpecError, ConfigError) as err:
         return {**outcome, "status": "config-error", "error": str(err)}
     except _FAILURES as err:
@@ -512,10 +568,13 @@ def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None
     if len(set(names)) != len(names):
         raise ConfigError("config: experiment names must be unique (artifacts are per-name files)")
 
+    memo = _BuildMemo()
     if jobs > 1 and len(validated) > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(_run_experiment, validated, [out_dir] * len(validated)))
-    return [_run_experiment(exp, out_dir) for exp in validated]
+            return list(
+                pool.map(lambda exp: _run_experiment(exp, out_dir, memo), validated)
+            )
+    return [_run_experiment(exp, out_dir, memo) for exp in validated]
 
 
 # ---------------------------------------------------------------------------
@@ -547,20 +606,9 @@ def _finish(outcomes: list[dict], out_dir: Path) -> None:
         raise SystemExit(2)
 
 
-def _run_single(exp: dict, out_dir: Path, seed_override: int | None) -> None:
-    exp = _validate_experiment(exp, 0, seed_override)
-    outcome = _run_experiment(exp, out_dir)
-    if outcome["status"] == "config-error":
-        raise click.ClickException(outcome["error"])
-    if outcome["status"] == "failed":
-        write_json(out_dir / "failures.json", {"schema": SCHEMA_VERSION, "failed": [outcome]})
-        click.echo(f"failed: {outcome['error']}", err=True)
-        raise SystemExit(2)
-    click.echo(f"          ok  {exp['kind']}  {exp['name']}")
-
-
-def _merge_config(ctx, kind: str, flags: dict) -> dict:
-    """Build one experiment dict from an optional config file plus flags."""
+def _run_subcommand(ctx, kind: str, flags: dict) -> None:
+    """Run one experiment: an optional single-experiment config file, with
+    every flag that was given on top."""
     exp: dict = {}
     config_path = ctx.obj.get("config")
     if config_path is not None:
@@ -576,15 +624,32 @@ def _merge_config(ctx, kind: str, flags: dict) -> dict:
         raise click.ClickException(
             f"config is for kind {exp['kind']!r} but the subcommand is {kind!r}"
         )
-    for key, value in flags.items():
-        if value is not None:
-            exp[key] = value
+    if flags.get("seed") is None:
+        flags["seed"] = ctx.obj.get("seed")
+    exp.update({key: value for key, value in flags.items() if value is not None})
     exp.setdefault("name", kind)
     if config_path is None:
         # a pure flag invocation composes its own experiment; config files
         # must still carry their seed explicitly
         exp.setdefault("seed", 0)
-    return exp
+    exp = _validate_experiment(exp, 0, None)
+    out_dir = ctx.obj["out"]
+    outcome = _run_experiment(exp, out_dir, _BuildMemo())
+    if outcome["status"] == "config-error":
+        raise click.ClickException(outcome["error"])
+    if outcome["status"] == "failed":
+        write_json(out_dir / "failures.json", {"schema": SCHEMA_VERSION, "failed": [outcome]})
+        click.echo(f"failed: {outcome['error']}", err=True)
+        raise SystemExit(2)
+    click.echo(f"          ok  {exp['kind']}  {exp['name']}")
+
+
+def _layer_file(layer_path) -> dict:
+    """The space and layer of a ``--layer`` file, or nothing without one."""
+    if layer_path is None:
+        return {}
+    blob = read_envelope(load_json(layer_path), "layer file", {"space", "layer"})
+    return {"space": blob["space"], "layer": blob["layer"]}
 
 
 @click.group(invoke_without_command=True)
@@ -623,21 +688,9 @@ def main(ctx, config, out_dir, jobs, seed):
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 @click.pass_context
-def monotone_check_cmd(ctx, layer_path, dims, radius, samples, seed, name):
+def monotone_check_cmd(ctx, layer_path, **flags):
     """Sampled strong-monotonicity certificates on a ladder of prefixes."""
-    flags = {
-        "radius": radius,
-        "samples": samples,
-        "seed": seed if seed is not None else ctx.obj.get("seed"),
-        "name": name,
-        "dims": dims,
-    }
-    if layer_path is not None:
-        blob = read_envelope(load_json(layer_path), "layer file", {"space", "layer"})
-        flags["space"] = blob["space"]
-        flags["layer"] = blob["layer"]
-    exp = _merge_config(ctx, "monotone-check", flags)
-    _run_single(exp, ctx.obj["out"], None)
+    _run_subcommand(ctx, "monotone-check", {**flags, **_layer_file(layer_path)})
 
 
 @main.command("discretize-scan")
@@ -649,46 +702,22 @@ def monotone_check_cmd(ctx, layer_path, dims, radius, samples, seed, name):
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 @click.pass_context
-def discretize_scan_cmd(ctx, layer_path, dims, radius, samples, seed, name):
+def discretize_scan_cmd(ctx, layer_path, **flags):
     """Prefix-discretization error scan; CSV plus a JSON metadata sidecar."""
-    flags = {
-        "radius": radius,
-        "samples": samples,
-        "seed": seed if seed is not None else ctx.obj.get("seed"),
-        "name": name,
-        "dims": dims,
-    }
-    if layer_path is not None:
-        blob = read_envelope(load_json(layer_path), "layer file", {"space", "layer"})
-        flags["space"] = blob["space"]
-        flags["layer"] = blob["layer"]
-    exp = _merge_config(ctx, "discretize-scan", flags)
-    _run_single(exp, ctx.obj["out"], None)
+    _run_subcommand(ctx, "discretize-scan", {**flags, **_layer_file(layer_path)})
 
 
 @main.command("decompose")
 @click.option("--layer", "layer_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--epsilon", type=float, default=None)
 @click.option("--radius", type=float, default=None)
-@click.option("--out", "out_file", type=str, default=None, help="Result JSON filename.")
+@click.option("--out", "out", type=str, default=None, help="Result JSON filename.")
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 @click.pass_context
-def decompose_cmd(ctx, layer_path, epsilon, radius, out_file, seed, name):
+def decompose_cmd(ctx, layer_path, **flags):
     """Split a bilipschitz layer into near-identity blocks; JSON result."""
-    flags = {
-        "epsilon": epsilon,
-        "radius": radius,
-        "out": out_file,
-        "seed": seed if seed is not None else ctx.obj.get("seed"),
-        "name": name,
-    }
-    if layer_path is not None:
-        blob = read_envelope(load_json(layer_path), "layer file", {"space", "layer"})
-        flags["space"] = blob["space"]
-        flags["layer"] = blob["layer"]
-    exp = _merge_config(ctx, "decompose", flags)
-    _run_single(exp, ctx.obj["out"], None)
+    _run_subcommand(ctx, "decompose", {**flags, **_layer_file(layer_path)})
 
 
 @main.command("invert")
@@ -701,26 +730,18 @@ def decompose_cmd(ctx, layer_path, epsilon, radius, out_file, seed, name):
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 @click.pass_context
-def invert_cmd(ctx, chain_path, y_path, tol, max_iter, seed, name):
+def invert_cmd(ctx, chain_path, y_path, **flags):
     """Invert a certified residual chain by fixed-point iteration."""
-    flags = {
-        "tol": tol,
-        "max_iter": max_iter,
-        "seed": seed if seed is not None else ctx.obj.get("seed"),
-        "name": name,
-    }
     if chain_path is not None:
         blob = read_envelope(load_json(chain_path), "chain file", {"chain"}, {"head"})
         flags["chain"] = blob["chain"]
-        if "head" in blob:
-            flags["head"] = blob["head"]
+        flags["head"] = blob.get("head")
     if y_path is not None:
         y_blob = load_json(y_path)
         if isinstance(y_blob, dict):
             y_blob = read_envelope(y_blob, "y file", {"y"})["y"]
         flags["y"] = y_blob
-    exp = _merge_config(ctx, "invert", flags)
-    _run_single(exp, ctx.obj["out"], None)
+    _run_subcommand(ctx, "invert", flags)
 
 
 @main.command("nogo-galerkin")
@@ -731,40 +752,22 @@ def invert_cmd(ctx, chain_path, y_path, tol, max_iter, seed, name):
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 @click.pass_context
-def nogo_galerkin_cmd(ctx, path_kind, n, grid, bisect_tol, seed, name):
+def nogo_galerkin_cmd(ctx, **flags):
     """Determinant sign change along a singular Galerkin path; CSV s,det,min_sv."""
-    flags = {
-        "path_kind": path_kind,
-        "n": n,
-        "grid": grid,
-        "bisect_tol": bisect_tol,
-        "seed": seed if seed is not None else ctx.obj.get("seed"),
-        "name": name,
-    }
-    exp = _merge_config(ctx, "nogo-galerkin", flags)
-    _run_single(exp, ctx.obj["out"], None)
+    _run_subcommand(ctx, "nogo-galerkin", flags)
 
 
 @main.command("nogo-isotopy")
 @click.option("--m", type=int, default=None, help="Truncation dimension (odd).")
 @click.option("--grid", type=int, default=None)
 @click.option("--bisect-tol", type=float, default=None)
-@click.option("--out", "out_file", type=str, default=None, help="Artifact stem.")
+@click.option("--out", "out", type=str, default=None, help="Artifact stem.")
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 @click.pass_context
-def nogo_isotopy_cmd(ctx, m, grid, bisect_tol, out_file, seed, name):
+def nogo_isotopy_cmd(ctx, **flags):
     """Determinant crossing of the truncated rotation-cascade path; CSV t,det,min_sv."""
-    flags = {
-        "m": m,
-        "grid": grid,
-        "bisect_tol": bisect_tol,
-        "out": out_file,
-        "seed": seed if seed is not None else ctx.obj.get("seed"),
-        "name": name,
-    }
-    exp = _merge_config(ctx, "nogo-isotopy", flags)
-    _run_single(exp, ctx.obj["out"], None)
+    _run_subcommand(ctx, "nogo-isotopy", flags)
 
 
 @main.command("fem-solve")
@@ -775,16 +778,9 @@ def nogo_isotopy_cmd(ctx, m, grid, bisect_tol, out_file, seed, name):
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 @click.pass_context
-def fem_solve_cmd(ctx, g, mesh, seed, name):
+def fem_solve_cmd(ctx, **flags):
     """Hat-element semilinear solves with an error-ratio table."""
-    flags = {
-        "g": g,
-        "seed": seed if seed is not None else ctx.obj.get("seed"),
-        "name": name,
-        "mesh": mesh,
-    }
-    exp = _merge_config(ctx, "fem-solve", flags)
-    _run_single(exp, ctx.obj["out"], None)
+    _run_subcommand(ctx, "fem-solve", flags)
 
 
 @main.command("quant-report")
@@ -796,21 +792,9 @@ def fem_solve_cmd(ctx, g, mesh, seed, name):
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 @click.pass_context
-def quant_report_cmd(ctx, layer_path, dims, radius, samples, seed, name):
+def quant_report_cmd(ctx, layer_path, **flags):
     """Measured prefix errors next to the size bound's growth shape."""
-    flags = {
-        "radius": radius,
-        "samples": samples,
-        "seed": seed if seed is not None else ctx.obj.get("seed"),
-        "name": name,
-        "dims": dims,
-    }
-    if layer_path is not None:
-        blob = read_envelope(load_json(layer_path), "layer file", {"space", "layer"})
-        flags["space"] = blob["space"]
-        flags["layer"] = blob["layer"]
-    exp = _merge_config(ctx, "quant-report", flags)
-    _run_single(exp, ctx.obj["out"], None)
+    _run_subcommand(ctx, "quant-report", {**flags, **_layer_file(layer_path)})
 
 
 @main.command("accept")

@@ -474,41 +474,11 @@ def fem_convergence(
 # ---------------------------------------------------------------------------
 
 
-def _trig_rep(j: int) -> tuple:
-    """j-th orthonormal trig basis function as amplitude * cos(omega t + phase).
-
-    Ordering matches the coefficient space: constant first, then paired
-    cosines and sines of increasing frequency.
-    """
-    if j == 0:
-        return 1.0, 0.0, 0.0
-    k = (j + 1) // 2
-    omega = 2.0 * np.pi * k
-    if j % 2 == 1:
-        return math.sqrt(2.0), omega, 0.0
-    return math.sqrt(2.0), omega, -0.5 * np.pi
-
-
-def _cos_integral(omega: float, phase: float, s: float) -> float:
-    """Exact integral of cos(omega t + phase) over [0, s]."""
-    if omega == 0.0:
-        return s * math.cos(phase)
-    return (math.sin(omega * s + phase) - math.sin(phase)) / omega
-
-
-def _trig_pair_integral(j: int, k: int, s: float) -> float:
-    """Exact integral of psi_j * psi_k over [0, s] via product-to-sum."""
-    cj, oj, pj = _trig_rep(j)
-    ck, ok, pk = _trig_rep(k)
-    return (
-        0.5
-        * cj
-        * ck
-        * (
-            _cos_integral(oj - ok, pj - pk, s)
-            + _cos_integral(oj + ok, pj + pk, s)
-        )
-    )
+def _cos_integrals(omega: np.ndarray, phase: np.ndarray, s: float) -> np.ndarray:
+    """Exact integrals of cos(omega t + phase) over [0, s], elementwise."""
+    still = omega == 0.0
+    moving = (np.sin(omega * s + phase) - np.sin(phase)) / np.where(still, 1.0, omega)
+    return np.where(still, s * np.cos(phase), moving)
 
 
 def _linear_weight_integral(a: float, b: float) -> float:
@@ -547,14 +517,27 @@ def galerkin_path_matrix(kind: str, s: float, n: int) -> np.ndarray:
         # is -1 almost everywhere, so the limit is minus the gram matrix)
         if s == 1.0:
             return -np.eye(n)
-        mat = np.eye(n)
-        for j in range(n):
-            for k in range(j, n):
-                val = -2.0 * _trig_pair_integral(j, k, s)
-                mat[j, k] += val
-                if k != j:
-                    mat[k, j] += val
-        return mat
+        # basis j is amp * cos(omega t + phase): constant first, then paired
+        # cosines and sines of increasing frequency; psi_j * psi_k integrates
+        # in closed form via product-to-sum
+        j = np.arange(n)
+        amp = np.where(j == 0, 1.0, math.sqrt(2.0))
+        omega = 2.0 * np.pi * ((j + 1) // 2)
+        phase = np.where((j > 0) & (j % 2 == 0), -0.5 * np.pi, 0.0)
+        rows, cols = np.triu_indices(n)
+        pair = (
+            0.5
+            * amp[rows]
+            * amp[cols]
+            * (
+                _cos_integrals(omega[rows] - omega[cols], phase[rows] - phase[cols], s)
+                + _cos_integrals(omega[rows] + omega[cols], phase[rows] + phase[cols], s)
+            )
+        )
+        sym = np.empty((n, n))
+        sym[rows, cols] = sym[cols, rows] = -2.0 * pair
+        # adding to the identity stores 0.0 + (-0.0) as +0.0 off the diagonal
+        return np.eye(n) + sym
     if kind == "b":
         mesh = FemMesh(n, bc=("dirichlet", "neumann"))
         h = mesh.h

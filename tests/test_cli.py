@@ -1,11 +1,15 @@
 import json
 import math
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from opdisc.cli import SOURCES, main, quant_report
+from opdisc import cli
+from opdisc.cli import SOURCES, main, quant_report, run_config
 from opdisc.monotone import ball_samples
 from opdisc.serialize import chain_from_spec, layer_from_spec, space_from_config
 
@@ -92,6 +96,42 @@ def write_config(tmp_path, experiments, name="config.json"):
     return path
 
 
+OTHER_CHAIN_SPEC = {**CHAIN_SPEC, "seed": 10, "num_blocks": 3}
+
+
+def _invert(name, chain, shift):
+    return {"name": name, "kind": "invert", "seed": 0, "chain": chain,
+            "y": (np.linspace(-0.3, 0.4, 6) + shift).tolist()}
+
+
+# six inversions over two chain specs, interleaved
+INVERT_BATCH = [
+    _invert(f"inv{i}", CHAIN_SPEC if i % 2 == 0 else OTHER_CHAIN_SPEC, 0.05 * i)
+    for i in range(6)
+]
+
+
+def _run_batch(experiments, out_dir, jobs=1):
+    return run_config({"schema": 1, "experiments": experiments}, out_dir, jobs, None)
+
+
+@pytest.fixture()
+def chain_builds(monkeypatch):
+    """Every chain spec ``cli`` builds, in call order."""
+    built = []
+    original = cli.chain_from_spec
+
+    def counted(spec):
+        built.append(json.dumps(spec, sort_keys=True))
+        # a slow build widens the window in which racing threads could both
+        # miss the memo
+        time.sleep(0.01)
+        return original(spec)
+
+    monkeypatch.setattr(cli, "chain_from_spec", counted)
+    return built
+
+
 class TestBatchMode:
     def test_runs_every_experiment(self, runner, tmp_path):
         cfg = write_config(
@@ -126,6 +166,16 @@ class TestBatchMode:
                 "n": 3,
                 "grid": 21,
             },
+            {
+                "name": "trig",
+                "kind": "nogo-galerkin",
+                "seed": 0,
+                "path_kind": "a",
+                "n": 5,
+                "grid": 21,
+            },
+            # two inversions sharing one chain spec
+            *INVERT_BATCH[:3:2],
         ]
         cfg = write_config(tmp_path, experiments)
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
@@ -136,11 +186,15 @@ class TestBatchMode:
             ).exit_code
             == 0
         )
-        for stem in ("iso", "gal"):
+        for stem in ("iso", "gal", "trig"):
             for ext in (".csv", ".json"):
                 assert (serial / f"{stem}{ext}").read_bytes() == (
                     parallel / f"{stem}{ext}"
                 ).read_bytes()
+        for stem in ("inv0", "inv2"):
+            assert (serial / f"{stem}.json").read_bytes() == (
+                parallel / f"{stem}.json"
+            ).read_bytes()
 
     def test_empty_experiment_list_is_a_quiet_success(self, runner, tmp_path):
         cfg = write_config(tmp_path, [])
@@ -260,6 +314,107 @@ class TestBatchMode:
         got = [row["alpha_hat"] for row in report["scan"]]
         assert got == pytest.approx(expected, rel=1e-12)
         assert report["pass"]
+
+
+class TestBuildMemo:
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_shared_chains_give_the_artifacts_of_lone_runs(self, tmp_path, jobs):
+        batch = tmp_path / "batch"
+        outcomes = _run_batch(INVERT_BATCH, batch, jobs)
+        assert [o["status"] for o in outcomes] == ["ok"] * 6
+        for exp in INVERT_BATCH:
+            alone = tmp_path / exp["name"]
+            assert _run_batch([exp], alone)[0]["status"] == "ok"
+            name = f"{exp['name']}.json"
+            assert (batch / name).read_bytes() == (alone / name).read_bytes()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_each_distinct_chain_is_built_once(self, tmp_path, chain_builds, jobs):
+        _run_batch(INVERT_BATCH, tmp_path, jobs)
+        assert sorted(chain_builds) == sorted(
+            json.dumps(spec, sort_keys=True) for spec in (CHAIN_SPEC, OTHER_CHAIN_SPEC)
+        )
+
+    def test_a_bad_chain_is_not_memoized(self, tmp_path, chain_builds):
+        bad = {"kind": "no_such_chain"}
+        outcomes = _run_batch(
+            [_invert("bad0", bad, 0.0), INVERT_BATCH[0], _invert("bad1", bad, 0.1)],
+            tmp_path,
+        )
+        assert [o["status"] for o in outcomes] == ["config-error", "ok", "config-error"]
+        assert outcomes[0]["error"] == outcomes[2]["error"]
+        assert "no_such_chain" in outcomes[0]["error"]
+        # both experiments naming the bad spec tried to build it
+        assert len(chain_builds) == 3
+
+    def test_racing_threads_build_each_chain_once(self, tmp_path, chain_builds):
+        batch = [
+            _invert(f"r{i}", CHAIN_SPEC if i % 2 == 0 else OTHER_CHAIN_SPEC, 0.01 * i)
+            for i in range(16)
+        ]
+        outcomes = []
+        worker = threading.Thread(
+            target=lambda: outcomes.extend(_run_batch(batch, tmp_path, jobs=4))
+        )
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            worker.start()
+            worker.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not worker.is_alive()
+        assert [o["status"] for o in outcomes] == ["ok"] * 16
+        assert len(chain_builds) == 2
+
+    def test_the_memo_lives_for_one_run(self, tmp_path, chain_builds):
+        _run_batch(INVERT_BATCH, tmp_path / "first")
+        _run_batch(INVERT_BATCH, tmp_path / "second")
+        assert len(chain_builds) == 4
+
+
+class TestNumericFields:
+    @pytest.mark.parametrize(
+        "key,value",
+        [("n", "x"), ("grid", "many"), ("bisect_tol", "tiny"), ("n", 5.7), ("grid", None)],
+    )
+    def test_a_bad_number_is_a_config_error(self, runner, tmp_path, key, value):
+        exp = {"name": "g", "kind": "nogo-galerkin", "seed": 0, "path_kind": "a",
+               "n": 3, "grid": 21, key: value}
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--config", str(write_config(tmp_path, [exp])),
+                                      "--out", str(out)])
+        assert result.exit_code == 1
+        assert "config-error" in result.output
+        outcome = _run_batch([exp], out)[0]
+        assert outcome["status"] == "config-error"
+        assert f"experiment 'g': {key} must be" in outcome["error"]
+        assert not (out / "failures.json").exists()
+        assert not (out / "g.csv").exists()
+
+    def test_a_non_numeric_tolerance_is_a_config_error(self, tmp_path):
+        exp = {**INVERT_BATCH[0], "tol": "tiny"}
+        outcome = _run_batch([exp], tmp_path)[0]
+        assert outcome["status"] == "config-error"
+        assert "tol must be a number, got 'tiny'" in outcome["error"]
+
+    def test_an_integral_float_counts_as_its_integer(self, tmp_path):
+        exp = {"name": "g", "kind": "nogo-galerkin", "seed": 0, "path_kind": "a",
+               "n": 5, "grid": 21}
+        as_int, as_float = tmp_path / "int", tmp_path / "float"
+        assert _run_batch([exp], as_int)[0]["status"] == "ok"
+        assert _run_batch([{**exp, "n": 5.0, "grid": 21.0}], as_float)[0]["status"] == "ok"
+        for ext in (".csv", ".json"):
+            assert (as_int / f"g{ext}").read_bytes() == (as_float / f"g{ext}").read_bytes()
+
+    def test_fractional_dims_are_refused(self, tmp_path):
+        exp = {"name": "d", "kind": "discretize-scan", "seed": 0,
+               "space": {"basis": "fourier", "ambient_dim": 8},
+               "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5},
+               "dims": [2, 4.5], "samples": 8}
+        outcome = _run_batch([exp], tmp_path)[0]
+        assert outcome["status"] == "config-error"
+        assert "dims must be integers" in outcome["error"]
 
 
 class TestSubcommands:

@@ -24,7 +24,7 @@ from opdisc.galerkin import (
     solve_semilinear,
     solve_semilinear_trace,
 )
-from opdisc.spectral import gauss_legendre_panels
+from opdisc.spectral import gauss_legendre_panels, unit_grid
 
 
 def sin_pi(t):
@@ -337,6 +337,38 @@ class TestFemConvergence:
         assert err == pytest.approx(2.0)
 
 
+def _trig_section_oracle(s: float, n: int) -> np.ndarray:
+    """Kind "a" entry by entry: I - 2 * integral of psi_j psi_k over [0, s],
+    with basis j written as amp * cos(omega t + phase) and each integral
+    taken by product-to-sum in scalar arithmetic."""
+    if s == 1.0:
+        return -np.eye(n)
+
+    def rep(j):
+        if j == 0:
+            return 1.0, 0.0, 0.0
+        omega = 2.0 * np.pi * ((j + 1) // 2)
+        return math.sqrt(2.0), omega, 0.0 if j % 2 == 1 else -0.5 * np.pi
+
+    def cos_integral(omega, phase):
+        if omega == 0.0:
+            return s * math.cos(phase)
+        return (math.sin(omega * s + phase) - math.sin(phase)) / omega
+
+    mat = np.eye(n)
+    for j in range(n):
+        for k in range(j, n):
+            cj, oj, pj = rep(j)
+            ck, ok, pk = rep(k)
+            pair = 0.5 * cj * ck * (
+                cos_integral(oj - ok, pj - pk) + cos_integral(oj + ok, pj + pk)
+            )
+            mat[j, k] += -2.0 * pair
+            if k != j:
+                mat[k, j] += -2.0 * pair
+    return mat
+
+
 class TestGalerkinPathMatrix:
     def test_single_constant_mode_closed_form(self):
         for s in (0.0, 0.2, 0.5, 0.77, 1.0):
@@ -377,6 +409,14 @@ class TestGalerkinPathMatrix:
             galerkin_path_matrix("a", 0.5, 0)
         with pytest.raises(ValueError, match="unknown path kind"):
             galerkin_path_matrix("c", 0.5, 3)
+
+    @pytest.mark.parametrize("n", [1, 3, 5, 11, 21])
+    def test_trig_section_matches_the_scalar_product_to_sum_oracle(self, n):
+        for s in [*unit_grid(101), 0.123456789, 1.0]:
+            mat = galerkin_path_matrix("a", float(s), n)
+            want = _trig_section_oracle(float(s), n)
+            assert np.array_equal(mat, want), s
+            assert np.array_equal(np.signbit(mat), np.signbit(want)), s
 
     @settings(max_examples=30, deadline=None)
     @given(s=st.floats(min_value=0.0, max_value=1.0))
