@@ -46,7 +46,10 @@ from .serialize import (
     canonical_json,
     chain_from_spec,
     check_keys,
+    float_field,
     head_from_spec,
+    int_field,
+    integral,
     layer_from_spec,
     load_json,
     read_envelope,
@@ -107,34 +110,12 @@ class _BuildMemo:
             return self._built[key]
 
 
-def _integral(value) -> int:
-    """``int(value)``, refusing a float with a fractional part."""
-    out = int(value)
-    if isinstance(value, float) and value != out:
-        raise ValueError(f"{value!r} is not integral")
-    return out
-
-
 def _int_field(exp: dict, key: str, default=None) -> int:
-    """``exp[key]`` (else ``default``) as an int; integral floats pass."""
-    value = exp.get(key, default)
-    try:
-        return _integral(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(
-            f"experiment {exp['name']!r}: {key} must be an integer, got {value!r}"
-        ) from err
+    return int_field(exp, key, f"experiment {exp['name']!r}", default)
 
 
 def _float_field(exp: dict, key: str, default=None) -> float:
-    """``exp[key]`` (else ``default``) as a float."""
-    value = exp.get(key, default)
-    try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(
-            f"experiment {exp['name']!r}: {key} must be a number, got {value!r}"
-        ) from err
+    return float_field(exp, key, f"experiment {exp['name']!r}", default)
 
 
 def _space_of(exp: dict, memo: _BuildMemo):
@@ -146,7 +127,7 @@ def _space_of(exp: dict, memo: _BuildMemo):
 def _check_dims(exp: dict, dims, ambient: int) -> list[int]:
     """Prefix dimensions must be a strictly ascending chain inside 1..ambient."""
     try:
-        out = [_integral(d) for d in dims]
+        out = [integral(d) for d in dims]
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"experiment {exp['name']!r}: dims must be integers") from err
     if not out:
@@ -390,7 +371,7 @@ def run_fem_solve(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     reaction = ConvexNonlinearity.named(g_name)
     source = SOURCES[g_name]
     try:
-        sizes = [_integral(c) for c in exp["mesh"]]
+        sizes = [integral(c) for c in exp["mesh"]]
     except (TypeError, ValueError, OverflowError) as err:
         raise ConfigError(f"experiment {exp['name']!r}: mesh must be integers") from err
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):

@@ -94,6 +94,22 @@ def _v_samples(
     return ball_samples(m, r, n, seed=seed, indices=sorted(v.indices))
 
 
+def _tail_error(fx: np.ndarray, d: int) -> float:
+    return float(np.max(np.linalg.norm(fx[:, d:], axis=1), initial=0.0))
+
+
+def _compression_error(fv: DiscretizedMap, xs: np.ndarray, fx: np.ndarray) -> float:
+    direct = fx.copy()
+    direct[:, fv.v.dim :] = 0.0
+    return float(np.max(np.linalg.norm(fv.eval_array(xs) - direct, axis=1), initial=0.0))
+
+
+def _probe_error(fx: np.ndarray, d: int, probes: np.ndarray) -> float:
+    defect = fx.copy()
+    defect[:, :d] = 0.0  # f_V(x) − f(x) = −(Id − P_V) f(x)
+    return float(np.max(np.abs(defect @ probes.T), initial=0.0))
+
+
 def functor_a_error(
     f,
     v: Subspace,
@@ -106,8 +122,7 @@ def functor_a_error(
     """Worst range tail over ball samples in V: max ‖(Id − P_V) f(x)‖."""
     m = _resolve_dim(f, dim)
     xs = _v_samples(m, v, r, n, seed, samples)
-    tails = eval_map(f, xs)[:, v.dim :]
-    return float(np.max(np.linalg.norm(tails, axis=1), initial=0.0))
+    return _tail_error(eval_map(f, xs), v.dim)
 
 
 def epsilon_error(
@@ -127,9 +142,7 @@ def epsilon_error(
     m = _resolve_dim(f, dim)
     fv = linearize(f, v, dim=m)
     xs = _v_samples(m, v, r, n, seed, samples)
-    direct = eval_map(f, xs).copy()
-    direct[:, v.dim :] = 0.0
-    return float(np.max(np.linalg.norm(fv.eval_array(xs) - direct, axis=1), initial=0.0))
+    return _compression_error(fv, xs, eval_map(f, xs))
 
 
 def weak_error(
@@ -155,9 +168,7 @@ def weak_error(
         if np.linalg.norm(p) == 0.0:
             raise ValueError("probes must be nonzero")
     xs = _v_samples(m, v, r, n, seed, samples)
-    defect = eval_map(f, xs).copy()
-    defect[:, : v.dim] = 0.0  # f_V(x) − f(x) = −(Id − P_V) f(x)
-    return float(np.max(np.abs(defect @ np.stack(parr).T), initial=0.0))
+    return _probe_error(eval_map(f, xs), v.dim, np.stack(parr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -215,7 +226,9 @@ def convergence_scan(
 
     One sample set, drawn in the ball of the smallest prefix, feeds the
     error columns at every dim, so nested-projection monotonicity holds
-    exactly for what is reported.  The alpha column is the sampled
+    exactly for what is reported.  f is evaluated on it once; only the
+    compressed side of the epsilon column evaluates again, per dim, so
+    that column stays an observation.  The alpha column is the sampled
     monotonicity constant of the compressed map over its own subspace.
     The weak column tests against the first basis direction outside V.
     """
@@ -228,25 +241,22 @@ def convergence_scan(
     if dims[0] < 1 or dims[-1] > m:
         raise ValueError(f"dims must lie in 1..{m}")
     common = ball_samples(m, r, n, seed=seed, indices=list(range(dims[0])))
+    f_common = eval_map(f, common)
     rows = []
     for d in dims:
-        v = Subspace.prefix(d)
-        fa = functor_a_error(f, v, dim=m, samples=common)
-        eps = epsilon_error(f, v, dim=m, samples=common)
+        fv = linearize(f, Subspace.prefix(d), dim=m)
         if d < m:
-            probe = np.zeros(m)
-            probe[d] = 1.0
-            weak = weak_error(f, v, [probe], dim=m, samples=common)
+            probe = np.zeros((1, m))
+            probe[0, d] = 1.0
+            weak = _probe_error(f_common, d, probe)
         else:
             weak = 0.0
-        alpha = pairwise_alpha(
-            linearize(f, v, dim=m), r=r, n=n, seed=seed, dim=m, subspace=v
-        ).alpha
+        alpha = pairwise_alpha(fv, r=r, n=n, seed=seed, dim=m, subspace=fv.v).alpha
         rows.append(
             {
                 "dim": d,
-                "functor_a_error": fa,
-                "epsilon_error": eps,
+                "functor_a_error": _tail_error(f_common, d),
+                "epsilon_error": _compression_error(fv, common, f_common),
                 "weak_error": weak,
                 "alpha_hat": alpha,
             }

@@ -14,6 +14,7 @@ target spectral bounds; nothing here is trained.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -57,7 +58,10 @@ class CoordinateNetwork:
 
     ``stage_norms`` holds each weight matrix's exact spectral norm, the root
     of its Gram matrix's top eigenvalue (:func:`~opdisc.operators.spectral_norm`),
-    computed once per stage at construction; :meth:`ball_bound` and the chain
+    computed once per stage at construction; :meth:`seeded` instead reuses
+    the norm of each raw draw times its rescaling factor, rounded up by one
+    ulp, which agrees with a fresh decomposition of the stored weights to
+    rounding (relative 1e-14).  :meth:`ball_bound` and the chain
     certificates read them instead of decomposing again.  ``spectral_bound``
     is their product times the activation's global Lipschitz constant per
     hidden junction — an upper bound on the network's Lipschitz constant
@@ -74,6 +78,11 @@ class CoordinateNetwork:
     spectral_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
+        self._freeze(None)
+
+    def _freeze(self, norms: tuple | None) -> None:
+        """Validate and freeze the parameters, then derive the bounds from
+        ``norms`` (decomposing each stage when None)."""
         ws = tuple(np.array(w, dtype=float) for w in self.weights)
         bs = tuple(np.array(b, dtype=float).reshape(-1) for b in self.biases)
         if not ws or len(ws) != len(bs):
@@ -89,7 +98,8 @@ class CoordinateNetwork:
             b.flags.writeable = False
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "biases", bs)
-        norms = tuple(spectral_norm(w) for w in ws)
+        if norms is None:
+            norms = tuple(spectral_norm(w) for w in ws)
         act = self.activation.lipschitz
         bound = float(np.prod(norms)) * act ** (len(ws) - 1)
         object.__setattr__(self, "stage_norms", norms)
@@ -162,7 +172,7 @@ class CoordinateNetwork:
         act = activation if activation is not None else CoordinateActivation.leaky_relu(0.2)
         widths = [n_in] + list(hidden if hidden is not None else (4 * n_in, 4 * n_in)) + [n_out]
         rng = np.random.default_rng(seed)
-        ws, bs = [], []
+        ws, bs, norms = [], [], []
         n_stages = len(widths) - 1
         act_lip = act.lipschitz if np.isfinite(act.lipschitz) else 1.0
         stage_scale = (
@@ -176,11 +186,22 @@ class CoordinateNetwork:
             if target_bound == 0.0:
                 w = np.zeros_like(w)
                 b = np.zeros_like(b)
+                norms.append(0.0)
             else:
-                w *= stage_scale / spectral_norm(w)
+                raw = spectral_norm(w)
+                factor = stage_scale / raw
+                w *= factor
+                # rounded up, so the product's rounding never lowers a bound
+                norms.append(math.nextafter(raw * factor, math.inf))
             ws.append(w)
             bs.append(b)
-        return cls(tuple(ws), tuple(bs), act)
+        # one decomposition per stage: the raw draw's, carried over the rescaling
+        net = cls.__new__(cls)
+        object.__setattr__(net, "weights", tuple(ws))
+        object.__setattr__(net, "biases", tuple(bs))
+        object.__setattr__(net, "activation", act)
+        net._freeze(tuple(norms))
+        return net
 
     def __repr__(self) -> str:
         return (

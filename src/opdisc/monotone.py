@@ -155,20 +155,41 @@ def ball_samples(
     return out
 
 
+# entries of one chunk's (pairs, m) difference block: 256 KB of float64
+_CHUNK_ENTRIES = 1 << 15
+
+
 def _pair_quotients(xs: np.ndarray, ys: np.ndarray):
+    """Per-pair scalars over the non-degenerate sample pairs i < j.
+
+    Returns ``(i, j, dist2, dydx, dydy)``: |Δx|², <Δy, Δx> and |Δy|² of
+    each kept pair, in ``triu_indices`` order.  The pairs are walked in
+    chunks of about ``_CHUNK_ENTRIES / m`` so that no (pairs, m) difference
+    array larger than one chunk is ever held; each pair's row reductions
+    are the ones a single full gather would do, so the scalars are the same
+    to the bit.
+    """
     i, j = np.triu_indices(xs.shape[0], k=1)
-    dx = xs[i] - xs[j]
-    dy = ys[i] - ys[j]
-    dist2 = np.einsum("ij,ij->i", dx, dx)
+    dist2 = np.empty(i.size)
+    dydx = np.empty(i.size)
+    dydy = np.empty(i.size)
+    step = max(1, _CHUNK_ENTRIES // max(1, xs.shape[1]))
+    for lo in range(0, i.size, step):
+        ci, cj = i[lo : lo + step], j[lo : lo + step]
+        dx = xs[ci] - xs[cj]
+        dy = ys[ci] - ys[cj]
+        dist2[lo : lo + step] = np.einsum("ij,ij->i", dx, dx)
+        dydx[lo : lo + step] = np.einsum("ij,ij->i", dy, dx)
+        dydy[lo : lo + step] = np.einsum("ij,ij->i", dy, dy)
     ok = dist2 >= 1e-24  # degenerate pairs are skipped
-    return i[ok], j[ok], dx[ok], dy[ok], dist2[ok]
+    return i[ok], j[ok], dist2[ok], dydx[ok], dydy[ok]
 
 
 def _sup_quotient(xs: np.ndarray, ys: np.ndarray) -> float:
     """max over sample pairs of |Δy| / |Δx| — a sampled Lipschitz constant
     (0 when every pair is degenerate)."""
-    _, _, _, dy, dist2 = _pair_quotients(xs, ys)
-    return float(np.sqrt(np.max(np.einsum("ij,ij->i", dy, dy) / dist2, initial=0.0)))
+    _, _, dist2, _, dydy = _pair_quotients(xs, ys)
+    return float(np.sqrt(np.max(dydy / dist2, initial=0.0)))
 
 
 def pairwise_alpha(
@@ -183,7 +204,9 @@ def pairwise_alpha(
 
     The reported alpha is the minimum pair quotient
     <f(x1)-f(x2), x1-x2> / |x1-x2|^2, an upper bound for the true constant
-    on that ball; the minimizing pair is recorded.
+    on that ball; the minimizing pair is recorded.  The n(n-1)/2 pairs are
+    reduced in chunks of about 2^15 / m, so memory stays near one 256 KB
+    chunk whatever n is.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -191,10 +214,10 @@ def pairwise_alpha(
     idx = sorted(subspace.indices) if subspace is not None else None
     xs = ball_samples(m, r, n, seed=seed, indices=idx)
     ys = eval_map(f, xs)
-    i, j, dx, dy, dist2 = _pair_quotients(xs, ys)
-    if dx.shape[0] == 0:
+    i, j, dist2, dydx, _ = _pair_quotients(xs, ys)
+    if dist2.size == 0:
         raise ValueError("all sampled pairs were degenerate")
-    quo = np.einsum("ij,ij->i", dy, dx) / dist2
+    quo = dydx / dist2
     k = int(np.argmin(quo))
     alpha = float(quo[k])
     return MonotonicityCertificate(
@@ -308,10 +331,10 @@ def bilipschitz_estimate(
     idx = sorted(subspace.indices) if subspace is not None else None
     xs = ball_samples(m, r, n, seed=seed, indices=idx)
     ys = eval_map(f, xs)
-    _, _, dx, dy, dist2 = _pair_quotients(xs, ys)
-    if dx.shape[0] == 0:
+    _, _, dist2, _, dydy = _pair_quotients(xs, ys)
+    if dist2.size == 0:
         raise ValueError("all sampled pairs were degenerate")
-    quo = np.sqrt(np.einsum("ij,ij->i", dy, dy) / dist2)
+    quo = np.sqrt(dydy / dist2)
     return BilipschitzEstimate(
         c_lower=float(np.min(quo)),
         c_upper=float(np.max(quo)),

@@ -20,6 +20,7 @@ import numpy as np
 
 from .layers import (
     _ACTIVATIONS,
+    _LAYER_SPEC_KEYS,
     AffineNonlinearity,
     CoordinateNetNonlinearity,
     CoordinateNetwork,
@@ -44,6 +45,9 @@ __all__ = [
     "canonical_json",
     "blob_hash",
     "check_keys",
+    "integral",
+    "int_field",
+    "float_field",
     "space_from_config",
     "operator_from_spec",
     "network_from_spec",
@@ -75,6 +79,60 @@ def check_keys(d: dict, where: str, required: set, optional: set = frozenset()):
     unknown = set(d) - required - set(optional)
     if unknown:
         raise SpecError(f"{where}: unknown keys {sorted(unknown)}")
+
+
+def integral(value) -> int:
+    """``int(value)``, refusing a float with a fractional part."""
+    out = int(value)
+    if isinstance(value, float) and value != out:
+        raise ValueError(f"{value!r} is not integral")
+    return out
+
+
+def int_field(d: dict, key: str, where: str, default=None) -> int:
+    """``d[key]`` (else ``default``) as an int; integral floats pass."""
+    value = d.get(key, default)
+    try:
+        return integral(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise SpecError(f"{where}: {key} must be an integer, got {value!r}") from err
+
+
+def float_field(d: dict, key: str, where: str, default=None) -> float:
+    """``d[key]`` (else ``default``) as a float."""
+    value = d.get(key, default)
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as err:
+        raise SpecError(f"{where}: {key} must be a number, got {value!r}") from err
+
+
+def _optional_float(d: dict, key: str, where: str) -> float | None:
+    return None if d.get(key) is None else float_field(d, key, where)
+
+
+def _int_list(d: dict, key: str, where: str) -> list[int] | None:
+    """``d[key]`` as a list of ints, or None when absent."""
+    value = d.get(key)
+    if value is None:
+        return None
+    try:
+        return [integral(v) for v in value]
+    except (TypeError, ValueError, OverflowError) as err:
+        raise SpecError(f"{where}: {key} must be a list of integers, got {value!r}") from err
+
+
+def _array(value, where: str, key: str) -> np.ndarray:
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as err:
+        raise SpecError(f"{where}: {key} must hold numbers ({err})") from err
+
+
+def _arrays(d: dict, key: str, where: str) -> tuple:
+    if not isinstance(d[key], list):
+        raise SpecError(f"{where}: {key} must be a list")
+    return tuple(_array(v, where, key) for v in d[key])
 
 
 def canonical(obj):
@@ -109,10 +167,11 @@ def blob_hash(obj) -> str:
 
 def space_from_config(d: dict) -> Space:
     check_keys(d, "space", {"basis", "ambient_dim"}, {"quadrature"})
+    dim = int_field(d, "ambient_dim", "space")
     spec = BasisSpec(
         kind=d["basis"],
-        ambient_dim=int(d["ambient_dim"]),
-        quadrature_panels=int(d.get("quadrature", 4 * int(d["ambient_dim"]))),
+        ambient_dim=dim,
+        quadrature_panels=int_field(d, "quadrature", "space", 4 * dim),
     )
     return Space(spec)
 
@@ -129,8 +188,15 @@ def _activation_from_name(name: str):
     if arg:
         if bare != "leaky_relu":
             raise SpecError(f"activation {bare!r} takes no parameter, got {name!r}")
-        return CoordinateActivation.leaky_relu(float(arg.rstrip(")")))
+        return CoordinateActivation.leaky_relu(_activation_parameter(name, arg))
     return _ACTIVATIONS[bare]()
+
+
+def _activation_parameter(name: str, arg: str) -> float:
+    try:
+        return float(arg.rstrip(")"))
+    except ValueError as err:
+        raise SpecError(f"activation {name!r}: the parameter must be a number") from err
 
 
 def _pointwise_from_name(name: str) -> PointwiseActivation:
@@ -145,7 +211,7 @@ def _pointwise_from_name(name: str) -> PointwiseActivation:
     if bare not in table:
         raise SpecError(f"unknown pointwise activation {name!r}; know {sorted(table)}")
     if arg:
-        return table[bare](float(arg.rstrip(")")))
+        return table[bare](_activation_parameter(name, arg))
     return table[bare]()
 
 
@@ -169,12 +235,12 @@ def operator_from_spec(d: dict, ambient_dim: int | None = None) -> FiniteRankOpe
         check_keys(
             d, "operator", {"kind", "omegas"}, {"psi", "phi", "psi_seed", "phi_seed"}
         )
-        omegas = np.asarray(d["omegas"], dtype=float)
+        omegas = _array(d["omegas"], "operator", "omegas")
         rank = omegas.size
 
         def frame(which: str) -> np.ndarray:
             if which in d:
-                return np.asarray(d[which], dtype=float)
+                return _array(d[which], "operator", which)
             seed_key = f"{which}_seed"
             if seed_key not in d:
                 raise SpecError(f"operator: need either {which!r} or {seed_key!r}")
@@ -182,7 +248,7 @@ def operator_from_spec(d: dict, ambient_dim: int | None = None) -> FiniteRankOpe
                 raise SpecError(
                     f"operator: {seed_key!r} needs an ambient dimension from the space"
                 )
-            return _seeded_frame(ambient_dim, rank, int(d[seed_key]))
+            return _seeded_frame(ambient_dim, rank, int_field(d, seed_key, "operator"))
 
         return FiniteRankOperator(omegas, frame("psi"), frame("phi"))
     if kind == "seeded_finite_rank":
@@ -192,15 +258,15 @@ def operator_from_spec(d: dict, ambient_dim: int | None = None) -> FiniteRankOpe
             {"kind", "rank", "seed"},
             {"dim", "scale", "decay", "psi_prefix", "phi_prefix"},
         )
-        dim = int(d.get("dim", ambient_dim or 0))
+        dim = int_field(d, "dim", "operator", ambient_dim or 0)
         if dim <= 0:
             raise SpecError("operator: seeded_finite_rank needs a dimension")
         return FiniteRankOperator.seeded(
             dim,
-            int(d["rank"]),
-            scale=float(d.get("scale", 1.0)),
-            decay=float(d.get("decay", 1.0)),
-            seed=int(d["seed"]),
+            int_field(d, "rank", "operator"),
+            scale=float_field(d, "scale", "operator", 1.0),
+            decay=float_field(d, "decay", "operator", 1.0),
+            seed=int_field(d, "seed", "operator"),
             psi_prefix=bool(d.get("psi_prefix", False)),
             phi_prefix=bool(d.get("phi_prefix", False)),
         )
@@ -215,9 +281,11 @@ def network_from_spec(d: dict) -> CoordinateNetwork:
     kind = _require_object(d, "network").get("kind")
     if kind == "coordinate_network":
         check_keys(d, "network", {"kind", "weights", "biases", "activation"})
-        weights = tuple(np.asarray(w, dtype=float) for w in d["weights"])
-        biases = tuple(np.asarray(b, dtype=float) for b in d["biases"])
-        return CoordinateNetwork(weights, biases, _activation_from_name(d["activation"]))
+        return CoordinateNetwork(
+            _arrays(d, "weights", "network"),
+            _arrays(d, "biases", "network"),
+            _activation_from_name(d["activation"]),
+        )
     if kind == "seeded_coordinate_network":
         check_keys(
             d,
@@ -227,13 +295,13 @@ def network_from_spec(d: dict) -> CoordinateNetwork:
         )
         act = d.get("activation")
         return CoordinateNetwork.seeded(
-            int(d["n_in"]),
-            int(d["n_out"]),
-            hidden=d.get("hidden"),
+            int_field(d, "n_in", "network"),
+            int_field(d, "n_out", "network"),
+            hidden=_int_list(d, "hidden", "network"),
             activation=None if act is None else _activation_from_name(act),
-            target_bound=float(d.get("target_bound", 1.0)),
-            bias_scale=float(d.get("bias_scale", 0.0)),
-            seed=int(d["seed"]),
+            target_bound=float_field(d, "target_bound", "network", 1.0),
+            bias_scale=float_field(d, "bias_scale", "network", 0.0),
+            seed=int_field(d, "seed", "network"),
         )
     raise SpecError(f"unknown network kind {kind!r}")
 
@@ -250,12 +318,13 @@ def nonlinearity_from_spec(d: dict, space: Space | None = None):
     if kind == "affine":
         check_keys(d, "nonlinearity", {"kind", "matrix", "bias"})
         return AffineNonlinearity(
-            np.asarray(d["matrix"], dtype=float), np.asarray(d["bias"], dtype=float)
+            _array(d["matrix"], "nonlinearity", "matrix"),
+            _array(d["bias"], "nonlinearity", "bias"),
         )
     if kind == "coordinate_net":
         check_keys(d, "nonlinearity", {"kind", "net", "ambient_dim"})
         return CoordinateNetNonlinearity(
-            network_from_spec(d["net"]), int(d["ambient_dim"])
+            network_from_spec(d["net"]), int_field(d, "ambient_dim", "nonlinearity")
         )
     if kind == "nemytskii":
         check_keys(d, "nonlinearity", {"kind", "activation"})
@@ -278,10 +347,25 @@ def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
     if kind == "seeded_layer":
         if space is None:
             raise SpecError("layer: a seeded layer needs the space")
-        body = {k: v for k, v in d.items() if k not in ("kind", "seed")}
         if "seed" not in d:
             raise SpecError("layer: a seeded layer needs an explicit seed")
-        return make_layer(space, body, seed=int(d["seed"]))
+        body = {k: v for k, v in d.items() if k not in ("kind", "seed")}
+        unknown = set(body) - _LAYER_SPEC_KEYS
+        if unknown:
+            raise SpecError(f"layer: unknown layer spec keys {sorted(unknown)}")
+        for key in ("rank", "net_dim"):
+            if key in body:
+                body[key] = int_field(body, key, "layer")
+        for key in ("decay", "lip_g", "norm_in", "norm_out", "bias_scale"):
+            if key in body:
+                body[key] = float_field(body, key, "layer")
+        if "hidden" in body:
+            body["hidden"] = _int_list(body, "hidden", "layer")
+        if body.get("activation", "leaky_relu") not in _ACTIVATIONS:
+            raise SpecError(
+                f"layer: unknown activation {body['activation']!r}; know {sorted(_ACTIVATIONS)}"
+            )
+        return make_layer(space, body, seed=int_field(d, "seed", "layer"))
     raise SpecError(f"unknown layer kind {kind!r}")
 
 
@@ -293,14 +377,18 @@ def chain_from_spec(d: dict):
     kind = _require_object(d, "chain").get("kind")
     if kind == "residual_chain":
         check_keys(d, "chain", {"kind", "ambient_dim", "prefix_n", "blocks"})
+        if not isinstance(d["blocks"], list):
+            raise SpecError("chain: blocks must be a list")
         blocks = tuple(network_from_spec(b) for b in d["blocks"])
-        return ResidualChain(int(d["ambient_dim"]), int(d["prefix_n"]), blocks)
+        return ResidualChain(
+            int_field(d, "ambient_dim", "chain"), int_field(d, "prefix_n", "chain"), blocks
+        )
     if kind == "invertible_residual_chain":
         check_keys(d, "chain", {"kind", "delta", "chain"}, {"ball_radius"})
-        inner = chain_from_spec(d["chain"])
-        ball = d.get("ball_radius")
         return InvertibleResidualChain(
-            inner, float(d["delta"]), ball_radius=None if ball is None else float(ball)
+            chain_from_spec(d["chain"]),
+            float_field(d, "delta", "chain"),
+            ball_radius=_optional_float(d, "ball_radius", "chain"),
         )
     if kind == "seeded_chain":
         check_keys(
@@ -310,23 +398,24 @@ def chain_from_spec(d: dict):
             {"prefix_n", "delta", "block_bound", "activation", "hidden", "bias_scale", "ball_radius"},
         )
         act = d.get("activation")
-        delta = d.get("delta")
-        bound = float(d.get("block_bound", delta if delta is not None else 0.5))
+        delta = _optional_float(d, "delta", "chain")
+        dim = int_field(d, "ambient_dim", "chain")
         chain = ResidualChain.seeded(
-            int(d["ambient_dim"]),
-            int(d.get("prefix_n", d["ambient_dim"])),
-            int(d["num_blocks"]),
-            block_bound=bound,
+            dim,
+            int_field(d, "prefix_n", "chain", dim),
+            int_field(d, "num_blocks", "chain"),
+            block_bound=float_field(
+                d, "block_bound", "chain", delta if delta is not None else 0.5
+            ),
             activation=None if act is None else _activation_from_name(act),
-            hidden=d.get("hidden"),
-            bias_scale=float(d.get("bias_scale", 0.3)),
-            seed=int(d["seed"]),
+            hidden=_int_list(d, "hidden", "chain"),
+            bias_scale=float_field(d, "bias_scale", "chain", 0.3),
+            seed=int_field(d, "seed", "chain"),
         )
         if delta is None:
             return chain
-        ball = d.get("ball_radius")
         return InvertibleResidualChain(
-            chain, float(delta), ball_radius=None if ball is None else float(ball)
+            chain, delta, ball_radius=_optional_float(d, "ball_radius", "chain")
         )
     raise SpecError(f"unknown chain kind {kind!r}")
 
@@ -350,12 +439,12 @@ def head_from_spec(d: dict, dim: int | None = None):
                     f"head: 'e' must be a flat list of {want}finite numbers "
                     f"of unit length ({err})"
                 ) from err
-        n = d.get("axis_dim", dim)
-        if n is None:
+        if d.get("axis_dim", dim) is None:
             raise SpecError("head: a reflection needs 'e' or 'axis_dim'")
-        if dim is not None and int(n) != dim:
+        n = int_field(d, "axis_dim", "head", dim)
+        if dim is not None and n != dim:
             raise SpecError(f"head: axis_dim {n} does not match the dimension {dim}")
-        return Reflection.first_axis(int(n))
+        return Reflection.first_axis(n)
     raise SpecError(f"unknown head kind {kind!r}")
 
 

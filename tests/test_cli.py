@@ -90,6 +90,42 @@ NON_OBJECT_SPECS = {
 }
 
 
+_SEEDED_CHAIN = {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 3, "seed": 51,
+                 "delta": 0.5}
+
+
+def _bad_number_spec(reader: str, value):
+    """One experiment whose ``reader`` spec carries ``value`` where a count
+    belongs."""
+    if reader == "space":
+        return {**_bad_monotone_check({"kind": "seeded_layer", "seed": 3, "lip_g": 0.5}),
+                "space": {"basis": "fourier", "ambient_dim": value}}
+    if reader == "operator":
+        return _bad_monotone_check({"kind": "layer", "out_op": _OPERATOR,
+                                    "in_op": {**_OPERATOR, "rank": value},
+                                    "nonlin": {"kind": "zero"}})
+    if reader == "network":
+        net = {"kind": "seeded_coordinate_network", "n_in": 4, "n_out": 4, "seed": value,
+               "target_bound": 0.5}
+        return _bad_invert({"kind": "residual_chain", "ambient_dim": 4, "prefix_n": 4,
+                            "blocks": [net]})
+    if reader == "nonlinearity":
+        net = {"kind": "seeded_coordinate_network", "n_in": 4, "n_out": 4, "seed": 1}
+        return _bad_monotone_check(
+            {"kind": "layer", "in_op": _OPERATOR, "out_op": _OPERATOR,
+             "nonlin": {"kind": "coordinate_net", "net": net, "ambient_dim": value}}
+        )
+    if reader == "layer":
+        return _bad_monotone_check({"kind": "seeded_layer", "seed": 3, "rank": value})
+    if reader == "chain":
+        return _bad_invert({**_SEEDED_CHAIN, "num_blocks": value})
+    assert reader == "head"
+    return _bad_invert(_SEEDED_CHAIN, {"kind": "reflection", "axis_dim": value})
+
+
+BAD_NUMBER_READERS = ("space", "operator", "network", "nonlinearity", "layer", "chain", "head")
+
+
 def write_config(tmp_path, experiments, name="config.json"):
     path = tmp_path / name
     path.write_text(json.dumps({"schema": 1, "experiments": experiments}))
@@ -685,6 +721,30 @@ class TestSubcommands:
         assert lines[0][0] == "config-error" and lines[0][-1] == "bad"
         assert lines[1] == ["ok", "nogo-isotopy", "after"]
         assert (out / "after.json").exists()
+
+    @pytest.mark.parametrize("value", ["eight", 2.7], ids=["string", "fractional"])
+    @pytest.mark.parametrize("reader", BAD_NUMBER_READERS)
+    def test_a_bad_spec_number_is_a_config_error(self, runner, tmp_path, reader, value):
+        # a string count used to end as a failed run (exit 2) and a
+        # fractional one was truncated without a word
+        after = {"name": "after", "kind": "nogo-isotopy", "seed": 0, "m": 3, "grid": 11}
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, [_bad_number_spec(reader, value), after])
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        lines = [line.split() for line in result.output.splitlines()]
+        assert lines[0][0] == "config-error" and lines[0][-1] == "bad"
+        assert lines[1] == ["ok", "nogo-isotopy", "after"]
+        assert not (out / "failures.json").exists()
+        assert not (out / "bad.json").exists()
+        outcome = _run_batch([_bad_number_spec(reader, value)], tmp_path / "direct")[0]
+        assert f"must be an integer, got {value!r}" in outcome["error"]
+
+    def test_the_bad_number_specs_are_valid_with_a_count(self, tmp_path):
+        outcomes = _run_batch(
+            [{**_bad_number_spec(r, 4), "name": r} for r in BAD_NUMBER_READERS], tmp_path
+        )
+        assert [o["status"] for o in outcomes] == ["ok"] * len(BAD_NUMBER_READERS)
 
     def test_quant_report_artifacts(self, runner, tmp_path, layer_file):
         out = tmp_path / "out"

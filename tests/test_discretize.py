@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from opdisc import discretize
 from opdisc.discretize import (
     ConvergenceReport,
     DiscretizedMap,
@@ -160,6 +161,43 @@ class TestConvergenceScan:
             assert int(cells[0]) == row["dim"]
             assert float(cells[1]) == row["functor_a_error"]
             assert float(cells[4]) == row["alpha_hat"]
+
+    def test_shared_samples_are_evaluated_once(self, space16, monkeypatch):
+        """The error columns of every dim read one evaluation of f on the
+        shared samples and equal the standalone helpers bit for bit."""
+        layer = make_layer(space16, lip_g=0.5, seed=23)
+        batches = []
+
+        class Counted:
+            dim = 16
+
+            def eval_array(self, x):
+                batches.append(x)
+                return layer.eval_array(x)
+
+        drawn = []
+
+        def recorded(*args, **kwargs):
+            drawn.append(ball_samples(*args, **kwargs))
+            return drawn[-1]
+
+        monkeypatch.setattr(discretize, "ball_samples", recorded)
+        dims, n = [2, 3, 5, 9, 16], 48
+        report = convergence_scan(Counted(), dims, n=n, seed=7)
+        common = drawn[0]
+        assert sum(x is common for x in batches) == 1
+        # beyond that one: per dim, the compression's 4-sample self-check
+        # (both sides), the compressed side of epsilon and alpha's samples
+        assert sum(len(x) for x in batches) == n + len(dims) * (8 + 2 * n)
+        for row, d in zip(report.rows, dims):
+            v = Subspace.prefix(d)
+            assert row["functor_a_error"] == functor_a_error(layer, v, samples=common)
+            assert row["epsilon_error"] == epsilon_error(layer, v, samples=common)
+            if d < 16:
+                probe = np.eye(16)[d]
+                assert row["weak_error"] == weak_error(layer, v, [probe], samples=common)
+            else:
+                assert row["weak_error"] == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="ascending"):

@@ -1,10 +1,14 @@
 """Monotonicity certificates: sampled estimates, structural proofs, scans."""
 
+import tracemalloc
+from unittest.mock import patch
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opdisc import monotone
 from opdisc.layers import NeuralOperatorLayer, ZeroNonlinearity, eval_map, make_layer
 from opdisc.monotone import (
     BilipschitzEstimate,
@@ -292,3 +296,99 @@ class TestInvariants:
         norms = np.linalg.norm(xs, axis=1)
         assert np.all(norms <= 2.5 + 1e-12)
         assert np.all(xs[:, [2, 3, 5, 6, 7, 8, 9]] == 0.0)
+
+
+def _full_gather_pairs(xs, ys):
+    """The pair-quotient kernel as one full gather over every pair: the
+    reference the chunked kernel must reproduce bit for bit."""
+    i, j = np.triu_indices(xs.shape[0], k=1)
+    dx = xs[i] - xs[j]
+    dy = ys[i] - ys[j]
+    dist2 = np.einsum("ij,ij->i", dx, dx)
+    ok = dist2 >= 1e-24
+    return i[ok], j[ok], dx[ok], dy[ok], dist2[ok]
+
+
+def _mid_row_boundary(n: int, step: int) -> bool:
+    """Whether some chunk boundary of ``step`` pairs splits a row of the
+    upper-triangle pair order."""
+    row_starts = set(np.cumsum([0] + list(range(n - 1, 0, -1))).tolist())
+    return any(lo not in row_starts for lo in range(step, n * (n - 1) // 2, step))
+
+
+class TestPairQuotientKernel:
+    """The chunked kernel keeps only per-pair scalars and matches the full
+    gather exactly, so every sampled estimate is unchanged."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=200),
+        m=st.integers(min_value=1, max_value=300),
+        step=st.integers(min_value=1, max_value=64),
+        dups=st.integers(min_value=0, max_value=5),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_chunks_match_the_full_gather(self, n, m, step, dups, seed):
+        rng = np.random.default_rng(seed)
+        xs = rng.standard_normal((n, m))
+        ys = np.tanh(xs) + 0.1 * rng.standard_normal((n, m))
+        for _ in range(dups):  # duplicate rows make degenerate pairs
+            a, b = rng.integers(0, n, size=2)
+            xs[a] = xs[b]
+        ri, rj, dx, dy, rdist2 = _full_gather_pairs(xs, ys)
+        for entries in (monotone._CHUNK_ENTRIES, step * m):
+            if entries == step * m and not _mid_row_boundary(n, step):
+                continue
+            with patch.object(monotone, "_CHUNK_ENTRIES", entries):
+                i, j, dist2, dydx, dydy = monotone._pair_quotients(xs, ys)
+                sup = monotone._sup_quotient(xs, ys)
+            assert np.array_equal(i, ri) and np.array_equal(j, rj)
+            assert np.array_equal(dist2, rdist2)
+            assert np.array_equal(dydx, np.einsum("ij,ij->i", dy, dx))
+            assert np.array_equal(dydy, np.einsum("ij,ij->i", dy, dy))
+            ref_sup = np.max(np.einsum("ij,ij->i", dy, dy) / rdist2, initial=0.0)
+            assert sup == float(np.sqrt(ref_sup))
+
+    def test_chunk_boundaries_fall_mid_row(self):
+        """The default chunk at m = 256 is 128 pairs, which splits rows of
+        the 128-sample pair order."""
+        assert _mid_row_boundary(128, monotone._CHUNK_ENTRIES // 256)
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=200),
+        m=st.integers(min_value=1, max_value=300),
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+    )
+    def test_estimates_match_the_full_gather(self, n, m, seed):
+        a = np.random.default_rng(seed).standard_normal((m, m)) / (2.0 * np.sqrt(m))
+
+        def f(x):
+            return x + 0.5 * np.tanh(x @ a.T)
+
+        xs = ball_samples(m, 1.5, n, seed=seed)
+        i, j, dx, dy, dist2 = _full_gather_pairs(xs, eval_map(f, xs))
+        quo = np.einsum("ij,ij->i", dy, dx) / dist2
+        k = int(np.argmin(quo))
+        cert = pairwise_alpha(f, r=1.5, n=n, seed=seed, dim=m)
+        assert cert.alpha == float(quo[k])
+        assert np.array_equal(cert.minimizing_pair[0], xs[i[k]])
+        assert np.array_equal(cert.minimizing_pair[1], xs[j[k]])
+        dist = np.sqrt(np.einsum("ij,ij->i", dy, dy) / dist2)
+        est = bilipschitz_estimate(f, r=1.5, n=n, seed=seed, dim=m)
+        assert est.c_lower == float(np.min(dist))
+        assert est.c_upper == float(np.max(dist))
+
+    def test_peak_memory_is_one_chunk(self):
+        """At 128 samples of dimension 256 the full gather peaks at 64 MB;
+        the chunked kernel stays near one 256 KB chunk plus the scalars."""
+        rng = np.random.default_rng(0)
+        xs = rng.standard_normal((128, 256))
+        ys = rng.standard_normal((128, 256))
+        tracemalloc.start()
+        try:
+            monotone._pair_quotients(xs, ys)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20

@@ -107,6 +107,34 @@ class TestValidation:
             read_envelope({"schema": SCHEMA_VERSION + 1, "y": []}, "y file", {"y"})
 
 
+    @pytest.mark.parametrize(
+        "read,spec,match",
+        [
+            (network_from_spec, {**NET_SPEC, "weights": 3}, "weights must be a list"),
+            (network_from_spec, {**NET_SPEC, "biases": [["a", 0.0], [0.0, 0.0]]},
+             "biases must hold numbers"),
+            (network_from_spec, {**NET_SPEC, "activation": "leaky_relu(steep)"},
+             "parameter must be a number"),
+            (operator_from_spec, {"kind": "finite_rank", "omegas": ["big"], "psi": [[1.0]],
+                                  "phi": [[1.0]]}, "omegas must hold numbers"),
+            (operator_from_spec, {"kind": "seeded_finite_rank", "rank": 2, "seed": 1,
+                                  "dim": 6, "scale": "large"}, "scale must be a number"),
+            (chain_from_spec, {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 2,
+                               "seed": 1, "hidden": [8, 4.5]}, "hidden must be a list"),
+            (chain_from_spec, {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 2,
+                               "seed": 1, "delta": "half"}, "delta must be a number"),
+        ],
+    )
+    def test_a_bad_number_is_a_spec_error(self, read, spec, match):
+        with pytest.raises(SpecError, match=match):
+            read(spec)
+
+    def test_integral_floats_count_as_integers(self):
+        by_int = space_from_config({"basis": "fourier", "ambient_dim": 8})
+        by_float = space_from_config({"basis": "fourier", "ambient_dim": 8.0})
+        assert by_float.spec == by_int.spec
+
+
 class TestSpace:
     def test_roundtrip(self, space16):
         config = {"basis": "fourier", "ambient_dim": 16, "quadrature": 64}
@@ -300,6 +328,13 @@ class TestLayer:
     def test_bad_layer_spec_key_is_reported(self, space16):
         with pytest.raises(ValueError, match="unknown layer spec keys"):
             layer_from_spec({"kind": "seeded_layer", "seed": 0, "rnak": 3}, space16)
+
+    def test_unknown_seeded_layer_activation_is_a_spec_error(self, space16):
+        # used to escape the reader as a KeyError from the activation table
+        with pytest.raises(SpecError, match="unknown activation 'swish'"):
+            layer_from_spec(
+                {"kind": "seeded_layer", "seed": 0, "activation": "swish"}, space16
+            )
 
     def test_unknown_kind(self):
         with pytest.raises(SpecError, match="unknown layer kind"):
