@@ -10,7 +10,7 @@ from .galerkin import (
     singularity_scan,
     solve_semilinear,
 )
-from .invert import block_fixed_point, chain_inverse, global_inverse_check, invert_chain
+from .invert import block_fixed_point, global_inverse_check, invert_chain
 from .layers import (
     CoordinateNetwork,
     FiniteRankOperator,
@@ -39,7 +39,6 @@ __all__ = [
     "Subspace",
     "bilipschitz_estimate",
     "block_fixed_point",
-    "chain_inverse",
     "convergence_scan",
     "decompose",
     "fem_convergence",

@@ -18,13 +18,18 @@ sampled Lipschitz constant Lip(B_k) below a requested epsilon.  The stages:
    path) and an orthogonal part (real-Schur rotation paths), leaving the
    identity or one residual reflection as A₀.
 
+The core F^W is evaluated directly in W coordinates, c ↦ c + coords(T₂ G T₁
+lift(c)): two frame products per evaluation.  Where the ambient F^W is
+needed it is the core lifted with the identity on W⊥.
+
 Inverses along the path are computed on demand: a damped fixed-point
 iteration when a global monotonicity constant is available, a finite-
-difference Newton solver otherwise.  Both take a batch of targets; the
-Newton solver steps every row still above tolerance together (one batch
-of finite-difference Jacobians, one batched linear solve and a batched
-backtracking line search per round), with each row keeping its own step
-count and step length.
+difference Newton solver otherwise.  Both take a batch of targets.  The
+damped iteration's step budget is derived from its contraction rate and
+the initial residual; the Newton solver steps every row still above
+tolerance together (one batch of finite-difference Jacobians, one batched
+linear solve and a batched backtracking line search per round), with each
+row keeping its own step count and step length.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -48,7 +53,6 @@ __all__ = [
     "DecompositionResult",
     "quintic_smoothstep",
     "choose_w",
-    "build_fw",
     "peel_tail",
     "invert_monotone",
     "path_blocks",
@@ -108,9 +112,6 @@ class Frame:
     def lift(self, c: np.ndarray) -> np.ndarray:
         return np.asarray(c, dtype=float) @ self.rows
 
-    def project_array(self, x: np.ndarray) -> np.ndarray:
-        return self.coords(x) @ self.rows
-
 
 # ---------------------------------------------------------------------------
 # stage 1: the frame W
@@ -163,35 +164,25 @@ def choose_w(layer: NeuralOperatorLayer, h: float) -> tuple[Frame, dict]:
 
 
 class CoreCompressedLayer:
-    """F^W = Id + P_W∘T₂∘G∘T₁∘P_W: fixes the frame complement pointwise."""
+    """The core map F^W = Id + P_W∘T₂∘G∘T₁∘P_W in W coordinates: ℝᵏ → ℝᵏ.
+
+    F^W fixes the frame complement pointwise, so on the ambient space it is
+    ``LiftedBlock(core, frame)``.
+    """
 
     def __init__(self, layer: NeuralOperatorLayer, frame: Frame):
         if frame.ambient_dim != layer.dim:
             raise ValueError("frame and layer live in different ambient spaces")
         self.layer = layer
         self.frame = frame
-        self.dim = layer.dim
+        self.dim = frame.dim
 
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        xw = self.frame.project_array(x)
+    def eval_array(self, c: np.ndarray) -> np.ndarray:
+        c = np.asarray(c, dtype=float)
         body = self.layer.out_op.apply_array(
-            self.layer.nonlin.apply_array(self.layer.in_op.apply_array(xw))
+            self.layer.nonlin.apply_array(self.layer.in_op.apply_array(self.frame.lift(c)))
         )
-        return x + self.frame.project_array(body)
-
-    def core_map(self) -> Callable[[np.ndarray], np.ndarray]:
-        """The same map in W coordinates: ℝᵏ → ℝᵏ."""
-
-        def f(c: np.ndarray) -> np.ndarray:
-            x = self.frame.lift(c)
-            return self.frame.coords(self.eval_array(x))
-
-        return f
-
-
-def build_fw(layer: NeuralOperatorLayer, frame: Frame) -> CoreCompressedLayer:
-    return CoreCompressedLayer(layer, frame)
+        return c + self.frame.coords(body)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +194,13 @@ def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
     """Jacobian of f at x, or a (..., k, k) stack of them at a batch of x."""
     k = x.shape[-1]
     return np.swapaxes(central_differences(f, x, np.eye(k)), -1, -2)
+
+
+# per-row step budget of the Newton solver
+NEWTON_STEPS = 100
+
+# cap on the scaling path's blocks while its t-grid is refined
+MAX_BLOCKS = 2048
 
 
 def _newton_invert(f, ys: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
@@ -248,46 +246,65 @@ def _newton_invert(f, ys: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     return xs
 
 
-def invert_monotone(
-    f,
-    y,
-    alpha: float,
-    lip: float,
-    tol: float = 1e-10,
-    max_iter: int = 100000,
-    stats: dict | None = None,
-) -> np.ndarray:
+def _damped_budget(r0: float, alpha: float, lip: float, q: float, tol: float) -> int:
+    """Steps after which the damped iteration's residual is provably ≤ tol.
+
+    The k-th iterate satisfies ‖f(x_k) − y‖ ≤ lip·q^k·‖x₀ − x*‖ ≤
+    (lip/alpha)·q^k·r0, so k ≥ log(tol·alpha/(lip·r0)) / log q suffices;
+    one step more absorbs rounding.
+    """
+    if r0 <= tol:
+        return 0
+    if not math.isfinite(r0):
+        raise DecompositionError(f"[invert] damped iteration starts at residual {r0:g}")
+    if q == 0.0:
+        return 1
+    return int(math.ceil(math.log(tol * alpha / (lip * r0)) / math.log(q))) + 1
+
+
+def invert_monotone(f, y, alpha: float, lip: float, tol: float = 1e-10) -> np.ndarray:
     """Solve f(x) = y for strongly monotone Lipschitz f by damped iteration.
 
     ``y`` holds one target or a (..., k) batch of them, all iterated
     together.  The step x ← x − τ(f(x) − y) with τ = alpha/lip² contracts
     distances to the solution by q = √(1 − alpha²/lip²) per iteration; the
     loop stops as soon as the largest row residual ‖f(x) − y‖ is ≤ tol.
+    The step budget follows from q and the largest initial row residual
+    (see :func:`_damped_budget`); exceeding it means f is not monotone with
+    the given constants.
     """
     if not alpha > 0.0:
         raise ValueError("monotonicity constant alpha must be positive")
     if lip < alpha:
         raise ValueError("Lipschitz bound cannot be smaller than alpha")
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
     y = np.asarray(y, dtype=float)
     x = y.copy()
     tau = alpha / lip**2
     q = math.sqrt(max(0.0, 1.0 - (alpha / lip) ** 2))
-    iterations = 0
     res = eval_map(f, x) - y
     rnorm = float(np.max(np.linalg.norm(res, axis=-1), initial=0.0))
-    while rnorm > tol:
-        if iterations >= max_iter:
+    budget = _damped_budget(rnorm, alpha, lip, q, tol)
+    iterations = 0
+    while not rnorm <= tol:
+        if iterations >= budget:
             raise DecompositionError(
-                f"[invert] damped iteration did not reach tol={tol:g} in "
-                f"{max_iter} steps (last residual {rnorm:g})"
+                f"[invert] damped iteration did not reach tol={tol:g} within its "
+                f"derived budget of {budget} steps (last residual {rnorm:g})"
             )
         x = x - tau * res
         iterations += 1
         res = eval_map(f, x) - y
         rnorm = float(np.max(np.linalg.norm(res, axis=-1), initial=0.0))
-    if stats is not None:
-        stats.update({"iterations": iterations, "residual": rnorm, "contraction": q})
     return x
+
+
+def _invert(f, ys: np.ndarray, alpha: float | None, lip: float | None, tol: float) -> np.ndarray:
+    """Damped iteration when a monotonicity constant is known, Newton otherwise."""
+    if alpha is not None:
+        return invert_monotone(f, ys, alpha, lip, tol)
+    return _newton_invert(f, ys, tol, NEWTON_STEPS)
 
 
 # ---------------------------------------------------------------------------
@@ -299,7 +316,7 @@ class TailBlock:
     """H = Id + B̃ with B̃ = F∘(F^W)⁻¹ − Id, so that F = H∘F^W.
 
     Inversion exploits the frame split: F^W is the identity on W⊥, so only
-    the W-coordinate core needs solving.
+    the W-coordinate core ``fw`` needs solving.
     """
 
     def __init__(
@@ -309,14 +326,12 @@ class TailBlock:
         alpha: float | None,
         lip: float | None,
         tol: float,
-        max_iter: int = 100000,
     ):
         self.source = source
         self.fw = fw
         self.alpha = alpha
         self.lip = lip
         self.tol = tol
-        self.max_iter = max_iter
         self.lip_sampled: float | None = None
         self.label = "tail"
 
@@ -324,12 +339,8 @@ class TailBlock:
         frame = self.fw.frame
         if frame.dim == 0:
             return ys.copy()
-        f = self.fw.core_map()
         cw = frame.coords(ys)
-        if self.alpha is not None:
-            sol = invert_monotone(f, cw, self.alpha, self.lip, self.tol, self.max_iter)
-        else:
-            sol = _newton_invert(f, cw, self.tol, 100)
+        sol = _invert(self.fw, cw, self.alpha, self.lip, self.tol)
         return ys - frame.lift(cw) + frame.lift(sol)
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
@@ -340,26 +351,26 @@ class TailBlock:
 
 def peel_tail(
     source,
-    fw: CoreCompressedLayer,
+    core: CoreCompressedLayer,
     c0: float,
     epsilon: float,
     tol: float = 1e-9,
     alpha: float | None = None,
     lip: float | None = None,
-    n: int = 100,
     seed: int = 0,
     sample_radius: float = 2.0,
 ) -> TailBlock:
     """Near-identity factor B̃ with F = (Id + B̃)∘F^W, verified by sampling.
 
-    c0 is the certified lower bilipschitz constant of F (it controls how
-    inversion error amplifies in the roundtrip check).
+    ``core`` is F^W in W coordinates.  c0 is the certified lower bilipschitz
+    constant of F (it controls how inversion error amplifies in the
+    roundtrip check).
     """
     if c0 <= 0.0:
         raise ValueError("need a positive lower bilipschitz constant")
-    block = TailBlock(source, fw, alpha, lip, tol)
-    xs = ball_samples(fw.dim, sample_radius, n, seed=seed)
-    through = fw.eval_array(xs)
+    block = TailBlock(source, core, alpha, lip, tol)
+    xs = ball_samples(core.frame.ambient_dim, sample_radius, 100, seed=seed)
+    through = LiftedBlock(core, core.frame).eval_array(xs)
     recon = block.eval_array(through)
     direct = eval_map(source, xs)
     roundtrip = float(np.max(np.linalg.norm(recon - direct, axis=1)))
@@ -401,15 +412,10 @@ class ScalingPath:
             return xs @ self.df0.T
         return (eval_map(self.f, t * xs) - self.f0_val) / t + t * self.f0_val
 
-    def invert_t_rows(
-        self, t: float, ys: np.ndarray, tol: float, max_iter: int = 100000
-    ) -> np.ndarray:
+    def invert_t_rows(self, t: float, ys: np.ndarray, tol: float) -> np.ndarray:
         if t == 0.0:
             return np.linalg.solve(self.df0, ys.T).T
-        ft = functools.partial(self.eval_t_rows, t)
-        if self.alpha is not None:
-            return invert_monotone(ft, ys, self.alpha, self.lip, tol, max_iter)
-        return _newton_invert(ft, ys, tol, 100)
+        return _invert(functools.partial(self.eval_t_rows, t), ys, self.alpha, self.lip, tol)
 
 
 class PathBlock:
@@ -443,12 +449,13 @@ class PathBlock:
         return rows.reshape(x.shape)
 
 
-def _c2_estimate(f, k: int, radius: float, seed: int, n: int = 16, h: float = 1e-3) -> float:
-    """Finite-difference bound on second derivatives over a sampled ball.
+def _c2_estimate(f, k: int, radius: float, seed: int) -> float:
+    """Finite-difference bound on second derivatives at 16 ball samples.
 
     An estimate only: the t-grid it suggests is refined adaptively until the
     sampled block constants pass, so correctness never rests on it.
     """
+    n, h = 16, 1e-3
     xs = ball_samples(k, radius, n, seed=seed)
     # per sample a unit direction pair (u, v), drawn in the order u, v
     uv = np.random.default_rng(seed).standard_normal((n, 2, k))
@@ -473,14 +480,13 @@ def path_blocks(
     lip: float | None = None,
     tol: float = 1e-9,
     seed: int = 0,
-    max_blocks: int = 2048,
-    verify_points: int = 40,
 ) -> tuple[list, dict]:
     """Transport blocks along the scaling path from Df|₀ to f.
 
     The first grid point respects t₁ < 2c₀ε/(c₁ + ‖f‖_C²·R₁); the grid is
-    then refined until every block's sampled Lip(block − Id) is below
-    epsilon.  Blocks indistinguishable from the identity are dropped.
+    then refined, up to MAX_BLOCKS blocks, until every block's Lip(block −
+    Id) sampled at 40 points is below epsilon.  Blocks indistinguishable
+    from the identity are dropped.
     """
     if epsilon <= 0.0 or r1 <= 0.0 or c0 <= 0.0 or c1 < c0:
         raise ValueError("need epsilon > 0, r1 > 0 and 0 < c0 <= c1")
@@ -503,7 +509,7 @@ def path_blocks(
         "m_theory": m_theory,
     }
 
-    xs = ball_samples(k, 2.3 * r2, verify_points, seed=seed + 2)
+    xs = ball_samples(k, 2.3 * r2, 40, seed=seed + 2)
     lin_dev = float(
         np.max(np.linalg.norm(eval_map(f, xs) - xs @ path.df0.T - path.f0_val, axis=1))
     )
@@ -530,9 +536,9 @@ def path_blocks(
         return cache[key]
 
     while True:
-        if len(ts) - 1 > max_blocks:
+        if len(ts) - 1 > MAX_BLOCKS:
             raise DecompositionError(
-                f"[path_blocks] refinement exceeded the block cap {max_blocks}"
+                f"[path_blocks] refinement exceeded the block cap {MAX_BLOCKS}"
             )
         bad = []
         for lo, hi in zip(ts, ts[1:]):
@@ -769,14 +775,13 @@ class DecompositionResult:
 
     a0: object
     blocks: tuple
-    j: int
     r1: float
     epsilon: float
     diagnostics: dict = field(default_factory=dict)
+    j: int = field(init=False)
 
     def __post_init__(self) -> None:
-        if self.j != len(self.blocks):
-            raise ValueError("block count disagrees with the block list")
+        object.__setattr__(self, "j", len(self.blocks))
         for b in self.blocks:
             lip = b.lip_sampled
             if lip is None or not lip < self.epsilon:
@@ -798,7 +803,6 @@ def decompose(
     composite_tol: float = 1e-6,
     seed: int = 0,
     n_verify: int = 200,
-    max_blocks: int = 2048,
 ) -> DecompositionResult:
     """Run the full factorization pipeline on a residual layer."""
     if epsilon <= 0.0:
@@ -838,9 +842,10 @@ def decompose(
         diag["w"] = tail_report
 
     with _stage("build_fw"):
-        fw = build_fw(layer, frame)
+        core = CoreCompressedLayer(layer, frame)
         xs = ball_samples(layer.dim, r1, 64, seed=seed + 3)
-        fw_dev = float(np.max(np.linalg.norm(layer.eval_array(xs) - fw.eval_array(xs), axis=1)))
+        gap = layer.eval_array(xs) - LiftedBlock(core, frame).eval_array(xs)
+        fw_dev = float(np.max(np.linalg.norm(gap, axis=1)))
         fw_bound = 0.5 * (1.0 + r1) * epsilon
         diag["fw_deviation"] = fw_dev
         diag["fw_deviation_bound"] = fw_bound
@@ -857,7 +862,7 @@ def decompose(
             # residual after it is amplified by the layer's upper constant
             tail = peel_tail(
                 layer,
-                fw,
+                core,
                 c0,
                 epsilon,
                 tol=min(block_tol, 1e-9),
@@ -871,13 +876,12 @@ def decompose(
         lin_factors: list = []
         a0_kind = "identity"
         if frame.dim > 0:
-            f = fw.core_map()
             with _stage("path_blocks"):
                 est_w = bilipschitz_estimate(
-                    f, r=r1, n=128, seed=seed + 5, dim=frame.dim
+                    core, r=r1, n=128, seed=seed + 5, dim=frame.dim
                 )
                 nl_blocks, path_diag = path_blocks(
-                    f,
+                    core,
                     frame.dim,
                     epsilon,
                     r1,
@@ -887,11 +891,10 @@ def decompose(
                     lip=mono_lip,
                     tol=block_tol,
                     seed=seed + 6,
-                    max_blocks=max_blocks,
                 )
                 diag["path"] = path_diag
             with _stage("linear_path"):
-                df0 = _fd_jacobian(f, np.zeros(frame.dim))
+                df0 = _fd_jacobian(core, np.zeros(frame.dim))
                 a0_kind, lin_factors, lin_diag = linear_path_blocks(df0, epsilon)
                 diag["linear"] = lin_diag
 
@@ -910,7 +913,7 @@ def decompose(
 
     a0 = Reflection(frame.rows[0]) if a0_kind == "reflection" else Identity()
     result = DecompositionResult(
-        a0=a0, blocks=tuple(blocks), j=j, r1=r1, epsilon=epsilon, diagnostics=diag
+        a0=a0, blocks=tuple(blocks), r1=r1, epsilon=epsilon, diagnostics=diag
     )
 
     with _stage("verify"):

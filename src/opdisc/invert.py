@@ -33,7 +33,6 @@ __all__ = [
     "InversionTrace",
     "ChainInverseResult",
     "block_fixed_point",
-    "chain_inverse",
     "invert_chain",
     "GlobalInverseReport",
     "global_inverse_check",
@@ -212,7 +211,6 @@ def block_fixed_point(
     *,
     delta: float | None = None,
     ball_radius: float | None = None,
-    initial: str = "y",
     domain_radius: float | None = None,
     domain_step: float | None = None,
     project_iterates: bool = False,
@@ -221,11 +219,10 @@ def block_fixed_point(
 
     The block reads and writes only the first ``block.n_in`` coordinates,
     so the tail of ``x`` equals the tail of ``y`` exactly and only the
-    prefix is iterated (``x <- y - B(x)``).  Returns ``(x, trace)``.
+    prefix is iterated (``x <- y - B(x)``), starting at the data.  Returns
+    ``(x, trace)``.
 
-    ``initial`` selects the starting iterate: ``"y"`` (default; starting at
-    the data roughly halves the iteration count) or ``"zero"``.  When
-    ``domain_radius`` is given, every iterate must stay inside the ball of
+    When ``domain_radius`` is given, every iterate must stay inside the ball of
     radius ``domain_radius + domain_step`` (default step: the certified
     contraction bound); a violation raises :class:`DomainError` unless
     ``project_iterates`` rescales the iterate back onto the ball instead.
@@ -234,8 +231,6 @@ def block_fixed_point(
         raise ValueError("tolerance must be positive")
     if max_iter < 1:
         raise ValueError("need at least one iteration")
-    if initial not in ("y", "zero"):
-        raise ValueError(f"initial iterate must be 'y' or 'zero', got {initial!r}")
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
         raise ValueError("y must be a single coefficient vector")
@@ -255,7 +250,7 @@ def block_fixed_point(
             raise ValueError("domain radius must be positive")
         allowed = domain_radius + (cert if domain_step is None else float(domain_step))
 
-    x = y_prefix.copy() if initial == "y" else np.zeros(n)
+    x = y_prefix.copy()
     residuals: list = []
     first_step = 0.0
     converged = False
@@ -374,7 +369,6 @@ def invert_chain(
     *,
     tol: float = 1e-10,
     max_iter: int = 10_000,
-    initial: str = "y",
     domain_radius: float | None = None,
     project_iterates: bool = False,
 ) -> ChainInverseResult:
@@ -402,7 +396,6 @@ def invert_chain(
             max_iter,
             delta=deltas[i],
             ball_radius=ball_radius,
-            initial=initial,
             domain_radius=domain_radius,
             domain_step=(i + 1) * deltas[i] if domain_radius is not None else None,
             project_iterates=project_iterates,
@@ -426,30 +419,6 @@ def invert_chain(
     else:
         target = 0.0
     return ChainInverseResult(x=x, trace=trace, roundtrip_target=float(target))
-
-
-def chain_inverse(
-    chain,
-    a0,
-    y: np.ndarray,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    initial: str = "y",
-    domain_radius: float | None = None,
-    project_iterates: bool = False,
-) -> np.ndarray:
-    """Like :func:`invert_chain` but returns only the inverse point."""
-    return invert_chain(
-        chain,
-        a0,
-        y,
-        tol=tol,
-        max_iter=max_iter,
-        initial=initial,
-        domain_radius=domain_radius,
-        project_iterates=project_iterates,
-    ).x
 
 
 # ---------------------------------------------------------------------------
@@ -520,12 +489,12 @@ def global_inverse_check(
     fwd = chain.chain.eval_array(xs)
     err_left = 0.0
     for x_true, y in zip(xs, fwd):
-        x_rec = chain_inverse(chain, None, y, tol=tol, max_iter=max_iter)
+        x_rec = invert_chain(chain, None, y, tol=tol, max_iter=max_iter).x
         err_left = max(err_left, float(np.linalg.norm(x_rec - x_true)))
 
     err_right = 0.0
     for y in xs:
-        x_rec = chain_inverse(chain, None, y, tol=tol, max_iter=max_iter)
+        x_rec = invert_chain(chain, None, y, tol=tol, max_iter=max_iter).x
         err_right = max(
             err_right,
             float(np.linalg.norm(chain.chain.eval_array(x_rec) - y)),

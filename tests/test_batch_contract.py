@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opdisc.decompose import (
+    CoreCompressedLayer,
     LinearBlock,
     LiftedBlock,
     PathBlock,
     ScalingPath,
     TailBlock,
-    build_fw,
     choose_w,
     decompose,
 )
@@ -98,13 +98,12 @@ def maps():
     narrow = make_layer(space, rank=3, lip_g=0.3, activation="tanh", seed=7)
     frame, _ = choose_w(narrow, 0.4)
     assert 0 < frame.dim < m
-    fw = build_fw(narrow, frame)
-    out["core_compressed_layer"] = (fw, m)
-    out["tail_damped"] = (TailBlock(narrow, fw, 0.7, 1.3, TIGHT), m)
-    out["tail_newton"] = (TailBlock(narrow, fw, None, None, TIGHT), m)
-
+    core = CoreCompressedLayer(narrow, frame)
     k = frame.dim
-    core = fw.core_map()
+    out["core_compressed_layer"] = (core, k)
+    out["tail_damped"] = (TailBlock(narrow, core, 0.7, 1.3, TIGHT), m)
+    out["tail_newton"] = (TailBlock(narrow, core, None, None, TIGHT), m)
+
     damped = PathBlock(ScalingPath(core, k, 0.7, 1.3), 0.25, 0.5, 1.0, TIGHT)
     newton = PathBlock(ScalingPath(core, k, None, None), 0.25, 0.5, 1.0, TIGHT)
     out["path_block_damped"] = (damped, k)

@@ -3,16 +3,19 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opdisc.acceptance import mixing_bilipschitz_layer
 from opdisc.decompose import (
+    CoreCompressedLayer,
     DecompositionError,
     DecompositionResult,
     Frame,
+    LiftedBlock,
     ScalingPath,
     _fd_jacobian,
     _newton_invert,
-    build_fw,
     choose_w,
     decompose,
     invert_monotone,
@@ -68,9 +71,8 @@ class TestFrame:
         c = np.array([1.0, -2.0, 0.5])
         assert np.allclose(fr.coords(fr.lift(c)), c, atol=1e-12)
         x = np.arange(6.0)
-        assert np.allclose(
-            fr.project_array(fr.project_array(x)), fr.project_array(x), atol=1e-12
-        )
+        px = fr.lift(fr.coords(x))
+        assert np.allclose(fr.lift(fr.coords(px)), px, atol=1e-12)
 
     def test_rejects_non_orthonormal_rows(self):
         with pytest.raises(ValueError, match="orthonormal"):
@@ -79,7 +81,8 @@ class TestFrame:
     def test_empty_frame(self):
         fr = Frame(np.zeros((0, 5)))
         assert fr.dim == 0
-        assert np.allclose(fr.project_array(np.ones(5)), 0.0)
+        assert fr.coords(np.ones(5)).shape == (0,)
+        assert np.array_equal(fr.lift(np.zeros((3, 0))), np.zeros((3, 5)))
 
 
 class TestQuinticSmoothstep:
@@ -106,9 +109,9 @@ class TestChooseW:
             for fam in (t.psi, t.phi):
                 for p in range(10):
                     v = fam[p]
-                    assert np.linalg.norm(v - frame.project_array(v)) <= 1e-9
+                    assert np.linalg.norm(v - frame.lift(frame.coords(v))) <= 1e-9
                 v11 = fam[10]
-                assert np.linalg.norm(v11 - frame.project_array(v11)) > 1e-3
+                assert np.linalg.norm(v11 - frame.lift(frame.coords(v11))) > 1e-3
         for side in report["tails"].values():
             assert side["right"] < 0.01 and side["left"] < 0.01
 
@@ -147,10 +150,15 @@ class TestChooseW:
             choose_w(smooth_layer, 0.0)
 
 
+def ambient_core(layer, frame):
+    """F^W on the ambient space: the W-coordinate core, identity on W⊥."""
+    return LiftedBlock(CoreCompressedLayer(layer, frame), frame)
+
+
 class TestBuildFW:
     def test_full_support_frame_reproduces_the_layer(self, smooth_layer):
         frame, _ = choose_w(smooth_layer, 1e-6)
-        fw = build_fw(smooth_layer, frame)
+        fw = ambient_core(smooth_layer, frame)
         xs = ball_samples(16, 1.5, 32, seed=1)
         gap = np.max(
             np.linalg.norm(fw.eval_array(xs) - smooth_layer.eval_array(xs), axis=1)
@@ -164,7 +172,7 @@ class TestBuildFW:
         layer = make_layer(space16, rank=2, lip_g=0.3, activation="tanh", seed=5)
         layer = NeuralOperatorLayer(t, t, layer.nonlin)
         frame, _ = choose_w(layer, 0.5)
-        fw = build_fw(layer, frame)
+        fw = ambient_core(layer, frame)
         x = np.zeros(16)
         x[4:] = np.linspace(1.0, -1.0, 12)
         assert np.allclose(fw.eval_array(x), x, atol=1e-14)
@@ -180,30 +188,73 @@ class TestBuildFW:
         )
         frame, _ = choose_w(decayed_layer, h)
         assert 0 < frame.dim < 64
-        fw = build_fw(decayed_layer, frame)
+        fw = ambient_core(decayed_layer, frame)
         xs = ball_samples(64, r, 64, seed=2)
         gap = np.max(
             np.linalg.norm(fw.eval_array(xs) - decayed_layer.eval_array(xs), axis=1)
         )
         assert gap <= 0.5 * (1.0 + r) * eps
 
-    def test_core_map_matches_ambient_action(self, smooth_layer):
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        h=st.floats(min_value=0.02, max_value=0.6),
+        rows=st.integers(min_value=0, max_value=5),
+    )
+    def test_core_map_matches_ambient_action(self, space16, seed, h, rows):
+        # rows == 0 evaluates a single vector, otherwise a (rows, k) batch
+        layer = make_layer(space16, rank=6, lip_g=0.3, activation="tanh", seed=seed)
+        frame, _ = choose_w(layer, h)
+        core = CoreCompressedLayer(layer, frame)
+        assert core.dim == frame.dim
+        c = ball_samples(frame.dim, 1.5, max(rows, 1), seed=seed)
+        if rows == 0:
+            c = c[0]
+        got = core.eval_array(c)
+        assert got.shape == c.shape
+        want = frame.coords(layer.eval_array(frame.lift(c)))
+        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+
+    def test_one_lift_and_one_coords_per_evaluation(self, smooth_layer, monkeypatch):
         frame, _ = choose_w(smooth_layer, 0.05)
-        fw = build_fw(smooth_layer, frame)
-        f = fw.core_map()
-        c = ball_samples(frame.dim, 0.8, 1, seed=3)[0]
-        assert np.allclose(
-            f(c), frame.coords(fw.eval_array(frame.lift(c))), atol=1e-13
-        )
+        core = CoreCompressedLayer(smooth_layer, frame)
+        calls = {"lift": 0, "coords": 0}
+        for name in calls:
+            original = getattr(Frame, name)
+
+            def counted(self, x, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(self, x)
+
+            monkeypatch.setattr(Frame, name, counted)
+        core.eval_array(ball_samples(frame.dim, 1.0, 8, seed=4))
+        assert calls == {"lift": 1, "coords": 1}
+
+
+class CountedMap:
+    """Wraps a map and counts how often it is evaluated."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+def damped_budget(r0, alpha, lip, tol):
+    q = math.sqrt(1.0 - (alpha / lip) ** 2)
+    return math.ceil(math.log(tol * alpha / (lip * r0)) / math.log(q)) + 1
 
 
 class TestInvertMonotone:
     def test_identity_converges_immediately(self):
-        stats = {}
+        f = CountedMap(lambda v: v)
         y = np.array([0.3, -1.2, 0.5])
-        x = invert_monotone(lambda v: v, y, alpha=1.0, lip=1.0, stats=stats)
+        x = invert_monotone(f, y, alpha=1.0, lip=1.0)
         assert np.array_equal(x, y)
-        assert stats["iterations"] <= 1
+        assert f.calls == 1
 
     def test_doubling_map_halves_target(self):
         y = np.zeros(4)
@@ -213,16 +264,17 @@ class TestInvertMonotone:
 
     def test_iteration_count_obeys_geometric_bound(self):
         d = np.array([1.0, 2.0])
-        f = lambda v: d * v
+        f = CountedMap(lambda v: d * v)
         y = np.array([0.7, -1.1])
         tol = 1e-10
-        stats = {}
-        invert_monotone(f, y, alpha=1.0, lip=2.0, tol=tol, stats=stats)
-        r0 = np.linalg.norm(f(y) - y)
+        x = invert_monotone(f, y, alpha=1.0, lip=2.0, tol=tol)
+        r0 = np.linalg.norm(d * y - y)
         q = math.sqrt(1.0 - 0.25)
         bound = math.log(tol / r0) / math.log(q) + 1.0
-        assert stats["iterations"] <= bound
-        assert stats["residual"] <= tol
+        # one evaluation at the start, one per iteration
+        assert f.calls - 1 <= bound
+        assert f.calls - 1 <= damped_budget(r0, 1.0, 2.0, tol)
+        assert np.linalg.norm(d * x - y) <= tol
 
     def test_residual_guarantee_on_nonlinear_map(self):
         rng = np.random.default_rng(4)
@@ -235,21 +287,19 @@ class TestInvertMonotone:
 
     def test_batch_of_targets_iterates_together(self):
         d = np.array([1.0, 2.0])
-        f = lambda v: d * v
+        f = CountedMap(lambda v: d * v)
         ys = np.array([[0.7, -1.1], [0.0, 0.0], [-2.0, 0.4]])
         tol = 1e-10
-        stats = {}
-        xs = invert_monotone(f, ys, alpha=1.0, lip=2.0, tol=tol, stats=stats)
+        xs = invert_monotone(f, ys, alpha=1.0, lip=2.0, tol=tol)
         assert xs.shape == ys.shape
-        assert np.max(np.linalg.norm(f(xs) - ys, axis=1)) <= tol
-        assert stats["residual"] <= tol
+        assert np.max(np.linalg.norm(d * xs - ys, axis=1)) <= tol
         # one shared loop: the batch stops when its slowest row converges
         counts = []
         for y in ys:
-            single = {}
-            invert_monotone(f, y, alpha=1.0, lip=2.0, tol=tol, stats=single)
-            counts.append(single["iterations"])
-        assert stats["iterations"] == max(counts)
+            single = CountedMap(f.f)
+            invert_monotone(single, y, alpha=1.0, lip=2.0, tol=tol)
+            counts.append(single.calls)
+        assert f.calls == max(counts)
 
     def test_parameter_validation(self):
         y = np.ones(2)
@@ -257,11 +307,23 @@ class TestInvertMonotone:
             invert_monotone(lambda v: v, y, alpha=0.0, lip=1.0)
         with pytest.raises(ValueError, match="Lipschitz"):
             invert_monotone(lambda v: v, y, alpha=1.0, lip=0.5)
+        for tol in (0.0, -1e-10):
+            with pytest.raises(ValueError, match="tolerance"):
+                invert_monotone(lambda v: v, y, alpha=1.0, lip=1.0, tol=tol)
 
     def test_iteration_cap_raises_with_residual(self):
-        f = lambda v: 0.5 * v
-        with pytest.raises(DecompositionError, match="residual"):
-            invert_monotone(f, np.ones(3), alpha=0.3, lip=1.0, tol=1e-14, max_iter=2)
+        # the true modulus 0.1 is below the alpha = 0.5 claimed for the map,
+        # so the residual decays by 0.95 per step, not by q ≈ 0.87
+        f = CountedMap(lambda v: 0.1 * v)
+        y = np.ones(3)
+        tol = 1e-10
+        budget = damped_budget(np.linalg.norm(0.1 * y - y), 0.5, 1.0, tol)
+        with pytest.raises(DecompositionError, match="residual") as err:
+            invert_monotone(f, y, alpha=0.5, lip=1.0, tol=tol)
+        message = str(err.value)
+        assert message.startswith("[invert]")
+        assert f"budget of {budget} steps" in message
+        assert f.calls <= budget + 1
 
 
 def _newton_rows(f, ys, tol, max_iter, trace=None):
@@ -309,9 +371,10 @@ def _newton_maps(kappa):
     it) and its scaling path at t = 0.5 (as a Newton path block does)."""
     layer = mixing_bilipschitz_layer(12, kappa=kappa, seed=3)
     frame, _ = choose_w(layer, 0.5)
-    core = build_fw(layer, frame).core_map()
+    core = CoreCompressedLayer(layer, frame)
     path = ScalingPath(core, frame.dim, None, None)
-    return frame.dim, {"core": core, "path": functools.partial(path.eval_t_rows, 0.5)}
+    maps = {"core": core.eval_array, "path": functools.partial(path.eval_t_rows, 0.5)}
+    return frame.dim, maps
 
 
 class TestNewtonInvert:
@@ -379,9 +442,9 @@ class TestNewtonInvert:
 class TestPeelTail:
     def test_exact_core_leaves_no_tail(self, smooth_layer):
         frame, _ = choose_w(smooth_layer, 1e-6)
-        fw = build_fw(smooth_layer, frame)
+        core = CoreCompressedLayer(smooth_layer, frame)
         block = peel_tail(
-            smooth_layer, fw, c0=0.8, epsilon=0.25, alpha=0.8, lip=1.2, seed=9
+            smooth_layer, core, c0=0.8, epsilon=0.25, alpha=0.8, lip=1.2, seed=9
         )
         assert block.deviation <= 1e-7
         assert block.lip_sampled <= 1e-6
@@ -396,11 +459,11 @@ class TestPeelTail:
             * (1.0 + decayed_layer.out_op.norm)
         )
         frame, _ = choose_w(decayed_layer, h)
-        fw = build_fw(decayed_layer, frame)
+        core = CoreCompressedLayer(decayed_layer, frame)
         kappa = decayed_layer.contraction
         block = peel_tail(
             decayed_layer,
-            fw,
+            core,
             c0=1.0 - kappa,
             epsilon=eps,
             alpha=1.0 - kappa,
@@ -412,9 +475,9 @@ class TestPeelTail:
 
     def test_requires_positive_lower_constant(self, smooth_layer):
         frame, _ = choose_w(smooth_layer, 0.05)
-        fw = build_fw(smooth_layer, frame)
+        core = CoreCompressedLayer(smooth_layer, frame)
         with pytest.raises(ValueError, match="positive"):
-            peel_tail(smooth_layer, fw, c0=0.0, epsilon=0.25)
+            peel_tail(smooth_layer, core, c0=0.0, epsilon=0.25)
 
 
 def tanh_contraction(k: int, seed: int, scale: float = 0.3, bias: float = 0.0):
@@ -599,7 +662,7 @@ class TestDecompose:
         rng = np.random.default_rng(8)
         for _ in range(4):
             x = rng.standard_normal(16)
-            x -= fr.project_array(x)
+            x -= fr.lift(fr.coords(x))
             for b in lifted:
                 assert np.allclose(b.eval_array(x), x, atol=1e-12)
 
@@ -637,7 +700,15 @@ class TestDecompose:
 
         with pytest.raises(AssertionError, match="not below epsilon"):
             DecompositionResult(
-                a0=Identity(), blocks=(FakeBlock(),), j=1, r1=1.0, epsilon=0.25
+                a0=Identity(), blocks=(FakeBlock(),), r1=1.0, epsilon=0.25
             )
-        with pytest.raises(ValueError, match="block count"):
+
+    def test_block_count_is_derived(self):
+        class SmallBlock:
+            lip_sampled = 0.1
+
+        blocks = (SmallBlock(), SmallBlock())
+        result = DecompositionResult(a0=Identity(), blocks=blocks, r1=1.0, epsilon=0.25)
+        assert result.j == 2
+        with pytest.raises(TypeError):
             DecompositionResult(a0=Identity(), blocks=(), j=2, r1=1.0, epsilon=0.25)

@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import opdisc
+from opdisc.acceptance import mixing_bilipschitz_layer
 from opdisc.invert import invert_chain
 from opdisc.layers import InvertibleResidualChain
 from opdisc.monotone import ball_samples
@@ -109,3 +110,29 @@ def test_total_iterations_sums_the_block_counts():
     assert all(c > 0 for c in trace.iteration_counts)
     assert trace.total_iterations == sum(trace.iteration_counts)
     assert isinstance(trace.total_iterations, int)
+
+
+def test_tracer_counts_decompose_inverters():
+    # one layer runs the damped inverter, the thin-margin one (kappa 0.7)
+    # runs Newton; a refactor that routes around a probed method reads 0
+    decompose = importlib.import_module("opdisc.decompose")
+    damped = mixing_bilipschitz_layer(8, seed=3)
+    newton = mixing_bilipschitz_layer(8, kappa=0.7, seed=4)
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        inverters = [
+            decompose.decompose(layer, 0.4, 1.0).diagnostics["inverter"]
+            for layer in (damped, newton)
+        ]
+    finally:
+        tracer.uninstall()
+    assert inverters == ["damped", "newton"]
+    metrics = tracer.metrics(tracer.span_table(), 1.0, 1.0, 1)
+    for name in (
+        "decompose.invert_rows",
+        "decompose.evals_per_row",
+        "decompose.newton_calls",
+        "layers.net_rows",
+    ):
+        assert metrics[name]["value"] > 0, name
