@@ -18,15 +18,17 @@ sampled Lipschitz constant Lip(B_k) below a requested epsilon.  The stages:
    path) and an orthogonal part (real-Schur rotation paths), leaving the
    identity or one residual reflection as A₀.
 
-The core F^W is evaluated directly in W coordinates, c ↦ c + coords(T₂ G T₁
-lift(c)): two frame products per evaluation.  Where the ambient F^W is
-needed it is the core lifted with the identity on W⊥.
+The core F^W is evaluated directly in W coordinates through two (k, m)
+matrices fixed at construction, c ↦ c + G(c·M_in)·M_out, around the
+nonlinearity.  Where the ambient F^W is needed it is the core lifted with
+the identity on W⊥.
 
-Inverses along the path are computed on demand: a damped fixed-point
-iteration when a global monotonicity constant is available, a finite-
-difference Newton solver otherwise.  Both take a batch of targets.  The
-damped iteration's step budget is derived from its contraction rate and
-the initial residual; the Newton solver steps every row still above
+Every map inverted along the way is Id + B with Lip(B) ≤ κ, the layer's
+contraction product.  Inverses are computed on demand: the Banach
+fixed-point iteration x ← y − B(x), which contracts at rate κ, when κ is
+small enough; a finite-difference Newton solver otherwise.  Both take a
+batch of targets.  The fixed-point iteration's step budget is derived from
+κ and the initial residual; the Newton solver steps every row still above
 tolerance together (one batch of finite-difference Jacobians, one batched
 linear solve and a batched backtracking line search per round), with each
 row keeping its own step count and step length.
@@ -54,7 +56,7 @@ __all__ = [
     "quintic_smoothstep",
     "choose_w",
     "peel_tail",
-    "invert_monotone",
+    "invert_fixed_point",
     "path_blocks",
     "linear_path_blocks",
     "decompose",
@@ -166,6 +168,11 @@ def choose_w(layer: NeuralOperatorLayer, h: float) -> tuple[Frame, dict]:
 class CoreCompressedLayer:
     """The core map F^W = Id + P_W∘T₂∘G∘T₁∘P_W in W coordinates: ℝᵏ → ℝᵏ.
 
+    The linear maps on either side of G fold into two matrices built once:
+    M_in = T₁ applied to the frame rows (k, m), so c·M_in = T₁(lift(c)), and
+    M_out = (rows·T₂)ᵀ (m, k), so z·M_out = coords(T₂ z).  An evaluation is
+    then c + G(c·M_in)·M_out, two products around the nonlinearity.
+
     F^W fixes the frame complement pointwise, so on the ambient space it is
     ``LiftedBlock(core, frame)``.
     """
@@ -176,13 +183,12 @@ class CoreCompressedLayer:
         self.layer = layer
         self.frame = frame
         self.dim = frame.dim
+        self.m_in = layer.in_op.apply_array(frame.rows)
+        self.m_out = (frame.rows @ layer.out_op.as_matrix()).T
 
     def eval_array(self, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
-        body = self.layer.out_op.apply_array(
-            self.layer.nonlin.apply_array(self.layer.in_op.apply_array(self.frame.lift(c)))
-        )
-        return c + self.frame.coords(body)
+        return c + self.layer.nonlin.apply_array(c @ self.m_in) @ self.m_out
 
 
 # ---------------------------------------------------------------------------
@@ -203,22 +209,23 @@ NEWTON_STEPS = 100
 MAX_BLOCKS = 2048
 
 
-def _newton_invert(f, ys: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
+def _newton_invert(f, ys: np.ndarray, tol: float) -> np.ndarray:
     """Solve f(x) = y for each row of ys by finite-difference Newton.
 
     Every row runs its own Newton iteration with a backtracking line search
     (λ = 1, ½, … while λ > 1e-8, accepting the first strict residual
-    decrease) and its own ``max_iter`` step budget.  The rows are stepped
-    together: each round makes one Jacobian batch and one batched solve for
-    the rows still above tol, and each line-search trial evaluates the rows
-    still searching as one batch.  A row leaves the search once it accepts
-    a step (all searching rows are at the same λ, so one scalar serves) and
-    the iteration once its residual is ≤ tol; a NaN residual never is.
+    decrease) and its own ``NEWTON_STEPS`` step budget.  The rows are
+    stepped together: each round makes one Jacobian batch and one batched
+    solve for the rows still above tol, and each line-search trial evaluates
+    the rows still searching as one batch.  A row leaves the search once it
+    accepts a step (all searching rows are at the same λ, so one scalar
+    serves) and the iteration once its residual is ≤ tol; a NaN residual
+    never is.
     """
     xs = ys.copy()
     res = eval_map(f, xs) - ys
     rnorm = np.linalg.norm(res, axis=-1)
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         act = np.flatnonzero(~(rnorm <= tol))
         if not act.size:
             break
@@ -240,71 +247,69 @@ def _newton_invert(f, ys: np.ndarray, tol: float, max_iter: int) -> np.ndarray:
     bad = np.flatnonzero(~(rnorm <= tol))
     if bad.size:
         raise DecompositionError(
-            f"[invert] Newton did not reach tol={tol:g} in {max_iter} "
+            f"[invert] Newton did not reach tol={tol:g} in {NEWTON_STEPS} "
             f"steps (last residual {rnorm[bad[0]]:g})"
         )
     return xs
 
 
-def _damped_budget(r0: float, alpha: float, lip: float, q: float, tol: float) -> int:
-    """Steps after which the damped iteration's residual is provably ≤ tol.
+def _fixed_point_budget(r0: float, kappa: float, tol: float) -> int:
+    """Steps after which the fixed-point iteration's residual is provably ≤ tol.
 
-    The k-th iterate satisfies ‖f(x_k) − y‖ ≤ lip·q^k·‖x₀ − x*‖ ≤
-    (lip/alpha)·q^k·r0, so k ≥ log(tol·alpha/(lip·r0)) / log q suffices;
-    one step more absorbs rounding.
+    f = Id + B is (1 − κ)-monotone and (1 + κ)-Lipschitz, and the k-th
+    iterate satisfies ‖x_k − x*‖ ≤ κ^k·‖x₀ − x*‖, so ‖f(x_k) − y‖ ≤
+    (1 + κ)·κ^k·‖x₀ − x*‖ ≤ ((1 + κ)/(1 − κ))·κ^k·r0; k ≥ log(tol·(1 − κ) /
+    ((1 + κ)·r0)) / log κ suffices, and one step more absorbs rounding.
     """
     if r0 <= tol:
         return 0
     if not math.isfinite(r0):
-        raise DecompositionError(f"[invert] damped iteration starts at residual {r0:g}")
-    if q == 0.0:
+        raise DecompositionError(f"[invert] fixed-point iteration starts at residual {r0:g}")
+    if kappa == 0.0:
         return 1
-    return int(math.ceil(math.log(tol * alpha / (lip * r0)) / math.log(q))) + 1
+    ratio = tol * (1.0 - kappa) / ((1.0 + kappa) * r0)
+    return int(math.ceil(math.log(ratio) / math.log(kappa))) + 1
 
 
-def invert_monotone(f, y, alpha: float, lip: float, tol: float = 1e-10) -> np.ndarray:
-    """Solve f(x) = y for strongly monotone Lipschitz f by damped iteration.
+def invert_fixed_point(f, y, kappa: float, tol: float = 1e-10) -> np.ndarray:
+    """Solve f(x) = y for f = Id + B with Lip(B) ≤ kappa < 1 by Banach iteration.
 
     ``y`` holds one target or a (..., k) batch of them, all iterated
-    together.  The step x ← x − τ(f(x) − y) with τ = alpha/lip² contracts
-    distances to the solution by q = √(1 − alpha²/lip²) per iteration; the
-    loop stops as soon as the largest row residual ‖f(x) − y‖ is ≤ tol.
-    The step budget follows from q and the largest initial row residual
-    (see :func:`_damped_budget`); exceeding it means f is not monotone with
-    the given constants.
+    together.  The step x ← x − (f(x) − y) = y − B(x) contracts distances
+    to the solution by kappa per iteration; the loop stops as soon as the
+    largest row residual ‖f(x) − y‖ is ≤ tol.  The step budget follows from
+    kappa and the largest initial row residual (see
+    :func:`_fixed_point_budget`); exceeding it means B is not a kappa-
+    contraction.
     """
-    if not alpha > 0.0:
-        raise ValueError("monotonicity constant alpha must be positive")
-    if lip < alpha:
-        raise ValueError("Lipschitz bound cannot be smaller than alpha")
+    if not 0.0 <= kappa < 1.0:
+        raise ValueError("contraction constant kappa must lie in [0, 1)")
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     y = np.asarray(y, dtype=float)
     x = y.copy()
-    tau = alpha / lip**2
-    q = math.sqrt(max(0.0, 1.0 - (alpha / lip) ** 2))
     res = eval_map(f, x) - y
     rnorm = float(np.max(np.linalg.norm(res, axis=-1), initial=0.0))
-    budget = _damped_budget(rnorm, alpha, lip, q, tol)
+    budget = _fixed_point_budget(rnorm, kappa, tol)
     iterations = 0
     while not rnorm <= tol:
         if iterations >= budget:
             raise DecompositionError(
-                f"[invert] damped iteration did not reach tol={tol:g} within its "
+                f"[invert] fixed-point iteration did not reach tol={tol:g} within its "
                 f"derived budget of {budget} steps (last residual {rnorm:g})"
             )
-        x = x - tau * res
+        x = x - res
         iterations += 1
         res = eval_map(f, x) - y
         rnorm = float(np.max(np.linalg.norm(res, axis=-1), initial=0.0))
     return x
 
 
-def _invert(f, ys: np.ndarray, alpha: float | None, lip: float | None, tol: float) -> np.ndarray:
-    """Damped iteration when a monotonicity constant is known, Newton otherwise."""
-    if alpha is not None:
-        return invert_monotone(f, ys, alpha, lip, tol)
-    return _newton_invert(f, ys, tol, NEWTON_STEPS)
+def _invert(f, ys: np.ndarray, kappa: float | None, tol: float) -> np.ndarray:
+    """Banach iteration at rate kappa for f = Id + B, Lip(B) ≤ kappa; Newton when kappa is None."""
+    if kappa is not None:
+        return invert_fixed_point(f, ys, kappa, tol)
+    return _newton_invert(f, ys, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -316,31 +321,29 @@ class TailBlock:
     """H = Id + B̃ with B̃ = F∘(F^W)⁻¹ − Id, so that F = H∘F^W.
 
     Inversion exploits the frame split: F^W is the identity on W⊥, so only
-    the W-coordinate core ``fw`` needs solving.
+    the W-coordinate core ``fw`` needs solving, by Banach iteration at rate
+    ``kappa`` or by Newton when ``kappa`` is None.
     """
 
-    def __init__(
-        self,
-        source,
-        fw: CoreCompressedLayer,
-        alpha: float | None,
-        lip: float | None,
-        tol: float,
-    ):
+    def __init__(self, source, fw: CoreCompressedLayer, kappa: float | None, tol: float):
         self.source = source
         self.fw = fw
-        self.alpha = alpha
-        self.lip = lip
+        self.kappa = kappa
         self.tol = tol
         self.lip_sampled: float | None = None
         self.label = "tail"
+
+    @property
+    def alpha(self) -> float | None:
+        """Monotonicity constant 1 − κ of the inverted core; None under Newton."""
+        return None if self.kappa is None else 1.0 - self.kappa
 
     def _invert_fw(self, ys: np.ndarray) -> np.ndarray:
         frame = self.fw.frame
         if frame.dim == 0:
             return ys.copy()
         cw = frame.coords(ys)
-        sol = _invert(self.fw, cw, self.alpha, self.lip, self.tol)
+        sol = _invert(self.fw, cw, self.kappa, self.tol)
         return ys - frame.lift(cw) + frame.lift(sol)
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
@@ -355,8 +358,7 @@ def peel_tail(
     c0: float,
     epsilon: float,
     tol: float = 1e-9,
-    alpha: float | None = None,
-    lip: float | None = None,
+    kappa: float | None = None,
     seed: int = 0,
     sample_radius: float = 2.0,
 ) -> TailBlock:
@@ -364,11 +366,12 @@ def peel_tail(
 
     ``core`` is F^W in W coordinates.  c0 is the certified lower bilipschitz
     constant of F (it controls how inversion error amplifies in the
-    roundtrip check).
+    roundtrip check).  ``kappa`` bounds Lip(F^W − Id) and selects the
+    Banach inverter; None selects Newton.
     """
     if c0 <= 0.0:
         raise ValueError("need a positive lower bilipschitz constant")
-    block = TailBlock(source, core, alpha, lip, tol)
+    block = TailBlock(source, core, kappa, tol)
     xs = ball_samples(core.frame.ambient_dim, sample_radius, 100, seed=seed)
     through = LiftedBlock(core, core.frame).eval_array(xs)
     recon = block.eval_array(through)
@@ -397,15 +400,23 @@ def peel_tail(
 
 
 class ScalingPath:
-    """f_t(x) = (1/t)(f(tx) − f(0)) + t·f(0), with f₀ = Df|₀."""
+    """f_t(x) = (1/t)(f(tx) − f(0)) + t·f(0), with f₀ = Df|₀.
 
-    def __init__(self, f, k: int, alpha: float | None, lip: float | None):
+    For f = Id + B with Lip(B) ≤ κ every f_t with t > 0 is Id plus a
+    κ-Lipschitz map, so ``kappa`` serves the whole path; None selects Newton.
+    """
+
+    def __init__(self, f, k: int, kappa: float | None):
         self.f = f
         self.k = k
         self.f0_val = eval_map(f, np.zeros(k))
         self.df0 = _fd_jacobian(f, np.zeros(k))
-        self.alpha = alpha
-        self.lip = lip
+        self.kappa = kappa
+
+    @property
+    def alpha(self) -> float | None:
+        """Monotonicity constant 1 − κ of every f_t; None under Newton."""
+        return None if self.kappa is None else 1.0 - self.kappa
 
     def eval_t_rows(self, t: float, xs: np.ndarray) -> np.ndarray:
         if t == 0.0:
@@ -415,7 +426,7 @@ class ScalingPath:
     def invert_t_rows(self, t: float, ys: np.ndarray, tol: float) -> np.ndarray:
         if t == 0.0:
             return np.linalg.solve(self.df0, ys.T).T
-        return _invert(functools.partial(self.eval_t_rows, t), ys, self.alpha, self.lip, tol)
+        return _invert(functools.partial(self.eval_t_rows, t), ys, self.kappa, tol)
 
 
 class PathBlock:
@@ -476,8 +487,7 @@ def path_blocks(
     r1: float,
     c0: float,
     c1: float,
-    alpha: float | None = None,
-    lip: float | None = None,
+    kappa: float | None = None,
     tol: float = 1e-9,
     seed: int = 0,
 ) -> tuple[list, dict]:
@@ -486,11 +496,12 @@ def path_blocks(
     The first grid point respects t₁ < 2c₀ε/(c₁ + ‖f‖_C²·R₁); the grid is
     then refined, up to MAX_BLOCKS blocks, until every block's Lip(block −
     Id) sampled at 40 points is below epsilon.  Blocks indistinguishable
-    from the identity are dropped.
+    from the identity are dropped.  ``kappa`` bounds Lip(f − Id) and selects
+    the Banach inverter; None selects Newton.
     """
     if epsilon <= 0.0 or r1 <= 0.0 or c0 <= 0.0 or c1 < c0:
         raise ValueError("need epsilon > 0, r1 > 0 and 0 < c0 <= c1")
-    path = ScalingPath(f, k, alpha, lip)
+    path = ScalingPath(f, k, kappa)
     r0 = float(np.linalg.norm(path.f0_val))
     r1_img = c1 * r1 + r0
     r2 = r1_img
@@ -822,17 +833,14 @@ def decompose(
                 "ball-local certificates are not supported by this pipeline"
             )
         kappa = layer.contraction
-        if kappa < 1.0:
-            mono_alpha, mono_lip = 1.0 - kappa, 1.0 + kappa
-        else:
-            mono_alpha = mono_lip = None
         diag["contraction_product"] = kappa
-        # a thin monotonicity margin makes the damped iteration crawl;
-        # the Newton solver handles those instances (and the
-        # orientation-reversing ones, where no margin exists at all)
-        if mono_alpha is not None and mono_alpha / mono_lip < 0.2:
-            mono_alpha = mono_lip = None
-        diag["inverter"] = "damped" if mono_alpha is not None else "newton"
+        # every inverted map is Id + B with Lip(B) ≤ κ, so the Banach
+        # iteration contracts at rate κ; the Newton solver takes the
+        # thin-margin instances, κ > 2/3 (monotonicity ratio (1 − κ)/(1 + κ)
+        # below 0.2), where that rate is slow, and κ ≥ 1, where the
+        # orientation-reversing ones have no margin at all
+        inv_kappa = kappa if (1.0 - kappa) / (1.0 + kappa) >= 0.2 else None
+        diag["inverter"] = "fixed_point" if inv_kappa is not None else "newton"
 
     with _stage("choose_w"):
         h = epsilon / (
@@ -866,8 +874,7 @@ def decompose(
                 c0,
                 epsilon,
                 tol=min(block_tol, 1e-9),
-                alpha=mono_alpha,
-                lip=mono_lip,
+                kappa=inv_kappa,
                 seed=seed + 4,
                 sample_radius=max(2.0 * r1, 1.0),
             )
@@ -887,8 +894,7 @@ def decompose(
                     r1,
                     est_w.c_lower,
                     est_w.c_upper,
-                    alpha=mono_alpha,
-                    lip=mono_lip,
+                    kappa=inv_kappa,
                     tol=block_tol,
                     seed=seed + 6,
                 )

@@ -101,15 +101,15 @@ def maps():
     core = CoreCompressedLayer(narrow, frame)
     k = frame.dim
     out["core_compressed_layer"] = (core, k)
-    out["tail_damped"] = (TailBlock(narrow, core, 0.7, 1.3, TIGHT), m)
-    out["tail_newton"] = (TailBlock(narrow, core, None, None, TIGHT), m)
+    out["tail_fixed_point"] = (TailBlock(narrow, core, 0.3, TIGHT), m)
+    out["tail_newton"] = (TailBlock(narrow, core, None, TIGHT), m)
 
-    damped = PathBlock(ScalingPath(core, k, 0.7, 1.3), 0.25, 0.5, 1.0, TIGHT)
-    newton = PathBlock(ScalingPath(core, k, None, None), 0.25, 0.5, 1.0, TIGHT)
-    out["path_block_damped"] = (damped, k)
+    fixed_point = PathBlock(ScalingPath(core, k, 0.3), 0.25, 0.5, 1.0, TIGHT)
+    newton = PathBlock(ScalingPath(core, k, None), 0.25, 0.5, 1.0, TIGHT)
+    out["path_block_fixed_point"] = (fixed_point, k)
     out["path_block_newton"] = (newton, k)
     out["linear_block"] = (LinearBlock(np.eye(k) + 0.1 * rng.standard_normal((k, k))), k)
-    out["lifted_block"] = (LiftedBlock(damped, frame), m)
+    out["lifted_block"] = (LiftedBlock(fixed_point, frame), m)
 
     out["decomposition"] = (decompose(layer, 0.25, 1.0, composite_tol=64 * TIGHT), m)
     out["decomposition_reflection"] = (
@@ -124,8 +124,8 @@ NAMES = [
     "reflection", "zero_nonlinearity", "nemytskii",
     "coordinate_net_nonlinearity", "coordinate_net_window", "affine_nonlinearity",
     "layer", "nemytskii_layer", "coordinate_network", "residual_chain",
-    "invertible_chain", "discretized_map", "core_compressed_layer", "tail_damped",
-    "tail_newton", "path_block_damped", "path_block_newton", "linear_block",
+    "invertible_chain", "discretized_map", "core_compressed_layer", "tail_fixed_point",
+    "tail_newton", "path_block_fixed_point", "path_block_newton", "linear_block",
     "lifted_block", "decomposition", "decomposition_reflection",
 ]
 

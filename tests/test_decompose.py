@@ -1,4 +1,5 @@
 import functools
+import importlib
 import math
 
 import numpy as np
@@ -12,13 +13,14 @@ from opdisc.decompose import (
     DecompositionError,
     DecompositionResult,
     Frame,
+    NEWTON_STEPS,
     LiftedBlock,
     ScalingPath,
     _fd_jacobian,
     _newton_invert,
     choose_w,
     decompose,
-    invert_monotone,
+    invert_fixed_point,
     linear_path_blocks,
     path_blocks,
     peel_tail,
@@ -215,20 +217,26 @@ class TestBuildFW:
         want = frame.coords(layer.eval_array(frame.lift(c)))
         assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
 
-    def test_one_lift_and_one_coords_per_evaluation(self, smooth_layer, monkeypatch):
+    def test_evaluation_uses_no_frame_or_operator_products(self, smooth_layer, monkeypatch):
+        # T₁ and T₂ fold into the core's two matrices at construction, so
+        # an evaluation never lifts, projects or applies an operator
         frame, _ = choose_w(smooth_layer, 0.05)
         core = CoreCompressedLayer(smooth_layer, frame)
-        calls = {"lift": 0, "coords": 0}
-        for name in calls:
-            original = getattr(Frame, name)
+        calls = []
+        for owner, name in (
+            (Frame, "lift"), (Frame, "coords"), (FiniteRankOperator, "apply_array")
+        ):
+            original = getattr(owner, name)
 
             def counted(self, x, _name=name, _original=original):
-                calls[_name] += 1
+                calls.append(_name)
                 return _original(self, x)
 
-            monkeypatch.setattr(Frame, name, counted)
-        core.eval_array(ball_samples(frame.dim, 1.0, 8, seed=4))
-        assert calls == {"lift": 1, "coords": 1}
+            monkeypatch.setattr(owner, name, counted)
+        c = ball_samples(frame.dim, 1.0, 8, seed=4)
+        out = core.eval_array(c)
+        assert calls == []
+        assert out.shape == c.shape
 
 
 class CountedMap:
@@ -243,37 +251,42 @@ class CountedMap:
         return self.f(x)
 
 
-def damped_budget(r0, alpha, lip, tol):
-    q = math.sqrt(1.0 - (alpha / lip) ** 2)
-    return math.ceil(math.log(tol * alpha / (lip * r0)) / math.log(q)) + 1
+def fixed_point_budget(r0, kappa, tol):
+    """The derived budget: resid_k ≤ ((1 + κ)/(1 − κ))·κᵏ·r0, plus one step."""
+    return math.ceil(math.log(tol * (1.0 - kappa) / ((1.0 + kappa) * r0)) / math.log(kappa)) + 1
 
 
 class TestInvertMonotone:
+    """The Banach iteration on f = Id + B, Lip(B) ≤ κ: a (1 − κ)-strongly
+    monotone, (1 + κ)-Lipschitz map inverted at rate κ."""
+
     def test_identity_converges_immediately(self):
         f = CountedMap(lambda v: v)
         y = np.array([0.3, -1.2, 0.5])
-        x = invert_monotone(f, y, alpha=1.0, lip=1.0)
+        x = invert_fixed_point(f, y, kappa=0.0)
         assert np.array_equal(x, y)
         assert f.calls == 1
 
-    def test_doubling_map_halves_target(self):
+    def test_scaling_map_divides_target(self):
         y = np.zeros(4)
         y[0] = 1.0
-        x = invert_monotone(lambda v: 2.0 * v, y, alpha=2.0, lip=2.0)
-        assert np.allclose(x, y / 2.0, atol=1e-12)
+        x = invert_fixed_point(lambda v: 1.5 * v, y, kappa=0.5)
+        assert np.allclose(x, y / 1.5, atol=1e-12)
 
     def test_iteration_count_obeys_geometric_bound(self):
-        d = np.array([1.0, 2.0])
+        # B = diag(0, κ) attains its Lipschitz constant κ
+        kappa = 0.5
+        d = np.array([1.0, 1.0 + kappa])
         f = CountedMap(lambda v: d * v)
         y = np.array([0.7, -1.1])
         tol = 1e-10
-        x = invert_monotone(f, y, alpha=1.0, lip=2.0, tol=tol)
+        x = invert_fixed_point(f, y, kappa=kappa, tol=tol)
         r0 = np.linalg.norm(d * y - y)
-        q = math.sqrt(1.0 - 0.25)
-        bound = math.log(tol / r0) / math.log(q) + 1.0
+        # the residual of a linear B shrinks by exactly κ per step
+        bound = math.log(tol / r0) / math.log(kappa) + 1.0
         # one evaluation at the start, one per iteration
         assert f.calls - 1 <= bound
-        assert f.calls - 1 <= damped_budget(r0, 1.0, 2.0, tol)
+        assert f.calls - 1 <= fixed_point_budget(r0, kappa, tol)
         assert np.linalg.norm(d * x - y) <= tol
 
     def test_residual_guarantee_on_nonlinear_map(self):
@@ -282,44 +295,74 @@ class TestInvertMonotone:
         m *= 0.3 / np.linalg.norm(m, 2)
         f = lambda v: v + np.tanh(v @ m.T)
         y = rng.standard_normal(5)
-        x = invert_monotone(f, y, alpha=0.7, lip=1.3, tol=1e-11)
+        x = invert_fixed_point(f, y, kappa=0.3, tol=1e-11)
         assert np.linalg.norm(f(x) - y) <= 1e-11
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        kappa=st.floats(min_value=0.0, max_value=0.9),
+        k=st.integers(min_value=1, max_value=6),
+        rows=st.integers(min_value=1, max_value=8),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+    )
+    def test_random_tanh_contractions_converge_within_budget(self, seed, kappa, k, rows, tol):
+        rng = np.random.default_rng(seed)
+        m = rng.standard_normal((k, k))
+        m *= kappa / max(np.linalg.norm(m, 2), 1e-300)
+        b = rng.standard_normal(k)
+        f = CountedMap(lambda v: v + np.tanh(v @ m.T + b))
+        ys = 3.0 * rng.standard_normal((rows, k))
+        r0 = float(np.max(np.linalg.norm(f.f(ys) - ys, axis=1)))
+        xs = invert_fixed_point(f, ys, kappa=kappa, tol=tol)
+        assert np.max(np.linalg.norm(f.f(xs) - ys, axis=1)) <= tol
+        if r0 > tol:
+            budget = fixed_point_budget(r0, kappa, tol) if kappa > 0.0 else 1
+            assert f.calls - 1 <= budget
+
     def test_batch_of_targets_iterates_together(self):
-        d = np.array([1.0, 2.0])
+        d = np.array([1.0, 1.5])
         f = CountedMap(lambda v: d * v)
         ys = np.array([[0.7, -1.1], [0.0, 0.0], [-2.0, 0.4]])
         tol = 1e-10
-        xs = invert_monotone(f, ys, alpha=1.0, lip=2.0, tol=tol)
+        xs = invert_fixed_point(f, ys, kappa=0.5, tol=tol)
         assert xs.shape == ys.shape
         assert np.max(np.linalg.norm(d * xs - ys, axis=1)) <= tol
         # one shared loop: the batch stops when its slowest row converges
         counts = []
         for y in ys:
             single = CountedMap(f.f)
-            invert_monotone(single, y, alpha=1.0, lip=2.0, tol=tol)
+            invert_fixed_point(single, y, kappa=0.5, tol=tol)
             counts.append(single.calls)
+        assert len(set(counts)) > 1
         assert f.calls == max(counts)
 
     def test_parameter_validation(self):
         y = np.ones(2)
-        with pytest.raises(ValueError, match="alpha"):
-            invert_monotone(lambda v: v, y, alpha=0.0, lip=1.0)
-        with pytest.raises(ValueError, match="Lipschitz"):
-            invert_monotone(lambda v: v, y, alpha=1.0, lip=0.5)
-        for tol in (0.0, -1e-10):
+        for kappa in (-0.1, 1.0, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="kappa"):
+                invert_fixed_point(lambda v: v, y, kappa=kappa)
+        for tol in (0.0, -1e-10, float("nan")):
             with pytest.raises(ValueError, match="tolerance"):
-                invert_monotone(lambda v: v, y, alpha=1.0, lip=1.0, tol=tol)
+                invert_fixed_point(lambda v: v, y, kappa=0.5, tol=tol)
+
+    def test_nan_residual_is_not_converged(self):
+        # the second row starts where the map is NaN; the batch must not
+        # report it solved
+        f = lambda v: v + 0.5 * np.sqrt(v)
+        ys = np.array([[4.0, 1.0], [4.0, -1.0]])
+        with np.errstate(invalid="ignore"), pytest.raises(DecompositionError, match="nan"):
+            invert_fixed_point(f, ys, kappa=0.5)
 
     def test_iteration_cap_raises_with_residual(self):
-        # the true modulus 0.1 is below the alpha = 0.5 claimed for the map,
-        # so the residual decays by 0.95 per step, not by q ≈ 0.87
+        # B = −0.9·Id is claimed to be a 0.5-contraction, so the residual
+        # decays by 0.9 per step, not by κ = 0.5
         f = CountedMap(lambda v: 0.1 * v)
         y = np.ones(3)
         tol = 1e-10
-        budget = damped_budget(np.linalg.norm(0.1 * y - y), 0.5, 1.0, tol)
+        budget = fixed_point_budget(np.linalg.norm(0.1 * y - y), 0.5, tol)
         with pytest.raises(DecompositionError, match="residual") as err:
-            invert_monotone(f, y, alpha=0.5, lip=1.0, tol=tol)
+            invert_fixed_point(f, y, kappa=0.5, tol=tol)
         message = str(err.value)
         assert message.startswith("[invert]")
         assert f"budget of {budget} steps" in message
@@ -372,7 +415,7 @@ def _newton_maps(kappa):
     layer = mixing_bilipschitz_layer(12, kappa=kappa, seed=3)
     frame, _ = choose_w(layer, 0.5)
     core = CoreCompressedLayer(layer, frame)
-    path = ScalingPath(core, frame.dim, None, None)
+    path = ScalingPath(core, frame.dim, None)
     maps = {"core": core.eval_array, "path": functools.partial(path.eval_t_rows, 0.5)}
     return frame.dim, maps
 
@@ -389,12 +432,12 @@ class TestNewtonInvert:
 
         ys = ball_samples(k, 3.0, 16, seed=1)
         trace = []
-        want = _newton_rows(f, ys, 1e-13, 100, trace)
+        want = _newton_rows(f, ys, 1e-13, NEWTON_STEPS, trace)
         # rows need different step counts, and some backtrack (λ < 1)
         assert len({steps for steps, _ in trace}) > 1
         assert min(lam for _, lam in trace) < 1.0
         want_rows, rows[:] = sum(rows), []
-        got = _newton_invert(f, ys, 1e-13, 100)
+        got = _newton_invert(f, ys, 1e-13)
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
         # the same points are evaluated, only in fewer calls
         assert sum(rows) == want_rows
@@ -410,7 +453,7 @@ class TestNewtonInvert:
 
         def count(ys):
             calls.clear()
-            _newton_invert(counted, ys, 1e-13, 100)
+            _newton_invert(counted, ys, 1e-13)
             return len(calls)
 
         ys = ball_samples(k, 1.0, 64, seed=2)
@@ -423,20 +466,22 @@ class TestNewtonInvert:
         ys = np.array([[2.0, 5.0], [0.5, 2.0], [3.0, 1.5]])
         stagnated = r"\[invert\] Newton line search stagnated"
         with pytest.raises(DecompositionError, match=stagnated):
-            _newton_invert(f, ys, 1e-12, 100)
+            _newton_invert(f, ys, 1e-12)
 
     def test_nan_residual_is_not_converged(self):
         # the second row starts at a point where the map is NaN
         ys = np.array([[4.0, 1.0], [4.0, -1.0]])
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
-            _newton_invert(np.sqrt, ys, 1e-12, 100)
+            _newton_invert(np.sqrt, ys, 1e-12)
 
-    def test_exhausted_step_budget_raises(self):
+    def test_exhausted_step_budget_raises(self, monkeypatch):
         f = lambda x: x**2 + 1.0
         ys = np.array([[5.0, 2.0], [2.0, 10.0]])
-        assert np.allclose(_newton_invert(f, ys, 1e-12, 100), [[2.0, 1.0], [1.0, 3.0]])
-        with pytest.raises(DecompositionError, match="did not reach tol"):
-            _newton_invert(f, ys, 1e-12, 1)
+        assert np.allclose(_newton_invert(f, ys, 1e-12), [[2.0, 1.0], [1.0, 3.0]])
+        # the package re-exports the function decompose under the module's name
+        monkeypatch.setattr(importlib.import_module("opdisc.decompose"), "NEWTON_STEPS", 1)
+        with pytest.raises(DecompositionError, match="did not reach tol=1e-12 in 1 steps"):
+            _newton_invert(f, ys, 1e-12)
 
 
 class TestPeelTail:
@@ -444,7 +489,7 @@ class TestPeelTail:
         frame, _ = choose_w(smooth_layer, 1e-6)
         core = CoreCompressedLayer(smooth_layer, frame)
         block = peel_tail(
-            smooth_layer, core, c0=0.8, epsilon=0.25, alpha=0.8, lip=1.2, seed=9
+            smooth_layer, core, c0=0.8, epsilon=0.25, kappa=0.2, seed=9
         )
         assert block.deviation <= 1e-7
         assert block.lip_sampled <= 1e-6
@@ -466,8 +511,7 @@ class TestPeelTail:
             core,
             c0=1.0 - kappa,
             epsilon=eps,
-            alpha=1.0 - kappa,
-            lip=1.0 + kappa,
+            kappa=kappa,
             seed=10,
         )
         assert block.roundtrip_error < 1e-8
@@ -499,7 +543,7 @@ class TestPathBlocks:
     def test_transport_reaches_the_map(self):
         f = tanh_contraction(3, seed=21)
         blocks, diag = path_blocks(
-            f, 3, epsilon=0.25, r1=1.0, c0=0.7, c1=1.3, alpha=0.7, lip=1.3, seed=1
+            f, 3, epsilon=0.25, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, seed=1
         )
         assert len(blocks) >= 1
         assert not diag["linear_shortcut"]
@@ -517,7 +561,7 @@ class TestPathBlocks:
         f = tanh_contraction(3, seed=22, bias=0.2)
         eps = 0.25
         blocks, _ = path_blocks(
-            f, 3, epsilon=eps, r1=1.0, c0=0.7, c1=1.4, alpha=0.65, lip=1.35, seed=3
+            f, 3, epsilon=eps, r1=1.0, c0=0.7, c1=1.4, kappa=0.35, seed=3
         )
         assert blocks
         for b in blocks:
@@ -528,10 +572,10 @@ class TestPathBlocks:
     def test_finer_epsilon_needs_more_blocks(self):
         f = tanh_contraction(3, seed=23)
         coarse, _ = path_blocks(
-            f, 3, epsilon=0.4, r1=1.0, c0=0.7, c1=1.3, alpha=0.7, lip=1.3, seed=5
+            f, 3, epsilon=0.4, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, seed=5
         )
         fine, _ = path_blocks(
-            f, 3, epsilon=0.1, r1=1.0, c0=0.7, c1=1.3, alpha=0.7, lip=1.3, seed=5
+            f, 3, epsilon=0.1, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, seed=5
         )
         assert len(fine) >= len(coarse)
 

@@ -113,21 +113,22 @@ def test_total_iterations_sums_the_block_counts():
 
 
 def test_tracer_counts_decompose_inverters():
-    # one layer runs the damped inverter, the thin-margin one (kappa 0.7)
-    # runs Newton; a refactor that routes around a probed method reads 0
+    # one layer runs the fixed-point inverter, the thin-margin one
+    # (kappa 0.7) runs Newton; a refactor that routes around a probed
+    # method reads 0
     decompose = importlib.import_module("opdisc.decompose")
-    damped = mixing_bilipschitz_layer(8, seed=3)
+    fixed_point = mixing_bilipschitz_layer(8, seed=3)
     newton = mixing_bilipschitz_layer(8, kappa=0.7, seed=4)
     tracer = TRACER.Tracer()
     tracer.install()
     try:
         inverters = [
             decompose.decompose(layer, 0.4, 1.0).diagnostics["inverter"]
-            for layer in (damped, newton)
+            for layer in (fixed_point, newton)
         ]
     finally:
         tracer.uninstall()
-    assert inverters == ["damped", "newton"]
+    assert inverters == ["fixed_point", "newton"]
     metrics = tracer.metrics(tracer.span_table(), 1.0, 1.0, 1)
     for name in (
         "decompose.invert_rows",
