@@ -9,13 +9,16 @@ so a flag invocation and its config twin produce byte-identical artifacts.
 Exit codes: 0 when every assertion passed (a *recorded rejection* — e.g. a
 layer refused a monotonicity certificate — is a valid outcome, not a
 failure); 1 for config errors; 2 for assertion failures, accompanied by a
-machine-readable ``failures.json`` in the output directory.
+machine-readable ``failures.json`` in the output directory.  Each of its
+entries names the ``stage`` that failed: the leading ``[stage]`` of the
+error message, or null when the message has none.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -287,7 +290,7 @@ def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         exp,
         "invert",
         {"name", "kind", "seed", "chain", "y"},
-        {"head", "tol", "max_iter", "out"},
+        {"head", "tol", "out"},
     )
     chain = memo.get(chain_from_spec, exp["chain"])
     head = head_from_spec(exp.get("head", {"kind": "identity"}), dim=chain.dim)
@@ -299,13 +302,7 @@ def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         raise ConfigError(
             f"experiment {exp['name']!r}: y must be {chain.dim} finite numbers"
         )
-    result = invert_chain(
-        chain,
-        head,
-        y,
-        tol=_float_field(exp, "tol", 1e-10),
-        max_iter=_int_field(exp, "max_iter", 10_000),
-    )
+    result = invert_chain(chain, head, y, tol=_float_field(exp, "tol", 1e-10))
     report = {
         "schema": SCHEMA_VERSION,
         "name": exp["name"],
@@ -528,11 +525,13 @@ def _run_experiment(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     except (SpecError, ConfigError) as err:
         return {**outcome, "status": "config-error", "error": str(err)}
     except _FAILURES as err:
+        stage = re.match(r"\[([^\]]+)\]", str(err))
         return {
             **outcome,
             "status": "failed",
             "error": str(err),
             "error_type": type(err).__name__,
+            "stage": stage.group(1) if stage else None,
         }
     return {**outcome, "status": "ok"}
 
@@ -578,6 +577,8 @@ def _finish(outcomes: list[dict], out_dir: Path) -> None:
     for o in outcomes:
         click.echo(f"{o['status']:>12}  {o['kind']}  {o['name']}")
     config_errors = [o for o in outcomes if o["status"] == "config-error"]
+    for o in config_errors:
+        click.echo(f"config-error in {o['name']}: {o['error']}", err=True)
     failures = [o for o in outcomes if o["status"] == "failed"]
     if failures:
         write_json(out_dir / "failures.json", {"schema": SCHEMA_VERSION, "failed": failures})
@@ -707,12 +708,15 @@ def decompose_cmd(ctx, layer_path, **flags):
 @click.option("--y", "y_path", type=click.Path(exists=True, dir_okay=False),
               help="Target file: {schema, y} or a bare JSON array.")
 @click.option("--tol", type=float, default=None)
-@click.option("--max-iter", type=int, default=None)
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 @click.pass_context
 def invert_cmd(ctx, chain_path, y_path, **flags):
-    """Invert a certified residual chain by fixed-point iteration."""
+    """Invert a certified residual chain by fixed-point iteration.
+
+    A ball-local chain (one with a ball_radius) refuses a target whose
+    inversion leaves its ball: the run fails with a DomainError.
+    """
     if chain_path is not None:
         blob = read_envelope(load_json(chain_path), "chain file", {"chain"}, {"head"})
         flags["chain"] = blob["chain"]

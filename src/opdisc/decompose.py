@@ -25,10 +25,10 @@ the identity on W⊥.
 
 Every map inverted along the way is Id + B with Lip(B) ≤ κ, the layer's
 contraction product.  Inverses are computed on demand: the Banach
-fixed-point iteration x ← y − B(x), which contracts at rate κ, when κ is
-small enough; a finite-difference Newton solver otherwise.  Both take a
-batch of targets.  The fixed-point iteration's step budget is derived from
-κ and the initial residual; the Newton solver steps every row still above
+fixed-point iteration x ← y − B(x) at rate κ (``opdisc.invert``'s kernel,
+which derives each row's step budget from κ and its initial residual) when
+κ is small enough; a finite-difference Newton solver otherwise.  Both take
+a batch of targets.  The Newton solver steps every row still above
 tolerance together (one batch of finite-difference Jacobians, one batched
 linear solve and a batched backtracking line search per round), with each
 row keeping its own step count and step length.
@@ -45,6 +45,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 
+from .invert import InversionError, banach_solve
 from .layers import NeuralOperatorLayer, central_differences, eval_map
 from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate
 from .operators import Identity, Reflection, spectral_norm
@@ -56,7 +57,6 @@ __all__ = [
     "quintic_smoothstep",
     "choose_w",
     "peel_tail",
-    "invert_fixed_point",
     "path_blocks",
     "linear_path_blocks",
     "decompose",
@@ -253,63 +253,14 @@ def _newton_invert(f, ys: np.ndarray, tol: float) -> np.ndarray:
     return xs
 
 
-def _fixed_point_budget(r0: float, kappa: float, tol: float) -> int:
-    """Steps after which the fixed-point iteration's residual is provably ≤ tol.
-
-    f = Id + B is (1 − κ)-monotone and (1 + κ)-Lipschitz, and the k-th
-    iterate satisfies ‖x_k − x*‖ ≤ κ^k·‖x₀ − x*‖, so ‖f(x_k) − y‖ ≤
-    (1 + κ)·κ^k·‖x₀ − x*‖ ≤ ((1 + κ)/(1 − κ))·κ^k·r0; k ≥ log(tol·(1 − κ) /
-    ((1 + κ)·r0)) / log κ suffices, and one step more absorbs rounding.
-    """
-    if r0 <= tol:
-        return 0
-    if not math.isfinite(r0):
-        raise DecompositionError(f"[invert] fixed-point iteration starts at residual {r0:g}")
-    if kappa == 0.0:
-        return 1
-    ratio = tol * (1.0 - kappa) / ((1.0 + kappa) * r0)
-    return int(math.ceil(math.log(ratio) / math.log(kappa))) + 1
-
-
-def invert_fixed_point(f, y, kappa: float, tol: float = 1e-10) -> np.ndarray:
-    """Solve f(x) = y for f = Id + B with Lip(B) ≤ kappa < 1 by Banach iteration.
-
-    ``y`` holds one target or a (..., k) batch of them, all iterated
-    together.  The step x ← x − (f(x) − y) = y − B(x) contracts distances
-    to the solution by kappa per iteration; the loop stops as soon as the
-    largest row residual ‖f(x) − y‖ is ≤ tol.  The step budget follows from
-    kappa and the largest initial row residual (see
-    :func:`_fixed_point_budget`); exceeding it means B is not a kappa-
-    contraction.
-    """
-    if not 0.0 <= kappa < 1.0:
-        raise ValueError("contraction constant kappa must lie in [0, 1)")
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
-    y = np.asarray(y, dtype=float)
-    x = y.copy()
-    res = eval_map(f, x) - y
-    rnorm = float(np.max(np.linalg.norm(res, axis=-1), initial=0.0))
-    budget = _fixed_point_budget(rnorm, kappa, tol)
-    iterations = 0
-    while not rnorm <= tol:
-        if iterations >= budget:
-            raise DecompositionError(
-                f"[invert] fixed-point iteration did not reach tol={tol:g} within its "
-                f"derived budget of {budget} steps (last residual {rnorm:g})"
-            )
-        x = x - res
-        iterations += 1
-        res = eval_map(f, x) - y
-        rnorm = float(np.max(np.linalg.norm(res, axis=-1), initial=0.0))
-    return x
-
-
 def _invert(f, ys: np.ndarray, kappa: float | None, tol: float) -> np.ndarray:
     """Banach iteration at rate kappa for f = Id + B, Lip(B) ≤ kappa; Newton when kappa is None."""
-    if kappa is not None:
-        return invert_fixed_point(f, ys, kappa, tol)
-    return _newton_invert(f, ys, tol)
+    if kappa is None:
+        return _newton_invert(f, ys, tol)
+    try:
+        return banach_solve(f, ys, kappa, tol).x
+    except InversionError as exc:
+        raise DecompositionError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

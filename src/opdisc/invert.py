@@ -1,29 +1,35 @@
-"""Fixed-point inversion of residual chains.
+"""Banach fixed-point inversion: one batched kernel, residual chains on top.
 
-A residual block ``x + B(x)`` with a certified contraction bound
-``Lip(B) <= delta < 1`` is inverted by the Banach iteration
+A map f = Id + B with a certified contraction bound ``Lip(B) <= q < 1`` is
+inverted by the Banach iteration
 
-    x_{n+1} = y - B(x_n)
+    x_{n+1} = x_n - (f(x_n) - y) = y - B(x_n)
 
-which converges geometrically at rate ``delta``.  A chain of such blocks
-composed with an identity/reflection head is inverted block by block in
-reverse order; :func:`global_inverse_check` turns this into a sampled
-homeomorphism verdict: roundtrip errors in both directions plus one strong
-monotonicity certificate per block.
+which shrinks the residual by at least ``q`` per step.  :func:`banach_solve`
+is the package's one such loop: it takes a batch of targets, derives each
+row's step budget from ``q`` and its first residual before iterating, and
+refuses non-finite residuals, exhausted budgets and (for maps certified only
+on a ball) iterates outside the ball.  ``opdisc.decompose`` inverts its
+blocks with it too.
 
-Every inversion records an :class:`InversionTrace` that keeps the full
-residual history so the geometric decay can be audited after the fact.
+A chain of residual blocks composed with an identity/reflection head is
+inverted block by block in reverse order; :func:`global_inverse_check`
+turns this into a sampled homeomorphism verdict: roundtrip errors in both
+directions plus one strong monotonicity certificate per block.  Every chain
+inversion records an :class:`InversionTrace` that keeps the full residual
+history so the geometric decay can be audited after the fact.
 """
 
 from __future__ import annotations
 
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .layers import CoordinateNetwork, InvertibleResidualChain, ResidualChain
+from .layers import CoordinateNetwork, InvertibleResidualChain, ResidualChain, eval_map
 from .monotone import ball_samples, pairwise_alpha
 from .operators import Identity, LinearExpr, Reflection
 
@@ -31,6 +37,8 @@ __all__ = [
     "DomainError",
     "InversionError",
     "InversionTrace",
+    "BanachSolve",
+    "banach_solve",
     "ChainInverseResult",
     "block_fixed_point",
     "invert_chain",
@@ -44,16 +52,12 @@ class InversionError(RuntimeError):
 
 
 class DomainError(InversionError):
-    """An iterate left the ball on which the inversion is defined."""
+    """An iterate left the ball on which the map's certificate holds."""
 
 
 # ---------------------------------------------------------------------------
 # trace bookkeeping
 # ---------------------------------------------------------------------------
-
-
-def _median(values: Sequence[float]) -> float:
-    return float(np.median(np.asarray(values, dtype=float)))
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,6 @@ class InversionTrace:
     apriori_bounds: tuple
     deltas: tuple
     tol: float
-    max_iter: int
     contraction_ratios: tuple = field(init=False)
 
     def __post_init__(self) -> None:
@@ -97,10 +100,10 @@ class InversionTrace:
                 hist[k] / hist[k - 1] for k in range(1, len(hist)) if hist[k - 1] > 0.0
             )
             ratios.append(block_ratios)
-            if block_ratios and _median(block_ratios) > deltas[b] + 0.05:
+            if block_ratios and statistics.median(block_ratios) > deltas[b] + 0.05:
                 raise ValueError(
                     f"block {b}: median contraction ratio "
-                    f"{_median(block_ratios):.6g} exceeds delta + 0.05 = "
+                    f"{statistics.median(block_ratios):.6g} exceeds delta + 0.05 = "
                     f"{deltas[b] + 0.05:.6g}"
                 )
             # strict decay is only promised once the contraction has acted,
@@ -140,20 +143,112 @@ class InversionTrace:
             "apriori_bounds": list(self.apriori_bounds),
             "deltas": list(self.deltas),
             "tol": self.tol,
-            "max_iter": self.max_iter,
         }
 
 
-def _merge_traces(traces: Sequence[InversionTrace]) -> tuple:
-    """Flatten single-block traces into parallel per-block tuples."""
-    counts, finals, hists, bounds, deltas = [], [], [], [], []
-    for t in traces:
-        counts.extend(t.iteration_counts)
-        finals.extend(t.final_residuals)
-        hists.extend(t.residual_histories)
-        bounds.extend(t.apriori_bounds)
-        deltas.extend(t.deltas)
-    return tuple(counts), tuple(finals), tuple(hists), tuple(bounds), tuple(deltas)
+# ---------------------------------------------------------------------------
+# the Banach kernel
+# ---------------------------------------------------------------------------
+
+
+def _apriori_iterations(r0, q: float, tol: float) -> np.ndarray:
+    """Residual evaluations after which a q-contraction's residual is <= tol.
+
+    Elementwise over the first residuals ``r0``.  Each step x <- y - B(x)
+    shrinks the residual by q (the residual of an iterate is the step to
+    the next one), so the n-th evaluation sees at most ``q**(n-1) * r0``;
+    the bound even reaches the stricter ``tol*(1-q)`` threshold that
+    guarantees distance-to-fixed-point <= tol, which leaves room for
+    rounding.
+    """
+    r0 = np.asarray(r0, dtype=float)
+    threshold = tol * (1.0 - q)
+    if q == 0.0:
+        # B is constant, so the first step is exact
+        return np.where(r0 <= threshold, 1, 2)
+    # a first residual at or below the threshold needs log(1) = 0 steps
+    steps = np.ceil(np.log(threshold / np.maximum(r0, threshold)) / math.log(q))
+    return steps.astype(int) + 1
+
+
+@dataclass(frozen=True)
+class BanachSolve:
+    """Solution of :func:`banach_solve` with its per-row audit.
+
+    Rows are the targets in row-major order (a single target is one row).
+    ``residuals[k, i]`` is ``||f(x_k) - y||`` of row i at the k-th iterate
+    (x_0 = y).  The batch steps until its slowest row converges, so row i's
+    count is the first evaluation at which its own residual was <= tol and
+    its history is ``residuals[:counts[i], i]``; ``budgets[i]`` is its
+    a priori bound, which the count never exceeds.
+    """
+
+    x: np.ndarray
+    counts: np.ndarray
+    residuals: np.ndarray
+    budgets: np.ndarray
+
+    def history(self, row: int) -> tuple:
+        return tuple(float(r) for r in self.residuals[: self.counts[row], row])
+
+
+def banach_solve(f, y, q: float, tol: float, *, radius: float | None = None) -> BanachSolve:
+    """Solve f(x) = y for f = Id + B with Lip(B) <= q < 1 by Banach iteration.
+
+    ``y`` holds one target ``(m,)`` or a ``(..., m)`` batch, iterated
+    together from x = y by the residual step x <- x - (f(x) - y).  Each
+    row's budget ``_apriori_iterations(r0, q, tol)`` follows from q and its
+    first residual r0.  Raises :class:`InversionError` with an ``[invert]``
+    message at once on a non-finite residual, and when a row is still above
+    tol after its budget (then B is no q-contraction where it was
+    evaluated).  ``radius`` is the ball on which q certifies B: an iterate
+    outside it raises :class:`DomainError` before f sees it.
+    """
+    if not 0.0 <= q < 1.0:
+        raise ValueError(f"contraction bound q must lie in [0, 1), got {q}")
+    if not tol > 0.0:
+        raise ValueError("tolerance must be positive")
+    y = np.asarray(y, dtype=float)
+    x = y.copy()
+    history = []
+    while True:
+        k = len(history) + 1
+        if radius is not None:
+            reach = float(np.max(np.linalg.norm(x, axis=-1), initial=0.0))
+            if reach > radius:
+                raise DomainError(
+                    f"[invert] iterate {k} lies outside the certified ball: "
+                    f"|x| = {reach:.6g} > {radius:.6g}"
+                )
+        res = eval_map(f, x) - y
+        # np.linalg.norm(res, axis=-1) without its dispatch overhead
+        rnorm = np.sqrt(np.add.reduce(res * res, axis=-1)).reshape(-1)
+        history.append(rnorm)
+        # NaN if any row's residual is NaN
+        worst = float(rnorm.max(initial=0.0))
+        if not math.isfinite(worst):
+            raise InversionError(
+                f"[invert] fixed-point residual is not finite at evaluation {k} "
+                f"(last residual {worst:g})"
+            )
+        if k == 1:
+            budgets = _apriori_iterations(rnorm, q, tol)
+            first_deadline = budgets.min(initial=1)
+        if worst <= tol:
+            break
+        if k >= first_deadline:
+            spent = (rnorm > tol) & (budgets <= k)
+            if spent.any():
+                i = spent.argmax()
+                raise InversionError(
+                    f"[invert] fixed-point iteration did not reach tol={tol:g} within "
+                    f"its derived budget of {budgets[i]} evaluations at rate q={q:g} "
+                    f"(last residual {rnorm[i]:g})"
+                )
+        x = x - res
+    residuals = np.array(history)
+    counts = np.argmax(residuals <= tol, axis=0) + 1
+    return BanachSolve(x=x, counts=counts, residuals=residuals, budgets=budgets)
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +260,9 @@ def _block_certificate(
     block: CoordinateNetwork,
     delta: float | None,
     ball_radius: float | None,
-) -> float:
+) -> tuple:
+    """The block's contraction bound and the ball it holds on (None: globally)."""
+    radius = None if np.isfinite(block.spectral_bound) else ball_radius
     if delta is None:
         delta = block.spectral_bound
         if not np.isfinite(delta):
@@ -183,115 +280,62 @@ def _block_certificate(
         )
     if delta < 0.0:
         raise ValueError("contraction bound cannot be negative")
-    return delta
+    return delta, radius
 
 
-def _apriori_iterations(first_step: float, delta: float, tol: float) -> int:
-    """Geometric-series bound on the number of update steps.
-
-    After ``n`` steps the step size is at most ``delta**(n-1)`` times the
-    first one, and the returned point's residual equals its step size; the
-    bound below even reaches the stricter ``tol*(1-delta)`` threshold that
-    guarantees distance-to-fixed-point <= tol.
-    """
-    threshold = tol * (1.0 - delta)
-    if first_step <= threshold or first_step == 0.0:
-        return 1
-    if delta == 0.0:
-        # B is constant, so the second step is exact
-        return 2
-    return int(math.ceil(math.log(threshold / first_step) / math.log(delta))) + 1
-
-
-def block_fixed_point(
-    block: CoordinateNetwork,
-    y: np.ndarray,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    *,
-    delta: float | None = None,
-    ball_radius: float | None = None,
-    domain_radius: float | None = None,
-    domain_step: float | None = None,
-    project_iterates: bool = False,
-) -> tuple:
-    """Solve ``x + embed(block(prefix(x))) = y`` by damped-free iteration.
-
-    The block reads and writes only the first ``block.n_in`` coordinates,
-    so the tail of ``x`` equals the tail of ``y`` exactly and only the
-    prefix is iterated (``x <- y - B(x)``), starting at the data.  Returns
-    ``(x, trace)``.
-
-    When ``domain_radius`` is given, every iterate must stay inside the ball of
-    radius ``domain_radius + domain_step`` (default step: the certified
-    contraction bound); a violation raises :class:`DomainError` unless
-    ``project_iterates`` rescales the iterate back onto the ball instead.
-    """
+def _solve_block(block, y, tol, delta, ball_radius) -> tuple:
+    """One block's inversion: ``(x, residual history, budget, certificate)``."""
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
-    if max_iter < 1:
-        raise ValueError("need at least one iteration")
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("y must be a single coefficient vector")
     if block.n_in != block.n_out:
         raise ValueError("residual block must be square on its prefix")
     if y.size < block.n_in:
         raise ValueError(
             f"y has {y.size} coordinates but the block needs {block.n_in}"
         )
-    cert = _block_certificate(block, delta, ball_radius)
+    cert, radius = _block_certificate(block, delta, ball_radius)
     n = block.n_in
-    y_prefix = y[:n]
-    tail = y[n:]
-    allowed = None
-    if domain_radius is not None:
-        if domain_radius <= 0.0:
-            raise ValueError("domain radius must be positive")
-        allowed = domain_radius + (cert if domain_step is None else float(domain_step))
+    sol = banach_solve(lambda v: v + block.eval_array(v), y[:n], cert, tol, radius=radius)
+    return np.concatenate([sol.x, y[n:]]), sol.history(0), int(sol.budgets[0]), cert
 
-    x = y_prefix.copy()
-    residuals: list = []
-    first_step = 0.0
-    converged = False
-    for k in range(1, max_iter + 1):
-        x_next = y_prefix - block.eval_array(x)
-        step = float(np.linalg.norm(x_next - x))
-        if k == 1:
-            first_step = step
-        # the residual of the current iterate IS the step to the next one:
-        # ||x + B(x) - y|| = ||x - (y - B(x))||
-        residuals.append(step)
-        if allowed is not None:
-            reach = math.hypot(float(np.linalg.norm(x_next)), float(np.linalg.norm(tail)))
-            if reach > allowed + 1e-12:
-                if not project_iterates:
-                    raise DomainError(
-                        f"iterate {k} left the inversion domain: |x| = {reach:.6g} "
-                        f"> {allowed:.6g}"
-                    )
-                x_next = x_next * (allowed / reach)
-        x = x_next
-        if step <= tol:
-            converged = True
-            break
-    if not converged:
-        raise InversionError(
-            f"fixed-point iteration did not reach tol={tol:.3g} in "
-            f"{max_iter} iterations (last residual {residuals[-1]:.6g})"
-        )
-    final_residual = float(np.linalg.norm(x + block.eval_array(x) - y_prefix))
-    bound = _apriori_iterations(first_step, cert, tol)
-    trace = InversionTrace(
-        iteration_counts=(len(residuals),),
-        final_residuals=(final_residual,),
-        residual_histories=(tuple(residuals),),
-        apriori_bounds=(bound,),
-        deltas=(cert,),
+
+def _trace(solves: Sequence[tuple], tol: float) -> InversionTrace:
+    """The audited trace of per-block ``(history, budget, certificate)`` solves."""
+    hists = tuple(h for h, _, _ in solves)
+    return InversionTrace(
+        iteration_counts=tuple(len(h) for h in hists),
+        final_residuals=tuple(h[-1] for h in hists),
+        residual_histories=hists,
+        apriori_bounds=tuple(b for _, b, _ in solves),
+        deltas=tuple(d for _, _, d in solves),
         tol=tol,
-        max_iter=max_iter,
     )
-    return np.concatenate([x, tail]), trace
+
+
+def block_fixed_point(
+    block: CoordinateNetwork,
+    y: np.ndarray,
+    tol: float = 1e-10,
+    *,
+    delta: float | None = None,
+    ball_radius: float | None = None,
+) -> tuple:
+    """Solve ``x + embed(block(prefix(x))) = y`` by Banach iteration.
+
+    The block reads and writes only the first ``block.n_in`` coordinates,
+    so the tail of ``x`` equals the tail of ``y`` exactly and only the
+    prefix is solved: :func:`banach_solve` on v + B(v) at the certified
+    rate ``delta`` (default: the block's spectral bound), starting at the
+    data.  A block without a global certificate is certified on the ball of
+    radius ``ball_radius`` through ``ball_bound``, and refuses with
+    :class:`DomainError` any iterate whose prefix leaves that ball.
+    Returns ``(x, trace)``.
+    """
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 1:
+        raise ValueError("y must be a single coefficient vector")
+    x, history, budget, cert = _solve_block(block, y, tol, delta, ball_radius)
+    return x, _trace([(history, budget, cert)], tol)
 
 
 # ---------------------------------------------------------------------------
@@ -362,59 +406,30 @@ class ChainInverseResult:
         }
 
 
-def invert_chain(
-    chain,
-    a0,
-    y: np.ndarray,
-    *,
-    tol: float = 1e-10,
-    max_iter: int = 10_000,
-    domain_radius: float | None = None,
-    project_iterates: bool = False,
-) -> ChainInverseResult:
+def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInverseResult:
     """Invert ``chain(a0(x)) = y``: blocks in reverse order, then the head.
 
-    ``tol`` is the per-block residual target; the reported
+    Each block is solved by :func:`block_fixed_point` at its certified
+    rate.  ``tol`` is the per-block residual target; the reported
     ``roundtrip_target`` is the resulting worst-case forward-map residual
     ``T * tol / (1 - delta_max)**T`` (each block error can be amplified by
-    every inverse map applied after it).  When ``domain_radius`` is given,
-    the iterates of the block at forward position ``t`` (0-based) must stay
-    inside the ball of radius ``domain_radius + (t + 1) * delta`` — the ball
-    the forward chain itself cannot leave — else :class:`DomainError`
-    (``project_iterates`` swaps the abort for a projection onto that ball).
+    every inverse map applied after it).  A ball-local chain certifies its
+    unbounded blocks on the ball of its ``ball_radius`` only, so a target
+    whose inversion leaves that ball raises :class:`DomainError`.
     """
     blocks, deltas, ball_radius = _chain_parts(chain)
     x = np.asarray(y, dtype=float)
     if x.ndim != 1:
         raise ValueError("y must be a single coefficient vector")
-    traces = []
+    solves = []
     for i in range(len(blocks) - 1, -1, -1):
-        x, t = block_fixed_point(
-            blocks[i],
-            x,
-            tol,
-            max_iter,
-            delta=deltas[i],
-            ball_radius=ball_radius,
-            domain_radius=domain_radius,
-            domain_step=(i + 1) * deltas[i] if domain_radius is not None else None,
-            project_iterates=project_iterates,
-        )
-        traces.append(t)
+        x, *solve = _solve_block(blocks[i], x, tol, deltas[i], ball_radius)
+        solves.append(solve)
     x = _apply_head_inverse(a0, x)
-    counts, finals, hists, bounds, ds = _merge_traces(list(reversed(traces)))
-    trace = InversionTrace(
-        iteration_counts=counts,
-        final_residuals=finals,
-        residual_histories=hists,
-        apriori_bounds=bounds,
-        deltas=ds,
-        tol=tol,
-        max_iter=max_iter,
-    )
+    trace = _trace(solves[::-1], tol)
     n_blocks = len(blocks)
     if n_blocks:
-        worst = max(ds)
+        worst = max(trace.deltas)
         target = n_blocks * tol / (1.0 - worst) ** n_blocks
     else:
         target = 0.0
@@ -463,7 +478,6 @@ def global_inverse_check(
     seed: int = 0,
     *,
     tol: float = 1e-10,
-    max_iter: int = 100_000,
 ) -> GlobalInverseReport:
     """Sampled verdict that a certified residual chain is a homeomorphism.
 
@@ -489,12 +503,12 @@ def global_inverse_check(
     fwd = chain.chain.eval_array(xs)
     err_left = 0.0
     for x_true, y in zip(xs, fwd):
-        x_rec = invert_chain(chain, None, y, tol=tol, max_iter=max_iter).x
+        x_rec = invert_chain(chain, None, y, tol=tol).x
         err_left = max(err_left, float(np.linalg.norm(x_rec - x_true)))
 
     err_right = 0.0
     for y in xs:
-        x_rec = invert_chain(chain, None, y, tol=tol, max_iter=max_iter).x
+        x_rec = invert_chain(chain, None, y, tol=tol).x
         err_right = max(
             err_right,
             float(np.linalg.norm(chain.chain.eval_array(x_rec) - y)),

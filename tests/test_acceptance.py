@@ -64,7 +64,7 @@ def test_criterion_04_block_factorization():
 def test_criterion_05_fixed_point_inversion():
     detail = criterion_fixed_point_inversion()
     assert detail["worst_roundtrip"] <= 1e-8
-    assert detail["worst_iteration_slack"] <= 5
+    assert detail["worst_iteration_slack"] <= 0
 
 
 def test_criterion_06_invertible_chain_certificates():

@@ -289,6 +289,8 @@ class TestBatchMode:
         failures = json.loads((out / "failures.json").read_text())
         assert failures["failed"][0]["name"] == "toohigh"
         assert "fell below" in failures["failed"][0]["error"]
+        # the message names no stage
+        assert failures["failed"][0]["stage"] is None
         report = json.loads((out / "toohigh.json").read_text())
         assert report["pass"] is False
 
@@ -350,6 +352,47 @@ class TestBatchMode:
         got = [row["alpha_hat"] for row in report["scan"]]
         assert got == pytest.approx(expected, rel=1e-12)
         assert report["pass"]
+
+    def test_ball_local_chain_refuses_targets_outside_its_ball(self, runner, tmp_path):
+        chain = {"kind": "seeded_chain", "ambient_dim": 8, "num_blocks": 3, "seed": 5,
+                 "delta": 0.5, "activation": "recu", "ball_radius": 1.0, "bias_scale": 0}
+        experiments = [
+            {"name": f"norm{norm:g}", "kind": "invert", "seed": 0, "chain": chain,
+             "y": (norm * np.eye(8)[0]).tolist()}
+            for norm in (0.5, 3, 10, 30)
+        ]
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["--config", str(write_config(tmp_path, experiments)), "--out", str(out)]
+        )
+        assert result.exit_code == 2, result.output
+        status = [line.split()[::2] for line in result.output.splitlines()]
+        assert status == [["ok", "norm0.5"], ["failed", "norm3"], ["failed", "norm10"],
+                          ["failed", "norm30"]]
+        failed = json.loads((out / "failures.json").read_text())["failed"]
+        assert [f["name"] for f in failed] == ["norm3", "norm10", "norm30"]
+        for f in failed:
+            assert f["error_type"] == "DomainError"
+            assert f["stage"] == "invert"
+            assert f["error"].startswith("[invert] iterate 1 lies outside the certified ball")
+        trace = json.loads((out / "norm0.5.json").read_text())["trace"]
+        assert "max_iter" not in trace
+        assert len(trace["iteration_counts"]) == 3
+
+    def test_decompose_failure_names_its_stage(self, runner, tmp_path):
+        exp = {"name": "recu", "kind": "decompose", "seed": 0,
+               "space": {"basis": "fourier", "ambient_dim": 8},
+               "layer": {"kind": "seeded_layer", "seed": 5, "rank": 4, "lip_g": 0.4,
+                         "activation": "recu"},
+               "epsilon": 0.25, "radius": 1.0}
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--config", str(write_config(tmp_path, [exp])),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        failed = json.loads((out / "failures.json").read_text())["failed"]
+        assert failed[0]["error_type"] == "DecompositionError"
+        assert failed[0]["error"].startswith("[estimate] ")
+        assert failed[0]["stage"] == "estimate"
 
 
 class TestBuildMemo:
@@ -663,6 +706,26 @@ class TestSubcommands:
         assert np.max(np.abs(np.asarray(blob["x"]) - x)) < 1e-8
         assert blob["trace"]["iteration_counts"]
         assert blob["roundtrip_target"] < 1e-8
+
+    def test_invert_max_iter_is_a_config_error(self, runner, tmp_path):
+        # the iteration budget is derived, not set
+        exp = {**INVERT_BATCH[0], "max_iter": 10}
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--config", str(write_config(tmp_path, [exp])),
+                                      "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert "config-error in inv0: invert: unknown keys ['max_iter']" in result.output
+        outcome = _run_batch([exp], out)[0]
+        assert outcome["status"] == "config-error"
+        assert "unknown keys ['max_iter']" in outcome["error"]
+        single = tmp_path / "single.json"
+        single.write_text(json.dumps({"schema": 1, **exp}))
+        result = runner.invoke(main, ["--config", str(single), "--out", str(out), "invert"])
+        assert result.exit_code == 1
+        assert "max_iter" in result.output
+        assert not (out / "failures.json").exists()
+        result = runner.invoke(main, ["--out", str(out), "invert", "--max-iter", "5"])
+        assert "No such option" in result.output
 
     def test_invert_rejects_wrong_length_target(self, runner, tmp_path, chain_and_target):
         chain_path, _, _ = chain_and_target

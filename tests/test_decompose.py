@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opdisc.acceptance import mixing_bilipschitz_layer
+from opdisc.invert import _apriori_iterations
 from opdisc.decompose import (
     CoreCompressedLayer,
     DecompositionError,
@@ -17,10 +18,10 @@ from opdisc.decompose import (
     LiftedBlock,
     ScalingPath,
     _fd_jacobian,
+    _invert,
     _newton_invert,
     choose_w,
     decompose,
-    invert_fixed_point,
     linear_path_blocks,
     path_blocks,
     peel_tail,
@@ -251,26 +252,22 @@ class CountedMap:
         return self.f(x)
 
 
-def fixed_point_budget(r0, kappa, tol):
-    """The derived budget: resid_k ≤ ((1 + κ)/(1 − κ))·κᵏ·r0, plus one step."""
-    return math.ceil(math.log(tol * (1.0 - kappa) / ((1.0 + kappa) * r0)) / math.log(kappa)) + 1
-
-
 class TestInvertMonotone:
-    """The Banach iteration on f = Id + B, Lip(B) ≤ κ: a (1 − κ)-strongly
-    monotone, (1 + κ)-Lipschitz map inverted at rate κ."""
+    """decompose's Banach path: f = Id + B, Lip(B) ≤ κ, a (1 − κ)-strongly
+    monotone, (1 + κ)-Lipschitz map inverted at rate κ by the shared kernel,
+    with its failures reported as decompose errors."""
 
     def test_identity_converges_immediately(self):
         f = CountedMap(lambda v: v)
         y = np.array([0.3, -1.2, 0.5])
-        x = invert_fixed_point(f, y, kappa=0.0)
+        x = _invert(f, y, 0.0, 1e-10)
         assert np.array_equal(x, y)
         assert f.calls == 1
 
     def test_scaling_map_divides_target(self):
         y = np.zeros(4)
         y[0] = 1.0
-        x = invert_fixed_point(lambda v: 1.5 * v, y, kappa=0.5)
+        x = _invert(lambda v: 1.5 * v, y, 0.5, 1e-10)
         assert np.allclose(x, y / 1.5, atol=1e-12)
 
     def test_iteration_count_obeys_geometric_bound(self):
@@ -280,13 +277,13 @@ class TestInvertMonotone:
         f = CountedMap(lambda v: d * v)
         y = np.array([0.7, -1.1])
         tol = 1e-10
-        x = invert_fixed_point(f, y, kappa=kappa, tol=tol)
+        x = _invert(f, y, kappa, tol)
         r0 = np.linalg.norm(d * y - y)
         # the residual of a linear B shrinks by exactly κ per step
         bound = math.log(tol / r0) / math.log(kappa) + 1.0
         # one evaluation at the start, one per iteration
         assert f.calls - 1 <= bound
-        assert f.calls - 1 <= fixed_point_budget(r0, kappa, tol)
+        assert f.calls <= _apriori_iterations(r0, kappa, tol)
         assert np.linalg.norm(d * x - y) <= tol
 
     def test_residual_guarantee_on_nonlinear_map(self):
@@ -295,7 +292,7 @@ class TestInvertMonotone:
         m *= 0.3 / np.linalg.norm(m, 2)
         f = lambda v: v + np.tanh(v @ m.T)
         y = rng.standard_normal(5)
-        x = invert_fixed_point(f, y, kappa=0.3, tol=1e-11)
+        x = _invert(f, y, 0.3, 1e-11)
         assert np.linalg.norm(f(x) - y) <= 1e-11
 
     @settings(max_examples=40, deadline=None)
@@ -314,25 +311,24 @@ class TestInvertMonotone:
         f = CountedMap(lambda v: v + np.tanh(v @ m.T + b))
         ys = 3.0 * rng.standard_normal((rows, k))
         r0 = float(np.max(np.linalg.norm(f.f(ys) - ys, axis=1)))
-        xs = invert_fixed_point(f, ys, kappa=kappa, tol=tol)
+        xs = _invert(f, ys, kappa, tol)
         assert np.max(np.linalg.norm(f.f(xs) - ys, axis=1)) <= tol
-        if r0 > tol:
-            budget = fixed_point_budget(r0, kappa, tol) if kappa > 0.0 else 1
-            assert f.calls - 1 <= budget
+        # the slowest row's budget bounds the batch's evaluations
+        assert f.calls <= _apriori_iterations(r0, kappa, tol)
 
     def test_batch_of_targets_iterates_together(self):
         d = np.array([1.0, 1.5])
         f = CountedMap(lambda v: d * v)
         ys = np.array([[0.7, -1.1], [0.0, 0.0], [-2.0, 0.4]])
         tol = 1e-10
-        xs = invert_fixed_point(f, ys, kappa=0.5, tol=tol)
+        xs = _invert(f, ys, 0.5, tol)
         assert xs.shape == ys.shape
         assert np.max(np.linalg.norm(d * xs - ys, axis=1)) <= tol
         # one shared loop: the batch stops when its slowest row converges
         counts = []
         for y in ys:
             single = CountedMap(f.f)
-            invert_fixed_point(single, y, kappa=0.5, tol=tol)
+            _invert(single, y, 0.5, tol)
             counts.append(single.calls)
         assert len(set(counts)) > 1
         assert f.calls == max(counts)
@@ -340,11 +336,11 @@ class TestInvertMonotone:
     def test_parameter_validation(self):
         y = np.ones(2)
         for kappa in (-0.1, 1.0, 1.5, float("nan")):
-            with pytest.raises(ValueError, match="kappa"):
-                invert_fixed_point(lambda v: v, y, kappa=kappa)
+            with pytest.raises(ValueError, match="contraction bound"):
+                _invert(lambda v: v, y, kappa, 1e-10)
         for tol in (0.0, -1e-10, float("nan")):
             with pytest.raises(ValueError, match="tolerance"):
-                invert_fixed_point(lambda v: v, y, kappa=0.5, tol=tol)
+                _invert(lambda v: v, y, 0.5, tol)
 
     def test_nan_residual_is_not_converged(self):
         # the second row starts where the map is NaN; the batch must not
@@ -352,21 +348,7 @@ class TestInvertMonotone:
         f = lambda v: v + 0.5 * np.sqrt(v)
         ys = np.array([[4.0, 1.0], [4.0, -1.0]])
         with np.errstate(invalid="ignore"), pytest.raises(DecompositionError, match="nan"):
-            invert_fixed_point(f, ys, kappa=0.5)
-
-    def test_iteration_cap_raises_with_residual(self):
-        # B = −0.9·Id is claimed to be a 0.5-contraction, so the residual
-        # decays by 0.9 per step, not by κ = 0.5
-        f = CountedMap(lambda v: 0.1 * v)
-        y = np.ones(3)
-        tol = 1e-10
-        budget = fixed_point_budget(np.linalg.norm(0.1 * y - y), 0.5, tol)
-        with pytest.raises(DecompositionError, match="residual") as err:
-            invert_fixed_point(f, y, kappa=0.5, tol=tol)
-        message = str(err.value)
-        assert message.startswith("[invert]")
-        assert f"budget of {budget} steps" in message
-        assert f.calls <= budget + 1
+            _invert(f, ys, 0.5, 1e-10)
 
 
 def _newton_rows(f, ys, tol, max_iter, trace=None):

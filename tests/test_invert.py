@@ -14,6 +14,8 @@ from opdisc.invert import (
     GlobalInverseReport,
     InversionError,
     InversionTrace,
+    _apriori_iterations,
+    banach_solve,
     block_fixed_point,
     global_inverse_check,
     invert_chain,
@@ -52,6 +54,91 @@ def seeded_chain(
         bias_scale=0.1,
         seed=seed,
     )
+
+
+class CountedMap:
+    """Wraps a map and counts how often it is evaluated."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def __call__(self, x):
+        self.calls += 1
+        return self.f(x)
+
+
+class TestBanachKernel:
+    def test_single_target_reports_one_row(self):
+        d = np.array([1.0, 1.5])
+        sol = banach_solve(lambda v: d * v, np.array([0.7, -1.1]), 0.5, 1e-10)
+        assert sol.x.shape == (2,)
+        assert sol.counts.shape == sol.budgets.shape == (1,)
+        hist = sol.history(0)
+        assert len(hist) == sol.counts[0] <= sol.budgets[0]
+        assert hist[0] == pytest.approx(0.55)
+        assert hist[-1] <= 1e-10 < hist[-2]
+        assert np.linalg.norm(d * sol.x - [0.7, -1.1]) == hist[-1]
+
+    def test_overclaimed_rate_exhausts_derived_budget(self):
+        # B = -0.9 Id is claimed to be a 0.5-contraction, so the residual
+        # decays by 0.9 per step, not by q = 0.5
+        f = CountedMap(lambda v: 0.1 * v)
+        y = np.ones(3)
+        tol = 1e-10
+        budget = _apriori_iterations(np.linalg.norm(0.1 * y - y), 0.5, tol)
+        with pytest.raises(InversionError) as err:
+            banach_solve(f, y, 0.5, tol)
+        message = str(err.value)
+        assert message.startswith("[invert]")
+        assert f"budget of {budget} evaluations" in message
+        assert f.calls == budget
+
+    @pytest.mark.parametrize("bad_call", [1, 3])
+    def test_nan_map_stops_after_first_nonfinite_residual(self, bad_call):
+        def f(v):
+            return np.full_like(v, np.nan) if counted.calls == bad_call else 1.5 * v
+
+        counted = CountedMap(f)
+        # row 0 converges at once, so only row 1 keeps the batch iterating
+        ys = np.array([[0.0, 0.0], [1.0, -2.0]])
+        with pytest.raises(InversionError, match=rf"^\[invert\] .* evaluation {bad_call} .*nan"):
+            banach_solve(counted, ys, 0.5, 1e-10)
+        assert counted.calls == bad_call
+
+    def test_radius_refuses_iterates_outside_the_ball(self):
+        f = CountedMap(lambda v: v + 2.0)
+        with pytest.raises(DomainError, match=r"^\[invert\] iterate 2 lies outside"):
+            banach_solve(f, np.array([0.1]), 0.0, 1e-10, radius=1.0)
+        # the second iterate is refused before the map is evaluated there
+        assert f.calls == 1
+        sol = banach_solve(f, np.array([0.1]), 0.0, 1e-10, radius=2.0)
+        assert sol.x[0] == pytest.approx(-1.9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        q=st.floats(min_value=0.0, max_value=0.9),
+        m=st.integers(min_value=1, max_value=5),
+        rows=st.integers(min_value=1, max_value=6),
+        tol=st.sampled_from([1e-6, 1e-9, 1e-12]),
+    )
+    def test_batched_rows_match_row_by_row_solves(self, seed, q, m, rows, tol):
+        # a row-wise map (a coordinate permutation inside tanh, scaled by q)
+        # evaluates a row the same way alone or in a batch
+        rng = np.random.default_rng(seed)
+        perm = rng.permutation(m)
+        b = rng.standard_normal(m)
+        f = lambda v: v + q * np.tanh(v[..., perm] + b)
+        ys = 3.0 * rng.standard_normal((rows, m))
+        batch = banach_solve(f, ys, q, tol)
+        assert np.all(batch.counts <= batch.budgets)
+        assert np.max(np.linalg.norm(f(batch.x) - ys, axis=1)) <= tol
+        for i, y in enumerate(ys):
+            single = banach_solve(f, y, q, tol)
+            assert single.counts[0] == batch.counts[i]
+            assert single.budgets[0] == batch.budgets[i]
+            assert single.history(0) == batch.history(i)
 
 
 class TestBlockFixedPoint:
@@ -121,32 +208,45 @@ class TestBlockFixedPoint:
         assert trace.deltas[0] < 1e-3
         assert np.linalg.norm(x + net.eval_array(x) - y) <= 1e-10
 
-    def test_max_iter_exceeded_raises(self):
-        net = CoordinateNetwork.seeded(6, 6, target_bound=0.9, seed=3)
+    def test_overclaimed_delta_exhausts_derived_budget(self):
+        # B = -0.9 Id claimed at delta = 0.5: the residual shrinks by 0.9 per
+        # step, so the budget derived from 0.5 runs out
+        net = CoordinateNetwork(
+            (-0.9 * np.eye(6),), (np.zeros(6),), CoordinateActivation.identity()
+        )
         y = ball_samples(6, 1.0, 1, seed=2)[0]
-        with pytest.raises(InversionError, match="did not reach"):
-            block_fixed_point(net, y, tol=1e-12, max_iter=3)
+        budget = _apriori_iterations(0.9 * np.linalg.norm(y), 0.5, 1e-12)
+        with pytest.raises(InversionError, match=rf"^\[invert\] .*budget of {budget} "):
+            block_fixed_point(net, y, tol=1e-12, delta=0.5)
 
-    def test_domain_violation_raises_unless_projected(self):
-        # bias makes the first iterate overshoot the ball even though the
-        # solution x1 = (0.1 - 2) / 1.5 lies well inside it
-        w = np.zeros((4, 4))
-        w[0, 0] = 0.5
-        b = np.array([2.0, 0.0, 0.0, 0.0])
-        net = CoordinateNetwork((w,), (b,), CoordinateActivation.identity())
-        y = np.array([0.1, 0.0, 0.0, 0.0])
-        with pytest.raises(DomainError, match="left the inversion domain"):
-            block_fixed_point(net, y, domain_radius=1.0)
-        x, _ = block_fixed_point(net, y, domain_radius=1.0, project_iterates=True)
-        assert abs(x[0] - (0.1 - 2.0) / 1.5) <= 1e-9
-        assert np.linalg.norm(x) <= 1.0 + 0.5 + 1e-9
+    def test_ball_local_block_refuses_iterates_outside_its_ball(self):
+        # a cubed-rectifier block is certified on the unit ball only; its
+        # output bias throws the second iterate out of the ball
+        w = 0.05 * np.eye(3)
+        net = CoordinateNetwork(
+            (w, w), (np.zeros(3), np.array([2.0, 0.0, 0.0])), CoordinateActivation.recu()
+        )
+        with pytest.raises(DomainError, match=r"^\[invert\] iterate 2 lies outside"):
+            block_fixed_point(net, np.array([0.1, 0.0, 0.0]), ball_radius=1.0)
+        # a target outside the ball is refused before the block sees it
+        with pytest.raises(DomainError, match=r"iterate 1 .* > 1$"):
+            block_fixed_point(net, np.array([0.0, 1.5, 0.0]), ball_radius=1.0)
+        # only the prefix is the block's input: a large tail is no violation
+        x, _ = block_fixed_point(
+            CoordinateNetwork((w, w), (np.zeros(3), np.zeros(3)), CoordinateActivation.recu()),
+            np.array([0.5, -0.25, 0.1, 40.0]),
+            ball_radius=1.0,
+        )
+        assert x[3] == 40.0
+        # a globally certified block ignores the ball
+        tanh_net = CoordinateNetwork.seeded(3, 3, target_bound=0.5, seed=1)
+        x, _ = block_fixed_point(tanh_net, np.array([5.0, 0.0, 0.0]), ball_radius=1.0)
+        assert np.linalg.norm(x + tanh_net.eval_array(x) - [5.0, 0.0, 0.0]) <= 1e-10
 
     def test_argument_validation(self):
         net = zero_net(3)
         with pytest.raises(ValueError, match="tolerance"):
             block_fixed_point(net, np.zeros(3), tol=0.0)
-        with pytest.raises(ValueError, match="at least one iteration"):
-            block_fixed_point(net, np.zeros(3), max_iter=0)
         with pytest.raises(ValueError, match="single coefficient vector"):
             block_fixed_point(net, np.zeros((2, 3)))
         with pytest.raises(ValueError, match="needs 3"):
@@ -179,30 +279,30 @@ class TestBlockFixedPoint:
 class TestInversionTrace:
     def test_field_lengths_must_agree(self):
         with pytest.raises(ValueError, match="one entry per block"):
-            InversionTrace((3,), (1e-11, 1e-12), ((0.1, 0.01, 1e-3),), (5,), (0.5,), 1e-10, 100)
+            InversionTrace((3,), (1e-11, 1e-12), ((0.1, 0.01, 1e-3),), (5,), (0.5,), 1e-10)
 
     def test_history_length_must_match_count(self):
         with pytest.raises(ValueError, match="disagrees with its count"):
-            InversionTrace((2,), (1e-11,), ((0.1, 0.01, 1e-3),), (5,), (0.5,), 1e-10, 100)
+            InversionTrace((2,), (1e-11,), ((0.1, 0.01, 1e-3),), (5,), (0.5,), 1e-10)
 
     def test_rising_residual_rejected(self):
         with pytest.raises(ValueError, match="residual rose"):
             InversionTrace(
-                (4,), (1e-11,), ((0.1, 0.01, 0.02, 1e-3),), (9,), (0.5,), 1e-10, 100
+                (4,), (1e-11,), ((0.1, 0.01, 0.02, 1e-3),), (9,), (0.5,), 1e-10
             )
 
     def test_median_ratio_above_delta_rejected(self):
         hist = (0.1, 0.09, 0.08, 0.07)
         with pytest.raises(ValueError, match="median contraction ratio"):
-            InversionTrace((4,), (1e-11,), (hist,), (9,), (0.5,), 1e-10, 100)
+            InversionTrace((4,), (1e-11,), (hist,), (9,), (0.5,), 1e-10)
 
     def test_count_beyond_apriori_bound_rejected(self):
         hist = (0.1, 0.01, 1e-3)
         with pytest.raises(ValueError, match="a priori bound"):
-            InversionTrace((3,), (1e-4,), (hist,), (2,), (0.5,), 1e-10, 100)
+            InversionTrace((3,), (1e-4,), (hist,), (2,), (0.5,), 1e-10)
 
     def test_contraction_ratios_are_not_a_constructor_argument(self):
-        args = ((2,), (1e-12,), ((0.1, 0.04),), (40,), (0.5,), 1e-10, 100)
+        args = ((2,), (1e-12,), ((0.1, 0.04),), (40,), (0.5,), 1e-10)
         with pytest.raises(TypeError):
             InversionTrace(*args, ((0.9,),))
         with pytest.raises(TypeError):
@@ -210,9 +310,7 @@ class TestInversionTrace:
         assert InversionTrace(*args).contraction_ratios == ((0.04 / 0.1,),)
 
     def test_as_dict_is_json_ready(self):
-        trace = InversionTrace(
-            (2,), (1e-12,), ((0.1, 0.04),), (40,), (0.5,), 1e-10, 100
-        )
+        trace = InversionTrace((2,), (1e-12,), ((0.1, 0.04),), (40,), (0.5,), 1e-10)
         blob = json.loads(json.dumps(trace.as_dict()))
         assert blob["iteration_counts"] == [2]
         assert blob["contraction_ratios"] == [[0.04 / 0.1]]
@@ -297,13 +395,25 @@ class TestChainInverse:
         with pytest.raises(TypeError, match="cannot invert"):
             invert_chain(("not", "a", "chain"), None, np.zeros(2))
 
-    def test_domain_bookkeeping_through_a_chain(self):
-        chain = seeded_chain(dim=6, blocks=3, bound=0.5, seed=67)
-        y = 50.0 * np.ones(6)
-        with pytest.raises(DomainError):
-            invert_chain(chain, None, y, domain_radius=1.0)
-        out = invert_chain(chain, None, y, domain_radius=200.0)
-        assert np.isfinite(out.x).all()
+    def test_ball_local_chain_refuses_targets_outside_its_ball(self):
+        blocks = ResidualChain.seeded(
+            8, 8, 3, block_bound=0.5, activation=CoordinateActivation.recu(),
+            bias_scale=0.0, seed=5,
+        )
+        chain = InvertibleResidualChain(blocks, delta=0.5, ball_radius=1.0)
+        assert chain.cert_method == "ball_local"
+        y = np.eye(8)[0]
+        out = invert_chain(chain, None, 0.5 * y)
+        assert np.linalg.norm(chain.eval_array(out.x) - 0.5 * y) <= out.roundtrip_target
+        for norm in (3.0, 10.0, 30.0):
+            with pytest.raises(DomainError, match=r"^\[invert\] iterate 1 lies outside"):
+                invert_chain(chain, None, norm * y)
+        # the same blocks with a global certificate of their own are not
+        # confined: a ball-local chain of tanh blocks inverts far targets
+        tanh_chain = InvertibleResidualChain(seeded_chain(dim=8, seed=5), delta=0.5,
+                                             ball_radius=1.0)
+        far = invert_chain(tanh_chain, None, 30.0 * y)
+        assert np.linalg.norm(tanh_chain.eval_array(far.x) - 30.0 * y) <= far.roundtrip_target
 
     def test_result_as_dict_is_json_ready(self):
         chain = seeded_chain(dim=4, blocks=1, bound=0.3, seed=71)
