@@ -10,7 +10,7 @@ from .galerkin import (
     singularity_scan,
     solve_semilinear,
 )
-from .invert import block_fixed_point, global_inverse_check, invert_chain
+from .invert import global_inverse_check, invert_chain
 from .layers import (
     CoordinateNetwork,
     FiniteRankOperator,
@@ -38,7 +38,6 @@ __all__ = [
     "Space",
     "Subspace",
     "bilipschitz_estimate",
-    "block_fixed_point",
     "convergence_scan",
     "decompose",
     "fem_convergence",

@@ -308,9 +308,7 @@ def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         "name": exp["name"],
         "kind": "invert",
         "seed": _int_field(exp, "seed"),
-        "x": result.x.tolist(),
-        "trace": result.trace.as_dict(),
-        "roundtrip_target": result.roundtrip_target,
+        **result.as_dict(),
     }
     write_json(out_dir / exp.get("out", f"{exp['name']}.json"), report)
     return report

@@ -284,12 +284,15 @@ class NewtonTrace:
         }
 
 
+# step budget of the damped Newton solver
+NEWTON_STEPS = 60
+
+
 def solve_semilinear_trace(
     x_source: Callable,
     mesh: FemMesh,
     g: ConvexNonlinearity,
     tol: float = 1e-10,
-    max_iter: int = 60,
 ) -> tuple:
     """Damped Newton for the hat-element system; returns (coeffs, trace).
 
@@ -338,7 +341,7 @@ def solve_semilinear_trace(
     energies = [energy(w)]
     residual_norms = []
     step_scales = []
-    for _ in range(max_iter):
+    for _ in range(NEWTON_STEPS):
         u_q = u_at_points(w)
         res = _banded_matvec(stiff, w) + weak_form(g.g(u_q)) + load
         rnorm = float(np.linalg.norm(res))
@@ -368,7 +371,7 @@ def solve_semilinear_trace(
         energies.append(energy(w))
         step_scales.append(lam)
     raise RuntimeError(
-        f"Newton did not reach tol={tol:.3g} in {max_iter} iterations "
+        f"Newton did not reach tol={tol:.3g} in {NEWTON_STEPS} iterations "
         f"(last residual {residual_norms[-1]:.6g})"
     )
 
@@ -378,10 +381,9 @@ def solve_semilinear(
     mesh: FemMesh,
     g: ConvexNonlinearity,
     tol: float = 1e-10,
-    max_iter: int = 60,
 ) -> np.ndarray:
     """Coefficients (= nodal values at the unknown nodes) of the solution."""
-    return solve_semilinear_trace(x_source, mesh, g, tol, max_iter)[0]
+    return solve_semilinear_trace(x_source, mesh, g, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,12 @@ on a ball) iterates outside the ball.  ``opdisc.decompose`` inverts its
 blocks with it too.
 
 A chain of residual blocks composed with an identity/reflection head is
-inverted block by block in reverse order; :func:`global_inverse_check`
-turns this into a sampled homeomorphism verdict: roundtrip errors in both
-directions plus one strong monotonicity certificate per block.  Every chain
-inversion records an :class:`InversionTrace` that keeps the full residual
-history so the geometric decay can be audited after the fact.
+inverted block by block in reverse order, a whole batch of targets per
+kernel call; :func:`global_inverse_check` turns this into a sampled
+homeomorphism verdict: roundtrip errors in both directions plus one strong
+monotonicity certificate per block.  Every inverted target records an
+:class:`InversionTrace` that keeps the full residual history so the
+geometric decay can be audited after the fact.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from __future__ import annotations
 import math
 import statistics
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
-from .layers import CoordinateNetwork, InvertibleResidualChain, ResidualChain, eval_map
+from .layers import InvertibleResidualChain, ResidualChain, eval_map
 from .monotone import ball_samples, pairwise_alpha
 from .operators import Identity, LinearExpr, Reflection
 
@@ -40,7 +40,6 @@ __all__ = [
     "BanachSolve",
     "banach_solve",
     "ChainInverseResult",
-    "block_fixed_point",
     "invert_chain",
     "GlobalInverseReport",
     "global_inverse_check",
@@ -202,7 +201,8 @@ def banach_solve(f, y, q: float, tol: float, *, radius: float | None = None) -> 
     message at once on a non-finite residual, and when a row is still above
     tol after its budget (then B is no q-contraction where it was
     evaluated).  ``radius`` is the ball on which q certifies B: an iterate
-    outside it raises :class:`DomainError` before f sees it.
+    outside it raises :class:`DomainError` before f sees it.  Both per-row
+    errors name the failing row's index in row-major order.
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"contraction bound q must lie in [0, 1), got {q}")
@@ -214,11 +214,12 @@ def banach_solve(f, y, q: float, tol: float, *, radius: float | None = None) -> 
     while True:
         k = len(history) + 1
         if radius is not None:
-            reach = float(np.max(np.linalg.norm(x, axis=-1), initial=0.0))
-            if reach > radius:
+            reach = np.linalg.norm(x, axis=-1).reshape(-1)
+            if reach.max(initial=0.0) > radius:
+                i = reach.argmax()
                 raise DomainError(
                     f"[invert] iterate {k} lies outside the certified ball: "
-                    f"|x| = {reach:.6g} > {radius:.6g}"
+                    f"row {i} has |x| = {reach[i]:.6g} > {radius:.6g}"
                 )
         res = eval_map(f, x) - y
         # np.linalg.norm(res, axis=-1) without its dispatch overhead
@@ -243,7 +244,7 @@ def banach_solve(f, y, q: float, tol: float, *, radius: float | None = None) -> 
                 raise InversionError(
                     f"[invert] fixed-point iteration did not reach tol={tol:g} within "
                     f"its derived budget of {budgets[i]} evaluations at rate q={q:g} "
-                    f"(last residual {rnorm[i]:g})"
+                    f"(row {i}, last residual {rnorm[i]:g})"
                 )
         x = x - res
     residuals = np.array(history)
@@ -252,114 +253,25 @@ def banach_solve(f, y, q: float, tol: float, *, radius: float | None = None) -> 
 
 
 # ---------------------------------------------------------------------------
-# single residual block
-# ---------------------------------------------------------------------------
-
-
-def _block_certificate(
-    block: CoordinateNetwork,
-    delta: float | None,
-    ball_radius: float | None,
-) -> tuple:
-    """The block's contraction bound and the ball it holds on (None: globally)."""
-    radius = None if np.isfinite(block.spectral_bound) else ball_radius
-    if delta is None:
-        delta = block.spectral_bound
-        if not np.isfinite(delta):
-            if ball_radius is None:
-                raise ValueError(
-                    "block has no global Lipschitz certificate; pass "
-                    "ball_radius= to certify it on a ball, or delta= directly"
-                )
-            delta = block.ball_bound(ball_radius)
-    delta = float(delta)
-    if not np.isfinite(delta) or delta >= 1.0:
-        raise ValueError(
-            f"refusing an uncertified block: contraction bound {delta:.6g} "
-            "is not below 1"
-        )
-    if delta < 0.0:
-        raise ValueError("contraction bound cannot be negative")
-    return delta, radius
-
-
-def _solve_block(block, y, tol, delta, ball_radius) -> tuple:
-    """One block's inversion: ``(x, residual history, budget, certificate)``."""
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
-    if block.n_in != block.n_out:
-        raise ValueError("residual block must be square on its prefix")
-    if y.size < block.n_in:
-        raise ValueError(
-            f"y has {y.size} coordinates but the block needs {block.n_in}"
-        )
-    cert, radius = _block_certificate(block, delta, ball_radius)
-    n = block.n_in
-    sol = banach_solve(lambda v: v + block.eval_array(v), y[:n], cert, tol, radius=radius)
-    return np.concatenate([sol.x, y[n:]]), sol.history(0), int(sol.budgets[0]), cert
-
-
-def _trace(solves: Sequence[tuple], tol: float) -> InversionTrace:
-    """The audited trace of per-block ``(history, budget, certificate)`` solves."""
-    hists = tuple(h for h, _, _ in solves)
-    return InversionTrace(
-        iteration_counts=tuple(len(h) for h in hists),
-        final_residuals=tuple(h[-1] for h in hists),
-        residual_histories=hists,
-        apriori_bounds=tuple(b for _, b, _ in solves),
-        deltas=tuple(d for _, _, d in solves),
-        tol=tol,
-    )
-
-
-def block_fixed_point(
-    block: CoordinateNetwork,
-    y: np.ndarray,
-    tol: float = 1e-10,
-    *,
-    delta: float | None = None,
-    ball_radius: float | None = None,
-) -> tuple:
-    """Solve ``x + embed(block(prefix(x))) = y`` by Banach iteration.
-
-    The block reads and writes only the first ``block.n_in`` coordinates,
-    so the tail of ``x`` equals the tail of ``y`` exactly and only the
-    prefix is solved: :func:`banach_solve` on v + B(v) at the certified
-    rate ``delta`` (default: the block's spectral bound), starting at the
-    data.  A block without a global certificate is certified on the ball of
-    radius ``ball_radius`` through ``ball_bound``, and refuses with
-    :class:`DomainError` any iterate whose prefix leaves that ball.
-    Returns ``(x, trace)``.
-    """
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1:
-        raise ValueError("y must be a single coefficient vector")
-    x, history, budget, cert = _solve_block(block, y, tol, delta, ball_radius)
-    return x, _trace([(history, budget, cert)], tol)
-
-
-# ---------------------------------------------------------------------------
 # chains
 # ---------------------------------------------------------------------------
 
 
 def _chain_parts(chain) -> tuple:
-    """Normalize the chain argument to (blocks, deltas, ball_radius)."""
+    """The chain's ``(blocks, rates, radii)``: each block's certified rate
+    and the ball it holds on (None: the rate holds globally)."""
     if chain is None:
-        return (), (), None
+        return (), (), ()
     if isinstance(chain, InvertibleResidualChain):
-        deltas = tuple(
-            min(
-                float(net.spectral_bound)
-                if np.isfinite(net.spectral_bound)
-                else net.ball_bound(chain.ball_radius),
-                chain.delta,
-            )
-            for net in chain.blocks
-        )
-        return chain.blocks, deltas, chain.ball_radius
+        rates, radii = [], []
+        for net in chain.blocks:
+            local = not np.isfinite(net.spectral_bound)
+            bound = net.ball_bound(chain.ball_radius) if local else net.spectral_bound
+            rates.append(min(float(bound), chain.delta))
+            radii.append(chain.ball_radius if local else None)
+        return chain.blocks, tuple(rates), tuple(radii)
     if isinstance(chain, ResidualChain):
-        deltas = []
+        rates = []
         for i, net in enumerate(chain.blocks):
             bound = float(net.spectral_bound)
             if not np.isfinite(bound) or bound >= 1.0:
@@ -368,8 +280,8 @@ def _chain_parts(chain) -> tuple:
                     f"(bound {bound:.6g}); wrap the chain with a certified "
                     "delta or a ball-local certificate first"
                 )
-            deltas.append(bound)
-        return chain.blocks, tuple(deltas), None
+            rates.append(bound)
+        return chain.blocks, tuple(rates), (None,) * len(rates)
     raise TypeError(f"cannot invert an object of type {type(chain).__name__}")
 
 
@@ -392,15 +304,27 @@ def _apply_head_inverse(a0, x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChainInverseResult:
-    """Inverse point plus the audit trail of the block-by-block solve."""
+    """Inverse points plus the audit trail of the block-by-block solve.
+
+    ``x`` has the targets' shape; ``traces`` holds one audited
+    :class:`InversionTrace` per target, in row-major order.
+    """
 
     x: np.ndarray
-    trace: InversionTrace
+    traces: tuple
     roundtrip_target: float
 
+    @property
+    def trace(self) -> InversionTrace:
+        """The trace of a single target's inversion."""
+        if self.x.ndim != 1:
+            raise ValueError("a batched inversion has one trace per target; read traces")
+        return self.traces[0]
+
     def as_dict(self) -> dict:
+        """The ``invert`` artifact of a single target's inversion."""
         return {
-            "x": [float(v) for v in np.asarray(self.x, dtype=float)],
+            "x": self.x.tolist(),
             "trace": self.trace.as_dict(),
             "roundtrip_target": self.roundtrip_target,
         }
@@ -409,31 +333,45 @@ class ChainInverseResult:
 def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInverseResult:
     """Invert ``chain(a0(x)) = y``: blocks in reverse order, then the head.
 
-    Each block is solved by :func:`block_fixed_point` at its certified
-    rate.  ``tol`` is the per-block residual target; the reported
-    ``roundtrip_target`` is the resulting worst-case forward-map residual
-    ``T * tol / (1 - delta_max)**T`` (each block error can be amplified by
-    every inverse map applied after it).  A ball-local chain certifies its
-    unbounded blocks on the ball of its ``ball_radius`` only, so a target
-    whose inversion leaves that ball raises :class:`DomainError`.
+    ``y`` holds one target ``(m,)`` or a ``(..., m)`` batch.  Each block
+    makes one :func:`banach_solve` call on the batch's prefix coordinates
+    at its certified rate; the tail passes through.  ``tol`` is the
+    per-block residual target; the reported ``roundtrip_target`` is the
+    resulting worst-case forward-map residual ``T * tol / (1 - delta_max)**T``
+    (each block error can be amplified by every inverse map applied after
+    it).  A ball-local chain certifies its unbounded blocks on the ball of
+    its ``ball_radius`` only, so a target whose inversion leaves that ball
+    raises :class:`DomainError`.
     """
-    blocks, deltas, ball_radius = _chain_parts(chain)
+    blocks, rates, radii = _chain_parts(chain)
     x = np.asarray(y, dtype=float)
-    if x.ndim != 1:
-        raise ValueError("y must be a single coefficient vector")
+    if chain is not None and x.shape[-1:] != (chain.dim,):
+        raise ValueError(
+            f"y must have {chain.dim} coordinates on its last axis, got shape {x.shape}"
+        )
     solves = []
-    for i in range(len(blocks) - 1, -1, -1):
-        x, *solve = _solve_block(blocks[i], x, tol, deltas[i], ball_radius)
-        solves.append(solve)
+    for net, rate, radius in zip(blocks[::-1], rates[::-1], radii[::-1]):
+        n = net.n_in
+        sol = banach_solve(lambda v: v + net.eval_array(v), x[..., :n], rate, tol, radius=radius)
+        x = np.concatenate([sol.x, x[..., n:]], axis=-1)
+        solves.append(sol)
     x = _apply_head_inverse(a0, x)
-    trace = _trace(solves[::-1], tol)
+    solves.reverse()
+    traces = []
+    for row in range(math.prod(x.shape[:-1])):
+        hists = tuple(sol.history(row) for sol in solves)
+        trace = InversionTrace(
+            iteration_counts=tuple(len(h) for h in hists),
+            final_residuals=tuple(h[-1] for h in hists),
+            residual_histories=hists,
+            apriori_bounds=tuple(sol.budgets[row] for sol in solves),
+            deltas=rates,
+            tol=tol,
+        )
+        traces.append(trace)
     n_blocks = len(blocks)
-    if n_blocks:
-        worst = max(trace.deltas)
-        target = n_blocks * tol / (1.0 - worst) ** n_blocks
-    else:
-        target = 0.0
-    return ChainInverseResult(x=x, trace=trace, roundtrip_target=float(target))
+    target = n_blocks * tol / (1.0 - max(rates)) ** n_blocks if n_blocks else 0.0
+    return ChainInverseResult(x=x, traces=tuple(traces), roundtrip_target=float(target))
 
 
 # ---------------------------------------------------------------------------
@@ -500,19 +438,10 @@ def global_inverse_check(
     dim = chain.dim
     xs = ball_samples(dim, r, n, seed=seed)
 
-    fwd = chain.chain.eval_array(xs)
-    err_left = 0.0
-    for x_true, y in zip(xs, fwd):
-        x_rec = invert_chain(chain, None, y, tol=tol).x
-        err_left = max(err_left, float(np.linalg.norm(x_rec - x_true)))
-
-    err_right = 0.0
-    for y in xs:
-        x_rec = invert_chain(chain, None, y, tol=tol).x
-        err_right = max(
-            err_right,
-            float(np.linalg.norm(chain.chain.eval_array(x_rec) - y)),
-        )
+    x_rec = invert_chain(chain, None, chain.chain.eval_array(xs), tol=tol).x
+    err_left = float(np.max(np.linalg.norm(x_rec - xs, axis=-1)))
+    x_rec = invert_chain(chain, None, xs, tol=tol).x
+    err_right = float(np.max(np.linalg.norm(chain.chain.eval_array(x_rec) - xs, axis=-1)))
 
     alphas = []
     floor = 1.0 - chain.delta

@@ -16,7 +16,6 @@ from opdisc.invert import (
     InversionTrace,
     _apriori_iterations,
     banach_solve,
-    block_fixed_point,
     global_inverse_check,
     invert_chain,
 )
@@ -94,6 +93,12 @@ class TestBanachKernel:
         assert f"budget of {budget} evaluations" in message
         assert f.calls == budget
 
+    def test_spent_budget_names_the_row(self):
+        ys = np.zeros((3, 3))
+        ys[2] = 1.0
+        with pytest.raises(InversionError, match=r"^\[invert\] .*\(row 2, last residual"):
+            banach_solve(lambda v: 0.1 * v, ys, 0.5, 1e-10)
+
     @pytest.mark.parametrize("bad_call", [1, 3])
     def test_nan_map_stops_after_first_nonfinite_residual(self, bad_call):
         def f(v):
@@ -141,17 +146,28 @@ class TestBanachKernel:
             assert single.history(0) == batch.history(i)
 
 
+def one_block(net, *, ambient=None, ball_radius=None):
+    """The one-block chain x + embed(net(prefix(x))) on ``ambient`` coordinates;
+    with ``ball_radius``, certified on that ball at delta = 0.5."""
+    chain = ResidualChain(ambient or net.n_in, net.n_in, (net,))
+    if ball_radius is None:
+        return chain
+    return InvertibleResidualChain(chain, delta=0.5, ball_radius=ball_radius)
+
+
 class TestBlockFixedPoint:
+    """One-block chains: the fixed-point inversion of a single residual block."""
+
     def test_zero_network_returns_y_immediately(self):
         y = np.linspace(-1.0, 1.0, 6)
-        x, trace = block_fixed_point(zero_net(6), y)
-        assert np.array_equal(x, y)
-        assert trace.iteration_counts == (1,)
-        assert trace.final_residuals == (0.0,)
+        out = invert_chain(one_block(zero_net(6)), None, y)
+        assert np.array_equal(out.x, y)
+        assert out.trace.iteration_counts == (1,)
+        assert out.trace.final_residuals == (0.0,)
 
     def test_first_coordinate_closed_form(self):
         y = np.array([3.0, -1.0, 2.0, 0.5])
-        x, _ = block_fixed_point(first_coordinate_net(4), y, tol=1e-12)
+        x = invert_chain(one_block(first_coordinate_net(4)), None, y, tol=1e-12).x
         assert abs(x[0] - y[0] / 1.5) <= 1e-12
         np.testing.assert_allclose(x[1:], y[1:], rtol=0, atol=0)
 
@@ -160,20 +176,20 @@ class TestBlockFixedPoint:
         y = np.zeros(8)
         y[2] = 1.0
         assert np.linalg.norm(y) == 1.0
-        x, trace = block_fixed_point(net, y, tol=1e-10)
-        assert trace.iteration_counts[0] <= 40
-        assert np.linalg.norm(x + net.eval_array(x) - y) <= 1e-10
+        out = invert_chain(one_block(net), None, y, tol=1e-10)
+        assert out.trace.iteration_counts[0] <= 40
+        assert np.linalg.norm(out.x + net.eval_array(out.x) - y) <= 1e-10
 
     def test_iterations_stay_below_apriori_bound(self):
         net = CoordinateNetwork.seeded(8, 8, target_bound=0.7, bias_scale=0.2, seed=5)
         y = ball_samples(8, 2.0, 1, seed=9)[0]
-        _, trace = block_fixed_point(net, y, tol=1e-11)
+        trace = invert_chain(one_block(net), None, y, tol=1e-11).trace
         assert trace.iteration_counts[0] <= trace.apriori_bounds[0]
 
     def test_residuals_strictly_decreasing_and_ratio_near_delta(self):
         net = CoordinateNetwork.seeded(6, 6, target_bound=0.6, seed=2)
         y = ball_samples(6, 1.5, 1, seed=4)[0]
-        _, trace = block_fixed_point(net, y, tol=1e-10)
+        trace = invert_chain(one_block(net), None, y, tol=1e-10).trace
         hist = trace.residual_histories[0]
         assert len(hist) > 5
         for a, b in zip(hist[1:], hist[2:]):
@@ -183,20 +199,22 @@ class TestBlockFixedPoint:
     def test_tail_coordinates_pass_through_exactly(self):
         net = CoordinateNetwork.seeded(3, 3, target_bound=0.4, seed=7)
         y = np.arange(1.0, 9.0)
-        x, _ = block_fixed_point(net, y)
+        x = invert_chain(one_block(net, ambient=8), None, y).x
         assert np.array_equal(x[3:], y[3:])
 
     def test_refuses_uncertified_block(self):
         net = CoordinateNetwork.seeded(4, 4, target_bound=1.5, seed=0)
-        with pytest.raises(ValueError, match="not below 1"):
-            block_fixed_point(net, np.zeros(4))
+        with pytest.raises(ValueError, match=r"no contraction certificate \(bound 1.5\)"):
+            invert_chain(one_block(net), None, np.zeros(4))
 
     def test_refuses_unbounded_activation_without_ball_certificate(self):
         net = CoordinateNetwork.seeded(
             4, 4, target_bound=0.3, activation=CoordinateActivation.recu(), seed=0
         )
+        with pytest.raises(ValueError, match=r"no contraction certificate \(bound inf\)"):
+            invert_chain(one_block(net), None, np.zeros(4))
         with pytest.raises(ValueError, match="no global Lipschitz certificate"):
-            block_fixed_point(net, np.zeros(4))
+            InvertibleResidualChain(one_block(net), delta=0.5)
 
     def test_ball_certificate_admits_cubed_rectifier_blocks(self):
         w = 0.05 * np.eye(3)
@@ -204,20 +222,9 @@ class TestBlockFixedPoint:
             (w, w), (np.zeros(3), np.zeros(3)), CoordinateActivation.recu()
         )
         y = np.array([0.5, -0.25, 0.1])
-        x, trace = block_fixed_point(net, y, ball_radius=2.0)
-        assert trace.deltas[0] < 1e-3
-        assert np.linalg.norm(x + net.eval_array(x) - y) <= 1e-10
-
-    def test_overclaimed_delta_exhausts_derived_budget(self):
-        # B = -0.9 Id claimed at delta = 0.5: the residual shrinks by 0.9 per
-        # step, so the budget derived from 0.5 runs out
-        net = CoordinateNetwork(
-            (-0.9 * np.eye(6),), (np.zeros(6),), CoordinateActivation.identity()
-        )
-        y = ball_samples(6, 1.0, 1, seed=2)[0]
-        budget = _apriori_iterations(0.9 * np.linalg.norm(y), 0.5, 1e-12)
-        with pytest.raises(InversionError, match=rf"^\[invert\] .*budget of {budget} "):
-            block_fixed_point(net, y, tol=1e-12, delta=0.5)
+        out = invert_chain(one_block(net, ball_radius=2.0), None, y)
+        assert out.trace.deltas[0] < 1e-3
+        assert np.linalg.norm(out.x + net.eval_array(out.x) - y) <= 1e-10
 
     def test_ball_local_block_refuses_iterates_outside_its_ball(self):
         # a cubed-rectifier block is certified on the unit ball only; its
@@ -226,36 +233,51 @@ class TestBlockFixedPoint:
         net = CoordinateNetwork(
             (w, w), (np.zeros(3), np.array([2.0, 0.0, 0.0])), CoordinateActivation.recu()
         )
+        chain = one_block(net, ball_radius=1.0)
         with pytest.raises(DomainError, match=r"^\[invert\] iterate 2 lies outside"):
-            block_fixed_point(net, np.array([0.1, 0.0, 0.0]), ball_radius=1.0)
+            invert_chain(chain, None, np.array([0.1, 0.0, 0.0]))
         # a target outside the ball is refused before the block sees it
         with pytest.raises(DomainError, match=r"iterate 1 .* > 1$"):
-            block_fixed_point(net, np.array([0.0, 1.5, 0.0]), ball_radius=1.0)
+            invert_chain(chain, None, np.array([0.0, 1.5, 0.0]))
         # only the prefix is the block's input: a large tail is no violation
-        x, _ = block_fixed_point(
-            CoordinateNetwork((w, w), (np.zeros(3), np.zeros(3)), CoordinateActivation.recu()),
-            np.array([0.5, -0.25, 0.1, 40.0]),
-            ball_radius=1.0,
+        unbiased = CoordinateNetwork(
+            (w, w), (np.zeros(3), np.zeros(3)), CoordinateActivation.recu()
         )
+        x = invert_chain(
+            one_block(unbiased, ambient=4, ball_radius=1.0),
+            None,
+            np.array([0.5, -0.25, 0.1, 40.0]),
+        ).x
         assert x[3] == 40.0
         # a globally certified block ignores the ball
         tanh_net = CoordinateNetwork.seeded(3, 3, target_bound=0.5, seed=1)
-        x, _ = block_fixed_point(tanh_net, np.array([5.0, 0.0, 0.0]), ball_radius=1.0)
+        x = invert_chain(one_block(tanh_net, ball_radius=1.0), None, np.array([5.0, 0.0, 0.0])).x
         assert np.linalg.norm(x + tanh_net.eval_array(x) - [5.0, 0.0, 0.0]) <= 1e-10
 
+    def test_domain_error_names_the_row_outside_the_ball(self):
+        w = 0.05 * np.eye(3)
+        net = CoordinateNetwork(
+            (w, w), (np.zeros(3), np.zeros(3)), CoordinateActivation.recu()
+        )
+        ys = np.zeros((2, 3, 3))
+        ys[1, 0] = [0.0, 1.5, 0.0]
+        ys[1, 2] = [0.0, 0.0, 1.2]
+        with pytest.raises(DomainError, match=r"iterate 1 .*: row 3 has \|x\| = 1.5 > 1$"):
+            invert_chain(one_block(net, ball_radius=1.0), None, ys)
+
     def test_argument_validation(self):
-        net = zero_net(3)
+        chain = one_block(zero_net(3))
         with pytest.raises(ValueError, match="tolerance"):
-            block_fixed_point(net, np.zeros(3), tol=0.0)
-        with pytest.raises(ValueError, match="single coefficient vector"):
-            block_fixed_point(net, np.zeros((2, 3)))
-        with pytest.raises(ValueError, match="needs 3"):
-            block_fixed_point(net, np.zeros(2))
+            invert_chain(chain, None, np.zeros(3), tol=0.0)
+        with pytest.raises(ValueError, match=r"3 coordinates on its last axis, got shape \(2,\)"):
+            invert_chain(chain, None, np.zeros(2))
+        with pytest.raises(ValueError, match=r"got shape \(4, 2\)"):
+            invert_chain(chain, None, np.zeros((4, 2)))
         rect = CoordinateNetwork(
             (np.zeros((2, 3)),), (np.zeros(2),), CoordinateActivation.identity()
         )
         with pytest.raises(ValueError, match="square"):
-            block_fixed_point(rect, np.zeros(3))
+            ResidualChain(3, 3, (rect,))
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -266,13 +288,15 @@ class TestBlockFixedPoint:
         net = CoordinateNetwork.seeded(
             4, 4, target_bound=delta, bias_scale=0.2, seed=seed
         )
+        chain = one_block(net)
         y = ball_samples(4, 1.0, 1, seed=seed + 1)[0]
         tol = 1e-10
-        x, trace = block_fixed_point(net, y, tol=tol)
+        out = invert_chain(chain, None, y, tol=tol)
+        x = out.x
         assert np.linalg.norm(x + net.eval_array(x) - y) <= tol
-        assert trace.iteration_counts[0] <= trace.apriori_bounds[0]
+        assert out.trace.iteration_counts[0] <= out.trace.apriori_bounds[0]
         # restarting from the image of the answer returns the answer
-        x_again, _ = block_fixed_point(net, x + net.eval_array(x), tol=tol)
+        x_again = invert_chain(chain, None, x + net.eval_array(x), tol=tol).x
         assert np.linalg.norm(x_again - x) <= 2 * tol / (1.0 - delta)
 
 
@@ -422,6 +446,61 @@ class TestChainInverse:
         assert len(blob["x"]) == 4
         assert blob["trace"]["iteration_counts"] == list(out.trace.iteration_counts)
         assert blob["roundtrip_target"] == out.roundtrip_target
+
+
+    def test_batch_result_has_one_trace_per_target(self):
+        chain = seeded_chain(dim=4, blocks=2, bound=0.3, seed=71)
+        out = invert_chain(chain, None, np.ones((2, 3, 4)))
+        assert out.x.shape == (2, 3, 4)
+        assert len(out.traces) == 6
+        with pytest.raises(ValueError, match="one trace per target"):
+            out.trace
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=10_000),
+        rows=st.integers(min_value=2, max_value=20),
+        prefix=st.integers(min_value=1, max_value=6),
+        bound=st.floats(min_value=0.05, max_value=0.85),
+        reflect=st.booleans(),
+    )
+    def test_batch_agrees_with_row_by_row_inversions(self, seed, rows, prefix, bound, reflect):
+        chain = seeded_chain(dim=6, prefix=prefix, blocks=3, bound=bound, seed=seed)
+        head = Reflection.first_axis(6) if reflect else Identity()
+        ys = chain.eval_array(ball_samples(6, 2.0, rows, seed=seed + 1))
+        batch = invert_chain(chain, head, ys)
+        assert batch.x.shape == ys.shape and len(batch.traces) == rows
+        for y, x, trace in zip(ys, batch.x, batch.traces):
+            # the trace is its own audit: rebuilding it re-runs the checks
+            InversionTrace(trace.iteration_counts, trace.final_residuals,
+                           trace.residual_histories, trace.apriori_bounds,
+                           trace.deltas, trace.tol)
+            assert all(c <= b for c, b in zip(trace.iteration_counts, trace.apriori_bounds))
+            single = invert_chain(chain, head, y)
+            # the last block is inverted first, from the same targets
+            assert trace.iteration_counts[-1] == single.trace.iteration_counts[-1]
+            assert trace.apriori_bounds[-1] == single.trace.apriori_bounds[-1]
+            assert np.linalg.norm(x - single.x) <= 2 * batch.roundtrip_target
+
+    def test_eval_calls_do_not_grow_with_targets(self, monkeypatch):
+        chain = seeded_chain(dim=8, prefix=6, blocks=3, bound=0.6, seed=5)
+        eval_array = CoordinateNetwork.eval_array
+        calls = []
+
+        def counted(net, x):
+            calls.append(chain.blocks.index(net))
+            return eval_array(net, x)
+
+        monkeypatch.setattr(CoordinateNetwork, "eval_array", counted)
+
+        def per_block(ys):
+            calls.clear()
+            invert_chain(chain, None, ys)
+            return [calls.count(i) for i in range(len(chain.blocks))]
+
+        ys = ball_samples(8, 1.5, 100, seed=7)
+        slowest = np.max([per_block(y) for y in ys], axis=0)
+        assert per_block(ys) == slowest.tolist()
 
 
 class TestGlobalInverseCheck:
