@@ -27,6 +27,7 @@ from .discretize import (
     orientation_scan,
 )
 from .galerkin import (
+    SOURCES,
     ConvexNonlinearity,
     FemMesh,
     continuum_isometry_defect,
@@ -48,7 +49,13 @@ from .layers import (
     NeuralOperatorLayer,
     make_layer,
 )
-from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate, pairwise_alpha
+from .monotone import (
+    _sup_quotient,
+    ball_samples,
+    bilipschitz_estimate,
+    contraction_certificate,
+    pairwise_alpha,
+)
 from .operators import FiniteRankOperator
 from .spectral import BasisSpec, Space, Subspace
 
@@ -83,10 +90,11 @@ def criterion_monotonicity_under_compression(
 ) -> dict:
     """Layers certified at modulus 0.5 keep that modulus on every prefix.
 
-    Fifty seeded layers, each with residual Lipschitz bound 0.5, are
+    Fifty seeded layers, each with residual Lipschitz bound 0.5 and so a
+    structural modulus 1 - 0.5 from ``contraction_certificate``, are
     compressed to eight prefix dimensions; the sampled pairwise modulus
-    of the compressed map must clear 0.5 - 1e-6 every single time, and
-    the whole sweep must finish inside a minute.
+    of the compressed map must clear the layer's structural floor - 1e-6
+    every single time, and the whole sweep must finish inside a minute.
     """
     start = time.perf_counter()
     space = Space(BasisSpec("fourier", 16))
@@ -95,9 +103,10 @@ def criterion_monotonicity_under_compression(
     worst_at = (-1, -1)
     for i in range(n_layers):
         layer = make_layer(space, lip_g=0.5, seed=i)
-        assert layer.contraction <= 0.5 + 1e-12, (
-            f"layer seed {i}: residual bound {layer.contraction} misses the "
-            "0.5 certificate this criterion is about"
+        floor = contraction_certificate(layer.contraction).alpha
+        assert floor >= 0.5 - 1e-12, (
+            f"layer seed {i}: structural modulus {floor} misses the 0.5 "
+            "certificate this criterion is about"
         )
         for d in dims:
             cert = pairwise_alpha(
@@ -108,14 +117,14 @@ def criterion_monotonicity_under_compression(
                 dim=space.dim,
                 subspace=Subspace.prefix(d),
             )
+            assert cert.alpha >= floor - 1e-6, (
+                f"sampled modulus {cert.alpha:.12g} at (seed, prefix dim) = "
+                f"{(i, d)} falls below the structural floor {floor:.12g} - 1e-6"
+            )
             if cert.alpha < worst:
                 worst = cert.alpha
                 worst_at = (i, d)
     elapsed = time.perf_counter() - start
-    assert worst >= 0.5 - 1e-6, (
-        f"sampled modulus {worst:.12g} at (seed, prefix dim) = {worst_at} "
-        "falls below 0.5 - 1e-6"
-    )
     assert elapsed < 60.0, f"sweep took {elapsed:.1f}s, budget is 60s"
     return {
         "layers": n_layers,
@@ -300,9 +309,10 @@ def criterion_block_factorization() -> dict:
         pairwise_alpha(b.eval_array, r=1.0, n=48, seed=13, dim=dim).alpha
         for b in result.blocks
     ]
-    assert min(alphas) >= 1.0 - epsilon - 1e-6, (
+    floor = contraction_certificate(epsilon).alpha
+    assert min(alphas) >= floor - 1e-6, (
         f"a factor's sampled modulus {min(alphas):.9f} falls below "
-        f"{1.0 - epsilon} - 1e-6"
+        f"{floor} - 1e-6"
     )
 
     eps_grid = (0.4, 0.2, 0.1, 0.05)
@@ -398,7 +408,7 @@ def criterion_invertible_chain_certificates() -> dict:
         f"forward-after-inverse roundtrip {report.roundtrip_forward_of_inverse:g} "
         "exceeds 1e-6"
     )
-    floor = 1.0 - delta - 1e-6
+    floor = report.alpha_floor - 1e-6
     assert min(report.block_alphas) >= floor, (
         f"a block's sampled modulus {min(report.block_alphas):.9f} falls "
         f"below {floor:.9f}"
@@ -526,12 +536,9 @@ def criterion_fem_rates() -> dict:
     strictly.  Budget: thirty seconds.
     """
     start = time.perf_counter()
-    problems = {
-        "zero": lambda t: -math.pi**2 * np.sin(math.pi * t),
-        "linear": lambda t: -(math.pi**2 + 1.0) * np.sin(math.pi * t),
-    }
     detail = {}
-    for name, source in problems.items():
+    for name in ("zero", "linear"):
+        source = SOURCES[name]
         g = ConvexNonlinearity.named(name)
         conv = fem_convergence(source, g, [16, 32, 64, 128])
         for ratio in conv.ratios:

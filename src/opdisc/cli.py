@@ -32,6 +32,7 @@ from .discretize import convergence_scan, functor_a_error
 from .decompose import DecompositionError, decompose
 from .galerkin import (
     ORACLE_FACTOR,
+    SOURCES,
     ConvexNonlinearity,
     FemMesh,
     fem_convergence,
@@ -40,7 +41,7 @@ from .galerkin import (
 )
 from .invert import InversionError, invert_chain
 from .isotopy import truncated_det_scan
-from .monotone import pairwise_alpha
+from .monotone import contraction_certificate, pairwise_alpha
 from .spectral import Subspace
 from .serialize import (
     SCHEMA_VERSION,
@@ -60,13 +61,6 @@ from .serialize import (
     write_csv,
     write_json,
 )
-
-SOURCES = {
-    "zero": lambda t: -np.pi**2 * np.sin(np.pi * t),
-    "linear": lambda t: -(np.pi**2 + 1.0) * np.sin(np.pi * t),
-    "cubic": lambda t: -np.pi**2 * np.sin(np.pi * t) - np.sin(np.pi * t) ** 3,
-}
-
 
 class ConfigError(Exception):
     """Bad experiment config; maps to exit code 1."""
@@ -164,14 +158,12 @@ def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         "seed": seed,
         "contraction": float(layer.contraction),
     }
-    if not layer.contraction < 1.0:
+    structural = contraction_certificate(layer.contraction)
+    if not structural.certified:
         report["rejected"] = True
-        report["reason"] = (
-            "the layer's contraction bound is not below one, so it carries no "
-            "monotonicity certificate"
-        )
+        report["reason"] = structural.note
     else:
-        floor = _float_field(exp, "floor", 1.0 - layer.contraction)
+        floor = _float_field(exp, "floor", structural.alpha)
         rows = []
         worst = math.inf
         for d in dims:

@@ -2,9 +2,10 @@
 
 The compression of a map F through a prefix subspace V is P_V∘F restricted
 to V.  This module measures how faithful that compression is: the strong
-(range-tail) error, the weak (tested-against-probes) error, continuity
-under operator perturbations, monotonicity preservation, and orientation
-of the compressed Jacobian along operator paths.
+(range-tail) error, and in :func:`convergence_scan` also the compression's
+self-error and the weak (tested-against-a-probe) error; continuity under
+operator perturbations, monotonicity preservation, and orientation of the
+compressed Jacobian along operator paths.
 
 Sup-over-ball quantities use one seeded sample set shared across dims, so
 the monotonicity of nested compressions is exact for the sampled set
@@ -29,8 +30,6 @@ __all__ = [
     "OrientationScan",
     "linearize",
     "functor_a_error",
-    "epsilon_error",
-    "weak_error",
     "convergence_scan",
     "continuity_probe",
     "orientation_scan",
@@ -86,14 +85,6 @@ def linearize(f, v: Subspace, dim: int | None = None) -> DiscretizedMap:
     return DiscretizedMap(f, v, _resolve_dim(f, dim))
 
 
-def _v_samples(
-    m: int, v: Subspace, r: float, n: int, seed: int, samples: np.ndarray | None
-) -> np.ndarray:
-    if samples is not None:
-        return np.asarray(samples, dtype=float)
-    return ball_samples(m, r, n, seed=seed, indices=sorted(v.indices))
-
-
 def _tail_error(fx: np.ndarray, d: int) -> float:
     return float(np.max(np.linalg.norm(fx[:, d:], axis=1), initial=0.0))
 
@@ -104,12 +95,6 @@ def _compression_error(fv: DiscretizedMap, xs: np.ndarray, fx: np.ndarray) -> fl
     return float(np.max(np.linalg.norm(fv.eval_array(xs) - direct, axis=1), initial=0.0))
 
 
-def _probe_error(fx: np.ndarray, d: int, probes: np.ndarray) -> float:
-    defect = fx.copy()
-    defect[:, :d] = 0.0  # f_V(x) − f(x) = −(Id − P_V) f(x)
-    return float(np.max(np.abs(defect @ probes.T), initial=0.0))
-
-
 def functor_a_error(
     f,
     v: Subspace,
@@ -117,58 +102,10 @@ def functor_a_error(
     n: int = 256,
     seed: int = 0,
     dim: int | None = None,
-    samples: np.ndarray | None = None,
 ) -> float:
     """Worst range tail over ball samples in V: max ‖(Id − P_V) f(x)‖."""
-    m = _resolve_dim(f, dim)
-    xs = _v_samples(m, v, r, n, seed, samples)
+    xs = ball_samples(_resolve_dim(f, dim), r, n, seed=seed, indices=sorted(v.indices))
     return _tail_error(eval_map(f, xs), v.dim)
-
-
-def epsilon_error(
-    f,
-    v: Subspace,
-    r: float = 1.0,
-    n: int = 256,
-    seed: int = 0,
-    dim: int | None = None,
-    samples: np.ndarray | None = None,
-) -> float:
-    """Discrepancy between the compressed map and project∘f on V samples.
-
-    Identically zero for this compression scheme; measured anyway so the
-    report column is an observation, not an assumption.
-    """
-    m = _resolve_dim(f, dim)
-    fv = linearize(f, v, dim=m)
-    xs = _v_samples(m, v, r, n, seed, samples)
-    return _compression_error(fv, xs, eval_map(f, xs))
-
-
-def weak_error(
-    f,
-    v: Subspace,
-    probes: Sequence,
-    r: float = 1.0,
-    n: int = 256,
-    seed: int = 0,
-    dim: int | None = None,
-    samples: np.ndarray | None = None,
-) -> float:
-    """Worst probe functional applied to the compression defect.
-
-    max over samples x in the V-ball and probes y of |<f_V(x) − f(x), y>|;
-    exactly zero for probes inside V.
-    """
-    m = _resolve_dim(f, dim)
-    parr = [np.asarray(p, dtype=float) for p in probes]
-    if not parr:
-        raise ValueError("need at least one probe")
-    for p in parr:
-        if np.linalg.norm(p) == 0.0:
-            raise ValueError("probes must be nonzero")
-    xs = _v_samples(m, v, r, n, seed, samples)
-    return _probe_error(eval_map(f, xs), v.dim, np.stack(parr))
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,12 +182,8 @@ def convergence_scan(
     rows = []
     for d in dims:
         fv = linearize(f, Subspace.prefix(d), dim=m)
-        if d < m:
-            probe = np.zeros((1, m))
-            probe[0, d] = 1.0
-            weak = _probe_error(f_common, d, probe)
-        else:
-            weak = 0.0
+        # f_V(x) − f(x) = −(Id − P_V) f(x), tested against the probe e_d
+        weak = float(np.max(np.abs(f_common[:, d]), initial=0.0)) if d < m else 0.0
         alpha = pairwise_alpha(fv, r=r, n=n, seed=seed, dim=m, subspace=fv.v).alpha
         rows.append(
             {

@@ -34,6 +34,7 @@ from .spectral import gauss_legendre_panels, sign_crossings, unit_grid
 __all__ = [
     "FemMesh",
     "ConvexNonlinearity",
+    "SOURCES",
     "NewtonTrace",
     "assemble_stiffness",
     "solve_semilinear",
@@ -124,7 +125,7 @@ class FemMesh:
 
 @dataclass(frozen=True)
 class ConvexNonlinearity:
-    """Scalar reaction term g = G' with a convex primitive and growth data.
+    """Reaction term g = G' of one real variable, with a convex primitive and growth data.
 
     The growth constants bound the primitive, -c0 <= G(r) <= c1 (1 + r**p);
     both the bound and the monotonicity of g (= convexity of G) are checked
@@ -205,6 +206,15 @@ class ConvexNonlinearity:
         if name not in table:
             raise ValueError(f"unknown reaction term {name!r}; have {sorted(table)}")
         return table[name]()
+
+
+# manufactured sources: with the reaction ``ConvexNonlinearity.named(name)``,
+# the solution of u'' - g(u) = SOURCES[name] is u(t) = sin(pi t)
+SOURCES = {
+    "zero": lambda t: -np.pi**2 * np.sin(np.pi * t),
+    "linear": lambda t: -(np.pi**2 + 1.0) * np.sin(np.pi * t),
+    "cubic": lambda t: -np.pi**2 * np.sin(np.pi * t) - np.sin(np.pi * t) ** 3,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -648,29 +658,30 @@ def singularity_scan(
     )
 
 
-def continuum_isometry_defect(
-    s: float, n_grid: int = 2048, n_funcs: int = 8, seed: int = 0
-) -> float:
+# midpoint grid and seeded Gaussian grid functions of the isometry probe
+ISOMETRY_GRID = 2048
+ISOMETRY_FUNCS = 8
+
+
+def continuum_isometry_defect(s: float) -> float:
     """Norm defect of the continuum sign multiplier on sampled grid functions.
 
     Multiplication by sign(t - s) has unit modulus almost everywhere, so it
     preserves every L2 norm; the defect measures how far the discrete
-    realization strays (it does not: the matrices go singular, the operator
-    never does).
+    realization strays on ``ISOMETRY_FUNCS`` seeded functions sampled at
+    ``ISOMETRY_GRID`` midpoints (it does not: the matrices go singular, the
+    operator never does).
     """
     if not 0.0 <= s <= 1.0:
         raise ValueError(f"path parameter must lie in [0, 1], got {s}")
-    if n_grid < 2 or n_funcs < 1:
-        raise ValueError("need a nontrivial grid and at least one function")
-    # midpoint grid; the jump point carries no weight in the limit and the
-    # convention sign(0) = -1 keeps the modulus 1 everywhere
-    t = (np.arange(n_grid) + 0.5) / n_grid
+    # the jump point carries no weight in the limit and the convention
+    # sign(0) = -1 keeps the modulus 1 everywhere
+    t = (np.arange(ISOMETRY_GRID) + 0.5) / ISOMETRY_GRID
     multiplier = np.where(t > s, 1.0, -1.0)
-    rng = np.random.default_rng(seed)
-    samples = rng.standard_normal((n_funcs, n_grid))
+    samples = np.random.default_rng(0).standard_normal((ISOMETRY_FUNCS, ISOMETRY_GRID))
     worst = 0.0
     for u in samples:
-        norm_u = float(np.linalg.norm(u) / math.sqrt(n_grid))
-        norm_mu = float(np.linalg.norm(multiplier * u) / math.sqrt(n_grid))
+        norm_u = float(np.linalg.norm(u) / math.sqrt(ISOMETRY_GRID))
+        norm_mu = float(np.linalg.norm(multiplier * u) / math.sqrt(ISOMETRY_GRID))
         worst = max(worst, abs(norm_mu - norm_u))
     return worst

@@ -25,6 +25,7 @@ from .operators import (
     FiniteRankOperator,
     LinearExpr,
     PointwiseActivation,
+    activation_from_name,
     nemytskii_apply,
     spectral_norm,
 )
@@ -41,7 +42,6 @@ __all__ = [
     "ResidualChain",
     "InvertibleResidualChain",
     "make_layer",
-    "scaled_leaky_activation",
     "eval_map",
     "central_differences",
 ]
@@ -498,16 +498,15 @@ class InvertibleResidualChain:
         hidden: Sequence[int] | None = None,
         bias_scale: float = 0.3,
         seed: int = 0,
-        margin: float = 1.0,
     ) -> "InvertibleResidualChain":
-        """Chain with every block's certified bound equal to margin*delta."""
+        """Chain with every block's certified bound equal to delta."""
         if not 0.0 < delta < 1.0:
             raise ValueError(f"contraction bound must lie in (0, 1), got {delta}")
         chain = ResidualChain.seeded(
             ambient_dim,
             prefix_n,
             num_blocks,
-            block_bound=margin * delta,
+            block_bound=delta,
             activation=activation,
             hidden=hidden,
             bias_scale=bias_scale,
@@ -574,26 +573,6 @@ _LAYER_SPEC_KEYS = {
     "net_dim",
 }
 
-_ACTIVATIONS = {
-    "leaky_relu": lambda: CoordinateActivation.leaky_relu(0.2),
-    "groupsort2": CoordinateActivation.groupsort2,
-    "recu": CoordinateActivation.recu,
-    "tanh": CoordinateActivation.tanh,
-    "identity": CoordinateActivation.identity,
-}
-
-
-def scaled_leaky_activation(scale: float) -> PointwiseActivation:
-    """``scale * leaky_relu(0.2)``: slope bounds scale with it."""
-    base = PointwiseActivation.leaky_relu(0.2)
-    return PointwiseActivation.custom(
-        lambda s, b=base, c=scale: c * b(s),
-        lambda s, b=base, c=scale: c * b.derivative(s),
-        (0.2 * scale, scale),
-        growth=(scale, 0.0),
-        name=f"scaled_leaky({scale:g})",
-    )
-
 
 def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **overrides):
     """Deterministic test layer from a seed and a small spec dict.
@@ -640,7 +619,7 @@ def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **ov
     if lip_g == 0.0:
         nonlin = ZeroNonlinearity()
     elif kind == "coordinate_net":
-        act = _ACTIVATIONS[cfg.get("activation", "leaky_relu")]()
+        act = activation_from_name(cfg.get("activation", "leaky_relu"))
         net_dim = int(cfg.get("net_dim", m))
         hidden = cfg.get("hidden")
         net = CoordinateNetwork.seeded(
@@ -654,7 +633,7 @@ def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **ov
         )
         nonlin = CoordinateNetNonlinearity(net, m)
     elif kind == "nemytskii":
-        nonlin = NemytskiiNonlinearity(space, scaled_leaky_activation(lip_g))
+        nonlin = NemytskiiNonlinearity(space, PointwiseActivation.scaled_leaky(lip_g))
     elif kind == "affine_contraction":
         a = rng.standard_normal((m, m))
         a *= lip_g / spectral_norm(a)

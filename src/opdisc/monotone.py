@@ -1,9 +1,9 @@
 """Monotonicity and bilipschitz certification.
 
-Sampled estimators (upper bounds by construction) live alongside
-proof-grade certificates derived from structural hypotheses: a contraction
-condition on a layer's middle map, eigenvalue bounds for linear maps, and
-derivative bounds for pointwise maps.  Rejections are returned as
+Sampled estimators (upper bounds by construction) live alongside one
+proof-grade certificate: a map Id + B with Lip(B) <= kappa < 1 is strongly
+monotone with alpha = 1 - kappa, and every certified floor in the package
+comes from :func:`contraction_certificate`.  Rejections are returned as
 uncertified results carrying the violated quantity, not raised.
 
 The sampled estimators evaluate the map once on the whole (n, m) sample
@@ -18,30 +18,20 @@ from typing import Sequence
 
 import numpy as np
 
-from .layers import NeuralOperatorLayer, eval_map
-from .operators import (
-    DenseOnPrefix,
-    Diagonal,
-    Identity,
-    LinearExpr,
-    PointwiseActivation,
-    Scalar,
-)
+from .layers import eval_map
 from .spectral import Subspace
 
 __all__ = [
     "MonotonicityCertificate",
     "BilipschitzEstimate",
     "pairwise_alpha",
-    "layer_contraction_certificate",
-    "linear_certificate",
-    "nemytskii_certificate",
+    "contraction_certificate",
     "bilipschitz_estimate",
     "ball_samples",
     "map_dim",
 ]
 
-_METHODS = ("sampled", "layer_contraction", "linear_eig", "nemytskii")
+_METHODS = ("sampled", "contraction")
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,11 +106,7 @@ class BilipschitzEstimate:
 def map_dim(f) -> int | None:
     """Ambient dimension of a map, when it carries one."""
     d = getattr(f, "dim", None)
-    if isinstance(d, (int, np.integer)):
-        return int(d)
-    if isinstance(f, LinearExpr):
-        return f.intrinsic_dim()
-    return None
+    return int(d) if isinstance(d, (int, np.integer)) else None
 
 
 def _resolve_dim(f, dim: int | None) -> int:
@@ -231,88 +217,24 @@ def pairwise_alpha(
     )
 
 
-def layer_contraction_certificate(layer: NeuralOperatorLayer) -> MonotonicityCertificate:
-    """Certificate from the layer's contraction product.
+def contraction_certificate(kappa: float) -> MonotonicityCertificate:
+    """Strong monotonicity of Id + B from a bound Lip(B) <= kappa.
 
-    If the product of the two compact-map norms and the middle map's
-    recorded Lipschitz bound is at most 1/2, the layer is strongly monotone
-    with alpha = 1/2.  A zero product means the layer is the identity plus a
-    constant (alpha = 1).  A larger product is a rejection carrying the
-    ratio; an unbounded middle map is an error (missing certificate).
+    For kappa < 1, <x - y + B(x) - B(y), x - y> >= (1 - kappa)|x - y|^2, so
+    the certificate holds globally with alpha = 1 - kappa.  Any other kappa
+    (inf for an unbounded middle map, NaN) is a rejection carrying it.
     """
-    lip = layer.lip_nonlin
-    if not np.isfinite(lip):
-        raise ValueError("middle map carries no finite Lipschitz certificate")
-    product = layer.in_op.norm * layer.out_op.norm * lip
-    if product == 0.0:
+    if kappa < 1.0:
         return MonotonicityCertificate(
-            alpha=1.0, method="layer_contraction", certified=True, ratio=0.0,
-            note="degenerate layer: identity plus a constant",
-        )
-    if product <= 0.5:
-        return MonotonicityCertificate(
-            alpha=0.5, method="layer_contraction", certified=True, ratio=float(product)
+            alpha=1.0 - kappa, method="contraction", certified=True, ratio=kappa
         )
     return MonotonicityCertificate(
         alpha=0.0,
-        method="layer_contraction",
+        method="contraction",
         certified=False,
-        ratio=float(product),
-        note=f"contraction product {product:.6g} exceeds 1/2",
-    )
-
-
-def linear_certificate(a, d: int | None = None) -> MonotonicityCertificate:
-    """Smallest symmetric-part eigenvalue of a structured linear map.
-
-    For a dense-on-prefix map the identity tail contributes 1 whenever the
-    prefix size d exceeds the dense block.  Rejection (alpha <= 0) is a
-    value, not an exception.
-    """
-    if isinstance(a, Identity):
-        alpha = 1.0
-    elif isinstance(a, Scalar):
-        alpha = float(a.c)
-    elif isinstance(a, Diagonal):
-        take = a.entries if d is None else a.entries[:d]
-        if take.size == 0:
-            raise ValueError("empty diagonal restriction")
-        alpha = float(np.min(take))
-    elif isinstance(a, DenseOnPrefix):
-        sym = (a.matrix + a.matrix.T) / 2.0
-        alpha = float(np.linalg.eigvalsh(sym)[0])
-        if d is not None and d > a.block_dim:
-            alpha = min(alpha, 1.0)
-    elif isinstance(a, LinearExpr):
-        raise ValueError(
-            "linear certificate needs identity/scalar/diagonal/dense-on-prefix form"
-        )
-    else:
-        raise TypeError("linear certificate needs a linear operator expression")
-    return MonotonicityCertificate(
-        alpha=alpha, method="linear_eig", certified=alpha > 0.0,
-        note="" if alpha > 0.0 else "symmetric part not positive definite",
-    )
-
-
-def nemytskii_certificate(sigma: PointwiseActivation) -> MonotonicityCertificate:
-    """Monotonicity of pointwise composition from the derivative lower bound.
-
-    Requires recorded growth bounds (the map must send the space into
-    itself); a nonpositive derivative bound — plain ReLU, the cubed
-    rectifier — is a rejection.
-    """
-    if sigma.growth is None:
-        raise ValueError(
-            f"activation {sigma.name} has no linear growth bound; "
-            "pointwise certification needs one"
-        )
-    alpha = float(sigma.deriv_bounds[0])
-    if alpha > 0.0:
-        return MonotonicityCertificate(alpha=alpha, method="nemytskii", certified=True)
-    return MonotonicityCertificate(
-        alpha=alpha, method="nemytskii", certified=False,
-        note="derivative lower bound is not positive",
+        ratio=kappa,
+        note="the layer's contraction bound is not below one, so it carries no "
+        "monotonicity certificate",
     )
 
 

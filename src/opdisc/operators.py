@@ -1,14 +1,16 @@
 """Linear and pointwise-nonlinear building blocks.
 
-Finite-rank operators in singular-triple form, a few structured linear maps
-(identity, scalars, diagonals, dense-on-prefix blocks, reflections), the exact
-spectral-norm kernel, scalar activations applied pointwise on the quadrature
-grid, and coordinate activations for finite-dimensional networks.
+Finite-rank operators in singular-triple form, the two involutive linear
+heads (identity, reflections), the exact spectral-norm kernel, scalar
+activations applied pointwise on the quadrature grid, coordinate activations
+for finite-dimensional networks, and the one table that reads activation
+names such as ``leaky_relu(0.3)``.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from typing import Callable
 
@@ -18,14 +20,13 @@ from .spectral import Space
 
 __all__ = [
     "FiniteRankOperator",
+    "orthonormal_rows",
     "LinearExpr",
     "Identity",
-    "Scalar",
-    "Diagonal",
-    "DenseOnPrefix",
     "Reflection",
     "PointwiseActivation",
     "CoordinateActivation",
+    "activation_from_name",
     "nemytskii_apply",
     "spectral_norm",
 ]
@@ -95,12 +96,7 @@ class FiniteRankOperator:
         rng = np.random.default_rng(seed)
         def fam(use_prefix: bool) -> np.ndarray:
             a = rng.standard_normal((dim, rank))  # always consume the stream
-            if use_prefix:
-                return np.eye(dim)[:rank].copy()
-            q, r = np.linalg.qr(a)
-            signs = np.sign(np.diag(r))
-            signs[signs == 0] = 1.0
-            return (q * signs).T.copy()
+            return np.eye(dim)[:rank].copy() if use_prefix else orthonormal_rows(a)
         psi = fam(psi_prefix)
         phi = fam(phi_prefix)
         return cls(w, psi, phi)
@@ -121,8 +117,17 @@ class FiniteRankOperator:
         return f"FiniteRankOperator(rank={self.rank}, dim={self.dim}, norm={self.norm:.6g})"
 
 
+def orthonormal_rows(a: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the columns of a (dim, rank) Gaussian draw:
+    its QR factor, with signs fixed so that diag(R) >= 0."""
+    q, r = np.linalg.qr(a)
+    signs = np.sign(np.diag(r))
+    signs[signs == 0] = 1.0
+    return (q * signs).T.copy()
+
+
 # ---------------------------------------------------------------------------
-# structured linear maps
+# involutive linear maps
 # ---------------------------------------------------------------------------
 
 
@@ -132,68 +137,11 @@ class LinearExpr:
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
-    def intrinsic_dim(self) -> int | None:
-        return None
-
 
 @dataclass(frozen=True)
 class Identity(LinearExpr):
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         return np.array(x, dtype=float, copy=True)
-
-
-@dataclass(frozen=True)
-class Scalar(LinearExpr):
-    c: float
-
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
-        return float(self.c) * np.asarray(x, dtype=float)
-
-
-@dataclass(frozen=True, eq=False)
-class Diagonal(LinearExpr):
-    entries: np.ndarray
-
-    def __post_init__(self) -> None:
-        d = np.array(self.entries, dtype=float).reshape(-1)
-        d.flags.writeable = False
-        object.__setattr__(self, "entries", d)
-
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[-1] != self.entries.size:
-            raise ValueError("dimension mismatch for diagonal operator")
-        return self.entries * x
-
-    def intrinsic_dim(self) -> int | None:
-        return self.entries.size
-
-
-@dataclass(frozen=True, eq=False)
-class DenseOnPrefix(LinearExpr):
-    """A dense matrix on the first d coordinates, identity on the rest."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValueError("prefix block must be a square matrix")
-        m.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-
-    @property
-    def block_dim(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
-        if x.shape[-1] < self.block_dim:
-            raise ValueError(
-                f"vector dimension {x.shape[-1]} smaller than prefix block {self.block_dim}"
-            )
-        y = np.array(x, dtype=float, copy=True)
-        d = self.block_dim
-        y[..., :d] = x[..., :d] @ self.matrix.T
-        return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,14 +167,15 @@ class Reflection(LinearExpr):
         e[0] = 1.0
         return cls(e)
 
+    @property
+    def dim(self) -> int:
+        return self.e.size
+
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.e.size:
             raise ValueError("dimension mismatch for reflection")
         proj = x @ self.e
         return x - 2.0 * np.multiply.outer(proj, self.e)
-
-    def intrinsic_dim(self) -> int | None:
-        return self.e.size
 
 
 def spectral_norm(w) -> float:
@@ -266,7 +215,7 @@ def spectral_norm(w) -> float:
 
 @dataclass(frozen=True, eq=False)
 class PointwiseActivation:
-    """Scalar function with recorded derivative bounds and growth data.
+    """Real function of one variable with recorded derivative bounds and growth data.
 
     ``deriv_bounds = (lo, hi)`` bound the derivative globally (hi may be
     inf); ``growth = (g0, g1)`` records |f(s)| <= g0|s| + g1 when such a
@@ -346,6 +295,18 @@ class PointwiseActivation:
             lambda s: 1.0 / np.cosh(s) ** 2,
             (0.0, 1.0),
             (1.0, 0.0),
+        )
+
+    @classmethod
+    def scaled_leaky(cls, scale: float) -> "PointwiseActivation":
+        """``scale * leaky_relu(0.2)``: slope bounds scale with it."""
+        base = cls.leaky_relu(0.2)
+        return cls.custom(
+            lambda s, b=base, c=scale: c * b(s),
+            lambda s, b=base, c=scale: c * b.derivative(s),
+            (0.2 * scale, scale),
+            growth=(scale, 0.0),
+            name=f"scaled_leaky({scale:g})",
         )
 
     @classmethod
@@ -430,6 +391,52 @@ class CoordinateActivation:
 
     def __repr__(self) -> str:
         return f"CoordinateActivation({self.name})"
+
+
+# name -> (factory, parameter): whether the factory takes no parameter
+# (None), an optional one or a required one
+_ACTIVATIONS = {
+    "identity": (PointwiseActivation.identity, None),
+    "leaky_relu": (PointwiseActivation.leaky_relu, "optional"),
+    "recu": (PointwiseActivation.recu, None),
+    "tanh": (PointwiseActivation.tanh, None),
+    "scaled_leaky": (PointwiseActivation.scaled_leaky, "required"),
+    "groupsort2": (CoordinateActivation.groupsort2, None),
+}
+
+
+def activation_from_name(name: str, *, pointwise: bool = False):
+    """The activation a name such as ``tanh`` or ``leaky_relu(0.3)`` denotes.
+
+    By default a :class:`CoordinateActivation`: every scalar activation
+    applied entrywise, or ``groupsort2``.  ``pointwise=True`` reads the
+    :class:`PointwiseActivation` of a Nemytskii map, which groupsort2 is
+    not.  A malformed name, a parameter on a name that takes none, a
+    missing parameter and a non-finite one are refused with ValueError.
+    """
+    known = sorted(k for k in _ACTIVATIONS if not (pointwise and k == "groupsort2"))
+    match = re.fullmatch(r"(\w+)(?:\((.*)\))?", name) if isinstance(name, str) else None
+    if match is None or match[1] not in known:
+        raise ValueError(f"unknown activation {name!r}; know {known}")
+    bare, arg = match[1], match[2]
+    factory, parameter = _ACTIVATIONS[bare]
+    if arg is None:
+        if parameter == "required":
+            raise ValueError(f"activation {bare!r} needs a parameter, as in '{bare}(0.5)'")
+        act = factory()
+    else:
+        if parameter is None:
+            raise ValueError(f"activation {bare!r} takes no parameter, got {name!r}")
+        try:
+            value = float(arg)
+        except ValueError as err:
+            raise ValueError(f"activation {name!r}: the parameter must be a number") from err
+        if not math.isfinite(value):
+            raise ValueError(f"activation {name!r}: the parameter must be finite")
+        act = factory(value)
+    if pointwise or isinstance(act, CoordinateActivation):
+        return act
+    return CoordinateActivation.from_pointwise(act)
 
 
 def nemytskii_apply(space: Space, sigma: PointwiseActivation, u) -> np.ndarray:

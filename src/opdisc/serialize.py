@@ -19,7 +19,6 @@ from pathlib import Path
 import numpy as np
 
 from .layers import (
-    _ACTIVATIONS,
     _LAYER_SPEC_KEYS,
     AffineNonlinearity,
     CoordinateNetNonlinearity,
@@ -31,9 +30,8 @@ from .layers import (
     ResidualChain,
     ZeroNonlinearity,
     make_layer,
-    scaled_leaky_activation,
 )
-from .operators import CoordinateActivation, PointwiseActivation, Reflection
+from .operators import Reflection, activation_from_name, orthonormal_rows
 from .spectral import BasisSpec, Space
 
 SCHEMA_VERSION = 1
@@ -180,53 +178,16 @@ def space_from_config(d: dict) -> Space:
 # activations
 
 
-def _activation_from_name(name: str):
-    """Coordinate activation from a table name like ``tanh`` or ``leaky_relu(0.3)``."""
-    bare, _, arg = name.partition("(")
-    if bare not in _ACTIVATIONS:
-        raise SpecError(f"unknown activation {name!r}; know {sorted(_ACTIVATIONS)}")
-    if arg:
-        if bare != "leaky_relu":
-            raise SpecError(f"activation {bare!r} takes no parameter, got {name!r}")
-        return CoordinateActivation.leaky_relu(_activation_parameter(name, arg))
-    return _ACTIVATIONS[bare]()
-
-
-def _activation_parameter(name: str, arg: str) -> float:
+def _activation(name, where: str, *, pointwise: bool = False):
+    """The activation a spec names, as read by ``operators.activation_from_name``."""
     try:
-        return float(arg.rstrip(")"))
+        return activation_from_name(name, pointwise=pointwise)
     except ValueError as err:
-        raise SpecError(f"activation {name!r}: the parameter must be a number") from err
-
-
-def _pointwise_from_name(name: str) -> PointwiseActivation:
-    bare, _, arg = name.partition("(")
-    table = {
-        "tanh": PointwiseActivation.tanh,
-        "leaky_relu": PointwiseActivation.leaky_relu,
-        "recu": PointwiseActivation.recu,
-        "identity": PointwiseActivation.identity,
-        "scaled_leaky": scaled_leaky_activation,
-    }
-    if bare not in table:
-        raise SpecError(f"unknown pointwise activation {name!r}; know {sorted(table)}")
-    if arg:
-        return table[bare](_activation_parameter(name, arg))
-    return table[bare]()
+        raise SpecError(f"{where}: {err}") from err
 
 
 # ---------------------------------------------------------------------------
 # operators
-
-
-def _seeded_frame(dim: int, rank: int, seed: int) -> np.ndarray:
-    """Orthonormal rows from a seeded Gaussian draw (sign-fixed QR)."""
-    rng = np.random.default_rng(seed)
-    a = rng.standard_normal((dim, rank))
-    q, r = np.linalg.qr(a)
-    signs = np.sign(np.diag(r))
-    signs[signs == 0] = 1.0
-    return (q * signs).T.copy()
 
 
 def operator_from_spec(d: dict, ambient_dim: int | None = None) -> FiniteRankOperator:
@@ -248,7 +209,8 @@ def operator_from_spec(d: dict, ambient_dim: int | None = None) -> FiniteRankOpe
                 raise SpecError(
                     f"operator: {seed_key!r} needs an ambient dimension from the space"
                 )
-            return _seeded_frame(ambient_dim, rank, int_field(d, seed_key, "operator"))
+            rng = np.random.default_rng(int_field(d, seed_key, "operator"))
+            return orthonormal_rows(rng.standard_normal((ambient_dim, rank)))
 
         return FiniteRankOperator(omegas, frame("psi"), frame("phi"))
     if kind == "seeded_finite_rank":
@@ -284,7 +246,7 @@ def network_from_spec(d: dict) -> CoordinateNetwork:
         return CoordinateNetwork(
             _arrays(d, "weights", "network"),
             _arrays(d, "biases", "network"),
-            _activation_from_name(d["activation"]),
+            _activation(d["activation"], "network"),
         )
     if kind == "seeded_coordinate_network":
         check_keys(
@@ -298,7 +260,7 @@ def network_from_spec(d: dict) -> CoordinateNetwork:
             int_field(d, "n_in", "network"),
             int_field(d, "n_out", "network"),
             hidden=_int_list(d, "hidden", "network"),
-            activation=None if act is None else _activation_from_name(act),
+            activation=None if act is None else _activation(act, "network"),
             target_bound=float_field(d, "target_bound", "network", 1.0),
             bias_scale=float_field(d, "bias_scale", "network", 0.0),
             seed=int_field(d, "seed", "network"),
@@ -330,7 +292,9 @@ def nonlinearity_from_spec(d: dict, space: Space | None = None):
         check_keys(d, "nonlinearity", {"kind", "activation"})
         if space is None:
             raise SpecError("nonlinearity: a Nemytskii map needs the space")
-        return NemytskiiNonlinearity(space, _pointwise_from_name(d["activation"]))
+        return NemytskiiNonlinearity(
+            space, _activation(d["activation"], "nonlinearity", pointwise=True)
+        )
     raise SpecError(f"unknown nonlinearity kind {kind!r}")
 
 
@@ -361,10 +325,8 @@ def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
                 body[key] = float_field(body, key, "layer")
         if "hidden" in body:
             body["hidden"] = _int_list(body, "hidden", "layer")
-        if body.get("activation", "leaky_relu") not in _ACTIVATIONS:
-            raise SpecError(
-                f"layer: unknown activation {body['activation']!r}; know {sorted(_ACTIVATIONS)}"
-            )
+        if "activation" in body:
+            _activation(body["activation"], "layer")
         return make_layer(space, body, seed=int_field(d, "seed", "layer"))
     raise SpecError(f"unknown layer kind {kind!r}")
 
@@ -407,7 +369,7 @@ def chain_from_spec(d: dict):
             block_bound=float_field(
                 d, "block_bound", "chain", delta if delta is not None else 0.5
             ),
-            activation=None if act is None else _activation_from_name(act),
+            activation=None if act is None else _activation(act, "chain"),
             hidden=_int_list(d, "hidden", "chain"),
             bias_scale=float_field(d, "bias_scale", "chain", 0.3),
             seed=int_field(d, "seed", "chain"),

@@ -27,17 +27,9 @@ from opdisc.layers import (
     ZeroNonlinearity,
     eval_map,
     make_layer,
-    scaled_leaky_activation,
 )
 from opdisc.monotone import ball_samples
-from opdisc.operators import (
-    DenseOnPrefix,
-    Diagonal,
-    FiniteRankOperator,
-    Identity,
-    Reflection,
-    Scalar,
-)
+from opdisc.operators import FiniteRankOperator, Identity, PointwiseActivation, Reflection
 from opdisc.spectral import BasisSpec, Space, Subspace
 
 # roundoff-level tolerance for every inverting block, so that a batch
@@ -65,9 +57,6 @@ def maps():
     linear = {
         "finite_rank": t,
         "identity": Identity(),
-        "scalar": Scalar(-1.5),
-        "diagonal": Diagonal(np.linspace(0.5, 2.0, m)),
-        "dense_on_prefix": DenseOnPrefix(rng.standard_normal((5, 5))),
         "reflection": Reflection.first_axis(m),
     }
     for name, op in linear.items():
@@ -77,7 +66,7 @@ def maps():
     window = CoordinateNetwork.seeded(5, 5, target_bound=0.5, seed=3)
     nonlins = {
         "zero_nonlinearity": ZeroNonlinearity(),
-        "nemytskii": NemytskiiNonlinearity(space, scaled_leaky_activation(0.4)),
+        "nemytskii": NemytskiiNonlinearity(space, PointwiseActivation.scaled_leaky(0.4)),
         "coordinate_net_nonlinearity": CoordinateNetNonlinearity(net, m),
         "coordinate_net_window": CoordinateNetNonlinearity(window, m),
         "affine_nonlinearity": AffineNonlinearity(0.3 * np.eye(m), np.ones(m)),
@@ -120,8 +109,7 @@ def maps():
 
 
 NAMES = [
-    "finite_rank", "identity", "scalar", "diagonal", "dense_on_prefix",
-    "reflection", "zero_nonlinearity", "nemytskii",
+    "finite_rank", "identity", "reflection", "zero_nonlinearity", "nemytskii",
     "coordinate_net_nonlinearity", "coordinate_net_window", "affine_nonlinearity",
     "layer", "nemytskii_layer", "coordinate_network", "residual_chain",
     "invertible_chain", "discretized_map", "core_compressed_layer", "tail_fixed_point",

@@ -395,6 +395,65 @@ class TestBatchMode:
         assert failed[0]["stage"] == "estimate"
 
 
+def _nemytskii_check(name, activation):
+    return {
+        "name": name, "kind": "monotone-check", "seed": 5, "samples": 16, "dims": [2, 8],
+        "space": {"basis": "fourier", "ambient_dim": 8},
+        "layer": {
+            "kind": "layer",
+            "in_op": {"kind": "seeded_finite_rank", "rank": 4, "seed": 1},
+            "out_op": {"kind": "seeded_finite_rank", "rank": 4, "seed": 2},
+            "nonlin": {"kind": "nemytskii", "activation": activation},
+        },
+    }
+
+
+def _seeded_layer_check(name, activation):
+    return {
+        "name": name, "kind": "monotone-check", "seed": 5, "samples": 16, "dims": [2, 8],
+        "space": {"basis": "fourier", "ambient_dim": 8},
+        "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5, "activation": activation},
+    }
+
+
+def _chain_inversion(name, activation):
+    return _invert(name, {**CHAIN_SPEC, "activation": activation}, 0.0)
+
+
+class TestActivationNames:
+    """A bad activation name is a config error naming its reader; the rest
+    of the batch still runs."""
+
+    @pytest.mark.parametrize(
+        "make,bad,good,message",
+        [
+            (_nemytskii_check, "tanh(2)", "tanh",
+             "nonlinearity: activation 'tanh' takes no parameter, got 'tanh(2)'"),
+            (_nemytskii_check, "scaled_leaky", "scaled_leaky(0.4)",
+             "nonlinearity: activation 'scaled_leaky' needs a parameter"),
+            (_nemytskii_check, "tanh(", "tanh", "nonlinearity: unknown activation 'tanh('"),
+            (_seeded_layer_check, "tanh(2)", "tanh",
+             "layer: activation 'tanh' takes no parameter, got 'tanh(2)'"),
+            (_chain_inversion, "groupsort2(2)", "groupsort2",
+             "chain: activation 'groupsort2' takes no parameter, got 'groupsort2(2)'"),
+            (_chain_inversion, "leaky_relu(0.3", "leaky_relu(0.3)",
+             "chain: unknown activation 'leaky_relu(0.3'"),
+        ],
+        ids=["nemytskii-parameter", "nemytskii-missing", "nemytskii-malformed",
+             "seeded-layer-parameter", "chain-parameter", "chain-malformed"],
+    )
+    def test_a_bad_name_is_a_config_error(self, runner, tmp_path, make, bad, good, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, [make("bad", bad), make("good", good)])
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert f"config-error in bad: {message}" in result.output
+        assert "ok  " in result.output and "good" in result.output
+        assert (out / "good.json").exists()
+        assert not (out / "bad.json").exists()
+        assert not (out / "failures.json").exists()
+
+
 class TestBuildMemo:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_shared_chains_give_the_artifacts_of_lone_runs(self, tmp_path, jobs):

@@ -1,7 +1,8 @@
-"""Every exported name resolves, and so does every hook the benchmark tracer
-wraps or probes: a hook whose target was renamed or deleted would make its
-per-layer metric read 0 without any error."""
+"""Every exported name resolves and is used, and so does every hook the
+benchmark tracer wraps or probes: a hook whose target was renamed or deleted
+would make its per-layer metric read 0 without any error."""
 
+import ast
 import importlib
 import importlib.util
 import re
@@ -81,6 +82,32 @@ def test_module_exports_resolve(module):
     mod = importlib.import_module(f"opdisc.{module}")
     missing = [name for name in getattr(mod, "__all__", ()) if not hasattr(mod, name)]
     assert missing == []
+
+
+def _loaded_names(src: Path) -> set[str]:
+    """Every name the package's code reads: ``Name`` and ``Attribute`` nodes
+    in load context.  Imports, definitions and assignments do not count."""
+    names = set()
+    for path in src.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def test_every_export_is_used_in_src():
+    """A module export that no code in the package reads is dead, unless it
+    is part of the package's own public API."""
+    used = _loaded_names(Path(opdisc.__file__).resolve().parent)
+    unused = [
+        f"{module}.{name}"
+        for module in MODULES
+        for name in getattr(importlib.import_module(f"opdisc.{module}"), "__all__", ())
+        if name not in used and name not in opdisc.__all__
+    ]
+    assert unused == []
 
 
 @pytest.mark.parametrize("hook", HOOKS)

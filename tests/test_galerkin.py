@@ -498,5 +498,5 @@ class TestContinuumIsometry:
     def test_validation(self):
         with pytest.raises(ValueError, match="lie in"):
             continuum_isometry_defect(-0.1)
-        with pytest.raises(ValueError, match="nontrivial grid"):
-            continuum_isometry_defect(0.5, n_grid=1)
+        with pytest.raises(ValueError, match="lie in"):
+            continuum_isometry_defect(1.5)

@@ -26,7 +26,7 @@ from opdisc.layers import (
     ResidualChain,
 )
 from opdisc.monotone import ball_samples, bilipschitz_estimate
-from opdisc.operators import Diagonal, Identity, Reflection
+from opdisc.operators import FiniteRankOperator, Identity, Reflection
 
 
 def zero_net(n: int) -> CoordinateNetwork:
@@ -412,9 +412,9 @@ class TestChainInverse:
             invert_chain(chain, None, np.zeros(4))
 
     def test_non_involutive_head_refused(self):
-        with pytest.raises(ValueError, match="identity or a reflection"):
-            invert_chain(None, Diagonal(np.array([2.0, 1.0])), np.zeros(2))
-        with pytest.raises(TypeError, match="not supported"):
+        with pytest.raises(TypeError, match="identity or a reflection; got FiniteRankOperator"):
+            invert_chain(None, FiniteRankOperator.seeded(2, 1, seed=0), np.zeros(2))
+        with pytest.raises(TypeError, match="identity or a reflection; got str"):
             invert_chain(None, "flip", np.zeros(2))
         with pytest.raises(TypeError, match="cannot invert"):
             invert_chain(("not", "a", "chain"), None, np.zeros(2))

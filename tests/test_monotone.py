@@ -1,4 +1,5 @@
-"""Monotonicity certificates: sampled estimates, structural proofs, scans."""
+"""Monotonicity certificates: sampled estimates, the structural contraction
+certificate, and the pair-quotient kernel."""
 
 import tracemalloc
 from unittest.mock import patch
@@ -9,27 +10,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opdisc import monotone
+from opdisc.acceptance import mixing_bilipschitz_layer
 from opdisc.layers import NeuralOperatorLayer, ZeroNonlinearity, eval_map, make_layer
 from opdisc.monotone import (
     BilipschitzEstimate,
     MonotonicityCertificate,
     ball_samples,
     bilipschitz_estimate,
-    layer_contraction_certificate,
-    linear_certificate,
-    nemytskii_certificate,
+    contraction_certificate,
     pairwise_alpha,
 )
-from opdisc.operators import (
-    DenseOnPrefix,
-    Diagonal,
-    FiniteRankOperator,
-    Identity,
-    PointwiseActivation,
-    Reflection,
-    Scalar,
+from opdisc.operators import FiniteRankOperator, Identity, Reflection
+from opdisc.spectral import BasisSpec, Space, Subspace
+
+# the note every rejected contraction certificate carries
+NO_CERTIFICATE = (
+    "the layer's contraction bound is not below one, so it carries no "
+    "monotonicity certificate"
 )
-from opdisc.spectral import Subspace
+
+
+def diagonal(entries):
+    """x -> entries * x, a diagonal linear map on len(entries) coordinates."""
+    d = np.array(entries, dtype=float)
+    return lambda x: d * x
 
 
 class TestCertificateTypes:
@@ -68,7 +72,7 @@ class TestPairwiseAlpha:
         assert cert.sample_count == 256
 
     def test_doubling_map_is_exactly_two(self):
-        cert = pairwise_alpha(Scalar(2.0), dim=8)
+        cert = pairwise_alpha(lambda x: 2.0 * x, dim=8)
         assert cert.alpha == 2.0
 
     def test_reflection_is_refused(self):
@@ -77,8 +81,8 @@ class TestPairwiseAlpha:
         assert not cert.certified
 
     def test_minimizing_pair_attains_the_minimum(self):
-        f = Diagonal(np.array([0.3, 2.0, 1.0, 1.0, 1.0]))
-        cert = pairwise_alpha(f, n=128, seed=7)
+        f = diagonal([0.3, 2.0, 1.0, 1.0, 1.0])
+        cert = pairwise_alpha(f, n=128, seed=7, dim=5)
         x1, x2 = cert.minimizing_pair
         dx = x1 - x2
         quo = float((eval_map(f, x1) - eval_map(f, x2)) @ dx) / float(dx @ dx)
@@ -92,9 +96,9 @@ class TestPairwiseAlpha:
             assert np.all(x[3:] == 0.0)
 
     def test_seed_determinism(self):
-        f = Diagonal(np.linspace(0.5, 2.0, 6))
-        a = pairwise_alpha(f, n=64, seed=11)
-        b = pairwise_alpha(f, n=64, seed=11)
+        f = diagonal(np.linspace(0.5, 2.0, 6))
+        a = pairwise_alpha(f, n=64, seed=11, dim=6)
+        b = pairwise_alpha(f, n=64, seed=11, dim=6)
         assert a.alpha == b.alpha
         assert np.array_equal(a.minimizing_pair[0], b.minimizing_pair[0])
 
@@ -118,124 +122,119 @@ class TestPairwiseAlpha:
     def test_diagonal_alpha_brackets_by_entries(self, entries, seed):
         """Pair quotients of a diagonal map are convex combinations of its
         entries, so the sampled minimum must land inside [min, max]."""
-        f = Diagonal(np.array(entries))
-        cert = pairwise_alpha(f, n=32, seed=seed)
+        cert = pairwise_alpha(diagonal(entries), n=32, seed=seed, dim=len(entries))
         assert min(entries) - 1e-9 <= cert.alpha <= max(entries) + 1e-9
         assert cert.certified
 
 
 class TestLayerContraction:
     def test_small_product_certifies_one_half(self, space16):
-        layer = make_layer(space16, lip_g=0.4, seed=5)
-        cert = layer_contraction_certificate(layer)
+        layer = make_layer(space16, lip_g=0.5, seed=5)
+        cert = contraction_certificate(layer.contraction)
         assert cert.certified
-        assert cert.alpha == 0.5
-        assert cert.method == "layer_contraction"
-        assert cert.ratio == pytest.approx(0.4, rel=1e-9)
+        assert cert.alpha == 1.0 - layer.contraction
+        assert cert.alpha == pytest.approx(0.5, rel=1e-9)
+        assert cert.method == "contraction"
+        assert cert.ratio == pytest.approx(0.5, rel=1e-9)
         assert cert.ball_radius == "global"
 
     def test_large_product_is_rejected_with_ratio(self, space16):
-        layer = make_layer(space16, lip_g=0.6, seed=5)
-        cert = layer_contraction_certificate(layer)
+        layer = make_layer(space16, lip_g=1.2, seed=5)
+        cert = contraction_certificate(layer.contraction)
         assert not cert.certified
         assert cert.alpha == 0.0
-        assert cert.ratio == pytest.approx(0.6, rel=1e-9)
-        assert "exceeds" in cert.note
+        assert cert.ratio == pytest.approx(1.2, rel=1e-9)
+        assert cert.note == NO_CERTIFICATE
 
     def test_zero_output_operator_gives_identity_constant(self, space16):
         base = make_layer(space16, lip_g=0.4, seed=2)
         zero = FiniteRankOperator(np.zeros(0), np.zeros((0, 16)), np.zeros((0, 16)))
         layer = NeuralOperatorLayer(base.in_op, zero, base.nonlin)
-        cert = layer_contraction_certificate(layer)
+        cert = contraction_certificate(layer.contraction)
         assert cert.certified
         assert cert.alpha == 1.0
 
     def test_zero_middle_map_gives_identity_constant(self, space16):
         layer = make_layer(space16, lip_g=0.0, seed=2)
         assert isinstance(layer.nonlin, ZeroNonlinearity)
-        cert = layer_contraction_certificate(layer)
+        cert = contraction_certificate(layer.contraction)
         assert cert.alpha == 1.0
-
-    def test_unbounded_middle_map_is_an_error(self, space16):
-        layer = make_layer(space16, lip_g=0.5, activation="recu", seed=2)
-        with pytest.raises(ValueError, match="Lipschitz"):
-            layer_contraction_certificate(layer)
 
     def test_sampled_estimate_dominates_certificate(self, space16):
         layer = make_layer(space16, lip_g=0.4, seed=9)
-        cert = layer_contraction_certificate(layer)
+        cert = contraction_certificate(layer.contraction)
         sampled = pairwise_alpha(layer, n=128, seed=17)
         assert sampled.alpha >= cert.alpha - 1e-6
 
 
-class TestLinearCertificate:
-    def test_identity(self):
-        cert = linear_certificate(Identity())
-        assert cert.certified and cert.alpha == 1.0
-        assert cert.method == "linear_eig"
+# small seeded layers for the certificate property below
+SPACE8 = Space(BasisSpec("fourier", 8))
 
-    def test_diagonal_min_entry_with_tail(self):
-        a = Diagonal(np.array([2.0, 3.0, 1.0, 1.0, 1.0, 1.0]))
-        cert = linear_certificate(a)
+
+class TestContractionCertificate:
+    def test_zero_bound_gives_alpha_one(self):
+        cert = contraction_certificate(0.0)
+        assert cert.certified
         assert cert.alpha == 1.0
+        assert cert.ratio == 0.0
+        assert cert.method == "contraction"
+
+    @pytest.mark.parametrize("kappa", [0.0, 0.1, 0.25, 0.5, 0.9, 1.0 - 2.0**-53])
+    def test_floor_is_one_minus_the_bound(self, kappa):
+        cert = contraction_certificate(kappa)
         assert cert.certified
+        assert cert.alpha == 1.0 - kappa
+        assert cert.ratio == kappa
 
-    def test_diagonal_prefix_restriction(self):
-        a = Diagonal(np.array([2.0, 3.0, 0.5, 1.0]))
-        assert linear_certificate(a, d=2).alpha == 2.0
-        assert linear_certificate(a, d=4).alpha == 0.5
-
-    def test_rotation_block_is_rejected(self):
-        rot = DenseOnPrefix(np.array([[0.0, 1.0], [-1.0, 0.0]]))
-        cert = linear_certificate(rot)
-        assert cert.alpha == pytest.approx(0.0, abs=1e-14)
-        assert not cert.certified
-
-    def test_dense_block_with_identity_tail(self):
-        block = DenseOnPrefix(np.array([[3.0, 0.0], [0.0, 4.0]]))
-        assert linear_certificate(block, d=2).alpha == pytest.approx(3.0)
-        # a prefix wider than the block picks up the identity tail
-        assert linear_certificate(block, d=6).alpha == pytest.approx(1.0)
-
-    def test_asymmetric_part_is_discarded(self):
-        # sym part of [[1, 4], [0, 1]] is [[1, 2], [2, 1]] with eigenvalues -1, 3
-        a = DenseOnPrefix(np.array([[1.0, 4.0], [0.0, 1.0]]))
-        cert = linear_certificate(a)
-        assert cert.alpha == pytest.approx(-1.0)
-        assert not cert.certified
-
-    def test_sampled_never_undershoots_linear_certificate(self):
-        a = DenseOnPrefix(np.array([[2.0, 1.0], [-1.0, 2.0]]))
-        cert = linear_certificate(a, d=2)
-        assert cert.alpha == pytest.approx(2.0)  # skew part cancels
-        sampled = pairwise_alpha(a, dim=2, n=64, seed=3)
-        assert sampled.alpha >= cert.alpha - 1e-6
-
-    def test_non_structured_input_rejected(self, space16):
-        with pytest.raises(TypeError):
-            linear_certificate(make_layer(space16, seed=0))
-        with pytest.raises(ValueError, match="dense-on-prefix"):
-            linear_certificate(Reflection.first_axis(4))
-
-
-class TestNemytskiiCertificate:
-    def test_leaky_slope_is_the_constant(self):
-        cert = nemytskii_certificate(PointwiseActivation.leaky_relu(0.2))
-        assert cert.certified
-        assert cert.alpha == pytest.approx(0.2)
-        assert cert.method == "nemytskii"
-
-    def test_identity_gives_one(self):
-        assert nemytskii_certificate(PointwiseActivation.identity()).alpha == 1.0
-
-    def test_plain_relu_is_rejected(self):
-        cert = nemytskii_certificate(PointwiseActivation.leaky_relu(0.0))
+    @pytest.mark.parametrize("kappa", [1.0, 1.5])
+    def test_rejection_carries_the_ratio(self, kappa):
+        cert = contraction_certificate(kappa)
         assert not cert.certified
         assert cert.alpha == 0.0
+        assert cert.ratio == kappa
+        assert cert.note == NO_CERTIFICATE
+        assert cert.as_dict()["ratio"] == kappa
 
-    def test_cubed_rectifier_lacks_growth_bound(self):
-        with pytest.raises(ValueError, match="growth"):
-            nemytskii_certificate(PointwiseActivation.recu())
+    def test_infinite_bound_is_a_rejection(self, space16):
+        # an unbounded middle map has no finite bound: a rejection, not an error
+        layer = make_layer(space16, lip_g=0.5, activation="recu", seed=2)
+        assert layer.contraction == np.inf
+        cert = contraction_certificate(layer.contraction)
+        assert not cert.certified
+        assert cert.alpha == 0.0
+        assert cert.ratio == np.inf
+        assert not contraction_certificate(np.nan).certified
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(min_value=0, max_value=2**31 - 1),
+        lip_g=st.floats(min_value=0.0, max_value=0.95),
+        kind=st.sampled_from(
+            ["leaky_relu", "tanh", "groupsort2", "affine", "nemytskii", "mixing"]
+        ),
+        norm_out=st.sampled_from([0.5, 1.0]),
+    )
+    def test_sampled_alpha_dominates_the_structural_floor(self, seed, lip_g, kind, norm_out):
+        """Sampled quotients are upper bounds of the true modulus, which the
+        structural certificate bounds from below, on every prefix.  The
+        mixing layer nearly attains its bound, so a floor above 1 - kappa
+        shows here."""
+        spec = {"lip_g": lip_g, "norm_out": norm_out, "bias_scale": 0.3}
+        if kind == "affine":
+            spec["kind"] = "affine_contraction"
+        elif kind == "nemytskii":
+            spec["kind"] = "nemytskii"
+        else:
+            spec["activation"] = kind
+        if kind == "mixing":
+            layer = mixing_bilipschitz_layer(SPACE8.dim, kappa=max(lip_g, 0.05), seed=seed)
+        else:
+            layer = make_layer(SPACE8, spec, seed=seed)
+        cert = contraction_certificate(layer.contraction)
+        assert cert.certified
+        for d in range(1, SPACE8.dim + 1):
+            sampled = pairwise_alpha(layer, n=24, seed=seed, subspace=Subspace.prefix(d))
+            assert sampled.alpha >= cert.alpha - 1e-9
 
 
 class TestBilipschitz:
@@ -245,7 +244,7 @@ class TestBilipschitz:
         assert est.c_upper == 1.0
 
     def test_doubling(self):
-        est = bilipschitz_estimate(Scalar(2.0), dim=6, seed=0)
+        est = bilipschitz_estimate(lambda x: 2.0 * x, dim=6, seed=0)
         assert est.c_lower == pytest.approx(2.0)
         assert est.c_upper == pytest.approx(2.0)
 
@@ -267,7 +266,7 @@ class TestInvariants:
         """Strong monotonicity forces <F(x), x/|x|> to grow at rate alpha
         along every ray, up to the value at the origin."""
         layer = make_layer(space16, lip_g=0.4, bias_scale=0.5, seed=31)
-        cert = layer_contraction_certificate(layer)
+        cert = contraction_certificate(layer.contraction)
         rng = np.random.default_rng(8)
         f0 = layer.eval_array(np.zeros(16))
         for rho in (1.0, 10.0, 100.0):

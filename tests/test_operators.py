@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opdisc.monotone import ball_samples
+from opdisc.monotone import ball_samples, map_dim
 from opdisc.operators import (
     CoordinateActivation,
-    DenseOnPrefix,
     FiniteRankOperator,
+    Identity,
     PointwiseActivation,
     Reflection,
+    activation_from_name,
     nemytskii_apply,
+    orthonormal_rows,
     spectral_norm,
 )
 
@@ -70,6 +72,16 @@ class TestFiniteRank:
         c = FiniteRankOperator.seeded(8, 4, seed=12)
         assert not np.array_equal(a.psi, c.psi)
 
+    def test_frames_are_sign_fixed_orthonormal_rows(self):
+        a = np.random.default_rng(4).standard_normal((7, 3))
+        rows = orthonormal_rows(a)
+        assert rows.shape == (3, 7)
+        assert np.allclose(rows @ rows.T, np.eye(3), atol=1e-14)
+        # the rows span a's columns, each with a positive component along its own
+        coeffs = rows @ a
+        assert np.allclose(np.tril(coeffs, -1), 0.0, atol=1e-14)
+        assert np.all(np.diag(coeffs) > 0.0)
+
     def test_phi_prefix_option(self):
         t = FiniteRankOperator.seeded(8, 3, seed=2, phi_prefix=True)
         assert np.array_equal(t.phi, np.eye(8)[:3])
@@ -107,23 +119,10 @@ class TestLinearExpr:
         with pytest.raises(ValueError, match="one-dimensional"):
             Reflection(np.full((2, 2), 0.5))
 
-    def test_dense_prefix_commutes_with_larger_projections(self):
-        rng = np.random.default_rng(8)
-        block = rng.standard_normal((3, 3))
-        op = DenseOnPrefix(block)
-        x = rng.standard_normal(10)
-        for d in (3, 5, 10):
-            a = op.apply_array(x)
-            a[d:] = 0.0
-            px = x.copy()
-            px[d:] = 0.0
-            assert np.allclose(a, op.apply_array(px), atol=1e-14)
-
-    def test_dense_prefix_rejects_short_vectors(self):
-        op = DenseOnPrefix(np.eye(4))
-        with pytest.raises(ValueError, match="smaller"):
-            op.apply_array(np.zeros(3))
-
+    def test_reflection_carries_its_dimension(self):
+        assert Reflection.first_axis(5).dim == 5
+        assert map_dim(Reflection.first_axis(5)) == 5
+        assert map_dim(Identity()) is None
 
 
 def _top_singular_value(w: np.ndarray) -> float:
@@ -247,6 +246,59 @@ class TestActivations:
             assert np.linalg.norm(ga - gb) <= np.linalg.norm(a - b) + 1e-12
             assert np.array_equal(gs(ga), ga)
         assert gs.lipschitz == 1.0
+
+
+class TestActivationNames:
+    @pytest.mark.parametrize(
+        "name,pointwise,expected",
+        [
+            ("tanh", False, "tanh"),
+            ("leaky_relu", False, "leaky_relu(0.2)"),
+            ("leaky_relu(0.35)", False, "leaky_relu(0.35)"),
+            ("groupsort2", False, "groupsort2"),
+            ("recu", True, "recu"),
+            ("scaled_leaky(0.4)", True, "scaled_leaky(0.4)"),
+        ],
+    )
+    def test_names_read_back(self, name, pointwise, expected):
+        act = activation_from_name(name, pointwise=pointwise)
+        kind = PointwiseActivation if pointwise else CoordinateActivation
+        assert isinstance(act, kind)
+        assert act.name == expected
+
+    def test_table_entries_match_the_constructors(self):
+        s = np.linspace(-2.0, 2.0, 41)
+        pairs = [
+            (activation_from_name("leaky_relu(0.3)"), CoordinateActivation.leaky_relu(0.3)),
+            (activation_from_name("tanh"), CoordinateActivation.tanh()),
+            (
+                activation_from_name("scaled_leaky(0.4)", pointwise=True),
+                PointwiseActivation.scaled_leaky(0.4),
+            ),
+        ]
+        for got, want in pairs:
+            assert np.array_equal(got(s), want(s))
+            assert got.lipschitz == want.lipschitz
+
+    @pytest.mark.parametrize(
+        "name,pointwise,match",
+        [
+            ("tanh(2)", True, "'tanh' takes no parameter"),
+            ("groupsort2(2)", False, "'groupsort2' takes no parameter"),
+            ("scaled_leaky", True, "'scaled_leaky' needs a parameter"),
+            ("leaky_relu(steep)", False, "the parameter must be a number"),
+            ("leaky_relu(nan)", False, "the parameter must be finite"),
+            ("scaled_leaky(inf)", True, "the parameter must be finite"),
+            ("tanh(", False, r"unknown activation 'tanh\('"),
+            ("leaky_relu(0.3", False, "unknown activation"),
+            ("groupsort2", True, "unknown activation 'groupsort2'"),
+            ("swish", False, r"know \["),
+            (3, False, "unknown activation 3"),
+        ],
+    )
+    def test_bad_names_are_refused(self, name, pointwise, match):
+        with pytest.raises(ValueError, match=match):
+            activation_from_name(name, pointwise=pointwise)
 
 
 class TestNemytskii:

@@ -14,7 +14,6 @@ from opdisc.layers import (
     ResidualChain,
     ZeroNonlinearity,
     make_layer,
-    scaled_leaky_activation,
 )
 from opdisc.operators import FiniteRankOperator, PointwiseActivation, Reflection
 from opdisc.serialize import (
@@ -258,7 +257,7 @@ class TestNonlinearity:
     def test_nemytskii_roundtrip_keeps_scaled_slope(self, space16):
         spec = {"kind": "nemytskii", "activation": "scaled_leaky(0.3)"}
         nonlin = nonlinearity_from_spec(spec, space16)
-        direct = NemytskiiNonlinearity(space16, scaled_leaky_activation(0.3))
+        direct = NemytskiiNonlinearity(space16, PointwiseActivation.scaled_leaky(0.3))
         for x in probe_points(16):
             assert np.array_equal(nonlin.apply_array(x), direct.apply_array(x))
         assert nonlin.lip == direct.lip
