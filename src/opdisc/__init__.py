@@ -1,7 +1,7 @@
 """Numerical laboratory for discretizing monotone operator layers on L2(0,1)."""
 
 from .decompose import DecompositionResult, decompose
-from .discretize import DiscretizedMap, convergence_scan
+from .discretize import convergence_scan
 from .galerkin import (
     ConvexNonlinearity,
     FemMesh,
@@ -20,7 +20,7 @@ from .layers import (
     make_layer,
 )
 from .monotone import bilipschitz_estimate, pairwise_alpha
-from .spectral import BasisSpec, Space, Subspace
+from .spectral import BasisSpec, Space
 
 __version__ = "0.1.0"
 
@@ -29,14 +29,12 @@ __all__ = [
     "ConvexNonlinearity",
     "CoordinateNetwork",
     "DecompositionResult",
-    "DiscretizedMap",
     "FemMesh",
     "FiniteRankOperator",
     "InvertibleResidualChain",
     "NeuralOperatorLayer",
     "ResidualChain",
     "Space",
-    "Subspace",
     "bilipschitz_estimate",
     "convergence_scan",
     "decompose",

@@ -57,7 +57,7 @@ from .monotone import (
     pairwise_alpha,
 )
 from .operators import FiniteRankOperator
-from .spectral import BasisSpec, Space, Subspace
+from .spectral import BasisSpec, Space
 
 __all__ = [
     "CRITERIA",
@@ -115,7 +115,7 @@ def criterion_monotonicity_under_compression(
                 n=n_samples,
                 seed=i,
                 dim=space.dim,
-                subspace=Subspace.prefix(d),
+                prefix=d,
             )
             assert cert.alpha >= floor - 1e-6, (
                 f"sampled modulus {cert.alpha:.12g} at (seed, prefix dim) = "
@@ -147,8 +147,7 @@ def criterion_range_tail_convergence() -> dict:
 
     One layer with singular values (p+1)^-2 and prefix-aligned range is
     scanned over dims {4, 8, 16, 32, 64} on a common sample set: the
-    range-tail column must fall strictly and the compression-consistency
-    column must sit at numerical zero.  A rank-4 layer of the same build
+    range-tail column must fall strictly.  A rank-4 layer of the same build
     must lose its tail entirely once the prefix covers the rank.
     """
     space = Space(BasisSpec("fourier", 64))
@@ -160,34 +159,25 @@ def criterion_range_tail_convergence() -> dict:
     assert _strictly_decreasing(tails), (
         f"range-tail column is not strictly decreasing: {tails}"
     )
-    eps_worst = max(report.column("epsilon_error"))
-    assert eps_worst <= 1e-12, (
-        f"compression-consistency error {eps_worst:g} exceeds 1e-12"
-    )
 
     rank = 4
     low_rank = make_layer(
         space, lip_g=0.4, rank=rank, out_phi_prefix=True, seed=23
     )
-    below = functor_a_error(
-        low_rank, Subspace.prefix(2), n=64, seed=9, dim=space.dim
-    )
+    below = functor_a_error(low_rank, 2, n=64, seed=9, dim=space.dim)
     assert below > 1e-9, (
         "rank-4 layer shows no tail even below its rank; the check would "
         "be vacuous"
     )
     above = {}
     for d in (rank, 8, 16, 32):
-        err = functor_a_error(
-            low_rank, Subspace.prefix(d), n=64, seed=9, dim=space.dim
-        )
+        err = functor_a_error(low_rank, d, n=64, seed=9, dim=space.dim)
         above[d] = err
         assert err <= 1e-12, (
             f"rank-{rank} layer keeps a range tail {err:g} at prefix dim {d}"
         )
     return {
         "decay_tails": tails,
-        "epsilon_worst": eps_worst,
         "rank": rank,
         "tail_below_rank": below,
         "tails_at_or_above_rank": {str(k): v for k, v in above.items()},
@@ -209,9 +199,7 @@ def criterion_compression_continuity() -> dict:
     space = Space(BasisSpec("fourier", 32))
     f = make_layer(space, lip_g=0.5, seed=31)
     k = FiniteRankOperator.seeded(space.dim, 6, seed=33)
-    rows = continuity_probe(
-        f, k, range(1, 17), Subspace.prefix(8), n=64, seed=3
-    )
+    rows = continuity_probe(f, k, range(1, 17), 8, n=64, seed=3)
     worst_rel = 0.0
     for prev, cur in zip(rows, rows[1:]):
         j = prev["j"]
@@ -586,11 +574,10 @@ def criterion_orientation_tracking() -> dict:
 
         return step
 
-    v = Subspace.prefix(6)
     bases = ball_samples(dim, 1.0, 5, seed=73)
     checked = 0
     for base in bases:
-        scan = orientation_scan(monotone_path, 21, v, base_point=base, dim=dim)
+        scan = orientation_scan(monotone_path, 21, 6, base_point=base, dim=dim)
         assert not scan.sign_changed, (
             "a strongly monotone path shows a determinant sign change"
         )
@@ -606,8 +593,7 @@ def criterion_orientation_tracking() -> dict:
 
         return step
 
-    odd = Subspace.prefix(7)
-    scan = orientation_scan(scalar_path, 20, odd, dim=dim, refine_tol=1e-7)
+    scan = orientation_scan(scalar_path, 20, 7, dim=dim, refine_tol=1e-7)
     assert len(scan.crossings) == 1, (
         f"scalar path shows {len(scan.crossings)} sign changes, expected 1"
     )

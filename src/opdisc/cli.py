@@ -16,10 +16,8 @@ error message, or null when the message has none.
 
 from __future__ import annotations
 
-import json
 import math
 import re
-import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -42,7 +40,6 @@ from .galerkin import (
 from .invert import InversionError, invert_chain
 from .isotopy import truncated_det_scan
 from .monotone import contraction_certificate, pairwise_alpha
-from .spectral import Subspace
 from .serialize import (
     SCHEMA_VERSION,
     SpecError,
@@ -173,7 +170,7 @@ def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
                 n=samples,
                 seed=seed,
                 dim=space.dim,
-                subspace=Subspace.prefix(d),
+                prefix=d,
             )
             worst = min(worst, cert.alpha)
             rows.append(
@@ -412,9 +409,7 @@ def quant_report(f, dims, r, n, seed, dim):
     """
     rows = []
     for d in dims:
-        eps = functor_a_error(
-            f, Subspace.prefix(int(d)), r=r, n=n, seed=seed, dim=dim
-        )
+        eps = functor_a_error(f, int(d), r=r, n=n, seed=seed, dim=dim)
         if eps == 0.0:
             layers_bound = 0.0
             nonzeros = 0.0

@@ -40,7 +40,6 @@ import functools
 import math
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 import scipy.linalg
@@ -306,7 +305,6 @@ class TailBlock:
 def peel_tail(
     source,
     core: CoreCompressedLayer,
-    c0: float,
     epsilon: float,
     tol: float = 1e-9,
     kappa: float | None = None,
@@ -315,13 +313,9 @@ def peel_tail(
 ) -> TailBlock:
     """Near-identity factor B̃ with F = (Id + B̃)∘F^W, verified by sampling.
 
-    ``core`` is F^W in W coordinates.  c0 is the certified lower bilipschitz
-    constant of F (it controls how inversion error amplifies in the
-    roundtrip check).  ``kappa`` bounds Lip(F^W − Id) and selects the
-    Banach inverter; None selects Newton.
+    ``core`` is F^W in W coordinates.  ``kappa`` bounds Lip(F^W − Id) and
+    selects the Banach inverter; None selects Newton.
     """
-    if c0 <= 0.0:
-        raise ValueError("need a positive lower bilipschitz constant")
     block = TailBlock(source, core, kappa, tol)
     xs = ball_samples(core.frame.ambient_dim, sample_radius, 100, seed=seed)
     through = LiftedBlock(core, core.frame).eval_array(xs)
@@ -822,7 +816,6 @@ def decompose(
             tail = peel_tail(
                 layer,
                 core,
-                c0,
                 epsilon,
                 tol=min(block_tol, 1e-9),
                 kappa=inv_kappa,

@@ -129,7 +129,8 @@ class ConvexNonlinearity:
 
     The growth constants bound the primitive, -c0 <= G(r) <= c1 (1 + r**p);
     both the bound and the monotonicity of g (= convexity of G) are checked
-    on a sample grid at construction.
+    on a sample grid at construction.  ``gprime`` is the exact derivative
+    g', which the Newton solve reads.
     """
 
     g: Callable
@@ -137,7 +138,7 @@ class ConvexNonlinearity:
     c0: float
     c1: float
     p: float
-    gprime: Callable | None = None
+    gprime: Callable
     name: str = "custom"
 
     def __post_init__(self) -> None:
@@ -156,13 +157,7 @@ class ConvexNonlinearity:
             raise ValueError("primitive exceeds its stated growth bound")
 
     def derivative(self, values: np.ndarray) -> np.ndarray:
-        if self.gprime is not None:
-            return np.asarray(self.gprime(values), dtype=float)
-        step = 1e-6
-        return (
-            np.asarray(self.g(values + step), dtype=float)
-            - np.asarray(self.g(values - step), dtype=float)
-        ) / (2.0 * step)
+        return np.asarray(self.gprime(values), dtype=float)
 
     @classmethod
     def zero(cls) -> "ConvexNonlinearity":

@@ -14,12 +14,10 @@ which the factorization and acceptance modules reuse.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .layers import eval_map
-from .spectral import Subspace
 
 __all__ = [
     "MonotonicityCertificate",
@@ -116,28 +114,35 @@ def _resolve_dim(f, dim: int | None) -> int:
     return m
 
 
+def _check_prefix(d: int, m: int) -> int:
+    """A prefix dimension: the span of the first d of m coordinates."""
+    if not 1 <= d <= m:
+        raise ValueError(f"prefix dimension {d} must lie in 1..{m}")
+    return d
+
+
 def ball_samples(
     dim: int,
     r: float,
     n: int,
     seed: int = 0,
-    indices: Sequence[int] | None = None,
+    prefix: int | None = None,
 ) -> np.ndarray:
     """(n, dim) rows in the closed ball of radius r, optionally confined to
-    the coordinates in ``indices``."""
+    the first ``prefix`` coordinates."""
     if r <= 0.0:
         raise ValueError("ball radius must be positive")
     if n < 0:
         raise ValueError("sample count must be nonnegative")
+    d = dim if prefix is None else _check_prefix(prefix, dim)
     rng = np.random.default_rng(seed)
-    active = sorted(indices) if indices is not None else list(range(dim))
-    g = rng.standard_normal((n, len(active)))
+    g = rng.standard_normal((n, d))
     radii = r * rng.uniform(size=n) ** (1.0 / 3.0)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0
     g *= (radii / norms)[:, None]
     out = np.zeros((n, dim))
-    out[:, active] = g
+    out[:, :d] = g
     return out
 
 
@@ -184,9 +189,10 @@ def pairwise_alpha(
     n: int = 256,
     seed: int = 0,
     dim: int | None = None,
-    subspace: Subspace | None = None,
+    prefix: int | None = None,
 ) -> MonotonicityCertificate:
-    """Sampled strong-monotonicity estimate over pairs in the ball.
+    """Sampled strong-monotonicity estimate over pairs in the ball, or in
+    its first ``prefix`` coordinates.
 
     The reported alpha is the minimum pair quotient
     <f(x1)-f(x2), x1-x2> / |x1-x2|^2, an upper bound for the true constant
@@ -196,9 +202,7 @@ def pairwise_alpha(
     """
     if n < 2:
         raise ValueError("need at least two samples")
-    m = _resolve_dim(f, dim)
-    idx = sorted(subspace.indices) if subspace is not None else None
-    xs = ball_samples(m, r, n, seed=seed, indices=idx)
+    xs = ball_samples(_resolve_dim(f, dim), r, n, seed=seed, prefix=prefix)
     ys = eval_map(f, xs)
     i, j, dist2, dydx, _ = _pair_quotients(xs, ys)
     if dist2.size == 0:
@@ -244,14 +248,11 @@ def bilipschitz_estimate(
     n: int = 256,
     seed: int = 0,
     dim: int | None = None,
-    subspace: Subspace | None = None,
 ) -> BilipschitzEstimate:
     """Sampled distortion bracket: min and max of |f(x1)-f(x2)|/|x1-x2|."""
     if n < 2:
         raise ValueError("need at least two samples")
-    m = _resolve_dim(f, dim)
-    idx = sorted(subspace.indices) if subspace is not None else None
-    xs = ball_samples(m, r, n, seed=seed, indices=idx)
+    xs = ball_samples(_resolve_dim(f, dim), r, n, seed=seed)
     ys = eval_map(f, xs)
     _, _, dist2, _, dydy = _pair_quotients(xs, ys)
     if dist2.size == 0:

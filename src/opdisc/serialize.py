@@ -166,12 +166,11 @@ def blob_hash(obj) -> str:
 def space_from_config(d: dict) -> Space:
     check_keys(d, "space", {"basis", "ambient_dim"}, {"quadrature"})
     dim = int_field(d, "ambient_dim", "space")
-    spec = BasisSpec(
-        kind=d["basis"],
-        ambient_dim=dim,
-        quadrature_panels=int_field(d, "quadrature", "space", 4 * dim),
-    )
-    return Space(spec)
+    panels = int_field(d, "quadrature", "space", 4 * dim)
+    try:
+        return Space(BasisSpec(kind=d["basis"], ambient_dim=dim, quadrature_panels=panels))
+    except ValueError as err:
+        raise SpecError(f"space: {err}") from err
 
 
 # ---------------------------------------------------------------------------

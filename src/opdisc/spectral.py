@@ -2,8 +2,9 @@
 
 Fixes the coefficient representation the rest of the package computes in: an
 orthonormal basis truncated to an ambient dimension M, whose elements are
-plain (..., M) float arrays of coefficients, prefix subspaces named by basis
-indices, and a composite Gauss-Legendre grid for pointwise work.  All values
+plain (..., M) float arrays of coefficients, and a composite Gauss-Legendre
+grid for pointwise work.  A subspace is always a prefix of the basis and is
+named by its dimension d: the span of the first d coefficients.  All values
 are immutable and all operations are pure.
 
 It also holds the parameter grid and the sign-crossing bisection that every
@@ -20,14 +21,13 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "BasisSpec",
-    "Subspace",
     "Space",
     "gauss_legendre_panels",
     "sign_crossings",
     "unit_grid",
 ]
 
-_BASIS_KINDS = ("fourier", "fem_hat", "abstract_orthonormal")
+_BASIS_KINDS = ("fourier", "abstract_orthonormal")
 
 # Nodes per quadrature panel.  Six-point Gauss-Legendre is exact through
 # degree 11 on each panel; with the default panel count of 4*M the Gram
@@ -58,7 +58,8 @@ def gauss_legendre_panels(
 
 @dataclass(frozen=True)
 class BasisSpec:
-    """Choice of basis, ambient truncation M, and quadrature resolution.
+    """Choice of basis, ambient truncation M, and quadrature resolution on
+    the unit interval (0, 1).
 
     ``quadrature_panels`` counts composite Gauss-Legendre panels on (0, 1),
     each carrying :data:`POINTS_PER_PANEL` nodes; 0 means the default of
@@ -67,7 +68,6 @@ class BasisSpec:
 
     kind: str = "fourier"
     ambient_dim: int = 16
-    domain: tuple[float, float] = (0.0, 1.0)
     quadrature_panels: int = 0
 
     def __post_init__(self) -> None:
@@ -78,51 +78,10 @@ class BasisSpec:
         if int(self.ambient_dim) < 1:
             raise ValueError("ambient_dim must be a positive integer")
         object.__setattr__(self, "ambient_dim", int(self.ambient_dim))
-        dom = (float(self.domain[0]), float(self.domain[1]))
-        if dom != (0.0, 1.0):
-            raise ValueError("only the unit interval (0, 1) is supported")
-        object.__setattr__(self, "domain", dom)
         q = int(self.quadrature_panels) or 4 * self.ambient_dim
         if q < 1:
             raise ValueError("quadrature_panels must be positive")
         object.__setattr__(self, "quadrature_panels", q)
-
-
-@dataclass(frozen=True)
-class Subspace:
-    """Span of a set of basis elements, named by 0-based indices.
-
-    The canonical instances are prefixes ``{0, ..., d-1}``; prefixes are
-    totally ordered by inclusion and closed under union, which is what the
-    convergence scans rely on.
-    """
-
-    indices: frozenset[int]
-
-    def __post_init__(self) -> None:
-        idx = frozenset(int(i) for i in self.indices)
-        if any(i < 0 for i in idx):
-            raise ValueError("basis indices are 0-based and must be nonnegative")
-        object.__setattr__(self, "indices", idx)
-
-    @staticmethod
-    def prefix(d: int) -> "Subspace":
-        if d < 0:
-            raise ValueError("prefix dimension must be nonnegative")
-        return Subspace(frozenset(range(d)))
-
-    @property
-    def dim(self) -> int:
-        return len(self.indices)
-
-    @property
-    def is_prefix(self) -> bool:
-        return self.indices == frozenset(range(len(self.indices)))
-
-    def __repr__(self) -> str:
-        if self.is_prefix:
-            return f"Subspace.prefix({self.dim})"
-        return f"Subspace({sorted(self.indices)})"
 
 
 class Space:
@@ -137,11 +96,6 @@ class Space:
     """
 
     def __init__(self, spec: BasisSpec):
-        if spec.kind == "fem_hat":
-            raise ValueError(
-                "hat bases carry a non-identity Gram matrix; "
-                "use the finite-element module for those"
-            )
         self.spec = spec
         edges = np.linspace(0.0, 1.0, spec.quadrature_panels + 1)
         nodes, weights = gauss_legendre_panels(edges)

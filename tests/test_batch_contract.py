@@ -15,7 +15,6 @@ from opdisc.decompose import (
     choose_w,
     decompose,
 )
-from opdisc.discretize import linearize
 from opdisc.layers import (
     AffineNonlinearity,
     CoordinateNetNonlinearity,
@@ -30,7 +29,7 @@ from opdisc.layers import (
 )
 from opdisc.monotone import ball_samples
 from opdisc.operators import FiniteRankOperator, Identity, PointwiseActivation, Reflection
-from opdisc.spectral import BasisSpec, Space, Subspace
+from opdisc.spectral import BasisSpec, Space
 
 # roundoff-level tolerance for every inverting block, so that a batch
 # iterated until its slowest row converges agrees with single rows
@@ -81,7 +80,6 @@ def maps():
     chain = ResidualChain.seeded(m, 5, 2, block_bound=0.6, seed=6)
     out["residual_chain"] = (chain, m)
     out["invertible_chain"] = (InvertibleResidualChain(chain, delta=0.6), m)
-    out["discretized_map"] = (linearize(layer, Subspace.prefix(5)), m)
 
     # a frame that drops directions, so the tail factor has work to do
     narrow = make_layer(space, rank=3, lip_g=0.3, activation="tanh", seed=7)
@@ -112,7 +110,7 @@ NAMES = [
     "finite_rank", "identity", "reflection", "zero_nonlinearity", "nemytskii",
     "coordinate_net_nonlinearity", "coordinate_net_window", "affine_nonlinearity",
     "layer", "nemytskii_layer", "coordinate_network", "residual_chain",
-    "invertible_chain", "discretized_map", "core_compressed_layer", "tail_fixed_point",
+    "invertible_chain", "core_compressed_layer", "tail_fixed_point",
     "tail_newton", "path_block_fixed_point", "path_block_newton", "linear_block",
     "lifted_block", "decomposition", "decomposition_reflection",
 ]

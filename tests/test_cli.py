@@ -555,6 +555,40 @@ class TestNumericFields:
         assert "dims must be integers" in outcome["error"]
 
 
+def _scan_on(name, space):
+    return {"name": name, "kind": "discretize-scan", "seed": 0, "space": space,
+            "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5},
+            "dims": [1, 2], "samples": 8}
+
+
+class TestSpaceSpecs:
+    """A space that cannot be built is a config error naming the space
+    reader, not a failed check; its valid twin in the same batch runs."""
+
+    @pytest.mark.parametrize(
+        "bad,good,message",
+        [
+            ({"basis": "chebyshev", "ambient_dim": 4}, {"basis": "fourier", "ambient_dim": 4},
+             "space: unknown basis kind 'chebyshev'"),
+            ({"basis": "fem_hat", "ambient_dim": 4},
+             {"basis": "abstract_orthonormal", "ambient_dim": 4},
+             "space: unknown basis kind 'fem_hat'"),
+            ({"basis": "fourier", "ambient_dim": 0}, {"basis": "fourier", "ambient_dim": 2},
+             "space: ambient_dim must be a positive integer"),
+        ],
+        ids=["chebyshev", "fem-hat", "zero-dim"],
+    )
+    def test_a_bad_space_is_a_config_error(self, runner, tmp_path, bad, good, message):
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, [_scan_on("bad", bad), _scan_on("good", good)])
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert f"config-error in bad: {message}" in result.output
+        assert (out / "good.csv").exists()
+        assert not (out / "bad.csv").exists()
+        assert not (out / "failures.json").exists()
+
+
 class TestSubcommands:
     def test_nogo_isotopy_artifacts(self, runner, tmp_path):
         out = tmp_path / "out"
@@ -709,7 +743,7 @@ class TestSubcommands:
         )
         assert result.exit_code == 0, result.output
         lines = (out / "discretize-scan.csv").read_text().splitlines()
-        assert lines[0] == "dim,functor_a_error,epsilon_error,weak_error,alpha_hat"
+        assert lines[0] == "dim,functor_a_error,weak_error,alpha_hat"
         assert len(lines) == 4
         meta = json.loads((out / "discretize-scan.meta.json").read_text())
         assert meta["schema"] == 1

@@ -471,7 +471,7 @@ class TestPeelTail:
         frame, _ = choose_w(smooth_layer, 1e-6)
         core = CoreCompressedLayer(smooth_layer, frame)
         block = peel_tail(
-            smooth_layer, core, c0=0.8, epsilon=0.25, kappa=0.2, seed=9
+            smooth_layer, core, epsilon=0.25, kappa=0.2, seed=9
         )
         assert block.deviation <= 1e-7
         assert block.lip_sampled <= 1e-6
@@ -491,19 +491,12 @@ class TestPeelTail:
         block = peel_tail(
             decayed_layer,
             core,
-            c0=1.0 - kappa,
             epsilon=eps,
             kappa=kappa,
             seed=10,
         )
         assert block.roundtrip_error < 1e-8
         assert block.lip_sampled < eps
-
-    def test_requires_positive_lower_constant(self, smooth_layer):
-        frame, _ = choose_w(smooth_layer, 0.05)
-        core = CoreCompressedLayer(smooth_layer, frame)
-        with pytest.raises(ValueError, match="positive"):
-            peel_tail(smooth_layer, core, c0=0.0, epsilon=0.25)
 
 
 def tanh_contraction(k: int, seed: int, scale: float = 0.3, bias: float = 0.0):

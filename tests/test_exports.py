@@ -110,6 +110,36 @@ def test_every_export_is_used_in_src():
     assert unused == []
 
 
+def _unused_imports(path: Path) -> list[str]:
+    """Names an import in ``path`` binds that its module never loads (an
+    ``ast.Name`` in load context) and does not list in ``__all__``."""
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.partition(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    loaded = {
+        node.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+    }
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            exported = set(ast.literal_eval(node.value))
+    return sorted(f"{path.stem}.{name}" for name in set(bound) - loaded - exported)
+
+
+def test_every_import_is_used():
+    src = Path(opdisc.__file__).resolve().parent
+    unused = [name for path in sorted(src.glob("*.py")) for name in _unused_imports(path)]
+    assert unused == []
+
+
 @pytest.mark.parametrize("hook", HOOKS)
 def test_tracer_hook_resolves(hook):
     assert callable(_resolve(hook))

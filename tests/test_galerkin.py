@@ -96,6 +96,7 @@ class TestConvexNonlinearity:
                 c0=1.0,
                 c1=50.0,
                 p=2.0,
+                gprime=lambda r: -np.ones_like(np.asarray(r, dtype=float)),
             )
 
     def test_growth_bound_violation_rejected(self):
@@ -106,6 +107,7 @@ class TestConvexNonlinearity:
                 c0=1.0,
                 c1=0.01,
                 p=1.0,
+                gprime=lambda r: np.ones_like(np.asarray(r, dtype=float)),
             )
 
     def test_lower_bound_violation_rejected(self):
@@ -116,6 +118,7 @@ class TestConvexNonlinearity:
                 c0=1.0,
                 c1=2.0,
                 p=1.0,
+                gprime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
             )
 
     def test_constants_must_be_positive(self):
@@ -126,17 +129,8 @@ class TestConvexNonlinearity:
                 c0=0.0,
                 c1=1.0,
                 p=1.0,
+                gprime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
             )
-
-    def test_derivative_falls_back_to_differences(self):
-        nl = ConvexNonlinearity(
-            g=lambda r: np.asarray(r, dtype=float) ** 3,
-            primitive=lambda r: 0.25 * np.asarray(r, dtype=float) ** 4,
-            c0=1.0,
-            c1=1.0,
-            p=4.0,
-        )
-        np.testing.assert_allclose(nl.derivative(np.array([0.5])), [0.75], atol=1e-8)
 
 
 def dense_from_banded(ab):

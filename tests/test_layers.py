@@ -364,7 +364,7 @@ class TestCentralDifferences:
         # contraction product 0.4 <= 1/2: the symmetric part of the prefix
         # Jacobian stays at or above 1/2 and its determinant positive
         layer = make_layer(space16, lip_g=0.4, seed=13)
-        for x in ball_samples(16, 1.0, 8, seed=2, indices=range(6)):
+        for x in ball_samples(16, 1.0, 8, seed=2, prefix=6):
             jac = central_differences(layer, x, np.eye(16)[:6])[:, :6].T
             assert np.linalg.eigvalsh((jac + jac.T) / 2.0)[0] >= 0.5 - 1e-4
             assert np.linalg.det(jac) > 0.0

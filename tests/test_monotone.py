@@ -21,7 +21,7 @@ from opdisc.monotone import (
     pairwise_alpha,
 )
 from opdisc.operators import FiniteRankOperator, Identity, Reflection
-from opdisc.spectral import BasisSpec, Space, Subspace
+from opdisc.spectral import BasisSpec, Space
 
 # the note every rejected contraction certificate carries
 NO_CERTIFICATE = (
@@ -90,8 +90,7 @@ class TestPairwiseAlpha:
         assert 0.3 - 1e-12 <= cert.alpha <= 2.0 + 1e-12
 
     def test_subspace_confines_samples(self):
-        v = Subspace.prefix(3)
-        cert = pairwise_alpha(Identity(), dim=10, subspace=v, n=16, seed=0)
+        cert = pairwise_alpha(Identity(), dim=10, prefix=3, n=16, seed=0)
         for x in cert.minimizing_pair:
             assert np.all(x[3:] == 0.0)
 
@@ -233,7 +232,7 @@ class TestContractionCertificate:
         cert = contraction_certificate(layer.contraction)
         assert cert.certified
         for d in range(1, SPACE8.dim + 1):
-            sampled = pairwise_alpha(layer, n=24, seed=seed, subspace=Subspace.prefix(d))
+            sampled = pairwise_alpha(layer, n=24, seed=seed, prefix=d)
             assert sampled.alpha >= cert.alpha - 1e-9
 
 
@@ -279,22 +278,22 @@ class TestInvariants:
         """Compressing through a prefix subspace preserves pair quotients on
         samples drawn inside that subspace."""
         layer = make_layer(space16, lip_g=0.45, seed=41)
-        v = Subspace.prefix(5)
 
         def projected(x):
             y = eval_map(layer, x)
-            y[..., v.dim :] = 0.0
+            y[..., 5:] = 0.0
             return y
 
-        full = pairwise_alpha(layer, subspace=v, n=96, seed=6)
-        compressed = pairwise_alpha(projected, dim=16, subspace=v, n=96, seed=6)
+        full = pairwise_alpha(layer, prefix=5, n=96, seed=6)
+        compressed = pairwise_alpha(projected, dim=16, prefix=5, n=96, seed=6)
         assert compressed.alpha >= full.alpha - 1e-9
 
     def test_ball_samples_respect_radius_and_support(self):
-        xs = ball_samples(10, 2.5, 200, seed=0, indices=[0, 1, 4])
+        xs = ball_samples(10, 2.5, 200, seed=0, prefix=3)
         norms = np.linalg.norm(xs, axis=1)
         assert np.all(norms <= 2.5 + 1e-12)
-        assert np.all(xs[:, [2, 3, 5, 6, 7, 8, 9]] == 0.0)
+        assert np.all(xs[:, 3:] == 0.0)
+        assert np.all(np.any(xs[:, :3] != 0.0, axis=1))
 
 
 def _full_gather_pairs(xs, ys):
