@@ -32,6 +32,10 @@ a batch of targets.  The Newton solver steps every row still above
 tolerance together (one batch of finite-difference Jacobians, one batched
 linear solve and a batched backtracking line search per round), with each
 row keeping its own step count and step length.
+
+``scipy.linalg`` is imported inside ``linear_path_blocks``, its one user, on
+purpose: at module level it would load on every ``import opdisc`` and more
+than double the start-up of CLI runs that never decompose.
 """
 
 from __future__ import annotations
@@ -42,7 +46,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .invert import InversionError, banach_solve
 from .layers import NeuralOperatorLayer, central_differences, eval_map
@@ -201,7 +204,9 @@ def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
     return np.swapaxes(central_differences(f, x, np.eye(k)), -1, -2)
 
 
-# per-row step budget of the Newton solver
+# Per-row step budget of the Newton solver.  Hand-set and unproven: no
+# convergence bound derives it.  The most Newton steps any row takes is 4
+# (the factorize bench at seeds 7, 11 and 2027); `opdisc accept` takes none.
 NEWTON_STEPS = 100
 
 # cap on the scaling path's blocks while its t-grid is refined
@@ -589,6 +594,8 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
         diag["positive_steps"] = 0
 
     # orthogonal part: real Schur → rotation blocks and ±1 entries
+    import scipy.linalg  # at the call site: see the module docstring
+
     smat, q = scipy.linalg.schur(u_orth, output="real")
     rotations: list[tuple[int, int, float]] = []
     minus: list[int] = []

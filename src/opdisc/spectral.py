@@ -62,13 +62,13 @@ class BasisSpec:
     the unit interval (0, 1).
 
     ``quadrature_panels`` counts composite Gauss-Legendre panels on (0, 1),
-    each carrying :data:`POINTS_PER_PANEL` nodes; 0 means the default of
-    ``4 * ambient_dim``.
+    each carrying :data:`POINTS_PER_PANEL` nodes; None means the default
+    of ``4 * ambient_dim``.
     """
 
     kind: str = "fourier"
     ambient_dim: int = 16
-    quadrature_panels: int = 0
+    quadrature_panels: int | None = None
 
     def __post_init__(self) -> None:
         if self.kind not in _BASIS_KINDS:
@@ -78,7 +78,8 @@ class BasisSpec:
         if int(self.ambient_dim) < 1:
             raise ValueError("ambient_dim must be a positive integer")
         object.__setattr__(self, "ambient_dim", int(self.ambient_dim))
-        q = int(self.quadrature_panels) or 4 * self.ambient_dim
+        q = self.quadrature_panels
+        q = 4 * self.ambient_dim if q is None else int(q)
         if q < 1:
             raise ValueError("quadrature_panels must be positive")
         object.__setattr__(self, "quadrature_panels", q)

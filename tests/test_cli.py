@@ -575,8 +575,11 @@ class TestSpaceSpecs:
              "space: unknown basis kind 'fem_hat'"),
             ({"basis": "fourier", "ambient_dim": 0}, {"basis": "fourier", "ambient_dim": 2},
              "space: ambient_dim must be a positive integer"),
+            ({"basis": "fourier", "ambient_dim": 4, "quadrature": 0},
+             {"basis": "fourier", "ambient_dim": 4, "quadrature": 1},
+             "space: quadrature_panels must be positive"),
         ],
-        ids=["chebyshev", "fem-hat", "zero-dim"],
+        ids=["chebyshev", "fem-hat", "zero-dim", "zero-quadrature"],
     )
     def test_a_bad_space_is_a_config_error(self, runner, tmp_path, bad, good, message):
         out = tmp_path / "out"

@@ -145,6 +145,11 @@ class TestSpace:
         space = space_from_config({"basis": "fourier", "ambient_dim": 12})
         assert space.spec.quadrature_panels == 48
 
+    @pytest.mark.parametrize("panels", [0, -3])
+    def test_quadrature_below_one_is_refused(self, panels):
+        with pytest.raises(SpecError, match="space: quadrature_panels must be positive"):
+            space_from_config({"basis": "fourier", "ambient_dim": 4, "quadrature": panels})
+
     def test_unknown_config_key(self):
         with pytest.raises(SpecError, match="unknown keys"):
             space_from_config({"basis": "fourier", "ambient_dim": 8, "extra": 1})

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from opdisc.discretize import _tail_error
 from opdisc.monotone import ball_samples
 from opdisc.spectral import (
     BasisSpec,
@@ -17,13 +18,6 @@ from opdisc.spectral import (
 def quadrature_inner(space, a, b):
     """L2(0, 1) inner product of two coefficient rows, by quadrature on the grid."""
     return float(space.weights @ (space.to_grid(a) * space.to_grid(b)))
-
-
-def project(x, d):
-    """Orthogonal projection onto the prefix of size d."""
-    y = np.array(x, dtype=float)
-    y[..., d:] = 0.0
-    return y
 
 
 def test_basis_spec_validation():
@@ -71,11 +65,17 @@ def test_inner_orthonormality(space16):
 
 
 def test_projection_basics():
+    """The prefix tail ‖(Id − P_d) x‖ that the discretization errors read:
+    a batch reads its worst row, and an empty batch reads 0."""
     e1, e3 = np.eye(16)[[0, 2]]
-    assert np.linalg.norm(project(e3, 2)) == 0.0
-    x = ball_samples(16, 1.0, 1, seed=1)[0]
-    assert np.array_equal(project(x, 16), x)
-    assert np.array_equal(project(e1 + e3, 2), e1)
+    assert _tail_error(e3[None], 2) == 1.0
+    assert _tail_error(e3[None], 3) == 0.0
+    assert _tail_error((e1 + e3)[None], 2) == 1.0
+    assert _tail_error(np.stack([e1, 2.0 * e3]), 1) == 2.0
+    xs = ball_samples(16, 1.0, 4, seed=1)
+    assert _tail_error(xs, 16) == 0.0
+    assert _tail_error(xs, 0) == np.max(np.linalg.norm(xs, axis=1))
+    assert _tail_error(np.zeros((0, 16)), 2) == 0.0
 
 
 coeff_arrays = st.lists(
@@ -88,22 +88,19 @@ coeff_arrays = st.lists(
 @given(coeff_arrays, st.integers(1, 24))
 @settings(max_examples=60, deadline=None)
 def test_projection_pythagoras(c, d):
-    px = project(c, min(d, c.size))
-    qx = c - px
+    d = min(d, c.size)
+    tail = _tail_error(c[None], d)
     norm = np.linalg.norm
-    assert norm(px) ** 2 + norm(qx) ** 2 == pytest.approx(norm(c) ** 2, abs=1e-12)
-    # idempotent, norm nonincreasing
-    assert np.array_equal(project(px, min(d, c.size)), px)
-    assert norm(px) <= norm(c) + 1e-15
+    assert norm(c[:d]) ** 2 + tail**2 == pytest.approx(norm(c) ** 2, rel=1e-12, abs=1e-12)
+    assert _tail_error(c[None], 0) == pytest.approx(norm(c), rel=1e-12)
+    assert tail <= norm(c) * (1 + 1e-15)
 
 
 @given(coeff_arrays, st.integers(1, 24), st.integers(1, 24))
 @settings(max_examples=60, deadline=None)
 def test_projection_error_shrinks_with_nesting(c, d1, d2):
     lo, hi = sorted((min(d1, c.size), min(d2, c.size)))
-    err_lo = np.linalg.norm(c - project(c, lo))
-    err_hi = np.linalg.norm(c - project(c, hi))
-    assert err_hi <= err_lo + 1e-15
+    assert _tail_error(c[None], hi) <= _tail_error(c[None], lo) + 1e-15
 
 
 def test_grid_roundtrip_trivials(space16):
