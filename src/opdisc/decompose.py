@@ -24,14 +24,16 @@ nonlinearity.  Where the ambient F^W is needed it is the core lifted with
 the identity on W⊥.
 
 Every map inverted along the way is Id + B with Lip(B) ≤ κ, the layer's
-contraction product.  Inverses are computed on demand: the Banach
-fixed-point iteration x ← y − B(x) at rate κ (``opdisc.invert``'s kernel,
-which derives each row's step budget from κ and its initial residual) when
-κ is small enough; a finite-difference Newton solver otherwise.  Both take
-a batch of targets.  The Newton solver steps every row still above
-tolerance together (one batch of finite-difference Jacobians, one batched
-linear solve and a batched backtracking line search per round), with each
-row keeping its own step count and step length.
+contraction product.  Inverses are computed on demand, by one of two
+solvers chosen once per run by their cost in core-map evaluations per row
+(``_choose_inverter``): the Banach fixed-point iteration x ← y − B(x) at
+rate κ (``opdisc.invert``'s kernel, which derives each row's step budget
+from κ and its initial residual), or a finite-difference Newton solver,
+which also serves κ ≥ 1, where Banach has no rate.  Both take a batch of
+targets.  The Newton solver steps every row still above tolerance together
+(one batch of finite-difference Jacobians, one batched linear solve and a
+batched backtracking line search per round), with each row keeping its own
+step count and step length.
 
 ``scipy.linalg`` is imported inside ``linear_path_blocks``, its one user, on
 purpose: at module level it would load on every ``import opdisc`` and more
@@ -47,7 +49,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .invert import InversionError, banach_solve
+from .invert import InversionError, _apriori_iterations, banach_solve
 from .layers import NeuralOperatorLayer, central_differences, eval_map
 from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate
 from .operators import Identity, Reflection, spectral_norm
@@ -205,8 +207,10 @@ def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
 
 
 # Per-row step budget of the Newton solver.  Hand-set and unproven: no
-# convergence bound derives it.  The most Newton steps any row takes is 4
-# (the factorize bench at seeds 7, 11 and 2027); `opdisc accept` takes none.
+# convergence bound derives it.  The most Newton steps any row takes is 6 on
+# mixing_bilipschitz_layer(16, κ ∈ {0.9, 0.95}) and 8 at κ = 0.99 (seeds 3,
+# 11 and 2027, ε ∈ {0.4, 0.25}), and 1 on the affine κ = 2 flip layer of the
+# tests; `opdisc accept` and the factorize bench take none.
 NEWTON_STEPS = 100
 
 # cap on the scaling path's blocks while its t-grid is refined
@@ -265,6 +269,32 @@ def _invert(f, ys: np.ndarray, kappa: float | None, tol: float) -> np.ndarray:
         return banach_solve(f, ys, kappa, tol).x
     except InversionError as exc:
         raise DecompositionError(str(exc)) from exc
+
+
+def _choose_inverter(kappa: float, k: int, r1: float, tol: float) -> tuple[float | None, dict]:
+    """The cheaper inverter for Id + B on k coordinates, Lip(B) ≤ kappa.
+
+    Returns the ``kappa`` that ``_invert`` takes (None selects Newton) and
+    the costs it compared, in core-map evaluations per inverted row, from a
+    first residual r0 = κ·r1 down to ``tol``.  That r0 bounds ‖B(y)‖ for a
+    target y on the validity sphere when B(0) = 0; the budget grows only
+    with log r0, so targets somewhat further out change little.
+
+    * Banach: its a priori budget ``_apriori_iterations(r0, κ, tol)``.
+    * Newton: 2k + 2 evaluations per round (a 2k-point central-difference
+      Jacobian and two line-search trials) over the rounds a residual that
+      halves in the first round and squares in every later one needs to get
+      from r0 to tol: ceil(log2(1 + log2(r0 / tol))).
+
+    Banach runs when its budget is no larger.  κ ≥ 1 always takes Newton.
+    """
+    r0 = kappa * r1
+    rounds = math.ceil(math.log2(1.0 + math.log2(r0 / tol))) if r0 > tol else 1
+    newton = rounds * (2 * k + 2)
+    banach = int(_apriori_iterations(r0, kappa, tol)) if kappa < 1.0 else None
+    use_banach = banach is not None and banach <= newton
+    cost = {"r0": r0, "tol": tol, "banach_evals": banach, "newton_evals": newton}
+    return (kappa if use_banach else None), cost
 
 
 # ---------------------------------------------------------------------------
@@ -775,9 +805,6 @@ def decompose(
     diag: dict = {"epsilon": epsilon, "r1": r1, "seed": seed}
 
     with _stage("estimate"):
-        est = bilipschitz_estimate(layer, r=r1, n=256, seed=seed)
-        c0, c1 = est.c_lower, est.c_upper
-        diag["bilipschitz"] = est.as_dict()
         lip_g = layer.lip_nonlin
         if not np.isfinite(lip_g):
             raise ValueError(
@@ -786,13 +813,6 @@ def decompose(
             )
         kappa = layer.contraction
         diag["contraction_product"] = kappa
-        # every inverted map is Id + B with Lip(B) ≤ κ, so the Banach
-        # iteration contracts at rate κ; the Newton solver takes the
-        # thin-margin instances, κ > 2/3 (monotonicity ratio (1 − κ)/(1 + κ)
-        # below 0.2), where that rate is slow, and κ ≥ 1, where the
-        # orientation-reversing ones have no margin at all
-        inv_kappa = kappa if (1.0 - kappa) / (1.0 + kappa) >= 0.2 else None
-        diag["inverter"] = "fixed_point" if inv_kappa is not None else "newton"
 
     with _stage("choose_w"):
         h = epsilon / (
@@ -814,8 +834,32 @@ def decompose(
                 f"core deviation {fw_dev:g} exceeds the bound {fw_bound:g}"
             )
 
-    # two passes at most: the per-block tolerance depends on the block count
+    # the first pass's per-block tolerance; the loop below may tighten it
     block_tol = composite_tol / (4.0 * 16.0)
+
+    # the stage resumes once the core exists: its sampled bracket sets
+    # path_blocks' first grid step, and its dimension prices Newton
+    with _stage("estimate"):
+        inv_kappa, diag["inverter_cost"] = _choose_inverter(kappa, frame.dim, r1, block_tol)
+        diag["inverter"] = "fixed_point" if inv_kappa is not None else "newton"
+        if frame.dim > 0:
+            est_w = bilipschitz_estimate(core, r=r1, n=128, seed=seed + 5, dim=frame.dim)
+            diag["core_bilipschitz"] = {**est_w.as_dict(), "is_estimate": True}
+
+    # the linear path and the core estimate do not depend on the block
+    # tolerance, so neither is redone in the second pass
+    lin_blocks: list = []
+    a0_kind = "identity"
+    if frame.dim > 0:
+        with _stage("linear_path"):
+            df0 = _fd_jacobian(core, np.zeros(frame.dim))
+            a0_kind, lin_factors, lin_diag = linear_path_blocks(df0, epsilon)
+            diag["linear"] = lin_diag
+        # one block per distinct factor matrix, shared by its repeats
+        linear = {id(mat): LinearBlock(mat) for mat in lin_factors}
+        lin_blocks = [LiftedBlock(linear[id(mat)], frame) for mat in lin_factors]
+
+    # two passes at most: the per-block tolerance depends on the block count
     for _pass in range(2):
         with _stage("peel_tail"):
             # the 1e-8 roundtrip guarantee needs slack over the inversion
@@ -831,13 +875,8 @@ def decompose(
             )
 
         nl_blocks: list = []
-        lin_factors: list = []
-        a0_kind = "identity"
         if frame.dim > 0:
             with _stage("path_blocks"):
-                est_w = bilipschitz_estimate(
-                    core, r=r1, n=128, seed=seed + 5, dim=frame.dim
-                )
                 nl_blocks, path_diag = path_blocks(
                     core,
                     frame.dim,
@@ -850,15 +889,8 @@ def decompose(
                     seed=seed + 6,
                 )
                 diag["path"] = path_diag
-            with _stage("linear_path"):
-                df0 = _fd_jacobian(core, np.zeros(frame.dim))
-                a0_kind, lin_factors, lin_diag = linear_path_blocks(df0, epsilon)
-                diag["linear"] = lin_diag
 
-        # one block per distinct factor matrix, shared by its repeats
-        linear = {id(mat): LinearBlock(mat) for mat in lin_factors}
-        blocks: list = [LiftedBlock(linear[id(mat)], frame) for mat in lin_factors]
-        blocks += [LiftedBlock(b, frame) for b in nl_blocks]
+        blocks = lin_blocks + [LiftedBlock(b, frame) for b in nl_blocks]
         if tail.deviation > max(1e-10, 4.0 * block_tol):
             blocks.append(tail)
         j = len(blocks)

@@ -355,7 +355,8 @@ def solve_semilinear_trace(
     energies = [energy(w)]
     residual_norms = []
     step_scales = []
-    for _ in range(NEWTON_STEPS):
+    # the residual is tested before every step and once after the last one
+    for step in range(NEWTON_STEPS + 1):
         u_q = u_at_points(w)
         res = _banded_matvec(stiff, w) + weak_form(g.g(u_q)) + load
         rnorm = float(np.linalg.norm(res))
@@ -365,6 +366,8 @@ def solve_semilinear_trace(
                 tuple(energies), tuple(residual_norms), tuple(step_scales), tol
             )
             return w, trace
+        if step == NEWTON_STEPS:
+            break
         wd = wts * g.derivative(u_q)
         jac = stiff.copy()
         jac[1] += to_nodes(wd * left * left, wd * right * right)

@@ -134,7 +134,11 @@ def _arrays(d: dict, key: str, where: str) -> tuple:
 
 
 def canonical(obj):
-    """Recursively round floats to 17 significant digits (a no-op in value)."""
+    """Plain JSON-ready copy: dicts with str keys, lists, and Python scalars.
+
+    Floats pass through as they are; ``json`` writes each one as its
+    shortest round-tripping repr, so every bit survives.
+    """
     if isinstance(obj, dict):
         return {str(k): canonical(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -146,7 +150,7 @@ def canonical(obj):
     if isinstance(obj, (int, np.integer)):
         return int(obj)
     if isinstance(obj, (float, np.floating)):
-        return float(format(float(obj), ".17g"))
+        return float(obj)
     return obj
 
 
@@ -427,10 +431,9 @@ def read_envelope(obj: dict, where: str, required: set, optional: set = frozense
 
 
 def write_json(path, obj) -> None:
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(canonical(obj), fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(canonical(obj), sort_keys=True, indent=2) + "\n")
 
 
 def write_csv(path, header: str, rows) -> None:

@@ -17,6 +17,7 @@ from opdisc.decompose import (
     NEWTON_STEPS,
     LiftedBlock,
     ScalingPath,
+    _choose_inverter,
     _fd_jacobian,
     _invert,
     _newton_invert,
@@ -731,3 +732,46 @@ class TestDecompose:
         assert result.j == 2
         with pytest.raises(TypeError):
             DecompositionResult(a0=Identity(), blocks=(), j=2, r1=1.0, epsilon=0.25)
+
+
+class TestInverterChoice:
+    """Banach or Newton, whichever costs fewer core-map evaluations per row."""
+
+    @pytest.mark.parametrize(
+        "kappa, seed, blocks", [(0.7, 3, 8), (0.7, 11, 9), (0.95, 3, 22)]
+    )
+    def test_mixing_layers(self, kappa, seed, blocks):
+        result = decompose(mixing_bilipschitz_layer(16, kappa=kappa, seed=seed), 0.4, 1.0)
+        cost = result.diagnostics["inverter_cost"]
+        banach_cheaper = cost["banach_evals"] <= cost["newton_evals"]
+        assert banach_cheaper == (kappa == 0.7)
+        assert result.diagnostics["inverter"] == ("fixed_point" if kappa == 0.7 else "newton")
+        # r0 = κ·r1 with r1 = 1
+        assert cost["r0"] == result.diagnostics["contraction_product"]
+        # priced once, at the first pass's block tolerance
+        assert cost["tol"] == 1e-6 / 64
+        # the same blocks the Newton inverter gave before Banach took κ = 0.7
+        assert result.j == blocks
+
+    def test_no_banach_rate_at_kappa_one_or_more(self, flip_layer):
+        result = decompose(flip_layer, epsilon=0.4, r1=1.0)
+        assert result.diagnostics["contraction_product"] >= 1.0
+        assert result.diagnostics["inverter"] == "newton"
+        cost = result.diagnostics["inverter_cost"]
+        assert cost["banach_evals"] is None
+        # 5 rounds from r0 = 2 to 1e-6/64, each of 2k + 2 evaluations on k = 2
+        assert cost["newton_evals"] == 5 * 6
+
+    def test_costs(self):
+        # Newton: ceil(log2(1 + log2(r0 / tol))) rounds of 2k + 2 evaluations
+        assert _choose_inverter(0.5, 3, 1.0, 2.0**-15) == (
+            0.5,
+            {"r0": 0.5, "tol": 2.0**-15, "banach_evals": 16, "newton_evals": 32},
+        )
+        # a slow rate on one coordinate makes Newton the cheaper one
+        assert _choose_inverter(0.9, 1, 1.0, 2.0**-15)[0] is None
+        # a constant B is inverted by one Banach step
+        assert _choose_inverter(0.0, 4, 1.0, 1e-9) == (
+            0.0,
+            {"r0": 0.0, "tol": 1e-9, "banach_evals": 1, "newton_evals": 10},
+        )

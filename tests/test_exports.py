@@ -8,13 +8,15 @@ import importlib.util
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import opdisc
 from opdisc.acceptance import mixing_bilipschitz_layer
 from opdisc.invert import invert_chain
-from opdisc.layers import InvertibleResidualChain
+from opdisc.layers import AffineNonlinearity, InvertibleResidualChain, NeuralOperatorLayer
 from opdisc.monotone import ball_samples
+from opdisc.operators import FiniteRankOperator
 
 MODULES = (
     "acceptance",
@@ -170,12 +172,16 @@ def test_total_iterations_sums_the_block_counts():
 
 
 def test_tracer_counts_decompose_inverters():
-    # one layer runs the fixed-point inverter, the thin-margin one
-    # (kappa 0.7) runs Newton; a refactor that routes around a probed
-    # method reads 0
+    # one layer runs the fixed-point inverter; the orientation-reversing
+    # affine one (kappa 2) has no Banach rate and runs Newton; a refactor
+    # that routes around a probed method reads 0
     decompose = importlib.import_module("opdisc.decompose")
     fixed_point = mixing_bilipschitz_layer(8, seed=3)
-    newton = mixing_bilipschitz_layer(8, kappa=0.7, seed=4)
+    frame = np.eye(8)[:2].copy()
+    flip = np.zeros((8, 8))
+    flip[0, 0], flip[1, 1] = -2.0, -0.5
+    t = FiniteRankOperator(np.ones(2), frame, frame)
+    newton = NeuralOperatorLayer(t, t, AffineNonlinearity(flip, np.zeros(8)))
     tracer = TRACER.Tracer()
     tracer.install()
     try:

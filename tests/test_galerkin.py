@@ -218,6 +218,25 @@ class TestSolveSemilinear:
                 tol=1e-18,
             )
 
+    def test_last_permitted_step_is_checked(self, monkeypatch):
+        # a linear reaction is solved by one Newton step
+        monkeypatch.setattr(galerkin, "NEWTON_STEPS", 1)
+        mesh = FemMesh(16)
+        w, trace = solve_semilinear_trace(source_for_linear_g, mesh, ConvexNonlinearity.linear())
+        assert trace.iterations == 1
+        assert trace.residual_norms[-1] <= 1e-10
+        assert np.max(np.abs(w - sin_pi(mesh.nodes[mesh.active_nodes]))) < 0.01
+
+    def test_exhausted_budget_quotes_the_residual_after_the_last_step(self, monkeypatch):
+        _, full = solve_semilinear_trace(
+            source_for_cubic_g, FemMesh(16), ConvexNonlinearity.cubic()
+        )
+        assert full.iterations >= 2
+        monkeypatch.setattr(galerkin, "NEWTON_STEPS", 1)
+        with pytest.raises(RuntimeError) as err:
+            solve_semilinear_trace(source_for_cubic_g, FemMesh(16), ConvexNonlinearity.cubic())
+        assert f"(last residual {full.residual_norms[1]:.6g})" in str(err.value)
+
     def test_tolerance_must_be_positive(self):
         with pytest.raises(ValueError, match="tolerance"):
             solve_semilinear(

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -480,6 +482,39 @@ class TestFiles:
         write_json(a, {"y": 2, "x": 1})
         write_json(b, {"x": 1, "y": 2})
         assert a.read_bytes() == b.read_bytes()
+
+    def test_json_bytes_match_the_streaming_writer(self, tmp_path):
+        # reference: floats rounded through 17 significant digits, then
+        # streamed chunk by chunk by json.dump
+        def rounded(obj):
+            if isinstance(obj, dict):
+                return {str(k): rounded(v) for k, v in obj.items()}
+            if isinstance(obj, (list, tuple)):
+                return [rounded(v) for v in obj]
+            if isinstance(obj, np.ndarray):
+                return rounded(obj.tolist())
+            if isinstance(obj, (bool, np.bool_)):
+                return bool(obj)
+            if isinstance(obj, (int, np.integer)):
+                return int(obj)
+            if isinstance(obj, (float, np.floating)):
+                return float(format(float(obj), ".17g"))
+            return obj
+
+        obj = {
+            "specials": [float("nan"), float("inf"), -float("inf"), -0.0, 5e-324],
+            "numpy": {"f": np.float64(0.1), "i": np.int64(-7), "b": np.bool_(False)},
+            "arrays": np.array([[1.0 / 3.0, -2.5e-310], [np.pi, 1e300]]),
+            "nested": [{"z": (1, 2.0), "a": None, "s": "x"}, [], {}],
+            9: True,
+        }
+        reference = tmp_path / "reference.json"
+        with open(reference, "w") as fh:
+            json.dump(rounded(obj), fh, sort_keys=True, indent=2)
+            fh.write("\n")
+        path = tmp_path / "blob.json"
+        write_json(path, obj)
+        assert path.read_bytes() == reference.read_bytes()
 
     def test_json_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nest" / "blob.json"
