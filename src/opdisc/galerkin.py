@@ -50,7 +50,6 @@ __all__ = [
     "galerkin_path_matrix",
     "SingularityScan",
     "singularity_scan",
-    "continuum_isometry_defect",
 ]
 
 _BC_PAIRS = (("dirichlet", "dirichlet"), ("dirichlet", "neumann"))
@@ -664,31 +663,3 @@ def singularity_scan(
         bisect_tol=float(bisect_tol),
     )
 
-
-# midpoint grid and seeded Gaussian grid functions of the isometry probe
-ISOMETRY_GRID = 2048
-ISOMETRY_FUNCS = 8
-
-
-def continuum_isometry_defect(s: float) -> float:
-    """Norm defect of the continuum sign multiplier on sampled grid functions.
-
-    Multiplication by sign(t - s) has unit modulus almost everywhere, so it
-    preserves every L2 norm; the defect measures how far the discrete
-    realization strays on ``ISOMETRY_FUNCS`` seeded functions sampled at
-    ``ISOMETRY_GRID`` midpoints (it does not: the matrices go singular, the
-    operator never does).
-    """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"path parameter must lie in [0, 1], got {s}")
-    # the jump point carries no weight in the limit and the convention
-    # sign(0) = -1 keeps the modulus 1 everywhere
-    t = (np.arange(ISOMETRY_GRID) + 0.5) / ISOMETRY_GRID
-    multiplier = np.where(t > s, 1.0, -1.0)
-    samples = np.random.default_rng(0).standard_normal((ISOMETRY_FUNCS, ISOMETRY_GRID))
-    worst = 0.0
-    for u in samples:
-        norm_u = float(np.linalg.norm(u) / math.sqrt(ISOMETRY_GRID))
-        norm_mu = float(np.linalg.norm(multiplier * u) / math.sqrt(ISOMETRY_GRID))
-        worst = max(worst, abs(norm_mu - norm_u))
-    return worst

@@ -126,10 +126,6 @@ class InversionTrace:
         object.__setattr__(self, "contraction_ratios", tuple(ratios))
 
     @property
-    def n_blocks(self) -> int:
-        return len(self.iteration_counts)
-
-    @property
     def total_iterations(self) -> int:
         return int(sum(self.iteration_counts))
 
@@ -391,20 +387,6 @@ class GlobalInverseReport:
     cert_method: str
     tol: float
 
-    def as_dict(self) -> dict:
-        return {
-            "roundtrip_inverse_of_forward": self.roundtrip_inverse_of_forward,
-            "roundtrip_forward_of_inverse": self.roundtrip_forward_of_inverse,
-            "block_alphas": list(self.block_alphas),
-            "alpha_floor": self.alpha_floor,
-            "delta": self.delta,
-            "radius": self.radius,
-            "n_samples": self.n_samples,
-            "seed": self.seed,
-            "cert_method": self.cert_method,
-            "tol": self.tol,
-        }
-
 
 def global_inverse_check(
     chain: InvertibleResidualChain,
@@ -435,10 +417,10 @@ def global_inverse_check(
     dim = chain.dim
     xs = ball_samples(dim, r, n, seed=seed)
 
-    x_rec = invert_chain(chain, None, chain.chain.eval_array(xs), tol=tol).x
+    x_rec = invert_chain(chain, None, chain.eval_array(xs), tol=tol).x
     err_left = float(np.max(np.linalg.norm(x_rec - xs, axis=-1)))
     x_rec = invert_chain(chain, None, xs, tol=tol).x
-    err_right = float(np.max(np.linalg.norm(chain.chain.eval_array(x_rec) - xs, axis=-1)))
+    err_right = float(np.max(np.linalg.norm(chain.eval_array(x_rec) - xs, axis=-1)))
 
     alphas = []
     floor = contraction_certificate(chain.delta).alpha

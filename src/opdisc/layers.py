@@ -21,12 +21,12 @@ from typing import Sequence
 import numpy as np
 
 from .operators import (
-    CoordinateActivation,
+    Activation,
     FiniteRankOperator,
     LinearExpr,
-    PointwiseActivation,
     activation_from_name,
     nemytskii_apply,
+    scaled_leaky,
     spectral_norm,
 )
 from .spectral import Space
@@ -73,7 +73,7 @@ class CoordinateNetwork:
 
     weights: tuple
     biases: tuple
-    activation: CoordinateActivation
+    activation: Activation
     stage_norms: tuple = field(init=False)
     spectral_bound: float = field(init=False)
 
@@ -113,10 +113,6 @@ class CoordinateNetwork:
     def n_out(self) -> int:
         return self.weights[-1].shape[0]
 
-    @property
-    def widths(self) -> tuple:
-        return (self.n_in,) + tuple(w.shape[0] for w in self.weights)
-
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n_in:
@@ -155,7 +151,7 @@ class CoordinateNetwork:
         n_out: int,
         *,
         hidden: Sequence[int] | None = None,
-        activation: CoordinateActivation | None = None,
+        activation: Activation | None = None,
         target_bound: float = 1.0,
         bias_scale: float = 0.0,
         seed: int = 0,
@@ -169,7 +165,7 @@ class CoordinateNetwork:
         """
         if target_bound < 0.0:
             raise ValueError("target Lipschitz bound must be nonnegative")
-        act = activation if activation is not None else CoordinateActivation.leaky_relu(0.2)
+        act = activation if activation is not None else activation_from_name("leaky_relu")
         widths = [n_in] + list(hidden if hidden is not None else (4 * n_in, 4 * n_in)) + [n_out]
         rng = np.random.default_rng(seed)
         ws, bs, norms = [], [], []
@@ -204,8 +200,9 @@ class CoordinateNetwork:
         return net
 
     def __repr__(self) -> str:
+        widths = (self.n_in,) + tuple(w.shape[0] for w in self.weights)
         return (
-            f"CoordinateNetwork(widths={self.widths}, act={self.activation.name}, "
+            f"CoordinateNetwork(widths={widths}, act={self.activation.name}, "
             f"bound={self.spectral_bound:.6g})"
         )
 
@@ -219,15 +216,10 @@ class Nonlinearity:
     """Middle map of a layer; carries a recorded Lipschitz upper bound."""
 
     lip: float
-    name: str
-
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
 
 
 @dataclass(frozen=True)
 class ZeroNonlinearity(Nonlinearity):
-    name: str = "zero"
     lip: float = 0.0
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
@@ -236,18 +228,21 @@ class ZeroNonlinearity(Nonlinearity):
 
 @dataclass(frozen=True, eq=False)
 class NemytskiiNonlinearity(Nonlinearity):
-    """Pointwise scalar function composed through the quadrature grid."""
+    """An entrywise activation composed pointwise through the quadrature
+    grid; one that is not entrywise is refused."""
 
     space: Space
-    sigma: PointwiseActivation
+    sigma: Activation
+
+    def __post_init__(self) -> None:
+        if not self.sigma.entrywise:
+            raise ValueError(
+                f"a Nemytskii map needs an entrywise activation; {self.sigma.name!r} is not"
+            )
 
     @property
     def lip(self) -> float:  # type: ignore[override]
         return self.sigma.lipschitz
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"nemytskii[{self.sigma.name}]"
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         return nemytskii_apply(self.space, self.sigma, x)
@@ -275,10 +270,6 @@ class CoordinateNetNonlinearity(Nonlinearity):
     def lip(self) -> float:  # type: ignore[override]
         b = self.net.spectral_bound
         return b if self.net.n_in == self.ambient_dim else max(1.0, b)
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return f"coordinate_net[{self.net.activation.name}]"
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -310,10 +301,6 @@ class AffineNonlinearity(Nonlinearity):
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "bias", b)
         object.__setattr__(self, "lip", spectral_norm(m))
-
-    @property
-    def name(self) -> str:  # type: ignore[override]
-        return "affine_contraction"
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -411,7 +398,7 @@ class ResidualChain:
         num_blocks: int,
         *,
         block_bound: float = 0.5,
-        activation: CoordinateActivation | None = None,
+        activation: Activation | None = None,
         hidden: Sequence[int] | None = None,
         bias_scale: float = 0.3,
         seed: int = 0,
@@ -476,10 +463,6 @@ class InvertibleResidualChain:
         return self.chain.dim
 
     @property
-    def prefix_n(self) -> int:
-        return self.chain.prefix_n
-
-    @property
     def blocks(self) -> tuple:
         return self.chain.blocks
 
@@ -494,7 +477,7 @@ class InvertibleResidualChain:
         num_blocks: int,
         delta: float,
         *,
-        activation: CoordinateActivation | None = None,
+        activation: Activation | None = None,
         hidden: Sequence[int] | None = None,
         bias_scale: float = 0.3,
         seed: int = 0,
@@ -633,7 +616,7 @@ def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **ov
         )
         nonlin = CoordinateNetNonlinearity(net, m)
     elif kind == "nemytskii":
-        nonlin = NemytskiiNonlinearity(space, PointwiseActivation.scaled_leaky(lip_g))
+        nonlin = NemytskiiNonlinearity(space, scaled_leaky(lip_g))
     elif kind == "affine_contraction":
         a = rng.standard_normal((m, m))
         a *= lip_g / spectral_norm(a)

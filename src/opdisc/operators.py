@@ -1,17 +1,17 @@
 """Linear and pointwise-nonlinear building blocks.
 
 Finite-rank operators in singular-triple form, the two involutive linear
-heads (identity, reflections), the exact spectral-norm kernel, scalar
-activations applied pointwise on the quadrature grid, coordinate activations
-for finite-dimensional networks, and the one table that reads activation
-names such as ``leaky_relu(0.3)``.
+heads (identity, reflections), the exact spectral-norm kernel, and the one
+:class:`Activation` type with the table that reads activation names such as
+``leaky_relu(0.3)``.  An activation acts on the coordinates of a network, or,
+when it is entrywise, pointwise on the quadrature grid as a Nemytskii map.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -24,8 +24,8 @@ __all__ = [
     "LinearExpr",
     "Identity",
     "Reflection",
-    "PointwiseActivation",
-    "CoordinateActivation",
+    "Activation",
+    "scaled_leaky",
     "activation_from_name",
     "nemytskii_apply",
     "spectral_norm",
@@ -134,9 +134,6 @@ def orthonormal_rows(a: np.ndarray) -> np.ndarray:
 class LinearExpr:
     """A structured linear map on (..., m) coefficient arrays."""
 
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
 
 @dataclass(frozen=True)
 class Identity(LinearExpr):
@@ -166,10 +163,6 @@ class Reflection(LinearExpr):
         e = np.zeros(dim)
         e[0] = 1.0
         return cls(e)
-
-    @property
-    def dim(self) -> int:
-        return self.e.size
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.e.size:
@@ -214,34 +207,25 @@ def spectral_norm(w) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class PointwiseActivation:
-    """Real function of one variable with recorded derivative bounds and growth data.
+class Activation:
+    """A named activation with a recorded global Lipschitz constant.
 
-    ``deriv_bounds = (lo, hi)`` bound the derivative globally (hi may be
-    inf); ``growth = (g0, g1)`` records |f(s)| <= g0|s| + g1 when such a
-    linear bound exists, else None.
+    An ``entrywise`` activation applies one scalar function to every
+    coordinate, so it also acts pointwise on the quadrature grid as a
+    Nemytskii map.  ``groupsort2`` is the one that is not: it sorts adjacent
+    coordinate pairs ascending, leaving a trailing odd coordinate fixed, and
+    is 1-Lipschitz and idempotent.  ``lipschitz`` is infinite for the cubed
+    rectifier, whose derivative is unbounded; :meth:`local_lipschitz` and
+    :meth:`range_radius` bound it on a ball instead.
     """
 
     name: str
-    fun: Callable[[np.ndarray], np.ndarray]
-    deriv: Callable[[np.ndarray], np.ndarray]
-    deriv_bounds: tuple[float, float]
-    growth: tuple[float, float] | None
+    fun: Callable[[np.ndarray], np.ndarray] = field(repr=False)
+    lipschitz: float
+    entrywise: bool = True
 
-    def __call__(self, s):
-        return self.fun(np.asarray(s, dtype=float))
-
-    def derivative(self, s):
-        return self.deriv(np.asarray(s, dtype=float))
-
-    @property
-    def is_identity(self) -> bool:
-        return self.name == "identity"
-
-    @property
-    def lipschitz(self) -> float:
-        lo, hi = self.deriv_bounds
-        return max(abs(lo), abs(hi))
+    def __call__(self, v):
+        return self.fun(np.asarray(v, dtype=float))
 
     def local_lipschitz(self, radius: float) -> float:
         """Lipschitz bound valid on inputs of magnitude <= radius."""
@@ -252,79 +236,22 @@ class PointwiseActivation:
         return self.lipschitz
 
     def range_radius(self, radius: float) -> float:
-        """Bound on |f(s)| over |s| <= radius (requires f(0) = 0)."""
-        if abs(float(self.fun(np.asarray(0.0)))) > 1e-15:
+        """Bound on the output norm over inputs of norm <= radius (requires
+        f(0) = 0)."""
+        if abs(float(self(np.zeros(1))[0])) > 1e-15:
             raise ValueError("range propagation assumes f(0) = 0")
         if self.name == "recu":
             return float(radius) ** 3
         return self.local_lipschitz(radius) * float(radius)
 
-    @classmethod
-    def identity(cls) -> "PointwiseActivation":
-        return cls("identity", lambda s: s, lambda s: np.ones_like(s), (1.0, 1.0), (1.0, 0.0))
 
-    @classmethod
-    def leaky_relu(cls, slope_neg: float = 0.2) -> "PointwiseActivation":
-        a = float(slope_neg)
-        lo, hi = sorted((a, 1.0))
-        return cls(
-            f"leaky_relu({a:g})",
-            lambda s, a=a: np.where(s >= 0.0, s, a * s),
-            lambda s, a=a: np.where(s >= 0.0, 1.0, a),
-            (lo, hi),
-            (max(1.0, abs(a)), 0.0),
-        )
-
-    @classmethod
-    def recu(cls) -> "PointwiseActivation":
-        # cubed rectifier: C^1, monotone, derivative unbounded above
-        return cls(
-            "recu",
-            lambda s: np.maximum(s, 0.0) ** 3,
-            lambda s: 3.0 * np.maximum(s, 0.0) ** 2,
-            (0.0, np.inf),
-            None,
-        )
-
-    @classmethod
-    def tanh(cls) -> "PointwiseActivation":
-        # smooth saturating activation: all derivatives bounded
-        return cls(
-            "tanh",
-            np.tanh,
-            lambda s: 1.0 / np.cosh(s) ** 2,
-            (0.0, 1.0),
-            (1.0, 0.0),
-        )
-
-    @classmethod
-    def scaled_leaky(cls, scale: float) -> "PointwiseActivation":
-        """``scale * leaky_relu(0.2)``: slope bounds scale with it."""
-        base = cls.leaky_relu(0.2)
-        return cls.custom(
-            lambda s, b=base, c=scale: c * b(s),
-            lambda s, b=base, c=scale: c * b.derivative(s),
-            (0.2 * scale, scale),
-            growth=(scale, 0.0),
-            name=f"scaled_leaky({scale:g})",
-        )
-
-    @classmethod
-    def custom(
-        cls,
-        fun: Callable,
-        deriv: Callable,
-        deriv_bounds: tuple[float, float],
-        growth: tuple[float, float] | None = None,
-        name: str = "custom",
-    ) -> "PointwiseActivation":
-        lo, hi = float(deriv_bounds[0]), float(deriv_bounds[1])
-        if lo > hi:
-            raise ValueError("derivative bounds must satisfy lo <= hi")
-        return cls(name, fun, deriv, (lo, hi), growth)
-
-    def __repr__(self) -> str:
-        return f"PointwiseActivation({self.name})"
+def scaled_leaky(scale: float) -> Activation:
+    """``scale * leaky_relu(0.2)`` for a scale >= 0; its Lipschitz constant
+    is the scale."""
+    c = float(scale)
+    if c < 0.0:
+        raise ValueError(f"activation 'scaled_leaky({c:g})': the scale {c:g} must be nonnegative")
+    return Activation(f"scaled_leaky({c:g})", lambda s: c * np.where(s >= 0.0, s, 0.2 * s), abs(c))
 
 
 def _groupsort2(v: np.ndarray) -> np.ndarray:
@@ -337,84 +264,30 @@ def _groupsort2(v: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True, eq=False)
-class CoordinateActivation:
-    """Activation on coordinate vectors: entrywise scalar, or groupsort2.
-
-    groupsort2 sorts adjacent coordinate pairs ascending (a trailing odd
-    coordinate is left fixed); it is 1-Lipschitz and idempotent.
-    """
-
-    name: str
-    pointwise: PointwiseActivation | None
-
-    def __call__(self, v):
-        v = np.asarray(v, dtype=float)
-        if self.pointwise is None:
-            return _groupsort2(v)
-        return self.pointwise(v)
-
-    @property
-    def lipschitz(self) -> float:
-        return 1.0 if self.pointwise is None else self.pointwise.lipschitz
-
-    def local_lipschitz(self, radius: float) -> float:
-        return 1.0 if self.pointwise is None else self.pointwise.local_lipschitz(radius)
-
-    def range_radius(self, radius: float) -> float:
-        # groupsort2 permutes coordinates, so it preserves the Euclidean norm
-        return float(radius) if self.pointwise is None else self.pointwise.range_radius(radius)
-
-    @classmethod
-    def groupsort2(cls) -> "CoordinateActivation":
-        return cls("groupsort2", None)
-
-    @classmethod
-    def from_pointwise(cls, p: PointwiseActivation) -> "CoordinateActivation":
-        return cls(p.name, p)
-
-    @classmethod
-    def identity(cls) -> "CoordinateActivation":
-        return cls.from_pointwise(PointwiseActivation.identity())
-
-    @classmethod
-    def leaky_relu(cls, slope_neg: float = 0.2) -> "CoordinateActivation":
-        return cls.from_pointwise(PointwiseActivation.leaky_relu(slope_neg))
-
-    @classmethod
-    def recu(cls) -> "CoordinateActivation":
-        return cls.from_pointwise(PointwiseActivation.recu())
-
-    @classmethod
-    def tanh(cls) -> "CoordinateActivation":
-        return cls.from_pointwise(PointwiseActivation.tanh())
-
-    def __repr__(self) -> str:
-        return f"CoordinateActivation({self.name})"
-
-
 # name -> (factory, parameter): whether the factory takes no parameter
 # (None), an optional one or a required one
 _ACTIVATIONS = {
-    "identity": (PointwiseActivation.identity, None),
-    "leaky_relu": (PointwiseActivation.leaky_relu, "optional"),
-    "recu": (PointwiseActivation.recu, None),
-    "tanh": (PointwiseActivation.tanh, None),
-    "scaled_leaky": (PointwiseActivation.scaled_leaky, "required"),
-    "groupsort2": (CoordinateActivation.groupsort2, None),
+    "identity": (lambda: Activation("identity", lambda s: s, 1.0), None),
+    "leaky_relu": (
+        lambda a=0.2: Activation(
+            f"leaky_relu({a:g})", lambda s: np.where(s >= 0.0, s, a * s), max(abs(a), 1.0)
+        ),
+        "optional",
+    ),
+    "recu": (lambda: Activation("recu", lambda s: np.maximum(s, 0.0) ** 3, math.inf), None),
+    "tanh": (lambda: Activation("tanh", np.tanh, 1.0), None),
+    "scaled_leaky": (scaled_leaky, "required"),
+    "groupsort2": (lambda: Activation("groupsort2", _groupsort2, 1.0, entrywise=False), None),
 }
 
 
-def activation_from_name(name: str, *, pointwise: bool = False):
+def activation_from_name(name: str) -> Activation:
     """The activation a name such as ``tanh`` or ``leaky_relu(0.3)`` denotes.
 
-    By default a :class:`CoordinateActivation`: every scalar activation
-    applied entrywise, or ``groupsort2``.  ``pointwise=True`` reads the
-    :class:`PointwiseActivation` of a Nemytskii map, which groupsort2 is
-    not.  A malformed name, a parameter on a name that takes none, a
-    missing parameter and a non-finite one are refused with ValueError.
+    A malformed name, a parameter on a name that takes none, a missing
+    parameter and a non-finite one are refused with ValueError.
     """
-    known = sorted(k for k in _ACTIVATIONS if not (pointwise and k == "groupsort2"))
+    known = sorted(_ACTIVATIONS)
     match = re.fullmatch(r"(\w+)(?:\((.*)\))?", name) if isinstance(name, str) else None
     if match is None or match[1] not in known:
         raise ValueError(f"unknown activation {name!r}; know {known}")
@@ -423,23 +296,19 @@ def activation_from_name(name: str, *, pointwise: bool = False):
     if arg is None:
         if parameter == "required":
             raise ValueError(f"activation {bare!r} needs a parameter, as in '{bare}(0.5)'")
-        act = factory()
-    else:
-        if parameter is None:
-            raise ValueError(f"activation {bare!r} takes no parameter, got {name!r}")
-        try:
-            value = float(arg)
-        except ValueError as err:
-            raise ValueError(f"activation {name!r}: the parameter must be a number") from err
-        if not math.isfinite(value):
-            raise ValueError(f"activation {name!r}: the parameter must be finite")
-        act = factory(value)
-    if pointwise or isinstance(act, CoordinateActivation):
-        return act
-    return CoordinateActivation.from_pointwise(act)
+        return factory()
+    if parameter is None:
+        raise ValueError(f"activation {bare!r} takes no parameter, got {name!r}")
+    try:
+        value = float(arg)
+    except ValueError as err:
+        raise ValueError(f"activation {name!r}: the parameter must be a number") from err
+    if not math.isfinite(value):
+        raise ValueError(f"activation {name!r}: the parameter must be finite")
+    return factory(value)
 
 
-def nemytskii_apply(space: Space, sigma: PointwiseActivation, u) -> np.ndarray:
+def nemytskii_apply(space: Space, sigma: Activation, u) -> np.ndarray:
     """Compose with sigma pointwise: coefficients of sigma(u(t)).
 
     Takes (..., M) coefficients and returns the same shape.  Evaluates on
@@ -447,6 +316,6 @@ def nemytskii_apply(space: Space, sigma: PointwiseActivation, u) -> np.ndarray:
     short-circuits and is exact.
     """
     c = np.asarray(u, dtype=float)
-    if sigma.is_identity:
+    if sigma.name == "identity":
         return c.copy()
     return space.from_grid(sigma(space.to_grid(c)))

@@ -181,10 +181,10 @@ def space_from_config(d: dict) -> Space:
 # activations
 
 
-def _activation(name, where: str, *, pointwise: bool = False):
+def _activation(name, where: str):
     """The activation a spec names, as read by ``operators.activation_from_name``."""
     try:
-        return activation_from_name(name, pointwise=pointwise)
+        return activation_from_name(name)
     except ValueError as err:
         raise SpecError(f"{where}: {err}") from err
 
@@ -295,9 +295,11 @@ def nonlinearity_from_spec(d: dict, space: Space | None = None):
         check_keys(d, "nonlinearity", {"kind", "activation"})
         if space is None:
             raise SpecError("nonlinearity: a Nemytskii map needs the space")
-        return NemytskiiNonlinearity(
-            space, _activation(d["activation"], "nonlinearity", pointwise=True)
-        )
+        sigma = _activation(d["activation"], "nonlinearity")
+        try:
+            return NemytskiiNonlinearity(space, sigma)
+        except ValueError as err:
+            raise SpecError(f"nonlinearity: {err}") from err
     raise SpecError(f"unknown nonlinearity kind {kind!r}")
 
 

@@ -3,9 +3,11 @@
 Fixes the coefficient representation the rest of the package computes in: an
 orthonormal basis truncated to an ambient dimension M, whose elements are
 plain (..., M) float arrays of coefficients, and a composite Gauss-Legendre
-grid for pointwise work.  A subspace is always a prefix of the basis and is
-named by its dimension d: the span of the first d coefficients.  All values
-are immutable and all operations are pure.
+grid for pointwise work: Nemytskii maps, which apply an activation to
+function values, go to the grid and back.  The basis values on that grid
+are built only when such a map first needs them.  A subspace is always a
+prefix of the basis and is named by its dimension d: the span of the first
+d coefficients.  All values are immutable and all operations are pure.
 
 It also holds the parameter grid and the sign-crossing bisection that every
 determinant sweep along a path on [0, 1] shares.
@@ -14,6 +16,7 @@ determinant sweep along a path on [0, 1] shares.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -104,12 +107,6 @@ class Space:
         weights.flags.writeable = False
         self.nodes = nodes
         self.weights = weights
-        if spec.kind == "fourier":
-            bv = self.basis_matrix(nodes)
-            bv.flags.writeable = False
-            self._basis_values: np.ndarray | None = bv
-        else:
-            self._basis_values = None
 
     @property
     def dim(self) -> int:
@@ -123,17 +120,24 @@ class Space:
 
     # -- pointwise realization -------------------------------------------------
 
-    def _require_grid(self) -> np.ndarray:
-        if self._basis_values is None:
-            raise ValueError(
-                f"basis kind {self.spec.kind!r} has no pointwise realization"
-            )
-        return self._basis_values
+    @cached_property
+    def _grid_basis(self) -> np.ndarray:
+        """Basis values on the quadrature nodes, shape (M, nodes).
+
+        Built on first use: only the grid transforms read it, and at large M
+        it is the biggest array a space holds.  It is deterministic, so two
+        threads that race here build equal copies.
+        """
+        bv = self.basis_matrix(self.nodes)
+        bv.flags.writeable = False
+        return bv
 
     def basis_matrix(self, points) -> np.ndarray:
         """Basis values at arbitrary points, shape (M, len(points))."""
         if self.spec.kind != "fourier":
-            self._require_grid()  # raises with the standard message
+            raise ValueError(
+                f"basis kind {self.spec.kind!r} has no pointwise realization"
+            )
         t = np.asarray(points, dtype=float).reshape(-1)
         m = self.dim
         out = np.empty((m, t.size))
@@ -148,7 +152,7 @@ class Space:
     def to_grid(self, x) -> np.ndarray:
         """Pointwise values on the quadrature nodes: (..., M) coefficients in,
         (..., nodes) values out."""
-        bv = self._require_grid()
+        bv = self._grid_basis
         c = np.asarray(x, dtype=float)
         if c.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} coefficients, got {c.shape[-1]}")
@@ -157,7 +161,7 @@ class Space:
     def from_grid(self, values) -> np.ndarray:
         """Coefficients of grid functions via quadrature inner products:
         (..., nodes) values in, (..., M) coefficients out."""
-        bv = self._require_grid()
+        bv = self._grid_basis
         v = np.asarray(values, dtype=float)
         if v.shape[-1] != self.nodes.size:
             raise ValueError(

@@ -28,7 +28,7 @@ from opdisc.layers import (
     make_layer,
 )
 from opdisc.monotone import ball_samples
-from opdisc.operators import FiniteRankOperator, Identity, PointwiseActivation, Reflection
+from opdisc.operators import FiniteRankOperator, Identity, Reflection, activation_from_name
 from opdisc.spectral import BasisSpec, Space
 
 # roundoff-level tolerance for every inverting block, so that a batch
@@ -42,6 +42,9 @@ def _flip_layer(dim: int) -> NeuralOperatorLayer:
     a[0, 0] = -2.0
     a[1, 1] = -0.5
     return NeuralOperatorLayer(t, t, AffineNonlinearity(a, np.zeros(dim)))
+
+
+ACTIVATIONS = ("identity", "leaky_relu", "recu", "tanh", "scaled_leaky(0.4)", "groupsort2")
 
 
 @pytest.fixture(scope="module")
@@ -65,7 +68,7 @@ def maps():
     window = CoordinateNetwork.seeded(5, 5, target_bound=0.5, seed=3)
     nonlins = {
         "zero_nonlinearity": ZeroNonlinearity(),
-        "nemytskii": NemytskiiNonlinearity(space, PointwiseActivation.scaled_leaky(0.4)),
+        "nemytskii": NemytskiiNonlinearity(space, activation_from_name("scaled_leaky(0.4)")),
         "coordinate_net_nonlinearity": CoordinateNetNonlinearity(net, m),
         "coordinate_net_window": CoordinateNetNonlinearity(window, m),
         "affine_nonlinearity": AffineNonlinearity(0.3 * np.eye(m), np.ones(m)),
@@ -98,6 +101,11 @@ def maps():
     out["linear_block"] = (LinearBlock(np.eye(k) + 0.1 * rng.standard_normal((k, k))), k)
     out["lifted_block"] = (LiftedBlock(fixed_point, frame), m)
 
+    # every activation of the name table, on an odd width so that
+    # groupsort2 leaves a trailing coordinate unpaired
+    for name in ACTIVATIONS:
+        out[f"activation_{name.partition('(')[0]}"] = (activation_from_name(name), 5)
+
     out["decomposition"] = (decompose(layer, 0.25, 1.0, composite_tol=64 * TIGHT), m)
     out["decomposition_reflection"] = (
         decompose(_flip_layer(m), 0.5, 1.0, composite_tol=64 * TIGHT),
@@ -113,6 +121,8 @@ NAMES = [
     "invertible_chain", "core_compressed_layer", "tail_fixed_point",
     "tail_newton", "path_block_fixed_point", "path_block_newton", "linear_block",
     "lifted_block", "decomposition", "decomposition_reflection",
+    "activation_identity", "activation_leaky_relu", "activation_recu", "activation_tanh",
+    "activation_scaled_leaky", "activation_groupsort2",
 ]
 
 

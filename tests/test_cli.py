@@ -432,6 +432,11 @@ class TestActivationNames:
             (_nemytskii_check, "scaled_leaky", "scaled_leaky(0.4)",
              "nonlinearity: activation 'scaled_leaky' needs a parameter"),
             (_nemytskii_check, "tanh(", "tanh", "nonlinearity: unknown activation 'tanh('"),
+            (_nemytskii_check, "groupsort2", "tanh",
+             "nonlinearity: a Nemytskii map needs an entrywise activation; "
+             "'groupsort2' is not"),
+            (_nemytskii_check, "scaled_leaky(-1)", "scaled_leaky(1)",
+             "nonlinearity: activation 'scaled_leaky(-1)': the scale -1 must be nonnegative"),
             (_seeded_layer_check, "tanh(2)", "tanh",
              "layer: activation 'tanh' takes no parameter, got 'tanh(2)'"),
             (_chain_inversion, "groupsort2(2)", "groupsort2",
@@ -440,6 +445,7 @@ class TestActivationNames:
              "chain: unknown activation 'leaky_relu(0.3'"),
         ],
         ids=["nemytskii-parameter", "nemytskii-missing", "nemytskii-malformed",
+             "nemytskii-groupsort2", "nemytskii-negative-scale",
              "seeded-layer-parameter", "chain-parameter", "chain-malformed"],
     )
     def test_a_bad_name_is_a_config_error(self, runner, tmp_path, make, bad, good, message):

@@ -165,7 +165,7 @@ def test_total_iterations_sums_the_block_counts():
     chain = InvertibleResidualChain.seeded(6, 6, 3, 0.5, seed=51)
     y = ball_samples(6, 1.0, 1, seed=2)[0]
     trace = invert_chain(chain, None, y).trace
-    assert trace.n_blocks == 3
+    assert len(trace.iteration_counts) == 3
     assert all(c > 0 for c in trace.iteration_counts)
     assert trace.total_iterations == sum(trace.iteration_counts)
     assert isinstance(trace.total_iterations, int)

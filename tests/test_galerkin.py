@@ -16,7 +16,6 @@ from opdisc.galerkin import (
     FemMesh,
     NewtonTrace,
     assemble_stiffness,
-    continuum_isometry_defect,
     fem_convergence,
     galerkin_path_matrix,
     h1_seminorm_difference,
@@ -502,14 +501,3 @@ class TestSingularityScan:
         assert len(blob["s_grid"]) == len(blob["dets"]) == len(blob["min_svs"]) == 11
         assert blob["kind"] == "a" and blob["n"] == 1
 
-
-class TestContinuumIsometry:
-    @pytest.mark.parametrize("s", [0.0, 0.3, 0.5811, 1.0])
-    def test_sign_multiplier_preserves_norms(self, s):
-        assert continuum_isometry_defect(s) <= 1e-10
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="lie in"):
-            continuum_isometry_defect(-0.1)
-        with pytest.raises(ValueError, match="lie in"):
-            continuum_isometry_defect(1.5)

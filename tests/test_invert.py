@@ -20,25 +20,24 @@ from opdisc.invert import (
     invert_chain,
 )
 from opdisc.layers import (
-    CoordinateActivation,
     CoordinateNetwork,
     InvertibleResidualChain,
     ResidualChain,
 )
 from opdisc.monotone import ball_samples, bilipschitz_estimate
-from opdisc.operators import FiniteRankOperator, Identity, Reflection
+from opdisc.operators import FiniteRankOperator, Identity, Reflection, activation_from_name
 
 
 def zero_net(n: int) -> CoordinateNetwork:
     return CoordinateNetwork(
-        (np.zeros((n, n)),), (np.zeros(n),), CoordinateActivation.identity()
+        (np.zeros((n, n)),), (np.zeros(n),), activation_from_name("identity")
     )
 
 
 def first_coordinate_net(n: int, gain: float = 0.5) -> CoordinateNetwork:
     w = np.zeros((n, n))
     w[0, 0] = gain
-    return CoordinateNetwork((w,), (np.zeros(n),), CoordinateActivation.identity())
+    return CoordinateNetwork((w,), (np.zeros(n),), activation_from_name("identity"))
 
 
 def seeded_chain(
@@ -209,7 +208,7 @@ class TestBlockFixedPoint:
 
     def test_refuses_unbounded_activation_without_ball_certificate(self):
         net = CoordinateNetwork.seeded(
-            4, 4, target_bound=0.3, activation=CoordinateActivation.recu(), seed=0
+            4, 4, target_bound=0.3, activation=activation_from_name("recu"), seed=0
         )
         with pytest.raises(ValueError, match=r"no contraction certificate \(bound inf\)"):
             invert_chain(one_block(net), None, np.zeros(4))
@@ -219,7 +218,7 @@ class TestBlockFixedPoint:
     def test_ball_certificate_admits_cubed_rectifier_blocks(self):
         w = 0.05 * np.eye(3)
         net = CoordinateNetwork(
-            (w, w), (np.zeros(3), np.zeros(3)), CoordinateActivation.recu()
+            (w, w), (np.zeros(3), np.zeros(3)), activation_from_name("recu")
         )
         y = np.array([0.5, -0.25, 0.1])
         out = invert_chain(one_block(net, ball_radius=2.0), None, y)
@@ -231,7 +230,7 @@ class TestBlockFixedPoint:
         # output bias throws the second iterate out of the ball
         w = 0.05 * np.eye(3)
         net = CoordinateNetwork(
-            (w, w), (np.zeros(3), np.array([2.0, 0.0, 0.0])), CoordinateActivation.recu()
+            (w, w), (np.zeros(3), np.array([2.0, 0.0, 0.0])), activation_from_name("recu")
         )
         chain = one_block(net, ball_radius=1.0)
         with pytest.raises(DomainError, match=r"^\[invert\] iterate 2 lies outside"):
@@ -241,7 +240,7 @@ class TestBlockFixedPoint:
             invert_chain(chain, None, np.array([0.0, 1.5, 0.0]))
         # only the prefix is the block's input: a large tail is no violation
         unbiased = CoordinateNetwork(
-            (w, w), (np.zeros(3), np.zeros(3)), CoordinateActivation.recu()
+            (w, w), (np.zeros(3), np.zeros(3)), activation_from_name("recu")
         )
         x = invert_chain(
             one_block(unbiased, ambient=4, ball_radius=1.0),
@@ -257,7 +256,7 @@ class TestBlockFixedPoint:
     def test_domain_error_names_the_row_outside_the_ball(self):
         w = 0.05 * np.eye(3)
         net = CoordinateNetwork(
-            (w, w), (np.zeros(3), np.zeros(3)), CoordinateActivation.recu()
+            (w, w), (np.zeros(3), np.zeros(3)), activation_from_name("recu")
         )
         ys = np.zeros((2, 3, 3))
         ys[1, 0] = [0.0, 1.5, 0.0]
@@ -274,7 +273,7 @@ class TestBlockFixedPoint:
         with pytest.raises(ValueError, match=r"got shape \(4, 2\)"):
             invert_chain(chain, None, np.zeros((4, 2)))
         rect = CoordinateNetwork(
-            (np.zeros((2, 3)),), (np.zeros(2),), CoordinateActivation.identity()
+            (np.zeros((2, 3)),), (np.zeros(2),), activation_from_name("identity")
         )
         with pytest.raises(ValueError, match="square"):
             ResidualChain(3, 3, (rect,))
@@ -346,7 +345,7 @@ class TestChainInverse:
         y = np.array([1.0, -2.0, 0.25])
         out = invert_chain(None, Identity(), y)
         assert np.array_equal(out.x, y)
-        assert out.trace.n_blocks == 0
+        assert out.trace.iteration_counts == ()
         assert out.roundtrip_target == 0.0
 
     def test_reflection_head_is_its_own_inverse(self):
@@ -421,7 +420,7 @@ class TestChainInverse:
 
     def test_ball_local_chain_refuses_targets_outside_its_ball(self):
         blocks = ResidualChain.seeded(
-            8, 8, 3, block_bound=0.5, activation=CoordinateActivation.recu(),
+            8, 8, 3, block_bound=0.5, activation=activation_from_name("recu"),
             bias_scale=0.0, seed=5,
         )
         chain = InvertibleResidualChain(blocks, delta=0.5, ball_radius=1.0)
@@ -518,7 +517,7 @@ class TestGlobalInverseCheck:
             12,
             3,
             block_bound=0.9,
-            activation=CoordinateActivation.groupsort2(),
+            activation=activation_from_name("groupsort2"),
             bias_scale=0.1,
             seed=73,
         )
@@ -536,7 +535,7 @@ class TestGlobalInverseCheck:
 
     def test_unbounded_activation_needs_ball_certificate(self):
         chain = ResidualChain.seeded(
-            4, 4, 2, block_bound=0.3, activation=CoordinateActivation.recu(), seed=83
+            4, 4, 2, block_bound=0.3, activation=activation_from_name("recu"), seed=83
         )
         with pytest.raises(ValueError, match="no global Lipschitz certificate"):
             InvertibleResidualChain(chain, delta=0.5)
@@ -544,7 +543,7 @@ class TestGlobalInverseCheck:
     def test_ball_certificate_must_cover_the_test_ball(self):
         w = 0.05 * np.eye(4)
         net = CoordinateNetwork(
-            (w, w), (np.zeros(4), np.zeros(4)), CoordinateActivation.recu()
+            (w, w), (np.zeros(4), np.zeros(4)), activation_from_name("recu")
         )
         chain = InvertibleResidualChain(
             ResidualChain(4, 4, (net,)), delta=0.5, ball_radius=2.0
@@ -564,11 +563,3 @@ class TestGlobalInverseCheck:
             global_inverse_check(chain, r=0.0, n=8)
         with pytest.raises(ValueError, match="two samples"):
             global_inverse_check(chain, r=1.0, n=1)
-
-    def test_report_as_dict_round_trips(self):
-        chain = InvertibleResidualChain(seeded_chain(dim=4, blocks=1), delta=0.6)
-        report = global_inverse_check(chain, r=0.5, n=8, seed=2)
-        blob = json.loads(json.dumps(report.as_dict()))
-        assert blob["n_samples"] == 8
-        assert blob["delta"] == 0.6
-        assert len(blob["block_alphas"]) == 1

@@ -17,7 +17,7 @@ from opdisc.layers import (
     make_layer,
 )
 from opdisc.monotone import ball_samples
-from opdisc.operators import CoordinateActivation, FiniteRankOperator, Identity
+from opdisc.operators import FiniteRankOperator, Identity, activation_from_name
 
 
 class TestCoordinateNetwork:
@@ -28,7 +28,7 @@ class TestCoordinateNetwork:
 
     def test_default_architecture(self):
         net = CoordinateNetwork.seeded(5, 5, seed=0)
-        assert net.widths == (5, 20, 20, 5)
+        assert [w.shape for w in net.weights] == [(20, 5), (20, 20), (5, 20)]
 
     def test_bound_dominates_sampled_lipschitz(self):
         net = CoordinateNetwork.seeded(4, 4, target_bound=0.8, bias_scale=0.5, seed=1)
@@ -45,7 +45,7 @@ class TestCoordinateNetwork:
 
     def test_recu_net_has_no_global_bound_but_a_ball_bound(self):
         net = CoordinateNetwork.seeded(
-            3, 3, activation=CoordinateActivation.recu(), target_bound=0.5, seed=5
+            3, 3, activation=activation_from_name("recu"), target_bound=0.5, seed=5
         )
         assert not np.isfinite(net.spectral_bound)
         local = net.ball_bound(0.5)
@@ -64,12 +64,12 @@ class TestCoordinateNetwork:
             CoordinateNetwork(
                 (np.eye(3), np.eye(4)),
                 (np.zeros(3), np.zeros(4)),
-                CoordinateActivation.identity(),
+                activation_from_name("identity"),
             )
 
     def test_seeded_hits_target_bound_at_certify_shape(self):
         net = CoordinateNetwork.seeded(256, 256, target_bound=0.5)
-        assert net.widths == (256, 1024, 1024, 256)
+        assert [w.shape for w in net.weights] == [(1024, 256), (1024, 1024), (256, 1024)]
         assert net.spectral_bound == pytest.approx(0.5, rel=1e-12)
 
     def test_stage_norms_are_the_top_singular_values(self):
@@ -104,13 +104,13 @@ class TestCoordinateNetwork:
         w[1, 2] = np.nan
         with pytest.raises(ValueError, match="stage 1: non-finite"):
             CoordinateNetwork(
-                (np.eye(3), w), (np.zeros(3), np.zeros(3)), CoordinateActivation.tanh()
+                (np.eye(3), w), (np.zeros(3), np.zeros(3)), activation_from_name("tanh")
             )
 
     def test_non_finite_bias_is_refused(self):
         with pytest.raises(ValueError, match="stage 0: non-finite"):
             CoordinateNetwork(
-                (np.eye(2),), (np.array([0.0, np.inf]),), CoordinateActivation.identity()
+                (np.eye(2),), (np.array([0.0, np.inf]),), activation_from_name("identity")
             )
 
     def test_inf_weight_gets_no_ball_local_certificate(self):
@@ -125,7 +125,7 @@ class TestCoordinateNetwork:
                         CoordinateNetwork(
                             (w, 0.05 * np.eye(4)),
                             (np.zeros(4), np.zeros(4)),
-                            CoordinateActivation.recu(),
+                            activation_from_name("recu"),
                         ),
                     ),
                 ),
@@ -136,13 +136,13 @@ class TestCoordinateNetwork:
     def test_spectral_bound_is_not_a_constructor_argument(self):
         with pytest.raises(TypeError):
             CoordinateNetwork(
-                (np.eye(2),), (np.zeros(2),), CoordinateActivation.identity(), 5.0
+                (np.eye(2),), (np.zeros(2),), activation_from_name("identity"), 5.0
             )
         with pytest.raises(TypeError):
             CoordinateNetwork(
                 (np.eye(2),),
                 (np.zeros(2),),
-                CoordinateActivation.identity(),
+                activation_from_name("identity"),
                 stage_norms=(1.0,),
             )
 
@@ -164,7 +164,7 @@ class TestSpectralNormCalls:
     def test_one_call_per_stage_at_construction(self, calls):
         ws = (np.eye(3), 0.5 * np.ones((4, 3)), np.ones((3, 4)))
         bs = (np.zeros(3), np.zeros(4), np.zeros(3))
-        CoordinateNetwork(ws, bs, CoordinateActivation.tanh())
+        CoordinateNetwork(ws, bs, activation_from_name("tanh"))
         assert calls == [(3, 3), (4, 3), (3, 4)]
 
     def test_seeded_decomposes_each_draw_once(self, calls):
@@ -174,7 +174,7 @@ class TestSpectralNormCalls:
     def test_bounds_and_certificates_never_recompute(self, calls):
         chain = ResidualChain.seeded(6, 4, 2, block_bound=0.5, seed=3)
         recu = ResidualChain.seeded(
-            6, 4, 1, block_bound=0.05, activation=CoordinateActivation.recu(),
+            6, 4, 1, block_bound=0.05, activation=activation_from_name("recu"),
             bias_scale=0.0, seed=4,
         )
         affine = AffineNonlinearity(0.3 * np.eye(4), np.ones(4))
@@ -273,7 +273,7 @@ class TestResidualChain:
 
     def test_nan_certificate_is_refused(self, monkeypatch):
         chain = ResidualChain.seeded(
-            6, 3, 1, block_bound=0.05, activation=CoordinateActivation.recu(), seed=5
+            6, 3, 1, block_bound=0.05, activation=activation_from_name("recu"), seed=5
         )
         monkeypatch.setattr(CoordinateNetwork, "ball_bound", lambda self, r: float("nan"))
         with pytest.raises(ValueError, match="certificate nan exceeds"):
@@ -281,7 +281,7 @@ class TestResidualChain:
 
     def test_recu_chain_needs_ball_certificate(self):
         chain = ResidualChain.seeded(
-            6, 3, 1, block_bound=0.05, activation=CoordinateActivation.recu(),
+            6, 3, 1, block_bound=0.05, activation=activation_from_name("recu"),
             bias_scale=0.0, seed=5,
         )
         with pytest.raises(ValueError, match="ball_radius"):

@@ -76,7 +76,7 @@ class TestPairwiseAlpha:
         assert cert.alpha == 2.0
 
     def test_reflection_is_refused(self):
-        cert = pairwise_alpha(Reflection.first_axis(4), n=256, seed=1)
+        cert = pairwise_alpha(Reflection.first_axis(4), n=256, seed=1, dim=4)
         assert cert.alpha < 0.0
         assert not cert.certified
 

@@ -1,14 +1,15 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from opdisc.monotone import ball_samples, map_dim
+from opdisc.layers import NemytskiiNonlinearity
+from opdisc.monotone import ball_samples
 from opdisc.operators import (
-    CoordinateActivation,
+    Activation,
     FiniteRankOperator,
-    Identity,
-    PointwiseActivation,
     Reflection,
     activation_from_name,
     nemytskii_apply,
@@ -119,11 +120,6 @@ class TestLinearExpr:
         with pytest.raises(ValueError, match="one-dimensional"):
             Reflection(np.full((2, 2), 0.5))
 
-    def test_reflection_carries_its_dimension(self):
-        assert Reflection.first_axis(5).dim == 5
-        assert map_dim(Reflection.first_axis(5)) == 5
-        assert map_dim(Identity()) is None
-
 
 def _top_singular_value(w: np.ndarray) -> float:
     return float(np.linalg.svd(w, compute_uv=False)[0])
@@ -184,61 +180,45 @@ class TestSpectralNorm:
 
 class TestActivations:
     def test_recu_shape(self):
-        recu = PointwiseActivation.recu()
+        recu = activation_from_name("recu")
         s = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
         assert np.allclose(recu(s), [0.0, 0.0, 0.0, 0.125, 8.0])
 
     def test_recu_is_c1_at_zero(self):
-        recu = PointwiseActivation.recu()
+        recu = activation_from_name("recu")
         for h in (1e-2, 1e-3, 1e-4):
             fd = (recu(h) - recu(-h)) / (2 * h)
             assert abs(fd) <= h  # derivative at 0 is 0, approached quadratically
 
-    def test_recu_derivative_matches_finite_differences(self):
-        recu = PointwiseActivation.recu()
-        grid = np.linspace(-2.0, 2.0, 41)
-        errs = []
-        for h in (1e-2, 1e-3, 1e-4):
-            fd = (recu(grid + h) - recu(grid - h)) / (2 * h)
-            errs.append(np.abs(fd - recu.derivative(grid)).max())
-        assert errs[0] > errs[1] > errs[2]
-        assert errs[-1] < 1e-6
-
     def test_recu_monotone(self):
-        recu = PointwiseActivation.recu()
+        recu = activation_from_name("recu")
         grid = np.linspace(-3.0, 3.0, 201)
         assert np.all(np.diff(recu(grid)) >= 0.0)
 
     def test_derivative_bounds_hold_on_grid(self):
+        # the Lipschitz constant bounds every difference quotient, and on
+        # [-r, r] the cubed rectifier's local constant does
         grid = np.linspace(-5.0, 5.0, 301)
-        for act in (
-            PointwiseActivation.identity(),
-            PointwiseActivation.leaky_relu(0.2),
-            PointwiseActivation.recu(),
-        ):
-            d = act.derivative(grid)
-            lo, hi = act.deriv_bounds
-            assert np.all(d >= lo - 1e-12) and np.all(d <= hi + 1e-12)
+        for name in ("identity", "leaky_relu(-3)", "tanh", "scaled_leaky(0.4)", "recu"):
+            act = activation_from_name(name)
+            slopes = np.abs(np.diff(act(grid)) / np.diff(grid))
+            assert np.all(slopes <= act.local_lipschitz(5.0) * (1 + 1e-12)), name
 
     def test_growth_bounds(self):
         grid = np.linspace(-10.0, 10.0, 101)
-        for act in (PointwiseActivation.identity(), PointwiseActivation.leaky_relu(0.3)):
-            g0, g1 = act.growth
-            assert np.all(np.abs(act(grid)) <= g0 * np.abs(grid) + g1 + 1e-12)
-        assert PointwiseActivation.recu().growth is None
-
-    def test_custom_validation(self):
-        with pytest.raises(ValueError):
-            PointwiseActivation.custom(lambda s: s, lambda s: 1.0, (2.0, 1.0))
+        for name in ("identity", "leaky_relu(0.3)", "recu", "tanh"):
+            act = activation_from_name(name)
+            bound = np.array([act.range_radius(abs(s)) for s in grid])
+            assert np.all(np.abs(act(grid)) <= bound * (1 + 1e-12)), name
 
     def test_groupsort2_sorts_pairs(self):
-        gs = CoordinateActivation.groupsort2()
+        gs = activation_from_name("groupsort2")
         v = np.array([3.0, 1.0, -1.0, 5.0, 2.0])
         got = gs(v)
         assert np.allclose(got, [1.0, 3.0, -1.0, 5.0, 2.0])  # odd tail fixed
 
     def test_groupsort2_idempotent_and_1lipschitz(self):
-        gs = CoordinateActivation.groupsort2()
+        gs = activation_from_name("groupsort2")
         rng = np.random.default_rng(17)
         for _ in range(1000):
             a, b = rng.standard_normal((2, 6))
@@ -246,6 +226,18 @@ class TestActivations:
             assert np.linalg.norm(ga - gb) <= np.linalg.norm(a - b) + 1e-12
             assert np.array_equal(gs(ga), ga)
         assert gs.lipschitz == 1.0
+
+
+PINNED_INPUT = np.array([0.25, -1.5, 2.0, -0.5, 0.7])
+
+
+def _read(name, pointwise, space):
+    """The activation ``name`` denotes; with ``pointwise``, read for a
+    Nemytskii map, which refuses one that is not entrywise."""
+    act = activation_from_name(name)
+    if pointwise:
+        NemytskiiNonlinearity(space, act)
+    return act
 
 
 class TestActivationNames:
@@ -260,25 +252,37 @@ class TestActivationNames:
             ("scaled_leaky(0.4)", True, "scaled_leaky(0.4)"),
         ],
     )
-    def test_names_read_back(self, name, pointwise, expected):
-        act = activation_from_name(name, pointwise=pointwise)
-        kind = PointwiseActivation if pointwise else CoordinateActivation
-        assert isinstance(act, kind)
+    def test_names_read_back(self, space16, name, pointwise, expected):
+        act = _read(name, pointwise, space16)
+        assert isinstance(act, Activation)
         assert act.name == expected
+        assert act.entrywise == (name != "groupsort2")
 
-    def test_table_entries_match_the_constructors(self):
-        s = np.linspace(-2.0, 2.0, 41)
-        pairs = [
-            (activation_from_name("leaky_relu(0.3)"), CoordinateActivation.leaky_relu(0.3)),
-            (activation_from_name("tanh"), CoordinateActivation.tanh()),
-            (
-                activation_from_name("scaled_leaky(0.4)", pointwise=True),
-                PointwiseActivation.scaled_leaky(0.4),
-            ),
-        ]
-        for got, want in pairs:
-            assert np.array_equal(got(s), want(s))
-            assert got.lipschitz == want.lipschitz
+    # outputs on PINNED_INPUT and Lipschitz constants, as the two activation
+    # classes this table replaced computed them
+    @pytest.mark.parametrize(
+        "name,lipschitz,expected",
+        [
+            ("identity", 1.0, [0.25, -1.5, 2.0, -0.5, 0.7]),
+            ("leaky_relu", 1.0, [0.25, -0.30000000000000004, 2.0, -0.1, 0.7]),
+            ("leaky_relu(-3)", 3.0, [0.25, 4.5, 2.0, 1.5, 0.7]),
+            ("recu", math.inf, [0.015625, 0.0, 8.0, 0.0, 0.3429999999999999]),
+            ("tanh", 1.0, [0.24491866240370913, -0.9051482536448665, 0.9640275800758169,
+                           -0.46211715726000974, 0.6043677771171634]),
+            ("scaled_leaky(0.4)", 0.4, [0.1, -0.12000000000000002, 0.8,
+                                        -0.04000000000000001, 0.27999999999999997]),
+            ("groupsort2", 1.0, [-1.5, 0.25, -0.5, 2.0, 0.7]),
+        ],
+    )
+    def test_table_entries_pin_their_values(self, name, lipschitz, expected):
+        act = activation_from_name(name)
+        assert act.lipschitz == lipschitz
+        assert act(PINNED_INPUT).tolist() == expected
+
+    @pytest.mark.parametrize("scale", ["-1", "-0.5"])
+    def test_a_negative_scale_is_refused(self, scale):
+        with pytest.raises(ValueError, match=f"the scale {scale} must be nonnegative"):
+            activation_from_name(f"scaled_leaky({scale})")
 
     @pytest.mark.parametrize(
         "name,pointwise,match",
@@ -291,29 +295,29 @@ class TestActivationNames:
             ("scaled_leaky(inf)", True, "the parameter must be finite"),
             ("tanh(", False, r"unknown activation 'tanh\('"),
             ("leaky_relu(0.3", False, "unknown activation"),
-            ("groupsort2", True, "unknown activation 'groupsort2'"),
+            ("groupsort2", True, "needs an entrywise activation; 'groupsort2' is not"),
             ("swish", False, r"know \["),
             (3, False, "unknown activation 3"),
         ],
     )
-    def test_bad_names_are_refused(self, name, pointwise, match):
+    def test_bad_names_are_refused(self, space16, name, pointwise, match):
         with pytest.raises(ValueError, match=match):
-            activation_from_name(name, pointwise=pointwise)
+            _read(name, pointwise, space16)
 
 
 class TestNemytskii:
     def test_identity_exact(self, space16):
         u = ball_samples(16, 1.0, 3, seed=0)
-        got = nemytskii_apply(space16, PointwiseActivation.identity(), u)
+        got = nemytskii_apply(space16, activation_from_name("identity"), u)
         assert np.array_equal(got, u)
 
     def test_unit_slope_leaky_relu_is_identity(self, space16):
         u = ball_samples(16, 1.0, 3, seed=1)
-        got = nemytskii_apply(space16, PointwiseActivation.leaky_relu(1.0), u)
+        got = nemytskii_apply(space16, activation_from_name("leaky_relu(1)"), u)
         assert np.abs(got - u).max() < 1e-12
 
     def test_negative_constant_scales_by_slope(self, space16):
         u = -e(0, 16)  # the function identically -1
-        got = nemytskii_apply(space16, PointwiseActivation.leaky_relu(0.2), u)
+        got = nemytskii_apply(space16, activation_from_name("leaky_relu"), u)
         assert np.abs(got - 0.2 * u).max() < 1e-8
 

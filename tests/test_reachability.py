@@ -1,0 +1,167 @@
+"""Every function in ``src/opdisc`` is reached by the command line.
+
+``opdisc accept`` and one ``--config`` batch at ``--jobs 2`` run under
+``sys.setprofile`` and ``threading.setprofile``, so the worker threads are
+watched too.  The batch holds every CLI kind and every spec kind.  A ``def``
+that neither run enters is code no CLI kind or acceptance criterion reaches:
+wire it into a check or delete it.  Lambdas and comprehensions are not
+counted.  Only the entries of ``ALLOWED`` may stay unreached, each for the
+reason it gives.
+"""
+
+import ast
+import json
+import sys
+import threading
+from pathlib import Path
+
+import numpy as np
+from click.testing import CliRunner
+
+import opdisc
+from opdisc.cli import main
+
+SRC = Path(opdisc.__file__).resolve().parent
+
+_CLICK = "a click command function: the batch runs every kind through run_config"
+_TRACER = "read only by bench/tracer.py, until its counts come from the run itself"
+ALLOWED = {
+    "cli.monotone_check_cmd": _CLICK,
+    "cli.discretize_scan_cmd": _CLICK,
+    "cli.decompose_cmd": _CLICK,
+    "cli.invert_cmd": _CLICK,
+    "cli.nogo_galerkin_cmd": _CLICK,
+    "cli.nogo_isotopy_cmd": _CLICK,
+    "cli.fem_solve_cmd": _CLICK,
+    "cli.quant_report_cmd": _CLICK,
+    "cli._run_subcommand": "the body every subcommand shares",
+    "cli._layer_file": "reads the --layer file of a subcommand",
+    "decompose.TailBlock.alpha": _TRACER,
+    "decompose.ScalingPath.alpha": _TRACER,
+    "invert.InversionTrace.total_iterations": _TRACER,
+    "galerkin.NewtonTrace.iterations": _TRACER,
+}
+
+I3 = np.eye(3).tolist()
+FOURIER = {"basis": "fourier", "ambient_dim": 8}
+SEEDED_OP = {"kind": "seeded_finite_rank", "rank": 4, "seed": 1}
+# Df(0) = -I: kappa = 2, so decompose inverts by Newton, pairs the flipped
+# directions into pi-rotations and needs the reflection A0
+FLIP_LAYER = {
+    "kind": "layer",
+    "in_op": {"kind": "finite_rank", "omegas": [1, 1, 1], "psi": I3, "phi": I3},
+    "out_op": {"kind": "finite_rank", "omegas": [1, 1, 1], "psi": I3, "phi": I3},
+    "nonlin": {"kind": "affine", "matrix": (-2.0 * np.eye(3)).tolist(), "bias": [0, 0, 0]},
+}
+EXPLICIT_NET = {
+    "kind": "coordinate_network",
+    "weights": [(0.3 * np.eye(4)).tolist(), (0.5 * np.eye(4)[::-1]).tolist()],
+    "biases": [[0.1, 0, 0, 0], [0, 0, 0, -0.1]],
+    "activation": "leaky_relu(0.3)",
+}
+BATCH = [
+    {"name": "nemytskii", "kind": "monotone-check", "seed": 5, "samples": 16,
+     "dims": [2, 8], "space": FOURIER,
+     "layer": {"kind": "layer", "in_op": SEEDED_OP,
+               "out_op": {"kind": "finite_rank", "omegas": [1.0, 0.5],
+                          "psi_seed": 2, "phi_seed": 3},
+               "nonlin": {"kind": "nemytskii", "activation": "scaled_leaky(0.5)"}}},
+    {"name": "coordinate-net", "kind": "monotone-check", "seed": 5, "samples": 16,
+     "dims": [4], "space": FOURIER,
+     "layer": {"kind": "layer", "in_op": SEEDED_OP, "out_op": SEEDED_OP,
+               "nonlin": {"kind": "coordinate_net", "ambient_dim": 8,
+                          "net": {"kind": "seeded_coordinate_network", "n_in": 4,
+                                  "n_out": 4, "seed": 7, "target_bound": 0.5,
+                                  "activation": "identity"}}}},
+    {"name": "scan", "kind": "discretize-scan", "seed": 3, "samples": 16, "dims": [2, 6],
+     "space": {"basis": "abstract_orthonormal", "ambient_dim": 6},
+     "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5, "hidden": [8],
+               "activation": "tanh"}},
+    {"name": "quant", "kind": "quant-report", "seed": 1, "samples": 16, "dims": [2, 8],
+     "space": FOURIER,
+     "layer": {"kind": "layer", "in_op": SEEDED_OP, "out_op": SEEDED_OP,
+               "nonlin": {"kind": "zero"}}},
+    {"name": "flip", "kind": "decompose", "seed": 0, "epsilon": 0.25, "radius": 1.0,
+     "space": {"basis": "abstract_orthonormal", "ambient_dim": 3}, "layer": FLIP_LAYER},
+    {"name": "ball-local", "kind": "invert", "seed": 0,
+     "chain": {"kind": "seeded_chain", "ambient_dim": 8, "prefix_n": 6, "num_blocks": 2,
+               "seed": 5, "delta": 0.5, "activation": "recu", "ball_radius": 1.0,
+               "bias_scale": 0},
+     "head": {"kind": "reflection", "axis_dim": 8}, "y": [0.2] + [0.0] * 7},
+    {"name": "explicit", "kind": "invert", "seed": 0,
+     "chain": {"kind": "invertible_residual_chain", "delta": 0.5,
+               "chain": {"kind": "residual_chain", "ambient_dim": 4, "prefix_n": 4,
+                         "blocks": [EXPLICIT_NET, EXPLICIT_NET]}},
+     "head": {"kind": "reflection", "e": [0.6, 0.8, 0, 0]}, "y": [0.1, -0.2, 0.3, 0.05]},
+    {"name": "plain", "kind": "invert", "seed": 0,
+     "chain": {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 2, "seed": 9,
+               "activation": "groupsort2"},
+     "head": {"kind": "identity"}, "y": [0.1, -0.2, 0.3, 0.05]},
+    {"name": "galerkin", "kind": "nogo-galerkin", "seed": 0, "path_kind": "b", "n": 3,
+     "grid": 11},
+    {"name": "isotopy", "kind": "nogo-isotopy", "seed": 0, "m": 3, "grid": 11},
+    {"name": "fem", "kind": "fem-solve", "seed": 0, "g": "cubic", "mesh": [4, 8]},
+]
+
+
+def _defs() -> dict:
+    """``(file, first line) -> module.qualname`` of every ``def`` in the
+    package; a decorated function's code starts at its first decorator."""
+    found = {}
+
+    def visit(node, path: Path, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                first = min([d.lineno for d in child.decorator_list] + [child.lineno])
+                found[(str(path), first)] = f"{prefix}{child.name}"
+                visit(child, path, f"{prefix}{child.name}.<locals>.")
+            elif isinstance(child, ast.ClassDef):
+                visit(child, path, f"{prefix}{child.name}.")
+            else:
+                visit(child, path, prefix)
+
+    for path in sorted(SRC.glob("*.py")):
+        visit(ast.parse(path.read_text()), path, f"{path.stem}.")
+    return found
+
+
+def _is_dunder(qualname: str) -> bool:
+    last = qualname.rsplit(".", 1)[-1]
+    return last.startswith("__") and last.endswith("__")
+
+
+def test_every_function_is_reached(tmp_path):
+    config = tmp_path / "batch.json"
+    config.write_text(json.dumps({"schema": 1, "experiments": BATCH}))
+    entered = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.add(frame.f_code)
+
+    runner = CliRunner()
+    threading.setprofile(profile)
+    sys.setprofile(profile)
+    try:
+        accept = runner.invoke(main, ["--out", str(tmp_path / "accept"), "accept"])
+        batch = runner.invoke(
+            main, ["--config", str(config), "--out", str(tmp_path / "batch"), "--jobs", "2"]
+        )
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    assert accept.exit_code == 0, accept.output
+    assert batch.exit_code == 0, batch.output
+    assert batch.output.count("ok  ") == len(BATCH), batch.output
+
+    resolved = {name: str(Path(name).resolve()) for name in {c.co_filename for c in entered}}
+    reached = {(resolved[c.co_filename], c.co_firstlineno) for c in entered}
+    defs = _defs()
+    unreached = {name for key, name in defs.items() if key not in reached}
+    flagged = sorted(n for n in unreached if not _is_dunder(n) and n not in ALLOWED)
+    assert not flagged, (
+        "no CLI kind or acceptance criterion reaches these functions; wire each "
+        "into a check or delete it:\n  " + "\n  ".join(flagged)
+    )
+    stale = sorted(n for n in ALLOWED if n not in unreached)
+    assert not stale, f"allowlist entries that are reached or no longer defined: {stale}"

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from opdisc.layers import (
     AffineNonlinearity,
-    CoordinateActivation,
     CoordinateNetNonlinearity,
     CoordinateNetwork,
     InvertibleResidualChain,
@@ -17,7 +16,7 @@ from opdisc.layers import (
     ZeroNonlinearity,
     make_layer,
 )
-from opdisc.operators import FiniteRankOperator, PointwiseActivation, Reflection
+from opdisc.operators import FiniteRankOperator, Reflection, activation_from_name
 from opdisc.serialize import (
     SCHEMA_VERSION,
     SpecError,
@@ -52,7 +51,7 @@ def net_from_literal(activation=None):
     return CoordinateNetwork(
         tuple(np.array(w) for w in NET_SPEC["weights"]),
         tuple(np.array(b) for b in NET_SPEC["biases"]),
-        activation or CoordinateActivation.tanh(),
+        activation or activation_from_name("tanh"),
     )
 
 
@@ -219,7 +218,7 @@ class TestNetwork:
         }
         rebuilt = network_from_spec(spec)
         direct = CoordinateNetwork.seeded(
-            3, 3, target_bound=0.4, activation=CoordinateActivation.groupsort2(), seed=11
+            3, 3, target_bound=0.4, activation=activation_from_name("groupsort2"), seed=11
         )
         xs = probe_points(3)
         assert np.array_equal(rebuilt.eval_array(xs), direct.eval_array(xs))
@@ -227,7 +226,7 @@ class TestNetwork:
     def test_parametrized_leaky_slope_survives(self):
         net = network_from_spec({**NET_SPEC, "activation": "leaky_relu(0.35)"})
         assert net.activation.name == "leaky_relu(0.35)"
-        direct = net_from_literal(CoordinateActivation.leaky_relu(0.35))
+        direct = net_from_literal(activation_from_name("leaky_relu(0.35)"))
         xs = probe_points(2)
         assert np.array_equal(net.eval_array(xs), direct.eval_array(xs))
 
@@ -264,7 +263,7 @@ class TestNonlinearity:
     def test_nemytskii_roundtrip_keeps_scaled_slope(self, space16):
         spec = {"kind": "nemytskii", "activation": "scaled_leaky(0.3)"}
         nonlin = nonlinearity_from_spec(spec, space16)
-        direct = NemytskiiNonlinearity(space16, PointwiseActivation.scaled_leaky(0.3))
+        direct = NemytskiiNonlinearity(space16, activation_from_name("scaled_leaky(0.3)"))
         for x in probe_points(16):
             assert np.array_equal(nonlin.apply_array(x), direct.apply_array(x))
         assert nonlin.lip == direct.lip
@@ -311,7 +310,7 @@ class TestLayer:
         direct = NeuralOperatorLayer(
             operator_from_spec(spec["in_op"], 16),
             operator_from_spec(spec["out_op"], 16),
-            NemytskiiNonlinearity(space16, PointwiseActivation.tanh()),
+            NemytskiiNonlinearity(space16, activation_from_name("tanh")),
         )
         for x in probe_points(16):
             assert np.array_equal(layer.eval_array(x), direct.eval_array(x))
