@@ -35,11 +35,7 @@ from .galerkin import (
     solve_semilinear_trace,
 )
 from .invert import global_inverse_check, invert_chain
-from .isotopy import (
-    reflected_rotation_cascade,
-    rotation_cascade,
-    truncated_det_scan,
-)
+from .isotopy import aligned_truncation_matrix, truncated_det_scan
 from .layers import (
     CoordinateNetwork,
     CoordinateNetNonlinearity,
@@ -432,24 +428,26 @@ def criterion_galerkin_singularity() -> dict:
     L2 norm at every s.
     """
     scan5 = singularity_scan("a", 5, s_grid=101, bisect_tol=1e-12)
-    assert tuple(scan5.det_endpoint_signs) == (1, -1), (
-        f"endpoint determinant signs {scan5.det_endpoint_signs} are not (+1, -1)"
+    assert scan5.endpoint_signs == (1, -1), (
+        f"endpoint determinant signs {scan5.endpoint_signs} are not (+1, -1)"
     )
-    assert abs(scan5.det_at_star) < 1e-10, (
-        f"|det| at the bisected crossing is {abs(scan5.det_at_star):g} (>= 1e-10)"
+    s_star, det_at_star, min_sv_at_star = scan5.stars[0]
+    assert abs(det_at_star) < 1e-10, (
+        f"|det| at the bisected crossing is {abs(det_at_star):g} (>= 1e-10)"
     )
 
     scan1 = singularity_scan("a", 1, s_grid=101, bisect_tol=1e-12)
-    assert abs(scan1.s_star - 0.5) <= 1e-9, (
-        f"one-mode crossing sits at {scan1.s_star!r}, not 0.5 +- 1e-9"
+    one_mode_s_star = scan1.stars[0][0]
+    assert abs(one_mode_s_star - 0.5) <= 1e-9, (
+        f"one-mode crossing sits at {one_mode_s_star!r}, not 0.5 +- 1e-9"
     )
 
     return {
-        "five_mode_s_star": scan5.s_star,
-        "five_mode_det_at_star": scan5.det_at_star,
-        "five_mode_min_sv_at_star": scan5.min_sv_at_star,
-        "one_mode_s_star": scan1.s_star,
-        "scanned_points": len(scan5.s_grid),
+        "five_mode_s_star": s_star,
+        "five_mode_det_at_star": det_at_star,
+        "five_mode_min_sv_at_star": min_sv_at_star,
+        "one_mode_s_star": one_mode_s_star,
+        "scanned_points": len(scan5.grid),
     }
 
 
@@ -468,21 +466,18 @@ def criterion_isotopy_crossing() -> dict:
     """
     m = 7
     scan = truncated_det_scan(m, t_grid=101, bisect_tol=1e-9)
-    assert tuple(scan.det_endpoint_signs) == (1, -1), (
-        f"endpoint determinant signs {scan.det_endpoint_signs} are not (+1, -1)"
+    assert scan.endpoint_signs == (1, -1), (
+        f"endpoint determinant signs {scan.endpoint_signs} are not (+1, -1)"
     )
     t_true = m / (2.0 * (m + 2.0))
-    assert abs(scan.t_star - t_true) <= 1e-6, (
-        f"crossing located at {scan.t_star!r}, not within 1e-6 of {t_true!r}"
+    t_star, det_at_star, min_sv_at_star = scan.stars[0]
+    assert abs(t_star - t_true) <= 1e-6, (
+        f"crossing located at {t_star!r}, not within 1e-6 of {t_true!r}"
     )
 
     worst_orth = 0.0
-    for t in scan.t_grid:
-        t = float(t)
-        if t <= 0.5:
-            full = rotation_cascade(2.0 * t, m + 1)
-        else:
-            full = reflected_rotation_cascade(2.0 - 2.0 * t, m)
+    for t in scan.grid:
+        full = aligned_truncation_matrix(float(t), m)
         defect = float(
             np.max(np.abs(full.T @ full - np.eye(full.shape[0])))
         )
@@ -492,12 +487,12 @@ def criterion_isotopy_crossing() -> dict:
     )
     return {
         "m": m,
-        "t_star": scan.t_star,
+        "t_star": t_star,
         "t_star_expected": t_true,
-        "det_at_star": scan.det_at_star,
-        "min_sv_at_star": scan.min_sv_at_star,
+        "det_at_star": det_at_star,
+        "min_sv_at_star": min_sv_at_star,
         "worst_orthogonality_defect": worst_orth,
-        "grid_points": int(len(scan.t_grid)),
+        "grid_points": int(len(scan.grid)),
     }
 
 
@@ -570,13 +565,13 @@ def criterion_orientation_tracking() -> dict:
     checked = 0
     for base in bases:
         scan = orientation_scan(monotone_path, 21, 6, base_point=base, dim=dim)
-        assert not scan.sign_changed, (
+        assert not scan.brackets, (
             "a strongly monotone path shows a determinant sign change"
         )
-        for t, sign, _ in scan.rows:
+        for t, det in zip(scan.grid, scan.dets):
             checked += 1
-            assert sign == 1, (
-                f"compressed determinant sign {sign} at t={t:g} is not +1"
+            assert det > 0.0, (
+                f"compressed determinant {det:g} at t={t:g} is not positive"
             )
 
     def scalar_path(t: float):
@@ -586,10 +581,10 @@ def criterion_orientation_tracking() -> dict:
         return step
 
     scan = orientation_scan(scalar_path, 20, 7, dim=dim, refine_tol=1e-7)
-    assert len(scan.crossings) == 1, (
-        f"scalar path shows {len(scan.crossings)} sign changes, expected 1"
+    assert len(scan.brackets) == 1, (
+        f"scalar path shows {len(scan.brackets)} sign changes, expected 1"
     )
-    lo, hi = scan.crossings[0]
+    lo, hi = scan.brackets[0]
     mid = 0.5 * (lo + hi)
     assert lo <= 0.5 <= hi and abs(mid - 0.5) <= 1e-6, (
         f"scalar flip bracketed at [{lo!r}, {hi!r}], not within 1e-6 of 0.5"

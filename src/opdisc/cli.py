@@ -38,7 +38,7 @@ from .galerkin import (
     solve_semilinear_trace,
 )
 from .invert import InversionError, invert_chain
-from .isotopy import truncated_det_scan
+from .isotopy import aligned_truncation_matrix, truncated_det_scan
 from .monotone import contraction_certificate, pairwise_alpha
 from .serialize import (
     SCHEMA_VERSION,
@@ -140,7 +140,7 @@ def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         exp,
         "monotone-check",
         {"name", "kind", "seed", "space", "layer"},
-        {"dims", "radius", "samples", "floor", "out"},
+        {"dims", "radius", "samples", "floor"},
     )
     space = _space_of(exp, memo)
     layer = layer_from_spec(exp["layer"], space)
@@ -204,7 +204,7 @@ def run_discretize_scan(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         exp,
         "discretize-scan",
         {"name", "kind", "seed", "space", "layer", "dims"},
-        {"radius", "samples", "out"},
+        {"radius", "samples"},
     )
     space = _space_of(exp, memo)
     layer = layer_from_spec(exp["layer"], space)
@@ -229,7 +229,7 @@ def run_decompose(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         exp,
         "decompose",
         {"name", "kind", "seed", "space", "layer", "epsilon", "radius"},
-        {"composite_tol", "n_verify", "out"},
+        {"composite_tol", "n_verify"},
     )
     space = _space_of(exp, memo)
     layer = layer_from_spec(exp["layer"], space)
@@ -269,8 +269,7 @@ def run_decompose(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
             "the identical block sequence",
         },
     }
-    out = exp.get("out", f"{exp['name']}.json")
-    write_json(out_dir / out, report)
+    write_json(out_dir / f"{exp['name']}.json", report)
     return report
 
 
@@ -279,7 +278,7 @@ def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         exp,
         "invert",
         {"name", "kind", "seed", "chain", "y"},
-        {"head", "tol", "out"},
+        {"head", "tol"},
     )
     chain = memo.get(chain_from_spec, exp["chain"])
     head = head_from_spec(exp.get("head", {"kind": "identity"}), dim=chain.dim)
@@ -299,7 +298,7 @@ def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         "seed": _int_field(exp, "seed"),
         **result.as_dict(),
     }
-    write_json(out_dir / exp.get("out", f"{exp['name']}.json"), report)
+    write_json(out_dir / f"{exp['name']}.json", report)
     return report
 
 
@@ -308,7 +307,7 @@ def run_nogo_galerkin(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         exp,
         "nogo-galerkin",
         {"name", "kind", "seed", "path_kind", "n"},
-        {"grid", "bisect_tol", "out"},
+        {"grid", "bisect_tol"},
     )
     if exp["path_kind"] not in ("a", "b"):
         raise ConfigError(f"experiment {exp['name']!r}: path_kind must be 'a' or 'b'")
@@ -321,15 +320,28 @@ def run_nogo_galerkin(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         _int_field(exp, "grid", 101),
         _float_field(exp, "bisect_tol", 1e-12),
     )
-    stem = out_dir / exp.get("out", exp["name"])
+    s_star, det_at_star, min_sv_at_star = scan.stars[0]
+    report = {
+        "kind": exp["path_kind"],
+        "n": n,
+        "s_grid": scan.grid,
+        "dets": scan.dets,
+        "min_svs": scan.min_svs,
+        "det_endpoint_signs": scan.endpoint_signs,
+        "s_star": s_star,
+        "det_at_star": det_at_star,
+        "min_sv_at_star": min_sv_at_star,
+        "bisect_tol": scan.tol,
+    }
+    stem = out_dir / exp["name"]
     write_csv(f"{stem}.csv", "s,det,min_sv", scan.rows())
-    write_json(f"{stem}.json", {"schema": SCHEMA_VERSION, "name": exp["name"], **scan.as_dict()})
-    return scan.as_dict()
+    write_json(f"{stem}.json", {"schema": SCHEMA_VERSION, "name": exp["name"], **report})
+    return report
 
 
 def run_nogo_isotopy(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     check_keys(
-        exp, "nogo-isotopy", {"name", "kind", "seed", "m"}, {"grid", "bisect_tol", "out"}
+        exp, "nogo-isotopy", {"name", "kind", "seed", "m"}, {"grid", "bisect_tol"}
     )
     m = _int_field(exp, "m")
     if m < 3 or m % 2 == 0:
@@ -339,15 +351,28 @@ def run_nogo_isotopy(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         _int_field(exp, "grid", 101),
         _float_field(exp, "bisect_tol", 1e-12),
     )
-    stem = out_dir / exp.get("out", exp["name"])
+    report = {
+        "m": m,
+        "t_grid": scan.grid,
+        "dets": scan.dets,
+        "min_svs": scan.min_svs,
+        "aligned_dets": [
+            float(np.linalg.det(aligned_truncation_matrix(float(t), m))) for t in scan.grid
+        ],
+        "det_endpoint_signs": scan.endpoint_signs,
+        "crossings": scan.stars,
+        "t_star": scan.stars[0][0],
+        "bisect_tol": scan.tol,
+    }
+    stem = out_dir / exp["name"]
     write_csv(f"{stem}.csv", "t,det,min_sv", scan.rows())
-    write_json(f"{stem}.json", {"schema": SCHEMA_VERSION, "name": exp["name"], **scan.as_dict()})
-    return scan.as_dict()
+    write_json(f"{stem}.json", {"schema": SCHEMA_VERSION, "name": exp["name"], **report})
+    return report
 
 
 def run_fem_solve(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     check_keys(
-        exp, "fem-solve", {"name", "kind", "seed", "g", "mesh"}, {"tol", "out"}
+        exp, "fem-solve", {"name", "kind", "seed", "g", "mesh"}, {"tol"}
     )
     g_name = exp["g"]
     if g_name not in SOURCES:
@@ -377,7 +402,7 @@ def run_fem_solve(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     tol = _float_field(exp, "tol", 1e-10)
     conv = fem_convergence(source, reaction, sizes, tol=tol)
     _, trace = solve_semilinear_trace(source, FemMesh(sizes[-1]), reaction, tol=tol)
-    stem = out_dir / exp.get("out", exp["name"])
+    stem = out_dir / exp["name"]
     rows = [
         (sizes[i], conv.errors[i], conv.ratios[i] if i < len(conv.ratios) else math.nan)
         for i in range(len(sizes))
@@ -435,7 +460,7 @@ def run_quant_report(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         exp,
         "quant-report",
         {"name", "kind", "seed", "space", "layer", "dims"},
-        {"radius", "samples", "out"},
+        {"radius", "samples"},
     )
     space = _space_of(exp, memo)
     layer = layer_from_spec(exp["layer"], space)
@@ -448,7 +473,7 @@ def run_quant_report(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         _int_field(exp, "seed"),
         dim=space.dim,
     )
-    stem = out_dir / exp.get("out", exp["name"])
+    stem = out_dir / exp["name"]
     header = (
         "# size-bound columns show growth shape only: the dimensional constant is 1 "
         "and no network is synthesized\n"
@@ -678,7 +703,6 @@ def discretize_scan_cmd(ctx, layer_path, **flags):
 @click.option("--layer", "layer_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--epsilon", type=float, default=None)
 @click.option("--radius", type=float, default=None)
-@click.option("--out", "out", type=str, default=None, help="Result JSON filename.")
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 @click.pass_context
@@ -731,7 +755,6 @@ def nogo_galerkin_cmd(ctx, **flags):
 @click.option("--m", type=int, default=None, help="Truncation dimension (odd).")
 @click.option("--grid", type=int, default=None)
 @click.option("--bisect-tol", type=float, default=None)
-@click.option("--out", "out", type=str, default=None, help="Artifact stem.")
 @click.option("--seed", type=int, default=None)
 @click.option("--name", type=str, default=None)
 @click.pass_context

@@ -24,11 +24,10 @@ import numpy as np
 from .layers import central_differences, eval_map
 from .monotone import _check_prefix, _resolve_dim, ball_samples, pairwise_alpha
 from .operators import FiniteRankOperator
-from .spectral import sign_crossings, unit_grid
+from .spectral import PathScan, path_scan
 
 __all__ = [
     "ConvergenceReport",
-    "OrientationScan",
     "functor_a_error",
     "convergence_scan",
     "continuity_probe",
@@ -184,18 +183,6 @@ def continuity_probe(
     return rows
 
 
-@dataclass(frozen=True, eq=False)
-class OrientationScan:
-    """Determinant signs of the compressed Jacobian along an operator path."""
-
-    rows: tuple  # (t, sign, |det|)
-    crossings: tuple  # (t_lo, t_hi) brackets, each of width <= refine_tol
-
-    @property
-    def sign_changed(self) -> bool:
-        return len(self.crossings) > 0
-
-
 def orientation_scan(
     path: Callable[[float], object],
     t_grid: int,
@@ -203,28 +190,24 @@ def orientation_scan(
     base_point=None,
     dim: int | None = None,
     refine_tol: float = 1e-6,
-) -> OrientationScan:
+) -> PathScan:
     """Track the orientation of the Jacobian compressed to the prefix of
     dimension d (at most 50) along t ↦ path(t).
 
-    Reports (t, det sign, |det|) at ``t_grid`` equispaced points of [0, 1]
-    and brackets every sign change by bisection to a t-window of at most
-    ``refine_tol``; an exact zero of the determinant gives a ``(t, t)``
-    bracket.
+    Records det and the least singular value at ``t_grid`` equispaced
+    points of [0, 1] and brackets every sign change by bisection to a
+    t-window of at most ``refine_tol``; an exact zero of the determinant
+    gives a ``(t, t)`` bracket.
     """
-    ts = unit_grid(t_grid)
     m = _resolve_dim(path(0.0), dim)
     if _check_prefix(d, m) > 50:
         raise ValueError("the determinant scan needs a prefix of dimension at most 50")
     base = np.zeros(m) if base_point is None else np.array(base_point, dtype=float)
     base[d:] = 0.0
 
-    def det_at(t: float) -> float:
-        # compressed Jacobian: first d outputs along the first d basis directions
+    def compressed_jacobian(t: float) -> np.ndarray:
+        # first d outputs along the first d basis directions
         deriv = central_differences(path(t), base, np.eye(m)[:d])
-        return float(np.linalg.det(deriv[:, :d].T))
+        return deriv[:, :d].T
 
-    dets = [det_at(float(t)) for t in ts]
-    rows = tuple((float(t), int(np.sign(dv)), abs(dv)) for t, dv in zip(ts, dets))
-    crossings = tuple(sign_crossings(det_at, ts, dets, refine_tol))
-    return OrientationScan(rows=rows, crossings=crossings)
+    return path_scan(compressed_jacobian, t_grid, refine_tol)

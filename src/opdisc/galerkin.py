@@ -17,7 +17,8 @@ whole interval as the parameter sweeps 0 -> 1, so the endpoint matrices
 have opposite determinant signs and a zero crossing in between is
 unavoidable.  All entries are integrated exactly, splitting at the jump —
 the crossing location is a property of the matrices, not of a quadrature
-choice.
+choice.  ``singularity_scan`` sweeps such a path with
+:func:`opdisc.spectral.path_scan` and bisects only its first crossing.
 
 ``solve_banded`` is imported inside ``solve_semilinear_trace``, its one
 user, on purpose: at module level ``scipy.linalg`` would load on every
@@ -33,7 +34,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import gauss_legendre_panels, sign_crossings, unit_grid
+from .spectral import PathScan, gauss_legendre_panels, path_scan
 
 __all__ = [
     "FemMesh",
@@ -48,38 +49,22 @@ __all__ = [
     "ORACLE_FACTOR",
     "fem_convergence",
     "galerkin_path_matrix",
-    "SingularityScan",
     "singularity_scan",
 ]
-
-_BC_PAIRS = (("dirichlet", "dirichlet"), ("dirichlet", "neumann"))
 
 
 @dataclass(frozen=True)
 class FemMesh:
-    """Uniform mesh on [0, 1] with hat elements and boundary-condition tags.
-
-    ``bc`` fixes which endpoint values are constrained to zero: the
-    Dirichlet-Dirichlet mesh keeps the interior nodes as unknowns, the
-    Dirichlet-Neumann mesh also keeps the right endpoint (a half hat).
-    """
+    """Uniform mesh on [0, 1] with hat elements and homogeneous Dirichlet
+    data at both ends: the interior nodes carry the unknowns."""
 
     n_cells: int
-    bc: tuple = ("dirichlet", "dirichlet")
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "n_cells", int(self.n_cells))
-        bc = (str(self.bc[0]), str(self.bc[1]))
-        if bc not in _BC_PAIRS:
+        if self.n_cells < 2:
             raise ValueError(
-                f"unsupported boundary tags {bc!r}; expected one of {_BC_PAIRS}"
-            )
-        object.__setattr__(self, "bc", bc)
-        min_cells = 2 if bc == ("dirichlet", "dirichlet") else 1
-        if self.n_cells < min_cells:
-            raise ValueError(
-                f"degenerate mesh: {bc} needs at least {min_cells} cells to "
-                "carry a basis function"
+                "degenerate mesh: needs at least 2 cells to carry a basis function"
             )
 
     @property
@@ -93,8 +78,7 @@ class FemMesh:
     @property
     def active_nodes(self) -> np.ndarray:
         """Indices of the nodes that carry unknowns."""
-        last = self.n_cells if self.bc[1] == "neumann" else self.n_cells - 1
-        return np.arange(1, last + 1)
+        return np.arange(1, self.n_cells)
 
     @property
     def n_active(self) -> int:
@@ -226,15 +210,12 @@ def assemble_stiffness(mesh: FemMesh) -> np.ndarray:
     Row 1 is the diagonal 2/h, rows 0 and 2 hold the -1/h couplings
     (``ab[0, 1:]`` above, ``ab[2, :-1]`` below the diagonal; the unused
     corners are zero), the form ``scipy.linalg.solve_banded((1, 1), ...)``
-    takes.  A right Neumann end carries a half hat, so its diagonal entry
-    is 1/h.
+    takes.
     """
     n = mesh.n_active
     h = mesh.h
     ab = np.zeros((3, n))
     ab[1] = 2.0 / h
-    if mesh.bc[1] == "neumann":
-        ab[1, -1] = 1.0 / h
     ab[0, 1:] = -1.0 / h
     ab[2, :-1] = -1.0 / h
     return ab
@@ -411,8 +392,6 @@ def h1_seminorm_difference(
     coarse: FemMesh, w_coarse: np.ndarray, fine: FemMesh, w_fine: np.ndarray
 ) -> float:
     """Exact H1 seminorm of the difference of two nested hat interpolants."""
-    if coarse.bc != fine.bc:
-        raise ValueError("meshes carry different boundary conditions")
     if fine.n_cells % coarse.n_cells != 0:
         raise ValueError("fine mesh does not refine the coarse one")
     factor = fine.n_cells // coarse.n_cells
@@ -519,7 +498,8 @@ def galerkin_path_matrix(kind: str, s: float, n: int) -> np.ndarray:
     ``kind "a"`` integrates sign(t - s) against an orthonormal trig basis
     (the continuum operator is multiplication by the sign, a linear
     isometry); ``kind "b"`` integrates (1 + t) sign(t - s) against hat
-    gradients on a Dirichlet/Neumann mesh (a weighted, indefinite
+    gradients on a uniform mesh of n cells, constrained to zero at t = 0
+    only, so the last hat is a half hat (a weighted, indefinite
     stiffness).  All entries are exact, split at t = s, so the endpoint
     matrices are the (possibly weighted) Gram matrices with exact signs.
     """
@@ -557,9 +537,8 @@ def galerkin_path_matrix(kind: str, s: float, n: int) -> np.ndarray:
         # adding to the identity stores 0.0 + (-0.0) as +0.0 off the diagonal
         return np.eye(n) + sym
     if kind == "b":
-        mesh = FemMesh(n, bc=("dirichlet", "neumann"))
-        h = mesh.h
-        nodes = mesh.nodes
+        h = 1.0 / n
+        nodes = np.linspace(0.0, 1.0, n + 1)
         mat = np.zeros((n, n))
         for cell in range(1, n + 1):
             weight = _split_weight_integral(nodes[cell - 1], nodes[cell], s)
@@ -576,46 +555,12 @@ def galerkin_path_matrix(kind: str, s: float, n: int) -> np.ndarray:
     raise ValueError(f"unknown path kind {kind!r}; expected 'a' or 'b'")
 
 
-@dataclass(frozen=True)
-class SingularityScan:
-    """Determinant/singular-value sweep of a matrix path plus the crossing."""
-
-    kind: str
-    n: int
-    s_grid: tuple
-    dets: tuple
-    min_svs: tuple
-    det_endpoint_signs: tuple
-    s_star: float
-    det_at_star: float
-    min_sv_at_star: float
-    bisect_tol: float
-
-    def rows(self):
-        """(s, det, min singular value) triples for tabular output."""
-        return list(zip(self.s_grid, self.dets, self.min_svs))
-
-    def as_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "n": self.n,
-            "s_grid": list(self.s_grid),
-            "dets": list(self.dets),
-            "min_svs": list(self.min_svs),
-            "det_endpoint_signs": list(self.det_endpoint_signs),
-            "s_star": self.s_star,
-            "det_at_star": self.det_at_star,
-            "min_sv_at_star": self.min_sv_at_star,
-            "bisect_tol": self.bisect_tol,
-        }
-
-
 def singularity_scan(
     kind: str,
     n: int,
     s_grid: int = 101,
     bisect_tol: float = 1e-12,
-) -> SingularityScan:
+) -> PathScan:
     """Locate a singular parameter of the matrix path by sign bisection.
 
     The determinant and least singular value are recorded on ``s_grid``
@@ -631,35 +576,6 @@ def singularity_scan(
             "need an odd number of basis functions so the endpoint "
             "determinants differ in sign"
         )
-    grid = unit_grid(s_grid)
-
-    def det_at(s: float) -> float:
-        return float(np.linalg.det(galerkin_path_matrix(kind, s, n)))
-
-    dets = []
-    min_svs = []
-    for s in grid:
-        mat = galerkin_path_matrix(kind, float(s), n)
-        dets.append(float(np.linalg.det(mat)))
-        min_svs.append(float(np.linalg.svd(mat, compute_uv=False)[-1]))
-    bracket = next(sign_crossings(det_at, grid, dets, bisect_tol), None)
-    if bracket is None:
-        raise RuntimeError(
-            "no determinant sign change on the grid; this cannot happen for "
-            "an odd basis count unless the path is broken"
-        )
-    s_star = 0.5 * (bracket[0] + bracket[1])
-    star_mat = galerkin_path_matrix(kind, s_star, n)
-    return SingularityScan(
-        kind=str(kind).lower(),
-        n=n,
-        s_grid=tuple(float(s) for s in grid),
-        dets=tuple(dets),
-        min_svs=tuple(min_svs),
-        det_endpoint_signs=(int(np.sign(dets[0])), int(np.sign(dets[-1]))),
-        s_star=float(s_star),
-        det_at_star=float(np.linalg.det(star_mat)),
-        min_sv_at_star=float(np.linalg.svd(star_mat, compute_uv=False)[-1]),
-        bisect_tol=float(bisect_tol),
+    return path_scan(
+        lambda s: galerkin_path_matrix(kind, s, n), s_grid, bisect_tol, limit=1
     )
-

@@ -15,22 +15,23 @@ to a prefix that cuts a rotation block in half leaves a lone cosine on the
 diagonal, and the determinant of the truncated map must cross zero; truncating
 on a block boundary keeps the determinant at +-1 but forces it to jump at the
 gluing point.  Either way the finite picture breaks: continuous-but-singular,
-or invertible-but-discontinuous.  ``truncated_det_scan`` records both columns
-side by side.
+or invertible-but-discontinuous.  ``truncated_det_scan`` sweeps the cut
+truncation with :func:`opdisc.spectral.path_scan`, and
+``aligned_truncation_matrix`` gives the block-aligned one, whose
+determinants the ``nogo-isotopy`` report lists next to the cut column.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .decompose import quintic_smoothstep
-from .spectral import sign_crossings, unit_grid
+from .spectral import PathScan, path_scan
 
 __all__ = [
-    "TruncationScan",
+    "aligned_truncation_matrix",
     "block_angle",
     "glued_truncation_matrix",
     "reflected_rotation_cascade",
@@ -122,74 +123,23 @@ def glued_truncation_matrix(t: float, m: int) -> np.ndarray:
     return np.ascontiguousarray(full[:m, :m])
 
 
-@dataclass(frozen=True)
-class TruncationScan:
-    """Determinant record of one truncated sweep along the glued path.
+def aligned_truncation_matrix(t: float, m: int) -> np.ndarray:
+    """The block-aligned truncation of the glued path at ``t``, for an odd ``m``.
 
-    ``dets``/``min_svs`` follow the cut truncation (dimension ``m``, odd, so
-    the first half slices a rotation block); ``aligned_dets`` follow the
-    block-aligned truncation of the same operators, which stays at +-1 but
-    jumps at the seam.  ``crossings`` lists every bisected zero of the cut
-    determinant as ``(t, det, min_sv)`` triples.
-    """
-
-    m: int
-    t_grid: np.ndarray
-    dets: np.ndarray
-    min_svs: np.ndarray
-    aligned_dets: np.ndarray
-    det_endpoint_signs: tuple[int, int]
-    crossings: tuple[tuple[float, float, float], ...]
-    bisect_tol: float
-
-    @property
-    def t_star(self) -> float:
-        return self.crossings[0][0]
-
-    @property
-    def det_at_star(self) -> float:
-        return self.crossings[0][1]
-
-    @property
-    def min_sv_at_star(self) -> float:
-        return self.crossings[0][2]
-
-    def rows(self) -> list[tuple[float, float, float]]:
-        return [
-            (float(t), float(d), float(sv))
-            for t, d, sv in zip(self.t_grid, self.dets, self.min_svs)
-        ]
-
-    def as_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "t_grid": [float(t) for t in self.t_grid],
-            "dets": [float(d) for d in self.dets],
-            "min_svs": [float(s) for s in self.min_svs],
-            "aligned_dets": [float(d) for d in self.aligned_dets],
-            "det_endpoint_signs": list(self.det_endpoint_signs),
-            "crossings": [[float(a), float(b), float(c)] for a, b, c in self.crossings],
-            "t_star": float(self.t_star),
-            "bisect_tol": float(self.bisect_tol),
-        }
-
-
-def _aligned_det(t: float, m: int) -> float:
-    """Determinant of the block-aligned truncation at parameter ``t``.
-
-    First half: one extra coordinate completes the cut block, so the prefix is
-    a direct sum of rotations.  Second half: dimension m is already aligned
-    (the -1 plus whole blocks).  Invertible throughout — and therefore forced
-    to jump from +1 to -1 at the seam.
+    First half: one extra coordinate completes the block that dimension m
+    cuts, so the matrix is the (m + 1)-dimensional rotation cascade.  Second
+    half: dimension m is already aligned (the -1 plus whole blocks).  Both
+    are orthogonal, so the determinant stays at +-1 and must jump from +1 to
+    -1 at the seam.
     """
     if t <= 0.5:
-        return float(np.linalg.det(rotation_cascade(2.0 * t, m + 1)))
-    return float(np.linalg.det(reflected_rotation_cascade(2.0 - 2.0 * t, m)))
+        return rotation_cascade(2.0 * t, m + 1)
+    return reflected_rotation_cascade(2.0 - 2.0 * t, m)
 
 
 def truncated_det_scan(
     m: int, t_grid: int = 101, bisect_tol: float = 1e-12
-) -> TruncationScan:
+) -> PathScan:
     """Scan det and least singular value of the m-truncated glued path.
 
     ``m`` must be odd and at least 3 so that the first half of the path cuts a
@@ -200,40 +150,4 @@ def truncated_det_scan(
     """
     if m < 3 or m % 2 != 1:
         raise ValueError(f"need an odd truncation of at least 3 to cut a block, got m={m}")
-    ts = unit_grid(t_grid)
-
-    def det_and_sv(t: float) -> tuple[float, float]:
-        mat = glued_truncation_matrix(t, m)
-        svs = np.linalg.svd(mat, compute_uv=False)
-        return float(np.linalg.det(mat)), float(svs[-1])
-
-    dets = np.empty(ts.size)
-    min_svs = np.empty(ts.size)
-    aligned = np.empty(ts.size)
-    for idx, t in enumerate(ts):
-        dets[idx], min_svs[idx] = det_and_sv(float(t))
-        aligned[idx] = _aligned_det(float(t), m)
-
-    def det_at(t: float) -> float:
-        return float(np.linalg.det(glued_truncation_matrix(t, m)))
-
-    crossings = []
-    for lo, hi in sign_crossings(det_at, ts, dets, bisect_tol):
-        t_star = 0.5 * (lo + hi)
-        crossings.append((t_star, *det_and_sv(t_star)))
-    if not crossings:
-        raise RuntimeError(
-            "no determinant sign change on the grid; this cannot happen for an odd "
-            "truncation unless the path is broken"
-        )
-
-    return TruncationScan(
-        m=m,
-        t_grid=ts,
-        dets=dets,
-        min_svs=min_svs,
-        aligned_dets=aligned,
-        det_endpoint_signs=(int(np.sign(dets[0])), int(np.sign(dets[-1]))),
-        crossings=tuple(crossings),
-        bisect_tol=float(bisect_tol),
-    )
+    return path_scan(lambda t: glued_truncation_matrix(t, m), t_grid, bisect_tol)

@@ -229,12 +229,14 @@ class ZeroNonlinearity(Nonlinearity):
 @dataclass(frozen=True, eq=False)
 class NemytskiiNonlinearity(Nonlinearity):
     """An entrywise activation composed pointwise through the quadrature
-    grid; one that is not entrywise is refused."""
+    grid; one that is not entrywise, or a space whose basis has no
+    pointwise realization, is refused."""
 
     space: Space
     sigma: Activation
 
     def __post_init__(self) -> None:
+        self.space.check_pointwise()
         if not self.sigma.entrywise:
             raise ValueError(
                 f"a Nemytskii map needs an entrywise activation; {self.sigma.name!r} is not"
@@ -553,7 +555,6 @@ _LAYER_SPEC_KEYS = {
     "bias_scale",
     "hidden",
     "activation",
-    "net_dim",
 }
 
 
@@ -566,7 +567,7 @@ def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **ov
     "nemytskii", or "affine_contraction"), norm_in/norm_out (top singular
     values of the two compact maps), out_phi_prefix (make the output
     operator's range directions the basis prefix), bias_scale, hidden,
-    activation, net_dim (coordinate-net window, default the full dimension).
+    activation.
     """
     cfg = dict(layer_spec or {})
     cfg.update(overrides)
@@ -603,12 +604,10 @@ def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **ov
         nonlin = ZeroNonlinearity()
     elif kind == "coordinate_net":
         act = activation_from_name(cfg.get("activation", "leaky_relu"))
-        net_dim = int(cfg.get("net_dim", m))
-        hidden = cfg.get("hidden")
         net = CoordinateNetwork.seeded(
-            net_dim,
-            net_dim,
-            hidden=hidden,
+            m,
+            m,
+            hidden=cfg.get("hidden"),
             activation=act,
             target_bound=lip_g,
             bias_scale=bias_scale,

@@ -322,9 +322,8 @@ def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
         unknown = set(body) - _LAYER_SPEC_KEYS
         if unknown:
             raise SpecError(f"layer: unknown layer spec keys {sorted(unknown)}")
-        for key in ("rank", "net_dim"):
-            if key in body:
-                body[key] = int_field(body, key, "layer")
+        if "rank" in body:
+            body["rank"] = int_field(body, "rank", "layer")
         for key in ("decay", "lip_g", "norm_in", "norm_out", "bias_scale"):
             if key in body:
                 body[key] = float_field(body, key, "layer")

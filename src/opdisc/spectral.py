@@ -9,14 +9,17 @@ are built only when such a map first needs them.  A subspace is always a
 prefix of the basis and is named by its dimension d: the span of the first
 d coefficients.  All values are immutable and all operations are pure.
 
-It also holds the parameter grid and the sign-crossing bisection that every
-determinant sweep along a path on [0, 1] shares.
+It also holds :func:`path_scan`, the one determinant sweep along a matrix
+path on [0, 1]: det and the least singular value on a :func:`unit_grid`,
+with the sign changes bisected by :func:`sign_crossings`.  The Galerkin,
+truncated-isotopy and compressed-Jacobian no-go scans each call it once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -24,8 +27,10 @@ from numpy.polynomial.legendre import leggauss
 
 __all__ = [
     "BasisSpec",
+    "PathScan",
     "Space",
     "gauss_legendre_panels",
+    "path_scan",
     "sign_crossings",
     "unit_grid",
 ]
@@ -132,12 +137,16 @@ class Space:
         bv.flags.writeable = False
         return bv
 
-    def basis_matrix(self, points) -> np.ndarray:
-        """Basis values at arbitrary points, shape (M, len(points))."""
+    def check_pointwise(self) -> None:
+        """Refuse a basis without pointwise values with a ``ValueError``."""
         if self.spec.kind != "fourier":
             raise ValueError(
                 f"basis kind {self.spec.kind!r} has no pointwise realization"
             )
+
+    def basis_matrix(self, points) -> np.ndarray:
+        """Basis values at arbitrary points, shape (M, len(points))."""
+        self.check_pointwise()
         t = np.asarray(points, dtype=float).reshape(-1)
         m = self.dim
         out = np.empty((m, t.size))
@@ -212,3 +221,63 @@ def sign_crossings(
             else:
                 hi = mid
         yield lo, hi
+
+
+@dataclass(frozen=True, eq=False)
+class PathScan:
+    """Determinant record of a matrix path sampled on :func:`unit_grid`.
+
+    ``dets`` and ``min_svs`` hold det and the least singular value at each
+    ``grid`` point.  ``brackets`` are the bisected sign changes, in grid
+    order, as :func:`sign_crossings` yields them; ``stars`` holds one
+    ``(t, det, min_sv)`` triple per bracket, taken at its midpoint.
+    """
+
+    grid: np.ndarray
+    dets: np.ndarray
+    min_svs: np.ndarray
+    brackets: tuple
+    stars: tuple
+    tol: float
+
+    @property
+    def endpoint_signs(self) -> tuple[int, int]:
+        return int(np.sign(self.dets[0])), int(np.sign(self.dets[-1]))
+
+    def rows(self) -> list[tuple[float, float, float]]:
+        """``(t, det, min_sv)`` triples for tabular output."""
+        return [
+            (float(t), float(d), float(sv))
+            for t, d, sv in zip(self.grid, self.dets, self.min_svs)
+        ]
+
+
+def path_scan(
+    matrix_at: Callable[[float], np.ndarray],
+    n: int,
+    tol: float,
+    limit: int | None = None,
+) -> PathScan:
+    """Sweep det and least singular value of ``matrix_at`` along [0, 1].
+
+    Evaluates ``matrix_at`` once per point of ``unit_grid(n)``, once per
+    bisection step and once per star.  Only the first ``limit`` sign changes
+    are bisected (all of them when ``limit`` is None); bisection is the
+    expensive part of a sweep with many crossings.
+    """
+    grid = unit_grid(n)
+
+    def det_and_sv(t: float) -> tuple[float, float]:
+        mat = matrix_at(t)
+        return float(np.linalg.det(mat)), float(np.linalg.svd(mat, compute_uv=False)[-1])
+
+    def det_at(t: float) -> float:
+        return float(np.linalg.det(matrix_at(t)))
+
+    dets, min_svs = np.array([det_and_sv(float(t)) for t in grid]).T
+    brackets = tuple(islice(sign_crossings(det_at, grid, dets, tol), limit))
+    stars = []
+    for lo, hi in brackets:
+        t = 0.5 * (lo + hi)
+        stars.append((t, *det_and_sv(t)))
+    return PathScan(grid, dets, min_svs, brackets, tuple(stars), float(tol))

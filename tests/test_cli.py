@@ -598,6 +598,61 @@ class TestSpaceSpecs:
         assert not (out / "failures.json").exists()
 
 
+_FOURIER4 = {"basis": "fourier", "ambient_dim": 4}
+_SEEDED_LAYER = {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5}
+
+# the parameters of one small valid experiment of each kind
+ONE_OF_EACH_KIND = {
+    "monotone-check": {"space": _FOURIER4, "layer": _SEEDED_LAYER, "dims": [4],
+                       "samples": 8},
+    "discretize-scan": {"space": _FOURIER4, "layer": _SEEDED_LAYER, "dims": [1, 2],
+                        "samples": 8},
+    "decompose": {"space": _FOURIER4, "layer": _SEEDED_LAYER, "epsilon": 0.4,
+                  "radius": 1.0, "n_verify": 8},
+    "invert": {"chain": CHAIN_SPEC, "y": [0.0] * 6},
+    "nogo-galerkin": {"path_kind": "a", "n": 1, "grid": 5},
+    "nogo-isotopy": {"m": 3, "grid": 5},
+    "fem-solve": {"g": "zero", "mesh": [2, 4]},
+    "quant-report": {"space": _FOURIER4, "layer": _SEEDED_LAYER, "dims": [1, 2],
+                     "samples": 8},
+}
+
+
+class TestArtifactNames:
+    @pytest.mark.parametrize("kind", sorted(ONE_OF_EACH_KIND))
+    def test_an_out_key_is_a_config_error(self, runner, tmp_path, kind):
+        # every artifact is named after its experiment, whose name is unique
+        assert kind in cli.RUNNERS and len(ONE_OF_EACH_KIND) == len(cli.RUNNERS)
+        params = {"kind": kind, "seed": 0, **ONE_OF_EACH_KIND[kind]}
+        out = tmp_path / "out"
+        cfg = write_config(
+            tmp_path, [{"name": "good", **params}, {"name": "bad", "out": "custom", **params}]
+        )
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert f"ok  {kind}  good" in result.output
+        assert f"config-error in bad: {kind}: unknown keys ['out']" in result.output
+        assert all(path.name.startswith("good.") for path in out.iterdir())
+
+
+class TestNemytskiiSpace:
+    @pytest.mark.parametrize("activation", ["scaled_leaky(0.5)", "tanh"])
+    def test_a_coefficient_only_space_is_a_config_error(self, runner, tmp_path, activation):
+        exp = {"name": "nem", "kind": "monotone-check", "seed": 0, "samples": 8,
+               "space": {"basis": "abstract_orthonormal", "ambient_dim": 8},
+               "layer": {"kind": "layer", "in_op": _OPERATOR, "out_op": _OPERATOR,
+                         "nonlin": {"kind": "nemytskii", "activation": activation}}}
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["--config", str(write_config(tmp_path, [exp])), "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        assert "basis kind 'abstract_orthonormal' has no pointwise realization" in (
+            result.output
+        )
+        assert not (out / "failures.json").exists()
+
+
 class TestSubcommands:
     def test_nogo_isotopy_artifacts(self, runner, tmp_path):
         out = tmp_path / "out"

@@ -175,8 +175,8 @@ class TestContinuityProbe:
 class TestOrientationScan:
     def test_constant_identity_path(self):
         scan = orientation_scan(lambda t: Identity(), 3, 3, dim=6)
-        assert [s for _, s, _ in scan.rows] == [1, 1, 1]
-        assert not scan.sign_changed
+        assert np.sign(scan.dets).tolist() == [1, 1, 1]
+        assert not scan.brackets
 
     def test_scalar_path_flips_at_one_half(self):
         # the zero at t = 1/2 falls on a bisection midpoint of [1/3, 2/3] with
@@ -185,16 +185,15 @@ class TestOrientationScan:
             scan = orientation_scan(
                 lambda t: (lambda x, c=1.0 - 2.0 * t: c * x), points, 5, dim=8
             )
-            signs = [s for _, s, _ in scan.rows]
-            assert signs[0] == 1 and signs[-1] == -1
-            assert scan.crossings == ((0.5, 0.5),)
+            assert scan.endpoint_signs == (1, -1)
+            assert scan.brackets == ((0.5, 0.5),)
 
     def test_bisected_flip_is_bracketed_within_the_tolerance(self):
         scan = orientation_scan(
             lambda t: (lambda x, c=0.7 - t: c * x), 4, 3, dim=6, refine_tol=1e-9
         )
-        assert len(scan.crossings) == 1
-        lo, hi = scan.crossings[0]
+        assert len(scan.brackets) == 1
+        lo, hi = scan.brackets[0]
         assert lo <= 0.7 <= hi and hi - lo <= 1e-9
 
     def test_monotone_path_keeps_orientation(self, space16):
@@ -204,16 +203,16 @@ class TestOrientationScan:
             return lambda x, s=t: (1.0 - s) * x + s * eval_map(layer, x)
 
         scan = orientation_scan(path, 9, 6, dim=16)
-        assert all(s == 1 for _, s, _ in scan.rows)
-        assert not scan.sign_changed
+        assert np.all(scan.dets > 0.0)
+        assert not scan.brackets
 
     def test_reflection_flips_orientation(self):
         scan = orientation_scan(
             lambda t: Reflection.first_axis(8), 2, 5, dim=8
         )
-        assert [s for _, s, _ in scan.rows] == [-1, -1]
-        assert all(abs(det - 1.0) < 1e-9 for _, _, det in scan.rows)
-        assert not scan.sign_changed
+        assert np.sign(scan.dets).tolist() == [-1, -1]
+        assert all(abs(abs(det) - 1.0) < 1e-9 for det in scan.dets)
+        assert not scan.brackets
 
     def test_validation(self):
         with pytest.raises(ValueError, match="at least two"):

@@ -1,5 +1,6 @@
 """Hat-element semilinear solves and the singular Galerkin matrix paths."""
 
+import json
 import math
 import tracemalloc
 
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opdisc import galerkin
+from opdisc.cli import run_nogo_galerkin
 from opdisc.galerkin import (
     ConvexNonlinearity,
     FemConvergence,
@@ -23,6 +25,7 @@ from opdisc.galerkin import (
     solve_semilinear,
     solve_semilinear_trace,
 )
+from opdisc.serialize import canonical, load_json
 from opdisc.spectral import gauss_legendre_panels, unit_grid
 
 
@@ -49,16 +52,9 @@ class TestFemMesh:
         assert mesh.nodes[0] == 0.0 and mesh.nodes[-1] == 1.0
         assert list(mesh.active_nodes) == list(range(1, 8))
 
-    def test_neumann_end_keeps_the_boundary_node(self):
-        mesh = FemMesh(4, bc=("dirichlet", "neumann"))
-        assert list(mesh.active_nodes) == [1, 2, 3, 4]
-        assert mesh.n_active == 4
-
     def test_degenerate_and_unsupported_meshes(self):
         with pytest.raises(ValueError, match="degenerate mesh"):
             FemMesh(1)
-        with pytest.raises(ValueError, match="unsupported boundary tags"):
-            FemMesh(4, bc=("neumann", "neumann"))
 
     def test_hat_values_partition_of_unity_inside(self):
         mesh = FemMesh(10)
@@ -153,9 +149,8 @@ class TestAssembleStiffness:
         assert ab[0, 0] == 0.0 and ab[2, -1] == 0.0
 
     def test_cholesky_succeeds(self):
-        for mesh in (FemMesh(16), FemMesh(16, bc=("dirichlet", "neumann"))):
-            # cholesky_banded wants the upper form: superdiagonal, diagonal
-            scipy.linalg.cholesky_banded(assemble_stiffness(mesh)[:2])
+        # cholesky_banded wants the upper form: superdiagonal, diagonal
+        scipy.linalg.cholesky_banded(assemble_stiffness(FemMesh(16))[:2])
 
     def test_classical_eigenvalues(self):
         mesh = FemMesh(12)
@@ -163,12 +158,6 @@ class TestAssembleStiffness:
         k = np.arange(1, 12)
         formula = np.sort(2.0 / mesh.h * (1.0 - np.cos(k * np.pi * mesh.h)))
         np.testing.assert_allclose(ev, formula, rtol=1e-12)
-
-    def test_neumann_halves_the_last_diagonal(self):
-        mesh = FemMesh(4, bc=("dirichlet", "neumann"))
-        ab = assemble_stiffness(mesh)
-        assert ab[1, -1] == 1.0 / mesh.h
-        assert ab[1, 0] == 2.0 / mesh.h
 
 
 class TestSolveSemilinear:
@@ -280,7 +269,6 @@ def dense_reference_solve(x_source, mesh, g, tol=1e-10, max_iter=60):
 
 
 class TestBandedAgainstDense:
-    @pytest.mark.parametrize("bc", [("dirichlet", "dirichlet"), ("dirichlet", "neumann")])
     @pytest.mark.parametrize(
         "name,source",
         [
@@ -289,8 +277,8 @@ class TestBandedAgainstDense:
             ("cubic", source_for_cubic_g),
         ],
     )
-    def test_same_coefficients_and_steps(self, bc, name, source):
-        mesh = FemMesh(24, bc=bc)
+    def test_same_coefficients_and_steps(self, name, source):
+        mesh = FemMesh(24)
         g = ConvexNonlinearity.named(name)
         w, trace = solve_semilinear_trace(source, mesh, g)
         w_ref, steps = dense_reference_solve(source, mesh, g)
@@ -334,13 +322,6 @@ class TestFemConvergence:
     def test_h1_difference_requires_nesting(self):
         with pytest.raises(ValueError, match="does not refine"):
             h1_seminorm_difference(FemMesh(6), np.zeros(5), FemMesh(8), np.zeros(7))
-        with pytest.raises(ValueError, match="boundary conditions"):
-            h1_seminorm_difference(
-                FemMesh(4),
-                np.zeros(3),
-                FemMesh(8, bc=("dirichlet", "neumann")),
-                np.zeros(8),
-            )
 
     def test_h1_difference_exact_on_a_known_pair(self):
         # coarse: single hat at 1/2 with value 1 -> slope +-2; fine: zero
@@ -441,20 +422,22 @@ class TestGalerkinPathMatrix:
 class TestSingularityScan:
     def test_constant_mode_crossing_at_one_half(self):
         scan = singularity_scan("a", 1, 21, 1e-12)
-        assert scan.det_endpoint_signs == (1, -1)
-        assert abs(scan.s_star - 0.5) <= 1e-9
-        assert abs(scan.det_at_star) <= 1e-10
+        assert scan.endpoint_signs == (1, -1)
+        s_star, det_at_star, _ = scan.stars[0]
+        assert abs(s_star - 0.5) <= 1e-9
+        assert abs(det_at_star) <= 1e-10
 
     def test_weighted_single_mode_matches_the_quadratic_root(self):
         scan = singularity_scan("b", 1, 51, 1e-12)
-        assert abs(scan.s_star - (math.sqrt(2.5) - 1.0)) <= 1e-9
+        assert abs(scan.stars[0][0] - (math.sqrt(2.5) - 1.0)) <= 1e-9
 
     def test_five_mode_trig_path(self):
         scan = singularity_scan("a", 5, 101, 1e-12)
-        assert scan.det_endpoint_signs == (1, -1)
-        assert 0.0 < scan.s_star < 1.0
-        assert abs(scan.det_at_star) <= 1e-10
-        assert scan.min_sv_at_star <= 1e-8
+        assert scan.endpoint_signs == (1, -1)
+        s_star, det_at_star, min_sv_at_star = scan.stars[0]
+        assert 0.0 < s_star < 1.0
+        assert abs(det_at_star) <= 1e-10
+        assert min_sv_at_star <= 1e-8
 
     def test_only_the_first_crossing_is_bisected(self, monkeypatch):
         calls = []
@@ -465,16 +448,17 @@ class TestSingularityScan:
 
         monkeypatch.setattr(galerkin, "galerkin_path_matrix", counted)
         scan = singularity_scan("a", 5, 101, 1e-12)
-        dets = np.array(scan.dets)
+        dets = scan.dets
         assert np.count_nonzero(dets[:-1] * dets[1:] < 0.0) == 5
+        assert len(scan.brackets) == len(scan.stars) == 1
         # 101 grid points, one star matrix, and the bisection of one bracket
         # of width 0.01 down to 1e-12: at most 34 halvings
         assert len(calls) - 101 - 1 <= math.ceil(math.log2(0.01 / 1e-12))
 
     def test_seven_mode_weighted_path(self):
         scan = singularity_scan("b", 7, 101, 1e-12)
-        assert scan.det_endpoint_signs == (1, -1)
-        assert scan.min_sv_at_star <= 1e-8
+        assert scan.endpoint_signs == (1, -1)
+        assert scan.stars[0][2] <= 1e-8
         assert len(scan.rows()) == 101
         s0, det0, sv0 = scan.rows()[0]
         assert s0 == 0.0 and det0 > 0.0 and sv0 > 0.0
@@ -492,12 +476,16 @@ class TestSingularityScan:
     def test_explicit_grid_accepted(self):
         # five points put the constant mode's zero exactly on the grid at 0.5
         scan = singularity_scan("a", 1, 5, 1e-10)
-        assert scan.s_grid == (0.0, 0.25, 0.5, 0.75, 1.0)
-        assert abs(scan.s_star - 0.5) <= 1e-9
+        assert scan.grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert abs(scan.stars[0][0] - 0.5) <= 1e-9
 
-    def test_as_dict_shape(self):
-        scan = singularity_scan("a", 1, 11, 1e-10)
-        blob = scan.as_dict()
+    def test_as_dict_shape(self, tmp_path):
+        # the nogo-galerkin runner writes the scan's report
+        exp = {"name": "g", "kind": "nogo-galerkin", "seed": 0, "path_kind": "a",
+               "n": 1, "grid": 11, "bisect_tol": 1e-10}
+        blob = json.loads(json.dumps(canonical(run_nogo_galerkin(exp, tmp_path, None))))
         assert len(blob["s_grid"]) == len(blob["dets"]) == len(blob["min_svs"]) == 11
         assert blob["kind"] == "a" and blob["n"] == 1
+        assert blob == {k: v for k, v in load_json(tmp_path / "g.json").items()
+                        if k not in ("schema", "name")}
 

@@ -1,18 +1,23 @@
 """Rotation-cascade path truncations and their forced determinant crossings."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opdisc.cli import run_nogo_isotopy
 from opdisc.decompose import quintic_smoothstep
 from opdisc.isotopy import (
+    aligned_truncation_matrix,
     block_angle,
     glued_truncation_matrix,
     reflected_rotation_cascade,
     rotation_cascade,
     truncated_det_scan,
 )
+from opdisc.serialize import canonical
 
 
 class TestSmoothStep:
@@ -122,38 +127,42 @@ class TestIsotopyMap:
 class TestTruncatedDetScan:
     def test_seven_dim_crossing_matches_the_closed_form(self):
         scan = truncated_det_scan(7, 101, 1e-12)
-        assert scan.det_endpoint_signs == (1, -1)
-        assert len(scan.crossings) == 1
-        assert abs(scan.t_star - 7.0 / 18.0) <= 1e-9
-        assert abs(scan.det_at_star) <= 1e-8
-        assert scan.min_sv_at_star <= 1e-8
+        assert scan.endpoint_signs == (1, -1)
+        assert len(scan.brackets) == len(scan.stars) == 1
+        t_star, det_at_star, min_sv_at_star = scan.stars[0]
+        assert abs(t_star - 7.0 / 18.0) <= 1e-9
+        assert abs(det_at_star) <= 1e-8
+        assert min_sv_at_star <= 1e-8
 
     @pytest.mark.parametrize("m,t_expected", [(3, 3.0 / 10.0), (5, 5.0 / 14.0)])
     def test_small_truncations(self, m, t_expected):
         scan = truncated_det_scan(m, 51, 1e-12)
-        assert abs(scan.t_star - t_expected) <= 1e-9
+        assert abs(scan.stars[0][0] - t_expected) <= 1e-9
 
     def test_aligned_column_stays_unit_but_jumps(self):
         scan = truncated_det_scan(7, 101, 1e-10)
-        assert np.all(np.abs(np.abs(scan.aligned_dets) - 1.0) <= 1e-12)
-        first = scan.aligned_dets[scan.t_grid <= 0.5]
-        second = scan.aligned_dets[scan.t_grid > 0.5]
+        aligned = np.array(
+            [np.linalg.det(aligned_truncation_matrix(t, 7)) for t in scan.grid]
+        )
+        assert np.all(np.abs(np.abs(aligned) - 1.0) <= 1e-12)
+        first = aligned[scan.grid <= 0.5]
+        second = aligned[scan.grid > 0.5]
         assert np.all(first > 0.0) and np.all(second < 0.0)
 
     def test_cut_determinant_moves_continuously(self):
         scan = truncated_det_scan(7, 201, 1e-10)
-        dt = np.diff(scan.t_grid)
+        dt = np.diff(scan.grid)
         assert np.max(np.abs(np.diff(scan.dets)) / dt) <= 300.0
 
     def test_second_half_stays_orthogonal(self):
         scan = truncated_det_scan(7, 101, 1e-10)
-        late = scan.min_svs[scan.t_grid > 0.5]
+        late = scan.min_svs[scan.grid > 0.5]
         np.testing.assert_allclose(late, 1.0, atol=1e-12)
 
     def test_explicit_grid(self):
         scan = truncated_det_scan(7, 5, 1e-10)
-        assert scan.t_grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
-        assert abs(scan.t_star - 7.0 / 18.0) <= 1e-9
+        assert scan.grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
+        assert abs(scan.stars[0][0] - 7.0 / 18.0) <= 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError, match="odd truncation"):
@@ -165,14 +174,16 @@ class TestTruncatedDetScan:
         with pytest.raises(ValueError, match="at least two"):
             truncated_det_scan(7, 1)
 
-    def test_rows_and_dict_round_trip(self):
-        import json
-
+    def test_rows_and_dict_round_trip(self, tmp_path):
         scan = truncated_det_scan(5, 21, 1e-10)
         rows = scan.rows()
         assert len(rows) == 21
         assert rows[0][0] == 0.0 and rows[-1][0] == 1.0
-        blob = json.loads(json.dumps(scan.as_dict()))
+        # the nogo-isotopy runner writes the scan's report
+        exp = {"name": "iso", "kind": "nogo-isotopy", "seed": 0, "m": 5, "grid": 21,
+               "bisect_tol": 1e-10}
+        blob = json.loads(json.dumps(canonical(run_nogo_isotopy(exp, tmp_path, None))))
+        assert blob["dets"] == [d for _, d, _ in rows]
         assert blob["m"] == 5
         assert len(blob["dets"]) == 21
         assert blob["det_endpoint_signs"] == [1, -1]

@@ -10,6 +10,7 @@ from opdisc.spectral import (
     BasisSpec,
     Space,
     gauss_legendre_panels,
+    path_scan,
     sign_crossings,
     unit_grid,
 )
@@ -202,3 +203,40 @@ def test_sign_crossings_bracket_every_simple_root(data):
     for (lo, hi), r in zip(brackets, roots):
         assert lo <= r <= hi
         assert hi - lo <= tol
+
+
+def _diagonal_path(*entries):
+    """A diagonal matrix path whose entries are the given functions of t."""
+    return lambda t: np.diag([f(t) for f in entries])
+
+
+def test_path_scan_brackets_one_sign_change():
+    root = 0.3 + 1e-3  # between grid points of unit_grid(11)
+    scan = path_scan(_diagonal_path(lambda t: 2.0, lambda t: root - t), 11, 1e-9)
+    assert scan.endpoint_signs == (1, -1)
+    assert len(scan.brackets) == len(scan.stars) == 1
+    (lo, hi), (t, det, min_sv) = scan.brackets[0], scan.stars[0]
+    assert lo <= root <= hi and hi - lo <= 1e-9
+    assert t == 0.5 * (lo + hi)
+    assert det == pytest.approx(2.0 * (root - t), abs=1e-15)
+    assert min_sv == pytest.approx(abs(root - t), abs=1e-15)
+    assert scan.rows()[0] == pytest.approx((0.0, 2.0 * root, root), abs=1e-15)
+    assert len(scan.rows()) == 11
+
+
+def test_path_scan_limit_bisects_only_the_first_crossings():
+    roots = (0.21, 0.52, 0.83)
+    path = _diagonal_path(*(lambda t, r=r: r - t for r in roots))
+    everything = path_scan(path, 11, 1e-9)
+    assert len(everything.brackets) == len(everything.stars) == 3
+    first = path_scan(path, 11, 1e-9, limit=1)
+    assert first.brackets == everything.brackets[:1]
+    assert first.stars == everything.stars[:1]
+    assert first.brackets[0][0] <= 0.21 <= first.brackets[0][1]
+
+
+def test_path_scan_exact_zero_on_the_grid():
+    scan = path_scan(_diagonal_path(lambda t: 0.5 - t), 5, 1e-9)
+    assert scan.brackets == ((0.5, 0.5),)
+    assert scan.stars == ((0.5, 0.0, 0.0),)
+    assert scan.dets.tolist() == [0.5, 0.25, 0.0, -0.25, -0.5]
