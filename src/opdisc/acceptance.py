@@ -29,10 +29,8 @@ from .discretize import (
 from .galerkin import (
     SOURCES,
     ConvexNonlinearity,
-    FemMesh,
     fem_convergence,
     singularity_scan,
-    solve_semilinear_trace,
 )
 from .invert import global_inverse_check, invert_chain
 from .isotopy import aligned_truncation_matrix, truncated_det_scan
@@ -521,8 +519,7 @@ def criterion_fem_rates() -> dict:
                 f"g={name}: H1 error ratio {ratio:.4f} leaves [1.7, 2.3] "
                 f"(all ratios: {[f'{q:.4f}' for q in conv.ratios]})"
             )
-        _, trace = solve_semilinear_trace(source, FemMesh(128), g)
-        energies = list(trace.energies)
+        energies = list(conv.newton.energies)
         assert _strictly_decreasing(energies), (
             f"g={name}: Newton energies do not decrease strictly: {energies}"
         )

@@ -32,10 +32,8 @@ from .galerkin import (
     ORACLE_FACTOR,
     SOURCES,
     ConvexNonlinearity,
-    FemMesh,
     fem_convergence,
     singularity_scan,
-    solve_semilinear_trace,
 )
 from .invert import InversionError, invert_chain
 from .isotopy import aligned_truncation_matrix, truncated_det_scan
@@ -58,9 +56,6 @@ from .serialize import (
     write_csv,
     write_json,
 )
-
-class ConfigError(Exception):
-    """Bad experiment config; maps to exit code 1."""
 
 
 class CheckFailure(Exception):
@@ -114,7 +109,7 @@ def _float_field(exp: dict, key: str, default=None) -> float:
 
 def _space_of(exp: dict, memo: _BuildMemo):
     if "space" not in exp:
-        raise ConfigError(f"experiment {exp.get('name', '?')!r} needs a 'space'")
+        raise SpecError(f"experiment {exp.get('name', '?')!r} needs a 'space'")
     return memo.get(space_from_config, exp["space"])
 
 
@@ -123,13 +118,13 @@ def _check_dims(exp: dict, dims, ambient: int) -> list[int]:
     try:
         out = [integral(d) for d in dims]
     except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"experiment {exp['name']!r}: dims must be integers") from err
+        raise SpecError(f"experiment {exp['name']!r}: dims must be integers") from err
     if not out:
-        raise ConfigError(f"experiment {exp['name']!r}: dims must be nonempty")
+        raise SpecError(f"experiment {exp['name']!r}: dims must be nonempty")
     if any(b <= a for a, b in zip(out, out[1:])):
-        raise ConfigError(f"experiment {exp['name']!r}: dims must be strictly ascending")
+        raise SpecError(f"experiment {exp['name']!r}: dims must be strictly ascending")
     if out[0] < 1 or out[-1] > ambient:
-        raise ConfigError(
+        raise SpecError(
             f"experiment {exp['name']!r}: dims must lie in 1..{ambient}"
         )
     return out
@@ -218,8 +213,8 @@ def run_discretize_scan(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         description=exp["name"],
     )
     stem = out_dir / exp["name"]
-    stem.parent.mkdir(parents=True, exist_ok=True)
-    Path(f"{stem}.csv").write_text(report.to_csv_text())
+    columns = ("dim", "functor_a_error", "weak_error", "alpha_hat")
+    write_csv(f"{stem}.csv", ",".join(columns), [[row[c] for c in columns] for row in report.rows])
     write_json(f"{stem}.meta.json", {"schema": SCHEMA_VERSION, **report.as_dict()["metadata"]})
     return report.as_dict()
 
@@ -238,7 +233,7 @@ def run_decompose(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     composite_tol = _float_field(exp, "composite_tol", 1e-6)
     seed = _int_field(exp, "seed")
     if not (epsilon > 0.0 and radius > 0.0):
-        raise ConfigError(
+        raise SpecError(
             f"experiment {exp['name']!r}: epsilon and radius must be positive"
         )
     result = decompose(
@@ -285,9 +280,9 @@ def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     try:
         y = np.asarray(exp["y"], dtype=float)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"experiment {exp['name']!r}: y must be a number array") from err
+        raise SpecError(f"experiment {exp['name']!r}: y must be a number array") from err
     if y.shape != (chain.dim,) or not np.all(np.isfinite(y)):
-        raise ConfigError(
+        raise SpecError(
             f"experiment {exp['name']!r}: y must be {chain.dim} finite numbers"
         )
     result = invert_chain(chain, head, y, tol=_float_field(exp, "tol", 1e-10))
@@ -310,10 +305,10 @@ def run_nogo_galerkin(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         {"grid", "bisect_tol"},
     )
     if exp["path_kind"] not in ("a", "b"):
-        raise ConfigError(f"experiment {exp['name']!r}: path_kind must be 'a' or 'b'")
+        raise SpecError(f"experiment {exp['name']!r}: path_kind must be 'a' or 'b'")
     n = _int_field(exp, "n")
     if n < 1 or n % 2 == 0:
-        raise ConfigError(f"experiment {exp['name']!r}: n must be an odd positive count")
+        raise SpecError(f"experiment {exp['name']!r}: n must be an odd positive count")
     scan = singularity_scan(
         exp["path_kind"],
         n,
@@ -345,7 +340,7 @@ def run_nogo_isotopy(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     )
     m = _int_field(exp, "m")
     if m < 3 or m % 2 == 0:
-        raise ConfigError(f"experiment {exp['name']!r}: m must be odd and at least 3")
+        raise SpecError(f"experiment {exp['name']!r}: m must be odd and at least 3")
     scan = truncated_det_scan(
         m,
         _int_field(exp, "grid", 101),
@@ -376,32 +371,31 @@ def run_fem_solve(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     )
     g_name = exp["g"]
     if g_name not in SOURCES:
-        raise ConfigError(f"unknown reaction {g_name!r}; know {sorted(SOURCES)}")
+        raise SpecError(f"unknown reaction {g_name!r}; know {sorted(SOURCES)}")
     reaction = ConvexNonlinearity.named(g_name)
     source = SOURCES[g_name]
     try:
         sizes = [integral(c) for c in exp["mesh"]]
     except (TypeError, ValueError, OverflowError) as err:
-        raise ConfigError(f"experiment {exp['name']!r}: mesh must be integers") from err
+        raise SpecError(f"experiment {exp['name']!r}: mesh must be integers") from err
     if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise ConfigError(
+        raise SpecError(
             f"experiment {exp['name']!r}: mesh needs at least two strictly "
             "increasing cell counts"
         )
     if sizes[0] < 2:
-        raise ConfigError(
+        raise SpecError(
             f"experiment {exp['name']!r}: the coarsest mesh needs at least 2 "
             f"cells to carry a hat function, got {sizes[0]}"
         )
     oracle_cells = ORACLE_FACTOR * sizes[-1]
     if any(oracle_cells % s != 0 for s in sizes):
-        raise ConfigError(
+        raise SpecError(
             f"experiment {exp['name']!r}: every mesh size must divide the "
             f"reference mesh of {oracle_cells} cells"
         )
     tol = _float_field(exp, "tol", 1e-10)
     conv = fem_convergence(source, reaction, sizes, tol=tol)
-    _, trace = solve_semilinear_trace(source, FemMesh(sizes[-1]), reaction, tol=tol)
     stem = out_dir / exp["name"]
     rows = [
         (sizes[i], conv.errors[i], conv.ratios[i] if i < len(conv.ratios) else math.nan)
@@ -415,7 +409,6 @@ def run_fem_solve(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
             "name": exp["name"],
             "source": "manufactured: solution sin(pi t) for the chosen reaction",
             **conv.as_dict(),
-            "newton": trace.as_dict(),
         },
     )
     return conv.as_dict()
@@ -511,19 +504,19 @@ def _prefix_dims(ambient: int, count: int) -> list[int]:
 
 def _validate_experiment(exp: dict, index: int, seed_override: int | None) -> dict:
     if not isinstance(exp, dict):
-        raise ConfigError(f"experiment #{index}: expected an object")
+        raise SpecError(f"experiment #{index}: expected an object")
     name = exp.get("name")
     if not name or not isinstance(name, str):
-        raise ConfigError(f"experiment #{index}: needs a string 'name'")
+        raise SpecError(f"experiment #{index}: needs a string 'name'")
     kind = exp.get("kind")
     if kind not in RUNNERS:
-        raise ConfigError(
+        raise SpecError(
             f"experiment {name!r}: unknown kind {kind!r}; know {sorted(RUNNERS)}"
         )
     if seed_override is not None:
         exp = {**exp, "seed": int(seed_override)}
     if "seed" not in exp:
-        raise ConfigError(f"experiment {name!r}: every experiment carries an explicit seed")
+        raise SpecError(f"experiment {name!r}: every experiment carries an explicit seed")
     return exp
 
 
@@ -532,7 +525,7 @@ def _run_experiment(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     outcome = {"name": exp["name"], "kind": exp["kind"]}
     try:
         RUNNERS[exp["kind"]](exp, out_dir, memo)
-    except (SpecError, ConfigError) as err:
+    except SpecError as err:
         return {**outcome, "status": "config-error", "error": str(err)}
     except _FAILURES as err:
         stage = re.match(r"\[([^\]]+)\]", str(err))
@@ -550,13 +543,13 @@ def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None
     read_envelope(config, "config", {"experiments"})
     experiments = config["experiments"]
     if not isinstance(experiments, list):
-        raise ConfigError("config: 'experiments' must be a list")
+        raise SpecError("config: 'experiments' must be a list")
     validated = [
         _validate_experiment(exp, i, seed_override) for i, exp in enumerate(experiments)
     ]
     names = [e["name"] for e in validated]
     if len(set(names)) != len(names):
-        raise ConfigError("config: experiment names must be unique (artifacts are per-name files)")
+        raise SpecError("config: experiment names must be unique (artifacts are per-name files)")
 
     memo = _BuildMemo()
     if jobs > 1 and len(validated) > 1:
@@ -665,7 +658,7 @@ def main(ctx, config, out_dir, jobs, seed):
     try:
         blob = load_json(config)
         outcomes = run_config(blob, Path(out_dir), jobs, seed)
-    except (SpecError, ConfigError) as err:
+    except SpecError as err:
         raise click.ClickException(str(err)) from err
     _finish(outcomes, Path(out_dir))
 

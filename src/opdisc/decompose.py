@@ -14,9 +14,10 @@ sampled Lipschitz constant Lip(B_k) below a requested epsilon.  The stages:
 3. on W coordinates, connect the core f to its linearization Df|₀ by the
    scaling path f_t(x) = (1/t)(f(tx) − f(0)) + t·f(0) and cut the path
    into radially-cutoff transport blocks;
-4. split Df|₀ by polar decomposition into a positive part (matrix-power
-   path) and an orthogonal part (real-Schur rotation paths), leaving the
-   identity or one residual reflection as A₀.
+4. take A₀ as the reflection of the first W coordinate exactly when
+   det Df|₀ < 0 (else the identity), and split Df|₀·A₀ by polar
+   decomposition into a positive part (matrix-power path) and a rotation
+   (real-Schur rotation paths).
 
 The core F^W is evaluated directly in W coordinates through two (k, m)
 matrices fixed at construction, c ↦ c + G(c·M_in)·M_out, around the
@@ -560,11 +561,6 @@ def path_blocks(
 # ---------------------------------------------------------------------------
 
 
-def _reflection_matrix(v: np.ndarray) -> np.ndarray:
-    v = v / np.linalg.norm(v)
-    return np.eye(v.size) - 2.0 * np.outer(v, v)
-
-
 def _plane_rotation(k: int, p: int, q: int, theta: float) -> np.ndarray:
     m = np.eye(k)
     c, s = math.cos(theta), math.sin(theta)
@@ -578,14 +574,17 @@ def _plane_rotation(k: int, p: int, q: int, theta: float) -> np.ndarray:
 def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict]:
     """Split an invertible matrix into near-identity factors and A₀.
 
-    Polar decomposition df0 = P·U; the positive part is cut into matrix
-    powers P^(1/n) and the orthogonal part into small-angle steps of its
-    real-Schur rotation blocks.  Trailing −1 eigenvalues are paired into
-    π-rotations; one leftover −1 becomes A₀ = reflection, reached through a
-    short axis-alignment path down to the first coordinate.
+    A₀ carries the orientation: it is the reflection diag(−1, 1, …) of the
+    first coordinate exactly when det df0 < 0, else the identity.  Then
+    M = df0·A₀ has a positive determinant, and its polar decomposition
+    M = P·U is cut into factors: the positive part into matrix powers
+    P^(1/n), the rotation U into small-angle steps of its real-Schur
+    rotation blocks.  det U = +1, so U's −1 eigenvalues come in pairs, and
+    each pair is a π-rotation.
 
     Returns (a0_kind, factors in application order, diagnostics); the
-    matrix product factors[last] @ … @ factors[first] @ A₀ equals df0.
+    matrix product factors[last] @ … @ factors[first] @ A₀ equals df0 to
+    1e-8, checked on the factors exactly as returned.
     """
     df0 = np.asarray(df0, dtype=float)
     if df0.ndim != 2 or df0.shape[0] != df0.shape[1]:
@@ -593,7 +592,7 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
     if epsilon <= 0.0:
         raise ValueError("epsilon must be positive")
     k = df0.shape[0]
-    diag: dict = {"dim": k, "repolar_period": 16}
+    diag: dict = {"dim": k}
     if k == 0:
         return "identity", [], diag
     if not np.all(np.isfinite(df0)):
@@ -603,9 +602,13 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
         raise ValueError(f"singular matrix: condition number {cond:g}")
     diag["cond"] = float(cond)
 
-    usv, sv, vt = np.linalg.svd(df0)
+    a0 = np.eye(k)
+    if np.linalg.det(df0) < 0.0:
+        a0[0, 0] = -1.0
+    diag["det_u"] = float(a0[0, 0])
+    # df0·A₀: A₀ flips the sign of the first column, exactly
+    usv, sv, vt = np.linalg.svd(df0 * a0.diagonal())
     u_orth = usv @ vt
-    diag["det_u"] = float(np.sign(np.linalg.det(u_orth)))
 
     # positive part P = usv·diag(sv)·usvᵀ cut into n equal matrix powers
     step_cap = 0.95 * epsilon
@@ -623,7 +626,7 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
     else:
         diag["positive_steps"] = 0
 
-    # orthogonal part: real Schur → rotation blocks and ±1 entries
+    # rotation part: real Schur → rotation blocks and paired −1 entries
     import scipy.linalg  # at the call site: see the module docstring
 
     smat, q = scipy.linalg.schur(u_orth, output="real")
@@ -637,18 +640,12 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
             i += 2
         else:
             val = smat[i, i]
-            if abs(val - 1.0) < 1e-8:
-                pass
-            elif abs(val + 1.0) < 1e-8:
+            if abs(val + 1.0) < 1e-8:
                 minus.append(i)
-            else:
+            elif abs(val - 1.0) >= 1e-8:
                 raise ValueError(f"orthogonal part has a non-unimodular entry {val:g}")
             i += 1
-    while len(minus) >= 2:
-        p_i = minus.pop()
-        q_i = minus.pop()
-        rotations.append((q_i, p_i, math.pi))
-    residual = minus[0] if minus else None
+    rotations += [(p_i, q_i, math.pi) for p_i, q_i in zip(minus[0::2], minus[1::2])]
     diag["rotation_angles"] = [th for _, _, th in rotations]
 
     max_step = 2.0 * math.asin(min(step_cap / 2.0, 1.0))
@@ -665,59 +662,15 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
     else:
         diag["orthogonal_steps"] = 0
 
-    # residual −1: align its axis to the first coordinate by reflections
-    factors_align: list[np.ndarray] = []
-    if residual is not None:
-        axis = q[:, residual].copy()
-        e1 = np.zeros(k)
-        e1[0] = 1.0
-        if axis @ e1 < 0.0:
-            axis = -axis
-        beta = math.acos(min(1.0, max(-1.0, float(axis @ e1))))
-        if beta > 1e-12:
-            n_a = max(1, int(math.ceil(beta / math.asin(min(step_cap / 2.0, 1.0)))))
-            perp = axis - (axis @ e1) * e1
-            perp /= np.linalg.norm(perp)
-            us = [
-                math.cos(beta * (1.0 - s)) * e1 + math.sin(beta * (1.0 - s)) * perp
-                for s in np.linspace(0.0, 1.0, n_a + 1)
-            ]
-            # us[0] = axis … us[-1] = e1; adjacent double reflections telescope
-            pair_factors = [
-                _reflection_matrix(us[i]) @ _reflection_matrix(us[i + 1])
-                for i in range(n_a)
-            ]
-            factors_align = list(reversed(pair_factors))
-            diag["alignment_steps"] = n_a
-        else:
-            diag["alignment_steps"] = 0
-        a0_kind = "reflection"
-    else:
-        a0_kind = "identity"
-
-    factors = factors_align + factors_u + factors_p
-    # each power/rotation step repeats one matrix object: check it once
-    for fmat in {id(f): f for f in factors}.values():
-        gap = spectral_norm(fmat - np.eye(k))
-        if gap >= epsilon:
-            raise AssertionError(f"linear factor deviates from identity by {gap:g}")
-
-    # verify the product, re-polar-projecting the orthogonal run periodically
-    acc = _reflection_matrix(np.eye(k)[0]) if a0_kind == "reflection" else np.eye(k)
-    n_orth = len(factors_align) + len(factors_u)
-    repolar = 0
-    for idx, fmat in enumerate(factors):
+    factors = factors_u + factors_p
+    acc = a0
+    for fmat in factors:
         acc = fmat @ acc
-        if idx < n_orth and (idx + 1) % 16 == 0:
-            uu, _, vv = np.linalg.svd(acc)
-            acc = uu @ vv
-            repolar += 1
-    diag["repolar_applied"] = repolar
     err = spectral_norm(acc - df0)
     diag["product_error"] = err
     if err > 1e-8:
         raise AssertionError(f"linear factor product misses the matrix by {err:g}")
-    return a0_kind, factors, diag
+    return ("reflection" if a0[0, 0] < 0.0 else "identity"), factors, diag
 
 
 # ---------------------------------------------------------------------------

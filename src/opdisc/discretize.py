@@ -32,13 +32,7 @@ __all__ = [
     "convergence_scan",
     "continuity_probe",
     "orientation_scan",
-    "csv_float",
 ]
-
-
-def csv_float(x: float) -> str:
-    """Shortest decimal that reproduces the double exactly."""
-    return format(float(x), ".17g")
 
 
 def _tail_error(fx: np.ndarray, d: int) -> float:
@@ -61,7 +55,7 @@ def functor_a_error(
 
 @dataclass(frozen=True, eq=False)
 class ConvergenceReport:
-    """Per-dimension compression metrics, CSV-emittable.
+    """Per-dimension compression metrics.
 
     Row fields: dim, functor_a_error, weak_error, alpha_hat.
     """
@@ -71,21 +65,6 @@ class ConvergenceReport:
 
     def column(self, name: str) -> list:
         return [row[name] for row in self.rows]
-
-    def to_csv_text(self) -> str:
-        lines = ["dim,functor_a_error,weak_error,alpha_hat"]
-        for row in self.rows:
-            lines.append(
-                ",".join(
-                    [
-                        str(row["dim"]),
-                        csv_float(row["functor_a_error"]),
-                        csv_float(row["weak_error"]),
-                        csv_float(row["alpha_hat"]),
-                    ]
-                )
-            )
-        return "\n".join(lines) + "\n"
 
     def as_dict(self) -> dict:
         return {"rows": [dict(r) for r in self.rows], "metadata": dict(self.metadata)}

@@ -408,13 +408,15 @@ ORACLE_FACTOR = 8
 
 @dataclass(frozen=True)
 class FemConvergence:
-    """H1-seminorm errors against a common fine-mesh reference solution."""
+    """H1-seminorm errors against a common fine-mesh reference solution,
+    with the Newton trace of the solve on the finest measured mesh."""
 
     mesh_sizes: tuple
     errors: tuple
     ratios: tuple
     oracle_cells: int
     reaction: str
+    newton: NewtonTrace
 
     def as_dict(self) -> dict:
         return {
@@ -423,6 +425,7 @@ class FemConvergence:
             "ratios": list(self.ratios),
             "oracle_cells": self.oracle_cells,
             "reaction": self.reaction,
+            "newton": self.newton.as_dict(),
         }
 
 
@@ -451,7 +454,7 @@ def fem_convergence(
     errors = []
     for m in sizes:
         mesh = FemMesh(m)
-        w = solve_semilinear(x_source, mesh, g, tol)
+        w, trace = solve_semilinear_trace(x_source, mesh, g, tol)
         errors.append(h1_seminorm_difference(mesh, w, oracle_mesh, w_oracle))
     ratios = tuple(
         errors[i] / errors[i + 1] if errors[i + 1] > 0.0 else math.inf
@@ -463,6 +466,7 @@ def fem_convergence(
         ratios=ratios,
         oracle_cells=oracle_cells,
         reaction=g.name,
+        newton=trace,
     )
 
 

@@ -548,7 +548,7 @@ _LAYER_SPEC_KEYS = {
     "rank",
     "decay",
     "lip_g",
-    "kind",
+    "nonlin",
     "norm_in",
     "norm_out",
     "out_phi_prefix",
@@ -563,7 +563,7 @@ def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **ov
 
     Keys (all optional): rank (default min(M, 8)), decay (singular decay
     exponent, default 1), lip_g (target Lipschitz bound of the middle map,
-    default 0.5; 0 gives an identity layer), kind ("coordinate_net",
+    default 0.5; 0 gives an identity layer), nonlin ("coordinate_net",
     "nemytskii", or "affine_contraction"), norm_in/norm_out (top singular
     values of the two compact maps), out_phi_prefix (make the output
     operator's range directions the basis prefix), bias_scale, hidden,
@@ -578,7 +578,7 @@ def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **ov
     rank = int(cfg.get("rank", min(m, 8)))
     decay = float(cfg.get("decay", 1.0))
     lip_g = float(cfg.get("lip_g", 0.5))
-    kind = cfg.get("kind", "coordinate_net")
+    nonlin_kind = cfg.get("nonlin", "coordinate_net")
     norm_in = float(cfg.get("norm_in", 1.0))
     norm_out = float(cfg.get("norm_out", 1.0))
     bias_scale = float(cfg.get("bias_scale", 0.0))
@@ -602,7 +602,7 @@ def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **ov
     nonlin: Nonlinearity
     if lip_g == 0.0:
         nonlin = ZeroNonlinearity()
-    elif kind == "coordinate_net":
+    elif nonlin_kind == "coordinate_net":
         act = activation_from_name(cfg.get("activation", "leaky_relu"))
         net = CoordinateNetwork.seeded(
             m,
@@ -614,14 +614,14 @@ def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **ov
             seed=s_g,
         )
         nonlin = CoordinateNetNonlinearity(net, m)
-    elif kind == "nemytskii":
+    elif nonlin_kind == "nemytskii":
         nonlin = NemytskiiNonlinearity(space, scaled_leaky(lip_g))
-    elif kind == "affine_contraction":
+    elif nonlin_kind == "affine_contraction":
         a = rng.standard_normal((m, m))
         a *= lip_g / spectral_norm(a)
         b = bias_scale * rng.standard_normal(m)
         nonlin = AffineNonlinearity(a, b)
     else:
-        raise ValueError(f"unknown nonlinearity kind {kind!r}")
+        raise ValueError(f"unknown nonlinearity kind {nonlin_kind!r}")
 
     return NeuralOperatorLayer(t_in, t_out, nonlin)

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,21 @@ __all__ = [
 
 
 class SpecError(ValueError):
-    """A JSON object spec that does not match the schema."""
+    """A config or JSON object spec that cannot be read or built (exit code
+    1 on the command line)."""
+
+
+@contextmanager
+def _reader(where: str):
+    """Decorates a spec reader: a ValueError raised while the reader builds
+    its object (a constructor refusing a value) becomes a SpecError naming
+    ``where``."""
+    try:
+        yield
+    except SpecError:
+        raise
+    except ValueError as err:
+        raise SpecError(f"{where}: {err}") from err
 
 
 def _require_object(d, where: str) -> dict:
@@ -167,32 +182,19 @@ def blob_hash(obj) -> str:
 # spaces
 
 
+@_reader("space")
 def space_from_config(d: dict) -> Space:
     check_keys(d, "space", {"basis", "ambient_dim"}, {"quadrature"})
     dim = int_field(d, "ambient_dim", "space")
     panels = int_field(d, "quadrature", "space", 4 * dim)
-    try:
-        return Space(BasisSpec(kind=d["basis"], ambient_dim=dim, quadrature_panels=panels))
-    except ValueError as err:
-        raise SpecError(f"space: {err}") from err
-
-
-# ---------------------------------------------------------------------------
-# activations
-
-
-def _activation(name, where: str):
-    """The activation a spec names, as read by ``operators.activation_from_name``."""
-    try:
-        return activation_from_name(name)
-    except ValueError as err:
-        raise SpecError(f"{where}: {err}") from err
+    return Space(BasisSpec(kind=d["basis"], ambient_dim=dim, quadrature_panels=panels))
 
 
 # ---------------------------------------------------------------------------
 # operators
 
 
+@_reader("operator")
 def operator_from_spec(d: dict, ambient_dim: int | None = None) -> FiniteRankOperator:
     kind = _require_object(d, "operator").get("kind")
     if kind == "finite_rank":
@@ -242,6 +244,7 @@ def operator_from_spec(d: dict, ambient_dim: int | None = None) -> FiniteRankOpe
 # coordinate networks
 
 
+@_reader("network")
 def network_from_spec(d: dict) -> CoordinateNetwork:
     kind = _require_object(d, "network").get("kind")
     if kind == "coordinate_network":
@@ -249,7 +252,7 @@ def network_from_spec(d: dict) -> CoordinateNetwork:
         return CoordinateNetwork(
             _arrays(d, "weights", "network"),
             _arrays(d, "biases", "network"),
-            _activation(d["activation"], "network"),
+            activation_from_name(d["activation"]),
         )
     if kind == "seeded_coordinate_network":
         check_keys(
@@ -263,7 +266,7 @@ def network_from_spec(d: dict) -> CoordinateNetwork:
             int_field(d, "n_in", "network"),
             int_field(d, "n_out", "network"),
             hidden=_int_list(d, "hidden", "network"),
-            activation=None if act is None else _activation(act, "network"),
+            activation=None if act is None else activation_from_name(act),
             target_bound=float_field(d, "target_bound", "network", 1.0),
             bias_scale=float_field(d, "bias_scale", "network", 0.0),
             seed=int_field(d, "seed", "network"),
@@ -275,6 +278,7 @@ def network_from_spec(d: dict) -> CoordinateNetwork:
 # nonlinearities and layers
 
 
+@_reader("nonlinearity")
 def nonlinearity_from_spec(d: dict, space: Space | None = None):
     kind = _require_object(d, "nonlinearity").get("kind")
     if kind == "zero":
@@ -295,14 +299,11 @@ def nonlinearity_from_spec(d: dict, space: Space | None = None):
         check_keys(d, "nonlinearity", {"kind", "activation"})
         if space is None:
             raise SpecError("nonlinearity: a Nemytskii map needs the space")
-        sigma = _activation(d["activation"], "nonlinearity")
-        try:
-            return NemytskiiNonlinearity(space, sigma)
-        except ValueError as err:
-            raise SpecError(f"nonlinearity: {err}") from err
+        return NemytskiiNonlinearity(space, activation_from_name(d["activation"]))
     raise SpecError(f"unknown nonlinearity kind {kind!r}")
 
 
+@_reader("layer")
 def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
     kind = _require_object(d, "layer").get("kind")
     if kind == "layer":
@@ -330,7 +331,7 @@ def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
         if "hidden" in body:
             body["hidden"] = _int_list(body, "hidden", "layer")
         if "activation" in body:
-            _activation(body["activation"], "layer")
+            activation_from_name(body["activation"])
         return make_layer(space, body, seed=int_field(d, "seed", "layer"))
     raise SpecError(f"unknown layer kind {kind!r}")
 
@@ -339,6 +340,7 @@ def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
 # residual chains and their linear heads
 
 
+@_reader("chain")
 def chain_from_spec(d: dict):
     kind = _require_object(d, "chain").get("kind")
     if kind == "residual_chain":
@@ -373,7 +375,7 @@ def chain_from_spec(d: dict):
             block_bound=float_field(
                 d, "block_bound", "chain", delta if delta is not None else 0.5
             ),
-            activation=None if act is None else _activation(act, "chain"),
+            activation=None if act is None else activation_from_name(act),
             hidden=_int_list(d, "hidden", "chain"),
             bias_scale=float_field(d, "bias_scale", "chain", 0.3),
             seed=int_field(d, "seed", "chain"),

@@ -78,7 +78,7 @@ def maps():
 
     layer = make_layer(space, rank=6, lip_g=0.3, activation="tanh", seed=4)
     out["layer"] = (layer, m)
-    out["nemytskii_layer"] = (make_layer(space, kind="nemytskii", lip_g=0.4, seed=5), m)
+    out["nemytskii_layer"] = (make_layer(space, nonlin="nemytskii", lip_g=0.4, seed=5), m)
     out["coordinate_network"] = (net, m)
     chain = ResidualChain.seeded(m, 5, 2, block_bound=0.6, seed=6)
     out["residual_chain"] = (chain, m)

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 
 from opdisc import cli
 from opdisc.cli import SOURCES, main, quant_report, run_config
+from opdisc.layers import AffineNonlinearity, NemytskiiNonlinearity, make_layer
 from opdisc.monotone import ball_samples
 from opdisc.serialize import chain_from_spec, layer_from_spec, space_from_config
 
@@ -650,6 +651,67 @@ class TestNemytskiiSpace:
         assert "basis kind 'abstract_orthonormal' has no pointwise realization" in (
             result.output
         )
+        assert not (out / "failures.json").exists()
+
+
+class TestSeededLayerNonlin:
+    @pytest.mark.parametrize(
+        "nonlin,cls",
+        [("nemytskii", NemytskiiNonlinearity), ("affine_contraction", AffineNonlinearity)],
+    )
+    def test_a_config_chooses_the_nonlinearity(self, tmp_path, nonlin, cls):
+        space_spec = {"basis": "fourier", "ambient_dim": 8}
+        path = tmp_path / "layer.json"
+        path.write_text(json.dumps({
+            "schema": 1,
+            "space": space_spec,
+            "layer": {"kind": "seeded_layer", "seed": 5, "lip_g": 0.4, "nonlin": nonlin},
+        }))
+        read = cli._layer_file(path)
+        space = space_from_config(read["space"])
+        layer = layer_from_spec(read["layer"], space)
+        assert isinstance(layer.nonlin, cls)
+        xs = ball_samples(8, 1.0, 16, seed=2)
+        want = make_layer(space, nonlin=nonlin, lip_g=0.4, seed=5).eval_array(xs)
+        assert np.array_equal(layer.eval_array(xs), want)
+
+
+_NET = {"kind": "seeded_coordinate_network", "n_in": 4, "n_out": 4, "seed": 1}
+
+
+class TestRefusedSpecValues:
+    """A value that an object's constructor refuses is a config error naming
+    the spec reader (exit 1), not a failed run (exit 2)."""
+
+    @pytest.mark.parametrize(
+        "exp,message",
+        [
+            ({**_bad_monotone_check({"kind": "seeded_layer", "seed": 3, "rank": 100}),
+              "space": {"basis": "fourier", "ambient_dim": 8}},
+             "layer: rank must lie in 1..8"),
+            (_bad_monotone_check({"kind": "seeded_layer", "seed": 3, "lip_g": -1}),
+             "layer: lip_g target must be nonnegative"),
+            (_bad_monotone_check({"kind": "layer", "in_op": {**_OPERATOR, "rank": 100},
+                                  "out_op": _OPERATOR, "nonlin": {"kind": "zero"}}),
+             "operator: omegas, psi, phi must agree on the rank"),
+            (_bad_invert({"kind": "residual_chain", "ambient_dim": 4, "prefix_n": 4,
+                          "blocks": [{**_NET, "target_bound": -1}]}),
+             "network: target Lipschitz bound must be nonnegative"),
+            (_bad_invert({**_SEEDED_CHAIN, "prefix_n": 9}),
+             "chain: prefix dimension must lie in 1..ambient_dim"),
+            (_bad_invert({**_SEEDED_CHAIN, "delta": 1.5}),
+             "chain: contraction bound must lie in (0, 1), got 1.5"),
+        ],
+        ids=["layer-rank", "layer-lip-g", "operator-rank", "network-target-bound",
+             "chain-prefix-n", "chain-delta"],
+    )
+    def test_a_refused_value_is_a_config_error(self, runner, tmp_path, exp, message):
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["--config", str(write_config(tmp_path, [exp])), "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        assert f"config-error in bad: {message}" in result.output
         assert not (out / "failures.json").exists()
 
 

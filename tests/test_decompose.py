@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from opdisc.acceptance import mixing_bilipschitz_layer
@@ -603,7 +603,7 @@ class TestLinearPathBlocks:
             acc = f @ acc
         assert np.allclose(acc, m, atol=1e-8)
 
-    def test_off_axis_reflection_aligns_to_first_coordinate(self):
+    def test_off_axis_reflection_recomposes_from_the_first_coordinate_flip(self):
         m = rotation(0.3) @ np.diag([-1.5, 0.75])
         eps = 0.2
         kind, factors, _ = linear_path_blocks(m, eps)
@@ -622,6 +622,26 @@ class TestLinearPathBlocks:
         for f in factors:
             acc = f @ acc
         assert np.allclose(acc, m, atol=1e-8)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.sampled_from([0.4, 0.25, 0.1, 0.05]),
+    )
+    def test_random_invertible_matrices(self, k, seed, eps):
+        m = np.random.default_rng(seed).standard_normal((k, k))
+        assume(np.linalg.cond(m) < 1e6)
+        kind, factors, diag = linear_path_blocks(m, eps)
+        assert kind == ("reflection" if np.linalg.det(m) < 0.0 else "identity")
+        acc = np.eye(k)
+        if kind == "reflection":
+            acc[0, 0] = -1.0
+        for f in factors:
+            assert np.linalg.norm(f - np.eye(k), 2) < eps
+            acc = f @ acc
+        assert np.linalg.norm(acc - m, 2) <= 1e-8
+        assert diag["product_error"] <= 1e-8
 
     def test_rejects_near_singular_and_bad_input(self):
         with pytest.raises(ValueError, match="singular"):

@@ -6,10 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opdisc import discretize
+from opdisc.cli import run_config
 from opdisc.discretize import (
     continuity_probe,
     convergence_scan,
-    csv_float,
     functor_a_error,
     orientation_scan,
 )
@@ -86,11 +86,16 @@ class TestConvergenceScan:
         fa = report.column("functor_a_error")
         assert all(b <= a for a, b in zip(fa, fa[1:]))
 
-    def test_csv_text_roundtrips(self, space16):
+    def test_csv_text_roundtrips(self, space16, tmp_path):
+        # the CSV that the discretize-scan runner writes for this scan
+        exp = {"name": "scan", "kind": "discretize-scan", "seed": 1, "samples": 32,
+               "space": {"basis": space16.spec.kind, "ambient_dim": 16},
+               "layer": {"kind": "seeded_layer", "seed": 29, "lip_g": 0.4}, "dims": [2, 4]}
+        [outcome] = run_config({"schema": 1, "experiments": [exp]}, tmp_path, 1, None)
+        assert outcome["status"] == "ok"
         layer = make_layer(space16, lip_g=0.4, seed=29)
         report = convergence_scan(layer, [2, 4], n=32, seed=1)
-        text = report.to_csv_text()
-        lines = text.strip().split("\n")
+        lines = (tmp_path / "scan.csv").read_text().strip().split("\n")
         assert lines[0] == "dim,functor_a_error,weak_error,alpha_hat"
         assert len(lines) == 3
         for line, row in zip(lines[1:], report.rows):
@@ -223,12 +228,6 @@ class TestOrientationScan:
             orientation_scan(
                 lambda t: Identity(), 2, 2, dim=4, refine_tol=0.0
             )
-
-
-class TestHelpers:
-    def test_csv_float_is_exact(self):
-        for x in (0.1, 1 / 3, 2e-300, 12345.6789, 5e-324):
-            assert float(csv_float(x)) == x
 
 
 def _mixing_map(m: int, seed: int):

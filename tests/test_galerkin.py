@@ -310,6 +310,13 @@ class TestFemConvergence:
         args = (source_for_zero_g, ConvexNonlinearity.zero(), [8, 16])
         assert fem_convergence(*args).errors == fem_convergence(*args).errors
 
+    def test_newton_trace_is_the_finest_solve(self):
+        g = ConvexNonlinearity.cubic()
+        rep = fem_convergence(source_for_cubic_g, g, [8, 16])
+        _, trace = solve_semilinear_trace(source_for_cubic_g, FemMesh(16), g)
+        assert rep.newton == trace
+        assert rep.as_dict()["newton"] == trace.as_dict()
+
     def test_mesh_size_validation(self):
         good = ConvexNonlinearity.zero()
         with pytest.raises(ValueError, match="strictly increasing"):

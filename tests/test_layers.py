@@ -215,7 +215,7 @@ class TestLayer:
 
     def test_recorded_lip_hits_target(self, space16):
         for kind in ("coordinate_net", "nemytskii", "affine_contraction"):
-            layer = make_layer(space16, kind=kind, lip_g=0.4, rank=4, seed=7)
+            layer = make_layer(space16, nonlin=kind, lip_g=0.4, rank=4, seed=7)
             assert layer.lip_nonlin == pytest.approx(0.4, rel=0.05)
 
     def test_seed_determinism(self, space16):

@@ -220,9 +220,9 @@ class TestContractionCertificate:
         shows here."""
         spec = {"lip_g": lip_g, "norm_out": norm_out, "bias_scale": 0.3}
         if kind == "affine":
-            spec["kind"] = "affine_contraction"
+            spec["nonlin"] = "affine_contraction"
         elif kind == "nemytskii":
-            spec["kind"] = "nemytskii"
+            spec["nonlin"] = "nemytskii"
         else:
             spec["activation"] = kind
         if kind == "mixing":
