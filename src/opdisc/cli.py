@@ -6,6 +6,13 @@ a default), and the kind's parameters.  A config file holds ``"schema": 1``
 and a list of experiments; the same runners back the direct-flag subcommands,
 so a flag invocation and its config twin produce byte-identical artifacts.
 
+``KEYS`` (one table per kind) and ``SHARED_KEYS`` (``name``, ``kind``,
+``seed``) are the one source of experiment keys.  Each entry gives a key's
+type, default, value check and subcommand flag.  Every runner reads its
+values through :func:`_read`, which checks the whole experiment against the
+table before anything runs, and the subcommands' options are generated from
+the same entries.
+
 Exit codes: 0 when every assertion passed (a *recorded rejection* — e.g. a
 layer refused a monotonicity certificate — is a valid outcome, not a
 failure); 1 for config errors; 2 for assertion failures, accompanied by a
@@ -21,6 +28,7 @@ import re
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
@@ -45,9 +53,7 @@ from .serialize import (
     canonical_json,
     chain_from_spec,
     check_keys,
-    float_field,
     head_from_spec,
-    int_field,
     integral,
     layer_from_spec,
     load_json,
@@ -71,6 +77,263 @@ _FAILURES = (
     RuntimeError,
     ValueError,
 )
+
+
+# ---------------------------------------------------------------------------
+# experiment keys: one table per kind
+
+
+class _Type(NamedTuple):
+    """How a key's value is read: ``read(value, got)``, given the values read
+    before it, returns what the runner uses, and a TypeError, ValueError or
+    OverflowError refuses the value as not ``noun``.  ``option`` holds the
+    click keywords of the key's flag."""
+
+    name: str
+    noun: str
+    read: Callable
+    option: dict | None = None
+
+
+class _Check(NamedTuple):
+    """``fault(value, got)`` says what is wrong with a read value, or None;
+    a check that allows a fixed set of values lists them as ``choices``."""
+
+    text: str
+    fault: Callable
+    choices: tuple = ()
+
+
+class _Flag(NamedTuple):
+    """A subcommand option; a file option ``load``s experiment keys."""
+
+    opt: str
+    help: str | None = None
+    load: Callable | None = None
+
+
+class _Key(NamedTuple):
+    """One experiment key.  Its default is ``_REQUIRED``, a value, or None
+    when the runner derives it."""
+
+    type: _Type
+    default: object
+    check: _Check | None
+    flag: _Flag | None
+
+
+_REQUIRED = object()
+
+
+class _Values(dict):
+    """An experiment's values by key, and the memo that builds its specs."""
+
+    def __init__(self, memo):
+        super().__init__()
+        self.memo = memo
+
+
+def _string(value, got) -> str:
+    if not isinstance(value, str):
+        raise TypeError(value)
+    return value
+
+
+def _ints(value, got) -> list[int]:
+    if not isinstance(value, (list, tuple)):
+        raise TypeError(value)
+    return [integral(v) for v in value]
+
+
+def _int_list(ctx, param, value):
+    """Click callback: a comma-separated flag value as a list of integers."""
+    if value is None:
+        return None
+    try:
+        return [int(tok) for tok in value.split(",")]
+    except ValueError as err:
+        raise click.ClickException(
+            f"{param.opts[0]} wants comma-separated integers, got {value!r}"
+        ) from err
+
+
+_INT = _Type("int", "an integer", lambda value, got: integral(value), {"type": int})
+_FLOAT = _Type("float", "a number", lambda value, got: float(value), {"type": float})
+_STRING = _Type("string", "a string", _string, {"type": str})
+_INTS = _Type("int list", "integers", _ints, {"type": str, "callback": _int_list})
+_NUMBERS = _Type("number list", "a number array", lambda value, got: np.asarray(value, dtype=float))
+_SPACE = _Type("space spec", "a space spec", lambda d, got: got.memo.get(space_from_config, d))
+_LAYER = _Type("layer spec", "a layer spec", lambda d, got: layer_from_spec(d, got["space"]))
+_CHAIN = _Type("chain spec", "a chain spec", lambda d, got: got.memo.get(chain_from_spec, d))
+_HEAD = _Type("head spec", "a head spec", lambda d, got: head_from_spec(d, got["chain"].dim))
+
+
+def _dims_fault(dims, got):
+    """Prefix dimensions must be a strictly ascending chain inside the space."""
+    ambient = got["space"].dim
+    if not dims:
+        return "must be nonempty"
+    if any(b <= a for a, b in zip(dims, dims[1:])):
+        return "must be strictly ascending"
+    if dims[0] < 1 or dims[-1] > ambient:
+        return f"must lie in 1..{ambient}"
+    return None
+
+
+def _mesh_fault(sizes, got):
+    """Nested meshes of at least 2 cells that refine to the reference mesh."""
+    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
+        return "needs at least two strictly increasing cell counts"
+    if sizes[0] < 2:
+        return "needs at least 2 cells in its coarsest size to carry a hat function"
+    reference = ORACLE_FACTOR * sizes[-1]
+    if any(reference % s for s in sizes):
+        return f"sizes must each divide the reference mesh of {reference} cells"
+    return None
+
+
+def _target_fault(y, got):
+    dim = got["chain"].dim
+    if y.shape != (dim,) or not np.all(np.isfinite(y)):
+        return f"must be {dim} finite numbers"
+    return None
+
+
+def _layer_file(path) -> dict:
+    """The space and layer of a ``--layer`` file."""
+    blob = read_envelope(load_json(path), "layer file", {"space", "layer"})
+    return {"space": blob["space"], "layer": blob["layer"]}
+
+
+def _chain_file(path) -> dict:
+    """The chain of a ``--chain`` file, and its head when it names one."""
+    blob = read_envelope(load_json(path), "chain file", {"chain"}, {"head"})
+    return {key: blob[key] for key in ("chain", "head") if blob.get(key) is not None}
+
+
+def _y_file(path) -> dict:
+    """The target of a ``--y`` file: ``{schema, y}`` or a bare JSON array."""
+    blob = load_json(path)
+    if isinstance(blob, dict):
+        blob = read_envelope(blob, "y file", {"y"})["y"]
+    return {"y": blob}
+
+
+_POSITIVE = _Check("finite, > 0", lambda v, got: None if 0.0 < v < math.inf
+                   else "must be positive and finite")
+_FINITE = _Check("finite", lambda v, got: None if math.isfinite(v) else "must be finite")
+_ONE_OR_MORE = _Check(">= 1", lambda v, got: None if v >= 1 else "must be at least 1")
+_TWO_OR_MORE = _Check(">= 2", lambda v, got: None if v >= 2 else "must be at least 2")
+_ODD_N = _Check("odd, >= 1", lambda v, got: None if v >= 1 and v % 2
+                else "must be an odd positive count")
+_ODD_M = _Check("odd, >= 3", lambda v, got: None if v >= 3 and v % 2
+                else "must be odd and at least 3")
+_PATH_KIND = _Check("a or b", lambda v, got: None if v in ("a", "b")
+                    else "must be 'a' or 'b'", ("a", "b"))
+_REACTIONS = tuple(sorted(SOURCES))
+_REACTION = _Check("one of " + ", ".join(_REACTIONS), lambda v, got: None if v in _REACTIONS
+                   else f"must be one of {list(_REACTIONS)}", _REACTIONS)
+_DIMS = _Check("ascending, in 1..space dim", _dims_fault)
+_MESH = _Check("ascending, >= 2, each divides the reference mesh", _mesh_fault)
+_TARGET = _Check("finite, one per chain dim", _target_fault)
+
+_LAYER_FLAG = _Flag("--layer", load=_layer_file)
+_DIMS_FLAG = _Flag("--dims", "Comma-separated prefix dims.")
+
+# key: _Key(type, default, check, flag), in the order the reader reads them
+# and the subcommand lists its options; SHARED_KEYS follow every kind's keys
+SHARED_KEYS = {
+    "kind": _Key(_STRING, _REQUIRED, None, None),
+    "seed": _Key(_INT, _REQUIRED, None, _Flag("--seed")),
+    "name": _Key(_STRING, _REQUIRED, None, _Flag("--name")),
+}
+
+KEYS = {
+    "monotone-check": {
+        "space": _Key(_SPACE, _REQUIRED, None, None),
+        "layer": _Key(_LAYER, _REQUIRED, None,
+                      _Flag("--layer", "Layer file: {schema, space, layer}.", _layer_file)),
+        "dims": _Key(_INTS, None, _DIMS, _DIMS_FLAG),
+        "radius": _Key(_FLOAT, 1.0, _POSITIVE, _Flag("--radius")),
+        "samples": _Key(_INT, 128, _TWO_OR_MORE, _Flag("--samples")),
+        "floor": _Key(_FLOAT, None, _FINITE, None),
+    },
+    "discretize-scan": {
+        "space": _Key(_SPACE, _REQUIRED, None, None),
+        "layer": _Key(_LAYER, _REQUIRED, None, _LAYER_FLAG),
+        "dims": _Key(_INTS, _REQUIRED, _DIMS, _DIMS_FLAG),
+        "radius": _Key(_FLOAT, 1.0, _POSITIVE, _Flag("--radius")),
+        "samples": _Key(_INT, 256, _TWO_OR_MORE, _Flag("--samples")),
+    },
+    "decompose": {
+        "space": _Key(_SPACE, _REQUIRED, None, None),
+        "layer": _Key(_LAYER, _REQUIRED, None, _LAYER_FLAG),
+        "epsilon": _Key(_FLOAT, _REQUIRED, _POSITIVE, _Flag("--epsilon")),
+        "radius": _Key(_FLOAT, _REQUIRED, _POSITIVE, _Flag("--radius")),
+        "composite_tol": _Key(_FLOAT, 1e-6, _POSITIVE, None),
+        "n_verify": _Key(_INT, 200, _ONE_OR_MORE, None),
+    },
+    "invert": {
+        "chain": _Key(_CHAIN, _REQUIRED, None,
+                      _Flag("--chain", "Chain file: {schema, chain, head?}.", _chain_file)),
+        "head": _Key(_HEAD, {"kind": "identity"}, None, None),
+        "y": _Key(_NUMBERS, _REQUIRED, _TARGET,
+                  _Flag("--y", "Target file: {schema, y} or a bare JSON array.", _y_file)),
+        "tol": _Key(_FLOAT, 1e-10, _POSITIVE, _Flag("--tol")),
+    },
+    "nogo-galerkin": {
+        "path_kind": _Key(_STRING, _REQUIRED, _PATH_KIND, _Flag("--kind")),
+        "n": _Key(_INT, _REQUIRED, _ODD_N, _Flag("--n", "Basis functions (odd).")),
+        "grid": _Key(_INT, 101, _TWO_OR_MORE, _Flag("--grid")),
+        "bisect_tol": _Key(_FLOAT, 1e-12, _POSITIVE, _Flag("--bisect-tol")),
+    },
+    "nogo-isotopy": {
+        "m": _Key(_INT, _REQUIRED, _ODD_M, _Flag("--m", "Truncation dimension (odd).")),
+        "grid": _Key(_INT, 101, _TWO_OR_MORE, _Flag("--grid")),
+        "bisect_tol": _Key(_FLOAT, 1e-12, _POSITIVE, _Flag("--bisect-tol")),
+    },
+    "fem-solve": {
+        "g": _Key(_STRING, _REQUIRED, _REACTION,
+                  _Flag("--g", "Reaction term; the source is manufactured for sin(pi t).")),
+        "mesh": _Key(_INTS, _REQUIRED, _MESH, _Flag("--mesh", "Comma-separated cell counts.")),
+        "tol": _Key(_FLOAT, 1e-10, _POSITIVE, None),
+    },
+    "quant-report": {
+        "space": _Key(_SPACE, _REQUIRED, None, None),
+        "layer": _Key(_LAYER, _REQUIRED, None, _LAYER_FLAG),
+        "dims": _Key(_INTS, _REQUIRED, _DIMS, _DIMS_FLAG),
+        "radius": _Key(_FLOAT, 1.0, _POSITIVE, _Flag("--radius")),
+        "samples": _Key(_INT, 256, _ONE_OR_MORE, _Flag("--samples")),
+    },
+}
+
+
+def _read(exp: dict, memo) -> _Values:
+    """Check an experiment against its kind's keys and read every value, in
+    table order, before anything runs.  A refused key is a SpecError naming
+    the kind and the key."""
+    kind = exp["kind"]
+    keys = {**KEYS[kind], **SHARED_KEYS}
+    required = {key for key, entry in keys.items() if entry.default is _REQUIRED}
+    check_keys(exp, kind, required, set(keys))
+    where = f"{kind} experiment {exp['name']!r}"
+    got = _Values(memo)
+    for key, entry in keys.items():
+        if key not in exp and entry.default is None:
+            got[key] = None  # the runner derives it
+            continue
+        raw = exp.get(key, entry.default)
+        try:
+            value = entry.type.read(raw, got)
+        except SpecError:
+            raise
+        except (TypeError, ValueError, OverflowError) as err:
+            raise SpecError(f"{where}: {key} must be {entry.type.noun}, got {raw!r}") from err
+        fault = entry.check.fault(value, got) if entry.check else None
+        if fault:
+            raise SpecError(f"{where}: {key} {fault}, got {raw!r}")
+        got[key] = value
+    return got
 
 
 # ---------------------------------------------------------------------------
@@ -99,50 +362,10 @@ class _BuildMemo:
             return self._built[key]
 
 
-def _int_field(exp: dict, key: str, default=None) -> int:
-    return int_field(exp, key, f"experiment {exp['name']!r}", default)
-
-
-def _float_field(exp: dict, key: str, default=None) -> float:
-    return float_field(exp, key, f"experiment {exp['name']!r}", default)
-
-
-def _space_of(exp: dict, memo: _BuildMemo):
-    if "space" not in exp:
-        raise SpecError(f"experiment {exp.get('name', '?')!r} needs a 'space'")
-    return memo.get(space_from_config, exp["space"])
-
-
-def _check_dims(exp: dict, dims, ambient: int) -> list[int]:
-    """Prefix dimensions must be a strictly ascending chain inside 1..ambient."""
-    try:
-        out = [integral(d) for d in dims]
-    except (TypeError, ValueError, OverflowError) as err:
-        raise SpecError(f"experiment {exp['name']!r}: dims must be integers") from err
-    if not out:
-        raise SpecError(f"experiment {exp['name']!r}: dims must be nonempty")
-    if any(b <= a for a, b in zip(out, out[1:])):
-        raise SpecError(f"experiment {exp['name']!r}: dims must be strictly ascending")
-    if out[0] < 1 or out[-1] > ambient:
-        raise SpecError(
-            f"experiment {exp['name']!r}: dims must lie in 1..{ambient}"
-        )
-    return out
-
-
 def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
-    check_keys(
-        exp,
-        "monotone-check",
-        {"name", "kind", "seed", "space", "layer"},
-        {"dims", "radius", "samples", "floor"},
-    )
-    space = _space_of(exp, memo)
-    layer = layer_from_spec(exp["layer"], space)
-    seed = _int_field(exp, "seed")
-    radius = _float_field(exp, "radius", 1.0)
-    samples = _int_field(exp, "samples", 128)
-    dims = _check_dims(exp, exp.get("dims", _prefix_dims(space.dim, 8)), space.dim)
+    """Sampled strong-monotonicity certificates on a ladder of prefixes."""
+    got = _read(exp, memo)
+    space, layer, seed = got["space"], got["layer"], got["seed"]
     report = {
         "schema": SCHEMA_VERSION,
         "name": exp["name"],
@@ -155,14 +378,14 @@ def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         report["rejected"] = True
         report["reason"] = structural.note
     else:
-        floor = _float_field(exp, "floor", structural.alpha)
+        floor = float(structural.alpha) if got["floor"] is None else got["floor"]
         rows = []
         worst = math.inf
-        for d in dims:
+        for d in got["dims"] or _prefix_dims(space.dim, 8):
             cert = pairwise_alpha(
                 layer.eval_array,
-                r=radius,
-                n=samples,
+                r=got["radius"],
+                n=got["samples"],
                 seed=seed,
                 dim=space.dim,
                 prefix=d,
@@ -195,21 +418,15 @@ def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
 
 
 def run_discretize_scan(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
-    check_keys(
-        exp,
-        "discretize-scan",
-        {"name", "kind", "seed", "space", "layer", "dims"},
-        {"radius", "samples"},
-    )
-    space = _space_of(exp, memo)
-    layer = layer_from_spec(exp["layer"], space)
+    """Prefix-discretization error scan; CSV plus a JSON metadata sidecar."""
+    got = _read(exp, memo)
     report = convergence_scan(
-        layer.eval_array,
-        _check_dims(exp, exp["dims"], space.dim),
-        r=_float_field(exp, "radius", 1.0),
-        n=_int_field(exp, "samples", 256),
-        seed=_int_field(exp, "seed"),
-        dim=space.dim,
+        got["layer"].eval_array,
+        got["dims"],
+        r=got["radius"],
+        n=got["samples"],
+        seed=got["seed"],
+        dim=got["space"].dim,
         description=exp["name"],
     )
     stem = out_dir / exp["name"]
@@ -220,35 +437,21 @@ def run_discretize_scan(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
 
 
 def run_decompose(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
-    check_keys(
-        exp,
-        "decompose",
-        {"name", "kind", "seed", "space", "layer", "epsilon", "radius"},
-        {"composite_tol", "n_verify"},
-    )
-    space = _space_of(exp, memo)
-    layer = layer_from_spec(exp["layer"], space)
-    epsilon = _float_field(exp, "epsilon")
-    radius = _float_field(exp, "radius")
-    composite_tol = _float_field(exp, "composite_tol", 1e-6)
-    seed = _int_field(exp, "seed")
-    if not (epsilon > 0.0 and radius > 0.0):
-        raise SpecError(
-            f"experiment {exp['name']!r}: epsilon and radius must be positive"
-        )
+    """Split a bilipschitz layer into near-identity blocks; JSON result."""
+    got = _read(exp, memo)
     result = decompose(
-        layer,
-        epsilon,
-        radius,
-        composite_tol=composite_tol,
-        seed=seed,
-        n_verify=_int_field(exp, "n_verify", 200),
+        got["layer"],
+        got["epsilon"],
+        got["radius"],
+        composite_tol=got["composite_tol"],
+        seed=got["seed"],
+        n_verify=got["n_verify"],
     )
     report = {
         "schema": SCHEMA_VERSION,
         "name": exp["name"],
         "kind": "decompose",
-        "seed": seed,
+        "seed": got["seed"],
         "j": result.j,
         "epsilon": result.epsilon,
         "r1": result.r1,
@@ -256,10 +459,10 @@ def run_decompose(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         "replay": {
             "space": exp["space"],
             "layer": exp["layer"],
-            "epsilon": epsilon,
-            "radius": radius,
-            "composite_tol": composite_tol,
-            "seed": seed,
+            "epsilon": got["epsilon"],
+            "radius": got["radius"],
+            "composite_tol": got["composite_tol"],
+            "seed": got["seed"],
             "note": "decompose is deterministic: rerunning this spec rebuilds "
             "the identical block sequence",
         },
@@ -269,28 +472,18 @@ def run_decompose(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
 
 
 def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
-    check_keys(
-        exp,
-        "invert",
-        {"name", "kind", "seed", "chain", "y"},
-        {"head", "tol"},
-    )
-    chain = memo.get(chain_from_spec, exp["chain"])
-    head = head_from_spec(exp.get("head", {"kind": "identity"}), dim=chain.dim)
-    try:
-        y = np.asarray(exp["y"], dtype=float)
-    except (TypeError, ValueError) as err:
-        raise SpecError(f"experiment {exp['name']!r}: y must be a number array") from err
-    if y.shape != (chain.dim,) or not np.all(np.isfinite(y)):
-        raise SpecError(
-            f"experiment {exp['name']!r}: y must be {chain.dim} finite numbers"
-        )
-    result = invert_chain(chain, head, y, tol=_float_field(exp, "tol", 1e-10))
+    """Invert a certified residual chain by fixed-point iteration.
+
+    A ball-local chain (one with a ball_radius) refuses a target whose
+    inversion leaves its ball: the run fails with a DomainError.
+    """
+    got = _read(exp, memo)
+    result = invert_chain(got["chain"], got["head"], got["y"], tol=got["tol"])
     report = {
         "schema": SCHEMA_VERSION,
         "name": exp["name"],
         "kind": "invert",
-        "seed": _int_field(exp, "seed"),
+        "seed": got["seed"],
         **result.as_dict(),
     }
     write_json(out_dir / f"{exp['name']}.json", report)
@@ -298,27 +491,13 @@ def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
 
 
 def run_nogo_galerkin(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
-    check_keys(
-        exp,
-        "nogo-galerkin",
-        {"name", "kind", "seed", "path_kind", "n"},
-        {"grid", "bisect_tol"},
-    )
-    if exp["path_kind"] not in ("a", "b"):
-        raise SpecError(f"experiment {exp['name']!r}: path_kind must be 'a' or 'b'")
-    n = _int_field(exp, "n")
-    if n < 1 or n % 2 == 0:
-        raise SpecError(f"experiment {exp['name']!r}: n must be an odd positive count")
-    scan = singularity_scan(
-        exp["path_kind"],
-        n,
-        _int_field(exp, "grid", 101),
-        _float_field(exp, "bisect_tol", 1e-12),
-    )
+    """Determinant sign change along a singular Galerkin path; CSV s,det,min_sv."""
+    got = _read(exp, memo)
+    scan = singularity_scan(got["path_kind"], got["n"], got["grid"], got["bisect_tol"])
     s_star, det_at_star, min_sv_at_star = scan.stars[0]
     report = {
-        "kind": exp["path_kind"],
-        "n": n,
+        "kind": got["path_kind"],
+        "n": got["n"],
         "s_grid": scan.grid,
         "dets": scan.dets,
         "min_svs": scan.min_svs,
@@ -335,17 +514,10 @@ def run_nogo_galerkin(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
 
 
 def run_nogo_isotopy(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
-    check_keys(
-        exp, "nogo-isotopy", {"name", "kind", "seed", "m"}, {"grid", "bisect_tol"}
-    )
-    m = _int_field(exp, "m")
-    if m < 3 or m % 2 == 0:
-        raise SpecError(f"experiment {exp['name']!r}: m must be odd and at least 3")
-    scan = truncated_det_scan(
-        m,
-        _int_field(exp, "grid", 101),
-        _float_field(exp, "bisect_tol", 1e-12),
-    )
+    """Determinant crossing of the truncated rotation-cascade path; CSV t,det,min_sv."""
+    got = _read(exp, memo)
+    m = got["m"]
+    scan = truncated_det_scan(m, got["grid"], got["bisect_tol"])
     report = {
         "m": m,
         "t_grid": scan.grid,
@@ -366,36 +538,12 @@ def run_nogo_isotopy(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
 
 
 def run_fem_solve(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
-    check_keys(
-        exp, "fem-solve", {"name", "kind", "seed", "g", "mesh"}, {"tol"}
+    """Hat-element semilinear solves with an error-ratio table."""
+    got = _read(exp, memo)
+    sizes = got["mesh"]
+    conv = fem_convergence(
+        SOURCES[got["g"]], ConvexNonlinearity.named(got["g"]), sizes, tol=got["tol"]
     )
-    g_name = exp["g"]
-    if g_name not in SOURCES:
-        raise SpecError(f"unknown reaction {g_name!r}; know {sorted(SOURCES)}")
-    reaction = ConvexNonlinearity.named(g_name)
-    source = SOURCES[g_name]
-    try:
-        sizes = [integral(c) for c in exp["mesh"]]
-    except (TypeError, ValueError, OverflowError) as err:
-        raise SpecError(f"experiment {exp['name']!r}: mesh must be integers") from err
-    if len(sizes) < 2 or any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise SpecError(
-            f"experiment {exp['name']!r}: mesh needs at least two strictly "
-            "increasing cell counts"
-        )
-    if sizes[0] < 2:
-        raise SpecError(
-            f"experiment {exp['name']!r}: the coarsest mesh needs at least 2 "
-            f"cells to carry a hat function, got {sizes[0]}"
-        )
-    oracle_cells = ORACLE_FACTOR * sizes[-1]
-    if any(oracle_cells % s != 0 for s in sizes):
-        raise SpecError(
-            f"experiment {exp['name']!r}: every mesh size must divide the "
-            f"reference mesh of {oracle_cells} cells"
-        )
-    tol = _float_field(exp, "tol", 1e-10)
-    conv = fem_convergence(source, reaction, sizes, tol=tol)
     stem = out_dir / exp["name"]
     rows = [
         (sizes[i], conv.errors[i], conv.ratios[i] if i < len(conv.ratios) else math.nan)
@@ -449,22 +597,15 @@ def quant_report(f, dims, r, n, seed, dim):
 
 
 def run_quant_report(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
-    check_keys(
-        exp,
-        "quant-report",
-        {"name", "kind", "seed", "space", "layer", "dims"},
-        {"radius", "samples"},
-    )
-    space = _space_of(exp, memo)
-    layer = layer_from_spec(exp["layer"], space)
-    r = _float_field(exp, "radius", 1.0)
+    """Measured prefix errors next to the size bound's growth shape."""
+    got = _read(exp, memo)
     rows = quant_report(
-        layer.eval_array,
-        _check_dims(exp, exp["dims"], space.dim),
-        r,
-        _int_field(exp, "samples", 256),
-        _int_field(exp, "seed"),
-        dim=space.dim,
+        got["layer"].eval_array,
+        got["dims"],
+        got["radius"],
+        got["samples"],
+        got["seed"],
+        dim=got["space"].dim,
     )
     stem = out_dir / exp["name"]
     header = (
@@ -477,7 +618,7 @@ def run_quant_report(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         header,
         [(row["dim"], row["epsilon_v"], row["layers_bound"], row["nonzeros_bound"]) for row in rows],
     )
-    report = {"schema": SCHEMA_VERSION, "name": exp["name"], "radius": r, "rows": rows}
+    report = {"schema": SCHEMA_VERSION, "name": exp["name"], "radius": got["radius"], "rows": rows}
     write_json(f"{stem}.json", report)
     return report
 
@@ -564,18 +705,6 @@ def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None
 # click wiring
 
 
-def _int_list(ctx, param, value):
-    """Click callback: a comma-separated flag value as a list of integers."""
-    if value is None:
-        return None
-    try:
-        return [int(tok) for tok in value.split(",")]
-    except ValueError as err:
-        raise click.ClickException(
-            f"{param.opts[0]} wants comma-separated integers, got {value!r}"
-        ) from err
-
-
 def _finish(outcomes: list[dict], out_dir: Path) -> None:
     for o in outcomes:
         click.echo(f"{o['status']:>12}  {o['kind']}  {o['name']}")
@@ -591,32 +720,35 @@ def _finish(outcomes: list[dict], out_dir: Path) -> None:
         raise SystemExit(2)
 
 
-def _run_subcommand(ctx, kind: str, flags: dict) -> None:
-    """Run one experiment: an optional single-experiment config file, with
-    every flag that was given on top."""
-    exp: dict = {}
+@click.pass_context
+def _run_subcommand(ctx, **flags) -> None:
+    """Run one experiment of the subcommand's kind: an optional
+    single-experiment config file, with every flag that was given on top."""
+    kind = ctx.command.name
+    keys = {**KEYS[kind], **SHARED_KEYS}
+    given = {"seed": ctx.obj.get("seed")}
+    try:
+        for key, value in flags.items():
+            load = keys[key].flag.load
+            if value is not None:
+                given.update(load(value) if load else {key: value})
+    except SpecError as err:
+        raise click.ClickException(str(err)) from err
     config_path = ctx.obj.get("config")
-    if config_path is not None:
-        blob = load_json(config_path)
-        if "experiments" in blob:
-            raise click.ClickException(
-                "a multi-experiment config runs without a subcommand: opdisc --config FILE"
-            )
-        exp = dict(blob)
-        exp.pop("schema", None)
-    exp.setdefault("kind", kind)
-    if exp["kind"] != kind:
+    # a pure flag invocation composes its own experiment; config files must
+    # still carry their seed explicitly
+    blob = {"seed": 0} if config_path is None else load_json(config_path)
+    if "experiments" in blob:
         raise click.ClickException(
-            f"config is for kind {exp['kind']!r} but the subcommand is {kind!r}"
+            "a multi-experiment config runs without a subcommand: opdisc --config FILE"
         )
-    if flags.get("seed") is None:
-        flags["seed"] = ctx.obj.get("seed")
-    exp.update({key: value for key, value in flags.items() if value is not None})
-    exp.setdefault("name", kind)
-    if config_path is None:
-        # a pure flag invocation composes its own experiment; config files
-        # must still carry their seed explicitly
-        exp.setdefault("seed", 0)
+    if blob.get("kind", kind) != kind:
+        raise click.ClickException(
+            f"config is for kind {blob['kind']!r} but the subcommand is {kind!r}"
+        )
+    exp = {"name": kind, **blob, "kind": kind}
+    exp.pop("schema", None)
+    exp.update({key: value for key, value in given.items() if value is not None})
     exp = _validate_experiment(exp, 0, None)
     out_dir = ctx.obj["out"]
     outcome = _run_experiment(exp, out_dir, _BuildMemo())
@@ -629,12 +761,15 @@ def _run_subcommand(ctx, kind: str, flags: dict) -> None:
     click.echo(f"          ok  {exp['kind']}  {exp['name']}")
 
 
-def _layer_file(layer_path) -> dict:
-    """The space and layer of a ``--layer`` file, or nothing without one."""
-    if layer_path is None:
-        return {}
-    blob = read_envelope(load_json(layer_path), "layer file", {"space", "layer"})
-    return {"space": blob["space"], "layer": blob["layer"]}
+def _option(key: str, entry: _Key) -> click.Option:
+    """A key's subcommand option; its click type follows the key's entry."""
+    if entry.flag.load is not None:
+        typed = {"type": click.Path(exists=True, dir_okay=False)}
+    elif entry.check is not None and entry.check.choices:
+        typed = {"type": click.Choice(entry.check.choices)}
+    else:
+        typed = entry.type.option
+    return click.Option([entry.flag.opt, key], default=None, help=entry.flag.help, **typed)
 
 
 @click.group(invoke_without_command=True)
@@ -663,124 +798,19 @@ def main(ctx, config, out_dir, jobs, seed):
     _finish(outcomes, Path(out_dir))
 
 
-@main.command("monotone-check")
-@click.option("--layer", "layer_path", type=click.Path(exists=True, dir_okay=False),
-              help="Layer file: {schema, space, layer}.")
-@click.option("--dims", type=str, default=None, callback=_int_list,
-              help="Comma-separated prefix dims.")
-@click.option("--radius", type=float, default=None)
-@click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--name", type=str, default=None)
-@click.pass_context
-def monotone_check_cmd(ctx, layer_path, **flags):
-    """Sampled strong-monotonicity certificates on a ladder of prefixes."""
-    _run_subcommand(ctx, "monotone-check", {**flags, **_layer_file(layer_path)})
-
-
-@main.command("discretize-scan")
-@click.option("--layer", "layer_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--dims", type=str, default=None, callback=_int_list,
-              help="Comma-separated prefix dims.")
-@click.option("--radius", type=float, default=None)
-@click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--name", type=str, default=None)
-@click.pass_context
-def discretize_scan_cmd(ctx, layer_path, **flags):
-    """Prefix-discretization error scan; CSV plus a JSON metadata sidecar."""
-    _run_subcommand(ctx, "discretize-scan", {**flags, **_layer_file(layer_path)})
-
-
-@main.command("decompose")
-@click.option("--layer", "layer_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--epsilon", type=float, default=None)
-@click.option("--radius", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--name", type=str, default=None)
-@click.pass_context
-def decompose_cmd(ctx, layer_path, **flags):
-    """Split a bilipschitz layer into near-identity blocks; JSON result."""
-    _run_subcommand(ctx, "decompose", {**flags, **_layer_file(layer_path)})
-
-
-@main.command("invert")
-@click.option("--chain", "chain_path", type=click.Path(exists=True, dir_okay=False),
-              help="Chain file: {schema, chain, head?}.")
-@click.option("--y", "y_path", type=click.Path(exists=True, dir_okay=False),
-              help="Target file: {schema, y} or a bare JSON array.")
-@click.option("--tol", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--name", type=str, default=None)
-@click.pass_context
-def invert_cmd(ctx, chain_path, y_path, **flags):
-    """Invert a certified residual chain by fixed-point iteration.
-
-    A ball-local chain (one with a ball_radius) refuses a target whose
-    inversion leaves its ball: the run fails with a DomainError.
-    """
-    if chain_path is not None:
-        blob = read_envelope(load_json(chain_path), "chain file", {"chain"}, {"head"})
-        flags["chain"] = blob["chain"]
-        flags["head"] = blob.get("head")
-    if y_path is not None:
-        y_blob = load_json(y_path)
-        if isinstance(y_blob, dict):
-            y_blob = read_envelope(y_blob, "y file", {"y"})["y"]
-        flags["y"] = y_blob
-    _run_subcommand(ctx, "invert", flags)
-
-
-@main.command("nogo-galerkin")
-@click.option("--kind", "path_kind", type=click.Choice(["a", "b"]), default=None)
-@click.option("--n", type=int, default=None, help="Basis functions (odd).")
-@click.option("--grid", type=int, default=None)
-@click.option("--bisect-tol", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--name", type=str, default=None)
-@click.pass_context
-def nogo_galerkin_cmd(ctx, **flags):
-    """Determinant sign change along a singular Galerkin path; CSV s,det,min_sv."""
-    _run_subcommand(ctx, "nogo-galerkin", flags)
-
-
-@main.command("nogo-isotopy")
-@click.option("--m", type=int, default=None, help="Truncation dimension (odd).")
-@click.option("--grid", type=int, default=None)
-@click.option("--bisect-tol", type=float, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--name", type=str, default=None)
-@click.pass_context
-def nogo_isotopy_cmd(ctx, **flags):
-    """Determinant crossing of the truncated rotation-cascade path; CSV t,det,min_sv."""
-    _run_subcommand(ctx, "nogo-isotopy", flags)
-
-
-@main.command("fem-solve")
-@click.option("--g", type=click.Choice(sorted(SOURCES)), default=None,
-              help="Reaction term; the source is manufactured for sin(pi t).")
-@click.option("--mesh", type=str, default=None, callback=_int_list,
-              help="Comma-separated cell counts.")
-@click.option("--seed", type=int, default=None)
-@click.option("--name", type=str, default=None)
-@click.pass_context
-def fem_solve_cmd(ctx, **flags):
-    """Hat-element semilinear solves with an error-ratio table."""
-    _run_subcommand(ctx, "fem-solve", flags)
-
-
-@main.command("quant-report")
-@click.option("--layer", "layer_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--dims", type=str, default=None, callback=_int_list,
-              help="Comma-separated prefix dims.")
-@click.option("--radius", type=float, default=None)
-@click.option("--samples", type=int, default=None)
-@click.option("--seed", type=int, default=None)
-@click.option("--name", type=str, default=None)
-@click.pass_context
-def quant_report_cmd(ctx, layer_path, **flags):
-    """Measured prefix errors next to the size bound's growth shape."""
-    _run_subcommand(ctx, "quant-report", {**flags, **_layer_file(layer_path)})
+for _kind, _runner in RUNNERS.items():
+    main.add_command(
+        click.Command(
+            _kind,
+            callback=_run_subcommand,
+            params=[
+                _option(key, entry)
+                for key, entry in {**KEYS[_kind], **SHARED_KEYS}.items()
+                if entry.flag is not None
+            ],
+            help=_runner.__doc__,
+        )
+    )
 
 
 @main.command("accept")

@@ -755,6 +755,8 @@ def decompose(
         raise ValueError("epsilon must be positive")
     if r1 <= 0.0:
         raise ValueError("validity radius must be positive")
+    if not 0.0 < composite_tol < math.inf:
+        raise ValueError(f"composite_tol must be positive and finite, got {composite_tol!r}")
     diag: dict = {"epsilon": epsilon, "r1": r1, "seed": seed}
 
     with _stage("estimate"):

@@ -1,8 +1,10 @@
 import json
 import math
+import re
 import sys
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -636,6 +638,93 @@ class TestArtifactNames:
         assert all(path.name.startswith("good.") for path in out.iterdir())
 
 
+class TestRefusedExperimentValues:
+    """A value that its kind's key table refuses is a config error (exit 1)
+    naming the kind and the key, found before any kernel runs or any
+    artifact is written."""
+
+    @pytest.mark.parametrize(
+        "kind,key,value",
+        [
+            ("monotone-check", "samples", 1),
+            ("nogo-galerkin", "grid", 1),
+            ("nogo-isotopy", "bisect_tol", 0),
+            ("fem-solve", "tol", -1),
+            ("quant-report", "radius", -1),
+            ("decompose", "composite_tol", -1),
+            ("monotone-check", "radius", -1),
+            ("discretize-scan", "samples", 0),
+            ("invert", "tol", -1),
+            ("nogo-isotopy", "seed", "abc"),
+            ("nogo-galerkin", "seed", 2.5),
+            ("fem-solve", "seed", None),
+            ("invert", "seed", "x"),
+        ],
+    )
+    def test_a_refused_value_is_a_config_error(self, runner, tmp_path, kind, key, value):
+        exp = {"name": "bad", "kind": kind, "seed": 0, **ONE_OF_EACH_KIND[kind], key: value}
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main, ["--config", str(write_config(tmp_path, [exp])), "--out", str(out)]
+        )
+        assert result.exit_code == 1, result.output
+        assert f"config-error in bad: {kind} experiment 'bad': {key} must be" in result.output
+        # no failures.json and no artifact
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [("floor", "abc"), ("samples", 1)])
+    def test_a_key_off_the_taken_branch_is_checked(self, tmp_path, key, value):
+        # a layer without a structural certificate is recorded as rejected,
+        # and its run never uses floor or samples
+        exp = {"name": "wild", "kind": "monotone-check", "seed": 0, "space": _FOURIER4,
+               "layer": {**_SEEDED_LAYER, "lip_g": 1.5}}
+        assert _run_batch([exp], tmp_path / "good")[0]["status"] == "ok"
+        assert json.loads((tmp_path / "good" / "wild.json").read_text())["rejected"] is True
+        outcome = _run_batch([{**exp, key: value}], tmp_path / "bad")[0]
+        assert outcome["status"] == "config-error"
+        assert f"monotone-check experiment 'wild': {key} must be" in outcome["error"]
+        assert not (tmp_path / "bad").exists()
+
+
+def _key_table(keys: dict) -> list[str]:
+    """The README table of one block of ``cli``'s experiment keys."""
+    rows = ["| key | type | default | check | flag |", "|---|---|---|---|---|"]
+    for key, entry in keys.items():
+        if entry.default is cli._REQUIRED:
+            default = "required"
+        elif entry.default is None:
+            default = "derived"
+        else:
+            default = f"`{json.dumps(entry.default)}`"
+        check = "—" if entry.check is None else entry.check.text
+        flag = "—" if entry.flag is None else f"`{entry.flag.opt}`"
+        if entry.flag is not None and entry.flag.load is not None:
+            flag += " (file)"
+        rows.append(f"| `{key}` | {entry.type.name} | {default} | {check} | {flag} |")
+    return rows
+
+
+def _readme_key_tables() -> dict:
+    """The tables of README's "Experiment keys" section, by their label."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = text.split("### Experiment keys\n", 1)[1].split("\n#", 1)[0]
+    tables: dict = {}
+    label = None
+    for line in section.splitlines():
+        if line.endswith(":") and not line.startswith("|"):
+            label = line[:-1].strip("`")
+        elif line.startswith("|"):
+            tables.setdefault(label, []).append(line)
+    return tables
+
+
+def test_readme_key_tables_match_the_cli_table():
+    expected = {"Every kind": _key_table(cli.SHARED_KEYS)}
+    expected.update({kind: _key_table(keys) for kind, keys in cli.KEYS.items()})
+    assert set(cli.KEYS) == set(cli.RUNNERS)
+    assert _readme_key_tables() == expected
+
+
 class TestNemytskiiSpace:
     @pytest.mark.parametrize("activation", ["scaled_leaky(0.5)", "tanh"])
     def test_a_coefficient_only_space_is_a_config_error(self, runner, tmp_path, activation):
@@ -807,6 +896,21 @@ class TestSubcommands:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)  # a clean exit, no traceback
         assert f"{flag} wants comma-separated integers" in result.output
+
+    @pytest.mark.parametrize(
+        "command,flag,where",
+        [("monotone-check", "--layer", "layer file"), ("invert", "--chain", "chain file"),
+         ("invert", "--y", "y file")],
+    )
+    def test_a_bad_file_flag_is_a_clean_config_error(self, runner, tmp_path, command, flag,
+                                                     where):
+        # a refused file used to escape as a SpecError traceback
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"schema": 2}))
+        result = runner.invoke(main, ["--out", str(tmp_path / "o"), command, flag, str(bad)])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert f"Error: {where}:" in result.output
 
     def test_monotone_check_report(self, runner, tmp_path, layer_file):
         out = tmp_path / "out"
@@ -1087,6 +1191,36 @@ class TestSubcommands:
         )
         assert result.exit_code == 0, result.output
         assert (out / "iso3.csv").exists()
+
+
+# every subcommand's options as its --help lists them: flag and metavar
+HELP_OPTIONS = {
+    "monotone-check": ["--layer FILE", "--dims TEXT", "--radius FLOAT", "--samples INTEGER",
+                       "--seed INTEGER", "--name TEXT", "--help"],
+    "discretize-scan": ["--layer FILE", "--dims TEXT", "--radius FLOAT", "--samples INTEGER",
+                        "--seed INTEGER", "--name TEXT", "--help"],
+    "decompose": ["--layer FILE", "--epsilon FLOAT", "--radius FLOAT", "--seed INTEGER",
+                  "--name TEXT", "--help"],
+    "invert": ["--chain FILE", "--y FILE", "--tol FLOAT", "--seed INTEGER", "--name TEXT",
+               "--help"],
+    "nogo-galerkin": ["--kind [a|b]", "--n INTEGER", "--grid INTEGER", "--bisect-tol FLOAT",
+                      "--seed INTEGER", "--name TEXT", "--help"],
+    "nogo-isotopy": ["--m INTEGER", "--grid INTEGER", "--bisect-tol FLOAT", "--seed INTEGER",
+                     "--name TEXT", "--help"],
+    "fem-solve": ["--g [cubic|linear|zero]", "--mesh TEXT", "--seed INTEGER", "--name TEXT",
+                  "--help"],
+    "quant-report": ["--layer FILE", "--dims TEXT", "--radius FLOAT", "--samples INTEGER",
+                     "--seed INTEGER", "--name TEXT", "--help"],
+}
+
+
+@pytest.mark.parametrize("kind", sorted(HELP_OPTIONS))
+def test_subcommand_help_lists_its_options(runner, kind):
+    assert kind in cli.RUNNERS and len(HELP_OPTIONS) == len(cli.RUNNERS)
+    result = runner.invoke(main, [kind, "--help"])
+    assert result.exit_code == 0, result.output
+    options = re.findall(r"^  (--\S+(?: \S+)?)", result.output, re.MULTILINE)
+    assert options == HELP_OPTIONS[kind]
 
 
 class TestQuantReport:

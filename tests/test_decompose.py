@@ -733,6 +733,13 @@ class TestDecompose:
         with pytest.raises(ValueError, match="radius"):
             decompose(smooth_layer, epsilon=0.25, r1=0.0)
 
+    @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+    def test_refuses_a_bad_composite_tol_up_front(self, smooth_layer, tol):
+        # a negative tolerance used to fail late, inside the inverter choice,
+        # as "[estimate] math domain error"
+        with pytest.raises(ValueError, match=r"^composite_tol must be positive and finite"):
+            decompose(smooth_layer, epsilon=0.25, r1=1.0, composite_tol=tol)
+
     def test_result_rejects_oversized_blocks(self):
         class FakeBlock:
             lip_sampled = 0.5

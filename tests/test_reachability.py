@@ -23,19 +23,13 @@ from opdisc.cli import main
 
 SRC = Path(opdisc.__file__).resolve().parent
 
-_CLICK = "a click command function: the batch runs every kind through run_config"
 _TRACER = "read only by bench/tracer.py, until its counts come from the run itself"
 ALLOWED = {
-    "cli.monotone_check_cmd": _CLICK,
-    "cli.discretize_scan_cmd": _CLICK,
-    "cli.decompose_cmd": _CLICK,
-    "cli.invert_cmd": _CLICK,
-    "cli.nogo_galerkin_cmd": _CLICK,
-    "cli.nogo_isotopy_cmd": _CLICK,
-    "cli.fem_solve_cmd": _CLICK,
-    "cli.quant_report_cmd": _CLICK,
+    "cli._option": "builds the subcommands' options at import, before the profile starts",
     "cli._run_subcommand": "the body every subcommand shares",
     "cli._layer_file": "reads the --layer file of a subcommand",
+    "cli._chain_file": "reads the --chain file of the invert subcommand",
+    "cli._y_file": "reads the --y file of the invert subcommand",
     "decompose.TailBlock.alpha": _TRACER,
     "decompose.ScalingPath.alpha": _TRACER,
     "invert.InversionTrace.total_iterations": _TRACER,
@@ -73,6 +67,10 @@ BATCH = [
                           "net": {"kind": "seeded_coordinate_network", "n_in": 4,
                                   "n_out": 4, "seed": 7, "target_bound": 0.5,
                                   "activation": "identity"}}}},
+    # no dims: the runner spreads its own prefixes
+    {"name": "spread", "kind": "monotone-check", "seed": 5, "samples": 8,
+     "space": {"basis": "abstract_orthonormal", "ambient_dim": 4},
+     "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5}},
     {"name": "scan", "kind": "discretize-scan", "seed": 3, "samples": 16, "dims": [2, 6],
      "space": {"basis": "abstract_orthonormal", "ambient_dim": 6},
      "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5, "hidden": [8],
