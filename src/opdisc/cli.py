@@ -47,17 +47,26 @@ from .invert import InversionError, invert_chain
 from .isotopy import aligned_truncation_matrix, truncated_det_scan
 from .monotone import contraction_certificate, pairwise_alpha
 from .serialize import (
+    _FINITE,
+    _FLOAT,
+    _INT,
+    _ONE_OR_MORE,
+    _REQUIRED,
+    _STRING,
     SCHEMA_VERSION,
     SpecError,
+    _Check,
+    _ints,
+    _Key,
+    _Type,
     blob_hash,
     canonical_json,
     chain_from_spec,
-    check_keys,
     head_from_spec,
-    integral,
     layer_from_spec,
     load_json,
     read_envelope,
+    read_keys,
     space_from_config,
     write_csv,
     write_json,
@@ -83,66 +92,12 @@ _FAILURES = (
 # experiment keys: one table per kind
 
 
-class _Type(NamedTuple):
-    """How a key's value is read: ``read(value, got)``, given the values read
-    before it, returns what the runner uses, and a TypeError, ValueError or
-    OverflowError refuses the value as not ``noun``.  ``option`` holds the
-    click keywords of the key's flag."""
-
-    name: str
-    noun: str
-    read: Callable
-    option: dict | None = None
-
-
-class _Check(NamedTuple):
-    """``fault(value, got)`` says what is wrong with a read value, or None;
-    a check that allows a fixed set of values lists them as ``choices``."""
-
-    text: str
-    fault: Callable
-    choices: tuple = ()
-
-
 class _Flag(NamedTuple):
     """A subcommand option; a file option ``load``s experiment keys."""
 
     opt: str
     help: str | None = None
     load: Callable | None = None
-
-
-class _Key(NamedTuple):
-    """One experiment key.  Its default is ``_REQUIRED``, a value, or None
-    when the runner derives it."""
-
-    type: _Type
-    default: object
-    check: _Check | None
-    flag: _Flag | None
-
-
-_REQUIRED = object()
-
-
-class _Values(dict):
-    """An experiment's values by key, and the memo that builds its specs."""
-
-    def __init__(self, memo):
-        super().__init__()
-        self.memo = memo
-
-
-def _string(value, got) -> str:
-    if not isinstance(value, str):
-        raise TypeError(value)
-    return value
-
-
-def _ints(value, got) -> list[int]:
-    if not isinstance(value, (list, tuple)):
-        raise TypeError(value)
-    return [integral(v) for v in value]
 
 
 def _int_list(ctx, param, value):
@@ -157,9 +112,6 @@ def _int_list(ctx, param, value):
         ) from err
 
 
-_INT = _Type("int", "an integer", lambda value, got: integral(value), {"type": int})
-_FLOAT = _Type("float", "a number", lambda value, got: float(value), {"type": float})
-_STRING = _Type("string", "a string", _string, {"type": str})
 _INTS = _Type("int list", "integers", _ints, {"type": str, "callback": _int_list})
 _NUMBERS = _Type("number list", "a number array", lambda value, got: np.asarray(value, dtype=float))
 _SPACE = _Type("space spec", "a space spec", lambda d, got: got.memo.get(space_from_config, d))
@@ -221,8 +173,6 @@ def _y_file(path) -> dict:
 
 _POSITIVE = _Check("finite, > 0", lambda v, got: None if 0.0 < v < math.inf
                    else "must be positive and finite")
-_FINITE = _Check("finite", lambda v, got: None if math.isfinite(v) else "must be finite")
-_ONE_OR_MORE = _Check(">= 1", lambda v, got: None if v >= 1 else "must be at least 1")
 _TWO_OR_MORE = _Check(">= 2", lambda v, got: None if v >= 2 else "must be at least 2")
 _ODD_N = _Check("odd, >= 1", lambda v, got: None if v >= 1 and v % 2
                 else "must be an odd positive count")
@@ -308,32 +258,13 @@ KEYS = {
 }
 
 
-def _read(exp: dict, memo) -> _Values:
-    """Check an experiment against its kind's keys and read every value, in
-    table order, before anything runs.  A refused key is a SpecError naming
-    the kind and the key."""
+def _read(exp: dict, memo) -> dict:
+    """Check an experiment against its kind's keys and read every value
+    before anything runs; a refused key is a SpecError naming the kind and
+    the key."""
     kind = exp["kind"]
-    keys = {**KEYS[kind], **SHARED_KEYS}
-    required = {key for key, entry in keys.items() if entry.default is _REQUIRED}
-    check_keys(exp, kind, required, set(keys))
     where = f"{kind} experiment {exp['name']!r}"
-    got = _Values(memo)
-    for key, entry in keys.items():
-        if key not in exp and entry.default is None:
-            got[key] = None  # the runner derives it
-            continue
-        raw = exp.get(key, entry.default)
-        try:
-            value = entry.type.read(raw, got)
-        except SpecError:
-            raise
-        except (TypeError, ValueError, OverflowError) as err:
-            raise SpecError(f"{where}: {key} must be {entry.type.noun}, got {raw!r}") from err
-        fault = entry.check.fault(value, got) if entry.check else None
-        if fault:
-            raise SpecError(f"{where}: {key} {fault}, got {raw!r}")
-        got[key] = value
-    return got
+    return read_keys(exp, {**KEYS[kind], **SHARED_KEYS}, where, kind, memo=memo)
 
 
 # ---------------------------------------------------------------------------

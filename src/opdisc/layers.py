@@ -544,44 +544,35 @@ def central_differences(f, x: np.ndarray, dirs: np.ndarray, h: float = 1e-5) -> 
 # seeded layer generator
 # ---------------------------------------------------------------------------
 
-_LAYER_SPEC_KEYS = {
-    "rank",
-    "decay",
-    "lip_g",
-    "nonlin",
-    "norm_in",
-    "norm_out",
-    "out_phi_prefix",
-    "bias_scale",
-    "hidden",
-    "activation",
-}
 
+def make_layer(
+    space: Space,
+    *,
+    seed: int = 0,
+    rank: int | None = None,
+    decay: float = 1.0,
+    lip_g: float = 0.5,
+    nonlin: str = "coordinate_net",
+    norm_in: float = 1.0,
+    norm_out: float = 1.0,
+    out_phi_prefix: bool = False,
+    bias_scale: float = 0.0,
+    hidden: Sequence[int] | None = None,
+    activation: Activation | str = "leaky_relu",
+) -> NeuralOperatorLayer:
+    """Deterministic test layer from a seed.
 
-def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **overrides):
-    """Deterministic test layer from a seed and a small spec dict.
-
-    Keys (all optional): rank (default min(M, 8)), decay (singular decay
-    exponent, default 1), lip_g (target Lipschitz bound of the middle map,
-    default 0.5; 0 gives an identity layer), nonlin ("coordinate_net",
-    "nemytskii", or "affine_contraction"), norm_in/norm_out (top singular
-    values of the two compact maps), out_phi_prefix (make the output
-    operator's range directions the basis prefix), bias_scale, hidden,
-    activation.
+    rank defaults to min(M, 8); decay is the singular decay exponent; lip_g
+    is the target Lipschitz bound of the middle map (0 gives an identity
+    layer); nonlin is "coordinate_net", "nemytskii" or "affine_contraction";
+    norm_in/norm_out are the top singular values of the two compact maps;
+    out_phi_prefix makes the output operator's range directions the basis
+    prefix; activation is an Activation or its name.
     """
-    cfg = dict(layer_spec or {})
-    cfg.update(overrides)
-    unknown = set(cfg) - _LAYER_SPEC_KEYS
-    if unknown:
-        raise ValueError(f"unknown layer spec keys: {sorted(unknown)}")
     m = space.dim
-    rank = int(cfg.get("rank", min(m, 8)))
-    decay = float(cfg.get("decay", 1.0))
-    lip_g = float(cfg.get("lip_g", 0.5))
-    nonlin_kind = cfg.get("nonlin", "coordinate_net")
-    norm_in = float(cfg.get("norm_in", 1.0))
-    norm_out = float(cfg.get("norm_out", 1.0))
-    bias_scale = float(cfg.get("bias_scale", 0.0))
+    rank = min(m, 8) if rank is None else rank
+    if isinstance(activation, str):
+        activation = activation_from_name(activation)
     if lip_g < 0.0:
         raise ValueError("lip_g target must be nonnegative")
     if not 1 <= rank <= m:
@@ -596,32 +587,31 @@ def make_layer(space: Space, layer_spec: dict | None = None, seed: int = 0, **ov
         scale=norm_out,
         decay=decay,
         seed=s_out,
-        phi_prefix=bool(cfg.get("out_phi_prefix", False)),
+        phi_prefix=out_phi_prefix,
     )
 
-    nonlin: Nonlinearity
+    g: Nonlinearity
     if lip_g == 0.0:
-        nonlin = ZeroNonlinearity()
-    elif nonlin_kind == "coordinate_net":
-        act = activation_from_name(cfg.get("activation", "leaky_relu"))
+        g = ZeroNonlinearity()
+    elif nonlin == "coordinate_net":
         net = CoordinateNetwork.seeded(
             m,
             m,
-            hidden=cfg.get("hidden"),
-            activation=act,
+            hidden=hidden,
+            activation=activation,
             target_bound=lip_g,
             bias_scale=bias_scale,
             seed=s_g,
         )
-        nonlin = CoordinateNetNonlinearity(net, m)
-    elif nonlin_kind == "nemytskii":
-        nonlin = NemytskiiNonlinearity(space, scaled_leaky(lip_g))
-    elif nonlin_kind == "affine_contraction":
+        g = CoordinateNetNonlinearity(net, m)
+    elif nonlin == "nemytskii":
+        g = NemytskiiNonlinearity(space, scaled_leaky(lip_g))
+    elif nonlin == "affine_contraction":
         a = rng.standard_normal((m, m))
         a *= lip_g / spectral_norm(a)
         b = bias_scale * rng.standard_normal(m)
-        nonlin = AffineNonlinearity(a, b)
+        g = AffineNonlinearity(a, b)
     else:
-        raise ValueError(f"unknown nonlinearity kind {nonlin_kind!r}")
+        raise ValueError(f"unknown nonlinearity kind {nonlin!r}")
 
-    return NeuralOperatorLayer(t_in, t_out, nonlin)
+    return NeuralOperatorLayer(t_in, t_out, g)

@@ -1,26 +1,33 @@
 """JSON specs for spaces, operators, layers and chains; canonical artifacts.
 
-The ``*_from_spec`` readers define the spec format: they build objects from
-JSON and validate strictly, so an unknown key is an error, never a silent
-default.  Nothing here writes objects back out as specs.  Every artifact
-file carries ``"schema": 1``, and floats pass through ``format(x, ".17g")``
-on the way out so that artifacts are byte-reproducible and re-parse to the
-identical value.  Seeded object specs (``seeded_layer``, ``seeded_chain``,
-...) describe an object by its generator arguments instead of its
-coefficients; both forms rebuild to the same evaluators.
+Key tables are the one source of the keys of every JSON object the package
+reads: ``SPACE_KEYS`` for a space config; ``OPERATORS``, ``NETWORKS``,
+``NONLINEARITIES``, ``LAYERS``, ``CHAINS`` and ``HEADS``, which map each spec
+kind to its key table and the build that makes its object; and ``cli.KEYS``
+for experiments.  Each entry gives a key's type, default and value check.
+:func:`read_keys` reads an object against its table, checking every key
+before the object is built, so an unknown key or a refused value is an
+error naming the key, never a silent default.  Nothing here writes objects
+back out as specs.  Every artifact file carries ``"schema": 1``; JSON
+floats are written as their shortest round-tripping repr and CSV floats
+with 17 significant digits, so that artifacts are byte-reproducible and
+re-parse to the identical value.  Seeded object specs
+(``seeded_layer``, ``seeded_chain``, ...) describe an object by its
+generator arguments instead of its coefficients; both forms rebuild to the
+same evaluators.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import contextmanager
+import math
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .layers import (
-    _LAYER_SPEC_KEYS,
     AffineNonlinearity,
     CoordinateNetNonlinearity,
     CoordinateNetwork,
@@ -45,8 +52,7 @@ __all__ = [
     "blob_hash",
     "check_keys",
     "integral",
-    "int_field",
-    "float_field",
+    "read_keys",
     "space_from_config",
     "operator_from_spec",
     "network_from_spec",
@@ -66,19 +72,6 @@ class SpecError(ValueError):
     1 on the command line)."""
 
 
-@contextmanager
-def _reader(where: str):
-    """Decorates a spec reader: a ValueError raised while the reader builds
-    its object (a constructor refusing a value) becomes a SpecError naming
-    ``where``."""
-    try:
-        yield
-    except SpecError:
-        raise
-    except ValueError as err:
-        raise SpecError(f"{where}: {err}") from err
-
-
 def _require_object(d, where: str) -> dict:
     if not isinstance(d, dict):
         raise SpecError(f"{where}: expected an object, got {type(d).__name__}")
@@ -95,57 +88,184 @@ def check_keys(d: dict, where: str, required: set, optional: set = frozenset()):
 
 
 def integral(value) -> int:
-    """``int(value)``, refusing a float with a fractional part."""
+    """``int(value)``, refusing a boolean and a float with a fractional part."""
+    if isinstance(value, bool):
+        raise TypeError(f"{value!r} is a boolean")
     out = int(value)
     if isinstance(value, float) and value != out:
         raise ValueError(f"{value!r} is not integral")
     return out
 
 
-def int_field(d: dict, key: str, where: str, default=None) -> int:
-    """``d[key]`` (else ``default``) as an int; integral floats pass."""
-    value = d.get(key, default)
+# ---------------------------------------------------------------------------
+# key tables and their reader
+
+
+class _Type(NamedTuple):
+    """How a key's value is read: ``read(value, got)``, given the values read
+    before it, returns what the build uses, and a TypeError, ValueError or
+    OverflowError refuses the value as not ``noun``; a type without a noun
+    refuses in the words of the read's own error.  ``option`` holds the
+    click keywords of the key's flag."""
+
+    name: str
+    noun: str | None
+    read: Callable
+    option: dict | None = None
+
+
+class _Check(NamedTuple):
+    """``fault(value, got)`` says what is wrong with a read value, or None;
+    a check that allows a fixed set of values lists them as ``choices``."""
+
+    text: str
+    fault: Callable
+    choices: tuple = ()
+
+
+class _Key(NamedTuple):
+    """One key.  Its default is ``_REQUIRED``, a value, or None when the
+    build derives it; ``flag`` is an experiment key's subcommand option."""
+
+    type: _Type
+    default: object
+    check: _Check | None = None
+    flag: object = None
+
+
+_REQUIRED = object()
+
+
+class _Values(dict):
+    """An object's values by key; what the caller passed the reader (the
+    space, the build memo, ...) as attributes."""
+
+    def __init__(self, **context):
+        super().__init__()
+        self.__dict__.update(context)
+
+
+def read_keys(d: dict, keys: dict, where: str, scope: str | None = None, **context) -> _Values:
+    """Check ``d`` against a key table and read every value, in table order,
+    before anything is built; ``context`` is what the reads and the build
+    may use besides the values.  Missing and unknown keys are refused under
+    ``scope`` (default ``where``); a refused value is a SpecError naming
+    ``where`` and the key."""
+    required = {key for key, entry in keys.items() if entry.default is _REQUIRED}
+    check_keys(d, scope or where, required, set(keys))
+    got = _Values(**context)
+    for key, entry in keys.items():
+        if key not in d and entry.default is None:
+            got[key] = None  # the build derives it
+            continue
+        raw = d.get(key, entry.default)
+        try:
+            value = entry.type.read(raw, got)
+        except SpecError:
+            raise
+        except (TypeError, ValueError, OverflowError) as err:
+            if entry.type.noun is None:
+                raise SpecError(f"{where}: {err}") from err
+            raise SpecError(f"{where}: {key} must be {entry.type.noun}, got {raw!r}") from err
+        fault = entry.check.fault(value, got) if entry.check else None
+        if fault:
+            raise SpecError(f"{where}: {key} {fault}, got {raw!r}")
+        got[key] = value
+    return got
+
+
+def _build(keys: dict, build: Callable, d: dict, where: str, **context):
+    """Read ``d`` against ``keys``, then ``build`` its object; a ValueError
+    the build raises (a constructor refusing a value) becomes a SpecError
+    naming ``where``."""
+    got = read_keys(d, keys, where, **context)
     try:
-        return integral(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise SpecError(f"{where}: {key} must be an integer, got {value!r}") from err
+        return build(got)
+    except ValueError as err:
+        raise SpecError(f"{where}: {err}") from err
 
 
-def float_field(d: dict, key: str, where: str, default=None) -> float:
-    """``d[key]`` (else ``default``) as a float."""
-    value = d.get(key, default)
+def _build_kind(kinds: dict, d: dict, where: str, **context):
+    """The object a spec describes: its ``kind`` picks the key table and the
+    build from ``kinds``."""
+    body = dict(_require_object(d, where))
+    kind = body.pop("kind", None)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise SpecError(f"unknown {where} kind {kind!r}")
+    return _build(*kinds[kind], body, where, **context)
+
+
+def _of(cls):
+    """A read that takes a value of ``cls`` as it is."""
+
+    def read(value, got):
+        if not isinstance(value, cls):
+            raise TypeError(value)
+        return value
+
+    return read
+
+
+def _number(value, got) -> float:
+    if isinstance(value, bool):
+        raise TypeError(value)
+    return float(value)
+
+
+_list = _of(list)
+
+
+def _ints(value, got) -> list[int]:
+    return [integral(v) for v in _list(value, got)]
+
+
+def _numbers_fault(value, got):
+    """Each entry of a list converts to a finite float array (the build
+    converts it again); a JSON null would convert to NaN."""
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as err:
-        raise SpecError(f"{where}: {key} must be a number, got {value!r}") from err
+        if all(np.isfinite(np.asarray(item, dtype=float)).all() for item in value):
+            return None
+    except (TypeError, ValueError):
+        pass
+    return "must hold numbers, all finite"
 
 
-def _optional_float(d: dict, key: str, where: str) -> float | None:
-    return None if d.get(key) is None else float_field(d, key, where)
-
-
-def _int_list(d: dict, key: str, where: str) -> list[int] | None:
-    """``d[key]`` as a list of ints, or None when absent."""
-    value = d.get(key)
-    if value is None:
-        return None
+def _unit_vector(e, got) -> Reflection:
+    """The reflection through a unit vector ``e``, with one entry per
+    coordinate of the chain it heads when that dimension is known."""
+    want = "" if got.dim is None else f"{got.dim} "
     try:
-        return [integral(v) for v in value]
-    except (TypeError, ValueError, OverflowError) as err:
-        raise SpecError(f"{where}: {key} must be a list of integers, got {value!r}") from err
-
-
-def _array(value, where: str, key: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
+        e = np.asarray(e, dtype=float)
+        if got.dim is not None and e.shape != (got.dim,):
+            raise ValueError(f"got shape {e.shape}")
+        return Reflection(e)
     except (TypeError, ValueError) as err:
-        raise SpecError(f"{where}: {key} must hold numbers ({err})") from err
+        raise ValueError(
+            f"'e' must be a flat list of {want}finite numbers of unit length ({err})"
+        ) from err
 
 
-def _arrays(d: dict, key: str, where: str) -> tuple:
-    if not isinstance(d[key], list):
-        raise SpecError(f"{where}: {key} must be a list")
-    return tuple(_array(v, where, key) for v in d[key])
+_INT = _Type("int", "an integer", lambda value, got: integral(value), {"type": int})
+_FLOAT = _Type("float", "a number", _number, {"type": float})
+_STRING = _Type("string", "a string", _of(str), {"type": str})
+_BOOL = _Type("bool", "true or false", _of(bool))
+_WIDTHS = _Type("int list", "a list of integers", _ints)
+_LIST = _Type("list", "a list", _list)
+_ACTIVATION = _Type("activation", None, lambda name, got: activation_from_name(name))
+_UNIT = _Type("unit vector", None, _unit_vector)
+_OPERATOR = _Type("operator spec", None, lambda d, got: operator_from_spec(
+    d, None if got.space is None else got.space.dim))
+_NONLIN = _Type("nonlinearity spec", None, lambda d, got: nonlinearity_from_spec(d, got.space))
+_NETWORK = _Type("network spec", None, lambda d, got: network_from_spec(d))
+_NETWORKS = _Type("network specs", "a list of network specs", lambda value, got: tuple(
+    network_from_spec(d) for d in _list(value, got)))
+_CHAIN_SPEC = _Type("chain spec", None, lambda d, got: chain_from_spec(d))
+
+_FINITE = _Check("finite", lambda v, got: None if math.isfinite(v) else "must be finite")
+_ONE_OR_MORE = _Check(">= 1", lambda v, got: None if v >= 1 else "must be at least 1")
+_EACH_ONE_OR_MORE = _Check("each >= 1", lambda v, got: None if all(w >= 1 for w in v)
+                           else "must each be at least 1")
+_NUMBERS = _Check("finite numbers", _numbers_fault)
 
 
 def canonical(obj):
@@ -181,239 +301,228 @@ def blob_hash(obj) -> str:
 # ---------------------------------------------------------------------------
 # spaces
 
+# key: _Key(type, default, check), in the order the reader reads them
+SPACE_KEYS = {
+    "basis": _Key(_STRING, _REQUIRED),
+    "ambient_dim": _Key(_INT, _REQUIRED),
+    "quadrature": _Key(_INT, None),
+}
 
-@_reader("space")
+
+def _space(got: _Values) -> Space:
+    return Space(BasisSpec(got["basis"], got["ambient_dim"], got["quadrature"]))
+
+
 def space_from_config(d: dict) -> Space:
-    check_keys(d, "space", {"basis", "ambient_dim"}, {"quadrature"})
-    dim = int_field(d, "ambient_dim", "space")
-    panels = int_field(d, "quadrature", "space", 4 * dim)
-    return Space(BasisSpec(kind=d["basis"], ambient_dim=dim, quadrature_panels=panels))
+    return _build(SPACE_KEYS, _space, d, "space")
 
 
 # ---------------------------------------------------------------------------
 # operators
 
 
-@_reader("operator")
+def _finite_rank(got: _Values) -> FiniteRankOperator:
+    """An explicit operator; a frame given by its seed is drawn on the
+    space's coordinates."""
+
+    def frame(which: str):
+        if got[which] is not None:
+            return got[which]
+        seed = got[f"{which}_seed"]
+        if seed is None:
+            raise ValueError(f"need either {which!r} or '{which}_seed'")
+        if got.ambient_dim is None:
+            raise ValueError(f"'{which}_seed' needs an ambient dimension from the space")
+        rng = np.random.default_rng(seed)
+        return orthonormal_rows(rng.standard_normal((got.ambient_dim, np.size(got["omegas"]))))
+
+    return FiniteRankOperator(got["omegas"], frame("psi"), frame("phi"))
+
+
+def _seeded_finite_rank(got: _Values) -> FiniteRankOperator:
+    dim = got.ambient_dim if got["dim"] is None else got["dim"]
+    if dim is None:
+        raise ValueError("seeded_finite_rank needs a dimension")
+    return FiniteRankOperator.seeded(**{**got, "dim": dim})
+
+
+# kind: (key table, build); the build gets the values read
+OPERATORS = {
+    "finite_rank": ({
+        "omegas": _Key(_LIST, _REQUIRED, _NUMBERS),
+        "psi": _Key(_LIST, None, _NUMBERS),
+        "phi": _Key(_LIST, None, _NUMBERS),
+        "psi_seed": _Key(_INT, None),
+        "phi_seed": _Key(_INT, None),
+    }, _finite_rank),
+    "seeded_finite_rank": ({
+        "dim": _Key(_INT, None, _ONE_OR_MORE),
+        "rank": _Key(_INT, _REQUIRED),
+        "scale": _Key(_FLOAT, 1.0, _FINITE),
+        "decay": _Key(_FLOAT, 1.0, _FINITE),
+        "seed": _Key(_INT, _REQUIRED),
+        "psi_prefix": _Key(_BOOL, False),
+        "phi_prefix": _Key(_BOOL, False),
+    }, _seeded_finite_rank),
+}
+
+
 def operator_from_spec(d: dict, ambient_dim: int | None = None) -> FiniteRankOperator:
-    kind = _require_object(d, "operator").get("kind")
-    if kind == "finite_rank":
-        check_keys(
-            d, "operator", {"kind", "omegas"}, {"psi", "phi", "psi_seed", "phi_seed"}
-        )
-        omegas = _array(d["omegas"], "operator", "omegas")
-        rank = omegas.size
-
-        def frame(which: str) -> np.ndarray:
-            if which in d:
-                return _array(d[which], "operator", which)
-            seed_key = f"{which}_seed"
-            if seed_key not in d:
-                raise SpecError(f"operator: need either {which!r} or {seed_key!r}")
-            if ambient_dim is None:
-                raise SpecError(
-                    f"operator: {seed_key!r} needs an ambient dimension from the space"
-                )
-            rng = np.random.default_rng(int_field(d, seed_key, "operator"))
-            return orthonormal_rows(rng.standard_normal((ambient_dim, rank)))
-
-        return FiniteRankOperator(omegas, frame("psi"), frame("phi"))
-    if kind == "seeded_finite_rank":
-        check_keys(
-            d,
-            "operator",
-            {"kind", "rank", "seed"},
-            {"dim", "scale", "decay", "psi_prefix", "phi_prefix"},
-        )
-        dim = int_field(d, "dim", "operator", ambient_dim or 0)
-        if dim <= 0:
-            raise SpecError("operator: seeded_finite_rank needs a dimension")
-        return FiniteRankOperator.seeded(
-            dim,
-            int_field(d, "rank", "operator"),
-            scale=float_field(d, "scale", "operator", 1.0),
-            decay=float_field(d, "decay", "operator", 1.0),
-            seed=int_field(d, "seed", "operator"),
-            psi_prefix=bool(d.get("psi_prefix", False)),
-            phi_prefix=bool(d.get("phi_prefix", False)),
-        )
-    raise SpecError(f"unknown operator kind {kind!r}")
+    return _build_kind(OPERATORS, d, "operator", ambient_dim=ambient_dim)
 
 
 # ---------------------------------------------------------------------------
 # coordinate networks
 
+NETWORKS = {
+    "coordinate_network": ({
+        "weights": _Key(_LIST, _REQUIRED, _NUMBERS),
+        "biases": _Key(_LIST, _REQUIRED, _NUMBERS),
+        "activation": _Key(_ACTIVATION, _REQUIRED),
+    }, lambda got: CoordinateNetwork(**got)),
+    "seeded_coordinate_network": ({
+        "n_in": _Key(_INT, _REQUIRED, _ONE_OR_MORE),
+        "n_out": _Key(_INT, _REQUIRED, _ONE_OR_MORE),
+        "hidden": _Key(_WIDTHS, None, _EACH_ONE_OR_MORE),
+        "activation": _Key(_ACTIVATION, None),
+        "target_bound": _Key(_FLOAT, 1.0, _FINITE),
+        "bias_scale": _Key(_FLOAT, 0.0, _FINITE),
+        "seed": _Key(_INT, _REQUIRED),
+    }, lambda got: CoordinateNetwork.seeded(**got)),
+}
 
-@_reader("network")
+
 def network_from_spec(d: dict) -> CoordinateNetwork:
-    kind = _require_object(d, "network").get("kind")
-    if kind == "coordinate_network":
-        check_keys(d, "network", {"kind", "weights", "biases", "activation"})
-        return CoordinateNetwork(
-            _arrays(d, "weights", "network"),
-            _arrays(d, "biases", "network"),
-            activation_from_name(d["activation"]),
-        )
-    if kind == "seeded_coordinate_network":
-        check_keys(
-            d,
-            "network",
-            {"kind", "n_in", "n_out", "seed"},
-            {"hidden", "activation", "target_bound", "bias_scale"},
-        )
-        act = d.get("activation")
-        return CoordinateNetwork.seeded(
-            int_field(d, "n_in", "network"),
-            int_field(d, "n_out", "network"),
-            hidden=_int_list(d, "hidden", "network"),
-            activation=None if act is None else activation_from_name(act),
-            target_bound=float_field(d, "target_bound", "network", 1.0),
-            bias_scale=float_field(d, "bias_scale", "network", 0.0),
-            seed=int_field(d, "seed", "network"),
-        )
-    raise SpecError(f"unknown network kind {kind!r}")
+    return _build_kind(NETWORKS, d, "network")
 
 
 # ---------------------------------------------------------------------------
 # nonlinearities and layers
 
 
-@_reader("nonlinearity")
+def _nemytskii(got: _Values) -> NemytskiiNonlinearity:
+    if got.space is None:
+        raise ValueError("a Nemytskii map needs the space")
+    return NemytskiiNonlinearity(got.space, got["activation"])
+
+
+NONLINEARITIES = {
+    "zero": ({}, lambda got: ZeroNonlinearity()),
+    "affine": ({
+        "matrix": _Key(_LIST, _REQUIRED, _NUMBERS),
+        "bias": _Key(_LIST, _REQUIRED, _NUMBERS),
+    }, lambda got: AffineNonlinearity(**got)),
+    "coordinate_net": ({
+        "net": _Key(_NETWORK, _REQUIRED),
+        "ambient_dim": _Key(_INT, _REQUIRED),
+    }, lambda got: CoordinateNetNonlinearity(**got)),
+    "nemytskii": ({"activation": _Key(_ACTIVATION, _REQUIRED)}, _nemytskii),
+}
+
+
 def nonlinearity_from_spec(d: dict, space: Space | None = None):
-    kind = _require_object(d, "nonlinearity").get("kind")
-    if kind == "zero":
-        check_keys(d, "nonlinearity", {"kind"})
-        return ZeroNonlinearity()
-    if kind == "affine":
-        check_keys(d, "nonlinearity", {"kind", "matrix", "bias"})
-        return AffineNonlinearity(
-            _array(d["matrix"], "nonlinearity", "matrix"),
-            _array(d["bias"], "nonlinearity", "bias"),
-        )
-    if kind == "coordinate_net":
-        check_keys(d, "nonlinearity", {"kind", "net", "ambient_dim"})
-        return CoordinateNetNonlinearity(
-            network_from_spec(d["net"]), int_field(d, "ambient_dim", "nonlinearity")
-        )
-    if kind == "nemytskii":
-        check_keys(d, "nonlinearity", {"kind", "activation"})
-        if space is None:
-            raise SpecError("nonlinearity: a Nemytskii map needs the space")
-        return NemytskiiNonlinearity(space, activation_from_name(d["activation"]))
-    raise SpecError(f"unknown nonlinearity kind {kind!r}")
+    return _build_kind(NONLINEARITIES, d, "nonlinearity", space=space)
 
 
-@_reader("layer")
+def _seeded_layer(got: _Values) -> NeuralOperatorLayer:
+    if got.space is None:
+        raise ValueError("a seeded layer needs the space")
+    return make_layer(got.space, **got)
+
+
+LAYERS = {
+    "layer": ({
+        "in_op": _Key(_OPERATOR, _REQUIRED),
+        "out_op": _Key(_OPERATOR, _REQUIRED),
+        "nonlin": _Key(_NONLIN, _REQUIRED),
+    }, lambda got: NeuralOperatorLayer(**got)),
+    "seeded_layer": ({
+        "seed": _Key(_INT, _REQUIRED),
+        "rank": _Key(_INT, None),
+        "decay": _Key(_FLOAT, 1.0, _FINITE),
+        "lip_g": _Key(_FLOAT, 0.5, _FINITE),
+        "nonlin": _Key(_STRING, "coordinate_net"),
+        "norm_in": _Key(_FLOAT, 1.0, _FINITE),
+        "norm_out": _Key(_FLOAT, 1.0, _FINITE),
+        "out_phi_prefix": _Key(_BOOL, False),
+        "bias_scale": _Key(_FLOAT, 0.0, _FINITE),
+        "hidden": _Key(_WIDTHS, None, _EACH_ONE_OR_MORE),
+        "activation": _Key(_ACTIVATION, "leaky_relu"),
+    }, _seeded_layer),
+}
+
+
 def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
-    kind = _require_object(d, "layer").get("kind")
-    if kind == "layer":
-        check_keys(d, "layer", {"kind", "in_op", "out_op", "nonlin"})
-        ambient = space.dim if space is not None else None
-        return NeuralOperatorLayer(
-            operator_from_spec(d["in_op"], ambient),
-            operator_from_spec(d["out_op"], ambient),
-            nonlinearity_from_spec(d["nonlin"], space),
-        )
-    if kind == "seeded_layer":
-        if space is None:
-            raise SpecError("layer: a seeded layer needs the space")
-        if "seed" not in d:
-            raise SpecError("layer: a seeded layer needs an explicit seed")
-        body = {k: v for k, v in d.items() if k not in ("kind", "seed")}
-        unknown = set(body) - _LAYER_SPEC_KEYS
-        if unknown:
-            raise SpecError(f"layer: unknown layer spec keys {sorted(unknown)}")
-        if "rank" in body:
-            body["rank"] = int_field(body, "rank", "layer")
-        for key in ("decay", "lip_g", "norm_in", "norm_out", "bias_scale"):
-            if key in body:
-                body[key] = float_field(body, key, "layer")
-        if "hidden" in body:
-            body["hidden"] = _int_list(body, "hidden", "layer")
-        if "activation" in body:
-            activation_from_name(body["activation"])
-        return make_layer(space, body, seed=int_field(d, "seed", "layer"))
-    raise SpecError(f"unknown layer kind {kind!r}")
+    return _build_kind(LAYERS, d, "layer", space=space)
 
 
 # ---------------------------------------------------------------------------
 # residual chains and their linear heads
 
 
-@_reader("chain")
+def _seeded_chain(got: _Values):
+    """A seeded chain, certified when the spec names its contraction bound
+    ``delta``, which is then also the default block bound."""
+    delta, ball_radius = got.pop("delta"), got.pop("ball_radius")
+    if got["prefix_n"] is None:
+        got["prefix_n"] = got["ambient_dim"]
+    if got["block_bound"] is None:
+        got["block_bound"] = 0.5 if delta is None else delta
+    chain = ResidualChain.seeded(**got)
+    return chain if delta is None else InvertibleResidualChain(chain, delta, ball_radius)
+
+
+CHAINS = {
+    "residual_chain": ({
+        "ambient_dim": _Key(_INT, _REQUIRED),
+        "prefix_n": _Key(_INT, _REQUIRED),
+        "blocks": _Key(_NETWORKS, _REQUIRED),
+    }, lambda got: ResidualChain(**got)),
+    "invertible_residual_chain": ({
+        "chain": _Key(_CHAIN_SPEC, _REQUIRED),
+        "delta": _Key(_FLOAT, _REQUIRED),
+        "ball_radius": _Key(_FLOAT, None),
+    }, lambda got: InvertibleResidualChain(**got)),
+    "seeded_chain": ({
+        "ambient_dim": _Key(_INT, _REQUIRED),
+        "prefix_n": _Key(_INT, None, _ONE_OR_MORE),
+        "num_blocks": _Key(_INT, _REQUIRED),
+        "block_bound": _Key(_FLOAT, None, _FINITE),
+        "activation": _Key(_ACTIVATION, None),
+        "hidden": _Key(_WIDTHS, None, _EACH_ONE_OR_MORE),
+        "bias_scale": _Key(_FLOAT, 0.3, _FINITE),
+        "seed": _Key(_INT, _REQUIRED),
+        "delta": _Key(_FLOAT, None),
+        "ball_radius": _Key(_FLOAT, None),
+    }, _seeded_chain),
+}
+
+
 def chain_from_spec(d: dict):
-    kind = _require_object(d, "chain").get("kind")
-    if kind == "residual_chain":
-        check_keys(d, "chain", {"kind", "ambient_dim", "prefix_n", "blocks"})
-        if not isinstance(d["blocks"], list):
-            raise SpecError("chain: blocks must be a list")
-        blocks = tuple(network_from_spec(b) for b in d["blocks"])
-        return ResidualChain(
-            int_field(d, "ambient_dim", "chain"), int_field(d, "prefix_n", "chain"), blocks
-        )
-    if kind == "invertible_residual_chain":
-        check_keys(d, "chain", {"kind", "delta", "chain"}, {"ball_radius"})
-        return InvertibleResidualChain(
-            chain_from_spec(d["chain"]),
-            float_field(d, "delta", "chain"),
-            ball_radius=_optional_float(d, "ball_radius", "chain"),
-        )
-    if kind == "seeded_chain":
-        check_keys(
-            d,
-            "chain",
-            {"kind", "ambient_dim", "num_blocks", "seed"},
-            {"prefix_n", "delta", "block_bound", "activation", "hidden", "bias_scale", "ball_radius"},
-        )
-        act = d.get("activation")
-        delta = _optional_float(d, "delta", "chain")
-        dim = int_field(d, "ambient_dim", "chain")
-        chain = ResidualChain.seeded(
-            dim,
-            int_field(d, "prefix_n", "chain", dim),
-            int_field(d, "num_blocks", "chain"),
-            block_bound=float_field(
-                d, "block_bound", "chain", delta if delta is not None else 0.5
-            ),
-            activation=None if act is None else activation_from_name(act),
-            hidden=_int_list(d, "hidden", "chain"),
-            bias_scale=float_field(d, "bias_scale", "chain", 0.3),
-            seed=int_field(d, "seed", "chain"),
-        )
-        if delta is None:
-            return chain
-        return InvertibleResidualChain(
-            chain, delta, ball_radius=_optional_float(d, "ball_radius", "chain")
-        )
-    raise SpecError(f"unknown chain kind {kind!r}")
+    return _build_kind(CHAINS, d, "chain")
+
+
+def _reflection(got: _Values) -> Reflection:
+    """The reflection through ``e``, else through the first axis of
+    ``axis_dim`` (default: the chain's dimension)."""
+    if got["e"] is not None:
+        return got["e"]
+    n = got.dim if got["axis_dim"] is None else got["axis_dim"]
+    if n is None:
+        raise ValueError("a reflection needs 'e' or 'axis_dim'")
+    if got.dim is not None and n != got.dim:
+        raise ValueError(f"axis_dim {n} does not match the dimension {got.dim}")
+    return Reflection.first_axis(n)
+
+
+HEADS = {
+    "identity": ({}, lambda got: None),
+    "reflection": ({"e": _Key(_UNIT, None), "axis_dim": _Key(_INT, None)}, _reflection),
+}
 
 
 def head_from_spec(d: dict, dim: int | None = None):
-    kind = _require_object(d, "head").get("kind")
-    if kind == "identity":
-        check_keys(d, "head", {"kind"})
-        return None
-    if kind == "reflection":
-        check_keys(d, "head", {"kind"}, {"e", "axis_dim"})
-        if "e" in d:
-            want = "" if dim is None else f"{dim} "
-            try:
-                e = np.asarray(d["e"], dtype=float)
-                if dim is not None and e.shape != (dim,):
-                    raise ValueError(f"got shape {e.shape}")
-                return Reflection(e)
-            except (TypeError, ValueError) as err:
-                raise SpecError(
-                    f"head: 'e' must be a flat list of {want}finite numbers "
-                    f"of unit length ({err})"
-                ) from err
-        if d.get("axis_dim", dim) is None:
-            raise SpecError("head: a reflection needs 'e' or 'axis_dim'")
-        n = int_field(d, "axis_dim", "head", dim)
-        if dim is not None and n != dim:
-            raise SpecError(f"head: axis_dim {n} does not match the dimension {dim}")
-        return Reflection.first_axis(n)
-    raise SpecError(f"unknown head kind {kind!r}")
+    return _build_kind(HEADS, d, "head", dim=dim)
 
 
 # ---------------------------------------------------------------------------

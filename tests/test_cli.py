@@ -10,11 +10,16 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from opdisc import cli
+from opdisc import cli, serialize
 from opdisc.cli import SOURCES, main, quant_report, run_config
 from opdisc.layers import AffineNonlinearity, NemytskiiNonlinearity, make_layer
 from opdisc.monotone import ball_samples
 from opdisc.serialize import chain_from_spec, layer_from_spec, space_from_config
+
+
+# every spec kind's (key table, build), one dict per spec reader
+SPEC_KINDS = (serialize.OPERATORS, serialize.NETWORKS, serialize.NONLINEARITIES,
+              serialize.LAYERS, serialize.CHAINS, serialize.HEADS)
 
 
 @pytest.fixture()
@@ -659,6 +664,7 @@ class TestRefusedExperimentValues:
             ("nogo-galerkin", "seed", 2.5),
             ("fem-solve", "seed", None),
             ("invert", "seed", "x"),
+            ("invert", "seed", True),
         ],
     )
     def test_a_refused_value_is_a_config_error(self, runner, tmp_path, kind, key, value):
@@ -686,9 +692,11 @@ class TestRefusedExperimentValues:
         assert not (tmp_path / "bad").exists()
 
 
-def _key_table(keys: dict) -> list[str]:
-    """The README table of one block of ``cli``'s experiment keys."""
-    rows = ["| key | type | default | check | flag |", "|---|---|---|---|---|"]
+def _key_table(keys: dict, flags: bool = True) -> list[str]:
+    """The README table of one block of experiment keys, or of spec keys
+    (``flags=False``: they have no flag column)."""
+    head = "| key | type | default | check |" + (" flag |" if flags else "")
+    rows = [head, "|---" * head.count(" |") + "|"]
     for key, entry in keys.items():
         if entry.default is cli._REQUIRED:
             default = "required"
@@ -697,17 +705,20 @@ def _key_table(keys: dict) -> list[str]:
         else:
             default = f"`{json.dumps(entry.default)}`"
         check = "—" if entry.check is None else entry.check.text
-        flag = "—" if entry.flag is None else f"`{entry.flag.opt}`"
-        if entry.flag is not None and entry.flag.load is not None:
-            flag += " (file)"
-        rows.append(f"| `{key}` | {entry.type.name} | {default} | {check} | {flag} |")
+        row = f"| `{key}` | {entry.type.name} | {default} | {check} |"
+        if flags:
+            flag = "—" if entry.flag is None else f"`{entry.flag.opt}`"
+            if entry.flag is not None and entry.flag.load is not None:
+                flag += " (file)"
+            row += f" {flag} |"
+        rows.append(row)
     return rows
 
 
-def _readme_key_tables() -> dict:
-    """The tables of README's "Experiment keys" section, by their label."""
+def _readme_key_tables(heading: str) -> dict:
+    """The tables of one README key section, by their label."""
     text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    section = text.split("### Experiment keys\n", 1)[1].split("\n#", 1)[0]
+    section = text.split(f"### {heading}\n", 1)[1].split("\n#", 1)[0]
     tables: dict = {}
     label = None
     for line in section.splitlines():
@@ -722,7 +733,13 @@ def test_readme_key_tables_match_the_cli_table():
     expected = {"Every kind": _key_table(cli.SHARED_KEYS)}
     expected.update({kind: _key_table(keys) for kind, keys in cli.KEYS.items()})
     assert set(cli.KEYS) == set(cli.RUNNERS)
-    assert _readme_key_tables() == expected
+    assert _readme_key_tables("Experiment keys") == expected
+    # the spec kinds that take keys besides their kind
+    specs = {"space": _key_table(serialize.SPACE_KEYS, flags=False)}
+    for kinds in SPEC_KINDS:
+        specs.update({kind: _key_table(keys, flags=False)
+                      for kind, (keys, _) in kinds.items() if keys})
+    assert _readme_key_tables("Spec keys") == specs
 
 
 class TestNemytskiiSpace:
@@ -802,6 +819,23 @@ class TestRefusedSpecValues:
         assert result.exit_code == 1, result.output
         assert f"config-error in bad: {message}" in result.output
         assert not (out / "failures.json").exists()
+
+    def test_a_zero_hidden_width_spares_the_rest_of_the_batch(self, runner, tmp_path):
+        # a zero width used to escape the reader as a ZeroDivisionError that
+        # stopped the whole batch before any outcome line
+        bad = _bad_monotone_check({"kind": "seeded_layer", "seed": 3, "hidden": [0]})
+        after = {"name": "after", "kind": "nogo-isotopy", "seed": 0, "m": 3, "grid": 11}
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, [bad, after])
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out)])
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)
+        assert "Traceback" not in result.output
+        lines = [line.split() for line in result.output.splitlines()]
+        assert lines[:2] == [["config-error", "monotone-check", "bad"],
+                             ["ok", "nogo-isotopy", "after"]]
+        assert "config-error in bad: layer: hidden must" in result.output
+        assert (out / "after.json").exists()
 
 
 class TestSubcommands:

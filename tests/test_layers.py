@@ -231,8 +231,8 @@ class TestLayer:
             make_layer(space16, rank=17)
 
     def test_unknown_keys_rejected(self, space16):
-        with pytest.raises(ValueError, match="unknown"):
-            make_layer(space16, {"rnk": 3})
+        with pytest.raises(TypeError, match="unexpected keyword argument 'rnk'"):
+            make_layer(space16, rnk=3)
 
     def test_contraction_product(self, space16):
         layer = make_layer(space16, rank=4, lip_g=0.4, norm_in=0.8, norm_out=1.25, seed=8)

@@ -228,7 +228,7 @@ class TestContractionCertificate:
         if kind == "mixing":
             layer = mixing_bilipschitz_layer(SPACE8.dim, kappa=max(lip_g, 0.05), seed=seed)
         else:
-            layer = make_layer(SPACE8, spec, seed=seed)
+            layer = make_layer(SPACE8, seed=seed, **spec)
         cert = contraction_certificate(layer.contraction)
         assert cert.certified
         for d in range(1, SPACE8.dim + 1):

@@ -19,6 +19,7 @@ import numpy as np
 from click.testing import CliRunner
 
 import opdisc
+from opdisc import cli, serialize
 from opdisc.cli import main
 
 SRC = Path(opdisc.__file__).resolve().parent
@@ -30,6 +31,7 @@ ALLOWED = {
     "cli._layer_file": "reads the --layer file of a subcommand",
     "cli._chain_file": "reads the --chain file of the invert subcommand",
     "cli._y_file": "reads the --y file of the invert subcommand",
+    "serialize._of": "builds the list, string and bool reads at import, before the profile starts",
     "decompose.TailBlock.alpha": _TRACER,
     "decompose.ScalingPath.alpha": _TRACER,
     "invert.InversionTrace.total_iterations": _TRACER,
@@ -100,6 +102,24 @@ BATCH = [
     {"name": "isotopy", "kind": "nogo-isotopy", "seed": 0, "m": 3, "grid": 11},
     {"name": "fem", "kind": "fem-solve", "seed": 0, "g": "cubic", "mesh": [4, 8]},
 ]
+
+
+def _spec_kinds(obj) -> set:
+    """The kind of every spec object nested in ``obj``."""
+    if isinstance(obj, list):
+        return set().union(*map(_spec_kinds, obj))
+    if not isinstance(obj, dict):
+        return set()
+    return set().union({obj["kind"]} if "kind" in obj else set(), *map(_spec_kinds, obj.values()))
+
+
+def test_the_batch_holds_every_kind():
+    # the profile counts only defs, and many spec builds are lambdas
+    assert {exp["kind"] for exp in BATCH} == set(cli.RUNNERS)
+    tables = (serialize.OPERATORS, serialize.NETWORKS, serialize.NONLINEARITIES,
+              serialize.LAYERS, serialize.CHAINS, serialize.HEADS)
+    nested = [value for exp in BATCH for key, value in exp.items() if key != "kind"]
+    assert _spec_kinds(nested) == set().union(*tables)
 
 
 def _defs() -> dict:

@@ -129,6 +129,45 @@ class TestValidation:
         with pytest.raises(SpecError, match=match):
             read(spec)
 
+    @pytest.mark.parametrize(
+        "read,spec,where,key",
+        [
+            (layer_from_spec, {"kind": "seeded_layer", "seed": 3, "hidden": "24"},
+             "layer", "hidden"),
+            (chain_from_spec, {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 2,
+                               "seed": 1, "hidden": "3"}, "chain", "hidden"),
+            (operator_from_spec, {"kind": "seeded_finite_rank", "rank": 2, "seed": 1,
+                                  "dim": 6, "psi_prefix": "no"}, "operator", "psi_prefix"),
+            (layer_from_spec, {"kind": "seeded_layer", "seed": 3, "out_phi_prefix": "no"},
+             "layer", "out_phi_prefix"),
+            (space_from_config, {"basis": "fourier", "ambient_dim": True},
+             "space", "ambient_dim"),
+            (network_from_spec, {"kind": "seeded_coordinate_network", "n_in": True,
+                                 "n_out": 4, "seed": 1}, "network", "n_in"),
+            (network_from_spec, {"kind": "seeded_coordinate_network", "n_in": 4,
+                                 "n_out": True, "seed": 1}, "network", "n_out"),
+            (layer_from_spec, {"kind": "seeded_layer", "seed": 3, "hidden": [0]},
+             "layer", "hidden"),
+            (chain_from_spec, {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 2,
+                               "seed": 1, "ball_radius": "x"}, "chain", "ball_radius"),
+            (operator_from_spec, {"kind": "seeded_finite_rank", "rank": 2, "seed": 1,
+                                  "dim": 6, "decay": "nan"}, "operator", "decay"),
+            (network_from_spec, {"kind": "seeded_coordinate_network", "n_in": 0,
+                                 "n_out": 2, "seed": 1}, "network", "n_in"),
+            (chain_from_spec, {"kind": "seeded_chain", "ambient_dim": 4, "prefix_n": 0,
+                               "num_blocks": 2, "seed": 1}, "chain", "prefix_n"),
+            (operator_from_spec, {"kind": "finite_rank", "omegas": [None],
+                                  "psi": [[1.0, 0.0]], "phi": [[1.0, 0.0]]}, "operator", "omegas"),
+        ],
+        ids=["layer-hidden-string", "chain-hidden-string", "psi-prefix-string",
+             "out-phi-prefix-string", "ambient-dim-true", "n-in-true", "n-out-true",
+             "layer-hidden-zero", "ball-radius-without-delta", "decay-nan", "n-in-zero",
+             "prefix-n-zero", "omegas-null"],
+    )
+    def test_a_refused_value_names_its_key(self, space16, read, spec, where, key):
+        with pytest.raises(SpecError, match=f"^{where}: {key} must"):
+            read(spec, space16) if read is layer_from_spec else read(spec)
+
     def test_integral_floats_count_as_integers(self):
         by_int = space_from_config({"basis": "fourier", "ambient_dim": 8})
         by_float = space_from_config({"basis": "fourier", "ambient_dim": 8.0})
@@ -323,7 +362,7 @@ class TestLayer:
         assert np.array_equal(rebuilt.eval_array(xs), direct.eval_array(xs))
 
     def test_seeded_form_needs_explicit_seed(self, space16):
-        with pytest.raises(SpecError, match="explicit seed"):
+        with pytest.raises(SpecError, match=r"layer: missing required keys \['seed'\]"):
             layer_from_spec({"kind": "seeded_layer", "lip_g": 0.5}, space16)
 
     def test_seeded_form_needs_the_space(self):
@@ -331,7 +370,7 @@ class TestLayer:
             layer_from_spec({"kind": "seeded_layer", "seed": 0})
 
     def test_bad_layer_spec_key_is_reported(self, space16):
-        with pytest.raises(ValueError, match="unknown layer spec keys"):
+        with pytest.raises(ValueError, match=r"layer: unknown keys \['rnak'\]"):
             layer_from_spec({"kind": "seeded_layer", "seed": 0, "rnak": 3}, space16)
 
     def test_unknown_seeded_layer_activation_is_a_spec_error(self, space16):
