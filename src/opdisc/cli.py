@@ -58,6 +58,7 @@ from .serialize import (
     _Check,
     _ints,
     _Key,
+    _number_array,
     _Type,
     blob_hash,
     canonical_json,
@@ -113,7 +114,7 @@ def _int_list(ctx, param, value):
 
 
 _INTS = _Type("int list", "integers", _ints, {"type": str, "callback": _int_list})
-_NUMBERS = _Type("number list", "a number array", lambda value, got: np.asarray(value, dtype=float))
+_NUMBERS = _Type("number list", "a number array", lambda value, got: _number_array(value))
 _SPACE = _Type("space spec", "a space spec", lambda d, got: got.memo.get(space_from_config, d))
 _LAYER = _Type("layer spec", "a layer spec", lambda d, got: layer_from_spec(d, got["space"]))
 _CHAIN = _Type("chain spec", "a chain spec", lambda d, got: got.memo.get(chain_from_spec, d))

@@ -17,7 +17,7 @@ sampled Lipschitz constant Lip(B_k) below a requested epsilon.  The stages:
 4. take A₀ as the reflection of the first W coordinate exactly when
    det Df|₀ < 0 (else the identity), and split Df|₀·A₀ by polar
    decomposition into a positive part (matrix-power path) and a rotation
-   (real-Schur rotation paths).
+   (a path of equal n-th roots).
 
 The core F^W is evaluated directly in W coordinates through two (k, m)
 matrices fixed at construction, c ↦ c + G(c·M_in)·M_out, around the
@@ -35,10 +35,6 @@ targets.  The Newton solver steps every row still above tolerance together
 (one batch of finite-difference Jacobians, one batched linear solve and a
 batched backtracking line search per round), with each row keeping its own
 step count and step length.
-
-``scipy.linalg`` is imported inside ``linear_path_blocks``, its one user, on
-purpose: at module level it would load on every ``import opdisc`` and more
-than double the start-up of CLI runs that never decompose.
 """
 
 from __future__ import annotations
@@ -561,14 +557,65 @@ def path_blocks(
 # ---------------------------------------------------------------------------
 
 
-def _plane_rotation(k: int, p: int, q: int, theta: float) -> np.ndarray:
-    m = np.eye(k)
-    c, s = math.cos(theta), math.sin(theta)
-    m[p, p] = c
-    m[q, q] = c
-    m[p, q] = -s
-    m[q, p] = s
-    return m
+def _cos_root(c: np.ndarray, v: np.ndarray, skew: np.ndarray, n: int) -> np.ndarray:
+    """V·f(c)·Vᵀ + V·g(c)·Vᵀ·K: the n-th root of an orthogonal U = S + K on
+    the span of the eigenvectors v of S = (U + Uᵀ)/2, where K = (U − Uᵀ)/2
+    and c = cos θ are their eigenvalues, all above −0.8.
+
+    On a plane turned by θ, S is cos θ and K is sin θ times the plane's
+    quarter turn, so f(c) = cos(θ/n) and g(c) = sin(θ/n)/sin θ (1/n at
+    θ = 0) turn it by θ/n.  Both are functions of c alone, so any
+    eigenbasis of a cluster of equal c gives the same root.
+    """
+    theta = np.arccos(np.clip(c, -1.0, 1.0))
+    sin = np.sin(theta)
+    f = np.cos(theta / n)
+    g = np.divide(np.sin(theta / n), sin, out=np.full_like(theta, 1.0 / n), where=sin > 0.0)
+    return (v * f) @ v.T + (v * g) @ v.T @ skew
+
+
+def _complex_structure(skew: np.ndarray) -> np.ndarray:
+    """J with Jᵀ = −J and J² = −I in the sense of a skew matrix: its polar
+    factor where its singular values are not negligible, and an arbitrary
+    pairing of the rest."""
+    us, sv, vt = np.linalg.svd(skew)
+    keep = int(np.count_nonzero(sv > 1e-10))
+    keep += keep % 2  # a skew matrix's singular values come in pairs
+    j = us[:, :keep] @ vt[:keep]
+    null = vt[keep:].T
+    j += null[:, 1::2] @ null[:, 0::2].T - null[:, 0::2] @ null[:, 1::2].T
+    for _ in range(3):
+        j = (j - j.T) / 2.0
+        j = (j - np.linalg.inv(j)) / 2.0
+    return j
+
+
+def _orthogonal_root(u: np.ndarray, n: int) -> np.ndarray:
+    """The n-th root of an orthogonal U with det U = +1 that turns every
+    rotation plane of U by θ/n, θ ∈ [−π, π], and every pair of −1
+    eigenvalues by π/n.
+
+    Where cos θ lies above a cut near −1/2 the root is ``_cos_root``'s.  On
+    the span E of the other eigenvectors of S, U = −W with W's angles
+    within 80°, and the root is (cos(π/n)·I + sin(π/n)·J)·W^(1/n), with J
+    a complex structure in the sense of EᵀKE.
+    """
+    sym, skew = (u + u.T) / 2.0, (u - u.T) / 2.0
+    c, v = np.linalg.eigh(sym)
+    # the cut sits in the widest gap of c over [−0.8, −0.2], so it splits no plane
+    marks = np.sort(np.concatenate(([-0.8, -0.2], c[(c > -0.8) & (c < -0.2)])))
+    gap = int(np.argmax(np.diff(marks)))
+    near = c > 0.5 * (marks[gap] + marks[gap + 1])
+    root = _cos_root(c[near], v[:, near], skew, n)
+    e = v[:, ~near]
+    if e.shape[1]:
+        w = -(e.T @ u @ e)
+        cw, vw = np.linalg.eigh((w + w.T) / 2.0)
+        w_root = _cos_root(cw, vw, (w - w.T) / 2.0, n)
+        j = _complex_structure(e.T @ skew @ e)
+        half_turn = math.cos(math.pi / n) * np.eye(e.shape[1]) + math.sin(math.pi / n) * j
+        root += e @ half_turn @ w_root @ e.T
+    return root
 
 
 def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict]:
@@ -578,9 +625,9 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
     first coordinate exactly when det df0 < 0, else the identity.  Then
     M = df0·A₀ has a positive determinant, and its polar decomposition
     M = P·U is cut into factors: the positive part into matrix powers
-    P^(1/n), the rotation U into small-angle steps of its real-Schur
-    rotation blocks.  det U = +1, so U's −1 eigenvalues come in pairs, and
-    each pair is a π-rotation.
+    P^(1/n), the rotation U into equal roots U^(1/n) (``_orthogonal_root``),
+    n set by U's largest eigenvalue angle.  det U = +1, so U's −1
+    eigenvalues come in pairs, and each pair is a π-rotation.
 
     Returns (a0_kind, factors in application order, diagnostics); the
     matrix product factors[last] @ … @ factors[first] @ A₀ equals df0 to
@@ -626,38 +673,20 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
     else:
         diag["positive_steps"] = 0
 
-    # rotation part: real Schur → rotation blocks and paired −1 entries
-    import scipy.linalg  # at the call site: see the module docstring
-
-    smat, q = scipy.linalg.schur(u_orth, output="real")
-    rotations: list[tuple[int, int, float]] = []
-    minus: list[int] = []
-    i = 0
-    while i < k:
-        if i + 1 < k and abs(smat[i + 1, i]) > 1e-10:
-            theta = math.atan2(smat[i + 1, i], smat[i, i])
-            rotations.append((i, i + 1, theta))
-            i += 2
-        else:
-            val = smat[i, i]
-            if abs(val + 1.0) < 1e-8:
-                minus.append(i)
-            elif abs(val - 1.0) >= 1e-8:
-                raise ValueError(f"orthogonal part has a non-unimodular entry {val:g}")
-            i += 1
-    rotations += [(p_i, q_i, math.pi) for p_i, q_i in zip(minus[0::2], minus[1::2])]
-    diag["rotation_angles"] = [th for _, _, th in rotations]
+    # rotation part: n_u equal roots of U, every plane's angle cut n_u ways
+    eig = np.linalg.eigvals(u_orth)
+    off = np.abs(np.abs(eig) - 1.0)
+    if np.max(off) >= 1e-8:
+        raise ValueError(f"orthogonal part has a non-unimodular eigenvalue {eig[np.argmax(off)]:g}")
+    angles = np.sort(np.abs(np.angle(eig)))[::-1]
+    angles = angles[angles > 1e-10][0::2]  # one per plane: ±θ, or a pair of −1s
+    diag["rotation_angles"] = angles.tolist()
 
     max_step = 2.0 * math.asin(min(step_cap / 2.0, 1.0))
     factors_u: list[np.ndarray] = []
-    if rotations:
-        theta_max = max(abs(th) for _, _, th in rotations)
-        n_u = max(1, int(math.ceil(theta_max / max_step)))
-        step = np.eye(k)
-        for p_i, q_i, th in rotations:
-            step = step @ _plane_rotation(k, p_i, q_i, th / n_u)
-        step = q @ step @ q.T
-        factors_u = [step] * n_u
+    if angles.size:
+        n_u = max(1, int(math.ceil(angles[0] / max_step)))
+        factors_u = [_orthogonal_root(u_orth, n_u)] * n_u
         diag["orthogonal_steps"] = n_u
     else:
         diag["orthogonal_steps"] = 0

@@ -7,7 +7,10 @@ resulting nonlinear system by a damped Newton iteration whose merit
 function is the problem's own convex energy.  Each cell touches only its
 two hats, so integrals are per-cell Gauss sums scattered to the nodes and
 the stiffness matrix and Newton Jacobian are tridiagonals kept in LAPACK
-banded ``(3, n)`` layout: a Newton step costs O(n) time and memory.
+banded ``(3, n)`` layout.  The Jacobian is the stiffness matrix plus a
+term with g' >= 0, symmetric positive definite, so each Newton step is one
+elimination without pivoting (``_solve_tridiagonal``): O(n) time and
+memory.
 
 The second builds one-parameter families of Galerkin matrices whose
 continuum counterparts are invertible multiplication-type operators for
@@ -19,11 +22,6 @@ unavoidable.  All entries are integrated exactly, splitting at the jump —
 the crossing location is a property of the matrices, not of a quadrature
 choice.  ``singularity_scan`` sweeps such a path with
 :func:`opdisc.spectral.path_scan` and bisects only its first crossing.
-
-``solve_banded`` is imported inside ``solve_semilinear_trace``, its one
-user, on purpose: at module level ``scipy.linalg`` would load on every
-``import opdisc`` and more than double the start-up of runs that never
-solve a FEM problem.
 """
 
 from __future__ import annotations
@@ -209,8 +207,7 @@ def assemble_stiffness(mesh: FemMesh) -> np.ndarray:
 
     Row 1 is the diagonal 2/h, rows 0 and 2 hold the -1/h couplings
     (``ab[0, 1:]`` above, ``ab[2, :-1]`` below the diagonal; the unused
-    corners are zero), the form ``scipy.linalg.solve_banded((1, 1), ...)``
-    takes.
+    corners are zero), the form ``_solve_tridiagonal`` takes.
     """
     n = mesh.n_active
     h = mesh.h
@@ -227,6 +224,30 @@ def _banded_matvec(ab: np.ndarray, w: np.ndarray) -> np.ndarray:
     out[:-1] += ab[0, 1:] * w[1:]
     out[1:] += ab[2, :-1] * w[:-1]
     return out
+
+
+def _solve_tridiagonal(ab: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve a ``(3, n)`` banded tridiagonal system by elimination without
+    pivoting (the Thomas algorithm): LAPACK ``gtsv``'s elimination for a
+    matrix whose rows need no interchange.
+
+    Elimination without pivoting is stable for a symmetric positive
+    definite or diagonally dominant matrix, such as the stiffness matrix
+    plus the Newton terms with g' >= 0.
+    """
+    upper = ab[0, 1:].tolist()
+    lower = ab[2, :-1].tolist()
+    d = ab[1].tolist()
+    b = np.asarray(rhs, dtype=float).tolist()
+    n = len(d)
+    for i in range(n - 1):
+        fact = lower[i] / d[i]
+        d[i + 1] -= fact * upper[i]
+        b[i + 1] -= fact * b[i]
+    b[n - 1] /= d[n - 1]
+    for i in range(n - 2, -1, -1):
+        b[i] = (b[i] - upper[i] * b[i + 1]) / d[i]
+    return np.array(b)
 
 
 # ---------------------------------------------------------------------------
@@ -295,8 +316,6 @@ def solve_semilinear_trace(
     energy's gradient is exactly the residual, the Newton direction is a
     descent direction and the full step is accepted almost always.
     """
-    from scipy.linalg import solve_banded  # at the call site: see the module docstring
-
     if tol <= 0.0:
         raise ValueError("tolerance must be positive")
     pts, wts, left, right = mesh.cell_quadrature()
@@ -354,7 +373,7 @@ def solve_semilinear_trace(
         off = np.sum(wd * left * right, axis=1)[couplings]
         jac[0, 1:] += off
         jac[2, :-1] += off
-        direction = solve_banded((1, 1), jac, -res)
+        direction = _solve_tridiagonal(jac, -res)
         current = energies[-1]
         lam = 1.0
         while energy(w + lam * direction) > current:

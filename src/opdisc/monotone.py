@@ -165,10 +165,23 @@ def _pair_quotients(xs: np.ndarray, ys: np.ndarray):
     dydx = np.empty(i.size)
     dydy = np.empty(i.size)
     step = max(1, _CHUNK_ENTRIES // max(1, xs.shape[1]))
+    # the gather buffers of every chunk, in one block per call: chunk-sized
+    # temporaries sit above malloc's initial mmap threshold, and freeing
+    # them in pieces costs an mmap or a heap trim, and page faults, per chunk
+    xa, xb, ya, yb = np.empty((4, min(step, i.size), xs.shape[1]))
     for lo in range(0, i.size, step):
         ci, cj = i[lo : lo + step], j[lo : lo + step]
-        dx = xs[ci] - xs[cj]
-        dy = ys[ci] - ys[cj]
+        rows = ci.size
+        dx = np.subtract(
+            xs.take(ci, axis=0, out=xa[:rows], mode="clip"),
+            xs.take(cj, axis=0, out=xb[:rows], mode="clip"),
+            out=xa[:rows],
+        )
+        dy = np.subtract(
+            ys.take(ci, axis=0, out=ya[:rows], mode="clip"),
+            ys.take(cj, axis=0, out=yb[:rows], mode="clip"),
+            out=ya[:rows],
+        )
         dist2[lo : lo + step] = np.einsum("ij,ij->i", dx, dx)
         dydx[lo : lo + step] = np.einsum("ij,ij->i", dy, dx)
         dydy[lo : lo + step] = np.einsum("ij,ij->i", dy, dy)

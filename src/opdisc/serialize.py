@@ -22,6 +22,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import numbers
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -87,14 +88,32 @@ def check_keys(d: dict, where: str, required: set, optional: set = frozenset()):
         raise SpecError(f"{where}: unknown keys {sorted(unknown)}")
 
 
+def _is_number(value) -> bool:
+    """A JSON number: an int or a float, not a boolean or a numeric string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def integral(value) -> int:
-    """``int(value)``, refusing a boolean and a float with a fractional part."""
-    if isinstance(value, bool):
-        raise TypeError(f"{value!r} is a boolean")
+    """``int(value)`` of a number, refusing a float with a fractional part."""
+    if not _is_number(value):
+        raise TypeError(f"{value!r} is not a number")
     out = int(value)
-    if isinstance(value, float) and value != out:
+    if value != out:
         raise ValueError(f"{value!r} is not integral")
     return out
+
+
+def _all_numbers(value) -> bool:
+    if isinstance(value, list):
+        return all(_all_numbers(item) for item in value)
+    return _is_number(value)
+
+
+def _number_array(value) -> np.ndarray:
+    """The float array of a number or a nested list of numbers."""
+    if not _all_numbers(value):
+        raise TypeError(f"{value!r} holds a value that is not a number")
+    return np.asarray(value, dtype=float)
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +226,7 @@ def _of(cls):
 
 
 def _number(value, got) -> float:
-    if isinstance(value, bool):
+    if not _is_number(value):
         raise TypeError(value)
     return float(value)
 
@@ -220,10 +239,10 @@ def _ints(value, got) -> list[int]:
 
 
 def _numbers_fault(value, got):
-    """Each entry of a list converts to a finite float array (the build
-    converts it again); a JSON null would convert to NaN."""
+    """Each entry of a list is a number or a nested list of numbers, all
+    finite (the build converts it again)."""
     try:
-        if all(np.isfinite(np.asarray(item, dtype=float)).all() for item in value):
+        if all(np.isfinite(_number_array(item)).all() for item in value):
             return None
     except (TypeError, ValueError):
         pass
@@ -235,7 +254,7 @@ def _unit_vector(e, got) -> Reflection:
     coordinate of the chain it heads when that dimension is known."""
     want = "" if got.dim is None else f"{got.dim} "
     try:
-        e = np.asarray(e, dtype=float)
+        e = _number_array(e)
         if got.dim is not None and e.shape != (got.dim,):
             raise ValueError(f"got shape {e.shape}")
         return Reflection(e)

@@ -665,6 +665,8 @@ class TestRefusedExperimentValues:
             ("fem-solve", "seed", None),
             ("invert", "seed", "x"),
             ("invert", "seed", True),
+            ("invert", "y", [True, False, 0.0, 0.0, 0.0, 0.0]),
+            ("nogo-isotopy", "m", "3"),
         ],
     )
     def test_a_refused_value_is_a_config_error(self, runner, tmp_path, kind, key, value):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -42,6 +43,50 @@ from opdisc.spectral import BasisSpec, Space
 def rotation(theta: float) -> np.ndarray:
     c, s = math.cos(theta), math.sin(theta)
     return np.array([[c, -s], [s, c]])
+
+
+def schur_path(m: np.ndarray, eps: float) -> tuple[str, int, float]:
+    """A₀'s kind, the factor count and the product error of the reference
+    path: ``linear_path_blocks``' A₀ and positive part, with the rotation U
+    cut into steps of the rotation blocks of its real Schur form."""
+    k = m.shape[0]
+    a0 = np.ones(k)
+    if np.linalg.det(m) < 0.0:
+        a0[0] = -1.0
+    usv, sv, vt = np.linalg.svd(m * a0)
+    cap = 0.95 * eps
+    n_p = 0
+    if np.max(np.abs(sv - 1.0)) > 1e-14:
+        n_p = 1
+        while np.max(np.abs(sv ** (1.0 / n_p) - 1.0)) >= cap:
+            n_p += 1
+    smat, q = scipy.linalg.schur(usv @ vt, output="real")
+    planes, minus = [], []
+    i = 0
+    while i < k:
+        if i + 1 < k and abs(smat[i + 1, i]) > 1e-10:
+            planes.append(([i, i + 1], math.atan2(smat[i + 1, i], smat[i, i])))
+            i += 2
+        else:
+            if abs(smat[i, i] + 1.0) < 1e-8:
+                minus.append(i)
+            i += 1
+    planes += [([a, b], math.pi) for a, b in zip(minus[0::2], minus[1::2])]
+    n_u = 0
+    step = np.eye(k)
+    if planes:
+        max_step = 2.0 * math.asin(min(cap / 2.0, 1.0))
+        n_u = max(1, math.ceil(max(abs(t) for _, t in planes) / max_step))
+        for idx, t in planes:
+            step[np.ix_(idx, idx)] = rotation(t / n_u)
+    positive = usv @ np.diag(sv ** (1.0 / max(n_p, 1))) @ usv.T
+    acc = (
+        np.linalg.matrix_power(positive, n_p)
+        @ np.linalg.matrix_power(q @ step @ q.T, n_u)
+        @ np.diag(a0)
+    )
+    kind = "reflection" if a0[0] < 0.0 else "identity"
+    return kind, n_p + n_u, float(np.linalg.norm(acc - m, 2))
 
 
 @pytest.fixture(scope="module")
@@ -642,6 +687,77 @@ class TestLinearPathBlocks:
             acc = f @ acc
         assert np.linalg.norm(acc - m, 2) <= 1e-8
         assert diag["product_error"] <= 1e-8
+
+    def assert_matches_schur_path(self, m, eps):
+        ref_kind, ref_count, ref_error = schur_path(m, eps)
+        assert ref_error <= 1e-8  # the reference itself holds
+        kind, factors, diag = linear_path_blocks(m, eps)
+        assert (kind, len(factors)) == (ref_kind, ref_count)
+        assert diag["product_error"] <= 1e-8
+        for f in factors:
+            assert np.linalg.norm(f - np.eye(m.shape[0]), 2) < eps
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        k=st.integers(1, 16),
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.sampled_from([0.4, 0.25, 0.1, 0.05]),
+    )
+    def test_random_matrices_match_the_schur_path(self, k, seed, eps):
+        m = np.random.default_rng(seed).standard_normal((k, k))
+        assume(np.linalg.cond(m) < 1e6)
+        self.assert_matches_schur_path(m, eps)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        angles=st.lists(
+            st.one_of(
+                st.floats(-13.0, -1.0).map(lambda e: math.pi - 10.0**e),  # near a half turn
+                st.floats(-12.0, -1.0).map(lambda e: 10.0**e),  # near the identity
+                st.floats(-math.pi, math.pi),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        repeat=st.sampled_from(["once", "twice", "mirrored"]),
+        half_turns=st.sampled_from([0, 2, 4]),
+        fixed=st.integers(0, 2),
+        seed=st.integers(0, 2**32 - 1),
+        eps=st.sampled_from([0.4, 0.25, 0.1, 0.05]),
+    )
+    def test_constructed_rotations_match_the_schur_path(
+        self, angles, repeat, half_turns, fixed, seed, eps
+    ):
+        """Q·R·Qᵀ·P with R's planes near π or near 0, repeated or paired
+        with their mirror, next to exact −I blocks and fixed axes."""
+        # a turn at the 1e-10 cutoff for "no rotation" may fall on either
+        # side of it in either method, and both answers are within 1e-8
+        assume(not any(5e-11 < abs(t) < 2e-10 for t in angles))
+        if repeat == "twice":
+            angles = angles + angles
+        elif repeat == "mirrored":
+            angles = angles + [-t for t in angles]
+        r = scipy.linalg.block_diag(
+            *[rotation(t) for t in angles], -np.eye(half_turns), np.eye(fixed)
+        )
+        k = r.shape[0]
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((k, k)))
+        p = np.diag(np.exp(rng.uniform(-0.5, 0.5, k)))
+        self.assert_matches_schur_path(q @ r @ q.T @ p, eps)
+
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_exact_half_turns(self, k):
+        self.assert_matches_schur_path(-np.eye(k), 0.25)
+
+    def test_a_cyclic_permutation_turns_planes_by_a_third(self):
+        """The 120° planes of a coordinate cycle sit at cos θ = −1/2,
+        where the root switches between its two formulas."""
+        m = np.roll(np.eye(6), 2, axis=0)
+        kind, factors, diag = linear_path_blocks(m, 0.25)
+        np.testing.assert_allclose(diag["rotation_angles"], [2.0 * math.pi / 3.0] * 2)
+        assert diag["product_error"] <= 1e-8
+        self.assert_matches_schur_path(m, 0.25)
 
     def test_rejects_near_singular_and_bad_input(self):
         with pytest.raises(ValueError, match="singular"):

@@ -17,6 +17,7 @@ from opdisc.galerkin import (
     FemConvergence,
     FemMesh,
     NewtonTrace,
+    _solve_tridiagonal,
     assemble_stiffness,
     fem_convergence,
     galerkin_path_matrix,
@@ -158,6 +159,32 @@ class TestAssembleStiffness:
         k = np.arange(1, 12)
         formula = np.sort(2.0 / mesh.h * (1.0 - np.cos(k * np.pi * mesh.h)))
         np.testing.assert_allclose(ev, formula, rtol=1e-12)
+
+
+class TestSolveTridiagonal:
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.integers(1, 40), seed=st.integers(0, 2**32 - 1))
+    def test_matches_a_dense_solve(self, n, seed):
+        """Diagonally dominant rows, as the Newton Jacobian has them."""
+        rng = np.random.default_rng(seed)
+        ab = rng.standard_normal((3, n))
+        ab[0, 0] = ab[2, -1] = 0.0
+        off = np.abs(np.r_[ab[0, 1:], 0.0]) + np.abs(np.r_[0.0, ab[2, :-1]])
+        ab[1] = rng.choice([-1.0, 1.0], n) * (off + rng.uniform(0.1, 1.0, n))
+        rhs = rng.standard_normal(n)
+        before = ab.copy()
+        x = _solve_tridiagonal(ab, rhs)
+        np.testing.assert_allclose(x, np.linalg.solve(dense_from_banded(ab), rhs),
+                                   rtol=1e-10, atol=1e-12)
+        np.testing.assert_array_equal(ab, before)
+
+    def test_solves_the_stiffness_system(self):
+        mesh = FemMesh(64)
+        ab = assemble_stiffness(mesh)
+        w = np.sin(np.arange(mesh.n_active))
+        np.testing.assert_allclose(
+            _solve_tridiagonal(ab, dense_from_banded(ab) @ w), w, rtol=0.0, atol=1e-11
+        )
 
 
 class TestSolveSemilinear:

@@ -158,11 +158,20 @@ class TestValidation:
                                "num_blocks": 2, "seed": 1}, "chain", "prefix_n"),
             (operator_from_spec, {"kind": "finite_rank", "omegas": [None],
                                   "psi": [[1.0, 0.0]], "phi": [[1.0, 0.0]]}, "operator", "omegas"),
+            (space_from_config, {"basis": "fourier", "ambient_dim": "8"},
+             "space", "ambient_dim"),
+            (chain_from_spec, {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 2,
+                               "seed": "5", "delta": 0.5}, "chain", "seed"),
+            (chain_from_spec, {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 2,
+                               "seed": 5, "delta": "0.5"}, "chain", "delta"),
+            (operator_from_spec, {"kind": "finite_rank", "omegas": [True],
+                                  "psi": [[1.0, 0.0]], "phi": [[1.0, 0.0]]}, "operator", "omegas"),
         ],
         ids=["layer-hidden-string", "chain-hidden-string", "psi-prefix-string",
              "out-phi-prefix-string", "ambient-dim-true", "n-in-true", "n-out-true",
              "layer-hidden-zero", "ball-radius-without-delta", "decay-nan", "n-in-zero",
-             "prefix-n-zero", "omegas-null"],
+             "prefix-n-zero", "omegas-null", "ambient-dim-string", "seed-string",
+             "delta-string", "omegas-true"],
     )
     def test_a_refused_value_names_its_key(self, space16, read, spec, where, key):
         with pytest.raises(SpecError, match=f"^{where}: {key} must"):
@@ -479,9 +488,11 @@ class TestHead:
             [1.0, 1.0, 0.0, 0.0],  # not unit length
             [float("nan"), 0.0, 0.0, 0.0],
             ["x", 0.0, 0.0, 0.0],
+            [True, False, False, False],
             1.0,
         ],
-        ids=["nested", "short", "long", "not_unit", "nan", "not_a_number", "scalar"],
+        ids=["nested", "short", "long", "not_unit", "nan", "not_a_number", "booleans",
+             "scalar"],
     )
     def test_reflection_vector_must_be_a_unit_row_of_the_dimension(self, e):
         with pytest.raises(SpecError, match="flat list of 4 finite numbers"):

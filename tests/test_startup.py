@@ -1,9 +1,10 @@
-"""Start-up guard: only the two kernels that call ``scipy.linalg`` load it.
+"""Start-up guard: no run of opdisc loads scipy.
 
-Importing scipy.linalg more than doubles the cost of ``import opdisc``, so
-``decompose.linear_path_blocks`` and ``galerkin.solve_semilinear_trace``
-import it at their call sites.  The guard runs in a fresh interpreter,
-because this test session has loaded scipy long before it gets here.
+Importing scipy.linalg more than doubles the start-up of ``import opdisc``
+and adds a second LAPACK to the process, so the package uses numpy alone.
+The guard runs ``import opdisc``, one experiment of every kind and
+``opdisc accept`` in a fresh interpreter, because this test session has
+loaded scipy long before it gets here.
 """
 
 import json
@@ -14,6 +15,7 @@ import textwrap
 from pathlib import Path
 
 import opdisc
+from opdisc.cli import KEYS
 
 SRC = Path(opdisc.__file__).resolve().parents[1]
 
@@ -21,7 +23,7 @@ SPACE = {"basis": "fourier", "ambient_dim": 8}
 LAYER = {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5}
 CHAIN = {"kind": "seeded_chain", "ambient_dim": 6, "num_blocks": 2, "seed": 9, "delta": 0.5}
 
-SCIPY_FREE = [
+EVERY_KIND = [
     {"name": "mono", "kind": "monotone-check", "seed": 5, "samples": 8, "dims": [2],
      "space": SPACE, "layer": LAYER},
     {"name": "scan", "kind": "discretize-scan", "seed": 0, "samples": 8, "dims": [1, 2],
@@ -32,9 +34,6 @@ SCIPY_FREE = [
      "y": [-0.3, -0.1, 0.0, 0.1, 0.2, 0.4]},
     {"name": "gal", "kind": "nogo-galerkin", "seed": 0, "path_kind": "a", "n": 1, "grid": 21},
     {"name": "iso", "kind": "nogo-isotopy", "seed": 0, "m": 3, "grid": 21},
-]
-
-NEEDS_SCIPY = [
     {"name": "dec", "kind": "decompose", "seed": 0, "space": SPACE,
      "layer": {"kind": "seeded_layer", "seed": 5, "rank": 4, "lip_g": 0.4},
      "epsilon": 0.25, "radius": 1.0, "n_verify": 16},
@@ -48,36 +47,36 @@ PROBE = textwrap.dedent(
 
     import opdisc, opdisc.cli
 
-    def batch(experiments):
-        config = {"schema": 1, "experiments": experiments}
-        outcomes = opdisc.cli.run_config(config, Path(sys.argv[1]), 1, None)
-        return [o["status"] for o in outcomes]
-
+    out = Path(sys.argv[1])
     imported = "scipy" in sys.modules
-    free_status = batch(json.loads(sys.argv[2]))
-    after_free = "scipy" in sys.modules
-    scipy_status = batch(json.loads(sys.argv[3]))
+    config = {"schema": 1, "experiments": json.loads(sys.argv[2])}
+    status = [o["status"] for o in opdisc.cli.run_config(config, out / "batch", 1, None)]
+    after_batch = "scipy" in sys.modules
+    try:
+        opdisc.cli.main(["--out", str(out / "accept"), "accept"], standalone_mode=False)
+    except SystemExit as stop:
+        print(f"accept exited with {stop.code}")
+    results = json.loads((out / "accept" / "acceptance.json").read_text())["results"]
     print(json.dumps({
-        "imported": imported, "free_status": free_status, "after_free": after_free,
-        "scipy_status": scipy_status, "after_scipy": "scipy" in sys.modules,
+        "imported": imported, "status": status, "after_batch": after_batch,
+        "accept": [r["passed"] for r in results], "after_accept": "scipy" in sys.modules,
     }))
     """
 )
 
 
-def test_only_decompose_and_fem_solve_load_scipy(tmp_path):
+def test_no_run_loads_scipy(tmp_path):
+    assert sorted({exp["kind"] for exp in EVERY_KIND}) == sorted(KEYS)
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run(
-        [sys.executable, "-c", PROBE, str(tmp_path),
-         json.dumps(SCIPY_FREE), json.dumps(NEEDS_SCIPY)],
-        capture_output=True, text=True, env=env, timeout=60,
+        [sys.executable, "-c", PROBE, str(tmp_path), json.dumps(EVERY_KIND)],
+        capture_output=True, text=True, env=env, timeout=120,
     )
     assert done.returncode == 0, done.stderr
     seen = json.loads(done.stdout.splitlines()[-1])
     assert not seen["imported"], "import opdisc loaded scipy"
-    assert seen["free_status"] == ["ok"] * len(SCIPY_FREE)
-    assert not seen["after_free"], "a scipy-free experiment kind loaded scipy"
-    # the guard is not vacuous: the two kinds that need scipy.linalg load it
-    assert seen["scipy_status"] == ["ok"] * len(NEEDS_SCIPY)
-    assert seen["after_scipy"]
+    assert seen["status"] == ["ok"] * len(EVERY_KIND)
+    assert not seen["after_batch"], "an experiment loaded scipy"
+    assert seen["accept"] == [True] * 10
+    assert not seen["after_accept"], "opdisc accept loaded scipy"
