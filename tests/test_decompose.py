@@ -746,10 +746,6 @@ class TestLinearPathBlocks:
         p = np.diag(np.exp(rng.uniform(-0.5, 0.5, k)))
         self.assert_matches_schur_path(q @ r @ q.T @ p, eps)
 
-    @pytest.mark.parametrize("k", [2, 4])
-    def test_exact_half_turns(self, k):
-        self.assert_matches_schur_path(-np.eye(k), 0.25)
-
     def test_a_cyclic_permutation_turns_planes_by_a_third(self):
         """The 120° planes of a coordinate cycle sit at cos θ = −1/2,
         where the root switches between its two formulas."""
