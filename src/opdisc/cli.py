@@ -23,10 +23,10 @@ error message, or null when the message has none.
 
 from __future__ import annotations
 
+import contextlib
 import math
+import os
 import re
-import threading
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -60,6 +60,7 @@ from .serialize import (
     _Key,
     _number_array,
     _Type,
+    _Values,
     blob_hash,
     canonical_json,
     chain_from_spec,
@@ -277,21 +278,21 @@ class _BuildMemo:
     :func:`run_config` call and keyed by the spec's canonical JSON.
 
     Sharing is safe because every memoized object is immutable (frozen
-    dataclasses, read-only arrays).  Builds run under one lock, so a spec is
-    built once even at ``--jobs 2``; a spec that fails to build is not
-    stored, and every experiment naming it reports its own error.
+    dataclasses, read-only arrays).  Before ``--jobs`` worker processes
+    fork, :func:`run_config` builds every space and chain spec of the batch
+    here, so the workers inherit the built objects and a spec is built once
+    at any ``--jobs``; a spec that fails to build is not stored, and every
+    experiment naming it reports its own error.
     """
 
     def __init__(self) -> None:
         self._built: dict = {}
-        self._lock = threading.Lock()
 
     def get(self, build, spec):
         key = (build.__name__, canonical_json(spec))
-        with self._lock:
-            if key not in self._built:
-                self._built[key] = build(spec)
-            return self._built[key]
+        if key not in self._built:
+            self._built[key] = build(spec)
+        return self._built[key]
 
 
 def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
@@ -612,7 +613,48 @@ def _run_experiment(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     return {**outcome, "status": "ok"}
 
 
+# experiments a forked worker takes at a time: large enough that a batch of
+# small experiments does not wait on the task queue, small enough that the
+# workers still finish close together
+_CHUNKSIZE = 4
+
+# the batches being run, by token: a forked worker inherits every entry, so
+# a task is a (token, index) pair and the built memo is never pickled
+_BATCHES: dict[int, tuple] = {}
+
+
+def _run_task(task: tuple[int, int]) -> dict:
+    """Run one experiment of a running batch; the serial loop and the
+    worker processes both enter an experiment here."""
+    token, index = task
+    experiments, out_dir, memo = _BATCHES[token]
+    return _run_experiment(experiments[index], out_dir, memo)
+
+
+def _worker_count(jobs: int, experiments: int, cpus: int) -> int:
+    """Worker processes for a batch: no more than asked for, than there are
+    experiments, or than there are CPUs to run them."""
+    return min(jobs, experiments, cpus)
+
+
+def _prebuild(experiments: list[dict], memo: _BuildMemo) -> None:
+    """Build every space and chain spec of a batch into ``memo`` through
+    the experiments' own reads.  A spec that fails is skipped: builds are
+    deterministic and failures are not memoized, so each experiment naming
+    it raises the same error in its own run and reports it there."""
+    got = _Values(memo=memo)
+    for exp in experiments:
+        for key, entry in KEYS[exp["kind"]].items():
+            if entry.type in (_SPACE, _CHAIN) and key in exp:
+                with contextlib.suppress(Exception):
+                    entry.type.read(exp[key], got)
+
+
 def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None) -> list[dict]:
+    """Run every experiment of a config, in order or in up to ``jobs``
+    forked worker processes; the outcomes keep the config's order."""
+    if jobs < 1:
+        raise SpecError(f"--jobs must be at least 1, got {jobs}")
     read_envelope(config, "config", {"experiments"})
     experiments = config["experiments"]
     if not isinstance(experiments, list):
@@ -625,12 +667,27 @@ def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None
         raise SpecError("config: experiment names must be unique (artifacts are per-name files)")
 
     memo = _BuildMemo()
-    if jobs > 1 and len(validated) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(
-                pool.map(lambda exp: _run_experiment(exp, out_dir, memo), validated)
-            )
-    return [_run_experiment(exp, out_dir, memo) for exp in validated]
+    token = id(memo)
+    tasks = [(token, index) for index in range(len(validated))]
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = _worker_count(jobs, len(validated), cpus or 1)
+    _BATCHES[token] = (validated, out_dir, memo)
+    try:
+        if workers < 2 or not hasattr(os, "fork"):
+            return list(map(_run_task, tasks))
+        # the pool machinery (about 15 ms and 1 MB) loads only for a batch that forks
+        from concurrent.futures import ProcessPoolExecutor
+        from multiprocessing import get_context
+
+        _prebuild(validated, memo)
+        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+        try:
+            return list(pool.map(_run_task, tasks, chunksize=_CHUNKSIZE))
+        finally:
+            # joins every worker; on an error, the chunks not yet started are dropped
+            pool.shutdown(cancel_futures=True)
+    finally:
+        del _BATCHES[token]
 
 
 # ---------------------------------------------------------------------------
@@ -710,7 +767,9 @@ def _option(key: str, entry: _Key) -> click.Option:
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default="artifacts",
               show_default=True, help="Directory for CSV/JSON artifacts.")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Concurrent experiments in batch mode.")
+              help="Forked worker processes for a config batch, at most one per experiment "
+                   "and usable CPU; at 1, for one experiment or without fork, the batch "
+                   "runs in order in this process.")
 @click.option("--seed", type=int, default=None, help="Override every experiment's seed.")
 @click.pass_context
 def main(ctx, config, out_dir, jobs, seed):

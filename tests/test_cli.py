@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import re
 import sys
 import threading
@@ -523,6 +524,76 @@ class TestBuildMemo:
         _run_batch(INVERT_BATCH, tmp_path / "first")
         _run_batch(INVERT_BATCH, tmp_path / "second")
         assert len(chain_builds) == 4
+
+
+BALL_CHAIN = {"kind": "seeded_chain", "ambient_dim": 8, "num_blocks": 3, "seed": 5,
+              "delta": 0.5, "activation": "recu", "ball_radius": 1.0, "bias_scale": 0}
+
+
+def _ball_invert(name, norm):
+    return {"name": name, "kind": "invert", "seed": 0, "chain": BALL_CHAIN,
+            "y": (norm * np.eye(8)[0]).tolist()}
+
+
+# every outcome status; the failures leave the chain's certified ball
+MIXED_BATCH = [
+    _ball_invert("inside", 0.5),
+    _ball_invert("outside", 3),
+    {"name": "iso", "kind": "nogo-isotopy", "seed": 0, "m": 3, "grid": 21},
+    _invert("bad-chain", {"kind": "no_such_chain"}, 0.0),
+    _ball_invert("far", 10),
+]
+
+
+class TestWorkerProcesses:
+    def test_outcomes_and_failures_do_not_depend_on_jobs(self, runner, tmp_path):
+        cfg = write_config(tmp_path, MIXED_BATCH)
+        outcomes, reports = [], []
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            outcomes.append(_run_batch(MIXED_BATCH, out, jobs))
+            assert not multiprocessing.active_children()
+            result = runner.invoke(
+                main, ["--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]
+            )
+            assert result.exit_code == 1, result.output
+            reports.append((out / "failures.json").read_bytes())
+        statuses = [o["status"] for o in outcomes[0]]
+        assert statuses == ["ok", "failed", "ok", "config-error", "failed"]
+        assert outcomes[0][1]["stage"] == "invert"
+        assert outcomes[0] == outcomes[1]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_an_unexpected_error_stops_the_batch_and_its_workers(
+        self, tmp_path, monkeypatch, jobs
+    ):
+        def broken(exp, out_dir, memo):
+            raise KeyError("not an outcome a batch records")
+
+        # forked workers inherit the patched table
+        monkeypatch.setitem(cli.RUNNERS, "nogo-isotopy", broken)
+        with pytest.raises(KeyError, match="not an outcome"):
+            _run_batch(MIXED_BATCH, tmp_path, jobs)
+        assert not multiprocessing.active_children()
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_is_a_config_error(self, runner, tmp_path, jobs):
+        cfg = write_config(tmp_path, MIXED_BATCH[2:3])
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), f"--jobs={jobs}"])
+        assert result.exit_code == 1
+        assert f"--jobs must be at least 1, got {jobs}" in result.output
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "jobs,experiments,cpus,workers",
+        [(10**6, 171, 2, 2), (2, 1, 2, 1), (1, 171, 2, 1), (4, 3, 8, 3)],
+    )
+    def test_workers_are_capped_by_jobs_experiments_and_cpus(
+        self, jobs, experiments, cpus, workers
+    ):
+        assert cli._worker_count(jobs, experiments, cpus) == workers
 
 
 class TestNumericFields:

@@ -1,18 +1,24 @@
 """Every function in ``src/opdisc`` is reached by the command line.
 
-``opdisc accept`` and one ``--config`` batch at ``--jobs 2`` run under
-``sys.setprofile`` and ``threading.setprofile``, so the worker threads are
-watched too.  The batch holds every CLI kind and every spec kind.  A ``def``
-that neither run enters is code no CLI kind or acceptance criterion reaches:
-wire it into a check or delete it.  Lambdas and comprehensions are not
-counted.  Only the entries of ``ALLOWED`` may stay unreached, each for the
-reason it gives.
+``opdisc accept``, one ``--config`` batch at ``--jobs 1`` and a
+two-experiment batch at ``--jobs 2`` run under ``sys.setprofile``.  The
+first batch holds every CLI kind and every spec kind.  A profile cannot see
+inside the forked worker processes of ``--jobs 2``, so that batch runs in
+order, and the second batch only enters the pool branch: the workers run
+the same functions as the serial loop.  ``import opdisc.cli`` is profiled
+too, in a fresh interpreter with the hook installed before the import, so
+functions that run only at import count as reached.  A ``def`` that none of
+these enters is code no CLI kind or acceptance criterion reaches: wire it
+into a check or delete it.  Lambdas and comprehensions are not counted.
+Only the entries of ``ALLOWED`` may stay unreached, each for the reason it
+gives.
 """
 
 import ast
 import json
+import os
+import subprocess
 import sys
-import threading
 from pathlib import Path
 
 import numpy as np
@@ -26,12 +32,10 @@ SRC = Path(opdisc.__file__).resolve().parent
 
 _TRACER = "read only by bench/tracer.py, until its counts come from the run itself"
 ALLOWED = {
-    "cli._option": "builds the subcommands' options at import, before the profile starts",
     "cli._run_subcommand": "the body every subcommand shares",
     "cli._layer_file": "reads the --layer file of a subcommand",
     "cli._chain_file": "reads the --chain file of the invert subcommand",
     "cli._y_file": "reads the --y file of the invert subcommand",
-    "serialize._of": "builds the list, string and bool reads at import, before the profile starts",
     "decompose.TailBlock.alpha": _TRACER,
     "decompose.ScalingPath.alpha": _TRACER,
     "invert.InversionTrace.total_iterations": _TRACER,
@@ -104,6 +108,23 @@ BATCH = [
 ]
 
 
+# two experiments, one of them naming a chain spec, for the pool branch
+PAIR = [exp for exp in BATCH if exp["name"] in ("plain", "isotopy")]
+
+# prints every (file, first line) that importing opdisc.cli enters
+IMPORT_PROFILE = """
+import json, sys
+entered = set()
+def profile(frame, event, arg):
+    if event == "call":
+        entered.add((frame.f_code.co_filename, frame.f_code.co_firstlineno))
+sys.setprofile(profile)
+import opdisc.cli
+sys.setprofile(None)
+print(json.dumps(sorted(entered)))
+"""
+
+
 def _spec_kinds(obj) -> set:
     """The kind of every spec object nested in ``obj``."""
     if isinstance(obj, list):
@@ -148,9 +169,24 @@ def _is_dunder(qualname: str) -> bool:
     return last.startswith("__") and last.endswith("__")
 
 
-def test_every_function_is_reached(tmp_path):
+def _entered_at_import() -> set:
+    """``(file, first line)`` of every code object a fresh interpreter
+    enters while it imports ``opdisc.cli``."""
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", IMPORT_PROFILE], env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, timeout=120, check=True,
+    )
+    return {(str(Path(name).resolve()), line) for name, line in json.loads(done.stdout)}
+
+
+def test_every_function_is_reached(tmp_path, monkeypatch):
+    # two CPUs, so that the pair enters the pool branch on a one-CPU machine too
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = tmp_path / "batch.json"
     config.write_text(json.dumps({"schema": 1, "experiments": BATCH}))
+    pair = tmp_path / "pair.json"
+    pair.write_text(json.dumps({"schema": 1, "experiments": PAIR}))
     entered = set()
 
     def profile(frame, event, arg):
@@ -158,22 +194,26 @@ def test_every_function_is_reached(tmp_path):
             entered.add(frame.f_code)
 
     runner = CliRunner()
-    threading.setprofile(profile)
     sys.setprofile(profile)
     try:
         accept = runner.invoke(main, ["--out", str(tmp_path / "accept"), "accept"])
         batch = runner.invoke(
-            main, ["--config", str(config), "--out", str(tmp_path / "batch"), "--jobs", "2"]
+            main, ["--config", str(config), "--out", str(tmp_path / "batch"), "--jobs", "1"]
+        )
+        pooled = runner.invoke(
+            main, ["--config", str(pair), "--out", str(tmp_path / "pair"), "--jobs", "2"]
         )
     finally:
         sys.setprofile(None)
-        threading.setprofile(None)
     assert accept.exit_code == 0, accept.output
     assert batch.exit_code == 0, batch.output
     assert batch.output.count("ok  ") == len(BATCH), batch.output
+    assert pooled.exit_code == 0, pooled.output
+    assert pooled.output.count("ok  ") == len(PAIR) == 2, pooled.output
 
     resolved = {name: str(Path(name).resolve()) for name in {c.co_filename for c in entered}}
     reached = {(resolved[c.co_filename], c.co_firstlineno) for c in entered}
+    reached |= _entered_at_import()
     defs = _defs()
     unreached = {name for key, name in defs.items() if key not in reached}
     flagged = sorted(n for n in unreached if not _is_dunder(n) and n not in ALLOWED)

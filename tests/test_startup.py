@@ -4,7 +4,8 @@ Importing scipy.linalg more than doubles the start-up of ``import opdisc``
 and adds a second LAPACK to the process, so the package uses numpy alone.
 The guard runs ``import opdisc``, one experiment of every kind and
 ``opdisc accept`` in a fresh interpreter, because this test session has
-loaded scipy long before it gets here.
+loaded scipy long before it gets here.  A batch that runs in order also
+leaves the process-pool machinery of ``--jobs`` unloaded.
 """
 
 import json
@@ -52,13 +53,14 @@ PROBE = textwrap.dedent(
     config = {"schema": 1, "experiments": json.loads(sys.argv[2])}
     status = [o["status"] for o in opdisc.cli.run_config(config, out / "batch", 1, None)]
     after_batch = "scipy" in sys.modules
+    pool = "multiprocessing" in sys.modules
     try:
         opdisc.cli.main(["--out", str(out / "accept"), "accept"], standalone_mode=False)
     except SystemExit as stop:
         print(f"accept exited with {stop.code}")
     results = json.loads((out / "accept" / "acceptance.json").read_text())["results"]
     print(json.dumps({
-        "imported": imported, "status": status, "after_batch": after_batch,
+        "imported": imported, "status": status, "after_batch": after_batch, "pool": pool,
         "accept": [r["passed"] for r in results], "after_accept": "scipy" in sys.modules,
     }))
     """
@@ -78,5 +80,6 @@ def test_no_run_loads_scipy(tmp_path):
     assert not seen["imported"], "import opdisc loaded scipy"
     assert seen["status"] == ["ok"] * len(EVERY_KIND)
     assert not seen["after_batch"], "an experiment loaded scipy"
+    assert not seen["pool"], "a jobs-1 batch loaded the process pool"
     assert seen["accept"] == [True] * 10
     assert not seen["after_accept"], "opdisc accept loaded scipy"
