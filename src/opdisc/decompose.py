@@ -35,6 +35,14 @@ targets.  The Newton solver steps every row still above tolerance together
 (one batch of finite-difference Jacobians, one batched linear solve and a
 batched backtracking line search per round), with each row keeping its own
 step count and step length.
+
+Consecutive path blocks telescope: block k solves p = f_{t_k}⁻¹(x) and
+outputs f_{t_{k+1}}(p), which block k + 1 inverts again.  So the composite
+``DecompositionResult.eval_array`` starts each path block's inversion (and
+the tail block's) at the previous path block's preimage, and the residual
+there decides whether it iterates at all.  A single block evaluated on its
+own (``peel_tail``'s roundtrip, ``path_blocks``' measurement, any check of
+one block) starts cold, so those checks still exercise the inverter.
 """
 
 from __future__ import annotations
@@ -214,12 +222,13 @@ NEWTON_STEPS = 100
 MAX_BLOCKS = 2048
 
 
-def _newton_invert(f, ys: np.ndarray, tol: float) -> np.ndarray:
+def _newton_invert(f, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
     """Solve f(x) = y for each row of ys by finite-difference Newton.
 
-    Every row runs its own Newton iteration with a backtracking line search
-    (λ = 1, ½, … while λ > 1e-8, accepting the first strict residual
-    decrease) and its own ``NEWTON_STEPS`` step budget.  The rows are
+    The iteration starts at ``start`` (ys' shape; ys when None).  Every row
+    runs its own Newton iteration with a backtracking line search (λ = 1,
+    ½, … while λ > 1e-8, accepting the first strict residual decrease) and
+    its own ``NEWTON_STEPS`` step budget.  The rows are
     stepped together: each round makes one Jacobian batch and one batched
     solve for the rows still above tol, and each line-search trial evaluates
     the rows still searching as one batch.  A row leaves the search once it
@@ -227,7 +236,7 @@ def _newton_invert(f, ys: np.ndarray, tol: float) -> np.ndarray:
     serves) and the iteration once its residual is ≤ tol; a NaN residual
     never is.
     """
-    xs = ys.copy()
+    xs = np.array(ys if start is None else start, dtype=float)
     res = eval_map(f, xs) - ys
     rnorm = np.linalg.norm(res, axis=-1)
     for _ in range(NEWTON_STEPS):
@@ -258,12 +267,13 @@ def _newton_invert(f, ys: np.ndarray, tol: float) -> np.ndarray:
     return xs
 
 
-def _invert(f, ys: np.ndarray, kappa: float | None, tol: float) -> np.ndarray:
-    """Banach iteration at rate kappa for f = Id + B, Lip(B) ≤ kappa; Newton when kappa is None."""
+def _invert(f, ys: np.ndarray, kappa: float | None, tol: float, *, start=None) -> np.ndarray:
+    """Banach iteration at rate kappa for f = Id + B, Lip(B) ≤ kappa; Newton
+    when kappa is None.  Either starts at ``start`` (ys when None)."""
     if kappa is None:
-        return _newton_invert(f, ys, tol)
+        return _newton_invert(f, ys, tol, start)
     try:
-        return banach_solve(f, ys, kappa, tol).x
+        return banach_solve(f, ys, kappa, tol, start=start).x
     except InversionError as exc:
         raise DecompositionError(str(exc)) from exc
 
@@ -304,7 +314,8 @@ class TailBlock:
 
     Inversion exploits the frame split: F^W is the identity on W⊥, so only
     the W-coordinate core ``fw`` needs solving, by Banach iteration at rate
-    ``kappa`` or by Newton when ``kappa`` is None.
+    ``kappa`` or by Newton when ``kappa`` is None, from ``eval_array``'s
+    W-coordinate ``start`` when one is given.
     """
 
     def __init__(self, source, fw: CoreCompressedLayer, kappa: float | None, tol: float):
@@ -320,17 +331,19 @@ class TailBlock:
         """Monotonicity constant 1 − κ of the inverted core; None under Newton."""
         return None if self.kappa is None else 1.0 - self.kappa
 
-    def _invert_fw(self, ys: np.ndarray) -> np.ndarray:
+    def _invert_fw(self, ys: np.ndarray, start) -> np.ndarray:
         frame = self.fw.frame
         if frame.dim == 0:
             return ys.copy()
         cw = frame.coords(ys)
-        sol = _invert(self.fw, cw, self.kappa, self.tol)
+        sol = _invert(self.fw, cw, self.kappa, self.tol, start=start)
         return ys - frame.lift(cw) + frame.lift(sol)
 
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
+    def eval_array(self, x: np.ndarray, start=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        pre = self._invert_fw(x.reshape(-1, x.shape[-1]))
+        if start is not None:
+            start = np.reshape(start, (-1, self.fw.dim))
+        pre = self._invert_fw(x.reshape(-1, x.shape[-1]), start)
         return eval_map(self.source, pre).reshape(x.shape)
 
 
@@ -351,6 +364,7 @@ def peel_tail(
     block = TailBlock(source, core, kappa, tol)
     xs = ball_samples(core.frame.ambient_dim, sample_radius, 100, seed=seed)
     through = LiftedBlock(core, core.frame).eval_array(xs)
+    # cold: started at its known preimage xs, the roundtrip could not fail
     recon = block.eval_array(through)
     direct = eval_map(source, xs)
     roundtrip = float(np.max(np.linalg.norm(recon - direct, axis=1)))
@@ -400,10 +414,11 @@ class ScalingPath:
             return xs @ self.df0.T
         return (eval_map(self.f, t * xs) - self.f0_val) / t + t * self.f0_val
 
-    def invert_t_rows(self, t: float, ys: np.ndarray, tol: float) -> np.ndarray:
+    def invert_t_rows(self, t: float, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
+        """f_t⁻¹ at the rows ys, iterated from ``start``; t = 0 solves exactly."""
         if t == 0.0:
             return np.linalg.solve(self.df0, ys.T).T
-        return _invert(functools.partial(self.eval_t_rows, t), ys, self.kappa, tol)
+        return _invert(functools.partial(self.eval_t_rows, t), ys, self.kappa, tol, start=start)
 
 
 class PathBlock:
@@ -426,15 +441,25 @@ class PathBlock:
         return 1.0 - quintic_smoothstep((norms - self.r2) / self.r2)
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
+        return self.transport(x)[0]
+
+    def transport(self, x: np.ndarray, start=None) -> tuple[np.ndarray, np.ndarray]:
+        """The block at x, and the preimages p = f_{t_lo}⁻¹(x) it solved for.
+
+        Both have x's shape; a row with φ = 0 is not inverted and carries
+        itself.  ``start`` (x's shape) is the inversion's first iterate.
+        """
         x = np.asarray(x, dtype=float)
-        rows = x.reshape(-1, x.shape[-1]).copy()
+        rows = x.reshape(-1, x.shape[-1])
+        out, pre = rows.copy(), rows.copy()
         phi = self.cutoff(np.linalg.norm(rows, axis=1))
         act = phi > 0.0
         if np.any(act):
-            pre = self.path.invert_t_rows(self.t_lo, rows[act], self.tol)
-            post = self.path.eval_t_rows(self.t_hi, pre)
-            rows[act] = rows[act] + phi[act, None] * (post - rows[act])
-        return rows.reshape(x.shape)
+            guess = None if start is None else np.reshape(start, rows.shape)[act]
+            pre[act] = self.path.invert_t_rows(self.t_lo, rows[act], self.tol, start=guess)
+            post = self.path.eval_t_rows(self.t_hi, pre[act])
+            out[act] = rows[act] + phi[act, None] * (post - rows[act])
+        return out.reshape(x.shape), pre.reshape(x.shape)
 
 
 def _c2_estimate(f, k: int, radius: float, seed: int) -> float:
@@ -737,6 +762,14 @@ class LiftedBlock:
         out = self.core.eval_array(c)
         return x + self.frame.lift(out - c)
 
+    def transport(self, x: np.ndarray, start=None) -> tuple[np.ndarray, np.ndarray]:
+        """``eval_array`` of a ``PathBlock`` core, with the core's
+        W-coordinate preimages (``PathBlock.transport``)."""
+        x = np.asarray(x, dtype=float)
+        c = self.frame.coords(x)
+        out, pre = self.core.transport(c, start)
+        return x + self.frame.lift(out - c), pre
+
 
 # ---------------------------------------------------------------------------
 # the assembled pipeline
@@ -746,7 +779,13 @@ class LiftedBlock:
 @dataclass(frozen=True, eq=False)
 class DecompositionResult:
     """F = blocks[-1]∘…∘blocks[0]∘A₀ on the validity ball, all blocks
-    near-identity with recorded sampled Lipschitz constants below epsilon."""
+    near-identity with recorded sampled Lipschitz constants below epsilon.
+
+    ``eval_array`` hands each path block's W-coordinate preimage to the
+    next path block and to the tail block as their first iterate (see the
+    module notes); each still iterates to its own tol, so a poor start
+    costs evaluations, not accuracy.  Any other block drops it.
+    """
 
     a0: object
     blocks: tuple
@@ -767,8 +806,14 @@ class DecompositionResult:
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         x = eval_map(self.a0, x)
+        pre = None
         for b in self.blocks:
-            x = b.eval_array(x)
+            if isinstance(getattr(b, "core", None), PathBlock):
+                x, pre = b.transport(x, pre)
+            elif isinstance(b, TailBlock):
+                x, pre = b.eval_array(x, start=pre), None
+            else:
+                x, pre = b.eval_array(x), None
         return x
 
 def decompose(

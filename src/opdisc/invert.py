@@ -172,10 +172,11 @@ class BanachSolve:
 
     Rows are the targets in row-major order (a single target is one row).
     ``residuals[k, i]`` is ``||f(x_k) - y||`` of row i at the k-th iterate
-    (x_0 = y).  The batch steps until its slowest row converges, so row i's
-    count is the first evaluation at which its own residual was <= tol and
-    its history is ``residuals[:counts[i], i]``; ``budgets[i]`` is its
-    a priori bound, which the count never exceeds.
+    (x_0 is the solve's ``start``, y by default).  The batch steps until
+    its slowest row converges, so row i's count is the first evaluation at
+    which its own residual was <= tol and its history is
+    ``residuals[:counts[i], i]``; ``budgets[i]`` is its a priori bound,
+    which the count never exceeds.
     """
 
     x: np.ndarray
@@ -187,16 +188,20 @@ class BanachSolve:
         return tuple(float(r) for r in self.residuals[: self.counts[row], row])
 
 
-def banach_solve(f, y, q: float, tol: float, *, radius: float | None = None) -> BanachSolve:
+def banach_solve(
+    f, y, q: float, tol: float, *, radius: float | None = None, start=None
+) -> BanachSolve:
     """Solve f(x) = y for f = Id + B with Lip(B) <= q < 1 by Banach iteration.
 
     ``y`` holds one target ``(m,)`` or a ``(..., m)`` batch, iterated
-    together from x = y by the residual step x <- x - (f(x) - y).  Each
-    row's budget ``_apriori_iterations(r0, q, tol)`` follows from q and its
-    first residual r0.  Raises :class:`InversionError` with an ``[invert]``
-    message at once on a non-finite residual, and when a row is still above
-    tol after its budget (then B is no q-contraction where it was
-    evaluated).  ``radius`` is the ball on which q certifies B: an iterate
+    together by the residual step x <- x - (f(x) - y) from ``start`` (y's
+    shape; y when None).  Each row's budget ``_apriori_iterations(r0, q,
+    tol)`` follows from q and its first residual r0, the residual at
+    ``start``, so a start near the solution shrinks the budget and a start
+    within tol returns after one evaluation.  Raises
+    :class:`InversionError` with an ``[invert]`` message at once on a
+    non-finite residual, and when a row is still above tol after its budget
+    (then B is no q-contraction where it was evaluated).  ``radius`` is the ball on which q certifies B: an iterate
     outside it raises :class:`DomainError` before f sees it.  Both per-row
     errors name the failing row's index in row-major order.
     """
@@ -205,7 +210,9 @@ def banach_solve(f, y, q: float, tol: float, *, radius: float | None = None) -> 
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     y = np.asarray(y, dtype=float)
-    x = y.copy()
+    x = np.array(y if start is None else start, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"start has shape {x.shape}, but y has shape {y.shape}")
     history = []
     while True:
         k = len(history) + 1

@@ -18,6 +18,7 @@ from opdisc.decompose import (
     NEWTON_STEPS,
     LiftedBlock,
     ScalingPath,
+    TailBlock,
     _choose_inverter,
     _fd_jacobian,
     _invert,
@@ -871,6 +872,117 @@ class TestDecompose:
         assert result.j == 2
         with pytest.raises(TypeError):
             DecompositionResult(a0=Identity(), blocks=(), j=2, r1=1.0, epsilon=0.25)
+
+
+@pytest.fixture(scope="module")
+def factored(flip_layer):
+    """(layer, result, verify points) for criterion 4's mixing layer
+    (Banach), the κ = 2 flip layer (Newton) and a finite-rank layer whose
+    factorization appends a tail block."""
+    tail_layer = make_layer(
+        Space(BasisSpec(ambient_dim=64)), seed=71, lip_g=0.5, rank=64, decay=2.0
+    )
+    cases = {
+        "mixing": (mixing_bilipschitz_layer(16), 0),
+        "flip": (flip_layer, 4),
+        "tail": (tail_layer, 0),
+    }
+    out = {}
+    for name, (layer, seed) in cases.items():
+        result = decompose(layer, 0.25, 1.0, seed=seed)
+        # decompose's own verify points
+        xs = ball_samples(layer.dim, 1.0, 200, seed=seed + 7)
+        out[name] = (layer, result, xs)
+    return out
+
+
+def cold_composite(result, xs):
+    """The composite with every block evaluated on its own, started cold."""
+    x = eval_map(result.a0, xs)
+    for b in result.blocks:
+        x = b.eval_array(x)
+    return x
+
+
+def path_block_count(result) -> int:
+    return sum(b.label.startswith("path") for b in result.blocks)
+
+
+class TestWarmComposite:
+    """The composite starts each path block (and the tail) at the previous
+    path block's preimage; every block still solves to its own tol."""
+
+    def test_layers_cover_both_inverters_and_the_tail(self, factored):
+        assert factored["mixing"][1].diagnostics["inverter"] == "fixed_point"
+        assert factored["flip"][1].diagnostics["inverter"] == "newton"
+        tail_result = factored["tail"][1]
+        assert isinstance(tail_result.blocks[-1], TailBlock)
+        assert path_block_count(tail_result) >= 1
+
+    @pytest.mark.parametrize("name", ["mixing", "flip", "tail"])
+    def test_warm_composite_matches_the_cold_loop(self, factored, name):
+        layer, result, xs = factored[name]
+        warm = result.eval_array(xs)
+        assert np.max(np.linalg.norm(warm - cold_composite(result, xs), axis=1)) <= 1e-6
+        assert np.max(np.linalg.norm(warm - layer.eval_array(xs), axis=1)) <= 1e-6
+        single = result.eval_array(xs[3])
+        assert single.shape == (layer.dim,)
+        assert np.linalg.norm(single - warm[3]) <= 1e-6
+
+    @pytest.mark.parametrize("name", ["mixing", "tail"])
+    def test_each_start_is_accepted_at_its_first_evaluation(self, factored, name, monkeypatch):
+        layer, result, xs = factored[name]
+        module = importlib.import_module("opdisc.decompose")
+        solve = module.banach_solve
+        evaluations = []
+
+        def recorded(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            evaluations.append(len(sol.residuals))
+            return sol
+
+        monkeypatch.setattr(module, "banach_solve", recorded)
+        result.eval_array(xs)
+        # the first path block starts at t = 0, a linear solve
+        has_tail = isinstance(result.blocks[-1], TailBlock)
+        assert evaluations == [1] * (path_block_count(result) - 1 + has_tail)
+        evaluations.clear()
+        cold_composite(result, xs)
+        assert min(evaluations) > 1
+
+    def test_a_missing_middle_block_misses_the_layer(self, factored):
+        layer, result, xs = factored["mixing"]
+        paths = [i for i, b in enumerate(result.blocks) if b.label.startswith("path")]
+        assert len(paths) >= 3
+        gutted = DecompositionResult(
+            a0=result.a0,
+            blocks=tuple(b for i, b in enumerate(result.blocks) if i != paths[1]),
+            r1=result.r1,
+            epsilon=result.epsilon,
+        )
+        gap = np.max(np.linalg.norm(gutted.eval_array(xs) - layer.eval_array(xs), axis=1))
+        assert gap > 100 * 1e-6
+
+    def test_single_block_checks_start_cold(self, monkeypatch):
+        layer = mixing_bilipschitz_layer(16)
+        frame, _ = choose_w(layer, 0.01)
+        core = CoreCompressedLayer(layer, frame)
+        kappa = layer.contraction
+        module = importlib.import_module("opdisc.decompose")
+        invert = module._invert
+        starts = []
+
+        def recorded(f, ys, kappa, tol, **kwargs):
+            starts.append(kwargs.get("start"))
+            return invert(f, ys, kappa, tol, **kwargs)
+
+        monkeypatch.setattr(module, "_invert", recorded)
+        peel_tail(layer, core, 0.25, kappa=kappa, seed=4)
+        assert starts and all(s is None for s in starts)
+        starts.clear()
+        blocks, _ = path_blocks(core, frame.dim, 0.25, 1.0, 0.7, 1.3, kappa=kappa, seed=6)
+        assert blocks
+        assert starts and all(s is None for s in starts)
 
 
 class TestInverterChoice:

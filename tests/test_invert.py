@@ -110,6 +110,32 @@ class TestBanachKernel:
             banach_solve(counted, ys, 0.5, 1e-10)
         assert counted.calls == bad_call
 
+    def test_start_at_the_solution_returns_after_one_evaluation(self):
+        d = np.array([1.0, 1.5])
+        f = CountedMap(lambda v: d * v)
+        y = np.array([0.7, -1.5])
+        x_star = y / d
+        sol = banach_solve(f, y, 0.5, 1e-10, start=x_star)
+        assert f.calls == 1
+        assert sol.counts.tolist() == sol.budgets.tolist() == [1]
+        assert np.array_equal(sol.x, x_star)
+        # the budget comes from the residual at the start: y's is 0.75
+        cold = banach_solve(f, y, 0.5, 1e-10, start=y)
+        assert cold.budgets[0] == _apriori_iterations(0.75, 0.5, 1e-10) > 1
+
+    def test_start_of_another_shape_is_refused(self):
+        f = CountedMap(lambda v: 1.5 * v)
+        with pytest.raises(ValueError, match=r"start has shape \(1, 2\), but y has shape \(2,\)"):
+            banach_solve(f, np.ones(2), 0.5, 1e-10, start=np.ones((1, 2)))
+        assert f.calls == 0
+
+    def test_non_finite_start_is_a_non_finite_residual(self):
+        f = CountedMap(lambda v: 1.5 * v)
+        start = np.array([[0.0, 0.0], [np.nan, 1.0]])
+        with pytest.raises(InversionError, match=r"^\[invert\] .* not finite at evaluation 1 "):
+            banach_solve(f, np.ones((2, 2)), 0.5, 1e-10, start=start)
+        assert f.calls == 1
+
     def test_radius_refuses_iterates_outside_the_ball(self):
         f = CountedMap(lambda v: v + 2.0)
         with pytest.raises(DomainError, match=r"^\[invert\] iterate 2 lies outside"):
