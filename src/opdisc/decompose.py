@@ -13,7 +13,7 @@ sampled Lipschitz constant Lip(B_k) below a requested epsilon.  The stages:
 2. peel the tail factor Id + B̃ with F = (Id + B̃)∘F^W;
 3. on W coordinates, connect the core f to its linearization Df|₀ by the
    scaling path f_t(x) = (1/t)(f(tx) − f(0)) + t·f(0) and cut the path
-   into radially-cutoff transport blocks;
+   into blocks with a radial cutoff;
 4. take A₀ as the reflection of the first W coordinate exactly when
    det Df|₀ < 0 (else the identity), and split Df|₀·A₀ by polar
    decomposition into a positive part (matrix-power path) and a rotation
@@ -36,13 +36,16 @@ targets.  The Newton solver steps every row still above tolerance together
 batched backtracking line search per round), with each row keeping its own
 step count and step length.
 
-Consecutive path blocks telescope: block k solves p = f_{t_k}⁻¹(x) and
-outputs f_{t_{k+1}}(p), which block k + 1 inverts again.  So the composite
-``DecompositionResult.eval_array`` starts each path block's inversion (and
-the tail block's) at the previous path block's preimage, and the residual
-there decides whether it iterates at all.  A single block evaluated on its
-own (``peel_tail``'s roundtrip, ``path_blocks``' measurement, any check of
-one block) starts cold, so those checks still exercise the inverter.
+Every block is a frozen record with one evaluation, ``forward(x, start) ->
+(y, carry)``: ``start`` is the first iterate of the block's W-coordinate
+inversion and ``carry`` the W-coordinate preimage it solved for, or None.
+``eval_array(x)`` is ``forward(x)[0]``, started cold.  Path blocks
+telescope: block k solves p = f_{t_k}⁻¹(x) and outputs f_{t_{k+1}}(p),
+which block k + 1 inverts again.  So ``DecompositionResult.eval_array``
+hands each block's carry to the next as its start, and the residual there
+decides whether it iterates at all.  A block evaluated on its own
+(``peel_tail``'s roundtrip, ``path_blocks``' measurement, any check of one
+block) starts cold, so those checks still exercise the inverter.
 """
 
 from __future__ import annotations
@@ -50,7 +53,7 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -199,6 +202,9 @@ class CoreCompressedLayer:
         c = np.asarray(c, dtype=float)
         return c + self.layer.nonlin.apply_array(c @ self.m_in) @ self.m_out
 
+    def forward(self, c: np.ndarray, start=None) -> tuple[np.ndarray, None]:
+        return self.eval_array(c), None
+
 
 # ---------------------------------------------------------------------------
 # on-demand inversion
@@ -309,42 +315,56 @@ def _choose_inverter(kappa: float, k: int, r1: float, tol: float) -> tuple[float
 # ---------------------------------------------------------------------------
 
 
+class _Block:
+    """A factor evaluated by ``forward(x, start) -> (y, carry)``; ``eval_array`` starts it cold."""
+
+    def eval_array(self, x: np.ndarray) -> np.ndarray:
+        return self.forward(x)[0]
+
+
+def _measure(block, xs: np.ndarray) -> tuple[float, float]:
+    """Sampled Lip(block − Id) over the rows xs, and the largest ‖block(x) − x‖."""
+    ys = block.eval_array(xs)
+    return _sup_quotient(xs, ys - xs), float(np.max(np.linalg.norm(ys - xs, axis=1)))
+
+
+@dataclass(frozen=True, eq=False)
 class TailBlock:
     """H = Id + B̃ with B̃ = F∘(F^W)⁻¹ − Id, so that F = H∘F^W.
 
     Inversion exploits the frame split: F^W is the identity on W⊥, so only
     the W-coordinate core ``fw`` needs solving, by Banach iteration at rate
-    ``kappa`` or by Newton when ``kappa`` is None, from ``eval_array``'s
-    W-coordinate ``start`` when one is given.
+    ``kappa`` or by Newton when ``kappa`` is None, from a W-coordinate
+    ``start`` when one is given.  ``eval_array`` takes the start itself: it
+    is the entry of every tail inversion.  The tail hands on no carry.
     """
 
-    def __init__(self, source, fw: CoreCompressedLayer, kappa: float | None, tol: float):
-        self.source = source
-        self.fw = fw
-        self.kappa = kappa
-        self.tol = tol
-        self.lip_sampled: float | None = None
-        self.label = "tail"
+    source: object
+    fw: CoreCompressedLayer
+    kappa: float | None
+    tol: float
+    lip_sampled: float | None = None
+    deviation: float | None = None
+    roundtrip_error: float | None = None
+    label = "tail"
 
     @property
     def alpha(self) -> float | None:
         """Monotonicity constant 1 − κ of the inverted core; None under Newton."""
         return None if self.kappa is None else 1.0 - self.kappa
 
-    def _invert_fw(self, ys: np.ndarray, start) -> np.ndarray:
-        frame = self.fw.frame
-        if frame.dim == 0:
-            return ys.copy()
-        cw = frame.coords(ys)
-        sol = _invert(self.fw, cw, self.kappa, self.tol, start=start)
-        return ys - frame.lift(cw) + frame.lift(sol)
-
     def eval_array(self, x: np.ndarray, start=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if start is not None:
-            start = np.reshape(start, (-1, self.fw.dim))
-        pre = self._invert_fw(x.reshape(-1, x.shape[-1]), start)
+        pre, frame = x.reshape(-1, x.shape[-1]), self.fw.frame
+        if frame.dim > 0:
+            cw = frame.coords(pre)
+            start = None if start is None else np.reshape(start, cw.shape)
+            sol = _invert(self.fw, cw, self.kappa, self.tol, start=start)
+            pre = pre - frame.lift(cw) + frame.lift(sol)
         return eval_map(self.source, pre).reshape(x.shape)
+
+    def forward(self, x: np.ndarray, start=None) -> tuple[np.ndarray, None]:
+        return self.eval_array(x, start), None
 
 
 def peel_tail(
@@ -372,17 +392,13 @@ def peel_tail(
         raise DecompositionError(
             f"[peel_tail] factor roundtrip error {roundtrip:g} exceeds 1e-8"
         )
-    ys = block.eval_array(xs)
-    lip_hat = _sup_quotient(xs, ys - xs)
+    lip_hat, dev = _measure(block, xs)
     if lip_hat >= epsilon:
         raise DecompositionError(
             f"[peel_tail] sampled Lip of the tail factor is {lip_hat:g}, "
             f"not below epsilon={epsilon:g}"
         )
-    block.lip_sampled = lip_hat
-    block.deviation = float(np.max(np.linalg.norm(ys - xs, axis=1)))
-    block.roundtrip_error = roundtrip
-    return block
+    return replace(block, lip_sampled=lip_hat, deviation=dev, roundtrip_error=roundtrip)
 
 
 # ---------------------------------------------------------------------------
@@ -421,29 +437,30 @@ class ScalingPath:
         return _invert(functools.partial(self.eval_t_rows, t), ys, self.kappa, tol, start=start)
 
 
-class PathBlock:
+@dataclass(frozen=True, eq=False)
+class PathBlock(_Block):
     """x + φ(x)·(f_{t_hi}(f_{t_lo}⁻¹(x)) − x) with a radial quintic cutoff.
 
-    φ is 1 on ‖x‖ ≤ R₂ and 0 outside 2R₂, so the block transports the
+    φ is 1 on ‖x‖ ≤ R₂ and 0 outside 2R₂, so the block moves the
     region of interest and leaves far points untouched (no inversion there).
     """
 
-    def __init__(self, path: ScalingPath, t_lo: float, t_hi: float, r2: float, tol: float):
-        self.path = path
-        self.t_lo = t_lo
-        self.t_hi = t_hi
-        self.r2 = r2
-        self.tol = tol
-        self.lip_sampled: float | None = None
-        self.label = f"path[{t_lo:.6g},{t_hi:.6g}]"
+    path: ScalingPath
+    t_lo: float
+    t_hi: float
+    r2: float
+    tol: float
+    lip_sampled: float | None = None
+    deviation: float | None = None
+    label: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "label", f"path[{self.t_lo:.6g},{self.t_hi:.6g}]")
 
     def cutoff(self, norms: np.ndarray) -> np.ndarray:
         return 1.0 - quintic_smoothstep((norms - self.r2) / self.r2)
 
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        return self.transport(x)[0]
-
-    def transport(self, x: np.ndarray, start=None) -> tuple[np.ndarray, np.ndarray]:
+    def forward(self, x: np.ndarray, start=None) -> tuple[np.ndarray, np.ndarray]:
         """The block at x, and the preimages p = f_{t_lo}⁻¹(x) it solved for.
 
         Both have x's shape; a row with φ = 0 is not inverted and carries
@@ -493,7 +510,7 @@ def path_blocks(
     tol: float = 1e-9,
     seed: int = 0,
 ) -> tuple[list, dict]:
-    """Transport blocks along the scaling path from Df|₀ to f.
+    """Cutoff blocks along the scaling path from Df|₀ to f.
 
     The first grid point respects t₁ < 2c₀ε/(c₁ + ‖f‖_C²·R₁); the grid is
     then refined, up to MAX_BLOCKS blocks, until every block's Lip(block −
@@ -536,42 +553,29 @@ def path_blocks(
         ts.append(min(ts[-1] + t1, 1.0))
     ts[-1] = 1.0
 
-    cache: dict[tuple[float, float], tuple[PathBlock, float, float]] = {}
+    cache: dict[tuple[float, float], PathBlock] = {}
 
-    def measure(lo: float, hi: float):
-        key = (lo, hi)
-        if key not in cache:
+    def measure(lo: float, hi: float) -> PathBlock:
+        if (lo, hi) not in cache:
             block = PathBlock(path, lo, hi, r2, tol)
-            ys = block.eval_array(xs)
-            lip_hat = _sup_quotient(xs, ys - xs)
-            dev = float(np.max(np.linalg.norm(ys - xs, axis=1)))
-            cache[key] = (block, lip_hat, dev)
-        return cache[key]
+            lip_hat, dev = _measure(block, xs)
+            cache[lo, hi] = replace(block, lip_sampled=lip_hat, deviation=dev)
+        return cache[lo, hi]
 
     while True:
         if len(ts) - 1 > MAX_BLOCKS:
             raise DecompositionError(
                 f"[path_blocks] refinement exceeded the block cap {MAX_BLOCKS}"
             )
-        bad = []
-        for lo, hi in zip(ts, ts[1:]):
-            _, lip_hat, _ = measure(lo, hi)
-            if lip_hat >= 0.97 * epsilon:
-                bad.append((lo, hi))
+        bad = [b for b in map(measure, ts, ts[1:]) if b.lip_sampled >= 0.97 * epsilon]
         if not bad:
             break
-        for lo, hi in bad:
-            ts.append(0.5 * (lo + hi))
+        for b in bad:
+            ts.append(0.5 * (b.t_lo + b.t_hi))
         ts = sorted(set(ts))
 
-    blocks = []
     drop_tol = max(1e-10, 4.0 * tol)
-    for lo, hi in zip(ts, ts[1:]):
-        block, lip_hat, dev = measure(lo, hi)
-        if dev <= drop_tol:
-            continue
-        block.lip_sampled = lip_hat
-        blocks.append(block)
+    blocks = [b for b in map(measure, ts, ts[1:]) if b.deviation > drop_tol]
     diag["t_grid"] = list(ts)
     diag["linear_shortcut"] = False
     return blocks, diag
@@ -732,43 +736,41 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
 # ---------------------------------------------------------------------------
 
 
-class LinearBlock:
+@dataclass(frozen=True, eq=False)
+class LinearBlock(_Block):
     """A near-identity matrix factor acting on W coordinates."""
 
-    def __init__(self, matrix: np.ndarray, label: str = "linear"):
-        self.matrix = np.asarray(matrix, dtype=float)
-        self.lip_sampled = spectral_norm(self.matrix - np.eye(self.matrix.shape[0]))
-        self.label = label
+    matrix: np.ndarray
+    lip_sampled: float = field(init=False)
+    label = "linear"
 
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(x, dtype=float) @ self.matrix.T
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "lip_sampled", spectral_norm(self.matrix - np.eye(len(self.matrix))))
+
+    def forward(self, x: np.ndarray, start=None) -> tuple[np.ndarray, None]:
+        return np.asarray(x, dtype=float) @ self.matrix.T, None
 
 
-class LiftedBlock:
+@dataclass(frozen=True, eq=False)
+class LiftedBlock(_Block):
     """Id_{W⊥} ⊕ core: a W-coordinate block extended to the ambient space."""
 
-    def __init__(self, core, frame: Frame):
-        self.core = core
-        self.frame = frame
-        self.label = getattr(core, "label", "block")
+    core: object
+    frame: Frame
+    label: str = field(init=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "label", getattr(self.core, "label", "block"))
 
     @property
     def lip_sampled(self) -> float | None:
         return self.core.lip_sampled
 
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, start=None) -> tuple[np.ndarray, np.ndarray | None]:
         x = np.asarray(x, dtype=float)
         c = self.frame.coords(x)
-        out = self.core.eval_array(c)
-        return x + self.frame.lift(out - c)
-
-    def transport(self, x: np.ndarray, start=None) -> tuple[np.ndarray, np.ndarray]:
-        """``eval_array`` of a ``PathBlock`` core, with the core's
-        W-coordinate preimages (``PathBlock.transport``)."""
-        x = np.asarray(x, dtype=float)
-        c = self.frame.coords(x)
-        out, pre = self.core.transport(c, start)
-        return x + self.frame.lift(out - c), pre
+        out, carry = self.core.forward(c, start)
+        return x + self.frame.lift(out - c), carry
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +783,10 @@ class DecompositionResult:
     """F = blocks[-1]∘…∘blocks[0]∘A₀ on the validity ball, all blocks
     near-identity with recorded sampled Lipschitz constants below epsilon.
 
-    ``eval_array`` hands each path block's W-coordinate preimage to the
-    next path block and to the tail block as their first iterate (see the
-    module notes); each still iterates to its own tol, so a poor start
-    costs evaluations, not accuracy.  Any other block drops it.
+    ``eval_array`` runs every block's ``forward`` in turn and hands each
+    block's carry to the next as its start (see the module notes); each
+    block still iterates to its own tol, so a poor start costs
+    evaluations, not accuracy.
     """
 
     a0: object
@@ -805,15 +807,9 @@ class DecompositionResult:
                 )
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        x = eval_map(self.a0, x)
-        pre = None
+        x, carry = eval_map(self.a0, x), None
         for b in self.blocks:
-            if isinstance(getattr(b, "core", None), PathBlock):
-                x, pre = b.transport(x, pre)
-            elif isinstance(b, TailBlock):
-                x, pre = b.eval_array(x, start=pre), None
-            else:
-                x, pre = b.eval_array(x), None
+            x, carry = b.forward(x, carry)
         return x
 
 def decompose(

@@ -145,3 +145,33 @@ def test_batch_equals_rows(maps, name, lead, radius, seed):
     assert batch.shape == xs.shape
     scale = max(1.0, float(np.max(np.abs(rows))))
     assert np.max(np.abs(batch - rows)) <= 1e-12 * scale
+
+
+# every decompose block, and the carry each hands on: the W-coordinate
+# preimage it solved for, or None
+BLOCKS = {
+    "tail_fixed_point": False,
+    "tail_newton": False,
+    "path_block_fixed_point": True,
+    "path_block_newton": True,
+    "linear_block": False,
+    "lifted_block": True,
+}
+
+
+@pytest.mark.parametrize("name", BLOCKS)
+@pytest.mark.parametrize("lead", [(1,), (5,), (2, 3)])
+def test_forward_carries_its_rows(maps, name, lead):
+    block, m = maps[name]
+    # out to radius 3, past the path blocks' cutoff at 2, where a row carries itself
+    xs = ball_samples(m, 3.0, int(np.prod(lead)), seed=17).reshape(*lead, m)
+    y, carry = block.forward(xs)
+    assert np.array_equal(y, block.eval_array(xs))
+    rows = [block.forward(x)[1] for x in xs.reshape(-1, m)]
+    if not BLOCKS[name]:
+        assert carry is None and all(c is None for c in rows)
+        return
+    k = rows[0].shape[-1]
+    assert carry.shape == (*lead, k)
+    scale = max(1.0, float(np.max(np.abs(carry))))
+    assert np.max(np.abs(carry - np.stack(rows).reshape(carry.shape))) <= 1e-12 * scale

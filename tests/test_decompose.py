@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import importlib
 import math
@@ -894,6 +895,14 @@ def factored(flip_layer):
         xs = ball_samples(layer.dim, 1.0, 200, seed=seed + 7)
         out[name] = (layer, result, xs)
     return out
+
+
+@pytest.mark.parametrize("name", ["mixing", "flip", "tail"])
+def test_blocks_are_read_only(factored, name):
+    for b in factored[name][1].blocks:
+        for attr in ("lip_sampled", "label"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(b, attr, None)
 
 
 def cold_composite(result, xs):

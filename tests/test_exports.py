@@ -3,6 +3,7 @@ benchmark tracer wraps or probes: a hook whose target was renamed or deleted
 would make its per-layer metric read 0 without any error."""
 
 import ast
+import collections
 import importlib
 import importlib.util
 import re
@@ -14,9 +15,15 @@ import pytest
 import opdisc
 from opdisc.acceptance import mixing_bilipschitz_layer
 from opdisc.invert import invert_chain
-from opdisc.layers import AffineNonlinearity, InvertibleResidualChain, NeuralOperatorLayer
+from opdisc.layers import (
+    AffineNonlinearity,
+    InvertibleResidualChain,
+    NeuralOperatorLayer,
+    make_layer,
+)
 from opdisc.monotone import ball_samples
 from opdisc.operators import FiniteRankOperator
+from opdisc.spectral import BasisSpec, Space
 
 MODULES = (
     "acceptance",
@@ -200,3 +207,31 @@ def test_tracer_counts_decompose_inverters():
         "layers.net_rows",
     ):
         assert metrics[name]["value"] > 0, name
+
+
+def test_tracer_counts_the_warm_composite():
+    # the tail layer of test_decompose factors into two linear blocks, one
+    # path block and a tail: the path block's t = 0 solve and the tail's
+    # inversion are the two inversions of the composite, and the tail,
+    # started at the path block's carry, takes one core evaluation per row.
+    # A hook moved off TailBlock, ScalingPath or CoreCompressedLayer (into a
+    # shared base, say) is no longer wrapped and changes these counts.
+    decompose = importlib.import_module("opdisc.decompose")
+    layer = make_layer(
+        Space(BasisSpec(ambient_dim=64)), seed=71, lip_g=0.5, rank=64, decay=2.0
+    )
+    result = decompose.decompose(layer, 0.25, 1.0, seed=0)
+    xs = ball_samples(64, 1.0, 50, seed=3)
+    tracer = TRACER.Tracer()
+    tracer.install()
+    try:
+        result.eval_array(xs)
+    finally:
+        tracer.uninstall()
+    # the raw counters behind the decompose.* metrics
+    counts = collections.Counter()
+    for log in tracer._logs:
+        counts.update(log.counts)
+    assert counts["decompose.invert.outer_calls"] == 2
+    assert counts["invert_rows"] == 100
+    assert counts["core_rows_in_invert"] == 50

@@ -87,6 +87,11 @@ BATCH = [
                "nonlin": {"kind": "zero"}}},
     {"name": "flip", "kind": "decompose", "seed": 0, "epsilon": 0.25, "radius": 1.0,
      "space": {"basis": "abstract_orthonormal", "ambient_dim": 3}, "layer": FLIP_LAYER},
+    # a compressing frame (w_dim 36 of 64): the composite's tail takes a warm start
+    {"name": "compressing", "kind": "decompose", "seed": 0, "epsilon": 0.25, "radius": 1.0,
+     "space": {"basis": "fourier", "ambient_dim": 64},
+     "layer": {"kind": "seeded_layer", "seed": 71, "lip_g": 0.5, "rank": 64, "decay": 2.0,
+               "activation": "tanh"}},
     {"name": "ball-local", "kind": "invert", "seed": 0,
      "chain": {"kind": "seeded_chain", "ambient_dim": 8, "prefix_n": 6, "num_blocks": 2,
                "seed": 5, "delta": 0.5, "activation": "recu", "ball_radius": 1.0,
