@@ -32,7 +32,7 @@ from .galerkin import (
     fem_convergence,
     singularity_scan,
 )
-from .invert import global_inverse_check, invert_chain
+from .invert import banach_solve, global_inverse_check, invert_chain
 from .isotopy import aligned_truncation_matrix, truncated_det_scan
 from .layers import (
     CoordinateNetwork,
@@ -333,7 +333,10 @@ def criterion_fixed_point_inversion() -> dict:
     solve per block): every roundtrip lands within 1e-8 of the start, every
     block stops within its geometric a priori bound (the budget the Banach
     kernel enforces), and every residual history decreases strictly once
-    the first step is taken.
+    the first step is taken.  A known answer bounds the budget from the
+    other side: x ↦ x + q·x at q = 0.5 shrinks every residual by exactly q,
+    so on the same points each row stops within ⌈log(1 − q)/log q⌉ + 1
+    evaluations of its budget.
     """
     cert = InvertibleResidualChain.seeded(16, 16, 3, 0.5, seed=51)
     xs = ball_samples(16, 1.0, 100, seed=53)
@@ -355,11 +358,23 @@ def criterion_fixed_point_inversion() -> dict:
                     f"{hist[k]:g} at iteration {k + 1}"
                 )
     assert worst_rt <= 1e-8, f"worst roundtrip error {worst_rt:g} exceeds 1e-8"
+    # the budget aims at tol·(1 − q), which a q-contraction reaches
+    # log(1 − q)/log q steps after tol; one more for the ceiling
+    q = 0.5
+    scaled = banach_solve(lambda v: v + q * v, xs, q, 1e-10)
+    known_slack = int(np.max(scaled.budgets - scaled.counts))
+    known_bound = math.ceil(math.log(1.0 - q) / math.log(q)) + 1
+    assert known_slack <= known_bound, (
+        f"x -> x + {q}x stopped {known_slack} evaluations short of its budget, "
+        f"more than the {known_bound} its exact rate allows"
+    )
     return {
         "samples": len(xs),
         "worst_roundtrip": worst_rt,
         "worst_iteration_slack": worst_slack,
         "roundtrip_target": res.roundtrip_target,
+        "known_rate_slack": known_slack,
+        "known_rate_slack_bound": known_bound,
     }
 
 

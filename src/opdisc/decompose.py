@@ -43,9 +43,18 @@ inversion and ``carry`` the W-coordinate preimage it solved for, or None.
 telescope: block k solves p = f_{t_k}⁻¹(x) and outputs f_{t_{k+1}}(p),
 which block k + 1 inverts again.  So ``DecompositionResult.eval_array``
 hands each block's carry to the next as its start, and the residual there
-decides whether it iterates at all.  A block evaluated on its own
-(``peel_tail``'s roundtrip, ``path_blocks``' measurement, any check of one
-block) starts cold, so those checks still exercise the inverter.
+decides whether it iterates at all.  A block evaluated on its own (any
+check of one block) starts cold, so those checks still exercise the
+inverter.
+
+The two stages that measure blocks batch their cold inversions.
+``peel_tail`` solves its roundtrip and its Lip sample as one 200-row
+batch.  ``path_blocks`` measures the blocks that each refinement round
+adds as one stack (``_measure_round``): under Banach, one inversion of
+every f_{t_lo} and one evaluation of every f_{t_hi} over all the round's
+blocks; Newton inverts one block at a time.  The Banach kernel stops each
+row at its own count and holds its iterate from there, so a stacked
+block measures bit for bit as it would alone.
 """
 
 from __future__ import annotations
@@ -57,7 +66,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .invert import InversionError, _apriori_iterations, banach_solve
+from .invert import InversionError, _apriori_iterations, _first_iterate, banach_solve
 from .layers import NeuralOperatorLayer, central_differences, eval_map
 from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate
 from .operators import Identity, Reflection, spectral_norm
@@ -231,18 +240,18 @@ MAX_BLOCKS = 2048
 def _newton_invert(f, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
     """Solve f(x) = y for each row of ys by finite-difference Newton.
 
-    The iteration starts at ``start`` (ys' shape; ys when None).  Every row
-    runs its own Newton iteration with a backtracking line search (λ = 1,
-    ½, … while λ > 1e-8, accepting the first strict residual decrease) and
-    its own ``NEWTON_STEPS`` step budget.  The rows are
-    stepped together: each round makes one Jacobian batch and one batched
-    solve for the rows still above tol, and each line-search trial evaluates
-    the rows still searching as one batch.  A row leaves the search once it
-    accepts a step (all searching rows are at the same λ, so one scalar
-    serves) and the iteration once its residual is ≤ tol; a NaN residual
-    never is.
+    The iteration starts at ``start`` (ys when None), refused before any
+    evaluation unless it has ys' shape.  Every row runs its own Newton
+    iteration with a backtracking line search (λ = 1, ½, … while λ > 1e-8,
+    accepting the first strict residual decrease) and its own
+    ``NEWTON_STEPS`` step budget.  The rows are stepped together: each
+    round makes one Jacobian batch and one batched solve for the rows still
+    above tol, and each line-search trial evaluates the rows still
+    searching as one batch.  A row leaves the search once it accepts a step
+    (all searching rows are at the same λ, so one scalar serves) and the
+    iteration once its residual is ≤ tol; a NaN residual never is.
     """
-    xs = np.array(ys if start is None else start, dtype=float)
+    xs = _first_iterate(ys, start)
     res = eval_map(f, xs) - ys
     rnorm = np.linalg.norm(res, axis=-1)
     for _ in range(NEWTON_STEPS):
@@ -316,15 +325,20 @@ def _choose_inverter(kappa: float, k: int, r1: float, tol: float) -> tuple[float
 
 
 class _Block:
-    """A factor evaluated by ``forward(x, start) -> (y, carry)``; ``eval_array`` starts it cold."""
+    """A factor evaluated by ``forward(x, start) -> (y, carry)``; ``eval_array`` starts it cold.
+
+    ``path_blocks`` measures path blocks in stacks, through the cutoff blend
+    of ``forward`` (``_transport``), and each gets the ``lip_sampled`` and
+    ``deviation`` its own cold ``eval_array`` gives.
+    """
 
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         return self.forward(x)[0]
 
 
-def _measure(block, xs: np.ndarray) -> tuple[float, float]:
-    """Sampled Lip(block − Id) over the rows xs, and the largest ‖block(x) − x‖."""
-    ys = block.eval_array(xs)
+def _measure(xs: np.ndarray, ys: np.ndarray) -> tuple[float, float]:
+    """Sampled Lip(block − Id) of a block that sends the rows xs to ys, and
+    the largest ‖y − x‖."""
     return _sup_quotient(xs, ys - xs), float(np.max(np.linalg.norm(ys - xs, axis=1)))
 
 
@@ -384,15 +398,17 @@ def peel_tail(
     block = TailBlock(source, core, kappa, tol)
     xs = ball_samples(core.frame.ambient_dim, sample_radius, 100, seed=seed)
     through = LiftedBlock(core, core.frame).eval_array(xs)
-    # cold: started at its known preimage xs, the roundtrip could not fail
-    recon = block.eval_array(through)
+    # one cold solve for the roundtrip (targets F^W(xs)) and the Lip sample
+    # (targets xs); started at its known preimage xs, the roundtrip could
+    # not fail
+    recon, moved = np.split(block.eval_array(np.concatenate([through, xs])), 2)
     direct = eval_map(source, xs)
     roundtrip = float(np.max(np.linalg.norm(recon - direct, axis=1)))
     if roundtrip > 1e-8:
         raise DecompositionError(
             f"[peel_tail] factor roundtrip error {roundtrip:g} exceeds 1e-8"
         )
-    lip_hat, dev = _measure(block, xs)
+    lip_hat, dev = _measure(xs, moved)
     if lip_hat >= epsilon:
         raise DecompositionError(
             f"[peel_tail] sampled Lip of the tail factor is {lip_hat:g}, "
@@ -411,6 +427,8 @@ class ScalingPath:
 
     For f = Id + B with Lip(B) ≤ κ every f_t with t > 0 is Id plus a
     κ-Lipschitz map, so ``kappa`` serves the whole path; None selects Newton.
+    Both evaluations take a scalar t, or one t per leading slice of a
+    (B, n, k) stack of rows.
     """
 
     def __init__(self, f, k: int, kappa: float | None):
@@ -425,16 +443,60 @@ class ScalingPath:
         """Monotonicity constant 1 − κ of every f_t; None under Newton."""
         return None if self.kappa is None else 1.0 - self.kappa
 
-    def eval_t_rows(self, t: float, xs: np.ndarray) -> np.ndarray:
-        if t == 0.0:
+    def eval_t_rows(self, t, xs: np.ndarray) -> np.ndarray:
+        t = np.asarray(t, dtype=float)
+        lin = t == 0.0
+        if lin.all():
             return xs @ self.df0.T
-        return (eval_map(self.f, t * xs) - self.f0_val) / t + t * self.f0_val
+        s = np.where(lin, 1.0, t).reshape(t.shape + (1,) * (xs.ndim - t.ndim))
+        out = (eval_map(self.f, s * xs) - self.f0_val) / s + s * self.f0_val
+        if lin.any():
+            out[lin] = xs[lin] @ self.df0.T
+        return out
 
-    def invert_t_rows(self, t: float, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
-        """f_t⁻¹ at the rows ys, iterated from ``start``; t = 0 solves exactly."""
-        if t == 0.0:
-            return np.linalg.solve(self.df0, ys.T).T
-        return _invert(functools.partial(self.eval_t_rows, t), ys, self.kappa, tol, start=start)
+    def _solve_df0(self, ys: np.ndarray) -> np.ndarray:
+        rows = ys.reshape(-1, self.k)
+        return np.linalg.solve(self.df0, rows.T).T.reshape(ys.shape)
+
+    def invert_t_rows(self, t, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
+        """f_t⁻¹ at the rows ys, iterated from ``start``; t = 0 solves exactly.
+        A stack's t > 0 slices are one batch; Newton takes a scalar t only."""
+        t = np.asarray(t, dtype=float)
+        if t.ndim == 0:
+            if t == 0.0:
+                return self._solve_df0(ys)
+            return _invert(functools.partial(self.eval_t_rows, t), ys, self.kappa, tol, start=start)
+        lin = t == 0.0
+        xs = np.empty(ys.shape)
+        xs[lin] = self._solve_df0(ys[lin])
+        if not lin.all():
+            guess = None if start is None else start[~lin]
+            f = functools.partial(self.eval_t_rows, t[~lin])
+            xs[~lin] = _invert(f, ys[~lin], self.kappa, tol, start=guess)
+        return xs
+
+
+def _transport(path: ScalingPath, t_lo, t_hi, r2: float, tol: float, rows, start=None):
+    """Path blocks x + φ(x)·(f_{t_hi}(f_{t_lo}⁻¹(x)) − x) at the rows (n, k),
+    and the preimages p = f_{t_lo}⁻¹(x) they solve for.
+
+    φ is the radial quintic cutoff of radius ``r2``: a row with φ = 0 is
+    not inverted and carries itself.  ``start`` is the inversion's first
+    iterate.  Scalar ``t_lo``, ``t_hi`` give one block, with (n, k)
+    results; (B,) arrays give B blocks at the same rows, inverted and
+    evaluated as one (B, n, k) stack.
+    """
+    phi = 1.0 - quintic_smoothstep((np.linalg.norm(rows, axis=1) - r2) / r2)
+    act = phi > 0.0
+    out = np.broadcast_to(rows, np.shape(t_lo) + rows.shape).copy()
+    pre = out.copy()
+    if np.any(act):
+        moved = out[..., act, :]
+        guess = None if start is None else start[..., act, :]
+        pre[..., act, :] = path.invert_t_rows(t_lo, moved, tol, start=guess)
+        post = path.eval_t_rows(t_hi, pre[..., act, :])
+        out[..., act, :] = moved + phi[act, None] * (post - moved)
+    return out, pre
 
 
 @dataclass(frozen=True, eq=False)
@@ -457,9 +519,6 @@ class PathBlock(_Block):
     def __post_init__(self) -> None:
         object.__setattr__(self, "label", f"path[{self.t_lo:.6g},{self.t_hi:.6g}]")
 
-    def cutoff(self, norms: np.ndarray) -> np.ndarray:
-        return 1.0 - quintic_smoothstep((norms - self.r2) / self.r2)
-
     def forward(self, x: np.ndarray, start=None) -> tuple[np.ndarray, np.ndarray]:
         """The block at x, and the preimages p = f_{t_lo}⁻¹(x) it solved for.
 
@@ -468,15 +527,27 @@ class PathBlock(_Block):
         """
         x = np.asarray(x, dtype=float)
         rows = x.reshape(-1, x.shape[-1])
-        out, pre = rows.copy(), rows.copy()
-        phi = self.cutoff(np.linalg.norm(rows, axis=1))
-        act = phi > 0.0
-        if np.any(act):
-            guess = None if start is None else np.reshape(start, rows.shape)[act]
-            pre[act] = self.path.invert_t_rows(self.t_lo, rows[act], self.tol, start=guess)
-            post = self.path.eval_t_rows(self.t_hi, pre[act])
-            out[act] = rows[act] + phi[act, None] * (post - rows[act])
+        guess = None if start is None else np.reshape(start, rows.shape)
+        out, pre = _transport(self.path, self.t_lo, self.t_hi, self.r2, self.tol, rows, guess)
         return out.reshape(x.shape), pre.reshape(x.shape)
+
+
+def _measure_round(blocks: list, xs: np.ndarray) -> list:
+    """``blocks`` (one path, R₂ and tol) with the Lip(block − Id) and
+    deviation sampled cold at the rows xs: as one stack under Banach, one
+    block at a time under Newton (see the module notes)."""
+    path, r2, tol = blocks[0].path, blocks[0].r2, blocks[0].tol
+    t_lo = np.array([b.t_lo for b in blocks])
+    t_hi = np.array([b.t_hi for b in blocks])
+    stacks = [slice(None)] if path.kappa is not None else range(len(blocks))
+    ys = np.empty((len(blocks),) + xs.shape)
+    for s in stacks:
+        ys[s] = _transport(path, t_lo[s], t_hi[s], r2, tol, xs)[0]
+    measured = []
+    for b, y in zip(blocks, ys):
+        lip_hat, dev = _measure(xs, y)
+        measured.append(replace(b, lip_sampled=lip_hat, deviation=dev))
+    return measured
 
 
 def _c2_estimate(f, k: int, radius: float, seed: int) -> float:
@@ -516,7 +587,8 @@ def path_blocks(
     then refined, up to MAX_BLOCKS blocks, until every block's Lip(block −
     Id) sampled at 40 points is below epsilon.  Blocks indistinguishable
     from the identity are dropped.  ``kappa`` bounds Lip(f − Id) and selects
-    the Banach inverter; None selects Newton.
+    the Banach inverter; None selects Newton.  Each refinement round
+    measures the blocks it has not measured yet in one ``_measure_round``.
     """
     if epsilon <= 0.0 or r1 <= 0.0 or c0 <= 0.0 or c1 < c0:
         raise ValueError("need epsilon > 0, r1 > 0 and 0 < c0 <= c1")
@@ -553,21 +625,16 @@ def path_blocks(
         ts.append(min(ts[-1] + t1, 1.0))
     ts[-1] = 1.0
 
-    cache: dict[tuple[float, float], PathBlock] = {}
-
-    def measure(lo: float, hi: float) -> PathBlock:
-        if (lo, hi) not in cache:
-            block = PathBlock(path, lo, hi, r2, tol)
-            lip_hat, dev = _measure(block, xs)
-            cache[lo, hi] = replace(block, lip_sampled=lip_hat, deviation=dev)
-        return cache[lo, hi]
-
+    measured: dict[tuple[float, float], PathBlock] = {}
     while True:
         if len(ts) - 1 > MAX_BLOCKS:
             raise DecompositionError(
                 f"[path_blocks] refinement exceeded the block cap {MAX_BLOCKS}"
             )
-        bad = [b for b in map(measure, ts, ts[1:]) if b.lip_sampled >= 0.97 * epsilon]
+        grid = list(zip(ts, ts[1:]))
+        fresh = [PathBlock(path, lo, hi, r2, tol) for lo, hi in grid if (lo, hi) not in measured]
+        measured.update(((b.t_lo, b.t_hi), b) for b in _measure_round(fresh, xs))
+        bad = [measured[i] for i in grid if measured[i].lip_sampled >= 0.97 * epsilon]
         if not bad:
             break
         for b in bad:
@@ -575,7 +642,7 @@ def path_blocks(
         ts = sorted(set(ts))
 
     drop_tol = max(1e-10, 4.0 * tol)
-    blocks = [b for b in map(measure, ts, ts[1:]) if b.deviation > drop_tol]
+    blocks = [measured[i] for i in grid if measured[i].deviation > drop_tol]
     diag["t_grid"] = list(ts)
     diag["linear_shortcut"] = False
     return blocks, diag

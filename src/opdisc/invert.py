@@ -172,11 +172,12 @@ class BanachSolve:
 
     Rows are the targets in row-major order (a single target is one row).
     ``residuals[k, i]`` is ``||f(x_k) - y||`` of row i at the k-th iterate
-    (x_0 is the solve's ``start``, y by default).  The batch steps until
-    its slowest row converges, so row i's count is the first evaluation at
-    which its own residual was <= tol and its history is
-    ``residuals[:counts[i], i]``; ``budgets[i]`` is its a priori bound,
-    which the count never exceeds.
+    (x_0 is the solve's ``start``, y by default).  Each row stops at its
+    own count, the first evaluation at which its residual was <= tol: from
+    there on its iterate is held while slower rows step on, so ``x[i]`` is
+    the iterate whose residual ends its history ``residuals[:counts[i],
+    i]``, and a row's result does not depend on which rows share its batch.
+    ``budgets[i]`` is its a priori bound, which the count never exceeds.
     """
 
     x: np.ndarray
@@ -188,6 +189,15 @@ class BanachSolve:
         return tuple(float(r) for r in self.residuals[: self.counts[row], row])
 
 
+def _first_iterate(y: np.ndarray, start) -> np.ndarray:
+    """A solve's first iterate: a float copy of ``start`` (of y when None),
+    refused unless it has y's shape."""
+    x = np.array(y if start is None else start, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"start has shape {x.shape}, but y has shape {y.shape}")
+    return x
+
+
 def banach_solve(
     f, y, q: float, tol: float, *, radius: float | None = None, start=None
 ) -> BanachSolve:
@@ -195,13 +205,16 @@ def banach_solve(
 
     ``y`` holds one target ``(m,)`` or a ``(..., m)`` batch, iterated
     together by the residual step x <- x - (f(x) - y) from ``start`` (y's
-    shape; y when None).  Each row's budget ``_apriori_iterations(r0, q,
-    tol)`` follows from q and its first residual r0, the residual at
-    ``start``, so a start near the solution shrinks the budget and a start
-    within tol returns after one evaluation.  Raises
-    :class:`InversionError` with an ``[invert]`` message at once on a
-    non-finite residual, and when a row is still above tol after its budget
-    (then B is no q-contraction where it was evaluated).  ``radius`` is the ball on which q certifies B: an iterate
+    shape; y when None).  Every evaluation covers the whole batch, but a
+    row whose residual is <= tol holds its iterate, so each row stops at
+    its own count and the loop ends with the slowest one.  Each row's
+    budget ``_apriori_iterations(r0, q, tol)`` follows from q and its first
+    residual r0, the residual at ``start``, so a start near the solution
+    shrinks the budget and a start within tol returns after one
+    evaluation.  Raises :class:`InversionError` with an ``[invert]``
+    message at once on a non-finite residual, and when a row is still above
+    tol after its budget (then B is no q-contraction where it was
+    evaluated).  ``radius`` is the ball on which q certifies B: an iterate
     outside it raises :class:`DomainError` before f sees it.  Both per-row
     errors name the failing row's index in row-major order.
     """
@@ -210,9 +223,7 @@ def banach_solve(
     if not tol > 0.0:
         raise ValueError("tolerance must be positive")
     y = np.asarray(y, dtype=float)
-    x = np.array(y if start is None else start, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"start has shape {x.shape}, but y has shape {y.shape}")
+    x = _first_iterate(y, start)
     history = []
     while True:
         k = len(history) + 1
@@ -249,7 +260,11 @@ def banach_solve(
                     f"its derived budget of {budgets[i]} evaluations at rate q={q:g} "
                     f"(row {i}, last residual {rnorm[i]:g})"
                 )
-        x = x - res
+        # a single row below tol has ended the loop, so only a batch holds
+        if rnorm.size > 1 and rnorm.min() <= tol:
+            x = np.where((rnorm <= tol).reshape(x.shape[:-1] + (1,)), x, x - res)
+        else:
+            x = x - res
     residuals = np.array(history)
     counts = np.argmax(residuals <= tol, axis=0) + 1
     return BanachSolve(x=x, counts=counts, residuals=residuals, budgets=budgets)

@@ -31,8 +31,11 @@ from opdisc.monotone import ball_samples
 from opdisc.operators import FiniteRankOperator, Identity, Reflection, activation_from_name
 from opdisc.spectral import BasisSpec, Space
 
-# roundoff-level tolerance for every inverting block, so that a batch
-# iterated until its slowest row converges agrees with single rows
+# roundoff-level tolerance for every inverting block.  Every row stops at
+# its own count (Banach holds a converged row's iterate), so a batch row
+# lands where its single-row solve does, up to the last bits in which the
+# map rounds a batch; the tiny tol keeps what those bits can move a Newton
+# step well inside the 1e-12 this contract allows
 TIGHT = 1e-13
 
 

@@ -18,11 +18,13 @@ from opdisc.decompose import (
     Frame,
     NEWTON_STEPS,
     LiftedBlock,
+    PathBlock,
     ScalingPath,
     TailBlock,
     _choose_inverter,
     _fd_jacobian,
     _invert,
+    _measure,
     _newton_invert,
     choose_w,
     decompose,
@@ -504,6 +506,13 @@ class TestNewtonInvert:
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite"):
             _newton_invert(np.sqrt, ys, 1e-12)
 
+    def test_start_of_another_shape_is_refused(self):
+        f = CountedMap(lambda x: x**2 + 1.0)
+        ys = np.array([[2.0, 5.0], [0.5, 2.0], [3.0, 1.5]])
+        with pytest.raises(ValueError, match=r"start has shape \(1, 2\), but y has shape \(3, 2\)"):
+            _newton_invert(f, ys, 1e-12, np.ones((1, 2)))
+        assert f.calls == 0
+
     def test_exhausted_step_budget_raises(self, monkeypatch):
         f = lambda x: x**2 + 1.0
         ys = np.array([[5.0, 2.0], [2.0, 10.0]])
@@ -602,12 +611,75 @@ class TestPathBlocks:
         )
         assert len(fine) >= len(coarse)
 
+    def test_a_stack_takes_one_t_per_slice(self):
+        f = tanh_contraction(3, seed=21)
+        path = ScalingPath(f, 3, 0.3)
+        ts = np.array([0.5, 0.0, 1.0])
+        xs = ball_samples(3, 1.0, 12, seed=2).reshape(3, 4, 3)
+        ys = path.eval_t_rows(ts, xs)
+        pre = path.invert_t_rows(ts, ys, 1e-10)
+        for t, x, y, p in zip(ts, xs, ys, pre):
+            assert np.array_equal(y, path.eval_t_rows(t, x))
+            # the t = 0 slice is Df|₀, solved exactly
+            assert np.array_equal(p, path.invert_t_rows(t, y, 1e-10))
+        assert np.max(np.abs(pre - xs)) <= 1e-9
+
     def test_validation(self):
         f = lambda c: c
         with pytest.raises(ValueError, match="epsilon"):
             path_blocks(f, 2, epsilon=0.0, r1=1.0, c0=0.5, c1=1.5)
         with pytest.raises(ValueError, match="c0"):
             path_blocks(f, 2, epsilon=0.2, r1=1.0, c0=1.5, c1=0.5)
+
+
+class TestMeasureRound:
+    """path_blocks measures each refinement round's new blocks as one
+    stacked Banach solve, and every block as it would measure alone."""
+
+    # criterion 4's layer and ε sweep; decompose's seed 0 gives path_blocks
+    # seed 6, which draws its 40 samples at seed 8
+    @pytest.mark.parametrize("epsilon", [0.4, 0.25, 0.2, 0.1, 0.05])
+    def test_stacked_rounds_measure_each_block_as_alone(self, epsilon):
+        result = decompose(mixing_bilipschitz_layer(16), epsilon, 1.0, seed=0)
+        paths = [b.core for b in result.blocks if isinstance(getattr(b, "core", None), PathBlock)]
+        assert paths
+        xs = ball_samples(paths[0].path.k, 2.3 * result.diagnostics["path"]["r2"], 40, seed=8)
+        for b in paths:
+            alone = PathBlock(b.path, b.t_lo, b.t_hi, b.r2, b.tol).eval_array(xs)
+            assert (b.lip_sampled, b.deviation) == _measure(xs, alone)
+
+    def test_round_cost_does_not_grow_with_its_blocks(self, monkeypatch):
+        module = importlib.import_module("opdisc.decompose")
+        calls = []
+        core_eval = module.CoreCompressedLayer.eval_array
+
+        def recording(core, c):
+            calls.append(np.shape(c))
+            return core_eval(core, c)
+
+        measure_round = module._measure_round
+        rounds = []
+
+        def recorded(blocks, xs):
+            before = len(calls)
+            measured = measure_round(blocks, xs)
+            rounds.append((blocks, xs, len(calls) - before))
+            return measured
+
+        monkeypatch.setattr(module.CoreCompressedLayer, "eval_array", recording)
+        monkeypatch.setattr(module, "_measure_round", recorded)
+        result = decompose(mixing_bilipschitz_layer(16), 0.05, 1.0, seed=0)
+        assert result.diagnostics["inverter"] == "fixed_point"
+        assert max(len(blocks) for blocks, _, _ in rounds) >= 8
+        for blocks, xs, cost in rounds:
+            alone = []
+            for b in blocks:
+                before = len(calls)
+                b.eval_array(xs)
+                alone.append(len(calls) - before)
+            # one stack steps until its slowest row converges: as many
+            # core calls as the slowest block alone, not their sum
+            assert cost <= max(alone)
 
 
 class TestLinearPathBlocks:

@@ -169,6 +169,19 @@ class TestBanachKernel:
             assert single.counts[0] == batch.counts[i]
             assert single.budgets[0] == batch.budgets[i]
             assert single.history(0) == batch.history(i)
+            # a converged row holds its iterate while the batch steps on
+            assert np.array_equal(single.x, batch.x[i])
+
+    @pytest.mark.parametrize("q", [0.25, 0.5, 0.9])
+    def test_exact_rate_stops_its_known_distance_short_of_the_budget(self, q):
+        # B = q·Id shrinks every residual by exactly q, and the budget aims
+        # at tol·(1 − q), which the iteration reaches log(1 − q)/log q
+        # steps after tol; the ceilings of both counts add one either way
+        xs = ball_samples(16, 1.0, 100, seed=53)
+        sol = banach_solve(lambda v: v + q * v, xs, q, 1e-10)
+        short = math.ceil(math.log(1.0 - q) / math.log(q))
+        slack = sol.budgets - sol.counts
+        assert short - 1 <= slack.min() and slack.max() <= short + 1
 
 
 def one_block(net, *, ambient=None, ball_radius=None):
