@@ -39,6 +39,7 @@ from .layers import (
     CoordinateNetNonlinearity,
     InvertibleResidualChain,
     NeuralOperatorLayer,
+    eval_map,
     make_layer,
 )
 from .monotone import (
@@ -251,10 +252,11 @@ def criterion_block_factorization() -> dict:
 
     At epsilon 0.25 every factor's independently resampled residual
     Lipschitz constant stays below 0.25, the recomposed map matches the
-    layer to 1e-6 on 200 fresh points, every factor is strongly monotone
-    with sampled modulus at least 0.75 - 1e-6, and over epsilon in
-    {0.4, 0.2, 0.1, 0.05} the block count grows no faster than
-    (1/epsilon)^2.3.  Budget: ten minutes.
+    layer to 1e-6 on 200 fresh points and, with every block started cold
+    (so a sloppy block inverter shows), within a bound derived from the
+    block tolerance, every factor is strongly monotone with sampled modulus
+    at least 0.75 - 1e-6, and over epsilon in {0.4, 0.2, 0.1, 0.05} the
+    block count grows no faster than (1/epsilon)^2.3.  Budget: ten minutes.
     """
     start = time.perf_counter()
     dim = 16
@@ -276,14 +278,23 @@ def criterion_block_factorization() -> dict:
     )
 
     fresh = ball_samples(dim, 1.0, 200, seed=103)
-    gap = float(
-        np.max(
-            np.linalg.norm(
-                result.eval_array(fresh) - layer.eval_array(fresh), axis=1
-            )
-        )
-    )
+    direct = layer.eval_array(fresh)
+    gap = float(np.max(np.linalg.norm(result.eval_array(fresh) - direct, axis=1)))
     assert gap <= 1e-6, f"recomposition misses the layer by {gap:g} (> 1e-6)"
+
+    # The same points with every block started cold.  A block solves f(p) = x
+    # to residual block_tol, f being Id plus a κ-Lipschitz map, so p is off by
+    # ≤ block_tol/(1 − κ) and the (1 + κ)-Lipschitz output by δ = that·(1 + κ).
+    # Later blocks have sampled Lip < 1 + ε, so J blocks, cold or warm, miss the
+    # exact composite by ≤ J·δ·(1 + ε)^J: the cold gap is ≤ gap + 2·J·δ·(1 + ε)^J.
+    cold = eval_map(result.a0, fresh)
+    for b in result.blocks:
+        cold = b.eval_array(cold)
+    cold_gap = float(np.max(np.linalg.norm(cold - direct, axis=1)))
+    kappa, j = layer.contraction, result.j
+    delta = result.diagnostics["block_tol"] * (1.0 + kappa) / (1.0 - kappa)
+    cold_bound = gap + 2.0 * j * delta * (1.0 + epsilon) ** j
+    assert cold_gap <= cold_bound, f"cold blocks miss the layer by {cold_gap:g} (> {cold_bound:g})"
 
     alphas = [
         pairwise_alpha(b.eval_array, r=1.0, n=48, seed=13, dim=dim).alpha
@@ -312,6 +323,8 @@ def criterion_block_factorization() -> dict:
         "blocks": result.j,
         "block_lips_resampled": lips,
         "composite_gap": gap,
+        "cold_composite_gap": cold_gap,
+        "cold_composite_bound": cold_bound,
         "block_alphas": alphas,
         "epsilon_grid": list(eps_grid),
         "block_counts": counts,

@@ -5,12 +5,14 @@ Given F = Id + T₂∘G∘T₁ bilipschitz on a ball, produce
     F = H_J ∘ … ∘ H₁ ∘ A₀        on B(0, r1),
 
 where A₀ is the identity or a reflection and every H_k = Id + B_k has a
-sampled Lipschitz constant Lip(B_k) below a requested epsilon.  The stages:
+sampled Lipschitz constant Lip(B_k) below a requested epsilon.  One pass
+runs each stage once:
 
 1. pick a frame W spanning all singular directions of T₁, T₂ above a
    threshold h, so the core map F^W = Id + P_W T₂ G T₁ P_W is close to F
    and acts inside a finite frame;
-2. peel the tail factor Id + B̃ with F = (Id + B̃)∘F^W;
+2. only when W is a proper subspace, peel the tail factor Id + B̃ with
+   F = (Id + B̃)∘F^W (on the whole space F^W = F, and the tail is Id);
 3. on W coordinates, connect the core f to its linearization Df|₀ by the
    scaling path f_t(x) = (1/t)(f(tx) − f(0)) + t·f(0) and cut the path
    into blocks with a radial cutoff;
@@ -92,9 +94,9 @@ class DecompositionError(RuntimeError):
 def _stage(name: str):
     try:
         yield
-    except DecompositionError:
-        raise
     except Exception as exc:
+        if isinstance(exc, DecompositionError) and str(exc).startswith(f"[{name}] "):
+            raise
         raise DecompositionError(f"[{name}] {exc}") from exc
 
 
@@ -926,8 +928,11 @@ def decompose(
                 f"core deviation {fw_dev:g} exceeds the bound {fw_bound:g}"
             )
 
-    # the first pass's per-block tolerance; the loop below may tighten it
-    block_tol = composite_tol / (4.0 * 16.0)
+    # each block's inversion tolerance protects that block taken alone: its
+    # sampled lip_sampled, peel_tail's 1e-8 roundtrip and the cold composite
+    # of criterion 4.  The warm composite solves each block from the previous
+    # preimage, so composite_error does not depend on it.
+    diag["block_tol"] = block_tol = composite_tol / 64.0
 
     # the stage resumes once the core exists: its sampled bracket sets
     # path_blocks' first grid step, and its dimension prices Newton
@@ -938,9 +943,7 @@ def decompose(
             est_w = bilipschitz_estimate(core, r=r1, n=128, seed=seed + 5, dim=frame.dim)
             diag["core_bilipschitz"] = {**est_w.as_dict(), "is_estimate": True}
 
-    # the linear path and the core estimate do not depend on the block
-    # tolerance, so neither is redone in the second pass
-    lin_blocks: list = []
+    blocks: list = []
     a0_kind = "identity"
     if frame.dim > 0:
         with _stage("linear_path"):
@@ -949,10 +952,23 @@ def decompose(
             diag["linear"] = lin_diag
         # one block per distinct factor matrix, shared by its repeats
         linear = {id(mat): LinearBlock(mat) for mat in lin_factors}
-        lin_blocks = [LiftedBlock(linear[id(mat)], frame) for mat in lin_factors]
+        blocks = [LiftedBlock(linear[id(mat)], frame) for mat in lin_factors]
+        with _stage("path_blocks"):
+            nl_blocks, diag["path"] = path_blocks(
+                core,
+                frame.dim,
+                epsilon,
+                r1,
+                est_w.c_lower,
+                est_w.c_upper,
+                kappa=inv_kappa,
+                tol=block_tol,
+                seed=seed + 6,
+            )
+        blocks += [LiftedBlock(b, frame) for b in nl_blocks]
 
-    # two passes at most: the per-block tolerance depends on the block count
-    for _pass in range(2):
+    # on the whole space P_W = Id, so F^W = F and the tail is the identity
+    if frame.dim < layer.dim:
         with _stage("peel_tail"):
             # the 1e-8 roundtrip guarantee needs slack over the inversion
             # residual after it is amplified by the layer's upper constant
@@ -965,32 +981,8 @@ def decompose(
                 seed=seed + 4,
                 sample_radius=max(2.0 * r1, 1.0),
             )
-
-        nl_blocks: list = []
-        if frame.dim > 0:
-            with _stage("path_blocks"):
-                nl_blocks, path_diag = path_blocks(
-                    core,
-                    frame.dim,
-                    epsilon,
-                    r1,
-                    est_w.c_lower,
-                    est_w.c_upper,
-                    kappa=inv_kappa,
-                    tol=block_tol,
-                    seed=seed + 6,
-                )
-                diag["path"] = path_diag
-
-        blocks = lin_blocks + [LiftedBlock(b, frame) for b in nl_blocks]
         if tail.deviation > max(1e-10, 4.0 * block_tol):
             blocks.append(tail)
-        j = len(blocks)
-        needed = composite_tol / (4.0 * max(j, 1))
-        if needed >= block_tol or j == 0:
-            break
-        block_tol = needed
-    diag["block_tol"] = block_tol
 
     a0 = Reflection(frame.rows[0]) if a0_kind == "reflection" else Identity()
     result = DecompositionResult(

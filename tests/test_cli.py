@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import multiprocessing
@@ -402,6 +403,22 @@ class TestBatchMode:
         assert failed[0]["error_type"] == "DecompositionError"
         assert failed[0]["error"].startswith("[estimate] ")
         assert failed[0]["stage"] == "estimate"
+
+    def test_inverter_failure_names_its_stage(self, runner, tmp_path, monkeypatch):
+        # the path blocks of this kappa = 0.9 layer need more than one Newton step
+        monkeypatch.setattr(importlib.import_module("opdisc.decompose"), "NEWTON_STEPS", 1)
+        exp = {"name": "newton", "kind": "decompose", "seed": 0,
+               "space": {"basis": "abstract_orthonormal", "ambient_dim": 3},
+               "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.9,
+                         "activation": "tanh"},
+               "epsilon": 0.25, "radius": 1.0}
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--config", str(write_config(tmp_path, [exp])),
+                                      "--out", str(out)])
+        assert result.exit_code == 2, result.output
+        failed = json.loads((out / "failures.json").read_text())["failed"]
+        assert failed[0]["error"].startswith("[path_blocks] [invert] Newton did not reach")
+        assert failed[0]["stage"] == "path_blocks"
 
 
 def _nemytskii_check(name, activation):

@@ -947,6 +947,48 @@ class TestDecompose:
             DecompositionResult(a0=Identity(), blocks=(), j=2, r1=1.0, epsilon=0.25)
 
 
+def count_calls(monkeypatch, name: str) -> list:
+    """Record the calls ``decompose`` makes to ``opdisc.decompose.<name>``."""
+    module = importlib.import_module("opdisc.decompose")
+    real, calls = getattr(module, name), []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestOnePass:
+    """``decompose`` runs every stage once and peels a tail only off a
+    proper subspace W."""
+
+    def test_no_tail_is_peeled_on_the_whole_space(self, monkeypatch):
+        calls = count_calls(monkeypatch, "peel_tail")
+        result = decompose(mixing_bilipschitz_layer(16), 0.25, 1.0)
+        assert result.diagnostics["w"]["w_dim"] == 16
+        assert calls == []
+        assert not any(isinstance(b, TailBlock) for b in result.blocks)
+
+    def test_a_compressing_frame_peels_its_tail_once(self, monkeypatch):
+        layer = make_layer(
+            Space(BasisSpec(ambient_dim=64)), seed=71, lip_g=0.5, rank=64, decay=2.0
+        )
+        calls = count_calls(monkeypatch, "peel_tail")
+        result = decompose(layer, 0.25, 1.0)
+        assert result.diagnostics["w"]["w_dim"] < 64
+        assert len(calls) == 1
+        assert isinstance(result.blocks[-1], TailBlock)
+
+    def test_many_blocks_take_one_path_pass_at_a_fixed_tolerance(self, monkeypatch):
+        calls = count_calls(monkeypatch, "path_blocks")
+        result = decompose(mixing_bilipschitz_layer(16), 0.05, 1.0, composite_tol=1e-6)
+        assert result.j == 24
+        assert len(calls) == 1
+        assert result.diagnostics["block_tol"] == 1e-6 / 64
+
+
 @pytest.fixture(scope="module")
 def factored(flip_layer):
     """(layer, result, verify points) for criterion 4's mixing layer
@@ -1080,7 +1122,7 @@ class TestInverterChoice:
         assert result.diagnostics["inverter"] == ("fixed_point" if kappa == 0.7 else "newton")
         # r0 = κ·r1 with r1 = 1
         assert cost["r0"] == result.diagnostics["contraction_product"]
-        # priced once, at the first pass's block tolerance
+        # priced at the block tolerance
         assert cost["tol"] == 1e-6 / 64
         # the same blocks the Newton inverter gave before Banach took κ = 0.7
         assert result.j == blocks

@@ -1,0 +1,57 @@
+"""Every acceptance check must be able to fail.
+
+Each mutant is a monkeypatch on the module a criterion imports from, and
+the criterion that guards the patched code must fail under it, by the
+check named next to the mutant.
+"""
+
+import importlib
+
+import pytest
+
+from opdisc.acceptance import criterion_block_factorization
+from opdisc.invert import _first_iterate
+
+DECOMPOSE = importlib.import_module("opdisc.decompose")
+INVERT, TRANSPORT, PATH_BLOCKS = DECOMPOSE._invert, DECOMPOSE._transport, DECOMPOSE.path_blocks
+
+
+def _without_middle_block(*args, **kwargs):
+    blocks, diag = PATH_BLOCKS(*args, **kwargs)
+    del blocks[len(blocks) // 2]
+    return blocks, diag
+
+
+# name -> (patched name in opdisc.decompose, mutant, message of the failure)
+DECOMPOSE_MUTANTS = {
+    # a block inverter 1e4 times sloppier than its tolerance: only the cold
+    # composite shows it, the warm one starts every block near its preimage
+    "invert-tol-1e4": (
+        "_invert",
+        lambda f, ys, kappa, tol, **kw: INVERT(f, ys, kappa, 1e4 * tol, **kw),
+        r"^cold blocks miss the layer",
+    ),
+    "invert-returns-start": (
+        "_invert",
+        lambda f, ys, kappa, tol, *, start=None: _first_iterate(ys, start),
+        r"^\[path_blocks\] refinement exceeded the block cap",
+    ),
+    "cutoff-radius-r2/8": (
+        "_transport",
+        lambda path, t_lo, t_hi, r2, *rest: TRANSPORT(path, t_lo, t_hi, r2 / 8, *rest),
+        r"^\[verify\] composite reproduces the layer only to",
+    ),
+    "middle-path-block-dropped": (
+        "path_blocks",
+        _without_middle_block,
+        r"^\[verify\] composite reproduces the layer only to",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(DECOMPOSE_MUTANTS))
+def test_decompose_mutant_fails_criterion_4(name, monkeypatch):
+    attr, mutant, failure = DECOMPOSE_MUTANTS[name]
+    monkeypatch.setattr(DECOMPOSE, attr, mutant)
+    with pytest.raises((AssertionError, DECOMPOSE.DecompositionError), match=failure):
+        criterion_block_factorization()

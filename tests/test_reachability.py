@@ -45,8 +45,9 @@ ALLOWED = {
 I3 = np.eye(3).tolist()
 FOURIER = {"basis": "fourier", "ambient_dim": 8}
 SEEDED_OP = {"kind": "seeded_finite_rank", "rank": 4, "seed": 1}
-# Df(0) = -I: kappa = 2, so decompose inverts by Newton, pairs the flipped
-# directions into pi-rotations and needs the reflection A0
+# Df(0) = -I: kappa = 2, so decompose picks Newton (its affine core takes the
+# linear shortcut and inverts nothing), pairs the flipped directions into
+# pi-rotations and needs the reflection A0
 FLIP_LAYER = {
     "kind": "layer",
     "in_op": {"kind": "finite_rank", "omegas": [1, 1, 1], "psi": I3, "phi": I3},
@@ -87,6 +88,11 @@ BATCH = [
                "nonlin": {"kind": "zero"}}},
     {"name": "flip", "kind": "decompose", "seed": 0, "epsilon": 0.25, "radius": 1.0,
      "space": {"basis": "abstract_orthonormal", "ambient_dim": 3}, "layer": FLIP_LAYER},
+    # kappa = 0.9 on three coordinates: Newton costs less than Banach, so the
+    # three path blocks invert by Newton
+    {"name": "newton", "kind": "decompose", "seed": 0, "epsilon": 0.25, "radius": 1.0,
+     "space": {"basis": "abstract_orthonormal", "ambient_dim": 3},
+     "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.9, "activation": "tanh"}},
     # a compressing frame (w_dim 36 of 64): the composite's tail takes a warm start
     {"name": "compressing", "kind": "decompose", "seed": 0, "epsilon": 0.25, "radius": 1.0,
      "space": {"basis": "fourier", "ambient_dim": 64},
