@@ -68,7 +68,9 @@ class CoordinateNetwork:
     (infinite when the activation has no global constant; see
     :meth:`ball_bound` for the local version).  Both are derived, not
     constructor arguments.  Non-finite weights or biases are refused, so no
-    bound is ever NaN from the parameters.
+    bound is ever NaN from the parameters.  The stored arrays are read-only:
+    a network built from weights and biases copies them, and :meth:`seeded`
+    freezes its own draws in place.
     """
 
     weights: tuple
@@ -78,13 +80,14 @@ class CoordinateNetwork:
     spectral_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
-        self._freeze(None)
-
-    def _freeze(self, norms: tuple | None) -> None:
-        """Validate and freeze the parameters, then derive the bounds from
-        ``norms`` (decomposing each stage when None)."""
         ws = tuple(np.array(w, dtype=float) for w in self.weights)
         bs = tuple(np.array(b, dtype=float).reshape(-1) for b in self.biases)
+        self._freeze(ws, bs, None)
+
+    def _freeze(self, ws: tuple, bs: tuple, norms: tuple | None) -> None:
+        """Validate the network's own arrays and freeze them in place, without
+        a copy, then derive the bounds from ``norms`` (decomposing each stage
+        when None)."""
         if not ws or len(ws) != len(bs):
             raise ValueError("need equally many weight matrices and bias vectors")
         for i, (w, b) in enumerate(zip(ws, bs)):
@@ -193,10 +196,8 @@ class CoordinateNetwork:
             bs.append(b)
         # one decomposition per stage: the raw draw's, carried over the rescaling
         net = cls.__new__(cls)
-        object.__setattr__(net, "weights", tuple(ws))
-        object.__setattr__(net, "biases", tuple(bs))
         object.__setattr__(net, "activation", act)
-        net._freeze(tuple(norms))
+        net._freeze(tuple(ws), tuple(bs), tuple(norms))
         return net
 
     def __repr__(self) -> str:

@@ -171,6 +171,9 @@ class Reflection(LinearExpr):
         return x - 2.0 * np.multiply.outer(proj, self.e)
 
 
+_GRAM_EXP = 64  # see spectral_norm
+
+
 def spectral_norm(w) -> float:
     """Exact spectral norm (largest singular value) of a matrix.
 
@@ -178,25 +181,30 @@ def spectral_norm(w) -> float:
     symmetric eigensolver: the same value an SVD gives, to rounding, at a
     fraction of the cost.  This is the one kernel behind every certified
     Lipschitz bound in the package, so it stays exact (no power iteration,
-    which would give a lower bound).  The matrix is first scaled by a power
-    of two, which is exact, so that squaring can neither overflow nor
-    underflow.  Non-finite input is refused: the eigensolver returns finite
-    eigenvalues for a matrix holding NaN.  Returns exactly 0.0 for a zero or
-    empty matrix.
+    which would give a lower bound).  The Gram matrix is scaled in place by
+    2^(-2e), where 2^(e-1) <= max|w| < 2^e, which is exact, so its top
+    eigenvalue neither overflows nor underflows.  For |e| > ``_GRAM_EXP``
+    ``w`` is scaled by 2^(-e) first, into a copy; within, the Gram stays far
+    from where the eigensolver rescales on its own (about 2^±400), and both
+    orders give the same bits.  Non-finite input is refused: the eigensolver
+    returns finite eigenvalues for a matrix holding NaN.  Returns exactly
+    0.0 for a zero or empty matrix.
     """
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"spectral norm needs a matrix, got shape {w.shape}")
     if not w.size:
         return 0.0
-    amax = float(np.max(np.abs(w)))
+    amax = max(float(w.max()), -float(w.min()))
     if not math.isfinite(amax):
         raise ValueError("spectral norm of a matrix with non-finite entries")
     if amax == 0.0:
         return 0.0
     exp = math.frexp(amax)[1]
-    v = np.ldexp(w, -exp)
+    v = w if abs(exp) <= _GRAM_EXP else np.ldexp(w, -exp)
     gram = v.T @ v if v.shape[0] >= v.shape[1] else v @ v.T
+    if v is w:
+        gram *= math.ldexp(1.0, -2 * exp)
     top = float(np.linalg.eigvalsh(gram)[-1])
     return math.ldexp(math.sqrt(top), exp) if top > 0.0 else 0.0
 

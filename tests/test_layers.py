@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,6 +147,47 @@ class TestCoordinateNetwork:
                 activation_from_name("identity"),
                 stage_norms=(1.0,),
             )
+
+
+class TestFrozenParameters:
+    """A network's parameter arrays are its own and read-only."""
+
+    def test_built_network_ignores_later_changes_to_its_inputs(self):
+        rng = np.random.default_rng(8)
+        ws = [rng.standard_normal((6, 4)), rng.standard_normal((3, 6))]
+        bs = [rng.standard_normal(6), rng.standard_normal(3)]
+        net = CoordinateNetwork(ws, bs, activation_from_name("tanh"))
+        x = rng.standard_normal((5, 4))
+        before, norms = net.eval_array(x), net.stage_norms
+        for a in ws + bs:
+            a *= 3.0
+        assert np.array_equal(net.eval_array(x), before)
+        assert net.stage_norms == norms
+
+    def test_seeded_parameters_are_read_only(self):
+        net = CoordinateNetwork.seeded(4, 3, hidden=(6,), bias_scale=0.5, seed=2)
+        for a in net.weights + net.biases:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = 1.0
+
+    def test_certify_shape_build_holds_each_array_once(self):
+        """The traced peak of an m = 256 build stays within its stored
+        weights and biases, plus the largest stage's Gram matrix, plus 1 MiB.
+
+        A copy of any 1024 x 1024 stage (8 MiB) breaks it.  tracemalloc does
+        not see the copy LAPACK makes inside ``eigvalsh``: the resident peak
+        holds one more Gram-sized buffer.
+        """
+        tracemalloc.start()
+        try:
+            net = CoordinateNetwork.seeded(256, 256)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = sum(a.nbytes for a in net.weights + net.biases)
+        gram = max(8 * min(w.shape) ** 2 for w in net.weights)
+        assert peak <= stored + gram + 2**20
 
 
 class TestSpectralNormCalls:

@@ -1,8 +1,8 @@
 """Every acceptance check must be able to fail.
 
-Each mutant is a monkeypatch on the module a criterion imports from, and
-the criterion that guards the patched code must fail under it, by the
-check named next to the mutant.
+Each mutant is a monkeypatch on a module the criterion reaches, named in
+its row, and the criterion that guards the patched code must fail under it,
+by the check named next to the mutant.
 """
 
 import importlib
@@ -13,7 +13,9 @@ from opdisc.acceptance import criterion_block_factorization
 from opdisc.invert import _first_iterate
 
 DECOMPOSE = importlib.import_module("opdisc.decompose")
+LAYERS = importlib.import_module("opdisc.layers")
 INVERT, TRANSPORT, PATH_BLOCKS = DECOMPOSE._invert, DECOMPOSE._transport, DECOMPOSE.path_blocks
+SPECTRAL_NORM = LAYERS.spectral_norm
 
 
 def _without_middle_block(*args, **kwargs):
@@ -22,36 +24,48 @@ def _without_middle_block(*args, **kwargs):
     return blocks, diag
 
 
-# name -> (patched name in opdisc.decompose, mutant, message of the failure)
-DECOMPOSE_MUTANTS = {
+# name -> (patched module, patched name, mutant, message of the failure)
+MUTANTS = {
     # a block inverter 1e4 times sloppier than its tolerance: only the cold
     # composite shows it, the warm one starts every block near its preimage
     "invert-tol-1e4": (
+        DECOMPOSE,
         "_invert",
         lambda f, ys, kappa, tol, **kw: INVERT(f, ys, kappa, 1e4 * tol, **kw),
         r"^cold blocks miss the layer",
     ),
     "invert-returns-start": (
+        DECOMPOSE,
         "_invert",
         lambda f, ys, kappa, tol, *, start=None: _first_iterate(ys, start),
         r"^\[path_blocks\] refinement exceeded the block cap",
     ),
     "cutoff-radius-r2/8": (
+        DECOMPOSE,
         "_transport",
         lambda path, t_lo, t_hi, r2, *rest: TRANSPORT(path, t_lo, t_hi, r2 / 8, *rest),
         r"^\[verify\] composite reproduces the layer only to",
     ),
     "middle-path-block-dropped": (
+        DECOMPOSE,
         "path_blocks",
         _without_middle_block,
         r"^\[verify\] composite reproduces the layer only to",
     ),
+    # every certified stage norm 10% low: the layer's contraction bound is
+    # then optimistic, and a block inverter priced by it runs out of steps
+    "stage-norm-under-reported": (
+        LAYERS,
+        "spectral_norm",
+        lambda w: 0.9 * SPECTRAL_NORM(w),
+        r"^\[path_blocks\] \[invert\] fixed-point iteration did not reach tol",
+    ),
 }
 
 
-@pytest.mark.parametrize("name", list(DECOMPOSE_MUTANTS))
+@pytest.mark.parametrize("name", list(MUTANTS))
 def test_decompose_mutant_fails_criterion_4(name, monkeypatch):
-    attr, mutant, failure = DECOMPOSE_MUTANTS[name]
-    monkeypatch.setattr(DECOMPOSE, attr, mutant)
+    module, attr, mutant, failure = MUTANTS[name]
+    monkeypatch.setattr(module, attr, mutant)
     with pytest.raises((AssertionError, DECOMPOSE.DecompositionError), match=failure):
         criterion_block_factorization()

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from opdisc.layers import NemytskiiNonlinearity
 from opdisc.monotone import ball_samples
 from opdisc.operators import (
+    _GRAM_EXP,
     Activation,
     FiniteRankOperator,
     Reflection,
@@ -125,6 +126,15 @@ def _top_singular_value(w: np.ndarray) -> float:
     return float(np.linalg.svd(w, compute_uv=False)[0])
 
 
+def _scaled_copy_norm(w):
+    """The kernel's formula for any exponent: scale a copy of w by the power
+    of two that brings max|w| into [1/2, 1), then take its Gram matrix."""
+    exp = math.frexp(np.abs(w).max())[1]
+    v = np.ldexp(w, -exp)
+    gram = v.T @ v if v.shape[0] >= v.shape[1] else v @ v.T
+    return math.ldexp(math.sqrt(np.linalg.eigvalsh(gram)[-1]), exp)
+
+
 class TestSpectralNorm:
     """The Gram-eigenvalue kernel equals the SVD's top singular value."""
 
@@ -160,6 +170,20 @@ class TestSpectralNorm:
         w = scale * (q.T if wide else q)
         assert spectral_norm(w) == pytest.approx(scale, rel=1e-13)
         assert spectral_norm(w) == pytest.approx(_top_singular_value(w), rel=1e-13)
+
+    @pytest.mark.parametrize("shape", [(1024, 256), (1024, 1024), (256, 1024)])
+    def test_certify_stage_shapes_match_the_scaled_copy(self, shape):
+        w = np.random.default_rng(7).standard_normal(shape)
+        assert spectral_norm(w) == _scaled_copy_norm(w)
+
+    @pytest.mark.parametrize("edge", [-_GRAM_EXP, _GRAM_EXP])
+    @pytest.mark.parametrize("step", [-1, 0, 1])  # inside, at, outside the window
+    def test_window_edges_match_the_scaled_copy(self, edge, step):
+        w = np.random.default_rng(9).standard_normal((48, 32))
+        exp = edge + step * (1 if edge > 0 else -1)
+        w *= 2.0 ** (exp - math.frexp(np.abs(w).max())[1])
+        assert math.frexp(np.abs(w).max())[1] == exp
+        assert spectral_norm(w) == _scaled_copy_norm(w)
 
     @pytest.mark.parametrize("shape", [(1, 1), (3, 7), (64, 5), (0, 4)])
     def test_zero_matrix_is_exactly_zero(self, shape):
