@@ -20,12 +20,7 @@ import time
 import numpy as np
 
 from .decompose import decompose
-from .discretize import (
-    continuity_probe,
-    convergence_scan,
-    functor_a_error,
-    orientation_scan,
-)
+from .discretize import convergence_scan, functor_a_error, orientation_scan
 from .galerkin import (
     SOURCES,
     ConvexNonlinearity,
@@ -185,34 +180,40 @@ def criterion_range_tail_convergence() -> dict:
 def criterion_compression_continuity() -> dict:
     """Perturbation errors scale exactly like 1/j through the compression.
 
-    Perturbing a layer by (1/j)-scaled copies of a fixed compact operator
-    must produce error columns whose consecutive ratios match j/(j+1)
-    within 10%, with the compressed error never exceeding the ambient one.
+    Scales one fixed compact operator K on 32 coefficients by 1/j,
+    j = 1..16, and reads its largest image over one sample set in the
+    prefix of dimension 8: ambient_error = max ‖Kx‖/j and subspace_error =
+    max ‖(Kx)[:8]‖/j, the same after the prefix compression.  Consecutive
+    ratios must match j/(j+1) within 10%, with the compressed error never
+    exceeding the ambient one.  No layer is evaluated: a layer perturbed
+    additively by K/j differs from itself by exactly K/j, so the columns
+    read K alone.  ROADMAP item 5 will perturb inside the nonlinearity and
+    evaluate the layer and its compression.
     """
-    space = Space(BasisSpec("fourier", 32))
-    f = make_layer(space, lip_g=0.5, seed=31)
-    k = FiniteRankOperator.seeded(space.dim, 6, seed=33)
-    rows = continuity_probe(f, k, range(1, 17), 8, n=64, seed=3)
+    xs = ball_samples(32, 1.0, 64, seed=3, prefix=8)
+    defects = FiniteRankOperator.seeded(32, 6, seed=33).apply_array(xs)
+    amb = float(np.max(np.linalg.norm(defects, axis=1)))
+    sub = float(np.max(np.linalg.norm(defects[:, :8], axis=1)))
+    js = list(range(1, 17))
+    ambient = [amb / j for j in js]
+    subspace = [sub / j for j in js]
     worst_rel = 0.0
-    for prev, cur in zip(rows, rows[1:]):
-        j = prev["j"]
-        target = j / (j + 1)
-        for col in ("ambient_error", "subspace_error"):
-            ratio = cur[col] / prev[col]
+    for col, errors in (("ambient_error", ambient), ("subspace_error", subspace)):
+        for j, prev, cur in zip(js, errors, errors[1:]):
+            target = j / (j + 1)
+            ratio = cur / prev
             rel = abs(ratio - target) / target
             worst_rel = max(worst_rel, rel)
             assert rel <= 0.10, (
                 f"{col} ratio {ratio:.6g} between j={j} and j={j + 1} "
                 f"misses {target:.6g} by {100 * rel:.1f}% (> 10%)"
             )
-    for row in rows:
-        assert row["subspace_error"] <= row["ambient_error"] + 1e-15, (
-            f"compressed error exceeds ambient error at j={row['j']}"
-        )
+    for j, a, s in zip(js, ambient, subspace):
+        assert s <= a + 1e-15, f"compressed error exceeds ambient error at j={j}"
     return {
-        "js": [row["j"] for row in rows],
-        "ambient_errors": [row["ambient_error"] for row in rows],
-        "subspace_errors": [row["subspace_error"] for row in rows],
+        "js": js,
+        "ambient_errors": ambient,
+        "subspace_errors": subspace,
         "worst_ratio_deviation": worst_rel,
     }
 
@@ -399,13 +400,24 @@ def criterion_fixed_point_inversion() -> dict:
 def criterion_invertible_chain_certificates() -> dict:
     """A delta = 0.9 GroupSort chain inverts globally; delta = 1.5 is refused.
 
-    The certified chain must round-trip within 1e-6 in both directions on
+    Every stage norm the certificate multiplies must be at least numpy's
+    SVD norm of the stage's weights (to relative 1e-12), so an optimistic
+    certificate fails here before the chain stops contracting.  The
+    certified chain must round-trip within 1e-6 in both directions on
     sampled balls with every block's sampled modulus at least 0.1 - 1e-6;
     asking for a certificate at delta = 1.5 must raise immediately.
     """
     delta = 0.9
     cert = InvertibleResidualChain.seeded(
         12, 12, 3, delta, activation=activation_from_name("groupsort2"), seed=61
+    )
+    worst_norm = min(
+        norm / np.linalg.norm(w, 2)
+        for net in cert.blocks
+        for norm, w in zip(net.stage_norms, net.weights)
+    )
+    assert worst_norm >= 1 - 1e-12, (
+        f"a certified stage norm is {worst_norm:.6g} times the SVD norm of its weights"
     )
     report = global_inverse_check(cert, 1.0, 40, seed=63, tol=1e-9)
     assert report.roundtrip_inverse_of_forward <= 1e-6, (
@@ -436,6 +448,7 @@ def criterion_invertible_chain_certificates() -> dict:
         "roundtrip_forward_of_inverse": report.roundtrip_forward_of_inverse,
         "block_alphas": list(report.block_alphas),
         "refusal_message": message,
+        "worst_stage_norm_ratio": worst_norm,
     }
 
 

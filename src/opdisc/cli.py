@@ -59,6 +59,7 @@ from .serialize import (
     _ints,
     _Key,
     _number_array,
+    _require_object,
     _Type,
     _Values,
     blob_hash,
@@ -721,24 +722,23 @@ def _run_subcommand(ctx, **flags) -> None:
             load = keys[key].flag.load
             if value is not None:
                 given.update(load(value) if load else {key: value})
+        config_path = ctx.obj.get("config")
+        # a pure flag invocation composes its own experiment; config files must
+        # still carry their seed explicitly
+        blob = {"seed": 0} if config_path is None else load_json(config_path)
+        _require_object(blob, "config")
+        if "experiments" in blob:
+            raise SpecError(
+                "a multi-experiment config runs without a subcommand: opdisc --config FILE"
+            )
+        if blob.get("kind", kind) != kind:
+            raise SpecError(f"config is for kind {blob['kind']!r} but the subcommand is {kind!r}")
+        exp = {"name": kind, **blob, "kind": kind}
+        exp.pop("schema", None)
+        exp.update({key: value for key, value in given.items() if value is not None})
+        exp = _validate_experiment(exp, 0, None)
     except SpecError as err:
         raise click.ClickException(str(err)) from err
-    config_path = ctx.obj.get("config")
-    # a pure flag invocation composes its own experiment; config files must
-    # still carry their seed explicitly
-    blob = {"seed": 0} if config_path is None else load_json(config_path)
-    if "experiments" in blob:
-        raise click.ClickException(
-            "a multi-experiment config runs without a subcommand: opdisc --config FILE"
-        )
-    if blob.get("kind", kind) != kind:
-        raise click.ClickException(
-            f"config is for kind {blob['kind']!r} but the subcommand is {kind!r}"
-        )
-    exp = {"name": kind, **blob, "kind": kind}
-    exp.pop("schema", None)
-    exp.update({key: value for key, value in given.items() if value is not None})
-    exp = _validate_experiment(exp, 0, None)
     out_dir = ctx.obj["out"]
     outcome = _run_experiment(exp, out_dir, _BuildMemo())
     if outcome["status"] == "config-error":
@@ -812,7 +812,10 @@ def accept_cmd(ctx, only):
     """Run the full acceptance suite; one pass/fail line per criterion."""
     numbers = None if only is None else sorted(set(only))
     out_dir = ctx.obj["out"]
-    results = acceptance_mod.run_suite(numbers)
+    try:
+        results = acceptance_mod.run_suite(numbers)
+    except ValueError as err:  # an unknown criterion number
+        raise click.ClickException(str(err)) from err
     for res in results:
         status = "PASS" if res["passed"] else "FAIL"
         click.echo(f"{status}  criterion {res['criterion']:>2}  {res['name']}  [{res['elapsed']:.1f}s]")

@@ -4,10 +4,10 @@ The compression of a map F through a prefix subspace V is P_V∘F restricted
 to V, where V is named by its dimension d: the span of the first d basis
 elements.  Every compressed quantity here is sampled on points of V, i.e.
 with all but the first d coordinates zero.  This module measures how
-faithful that compression is: the strong (range-tail) error, and in
-:func:`convergence_scan` also the weak (tested-against-a-probe) error;
-continuity under operator perturbations, monotonicity preservation, and
-orientation of the compressed Jacobian along operator paths.
+faithful that compression is: the strong (range-tail) error; in
+:func:`convergence_scan` also the weak (tested-against-a-probe) error and
+monotonicity preservation; and the orientation of the compressed Jacobian
+along operator paths.
 
 Sup-over-ball quantities use one seeded sample set shared across dims, so
 the monotonicity of nested compressions is exact for the sampled set
@@ -23,14 +23,12 @@ import numpy as np
 
 from .layers import central_differences, eval_map
 from .monotone import _check_prefix, _resolve_dim, ball_samples, pairwise_alpha
-from .operators import FiniteRankOperator
 from .spectral import PathScan, path_scan
 
 __all__ = [
     "ConvergenceReport",
     "functor_a_error",
     "convergence_scan",
-    "continuity_probe",
     "orientation_scan",
 ]
 
@@ -122,44 +120,6 @@ def convergence_scan(
         "weak_probe": "first basis direction outside each prefix",
     }
     return ConvergenceReport(rows=tuple(rows), metadata=meta)
-
-
-def continuity_probe(
-    f,
-    k: FiniteRankOperator,
-    js: Sequence[int],
-    d: int,
-    r: float = 1.0,
-    n: int = 256,
-    seed: int = 0,
-    dim: int | None = None,
-) -> list[dict]:
-    """Compression continuity under shrinking perturbations f + (1/j)·k.
-
-    Rows (j, ambient_error, subspace_error) over one sample set in the
-    ball of the prefix V of dimension d: ambient_error = max ‖f(x) − f_j(x)‖
-    and subspace_error the same after compression.  Both columns scale
-    exactly like 1/j, and the compressed column can never exceed the
-    ambient one at the same sample.
-    """
-    js = [int(j) for j in js]
-    if any(j < 1 for j in js):
-        raise ValueError("perturbation indices must be positive integers")
-    xs = ball_samples(_resolve_dim(f, dim), r, n, seed=seed, prefix=d)
-    # the perturbation direction k(x) is shared by every j: evaluate once
-    defects = k.apply_array(xs)
-    amb = np.linalg.norm(defects, axis=1)
-    sub = np.linalg.norm(defects[:, :d], axis=1)
-    rows = []
-    for j in js:
-        rows.append(
-            {
-                "j": j,
-                "ambient_error": float(np.max(amb) / j),
-                "subspace_error": float(np.max(sub) / j),
-            }
-        )
-    return rows
 
 
 def orientation_scan(

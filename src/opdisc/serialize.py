@@ -548,9 +548,14 @@ def head_from_spec(d: dict, dim: int | None = None):
 # files
 
 
-def load_json(path) -> dict:
+def load_json(path):
+    """The JSON value in the file at ``path``; a file that does not parse
+    is a SpecError naming the path."""
     with open(path) as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as err:  # a JSONDecodeError or a UnicodeDecodeError
+            raise SpecError(f"{path}: not valid JSON ({err})") from err
 
 
 def read_envelope(obj: dict, where: str, required: set, optional: set = frozenset()):

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from opdisc import cli, serialize
+from opdisc import acceptance, cli, serialize
 from opdisc.cli import SOURCES, main, quant_report, run_config
 from opdisc.layers import AffineNonlinearity, NemytskiiNonlinearity, make_layer
 from opdisc.monotone import ball_samples
@@ -1036,6 +1036,33 @@ class TestSubcommands:
         assert isinstance(result.exception, SystemExit)
         assert f"Error: {where}:" in result.output
 
+    @pytest.mark.parametrize(
+        "text,args,message",
+        [
+            ('{"schema": 1,', ["--config", "FILE"], "not valid JSON"),
+            ('{"schema": 1,', ["--config", "FILE", "nogo-isotopy", "--m", "7"], "not valid JSON"),
+            ('{"schema": 1,', ["monotone-check", "--layer", "FILE"], "not valid JSON"),
+            ("[1, 2]", ["--config", "FILE", "nogo-isotopy", "--m", "7"],
+             "config: expected an object, got list"),
+            ('{"m": 7}', ["--config", "FILE", "nogo-isotopy"],
+             "every experiment carries an explicit seed"),
+        ],
+    )
+    def test_a_malformed_config_file_is_a_clean_config_error(self, runner, tmp_path, text,
+                                                             args, message):
+        # unparsable JSON, a non-object config and a seedless one used to
+        # escape as tracebacks
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        out = tmp_path / "o"
+        args = [str(bad) if a == "FILE" else a for a in args]
+        result = runner.invoke(main, ["--out", str(out), *args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: " in result.output and message in result.output
+        assert "Traceback" not in result.output
+        assert not out.exists()
+
     def test_monotone_check_report(self, runner, tmp_path, layer_file):
         out = tmp_path / "out"
         result = runner.invoke(
@@ -1056,6 +1083,50 @@ class TestSubcommands:
         assert blob["alpha_min"] >= blob["floor"] - 1e-6
         for row in blob["scan"]:
             assert len(row["certificate_hash"]) == 64
+
+    def test_monotone_check_spreads_its_default_dims(self, runner, tmp_path):
+        layer = tmp_path / "layer16.json"
+        layer.write_text(
+            json.dumps(
+                {
+                    "schema": 1,
+                    "space": {"basis": "fourier", "ambient_dim": 16},
+                    "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5},
+                }
+            )
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(
+            main,
+            ["--out", str(out), "monotone-check", "--layer", str(layer), "--samples", "8"],
+        )
+        assert result.exit_code == 0, result.output
+        blob = json.loads((out / "monotone-check.json").read_text())
+        assert [row["dim"] for row in blob["scan"]] == [1, 3, 5, 7, 9, 11, 13, 16]
+
+    def test_a_failed_subcommand_exits_2_with_a_report(self, runner, tmp_path):
+        cfg = tmp_path / "single.json"
+        cfg.write_text(
+            json.dumps(
+                {
+                    "name": "toohigh",
+                    "kind": "monotone-check",
+                    "seed": 1,
+                    "space": {"basis": "fourier", "ambient_dim": 8},
+                    "layer": {"kind": "seeded_layer", "seed": 1, "lip_g": 0.5},
+                    # above 1 + lip, the largest pair quotient there can be
+                    "floor": 2.0,
+                    "samples": 16,
+                }
+            )
+        )
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "monotone-check"])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("failed: sampled alpha")
+        failed = json.loads((out / "failures.json").read_text())["failed"]
+        assert [o["name"] for o in failed] == ["toohigh"]
+        assert json.loads((out / "toohigh.json").read_text())["pass"] is False
 
     def test_monotone_check_records_a_rejection(self, runner, tmp_path):
         # a residual bound above 1 certifies nothing: the run records that
@@ -1404,3 +1475,23 @@ class TestAccept:
             main, ["--out", str(tmp_path / "o"), "accept", "--only", "42"]
         )
         assert result.exit_code != 0
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "Error: unknown criterion numbers: [42]" in result.output
+        assert "Traceback" not in result.output
+
+    def test_a_failing_criterion_exits_2_with_failures(self, runner, tmp_path, monkeypatch):
+        def broken():
+            raise AssertionError("deliberately broken")
+
+        criteria = tuple(
+            (num, name, broken if num == 7 else fn) for num, name, fn in acceptance.CRITERIA
+        )
+        monkeypatch.setattr(acceptance, "CRITERIA", criteria)
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--out", str(out), "accept", "--only", "7,8"])
+        assert result.exit_code == 2
+        assert "FAIL  criterion  7" in result.output and "PASS  criterion  8" in result.output
+        failed = json.loads((out / "failures.json").read_text())["failed"]
+        assert [r["criterion"] for r in failed] == [7]
+        assert failed[0]["detail"] == {"error": "AssertionError: deliberately broken"}

@@ -7,18 +7,10 @@ from hypothesis import strategies as st
 
 from opdisc import discretize
 from opdisc.cli import run_config
-from opdisc.discretize import (
-    continuity_probe,
-    convergence_scan,
-    functor_a_error,
-    orientation_scan,
-)
+from opdisc.discretize import convergence_scan, functor_a_error, orientation_scan
 from opdisc.layers import eval_map, make_layer
 from opdisc.monotone import ball_samples, pairwise_alpha
-from opdisc.operators import FiniteRankOperator, Identity, Reflection
-
-# the rank-0 operator on 16 coordinates
-ZERO16 = FiniteRankOperator(np.zeros(0), np.zeros((0, 16)), np.zeros((0, 16)))
+from opdisc.operators import Identity, Reflection
 
 
 class TestStrongError:
@@ -145,38 +137,6 @@ class TestConvergenceScan:
             convergence_scan(Identity(), [], dim=8)
 
 
-class TestContinuityProbe:
-    def test_zero_perturbation(self, space16):
-        layer = make_layer(space16, lip_g=0.4, seed=31)
-        rows = continuity_probe(layer, ZERO16, [1, 2, 3], 4, n=16)
-        for row in rows:
-            assert row["ambient_error"] == 0.0
-            assert row["subspace_error"] == 0.0
-
-    def test_successive_ratios_follow_the_scaling(self, space16):
-        layer = make_layer(space16, lip_g=0.4, seed=31)
-        k = FiniteRankOperator.seeded(16, 3, seed=8)
-        js = list(range(1, 17))
-        rows = continuity_probe(layer, k, js, 6, n=64, seed=2)
-        for a, b in zip(rows, rows[1:]):
-            expected = a["j"] / b["j"]
-            ratio = b["subspace_error"] / a["subspace_error"]
-            assert ratio == pytest.approx(expected, rel=1e-12)
-            assert abs(ratio - expected) <= 0.1 * expected
-
-    def test_compression_contracts_the_error(self, space16):
-        layer = make_layer(space16, lip_g=0.4, seed=31)
-        k = FiniteRankOperator.seeded(16, 5, seed=9)
-        rows = continuity_probe(layer, k, [1, 4, 9], 3, n=64, seed=3)
-        for row in rows:
-            assert row["subspace_error"] <= row["ambient_error"] + 1e-15
-
-    def test_validation(self, space16):
-        layer = make_layer(space16, lip_g=0.4, seed=31)
-        with pytest.raises(ValueError, match="positive"):
-            continuity_probe(layer, ZERO16, [0], 2)
-
-
 class TestOrientationScan:
     def test_constant_identity_path(self):
         scan = orientation_scan(lambda t: Identity(), 3, 3, dim=6)
@@ -281,14 +241,11 @@ class TestPrefixDimension:
     @settings(max_examples=20, deadline=None)
     @given(st.integers(2, 16))
     def test_prefix_outside_one_to_m_is_refused(self, m):
-        k = FiniteRankOperator.seeded(m, 1, seed=0)
         for d in (0, m + 1):
             with pytest.raises(ValueError, match=f"1..{m}"):
                 functor_a_error(Identity(), d, n=4, dim=m)
             with pytest.raises(ValueError, match=f"1..{m}"):
                 pairwise_alpha(Identity(), n=4, dim=m, prefix=d)
-            with pytest.raises(ValueError, match=f"1..{m}"):
-                continuity_probe(Identity(), k, [1], d, n=4, dim=m)
             with pytest.raises(ValueError, match=f"1..{m}"):
                 orientation_scan(lambda t: Identity(), 2, d, dim=m)
             with pytest.raises(ValueError, match=f"1..{m}"):

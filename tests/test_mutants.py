@@ -9,7 +9,10 @@ import importlib
 
 import pytest
 
-from opdisc.acceptance import criterion_block_factorization
+from opdisc.acceptance import (
+    criterion_block_factorization,
+    criterion_invertible_chain_certificates,
+)
 from opdisc.invert import _first_iterate
 
 DECOMPOSE = importlib.import_module("opdisc.decompose")
@@ -69,3 +72,16 @@ def test_decompose_mutant_fails_criterion_4(name, monkeypatch):
     monkeypatch.setattr(module, attr, mutant)
     with pytest.raises((AssertionError, DECOMPOSE.DecompositionError), match=failure):
         criterion_block_factorization()
+
+
+# every certified stage norm under-reported by this factor: criterion 6's
+# known-answer check against numpy's SVD norm sees it before any roundtrip
+UNDER_REPORTING = {"stage-norm-x0.9": 0.9, "stage-norm-x0.7": 0.7}
+
+
+@pytest.mark.parametrize("name", list(UNDER_REPORTING))
+def test_stage_norm_mutant_fails_criterion_6(name, monkeypatch):
+    factor = UNDER_REPORTING[name]
+    monkeypatch.setattr(LAYERS, "spectral_norm", lambda w: factor * SPECTRAL_NORM(w))
+    with pytest.raises(AssertionError, match=rf"^a certified stage norm is {factor:g} times"):
+        criterion_invertible_chain_certificates()

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -525,6 +526,14 @@ class TestFiles:
         obj = {"schema": 1, "values": [0.1, 1.0 / 3.0, 2.0**-52]}
         write_json(path, obj)
         assert load_json(path) == obj
+
+    # a cut-off object, an empty file and a byte that is not text
+    @pytest.mark.parametrize("raw", [b'{"schema": 1,', b"", b"\xff"])
+    def test_a_file_that_is_not_json_is_a_spec_error(self, tmp_path, raw):
+        path = tmp_path / "bad.json"
+        path.write_bytes(raw)
+        with pytest.raises(SpecError, match=f"^{re.escape(str(path))}: not valid JSON"):
+            load_json(path)
 
     def test_json_output_is_stable(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
