@@ -44,7 +44,7 @@ from .galerkin import (
     singularity_scan,
 )
 from .invert import InversionError, invert_chain
-from .isotopy import aligned_truncation_matrix, truncated_det_scan
+from .isotopy import aligned_dets, truncated_det_scan
 from .monotone import contraction_certificate, pairwise_alpha
 from .serialize import (
     _FINITE,
@@ -324,6 +324,11 @@ def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
                 dim=space.dim,
                 prefix=d,
             )
+            if not math.isfinite(cert.alpha):
+                raise CheckFailure(
+                    f"[pairwise_alpha] sampled alpha at prefix {d} is {cert.alpha:g}, "
+                    "not a finite modulus"
+                )
             worst = min(worst, cert.alpha)
             rows.append(
                 {
@@ -413,6 +418,11 @@ def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     """
     got = _read(exp, memo)
     result = invert_chain(got["chain"], got["head"], got["y"], tol=got["tol"])
+    return _write_inversion(exp, got, result, out_dir)
+
+
+def _write_inversion(exp: dict, got: dict, result, out_dir: Path) -> dict:
+    """Write the artifact of one target's inversion."""
     report = {
         "schema": SCHEMA_VERSION,
         "name": exp["name"],
@@ -422,6 +432,41 @@ def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     }
     write_json(out_dir / f"{exp['name']}.json", report)
     return report
+
+
+def _run_inversions(group: list[dict], out_dir: Path, memo: _BuildMemo) -> list[dict]:
+    """Run ``invert`` experiments that share their chain, head and tol specs
+    as one stacked solve; the outcomes keep the group's order.
+
+    Each experiment is read on its own.  The targets of those that read
+    cleanly go to one :func:`invert_chain` call as a ``(k, 1, m)`` stack,
+    and each artifact is written from its own row of the result, so it is
+    byte-identical to solving that target alone (see :func:`invert_chain`
+    for why the stack is ``(k, 1, m)``).  An experiment that fails to read
+    keeps the outcome of its read.  If the stacked solve fails, every
+    experiment that read cleanly runs alone through :func:`_run_experiment`.
+    So every outcome and ``failures.json`` entry is the one a one-at-a-time
+    run gives.
+    """
+    reads, outcomes, rows = {}, {}, {}
+    for exp in group:
+        name = exp["name"]
+        outcomes[name] = _outcome(exp, lambda: reads.update({name: _read(exp, memo)}))
+    if reads:
+        first = next(iter(reads.values()))
+        ys = np.stack([got["y"] for got in reads.values()])[:, None, :]
+        with contextlib.suppress(*_FAILURES):
+            result = invert_chain(first["chain"], first["head"], ys, tol=first["tol"])
+            rows = dict(zip(reads, result.targets()))
+    for exp in group:
+        name = exp["name"]
+        if name in rows:
+            outcomes[name] = _outcome(
+                exp, lambda: _write_inversion(exp, reads[name], rows[name], out_dir)
+            )
+        elif name in reads:
+            outcomes[name] = _run_experiment(exp, out_dir, memo)
+    return [outcomes[exp["name"]] for exp in group]
 
 
 def run_nogo_galerkin(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
@@ -457,9 +502,7 @@ def run_nogo_isotopy(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         "t_grid": scan.grid,
         "dets": scan.dets,
         "min_svs": scan.min_svs,
-        "aligned_dets": [
-            float(np.linalg.det(aligned_truncation_matrix(float(t), m))) for t in scan.grid
-        ],
+        "aligned_dets": aligned_dets(scan.grid, m),
         "det_endpoint_signs": scan.endpoint_signs,
         "crossings": scan.stars,
         "t_star": scan.stars[0][0],
@@ -597,9 +640,15 @@ def _validate_experiment(exp: dict, index: int, seed_override: int | None) -> di
 
 def _run_experiment(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     """Run one validated experiment; its outcome record names the status."""
+    return _outcome(exp, lambda: RUNNERS[exp["kind"]](exp, out_dir, memo))
+
+
+def _outcome(exp: dict, run: Callable[[], object]) -> dict:
+    """Call ``run`` for an experiment and record how it ended: ok, a config
+    error, or a failure that names its stage."""
     outcome = {"name": exp["name"], "kind": exp["kind"]}
     try:
-        RUNNERS[exp["kind"]](exp, out_dir, memo)
+        run()
     except SpecError as err:
         return {**outcome, "status": "config-error", "error": str(err)}
     except _FAILURES as err:
@@ -614,28 +663,55 @@ def _run_experiment(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     return {**outcome, "status": "ok"}
 
 
-# experiments a forked worker takes at a time: large enough that a batch of
-# small experiments does not wait on the task queue, small enough that the
-# workers still finish close together
-_CHUNKSIZE = 4
+# tasks a forked worker takes at a time: large enough that a batch of small
+# tasks does not wait on the task queue, small enough that the workers still
+# finish close together.  On the 15 tasks of the benchmark's solve batch
+# (seed 7, 2 cores, 6 alternating runs each) 2 read a median wall time of
+# 0.205 s, against 0.216 s at 1 and 0.237 s at 4.
+_CHUNKSIZE = 2
 
 # the batches being run, by token: a forked worker inherits every entry, so
-# a task is a (token, index) pair and the built memo is never pickled
+# a task is a (token, indices) pair and the built memo is never pickled
 _BATCHES: dict[int, tuple] = {}
 
 
-def _run_task(task: tuple[int, int]) -> dict:
-    """Run one experiment of a running batch; the serial loop and the
-    worker processes both enter an experiment here."""
-    token, index = task
+def _invert_key(exp: dict) -> str | None:
+    """The key under which ``invert`` experiments are solved together: the
+    canonical JSON of their raw chain, head and tol specs; None for any
+    other experiment and for one whose specs have no canonical JSON."""
+    if exp["kind"] != "invert" or "chain" not in exp:
+        return None
+    try:
+        return canonical_json([exp["chain"], exp.get("head"), exp.get("tol")])
+    except (TypeError, ValueError):
+        return None
+
+
+def _tasks(experiments: list[dict]) -> list[tuple[int, ...]]:
+    """The batch's tasks as tuples of experiment indices: the ``invert``
+    experiments that share an :func:`_invert_key` are one task, placed
+    where the first of them stands; every other experiment is its own."""
+    tasks: dict = {}
+    for index, exp in enumerate(experiments):
+        key = _invert_key(exp)
+        tasks.setdefault(index if key is None else key, []).append(index)
+    return [tuple(task) for task in tasks.values()]
+
+
+def _run_task(task: tuple[int, tuple[int, ...]]) -> list[dict]:
+    """Run one task of a running batch; the serial loop and the worker
+    processes both enter a task here."""
+    token, indices = task
     experiments, out_dir, memo = _BATCHES[token]
-    return _run_experiment(experiments[index], out_dir, memo)
+    if len(indices) == 1:
+        return [_run_experiment(experiments[indices[0]], out_dir, memo)]
+    return _run_inversions([experiments[i] for i in indices], out_dir, memo)
 
 
-def _worker_count(jobs: int, experiments: int, cpus: int) -> int:
+def _worker_count(jobs: int, tasks: int, cpus: int) -> int:
     """Worker processes for a batch: no more than asked for, than there are
-    experiments, or than there are CPUs to run them."""
-    return min(jobs, experiments, cpus)
+    tasks, or than there are CPUs to run them."""
+    return min(jobs, tasks, cpus)
 
 
 def _prebuild(experiments: list[dict], memo: _BuildMemo) -> None:
@@ -652,8 +728,9 @@ def _prebuild(experiments: list[dict], memo: _BuildMemo) -> None:
 
 
 def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None) -> list[dict]:
-    """Run every experiment of a config, in order or in up to ``jobs``
-    forked worker processes; the outcomes keep the config's order."""
+    """Run every experiment of a config, task by task in order or in up to
+    ``jobs`` forked worker processes (see :func:`_tasks`); the outcomes keep
+    the config's order."""
     if jobs < 1:
         raise SpecError(f"--jobs must be at least 1, got {jobs}")
     read_envelope(config, "config", {"experiments"})
@@ -669,26 +746,30 @@ def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None
 
     memo = _BuildMemo()
     token = id(memo)
-    tasks = [(token, index) for index in range(len(validated))]
+    groups = _tasks(validated)
+    tasks = [(token, indices) for indices in groups]
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = _worker_count(jobs, len(validated), cpus or 1)
+    workers = _worker_count(jobs, len(tasks), cpus or 1)
     _BATCHES[token] = (validated, out_dir, memo)
     try:
         if workers < 2 or not hasattr(os, "fork"):
-            return list(map(_run_task, tasks))
-        # the pool machinery (about 15 ms and 1 MB) loads only for a batch that forks
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
+            results = list(map(_run_task, tasks))
+        else:
+            # the pool machinery (about 15 ms and 1 MB) loads only for a batch that forks
+            from concurrent.futures import ProcessPoolExecutor
+            from multiprocessing import get_context
 
-        _prebuild(validated, memo)
-        pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
-        try:
-            return list(pool.map(_run_task, tasks, chunksize=_CHUNKSIZE))
-        finally:
-            # joins every worker; on an error, the chunks not yet started are dropped
-            pool.shutdown(cancel_futures=True)
+            _prebuild(validated, memo)
+            pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
+            try:
+                results = list(pool.map(_run_task, tasks, chunksize=_CHUNKSIZE))
+            finally:
+                # joins every worker; on an error, the chunks not yet started are dropped
+                pool.shutdown(cancel_futures=True)
     finally:
         del _BATCHES[token]
+    by_index = {i: o for indices, outs in zip(groups, results) for i, o in zip(indices, outs)}
+    return [by_index[i] for i in range(len(validated))]
 
 
 # ---------------------------------------------------------------------------
@@ -767,9 +848,11 @@ def _option(key: str, entry: _Key) -> click.Option:
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default="artifacts",
               show_default=True, help="Directory for CSV/JSON artifacts.")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Forked worker processes for a config batch, at most one per experiment "
-                   "and usable CPU; at 1, for one experiment or without fork, the batch "
-                   "runs in order in this process.")
+              help="Forked worker processes for a config batch, at most one per task "
+                   "and usable CPU; a task is one experiment, or the invert experiments "
+                   "sharing chain, head and tol, solved as one stacked batch with the "
+                   "artifacts of solving each alone.  At 1, for one task or without "
+                   "fork, the batch runs in order in this process.")
 @click.option("--seed", type=int, default=None, help="Override every experiment's seed.")
 @click.pass_context
 def main(ctx, config, out_dir, jobs, seed):

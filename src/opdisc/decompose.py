@@ -995,7 +995,7 @@ def decompose(
             np.max(np.linalg.norm(result.eval_array(xs) - layer.eval_array(xs), axis=1))
         )
         diag["composite_error"] = err
-        if err > composite_tol:
+        if not err <= composite_tol:
             raise AssertionError(
                 f"composite reproduces the layer only to {err:g} "
                 f"(target {composite_tol:g})"

@@ -144,9 +144,10 @@ def orientation_scan(
     base = np.zeros(m) if base_point is None else np.array(base_point, dtype=float)
     base[d:] = 0.0
 
-    def compressed_jacobian(t: float) -> np.ndarray:
-        # first d outputs along the first d basis directions
-        deriv = central_differences(path(t), base, np.eye(m)[:d])
-        return deriv[:, :d].T
+    def compressed_jacobians(ts: np.ndarray) -> np.ndarray:
+        # first d outputs along the first d basis directions, one per t
+        return np.stack(
+            [central_differences(path(float(t)), base, np.eye(m)[:d])[:, :d].T for t in ts]
+        )
 
-    return path_scan(compressed_jacobian, t_grid, refine_tol)
+    return path_scan(compressed_jacobians, t_grid, refine_tol)

@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import PathScan, gauss_legendre_panels, path_scan
+from .spectral import PathScan, _unit_parameters, gauss_legendre_panels, path_scan
 
 __all__ = [
     "FemMesh",
@@ -380,14 +380,14 @@ def solve_semilinear_trace(
             lam *= 0.5
             if lam < 1e-10:
                 raise RuntimeError(
-                    "Newton stagnated: no energy decrease along the step "
+                    "[newton] Newton stagnated: no energy decrease along the step "
                     f"(last residual {rnorm:.6g})"
                 )
         w = w + lam * direction
         energies.append(energy(w))
         step_scales.append(lam)
     raise RuntimeError(
-        f"Newton did not reach tol={tol:.3g} in {NEWTON_STEPS} iterations "
+        f"[newton] Newton did not reach tol={tol:.3g} in {NEWTON_STEPS} iterations "
         f"(last residual {residual_norms[-1]:.6g})"
     )
 
@@ -494,28 +494,27 @@ def fem_convergence(
 # ---------------------------------------------------------------------------
 
 
-def _cos_integrals(omega: np.ndarray, phase: np.ndarray, s: float) -> np.ndarray:
+def _cos_integrals(omega: np.ndarray, phase: np.ndarray, s) -> np.ndarray:
     """Exact integrals of cos(omega t + phase) over [0, s], elementwise."""
     still = omega == 0.0
     moving = (np.sin(omega * s + phase) - np.sin(phase)) / np.where(still, 1.0, omega)
     return np.where(still, s * np.cos(phase), moving)
 
 
-def _linear_weight_integral(a: float, b: float) -> float:
-    """Integral of (1 + t) over [a, b]."""
+def _linear_weight_integral(a, b):
+    """Integral of (1 + t) over [a, b], elementwise."""
     return (b - a) + 0.5 * (b * b - a * a)
 
 
-def _split_weight_integral(a: float, b: float, s: float) -> float:
-    """Integral of (1 + t) sign(t - s) over [a, b], split exactly at s."""
-    if s <= a:
-        return _linear_weight_integral(a, b)
-    if s >= b:
-        return -_linear_weight_integral(a, b)
-    return _linear_weight_integral(s, b) - _linear_weight_integral(a, s)
+def _split_weight_integral(a, b, s) -> np.ndarray:
+    """Integral of (1 + t) sign(t - s) over [a, b], split exactly at s;
+    elementwise over the broadcast of a, b and s."""
+    whole = _linear_weight_integral(a, b)
+    split = _linear_weight_integral(s, b) - _linear_weight_integral(a, s)
+    return np.where(s <= a, whole, np.where(s >= b, -whole, split))
 
 
-def galerkin_path_matrix(kind: str, s: float, n: int) -> np.ndarray:
+def galerkin_path_matrix(kind: str, s, n: int) -> np.ndarray:
     """Finite section of a sign-flip operator path at parameter ``s``.
 
     ``kind "a"`` integrates sign(t - s) against an orthonormal trig basis
@@ -525,57 +524,62 @@ def galerkin_path_matrix(kind: str, s: float, n: int) -> np.ndarray:
     only, so the last hat is a half hat (a weighted, indefinite
     stiffness).  All entries are exact, split at t = s, so the endpoint
     matrices are the (possibly weighted) Gram matrices with exact signs.
+    A scalar ``s`` gives one (n, n) matrix, an array of k parameters the
+    (k, n, n) stack; each matrix of a stack is bit for bit the one its
+    parameter gets alone.
     """
     kind = str(kind).lower()
-    if not 0.0 <= s <= 1.0:
-        raise ValueError(f"path parameter must lie in [0, 1], got {s}")
+    ss = _unit_parameters(s)
     n = int(n)
     if n < 1:
         raise ValueError("need at least one basis function")
     if kind == "a":
         # gram - 2 * integral over [0, s]; the gram matrix is the identity
         # analytically, which keeps the endpoints exact (at s = 1 the sign
-        # is -1 almost everywhere, so the limit is minus the gram matrix)
-        if s == 1.0:
-            return -np.eye(n)
-        # basis j is amp * cos(omega t + phase): constant first, then paired
-        # cosines and sines of increasing frequency; psi_j * psi_k integrates
-        # in closed form via product-to-sum
+        # is -1 almost everywhere, so the limit is minus the gram matrix,
+        # set below); basis j is amp * cos(omega t + phase): constant
+        # first, then paired cosines and sines of increasing frequency;
+        # psi_j * psi_k integrates in closed form via product-to-sum
         j = np.arange(n)
         amp = np.where(j == 0, 1.0, math.sqrt(2.0))
         omega = 2.0 * np.pi * ((j + 1) // 2)
         phase = np.where((j > 0) & (j % 2 == 0), -0.5 * np.pi, 0.0)
         rows, cols = np.triu_indices(n)
+        at = ss[:, None]
         pair = (
             0.5
             * amp[rows]
             * amp[cols]
             * (
-                _cos_integrals(omega[rows] - omega[cols], phase[rows] - phase[cols], s)
-                + _cos_integrals(omega[rows] + omega[cols], phase[rows] + phase[cols], s)
+                _cos_integrals(omega[rows] - omega[cols], phase[rows] - phase[cols], at)
+                + _cos_integrals(omega[rows] + omega[cols], phase[rows] + phase[cols], at)
             )
         )
-        sym = np.empty((n, n))
-        sym[rows, cols] = sym[cols, rows] = -2.0 * pair
+        sym = np.empty((ss.size, n, n))
+        sym[:, rows, cols] = sym[:, cols, rows] = -2.0 * pair
         # adding to the identity stores 0.0 + (-0.0) as +0.0 off the diagonal
-        return np.eye(n) + sym
-    if kind == "b":
+        mats = np.eye(n) + sym
+        mats[ss == 1.0] = -np.eye(n)
+    elif kind == "b":
+        # cell c spans nodes c - 1 and c and touches the hats there (slopes
+        # -1/h and +1/h); node 0 is constrained away, so hat j sits at node
+        # j + 1.  Each entry starts at +0.0 and adds its cells' terms in
+        # cell order, as a loop over cells does, so a -0.0 term from a
+        # cell of weight 0 still leaves +0.0.
         h = 1.0 / n
         nodes = np.linspace(0.0, 1.0, n + 1)
-        mat = np.zeros((n, n))
-        for cell in range(1, n + 1):
-            weight = _split_weight_integral(nodes[cell - 1], nodes[cell], s)
-            # hats at nodes cell-1 (slope -1/h) and cell (slope +1/h);
-            # node 0 is constrained away
-            touching = []
-            if cell - 1 >= 1:
-                touching.append((cell - 2, -1.0 / h))
-            touching.append((cell - 1, 1.0 / h))
-            for a_idx, a_slope in touching:
-                for b_idx, b_slope in touching:
-                    mat[a_idx, b_idx] += weight * a_slope * b_slope
-        return mat
-    raise ValueError(f"unknown path kind {kind!r}; expected 'a' or 'b'")
+        weight = _split_weight_integral(nodes[:-1], nodes[1:], ss[:, None])
+        rise, fall = 1.0 / h, -1.0 / h
+        diag = 0.0 + weight * rise * rise
+        diag[:, :-1] += weight[:, 1:] * fall * fall
+        j = np.arange(n)
+        mats = np.zeros((ss.size, n, n))
+        mats[:, j, j] = diag
+        mats[:, j[:-1], j[1:]] = 0.0 + weight[:, 1:] * fall * rise
+        mats[:, j[1:], j[:-1]] = 0.0 + weight[:, 1:] * rise * fall
+    else:
+        raise ValueError(f"unknown path kind {kind!r}; expected 'a' or 'b'")
+    return mats if np.ndim(s) else mats[0]
 
 
 def singularity_scan(
@@ -600,5 +604,5 @@ def singularity_scan(
             "determinants differ in sign"
         )
     return path_scan(
-        lambda s: galerkin_path_matrix(kind, s, n), s_grid, bisect_tol, limit=1
+        lambda ss: galerkin_path_matrix(kind, ss, n), s_grid, bisect_tol, limit=1
     )

@@ -336,6 +336,14 @@ class ChainInverseResult:
             raise ValueError("a batched inversion has one trace per target; read traces")
         return self.traces[0]
 
+    def targets(self) -> tuple["ChainInverseResult", ...]:
+        """One single-target result per target, in row-major order."""
+        xs = self.x.reshape(-1, self.x.shape[-1])
+        return tuple(
+            ChainInverseResult(x, (trace,), self.roundtrip_target)
+            for x, trace in zip(xs, self.traces)
+        )
+
     def as_dict(self) -> dict:
         """The ``invert`` artifact of a single target's inversion."""
         return {
@@ -357,6 +365,13 @@ def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInvers
     it).  A ball-local chain certifies its unbounded blocks on the ball of
     its ``ball_radius`` only, so a target whose inversion leaves that ball
     raises :class:`DomainError`.
+
+    To solve k targets together so that each one's ``x`` and trace are bit
+    for bit those of solving it alone, stack them as ``(k, 1, m)``, not
+    ``(k, m)``: numpy runs each item of a ``(k, 1, m) @ (m, n)`` product
+    through the same GEMV a lone ``(m,)`` target gets, while a ``(k, m)``
+    GEMM rounds differently (by about 2e-16).  :meth:`targets` splits such
+    a result into single-target ones.
     """
     blocks, rates, radii = _chain_parts(chain)
     x = np.asarray(y, dtype=float)

@@ -28,9 +28,10 @@ import math
 import numpy as np
 
 from .decompose import quintic_smoothstep
-from .spectral import PathScan, path_scan
+from .spectral import PathScan, _unit_parameters, path_scan
 
 __all__ = [
+    "aligned_dets",
     "aligned_truncation_matrix",
     "block_angle",
     "glued_truncation_matrix",
@@ -49,40 +50,41 @@ def block_angle(u, index):
     return quintic_smoothstep(u - index) * math.pi
 
 
-def _rotation(theta: float) -> np.ndarray:
-    if theta == math.pi:
-        # a finished block is exactly -I; sin(pi) in floats leaves a 1e-16 residue
-        return -np.eye(2)
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, s], [-s, c]])
-
-
-def rotation_cascade(t: float, m: int) -> np.ndarray:
+def rotation_cascade(t, m: int) -> np.ndarray:
     """The m-dim block of the rotation cascade at path parameter ``t``.
 
     ``m`` must be even so the prefix holds whole 2x2 blocks.  At ``t = 0``
     every block is still the identity; at ``t = 1`` the sweep has passed every
     block and the matrix is exactly -I.  Orthogonal for every ``t``, and its
-    determinant is +1 throughout: rotations cannot change orientation.
+    determinant is +1 throughout: rotations cannot change orientation.  A
+    scalar ``t`` gives one matrix, an array of k parameters the (k, m, m)
+    stack; so do the other path builders of this module.
     """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"path parameter must lie in [0, 1], got {t}")
+    ts = _unit_parameters(t)
     if m < 2 or m % 2 != 0:
         raise ValueError(
             f"the rotation cascade needs an even dimension (whole 2x2 blocks), got m={m}"
         )
-    if t == 1.0:
-        return -np.eye(m)
-    u = 1.0 / (1.0 - t)
-    mat = np.zeros((m, m))
-    for i in range(1, m // 2 + 1):
-        block = _rotation(block_angle(u, i))
-        mat[2 * i - 2 : 2 * i, 2 * i - 2 : 2 * i] = block
-    return mat
+    done = ts == 1.0
+    theta = block_angle(1.0 / (1.0 - ts[~done, None]), np.arange(1, m // 2 + 1))
+    # a finished block is exactly -I, signed zeros included; sin(pi) in
+    # floats leaves a 1e-16 residue
+    finished = theta == math.pi
+    cos = np.where(finished, -1.0, np.cos(theta))
+    sin = np.sin(theta)
+    upper = np.where(finished, -0.0, sin)
+    lower = np.where(finished, -0.0, -sin)
+    mats = np.zeros((ts.size, m, m))
+    mats[done] = -np.eye(m)
+    live = np.flatnonzero(~done)[:, None]
+    first = 2 * np.arange(m // 2)
+    mats[live, first, first] = mats[live, first + 1, first + 1] = cos
+    mats[live, first, first + 1] = upper
+    mats[live, first + 1, first] = lower
+    return mats if np.ndim(t) else mats[0]
 
 
-def reflected_rotation_cascade(t: float, m: int) -> np.ndarray:
+def reflected_rotation_cascade(t, m: int) -> np.ndarray:
     """The cascade with one extra frozen -1 coordinate in front.
 
     ``m`` must be odd: coordinate one carries the reflection, the remaining
@@ -94,13 +96,14 @@ def reflected_rotation_cascade(t: float, m: int) -> np.ndarray:
         raise ValueError(
             f"the reflected cascade needs an odd dimension (a -1 plus whole blocks), got m={m}"
         )
-    mat = np.zeros((m, m))
-    mat[0, 0] = -1.0
-    mat[1:, 1:] = rotation_cascade(t, m - 1)
-    return mat
+    tail = rotation_cascade(np.reshape(t, -1), m - 1)
+    mats = np.zeros((tail.shape[0], m, m))
+    mats[:, 0, 0] = -1.0
+    mats[:, 1:, 1:] = tail
+    return mats if np.ndim(t) else mats[0]
 
 
-def glued_truncation_matrix(t: float, m: int) -> np.ndarray:
+def glued_truncation_matrix(t, m: int) -> np.ndarray:
     """Leading m-by-m corner of the glued path at parameter ``t``.
 
     The glued path runs the rotation cascade forward on ``t <= 1/2`` (at
@@ -109,32 +112,46 @@ def glued_truncation_matrix(t: float, m: int) -> np.ndarray:
     matrix large enough to hold every whole block, so a prefix that ends
     mid-block keeps only the ``cos`` entry of the block it cuts.
     """
-    t = float(t)
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"path parameter must lie in [0, 1], got {t}")
+    ts = _unit_parameters(t)
     if m < 1:
         raise ValueError("need at least one coordinate")
-    if t <= 0.5:
+    first = ts <= 0.5
+    mats = np.empty((ts.size, m, m))
+    if first.any():
         ambient = m if m % 2 == 0 else m + 1
-        full = rotation_cascade(2.0 * t, ambient)
-    else:
+        mats[first] = rotation_cascade(2.0 * ts[first], ambient)[:, :m, :m]
+    if not first.all():
         ambient = m if m % 2 == 1 else m + 1
-        full = reflected_rotation_cascade(2.0 - 2.0 * t, ambient)
-    return np.ascontiguousarray(full[:m, :m])
+        mats[~first] = reflected_rotation_cascade(2.0 - 2.0 * ts[~first], ambient)[:, :m, :m]
+    return mats if np.ndim(t) else mats[0]
 
 
-def aligned_truncation_matrix(t: float, m: int) -> np.ndarray:
+def aligned_truncation_matrix(t, m: int) -> np.ndarray:
     """The block-aligned truncation of the glued path at ``t``, for an odd ``m``.
 
     First half: one extra coordinate completes the block that dimension m
     cuts, so the matrix is the (m + 1)-dimensional rotation cascade.  Second
     half: dimension m is already aligned (the -1 plus whole blocks).  Both
     are orthogonal, so the determinant stays at +-1 and must jump from +1 to
-    -1 at the seam.
+    -1 at the seam.  The halves differ in dimension, so a stack of
+    parameters must lie within one of them.
     """
-    if t <= 0.5:
+    t = np.asarray(t, dtype=float)
+    first = _unit_parameters(t) <= 0.5
+    if first.all():
         return rotation_cascade(2.0 * t, m + 1)
-    return reflected_rotation_cascade(2.0 - 2.0 * t, m)
+    if not first.any():
+        return reflected_rotation_cascade(2.0 - 2.0 * t, m)
+    raise ValueError("a stack of aligned truncations must lie within one half of the path")
+
+
+def aligned_dets(ts: np.ndarray, m: int) -> list[float]:
+    """det of :func:`aligned_truncation_matrix` at each of the ascending
+    parameters ``ts``: one stacked det per half of the path."""
+    ts = np.asarray(ts, dtype=float)
+    first = ts <= 0.5
+    dets = [np.linalg.det(aligned_truncation_matrix(half, m)) for half in (ts[first], ts[~first])]
+    return np.concatenate(dets).tolist()
 
 
 def truncated_det_scan(
@@ -150,4 +167,4 @@ def truncated_det_scan(
     """
     if m < 3 or m % 2 != 1:
         raise ValueError(f"need an odd truncation of at least 3 to cut a block, got m={m}")
-    return path_scan(lambda t: glued_truncation_matrix(t, m), t_grid, bisect_tol)
+    return path_scan(lambda ts: glued_truncation_matrix(ts, m), t_grid, bisect_tol)

@@ -197,7 +197,9 @@ def sign_crossings(
     ``dets`` holds ``det_at`` already evaluated on ``ts``.  Yields one
     ``(lo, hi)`` bracket per crossing, in grid order: an exact zero at a
     grid point is ``(t, t)``; a sign change between neighbouring points is
-    bisected until ``hi - lo <= tol``, and an exact zero at a midpoint
+    bisected until ``hi - lo <= tol`` or the two ends are adjacent floats
+    (the midpoint then rounds to an end, so a float64 bracket in [0, 1]
+    takes at most about 1,100 halvings), and an exact zero at a midpoint
     collapses the bracket to ``(mid, mid)``.  The generator is lazy, so a
     caller that takes only the first crossing bisects only that one.
     """
@@ -212,6 +214,8 @@ def sign_crossings(
         lo, hi, d_lo = float(t), float(ts[i + 1]), d
         while hi - lo > tol:
             mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
             d_mid = det_at(mid)
             if d_mid == 0.0:
                 lo = hi = mid
@@ -253,31 +257,47 @@ class PathScan:
 
 
 def path_scan(
-    matrix_at: Callable[[float], np.ndarray],
+    matrix_at: Callable[[np.ndarray], np.ndarray],
     n: int,
     tol: float,
     limit: int | None = None,
 ) -> PathScan:
-    """Sweep det and least singular value of ``matrix_at`` along [0, 1].
+    """Sweep det and least singular value of a matrix path along [0, 1].
 
-    Evaluates ``matrix_at`` once per point of ``unit_grid(n)``, once per
-    bisection step and once per star.  Only the first ``limit`` sign changes
-    are bisected (all of them when ``limit`` is None); bisection is the
-    expensive part of a sweep with many crossings.
+    ``matrix_at(ts)`` takes a 1-D array of k parameters and returns the
+    path's matrices there as one ``(k, n, n)`` stack.  The whole of
+    ``unit_grid(n)`` is one call, factorized by one stacked ``det`` and one
+    stacked ``svd``: numpy runs LAPACK on each matrix of a stack in turn,
+    so every det and singular value is the one that matrix gets alone.
+    Each bisection step and each star is a one-element call.  Only the
+    first ``limit`` sign changes are bisected (all of them when ``limit``
+    is None); bisection is the expensive part of a sweep with many
+    crossings.
     """
     grid = unit_grid(n)
 
-    def det_and_sv(t: float) -> tuple[float, float]:
-        mat = matrix_at(t)
-        return float(np.linalg.det(mat)), float(np.linalg.svd(mat, compute_uv=False)[-1])
+    def dets_and_svs(ts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        mats = matrix_at(ts)
+        return np.linalg.det(mats), np.linalg.svd(mats, compute_uv=False)[:, -1]
 
     def det_at(t: float) -> float:
-        return float(np.linalg.det(matrix_at(t)))
+        return float(np.linalg.det(matrix_at(np.array([t])))[0])
 
-    dets, min_svs = np.array([det_and_sv(float(t)) for t in grid]).T
+    dets, min_svs = dets_and_svs(grid)
     brackets = tuple(islice(sign_crossings(det_at, grid, dets, tol), limit))
     stars = []
     for lo, hi in brackets:
         t = 0.5 * (lo + hi)
-        stars.append((t, *det_and_sv(t)))
+        det, min_sv = dets_and_svs(np.array([t]))
+        stars.append((t, float(det[0]), float(min_sv[0])))
     return PathScan(grid, dets, min_svs, brackets, tuple(stars), float(tol))
+
+
+def _unit_parameters(t) -> np.ndarray:
+    """Path parameters ``t`` (a scalar or an array) as a flat float array,
+    refused outside [0, 1]."""
+    ts = np.asarray(t, dtype=float).reshape(-1)
+    outside = ~((ts >= 0.0) & (ts <= 1.0))
+    if outside.any():
+        raise ValueError(f"path parameter must lie in [0, 1], got {ts[outside][0]}")
+    return ts

@@ -11,6 +11,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opdisc import acceptance, cli, serialize
 from opdisc.cli import SOURCES, main, quant_report, run_config
@@ -611,6 +613,123 @@ class TestWorkerProcesses:
         self, jobs, experiments, cpus, workers
     ):
         assert cli._worker_count(jobs, experiments, cpus) == workers
+
+
+# chains whose invert experiments a batch solves as one stack: two heads,
+# a prefix chain and a ball-local chain
+GROUP_CHAINS = {
+    "identity": (CHAIN_SPEC, None),
+    "reflection": (CHAIN_SPEC, {"kind": "reflection", "axis_dim": 6}),
+    "prefix": ({"kind": "seeded_chain", "ambient_dim": 8, "prefix_n": 5, "num_blocks": 3,
+                "seed": 4, "delta": 0.7}, {"kind": "identity"}),
+    "ball-local": (BALL_CHAIN, {"kind": "reflection", "axis_dim": 8}),
+}
+# a second task, so that a batch at --jobs 2 forks its workers
+ISOTOPY = {"name": "iso", "kind": "nogo-isotopy", "seed": 0, "m": 3, "grid": 5}
+
+
+def _group(chain: str, norms, tol=None, seed=0) -> list[dict]:
+    spec, head = GROUP_CHAINS[chain]
+    dim = spec["ambient_dim"]
+    rng = np.random.default_rng(seed)
+    experiments = []
+    for i, norm in enumerate(norms):
+        y = rng.standard_normal(dim)
+        exp = {"name": f"{chain}-{i}", "kind": "invert", "seed": i, "chain": spec,
+               "y": (norm * y / np.linalg.norm(y)).tolist()}
+        exp.update({key: value for key, value in (("head", head), ("tol", tol)) if value})
+        experiments.append(exp)
+    return experiments
+
+
+def _artifacts(out: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+def _one_at_a_time(experiments, out: Path) -> tuple[list, dict]:
+    """Each experiment in a batch of its own, where nothing is stacked."""
+    outcomes = [_run_batch([exp], out)[0] for exp in experiments]
+    return outcomes, _artifacts(out)
+
+
+class TestGroupedInversions:
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    @given(
+        chain=st.sampled_from(sorted(GROUP_CHAINS)),
+        norms=st.lists(st.floats(0.0, 0.9), min_size=2, max_size=6),
+        tol=st.sampled_from([None, 1e-8]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_a_stacked_group_equals_one_at_a_time(self, tmp_path_factory, chain, norms, tol, seed):
+        batch = [ISOTOPY, *_group(chain, norms, tol, seed)]
+        alone = _one_at_a_time(batch, tmp_path_factory.mktemp("alone"))
+        for jobs in (1, 2):
+            out = tmp_path_factory.mktemp(f"jobs{jobs}")
+            assert (_run_batch(batch, out, jobs), _artifacts(out)) == alone
+
+    def test_the_group_is_one_task_solved_once(self, tmp_path, monkeypatch):
+        calls = []
+        original = cli.invert_chain
+
+        def counted(chain, head, y, **kw):
+            calls.append(np.shape(y))
+            return original(chain, head, y, **kw)
+
+        monkeypatch.setattr(cli, "invert_chain", counted)
+        batch = [*_group("identity", [0.1, 0.2]), ISOTOPY, *_group("prefix", [0.3, 0.4, 0.5])]
+        assert cli._tasks(batch) == [(0, 1), (2,), (3, 4, 5)]
+        outcomes = _run_batch(batch, tmp_path)
+        assert [o["name"] for o in outcomes] == [exp["name"] for exp in batch]
+        assert calls == [(2, 1, 6), (3, 1, 8)]
+
+    @pytest.mark.parametrize("far", [0.5, 10.0], ids=["solved-stacked", "domain-error"])
+    def test_a_mixed_group_ends_each_experiment_as_alone(self, tmp_path, far):
+        batch = [ISOTOPY, *_group("ball-local", [0.3, 0.2, far])]
+        batch[2]["y"] = [0.1, 0.2]  # not one number per chain dim
+        alone = _one_at_a_time(batch, tmp_path / "alone")
+        for jobs in (1, 2):
+            out = tmp_path / f"jobs{jobs}"
+            outcomes = _run_batch(batch, out, jobs)
+            assert (outcomes, _artifacts(out)) == alone
+        statuses = [o["status"] for o in outcomes]
+        assert statuses == ["ok", "ok", "config-error", "ok" if far < 1 else "failed"]
+        if far > 1:
+            assert outcomes[3]["stage"] == "invert"
+            assert outcomes[3]["error_type"] == "DomainError"
+
+    @pytest.mark.parametrize(
+        "exp",
+        [{"name": "no-chain", "kind": "invert", "seed": 0, "y": [0.0]},
+         {"name": "set-tol", "kind": "invert", "seed": 0, "chain": CHAIN_SPEC,
+          "y": [0.0] * 6, "tol": {1e-8}}],
+        ids=["no-chain", "not-json"],
+    )
+    def test_an_experiment_without_a_canonical_key_runs_alone(self, exp):
+        assert cli._invert_key(exp) is None
+        assert cli._tasks([exp, {**exp, "name": "twin"}]) == [(0,), (1,)]
+
+
+class TestFailClosed:
+    def test_a_non_finite_modulus_fails_monotone_check(self, tmp_path):
+        # |dx|^2 overflows at radius 1e300, so every sampled quotient is NaN
+        exp = {"name": "huge", "kind": "monotone-check", "seed": 0, "radius": 1e300,
+               "samples": 4, "space": {"basis": "abstract_orthonormal", "ambient_dim": 3},
+               "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5,
+                         "activation": "tanh"}}
+        with np.errstate(invalid="ignore", over="ignore"):
+            (outcome,) = _run_batch([exp], tmp_path)
+        assert outcome["status"] == "failed"
+        assert outcome["stage"] == "pairwise_alpha"
+        assert "not a finite modulus" in outcome["error"]
+        assert not (tmp_path / "huge.json").exists()
+
+    def test_fem_solve_failures_name_the_newton_stage(self, tmp_path):
+        exp = {"name": "fem", "kind": "fem-solve", "seed": 0, "g": "cubic", "mesh": [4, 8],
+               "tol": 1e-300}
+        (outcome,) = _run_batch([exp], tmp_path)
+        assert outcome["status"] == "failed"
+        assert outcome["stage"] == "newton"
+        assert outcome["error"].startswith("[newton] Newton did not reach tol=1e-300")
 
 
 class TestNumericFields:

@@ -847,6 +847,21 @@ class TestDecompose:
         xs = ball_samples(16, 1.0, 8, seed=2)
         assert np.allclose(result.eval_array(xs), xs, atol=1e-12)
 
+    def test_a_nan_composite_fails_verify(self, space16, monkeypatch):
+        original = DecompositionResult.eval_array
+
+        def poisoned(self, x):
+            y = np.array(original(self, x), dtype=float)
+            y[0] = np.nan
+            return y
+
+        monkeypatch.setattr(DecompositionResult, "eval_array", poisoned)
+        layer = make_layer(space16, lip_g=0.0, seed=1)
+        with pytest.raises(
+            DecompositionError, match=r"^\[verify\] composite reproduces the layer only to nan"
+        ):
+            decompose(layer, epsilon=0.25, r1=1.0)
+
     def test_smooth_layer_blocks_and_composite(self, smooth_layer):
         eps = 0.25
         result = decompose(smooth_layer, epsilon=eps, r1=1.0, seed=3)

@@ -396,7 +396,62 @@ def _trig_section_oracle(s: float, n: int) -> np.ndarray:
     return mat
 
 
+def _weighted_section_oracle(s: float, n: int) -> np.ndarray:
+    """Kind "b" assembled cell by cell in scalar arithmetic: each cell adds
+    integral (1 + t) sign(t - s) times the slopes of the hats it touches."""
+    h = 1.0 / n
+    nodes = np.linspace(0.0, 1.0, n + 1)
+
+    def integral(a, b):
+        return (b - a) + 0.5 * (b * b - a * a)
+
+    mat = np.zeros((n, n))
+    for cell in range(1, n + 1):
+        a, b = nodes[cell - 1], nodes[cell]
+        if s <= a:
+            weight = integral(a, b)
+        elif s >= b:
+            weight = -integral(a, b)
+        else:
+            weight = integral(s, b) - integral(a, s)
+        touching = [(cell - 2, -1.0 / h)] if cell >= 2 else []
+        touching.append((cell - 1, 1.0 / h))
+        for i, slope_i in touching:
+            for j, slope_j in touching:
+                mat[i, j] += weight * slope_i * slope_j
+    return mat
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# the seam s = 0.5, both ends, mesh nodes and a point between them,
+# unordered; at the last one the second cell of the n = 8 mesh weighs
+# exactly 0.0, so its off-diagonal terms are -0.0 and only an entry that
+# starts from +0.0 and adds them, as assembly does, stays +0.0
+STACKED_S = np.array([*unit_grid(21), 0.5, 1.0, 0.0, 0.123456789, 0.6, 0.189143599402528])
+
+
 class TestGalerkinPathMatrix:
+    @pytest.mark.parametrize("kind", ["a", "b"])
+    @pytest.mark.parametrize("n", [1, 5, 8, 21])
+    def test_a_stack_equals_its_scalar_calls(self, kind, n):
+        stack = galerkin_path_matrix(kind, STACKED_S, n)
+        assert stack.shape == (STACKED_S.size, n, n)
+        for s, mat in zip(STACKED_S, stack):
+            assert _same_bits(mat, galerkin_path_matrix(kind, float(s), n)), s
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8, 21])
+    def test_weighted_section_matches_the_cell_by_cell_oracle(self, n):
+        stack = galerkin_path_matrix("b", STACKED_S, n)
+        for s, mat in zip(STACKED_S, stack):
+            assert _same_bits(mat, _weighted_section_oracle(float(s), n)), s
+
+    def test_a_stack_refuses_any_parameter_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match="lie in .* got -0.5"):
+            galerkin_path_matrix("b", np.array([0.0, -0.5, 0.5]), 3)
+
     def test_single_constant_mode_closed_form(self):
         for s in (0.0, 0.2, 0.5, 0.77, 1.0):
             mat = galerkin_path_matrix("a", s, 1)
@@ -474,20 +529,22 @@ class TestSingularityScan:
         assert min_sv_at_star <= 1e-8
 
     def test_only_the_first_crossing_is_bisected(self, monkeypatch):
-        calls = []
+        sizes = []
 
-        def counted(*args):
-            calls.append(args)
-            return galerkin_path_matrix(*args)
+        def counted(kind, s, n):
+            sizes.append(np.size(s))
+            return galerkin_path_matrix(kind, s, n)
 
         monkeypatch.setattr(galerkin, "galerkin_path_matrix", counted)
         scan = singularity_scan("a", 5, 101, 1e-12)
         dets = scan.dets
         assert np.count_nonzero(dets[:-1] * dets[1:] < 0.0) == 5
         assert len(scan.brackets) == len(scan.stars) == 1
-        # 101 grid points, one star matrix, and the bisection of one bracket
-        # of width 0.01 down to 1e-12: at most 34 halvings
-        assert len(calls) - 101 - 1 <= math.ceil(math.log2(0.01 / 1e-12))
+        # the 101 grid points in one stacked call, then one matrix per
+        # bisection step and one for the star; bisecting one bracket of
+        # width 0.01 down to 1e-12 takes at most 34 halvings
+        assert sizes[0] == 101 and set(sizes[1:]) == {1}
+        assert len(sizes) - 1 - 1 <= math.ceil(math.log2(0.01 / 1e-12))
 
     def test_seven_mode_weighted_path(self):
         scan = singularity_scan("b", 7, 101, 1e-12)

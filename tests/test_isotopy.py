@@ -1,6 +1,7 @@
 """Rotation-cascade path truncations and their forced determinant crossings."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from opdisc.cli import run_nogo_isotopy
 from opdisc.decompose import quintic_smoothstep
 from opdisc.isotopy import (
+    aligned_dets,
     aligned_truncation_matrix,
     block_angle,
     glued_truncation_matrix,
@@ -18,6 +20,78 @@ from opdisc.isotopy import (
     truncated_det_scan,
 )
 from opdisc.serialize import canonical
+
+
+def _cascade_oracle(t: float, m: int) -> np.ndarray:
+    """The rotation cascade block by block in scalar arithmetic: a finished
+    block is -I, signed zeros included, and any other is [[c, s], [-s, c]]
+    from ``math.cos`` and ``math.sin``."""
+    if t == 1.0:
+        return -np.eye(m)
+    u = 1.0 / (1.0 - t)
+    mat = np.zeros((m, m))
+    for i in range(1, m // 2 + 1):
+        theta = float(block_angle(u, i))
+        if theta == math.pi:
+            block = -np.eye(2)
+        else:
+            c, s = math.cos(theta), math.sin(theta)
+            block = np.array([[c, s], [-s, c]])
+        mat[2 * i - 2 : 2 * i, 2 * i - 2 : 2 * i] = block
+    return mat
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+# the seam t = 0.5, both ends, finished blocks near t = 1, unordered
+STACKED_T = np.array([*np.linspace(0.0, 1.0, 21), 0.5, 1.0, 0.0, 0.5000000001, 0.97, 0.3])
+
+
+class TestStackedParameters:
+    @pytest.mark.parametrize(
+        "builder,m",
+        [(rotation_cascade, 8), (reflected_rotation_cascade, 7),
+         (glued_truncation_matrix, 7), (glued_truncation_matrix, 8)],
+    )
+    def test_a_stack_equals_its_scalar_calls(self, builder, m):
+        stack = builder(STACKED_T, m)
+        assert stack.shape == (STACKED_T.size, m, m)
+        for t, mat in zip(STACKED_T, stack):
+            assert _same_bits(mat, builder(float(t), m)), t
+
+    @pytest.mark.parametrize("m", [2, 8, 32])
+    def test_the_cascade_matches_the_scalar_block_oracle(self, m):
+        for t, mat in zip(STACKED_T, rotation_cascade(STACKED_T, m)):
+            assert _same_bits(mat, _cascade_oracle(float(t), m)), t
+
+    def test_finished_blocks_keep_their_signed_zeros(self):
+        # t = 1 is -I with every zero negative; at t = 0.9 (u = 10) both
+        # blocks of m = 4 have finished: -I inside each block, +0.0 between
+        end, done = rotation_cascade(np.array([1.0, 0.9]), 4)
+        assert np.all(np.signbit(end))
+        assert np.array_equal(done, -np.eye(4))
+        inside = np.kron(np.eye(2), np.ones((2, 2))).astype(bool)
+        assert np.array_equal(np.signbit(done), inside)
+
+    def test_aligned_stacks_lie_within_one_half(self):
+        grid = np.linspace(0.0, 1.0, 21)
+        first = grid <= 0.5
+        for half, dim in ((grid[first], 8), (grid[~first], 7)):
+            stack = aligned_truncation_matrix(half, 7)
+            assert stack.shape == (half.size, dim, dim)
+            for t, mat in zip(half, stack):
+                assert _same_bits(mat, aligned_truncation_matrix(float(t), 7)), t
+        with pytest.raises(ValueError, match="within one half"):
+            aligned_truncation_matrix(grid, 7)
+        assert aligned_dets(grid, 7) == [
+            float(np.linalg.det(aligned_truncation_matrix(float(t), 7))) for t in grid
+        ]
+
+    def test_a_stack_refuses_any_parameter_outside_the_unit_interval(self):
+        with pytest.raises(ValueError, match="lie in .* got 1.5"):
+            glued_truncation_matrix(np.array([0.2, 1.5]), 7)
 
 
 class TestSmoothStep:

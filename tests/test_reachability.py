@@ -112,6 +112,11 @@ BATCH = [
      "chain": {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 2, "seed": 9,
                "activation": "groupsort2"},
      "head": {"kind": "identity"}, "y": [0.1, -0.2, 0.3, 0.05]},
+    # a second target on the same chain, head and tol: one stacked solve
+    {"name": "plain-2", "kind": "invert", "seed": 0,
+     "chain": {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 2, "seed": 9,
+               "activation": "groupsort2"},
+     "head": {"kind": "identity"}, "y": [-0.3, 0.0, 0.2, 0.1]},
     {"name": "galerkin", "kind": "nogo-galerkin", "seed": 0, "path_kind": "b", "n": 3,
      "grid": 11},
     {"name": "isotopy", "kind": "nogo-isotopy", "seed": 0, "m": 3, "grid": 11},

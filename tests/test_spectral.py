@@ -1,3 +1,5 @@
+import signal
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,6 +7,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from opdisc.discretize import _tail_error
+from opdisc.galerkin import singularity_scan
+from opdisc.isotopy import truncated_det_scan
 from opdisc.monotone import ball_samples
 from opdisc.spectral import (
     BasisSpec,
@@ -205,9 +209,32 @@ def test_sign_crossings_bracket_every_simple_root(data):
         assert hi - lo <= tol
 
 
+@pytest.mark.parametrize(
+    "scan",
+    [lambda: truncated_det_scan(7, 101, 1e-300), lambda: singularity_scan("a", 5, 101, 1e-300)],
+    ids=["isotopy", "galerkin"],
+)
+def test_bisection_below_float_spacing_ends_on_adjacent_floats(scan):
+    # a tolerance below the float spacing used to bisect forever; a stuck
+    # loop gets SIGALRM and fails the test instead of hanging the suite
+    def stuck(signum, frame):
+        raise TimeoutError("bisection did not end")
+
+    previous = signal.signal(signal.SIGALRM, stuck)
+    signal.alarm(10)
+    try:
+        result = scan()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    for lo, hi in result.brackets:
+        assert lo < hi == np.nextafter(lo, np.inf)
+
+
 def _diagonal_path(*entries):
-    """A diagonal matrix path whose entries are the given functions of t."""
-    return lambda t: np.diag([f(t) for f in entries])
+    """A diagonal matrix path whose entries are the given functions of t,
+    stacked over an array of parameters as ``path_scan`` calls it."""
+    return lambda ts: np.stack([np.diag([f(t) for f in entries]) for t in ts])
 
 
 def test_path_scan_brackets_one_sign_change():
