@@ -324,11 +324,6 @@ def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
                 dim=space.dim,
                 prefix=d,
             )
-            if not math.isfinite(cert.alpha):
-                raise CheckFailure(
-                    f"[pairwise_alpha] sampled alpha at prefix {d} is {cert.alpha:g}, "
-                    "not a finite modulus"
-                )
             worst = min(worst, cert.alpha)
             rows.append(
                 {

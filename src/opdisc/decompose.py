@@ -406,12 +406,12 @@ def peel_tail(
     recon, moved = np.split(block.eval_array(np.concatenate([through, xs])), 2)
     direct = eval_map(source, xs)
     roundtrip = float(np.max(np.linalg.norm(recon - direct, axis=1)))
-    if roundtrip > 1e-8:
+    if not roundtrip <= 1e-8:
         raise DecompositionError(
             f"[peel_tail] factor roundtrip error {roundtrip:g} exceeds 1e-8"
         )
     lip_hat, dev = _measure(xs, moved)
-    if lip_hat >= epsilon:
+    if not lip_hat < epsilon:
         raise DecompositionError(
             f"[peel_tail] sampled Lip of the tail factor is {lip_hat:g}, "
             f"not below epsilon={epsilon:g}"
@@ -795,7 +795,7 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
         acc = fmat @ acc
     err = spectral_norm(acc - df0)
     diag["product_error"] = err
-    if err > 1e-8:
+    if not err <= 1e-8:
         raise AssertionError(f"linear factor product misses the matrix by {err:g}")
     return ("reflection" if a0[0, 0] < 0.0 else "identity"), factors, diag
 
@@ -923,7 +923,7 @@ def decompose(
         fw_bound = 0.5 * (1.0 + r1) * epsilon
         diag["fw_deviation"] = fw_dev
         diag["fw_deviation_bound"] = fw_bound
-        if fw_dev > fw_bound:
+        if not fw_dev <= fw_bound:
             raise AssertionError(
                 f"core deviation {fw_dev:g} exceeds the bound {fw_bound:g}"
             )

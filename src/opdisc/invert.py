@@ -14,7 +14,9 @@ blocks with it too.
 
 A chain of residual blocks composed with an identity/reflection head is
 inverted block by block in reverse order, a whole batch of targets per
-kernel call; :func:`global_inverse_check` turns this into a sampled
+kernel call.  Every chain carries one certified rate and one radius (None:
+the rate holds globally) per block, so :func:`invert_chain` reads every
+chain type alike; :func:`global_inverse_check` turns this into a sampled
 homeomorphism verdict: roundtrip errors in both directions plus one strong
 monotonicity certificate per block.  Every inverted target records an
 :class:`InversionTrace` that keeps the full residual history so the
@@ -275,42 +277,12 @@ def banach_solve(
 # ---------------------------------------------------------------------------
 
 
-def _chain_parts(chain) -> tuple:
-    """The chain's ``(blocks, rates, radii)``: each block's certified rate
-    and the ball it holds on (None: the rate holds globally)."""
-    if chain is None:
-        return (), (), ()
-    if isinstance(chain, InvertibleResidualChain):
-        rates, radii = [], []
-        for net in chain.blocks:
-            local = not np.isfinite(net.spectral_bound)
-            bound = net.ball_bound(chain.ball_radius) if local else net.spectral_bound
-            rates.append(min(float(bound), chain.delta))
-            radii.append(chain.ball_radius if local else None)
-        return chain.blocks, tuple(rates), tuple(radii)
-    if isinstance(chain, ResidualChain):
-        rates = []
-        for i, net in enumerate(chain.blocks):
-            bound = float(net.spectral_bound)
-            if not np.isfinite(bound) or bound >= 1.0:
-                raise ValueError(
-                    f"block {i} carries no contraction certificate "
-                    f"(bound {bound:.6g}); wrap the chain with a certified "
-                    "delta or a ball-local certificate first"
-                )
-            rates.append(bound)
-        return chain.blocks, tuple(rates), (None,) * len(rates)
-    raise TypeError(f"cannot invert an object of type {type(chain).__name__}")
-
-
 def _apply_head_inverse(a0, x: np.ndarray) -> np.ndarray:
-    """Invert the linear head, which must be an identity or a reflection.
-
-    Both are involutions, so applying the operator once IS its inverse.
-    """
-    if a0 is None or isinstance(a0, Identity):
+    """Invert the linear head: None copies x, and an identity or a
+    reflection applies itself, since both are involutions."""
+    if a0 is None:
         return np.array(x, dtype=float, copy=True)
-    if isinstance(a0, Reflection):
+    if isinstance(a0, Identity | Reflection):
         return a0.apply_array(x)
     raise TypeError(
         f"the linear head must be the identity or a reflection; got {type(a0).__name__}"
@@ -356,10 +328,12 @@ class ChainInverseResult:
 def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInverseResult:
     """Invert ``chain(a0(x)) = y``: blocks in reverse order, then the head.
 
-    ``y`` holds one target ``(m,)`` or a ``(..., m)`` batch.  Each block
-    makes one :func:`banach_solve` call on the batch's prefix coordinates
-    at its certified rate; the tail passes through.  ``tol`` is the
-    per-block residual target; the reported ``roundtrip_target`` is the
+    ``chain`` is None or any chain carrying ``blocks`` with their certified
+    ``rates`` and ``radii``; a rate not below 1 is refused.  ``y`` holds one
+    target ``(m,)`` or a ``(..., m)`` batch.  Each block makes one
+    :func:`banach_solve` call on the batch's prefix coordinates at its rate
+    and radius; the tail passes through.  ``tol`` is the per-block residual
+    target; the reported ``roundtrip_target`` is the
     resulting worst-case forward-map residual ``T * tol / (1 - delta_max)**T``
     (each block error can be amplified by every inverse map applied after
     it).  A ball-local chain certifies its unbounded blocks on the ball of
@@ -373,7 +347,18 @@ def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInvers
     GEMM rounds differently (by about 2e-16).  :meth:`targets` splits such
     a result into single-target ones.
     """
-    blocks, rates, radii = _chain_parts(chain)
+    if chain is None:
+        blocks, rates, radii = (), (), ()
+    elif hasattr(chain, "rates"):
+        blocks, rates, radii = chain.blocks, chain.rates, chain.radii
+    else:
+        raise TypeError(f"cannot invert an object of type {type(chain).__name__}")
+    for i, rate in enumerate(rates):
+        if not rate < 1.0:
+            raise ValueError(
+                f"block {i} carries no contraction certificate (bound {rate:.6g}); wrap the "
+                "chain with a certified delta or a ball-local certificate first"
+            )
     x = np.asarray(y, dtype=float)
     if chain is not None and x.shape[-1:] != (chain.dim,):
         raise ValueError(
@@ -461,14 +446,9 @@ def global_inverse_check(
 
     alphas = []
     floor = contraction_certificate(chain.delta).alpha
-    for i in range(len(chain.blocks)):
-        cert = pairwise_alpha(
-            lambda v, _i=i: chain.chain.block_eval_array(_i, v),
-            r=r,
-            n=min(n, 64),
-            seed=seed + 1 + i,
-            dim=dim,
-        )
+    for i, net in enumerate(chain.blocks):
+        block = ResidualChain(dim, net.n_in, (net,))
+        cert = pairwise_alpha(block, r=r, n=min(n, 64), seed=seed + 1 + i)
         alphas.append(cert.alpha)
         if cert.alpha < floor - 1e-6:
             raise AssertionError(

@@ -359,11 +359,17 @@ class NeuralOperatorLayer:
 
 @dataclass(frozen=True, eq=False)
 class ResidualChain:
-    """Blocks x + embed(net(first-N-coefficients)); the tail never moves."""
+    """Blocks x + embed(net(first-N-coefficients)); the tail never moves.
+
+    Per block, ``rates`` holds the network's spectral bound and ``radii``
+    None: a rate below 1 certifies the block globally, and no other does.
+    """
 
     ambient_dim: int
     prefix_n: int
     blocks: tuple
+    rates: tuple = field(init=False)
+    radii: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         if not 1 <= self.prefix_n <= self.ambient_dim:
@@ -375,23 +381,21 @@ class ResidualChain:
             if net.n_in != self.prefix_n or net.n_out != self.prefix_n:
                 raise ValueError(f"block {i} is not square on the prefix dimension")
         object.__setattr__(self, "blocks", bl)
+        object.__setattr__(self, "rates", tuple(float(net.spectral_bound) for net in bl))
+        object.__setattr__(self, "radii", (None,) * len(bl))
 
     @property
     def dim(self) -> int:
         return self.ambient_dim
 
-    def block_eval_array(self, i: int, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.ambient_dim:
-            raise ValueError("dimension mismatch for residual chain")
-        y = np.array(x, dtype=float, copy=True)
-        y[..., : self.prefix_n] += self.blocks[i].eval_array(x[..., : self.prefix_n])
-        return y
-
     def eval_array(self, x: np.ndarray) -> np.ndarray:
-        for i in range(len(self.blocks)):
-            x = self.block_eval_array(i, x)
-        return x
+        y = np.array(x, dtype=float, copy=True)
+        if y.shape[-1] != self.ambient_dim:
+            raise ValueError("dimension mismatch for residual chain")
+        prefix = y[..., : self.prefix_n]
+        for net in self.blocks:
+            prefix += net.eval_array(prefix)
+        return y
 
     @classmethod
     def seeded(
@@ -430,36 +434,46 @@ class InvertibleResidualChain:
 
     Every block must carry a certified Lipschitz bound <= delta < 1.  For
     activations without a global constant, pass ``ball_radius`` so the
-    certificate can use the ball-local bound; the certificate method is
-    recorded either way.
+    certificate can use the ball-local bound.  ``rates`` holds each block's
+    certified rate min(bound, delta) and ``radii`` the ball it holds on
+    (None: globally), both set once here; ``cert_method`` follows from the
+    radii.
     """
 
     chain: ResidualChain
     delta: float
     ball_radius: float | None = None
-    cert_method: str = field(init=False)
+    rates: tuple = field(init=False)
+    radii: tuple = field(init=False)
 
     def __post_init__(self) -> None:
         if not 0.0 < self.delta < 1.0:
             raise ValueError(f"contraction bound must lie in (0, 1), got {self.delta}")
         if self.ball_radius is not None and self.ball_radius <= 0.0:
             raise ValueError("ball radius must be positive")
-        method = "spectral"
+        certs = []
         for i, net in enumerate(self.chain.blocks):
-            bound = net.spectral_bound
+            bound, radius = net.spectral_bound, None
             if not np.isfinite(bound):
                 if self.ball_radius is None:
                     raise ValueError(
                         f"block {i} has no global Lipschitz certificate "
                         "(activation unbounded); pass ball_radius= for a local one"
                     )
-                bound = net.ball_bound(self.ball_radius)
-                method = "ball_local"
+                bound, radius = net.ball_bound(self.ball_radius), self.ball_radius
             if not bound <= self.delta + 1e-12:
                 raise ValueError(
                     f"block {i} certificate {bound:.6g} exceeds delta={self.delta}"
                 )
-        object.__setattr__(self, "cert_method", method)
+            certs.append((min(float(bound), self.delta), radius))
+        rates, radii = zip(*certs)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "radii", radii)
+
+    @property
+    def cert_method(self) -> str:
+        """``ball_local`` when some block's rate holds only on the ball, else ``spectral``."""
+        return "spectral" if all(r is None for r in self.radii) else "ball_local"
 
     @property
     def dim(self) -> int:

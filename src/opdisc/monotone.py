@@ -13,6 +13,7 @@ which the factorization and acceptance modules reuse.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -191,9 +192,12 @@ def _pair_quotients(xs: np.ndarray, ys: np.ndarray):
 
 def _sup_quotient(xs: np.ndarray, ys: np.ndarray) -> float:
     """max over sample pairs of |Δy| / |Δx| — a sampled Lipschitz constant
-    (0 when every pair is degenerate)."""
+    (0 when every pair is degenerate); a non-finite one is a ValueError."""
     _, _, dist2, _, dydy = _pair_quotients(xs, ys)
-    return float(np.sqrt(np.max(dydy / dist2, initial=0.0)))
+    lip = float(np.sqrt(np.max(dydy / dist2, initial=0.0)))
+    if not math.isfinite(lip):
+        raise ValueError(f"[sup_quotient] sampled Lipschitz quotient is {lip:g}, not finite")
+    return lip
 
 
 def pairwise_alpha(
@@ -211,7 +215,8 @@ def pairwise_alpha(
     <f(x1)-f(x2), x1-x2> / |x1-x2|^2, an upper bound for the true constant
     on that ball; the minimizing pair is recorded.  The n(n-1)/2 pairs are
     reduced in chunks of about 2^15 / m, so memory stays near one 256 KB
-    chunk whatever n is.
+    chunk whatever n is.  A non-finite alpha (NaN once |Δx|² overflows) is
+    refused with a ValueError.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -221,8 +226,11 @@ def pairwise_alpha(
     if dist2.size == 0:
         raise ValueError("all sampled pairs were degenerate")
     quo = dydx / dist2
-    k = int(np.argmin(quo))
+    k = int(np.argmin(quo))  # the first NaN, if any
     alpha = float(quo[k])
+    if not math.isfinite(alpha):
+        at = "" if prefix is None else f" at prefix {prefix}"
+        raise ValueError(f"[pairwise_alpha] sampled alpha{at} is {alpha:g}, not a finite modulus")
     return MonotonicityCertificate(
         alpha=alpha,
         method="sampled",

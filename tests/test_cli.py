@@ -710,18 +710,20 @@ class TestGroupedInversions:
 
 
 class TestFailClosed:
-    def test_a_non_finite_modulus_fails_monotone_check(self, tmp_path):
+    @pytest.mark.parametrize("kind", ["monotone-check", "discretize-scan"])
+    def test_a_non_finite_modulus_fails_monotone_check(self, tmp_path, kind):
         # |dx|^2 overflows at radius 1e300, so every sampled quotient is NaN
-        exp = {"name": "huge", "kind": "monotone-check", "seed": 0, "radius": 1e300,
+        exp = {"name": "huge", "kind": kind, "seed": 0, "radius": 1e300,
                "samples": 4, "space": {"basis": "abstract_orthonormal", "ambient_dim": 3},
                "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5,
-                         "activation": "tanh"}}
+                         "activation": "tanh"}, "dims": [1, 3]}
         with np.errstate(invalid="ignore", over="ignore"):
             (outcome,) = _run_batch([exp], tmp_path)
         assert outcome["status"] == "failed"
         assert outcome["stage"] == "pairwise_alpha"
+        assert outcome["error_type"] == "ValueError"
         assert "not a finite modulus" in outcome["error"]
-        assert not (tmp_path / "huge.json").exists()
+        assert list(tmp_path.glob("huge*")) == []
 
     def test_fem_solve_failures_name_the_newton_stage(self, tmp_path):
         exp = {"name": "fem", "kind": "fem-solve", "seed": 0, "g": "cubic", "mesh": [4, 8],

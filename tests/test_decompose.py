@@ -2,6 +2,7 @@ import dataclasses
 import functools
 import importlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -1164,3 +1165,52 @@ class TestInverterChoice:
             0.0,
             {"r0": 0.0, "tol": 1e-9, "banach_evals": 1, "newton_evals": 10},
         )
+
+
+def poison(monkeypatch, owner, name: str, caller: str) -> None:
+    """Make ``owner.<name>`` answer NaN in every entry of its result when
+    the function named ``caller`` calls it, and truly otherwise."""
+    real = getattr(owner, name)
+
+    def nan_like(out):
+        if isinstance(out, tuple):
+            return tuple(nan_like(o) for o in out)
+        return np.full_like(out, np.nan) if isinstance(out, np.ndarray) else math.nan
+
+    def poisoned(*args, **kwargs):
+        out = real(*args, **kwargs)
+        return nan_like(out) if sys._getframe(1).f_code.co_name == caller else out
+
+    monkeypatch.setattr(owner, name, poisoned)
+
+
+class TestFailClosed:
+    """A NaN in a checked quantity fails the stage that checks it."""
+
+    module = importlib.import_module("opdisc.decompose")
+
+    def test_a_nan_tail_roundtrip_fails_peel_tail(self, smooth_layer, monkeypatch):
+        frame, _ = choose_w(smooth_layer, 1e-6)
+        core = CoreCompressedLayer(smooth_layer, frame)
+        poison(monkeypatch, self.module, "eval_map", "peel_tail")
+        with pytest.raises(DecompositionError, match=r"^\[peel_tail\] factor roundtrip error nan"):
+            peel_tail(smooth_layer, core, epsilon=0.25, kappa=0.2, seed=9)
+
+    def test_a_nan_tail_lipschitz_fails_peel_tail(self, smooth_layer, monkeypatch):
+        frame, _ = choose_w(smooth_layer, 1e-6)
+        core = CoreCompressedLayer(smooth_layer, frame)
+        poison(monkeypatch, self.module, "_measure", "peel_tail")
+        with pytest.raises(DecompositionError, match=r"^\[peel_tail\] sampled Lip .* is nan"):
+            peel_tail(smooth_layer, core, epsilon=0.25, kappa=0.2, seed=9)
+
+    def test_a_nan_core_deviation_fails_build_fw(self, smooth_layer, monkeypatch):
+        poison(monkeypatch, LiftedBlock, "eval_array", "decompose")
+        with pytest.raises(DecompositionError, match=r"^\[build_fw\] core deviation nan"):
+            decompose(smooth_layer, 0.25, 1.0, seed=3)
+
+    def test_a_nan_product_error_fails_linear_path(self, smooth_layer, monkeypatch):
+        poison(monkeypatch, self.module, "spectral_norm", "linear_path_blocks")
+        with pytest.raises(
+            DecompositionError, match=r"^\[linear_path\] linear factor product misses .* by nan"
+        ):
+            decompose(smooth_layer, 0.25, 1.0, seed=3)

@@ -167,6 +167,31 @@ def test_stale_probes_are_still_probed():
     assert set(STALE_PROBES) <= set(PROBES)
 
 
+def test_invert_chain_dispatches_on_no_chain_class():
+    """invert_chain reads every chain through its blocks, rates and radii:
+    no isinstance test in it, or in a function of its module that it calls,
+    names a chain class."""
+    chain_classes = {name for name in opdisc.layers.__all__ if name.endswith("Chain")}
+    tree = ast.parse(Path(opdisc.invert.__file__).read_text())
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["invert_chain"]
+    while todo:
+        name = todo.pop()
+        if name in functions and name not in reached:
+            reached.add(name)
+            todo += [n.id for n in ast.walk(functions[name]) if isinstance(n, ast.Name)]
+    named = {
+        getattr(node, "id", getattr(node, "attr", None))
+        for name in reached
+        for call in ast.walk(functions[name])
+        if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
+        for node in ast.walk(call.args[1])
+    }
+    assert {"ResidualChain", "InvertibleResidualChain"} <= chain_classes
+    assert {"invert_chain", "_apply_head_inverse", "banach_solve"} <= reached
+    assert named & chain_classes == set()
+
+
 def test_total_iterations_sums_the_block_counts():
     # the tracer reads total_iterations for its iteration metric
     chain = InvertibleResidualChain.seeded(6, 6, 3, 0.5, seed=51)

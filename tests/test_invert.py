@@ -477,6 +477,23 @@ class TestChainInverse:
         far = invert_chain(tanh_chain, None, 30.0 * y)
         assert np.linalg.norm(tanh_chain.eval_array(far.x) - 30.0 * y) <= far.roundtrip_target
 
+    def test_ball_local_rates_are_read_not_recomputed(self, monkeypatch):
+        blocks = ResidualChain.seeded(
+            8, 8, 3, block_bound=0.5, activation=activation_from_name("recu"),
+            bias_scale=0.0, seed=5,
+        )
+        chain = InvertibleResidualChain(blocks, delta=0.5, ball_radius=1.0)
+        ball_bound, radii = CoordinateNetwork.ball_bound, []
+
+        def counted(net, r):
+            radii.append(r)
+            return ball_bound(net, r)
+
+        monkeypatch.setattr(CoordinateNetwork, "ball_bound", counted)
+        out = invert_chain(chain, None, 0.5 * np.eye(8)[0])
+        assert radii == []
+        assert out.trace.deltas == chain.rates
+
     def test_result_as_dict_is_json_ready(self):
         chain = seeded_chain(dim=4, blocks=1, bound=0.3, seed=71)
         out = invert_chain(chain, None, np.ones(4))

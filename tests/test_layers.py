@@ -286,10 +286,11 @@ class TestResidualChain:
     def test_tail_is_fixed(self):
         chain = ResidualChain.seeded(12, 5, 3, block_bound=0.8, bias_scale=0.4, seed=1)
         rng = np.random.default_rng(2)
+        blocks = [ResidualChain(12, 5, (net,)) for net in chain.blocks]
         for _ in range(20):
             x = rng.standard_normal(12)
             for i in range(3):
-                moved = chain.block_eval_array(i, x) - x
+                moved = blocks[i].eval_array(x) - x
                 # the update is confined to the prefix
                 assert np.all(moved[5:] == 0.0)
 
@@ -336,11 +337,12 @@ class TestResidualChain:
         delta = 0.7
         inv = InvertibleResidualChain.seeded(10, 4, 3, delta, bias_scale=0.3, seed=6)
         rng = np.random.default_rng(7)
+        blocks = [ResidualChain(10, 4, (net,)) for net in inv.blocks]
         for i in range(3):
             for _ in range(200):
                 a, b = rng.standard_normal((2, 10))
-                ra = inv.chain.block_eval_array(i, a) - a
-                rb = inv.chain.block_eval_array(i, b) - b
+                ra = blocks[i].eval_array(a) - a
+                rb = blocks[i].eval_array(b) - b
                 assert (
                     np.linalg.norm(ra - rb)
                     <= (delta + 1e-9) * np.linalg.norm(a - b)

@@ -109,6 +109,14 @@ class TestPairwiseAlpha:
         with pytest.raises(ValueError, match="dim"):
             pairwise_alpha(lambda x: x)  # no intrinsic dimension
 
+    def test_a_non_finite_modulus_is_refused(self):
+        # |dx|^2 overflows at radius 1e300, so every pair quotient is NaN
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            ValueError,
+            match=r"^\[pairwise_alpha\] sampled alpha at prefix 2 is nan, not a finite modulus$",
+        ):
+            pairwise_alpha(Identity(), r=1e300, n=4, dim=3, prefix=2)
+
     @settings(max_examples=40, deadline=None)
     @given(
         entries=st.lists(
@@ -346,6 +354,13 @@ class TestPairQuotientKernel:
             assert np.array_equal(dydy, np.einsum("ij,ij->i", dy, dy))
             ref_sup = np.max(np.einsum("ij,ij->i", dy, dy) / rdist2, initial=0.0)
             assert sup == float(np.sqrt(ref_sup))
+
+    def test_a_non_finite_sup_quotient_is_refused(self):
+        xs = ball_samples(3, 1e300, 4, seed=0)
+        with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
+            ValueError, match=r"^\[sup_quotient\] sampled Lipschitz quotient is nan"
+        ):
+            monotone._sup_quotient(xs, xs)
 
     def test_chunk_boundaries_fall_mid_row(self):
         """The default chunk at m = 256 is 128 pairs, which splits rows of

@@ -19,6 +19,7 @@ from opdisc.layers import (
 )
 from opdisc.operators import FiniteRankOperator, Reflection, activation_from_name
 from opdisc.serialize import (
+    CHAINS,
     SCHEMA_VERSION,
     SpecError,
     blob_hash,
@@ -468,6 +469,51 @@ class TestChain:
     def test_unknown_kind(self):
         with pytest.raises(SpecError, match="unknown chain kind"):
             chain_from_spec({"kind": "markov"})
+
+
+RESIDUAL_SPEC = {"kind": "residual_chain", "ambient_dim": 5, "prefix_n": 2,
+                 "blocks": [NET_SPEC, NET_SPEC]}
+RECU_SPEC = {"kind": "seeded_chain", "ambient_dim": 6, "prefix_n": 3, "num_blocks": 2,
+             "block_bound": 0.05, "activation": "recu", "bias_scale": 0.0, "seed": 5}
+# (spec, cert_method or None for a plain chain, the ball of a ball-local rate)
+CERTIFICATE_CASES = {
+    "residual_chain": (RESIDUAL_SPEC, None, None),
+    "invertible_residual_chain/spectral": (
+        {"kind": "invertible_residual_chain", "delta": 0.5, "chain": RESIDUAL_SPEC},
+        "spectral", None),
+    "invertible_residual_chain/ball_local": (
+        {"kind": "invertible_residual_chain", "delta": 0.9, "chain": RECU_SPEC,
+         "ball_radius": 1.5},
+        "ball_local", 1.5),
+    "seeded_chain": ({"kind": "seeded_chain", "ambient_dim": 6, "num_blocks": 3,
+                      "block_bound": 0.7, "seed": 2}, None, None),
+    "seeded_chain/delta": ({"kind": "seeded_chain", "ambient_dim": 6, "num_blocks": 3,
+                            "seed": 2, "delta": 0.4}, "spectral", None),
+}
+
+
+class TestChainCertificates:
+    """Every chain carries one certified rate and one radius per block."""
+
+    def test_every_chain_kind_has_a_case(self):
+        assert {case.partition("/")[0] for case in CERTIFICATE_CASES} == set(CHAINS)
+
+    @pytest.mark.parametrize("case", sorted(CERTIFICATE_CASES))
+    def test_rates_and_radii_are_the_certificate(self, case):
+        spec, method, ball = CERTIFICATE_CASES[case]
+        chain = chain_from_spec(spec)
+        nets = chain.blocks
+        assert len(chain.rates) == len(chain.radii) == len(nets)
+        if method is None:
+            assert isinstance(chain, ResidualChain)
+            assert chain.rates == tuple(net.spectral_bound for net in nets)
+        else:
+            assert chain.cert_method == method
+            bounds = [net.spectral_bound if ball is None else net.ball_bound(ball)
+                      for net in nets]
+            assert chain.rates == tuple(min(b, chain.delta) for b in bounds)
+            assert all(rate <= chain.delta for rate in chain.rates)
+        assert chain.radii == (ball,) * len(nets)
 
 
 class TestHead:
