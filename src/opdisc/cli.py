@@ -300,14 +300,16 @@ def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     """Sampled strong-monotonicity certificates on a ladder of prefixes."""
     got = _read(exp, memo)
     space, layer, seed = got["space"], got["layer"], got["seed"]
+    kappa = float(layer.contraction)
     report = {
         "schema": SCHEMA_VERSION,
         "name": exp["name"],
         "kind": "monotone-check",
         "seed": seed,
-        "contraction": float(layer.contraction),
+        # an unbounded contraction is null; the rejection's reason says why
+        "contraction": kappa if math.isfinite(kappa) else None,
     }
-    structural = contraction_certificate(layer.contraction)
+    structural = contraction_certificate(kappa)
     if not structural.certified:
         report["rejected"] = True
         report["reason"] = structural.note
@@ -342,12 +344,12 @@ def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
                 "pass": bool(worst >= floor - 1e-6),
             }
         )
-        if not report["pass"]:
-            write_json(out_dir / f"{exp['name']}.json", report)
-            raise CheckFailure(
-                f"sampled alpha {worst:.6g} fell below the certified floor {floor:.6g}"
-            )
     write_json(out_dir / f"{exp['name']}.json", report)
+    if not report.get("pass", True):
+        raise CheckFailure(
+            f"sampled alpha {report['alpha_min']:.6g} fell below the certified floor "
+            f"{report['floor']:.6g}"
+        )
     return report
 
 
@@ -534,62 +536,21 @@ def run_fem_solve(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     return conv.as_dict()
 
 
-def quant_report(f, dims, r, n, seed, dim):
-    """Measured prefix error next to the size bound's growth shape.
-
-    Per prefix dim ``d`` inside the ambient dimension ``dim``: the sampled
-    range-tail error eps_V of the prefix discretization, then
-    ``log2((1 + r) / eps_V)`` (depth shape) and ``eps_V**-d * log2((1 + r) /
-    eps_V)`` (nonzero-count shape), both with the dimensional constant left
-    at 1.  Rows with eps_V = 0 report 0; overflowing bounds report inf.  No
-    network is synthesized — the columns juxtapose a measurement with a
-    formula's growth, nothing more.
-    """
-    rows = []
-    for d in dims:
-        eps = functor_a_error(f, int(d), r=r, n=n, seed=seed, dim=dim)
-        if eps == 0.0:
-            layers_bound = 0.0
-            nonzeros = 0.0
-        else:
-            layers_bound = math.log2((1.0 + r) / eps)
-            try:
-                nonzeros = eps ** (-float(d)) * layers_bound
-            except OverflowError:
-                nonzeros = math.inf
-        rows.append(
-            {
-                "dim": int(d),
-                "epsilon_v": float(eps),
-                "layers_bound": float(layers_bound),
-                "nonzeros_bound": float(nonzeros),
-            }
-        )
-    return rows
-
-
 def run_quant_report(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
-    """Measured prefix errors next to the size bound's growth shape."""
+    """The measured range-tail error eps_V of each prefix discretization."""
     got = _read(exp, memo)
-    rows = quant_report(
-        got["layer"].eval_array,
-        got["dims"],
-        got["radius"],
-        got["samples"],
-        got["seed"],
-        dim=got["space"].dim,
-    )
+    f, dim = got["layer"].eval_array, got["space"].dim
+    rows = [
+        {
+            "dim": d,
+            "epsilon_v": functor_a_error(
+                f, d, r=got["radius"], n=got["samples"], seed=got["seed"], dim=dim
+            ),
+        }
+        for d in got["dims"]
+    ]
     stem = out_dir / exp["name"]
-    header = (
-        "# size-bound columns show growth shape only: the dimensional constant is 1 "
-        "and no network is synthesized\n"
-        "dim,epsilon_v,layers_bound,nonzeros_bound"
-    )
-    write_csv(
-        f"{stem}.csv",
-        header,
-        [(row["dim"], row["epsilon_v"], row["layers_bound"], row["nonzeros_bound"]) for row in rows],
-    )
+    write_csv(f"{stem}.csv", "dim,epsilon_v", [(row["dim"], row["epsilon_v"]) for row in rows])
     report = {"schema": SCHEMA_VERSION, "name": exp["name"], "radius": got["radius"], "rows": rows}
     write_json(f"{stem}.json", report)
     return report

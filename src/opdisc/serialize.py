@@ -1,4 +1,4 @@
-"""JSON specs for spaces, operators, layers and chains; canonical artifacts.
+"""JSON specs for spaces, operators, layers and chains; strict JSON artifacts.
 
 Key tables are the one source of the keys of every JSON object the package
 reads: ``SPACE_KEYS`` for a space config; ``OPERATORS``, ``NETWORKS``,
@@ -8,10 +8,12 @@ for experiments.  Each entry gives a key's type, default and value check.
 :func:`read_keys` reads an object against its table, checking every key
 before the object is built, so an unknown key or a refused value is an
 error naming the key, never a silent default.  Nothing here writes objects
-back out as specs.  Every artifact file carries ``"schema": 1``; JSON
-floats are written as their shortest round-tripping repr and CSV floats
-with 17 significant digits, so that artifacts are byte-reproducible and
-re-parse to the identical value.  Seeded object specs
+back out as specs.  Every artifact file carries ``"schema": 1``.
+:func:`write_json` is the one JSON writer: sorted keys, floats as their
+shortest round-tripping repr, and no NaN or Infinity, which it refuses
+before it writes anything.  CSV floats are written with 17 significant
+digits.  So artifacts are byte-reproducible and re-parse to the identical
+value.  Seeded object specs
 (``seeded_layer``, ``seeded_chain``, ...) describe an object by its
 generator arguments instead of its coefficients; both forms rebuild to the
 same evaluators.
@@ -48,7 +50,6 @@ SCHEMA_VERSION = 1
 __all__ = [
     "SCHEMA_VERSION",
     "SpecError",
-    "canonical",
     "canonical_json",
     "blob_hash",
     "check_keys",
@@ -287,29 +288,20 @@ _EACH_ONE_OR_MORE = _Check("each >= 1", lambda v, got: None if all(w >= 1 for w 
 _NUMBERS = _Check("finite numbers", _numbers_fault)
 
 
-def canonical(obj):
-    """Plain JSON-ready copy: dicts with str keys, lists, and Python scalars.
-
-    Floats pass through as they are; ``json`` writes each one as its
-    shortest round-tripping repr, so every bit survives.
-    """
-    if isinstance(obj, dict):
-        return {str(k): canonical(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [canonical(v) for v in obj]
+def _plain(obj):
+    """``json``'s hook for the numpy values in a report: an array becomes
+    its nested list and a numpy scalar its Python scalar; anything else is
+    a TypeError."""
     if isinstance(obj, np.ndarray):
-        return canonical(obj.tolist())
-    if isinstance(obj, (bool, np.bool_)):
-        return bool(obj)
-    if isinstance(obj, (int, np.integer)):
-        return int(obj)
-    if isinstance(obj, (float, np.floating)):
-        return float(obj)
-    return obj
+        return obj.tolist()
+    if isinstance(obj, np.generic):
+        return obj.item()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def canonical_json(obj) -> str:
-    return json.dumps(canonical(obj), sort_keys=True, separators=(",", ":"))
+    """Compact JSON with sorted keys; floats keep every bit (shortest repr)."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_plain)
 
 
 def blob_hash(obj) -> str:
@@ -567,9 +559,16 @@ def read_envelope(obj: dict, where: str, required: set, optional: set = frozense
 
 
 def write_json(path, obj) -> None:
+    """Write ``obj`` as strict JSON: sorted keys, shortest-repr floats.  It
+    is serialized before any directory or file is made, so a NaN or an
+    infinity raises ``[write_json] {file name}: ...`` and leaves no file."""
     path = Path(path)
+    try:
+        text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_plain)
+    except ValueError as err:
+        raise ValueError(f"[write_json] {path.name}: {err}") from err
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(canonical(obj), sort_keys=True, indent=2) + "\n")
+    path.write_text(text + "\n")
 
 
 def write_csv(path, header: str, rows) -> None:

@@ -8,8 +8,10 @@ headline numbers from the returned detail so a failure message shows the
 measurement, not just a stack trace.
 """
 
+import dataclasses
 import math
 
+import numpy as np
 import pytest
 
 import opdisc.acceptance as acceptance
@@ -77,12 +79,42 @@ def test_criterion_05_fails_on_an_inflated_budget(monkeypatch):
         criterion_fixed_point_inversion()
 
 
+def test_criterion_04_fails_on_a_nan_block_lipschitz_constant(monkeypatch):
+    # builtin max keeps the finite first value and drops a later NaN
+    calls = []
+
+    def nan_second(xs, ys):
+        calls.append(None)
+        return math.nan if len(calls) == 2 else sup_quotient(xs, ys)
+
+    sup_quotient = acceptance._sup_quotient
+    monkeypatch.setattr(acceptance, "_sup_quotient", nan_second)
+    with pytest.raises(AssertionError, match="residual Lipschitz constant nan"):
+        criterion_block_factorization()
+    assert len(calls) >= 3
+
+
 def test_criterion_06_invertible_chain_certificates():
     detail = criterion_invertible_chain_certificates()
     assert detail["roundtrip_inverse_of_forward"] <= 1e-6
     assert detail["roundtrip_forward_of_inverse"] <= 1e-6
     assert min(detail["block_alphas"]) >= 1.0 - detail["delta"] - 1e-6
     assert detail["refusal_message"]
+
+
+def test_criterion_06_fails_on_a_nan_block_modulus(monkeypatch):
+    check = acceptance.global_inverse_check
+
+    def nan_middle(*args, **kwargs):
+        report = check(*args, **kwargs)
+        alphas = list(report.block_alphas)
+        assert len(alphas) == 3
+        alphas[1] = math.nan
+        return dataclasses.replace(report, block_alphas=tuple(alphas))
+
+    monkeypatch.setattr(acceptance, "global_inverse_check", nan_middle)
+    with pytest.raises(AssertionError, match="sampled modulus nan"):
+        criterion_invertible_chain_certificates()
 
 
 def test_criterion_07_galerkin_singularity():
@@ -96,6 +128,19 @@ def test_criterion_08_isotopy_crossing():
     assert abs(detail["t_star"] - detail["t_star_expected"]) <= 1e-6
     assert detail["t_star_expected"] == pytest.approx(7.0 / 18.0)
     assert detail["worst_orthogonality_defect"] <= 1e-10
+
+
+def test_criterion_08_fails_on_a_nan_path_matrix(monkeypatch):
+    # the fold starts at 0.0, so builtin max drops a NaN wherever it falls
+    matrix = acceptance.aligned_truncation_matrix
+
+    def nan_at_half(t, m):
+        full = matrix(t, m)
+        return np.full_like(full, math.nan) if t == 0.5 else full
+
+    monkeypatch.setattr(acceptance, "aligned_truncation_matrix", nan_at_half)
+    with pytest.raises(AssertionError, match="strays from orthogonality by nan"):
+        criterion_isotopy_crossing()
 
 
 def test_criterion_09_fem_rates():

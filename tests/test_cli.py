@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opdisc import acceptance, cli, serialize
-from opdisc.cli import SOURCES, main, quant_report, run_config
+from opdisc.cli import SOURCES, main, run_config
 from opdisc.layers import AffineNonlinearity, NemytskiiNonlinearity, make_layer
 from opdisc.monotone import ball_samples
 from opdisc.serialize import chain_from_spec, layer_from_spec, space_from_config
@@ -724,6 +724,16 @@ class TestFailClosed:
         assert outcome["error_type"] == "ValueError"
         assert "not a finite modulus" in outcome["error"]
         assert list(tmp_path.glob("huge*")) == []
+
+    def test_a_non_finite_report_fails_at_write_json(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "functor_a_error", lambda *a, **k: math.inf)
+        exp = {**ONE_OF_EACH_KIND["quant-report"], "name": "quant", "kind": "quant-report",
+               "seed": 0}
+        (outcome,) = _run_batch([exp], tmp_path)
+        assert outcome["status"] == "failed"
+        assert outcome["stage"] == "write_json"
+        assert outcome["error"].startswith("[write_json] quant.json: ")
+        assert not (tmp_path / "quant.json").exists()
 
     def test_fem_solve_failures_name_the_newton_stage(self, tmp_path):
         exp = {"name": "fem", "kind": "fem-solve", "seed": 0, "g": "cubic", "mesh": [4, 8],
@@ -1466,8 +1476,8 @@ class TestSubcommands:
         )
         assert result.exit_code == 0, result.output
         lines = (out / "quant-report.csv").read_text().splitlines()
-        assert lines[0].startswith("# size-bound columns show growth shape only")
-        assert lines[1] == "dim,epsilon_v,layers_bound,nonzeros_bound"
+        assert lines[0] == "dim,epsilon_v"
+        assert len(lines) == 4
         blob = json.loads((out / "quant-report.json").read_text())
         assert len(blob["rows"]) == 3
 
@@ -1539,37 +1549,29 @@ def test_subcommand_help_lists_its_options(runner, kind):
     assert options == HELP_OPTIONS[kind]
 
 
+def _quant_rows(tmp_path, nonlin: dict) -> list[dict]:
+    """quant-report rows at prefixes 2 and 4 of R^8 for the layer
+    x -> x + P nonlin(P x), where P projects onto the last coordinate."""
+    last = [[0.0] * 7 + [1.0]]
+    project = {"kind": "finite_rank", "omegas": [1.0], "psi": last, "phi": last}
+    exp = {"name": "quant", "kind": "quant-report", "seed": 0, "samples": 16, "dims": [2, 4],
+           "space": {"basis": "abstract_orthonormal", "ambient_dim": 8},
+           "layer": {"kind": "layer", "in_op": project, "out_op": project, "nonlin": nonlin}}
+    (outcome,) = _run_batch([exp], tmp_path)
+    assert outcome["status"] == "ok", outcome
+    return json.loads((tmp_path / "quant.json").read_text())["rows"]
+
+
 class TestQuantReport:
-    def test_identity_layer_reports_zero_rows(self):
-        rows = quant_report(lambda x: x, [2, 4], 1.0, 16, 0, dim=8)
-        for row in rows:
-            assert row["epsilon_v"] == 0.0
-            assert row["layers_bound"] == 0.0
-            assert row["nonzeros_bound"] == 0.0
+    def test_identity_layer_reports_zero_rows(self, tmp_path):
+        rows = _quant_rows(tmp_path, {"kind": "zero"})
+        assert rows == [{"dim": 2, "epsilon_v": 0.0}, {"dim": 4, "epsilon_v": 0.0}]
 
-    def test_bounds_grow_as_the_tail_shrinks(self):
-        def tail_map(x):
-            y = np.array(x, dtype=float, copy=True)
-            y[..., -1] += 0.01
-            return y
-
-        rows = quant_report(tail_map, [2, 4], 1.0, 16, 0, dim=8)
-        eps = [row["epsilon_v"] for row in rows]
-        assert eps[0] == eps[1] == pytest.approx(0.01)
-        assert rows[1]["nonzeros_bound"] > rows[0]["nonzeros_bound"]
-
-    def test_overflowing_bound_reports_inf(self):
-        # tail small enough that eps**-d overflows, large enough that its
-        # square does not underflow inside the sampled norm
-        def tiny_tail(x):
-            y = np.array(x, dtype=float, copy=True)
-            y[..., -1] += 1e-120
-            return y
-
-        rows = quant_report(tiny_tail, [3], 1.0, 8, 0, dim=4)
-        assert rows[0]["epsilon_v"] == pytest.approx(1e-120, rel=1e-12)
-        assert rows[0]["nonzeros_bound"] == math.inf
-        assert rows[0]["layers_bound"] == pytest.approx(math.log2(2.0 / 1e-120))
+    def test_a_constant_tail_is_measured_at_every_prefix(self, tmp_path):
+        shift = {"kind": "affine", "matrix": [[0.0] * 8] * 8, "bias": [0.0] * 7 + [0.01]}
+        rows = _quant_rows(tmp_path, shift)
+        assert [row["dim"] for row in rows] == [2, 4]
+        assert [row["epsilon_v"] for row in rows] == [pytest.approx(0.01)] * 2
 
     def test_known_sources_cover_the_reactions(self):
         assert set(SOURCES) == {"zero", "linear", "cubic"}

@@ -149,6 +149,32 @@ def test_every_import_is_used():
     assert unused == []
 
 
+def _json_writes(path: Path) -> list[str]:
+    """Every ``json.dump``/``json.dumps`` call in ``path``, and every import
+    of either name from ``json``, as ``module:line``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module == "json":
+            found += [node.lineno for a in node.names if a.name in ("dump", "dumps")]
+        elif (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("dump", "dumps")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id == "json"
+        ):
+            found.append(node.lineno)
+    return [f"{path.stem}:{line}" for line in found]
+
+
+def test_only_serialize_writes_json():
+    """Every JSON text the package makes goes through serialize's writers,
+    so no artifact can bypass the strict writer."""
+    src = Path(opdisc.__file__).resolve().parent
+    writes = [w for path in sorted(src.glob("*.py")) for w in _json_writes(path)]
+    assert writes and all(w.startswith("serialize:") for w in writes), writes
+
+
 @pytest.mark.parametrize("hook", HOOKS)
 def test_tracer_hook_resolves(hook):
     assert callable(_resolve(hook))

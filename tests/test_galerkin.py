@@ -26,7 +26,7 @@ from opdisc.galerkin import (
     solve_semilinear,
     solve_semilinear_trace,
 )
-from opdisc.serialize import canonical, load_json
+from opdisc.serialize import canonical_json, load_json
 from opdisc.spectral import gauss_legendre_panels, unit_grid
 
 
@@ -574,7 +574,7 @@ class TestSingularityScan:
         # the nogo-galerkin runner writes the scan's report
         exp = {"name": "g", "kind": "nogo-galerkin", "seed": 0, "path_kind": "a",
                "n": 1, "grid": 11, "bisect_tol": 1e-10}
-        blob = json.loads(json.dumps(canonical(run_nogo_galerkin(exp, tmp_path, None))))
+        blob = json.loads(canonical_json(run_nogo_galerkin(exp, tmp_path, None)))
         assert len(blob["s_grid"]) == len(blob["dets"]) == len(blob["min_svs"]) == 11
         assert blob["kind"] == "a" and blob["n"] == 1
         assert blob == {k: v for k, v in load_json(tmp_path / "g.json").items()

@@ -19,7 +19,7 @@ from opdisc.isotopy import (
     rotation_cascade,
     truncated_det_scan,
 )
-from opdisc.serialize import canonical
+from opdisc.serialize import canonical_json
 
 
 def _cascade_oracle(t: float, m: int) -> np.ndarray:
@@ -256,7 +256,7 @@ class TestTruncatedDetScan:
         # the nogo-isotopy runner writes the scan's report
         exp = {"name": "iso", "kind": "nogo-isotopy", "seed": 0, "m": 5, "grid": 21,
                "bisect_tol": 1e-10}
-        blob = json.loads(json.dumps(canonical(run_nogo_isotopy(exp, tmp_path, None))))
+        blob = json.loads(canonical_json(run_nogo_isotopy(exp, tmp_path, None)))
         assert blob["dets"] == [d for _, d, _ in rows]
         assert blob["m"] == 5
         assert len(blob["dets"]) == 21

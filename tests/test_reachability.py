@@ -11,7 +11,8 @@ functions that run only at import count as reached.  A ``def`` that none of
 these enters is code no CLI kind or acceptance criterion reaches: wire it
 into a check or delete it.  Lambdas and comprehensions are not counted.
 Only the entries of ``ALLOWED`` may stay unreached, each for the reason it
-gives.
+gives.  Every JSON file these runs write must parse as strict JSON, with no
+NaN or Infinity.
 """
 
 import ast
@@ -78,6 +79,10 @@ BATCH = [
     {"name": "spread", "kind": "monotone-check", "seed": 5, "samples": 8,
      "space": {"basis": "abstract_orthonormal", "ambient_dim": 4},
      "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5}},
+    # recu is unbounded: the layer is rejected and its contraction written as null
+    {"name": "recu", "kind": "monotone-check", "seed": 5, "samples": 8, "dims": [2],
+     "space": {"basis": "abstract_orthonormal", "ambient_dim": 4},
+     "layer": {"kind": "seeded_layer", "seed": 3, "activation": "recu"}},
     {"name": "scan", "kind": "discretize-scan", "seed": 3, "samples": 16, "dims": [2, 6],
      "space": {"basis": "abstract_orthonormal", "ambient_dim": 6},
      "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5, "hidden": [8],
@@ -196,6 +201,18 @@ def _entered_at_import() -> set:
     return {(str(Path(name).resolve()), line) for name, line in json.loads(done.stdout)}
 
 
+def _refuse(constant: str):
+    raise ValueError(f"{constant} is not strict JSON")
+
+
+def _load_strict(path: Path):
+    """The JSON value in ``path``, refusing NaN, Infinity and -Infinity."""
+    try:
+        return json.loads(path.read_text(), parse_constant=_refuse)
+    except ValueError as err:
+        raise AssertionError(f"{path.name}: {err}") from err
+
+
 def test_every_function_is_reached(tmp_path, monkeypatch):
     # two CPUs, so that the pair enters the pool branch on a one-CPU machine too
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -226,6 +243,9 @@ def test_every_function_is_reached(tmp_path, monkeypatch):
     assert batch.output.count("ok  ") == len(BATCH), batch.output
     assert pooled.exit_code == 0, pooled.output
     assert pooled.output.count("ok  ") == len(PAIR) == 2, pooled.output
+    assert json.loads((tmp_path / "batch" / "recu.json").read_text())["contraction"] is None
+    for path in sorted(tmp_path.rglob("*.json")):
+        _load_strict(path)
 
     resolved = {name: str(Path(name).resolve()) for name in {c.co_filename for c in entered}}
     reached = {(resolved[c.co_filename], c.co_firstlineno) for c in entered}
