@@ -26,9 +26,11 @@ from __future__ import annotations
 import contextlib
 import math
 import os
+import pickle
 import re
+import signal
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, NoReturn
 
 import click
 import numpy as np
@@ -279,11 +281,14 @@ class _BuildMemo:
     :func:`run_config` call and keyed by the spec's canonical JSON.
 
     Sharing is safe because every memoized object is immutable (frozen
-    dataclasses, read-only arrays).  Before ``--jobs`` worker processes
-    fork, :func:`run_config` builds every space and chain spec of the batch
-    here, so the workers inherit the built objects and a spec is built once
-    at any ``--jobs``; a spec that fails to build is not stored, and every
-    experiment naming it reports its own error.
+    dataclasses, read-only arrays).  A ``--jobs N`` batch runs in N
+    processes, the runner among them; before it forks, :func:`run_config`
+    builds here the space and chain specs that two or more tasks name (see
+    :func:`_prebuild`), the children inherit them, and every other spec is
+    built by the one process that runs its task.  So a spec is built once
+    per run at any ``--jobs``, counted across all processes; a spec that
+    fails to build is not stored, and every experiment naming it reports
+    its own error.
     """
 
     def __init__(self) -> None:
@@ -619,18 +624,6 @@ def _outcome(exp: dict, run: Callable[[], object]) -> dict:
     return {**outcome, "status": "ok"}
 
 
-# tasks a forked worker takes at a time: large enough that a batch of small
-# tasks does not wait on the task queue, small enough that the workers still
-# finish close together.  On the 15 tasks of the benchmark's solve batch
-# (seed 7, 2 cores, 6 alternating runs each) 2 read a median wall time of
-# 0.205 s, against 0.216 s at 1 and 0.237 s at 4.
-_CHUNKSIZE = 2
-
-# the batches being run, by token: a forked worker inherits every entry, so
-# a task is a (token, indices) pair and the built memo is never pickled
-_BATCHES: dict[int, tuple] = {}
-
-
 def _invert_key(exp: dict) -> str | None:
     """The key under which ``invert`` experiments are solved together: the
     canonical JSON of their raw chain, head and tol specs; None for any
@@ -654,39 +647,133 @@ def _tasks(experiments: list[dict]) -> list[tuple[int, ...]]:
     return [tuple(task) for task in tasks.values()]
 
 
-def _run_task(task: tuple[int, tuple[int, ...]]) -> list[dict]:
-    """Run one task of a running batch; the serial loop and the worker
-    processes both enter a task here."""
-    token, indices = task
-    experiments, out_dir, memo = _BATCHES[token]
+def _run_task(batch: tuple, indices: tuple[int, ...]) -> list[dict]:
+    """Run one task of a batch ``(experiments, out_dir, memo)``.  The serial
+    loop enters every task here.  A ``--jobs N`` batch runs in N processes,
+    the runner counted among them: its tasks are dealt biggest first,
+    round-robin, over the runner and N - 1 forked children (:func:`_deal`),
+    which inherit the batch and the specs :func:`_prebuild` built before
+    the fork, and each process enters its share's tasks here."""
+    experiments, out_dir, memo = batch
     if len(indices) == 1:
         return [_run_experiment(experiments[indices[0]], out_dir, memo)]
     return _run_inversions([experiments[i] for i in indices], out_dir, memo)
 
 
 def _worker_count(jobs: int, tasks: int, cpus: int) -> int:
-    """Worker processes for a batch: no more than asked for, than there are
-    tasks, or than there are CPUs to run them."""
+    """Processes for a batch, the runner included: no more than asked for,
+    than there are tasks, or than there are CPUs to run them."""
     return min(jobs, tasks, cpus)
 
 
-def _prebuild(experiments: list[dict], memo: _BuildMemo) -> None:
-    """Build every space and chain spec of a batch into ``memo`` through
-    the experiments' own reads.  A spec that fails is skipped: builds are
+def _deal(tasks: list[tuple[int, ...]], workers: int) -> list[list[int]]:
+    """Task numbers for each of ``workers`` processes, the runner's first:
+    the biggest task first by experiment count, ties in config order,
+    dealt round-robin."""
+    order = sorted(range(len(tasks)), key=lambda t: -len(tasks[t]))
+    return [order[w::workers] for w in range(workers)]
+
+
+def _prebuild(experiments: list[dict], tasks: list[tuple[int, ...]], memo: _BuildMemo) -> None:
+    """Build into ``memo``, before a ``--jobs`` batch forks, every space and
+    chain spec that two or more tasks name, through the experiments' own
+    reads, so that each distinct spec is built once per run, counted across
+    all processes; a spec that one task names is built by the process that
+    runs it.  The experiments of a task share their specs, so its first
+    experiment names them.  A spec that fails is skipped: builds are
     deterministic and failures are not memoized, so each experiment naming
     it raises the same error in its own run and reports it there."""
-    got = _Values(memo=memo)
-    for exp in experiments:
+    named: dict = {}
+    for task in tasks:
+        exp = experiments[task[0]]
         for key, entry in KEYS[exp["kind"]].items():
             if entry.type in (_SPACE, _CHAIN) and key in exp:
-                with contextlib.suppress(Exception):
-                    entry.type.read(exp[key], got)
+                with contextlib.suppress(TypeError, ValueError):
+                    spec = (key, canonical_json(exp[key]))
+                    named.setdefault(spec, []).append((entry.type.read, exp[key]))
+    got = _Values(memo=memo)
+    for reads in named.values():
+        if len(reads) > 1:
+            read, spec = reads[0]
+            with contextlib.suppress(Exception):
+                read(spec, got)
+
+
+def _run_child(batch: tuple, tasks: list[tuple[int, ...]], pipe: int) -> NoReturn:
+    """A forked child's whole life: run its tasks, pickle their outcome lists
+    (or the exception a task raised) into ``pipe``, and leave through
+    ``os._exit``, so it flushes none of the runner's buffers and runs none
+    of its exit hooks."""
+    status = 1
+    try:
+        try:
+            result = [_run_task(batch, task) for task in tasks]
+        except BaseException as err:  # sent to the runner, which re-raises it
+            import traceback
+
+            err.add_note(f"raised in forked worker {os.getpid()}:\n"
+                         + "".join(traceback.format_tb(err.__traceback__)))
+            result = err
+        # pickled whole before a byte is sent, so a result that does not
+        # pickle sends nothing rather than a truncated payload
+        payload = pickle.dumps(result)
+        with open(pipe, "wb") as out:
+            out.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _run_forked(batch: tuple, tasks: list[tuple[int, ...]], workers: int) -> list[list[dict]]:
+    """Run a batch's tasks in this process and ``workers - 1`` forked
+    children, dealt by :func:`_deal`; each task's outcomes, in task order.
+
+    The runner runs its own share, then reads every child's pipe to its end
+    and re-raises the first exception a child sent, with its original type.
+    If the runner itself raises or is interrupted, it kills every child; on
+    any exit it reaps every child it forked.
+    """
+    shares = _deal(tasks, workers)
+    pids, pipes, sent = [], [], []
+    try:
+        for share in shares[1:]:
+            read_end, write_end = os.pipe()
+            pipes.append(read_end)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _run_child(batch, [tasks[t] for t in share], write_end)
+                pids.append(pid)
+            finally:
+                os.close(write_end)
+        results = {t: _run_task(batch, tasks[t]) for t in shares[0]}
+        for read_end in pipes:
+            with open(read_end, "rb", closefd=False) as pipe:
+                sent.append(pipe.read())
+    except BaseException:
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for read_end in pipes:
+            os.close(read_end)
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+    for share, pid, code, payload in zip(shares[1:], pids, codes, sent):
+        if not payload:
+            raise RuntimeError(f"forked worker {pid} exited with code {code} "
+                               "without sending its outcomes")
+        outcomes = pickle.loads(payload)  # written by this batch's own child
+        if isinstance(outcomes, BaseException):
+            raise outcomes
+        results.update(zip(share, outcomes))
+    return [results[t] for t in range(len(tasks))]
 
 
 def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None) -> list[dict]:
-    """Run every experiment of a config, task by task in order or in up to
-    ``jobs`` forked worker processes (see :func:`_tasks`); the outcomes keep
-    the config's order."""
+    """Run every experiment of a config, task by task in order, or dealt
+    over up to ``jobs`` processes, this one and the children it forks (see
+    :func:`_tasks` and :func:`_run_forked`); the outcomes keep the config's
+    order."""
     if jobs < 1:
         raise SpecError(f"--jobs must be at least 1, got {jobs}")
     read_envelope(config, "config", {"experiments"})
@@ -701,30 +788,16 @@ def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None
         raise SpecError("config: experiment names must be unique (artifacts are per-name files)")
 
     memo = _BuildMemo()
-    token = id(memo)
-    groups = _tasks(validated)
-    tasks = [(token, indices) for indices in groups]
+    batch = (validated, out_dir, memo)
+    tasks = _tasks(validated)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
     workers = _worker_count(jobs, len(tasks), cpus or 1)
-    _BATCHES[token] = (validated, out_dir, memo)
-    try:
-        if workers < 2 or not hasattr(os, "fork"):
-            results = list(map(_run_task, tasks))
-        else:
-            # the pool machinery (about 15 ms and 1 MB) loads only for a batch that forks
-            from concurrent.futures import ProcessPoolExecutor
-            from multiprocessing import get_context
-
-            _prebuild(validated, memo)
-            pool = ProcessPoolExecutor(workers, mp_context=get_context("fork"))
-            try:
-                results = list(pool.map(_run_task, tasks, chunksize=_CHUNKSIZE))
-            finally:
-                # joins every worker; on an error, the chunks not yet started are dropped
-                pool.shutdown(cancel_futures=True)
-    finally:
-        del _BATCHES[token]
-    by_index = {i: o for indices, outs in zip(groups, results) for i, o in zip(indices, outs)}
+    if workers < 2 or not hasattr(os, "fork"):
+        results = [_run_task(batch, task) for task in tasks]
+    else:
+        _prebuild(validated, tasks, memo)
+        results = _run_forked(batch, tasks, workers)
+    by_index = {i: o for indices, outs in zip(tasks, results) for i, o in zip(indices, outs)}
     return [by_index[i] for i in range(len(validated))]
 
 
@@ -804,10 +877,12 @@ def _option(key: str, entry: _Key) -> click.Option:
 @click.option("--out", "out_dir", type=click.Path(file_okay=False), default="artifacts",
               show_default=True, help="Directory for CSV/JSON artifacts.")
 @click.option("--jobs", type=int, default=1, show_default=True,
-              help="Forked worker processes for a config batch, at most one per task "
-                   "and usable CPU; a task is one experiment, or the invert experiments "
-                   "sharing chain, head and tol, solved as one stacked batch with the "
-                   "artifacts of solving each alone.  At 1, for one task or without "
+              help="Processes for a config batch, this one included: it forks N - 1 "
+                   "children, at most one process per task and usable CPU.  A task is one "
+                   "experiment, or the invert experiments sharing chain, head and tol, "
+                   "solved as one stacked batch with the artifacts of solving each alone.  "
+                   "Tasks are dealt biggest first, round-robin; the specs two or more "
+                   "tasks name are built before the fork.  At 1, for one task or without "
                    "fork, the batch runs in order in this process.")
 @click.option("--seed", type=int, default=None, help="Override every experiment's seed.")
 @click.pass_context

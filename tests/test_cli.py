@@ -2,6 +2,7 @@ import importlib
 import json
 import math
 import multiprocessing
+import os
 import re
 import sys
 import threading
@@ -152,6 +153,9 @@ def _invert(name, chain, shift):
             "y": (np.linspace(-0.3, 0.4, 6) + shift).tolist()}
 
 
+# the build log of a batch that builds each of the two chain specs once
+BOTH_CHAINS = sorted(json.dumps(spec, sort_keys=True) for spec in (CHAIN_SPEC, OTHER_CHAIN_SPEC))
+
 # six inversions over two chain specs, interleaved
 INVERT_BATCH = [
     _invert(f"inv{i}", CHAIN_SPEC if i % 2 == 0 else OTHER_CHAIN_SPEC, 0.05 * i)
@@ -164,20 +168,29 @@ def _run_batch(experiments, out_dir, jobs=1):
 
 
 @pytest.fixture()
-def chain_builds(monkeypatch):
-    """Every chain spec ``cli`` builds, in call order."""
-    built = []
+def two_cpus(monkeypatch):
+    """Two usable CPUs, so that a --jobs 2 batch forks on any machine."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+@pytest.fixture()
+def chain_builds(monkeypatch, tmp_path):
+    """A call that lists every chain spec ``cli`` has built, in the runner
+    and in the children a ``--jobs`` batch forks: each build appends a line
+    to one file, in call order within each process."""
+    log = tmp_path / "chain-builds.log"
     original = cli.chain_from_spec
 
     def counted(spec):
-        built.append(json.dumps(spec, sort_keys=True))
+        with open(log, "a") as out:
+            out.write(json.dumps(spec, sort_keys=True) + "\n")
         # a slow build widens the window in which racing threads could both
         # miss the memo
         time.sleep(0.01)
         return original(spec)
 
     monkeypatch.setattr(cli, "chain_from_spec", counted)
-    return built
+    return lambda: log.read_text().splitlines() if log.exists() else []
 
 
 class TestBatchMode:
@@ -488,6 +501,7 @@ class TestActivationNames:
         assert not (out / "failures.json").exists()
 
 
+@pytest.mark.usefixtures("two_cpus")
 class TestBuildMemo:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_shared_chains_give_the_artifacts_of_lone_runs(self, tmp_path, jobs):
@@ -503,9 +517,17 @@ class TestBuildMemo:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_each_distinct_chain_is_built_once(self, tmp_path, chain_builds, jobs):
         _run_batch(INVERT_BATCH, tmp_path, jobs)
-        assert sorted(chain_builds) == sorted(
-            json.dumps(spec, sort_keys=True) for spec in (CHAIN_SPEC, OTHER_CHAIN_SPEC)
-        )
+        assert sorted(chain_builds()) == BOTH_CHAINS
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_chain_two_tasks_name_is_built_once(self, tmp_path, chain_builds, jobs):
+        # one chain under two tols: two tasks, each in its own process at
+        # --jobs 2, so the runner builds the chain before it forks
+        batch = [INVERT_BATCH[0], {**INVERT_BATCH[2], "tol": 1e-8}, INVERT_BATCH[1]]
+        assert cli._tasks(batch) == [(0,), (1,), (2,)]
+        outcomes = _run_batch(batch, tmp_path, jobs)
+        assert [o["status"] for o in outcomes] == ["ok"] * 3
+        assert sorted(chain_builds()) == BOTH_CHAINS
 
     def test_a_bad_chain_is_not_memoized(self, tmp_path, chain_builds):
         bad = {"kind": "no_such_chain"}
@@ -517,7 +539,7 @@ class TestBuildMemo:
         assert outcomes[0]["error"] == outcomes[2]["error"]
         assert "no_such_chain" in outcomes[0]["error"]
         # both experiments naming the bad spec tried to build it
-        assert len(chain_builds) == 3
+        assert len(chain_builds()) == 3
 
     def test_racing_threads_build_each_chain_once(self, tmp_path, chain_builds):
         batch = [
@@ -537,12 +559,12 @@ class TestBuildMemo:
             sys.setswitchinterval(interval)
         assert not worker.is_alive()
         assert [o["status"] for o in outcomes] == ["ok"] * 16
-        assert len(chain_builds) == 2
+        assert sorted(chain_builds()) == BOTH_CHAINS
 
     def test_the_memo_lives_for_one_run(self, tmp_path, chain_builds):
         _run_batch(INVERT_BATCH, tmp_path / "first")
         _run_batch(INVERT_BATCH, tmp_path / "second")
-        assert len(chain_builds) == 4
+        assert len(chain_builds()) == 4
 
 
 BALL_CHAIN = {"kind": "seeded_chain", "ambient_dim": 8, "num_blocks": 3, "seed": 5,
@@ -564,6 +586,20 @@ MIXED_BATCH = [
 ]
 
 
+def _assert_no_child_left():
+    """No child process of this one is running or waits to be reaped."""
+    # active_children sees multiprocessing's children, waitpid every fork
+    assert not multiprocessing.active_children()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+# a batch whose one nogo-isotopy task is dealt to the runner at --jobs 2 and
+# one where it is dealt to the forked child
+ISOTOPY_SHARES = {"runner-share": MIXED_BATCH[2:], "child-share": MIXED_BATCH}
+
+
+@pytest.mark.usefixtures("two_cpus")
 class TestWorkerProcesses:
     def test_outcomes_and_failures_do_not_depend_on_jobs(self, runner, tmp_path):
         cfg = write_config(tmp_path, MIXED_BATCH)
@@ -571,7 +607,7 @@ class TestWorkerProcesses:
         for jobs in (1, 2):
             out = tmp_path / f"jobs{jobs}"
             outcomes.append(_run_batch(MIXED_BATCH, out, jobs))
-            assert not multiprocessing.active_children()
+            _assert_no_child_left()
             result = runner.invoke(
                 main, ["--config", str(cfg), "--out", str(out), "--jobs", str(jobs)]
             )
@@ -583,6 +619,11 @@ class TestWorkerProcesses:
         assert outcomes[0] == outcomes[1]
         assert reports[0] == reports[1]
 
+    def test_a_clean_batch_leaves_no_child(self, tmp_path):
+        outcomes = _run_batch([ISOTOPY, *INVERT_BATCH], tmp_path, 2)
+        assert [o["status"] for o in outcomes] == ["ok"] * 7
+        _assert_no_child_left()
+
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_an_unexpected_error_stops_the_batch_and_its_workers(
         self, tmp_path, monkeypatch, jobs
@@ -590,11 +631,60 @@ class TestWorkerProcesses:
         def broken(exp, out_dir, memo):
             raise KeyError("not an outcome a batch records")
 
-        # forked workers inherit the patched table
+        # forked children inherit the patched table
         monkeypatch.setitem(cli.RUNNERS, "nogo-isotopy", broken)
         with pytest.raises(KeyError, match="not an outcome"):
             _run_batch(MIXED_BATCH, tmp_path, jobs)
-        assert not multiprocessing.active_children()
+        _assert_no_child_left()
+
+    @pytest.mark.parametrize("share", list(ISOTOPY_SHARES))
+    @pytest.mark.parametrize("error", [KeyError, KeyboardInterrupt])
+    def test_an_error_in_either_share_leaves_no_child(self, tmp_path, monkeypatch, error, share):
+        batch = ISOTOPY_SHARES[share]
+        tasks = cli._tasks(batch)
+        runner_share, child_share = cli._deal(tasks, 2)
+        isotopy = [t for t, task in enumerate(tasks) if batch[task[0]]["kind"] == "nogo-isotopy"]
+        assert isotopy == (runner_share if share == "runner-share" else child_share)[:1]
+
+        def broken(exp, out_dir, memo):
+            raise error("not an outcome a batch records")
+
+        monkeypatch.setitem(cli.RUNNERS, "nogo-isotopy", broken)
+        with pytest.raises(error, match="not an outcome") as caught:
+            _run_batch(batch, tmp_path, 2)
+        notes = getattr(caught.value, "__notes__", [])
+        assert any("raised in forked worker" in n for n in notes) == (share == "child-share")
+        _assert_no_child_left()
+
+    def test_the_runner_kills_and_reaps_a_child_when_it_fails(self, tmp_path, monkeypatch):
+        # the child's share sleeps long past the runner's own failure
+        def slow(exp, out_dir, memo):
+            time.sleep(60)
+
+        def broken(exp, out_dir, memo):
+            raise KeyError("the runner's own share failed")
+
+        monkeypatch.setitem(cli.RUNNERS, "nogo-isotopy", broken)
+        monkeypatch.setitem(cli.RUNNERS, "nogo-galerkin", slow)
+        batch = [ISOTOPY, {"name": "gal", "kind": "nogo-galerkin", "seed": 0,
+                           "path_kind": "a", "n": 1}]
+        assert cli._deal(cli._tasks(batch), 2) == [[0], [1]]
+        start = time.monotonic()
+        with pytest.raises(KeyError, match="own share failed"):
+            _run_batch(batch, tmp_path, 2)
+        assert time.monotonic() - start < 30
+        _assert_no_child_left()
+
+    def test_a_child_that_dies_unheard_fails_the_batch(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(cli.RUNNERS, "nogo-isotopy", lambda exp, out_dir, memo: os._exit(3))
+        with pytest.raises(RuntimeError, match="exited with code 3 without sending"):
+            _run_batch(MIXED_BATCH, tmp_path, 2)
+        _assert_no_child_left()
+
+    def test_tasks_are_dealt_biggest_first_round_robin(self):
+        tasks = [(0,), (1, 2, 3), (4,), (5, 6), (7,)]
+        assert cli._deal(tasks, 2) == [[1, 0, 4], [3, 2]]
+        assert cli._deal(tasks, 3) == [[1, 2], [3, 4], [0]]
 
     @pytest.mark.parametrize("jobs", [0, -1])
     def test_jobs_below_one_is_a_config_error(self, runner, tmp_path, jobs):

@@ -7,6 +7,7 @@ by the check named next to the mutant.
 
 import importlib
 
+import numpy as np
 import pytest
 
 from opdisc.acceptance import (
@@ -19,6 +20,7 @@ DECOMPOSE = importlib.import_module("opdisc.decompose")
 LAYERS = importlib.import_module("opdisc.layers")
 INVERT, TRANSPORT, PATH_BLOCKS = DECOMPOSE._invert, DECOMPOSE._transport, DECOMPOSE.path_blocks
 SPECTRAL_NORM = LAYERS.spectral_norm
+COMPOSITE = DECOMPOSE.DecompositionResult.eval_array
 
 
 def _without_middle_block(*args, **kwargs):
@@ -27,7 +29,13 @@ def _without_middle_block(*args, **kwargs):
     return blocks, diag
 
 
-# name -> (patched module, patched name, mutant, message of the failure)
+def _nan_in_one_row(self, x):
+    y = np.array(COMPOSITE(self, x))
+    y[len(y) // 2] = np.nan
+    return y
+
+
+# name -> (patched module or class, patched name, mutant, message of the failure)
 MUTANTS = {
     # a block inverter 1e4 times sloppier than its tolerance: only the cold
     # composite shows it, the warm one starts every block near its preimage
@@ -54,6 +62,14 @@ MUTANTS = {
         "path_blocks",
         _without_middle_block,
         r"^\[verify\] composite reproduces the layer only to",
+    ),
+    # one NaN row must fail the composite check, not slip past a fold that
+    # skips NaN
+    "composite-nan-row": (
+        DECOMPOSE.DecompositionResult,
+        "eval_array",
+        _nan_in_one_row,
+        r"^\[verify\] composite reproduces the layer only to nan",
     ),
     # every certified stage norm 10% low: the layer's contraction bound is
     # then optimistic, and a block inverter priced by it runs out of steps

@@ -2,11 +2,10 @@
 
 ``opdisc accept``, one ``--config`` batch at ``--jobs 1`` and a
 two-experiment batch at ``--jobs 2`` run under ``sys.setprofile``.  The
-first batch holds every CLI kind and every spec kind.  A profile cannot see
-inside the forked worker processes of ``--jobs 2``, so that batch runs in
-order, and the second batch only enters the pool branch: the workers run
-the same functions as the serial loop.  ``import opdisc.cli`` is profiled
-too, in a fresh interpreter with the hook installed before the import, so
+first batch holds every CLI kind and every spec kind, and runs in order.
+The second batch enters the fork branch: its child inherits the profile
+and writes down what it entered as it leaves through ``os._exit``.
+``import opdisc.cli`` is profiled too, in a fresh interpreter with the hook installed before the import, so
 functions that run only at import count as reached.  A ``def`` that none of
 these enters is code no CLI kind or acceptance criterion reaches: wire it
 into a check or delete it.  Lambdas and comprehensions are not counted.
@@ -129,7 +128,7 @@ BATCH = [
 ]
 
 
-# two experiments, one of them naming a chain spec, for the pool branch
+# two experiments, one of them naming a chain spec, for the fork branch
 PAIR = [exp for exp in BATCH if exp["name"] in ("plain", "isotopy")]
 
 # prints every (file, first line) that importing opdisc.cli enters
@@ -214,7 +213,7 @@ def _load_strict(path: Path):
 
 
 def test_every_function_is_reached(tmp_path, monkeypatch):
-    # two CPUs, so that the pair enters the pool branch on a one-CPU machine too
+    # two CPUs, so that the pair enters the fork branch on a one-CPU machine too
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     config = tmp_path / "batch.json"
     config.write_text(json.dumps({"schema": 1, "experiments": BATCH}))
@@ -226,6 +225,18 @@ def test_every_function_is_reached(tmp_path, monkeypatch):
         if event == "call":
             entered.add(frame.f_code)
 
+    runner_pid, real_exit = os.getpid(), os._exit
+    child_log = tmp_path / "child-entered.jsonl"
+
+    def exit_and_log(status):
+        # a forked child leaves only through os._exit: log what it entered
+        if os.getpid() != runner_pid:
+            sys.setprofile(None)  # so that logging does not grow the set it reads
+            with open(child_log, "a") as out:
+                out.write(json.dumps([(c.co_filename, c.co_firstlineno) for c in entered]) + "\n")
+        real_exit(status)
+
+    monkeypatch.setattr(os, "_exit", exit_and_log)
     runner = CliRunner()
     sys.setprofile(profile)
     try:
@@ -250,6 +261,9 @@ def test_every_function_is_reached(tmp_path, monkeypatch):
     resolved = {name: str(Path(name).resolve()) for name in {c.co_filename for c in entered}}
     reached = {(resolved[c.co_filename], c.co_firstlineno) for c in entered}
     reached |= _entered_at_import()
+    children = [json.loads(line) for line in child_log.read_text().splitlines()]
+    assert len(children) == 1, "the --jobs 2 pair forks one child"
+    reached |= {(str(Path(name).resolve()), line) for name, line in children[0]}
     defs = _defs()
     unreached = {name for key, name in defs.items() if key not in reached}
     flagged = sorted(n for n in unreached if not _is_dunder(n) and n not in ALLOWED)

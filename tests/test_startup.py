@@ -4,8 +4,9 @@ Importing scipy.linalg more than doubles the start-up of ``import opdisc``
 and adds a second LAPACK to the process, so the package uses numpy alone.
 The guard runs ``import opdisc``, one experiment of every kind and
 ``opdisc accept`` in a fresh interpreter, because this test session has
-loaded scipy long before it gets here.  A batch that runs in order also
-leaves the process-pool machinery of ``--jobs`` unloaded.
+loaded scipy long before it gets here.  A batch that runs in order, and a
+two-task ``--jobs 2`` batch that forks, also leave the process-pool
+machinery (``concurrent.futures``, ``multiprocessing``) unloaded.
 """
 
 import json
@@ -43,7 +44,7 @@ EVERY_KIND = [
 
 PROBE = textwrap.dedent(
     """
-    import json, sys
+    import json, os, sys
     from pathlib import Path
 
     import opdisc, opdisc.cli
@@ -54,6 +55,11 @@ PROBE = textwrap.dedent(
     status = [o["status"] for o in opdisc.cli.run_config(config, out / "batch", 1, None)]
     after_batch = "scipy" in sys.modules
     pool = "multiprocessing" in sys.modules
+    # two tasks on two usable CPUs: the batch forks one child
+    os.sched_getaffinity = lambda pid: {0, 1}
+    pair = {"schema": 1, "experiments": json.loads(sys.argv[2])[-2:]}
+    forked = [o["status"] for o in opdisc.cli.run_config(pair, out / "pair", 2, None)]
+    forked_pool = [name for name in ("concurrent.futures", "multiprocessing") if name in sys.modules]
     try:
         opdisc.cli.main(["--out", str(out / "accept"), "accept"], standalone_mode=False)
     except SystemExit as stop:
@@ -61,6 +67,7 @@ PROBE = textwrap.dedent(
     results = json.loads((out / "accept" / "acceptance.json").read_text())["results"]
     print(json.dumps({
         "imported": imported, "status": status, "after_batch": after_batch, "pool": pool,
+        "forked": forked, "forked_pool": forked_pool,
         "accept": [r["passed"] for r in results], "after_accept": "scipy" in sys.modules,
     }))
     """
@@ -81,5 +88,7 @@ def test_no_run_loads_scipy(tmp_path):
     assert seen["status"] == ["ok"] * len(EVERY_KIND)
     assert not seen["after_batch"], "an experiment loaded scipy"
     assert not seen["pool"], "a jobs-1 batch loaded the process pool"
+    assert seen["forked"] == ["ok", "ok"]
+    assert not seen["forked_pool"], f"a jobs-2 batch loaded {seen['forked_pool']}"
     assert seen["accept"] == [True] * 10
     assert not seen["after_accept"], "opdisc accept loaded scipy"
