@@ -14,7 +14,6 @@ from .invert import global_inverse_check, invert_chain
 from .layers import (
     CoordinateNetwork,
     FiniteRankOperator,
-    InvertibleResidualChain,
     NeuralOperatorLayer,
     ResidualChain,
     make_layer,
@@ -31,7 +30,6 @@ __all__ = [
     "DecompositionResult",
     "FemMesh",
     "FiniteRankOperator",
-    "InvertibleResidualChain",
     "NeuralOperatorLayer",
     "ResidualChain",
     "Space",

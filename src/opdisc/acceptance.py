@@ -32,8 +32,8 @@ from .isotopy import aligned_truncation_matrix, truncated_det_scan
 from .layers import (
     CoordinateNetwork,
     CoordinateNetNonlinearity,
-    InvertibleResidualChain,
     NeuralOperatorLayer,
+    ResidualChain,
     eval_map,
     make_layer,
 )
@@ -353,9 +353,9 @@ def criterion_fixed_point_inversion() -> dict:
     so on the same points each row stops within ⌈log(1 − q)/log q⌉ + 1
     evaluations of its budget.
     """
-    cert = InvertibleResidualChain.seeded(16, 16, 3, 0.5, seed=51)
+    cert = ResidualChain.seeded(16, 16, 3, delta=0.5, seed=51)
     xs = ball_samples(16, 1.0, 100, seed=53)
-    res = invert_chain(cert, None, cert.chain.eval_array(xs), tol=1e-10)
+    res = invert_chain(cert, None, cert.eval_array(xs), tol=1e-10)
     worst_rt = float(np.max(np.linalg.norm(res.x - xs, axis=-1)))
     worst_slack = -(10**9)
     for trace in res.traces:
@@ -409,8 +409,8 @@ def criterion_invertible_chain_certificates() -> dict:
     asking for a certificate at delta = 1.5 must raise immediately.
     """
     delta = 0.9
-    cert = InvertibleResidualChain.seeded(
-        12, 12, 3, delta, activation=activation_from_name("groupsort2"), seed=61
+    cert = ResidualChain.seeded(
+        12, 12, 3, delta=delta, activation=activation_from_name("groupsort2"), seed=61
     )
     worst_norm = np.min([
         norm / np.linalg.norm(w, 2)
@@ -438,7 +438,7 @@ def criterion_invertible_chain_certificates() -> dict:
     refused = False
     message = ""
     try:
-        InvertibleResidualChain.seeded(12, 12, 3, 1.5, seed=61)
+        ResidualChain.seeded(12, 12, 3, delta=1.5, seed=61)
     except ValueError as exc:
         refused = True
         message = str(exc)

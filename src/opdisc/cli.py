@@ -178,6 +178,8 @@ def _y_file(path) -> dict:
 
 _POSITIVE = _Check("finite, > 0", lambda v, got: None if 0.0 < v < math.inf
                    else "must be positive and finite")
+_UNIT_OPEN = _Check("in (0, 1)", lambda v, got: None if 0.0 < v < 1.0
+                    else "must be in (0, 1)")
 _TWO_OR_MORE = _Check(">= 2", lambda v, got: None if v >= 2 else "must be at least 2")
 _ODD_N = _Check("odd, >= 1", lambda v, got: None if v >= 1 and v % 2
                 else "must be an odd positive count")
@@ -223,7 +225,7 @@ KEYS = {
     "decompose": {
         "space": _Key(_SPACE, _REQUIRED, None, None),
         "layer": _Key(_LAYER, _REQUIRED, None, _LAYER_FLAG),
-        "epsilon": _Key(_FLOAT, _REQUIRED, _POSITIVE, _Flag("--epsilon")),
+        "epsilon": _Key(_FLOAT, _REQUIRED, _UNIT_OPEN, _Flag("--epsilon")),
         "radius": _Key(_FLOAT, _REQUIRED, _POSITIVE, _Flag("--radius")),
         "composite_tol": _Key(_FLOAT, 1e-6, _POSITIVE, None),
         "n_verify": _Key(_INT, 200, _ONE_OR_MORE, None),

@@ -890,10 +890,10 @@ def decompose(
     n_verify: int = 200,
 ) -> DecompositionResult:
     """Run the full factorization pipeline on a residual layer."""
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
-    if r1 <= 0.0:
-        raise ValueError("validity radius must be positive")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
+    if not 0.0 < r1 < math.inf:
+        raise ValueError(f"validity radius r1 must be positive and finite, got {r1!r}")
     if not 0.0 < composite_tol < math.inf:
         raise ValueError(f"composite_tol must be positive and finite, got {composite_tol!r}")
     diag: dict = {"epsilon": epsilon, "r1": r1, "seed": seed}

@@ -14,9 +14,10 @@ blocks with it too.
 
 A chain of residual blocks composed with an identity/reflection head is
 inverted block by block in reverse order, a whole batch of targets per
-kernel call.  Every chain carries one certified rate and one radius (None:
-the rate holds globally) per block, so :func:`invert_chain` reads every
-chain type alike; :func:`global_inverse_check` turns this into a sampled
+kernel call.  A :class:`~opdisc.layers.ResidualChain` carries one
+certified rate and one radius (None: the rate holds globally) per block,
+and :func:`invert_chain` reads nothing else; :func:`global_inverse_check`
+turns a chain with a contraction bound delta into a sampled
 homeomorphism verdict: roundtrip errors in both directions plus one strong
 monotonicity certificate per block.  Every inverted target records an
 :class:`InversionTrace` that keeps the full residual history so the
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import InvertibleResidualChain, ResidualChain, eval_map
+from .layers import ResidualChain, eval_map
 from .monotone import ball_samples, contraction_certificate, pairwise_alpha
 from .operators import Identity, Reflection
 
@@ -356,8 +357,8 @@ def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInvers
     for i, rate in enumerate(rates):
         if not rate < 1.0:
             raise ValueError(
-                f"block {i} carries no contraction certificate (bound {rate:.6g}); wrap the "
-                "chain with a certified delta or a ball-local certificate first"
+                f"block {i} carries no contraction certificate (bound {rate:.6g}); give the "
+                "chain a contraction bound delta, and a ball_radius for a ball-local one"
             )
     x = np.asarray(y, dtype=float)
     if chain is not None and x.shape[-1:] != (chain.dim,):
@@ -411,7 +412,7 @@ class GlobalInverseReport:
 
 
 def global_inverse_check(
-    chain: InvertibleResidualChain,
+    chain: ResidualChain,
     r: float,
     n: int,
     seed: int = 0,
@@ -425,8 +426,8 @@ def global_inverse_check(
     block's strong monotonicity: the sampled modulus must reach the
     ``1 - delta`` floor that ``contraction_certificate(delta)`` gives.
     """
-    if not isinstance(chain, InvertibleResidualChain):
-        raise TypeError("global_inverse_check needs a certified chain")
+    if chain.delta is None:
+        raise TypeError("global_inverse_check needs a certified chain (one with a delta)")
     if r <= 0.0:
         raise ValueError("test radius must be positive")
     if n < 2:

@@ -3,8 +3,8 @@
 A layer is the residual map x + T_out(G(T_in(x))) built from two finite-rank
 operators and a nonlinearity with a recorded Lipschitz bound.  On top of that
 this module provides residual chains acting through a coefficient prefix,
-their invertible variant with a certified contraction bound, and the
-central-difference derivative probe the rest of the package shares.
+each block with its certified rate (under an optional contraction bound),
+and the central-difference derivative probe the rest of the package shares.
 
 Every map here follows one evaluation contract: it takes a (..., m) array
 and returns an array with the same leading shape, so callers evaluate whole
@@ -40,7 +40,6 @@ __all__ = [
     "NeuralOperatorLayer",
     "CoordinateNetwork",
     "ResidualChain",
-    "InvertibleResidualChain",
     "make_layer",
     "eval_map",
     "central_differences",
@@ -361,13 +360,22 @@ class NeuralOperatorLayer:
 class ResidualChain:
     """Blocks x + embed(net(first-N-coefficients)); the tail never moves.
 
-    Per block, ``rates`` holds the network's spectral bound and ``radii``
-    None: a rate below 1 certifies the block globally, and no other does.
+    Per block, ``rates`` holds a certified rate and ``radii`` the ball it
+    holds on (None: globally), both set once here.  Without a contraction
+    bound ``delta`` the rates are the networks' spectral bounds and the
+    radii all None: a rate below 1 certifies the block globally, and no
+    other does.  With ``delta`` in (0, 1), every block must carry a
+    certified Lipschitz bound <= delta, and its rate is min(bound, delta).
+    For activations without a global constant, pass ``ball_radius`` so the
+    certificate can use the ball-local bound; ``ball_radius`` without
+    ``delta`` is refused.  ``cert_method`` follows from the radii.
     """
 
     ambient_dim: int
     prefix_n: int
     blocks: tuple
+    delta: float | None = None
+    ball_radius: float | None = None
     rates: tuple = field(init=False)
     radii: tuple = field(init=False)
 
@@ -381,8 +389,43 @@ class ResidualChain:
             if net.n_in != self.prefix_n or net.n_out != self.prefix_n:
                 raise ValueError(f"block {i} is not square on the prefix dimension")
         object.__setattr__(self, "blocks", bl)
-        object.__setattr__(self, "rates", tuple(float(net.spectral_bound) for net in bl))
-        object.__setattr__(self, "radii", (None,) * len(bl))
+        if self.delta is None:
+            if self.ball_radius is not None:
+                raise ValueError("ball_radius needs a contraction bound delta")
+            certs = [(float(net.spectral_bound), None) for net in bl]
+        else:
+            certs = self._certify(bl)
+        rates, radii = zip(*certs)
+        object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "radii", radii)
+
+    def _certify(self, blocks: tuple) -> list:
+        """Each block's (rate, radius) under the contraction bound delta."""
+        if not 0.0 < self.delta < 1.0:
+            raise ValueError(f"contraction bound must lie in (0, 1), got {self.delta}")
+        if self.ball_radius is not None and self.ball_radius <= 0.0:
+            raise ValueError("ball radius must be positive")
+        certs = []
+        for i, net in enumerate(blocks):
+            bound, radius = net.spectral_bound, None
+            if not np.isfinite(bound):
+                if self.ball_radius is None:
+                    raise ValueError(
+                        f"block {i} has no global Lipschitz certificate "
+                        "(activation unbounded); pass ball_radius= for a local one"
+                    )
+                bound, radius = net.ball_bound(self.ball_radius), self.ball_radius
+            if not bound <= self.delta + 1e-12:
+                raise ValueError(
+                    f"block {i} certificate {bound:.6g} exceeds delta={self.delta}"
+                )
+            certs.append((min(float(bound), self.delta), radius))
+        return certs
+
+    @property
+    def cert_method(self) -> str:
+        """``ball_local`` when some block's rate holds only on the ball, else ``spectral``."""
+        return "spectral" if all(r is None for r in self.radii) else "ball_local"
 
     @property
     def dim(self) -> int:
@@ -404,12 +447,18 @@ class ResidualChain:
         prefix_n: int,
         num_blocks: int,
         *,
-        block_bound: float = 0.5,
+        block_bound: float | None = None,
+        delta: float | None = None,
+        ball_radius: float | None = None,
         activation: Activation | None = None,
         hidden: Sequence[int] | None = None,
         bias_scale: float = 0.3,
         seed: int = 0,
     ) -> "ResidualChain":
+        """Seeded blocks whose spectral bound is ``block_bound``: ``delta``
+        when given, else 0.5."""
+        if block_bound is None:
+            block_bound = 0.5 if delta is None else delta
         rng = np.random.default_rng(seed)
         blocks = []
         for _ in range(num_blocks):
@@ -425,94 +474,7 @@ class ResidualChain:
                     seed=sub,
                 )
             )
-        return cls(ambient_dim, prefix_n, tuple(blocks))
-
-
-@dataclass(frozen=True, eq=False)
-class InvertibleResidualChain:
-    """Residual chain whose residual parts are certified contractions.
-
-    Every block must carry a certified Lipschitz bound <= delta < 1.  For
-    activations without a global constant, pass ``ball_radius`` so the
-    certificate can use the ball-local bound.  ``rates`` holds each block's
-    certified rate min(bound, delta) and ``radii`` the ball it holds on
-    (None: globally), both set once here; ``cert_method`` follows from the
-    radii.
-    """
-
-    chain: ResidualChain
-    delta: float
-    ball_radius: float | None = None
-    rates: tuple = field(init=False)
-    radii: tuple = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"contraction bound must lie in (0, 1), got {self.delta}")
-        if self.ball_radius is not None and self.ball_radius <= 0.0:
-            raise ValueError("ball radius must be positive")
-        certs = []
-        for i, net in enumerate(self.chain.blocks):
-            bound, radius = net.spectral_bound, None
-            if not np.isfinite(bound):
-                if self.ball_radius is None:
-                    raise ValueError(
-                        f"block {i} has no global Lipschitz certificate "
-                        "(activation unbounded); pass ball_radius= for a local one"
-                    )
-                bound, radius = net.ball_bound(self.ball_radius), self.ball_radius
-            if not bound <= self.delta + 1e-12:
-                raise ValueError(
-                    f"block {i} certificate {bound:.6g} exceeds delta={self.delta}"
-                )
-            certs.append((min(float(bound), self.delta), radius))
-        rates, radii = zip(*certs)
-        object.__setattr__(self, "rates", rates)
-        object.__setattr__(self, "radii", radii)
-
-    @property
-    def cert_method(self) -> str:
-        """``ball_local`` when some block's rate holds only on the ball, else ``spectral``."""
-        return "spectral" if all(r is None for r in self.radii) else "ball_local"
-
-    @property
-    def dim(self) -> int:
-        return self.chain.dim
-
-    @property
-    def blocks(self) -> tuple:
-        return self.chain.blocks
-
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        return self.chain.eval_array(x)
-
-    @classmethod
-    def seeded(
-        cls,
-        ambient_dim: int,
-        prefix_n: int,
-        num_blocks: int,
-        delta: float,
-        *,
-        activation: Activation | None = None,
-        hidden: Sequence[int] | None = None,
-        bias_scale: float = 0.3,
-        seed: int = 0,
-    ) -> "InvertibleResidualChain":
-        """Chain with every block's certified bound equal to delta."""
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"contraction bound must lie in (0, 1), got {delta}")
-        chain = ResidualChain.seeded(
-            ambient_dim,
-            prefix_n,
-            num_blocks,
-            block_bound=delta,
-            activation=activation,
-            hidden=hidden,
-            bias_scale=bias_scale,
-            seed=seed,
-        )
-        return cls(chain, delta)
+        return cls(ambient_dim, prefix_n, tuple(blocks), delta, ball_radius)
 
 
 # ---------------------------------------------------------------------------

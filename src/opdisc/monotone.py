@@ -224,7 +224,7 @@ def pairwise_alpha(
     ys = eval_map(f, xs)
     i, j, dist2, dydx, _ = _pair_quotients(xs, ys)
     if dist2.size == 0:
-        raise ValueError("all sampled pairs were degenerate")
+        raise ValueError("[pairwise_alpha] all sampled pairs were degenerate")
     quo = dydx / dist2
     k = int(np.argmin(quo))  # the first NaN, if any
     alpha = float(quo[k])
@@ -277,7 +277,7 @@ def bilipschitz_estimate(
     ys = eval_map(f, xs)
     _, _, dist2, _, dydy = _pair_quotients(xs, ys)
     if dist2.size == 0:
-        raise ValueError("all sampled pairs were degenerate")
+        raise ValueError("[bilipschitz_estimate] all sampled pairs were degenerate")
     quo = np.sqrt(dydy / dist2)
     return BilipschitzEstimate(
         c_lower=float(np.min(quo)),

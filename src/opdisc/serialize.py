@@ -21,6 +21,7 @@ same evaluators.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import math
@@ -35,7 +36,6 @@ from .layers import (
     CoordinateNetNonlinearity,
     CoordinateNetwork,
     FiniteRankOperator,
-    InvertibleResidualChain,
     NemytskiiNonlinearity,
     NeuralOperatorLayer,
     ResidualChain,
@@ -471,16 +471,11 @@ def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
 # residual chains and their linear heads
 
 
-def _seeded_chain(got: _Values):
-    """A seeded chain, certified when the spec names its contraction bound
-    ``delta``, which is then also the default block bound."""
-    delta, ball_radius = got.pop("delta"), got.pop("ball_radius")
+def _seeded_chain(got: _Values) -> ResidualChain:
+    """A seeded chain whose prefix defaults to the whole ambient space."""
     if got["prefix_n"] is None:
         got["prefix_n"] = got["ambient_dim"]
-    if got["block_bound"] is None:
-        got["block_bound"] = 0.5 if delta is None else delta
-    chain = ResidualChain.seeded(**got)
-    return chain if delta is None else InvertibleResidualChain(chain, delta, ball_radius)
+    return ResidualChain.seeded(**got)
 
 
 CHAINS = {
@@ -489,11 +484,12 @@ CHAINS = {
         "prefix_n": _Key(_INT, _REQUIRED),
         "blocks": _Key(_NETWORKS, _REQUIRED),
     }, lambda got: ResidualChain(**got)),
+    # the inner chain's blocks under the spec's delta and ball_radius
     "invertible_residual_chain": ({
         "chain": _Key(_CHAIN_SPEC, _REQUIRED),
         "delta": _Key(_FLOAT, _REQUIRED),
         "ball_radius": _Key(_FLOAT, None),
-    }, lambda got: InvertibleResidualChain(**got)),
+    }, lambda got: dataclasses.replace(got.pop("chain"), **got)),
     "seeded_chain": ({
         "ambient_dim": _Key(_INT, _REQUIRED),
         "prefix_n": _Key(_INT, None, _ONE_OR_MORE),

@@ -19,7 +19,6 @@ from opdisc.layers import (
     AffineNonlinearity,
     CoordinateNetNonlinearity,
     CoordinateNetwork,
-    InvertibleResidualChain,
     NemytskiiNonlinearity,
     NeuralOperatorLayer,
     ResidualChain,
@@ -85,7 +84,7 @@ def maps():
     out["coordinate_network"] = (net, m)
     chain = ResidualChain.seeded(m, 5, 2, block_bound=0.6, seed=6)
     out["residual_chain"] = (chain, m)
-    out["invertible_chain"] = (InvertibleResidualChain(chain, delta=0.6), m)
+    out["invertible_chain"] = (ResidualChain(m, 5, chain.blocks, delta=0.6), m)
 
     # a frame that drops directions, so the tail factor has work to do
     narrow = make_layer(space, rank=3, lip_g=0.3, activation="tanh", seed=7)

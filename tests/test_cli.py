@@ -62,7 +62,7 @@ def chain_and_target(tmp_path):
     chain_path.write_text(json.dumps({"schema": 1, "chain": CHAIN_SPEC}))
     cert = chain_from_spec(CHAIN_SPEC)
     x = np.linspace(-0.3, 0.4, 6)
-    y = cert.chain.eval_array(x)
+    y = cert.eval_array(x)
     y_path = tmp_path / "y.json"
     y_path.write_text(json.dumps({"schema": 1, "y": y.tolist()}))
     return chain_path, y_path, x
@@ -815,6 +815,19 @@ class TestFailClosed:
         assert "not a finite modulus" in outcome["error"]
         assert list(tmp_path.glob("huge*")) == []
 
+    @pytest.mark.parametrize("kind", ["monotone-check", "discretize-scan"])
+    def test_all_degenerate_pairs_name_their_stage(self, tmp_path, kind):
+        # |dx|^2 falls below 1e-24 at radius 1e-13, so every sampled pair is
+        # skipped; the failure used to carry no stage
+        exp = {"name": "tiny", "kind": kind, "seed": 0, "radius": 1e-13,
+               "samples": 4, "space": {"basis": "abstract_orthonormal", "ambient_dim": 3},
+               "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5,
+                         "activation": "tanh"}, "dims": [1, 3]}
+        (outcome,) = _run_batch([exp], tmp_path)
+        assert outcome["status"] == "failed"
+        assert outcome["stage"] == "pairwise_alpha"
+        assert "all sampled pairs were degenerate" in outcome["error"]
+
     def test_a_non_finite_report_fails_at_write_json(self, tmp_path, monkeypatch):
         monkeypatch.setattr(cli, "functor_a_error", lambda *a, **k: math.inf)
         exp = {**ONE_OF_EACH_KIND["quant-report"], "name": "quant", "kind": "quant-report",
@@ -976,6 +989,8 @@ class TestRefusedExperimentValues:
             ("invert", "seed", True),
             ("invert", "y", [True, False, 0.0, 0.0, 0.0, 0.0]),
             ("nogo-isotopy", "m", "3"),
+            ("decompose", "epsilon", 1.0),
+            ("decompose", "epsilon", 2.0),
         ],
     )
     def test_a_refused_value_is_a_config_error(self, runner, tmp_path, kind, key, value):
@@ -1118,9 +1133,13 @@ class TestRefusedSpecValues:
              "chain: prefix dimension must lie in 1..ambient_dim"),
             (_bad_invert({**_SEEDED_CHAIN, "delta": 1.5}),
              "chain: contraction bound must lie in (0, 1), got 1.5"),
+            # a ball radius is only read under a delta; it used to be dropped
+            (_bad_invert({"kind": "seeded_chain", "ambient_dim": 8, "num_blocks": 2,
+                          "seed": 5, "activation": "recu", "ball_radius": 1.0}),
+             "chain: ball_radius needs a contraction bound delta"),
         ],
         ids=["layer-rank", "layer-lip-g", "operator-rank", "network-target-bound",
-             "chain-prefix-n", "chain-delta"],
+             "chain-prefix-n", "chain-delta", "chain-ball-radius-without-delta"],
     )
     def test_a_refused_value_is_a_config_error(self, runner, tmp_path, exp, message):
         out = tmp_path / "out"

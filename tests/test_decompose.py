@@ -935,6 +935,19 @@ class TestDecompose:
         with pytest.raises(ValueError, match="radius"):
             decompose(smooth_layer, epsilon=0.25, r1=0.0)
 
+    @pytest.mark.parametrize(
+        "epsilon,r1,name",
+        [(math.nan, 1.0, "epsilon"), (1.0, 1.0, "epsilon"), (2.0, 1.0, "epsilon"),
+         (0.25, math.nan, "r1"), (0.25, math.inf, "r1")],
+    )
+    def test_refuses_epsilon_outside_the_unit_interval_and_a_bad_r1(
+        self, smooth_layer, epsilon, r1, name
+    ):
+        # epsilon >= 1 used to exit ok with a deviation bound of epsilon, and a
+        # NaN epsilon or a NaN or infinite r1 failed late, in [build_fw]
+        with pytest.raises(ValueError, match=name):
+            decompose(smooth_layer, epsilon=epsilon, r1=r1)
+
     @pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
     def test_refuses_a_bad_composite_tol_up_front(self, smooth_layer, tol):
         # a negative tolerance used to fail late, inside the inverter choice,

@@ -17,8 +17,8 @@ from opdisc.acceptance import mixing_bilipschitz_layer
 from opdisc.invert import invert_chain
 from opdisc.layers import (
     AffineNonlinearity,
-    InvertibleResidualChain,
     NeuralOperatorLayer,
+    ResidualChain,
     make_layer,
 )
 from opdisc.monotone import ball_samples
@@ -70,6 +70,12 @@ PROBES = _probed_names(TRACER_PATH.read_text())
 STALE_PROBES = {
     "galerkin.FemMesh.hat_values": "the dense hat matrices were replaced by "
     "per-cell quadrature, so galerkin.hats_mb reads 0",
+}
+
+# Group members whose target is gone; the group's other members still count.
+STALE_HOOKS = {
+    "layers.InvertibleResidualChain.seeded": "the certified chain is a ResidualChain "
+    "with a delta, built by layers.ResidualChain.seeded",
 }
 
 
@@ -177,7 +183,25 @@ def test_only_serialize_writes_json():
 
 @pytest.mark.parametrize("hook", HOOKS)
 def test_tracer_hook_resolves(hook):
-    assert callable(_resolve(hook))
+    if hook in STALE_HOOKS:
+        with pytest.raises(AttributeError):
+            _resolve(hook)
+    else:
+        assert callable(_resolve(hook))
+
+
+def test_stale_hooks_are_still_hooked():
+    assert set(STALE_HOOKS) <= set(HOOKS)
+
+
+def test_every_tracer_group_keeps_a_live_member():
+    # a group whose every member is stale would read 0 without any error
+    dead = [
+        group
+        for group, members in TRACER.GROUPS.items()
+        if not any(m not in STALE_HOOKS and callable(_resolve(m)) for m in members)
+    ]
+    assert dead == []
 
 
 @pytest.mark.parametrize("name", PROBES)
@@ -213,14 +237,14 @@ def test_invert_chain_dispatches_on_no_chain_class():
         if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "isinstance"
         for node in ast.walk(call.args[1])
     }
-    assert {"ResidualChain", "InvertibleResidualChain"} <= chain_classes
+    assert chain_classes == {"ResidualChain"}
     assert {"invert_chain", "_apply_head_inverse", "banach_solve"} <= reached
     assert named & chain_classes == set()
 
 
 def test_total_iterations_sums_the_block_counts():
     # the tracer reads total_iterations for its iteration metric
-    chain = InvertibleResidualChain.seeded(6, 6, 3, 0.5, seed=51)
+    chain = ResidualChain.seeded(6, 6, 3, delta=0.5, seed=51)
     y = ball_samples(6, 1.0, 1, seed=2)[0]
     trace = invert_chain(chain, None, y).trace
     assert len(trace.iteration_counts) == 3

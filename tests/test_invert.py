@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -19,11 +20,7 @@ from opdisc.invert import (
     global_inverse_check,
     invert_chain,
 )
-from opdisc.layers import (
-    CoordinateNetwork,
-    InvertibleResidualChain,
-    ResidualChain,
-)
+from opdisc.layers import CoordinateNetwork, ResidualChain
 from opdisc.monotone import ball_samples, bilipschitz_estimate
 from opdisc.operators import FiniteRankOperator, Identity, Reflection, activation_from_name
 
@@ -187,10 +184,8 @@ class TestBanachKernel:
 def one_block(net, *, ambient=None, ball_radius=None):
     """The one-block chain x + embed(net(prefix(x))) on ``ambient`` coordinates;
     with ``ball_radius``, certified on that ball at delta = 0.5."""
-    chain = ResidualChain(ambient or net.n_in, net.n_in, (net,))
-    if ball_radius is None:
-        return chain
-    return InvertibleResidualChain(chain, delta=0.5, ball_radius=ball_radius)
+    delta = None if ball_radius is None else 0.5
+    return ResidualChain(ambient or net.n_in, net.n_in, (net,), delta, ball_radius)
 
 
 class TestBlockFixedPoint:
@@ -252,7 +247,7 @@ class TestBlockFixedPoint:
         with pytest.raises(ValueError, match=r"no contraction certificate \(bound inf\)"):
             invert_chain(one_block(net), None, np.zeros(4))
         with pytest.raises(ValueError, match="no global Lipschitz certificate"):
-            InvertibleResidualChain(one_block(net), delta=0.5)
+            replace(one_block(net), delta=0.5)
 
     def test_ball_certificate_admits_cubed_rectifier_blocks(self):
         w = 0.05 * np.eye(3)
@@ -438,7 +433,7 @@ class TestChainInverse:
 
     def test_certified_wrapper_chains_are_accepted(self):
         chain = seeded_chain(dim=6, blocks=2, bound=0.4, seed=53)
-        certified = InvertibleResidualChain(chain, delta=0.45)
+        certified = replace(chain, delta=0.45)
         y = chain.eval_array(ball_samples(6, 1.0, 1, seed=59)[0])
         x_raw = invert_chain(chain, None, y).x
         x_cert = invert_chain(certified, None, y).x
@@ -462,7 +457,7 @@ class TestChainInverse:
             8, 8, 3, block_bound=0.5, activation=activation_from_name("recu"),
             bias_scale=0.0, seed=5,
         )
-        chain = InvertibleResidualChain(blocks, delta=0.5, ball_radius=1.0)
+        chain = replace(blocks, delta=0.5, ball_radius=1.0)
         assert chain.cert_method == "ball_local"
         y = np.eye(8)[0]
         out = invert_chain(chain, None, 0.5 * y)
@@ -472,8 +467,7 @@ class TestChainInverse:
                 invert_chain(chain, None, norm * y)
         # the same blocks with a global certificate of their own are not
         # confined: a ball-local chain of tanh blocks inverts far targets
-        tanh_chain = InvertibleResidualChain(seeded_chain(dim=8, seed=5), delta=0.5,
-                                             ball_radius=1.0)
+        tanh_chain = replace(seeded_chain(dim=8, seed=5), delta=0.5, ball_radius=1.0)
         far = invert_chain(tanh_chain, None, 30.0 * y)
         assert np.linalg.norm(tanh_chain.eval_array(far.x) - 30.0 * y) <= far.roundtrip_target
 
@@ -482,7 +476,7 @@ class TestChainInverse:
             8, 8, 3, block_bound=0.5, activation=activation_from_name("recu"),
             bias_scale=0.0, seed=5,
         )
-        chain = InvertibleResidualChain(blocks, delta=0.5, ball_radius=1.0)
+        chain = replace(blocks, delta=0.5, ball_radius=1.0)
         ball_bound, radii = CoordinateNetwork.ball_bound, []
 
         def counted(net, r):
@@ -561,7 +555,7 @@ class TestChainInverse:
 class TestGlobalInverseCheck:
     def test_identity_chain_roundtrips_exactly(self):
         chain = ResidualChain(5, 5, (zero_net(5),))
-        certified = InvertibleResidualChain(chain, delta=0.5)
+        certified = replace(chain, delta=0.5)
         report = global_inverse_check(certified, r=1.0, n=16, seed=0)
         assert report.roundtrip_inverse_of_forward == 0.0
         assert report.roundtrip_forward_of_inverse == 0.0
@@ -577,7 +571,7 @@ class TestGlobalInverseCheck:
             bias_scale=0.1,
             seed=73,
         )
-        certified = InvertibleResidualChain(chain, delta=0.9)
+        certified = replace(chain, delta=0.9)
         report = global_inverse_check(certified, r=1.0, n=40, seed=5, tol=1e-9)
         assert report.roundtrip_inverse_of_forward <= 1e-6
         assert report.roundtrip_forward_of_inverse <= 1e-6
@@ -587,23 +581,21 @@ class TestGlobalInverseCheck:
     def test_delta_at_or_above_one_refused_at_certification(self):
         chain = seeded_chain(dim=4, blocks=2, bound=0.4, seed=79)
         with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
-            InvertibleResidualChain(chain, delta=1.5)
+            replace(chain, delta=1.5)
 
     def test_unbounded_activation_needs_ball_certificate(self):
         chain = ResidualChain.seeded(
             4, 4, 2, block_bound=0.3, activation=activation_from_name("recu"), seed=83
         )
         with pytest.raises(ValueError, match="no global Lipschitz certificate"):
-            InvertibleResidualChain(chain, delta=0.5)
+            replace(chain, delta=0.5)
 
     def test_ball_certificate_must_cover_the_test_ball(self):
         w = 0.05 * np.eye(4)
         net = CoordinateNetwork(
             (w, w), (np.zeros(4), np.zeros(4)), activation_from_name("recu")
         )
-        chain = InvertibleResidualChain(
-            ResidualChain(4, 4, (net,)), delta=0.5, ball_radius=2.0
-        )
+        chain = ResidualChain(4, 4, (net,), delta=0.5, ball_radius=2.0)
         assert chain.cert_method == "ball_local"
         with pytest.raises(ValueError, match="does not cover"):
             global_inverse_check(chain, r=3.0, n=8, seed=0)
@@ -612,7 +604,7 @@ class TestGlobalInverseCheck:
         assert report.roundtrip_inverse_of_forward <= 1e-9
 
     def test_argument_validation(self):
-        chain = InvertibleResidualChain(seeded_chain(dim=4, blocks=1), delta=0.6)
+        chain = replace(seeded_chain(dim=4, blocks=1), delta=0.6)
         with pytest.raises(TypeError, match="certified chain"):
             global_inverse_check(seeded_chain(dim=4, blocks=1), r=1.0, n=8)
         with pytest.raises(ValueError, match="radius"):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from opdisc.invert import invert_chain
 from opdisc.layers import (
     AffineNonlinearity,
     CoordinateNetwork,
-    InvertibleResidualChain,
     NeuralOperatorLayer,
     ResidualChain,
     ZeroNonlinearity,
@@ -119,16 +119,14 @@ class TestCoordinateNetwork:
         w = 0.05 * np.eye(4)
         w[0, 0] = np.inf
         with pytest.raises(ValueError, match="stage 0: non-finite"):
-            InvertibleResidualChain(
-                ResidualChain(
-                    4,
-                    4,
-                    (
-                        CoordinateNetwork(
-                            (w, 0.05 * np.eye(4)),
-                            (np.zeros(4), np.zeros(4)),
-                            activation_from_name("recu"),
-                        ),
+            ResidualChain(
+                4,
+                4,
+                (
+                    CoordinateNetwork(
+                        (w, 0.05 * np.eye(4)),
+                        (np.zeros(4), np.zeros(4)),
+                        activation_from_name("recu"),
                     ),
                 ),
                 delta=0.5,
@@ -226,8 +224,8 @@ class TestSpectralNormCalls:
         assert net.spectral_bound == pytest.approx(0.5, rel=1e-12)
         assert np.isfinite(net.ball_bound(1.0))
         assert affine.lip == pytest.approx(0.3, rel=1e-15)
-        certified = InvertibleResidualChain(chain, delta=0.6)
-        local = InvertibleResidualChain(recu, delta=0.9, ball_radius=1.0)
+        certified = replace(chain, delta=0.6)
+        local = replace(recu, delta=0.9, ball_radius=1.0)
         y = np.linspace(-0.5, 0.5, 6)
         invert_chain(certified, Identity(), y)
         invert_chain(local, Identity(), y)
@@ -296,24 +294,24 @@ class TestResidualChain:
 
     def test_invertible_chain_certification(self):
         chain = ResidualChain.seeded(8, 4, 2, block_bound=0.6, seed=3)
-        inv = InvertibleResidualChain(chain, delta=0.6)
+        inv = replace(chain, delta=0.6)
         assert inv.cert_method == "spectral"
         with pytest.raises(ValueError, match="exceeds"):
-            InvertibleResidualChain(chain, delta=0.3)
+            replace(chain, delta=0.3)
 
     def test_cert_method_is_not_a_constructor_argument(self):
         chain = ResidualChain.seeded(8, 4, 2, block_bound=0.6, seed=3)
         with pytest.raises(TypeError):
-            InvertibleResidualChain(chain, 0.6, None, "ball_local")
+            ResidualChain(8, 4, chain.blocks, 0.6, None, "ball_local")
         with pytest.raises(TypeError):
-            InvertibleResidualChain(chain, delta=0.6, cert_method="ball_local")
+            ResidualChain(8, 4, chain.blocks, delta=0.6, cert_method="ball_local")
 
     def test_delta_outside_unit_interval_refused(self):
         chain = ResidualChain.seeded(8, 4, 1, block_bound=0.5, seed=4)
         with pytest.raises(ValueError, match="\\(0, 1\\)"):
-            InvertibleResidualChain(chain, delta=1.5)
+            replace(chain, delta=1.5)
         with pytest.raises(ValueError, match="\\(0, 1\\)"):
-            InvertibleResidualChain.seeded(8, 4, 1, 1.5, seed=4)
+            ResidualChain.seeded(8, 4, 1, delta=1.5, seed=4)
 
     def test_nan_certificate_is_refused(self, monkeypatch):
         chain = ResidualChain.seeded(
@@ -321,7 +319,7 @@ class TestResidualChain:
         )
         monkeypatch.setattr(CoordinateNetwork, "ball_bound", lambda self, r: float("nan"))
         with pytest.raises(ValueError, match="certificate nan exceeds"):
-            InvertibleResidualChain(chain, delta=0.9, ball_radius=1.0)
+            replace(chain, delta=0.9, ball_radius=1.0)
 
     def test_recu_chain_needs_ball_certificate(self):
         chain = ResidualChain.seeded(
@@ -329,13 +327,13 @@ class TestResidualChain:
             bias_scale=0.0, seed=5,
         )
         with pytest.raises(ValueError, match="ball_radius"):
-            InvertibleResidualChain(chain, delta=0.9)
-        inv = InvertibleResidualChain(chain, delta=0.9, ball_radius=1.0)
+            replace(chain, delta=0.9)
+        inv = replace(chain, delta=0.9, ball_radius=1.0)
         assert inv.cert_method == "ball_local"
 
     def test_sampled_residual_lipschitz_below_delta(self):
         delta = 0.7
-        inv = InvertibleResidualChain.seeded(10, 4, 3, delta, bias_scale=0.3, seed=6)
+        inv = ResidualChain.seeded(10, 4, 3, delta=delta, bias_scale=0.3, seed=6)
         rng = np.random.default_rng(7)
         blocks = [ResidualChain(10, 4, (net,)) for net in inv.blocks]
         for i in range(3):

@@ -267,6 +267,12 @@ class TestBilipschitz:
         with pytest.raises(ValueError, match="two samples"):
             bilipschitz_estimate(Identity(), dim=4, n=1)
 
+    @pytest.mark.parametrize("estimate", [pairwise_alpha, bilipschitz_estimate])
+    def test_all_degenerate_pairs_name_the_stage(self, estimate):
+        # at radius 1e-13 every |dx|^2 falls below the 1e-24 threshold
+        with pytest.raises(ValueError, match=rf"^\[{estimate.__name__}\] all sampled"):
+            estimate(Identity(), r=1e-13, n=4, dim=3)
+
 
 class TestInvariants:
     def test_coercivity_along_rays(self, space16):

@@ -10,7 +10,6 @@ from opdisc.layers import (
     AffineNonlinearity,
     CoordinateNetNonlinearity,
     CoordinateNetwork,
-    InvertibleResidualChain,
     NemytskiiNonlinearity,
     NeuralOperatorLayer,
     ResidualChain,
@@ -408,11 +407,11 @@ class TestChain:
         cert = chain_from_spec(
             {"kind": "invertible_residual_chain", "delta": 0.5, "chain": inner}
         )
-        assert isinstance(cert, InvertibleResidualChain)
+        assert isinstance(cert, ResidualChain)
         assert cert.delta == 0.5
         assert cert.cert_method == "spectral"
         xs = probe_points(5)
-        assert np.array_equal(cert.chain.eval_array(xs), chain_from_spec(inner).eval_array(xs))
+        assert np.array_equal(cert.eval_array(xs), chain_from_spec(inner).eval_array(xs))
         local = chain_from_spec(
             {"kind": "invertible_residual_chain", "delta": 0.5, "chain": inner,
              "ball_radius": 2.0}
@@ -435,7 +434,7 @@ class TestChain:
             "delta": 0.5,
         }
         cert = chain_from_spec(spec)
-        assert isinstance(cert, InvertibleResidualChain)
+        assert isinstance(cert, ResidualChain)
         assert cert.delta == 0.5
 
     def test_seeded_chain_matches_constructor(self):
@@ -461,6 +460,12 @@ class TestChain:
             "delta": 1.5,
         }
         with pytest.raises(ValueError, match=r"lie in \(0, 1\)"):
+            chain_from_spec(spec)
+
+    def test_ball_radius_without_delta_is_refused(self):
+        spec = {"kind": "seeded_chain", "ambient_dim": 8, "num_blocks": 2, "seed": 5,
+                "activation": "recu", "ball_radius": 1.0}
+        with pytest.raises(SpecError, match="^chain: ball_radius needs .* delta$"):
             chain_from_spec(spec)
 
     def test_unknown_kind(self):
@@ -500,9 +505,9 @@ class TestChainCertificates:
         spec, method, ball = CERTIFICATE_CASES[case]
         chain = chain_from_spec(spec)
         nets = chain.blocks
+        assert isinstance(chain, ResidualChain)
         assert len(chain.rates) == len(chain.radii) == len(nets)
         if method is None:
-            assert isinstance(chain, ResidualChain)
             assert chain.rates == tuple(net.spectral_bound for net in nets)
         else:
             assert chain.cert_method == method
@@ -511,6 +516,21 @@ class TestChainCertificates:
             assert chain.rates == tuple(min(b, chain.delta) for b in bounds)
             assert all(rate <= chain.delta for rate in chain.rates)
         assert chain.radii == (ball,) * len(nets)
+
+    @pytest.mark.parametrize("activation,ball", [("tanh", None), ("recu", 1.5)])
+    def test_certified_spec_is_the_direct_chain(self, activation, ball):
+        net = {**NET_SPEC, "activation": activation}
+        inner = {"kind": "residual_chain", "ambient_dim": 5, "prefix_n": 2,
+                 "blocks": [net, net]}
+        spec = {"kind": "invertible_residual_chain", "delta": 0.9, "chain": inner}
+        chain = chain_from_spec(spec if ball is None else {**spec, "ball_radius": ball})
+        literal = net_from_literal(activation_from_name(activation))
+        direct = ResidualChain(5, 2, (literal, literal), delta=0.9, ball_radius=ball)
+        assert (chain.rates, chain.radii, chain.cert_method) == (
+            direct.rates, direct.radii, direct.cert_method)
+        assert chain.cert_method == ("spectral" if ball is None else "ball_local")
+        xs = probe_points(5)
+        assert chain.eval_array(xs).tobytes() == direct.eval_array(xs).tobytes()
 
 
 class TestHead:
