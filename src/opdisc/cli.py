@@ -29,6 +29,7 @@ import os
 import pickle
 import re
 import signal
+from dataclasses import asdict
 from pathlib import Path
 from typing import Callable, NamedTuple, NoReturn
 
@@ -63,7 +64,6 @@ from .serialize import (
     _number_array,
     _require_object,
     _Type,
-    _Values,
     blob_hash,
     canonical_json,
     chain_from_spec,
@@ -283,14 +283,11 @@ class _BuildMemo:
     :func:`run_config` call and keyed by the spec's canonical JSON.
 
     Sharing is safe because every memoized object is immutable (frozen
-    dataclasses, read-only arrays).  A ``--jobs N`` batch runs in N
-    processes, the runner among them; before it forks, :func:`run_config`
-    builds here the space and chain specs that two or more tasks name (see
-    :func:`_prebuild`), the children inherit them, and every other spec is
-    built by the one process that runs its task.  So a spec is built once
-    per run at any ``--jobs``, counted across all processes; a spec that
-    fails to build is not stored, and every experiment naming it reports
-    its own error.
+    dataclasses, read-only arrays).  A ``--jobs N`` batch runs in up to N
+    processes, and each process builds a spec at the first task of its
+    share that names it: once per process, so a spec that tasks in two
+    processes name is built in each.  A spec that fails to build is not
+    stored, and every experiment naming it reports its own error.
     """
 
     def __init__(self) -> None:
@@ -375,8 +372,8 @@ def run_discretize_scan(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     stem = out_dir / exp["name"]
     columns = ("dim", "functor_a_error", "weak_error", "alpha_hat")
     write_csv(f"{stem}.csv", ",".join(columns), [[row[c] for c in columns] for row in report.rows])
-    write_json(f"{stem}.meta.json", {"schema": SCHEMA_VERSION, **report.as_dict()["metadata"]})
-    return report.as_dict()
+    write_json(f"{stem}.meta.json", {"schema": SCHEMA_VERSION, **report.metadata})
+    return asdict(report)
 
 
 def run_decompose(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
@@ -531,16 +528,14 @@ def run_fem_solve(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         for i in range(len(sizes))
     ]
     write_csv(f"{stem}.csv", "cells,h1_error,ratio", rows)
-    write_json(
-        f"{stem}.json",
-        {
-            "schema": SCHEMA_VERSION,
-            "name": exp["name"],
-            "source": "manufactured: solution sin(pi t) for the chosen reaction",
-            **conv.as_dict(),
-        },
-    )
-    return conv.as_dict()
+    report = {
+        "schema": SCHEMA_VERSION,
+        "name": exp["name"],
+        "source": "manufactured: solution sin(pi t) for the chosen reaction",
+        **asdict(conv),
+    }
+    write_json(f"{stem}.json", report)
+    return report
 
 
 def run_quant_report(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
@@ -650,12 +645,8 @@ def _tasks(experiments: list[dict]) -> list[tuple[int, ...]]:
 
 
 def _run_task(batch: tuple, indices: tuple[int, ...]) -> list[dict]:
-    """Run one task of a batch ``(experiments, out_dir, memo)``.  The serial
-    loop enters every task here.  A ``--jobs N`` batch runs in N processes,
-    the runner counted among them: its tasks are dealt biggest first,
-    round-robin, over the runner and N - 1 forked children (:func:`_deal`),
-    which inherit the batch and the specs :func:`_prebuild` built before
-    the fork, and each process enters its share's tasks here."""
+    """Run one task of a batch ``(experiments, out_dir, memo)``; every
+    process of :func:`_run_forked` enters each task of its share here."""
     experiments, out_dir, memo = batch
     if len(indices) == 1:
         return [_run_experiment(experiments[indices[0]], out_dir, memo)]
@@ -664,41 +655,17 @@ def _run_task(batch: tuple, indices: tuple[int, ...]) -> list[dict]:
 
 def _worker_count(jobs: int, tasks: int, cpus: int) -> int:
     """Processes for a batch, the runner included: no more than asked for,
-    than there are tasks, or than there are CPUs to run them."""
-    return min(jobs, tasks, cpus)
+    than there are tasks, or than there are CPUs to run them, and at least
+    the runner itself."""
+    return max(1, min(jobs, tasks, cpus))
 
 
 def _deal(tasks: list[tuple[int, ...]], workers: int) -> list[list[int]]:
     """Task numbers for each of ``workers`` processes, the runner's first:
-    the biggest task first by experiment count, ties in config order,
-    dealt round-robin."""
+    dealt round-robin, the biggest task first by experiment count and ties
+    in config order; each share runs in config order."""
     order = sorted(range(len(tasks)), key=lambda t: -len(tasks[t]))
-    return [order[w::workers] for w in range(workers)]
-
-
-def _prebuild(experiments: list[dict], tasks: list[tuple[int, ...]], memo: _BuildMemo) -> None:
-    """Build into ``memo``, before a ``--jobs`` batch forks, every space and
-    chain spec that two or more tasks name, through the experiments' own
-    reads, so that each distinct spec is built once per run, counted across
-    all processes; a spec that one task names is built by the process that
-    runs it.  The experiments of a task share their specs, so its first
-    experiment names them.  A spec that fails is skipped: builds are
-    deterministic and failures are not memoized, so each experiment naming
-    it raises the same error in its own run and reports it there."""
-    named: dict = {}
-    for task in tasks:
-        exp = experiments[task[0]]
-        for key, entry in KEYS[exp["kind"]].items():
-            if entry.type in (_SPACE, _CHAIN) and key in exp:
-                with contextlib.suppress(TypeError, ValueError):
-                    spec = (key, canonical_json(exp[key]))
-                    named.setdefault(spec, []).append((entry.type.read, exp[key]))
-    got = _Values(memo=memo)
-    for reads in named.values():
-        if len(reads) > 1:
-            read, spec = reads[0]
-            with contextlib.suppress(Exception):
-                read(spec, got)
+    return [sorted(order[w::workers]) for w in range(workers)]
 
 
 def _run_child(batch: tuple, tasks: list[tuple[int, ...]], pipe: int) -> NoReturn:
@@ -729,6 +696,7 @@ def _run_child(batch: tuple, tasks: list[tuple[int, ...]], pipe: int) -> NoRetur
 def _run_forked(batch: tuple, tasks: list[tuple[int, ...]], workers: int) -> list[list[dict]]:
     """Run a batch's tasks in this process and ``workers - 1`` forked
     children, dealt by :func:`_deal`; each task's outcomes, in task order.
+    At one worker nothing is forked and the tasks run here in order.
 
     The runner runs its own share, then reads every child's pipe to its end
     and re-raises the first exception a child sent, with its original type.
@@ -772,10 +740,10 @@ def _run_forked(batch: tuple, tasks: list[tuple[int, ...]], workers: int) -> lis
 
 
 def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None) -> list[dict]:
-    """Run every experiment of a config, task by task in order, or dealt
-    over up to ``jobs`` processes, this one and the children it forks (see
-    :func:`_tasks` and :func:`_run_forked`); the outcomes keep the config's
-    order."""
+    """Run every experiment of a config, its tasks dealt over up to ``jobs``
+    processes, this one and the children it forks (see :func:`_tasks` and
+    :func:`_run_forked`); without ``os.fork`` the batch runs here alone.
+    The outcomes keep the config's order."""
     if jobs < 1:
         raise SpecError(f"--jobs must be at least 1, got {jobs}")
     read_envelope(config, "config", {"experiments"})
@@ -793,12 +761,8 @@ def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None
     batch = (validated, out_dir, memo)
     tasks = _tasks(validated)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    workers = _worker_count(jobs, len(tasks), cpus or 1)
-    if workers < 2 or not hasattr(os, "fork"):
-        results = [_run_task(batch, task) for task in tasks]
-    else:
-        _prebuild(validated, tasks, memo)
-        results = _run_forked(batch, tasks, workers)
+    workers = _worker_count(jobs if hasattr(os, "fork") else 1, len(tasks), cpus or 1)
+    results = _run_forked(batch, tasks, workers)
     by_index = {i: o for indices, outs in zip(tasks, results) for i, o in zip(indices, outs)}
     return [by_index[i] for i in range(len(validated))]
 
@@ -883,9 +847,9 @@ def _option(key: str, entry: _Key) -> click.Option:
                    "children, at most one process per task and usable CPU.  A task is one "
                    "experiment, or the invert experiments sharing chain, head and tol, "
                    "solved as one stacked batch with the artifacts of solving each alone.  "
-                   "Tasks are dealt biggest first, round-robin; the specs two or more "
-                   "tasks name are built before the fork.  At 1, for one task or without "
-                   "fork, the batch runs in order in this process.")
+                   "Tasks are dealt biggest first, round-robin, and each process runs its "
+                   "share in config order, building a space or chain spec once.  At 1, "
+                   "for one task or without fork, the batch runs in order in this process.")
 @click.option("--seed", type=int, default=None, help="Override every experiment's seed.")
 @click.pass_context
 def main(ctx, config, out_dir, jobs, seed):

@@ -64,7 +64,7 @@ from __future__ import annotations
 import functools
 import math
 from contextlib import contextmanager
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -150,8 +150,8 @@ def choose_w(layer: NeuralOperatorLayer, h: float) -> tuple[Frame, dict]:
     they are re-verified as exact spectral norms of the dense tails and
     reported.
     """
-    if h <= 0.0:
-        raise ValueError("singular threshold h must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"singular threshold h must be positive and finite, got {h}")
     m = layer.dim
     pieces = []
     for t in (layer.in_op, layer.out_op):
@@ -592,8 +592,12 @@ def path_blocks(
     the Banach inverter; None selects Newton.  Each refinement round
     measures the blocks it has not measured yet in one ``_measure_round``.
     """
-    if epsilon <= 0.0 or r1 <= 0.0 or c0 <= 0.0 or c1 < c0:
-        raise ValueError("need epsilon > 0, r1 > 0 and 0 < c0 <= c1")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
+    if not 0.0 < r1 < math.inf:
+        raise ValueError(f"r1 must be positive and finite, got {r1}")
+    if not 0.0 < c0 <= c1 < math.inf:
+        raise ValueError(f"need 0 < c0 <= c1 < inf, got c0={c0}, c1={c1}")
     path = ScalingPath(f, k, kappa)
     r0 = float(np.linalg.norm(path.f0_val))
     r1_img = c1 * r1 + r0
@@ -734,8 +738,8 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
     df0 = np.asarray(df0, dtype=float)
     if df0.ndim != 2 or df0.shape[0] != df0.shape[1]:
         raise ValueError("need a square matrix")
-    if epsilon <= 0.0:
-        raise ValueError("epsilon must be positive")
+    if not 0.0 < epsilon < 1.0:
+        raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     k = df0.shape[0]
     diag: dict = {"dim": k}
     if k == 0:
@@ -941,7 +945,7 @@ def decompose(
         diag["inverter"] = "fixed_point" if inv_kappa is not None else "newton"
         if frame.dim > 0:
             est_w = bilipschitz_estimate(core, r=r1, n=128, seed=seed + 5, dim=frame.dim)
-            diag["core_bilipschitz"] = {**est_w.as_dict(), "is_estimate": True}
+            diag["core_bilipschitz"] = {**asdict(est_w), "is_estimate": True}
 
     blocks: list = []
     a0_kind = "identity"

@@ -64,9 +64,6 @@ class ConvergenceReport:
     def column(self, name: str) -> list:
         return [row[name] for row in self.rows]
 
-    def as_dict(self) -> dict:
-        return {"rows": [dict(r) for r in self.rows], "metadata": dict(self.metadata)}
-
 
 def convergence_scan(
     f,

@@ -127,8 +127,9 @@ class ConvexNonlinearity:
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        if min(self.c0, self.c1, self.p) <= 0.0:
-            raise ValueError("growth constants c0, c1, p must be positive")
+        for name, value in (("c0", self.c0), ("c1", self.c1), ("p", self.p)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"growth constant {name} must be positive and finite, got {value}")
         r = np.linspace(-8.0, 8.0, 321)
         gr = np.asarray(self.g(r), dtype=float)
         if gr.shape != r.shape or not np.all(np.isfinite(gr)):
@@ -285,14 +286,6 @@ class NewtonTrace:
     def iterations(self) -> int:
         return len(self.step_scales)
 
-    def as_dict(self) -> dict:
-        return {
-            "energies": list(self.energies),
-            "residual_norms": list(self.residual_norms),
-            "step_scales": list(self.step_scales),
-            "tol": self.tol,
-        }
-
 
 # Step budget of the damped Newton solver.  Hand-set and unproven: the
 # energy is convex, but no bound derives the cap.  The most Newton steps any
@@ -316,8 +309,8 @@ def solve_semilinear_trace(
     energy's gradient is exactly the residual, the Newton direction is a
     descent direction and the full step is accepted almost always.
     """
-    if tol <= 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance tol must be positive and finite, got {tol}")
     pts, wts, left, right = mesh.cell_quadrature()
     x_vals = np.asarray(x_source(pts), dtype=float)
     if x_vals.shape != pts.shape:
@@ -436,16 +429,6 @@ class FemConvergence:
     oracle_cells: int
     reaction: str
     newton: NewtonTrace
-
-    def as_dict(self) -> dict:
-        return {
-            "mesh_sizes": list(self.mesh_sizes),
-            "errors": list(self.errors),
-            "ratios": list(self.ratios),
-            "oracle_cells": self.oracle_cells,
-            "reaction": self.reaction,
-            "newton": self.newton.as_dict(),
-        }
 
 
 def fem_convergence(

@@ -92,8 +92,8 @@ class InversionTrace:
         n = len(counts)
         if not (len(finals) == len(hists) == len(bounds) == len(deltas) == n):
             raise ValueError("trace fields must have one entry per block")
-        if self.tol <= 0.0:
-            raise ValueError("tolerance must be positive")
+        if not 0.0 < self.tol < math.inf:
+            raise ValueError(f"tolerance tol must be positive and finite, got {self.tol}")
         ratios = []
         for b, hist in enumerate(hists):
             if len(hist) != counts[b]:
@@ -131,17 +131,6 @@ class InversionTrace:
     @property
     def total_iterations(self) -> int:
         return int(sum(self.iteration_counts))
-
-    def as_dict(self) -> dict:
-        return {
-            "iteration_counts": list(self.iteration_counts),
-            "final_residuals": list(self.final_residuals),
-            "residual_histories": [list(h) for h in self.residual_histories],
-            "contraction_ratios": [list(r) for r in self.contraction_ratios],
-            "apriori_bounds": list(self.apriori_bounds),
-            "deltas": list(self.deltas),
-            "tol": self.tol,
-        }
 
 
 # ---------------------------------------------------------------------------
@@ -318,10 +307,12 @@ class ChainInverseResult:
         )
 
     def as_dict(self) -> dict:
-        """The ``invert`` artifact of a single target's inversion."""
+        """The ``invert`` artifact of a single target's inversion; its trace
+        is the record itself, which ``serialize.write_json`` writes as its
+        fields."""
         return {
             "x": self.x.tolist(),
-            "trace": self.trace.as_dict(),
+            "trace": self.trace,
             "roundtrip_target": self.roundtrip_target,
         }
 
@@ -428,8 +419,8 @@ def global_inverse_check(
     """
     if chain.delta is None:
         raise TypeError("global_inverse_check needs a certified chain (one with a delta)")
-    if r <= 0.0:
-        raise ValueError("test radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"test radius r must be positive and finite, got {r}")
     if n < 2:
         raise ValueError("need at least two samples")
     if chain.cert_method == "ball_local" and chain.ball_radius < r:

@@ -165,8 +165,9 @@ class CoordinateNetwork:
         no global Lipschitz constant the per-junction factor is taken as 1
         for scaling purposes (the certified global bound is then infinite).
         """
-        if target_bound < 0.0:
-            raise ValueError("target Lipschitz bound must be nonnegative")
+        if not 0.0 <= target_bound < math.inf:
+            raise ValueError("target Lipschitz bound must be nonnegative and finite, "
+                             f"got target_bound={target_bound}")
         act = activation if activation is not None else activation_from_name("leaky_relu")
         widths = [n_in] + list(hidden if hidden is not None else (4 * n_in, 4 * n_in)) + [n_out]
         rng = np.random.default_rng(seed)
@@ -356,6 +357,11 @@ class NeuralOperatorLayer:
 # ---------------------------------------------------------------------------
 
 
+def _check_delta(delta: float) -> None:
+    if not 0.0 < delta < 1.0:
+        raise ValueError(f"contraction bound must lie in (0, 1), got {delta} for delta")
+
+
 @dataclass(frozen=True, eq=False)
 class ResidualChain:
     """Blocks x + embed(net(first-N-coefficients)); the tail never moves.
@@ -401,10 +407,9 @@ class ResidualChain:
 
     def _certify(self, blocks: tuple) -> list:
         """Each block's (rate, radius) under the contraction bound delta."""
-        if not 0.0 < self.delta < 1.0:
-            raise ValueError(f"contraction bound must lie in (0, 1), got {self.delta}")
-        if self.ball_radius is not None and self.ball_radius <= 0.0:
-            raise ValueError("ball radius must be positive")
+        _check_delta(self.delta)
+        if self.ball_radius is not None and not 0.0 < self.ball_radius < math.inf:
+            raise ValueError(f"ball_radius must be positive and finite, got {self.ball_radius}")
         certs = []
         for i, net in enumerate(blocks):
             bound, radius = net.spectral_bound, None
@@ -457,6 +462,8 @@ class ResidualChain:
     ) -> "ResidualChain":
         """Seeded blocks whose spectral bound is ``block_bound``: ``delta``
         when given, else 0.5."""
+        if delta is not None:
+            _check_delta(delta)
         if block_bound is None:
             block_bound = 0.5 if delta is None else delta
         rng = np.random.default_rng(seed)
@@ -505,8 +512,8 @@ def central_differences(f, x: np.ndarray, dirs: np.ndarray, h: float = 1e-5) -> 
     the directions are the result with its last two axes swapped.
     Non-finite entries are an error.
     """
-    if h <= 0.0:
-        raise ValueError("step size must be positive")
+    if not 0.0 < h < math.inf:
+        raise ValueError(f"step size h must be positive and finite, got {h}")
     x = np.asarray(x, dtype=float)[..., None, :]
     dirs = np.asarray(dirs, dtype=float)
     n = dirs.shape[0]
@@ -550,8 +557,8 @@ def make_layer(
     rank = min(m, 8) if rank is None else rank
     if isinstance(activation, str):
         activation = activation_from_name(activation)
-    if lip_g < 0.0:
-        raise ValueError("lip_g target must be nonnegative")
+    if not 0.0 <= lip_g < math.inf:
+        raise ValueError(f"lip_g target must be nonnegative and finite, got {lip_g}")
     if not 1 <= rank <= m:
         raise ValueError(f"rank must lie in 1..{m}")
 

@@ -92,15 +92,6 @@ class BilipschitzEstimate:
                 f"need 0 < c_lower <= c_upper, got ({self.c_lower}, {self.c_upper})"
             )
 
-    def as_dict(self) -> dict:
-        return {
-            "c_lower": self.c_lower,
-            "c_upper": self.c_upper,
-            "ball_radius": self.ball_radius,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
-
 
 def map_dim(f) -> int | None:
     """Ambient dimension of a map, when it carries one."""
@@ -131,8 +122,8 @@ def ball_samples(
 ) -> np.ndarray:
     """(n, dim) rows in the closed ball of radius r, optionally confined to
     the first ``prefix`` coordinates."""
-    if r <= 0.0:
-        raise ValueError("ball radius must be positive")
+    if not 0.0 < r < math.inf:
+        raise ValueError(f"ball radius r must be positive and finite, got {r}")
     if n < 0:
         raise ValueError("sample count must be nonnegative")
     d = dim if prefix is None else _check_prefix(prefix, dim)

@@ -257,8 +257,9 @@ def scaled_leaky(scale: float) -> Activation:
     """``scale * leaky_relu(0.2)`` for a scale >= 0; its Lipschitz constant
     is the scale."""
     c = float(scale)
-    if c < 0.0:
-        raise ValueError(f"activation 'scaled_leaky({c:g})': the scale {c:g} must be nonnegative")
+    if not 0.0 <= c < math.inf:
+        raise ValueError(f"activation 'scaled_leaky({c:g})': the scale {c:g} must be nonnegative "
+                         "and finite")
     return Activation(f"scaled_leaky({c:g})", lambda s: c * np.where(s >= 0.0, s, 0.2 * s), abs(c))
 
 

@@ -289,9 +289,12 @@ _NUMBERS = _Check("finite numbers", _numbers_fault)
 
 
 def _plain(obj):
-    """``json``'s hook for the numpy values in a report: an array becomes
-    its nested list and a numpy scalar its Python scalar; anything else is
-    a TypeError."""
+    """``json``'s hook for the numpy values and records in a report: an
+    array becomes its nested list, a numpy scalar its Python scalar and a
+    dataclass record the object of its fields; anything else is a
+    TypeError."""
+    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
+        return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
     if isinstance(obj, np.ndarray):
         return obj.tolist()
     if isinstance(obj, np.generic):

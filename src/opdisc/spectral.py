@@ -17,6 +17,7 @@ truncated-isotopy and compressed-Jacobian no-go scans each call it once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
@@ -203,8 +204,8 @@ def sign_crossings(
     collapses the bracket to ``(mid, mid)``.  The generator is lazy, so a
     caller that takes only the first crossing bisects only that one.
     """
-    if tol <= 0.0:
-        raise ValueError("bisection tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"bisection tolerance tol must be positive and finite, got {tol}")
     for i, (t, d) in enumerate(zip(ts, dets)):
         if d == 0.0:
             yield float(t), float(t)

@@ -522,12 +522,13 @@ class TestBuildMemo:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_a_chain_two_tasks_name_is_built_once(self, tmp_path, chain_builds, jobs):
         # one chain under two tols: two tasks, each in its own process at
-        # --jobs 2, so the runner builds the chain before it forks
+        # --jobs 2, so the runner and the child each build the chain
         batch = [INVERT_BATCH[0], {**INVERT_BATCH[2], "tol": 1e-8}, INVERT_BATCH[1]]
         assert cli._tasks(batch) == [(0,), (1,), (2,)]
         outcomes = _run_batch(batch, tmp_path, jobs)
         assert [o["status"] for o in outcomes] == ["ok"] * 3
-        assert sorted(chain_builds()) == BOTH_CHAINS
+        twice = [json.dumps(CHAIN_SPEC, sort_keys=True)] if jobs == 2 else []
+        assert sorted(chain_builds()) == sorted(BOTH_CHAINS + twice)
 
     def test_a_bad_chain_is_not_memoized(self, tmp_path, chain_builds):
         bad = {"kind": "no_such_chain"}
@@ -681,9 +682,37 @@ class TestWorkerProcesses:
             _run_batch(MIXED_BATCH, tmp_path, 2)
         _assert_no_child_left()
 
+    def test_a_one_job_batch_forks_nothing_and_runs_in_config_order(
+        self, tmp_path, monkeypatch
+    ):
+        def fork():
+            raise AssertionError("a --jobs 1 batch forked")
+
+        ran = []
+        run_task = cli._run_task
+
+        def logged(batch, task):
+            ran.append(task)
+            return run_task(batch, task)
+
+        monkeypatch.setattr(os, "fork", fork)
+        monkeypatch.setattr(cli, "_run_task", logged)
+        outcomes = _run_batch([ISOTOPY, *INVERT_BATCH], tmp_path, 1)
+        assert [o["status"] for o in outcomes] == ["ok"] * 7
+        # the invert groups are the bigger tasks, yet run after the isotopy
+        assert ran == [(0,), (1, 3, 5), (2, 4, 6)]
+
+    def test_an_empty_batch_forks_nothing(self, tmp_path, monkeypatch):
+        def fork():
+            raise AssertionError("an empty batch forked")
+
+        monkeypatch.setattr(os, "fork", fork)
+        assert _run_batch([], tmp_path, 2) == []
+        _assert_no_child_left()
+
     def test_tasks_are_dealt_biggest_first_round_robin(self):
         tasks = [(0,), (1, 2, 3), (4,), (5, 6), (7,)]
-        assert cli._deal(tasks, 2) == [[1, 0, 4], [3, 2]]
+        assert cli._deal(tasks, 2) == [[0, 1, 4], [2, 3]]
         assert cli._deal(tasks, 3) == [[1, 2], [3, 4], [0]]
 
     @pytest.mark.parametrize("jobs", [0, -1])

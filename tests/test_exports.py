@@ -1,12 +1,15 @@
 """Every exported name resolves and is used, and so does every hook the
 benchmark tracer wraps or probes: a hook whose target was renamed or deleted
-would make its per-layer metric read 0 without any error."""
+would make its per-layer metric read 0 without any error.  Every float
+argument guard refuses NaN and infinities as well as its out-of-range
+values, by the argument's name."""
 
 import ast
 import collections
 import importlib
 import importlib.util
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -14,16 +17,20 @@ import pytest
 
 import opdisc
 from opdisc.acceptance import mixing_bilipschitz_layer
-from opdisc.invert import invert_chain
+from opdisc.decompose import choose_w, linear_path_blocks, path_blocks
+from opdisc.galerkin import ConvexNonlinearity, FemMesh, solve_semilinear_trace
+from opdisc.invert import InversionTrace, global_inverse_check, invert_chain
 from opdisc.layers import (
     AffineNonlinearity,
+    CoordinateNetwork,
     NeuralOperatorLayer,
     ResidualChain,
+    central_differences,
     make_layer,
 )
 from opdisc.monotone import ball_samples
-from opdisc.operators import FiniteRankOperator
-from opdisc.spectral import BasisSpec, Space
+from opdisc.operators import FiniteRankOperator, scaled_leaky
+from opdisc.spectral import BasisSpec, Space, sign_crossings
 
 MODULES = (
     "acceptance",
@@ -153,6 +160,76 @@ def test_every_import_is_used():
     src = Path(opdisc.__file__).resolve().parent
     unused = [name for path in sorted(src.glob("*.py")) for name in _unused_imports(path)]
     assert unused == []
+
+
+def _compares_with_zero(test: ast.expr) -> bool:
+    """Whether ``test``, alone or inside an ``and`` or ``or``, compares
+    against the float literal ``0.0`` with ``<`` or ``<=``."""
+    if isinstance(test, ast.BoolOp):
+        return any(_compares_with_zero(value) for value in test.values)
+    if not isinstance(test, ast.Compare):
+        return False
+    return any(isinstance(op, (ast.Lt, ast.LtE)) for op in test.ops) and any(
+        isinstance(operand, ast.Constant) and type(operand.value) is float
+        and operand.value == 0.0
+        for operand in (test.left, *test.comparators)
+    )
+
+
+def test_float_guards_refuse_nan():
+    """An argument guard written ``x <= 0.0`` or ``x < 0.0`` lets NaN (and
+    +inf) through; a guard that raises is written ``not 0.0 < x < math.inf``
+    or a similar range test, which NaN fails."""
+    src = Path(opdisc.__file__).resolve().parent
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.If) and _compares_with_zero(node.test)
+        and any(isinstance(statement, ast.Raise) for statement in node.body)
+    ]
+    assert found == []
+
+
+_CHAIN = ResidualChain.seeded(4, 4, 1, delta=0.5)
+
+# (the argument a guard names, a call passing it a value, a value out of range)
+GUARDS = {
+    "choose_w": ("h", lambda v: choose_w(make_layer(Space(BasisSpec(ambient_dim=8))), v), -1.0),
+    "linear_path_blocks": ("epsilon", lambda v: linear_path_blocks(np.diag([2.0, 3.0]), v), 2.0),
+    "path_blocks-epsilon": (
+        "epsilon", lambda v: path_blocks(None, 2, epsilon=v, r1=1.0, c0=0.5, c1=1.5), 2.0),
+    "path_blocks-r1": (
+        "r1", lambda v: path_blocks(None, 2, epsilon=0.2, r1=v, c0=0.5, c1=1.5), 0.0),
+    "path_blocks-c1": (
+        "c1", lambda v: path_blocks(None, 2, epsilon=0.2, r1=1.0, c0=0.5, c1=v), 0.4),
+    "network-target_bound": (
+        "target_bound", lambda v: CoordinateNetwork.seeded(3, 3, target_bound=v), -1.0),
+    "sign_crossings": (
+        "tol", lambda v: next(sign_crossings(lambda t: t - 0.5, [0.0, 1.0], [-0.5, 0.5], v)), 0.0),
+    "ball_samples": ("r", lambda v: ball_samples(3, v, 2), -1.0),
+    "solve_semilinear_trace": ("tol", lambda v: solve_semilinear_trace(
+        lambda t: 0.0 * t, FemMesh(4), ConvexNonlinearity.zero(), tol=v), -1.0),
+    "nonlinearity-p": ("p", lambda v: replace(ConvexNonlinearity.zero(), p=v), 0.0),
+    "chain-delta": ("delta", lambda v: ResidualChain.seeded(4, 4, 1, delta=v), -0.5),
+    "chain-ball_radius": (
+        "ball_radius", lambda v: ResidualChain.seeded(4, 4, 1, delta=0.5, ball_radius=v), -1.0),
+    "InversionTrace": ("tol", lambda v: InversionTrace((2,), (1e-12,), ((0.1, 0.04),), (40,),
+                                                        (0.5,), v), 0.0),
+    "global_inverse_check": ("r", lambda v: global_inverse_check(_CHAIN, v, 2), 0.0),
+    "central_differences": (
+        "h", lambda v: central_differences(np.sin, np.zeros(2), np.eye(2), v), -1e-5),
+    "make_layer": ("lip_g", lambda v: make_layer(Space(BasisSpec(ambient_dim=8)), lip_g=v), -1.0),
+    "scaled_leaky": ("scale", scaled_leaky, -1.0),
+}
+
+
+@pytest.mark.parametrize("site", list(GUARDS))
+@pytest.mark.parametrize("value", ["nan", "inf", "out-of-range"])
+def test_a_guard_refuses_nan_inf_and_out_of_range_by_name(site, value):
+    name, call, bad = GUARDS[site]
+    with pytest.raises(ValueError, match=rf"\b{name}\b"):
+        call(bad if value == "out-of-range" else float(value))
 
 
 def _json_writes(path: Path) -> list[str]:

@@ -23,6 +23,7 @@ from opdisc.invert import (
 from opdisc.layers import CoordinateNetwork, ResidualChain
 from opdisc.monotone import ball_samples, bilipschitz_estimate
 from opdisc.operators import FiniteRankOperator, Identity, Reflection, activation_from_name
+from opdisc.serialize import canonical_json
 
 
 def zero_net(n: int) -> CoordinateNetwork:
@@ -368,7 +369,7 @@ class TestInversionTrace:
 
     def test_as_dict_is_json_ready(self):
         trace = InversionTrace((2,), (1e-12,), ((0.1, 0.04),), (40,), (0.5,), 1e-10)
-        blob = json.loads(json.dumps(trace.as_dict()))
+        blob = json.loads(canonical_json(trace))
         assert blob["iteration_counts"] == [2]
         assert blob["contraction_ratios"] == [[0.04 / 0.1]]
         assert blob["deltas"] == [0.5]
@@ -491,7 +492,7 @@ class TestChainInverse:
     def test_result_as_dict_is_json_ready(self):
         chain = seeded_chain(dim=4, blocks=1, bound=0.3, seed=71)
         out = invert_chain(chain, None, np.ones(4))
-        blob = json.loads(json.dumps(out.as_dict()))
+        blob = json.loads(canonical_json(out.as_dict()))
         assert len(blob["x"]) == 4
         assert blob["trace"]["iteration_counts"] == list(out.trace.iteration_counts)
         assert blob["roundtrip_target"] == out.roundtrip_target

@@ -6,6 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opdisc.discretize import ConvergenceReport
+from opdisc.galerkin import FemConvergence, NewtonTrace
+from opdisc.invert import InversionTrace
 from opdisc.layers import (
     AffineNonlinearity,
     CoordinateNetNonlinearity,
@@ -16,6 +19,7 @@ from opdisc.layers import (
     ZeroNonlinearity,
     make_layer,
 )
+from opdisc.monotone import BilipschitzEstimate
 from opdisc.operators import FiniteRankOperator, Reflection, activation_from_name
 from opdisc.serialize import (
     CHAINS,
@@ -583,7 +587,43 @@ class TestHead:
             head_from_spec({"kind": "rotation"})
 
 
+_NEWTON = NewtonTrace((2.0, 1.5), (0.1, 1e-12), (1.0, 0.5), 1e-10)
+_NEWTON_FIELDS = {"energies": [2.0, 1.5], "residual_norms": [0.1, 1e-12],
+                  "step_scales": [1.0, 0.5], "tol": 1e-10}
+_ROW = {"dim": 2, "functor_a_error": 0.1, "weak_error": 0.2, "alpha_hat": 0.9}
+
+# a record, and the object its JSON file reads back as
+RECORDS = {
+    "InversionTrace": (
+        InversionTrace((2,), (1e-12,), ((0.1, 0.04),), (40,), (0.5,), 1e-10),
+        {"iteration_counts": [2], "final_residuals": [1e-12],
+         "residual_histories": [[0.1, 0.04]], "apriori_bounds": [40], "deltas": [0.5],
+         "tol": 1e-10, "contraction_ratios": [[0.04 / 0.1]]},
+    ),
+    "NewtonTrace": (_NEWTON, _NEWTON_FIELDS),
+    "FemConvergence": (
+        FemConvergence((8, 16), (0.1, 0.025), (4.0,), 128, "cubic", _NEWTON),
+        {"mesh_sizes": [8, 16], "errors": [0.1, 0.025], "ratios": [4.0],
+         "oracle_cells": 128, "reaction": "cubic", "newton": _NEWTON_FIELDS},
+    ),
+    "BilipschitzEstimate": (
+        BilipschitzEstimate(0.5, 2.0, 1.0, 16, 3),
+        {"c_lower": 0.5, "c_upper": 2.0, "ball_radius": 1.0, "sample_count": 16, "seed": 3},
+    ),
+    "ConvergenceReport": (
+        ConvergenceReport((_ROW,), {"description": "scan"}),
+        {"rows": [_ROW], "metadata": {"description": "scan"}},
+    ),
+}
+
+
 class TestFiles:
+    @pytest.mark.parametrize("record", list(RECORDS))
+    def test_a_record_is_written_as_its_fields(self, tmp_path, record):
+        obj, fields = RECORDS[record]
+        write_json(tmp_path / "record.json", obj)
+        assert load_json(tmp_path / "record.json") == fields
+
     def test_json_roundtrip_preserves_floats(self, tmp_path):
         path = tmp_path / "blob.json"
         obj = {"schema": 1, "values": [0.1, 1.0 / 3.0, 2.0**-52]}
