@@ -6,6 +6,10 @@ a default), and the kind's parameters.  A config file holds ``"schema": 1``
 and a list of experiments; the same runners back the direct-flag subcommands,
 so a flag invocation and its config twin produce byte-identical artifacts.
 
+Runners write nothing.  Each returns its artifact, a report and optional CSV
+rows, and :func:`_outcome`, the one writer, writes ``{name}.json`` under one
+envelope (``schema``, ``name``, ``kind``, ``seed``) and then ``{name}.csv``.
+
 ``KEYS`` (one table per kind) and ``SHARED_KEYS`` (``name``, ``kind``,
 ``seed``) are the one source of experiment keys.  Each entry gives a key's
 type, default, value check and subcommand flag.  Every runner reads its
@@ -18,7 +22,8 @@ layer refused a monotonicity certificate — is a valid outcome, not a
 failure); 1 for config errors; 2 for assertion failures, accompanied by a
 machine-readable ``failures.json`` in the output directory.  Each of its
 entries names the ``stage`` that failed: the leading ``[stage]`` of the
-error message, or null when the message has none.
+error message (``floor`` for a sampled modulus below its floor, whose
+artifact is still written), or null when the message has none.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ from .serialize import (
     canonical_json,
     chain_from_spec,
     head_from_spec,
+    integral,
     layer_from_spec,
     load_json,
     read_envelope,
@@ -79,7 +85,12 @@ from .serialize import (
 
 
 class CheckFailure(Exception):
-    """A stated expectation did not hold; maps to exit code 2."""
+    """A stated expectation did not hold; maps to exit code 2.  It carries
+    the experiment's artifact, which :func:`_outcome` still writes."""
+
+    def __init__(self, message: str, artifact: tuple) -> None:
+        super().__init__(message)
+        self.artifact = artifact
 
 
 # exceptions a runner raises when the experiment ran but failed (exit code 2)
@@ -300,16 +311,12 @@ class _BuildMemo:
         return self._built[key]
 
 
-def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
+def run_monotone_check(exp: dict, memo: _BuildMemo) -> tuple:
     """Sampled strong-monotonicity certificates on a ladder of prefixes."""
     got = _read(exp, memo)
     space, layer, seed = got["space"], got["layer"], got["seed"]
     kappa = float(layer.contraction)
     report = {
-        "schema": SCHEMA_VERSION,
-        "name": exp["name"],
-        "kind": "monotone-check",
-        "seed": seed,
         # an unbounded contraction is null; the rejection's reason says why
         "contraction": kappa if math.isfinite(kappa) else None,
     }
@@ -348,17 +355,17 @@ def run_monotone_check(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
                 "pass": bool(worst >= floor - 1e-6),
             }
         )
-    write_json(out_dir / f"{exp['name']}.json", report)
     if not report.get("pass", True):
         raise CheckFailure(
-            f"sampled alpha {report['alpha_min']:.6g} fell below the certified floor "
-            f"{report['floor']:.6g}"
+            f"[floor] sampled alpha {report['alpha_min']:.6g} fell below the certified floor "
+            f"{report['floor']:.6g}",
+            (report, None),
         )
-    return report
+    return report, None
 
 
-def run_discretize_scan(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
-    """Prefix-discretization error scan; CSV plus a JSON metadata sidecar."""
+def run_discretize_scan(exp: dict, memo: _BuildMemo) -> tuple:
+    """Prefix-discretization error scan; CSV of its rows plus the scan's settings in JSON."""
     got = _read(exp, memo)
     report = convergence_scan(
         got["layer"].eval_array,
@@ -367,16 +374,12 @@ def run_discretize_scan(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         n=got["samples"],
         seed=got["seed"],
         dim=got["space"].dim,
-        description=exp["name"],
     )
-    stem = out_dir / exp["name"]
     columns = ("dim", "functor_a_error", "weak_error", "alpha_hat")
-    write_csv(f"{stem}.csv", ",".join(columns), [[row[c] for c in columns] for row in report.rows])
-    write_json(f"{stem}.meta.json", {"schema": SCHEMA_VERSION, **report.metadata})
-    return asdict(report)
+    return report.metadata, (",".join(columns), [[row[c] for c in columns] for row in report.rows])
 
 
-def run_decompose(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
+def run_decompose(exp: dict, memo: _BuildMemo) -> tuple:
     """Split a bilipschitz layer into near-identity blocks; JSON result."""
     got = _read(exp, memo)
     result = decompose(
@@ -388,10 +391,6 @@ def run_decompose(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         n_verify=got["n_verify"],
     )
     report = {
-        "schema": SCHEMA_VERSION,
-        "name": exp["name"],
-        "kind": "decompose",
-        "seed": got["seed"],
         "j": result.j,
         "epsilon": result.epsilon,
         "r1": result.r1,
@@ -407,11 +406,10 @@ def run_decompose(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
             "the identical block sequence",
         },
     }
-    write_json(out_dir / f"{exp['name']}.json", report)
-    return report
+    return report, None
 
 
-def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
+def run_invert(exp: dict, memo: _BuildMemo) -> tuple:
     """Invert a certified residual chain by fixed-point iteration.
 
     A ball-local chain (one with a ball_radius) refuses a target whose
@@ -419,20 +417,7 @@ def run_invert(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     """
     got = _read(exp, memo)
     result = invert_chain(got["chain"], got["head"], got["y"], tol=got["tol"])
-    return _write_inversion(exp, got, result, out_dir)
-
-
-def _write_inversion(exp: dict, got: dict, result, out_dir: Path) -> dict:
-    """Write the artifact of one target's inversion."""
-    report = {
-        "schema": SCHEMA_VERSION,
-        "name": exp["name"],
-        "kind": "invert",
-        "seed": got["seed"],
-        **result.as_dict(),
-    }
-    write_json(out_dir / f"{exp['name']}.json", report)
-    return report
+    return result.as_dict(), None
 
 
 def _run_inversions(group: list[dict], out_dir: Path, memo: _BuildMemo) -> list[dict]:
@@ -452,7 +437,7 @@ def _run_inversions(group: list[dict], out_dir: Path, memo: _BuildMemo) -> list[
     reads, outcomes, rows = {}, {}, {}
     for exp in group:
         name = exp["name"]
-        outcomes[name] = _outcome(exp, lambda: reads.update({name: _read(exp, memo)}))
+        outcomes[name] = _outcome(exp, out_dir, lambda: reads.update({name: _read(exp, memo)}))
     if reads:
         first = next(iter(reads.values()))
         ys = np.stack([got["y"] for got in reads.values()])[:, None, :]
@@ -462,21 +447,19 @@ def _run_inversions(group: list[dict], out_dir: Path, memo: _BuildMemo) -> list[
     for exp in group:
         name = exp["name"]
         if name in rows:
-            outcomes[name] = _outcome(
-                exp, lambda: _write_inversion(exp, reads[name], rows[name], out_dir)
-            )
+            outcomes[name] = _outcome(exp, out_dir, lambda: (rows[name].as_dict(), None))
         elif name in reads:
             outcomes[name] = _run_experiment(exp, out_dir, memo)
     return [outcomes[exp["name"]] for exp in group]
 
 
-def run_nogo_galerkin(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
+def run_nogo_galerkin(exp: dict, memo: _BuildMemo) -> tuple:
     """Determinant sign change along a singular Galerkin path; CSV s,det,min_sv."""
     got = _read(exp, memo)
     scan = singularity_scan(got["path_kind"], got["n"], got["grid"], got["bisect_tol"])
     s_star, det_at_star, min_sv_at_star = scan.stars[0]
     report = {
-        "kind": got["path_kind"],
+        "path_kind": got["path_kind"],
         "n": got["n"],
         "s_grid": scan.grid,
         "dets": scan.dets,
@@ -487,13 +470,10 @@ def run_nogo_galerkin(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         "min_sv_at_star": min_sv_at_star,
         "bisect_tol": scan.tol,
     }
-    stem = out_dir / exp["name"]
-    write_csv(f"{stem}.csv", "s,det,min_sv", scan.rows())
-    write_json(f"{stem}.json", {"schema": SCHEMA_VERSION, "name": exp["name"], **report})
-    return report
+    return report, ("s,det,min_sv", scan.rows())
 
 
-def run_nogo_isotopy(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
+def run_nogo_isotopy(exp: dict, memo: _BuildMemo) -> tuple:
     """Determinant crossing of the truncated rotation-cascade path; CSV t,det,min_sv."""
     got = _read(exp, memo)
     m = got["m"]
@@ -509,36 +489,25 @@ def run_nogo_isotopy(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         "t_star": scan.stars[0][0],
         "bisect_tol": scan.tol,
     }
-    stem = out_dir / exp["name"]
-    write_csv(f"{stem}.csv", "t,det,min_sv", scan.rows())
-    write_json(f"{stem}.json", {"schema": SCHEMA_VERSION, "name": exp["name"], **report})
-    return report
+    return report, ("t,det,min_sv", scan.rows())
 
 
-def run_fem_solve(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
+def run_fem_solve(exp: dict, memo: _BuildMemo) -> tuple:
     """Hat-element semilinear solves with an error-ratio table."""
     got = _read(exp, memo)
     sizes = got["mesh"]
     conv = fem_convergence(
         SOURCES[got["g"]], ConvexNonlinearity.named(got["g"]), sizes, tol=got["tol"]
     )
-    stem = out_dir / exp["name"]
     rows = [
         (sizes[i], conv.errors[i], conv.ratios[i] if i < len(conv.ratios) else math.nan)
         for i in range(len(sizes))
     ]
-    write_csv(f"{stem}.csv", "cells,h1_error,ratio", rows)
-    report = {
-        "schema": SCHEMA_VERSION,
-        "name": exp["name"],
-        "source": "manufactured: solution sin(pi t) for the chosen reaction",
-        **asdict(conv),
-    }
-    write_json(f"{stem}.json", report)
-    return report
+    report = {"source": "manufactured: solution sin(pi t) for the chosen reaction", **asdict(conv)}
+    return report, ("cells,h1_error,ratio", rows)
 
 
-def run_quant_report(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
+def run_quant_report(exp: dict, memo: _BuildMemo) -> tuple:
     """The measured range-tail error eps_V of each prefix discretization."""
     got = _read(exp, memo)
     f, dim = got["layer"].eval_array, got["space"].dim
@@ -551,11 +520,8 @@ def run_quant_report(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
         }
         for d in got["dims"]
     ]
-    stem = out_dir / exp["name"]
-    write_csv(f"{stem}.csv", "dim,epsilon_v", [(row["dim"], row["epsilon_v"]) for row in rows])
-    report = {"schema": SCHEMA_VERSION, "name": exp["name"], "radius": got["radius"], "rows": rows}
-    write_json(f"{stem}.json", report)
-    return report
+    csv = ("dim,epsilon_v", [(row["dim"], row["epsilon_v"]) for row in rows])
+    return {"radius": got["radius"], "rows": rows}, csv
 
 
 RUNNERS = {
@@ -598,15 +564,36 @@ def _validate_experiment(exp: dict, index: int, seed_override: int | None) -> di
 
 def _run_experiment(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
     """Run one validated experiment; its outcome record names the status."""
-    return _outcome(exp, lambda: RUNNERS[exp["kind"]](exp, out_dir, memo))
+    return _outcome(exp, out_dir, lambda: RUNNERS[exp["kind"]](exp, memo))
 
 
-def _outcome(exp: dict, run: Callable[[], object]) -> dict:
-    """Call ``run`` for an experiment and record how it ended: ok, a config
-    error, or a failure that names its stage."""
+def _outcome(exp: dict, out_dir: Path, run: Callable[[], tuple | None]) -> dict:
+    """Call ``run`` for an experiment, write the artifact it returns, and
+    record how it ended: ok, a config error, or a failure that names its
+    stage.
+
+    The one writer of experiment artifacts.  ``run`` returns None, for
+    nothing to write, or an artifact ``(report, csv)``; a
+    :class:`CheckFailure` carries one too.  ``{name}.json`` is the report
+    under the envelope ``schema, name, kind, seed``, whose keys win, and
+    ``csv`` is None or ``(header, rows)`` for ``{name}.csv``.  The JSON goes
+    first, so a report that :func:`write_json` refuses leaves no file."""
     outcome = {"name": exp["name"], "kind": exp["kind"]}
     try:
-        run()
+        try:
+            artifact, failure = run(), None
+        except CheckFailure as err:
+            artifact, failure = err.artifact, err
+        if artifact is not None:
+            report, csv = artifact
+            stem = out_dir / exp["name"]
+            envelope = {"schema": SCHEMA_VERSION, "name": exp["name"], "kind": exp["kind"],
+                        "seed": integral(exp["seed"])}
+            write_json(f"{stem}.json", {**report, **envelope})
+            if csv is not None:
+                write_csv(f"{stem}.csv", *csv)
+        if failure is not None:
+            raise failure
     except SpecError as err:
         return {**outcome, "status": "config-error", "error": str(err)}
     except _FAILURES as err:

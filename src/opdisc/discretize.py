@@ -72,7 +72,6 @@ def convergence_scan(
     n: int = 256,
     seed: int = 0,
     dim: int | None = None,
-    description: str = "",
 ) -> ConvergenceReport:
     """Compression metrics across an ascending chain of prefix dimensions.
 
@@ -108,7 +107,6 @@ def convergence_scan(
             }
         )
     meta = {
-        "description": description,
         "r": r,
         "samples": n,
         "seed": seed,

@@ -314,8 +314,7 @@ class TestBatchMode:
         failures = json.loads((out / "failures.json").read_text())
         assert failures["failed"][0]["name"] == "toohigh"
         assert "fell below" in failures["failed"][0]["error"]
-        # the message names no stage
-        assert failures["failed"][0]["stage"] is None
+        assert failures["failed"][0]["stage"] == "floor"
         report = json.loads((out / "toohigh.json").read_text())
         assert report["pass"] is False
 
@@ -629,7 +628,7 @@ class TestWorkerProcesses:
     def test_an_unexpected_error_stops_the_batch_and_its_workers(
         self, tmp_path, monkeypatch, jobs
     ):
-        def broken(exp, out_dir, memo):
+        def broken(exp, memo):
             raise KeyError("not an outcome a batch records")
 
         # forked children inherit the patched table
@@ -647,7 +646,7 @@ class TestWorkerProcesses:
         isotopy = [t for t, task in enumerate(tasks) if batch[task[0]]["kind"] == "nogo-isotopy"]
         assert isotopy == (runner_share if share == "runner-share" else child_share)[:1]
 
-        def broken(exp, out_dir, memo):
+        def broken(exp, memo):
             raise error("not an outcome a batch records")
 
         monkeypatch.setitem(cli.RUNNERS, "nogo-isotopy", broken)
@@ -659,10 +658,10 @@ class TestWorkerProcesses:
 
     def test_the_runner_kills_and_reaps_a_child_when_it_fails(self, tmp_path, monkeypatch):
         # the child's share sleeps long past the runner's own failure
-        def slow(exp, out_dir, memo):
+        def slow(exp, memo):
             time.sleep(60)
 
-        def broken(exp, out_dir, memo):
+        def broken(exp, memo):
             raise KeyError("the runner's own share failed")
 
         monkeypatch.setitem(cli.RUNNERS, "nogo-isotopy", broken)
@@ -677,7 +676,7 @@ class TestWorkerProcesses:
         _assert_no_child_left()
 
     def test_a_child_that_dies_unheard_fails_the_batch(self, tmp_path, monkeypatch):
-        monkeypatch.setitem(cli.RUNNERS, "nogo-isotopy", lambda exp, out_dir, memo: os._exit(3))
+        monkeypatch.setitem(cli.RUNNERS, "nogo-isotopy", lambda exp, memo: os._exit(3))
         with pytest.raises(RuntimeError, match="exited with code 3 without sending"):
             _run_batch(MIXED_BATCH, tmp_path, 2)
         _assert_no_child_left()
@@ -865,7 +864,8 @@ class TestFailClosed:
         assert outcome["status"] == "failed"
         assert outcome["stage"] == "write_json"
         assert outcome["error"].startswith("[write_json] quant.json: ")
-        assert not (tmp_path / "quant.json").exists()
+        # the JSON is written before the CSV, so no half of the artifact is left
+        assert list(tmp_path.glob("quant*")) == []
 
     def test_fem_solve_failures_name_the_newton_stage(self, tmp_path):
         exp = {"name": "fem", "kind": "fem-solve", "seed": 0, "g": "cubic", "mesh": [4, 8],
@@ -992,6 +992,18 @@ class TestArtifactNames:
         assert f"ok  {kind}  good" in result.output
         assert f"config-error in bad: {kind}: unknown keys ['out']" in result.output
         assert all(path.name.startswith("good.") for path in out.iterdir())
+
+    def test_every_kind_writes_one_envelope(self, tmp_path):
+        # an integral float seed is read as an int, and written as one
+        experiments = [{"name": kind, "kind": kind, "seed": 3.0, **params}
+                       for kind, params in ONE_OF_EACH_KIND.items()]
+        outcomes = _run_batch(experiments, tmp_path)
+        assert [o["status"] for o in outcomes] == ["ok"] * len(experiments)
+        for kind in ONE_OF_EACH_KIND:
+            report = json.loads((tmp_path / f"{kind}.json").read_text())
+            envelope = {key: report[key] for key in ("schema", "name", "kind", "seed")}
+            assert envelope == {"schema": 1, "name": kind, "kind": kind, "seed": 3}
+            assert type(report["seed"]) is int
 
 
 class TestRefusedExperimentValues:
@@ -1392,7 +1404,7 @@ class TestSubcommands:
         out = tmp_path / "out"
         result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "monotone-check"])
         assert result.exit_code == 2
-        assert result.stderr.startswith("failed: sampled alpha")
+        assert result.stderr.startswith("failed: [floor] sampled alpha")
         failed = json.loads((out / "failures.json").read_text())["failed"]
         assert [o["name"] for o in failed] == ["toohigh"]
         assert json.loads((out / "toohigh.json").read_text())["pass"] is False
@@ -1439,7 +1451,7 @@ class TestSubcommands:
         lines = (out / "discretize-scan.csv").read_text().splitlines()
         assert lines[0] == "dim,functor_a_error,weak_error,alpha_hat"
         assert len(lines) == 4
-        meta = json.loads((out / "discretize-scan.meta.json").read_text())
+        meta = json.loads((out / "discretize-scan.json").read_text())
         assert meta["schema"] == 1
 
     def test_dims_outside_the_space_are_refused(self, runner, tmp_path, layer_file):

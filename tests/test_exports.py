@@ -258,6 +258,30 @@ def test_only_serialize_writes_json():
     assert writes and all(w.startswith("serialize:") for w in writes), writes
 
 
+def _users(path: Path, names: set) -> dict:
+    """``name -> the top-level definitions of path that name it`` for each
+    of ``names`` used in ``path``; imports do not count."""
+    found = collections.defaultdict(set)
+    for top in ast.parse(path.read_text()).body:
+        owner = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in names:
+                found[name].add(owner)
+    return dict(found)
+
+
+def test_only_the_front_end_writes_artifacts():
+    """No runner writes its own file: in cli.py only ``_outcome`` writes
+    experiment artifacts, and ``write_json`` is named elsewhere only by the
+    writers of ``failures.json`` and ``acceptance.json``."""
+    cli_path = Path(opdisc.__file__).resolve().parent / "cli.py"
+    assert _users(cli_path, {"write_json", "write_csv"}) == {
+        "write_csv": {"_outcome"},
+        "write_json": {"_outcome", "_run_subcommand", "_finish", "accept_cmd"},
+    }
+
+
 @pytest.mark.parametrize("hook", HOOKS)
 def test_tracer_hook_resolves(hook):
     if hook in STALE_HOOKS:

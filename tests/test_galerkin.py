@@ -26,7 +26,7 @@ from opdisc.galerkin import (
     solve_semilinear,
     solve_semilinear_trace,
 )
-from opdisc.serialize import canonical_json, load_json
+from opdisc.serialize import canonical_json
 from opdisc.spectral import gauss_legendre_panels, unit_grid
 
 
@@ -570,13 +570,17 @@ class TestSingularityScan:
         assert scan.grid.tolist() == [0.0, 0.25, 0.5, 0.75, 1.0]
         assert abs(scan.stars[0][0] - 0.5) <= 1e-9
 
-    def test_as_dict_shape(self, tmp_path):
-        # the nogo-galerkin runner writes the scan's report
+    def test_as_dict_shape(self, tmp_path, monkeypatch):
+        # the nogo-galerkin runner returns the scan's report and CSV rows and
+        # writes nothing: the front end writes them
+        monkeypatch.chdir(tmp_path)
         exp = {"name": "g", "kind": "nogo-galerkin", "seed": 0, "path_kind": "a",
                "n": 1, "grid": 11, "bisect_tol": 1e-10}
-        blob = json.loads(canonical_json(run_nogo_galerkin(exp, tmp_path, None)))
+        report, (header, rows) = run_nogo_galerkin(exp, None)
+        blob = json.loads(canonical_json(report))
         assert len(blob["s_grid"]) == len(blob["dets"]) == len(blob["min_svs"]) == 11
-        assert blob["kind"] == "a" and blob["n"] == 1
-        assert blob == {k: v for k, v in load_json(tmp_path / "g.json").items()
-                        if k not in ("schema", "name")}
+        assert blob["path_kind"] == "a" and blob["n"] == 1
+        assert header == "s,det,min_sv"
+        assert [d for _, d, _ in rows] == blob["dets"]
+        assert list(tmp_path.iterdir()) == []
 

@@ -248,15 +248,20 @@ class TestTruncatedDetScan:
         with pytest.raises(ValueError, match="at least two"):
             truncated_det_scan(7, 1)
 
-    def test_rows_and_dict_round_trip(self, tmp_path):
+    def test_rows_and_dict_round_trip(self, tmp_path, monkeypatch):
         scan = truncated_det_scan(5, 21, 1e-10)
         rows = scan.rows()
         assert len(rows) == 21
         assert rows[0][0] == 0.0 and rows[-1][0] == 1.0
-        # the nogo-isotopy runner writes the scan's report
+        # the nogo-isotopy runner returns the scan's report and CSV rows and
+        # writes nothing: the front end writes them
+        monkeypatch.chdir(tmp_path)
         exp = {"name": "iso", "kind": "nogo-isotopy", "seed": 0, "m": 5, "grid": 21,
                "bisect_tol": 1e-10}
-        blob = json.loads(canonical_json(run_nogo_isotopy(exp, tmp_path, None)))
+        report, csv = run_nogo_isotopy(exp, None)
+        assert csv == ("t,det,min_sv", rows)
+        assert list(tmp_path.iterdir()) == []
+        blob = json.loads(canonical_json(report))
         assert blob["dets"] == [d for _, d, _ in rows]
         assert blob["m"] == 5
         assert len(blob["dets"]) == 21
