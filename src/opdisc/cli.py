@@ -21,9 +21,9 @@ Exit codes: 0 when every assertion passed (a *recorded rejection* — e.g. a
 layer refused a monotonicity certificate — is a valid outcome, not a
 failure); 1 for config errors; 2 for assertion failures, accompanied by a
 machine-readable ``failures.json`` in the output directory.  Each of its
-entries names the ``stage`` that failed: the leading ``[stage]`` of the
-error message (``floor`` for a sampled modulus below its floor, whose
-artifact is still written), or null when the message has none.
+entries names the ``stage`` that failed: the ``stage`` field of the
+:class:`~opdisc.spectral.StageError` raised (``floor`` for a sampled modulus
+below its floor, whose artifact is still written), or null for another error.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import contextlib
 import math
 import os
 import pickle
-import re
 import signal
 from dataclasses import asdict
 from pathlib import Path
@@ -43,7 +42,7 @@ import numpy as np
 
 from . import acceptance as acceptance_mod
 from .discretize import convergence_scan, functor_a_error
-from .decompose import DecompositionError, decompose
+from .decompose import decompose
 from .galerkin import (
     ORACLE_FACTOR,
     SOURCES,
@@ -51,7 +50,7 @@ from .galerkin import (
     fem_convergence,
     singularity_scan,
 )
-from .invert import InversionError, invert_chain
+from .invert import invert_chain
 from .isotopy import aligned_dets, truncated_det_scan
 from .monotone import contraction_certificate, pairwise_alpha
 from .serialize import (
@@ -82,26 +81,20 @@ from .serialize import (
     write_csv,
     write_json,
 )
+from .spectral import StageError
 
 
-class CheckFailure(Exception):
+class CheckFailure(StageError):
     """A stated expectation did not hold; maps to exit code 2.  It carries
     the experiment's artifact, which :func:`_outcome` still writes."""
 
-    def __init__(self, message: str, artifact: tuple) -> None:
-        super().__init__(message)
+    def __init__(self, stage: str, message: str, artifact: tuple) -> None:
+        super().__init__(stage, message)
         self.artifact = artifact
 
 
 # exceptions a runner raises when the experiment ran but failed (exit code 2)
-_FAILURES = (
-    CheckFailure,
-    AssertionError,
-    InversionError,
-    DecompositionError,
-    RuntimeError,
-    ValueError,
-)
+_FAILURES = (AssertionError, RuntimeError, ValueError)
 
 
 # ---------------------------------------------------------------------------
@@ -357,8 +350,8 @@ def run_monotone_check(exp: dict, memo: _BuildMemo) -> tuple:
         )
     if not report.get("pass", True):
         raise CheckFailure(
-            f"[floor] sampled alpha {report['alpha_min']:.6g} fell below the certified floor "
-            f"{report['floor']:.6g}",
+            "floor", f"sampled alpha {report['alpha_min']:.6g} fell below the certified "
+            f"floor {report['floor']:.6g}",
             (report, None),
         )
     return report, None
@@ -570,7 +563,7 @@ def _run_experiment(exp: dict, out_dir: Path, memo: _BuildMemo) -> dict:
 def _outcome(exp: dict, out_dir: Path, run: Callable[[], tuple | None]) -> dict:
     """Call ``run`` for an experiment, write the artifact it returns, and
     record how it ended: ok, a config error, or a failure that names its
-    stage.
+    stage, the error's ``stage`` field (null when it has none).
 
     The one writer of experiment artifacts.  ``run`` returns None, for
     nothing to write, or an artifact ``(report, csv)``; a
@@ -597,13 +590,12 @@ def _outcome(exp: dict, out_dir: Path, run: Callable[[], tuple | None]) -> dict:
     except SpecError as err:
         return {**outcome, "status": "config-error", "error": str(err)}
     except _FAILURES as err:
-        stage = re.match(r"\[([^\]]+)\]", str(err))
         return {
             **outcome,
             "status": "failed",
             "error": str(err),
             "error_type": type(err).__name__,
-            "stage": stage.group(1) if stage else None,
+            "stage": getattr(err, "stage", None),
         }
     return {**outcome, "status": "ok"}
 

@@ -68,14 +68,14 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .invert import InversionError, _apriori_iterations, _first_iterate, banach_solve
+from .invert import _apriori_iterations, _first_iterate, banach_solve
 from .layers import NeuralOperatorLayer, central_differences, eval_map
 from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate
 from .operators import Identity, Reflection, spectral_norm
+from .spectral import StageError
 
 __all__ = [
     "Frame",
-    "DecompositionError",
     "DecompositionResult",
     "quintic_smoothstep",
     "choose_w",
@@ -86,18 +86,14 @@ __all__ = [
 ]
 
 
-class DecompositionError(RuntimeError):
-    """Pipeline failure carrying the stage name it occurred in."""
-
-
 @contextmanager
 def _stage(name: str):
     try:
         yield
     except Exception as exc:
-        if isinstance(exc, DecompositionError) and str(exc).startswith(f"[{name}] "):
+        if isinstance(exc, StageError) and exc.stage == name:
             raise
-        raise DecompositionError(f"[{name}] {exc}") from exc
+        raise StageError(name, str(exc)) from exc
 
 
 def quintic_smoothstep(s):
@@ -264,8 +260,8 @@ def _newton_invert(f, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
         lam = 1.0
         while act.size:
             if lam <= 1e-8:
-                raise DecompositionError(
-                    f"[invert] Newton line search stagnated at residual {rnorm[act[0]]:g}"
+                raise StageError(
+                    "invert", f"Newton line search stagnated at residual {rnorm[act[0]]:g}"
                 )
             cand = xs[act] - lam * steps
             cres = eval_map(f, cand) - ys[act]
@@ -277,8 +273,8 @@ def _newton_invert(f, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
             lam *= 0.5
     bad = np.flatnonzero(~(rnorm <= tol))
     if bad.size:
-        raise DecompositionError(
-            f"[invert] Newton did not reach tol={tol:g} in {NEWTON_STEPS} "
+        raise StageError(
+            "invert", f"Newton did not reach tol={tol:g} in {NEWTON_STEPS} "
             f"steps (last residual {rnorm[bad[0]]:g})"
         )
     return xs
@@ -289,10 +285,7 @@ def _invert(f, ys: np.ndarray, kappa: float | None, tol: float, *, start=None) -
     when kappa is None.  Either starts at ``start`` (ys when None)."""
     if kappa is None:
         return _newton_invert(f, ys, tol, start)
-    try:
-        return banach_solve(f, ys, kappa, tol, start=start).x
-    except InversionError as exc:
-        raise DecompositionError(str(exc)) from exc
+    return banach_solve(f, ys, kappa, tol, start=start).x
 
 
 def _choose_inverter(kappa: float, k: int, r1: float, tol: float) -> tuple[float | None, dict]:
@@ -407,13 +400,11 @@ def peel_tail(
     direct = eval_map(source, xs)
     roundtrip = float(np.max(np.linalg.norm(recon - direct, axis=1)))
     if not roundtrip <= 1e-8:
-        raise DecompositionError(
-            f"[peel_tail] factor roundtrip error {roundtrip:g} exceeds 1e-8"
-        )
+        raise StageError("peel_tail", f"factor roundtrip error {roundtrip:g} exceeds 1e-8")
     lip_hat, dev = _measure(xs, moved)
     if not lip_hat < epsilon:
-        raise DecompositionError(
-            f"[peel_tail] sampled Lip of the tail factor is {lip_hat:g}, "
+        raise StageError(
+            "peel_tail", f"sampled Lip of the tail factor is {lip_hat:g}, "
             f"not below epsilon={epsilon:g}"
         )
     return replace(block, lip_sampled=lip_hat, deviation=dev, roundtrip_error=roundtrip)
@@ -568,7 +559,7 @@ def _c2_estimate(f, k: int, radius: float, seed: int) -> float:
     f_uv, f_u, f_v, f_x = np.split(vals, 4)
     norms = np.linalg.norm((f_uv - f_u - f_v + f_x) / h**2, axis=1)
     if not np.all(np.isfinite(norms)):
-        raise DecompositionError("[path_blocks] second-derivative estimate is not finite")
+        raise StageError("path_blocks", "second-derivative estimate is not finite")
     return float(np.max(norms, initial=0.0))
 
 
@@ -634,9 +625,7 @@ def path_blocks(
     measured: dict[tuple[float, float], PathBlock] = {}
     while True:
         if len(ts) - 1 > MAX_BLOCKS:
-            raise DecompositionError(
-                f"[path_blocks] refinement exceeded the block cap {MAX_BLOCKS}"
-            )
+            raise StageError("path_blocks", f"refinement exceeded the block cap {MAX_BLOCKS}")
         grid = list(zip(ts, ts[1:]))
         fresh = [PathBlock(path, lo, hi, r2, tol) for lo, hi in grid if (lo, hi) not in measured]
         measured.update(((b.t_lo, b.t_hi), b) for b in _measure_round(fresh, xs))
@@ -893,7 +882,8 @@ def decompose(
     seed: int = 0,
     n_verify: int = 200,
 ) -> DecompositionResult:
-    """Run the full factorization pipeline on a residual layer."""
+    """Run the full factorization pipeline on a residual layer.  A failing
+    stage raises a :class:`StageError` that names it."""
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon!r}")
     if not 0.0 < r1 < math.inf:

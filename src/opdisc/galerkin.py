@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import PathScan, _unit_parameters, gauss_legendre_panels, path_scan
+from .spectral import PathScan, StageError, _unit_parameters, gauss_legendre_panels, path_scan
 
 __all__ = [
     "FemMesh",
@@ -372,15 +372,15 @@ def solve_semilinear_trace(
         while energy(w + lam * direction) > current:
             lam *= 0.5
             if lam < 1e-10:
-                raise RuntimeError(
-                    "[newton] Newton stagnated: no energy decrease along the step "
+                raise StageError(
+                    "newton", "Newton stagnated: no energy decrease along the step "
                     f"(last residual {rnorm:.6g})"
                 )
         w = w + lam * direction
         energies.append(energy(w))
         step_scales.append(lam)
-    raise RuntimeError(
-        f"[newton] Newton did not reach tol={tol:.3g} in {NEWTON_STEPS} iterations "
+    raise StageError(
+        "newton", f"Newton did not reach tol={tol:.3g} in {NEWTON_STEPS} iterations "
         f"(last residual {residual_norms[-1]:.6g})"
     )
 

@@ -35,6 +35,7 @@ import numpy as np
 from .layers import ResidualChain, eval_map
 from .monotone import ball_samples, contraction_certificate, pairwise_alpha
 from .operators import Identity, Reflection
+from .spectral import StageError
 
 __all__ = [
     "DomainError",
@@ -49,7 +50,7 @@ __all__ = [
 ]
 
 
-class InversionError(RuntimeError):
+class InversionError(StageError):
     """The fixed-point iteration failed to reach the requested residual."""
 
 
@@ -203,8 +204,8 @@ def banach_solve(
     budget ``_apriori_iterations(r0, q, tol)`` follows from q and its first
     residual r0, the residual at ``start``, so a start near the solution
     shrinks the budget and a start within tol returns after one
-    evaluation.  Raises :class:`InversionError` with an ``[invert]``
-    message at once on a non-finite residual, and when a row is still above
+    evaluation.  Raises :class:`InversionError`, of stage ``invert``,
+    at once on a non-finite residual, and when a row is still above
     tol after its budget (then B is no q-contraction where it was
     evaluated).  ``radius`` is the ball on which q certifies B: an iterate
     outside it raises :class:`DomainError` before f sees it.  Both per-row
@@ -224,7 +225,7 @@ def banach_solve(
             if reach.max(initial=0.0) > radius:
                 i = reach.argmax()
                 raise DomainError(
-                    f"[invert] iterate {k} lies outside the certified ball: "
+                    "invert", f"iterate {k} lies outside the certified ball: "
                     f"row {i} has |x| = {reach[i]:.6g} > {radius:.6g}"
                 )
         res = eval_map(f, x) - y
@@ -235,7 +236,7 @@ def banach_solve(
         worst = float(rnorm.max(initial=0.0))
         if not math.isfinite(worst):
             raise InversionError(
-                f"[invert] fixed-point residual is not finite at evaluation {k} "
+                "invert", f"fixed-point residual is not finite at evaluation {k} "
                 f"(last residual {worst:g})"
             )
         if k == 1:
@@ -248,7 +249,7 @@ def banach_solve(
             if spent.any():
                 i = spent.argmax()
                 raise InversionError(
-                    f"[invert] fixed-point iteration did not reach tol={tol:g} within "
+                    "invert", f"fixed-point iteration did not reach tol={tol:g} within "
                     f"its derived budget of {budgets[i]} evaluations at rate q={q:g} "
                     f"(row {i}, last residual {rnorm[i]:g})"
                 )
@@ -347,10 +348,9 @@ def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInvers
         raise TypeError(f"cannot invert an object of type {type(chain).__name__}")
     for i, rate in enumerate(rates):
         if not rate < 1.0:
-            raise ValueError(
-                f"block {i} carries no contraction certificate (bound {rate:.6g}); give the "
-                "chain a contraction bound delta, and a ball_radius for a ball-local one"
-            )
+            raise StageError("invert", f"block {i} carries no contraction certificate "
+                             f"(bound {rate:.6g}); give the chain a contraction bound delta, "
+                             "and a ball_radius for a ball-local one")
     x = np.asarray(y, dtype=float)
     if chain is not None and x.shape[-1:] != (chain.dim,):
         raise ValueError(

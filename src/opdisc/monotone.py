@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .layers import eval_map
+from .spectral import StageError
 
 __all__ = [
     "MonotonicityCertificate",
@@ -183,11 +184,11 @@ def _pair_quotients(xs: np.ndarray, ys: np.ndarray):
 
 def _sup_quotient(xs: np.ndarray, ys: np.ndarray) -> float:
     """max over sample pairs of |Δy| / |Δx| — a sampled Lipschitz constant
-    (0 when every pair is degenerate); a non-finite one is a ValueError."""
+    (0 when every pair is degenerate); a non-finite one is a StageError."""
     _, _, dist2, _, dydy = _pair_quotients(xs, ys)
     lip = float(np.sqrt(np.max(dydy / dist2, initial=0.0)))
     if not math.isfinite(lip):
-        raise ValueError(f"[sup_quotient] sampled Lipschitz quotient is {lip:g}, not finite")
+        raise StageError("sup_quotient", f"sampled Lipschitz quotient is {lip:g}, not finite")
     return lip
 
 
@@ -207,7 +208,7 @@ def pairwise_alpha(
     on that ball; the minimizing pair is recorded.  The n(n-1)/2 pairs are
     reduced in chunks of about 2^15 / m, so memory stays near one 256 KB
     chunk whatever n is.  A non-finite alpha (NaN once |Δx|² overflows) is
-    refused with a ValueError.
+    refused with a StageError.
     """
     if n < 2:
         raise ValueError("need at least two samples")
@@ -215,13 +216,13 @@ def pairwise_alpha(
     ys = eval_map(f, xs)
     i, j, dist2, dydx, _ = _pair_quotients(xs, ys)
     if dist2.size == 0:
-        raise ValueError("[pairwise_alpha] all sampled pairs were degenerate")
+        raise StageError("pairwise_alpha", "all sampled pairs were degenerate")
     quo = dydx / dist2
     k = int(np.argmin(quo))  # the first NaN, if any
     alpha = float(quo[k])
     if not math.isfinite(alpha):
         at = "" if prefix is None else f" at prefix {prefix}"
-        raise ValueError(f"[pairwise_alpha] sampled alpha{at} is {alpha:g}, not a finite modulus")
+        raise StageError("pairwise_alpha", f"sampled alpha{at} is {alpha:g}, not a finite modulus")
     return MonotonicityCertificate(
         alpha=alpha,
         method="sampled",
@@ -268,7 +269,7 @@ def bilipschitz_estimate(
     ys = eval_map(f, xs)
     _, _, dist2, _, dydy = _pair_quotients(xs, ys)
     if dist2.size == 0:
-        raise ValueError("[bilipschitz_estimate] all sampled pairs were degenerate")
+        raise StageError("bilipschitz_estimate", "all sampled pairs were degenerate")
     quo = np.sqrt(dydy / dist2)
     return BilipschitzEstimate(
         c_lower=float(np.min(quo)),

@@ -43,7 +43,7 @@ from .layers import (
     make_layer,
 )
 from .operators import Reflection, activation_from_name, orthonormal_rows
-from .spectral import BasisSpec, Space
+from .spectral import BasisSpec, Space, StageError
 
 SCHEMA_VERSION = 1
 
@@ -565,7 +565,7 @@ def write_json(path, obj) -> None:
     try:
         text = json.dumps(obj, sort_keys=True, indent=2, allow_nan=False, default=_plain)
     except ValueError as err:
-        raise ValueError(f"[write_json] {path.name}: {err}") from err
+        raise StageError("write_json", f"{path.name}: {err}") from err
     path.parent.mkdir(parents=True, exist_ok=True)
     path.write_text(text + "\n")
 

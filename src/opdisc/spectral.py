@@ -13,6 +13,7 @@ It also holds :func:`path_scan`, the one determinant sweep along a matrix
 path on [0, 1]: det and the least singular value on a :func:`unit_grid`,
 with the sign changes bisected by :func:`sign_crossings`.  The Galerkin,
 truncated-isotopy and compressed-Jacobian no-go scans each call it once.
+And it holds :class:`StageError`, the error a stage of a run raises.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ __all__ = [
     "BasisSpec",
     "PathScan",
     "Space",
+    "StageError",
     "gauss_legendre_panels",
     "path_scan",
     "sign_crossings",
@@ -37,6 +39,20 @@ __all__ = [
 ]
 
 _BASIS_KINDS = ("fourier", "abstract_orthonormal")
+
+
+class StageError(ValueError, RuntimeError):
+    """A run failed in the stage named ``stage``; it reads ``[stage] message``,
+    and ``failures.json`` records ``stage``.  A handler of either base catches it."""
+
+    def __init__(self, stage: str, message: str) -> None:
+        # args stay (stage, message), so a pickled or copied error rebuilds
+        super().__init__(stage, message)
+        self.stage = stage
+
+    def __str__(self) -> str:
+        return f"[{self.stage}] {self.args[1]}"
+
 
 # Nodes per quadrature panel.  Six-point Gauss-Legendre is exact through
 # degree 11 on each panel; with the default panel count of 4*M the Gram

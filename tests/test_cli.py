@@ -414,7 +414,7 @@ class TestBatchMode:
                                       "--out", str(out)])
         assert result.exit_code == 2, result.output
         failed = json.loads((out / "failures.json").read_text())["failed"]
-        assert failed[0]["error_type"] == "DecompositionError"
+        assert failed[0]["error_type"] == "StageError"
         assert failed[0]["error"].startswith("[estimate] ")
         assert failed[0]["stage"] == "estimate"
 
@@ -827,7 +827,110 @@ class TestGroupedInversions:
         assert cli._tasks([exp, {**exp, "name": "twin"}]) == [(0,), (1,)]
 
 
+_FAIL_SPACE = {"basis": "abstract_orthonormal", "ambient_dim": 4}
+_FAIL_LAYER = {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5, "activation": "tanh"}
+_FAIL_DECOMPOSE = {"kind": "decompose", "seed": 0, "space": _FAIL_SPACE, "layer": _FAIL_LAYER,
+                   "epsilon": 0.25, "radius": 1.0}
+_FAIL_SCAN = {"seed": 0, "space": _FAIL_SPACE, "layer": _FAIL_LAYER, "samples": 4, "dims": [1, 4]}
+_FAIL_CHAIN = {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 2, "seed": 3, "delta": 0.5}
+# a chain whose one block has Lipschitz bound 1.5, so it has no contraction rate
+_UNCERTIFIED_CHAIN = {"kind": "residual_chain", "ambient_dim": 4, "prefix_n": 4, "blocks": [
+    {"kind": "coordinate_network", "weights": [(1.5 * np.eye(4)).tolist()],
+     "biases": [[0, 0, 0, 0]], "activation": "tanh"}]}
+
+# experiment name: (the experiment, and its outcome's stage, error_type and
+# error), one row per stage a config can fail in
+FAILURE_TABLE = {
+    "decompose-radius-1e300": (
+        {**_FAIL_DECOMPOSE, "radius": 1e300}, "estimate", "StageError",
+        "[estimate] need 0 < c_lower <= c_upper, got (nan, nan)"),
+    "decompose-radius-1e-300": (
+        {**_FAIL_DECOMPOSE, "radius": 1e-300, "n_verify": 1}, "estimate", "StageError",
+        "[estimate] [bilipschitz_estimate] all sampled pairs were degenerate"),
+    "decompose-epsilon-1e-300": (
+        {**_FAIL_DECOMPOSE, "epsilon": 1e-300}, "choose_w", "StageError",
+        "[choose_w] frame tails for the in operator are not below h=4.16667e-302: "
+        "2.04217e-16, 2.06879e-16"),
+    "decompose-composite_tol-1e-300": (
+        {**_FAIL_DECOMPOSE, "composite_tol": 1e-300}, "path_blocks", "StageError",
+        "[path_blocks] [invert] Newton line search stagnated at residual 1.14439e-16"),
+    "invert-tol-1e-300": (
+        {"kind": "invert", "seed": 0, "chain": _FAIL_CHAIN, "y": [0.1, 0.2, 0, 0], "tol": 1e-300},
+        "invert", "InversionError",
+        "[invert] fixed-point iteration did not reach tol=1e-300 within its derived budget of "
+        "998 evaluations at rate q=0.5 (row 0, last residual 5.55112e-17)"),
+    "invert-y-1e300": (
+        {"kind": "invert", "seed": 0, "chain": _FAIL_CHAIN, "y": [1e300, 0, 0, 0]},
+        "invert", "InversionError",
+        "[invert] fixed-point residual is not finite at evaluation 1 (last residual inf)"),
+    "invert-outside-ball": (
+        {"kind": "invert", "seed": 0, "chain": BALL_CHAIN, "y": [3.0] + [0.0] * 7},
+        "invert", "DomainError",
+        "[invert] iterate 1 lies outside the certified ball: row 0 has |x| = 3 > 1"),
+    "invert-uncertified-chain": (
+        {"kind": "invert", "seed": 0, "chain": _UNCERTIFIED_CHAIN, "y": [0.1, 0.2, 0, 0]},
+        "invert", "StageError",
+        "[invert] block 0 carries no contraction certificate (bound 1.5); give the chain a "
+        "contraction bound delta, and a ball_radius for a ball-local one"),
+    "monotone-check-radius-1e154": (
+        {**_FAIL_SCAN, "kind": "monotone-check", "radius": 1e154}, "pairwise_alpha", "StageError",
+        "[pairwise_alpha] sampled alpha at prefix 1 is nan, not a finite modulus"),
+    "discretize-scan-radius-1e-300": (
+        {**_FAIL_SCAN, "kind": "discretize-scan", "radius": 1e-300}, "pairwise_alpha",
+        "StageError", "[pairwise_alpha] all sampled pairs were degenerate"),
+    "fem-solve-tol-1e-300": (
+        {"kind": "fem-solve", "seed": 0, "g": "cubic", "mesh": [4, 8], "tol": 1e-300},
+        "newton", "StageError",
+        "[newton] Newton did not reach tol=1e-300 in 60 iterations (last residual 3.82908e-14)"),
+    "monotone-check-floor-2": (
+        {"kind": "monotone-check", "seed": 1, "space": _FAIL_SPACE, "layer": _FAIL_LAYER,
+         "floor": 2.0, "samples": 16}, "floor", "CheckFailure",
+        "[floor] sampled alpha 0.92854 fell below the certified floor 2"),
+    # its report holds the infinity that failure_runs patches in
+    "quant-report-inf": (
+        {"kind": "quant-report", "seed": 0, "space": _FAIL_SPACE, "layer": _FAIL_LAYER,
+         "dims": [1, 2], "samples": 8}, "write_json", "StageError",
+        "[write_json] quant-report-inf.json: Out of range float values are not JSON "
+        "compliant: inf"),
+}
+
+
+@pytest.fixture(scope="class")
+def failure_runs(tmp_path_factory):
+    """The failure table run as one batch at --jobs 1 and at --jobs 2: for
+    each job count, the outcomes by name, failures.json and the files made."""
+    experiments = [{"name": name, **exp} for name, (exp, *_) in FAILURE_TABLE.items()]
+    runs = {}
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        patch.setattr(cli, "functor_a_error", lambda *a, **k: math.inf)
+        for jobs in (1, 2):
+            out = tmp_path_factory.mktemp(f"jobs{jobs}")
+            with np.errstate(invalid="ignore", over="ignore"):
+                outcomes = _run_batch(experiments, out, jobs)
+            with pytest.raises(SystemExit, match="^2$"):
+                cli._finish(outcomes, out)
+            runs[jobs] = ({o["name"]: o for o in outcomes}, (out / "failures.json").read_text(),
+                          sorted(path.name for path in out.iterdir()))
+    return runs
+
+
 class TestFailClosed:
+    @pytest.mark.parametrize("name", list(FAILURE_TABLE))
+    def test_a_failure_names_its_stage_at_any_jobs(self, failure_runs, name):
+        _, stage, error_type, error = FAILURE_TABLE[name]
+        outcomes, failures, files = failure_runs[1]
+        assert outcomes[name]["status"] == "failed"
+        assert outcomes[name]["stage"] == stage
+        assert outcomes[name]["error_type"] == error_type
+        assert outcomes[name]["error"] == error
+        assert outcomes[name] in json.loads(failures)["failed"]
+        assert failure_runs[2][:2] == (outcomes, failures)
+        # only a floor failure carries its artifact; a refused report leaves no file
+        written = [f for f in files if f.startswith(f"{name}.")]
+        assert written == ([f"{name}.json"] if stage == "floor" else [])
+        assert failure_runs[2][2] == files
+
     @pytest.mark.parametrize("kind", ["monotone-check", "discretize-scan"])
     def test_a_non_finite_modulus_fails_monotone_check(self, tmp_path, kind):
         # |dx|^2 overflows at radius 1e300, so every sampled quotient is NaN
@@ -839,7 +942,7 @@ class TestFailClosed:
             (outcome,) = _run_batch([exp], tmp_path)
         assert outcome["status"] == "failed"
         assert outcome["stage"] == "pairwise_alpha"
-        assert outcome["error_type"] == "ValueError"
+        assert outcome["error_type"] == "StageError"
         assert "not a finite modulus" in outcome["error"]
         assert list(tmp_path.glob("huge*")) == []
 
@@ -855,25 +958,6 @@ class TestFailClosed:
         assert outcome["status"] == "failed"
         assert outcome["stage"] == "pairwise_alpha"
         assert "all sampled pairs were degenerate" in outcome["error"]
-
-    def test_a_non_finite_report_fails_at_write_json(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "functor_a_error", lambda *a, **k: math.inf)
-        exp = {**ONE_OF_EACH_KIND["quant-report"], "name": "quant", "kind": "quant-report",
-               "seed": 0}
-        (outcome,) = _run_batch([exp], tmp_path)
-        assert outcome["status"] == "failed"
-        assert outcome["stage"] == "write_json"
-        assert outcome["error"].startswith("[write_json] quant.json: ")
-        # the JSON is written before the CSV, so no half of the artifact is left
-        assert list(tmp_path.glob("quant*")) == []
-
-    def test_fem_solve_failures_name_the_newton_stage(self, tmp_path):
-        exp = {"name": "fem", "kind": "fem-solve", "seed": 0, "g": "cubic", "mesh": [4, 8],
-               "tol": 1e-300}
-        (outcome,) = _run_batch([exp], tmp_path)
-        assert outcome["status"] == "failed"
-        assert outcome["stage"] == "newton"
-        assert outcome["error"].startswith("[newton] Newton did not reach tol=1e-300")
 
 
 class TestNumericFields:

@@ -14,7 +14,6 @@ from opdisc.acceptance import mixing_bilipschitz_layer
 from opdisc.invert import _apriori_iterations
 from opdisc.decompose import (
     CoreCompressedLayer,
-    DecompositionError,
     DecompositionResult,
     Frame,
     NEWTON_STEPS,
@@ -42,7 +41,7 @@ from opdisc.layers import (
 )
 from opdisc.monotone import ball_samples, pairwise_alpha
 from opdisc.operators import FiniteRankOperator, Identity, Reflection
-from opdisc.spectral import BasisSpec, Space
+from opdisc.spectral import BasisSpec, Space, StageError
 
 
 def rotation(theta: float) -> np.ndarray:
@@ -398,7 +397,7 @@ class TestInvertMonotone:
         # report it solved
         f = lambda v: v + 0.5 * np.sqrt(v)
         ys = np.array([[4.0, 1.0], [4.0, -1.0]])
-        with np.errstate(invalid="ignore"), pytest.raises(DecompositionError, match="nan"):
+        with np.errstate(invalid="ignore"), pytest.raises(StageError, match="nan"):
             _invert(f, ys, 0.5, 1e-10)
 
 
@@ -427,13 +426,13 @@ def _newton_rows(f, ys, tol, max_iter, trace=None):
                     break
                 lam *= 0.5
             else:
-                raise DecompositionError(
-                    f"[invert] Newton line search stagnated at residual {rnorm:g}"
+                raise StageError(
+                    "invert", f"Newton line search stagnated at residual {rnorm:g}"
                 )
             steps, lam_min = steps + 1, min(lam_min, lam)
         if rnorm > tol:
-            raise DecompositionError(
-                f"[invert] Newton did not reach tol={tol:g} in {max_iter} "
+            raise StageError(
+                "invert", f"Newton did not reach tol={tol:g} in {max_iter} "
                 f"steps (last residual {rnorm:g})"
             )
         if trace is not None:
@@ -498,7 +497,7 @@ class TestNewtonInvert:
         f = lambda x: x**2 + 1.0
         ys = np.array([[2.0, 5.0], [0.5, 2.0], [3.0, 1.5]])
         stagnated = r"\[invert\] Newton line search stagnated"
-        with pytest.raises(DecompositionError, match=stagnated):
+        with pytest.raises(StageError, match=stagnated):
             _newton_invert(f, ys, 1e-12)
 
     def test_nan_residual_is_not_converged(self):
@@ -520,7 +519,7 @@ class TestNewtonInvert:
         assert np.allclose(_newton_invert(f, ys, 1e-12), [[2.0, 1.0], [1.0, 3.0]])
         # the package re-exports the function decompose under the module's name
         monkeypatch.setattr(importlib.import_module("opdisc.decompose"), "NEWTON_STEPS", 1)
-        with pytest.raises(DecompositionError, match="did not reach tol=1e-12 in 1 steps"):
+        with pytest.raises(StageError, match="did not reach tol=1e-12 in 1 steps"):
             _newton_invert(f, ys, 1e-12)
 
 
@@ -859,7 +858,7 @@ class TestDecompose:
         monkeypatch.setattr(DecompositionResult, "eval_array", poisoned)
         layer = make_layer(space16, lip_g=0.0, seed=1)
         with pytest.raises(
-            DecompositionError, match=r"^\[verify\] composite reproduces the layer only to nan"
+            StageError, match=r"^\[verify\] composite reproduces the layer only to nan"
         ):
             decompose(layer, epsilon=0.25, r1=1.0)
 
@@ -926,7 +925,7 @@ class TestDecompose:
 
     def test_stage_tag_on_uncertified_middle_map(self, space16):
         layer = make_layer(space16, rank=4, lip_g=0.4, activation="recu", seed=5)
-        with pytest.raises(DecompositionError, match=r"\[estimate\]"):
+        with pytest.raises(StageError, match=r"\[estimate\]"):
             decompose(layer, epsilon=0.25, r1=1.0)
 
     def test_parameter_validation(self, smooth_layer):
@@ -1206,24 +1205,24 @@ class TestFailClosed:
         frame, _ = choose_w(smooth_layer, 1e-6)
         core = CoreCompressedLayer(smooth_layer, frame)
         poison(monkeypatch, self.module, "eval_map", "peel_tail")
-        with pytest.raises(DecompositionError, match=r"^\[peel_tail\] factor roundtrip error nan"):
+        with pytest.raises(StageError, match=r"^\[peel_tail\] factor roundtrip error nan"):
             peel_tail(smooth_layer, core, epsilon=0.25, kappa=0.2, seed=9)
 
     def test_a_nan_tail_lipschitz_fails_peel_tail(self, smooth_layer, monkeypatch):
         frame, _ = choose_w(smooth_layer, 1e-6)
         core = CoreCompressedLayer(smooth_layer, frame)
         poison(monkeypatch, self.module, "_measure", "peel_tail")
-        with pytest.raises(DecompositionError, match=r"^\[peel_tail\] sampled Lip .* is nan"):
+        with pytest.raises(StageError, match=r"^\[peel_tail\] sampled Lip .* is nan"):
             peel_tail(smooth_layer, core, epsilon=0.25, kappa=0.2, seed=9)
 
     def test_a_nan_core_deviation_fails_build_fw(self, smooth_layer, monkeypatch):
         poison(monkeypatch, LiftedBlock, "eval_array", "decompose")
-        with pytest.raises(DecompositionError, match=r"^\[build_fw\] core deviation nan"):
+        with pytest.raises(StageError, match=r"^\[build_fw\] core deviation nan"):
             decompose(smooth_layer, 0.25, 1.0, seed=3)
 
     def test_a_nan_product_error_fails_linear_path(self, smooth_layer, monkeypatch):
         poison(monkeypatch, self.module, "spectral_norm", "linear_path_blocks")
         with pytest.raises(
-            DecompositionError, match=r"^\[linear_path\] linear factor product misses .* by nan"
+            StageError, match=r"^\[linear_path\] linear factor product misses .* by nan"
         ):
             decompose(smooth_layer, 0.25, 1.0, seed=3)

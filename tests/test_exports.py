@@ -2,7 +2,7 @@
 benchmark tracer wraps or probes: a hook whose target was renamed or deleted
 would make its per-layer metric read 0 without any error.  Every float
 argument guard refuses NaN and infinities as well as its out-of-range
-values, by the argument's name."""
+values, by the argument's name.  Only StageError writes a ``[stage] `` prefix."""
 
 import ast
 import collections
@@ -187,6 +187,22 @@ def test_float_guards_refuse_nan():
         for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.If) and _compares_with_zero(node.test)
         and any(isinstance(statement, ast.Raise) for statement in node.body)
+    ]
+    assert found == []
+
+
+def test_only_stage_error_writes_a_stage_prefix():
+    """A message that opens with ``[stage] `` is written by StageError from
+    its ``stage`` field, never by hand, so failures.json can read the field:
+    no string constant in the package, an f-string's literal parts
+    included, opens that way."""
+    src = Path(opdisc.__file__).resolve().parent
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and re.match(r"\[[a-z_]+\] ", node.value)
     ]
     assert found == []
 
