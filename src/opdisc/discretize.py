@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .layers import central_differences, eval_map
-from .monotone import _check_prefix, _resolve_dim, ball_samples, pairwise_alpha
+from .monotone import _check_prefix, _resolve_dim, _sampled_alpha, ball_samples, pairwise_alpha
 from .spectral import PathScan, path_scan
 
 __all__ = [
@@ -97,7 +97,10 @@ def convergence_scan(
     for d in dims:
         # f_V(x) − f(x) = −(Id − P_V) f(x), tested against the probe e_d
         weak = float(np.max(np.abs(f_common[:, d]), initial=0.0)) if d < m else 0.0
-        alpha = pairwise_alpha(f, r=r, n=n, seed=seed, dim=m, prefix=d).alpha
+        if d == dims[0]:  # pairwise_alpha would draw the common samples again
+            alpha = _sampled_alpha(common, f_common, r, seed, d).alpha
+        else:
+            alpha = pairwise_alpha(f, r=r, n=n, seed=seed, dim=m, prefix=d).alpha
         rows.append(
             {
                 "dim": d,

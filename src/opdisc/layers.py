@@ -51,6 +51,19 @@ __all__ = [
 # ---------------------------------------------------------------------------
 
 
+def _run_stages(x: np.ndarray, mats, biases, activation: Activation) -> np.ndarray:
+    """A network's stage loop on (..., n) rows: x @ mats[i] + biases[i] per
+    stage, with the activation between stages.  ``mats`` hold the weights
+    transposed, (inputs, outputs), so a layer can pass its folded frames."""
+    last = len(mats) - 1
+    for i, (a, b) in enumerate(zip(mats, biases)):
+        x = x @ a
+        x += b
+        if i != last:
+            x = activation(x)
+    return x
+
+
 @dataclass(frozen=True, eq=False)
 class CoordinateNetwork:
     """Plain MLP on coordinate vectors with a certified Lipschitz bound.
@@ -119,12 +132,7 @@ class CoordinateNetwork:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.n_in:
             raise ValueError(f"expected {self.n_in} input coordinates, got {x.shape[-1]}")
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            x = x @ w.T + b
-            if i != last:
-                x = self.activation(x)
-        return x
+        return _run_stages(x, [w.T for w in self.weights], self.biases, self.activation)
 
     __call__ = eval_array
 
@@ -231,7 +239,9 @@ class ZeroNonlinearity(Nonlinearity):
 class NemytskiiNonlinearity(Nonlinearity):
     """An entrywise activation composed pointwise through the quadrature
     grid; one that is not entrywise, or a space whose basis has no
-    pointwise realization, is refused."""
+    pointwise realization, is refused.  Its bound is that of the discrete
+    map, Lip(σ)·λ_max of the space's quadrature Gram, not the continuum
+    Lip(σ)."""
 
     space: Space
     sigma: Activation
@@ -245,7 +255,7 @@ class NemytskiiNonlinearity(Nonlinearity):
 
     @property
     def lip(self) -> float:  # type: ignore[override]
-        return self.sigma.lipschitz
+        return self.sigma.lipschitz * self.space.quadrature_gram_max
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
         return nemytskii_apply(self.space, self.sigma, x)
@@ -319,15 +329,43 @@ class AffineNonlinearity(Nonlinearity):
 
 @dataclass(frozen=True, eq=False)
 class NeuralOperatorLayer:
-    """Residual layer x + T_out(G(T_in(x))) on ambient coefficients."""
+    """Residual layer x + T_out(G(T_in(x))) on ambient coefficients.
+
+    With T_in = Φ_inᵀ·diag(ω_in)·Ψ_in and T_out likewise, a middle map that
+    is a coordinate network spanning all m coordinates is evaluated through
+    its rank-r frames: construction folds T_in into the first stage and
+    T_out into the last, A_in = diag(ω_in)·Φ_in·W₁ᵀ,
+    A_out = W_Lᵀ·Ψ_outᵀ·diag(ω_out) and c_out = b_L·Ψ_outᵀ·diag(ω_out), so
+    a row costs x·Ψ_inᵀ, the network between r-dimensional ends, and
+    ·Φ_out, in place of two m-wide end stages.  The folded arrays are
+    read-only and serve evaluation alone: :attr:`contraction` and every
+    certificate read the unfolded factors.
+    """
 
     in_op: FiniteRankOperator
     out_op: FiniteRankOperator
     nonlin: Nonlinearity
+    _folded: tuple | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.in_op.dim != self.out_op.dim:
             raise ValueError("in/out operators must share the ambient dimension")
+        g = self.nonlin
+        if isinstance(g, CoordinateNetNonlinearity) and g.net.n_in == self.dim:
+            object.__setattr__(self, "_folded", self._fold(g.net))
+
+    def _fold(self, net: CoordinateNetwork) -> tuple:
+        """The network's stage matrices and biases with T_in folded into the
+        first stage and T_out into the last (one stage takes both)."""
+        mats = [w.T for w in net.weights]
+        biases = list(net.biases)
+        mats[0] = (self.in_op.omegas[:, None] * self.in_op.phi) @ mats[0]
+        out_frame = self.out_op.psi.T * self.out_op.omegas
+        mats[-1] = mats[-1] @ out_frame
+        biases[-1] = biases[-1] @ out_frame
+        for a in (mats[0], mats[-1], biases[-1]):
+            a.flags.writeable = False
+        return tuple(mats), tuple(biases), net.activation
 
     @property
     def dim(self) -> int:
@@ -347,9 +385,13 @@ class NeuralOperatorLayer:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} coefficients, got {x.shape[-1]}")
-        return x + self.out_op.apply_array(
-            self.nonlin.apply_array(self.in_op.apply_array(x))
-        )
+        if self._folded is None:
+            return x + self.out_op.apply_array(
+                self.nonlin.apply_array(self.in_op.apply_array(x))
+            )
+        out = _run_stages(x @ self.in_op.psi.T, *self._folded) @ self.out_op.phi
+        out += x
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -143,20 +143,20 @@ def ball_samples(
 _CHUNK_ENTRIES = 1 << 15
 
 
-def _pair_quotients(xs: np.ndarray, ys: np.ndarray):
+def _pair_quotients(xs: np.ndarray, ys: np.ndarray, with_dydy: bool = True):
     """Per-pair scalars over the non-degenerate sample pairs i < j.
 
     Returns ``(i, j, dist2, dydx, dydy)``: |Δx|², <Δy, Δx> and |Δy|² of
-    each kept pair, in ``triu_indices`` order.  The pairs are walked in
-    chunks of about ``_CHUNK_ENTRIES / m`` so that no (pairs, m) difference
-    array larger than one chunk is ever held; each pair's row reductions
-    are the ones a single full gather would do, so the scalars are the same
-    to the bit.
+    each kept pair, in ``triu_indices`` order; ``dydy`` is None when
+    ``with_dydy`` is false.  The pairs are walked in chunks of about
+    ``_CHUNK_ENTRIES / m`` so that no (pairs, m) difference array larger
+    than one chunk is ever held; each pair's row reductions are the ones a
+    single full gather would do, so the scalars are the same to the bit.
     """
     i, j = np.triu_indices(xs.shape[0], k=1)
     dist2 = np.empty(i.size)
     dydx = np.empty(i.size)
-    dydy = np.empty(i.size)
+    dydy = np.empty(i.size) if with_dydy else None
     step = max(1, _CHUNK_ENTRIES // max(1, xs.shape[1]))
     # the gather buffers of every chunk, in one block per call: chunk-sized
     # temporaries sit above malloc's initial mmap threshold, and freeing
@@ -177,9 +177,10 @@ def _pair_quotients(xs: np.ndarray, ys: np.ndarray):
         )
         dist2[lo : lo + step] = np.einsum("ij,ij->i", dx, dx)
         dydx[lo : lo + step] = np.einsum("ij,ij->i", dy, dx)
-        dydy[lo : lo + step] = np.einsum("ij,ij->i", dy, dy)
+        if with_dydy:
+            dydy[lo : lo + step] = np.einsum("ij,ij->i", dy, dy)
     ok = dist2 >= 1e-24  # degenerate pairs are skipped
-    return i[ok], j[ok], dist2[ok], dydx[ok], dydy[ok]
+    return i[ok], j[ok], dist2[ok], dydx[ok], None if dydy is None else dydy[ok]
 
 
 def _sup_quotient(xs: np.ndarray, ys: np.ndarray) -> float:
@@ -206,15 +207,28 @@ def pairwise_alpha(
     The reported alpha is the minimum pair quotient
     <f(x1)-f(x2), x1-x2> / |x1-x2|^2, an upper bound for the true constant
     on that ball; the minimizing pair is recorded.  The n(n-1)/2 pairs are
-    reduced in chunks of about 2^15 / m, so memory stays near one 256 KB
-    chunk whatever n is.  A non-finite alpha (NaN once |Δx|² overflows) is
-    refused with a StageError.
+    reduced in chunks of about 2^15 / d, where d is the prefix (m without
+    one), so memory stays near one 256 KB chunk whatever n is.  A
+    non-finite alpha (NaN once |Δx|² overflows) is refused with a
+    StageError.
     """
-    if n < 2:
-        raise ValueError("need at least two samples")
     xs = ball_samples(_resolve_dim(f, dim), r, n, seed=seed, prefix=prefix)
-    ys = eval_map(f, xs)
-    i, j, dist2, dydx, _ = _pair_quotients(xs, ys)
+    return _sampled_alpha(xs, eval_map(f, xs), r, seed, prefix)
+
+
+def _sampled_alpha(
+    xs: np.ndarray, ys: np.ndarray, r: float, seed: int, prefix: int | None
+) -> MonotonicityCertificate:
+    """:func:`pairwise_alpha` on samples it drew and their images.
+
+    Samples in a prefix have zeros past it, so <Δy, Δx> and |Δx|² are sums
+    over the first ``prefix`` columns alone; the recorded pair is the
+    full-width rows.
+    """
+    if len(xs) < 2:
+        raise ValueError("need at least two samples")
+    cols = slice(None) if prefix is None else slice(prefix)
+    i, j, dist2, dydx, _ = _pair_quotients(xs[:, cols], ys[:, cols], with_dydy=False)
     if dist2.size == 0:
         raise StageError("pairwise_alpha", "all sampled pairs were degenerate")
     quo = dydx / dist2
@@ -228,7 +242,7 @@ def pairwise_alpha(
         method="sampled",
         certified=alpha > 0.0,
         ball_radius=r,
-        sample_count=n,
+        sample_count=len(xs),
         seed=seed,
         minimizing_pair=(xs[i[k]].copy(), xs[j[k]].copy()),
     )

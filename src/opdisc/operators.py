@@ -273,16 +273,23 @@ def _groupsort2(v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _leaky_relu(a: float = 0.2) -> Activation:
+    """s for s >= 0, else a·s.  For 0 < a <= 1 that is max(s, a·s) bit for
+    bit, one pass fewer.  Other slopes keep the select: above 1 the max
+    picks the wrong branch, a = 0 differs at +inf (0·inf is NaN) and a < 0
+    at ±0."""
+    if 0.0 < a <= 1.0:
+        fun = lambda s: np.maximum(s, a * s)
+    else:
+        fun = lambda s: np.where(s >= 0.0, s, a * s)
+    return Activation(f"leaky_relu({a:g})", fun, max(abs(a), 1.0))
+
+
 # name -> (factory, parameter): whether the factory takes no parameter
 # (None), an optional one or a required one
 _ACTIVATIONS = {
     "identity": (lambda: Activation("identity", lambda s: s, 1.0), None),
-    "leaky_relu": (
-        lambda a=0.2: Activation(
-            f"leaky_relu({a:g})", lambda s: np.where(s >= 0.0, s, a * s), max(abs(a), 1.0)
-        ),
-        "optional",
-    ),
+    "leaky_relu": (_leaky_relu, "optional"),
     "recu": (lambda: Activation("recu", lambda s: np.maximum(s, 0.0) ** 3, math.inf), None),
     "tanh": (lambda: Activation("tanh", np.tanh, 1.0), None),
     "scaled_leaky": (scaled_leaky, "required"),

@@ -154,6 +154,18 @@ class Space:
         bv.flags.writeable = False
         return bv
 
+    @cached_property
+    def quadrature_gram_max(self) -> float:
+        """λ_max of the quadrature Gram G = B·W·Bᵀ, with B the basis on the
+        nodes and W the weights: the factor by which the grid round trip
+        x ↦ B·W·σ(Bᵀx) can stretch Lip(σ).  G is the identity only when the
+        rule integrates every basis product exactly; coarse panels put
+        λ_max above 1.  Computed by the symmetric eigensolver, never
+        rounded to 1.
+        """
+        bv = self._grid_basis
+        return float(np.linalg.eigvalsh((bv * self.weights) @ bv.T)[-1])
+
     def check_pointwise(self) -> None:
         """Refuse a basis without pointwise values with a ``ValueError``."""
         if self.spec.kind != "fourier":

@@ -149,6 +149,30 @@ def test_batch_equals_rows(maps, name, lead, radius, seed):
     assert np.max(np.abs(batch - rows)) <= 1e-12 * scale
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=12),
+    activation=st.sampled_from(ACTIVATIONS),
+    data=st.data(),
+)
+def test_a_folded_layer_equals_its_factors(m, activation, data):
+    """A coordinate net spanning the ambient dimension evaluates with its
+    frames folded in; that equals applying T_in, the net and T_out."""
+    rank = data.draw(st.integers(min_value=1, max_value=m))
+    hidden = data.draw(st.lists(st.integers(min_value=1, max_value=2 * m), max_size=2))
+    seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
+    t_in = FiniteRankOperator.seeded(m, rank, scale=1.2, seed=seed)
+    t_out = FiniteRankOperator.seeded(m, rank, scale=0.8, decay=0.5, seed=seed + 1)
+    net = CoordinateNetwork.seeded(m, m, hidden=hidden, activation=activation_from_name(activation),
+                                   target_bound=0.7, bias_scale=0.3, seed=seed + 2)
+    layer = NeuralOperatorLayer(t_in, t_out, CoordinateNetNonlinearity(net, m))
+    assert layer._folded is not None
+    xs = ball_samples(m, 1.5, 7, seed=seed)
+    want = xs + t_out.apply_array(layer.nonlin.apply_array(t_in.apply_array(xs)))
+    got = layer.eval_array(xs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
 # every decompose block, and the carry each hands on: the W-coordinate
 # preimage it solved for, or None
 BLOCKS = {

@@ -1210,6 +1210,39 @@ class TestNemytskiiSpace:
         )
         assert not (out / "failures.json").exists()
 
+    @pytest.mark.parametrize("panels", [2, 4, None])
+    def test_the_bound_is_the_discrete_maps(self, tmp_path, panels):
+        """x − 0.9·B·W·(Bᵀx): 0.1·x on L², but its discrete bound is
+        0.9·λ_max(G).  At 2 panels that is above 1 and the layer is
+        rejected; at 4 it passes on the floor 1 − 0.9·λ_max(G), which
+        certified 0.1 and failed before."""
+        eye = np.eye(16).tolist()
+        space = {"basis": "fourier", "ambient_dim": 16}
+        if panels is not None:
+            space["quadrature"] = panels
+        exp = {"name": "nem", "kind": "monotone-check", "seed": 3, "samples": 64,
+               "space": space,
+               "layer": {"kind": "layer",
+                         "in_op": {"kind": "finite_rank", "omegas": [1] * 16, "psi": eye,
+                                   "phi": eye},
+                         "out_op": {"kind": "finite_rank", "omegas": [0.9] * 16, "psi": eye,
+                                    "phi": (-np.eye(16)).tolist()},
+                         "nonlin": {"kind": "nemytskii", "activation": "leaky_relu(1)"}}}
+        (outcome,) = _run_batch([exp], tmp_path)
+        assert outcome["status"] == "ok", outcome
+        gram_max = space_from_config(space).quadrature_gram_max
+        report = json.loads((tmp_path / "nem.json").read_text())
+        assert report["contraction"] == 0.9 * gram_max
+        if panels == 2:
+            assert gram_max > 2.0
+            assert report["rejected"]
+            assert "contraction bound is not below one" in report["reason"]
+            return
+        assert report["pass"] and not report["rejected"]
+        assert report["floor"] == 1.0 - 0.9 * gram_max
+        if panels == 4:
+            assert report["floor"] < 0.05 < report["alpha_min"]
+
 
 class TestSeededLayerNonlin:
     @pytest.mark.parametrize(

@@ -97,8 +97,9 @@ class TestConvergenceScan:
             assert float(cells[3]) == row["alpha_hat"]
 
     def test_shared_samples_are_evaluated_once(self, space16, monkeypatch):
-        """The error columns of every dim read one evaluation of f on the
-        shared samples and equal the standalone helpers bit for bit."""
+        """The error columns of every dim, and alpha at the first, read one
+        evaluation of f on the shared samples and equal the standalone
+        helpers bit for bit."""
         layer = make_layer(space16, lip_g=0.5, seed=23)
         batches = []
 
@@ -120,8 +121,10 @@ class TestConvergenceScan:
         report = convergence_scan(Counted(), dims, n=n, seed=7)
         common = drawn[0]
         assert sum(x is common for x in batches) == 1
-        # beyond that one: per dim, alpha's samples
-        assert sum(len(x) for x in batches) == n + len(dims) * n
+        # beyond that one: per dim after the first, alpha's samples
+        assert sum(len(x) for x in batches) == len(dims) * n
+        standalone = pairwise_alpha(layer, n=n, seed=7, dim=16, prefix=dims[0])
+        assert report.rows[0]["alpha_hat"] == standalone.alpha
         # the error columns, recomputed with numpy from f on the common samples
         fx = layer.eval_array(common)
         for row, d in zip(report.rows, dims):

@@ -398,6 +398,34 @@ class TestPairQuotientKernel:
         assert est.c_lower == float(np.min(dist))
         assert est.c_upper == float(np.max(dist))
 
+    @settings(max_examples=15, deadline=None)
+    @given(
+        n=st.integers(min_value=2, max_value=120),
+        m=st.integers(min_value=1, max_value=300),
+        data=st.data(),
+    )
+    def test_a_prefix_is_summed_over_its_columns(self, n, m, data):
+        """Prefix samples are zero past d, so reducing the first d columns
+        gives the full-width quotients; the recorded pair stays full width."""
+        d = data.draw(st.integers(min_value=1, max_value=m))
+        seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
+        a = np.random.default_rng(seed).standard_normal((m, m)) / (2.0 * np.sqrt(m))
+
+        def f(x):
+            return x + 0.5 * np.tanh(x @ a.T)
+
+        xs = ball_samples(m, 1.5, n, seed=seed, prefix=d)
+        ys = eval_map(f, xs)
+        i, j, dist2, dydx, dydy = monotone._pair_quotients(xs, ys)
+        quo = dydx / dist2
+        cert = pairwise_alpha(f, r=1.5, n=n, seed=seed, dim=m, prefix=d)
+        assert abs(cert.alpha - np.min(quo)) <= 1e-14 * max(1.0, abs(np.min(quo)))
+        assert all(row.shape == (m,) for row in cert.minimizing_pair)
+        # |Δy|² is skipped on request, and the other scalars keep their bits
+        *rest, none = monotone._pair_quotients(xs, ys, with_dydy=False)
+        assert none is None
+        assert all(np.array_equal(u, v) for u, v in zip(rest, (i, j, dist2, dydx)))
+
     def test_peak_memory_is_one_chunk(self):
         """At 128 samples of dimension 256 the full gather peaks at 64 MB;
         the chunked kernel stays near one 256 KB chunk plus the scalars."""

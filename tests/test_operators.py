@@ -241,6 +241,21 @@ class TestActivations:
         got = gs(v)
         assert np.allclose(got, [1.0, 3.0, -1.0, 5.0, 2.0])  # odd tail fixed
 
+    @pytest.mark.parametrize("a", [0.2, 1.0, 0.0, -0.5, 3.0])
+    def test_leaky_relu_is_the_select_to_the_bit(self, a):
+        """Slopes in (0, 1] take max(s, a·s); every slope gives the bits of
+        where(s >= 0, s, a·s), signed zeros, infinities and NaN included."""
+        s = np.array([0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e-310, -1e-310,
+                      5e-324, -5e-324, 1.5, -2.5])
+        with np.errstate(invalid="ignore"):
+            got = activation_from_name(f"leaky_relu({a})")(s)
+            want = np.where(s >= 0.0, s, a * s)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            # the max form is wrong off (0, 1], so those slopes keep the select
+            if not 0.0 < a <= 1.0:
+                assert not np.array_equal(np.maximum(s, a * s).view(np.int64),
+                                          want.view(np.int64))
+
     def test_groupsort2_idempotent_and_1lipschitz(self):
         gs = activation_from_name("groupsort2")
         rng = np.random.default_rng(17)
