@@ -25,7 +25,6 @@ from .operators import (
     FiniteRankOperator,
     LinearExpr,
     activation_from_name,
-    nemytskii_apply,
     scaled_leaky,
     spectral_norm,
 )
@@ -241,7 +240,8 @@ class NemytskiiNonlinearity(Nonlinearity):
     grid; one that is not entrywise, or a space whose basis has no
     pointwise realization, is refused.  Its bound is that of the discrete
     map, Lip(σ)·λ_max of the space's quadrature Gram, not the continuum
-    Lip(σ)."""
+    Lip(σ).  The identity activation is applied exactly, as a copy of the
+    coefficients, so its bound is Lip(σ) = 1."""
 
     space: Space
     sigma: Activation
@@ -255,10 +255,17 @@ class NemytskiiNonlinearity(Nonlinearity):
 
     @property
     def lip(self) -> float:  # type: ignore[override]
+        if self.sigma.name == "identity":
+            return self.sigma.lipschitz
         return self.sigma.lipschitz * self.space.quadrature_gram_max
 
     def apply_array(self, x: np.ndarray) -> np.ndarray:
-        return nemytskii_apply(self.space, self.sigma, x)
+        """Coefficients of σ(u(t)) for (..., M) coefficients u: evaluated on
+        the quadrature grid and re-expanded."""
+        c = np.asarray(x, dtype=float)
+        if self.sigma.name == "identity":
+            return c.copy()
+        return self.space.from_grid(self.sigma(self.space.to_grid(c)))
 
 
 @dataclass(frozen=True, eq=False)

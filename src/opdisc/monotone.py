@@ -1,10 +1,11 @@
-"""Monotonicity and bilipschitz certification.
+"""Monotonicity and bilipschitz estimates, and the one certificate.
 
-Sampled estimators (upper bounds by construction) live alongside one
-proof-grade certificate: a map Id + B with Lip(B) <= kappa < 1 is strongly
-monotone with alpha = 1 - kappa, and every certified floor in the package
-comes from :func:`contraction_certificate`.  Rejections are returned as
-uncertified results carrying the violated quantity, not raised.
+Sampled estimators give upper bounds on the true constants, by
+construction, and return plain records of what they measured.  The one
+proof-grade result is structural: a map Id + B with Lip(B) <= kappa < 1 is
+strongly monotone with modulus 1 - kappa, and every certified floor in the
+package comes from :func:`contraction_certificate`, which returns that
+modulus, or None when kappa gives none.
 
 The sampled estimators evaluate the map once on the whole (n, m) sample
 set and reduce over sample pairs with one shared pair-quotient kernel,
@@ -22,7 +23,7 @@ from .layers import eval_map
 from .spectral import StageError
 
 __all__ = [
-    "MonotonicityCertificate",
+    "ModulusEstimate",
     "BilipschitzEstimate",
     "pairwise_alpha",
     "contraction_certificate",
@@ -31,50 +32,18 @@ __all__ = [
     "map_dim",
 ]
 
-_METHODS = ("sampled", "contraction")
-
 
 @dataclass(frozen=True, eq=False)
-class MonotonicityCertificate:
-    """Strong-monotonicity constant with provenance.
-
-    ``certified`` distinguishes proof-grade results (and sampled estimates
-    that stayed positive) from rejections; a certificate can only be
-    certified with alpha > 0.  Sampled results record their minimizing pair.
-    """
+class ModulusEstimate:
+    """Sampled strong-monotonicity modulus: the minimum pair quotient over
+    the samples, an upper bound on the true modulus, and the pair that
+    attains it."""
 
     alpha: float
-    method: str
-    certified: bool
-    ball_radius: float | str = "global"
-    sample_count: int = 0
-    seed: int | None = None
-    minimizing_pair: tuple | None = None
-    ratio: float | None = None
-    note: str = ""
-
-    def __post_init__(self) -> None:
-        if self.method not in _METHODS:
-            raise ValueError(f"unknown certificate method {self.method!r}")
-        if self.certified and not self.alpha > 0.0:
-            raise ValueError("certified status requires alpha > 0")
-
-    def as_dict(self) -> dict:
-        d = {
-            "alpha": self.alpha,
-            "method": self.method,
-            "certified": self.certified,
-            "ball_radius": self.ball_radius,
-            "sample_count": self.sample_count,
-            "seed": self.seed,
-        }
-        if self.ratio is not None:
-            d["ratio"] = self.ratio
-        if self.note:
-            d["note"] = self.note
-        if self.minimizing_pair is not None:
-            d["minimizing_pair"] = [list(p) for p in self.minimizing_pair]
-        return d
+    ball_radius: float
+    sample_count: int
+    seed: int
+    minimizing_pair: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,20 +112,19 @@ def ball_samples(
 _CHUNK_ENTRIES = 1 << 15
 
 
-def _pair_quotients(xs: np.ndarray, ys: np.ndarray, with_dydy: bool = True):
-    """Per-pair scalars over the non-degenerate sample pairs i < j.
+def _pair_quotients(xs: np.ndarray, ys: np.ndarray, inner: bool = False):
+    """One quotient per non-degenerate sample pair i < j.
 
-    Returns ``(i, j, dist2, dydx, dydy)``: |Δx|², <Δy, Δx> and |Δy|² of
-    each kept pair, in ``triu_indices`` order; ``dydy`` is None when
-    ``with_dydy`` is false.  The pairs are walked in chunks of about
-    ``_CHUNK_ENTRIES / m`` so that no (pairs, m) difference array larger
-    than one chunk is ever held; each pair's row reductions are the ones a
-    single full gather would do, so the scalars are the same to the bit.
+    Returns ``(i, j, q)`` in ``triu_indices`` order, where q is
+    <Δy, Δx> / |Δx|² when ``inner`` is true and |Δy|² / |Δx|² otherwise.
+    The pairs are walked in chunks of about ``_CHUNK_ENTRIES / m`` so that
+    no (pairs, m) difference array larger than one chunk is ever held; each
+    pair's row reductions are the ones a single full gather would do, so
+    the quotients are the same to the bit.
     """
     i, j = np.triu_indices(xs.shape[0], k=1)
     dist2 = np.empty(i.size)
-    dydx = np.empty(i.size)
-    dydy = np.empty(i.size) if with_dydy else None
+    num = np.empty(i.size)
     step = max(1, _CHUNK_ENTRIES // max(1, xs.shape[1]))
     # the gather buffers of every chunk, in one block per call: chunk-sized
     # temporaries sit above malloc's initial mmap threshold, and freeing
@@ -176,18 +144,15 @@ def _pair_quotients(xs: np.ndarray, ys: np.ndarray, with_dydy: bool = True):
             out=ya[:rows],
         )
         dist2[lo : lo + step] = np.einsum("ij,ij->i", dx, dx)
-        dydx[lo : lo + step] = np.einsum("ij,ij->i", dy, dx)
-        if with_dydy:
-            dydy[lo : lo + step] = np.einsum("ij,ij->i", dy, dy)
+        num[lo : lo + step] = np.einsum("ij,ij->i", dy, dx if inner else dy)
     ok = dist2 >= 1e-24  # degenerate pairs are skipped
-    return i[ok], j[ok], dist2[ok], dydx[ok], None if dydy is None else dydy[ok]
+    return i[ok], j[ok], num[ok] / dist2[ok]
 
 
 def _sup_quotient(xs: np.ndarray, ys: np.ndarray) -> float:
     """max over sample pairs of |Δy| / |Δx| — a sampled Lipschitz constant
     (0 when every pair is degenerate); a non-finite one is a StageError."""
-    _, _, dist2, _, dydy = _pair_quotients(xs, ys)
-    lip = float(np.sqrt(np.max(dydy / dist2, initial=0.0)))
+    lip = float(np.sqrt(np.max(_pair_quotients(xs, ys)[2], initial=0.0)))
     if not math.isfinite(lip):
         raise StageError("sup_quotient", f"sampled Lipschitz quotient is {lip:g}, not finite")
     return lip
@@ -200,7 +165,7 @@ def pairwise_alpha(
     seed: int = 0,
     dim: int | None = None,
     prefix: int | None = None,
-) -> MonotonicityCertificate:
+) -> ModulusEstimate:
     """Sampled strong-monotonicity estimate over pairs in the ball, or in
     its first ``prefix`` coordinates.
 
@@ -218,7 +183,7 @@ def pairwise_alpha(
 
 def _sampled_alpha(
     xs: np.ndarray, ys: np.ndarray, r: float, seed: int, prefix: int | None
-) -> MonotonicityCertificate:
+) -> ModulusEstimate:
     """:func:`pairwise_alpha` on samples it drew and their images.
 
     Samples in a prefix have zeros past it, so <Δy, Δx> and |Δx|² are sums
@@ -228,19 +193,16 @@ def _sampled_alpha(
     if len(xs) < 2:
         raise ValueError("need at least two samples")
     cols = slice(None) if prefix is None else slice(prefix)
-    i, j, dist2, dydx, _ = _pair_quotients(xs[:, cols], ys[:, cols], with_dydy=False)
-    if dist2.size == 0:
+    i, j, quo = _pair_quotients(xs[:, cols], ys[:, cols], inner=True)
+    if quo.size == 0:
         raise StageError("pairwise_alpha", "all sampled pairs were degenerate")
-    quo = dydx / dist2
     k = int(np.argmin(quo))  # the first NaN, if any
     alpha = float(quo[k])
     if not math.isfinite(alpha):
         at = "" if prefix is None else f" at prefix {prefix}"
         raise StageError("pairwise_alpha", f"sampled alpha{at} is {alpha:g}, not a finite modulus")
-    return MonotonicityCertificate(
+    return ModulusEstimate(
         alpha=alpha,
-        method="sampled",
-        certified=alpha > 0.0,
         ball_radius=r,
         sample_count=len(xs),
         seed=seed,
@@ -248,25 +210,15 @@ def _sampled_alpha(
     )
 
 
-def contraction_certificate(kappa: float) -> MonotonicityCertificate:
-    """Strong monotonicity of Id + B from a bound Lip(B) <= kappa.
+def contraction_certificate(kappa: float) -> float | None:
+    """The certified strong-monotonicity modulus of Id + B from a bound
+    Lip(B) <= kappa.
 
     For kappa < 1, <x - y + B(x) - B(y), x - y> >= (1 - kappa)|x - y|^2, so
-    the certificate holds globally with alpha = 1 - kappa.  Any other kappa
-    (inf for an unbounded middle map, NaN) is a rejection carrying it.
+    the modulus 1 - kappa holds globally.  Any other kappa (inf for an
+    unbounded middle map, NaN) certifies nothing: None.
     """
-    if kappa < 1.0:
-        return MonotonicityCertificate(
-            alpha=1.0 - kappa, method="contraction", certified=True, ratio=kappa
-        )
-    return MonotonicityCertificate(
-        alpha=0.0,
-        method="contraction",
-        certified=False,
-        ratio=kappa,
-        note="the layer's contraction bound is not below one, so it carries no "
-        "monotonicity certificate",
-    )
+    return 1.0 - kappa if kappa < 1.0 else None
 
 
 def bilipschitz_estimate(
@@ -280,11 +232,10 @@ def bilipschitz_estimate(
     if n < 2:
         raise ValueError("need at least two samples")
     xs = ball_samples(_resolve_dim(f, dim), r, n, seed=seed)
-    ys = eval_map(f, xs)
-    _, _, dist2, _, dydy = _pair_quotients(xs, ys)
-    if dist2.size == 0:
+    quo = _pair_quotients(xs, eval_map(f, xs))[2]
+    if quo.size == 0:
         raise StageError("bilipschitz_estimate", "all sampled pairs were degenerate")
-    quo = np.sqrt(dydy / dist2)
+    quo = np.sqrt(quo)
     return BilipschitzEstimate(
         c_lower=float(np.min(quo)),
         c_upper=float(np.max(quo)),

@@ -16,8 +16,6 @@ from typing import Callable
 
 import numpy as np
 
-from .spectral import Space
-
 __all__ = [
     "FiniteRankOperator",
     "orthonormal_rows",
@@ -27,7 +25,6 @@ __all__ = [
     "Activation",
     "scaled_leaky",
     "activation_from_name",
-    "nemytskii_apply",
     "spectral_norm",
 ]
 
@@ -322,16 +319,3 @@ def activation_from_name(name: str) -> Activation:
     if not math.isfinite(value):
         raise ValueError(f"activation {name!r}: the parameter must be finite")
     return factory(value)
-
-
-def nemytskii_apply(space: Space, sigma: Activation, u) -> np.ndarray:
-    """Compose with sigma pointwise: coefficients of sigma(u(t)).
-
-    Takes (..., M) coefficients and returns the same shape.  Evaluates on
-    the quadrature grid and re-expands; the identity activation
-    short-circuits and is exact.
-    """
-    c = np.asarray(u, dtype=float)
-    if sigma.name == "identity":
-        return c.copy()
-    return space.from_grid(sigma(space.to_grid(c)))

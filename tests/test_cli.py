@@ -19,7 +19,7 @@ from opdisc import acceptance, cli, serialize
 from opdisc.cli import SOURCES, main, run_config
 from opdisc.layers import AffineNonlinearity, NemytskiiNonlinearity, make_layer
 from opdisc.monotone import ball_samples
-from opdisc.serialize import chain_from_spec, layer_from_spec, space_from_config
+from opdisc.serialize import blob_hash, chain_from_spec, layer_from_spec, space_from_config
 
 
 # every spec kind's (key table, build), one dict per spec reader
@@ -1215,21 +1215,29 @@ class TestNemytskiiSpace:
         """x − 0.9·B·W·(Bᵀx): 0.1·x on L², but its discrete bound is
         0.9·λ_max(G).  At 2 panels that is above 1 and the layer is
         rejected; at 4 it passes on the floor 1 − 0.9·λ_max(G), which
-        certified 0.1 and failed before."""
+        certified 0.1 and failed before.  With the identity activation the
+        map is applied exactly, as a copy, so its bound is 0.9 at every
+        quadrature and it passes on the floor 0.1."""
         eye = np.eye(16).tolist()
         space = {"basis": "fourier", "ambient_dim": 16}
         if panels is not None:
             space["quadrature"] = panels
-        exp = {"name": "nem", "kind": "monotone-check", "seed": 3, "samples": 64,
-               "space": space,
-               "layer": {"kind": "layer",
-                         "in_op": {"kind": "finite_rank", "omegas": [1] * 16, "psi": eye,
-                                   "phi": eye},
-                         "out_op": {"kind": "finite_rank", "omegas": [0.9] * 16, "psi": eye,
-                                    "phi": (-np.eye(16)).tolist()},
-                         "nonlin": {"kind": "nemytskii", "activation": "leaky_relu(1)"}}}
-        (outcome,) = _run_batch([exp], tmp_path)
-        assert outcome["status"] == "ok", outcome
+        exps = [{"name": name, "kind": "monotone-check", "seed": 3, "samples": 64,
+                 "space": space,
+                 "layer": {"kind": "layer",
+                           "in_op": {"kind": "finite_rank", "omegas": [1] * 16, "psi": eye,
+                                     "phi": eye},
+                           "out_op": {"kind": "finite_rank", "omegas": [0.9] * 16, "psi": eye,
+                                      "phi": (-np.eye(16)).tolist()},
+                           "nonlin": {"kind": "nemytskii", "activation": activation}}}
+                for name, activation in (("nem", "leaky_relu(1)"), ("exact", "identity"))]
+        outcomes = _run_batch(exps, tmp_path)
+        assert [o["status"] for o in outcomes] == ["ok", "ok"], outcomes
+        exact = json.loads((tmp_path / "exact.json").read_text())
+        assert exact["contraction"] == 0.9
+        assert exact["pass"] and not exact["rejected"]
+        assert exact["floor"] == 1.0 - 0.9
+        assert exact["alpha_min"] == pytest.approx(0.1, abs=1e-9)
         gram_max = space_from_config(space).quadrature_gram_max
         report = json.loads((tmp_path / "nem.json").read_text())
         assert report["contraction"] == 0.9 * gram_max
@@ -1480,7 +1488,7 @@ class TestSubcommands:
         assert blob["pass"] is True and blob["rejected"] is False
         assert blob["alpha_min"] >= blob["floor"] - 1e-6
         for row in blob["scan"]:
-            assert len(row["certificate_hash"]) == 64
+            assert row["estimate_hash"] == blob_hash(row["estimate"])
 
     def test_monotone_check_spreads_its_default_dims(self, runner, tmp_path):
         layer = tmp_path / "layer16.json"

@@ -274,6 +274,20 @@ def test_only_serialize_writes_json():
     assert writes and all(w.startswith("serialize:") for w in writes), writes
 
 
+def test_the_only_as_dict_is_the_invert_layout():
+    """Records are written by their fields, which ``write_json`` reads; the
+    one hand-written layout is the ``invert`` artifact's."""
+    src = Path(opdisc.__file__).resolve().parent
+    owners = sorted(
+        f"{path.stem}.{getattr(node, 'name', '<module>')}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        for child in ast.iter_child_nodes(node)
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child.name == "as_dict"
+    )
+    assert owners == ["invert.ChainInverseResult"]
+
+
 def _users(path: Path, names: set) -> dict:
     """``name -> the top-level definitions of path that name it`` for each
     of ``names`` used in ``path``; imports do not count."""

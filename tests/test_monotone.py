@@ -1,6 +1,8 @@
-"""Monotonicity certificates: sampled estimates, the structural contraction
-certificate, and the pair-quotient kernel."""
+"""Monotonicity: sampled estimates, the structural contraction certificate,
+and the pair-quotient kernel."""
 
+import json
+import math
 import tracemalloc
 from unittest.mock import patch
 
@@ -14,20 +16,14 @@ from opdisc.acceptance import mixing_bilipschitz_layer
 from opdisc.layers import NeuralOperatorLayer, ZeroNonlinearity, eval_map, make_layer
 from opdisc.monotone import (
     BilipschitzEstimate,
-    MonotonicityCertificate,
     ball_samples,
     bilipschitz_estimate,
     contraction_certificate,
     pairwise_alpha,
 )
 from opdisc.operators import FiniteRankOperator, Identity, Reflection
+from opdisc.serialize import canonical_json
 from opdisc.spectral import BasisSpec, Space
-
-# the note every rejected contraction certificate carries
-NO_CERTIFICATE = (
-    "the layer's contraction bound is not below one, so it carries no "
-    "monotonicity certificate"
-)
 
 
 def diagonal(entries):
@@ -37,14 +33,6 @@ def diagonal(entries):
 
 
 class TestCertificateTypes:
-    def test_certified_requires_positive_alpha(self):
-        with pytest.raises(ValueError, match="alpha > 0"):
-            MonotonicityCertificate(alpha=0.0, method="sampled", certified=True)
-
-    def test_unknown_method_rejected(self):
-        with pytest.raises(ValueError, match="method"):
-            MonotonicityCertificate(alpha=1.0, method="magic", certified=True)
-
     def test_bilipschitz_ordering_enforced(self):
         with pytest.raises(ValueError):
             BilipschitzEstimate(c_lower=2.0, c_upper=1.0, ball_radius=1.0,
@@ -53,21 +41,19 @@ class TestCertificateTypes:
             BilipschitzEstimate(c_lower=0.0, c_upper=1.0, ball_radius=1.0,
                                 sample_count=4, seed=0)
 
-    def test_as_dict_roundtrippable_fields(self):
+    def test_an_estimate_is_written_by_its_fields(self):
         cert = pairwise_alpha(Identity(), dim=4, n=8, seed=3)
-        d = cert.as_dict()
-        assert d["method"] == "sampled"
+        d = json.loads(canonical_json(cert))
+        assert set(d) == {"alpha", "ball_radius", "sample_count", "seed", "minimizing_pair"}
         assert d["sample_count"] == 8
         assert d["seed"] == 3
-        assert len(d["minimizing_pair"]) == 2
+        assert d["minimizing_pair"] == [x.tolist() for x in cert.minimizing_pair]
 
 
 class TestPairwiseAlpha:
     def test_identity_is_exactly_one(self):
         cert = pairwise_alpha(Identity(), dim=8)
         assert cert.alpha == 1.0  # quotients are identically one
-        assert cert.certified
-        assert cert.method == "sampled"
         assert cert.ball_radius == 1.0
         assert cert.sample_count == 256
 
@@ -78,7 +64,6 @@ class TestPairwiseAlpha:
     def test_reflection_is_refused(self):
         cert = pairwise_alpha(Reflection.first_axis(4), n=256, seed=1, dim=4)
         assert cert.alpha < 0.0
-        assert not cert.certified
 
     def test_minimizing_pair_attains_the_minimum(self):
         f = diagonal([0.3, 2.0, 1.0, 1.0, 1.0])
@@ -131,47 +116,37 @@ class TestPairwiseAlpha:
         entries, so the sampled minimum must land inside [min, max]."""
         cert = pairwise_alpha(diagonal(entries), n=32, seed=seed, dim=len(entries))
         assert min(entries) - 1e-9 <= cert.alpha <= max(entries) + 1e-9
-        assert cert.certified
 
 
 class TestLayerContraction:
     def test_small_product_certifies_one_half(self, space16):
         layer = make_layer(space16, lip_g=0.5, seed=5)
-        cert = contraction_certificate(layer.contraction)
-        assert cert.certified
-        assert cert.alpha == 1.0 - layer.contraction
-        assert cert.alpha == pytest.approx(0.5, rel=1e-9)
-        assert cert.method == "contraction"
-        assert cert.ratio == pytest.approx(0.5, rel=1e-9)
-        assert cert.ball_radius == "global"
+        assert layer.contraction == pytest.approx(0.5, rel=1e-9)
+        alpha = contraction_certificate(layer.contraction)
+        assert alpha == 1.0 - layer.contraction
+        assert alpha == pytest.approx(0.5, rel=1e-9)
 
     def test_large_product_is_rejected_with_ratio(self, space16):
         layer = make_layer(space16, lip_g=1.2, seed=5)
-        cert = contraction_certificate(layer.contraction)
-        assert not cert.certified
-        assert cert.alpha == 0.0
-        assert cert.ratio == pytest.approx(1.2, rel=1e-9)
-        assert cert.note == NO_CERTIFICATE
+        assert layer.contraction == pytest.approx(1.2, rel=1e-9)
+        assert contraction_certificate(layer.contraction) is None
 
     def test_zero_output_operator_gives_identity_constant(self, space16):
         base = make_layer(space16, lip_g=0.4, seed=2)
         zero = FiniteRankOperator(np.zeros(0), np.zeros((0, 16)), np.zeros((0, 16)))
         layer = NeuralOperatorLayer(base.in_op, zero, base.nonlin)
-        cert = contraction_certificate(layer.contraction)
-        assert cert.certified
-        assert cert.alpha == 1.0
+        assert contraction_certificate(layer.contraction) == 1.0
 
     def test_zero_middle_map_gives_identity_constant(self, space16):
         layer = make_layer(space16, lip_g=0.0, seed=2)
         assert isinstance(layer.nonlin, ZeroNonlinearity)
-        cert = contraction_certificate(layer.contraction)
-        assert cert.alpha == 1.0
+        assert contraction_certificate(layer.contraction) == 1.0
 
     def test_sampled_estimate_dominates_certificate(self, space16):
         layer = make_layer(space16, lip_g=0.4, seed=9)
-        cert = contraction_certificate(layer.contraction)
+        floor = contraction_certificate(layer.contraction)
         sampled = pairwise_alpha(layer, n=128, seed=17)
-        assert sampled.alpha >= cert.alpha - 1e-6
+        assert sampled.alpha >= floor - 1e-6
 
 
 # small seeded layers for the certificate property below
@@ -180,37 +155,25 @@ SPACE8 = Space(BasisSpec("fourier", 8))
 
 class TestContractionCertificate:
     def test_zero_bound_gives_alpha_one(self):
-        cert = contraction_certificate(0.0)
-        assert cert.certified
-        assert cert.alpha == 1.0
-        assert cert.ratio == 0.0
-        assert cert.method == "contraction"
+        alpha = contraction_certificate(0.0)
+        assert alpha == 1.0 and type(alpha) is float
 
     @pytest.mark.parametrize("kappa", [0.0, 0.1, 0.25, 0.5, 0.9, 1.0 - 2.0**-53])
     def test_floor_is_one_minus_the_bound(self, kappa):
-        cert = contraction_certificate(kappa)
-        assert cert.certified
-        assert cert.alpha == 1.0 - kappa
-        assert cert.ratio == kappa
+        assert contraction_certificate(kappa) == 1.0 - kappa
 
     @pytest.mark.parametrize("kappa", [1.0, 1.5])
     def test_rejection_carries_the_ratio(self, kappa):
-        cert = contraction_certificate(kappa)
-        assert not cert.certified
-        assert cert.alpha == 0.0
-        assert cert.ratio == kappa
-        assert cert.note == NO_CERTIFICATE
-        assert cert.as_dict()["ratio"] == kappa
+        # a bound of one or more certifies no modulus
+        assert contraction_certificate(kappa) is None
 
     def test_infinite_bound_is_a_rejection(self, space16):
         # an unbounded middle map has no finite bound: a rejection, not an error
         layer = make_layer(space16, lip_g=0.5, activation="recu", seed=2)
         assert layer.contraction == np.inf
-        cert = contraction_certificate(layer.contraction)
-        assert not cert.certified
-        assert cert.alpha == 0.0
-        assert cert.ratio == np.inf
-        assert not contraction_certificate(np.nan).certified
+        assert contraction_certificate(layer.contraction) is None
+        assert contraction_certificate(math.inf) is None
+        assert contraction_certificate(math.nan) is None
 
     @settings(max_examples=20, deadline=None)
     @given(
@@ -237,11 +200,11 @@ class TestContractionCertificate:
             layer = mixing_bilipschitz_layer(SPACE8.dim, kappa=max(lip_g, 0.05), seed=seed)
         else:
             layer = make_layer(SPACE8, seed=seed, **spec)
-        cert = contraction_certificate(layer.contraction)
-        assert cert.certified
+        floor = contraction_certificate(layer.contraction)
+        assert floor is not None
         for d in range(1, SPACE8.dim + 1):
             sampled = pairwise_alpha(layer, n=24, seed=seed, prefix=d)
-            assert sampled.alpha >= cert.alpha - 1e-9
+            assert sampled.alpha >= floor - 1e-9
 
 
 class TestBilipschitz:
@@ -279,14 +242,14 @@ class TestInvariants:
         """Strong monotonicity forces <F(x), x/|x|> to grow at rate alpha
         along every ray, up to the value at the origin."""
         layer = make_layer(space16, lip_g=0.4, bias_scale=0.5, seed=31)
-        cert = contraction_certificate(layer.contraction)
+        alpha = contraction_certificate(layer.contraction)
         rng = np.random.default_rng(8)
         f0 = layer.eval_array(np.zeros(16))
         for rho in (1.0, 10.0, 100.0):
             dirs = rng.standard_normal((64, 16))
             dirs /= np.linalg.norm(dirs, axis=1)[:, None]
             gain = np.einsum("ij,ij->i", layer.eval_array(rho * dirs) - f0, dirs)
-            assert np.min(gain - cert.alpha * rho) >= -1e-6
+            assert np.min(gain - alpha * rho) >= -1e-6
 
     def test_projection_does_not_lose_monotonicity(self, space16):
         """Compressing through a prefix subspace preserves pair quotients on
@@ -329,7 +292,7 @@ def _mid_row_boundary(n: int, step: int) -> bool:
 
 
 class TestPairQuotientKernel:
-    """The chunked kernel keeps only per-pair scalars and matches the full
+    """The chunked kernel keeps one quotient per pair and matches the full
     gather exactly, so every sampled estimate is unchanged."""
 
     @settings(max_examples=30, deadline=None)
@@ -352,14 +315,15 @@ class TestPairQuotientKernel:
             if entries == step * m and not _mid_row_boundary(n, step):
                 continue
             with patch.object(monotone, "_CHUNK_ENTRIES", entries):
-                i, j, dist2, dydx, dydy = monotone._pair_quotients(xs, ys)
+                i, j, inner = monotone._pair_quotients(xs, ys, inner=True)
+                li, lj, lip = monotone._pair_quotients(xs, ys)
                 sup = monotone._sup_quotient(xs, ys)
-            assert np.array_equal(i, ri) and np.array_equal(j, rj)
-            assert np.array_equal(dist2, rdist2)
-            assert np.array_equal(dydx, np.einsum("ij,ij->i", dy, dx))
-            assert np.array_equal(dydy, np.einsum("ij,ij->i", dy, dy))
-            ref_sup = np.max(np.einsum("ij,ij->i", dy, dy) / rdist2, initial=0.0)
-            assert sup == float(np.sqrt(ref_sup))
+            for a, b in ((i, j), (li, lj)):
+                assert np.array_equal(a, ri) and np.array_equal(b, rj)
+            assert np.array_equal(inner, np.einsum("ij,ij->i", dy, dx) / rdist2)
+            ref_lip = np.einsum("ij,ij->i", dy, dy) / rdist2
+            assert np.array_equal(lip, ref_lip)
+            assert sup == float(np.sqrt(np.max(ref_lip, initial=0.0)))
 
     def test_a_non_finite_sup_quotient_is_refused(self):
         xs = ball_samples(3, 1e300, 4, seed=0)
@@ -416,15 +380,13 @@ class TestPairQuotientKernel:
 
         xs = ball_samples(m, 1.5, n, seed=seed, prefix=d)
         ys = eval_map(f, xs)
-        i, j, dist2, dydx, dydy = monotone._pair_quotients(xs, ys)
-        quo = dydx / dist2
+        i, j, quo = monotone._pair_quotients(xs, ys, inner=True)
         cert = pairwise_alpha(f, r=1.5, n=n, seed=seed, dim=m, prefix=d)
         assert abs(cert.alpha - np.min(quo)) <= 1e-14 * max(1.0, abs(np.min(quo)))
         assert all(row.shape == (m,) for row in cert.minimizing_pair)
-        # |Δy|² is skipped on request, and the other scalars keep their bits
-        *rest, none = monotone._pair_quotients(xs, ys, with_dydy=False)
-        assert none is None
-        assert all(np.array_equal(u, v) for u, v in zip(rest, (i, j, dist2, dydx)))
+        # the Lipschitz quotients keep the same pairs
+        li, lj, _ = monotone._pair_quotients(xs, ys)
+        assert np.array_equal(li, i) and np.array_equal(lj, j)
 
     def test_peak_memory_is_one_chunk(self):
         """At 128 samples of dimension 256 the full gather peaks at 64 MB;

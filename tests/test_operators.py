@@ -13,10 +13,10 @@ from opdisc.operators import (
     FiniteRankOperator,
     Reflection,
     activation_from_name,
-    nemytskii_apply,
     orthonormal_rows,
     spectral_norm,
 )
+from opdisc.spectral import BasisSpec, Space
 
 
 def e(i, m=8):
@@ -344,19 +344,26 @@ class TestActivationNames:
             _read(name, pointwise, space16)
 
 
+def _nemytskii(space, name: str) -> NemytskiiNonlinearity:
+    return NemytskiiNonlinearity(space, activation_from_name(name))
+
+
 class TestNemytskii:
     def test_identity_exact(self, space16):
         u = ball_samples(16, 1.0, 3, seed=0)
-        got = nemytskii_apply(space16, activation_from_name("identity"), u)
-        assert np.array_equal(got, u)
+        assert np.array_equal(_nemytskii(space16, "identity").apply_array(u), u)
+        # an exact copy is 1-Lipschitz, however coarse the quadrature
+        coarse = Space(BasisSpec("fourier", 16, quadrature_panels=2))
+        g = _nemytskii(coarse, "identity")
+        assert np.array_equal(g.apply_array(u), u)
+        assert g.lip == 1.0 < 2.0 < coarse.quadrature_gram_max
 
     def test_unit_slope_leaky_relu_is_identity(self, space16):
         u = ball_samples(16, 1.0, 3, seed=1)
-        got = nemytskii_apply(space16, activation_from_name("leaky_relu(1)"), u)
-        assert np.abs(got - u).max() < 1e-12
+        assert np.abs(_nemytskii(space16, "leaky_relu(1)").apply_array(u) - u).max() < 1e-12
 
     def test_negative_constant_scales_by_slope(self, space16):
         u = -e(0, 16)  # the function identically -1
-        got = nemytskii_apply(space16, activation_from_name("leaky_relu"), u)
+        got = _nemytskii(space16, "leaky_relu").apply_array(u)
         assert np.abs(got - 0.2 * u).max() < 1e-8
 

@@ -11,7 +11,9 @@ these enters is code no CLI kind or acceptance criterion reaches: wire it
 into a check or delete it.  Lambdas and comprehensions are not counted.
 Only the entries of ``ALLOWED`` may stay unreached, each for the reason it
 gives.  Every JSON file these runs write must parse as strict JSON, with no
-NaN or Infinity.
+NaN or Infinity, and must keep its records honest: a sampled estimate is
+never called certified, and each ``monotone-check`` row cites its estimate
+by that estimate's own hash.
 """
 
 import ast
@@ -212,6 +214,27 @@ def _load_strict(path: Path):
         raise AssertionError(f"{path.name}: {err}") from err
 
 
+def _keys(obj) -> set:
+    """Every object key nested in a JSON value."""
+    if isinstance(obj, list):
+        return set().union(*map(_keys, obj))
+    if not isinstance(obj, dict):
+        return set()
+    return set(obj).union(*map(_keys, obj.values()))
+
+
+def _estimate_rows(path: Path, blob) -> int:
+    """Check the records of one written JSON value; the count of
+    ``monotone-check`` rows in it."""
+    assert "certified" not in _keys(blob), path.name
+    if not (isinstance(blob, dict) and blob.get("kind") == "monotone-check"):
+        return 0
+    for row in blob.get("scan", []):
+        assert set(row) == {"dim", "alpha_hat", "estimate", "estimate_hash"}, path.name
+        assert row["estimate_hash"] == serialize.blob_hash(row["estimate"]), path.name
+    return len(blob.get("scan", []))
+
+
 def test_every_function_is_reached(tmp_path, monkeypatch):
     # two CPUs, so that the pair enters the fork branch on a one-CPU machine too
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
@@ -255,8 +278,8 @@ def test_every_function_is_reached(tmp_path, monkeypatch):
     assert pooled.exit_code == 0, pooled.output
     assert pooled.output.count("ok  ") == len(PAIR) == 2, pooled.output
     assert json.loads((tmp_path / "batch" / "recu.json").read_text())["contraction"] is None
-    for path in sorted(tmp_path.rglob("*.json")):
-        _load_strict(path)
+    rows = sum(_estimate_rows(path, _load_strict(path)) for path in sorted(tmp_path.rglob("*.json")))
+    assert rows > 0, "the batch wrote no monotone-check rows"
 
     resolved = {name: str(Path(name).resolve()) for name in {c.co_filename for c in entered}}
     reached = {(resolved[c.co_filename], c.co_firstlineno) for c in entered}
