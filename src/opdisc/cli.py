@@ -52,7 +52,7 @@ from .galerkin import (
 )
 from .invert import invert_chain
 from .isotopy import aligned_dets, truncated_det_scan
-from .monotone import contraction_certificate, pairwise_alpha
+from .monotone import contraction_certificate
 from .serialize import (
     _FINITE,
     _FLOAT,
@@ -304,12 +304,25 @@ class _BuildMemo:
         return self._built[key]
 
 
+def _prefix_scan(got: dict):
+    """The one prefix-ladder scan that ``monotone-check`` and
+    ``discretize-scan`` read; eight evenly spread dims when none are named."""
+    return convergence_scan(
+        got["layer"].eval_array,
+        got["dims"] or _prefix_dims(got["space"].dim, 8),
+        r=got["radius"],
+        n=got["samples"],
+        seed=got["seed"],
+        dim=got["space"].dim,
+    )
+
+
 def run_monotone_check(exp: dict, memo: _BuildMemo) -> tuple:
     """Sampled strong-monotonicity estimates on a ladder of prefixes, held
-    against the layer's certified floor."""
+    against the layer's certified floor.  Each row is a :func:`_prefix_scan`
+    row's estimate and its hash, so ``alpha_hat`` matches ``discretize-scan``."""
     got = _read(exp, memo)
-    space, layer, seed = got["space"], got["layer"], got["seed"]
-    kappa = float(layer.contraction)
+    kappa = float(got["layer"].contraction)
     report = {
         # an unbounded contraction is null; the rejection's reason says why
         "contraction": kappa if math.isfinite(kappa) else None,
@@ -323,26 +336,16 @@ def run_monotone_check(exp: dict, memo: _BuildMemo) -> tuple:
         )
     else:
         floor = structural if got["floor"] is None else got["floor"]
-        rows = []
-        worst = math.inf
-        for d in got["dims"] or _prefix_dims(space.dim, 8):
-            estimate = pairwise_alpha(
-                layer.eval_array,
-                r=got["radius"],
-                n=got["samples"],
-                seed=seed,
-                dim=space.dim,
-                prefix=d,
-            )
-            worst = min(worst, estimate.alpha)
-            rows.append(
-                {
-                    "dim": d,
-                    "alpha_hat": estimate.alpha,
-                    "estimate": estimate,
-                    "estimate_hash": blob_hash(estimate),
-                }
-            )
+        rows = [
+            {
+                "dim": row["dim"],
+                "alpha_hat": row["alpha_hat"],
+                "estimate": row["estimate"],
+                "estimate_hash": blob_hash(row["estimate"]),
+            }
+            for row in _prefix_scan(got).rows
+        ]
+        worst = min(row["alpha_hat"] for row in rows)
         report.update(
             {
                 "rejected": False,
@@ -363,15 +366,7 @@ def run_monotone_check(exp: dict, memo: _BuildMemo) -> tuple:
 
 def run_discretize_scan(exp: dict, memo: _BuildMemo) -> tuple:
     """Prefix-discretization error scan; CSV of its rows plus the scan's settings in JSON."""
-    got = _read(exp, memo)
-    report = convergence_scan(
-        got["layer"].eval_array,
-        got["dims"],
-        r=got["radius"],
-        n=got["samples"],
-        seed=got["seed"],
-        dim=got["space"].dim,
-    )
+    report = _prefix_scan(_read(exp, memo))
     columns = ("dim", "functor_a_error", "weak_error", "alpha_hat")
     return report.metadata, (",".join(columns), [[row[c] for c in columns] for row in report.rows])
 

@@ -55,7 +55,8 @@ def functor_a_error(
 class ConvergenceReport:
     """Per-dimension compression metrics.
 
-    Row fields: dim, functor_a_error, weak_error, alpha_hat.
+    Row fields: dim, functor_a_error, weak_error, alpha_hat, and estimate,
+    the :class:`ModulusEstimate` whose alpha is alpha_hat.
     """
 
     rows: tuple
@@ -82,6 +83,8 @@ def convergence_scan(
     map over its own subspace: differences of samples in V lie in V, so
     <P_V Δf, Δx> = <Δf, Δx> and sampling f there is sampling P_V∘f.  The
     weak column tests against the first basis direction outside V.
+    Each row's estimate is :func:`pairwise_alpha`'s at that prefix, bit for
+    bit: the one prefix ladder that ``monotone-check`` and criterion 1 read.
     """
     dims = [int(d) for d in dims]
     if not dims:
@@ -98,15 +101,16 @@ def convergence_scan(
         # f_V(x) − f(x) = −(Id − P_V) f(x), tested against the probe e_d
         weak = float(np.max(np.abs(f_common[:, d]), initial=0.0)) if d < m else 0.0
         if d == dims[0]:  # pairwise_alpha would draw the common samples again
-            alpha = _sampled_alpha(common, f_common, r, seed, d).alpha
+            estimate = _sampled_alpha(common, f_common, r, seed, d)
         else:
-            alpha = pairwise_alpha(f, r=r, n=n, seed=seed, dim=m, prefix=d).alpha
+            estimate = pairwise_alpha(f, r=r, n=n, seed=seed, dim=m, prefix=d)
         rows.append(
             {
                 "dim": d,
                 "functor_a_error": _tail_error(f_common, d),
                 "weak_error": weak,
-                "alpha_hat": alpha,
+                "alpha_hat": estimate.alpha,
+                "estimate": estimate,
             }
         )
     meta = {

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from opdisc import acceptance, cli, serialize
 from opdisc.cli import SOURCES, main, run_config
+from opdisc.discretize import convergence_scan
 from opdisc.layers import AffineNonlinearity, NemytskiiNonlinearity, make_layer
 from opdisc.monotone import ball_samples
 from opdisc.serialize import blob_hash, chain_from_spec, layer_from_spec, space_from_config
@@ -194,6 +195,25 @@ def chain_builds(monkeypatch, tmp_path):
 
 
 class TestBatchMode:
+    def test_monotone_check_reads_the_discretize_scan_alphas(self, tmp_path):
+        """A monotone-check and a discretize-scan of one layer, seed, sample
+        count and dims report the same prefix moduli: both read one
+        convergence_scan, and each estimate hash is that scan row's."""
+        shared = {"seed": 5, "samples": 24, "dims": [1, 3, 6, 8],
+                  "space": {"basis": "fourier", "ambient_dim": 8},
+                  "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5}}
+        outcomes = _run_batch([{"name": "mono", "kind": "monotone-check", **shared},
+                               {"name": "scan", "kind": "discretize-scan", **shared}], tmp_path)
+        assert [o["status"] for o in outcomes] == ["ok", "ok"], outcomes
+        rows = json.loads((tmp_path / "mono.json").read_text())["scan"]
+        lines = (tmp_path / "scan.csv").read_text().strip().split("\n")
+        assert [row["alpha_hat"] for row in rows] == [float(line.split(",")[3]) for line in lines[1:]]
+        layer = layer_from_spec(shared["layer"], space_from_config(shared["space"]))
+        scan = convergence_scan(layer.eval_array, shared["dims"], n=24, seed=5, dim=8)
+        assert [row["dim"] for row in rows] == scan.column("dim")
+        for row, want in zip(rows, scan.rows):
+            assert row["estimate_hash"] == blob_hash(want["estimate"])
+
     def test_runs_every_experiment(self, runner, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from opdisc.layers import NemytskiiNonlinearity
 from opdisc.monotone import ball_samples
 from opdisc.operators import (
+    _ACTIVATIONS,
     _GRAM_EXP,
     Activation,
     FiniteRankOperator,
@@ -229,11 +230,27 @@ class TestActivations:
             assert np.all(slopes <= act.local_lipschitz(5.0) * (1 + 1e-12)), name
 
     def test_growth_bounds(self):
+        """|σ(s)| <= range_radius(|s|) on scalars, and ‖σ(x)‖₂ <=
+        range_radius(‖x‖₂) on vectors, the form CoordinateNetwork.ball_bound
+        propagates, for every activation name."""
+        names = ("identity", "leaky_relu", "leaky_relu(0.3)", "leaky_relu(3)",
+                 "leaky_relu(-0.5)", "recu", "tanh", "scaled_leaky(0.4)", "groupsort2")
+        assert {name.split("(")[0] for name in names} == set(_ACTIVATIONS)
         grid = np.linspace(-10.0, 10.0, 101)
-        for name in ("identity", "leaky_relu(0.3)", "recu", "tanh"):
+        rng = np.random.default_rng(24)
+        for name in names:
             act = activation_from_name(name)
-            bound = np.array([act.range_radius(abs(s)) for s in grid])
-            assert np.all(np.abs(act(grid)) <= bound * (1 + 1e-12)), name
+            if act.entrywise:  # groupsort2 mixes the grid's coordinates
+                bound = np.array([act.range_radius(abs(s)) for s in grid])
+                assert np.all(np.abs(act(grid)) <= bound * (1 + 1e-12)), name
+            for m in (1, 2, 5, 16):
+                # scales from 1e-3 to 10; the nonnegative rows give the cubed
+                # rectifier all of their norm, and on the positive axes its
+                # bound is tight
+                xs = rng.standard_normal((150, m)) * np.exp(rng.uniform(-7.0, 2.3, (150, 1)))
+                xs = np.vstack([xs, np.abs(xs), 3.0 * np.eye(m), -3.0 * np.eye(m)])
+                bound = np.array([act.range_radius(r) for r in np.linalg.norm(xs, axis=1)])
+                assert np.all(np.linalg.norm(act(xs), axis=1) <= bound * (1 + 1e-12)), (name, m)
 
     def test_groupsort2_sorts_pairs(self):
         gs = activation_from_name("groupsort2")
