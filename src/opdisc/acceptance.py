@@ -115,7 +115,6 @@ def criterion_monotonicity_under_compression(
         "worst_alpha": worst,
         "worst_at_seed": worst_at[0],
         "worst_at_dim": worst_at[1],
-        "elapsed_s": elapsed,
     }
 
 
@@ -325,7 +324,6 @@ def criterion_block_factorization() -> dict:
         "epsilon_grid": list(eps_grid),
         "block_counts": counts,
         "loglog_slope": slope,
-        "elapsed_s": elapsed,
     }
 
 
@@ -564,7 +562,6 @@ def criterion_fem_rates() -> dict:
         }
     elapsed = time.perf_counter() - start
     assert elapsed < 30.0, f"solver sweep took {elapsed:.1f}s, budget is 30s"
-    detail["elapsed_s"] = elapsed
     return detail
 
 

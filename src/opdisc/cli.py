@@ -71,6 +71,7 @@ from .serialize import (
     blob_hash,
     canonical_json,
     chain_from_spec,
+    check_schema,
     head_from_spec,
     integral,
     layer_from_spec,
@@ -788,7 +789,7 @@ def _run_subcommand(ctx, **flags) -> None:
         if blob.get("kind", kind) != kind:
             raise SpecError(f"config is for kind {blob['kind']!r} but the subcommand is {kind!r}")
         exp = {"name": kind, **blob, "kind": kind}
-        exp.pop("schema", None)
+        check_schema(exp.pop("schema", SCHEMA_VERSION), "config")
         exp.update({key: value for key, value in given.items() if value is not None})
         exp = _validate_experiment(exp, 0, None)
     except SpecError as err:

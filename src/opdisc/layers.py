@@ -32,10 +32,9 @@ from .spectral import Space
 
 __all__ = [
     "Nonlinearity",
-    "ZeroNonlinearity",
     "NemytskiiNonlinearity",
     "CoordinateNetNonlinearity",
-    "AffineNonlinearity",
+    "affine_nonlinearity",
     "NeuralOperatorLayer",
     "CoordinateNetwork",
     "ResidualChain",
@@ -226,14 +225,6 @@ class Nonlinearity:
     lip: float
 
 
-@dataclass(frozen=True)
-class ZeroNonlinearity(Nonlinearity):
-    lip: float = 0.0
-
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-
 @dataclass(frozen=True, eq=False)
 class NemytskiiNonlinearity(Nonlinearity):
     """An entrywise activation composed pointwise through the quadrature
@@ -303,30 +294,12 @@ class CoordinateNetNonlinearity(Nonlinearity):
         return y
 
 
-@dataclass(frozen=True, eq=False)
-class AffineNonlinearity(Nonlinearity):
-    """x -> A x + b with the exact spectral norm of A recorded as ``lip``."""
-
-    matrix: np.ndarray
-    bias: np.ndarray
-    lip: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        m = np.array(self.matrix, dtype=float)
-        b = np.array(self.bias, dtype=float).reshape(-1)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] != b.size:
-            raise ValueError("affine nonlinearity needs a square matrix and matching bias")
-        m.flags.writeable = False
-        b.flags.writeable = False
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "bias", b)
-        object.__setattr__(self, "lip", spectral_norm(m))
-
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.bias.size:
-            raise ValueError("dimension mismatch for affine nonlinearity")
-        return x @ self.matrix.T + self.bias
+def affine_nonlinearity(matrix, bias) -> CoordinateNetNonlinearity:
+    """x -> A x + b as a one-stage coordinate network with the identity
+    activation, so its bound is the exact spectral norm of A; A = 0 and
+    b = 0 give the zero map."""
+    net = CoordinateNetwork((matrix,), (bias,), activation_from_name("identity"))
+    return CoordinateNetNonlinearity(net, net.n_in)
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +319,9 @@ class NeuralOperatorLayer:
     a row costs x·Ψ_inᵀ, the network between r-dimensional ends, and
     ·Φ_out, in place of two m-wide end stages.  The folded arrays are
     read-only and serve evaluation alone: :attr:`contraction` and every
-    certificate read the unfolded factors.
+    certificate read the unfolded factors.  Affine and zero middle maps are
+    one-stage networks (:func:`affine_nonlinearity`), so they fold too; the
+    unfolded composition serves Nemytskii maps and networks on a prefix.
     """
 
     in_op: FiniteRankOperator
@@ -625,7 +600,7 @@ def make_layer(
 
     g: Nonlinearity
     if lip_g == 0.0:
-        g = ZeroNonlinearity()
+        g = affine_nonlinearity(np.zeros((m, m)), np.zeros(m))
     elif nonlin == "coordinate_net":
         net = CoordinateNetwork.seeded(
             m,
@@ -643,7 +618,7 @@ def make_layer(
         a = rng.standard_normal((m, m))
         a *= lip_g / spectral_norm(a)
         b = bias_scale * rng.standard_normal(m)
-        g = AffineNonlinearity(a, b)
+        g = affine_nonlinearity(a, b)
     else:
         raise ValueError(f"unknown nonlinearity kind {nonlin!r}")
 

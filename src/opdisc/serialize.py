@@ -32,14 +32,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .layers import (
-    AffineNonlinearity,
     CoordinateNetNonlinearity,
     CoordinateNetwork,
     FiniteRankOperator,
     NemytskiiNonlinearity,
     NeuralOperatorLayer,
     ResidualChain,
-    ZeroNonlinearity,
+    affine_nonlinearity,
     make_layer,
 )
 from .operators import Reflection, activation_from_name, orthonormal_rows
@@ -53,6 +52,7 @@ __all__ = [
     "canonical_json",
     "blob_hash",
     "check_keys",
+    "check_schema",
     "integral",
     "read_keys",
     "space_from_config",
@@ -414,34 +414,35 @@ def network_from_spec(d: dict) -> CoordinateNetwork:
 # nonlinearities and layers
 
 
-def _nemytskii(got: _Values) -> NemytskiiNonlinearity:
+def _the_space(got: _Values, what: str) -> Space:
+    """The space the reader was given, which ``what`` needs."""
     if got.space is None:
-        raise ValueError("a Nemytskii map needs the space")
-    return NemytskiiNonlinearity(got.space, got["activation"])
+        raise ValueError(f"{what} needs the space")
+    return got.space
+
+
+def _zero(got: _Values) -> CoordinateNetNonlinearity:
+    m = _the_space(got, "a zero map").dim
+    return affine_nonlinearity(np.zeros((m, m)), np.zeros(m))
 
 
 NONLINEARITIES = {
-    "zero": ({}, lambda got: ZeroNonlinearity()),
+    "zero": ({}, _zero),
     "affine": ({
         "matrix": _Key(_LIST, _REQUIRED, _NUMBERS),
         "bias": _Key(_LIST, _REQUIRED, _NUMBERS),
-    }, lambda got: AffineNonlinearity(**got)),
+    }, lambda got: affine_nonlinearity(got["matrix"], got["bias"])),
     "coordinate_net": ({
         "net": _Key(_NETWORK, _REQUIRED),
         "ambient_dim": _Key(_INT, _REQUIRED),
     }, lambda got: CoordinateNetNonlinearity(**got)),
-    "nemytskii": ({"activation": _Key(_ACTIVATION, _REQUIRED)}, _nemytskii),
+    "nemytskii": ({"activation": _Key(_ACTIVATION, _REQUIRED)}, lambda got: (
+        NemytskiiNonlinearity(_the_space(got, "a Nemytskii map"), got["activation"]))),
 }
 
 
 def nonlinearity_from_spec(d: dict, space: Space | None = None):
     return _build_kind(NONLINEARITIES, d, "nonlinearity", space=space)
-
-
-def _seeded_layer(got: _Values) -> NeuralOperatorLayer:
-    if got.space is None:
-        raise ValueError("a seeded layer needs the space")
-    return make_layer(got.space, **got)
 
 
 LAYERS = {
@@ -462,7 +463,7 @@ LAYERS = {
         "bias_scale": _Key(_FLOAT, 0.0, _FINITE),
         "hidden": _Key(_WIDTHS, None, _EACH_ONE_OR_MORE),
         "activation": _Key(_ACTIVATION, "leaky_relu"),
-    }, _seeded_layer),
+    }, lambda got: make_layer(_the_space(got, "a seeded layer"), **got)),
 }
 
 
@@ -552,9 +553,14 @@ def load_json(path):
 def read_envelope(obj: dict, where: str, required: set, optional: set = frozenset()):
     """Validate a top-level artifact object: schema tag plus declared keys."""
     check_keys(obj, where, required | {"schema"}, optional)
-    if obj["schema"] != SCHEMA_VERSION:
-        raise SpecError(f"{where}: unsupported schema {obj['schema']!r}")
+    check_schema(obj["schema"], where)
     return obj
+
+
+def check_schema(value, where: str) -> None:
+    """Refuse a schema tag other than the number 1; ``true`` is not 1."""
+    if isinstance(value, bool) or value != SCHEMA_VERSION:
+        raise SpecError(f"{where}: unsupported schema {value!r}")
 
 
 def write_json(path, obj) -> None:

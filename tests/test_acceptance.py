@@ -36,7 +36,8 @@ def test_criterion_01_monotonicity_under_compression():
     detail = criterion_monotonicity_under_compression()
     assert detail["layers"] == 50
     assert detail["worst_alpha"] >= 0.5 - 1e-6
-    assert detail["elapsed_s"] < 60.0
+    # the wall time is the suite's "elapsed", kept out of the details
+    assert "elapsed_s" not in detail
 
 
 def test_criterion_02_range_tail_convergence():

@@ -16,13 +16,12 @@ from opdisc.decompose import (
     decompose,
 )
 from opdisc.layers import (
-    AffineNonlinearity,
     CoordinateNetNonlinearity,
     CoordinateNetwork,
     NemytskiiNonlinearity,
     NeuralOperatorLayer,
     ResidualChain,
-    ZeroNonlinearity,
+    affine_nonlinearity,
     eval_map,
     make_layer,
 )
@@ -43,7 +42,7 @@ def _flip_layer(dim: int) -> NeuralOperatorLayer:
     a = np.zeros((dim, dim))
     a[0, 0] = -2.0
     a[1, 1] = -0.5
-    return NeuralOperatorLayer(t, t, AffineNonlinearity(a, np.zeros(dim)))
+    return NeuralOperatorLayer(t, t, affine_nonlinearity(a, np.zeros(dim)))
 
 
 ACTIVATIONS = ("identity", "leaky_relu", "recu", "tanh", "scaled_leaky(0.4)", "groupsort2")
@@ -69,11 +68,11 @@ def maps():
     net = CoordinateNetwork.seeded(m, m, target_bound=0.5, bias_scale=0.3, seed=2)
     window = CoordinateNetwork.seeded(5, 5, target_bound=0.5, seed=3)
     nonlins = {
-        "zero_nonlinearity": ZeroNonlinearity(),
+        "zero_nonlinearity": affine_nonlinearity(np.zeros((m, m)), np.zeros(m)),
         "nemytskii": NemytskiiNonlinearity(space, activation_from_name("scaled_leaky(0.4)")),
         "coordinate_net_nonlinearity": CoordinateNetNonlinearity(net, m),
         "coordinate_net_window": CoordinateNetNonlinearity(window, m),
-        "affine_nonlinearity": AffineNonlinearity(0.3 * np.eye(m), np.ones(m)),
+        "affine_nonlinearity": affine_nonlinearity(0.3 * np.eye(m), np.ones(m)),
     }
     for name, nl in nonlins.items():
         out[name] = (nl.apply_array, m)

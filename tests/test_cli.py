@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from opdisc import acceptance, cli, serialize
 from opdisc.cli import SOURCES, main, run_config
 from opdisc.discretize import convergence_scan
-from opdisc.layers import AffineNonlinearity, NemytskiiNonlinearity, make_layer
+from opdisc.layers import CoordinateNetNonlinearity, NemytskiiNonlinearity, make_layer
 from opdisc.monotone import ball_samples
 from opdisc.serialize import blob_hash, chain_from_spec, layer_from_spec, space_from_config
 
@@ -1275,7 +1275,8 @@ class TestNemytskiiSpace:
 class TestSeededLayerNonlin:
     @pytest.mark.parametrize(
         "nonlin,cls",
-        [("nemytskii", NemytskiiNonlinearity), ("affine_contraction", AffineNonlinearity)],
+        [("nemytskii", NemytskiiNonlinearity),
+         ("affine_contraction", CoordinateNetNonlinearity)],
     )
     def test_a_config_chooses_the_nonlinearity(self, tmp_path, nonlin, cls):
         space_spec = {"basis": "fourier", "ambient_dim": 8}
@@ -1812,6 +1813,17 @@ class TestSubcommands:
         )
         assert result.exit_code == 0, result.output
         assert (out / "iso3.csv").exists()
+
+    @pytest.mark.parametrize("schema", [99, True, "1"])
+    def test_a_single_experiment_config_reads_its_schema(self, runner, tmp_path, schema):
+        cfg = tmp_path / "single.json"
+        cfg.write_text(json.dumps({"schema": schema, "name": "iso3", "kind": "nogo-isotopy",
+                                   "seed": 0, "m": 3, "grid": 21}))
+        out = tmp_path / "out"
+        result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "nogo-isotopy"])
+        assert result.exit_code == 1, result.output
+        assert f"config: unsupported schema {schema!r}" in result.output
+        assert not out.exists()
 
 
 # every subcommand's options as its --help lists them: flag and metavar

@@ -34,8 +34,8 @@ from opdisc.decompose import (
     quintic_smoothstep,
 )
 from opdisc.layers import (
-    AffineNonlinearity,
     NeuralOperatorLayer,
+    affine_nonlinearity,
     eval_map,
     make_layer,
 )
@@ -113,7 +113,7 @@ def flip_layer(space16):
     a = np.zeros((16, 16))
     a[0, 0] = -2.0
     a[1, 1] = -0.5
-    return NeuralOperatorLayer(t, t, AffineNonlinearity(a, np.zeros(16)))
+    return NeuralOperatorLayer(t, t, affine_nonlinearity(a, np.zeros(16)))
 
 
 class TestFrame:

@@ -3,12 +3,11 @@ writes, so a change that moves an artifact shows up here as a failed test.
 
 The ledger holds the sha256 of every file that the reachability batch
 (``test_reachability.BATCH``, every CLI kind) writes at ``--jobs 1``, and of
-each ``opdisc accept`` criterion's result in ``acceptance.json``.  Wall
-times are left out of those results: ``elapsed``, and the ``elapsed_s`` that
-criteria 1, 4 and 9 keep in their ``detail``.  Both runs happen in a fresh
-interpreter with BLAS pinned to one thread, because criterion 2's details
-depend on the thread count.  The ledger records the numpy version and the
-BLAS build it was made with; on a mismatch elsewhere the failure says so.
+each ``opdisc accept`` criterion's result in ``acceptance.json``, without
+its wall time ``elapsed``.  Both runs happen in a fresh interpreter with
+BLAS pinned to one thread, because criterion 2's details depend on the
+thread count.  The ledger records the numpy version and the BLAS build it
+was made with; on a mismatch elsewhere the failure says so.
 
 Rewrite the ledger after a change that moves a digest on purpose, and name
 each moved file in CHANGES.md::
@@ -46,11 +45,8 @@ def _blas_build() -> str:
 
 
 def _criterion_digest(result: dict) -> str:
-    """The digest of one criterion's result without its wall times."""
+    """The digest of one criterion's result without its wall time."""
     result = {key: value for key, value in result.items() if key != "elapsed"}
-    detail = result.get("detail")
-    if isinstance(detail, dict):
-        result["detail"] = {key: value for key, value in detail.items() if key != "elapsed_s"}
     return _sha256(json.dumps(result, sort_keys=True, allow_nan=False).encode())
 
 

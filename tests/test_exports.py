@@ -21,10 +21,10 @@ from opdisc.decompose import choose_w, linear_path_blocks, path_blocks
 from opdisc.galerkin import ConvexNonlinearity, FemMesh, solve_semilinear_trace
 from opdisc.invert import InversionTrace, global_inverse_check, invert_chain
 from opdisc.layers import (
-    AffineNonlinearity,
     CoordinateNetwork,
     NeuralOperatorLayer,
     ResidualChain,
+    affine_nonlinearity,
     central_differences,
     make_layer,
 )
@@ -394,7 +394,7 @@ def test_tracer_counts_decompose_inverters():
     flip = np.zeros((8, 8))
     flip[0, 0], flip[1, 1] = -2.0, -0.5
     t = FiniteRankOperator(np.ones(2), frame, frame)
-    newton = NeuralOperatorLayer(t, t, AffineNonlinearity(flip, np.zeros(8)))
+    newton = NeuralOperatorLayer(t, t, affine_nonlinearity(flip, np.zeros(8)))
     tracer = TRACER.Tracer()
     tracer.install()
     try:

@@ -9,11 +9,10 @@ from hypothesis import strategies as st
 from opdisc import layers, operators
 from opdisc.invert import invert_chain
 from opdisc.layers import (
-    AffineNonlinearity,
     CoordinateNetwork,
     NeuralOperatorLayer,
     ResidualChain,
-    ZeroNonlinearity,
+    affine_nonlinearity,
     central_differences,
     eval_map,
     make_layer,
@@ -218,7 +217,7 @@ class TestSpectralNormCalls:
             6, 4, 1, block_bound=0.05, activation=activation_from_name("recu"),
             bias_scale=0.0, seed=4,
         )
-        affine = AffineNonlinearity(0.3 * np.eye(4), np.ones(4))
+        affine = affine_nonlinearity(0.3 * np.eye(4), np.ones(4))
         built = len(calls)
         net = chain.blocks[0]
         assert net.spectral_bound == pytest.approx(0.5, rel=1e-12)
@@ -440,12 +439,32 @@ def test_eval_map_rejects_unknown():
 
 def test_affine_nonlinearity_validation():
     with pytest.raises(ValueError):
-        AffineNonlinearity(np.zeros((2, 3)), np.zeros(2))
-    aff = AffineNonlinearity(0.5 * np.eye(2), np.ones(2))
+        affine_nonlinearity(np.zeros((2, 3)), np.zeros(2))
+    aff = affine_nonlinearity(0.5 * np.eye(2), np.ones(2))
     assert aff.lip == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_affine_bias_is_refused(bad):
+    with pytest.raises(ValueError, match="stage 0: non-finite weight or bias"):
+        affine_nonlinearity(np.eye(2), [bad, 0.0])
+
+
 def test_zero_nonlinearity():
-    z = ZeroNonlinearity()
+    z = affine_nonlinearity(np.zeros((4, 4)), np.zeros(4))
     assert z.lip == 0.0
     assert np.array_equal(z.apply_array(np.ones(4)), np.zeros(4))
+
+
+@pytest.mark.parametrize(
+    "lip_g,nonlin,contraction", [(0.0, "coordinate_net", 0.0), (0.4, "affine_contraction", 0.4)]
+)
+def test_an_affine_middle_map_keeps_its_bound(space16, lip_g, nonlin, contraction):
+    """A zero or affine middle map is a one-stage network, folded into the
+    layer's frames; its bound is the spectral norm of its weight, so the
+    contraction is ‖T_in‖·‖T_out‖·‖A‖₂ to the bit."""
+    layer = make_layer(space16, lip_g=lip_g, nonlin=nonlin, bias_scale=0.3, seed=6)
+    assert layer._folded is not None
+    (weight,) = layer.nonlin.net.weights
+    assert layer.lip_nonlin == operators.spectral_norm(weight)
+    assert layer.contraction == contraction

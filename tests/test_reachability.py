@@ -62,6 +62,13 @@ EXPLICIT_NET = {
     "biases": [[0.1, 0, 0, 0], [0, 0, 0, -0.1]],
     "activation": "leaky_relu(0.3)",
 }
+# a network on the first four of eight coordinates: the other four pass through
+PREFIX_NET_LAYER = {
+    "kind": "layer", "in_op": SEEDED_OP, "out_op": SEEDED_OP,
+    "nonlin": {"kind": "coordinate_net", "ambient_dim": 8,
+               "net": {"kind": "seeded_coordinate_network", "n_in": 4, "n_out": 4, "seed": 7,
+                       "target_bound": 0.5, "activation": "identity"}},
+}
 BATCH = [
     {"name": "nemytskii", "kind": "monotone-check", "seed": 5, "samples": 16,
      "dims": [2, 8], "space": FOURIER,
@@ -69,13 +76,9 @@ BATCH = [
                "out_op": {"kind": "finite_rank", "omegas": [1.0, 0.5],
                           "psi_seed": 2, "phi_seed": 3},
                "nonlin": {"kind": "nemytskii", "activation": "scaled_leaky(0.5)"}}},
+    # kappa = max(1, 0.5): rejected before it is evaluated
     {"name": "coordinate-net", "kind": "monotone-check", "seed": 5, "samples": 16,
-     "dims": [4], "space": FOURIER,
-     "layer": {"kind": "layer", "in_op": SEEDED_OP, "out_op": SEEDED_OP,
-               "nonlin": {"kind": "coordinate_net", "ambient_dim": 8,
-                          "net": {"kind": "seeded_coordinate_network", "n_in": 4,
-                                  "n_out": 4, "seed": 7, "target_bound": 0.5,
-                                  "activation": "identity"}}}},
+     "dims": [4], "space": FOURIER, "layer": PREFIX_NET_LAYER},
     # no dims: the runner spreads its own prefixes
     {"name": "spread", "kind": "monotone-check", "seed": 5, "samples": 8,
      "space": {"basis": "abstract_orthonormal", "ambient_dim": 4},
@@ -88,6 +91,16 @@ BATCH = [
      "space": {"basis": "abstract_orthonormal", "ambient_dim": 6},
      "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5, "hidden": [8],
                "activation": "tanh"}},
+    # the affine and zero middle maps are one-stage networks folded into their layer
+    {"name": "scan-affine", "kind": "discretize-scan", "seed": 3, "samples": 8, "dims": [2, 4],
+     "space": {"basis": "abstract_orthonormal", "ambient_dim": 4},
+     "layer": {"kind": "seeded_layer", "seed": 3, "nonlin": "affine_contraction",
+               "bias_scale": 0.3}},
+    {"name": "scan-zero", "kind": "discretize-scan", "seed": 3, "samples": 8, "dims": [2, 4],
+     "space": {"basis": "abstract_orthonormal", "ambient_dim": 4},
+     "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0}},
+    {"name": "scan-prefix", "kind": "discretize-scan", "seed": 3, "samples": 8, "dims": [4, 8],
+     "space": FOURIER, "layer": PREFIX_NET_LAYER},
     {"name": "quant", "kind": "quant-report", "seed": 1, "samples": 16, "dims": [2, 8],
      "space": FOURIER,
      "layer": {"kind": "layer", "in_op": SEEDED_OP, "out_op": SEEDED_OP,

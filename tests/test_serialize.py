@@ -10,13 +10,12 @@ from opdisc.discretize import ConvergenceReport
 from opdisc.galerkin import FemConvergence, NewtonTrace
 from opdisc.invert import InversionTrace
 from opdisc.layers import (
-    AffineNonlinearity,
     CoordinateNetNonlinearity,
     CoordinateNetwork,
     NemytskiiNonlinearity,
     NeuralOperatorLayer,
     ResidualChain,
-    ZeroNonlinearity,
+    affine_nonlinearity,
     make_layer,
 )
 from opdisc.monotone import BilipschitzEstimate
@@ -107,6 +106,11 @@ class TestValidation:
     def test_envelope_rejects_future_schema(self):
         with pytest.raises(SpecError, match="unsupported schema"):
             read_envelope({"schema": SCHEMA_VERSION + 1, "y": []}, "y file", {"y"})
+
+    def test_envelope_rejects_a_boolean_schema(self):
+        # True == 1 in Python, but a JSON true is not the schema number
+        with pytest.raises(SpecError, match="y file: unsupported schema True"):
+            read_envelope({"schema": True, "y": []}, "y file", {"y"})
 
 
     @pytest.mark.parametrize(
@@ -292,13 +296,20 @@ class TestNetwork:
 
 
 class TestNonlinearity:
-    def test_zero_roundtrip(self):
-        assert isinstance(nonlinearity_from_spec({"kind": "zero"}), ZeroNonlinearity)
+    def test_zero_roundtrip(self, space16):
+        nonlin = nonlinearity_from_spec({"kind": "zero"}, space16)
+        assert nonlin.lip == 0.0
+        xs = probe_points(16)
+        assert np.array_equal(nonlin.apply_array(xs), np.zeros_like(xs))
+
+    def test_zero_needs_the_space(self):
+        with pytest.raises(SpecError, match="^nonlinearity: a zero map needs the space"):
+            nonlinearity_from_spec({"kind": "zero"})
 
     def test_affine_from_spec(self):
         spec = {"kind": "affine", "matrix": [[0.3, 0.1], [0.0, 0.2]], "bias": [1.0, -1.0]}
         nonlin = nonlinearity_from_spec(spec)
-        direct = AffineNonlinearity(np.array(spec["matrix"]), np.array(spec["bias"]))
+        direct = affine_nonlinearity(np.array(spec["matrix"]), np.array(spec["bias"]))
         xs = probe_points(2)
         assert np.array_equal(nonlin.apply_array(xs), direct.apply_array(xs))
         assert nonlin.lip == direct.lip
@@ -342,11 +353,31 @@ class TestLayer:
         direct = NeuralOperatorLayer(
             FiniteRankOperator([0.8, 0.5], frame[:2], frame[:2]),
             FiniteRankOperator([0.5, 0.25], frame[:2], frame[2:4]),
-            AffineNonlinearity(0.3 * frame, np.zeros(16)),
+            affine_nonlinearity(0.3 * frame, np.zeros(16)),
         )
         xs = probe_points(16)
         assert np.array_equal(layer.eval_array(xs), direct.eval_array(xs))
         assert layer.contraction == direct.contraction
+
+    def test_an_affine_layer_folds_its_frames(self, space16):
+        rng = np.random.default_rng(4)
+        a = rng.standard_normal((16, 16)) / 8
+        b = rng.standard_normal(16)
+        spec = {"kind": "layer",
+                "in_op": {"kind": "seeded_finite_rank", "rank": 5, "seed": 1},
+                "out_op": {"kind": "seeded_finite_rank", "rank": 3, "seed": 2, "scale": 0.5},
+                "nonlin": {"kind": "affine", "matrix": a.tolist(), "bias": b.tolist()}}
+        layer = layer_from_spec(spec, space16)
+        assert layer._folded is not None
+        t_in, t_out = layer.in_op, layer.out_op
+        xs = probe_points(16)
+        # T x = Σ_p ω_p <x, ψ_p> φ_p, row by row
+        g = (xs @ t_in.psi.T * t_in.omegas) @ t_in.phi @ a.T + b
+        want = xs + (g @ t_out.psi.T * t_out.omegas) @ t_out.phi
+        got = layer.eval_array(xs)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        # ‖T_in‖·‖T_out‖·‖A‖₂, pinned to the bit
+        assert layer.contraction == 0.46705582887669
 
     def test_nemytskii_layer_roundtrip(self, space16):
         spec = {
