@@ -437,15 +437,11 @@ class ScalingPath:
         return None if self.kappa is None else 1.0 - self.kappa
 
     def eval_t_rows(self, t, xs: np.ndarray) -> np.ndarray:
+        """f_t at the rows xs, for t in (0, 1]; f₀ = Df|₀ is never evaluated
+        here, only inverted."""
         t = np.asarray(t, dtype=float)
-        lin = t == 0.0
-        if lin.all():
-            return xs @ self.df0.T
-        s = np.where(lin, 1.0, t).reshape(t.shape + (1,) * (xs.ndim - t.ndim))
-        out = (eval_map(self.f, s * xs) - self.f0_val) / s + s * self.f0_val
-        if lin.any():
-            out[lin] = xs[lin] @ self.df0.T
-        return out
+        s = t.reshape(t.shape + (1,) * (xs.ndim - t.ndim))
+        return (eval_map(self.f, s * xs) - self.f0_val) / s + s * self.f0_val
 
     def _solve_df0(self, ys: np.ndarray) -> np.ndarray:
         rows = ys.reshape(-1, self.k)

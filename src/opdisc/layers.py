@@ -31,9 +31,8 @@ from .operators import (
 from .spectral import Space
 
 __all__ = [
-    "Nonlinearity",
-    "NemytskiiNonlinearity",
     "CoordinateNetNonlinearity",
+    "NemytskiiNonlinearity",
     "affine_nonlinearity",
     "NeuralOperatorLayer",
     "CoordinateNetwork",
@@ -219,49 +218,10 @@ class CoordinateNetwork:
 # ---------------------------------------------------------------------------
 
 
-class Nonlinearity:
-    """Middle map of a layer; carries a recorded Lipschitz upper bound."""
-
-    lip: float
-
-
 @dataclass(frozen=True, eq=False)
-class NemytskiiNonlinearity(Nonlinearity):
-    """An entrywise activation composed pointwise through the quadrature
-    grid; one that is not entrywise, or a space whose basis has no
-    pointwise realization, is refused.  Its bound is that of the discrete
-    map, Lip(σ)·λ_max of the space's quadrature Gram, not the continuum
-    Lip(σ).  The identity activation is applied exactly, as a copy of the
-    coefficients, so its bound is Lip(σ) = 1."""
-
-    space: Space
-    sigma: Activation
-
-    def __post_init__(self) -> None:
-        self.space.check_pointwise()
-        if not self.sigma.entrywise:
-            raise ValueError(
-                f"a Nemytskii map needs an entrywise activation; {self.sigma.name!r} is not"
-            )
-
-    @property
-    def lip(self) -> float:  # type: ignore[override]
-        if self.sigma.name == "identity":
-            return self.sigma.lipschitz
-        return self.sigma.lipschitz * self.space.quadrature_gram_max
-
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
-        """Coefficients of σ(u(t)) for (..., M) coefficients u: evaluated on
-        the quadrature grid and re-expanded."""
-        c = np.asarray(x, dtype=float)
-        if self.sigma.name == "identity":
-            return c.copy()
-        return self.space.from_grid(self.sigma(self.space.to_grid(c)))
-
-
-@dataclass(frozen=True, eq=False)
-class CoordinateNetNonlinearity(Nonlinearity):
-    """A coordinate network on the first ``net.n_in`` coefficients.
+class CoordinateNetNonlinearity:
+    """A layer's middle map: a coordinate network on the first ``net.n_in``
+    coefficients, with its recorded Lipschitz bound ``lip``.
 
     With ``ambient_dim == net.n_in`` the map is the network itself; with a
     shorter prefix the remaining coefficients pass through unchanged, which
@@ -278,7 +238,7 @@ class CoordinateNetNonlinearity(Nonlinearity):
             raise ValueError("network width exceeds the ambient dimension")
 
     @property
-    def lip(self) -> float:  # type: ignore[override]
+    def lip(self) -> float:
         b = self.net.spectral_bound
         return b if self.net.n_in == self.ambient_dim else max(1.0, b)
 
@@ -292,6 +252,45 @@ class CoordinateNetNonlinearity(Nonlinearity):
         y = np.array(x, dtype=float, copy=True)
         y[..., :n] = self.net.eval_array(x[..., :n])
         return y
+
+
+@dataclass(frozen=True, eq=False)
+class NemytskiiNonlinearity(CoordinateNetNonlinearity):
+    """An entrywise activation applied on the quadrature grid: the network
+    u ↦ σ(u·B)·(W·Bᵀ), weights (Bᵀ, B·diag(W)) and zero biases, with B the
+    space's ``grid_basis`` and W its weights; ``identity`` is the one-stage
+    identity network.  An activation that is not entrywise, or a basis with
+    no pointwise values, is refused.  The bound is the discrete map's,
+    Lip(σ)·λ_max of the quadrature Gram B·W·Bᵀ, not the continuum Lip(σ)
+    nor the product of stage norms; for ``identity`` it is 1."""
+
+    net: CoordinateNetwork = field(init=False, repr=False)
+    ambient_dim: int = field(init=False)
+    space: Space
+    sigma: Activation
+
+    def __post_init__(self) -> None:
+        self.space.check_pointwise()
+        if not self.sigma.entrywise:
+            raise ValueError(
+                f"a Nemytskii map needs an entrywise activation; {self.sigma.name!r} is not"
+            )
+        m = self.space.dim
+        if self.sigma.name == "identity":
+            net = CoordinateNetwork((np.eye(m),), (np.zeros(m),), self.sigma)
+        else:
+            bv = self.space.grid_basis
+            net = CoordinateNetwork(
+                (bv.T, bv * self.space.weights), (np.zeros(bv.shape[1]), np.zeros(m)), self.sigma
+            )
+        object.__setattr__(self, "net", net)
+        object.__setattr__(self, "ambient_dim", m)
+
+    @property
+    def lip(self) -> float:
+        if self.sigma.name == "identity":
+            return self.sigma.lipschitz
+        return self.sigma.lipschitz * self.space.quadrature_gram_max
 
 
 def affine_nonlinearity(matrix, bias) -> CoordinateNetNonlinearity:
@@ -311,43 +310,50 @@ def affine_nonlinearity(matrix, bias) -> CoordinateNetNonlinearity:
 class NeuralOperatorLayer:
     """Residual layer x + T_out(G(T_in(x))) on ambient coefficients.
 
-    With T_in = Φ_inᵀ·diag(ω_in)·Ψ_in and T_out likewise, a middle map that
-    is a coordinate network spanning all m coordinates is evaluated through
-    its rank-r frames: construction folds T_in into the first stage and
-    T_out into the last, A_in = diag(ω_in)·Φ_in·W₁ᵀ,
-    A_out = W_Lᵀ·Ψ_outᵀ·diag(ω_out) and c_out = b_L·Ψ_outᵀ·diag(ω_out), so
-    a row costs x·Ψ_inᵀ, the network between r-dimensional ends, and
+    Every middle map is a coordinate network on the first n of the m
+    coordinates (:class:`CoordinateNetNonlinearity`; affine, zero and
+    Nemytskii maps are such networks), and every layer is evaluated
+    through its rank-r frames.  With T_in = Φ_inᵀ·diag(ω_in)·Ψ_in and
+    T_out likewise, construction folds T_in into the first stage and T_out
+    into the last, A_in = (diag(ω_in)·Φ_in)[:, :n]·W₁ᵀ,
+    A_out = W_Lᵀ·(Ψ_outᵀ·diag(ω_out))[:n] and
+    c_out = b_L·(Ψ_outᵀ·diag(ω_out))[:n]; the coordinates past a prefix
+    network pass through G, so they fold into one r_in × r_out skip
+    matrix, S = (diag(ω_in)·Φ_in)[:, n:]·(Ψ_outᵀ·diag(ω_out))[n:].  A row
+    costs z = x·Ψ_inᵀ, the network between r-wide ends plus z·S, and
     ·Φ_out, in place of two m-wide end stages.  The folded arrays are
     read-only and serve evaluation alone: :attr:`contraction` and every
-    certificate read the unfolded factors.  Affine and zero middle maps are
-    one-stage networks (:func:`affine_nonlinearity`), so they fold too; the
-    unfolded composition serves Nemytskii maps and networks on a prefix.
+    certificate read the unfolded factors.
     """
 
     in_op: FiniteRankOperator
     out_op: FiniteRankOperator
-    nonlin: Nonlinearity
-    _folded: tuple | None = field(init=False, default=None, repr=False)
+    nonlin: CoordinateNetNonlinearity
+    _folded: tuple = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        if self.in_op.dim != self.out_op.dim:
-            raise ValueError("in/out operators must share the ambient dimension")
-        g = self.nonlin
-        if isinstance(g, CoordinateNetNonlinearity) and g.net.n_in == self.dim:
-            object.__setattr__(self, "_folded", self._fold(g.net))
+        if not self.in_op.dim == self.out_op.dim == self.nonlin.ambient_dim:
+            raise ValueError("in/out operators and middle map must share the ambient dimension")
+        object.__setattr__(self, "_folded", self._fold(self.nonlin.net))
 
     def _fold(self, net: CoordinateNetwork) -> tuple:
         """The network's stage matrices and biases with T_in folded into the
-        first stage and T_out into the last (one stage takes both)."""
+        first stage and T_out into the last (one stage takes both), its
+        activation, and the skip matrix of the coordinates past its prefix
+        (None when it spans all m)."""
+        n = net.n_in
+        in_frame = self.in_op.omegas[:, None] * self.in_op.phi
+        out_frame = self.out_op.psi.T * self.out_op.omegas
         mats = [w.T for w in net.weights]
         biases = list(net.biases)
-        mats[0] = (self.in_op.omegas[:, None] * self.in_op.phi) @ mats[0]
-        out_frame = self.out_op.psi.T * self.out_op.omegas
-        mats[-1] = mats[-1] @ out_frame
-        biases[-1] = biases[-1] @ out_frame
-        for a in (mats[0], mats[-1], biases[-1]):
-            a.flags.writeable = False
-        return tuple(mats), tuple(biases), net.activation
+        mats[0] = in_frame[:, :n] @ mats[0]
+        mats[-1] = mats[-1] @ out_frame[:n]
+        biases[-1] = biases[-1] @ out_frame[:n]
+        skip = None if n == self.dim else in_frame[:, n:] @ out_frame[n:]
+        for a in (mats[0], mats[-1], biases[-1], skip):
+            if a is not None:
+                a.flags.writeable = False
+        return tuple(mats), tuple(biases), net.activation, skip
 
     @property
     def dim(self) -> int:
@@ -367,11 +373,12 @@ class NeuralOperatorLayer:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.dim:
             raise ValueError(f"expected {self.dim} coefficients, got {x.shape[-1]}")
-        if self._folded is None:
-            return x + self.out_op.apply_array(
-                self.nonlin.apply_array(self.in_op.apply_array(x))
-            )
-        out = _run_stages(x @ self.in_op.psi.T, *self._folded) @ self.out_op.phi
+        mats, biases, activation, skip = self._folded
+        z = x @ self.in_op.psi.T
+        inner = _run_stages(z, mats, biases, activation)
+        if skip is not None:
+            inner += z @ skip
+        out = inner @ self.out_op.phi
         out += x
         return out
 
@@ -598,7 +605,7 @@ def make_layer(
         phi_prefix=out_phi_prefix,
     )
 
-    g: Nonlinearity
+    g: CoordinateNetNonlinearity
     if lip_g == 0.0:
         g = affine_nonlinearity(np.zeros((m, m)), np.zeros(m))
     elif nonlin == "coordinate_net":

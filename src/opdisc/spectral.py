@@ -3,11 +3,12 @@
 Fixes the coefficient representation the rest of the package computes in: an
 orthonormal basis truncated to an ambient dimension M, whose elements are
 plain (..., M) float arrays of coefficients, and a composite Gauss-Legendre
-grid for pointwise work: Nemytskii maps, which apply an activation to
-function values, go to the grid and back.  The basis values on that grid
-are built only when such a map first needs them.  A subspace is always a
-prefix of the basis and is named by its dimension d: the span of the first
-d coefficients.  All values are immutable and all operations are pure.
+grid for pointwise work: the basis values on its nodes, B, and its weights
+W.  A Nemytskii map, which applies an activation to function values, is
+the network u ↦ σ(u·B)·(W·Bᵀ) built from them.  B is built only when such
+a map first needs it.  A subspace is always a prefix of the basis and is
+named by its dimension d: the span of the first d coefficients.  All values
+are immutable and all operations are pure.
 
 It also holds :func:`path_scan`, the one determinant sweep along a matrix
 path on [0, 1]: det and the least singular value on a :func:`unit_grid`,
@@ -111,8 +112,8 @@ class BasisSpec:
 
 
 class Space:
-    """A realized :class:`BasisSpec`: grid, basis values, and the transforms
-    between (..., M) coefficients and values on the grid.
+    """A realized :class:`BasisSpec`: the quadrature grid and the basis
+    values on it.
 
     ``fourier`` uses {1, sqrt(2) cos(2 pi k t), sqrt(2) sin(2 pi k t)} with
     the constant function first, so pointwise evaluation is available.
@@ -143,12 +144,15 @@ class Space:
     # -- pointwise realization -------------------------------------------------
 
     @cached_property
-    def _grid_basis(self) -> np.ndarray:
-        """Basis values on the quadrature nodes, shape (M, nodes).
+    def grid_basis(self) -> np.ndarray:
+        """Basis values B on the quadrature nodes, shape (M, nodes), read-only:
+        u·B is a coefficient row's values on the grid, and (v·W)·Bᵀ the
+        quadrature coefficients of grid values v.  A basis without pointwise
+        values is refused.
 
-        Built on first use: only the grid transforms read it, and at large M
-        it is the biggest array a space holds.  It is deterministic, so two
-        threads that race here build equal copies.
+        Built on first use: only Nemytskii maps and their bound read it, and
+        at large M it is the biggest array a space holds.  It is
+        deterministic, so two threads that race here build equal copies.
         """
         bv = self.basis_matrix(self.nodes)
         bv.flags.writeable = False
@@ -163,7 +167,7 @@ class Space:
         λ_max above 1.  Computed by the symmetric eigensolver, never
         rounded to 1.
         """
-        bv = self._grid_basis
+        bv = self.grid_basis
         return float(np.linalg.eigvalsh((bv * self.weights) @ bv.T)[-1])
 
     def check_pointwise(self) -> None:
@@ -186,26 +190,6 @@ class Space:
             arg = 2.0 * np.pi * k * t
             out[j] = root2 * (np.cos(arg) if j % 2 == 1 else np.sin(arg))
         return out
-
-    def to_grid(self, x) -> np.ndarray:
-        """Pointwise values on the quadrature nodes: (..., M) coefficients in,
-        (..., nodes) values out."""
-        bv = self._grid_basis
-        c = np.asarray(x, dtype=float)
-        if c.shape[-1] != self.dim:
-            raise ValueError(f"expected {self.dim} coefficients, got {c.shape[-1]}")
-        return c @ bv
-
-    def from_grid(self, values) -> np.ndarray:
-        """Coefficients of grid functions via quadrature inner products:
-        (..., nodes) values in, (..., M) coefficients out."""
-        bv = self._grid_basis
-        v = np.asarray(values, dtype=float)
-        if v.shape[-1] != self.nodes.size:
-            raise ValueError(
-                f"expected {self.nodes.size} grid values, got {v.shape[-1]}"
-            )
-        return (v * self.weights) @ bv.T
 
 
 def unit_grid(n: int) -> np.ndarray:

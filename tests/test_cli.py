@@ -1236,8 +1236,8 @@ class TestNemytskiiSpace:
         0.9·λ_max(G).  At 2 panels that is above 1 and the layer is
         rejected; at 4 it passes on the floor 1 − 0.9·λ_max(G), which
         certified 0.1 and failed before.  With the identity activation the
-        map is applied exactly, as a copy, so its bound is 0.9 at every
-        quadrature and it passes on the floor 0.1."""
+        map is the identity network, exact at every quadrature, so its bound
+        is 0.9 and it passes on the floor 0.1."""
         eye = np.eye(16).tolist()
         space = {"basis": "fourier", "ambient_dim": 16}
         if panels is not None:

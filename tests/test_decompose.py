@@ -616,10 +616,15 @@ class TestPathBlocks:
         path = ScalingPath(f, 3, 0.3)
         ts = np.array([0.5, 0.0, 1.0])
         xs = ball_samples(3, 1.0, 12, seed=2).reshape(3, 4, 3)
-        ys = path.eval_t_rows(ts, xs)
+        # f_t is evaluated for t > 0 only; the t = 0 slice's image is Df|₀·x
+        moving = ts > 0.0
+        ys = np.empty_like(xs)
+        ys[moving] = path.eval_t_rows(ts[moving], xs[moving])
+        ys[~moving] = xs[~moving] @ path.df0.T
         pre = path.invert_t_rows(ts, ys, 1e-10)
-        for t, x, y, p in zip(ts, xs, ys, pre):
+        for t, x, y in zip(ts[moving], xs[moving], ys[moving]):
             assert np.array_equal(y, path.eval_t_rows(t, x))
+        for t, y, p in zip(ts, ys, pre):
             # the t = 0 slice is Df|₀, solved exactly
             assert np.array_equal(p, path.invert_t_rows(t, y, 1e-10))
         assert np.max(np.abs(pre - xs)) <= 1e-9

@@ -1,3 +1,6 @@
+import ast
+import inspect
+import textwrap
 import tracemalloc
 from dataclasses import replace
 
@@ -9,7 +12,9 @@ from hypothesis import strategies as st
 from opdisc import layers, operators
 from opdisc.invert import invert_chain
 from opdisc.layers import (
+    CoordinateNetNonlinearity,
     CoordinateNetwork,
+    NemytskiiNonlinearity,
     NeuralOperatorLayer,
     ResidualChain,
     affine_nonlinearity,
@@ -19,6 +24,7 @@ from opdisc.layers import (
 )
 from opdisc.monotone import ball_samples
 from opdisc.operators import FiniteRankOperator, Identity, activation_from_name
+from opdisc.spectral import BasisSpec, Space
 
 
 class TestCoordinateNetwork:
@@ -468,3 +474,94 @@ def test_an_affine_middle_map_keeps_its_bound(space16, lip_g, nonlin, contractio
     (weight,) = layer.nonlin.net.weights
     assert layer.lip_nonlin == operators.spectral_norm(weight)
     assert layer.contraction == contraction
+
+
+def _stages(net, u):
+    """A network's stage loop, written out: u·Wᵀ + b per stage, with the
+    activation between stages."""
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        u = u @ w.T + b
+        if i < len(net.weights) - 1:
+            u = net.activation(u)
+    return u
+
+
+def _middle_map(kind, panels, m):
+    """The middle map of one kind on m coefficients, and G written out."""
+    if kind == "net":
+        net = CoordinateNetwork.seeded(m, m, hidden=[20], target_bound=0.6, bias_scale=0.2, seed=3)
+        return CoordinateNetNonlinearity(net, m), lambda u: _stages(net, u)
+    if kind == "prefix":
+        net = CoordinateNetwork.seeded(6, 6, hidden=[10], activation=activation_from_name("tanh"),
+                                       target_bound=0.5, bias_scale=0.3, seed=2)
+        return CoordinateNetNonlinearity(net, m), lambda u: np.concatenate(
+            [_stages(net, u[..., :6]), u[..., 6:]], axis=-1)
+    if kind == "affine":
+        rng = np.random.default_rng(5)
+        a, b = 0.1 * rng.standard_normal((m, m)), 0.3 * rng.standard_normal(m)
+        return affine_nonlinearity(a, b), lambda u: u @ a.T + b
+    if kind == "zero":
+        return affine_nonlinearity(np.zeros((m, m)), np.zeros(m)), lambda u: 0.0 * u
+    space = Space(BasisSpec("fourier", m, quadrature_panels=panels))
+    sigma = activation_from_name(kind)
+    g = NemytskiiNonlinearity(space, sigma)
+    if kind == "identity":
+        return g, lambda u: u
+    bv, w = space.grid_basis, space.weights
+    return g, lambda u: (sigma(u @ bv) * w) @ bv.T
+
+
+# (kind, quadrature panels, lip, contraction), the bounds pinned bit for bit
+MIDDLE_MAPS = [
+    ("net", None, 0.6000000000000002, 0.4320000000000002),
+    ("prefix", None, 1.0, 0.7200000000000001),
+    ("affine", None, 0.7513287890498013, 0.5409567281158569),
+    ("zero", None, 0.0, 0.0),
+    ("tanh", 2, 2.285668893307745, 1.6456816031815766),
+    ("tanh", None, 1.000000000000001, 0.7200000000000009),
+    ("leaky_relu(0.2)", 2, 2.285668893307745, 1.6456816031815766),
+    ("leaky_relu(0.2)", None, 1.000000000000001, 0.7200000000000009),
+    ("identity", 2, 1.0, 0.7200000000000001),
+    ("identity", None, 1.0, 0.7200000000000001),
+]
+
+
+@pytest.mark.parametrize("kind,panels,lip,contraction", MIDDLE_MAPS)
+def test_every_middle_map_evaluates_through_its_folded_stages(kind, panels, lip, contraction):
+    """Every layer equals x + T_out(G(T_in x)) with G written out, and keeps
+    its bounds: a Nemytskii map is the grid network σ(u·B)·(W·Bᵀ) and a
+    prefix network's pass-through folds into one skip matrix."""
+    m = 16
+    t_in = FiniteRankOperator.seeded(m, 5, scale=0.9, decay=1.0, seed=11)
+    t_out = FiniteRankOperator.seeded(m, 5, scale=0.8, decay=1.0, seed=12)
+    g, middle = _middle_map(kind, panels, m)
+    layer = NeuralOperatorLayer(t_in, t_out, g)
+    xs = ball_samples(m, 2.0, 9, seed=4)
+
+    def frame(op, u):
+        return ((u @ op.psi.T) * op.omegas) @ op.phi
+
+    want = xs + frame(t_out, middle(frame(t_in, xs)))
+    got = layer.eval_array(xs)
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+    assert (layer.lip_nonlin, layer.contraction) == (lip, contraction)
+    assert (layer._folded[-1] is None) == (kind != "prefix")
+
+
+def test_a_middle_map_of_another_dimension_is_refused(space16):
+    g = NemytskiiNonlinearity(space16, activation_from_name("identity"))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        g.apply_array(np.zeros(3))
+    op = FiniteRankOperator.seeded(8, 4, seed=1)
+    with pytest.raises(ValueError, match="share the ambient dimension"):
+        NeuralOperatorLayer(op, op, g)
+
+
+def test_the_layer_evaluation_calls_no_middle_map():
+    """NeuralOperatorLayer.eval_array runs the folded stages alone: it calls
+    no apply_array, and a Nemytskii map evaluates as the network it is."""
+    source = textwrap.dedent(inspect.getsource(NeuralOperatorLayer.eval_array))
+    named = {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
+    assert "_folded" in named
+    assert "apply_array" not in named
+    assert "apply_array" not in vars(NemytskiiNonlinearity)

@@ -101,6 +101,19 @@ BATCH = [
      "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0}},
     {"name": "scan-prefix", "kind": "discretize-scan", "seed": 3, "samples": 8, "dims": [4, 8],
      "space": FOURIER, "layer": PREFIX_NET_LAYER},
+    # the identity Nemytskii map is the identity network, bound 1 at any
+    # quadrature (2 panels put the Gram's λ_max at 1.07): kappa = 0.5, so the
+    # layer is certified and evaluated
+    {"name": "identity-coarse", "kind": "monotone-check", "seed": 3, "samples": 8,
+     "dims": [2, 8], "space": {"basis": "fourier", "ambient_dim": 8, "quadrature": 2},
+     "layer": {"kind": "layer", "in_op": SEEDED_OP,
+               "out_op": {"kind": "finite_rank", "omegas": [0.5, 0.25],
+                          "psi_seed": 2, "phi_seed": 3},
+               "nonlin": {"kind": "nemytskii", "activation": "identity"}}},
+    # a negative slope takes leaky_relu's select branch
+    {"name": "scan-negative-slope", "kind": "discretize-scan", "seed": 3, "samples": 8,
+     "dims": [2, 4], "space": {"basis": "abstract_orthonormal", "ambient_dim": 4},
+     "layer": {"kind": "seeded_layer", "seed": 3, "activation": "leaky_relu(-0.5)"}},
     {"name": "quant", "kind": "quant-report", "seed": 1, "samples": 16, "dims": [2, 8],
      "space": FOURIER,
      "layer": {"kind": "layer", "in_op": SEEDED_OP, "out_op": SEEDED_OP,
