@@ -184,7 +184,7 @@ def criterion_compression_continuity() -> dict:
     evaluate the layer and its compression.
     """
     xs = ball_samples(32, 1.0, 64, seed=3, prefix=8)
-    defects = FiniteRankOperator.seeded(32, 6, seed=33).apply_array(xs)
+    defects = FiniteRankOperator.seeded(32, 6, seed=33).eval_array(xs)
     amb = float(np.max(np.linalg.norm(defects, axis=1)))
     sub = float(np.max(np.linalg.norm(defects[:, :8], axis=1)))
     js = list(range(1, 17))

@@ -202,12 +202,12 @@ class CoreCompressedLayer:
         self.layer = layer
         self.frame = frame
         self.dim = frame.dim
-        self.m_in = layer.in_op.apply_array(frame.rows)
+        self.m_in = layer.in_op.eval_array(frame.rows)
         self.m_out = (frame.rows @ layer.out_op.as_matrix()).T
 
     def eval_array(self, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
-        return c + self.layer.nonlin.apply_array(c @ self.m_in) @ self.m_out
+        return c + self.layer.nonlin.eval_array(c @ self.m_in) @ self.m_out
 
     def forward(self, c: np.ndarray, start=None) -> tuple[np.ndarray, None]:
         return self.eval_array(c), None

@@ -274,7 +274,7 @@ def _apply_head_inverse(a0, x: np.ndarray) -> np.ndarray:
     if a0 is None:
         return np.array(x, dtype=float, copy=True)
     if isinstance(a0, Identity | Reflection):
-        return a0.apply_array(x)
+        return a0.eval_array(x)
     raise TypeError(
         f"the linear head must be the identity or a reflection; got {type(a0).__name__}"
     )

@@ -23,7 +23,6 @@ import numpy as np
 from .operators import (
     Activation,
     FiniteRankOperator,
-    LinearExpr,
     activation_from_name,
     scaled_leaky,
     spectral_norm,
@@ -130,8 +129,6 @@ class CoordinateNetwork:
         if x.shape[-1] != self.n_in:
             raise ValueError(f"expected {self.n_in} input coordinates, got {x.shape[-1]}")
         return _run_stages(x, [w.T for w in self.weights], self.biases, self.activation)
-
-    __call__ = eval_array
 
     def ball_bound(self, input_radius: float) -> float:
         """Lipschitz bound valid on the input ball of the given radius.
@@ -242,7 +239,7 @@ class CoordinateNetNonlinearity:
         b = self.net.spectral_bound
         return b if self.net.n_in == self.ambient_dim else max(1.0, b)
 
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
+    def eval_array(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape[-1] != self.ambient_dim:
             raise ValueError("dimension mismatch for coordinate-net nonlinearity")
@@ -521,11 +518,10 @@ class ResidualChain:
 
 
 def eval_map(f, x: np.ndarray) -> np.ndarray:
-    """Evaluate any of the package's map types (or a callable) on (..., m)
-    inputs; plain callables must accept batches too."""
+    """Evaluate a map on (..., m) inputs: its ``eval_array``, the one method
+    of every map type here, else f itself, a plain callable that must accept
+    batches too."""
     x = np.asarray(x, dtype=float)
-    if isinstance(f, (FiniteRankOperator, LinearExpr)):
-        return f.apply_array(x)
     if hasattr(f, "eval_array"):
         return f.eval_array(x)
     if callable(f):

@@ -19,7 +19,6 @@ import numpy as np
 __all__ = [
     "FiniteRankOperator",
     "orthonormal_rows",
-    "LinearExpr",
     "Identity",
     "Reflection",
     "Activation",
@@ -98,7 +97,7 @@ class FiniteRankOperator:
         phi = fam(phi_prefix)
         return cls(w, psi, phi)
 
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
+    def eval_array(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.dim:
             raise ValueError(f"dimension mismatch: operator dim {self.dim}, vector {x.shape[-1]}")
         if not self.rank:
@@ -128,18 +127,14 @@ def orthonormal_rows(a: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-class LinearExpr:
-    """A structured linear map on (..., m) coefficient arrays."""
-
-
 @dataclass(frozen=True)
-class Identity(LinearExpr):
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
+class Identity:
+    def eval_array(self, x: np.ndarray) -> np.ndarray:
         return np.array(x, dtype=float, copy=True)
 
 
 @dataclass(frozen=True, eq=False)
-class Reflection(LinearExpr):
+class Reflection:
     """Householder reflection x -> x - 2 <x, e> e about a unit vector e."""
 
     e: np.ndarray
@@ -161,7 +156,7 @@ class Reflection(LinearExpr):
         e[0] = 1.0
         return cls(e)
 
-    def apply_array(self, x: np.ndarray) -> np.ndarray:
+    def eval_array(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.e.size:
             raise ValueError("dimension mismatch for reflection")
         proj = x @ self.e

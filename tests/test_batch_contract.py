@@ -50,32 +50,26 @@ ACTIVATIONS = ("identity", "leaky_relu", "recu", "tanh", "scaled_leaky(0.4)", "g
 
 @pytest.fixture(scope="module")
 def maps():
-    """name -> (callable on (..., m) arrays, m)."""
+    """name -> (map on (..., m) arrays, m)."""
     space = Space(BasisSpec(ambient_dim=12))
     m = space.dim
     rng = np.random.default_rng(0)
     out = {}
 
-    t = FiniteRankOperator.seeded(m, 4, seed=1)
-    linear = {
-        "finite_rank": t,
-        "identity": Identity(),
-        "reflection": Reflection.first_axis(m),
-    }
-    for name, op in linear.items():
-        out[name] = (op, m)
-
     net = CoordinateNetwork.seeded(m, m, target_bound=0.5, bias_scale=0.3, seed=2)
     window = CoordinateNetwork.seeded(5, 5, target_bound=0.5, seed=3)
-    nonlins = {
+    operators_heads_and_middle_maps = {
+        "finite_rank": FiniteRankOperator.seeded(m, 4, seed=1),
+        "identity": Identity(),
+        "reflection": Reflection.first_axis(m),
         "zero_nonlinearity": affine_nonlinearity(np.zeros((m, m)), np.zeros(m)),
         "nemytskii": NemytskiiNonlinearity(space, activation_from_name("scaled_leaky(0.4)")),
         "coordinate_net_nonlinearity": CoordinateNetNonlinearity(net, m),
         "coordinate_net_window": CoordinateNetNonlinearity(window, m),
         "affine_nonlinearity": affine_nonlinearity(0.3 * np.eye(m), np.ones(m)),
     }
-    for name, nl in nonlins.items():
-        out[name] = (nl.apply_array, m)
+    for name, f in operators_heads_and_middle_maps.items():
+        out[name] = (f, m)
 
     layer = make_layer(space, rank=6, lip_g=0.3, activation="tanh", seed=4)
     out["layer"] = (layer, m)
@@ -167,7 +161,7 @@ def test_a_folded_layer_equals_its_factors(m, activation, data):
     layer = NeuralOperatorLayer(t_in, t_out, CoordinateNetNonlinearity(net, m))
     assert layer._folded is not None
     xs = ball_samples(m, 1.5, 7, seed=seed)
-    want = xs + t_out.apply_array(layer.nonlin.apply_array(t_in.apply_array(xs)))
+    want = xs + t_out.eval_array(layer.nonlin.eval_array(t_in.eval_array(xs)))
     got = layer.eval_array(xs)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 

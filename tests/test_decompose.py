@@ -275,7 +275,7 @@ class TestBuildFW:
         core = CoreCompressedLayer(smooth_layer, frame)
         calls = []
         for owner, name in (
-            (Frame, "lift"), (Frame, "coords"), (FiniteRankOperator, "apply_array")
+            (Frame, "lift"), (Frame, "coords"), (FiniteRankOperator, "eval_array")
         ):
             original = getattr(owner, name)
 

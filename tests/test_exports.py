@@ -8,7 +8,9 @@ import ast
 import collections
 import importlib
 import importlib.util
+import inspect
 import re
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -371,6 +373,37 @@ def test_invert_chain_dispatches_on_no_chain_class():
     assert chain_classes == {"ResidualChain"}
     assert {"invert_chain", "_apply_head_inverse", "banach_solve"} <= reached
     assert named & chain_classes == set()
+
+
+def _named(node: ast.AST) -> str | None:
+    """The name a node defines, imports, reads or lists in ``__all__``."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef, ast.alias)):
+        return node.name
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    return None
+
+
+def test_every_map_evaluates_through_eval_array():
+    """Operators, heads, middle maps and layers share one method: no
+    ``apply_array`` is defined or read and no ``LinearExpr`` marker is
+    named anywhere in the package, and ``eval_map`` dispatches on no type."""
+    src = Path(opdisc.__file__).resolve().parent
+    sites = [
+        f"{path.stem}:{node.lineno} {_named(node)}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if _named(node) in ("apply_array", "LinearExpr")
+    ]
+    assert sites == []
+    source = textwrap.dedent(inspect.getsource(opdisc.layers.eval_map))
+    calls = [n.func.id for n in ast.walk(ast.parse(source)) if isinstance(n, ast.Call)
+             and isinstance(n.func, ast.Name)]
+    assert "isinstance" not in calls
 
 
 def test_total_iterations_sums_the_block_counts():

@@ -387,13 +387,13 @@ class TestChainInverse:
         refl = Reflection.first_axis(5)
         y = np.arange(1.0, 6.0)
         x = invert_chain(None, refl, y).x
-        np.testing.assert_array_equal(x, refl.apply_array(y))
+        np.testing.assert_array_equal(x, refl.eval_array(y))
 
     @pytest.mark.parametrize("head", [Identity(), Reflection.first_axis(16)])
     def test_three_block_half_delta_roundtrip(self, head):
         chain = seeded_chain(dim=16, blocks=3, bound=0.5, seed=17)
         xs = ball_samples(16, 1.0, 100, seed=23)
-        ys = chain.eval_array(head.apply_array(xs))
+        ys = chain.eval_array(head.eval_array(xs))
         worst = 0.0
         for x_true, y in zip(xs, ys):
             x_rec = invert_chain(chain, head, y).x

@@ -242,8 +242,8 @@ class TestLayer:
     def test_matches_manual_composition(self, space16):
         layer = make_layer(space16, rank=5, lip_g=0.7, seed=2)
         x = ball_samples(16, 1.0, 1, seed=0)[0]
-        manual = x + layer.out_op.apply_array(
-            layer.nonlin.apply_array(layer.in_op.apply_array(x))
+        manual = x + layer.out_op.eval_array(
+            layer.nonlin.eval_array(layer.in_op.eval_array(x))
         )
         assert np.array_equal(layer.eval_array(x), manual)
 
@@ -361,7 +361,7 @@ class TestJvp:
         assert np.allclose(got, v, atol=1e-12)
         t = FiniteRankOperator.seeded(16, 4, seed=2)
         got = central_differences(t, x, v[None], h=1e-5)[0]
-        assert np.allclose(got, t.apply_array(v), atol=1e-10)
+        assert np.allclose(got, t.eval_array(v), atol=1e-10)
 
     def test_quadratic_map_hand_derivative(self, space16):
         e1 = np.eye(16)[0]
@@ -459,7 +459,7 @@ def test_a_non_finite_affine_bias_is_refused(bad):
 def test_zero_nonlinearity():
     z = affine_nonlinearity(np.zeros((4, 4)), np.zeros(4))
     assert z.lip == 0.0
-    assert np.array_equal(z.apply_array(np.ones(4)), np.zeros(4))
+    assert np.array_equal(z.eval_array(np.ones(4)), np.zeros(4))
 
 
 @pytest.mark.parametrize(
@@ -551,7 +551,7 @@ def test_every_middle_map_evaluates_through_its_folded_stages(kind, panels, lip,
 def test_a_middle_map_of_another_dimension_is_refused(space16):
     g = NemytskiiNonlinearity(space16, activation_from_name("identity"))
     with pytest.raises(ValueError, match="dimension mismatch"):
-        g.apply_array(np.zeros(3))
+        g.eval_array(np.zeros(3))
     op = FiniteRankOperator.seeded(8, 4, seed=1)
     with pytest.raises(ValueError, match="share the ambient dimension"):
         NeuralOperatorLayer(op, op, g)
@@ -559,9 +559,10 @@ def test_a_middle_map_of_another_dimension_is_refused(space16):
 
 def test_the_layer_evaluation_calls_no_middle_map():
     """NeuralOperatorLayer.eval_array runs the folded stages alone: it calls
-    no apply_array, and a Nemytskii map evaluates as the network it is."""
+    no eval_array of its nonlinearity, and a Nemytskii map evaluates as the
+    network it is."""
     source = textwrap.dedent(inspect.getsource(NeuralOperatorLayer.eval_array))
     named = {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
     assert "_folded" in named
-    assert "apply_array" not in named
-    assert "apply_array" not in vars(NemytskiiNonlinearity)
+    assert {"nonlin", "eval_array"} & named == set()
+    assert "eval_array" not in vars(NemytskiiNonlinearity)

@@ -29,9 +29,9 @@ def e(i, m=8):
 class TestFiniteRank:
     def test_rank_one_application(self):
         t = FiniteRankOperator([2.0], [e(0)], [e(1)])
-        got = t.apply_array(e(0))
+        got = t.eval_array(e(0))
         assert np.allclose(got, 2.0 * e(1))
-        assert np.linalg.norm(t.apply_array(e(2))) == 0.0
+        assert np.linalg.norm(t.eval_array(e(2))) == 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="orthonormal"):
@@ -48,14 +48,14 @@ class TestFiniteRank:
         rng = np.random.default_rng(0)
         xs = rng.standard_normal((1000, 8))
         norms_in = np.linalg.norm(xs, axis=1)
-        norms_out = np.linalg.norm(t.apply_array(xs), axis=1)
+        norms_out = np.linalg.norm(t.eval_array(xs), axis=1)
         assert np.all(norms_out <= t.norm * norms_in + 1e-12)
 
     def test_range_inside_phi_span(self):
         t = FiniteRankOperator.seeded(8, 3, seed=1)
         rng = np.random.default_rng(2)
         x = rng.standard_normal(8)
-        y = t.apply_array(x)
+        y = t.eval_array(x)
         # residual after projecting onto span(phi) vanishes
         resid = y - t.phi.T @ (t.phi @ y)
         assert np.linalg.norm(resid) < 1e-12
@@ -64,8 +64,8 @@ class TestFiniteRank:
         t = FiniteRankOperator.seeded(6, 2, seed=3)
         rng = np.random.default_rng(4)
         x, y = rng.standard_normal((2, 6))
-        lhs = t.apply_array(2.0 * x - 3.0 * y)
-        rhs = 2.0 * t.apply_array(x) - 3.0 * t.apply_array(y)
+        lhs = t.eval_array(2.0 * x - 3.0 * y)
+        rhs = 2.0 * t.eval_array(x) - 3.0 * t.eval_array(y)
         assert np.allclose(lhs, rhs, atol=1e-13)
 
     def test_seeded_determinism(self):
@@ -92,14 +92,14 @@ class TestFiniteRank:
     def test_dimension_mismatch(self):
         t = FiniteRankOperator.seeded(8, 2, seed=0)
         with pytest.raises(ValueError, match="mismatch"):
-            t.apply_array(np.zeros(5))
+            t.eval_array(np.zeros(5))
 
 
 class TestLinearExpr:
     def test_reflection_flips_axis(self):
         r = Reflection.first_axis(8)
-        assert np.allclose(r.apply_array(e(0)), -e(0))
-        assert np.allclose(r.apply_array(e(1)), e(1))
+        assert np.allclose(r.eval_array(e(0)), -e(0))
+        assert np.allclose(r.eval_array(e(1)), e(1))
 
     def test_reflection_isometry_and_involution(self):
         rng = np.random.default_rng(3)
@@ -107,9 +107,9 @@ class TestLinearExpr:
         r = Reflection(v / np.linalg.norm(v))
         for _ in range(50):
             x = rng.standard_normal(6)
-            y = r.apply_array(x)
+            y = r.eval_array(x)
             assert np.linalg.norm(y) == pytest.approx(np.linalg.norm(x), rel=1e-12)
-            assert np.abs(r.apply_array(y) - x).max() < 1e-12
+            assert np.abs(r.eval_array(y) - x).max() < 1e-12
 
     def test_reflection_requires_unit_vector(self):
         with pytest.raises(ValueError, match="unit"):
@@ -368,19 +368,19 @@ def _nemytskii(space, name: str) -> NemytskiiNonlinearity:
 class TestNemytskii:
     def test_identity_exact(self, space16):
         u = ball_samples(16, 1.0, 3, seed=0)
-        assert np.array_equal(_nemytskii(space16, "identity").apply_array(u), u)
+        assert np.array_equal(_nemytskii(space16, "identity").eval_array(u), u)
         # an exact copy is 1-Lipschitz, however coarse the quadrature
         coarse = Space(BasisSpec("fourier", 16, quadrature_panels=2))
         g = _nemytskii(coarse, "identity")
-        assert np.array_equal(g.apply_array(u), u)
+        assert np.array_equal(g.eval_array(u), u)
         assert g.lip == 1.0 < 2.0 < coarse.quadrature_gram_max
 
     def test_unit_slope_leaky_relu_is_identity(self, space16):
         u = ball_samples(16, 1.0, 3, seed=1)
-        assert np.abs(_nemytskii(space16, "leaky_relu(1)").apply_array(u) - u).max() < 1e-12
+        assert np.abs(_nemytskii(space16, "leaky_relu(1)").eval_array(u) - u).max() < 1e-12
 
     def test_negative_constant_scales_by_slope(self, space16):
         u = -e(0, 16)  # the function identically -1
-        got = _nemytskii(space16, "leaky_relu").apply_array(u)
+        got = _nemytskii(space16, "leaky_relu").eval_array(u)
         assert np.abs(got - 0.2 * u).max() < 1e-8
 

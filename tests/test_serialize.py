@@ -228,7 +228,7 @@ class TestOperator:
         rebuilt = operator_from_spec(spec, ambient_dim=10)
         direct = FiniteRankOperator.seeded(10, 4, decay=2.0, seed=7)
         xs = probe_points(10)
-        assert np.array_equal(rebuilt.apply_array(xs), direct.apply_array(xs))
+        assert np.array_equal(rebuilt.eval_array(xs), direct.eval_array(xs))
 
     def test_seeded_frames_are_orthonormal_and_deterministic(self):
         spec = {"kind": "finite_rank", "omegas": [1.0, 0.5], "psi_seed": 1, "phi_seed": 2}
@@ -300,7 +300,7 @@ class TestNonlinearity:
         nonlin = nonlinearity_from_spec({"kind": "zero"}, space16)
         assert nonlin.lip == 0.0
         xs = probe_points(16)
-        assert np.array_equal(nonlin.apply_array(xs), np.zeros_like(xs))
+        assert np.array_equal(nonlin.eval_array(xs), np.zeros_like(xs))
 
     def test_zero_needs_the_space(self):
         with pytest.raises(SpecError, match="^nonlinearity: a zero map needs the space"):
@@ -311,7 +311,7 @@ class TestNonlinearity:
         nonlin = nonlinearity_from_spec(spec)
         direct = affine_nonlinearity(np.array(spec["matrix"]), np.array(spec["bias"]))
         xs = probe_points(2)
-        assert np.array_equal(nonlin.apply_array(xs), direct.apply_array(xs))
+        assert np.array_equal(nonlin.eval_array(xs), direct.eval_array(xs))
         assert nonlin.lip == direct.lip
 
     def test_coordinate_net_roundtrip(self):
@@ -319,14 +319,14 @@ class TestNonlinearity:
         nonlin = nonlinearity_from_spec(spec)
         direct = CoordinateNetNonlinearity(net_from_literal(), 12)
         xs = probe_points(12)
-        assert np.array_equal(nonlin.apply_array(xs), direct.apply_array(xs))
+        assert np.array_equal(nonlin.eval_array(xs), direct.eval_array(xs))
 
     def test_nemytskii_roundtrip_keeps_scaled_slope(self, space16):
         spec = {"kind": "nemytskii", "activation": "scaled_leaky(0.3)"}
         nonlin = nonlinearity_from_spec(spec, space16)
         direct = NemytskiiNonlinearity(space16, activation_from_name("scaled_leaky(0.3)"))
         for x in probe_points(16):
-            assert np.array_equal(nonlin.apply_array(x), direct.apply_array(x))
+            assert np.array_equal(nonlin.eval_array(x), direct.eval_array(x))
         assert nonlin.lip == direct.lip
 
     def test_nemytskii_needs_the_space(self):
