@@ -32,11 +32,9 @@ solvers chosen once per run by their cost in core-map evaluations per row
 (``_choose_inverter``): the Banach fixed-point iteration x ← y − B(x) at
 rate κ (``opdisc.invert``'s kernel, which derives each row's step budget
 from κ and its initial residual), or a finite-difference Newton solver,
-which also serves κ ≥ 1, where Banach has no rate.  Both take a batch of
-targets.  The Newton solver steps every row still above tolerance together
-(one batch of finite-difference Jacobians, one batched linear solve and a
-batched backtracking line search per round), with each row keeping its own
-step count and step length.
+which also serves κ ≥ 1, where Banach has no rate: ``opdisc.invert``'s
+damped Newton kernel with the residual norm as its merit and a batch of
+finite-difference Jacobians for its steps.  Both take a batch of targets.
 
 Every block is a frozen record with one evaluation, ``forward(x, start) ->
 (y, carry)``: ``start`` is the first iterate of the block's W-coordinate
@@ -68,7 +66,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .invert import _apriori_iterations, _first_iterate, banach_solve
+from .invert import _apriori_iterations, _first_iterate, banach_solve, newton_solve
 from .layers import NeuralOperatorLayer, central_differences, eval_map
 from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate
 from .operators import Identity, Reflection, spectral_norm
@@ -224,60 +222,24 @@ def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
     return np.swapaxes(central_differences(f, x, np.eye(k)), -1, -2)
 
 
-# Per-row step budget of the Newton solver.  Hand-set and unproven: no
-# convergence bound derives it.  The most Newton steps any row takes is 6 on
-# mixing_bilipschitz_layer(16, κ ∈ {0.9, 0.95}) and 8 at κ = 0.99 (seeds 3,
-# 11 and 2027, ε ∈ {0.4, 0.25}), and 1 on the affine κ = 2 flip layer of the
-# tests; `opdisc accept` and the factorize bench take none.
-NEWTON_STEPS = 100
-
 # cap on the scaling path's blocks while its t-grid is refined
 MAX_BLOCKS = 2048
 
 
 def _newton_invert(f, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
-    """Solve f(x) = y for each row of ys by finite-difference Newton.
+    """Solve f(x) = y for each row of ys by ``newton_solve`` from ``start``
+    (ys when None; refused before any evaluation unless it has ys' shape),
+    with merit ||f(x) − y|| and finite-difference Jacobian steps."""
 
-    The iteration starts at ``start`` (ys when None), refused before any
-    evaluation unless it has ys' shape.  Every row runs its own Newton
-    iteration with a backtracking line search (λ = 1, ½, … while λ > 1e-8,
-    accepting the first strict residual decrease) and its own
-    ``NEWTON_STEPS`` step budget.  The rows are stepped together: each
-    round makes one Jacobian batch and one batched solve for the rows still
-    above tol, and each line-search trial evaluates the rows still
-    searching as one batch.  A row leaves the search once it accepts a step
-    (all searching rows are at the same λ, so one scalar serves) and the
-    iteration once its residual is ≤ tol; a NaN residual never is.
-    """
-    xs = _first_iterate(ys, start)
-    res = eval_map(f, xs) - ys
-    rnorm = np.linalg.norm(res, axis=-1)
-    for _ in range(NEWTON_STEPS):
-        act = np.flatnonzero(~(rnorm <= tol))
-        if not act.size:
-            break
-        steps = np.linalg.solve(_fd_jacobian(f, xs[act]), res[act, :, None])[..., 0]
-        lam = 1.0
-        while act.size:
-            if lam <= 1e-8:
-                raise StageError(
-                    "invert", f"Newton line search stagnated at residual {rnorm[act[0]]:g}"
-                )
-            cand = xs[act] - lam * steps
-            cres = eval_map(f, cand) - ys[act]
-            cnorm = np.linalg.norm(cres, axis=-1)
-            ok = cnorm < rnorm[act]
-            done = act[ok]
-            xs[done], res[done], rnorm[done] = cand[ok], cres[ok], cnorm[ok]
-            act, steps = act[~ok], steps[~ok]
-            lam *= 0.5
-    bad = np.flatnonzero(~(rnorm <= tol))
-    if bad.size:
-        raise StageError(
-            "invert", f"Newton did not reach tol={tol:g} in {NEWTON_STEPS} "
-            f"steps (last residual {rnorm[bad[0]]:g})"
-        )
-    return xs
+    def evaluate(xs: np.ndarray, rows: np.ndarray) -> tuple:
+        res = eval_map(f, xs) - ys[rows]
+        rnorm = np.linalg.norm(res, axis=-1)
+        return res, rnorm, rnorm
+
+    def direction(xs: np.ndarray, res: np.ndarray) -> np.ndarray:
+        return np.linalg.solve(_fd_jacobian(f, xs), res[..., None])[..., 0]
+
+    return newton_solve(evaluate, direction, _first_iterate(ys, start), tol, "invert").x
 
 
 def _invert(f, ys: np.ndarray, kappa: float | None, tol: float, *, start=None) -> np.ndarray:

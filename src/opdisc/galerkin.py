@@ -3,8 +3,8 @@
 Two computations live here.  The first discretizes the two-point boundary
 value problem u'' - g(u) = x (homogeneous Dirichlet data, g the derivative
 of a convex function) with piecewise-linear hat elements and solves the
-resulting nonlinear system by a damped Newton iteration whose merit
-function is the problem's own convex energy.  Each cell touches only its
+resulting nonlinear system by ``opdisc.invert.newton_solve`` with the
+problem's own convex energy as the merit.  Each cell touches only its
 two hats, so integrals are per-cell Gauss sums scattered to the nodes and
 the stiffness matrix and Newton Jacobian are tridiagonals kept in LAPACK
 banded ``(3, n)`` layout.  The Jacobian is the stiffness matrix plus a
@@ -32,7 +32,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .spectral import PathScan, StageError, _unit_parameters, gauss_legendre_panels, path_scan
+from .invert import newton_solve
+from .spectral import PathScan, _unit_parameters, gauss_legendre_panels, path_scan
 
 __all__ = [
     "FemMesh",
@@ -270,28 +271,16 @@ class NewtonTrace:
     tol: float
 
     def __post_init__(self) -> None:
-        e = tuple(float(v) for v in self.energies)
+        for name in ("energies", "residual_norms", "step_scales"):
+            object.__setattr__(self, name, tuple(float(v) for v in getattr(self, name)))
+        e = self.energies
         for a, b in zip(e, e[1:]):
             if b > a:
                 raise ValueError(f"energy rose across an accepted step: {a} -> {b}")
-        object.__setattr__(self, "energies", e)
-        object.__setattr__(
-            self, "residual_norms", tuple(float(v) for v in self.residual_norms)
-        )
-        object.__setattr__(
-            self, "step_scales", tuple(float(v) for v in self.step_scales)
-        )
 
     @property
     def iterations(self) -> int:
         return len(self.step_scales)
-
-
-# Step budget of the damped Newton solver.  Hand-set and unproven: the
-# energy is convex, but no bound derives the cap.  The most Newton steps any
-# solve takes is 1 over `opdisc accept`'s 12 solves and 4 in the solve bench
-# (seeds 7, 11 and 2027).
-NEWTON_STEPS = 60
 
 
 def solve_semilinear_trace(
@@ -303,14 +292,12 @@ def solve_semilinear_trace(
     """Damped Newton for the hat-element system; returns (coeffs, trace).
 
     Solves ``B w + N(w) + L = 0`` where B is the stiffness matrix,
-    ``N_j(w) = integral(phi_j g(u_h))`` and ``L_j = integral(x phi_j)``.
-    Steps are damped by halving until the convex energy
-    ``0.5 w B w + integral(G(u_h) + x u_h)`` does not increase; since the
-    energy's gradient is exactly the residual, the Newton direction is a
-    descent direction and the full step is accepted almost always.
+    ``N_j(w) = integral(phi_j g(u_h))`` and ``L_j = integral(x phi_j)``,
+    by :func:`opdisc.invert.newton_solve` from w = 0.  Its merit is the
+    convex energy ``0.5 w B w + integral(G(u_h) + x u_h)``, whose gradient
+    is exactly the residual, so the Newton direction is a descent direction
+    and the full step is accepted almost always.
     """
-    if not 0.0 < tol < math.inf:
-        raise ValueError(f"tolerance tol must be positive and finite, got {tol}")
     pts, wts, left, right = mesh.cell_quadrature()
     x_vals = np.asarray(x_source(pts), dtype=float)
     if x_vals.shape != pts.shape:
@@ -336,53 +323,24 @@ def solve_semilinear_trace(
 
     load = weak_form(x_vals)
 
-    def energy(w: np.ndarray) -> float:
-        u_q = u_at_points(w)
-        return float(
-            0.5 * w @ _banded_matvec(stiff, w)
-            + np.sum(wts * (g.primitive(u_q) + x_vals * u_q))
-        )
+    def evaluate(ws: np.ndarray, rows) -> tuple:
+        (w,) = ws
+        u_q, bw = u_at_points(w), _banded_matvec(stiff, w)
+        res = bw + weak_form(g.g(u_q)) + load
+        energy = 0.5 * w @ bw + np.sum(wts * (g.primitive(u_q) + x_vals * u_q))
+        return res[None], np.array([np.linalg.norm(res)]), np.array([energy])
 
-    w = np.zeros(mesh.n_active)
-    energies = [energy(w)]
-    residual_norms = []
-    step_scales = []
-    # the residual is tested before every step and once after the last one
-    for step in range(NEWTON_STEPS + 1):
-        u_q = u_at_points(w)
-        res = _banded_matvec(stiff, w) + weak_form(g.g(u_q)) + load
-        rnorm = float(np.linalg.norm(res))
-        residual_norms.append(rnorm)
-        if rnorm <= tol:
-            trace = NewtonTrace(
-                tuple(energies), tuple(residual_norms), tuple(step_scales), tol
-            )
-            return w, trace
-        if step == NEWTON_STEPS:
-            break
-        wd = wts * g.derivative(u_q)
+    def direction(ws: np.ndarray, res: np.ndarray) -> np.ndarray:
+        wd = wts * g.derivative(u_at_points(ws[0]))
         jac = stiff.copy()
         jac[1] += to_nodes(wd * left * left, wd * right * right)
         off = np.sum(wd * left * right, axis=1)[couplings]
         jac[0, 1:] += off
         jac[2, :-1] += off
-        direction = _solve_tridiagonal(jac, -res)
-        current = energies[-1]
-        lam = 1.0
-        while energy(w + lam * direction) > current:
-            lam *= 0.5
-            if lam < 1e-10:
-                raise StageError(
-                    "newton", "Newton stagnated: no energy decrease along the step "
-                    f"(last residual {rnorm:.6g})"
-                )
-        w = w + lam * direction
-        energies.append(energy(w))
-        step_scales.append(lam)
-    raise StageError(
-        "newton", f"Newton did not reach tol={tol:.3g} in {NEWTON_STEPS} iterations "
-        f"(last residual {residual_norms[-1]:.6g})"
-    )
+        return _solve_tridiagonal(jac, res[0])[None]
+
+    sol = newton_solve(evaluate, direction, np.zeros((1, mesh.n_active)), tol, "newton")
+    return sol.x[0], NewtonTrace(sol.merits[:, 0], sol.residuals[:, 0], sol.scales[1:, 0], tol)
 
 
 def solve_semilinear(

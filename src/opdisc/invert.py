@@ -12,6 +12,11 @@ refuses non-finite residuals, exhausted budgets and (for maps certified only
 on a ball) iterates outside the ball.  ``opdisc.decompose`` inverts its
 blocks with it too.
 
+:func:`newton_solve` is the package's one damped Newton loop, batched the
+same way, for maps with no contraction rate: ``opdisc.galerkin``'s
+finite-element solve descends its convex energy with it, and
+``opdisc.decompose``'s finite-difference inverter the residual norm.
+
 A chain of residual blocks composed with an identity/reflection head is
 inverted block by block in reverse order, a whole batch of targets per
 kernel call.  A :class:`~opdisc.layers.ResidualChain` carries one
@@ -43,6 +48,8 @@ __all__ = [
     "InversionTrace",
     "BanachSolve",
     "banach_solve",
+    "NewtonSolve",
+    "newton_solve",
     "ChainInverseResult",
     "invert_chain",
     "GlobalInverseReport",
@@ -135,7 +142,7 @@ class InversionTrace:
 
 
 # ---------------------------------------------------------------------------
-# the Banach kernel
+# the Banach and Newton kernels
 # ---------------------------------------------------------------------------
 
 
@@ -213,8 +220,8 @@ def banach_solve(
     """
     if not 0.0 <= q < 1.0:
         raise ValueError(f"contraction bound q must lie in [0, 1), got {q}")
-    if not tol > 0.0:
-        raise ValueError("tolerance must be positive")
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance tol must be positive and finite, got {tol}")
     y = np.asarray(y, dtype=float)
     x = _first_iterate(y, start)
     history = []
@@ -261,6 +268,69 @@ def banach_solve(
     residuals = np.array(history)
     counts = np.argmax(residuals <= tol, axis=0) + 1
     return BanachSolve(x=x, counts=counts, residuals=residuals, budgets=budgets)
+
+
+# Per-row step budget of the Newton kernel.  Hand-set and unproven: no
+# convergence bound derives it.  The most steps any row takes is 8, in
+# decompose at κ = 0.99, and 4 in a finite-element solve of the solve bench.
+NEWTON_STEPS = 100
+
+
+@dataclass(frozen=True)
+class NewtonSolve:
+    """Solution of :func:`newton_solve`: ``merits[k, i]`` and
+    ``residuals[k, i]`` are row i's at its k-th iterate (0 is the start) and
+    ``scales[k, i]`` the λ of the step that reached it (0: no step).  A row
+    holds from its first iterate with residual <= tol on."""
+
+    x: np.ndarray
+    merits: np.ndarray
+    residuals: np.ndarray
+    scales: np.ndarray
+
+
+def newton_solve(evaluate, direction, x, tol: float, stage: str) -> NewtonSolve:
+    """Damped Newton on the rows of the ``(rows, m)`` stack ``x``, from x.
+
+    ``evaluate(x, rows)`` returns the residuals, residual norms and merits
+    of iterates ``x`` of the batch rows ``rows``; ``direction(x, res)``
+    returns their Newton steps d.  The rows above tol step together: each
+    trial x − λ·d, λ = 1, ½, … down to 1e-10, is one ``evaluate`` of the
+    rows still searching, and a row accepts the first trial that lowers its
+    merit, or ties it and lowers its residual norm.  A NaN residual is never
+    below tol.  A line search out of λ, or a row above tol after
+    ``NEWTON_STEPS`` steps, raises :class:`StageError` of ``stage``.
+    """
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tolerance tol must be positive and finite, got {tol}")
+    x = np.array(x, dtype=float)
+    res, rnorm, merit = evaluate(x, np.arange(len(x)))
+    history = [(merit.copy(), rnorm.copy(), np.zeros(len(x)))]
+    for _ in range(NEWTON_STEPS):
+        act = np.flatnonzero(~(rnorm <= tol))
+        if not act.size:
+            break
+        steps, scale, lam = direction(x[act], res[act]), np.zeros(len(x)), 1.0
+        while act.size:
+            if lam < 1e-10:
+                stalled = f"Newton line search stagnated at residual {rnorm[act[0]]:g}"
+                raise StageError(stage, stalled)
+            cand = x[act] - lam * steps
+            cres, cnorm, cmerit = evaluate(cand, act)
+            ok = (cmerit < merit[act]) | ((cmerit == merit[act]) & (cnorm < rnorm[act]))
+            done = act[ok]
+            x[done], res[done], rnorm[done], merit[done] = cand[ok], cres[ok], cnorm[ok], cmerit[ok]
+            scale[done] = lam
+            act, steps = act[~ok], steps[~ok]
+            lam *= 0.5
+        history.append((merit.copy(), rnorm.copy(), scale))
+    bad = np.flatnonzero(~(rnorm <= tol))
+    if bad.size:
+        raise StageError(
+            stage, f"Newton did not reach tol={tol:g} in {NEWTON_STEPS} "
+            f"steps (last residual {rnorm[bad[0]]:g})"
+        )
+    return NewtonSolve(x, *(np.array(h) for h in zip(*history)))
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -69,33 +70,42 @@ class CoordinateNetwork:
     computed once per stage at construction; :meth:`seeded` instead reuses
     the norm of each raw draw times its rescaling factor, rounded up by one
     ulp, which agrees with a fresh decomposition of the stored weights to
-    rounding (relative 1e-14).  :meth:`ball_bound` and the chain
+    rounding (relative 1e-14); one built without norms (a Nemytskii map's)
+    decomposes on first read.  :meth:`ball_bound` and the chain
     certificates read them instead of decomposing again.  ``spectral_bound``
     is their product times the activation's global Lipschitz constant per
     hidden junction — an upper bound on the network's Lipschitz constant
     (infinite when the activation has no global constant; see
-    :meth:`ball_bound` for the local version).  Both are derived, not
-    constructor arguments.  Non-finite weights or biases are refused, so no
-    bound is ever NaN from the parameters.  The stored arrays are read-only:
-    a network built from weights and biases copies them, and :meth:`seeded`
-    freezes its own draws in place.
+    :meth:`ball_bound` for the local version).  Both are derived and
+    cached, not constructor arguments.  Non-finite weights or biases are
+    refused, so no bound is ever NaN from the parameters.  The stored arrays
+    are read-only: a network built from weights and biases copies them, and
+    :meth:`seeded` and :meth:`_from_arrays` freeze their own in place.
     """
 
     weights: tuple
     biases: tuple
     activation: Activation
-    stage_norms: tuple = field(init=False)
-    spectral_bound: float = field(init=False)
 
     def __post_init__(self) -> None:
         ws = tuple(np.array(w, dtype=float) for w in self.weights)
         bs = tuple(np.array(b, dtype=float).reshape(-1) for b in self.biases)
-        self._freeze(ws, bs, None)
+        self._freeze(ws, bs)
+        self.stage_norms  # decomposed at construction
 
-    def _freeze(self, ws: tuple, bs: tuple, norms: tuple | None) -> None:
-        """Validate the network's own arrays and freeze them in place, without
-        a copy, then derive the bounds from ``norms`` (decomposing each stage
-        when None)."""
+    @classmethod
+    def _from_arrays(cls, ws: tuple, bs: tuple, activation: Activation, norms=None):
+        """A network over ``ws`` and ``bs`` themselves, frozen in place, with
+        stage norms ``norms`` (decomposed on first read when None)."""
+        net = cls.__new__(cls)
+        object.__setattr__(net, "activation", activation)
+        net._freeze(ws, bs)
+        if norms is not None:
+            object.__setattr__(net, "stage_norms", norms)
+        return net
+
+    def _freeze(self, ws: tuple, bs: tuple) -> None:
+        """Validate the network's own arrays and freeze them in place."""
         if not ws or len(ws) != len(bs):
             raise ValueError("need equally many weight matrices and bias vectors")
         for i, (w, b) in enumerate(zip(ws, bs)):
@@ -109,12 +119,15 @@ class CoordinateNetwork:
             b.flags.writeable = False
         object.__setattr__(self, "weights", ws)
         object.__setattr__(self, "biases", bs)
-        if norms is None:
-            norms = tuple(spectral_norm(w) for w in ws)
+
+    @cached_property
+    def stage_norms(self) -> tuple:
+        return tuple(spectral_norm(w) for w in self.weights)
+
+    @cached_property
+    def spectral_bound(self) -> float:
         act = self.activation.lipschitz
-        bound = float(np.prod(norms)) * act ** (len(ws) - 1)
-        object.__setattr__(self, "stage_norms", norms)
-        object.__setattr__(self, "spectral_bound", float(bound))
+        return float(float(np.prod(self.stage_norms)) * act ** (len(self.weights) - 1))
 
     @property
     def n_in(self) -> int:
@@ -197,10 +210,7 @@ class CoordinateNetwork:
             ws.append(w)
             bs.append(b)
         # one decomposition per stage: the raw draw's, carried over the rescaling
-        net = cls.__new__(cls)
-        object.__setattr__(net, "activation", act)
-        net._freeze(tuple(ws), tuple(bs), tuple(norms))
-        return net
+        return cls._from_arrays(tuple(ws), tuple(bs), act, tuple(norms))
 
     def __repr__(self) -> str:
         widths = (self.n_in,) + tuple(w.shape[0] for w in self.weights)
@@ -274,13 +284,12 @@ class NemytskiiNonlinearity(CoordinateNetNonlinearity):
             )
         m = self.space.dim
         if self.sigma.name == "identity":
-            net = CoordinateNetwork((np.eye(m),), (np.zeros(m),), self.sigma)
+            ws, bs = (np.eye(m),), (np.zeros(m),)
         else:
             bv = self.space.grid_basis
-            net = CoordinateNetwork(
-                (bv.T, bv * self.space.weights), (np.zeros(bv.shape[1]), np.zeros(m)), self.sigma
-            )
-        object.__setattr__(self, "net", net)
+            ws, bs = (np.array(bv.T), bv * self.space.weights), (np.zeros(bv.shape[1]), np.zeros(m))
+        # ``lip`` is the map's bound, so nothing decomposes the network's stages
+        object.__setattr__(self, "net", CoordinateNetwork._from_arrays(ws, bs, self.sigma))
         object.__setattr__(self, "ambient_dim", m)
 
     @property

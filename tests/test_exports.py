@@ -21,7 +21,13 @@ import opdisc
 from opdisc.acceptance import mixing_bilipschitz_layer
 from opdisc.decompose import choose_w, linear_path_blocks, path_blocks
 from opdisc.galerkin import ConvexNonlinearity, FemMesh, solve_semilinear_trace
-from opdisc.invert import InversionTrace, global_inverse_check, invert_chain
+from opdisc.invert import (
+    InversionTrace,
+    banach_solve,
+    global_inverse_check,
+    invert_chain,
+    newton_solve,
+)
 from opdisc.layers import (
     CoordinateNetwork,
     NeuralOperatorLayer,
@@ -235,6 +241,10 @@ GUARDS = {
     "InversionTrace": ("tol", lambda v: InversionTrace((2,), (1e-12,), ((0.1, 0.04),), (40,),
                                                         (0.5,), v), 0.0),
     "global_inverse_check": ("r", lambda v: global_inverse_check(_CHAIN, v, 2), 0.0),
+    "banach_solve": ("tol", lambda v: banach_solve(lambda x: 0.5 * x, np.ones(2), 0.5, v), 0.0),
+    "newton_solve": ("tol", lambda v: newton_solve(
+        lambda x, rows: (x, np.abs(x[:, 0]), np.abs(x[:, 0])), lambda x, res: res,
+        np.ones((1, 1)), v, "newton"), -1.0),
     "central_differences": (
         "h", lambda v: central_differences(np.sin, np.zeros(2), np.eye(2), v), -1e-5),
     "make_layer": ("lip_g", lambda v: make_layer(Space(BasisSpec(ambient_dim=8)), lip_g=v), -1.0),
@@ -248,6 +258,21 @@ def test_a_guard_refuses_nan_inf_and_out_of_range_by_name(site, value):
     name, call, bad = GUARDS[site]
     with pytest.raises(ValueError, match=rf"\b{name}\b"):
         call(bad if value == "out-of-range" else float(value))
+
+
+def test_one_newton_step_budget():
+    """The package's one damped Newton loop owns the one step budget:
+    ``NEWTON_STEPS`` is assigned once in the package, in ``invert``."""
+    src = Path(opdisc.__file__).resolve().parent
+    sites = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+        for target in getattr(node, "targets", [getattr(node, "target", None)])
+        if isinstance(target, ast.Name) and target.id == "NEWTON_STEPS"
+    ]
+    assert len(sites) == 1 and sites[0].startswith("invert:"), sites
 
 
 def _json_writes(path: Path) -> list[str]:

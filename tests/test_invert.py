@@ -1,5 +1,7 @@
-"""Banach inversion of residual blocks and chains."""
+"""Banach inversion of residual blocks and chains, and the damped Newton kernel."""
 
+import collections
+import importlib
 import json
 import math
 from dataclasses import replace
@@ -19,11 +21,13 @@ from opdisc.invert import (
     banach_solve,
     global_inverse_check,
     invert_chain,
+    newton_solve,
 )
 from opdisc.layers import CoordinateNetwork, ResidualChain
 from opdisc.monotone import ball_samples, bilipschitz_estimate
 from opdisc.operators import FiniteRankOperator, Identity, Reflection, activation_from_name
 from opdisc.serialize import canonical_json
+from opdisc.spectral import StageError
 
 
 def zero_net(n: int) -> CoordinateNetwork:
@@ -180,6 +184,91 @@ class TestBanachKernel:
         short = math.ceil(math.log(1.0 - q) / math.log(q))
         slack = sol.budgets - sol.counts
         assert short - 1 <= slack.min() and slack.max() <= short + 1
+
+
+def arctan_newton(ys, start, calls):
+    """``newton_solve`` on f(x) = arctan(x) + 0.01·x coordinatewise, merit
+    ||f(x) − y||, recording the rows of every ``evaluate`` call."""
+
+    def evaluate(x, rows):
+        calls.append(len(rows))
+        res = np.arctan(x) + 0.01 * x - ys[rows]
+        rnorm = np.linalg.norm(res, axis=-1)
+        return res, rnorm, rnorm
+
+    def direction(x, res):
+        return res * (1.0 + x * x) / (1.01 + 0.01 * x * x)
+
+    return newton_solve(evaluate, direction, start, 1e-12, "invert")
+
+
+def scripted_newton(trial_residual, trial_merit, calls):
+    """``newton_solve`` on one row that starts at residual norm and merit 1
+    and sees ``trial_residual`` and ``trial_merit`` at every trial."""
+
+    def evaluate(x, rows):
+        calls.append(len(rows))
+        start = x[:, 0] == 0.0
+        rnorm = np.where(start, 1.0, trial_residual)
+        return x - 1.0, rnorm, np.where(start, 1.0, trial_merit)
+
+    return newton_solve(evaluate, lambda x, res: res, np.zeros((1, 1)), 1e-3, "newton")
+
+
+class TestNewtonKernel:
+    @pytest.mark.parametrize("far", [False, True])
+    def test_a_batch_equals_its_rows_solved_alone(self, far):
+        ys = np.random.default_rng(0).uniform(-1.5, 1.5, (16, 2))
+        # from 3·sign(y) − y the first full steps overshoot, so rows backtrack
+        starts = 3.0 * np.sign(ys) - ys if far else np.zeros_like(ys)
+        calls = []
+        batch = arctan_newton(ys, starts, calls)
+        steps = np.count_nonzero(batch.scales, axis=0)
+        assert len(set(steps)) > 1
+        assert (batch.scales[batch.scales > 0.0].min() < 1.0) == far
+        # trials per round of each row solved alone: λ = 2^(1 - trials)
+        trials = collections.defaultdict(int)
+        alone = []
+        for i in range(len(ys)):
+            single_calls = []
+            single = arctan_newton(ys[i : i + 1], starts[i : i + 1], single_calls)
+            alone.append(len(single_calls))
+            assert np.max(np.abs(single.x[0] - batch.x[i])) <= 1e-12
+            # a row holds once it is below tol, so its history is a prefix
+            assert len(single.residuals) == steps[i] + 1
+            history = batch.residuals[: steps[i] + 1, i]
+            np.testing.assert_array_equal(single.residuals[:, 0], history)
+            for k, lam in enumerate(single.scales[1:, 0]):
+                trials[k] = max(trials[k], 1 + round(-math.log2(lam)))
+        # the rows of a round search together: one call per trial of the
+        # round's slowest search, so without backtracking the batch makes
+        # no more calls than its slowest row alone
+        assert len(calls) == 1 + sum(trials.values())
+        if not far:
+            assert len(calls) == max(alone)
+        assert len(calls) < sum(alone)
+
+    def test_a_merit_tie_that_lowers_the_residual_is_accepted(self):
+        calls = []
+        sol = scripted_newton(1e-4, 1.0, calls)
+        assert sol.x.tolist() == [[1.0]] and sol.residuals.tolist() == [[1.0], [1e-4]]
+        assert sol.scales.tolist() == [[0.0], [1.0]] and len(calls) == 2
+
+    @pytest.mark.parametrize("trial_residual", [1.0, 2.0])
+    def test_a_merit_tie_that_does_not_lower_the_residual_is_refused(self, trial_residual):
+        calls = []
+        stagnated = r"^\[newton\] Newton line search stagnated at residual 1$"
+        with pytest.raises(StageError, match=stagnated):
+            scripted_newton(trial_residual, 1.0, calls)
+        # one evaluation at the start, then λ = 1, ½, … down to 2^-33 ≥ 1e-10
+        assert len(calls) == 1 + 34
+
+    def test_a_lower_merit_is_accepted_even_at_a_higher_residual(self, monkeypatch):
+        # the accepted step ends the one permitted step above tol
+        monkeypatch.setattr(importlib.import_module("opdisc.invert"), "NEWTON_STEPS", 1)
+        stopped = r"did not reach tol=0.001 in 1 steps \(last residual 2\)"
+        with pytest.raises(StageError, match=stopped):
+            scripted_newton(2.0, 0.5, [])
 
 
 def one_block(net, *, ambient=None, ball_radius=None):

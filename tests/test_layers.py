@@ -237,6 +237,17 @@ class TestSpectralNormCalls:
         invert_chain(chain, Identity(), y)
         assert len(calls) == built
 
+    @pytest.mark.parametrize("sigma", ["leaky", "identity"])
+    def test_a_nemytskii_layer_decomposes_no_grid_stage(self, calls, sigma):
+        # the map's bound is its quadrature Gram's, so its grid network's
+        # stage norms are never read
+        space = Space(BasisSpec("fourier", 32))
+        layer = make_layer(space, nonlin="nemytskii", seed=1)
+        if sigma == "identity":
+            layer = replace(layer, nonlin=NemytskiiNonlinearity(space, activation_from_name(sigma)))
+        assert 0.0 < layer.contraction < np.inf
+        assert calls == []
+
 
 class TestLayer:
     def test_matches_manual_composition(self, space16):

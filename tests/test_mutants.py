@@ -22,6 +22,7 @@ from opdisc.spectral import StageError
 ACCEPTANCE = importlib.import_module("opdisc.acceptance")
 DECOMPOSE = importlib.import_module("opdisc.decompose")
 DISCRETIZE = importlib.import_module("opdisc.discretize")
+INVERT_MODULE = importlib.import_module("opdisc.invert")
 LAYERS = importlib.import_module("opdisc.layers")
 MONOTONE = importlib.import_module("opdisc.monotone")
 INVERT, TRANSPORT, PATH_BLOCKS = DECOMPOSE._invert, DECOMPOSE._transport, DECOMPOSE.path_blocks
@@ -30,6 +31,7 @@ COMPOSITE = DECOMPOSE.DecompositionResult.eval_array
 SUP_QUOTIENT, SAMPLED_ALPHA, BALL_SAMPLES = (
     MONOTONE._sup_quotient, MONOTONE._sampled_alpha, MONOTONE.ball_samples
 )
+APRIORI = INVERT_MODULE._apriori_iterations
 CRITERION = {num: criterion for num, _, criterion in CRITERIA}
 
 
@@ -130,6 +132,15 @@ MUTANTS = {
         "contraction_certificate",
         lambda kappa: 1.0 - 3.0 * kappa if kappa < 1.0 else None,
         r"^layer seed 0: structural modulus -0\.5\d* misses the 0\.5 certificate",
+    ),
+    # ten times the a priori budget still bounds every count, so only the
+    # known-rate case can see it
+    "apriori-budget-x10": (
+        5,
+        INVERT_MODULE,
+        "_apriori_iterations",
+        lambda *a: 10 * APRIORI(*a),
+        r"x -> x \+ 0.5x stopped \d+ evaluations short",
     ),
 }
 
