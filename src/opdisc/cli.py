@@ -530,11 +530,10 @@ RUNNERS = {
 
 
 def _prefix_dims(ambient: int, count: int) -> list[int]:
-    """Evenly spread prefix dimensions, always ending at the ambient dim."""
-    if ambient <= count:
-        return list(range(1, ambient + 1))
-    dims = np.unique(np.linspace(1, ambient, count).astype(int))
-    return [int(d) for d in dims]
+    """Evenly spread prefix dimensions, always ending at the ambient dim;
+    every dim when there are at most ``count`` (the spread's step is then
+    at most 1, so its floors take every value)."""
+    return [int(d) for d in np.unique(np.linspace(1, ambient, count).astype(int))]
 
 
 def _validate_experiment(exp: dict, index: int, seed_override: int | None) -> dict:
@@ -883,7 +882,3 @@ def accept_cmd(ctx, only):
         failed = [r for r in results if not r["passed"]]
         write_json(out_dir / "failures.json", {"schema": SCHEMA_VERSION, "failed": failed})
         raise SystemExit(2)
-
-
-if __name__ == "__main__":
-    main()

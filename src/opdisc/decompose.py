@@ -689,8 +689,6 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
     k = df0.shape[0]
     diag: dict = {"dim": k}
-    if k == 0:
-        return "identity", [], diag
     if not np.all(np.isfinite(df0)):
         raise ValueError("matrix has non-finite entries")
     cond = np.linalg.cond(df0)

@@ -324,20 +324,24 @@ def solve_semilinear_trace(
     load = weak_form(x_vals)
 
     def evaluate(ws: np.ndarray, rows) -> tuple:
+        """The state is the residual, then u_h at the quadrature points,
+        which the step reuses."""
         (w,) = ws
         u_q, bw = u_at_points(w), _banded_matvec(stiff, w)
         res = bw + weak_form(g.g(u_q)) + load
         energy = 0.5 * w @ bw + np.sum(wts * (g.primitive(u_q) + x_vals * u_q))
-        return res[None], np.array([np.linalg.norm(res)]), np.array([energy])
+        state = np.concatenate([res, u_q.ravel()])
+        return state[None], np.array([np.linalg.norm(res)]), np.array([energy])
 
-    def direction(ws: np.ndarray, res: np.ndarray) -> np.ndarray:
-        wd = wts * g.derivative(u_at_points(ws[0]))
+    def direction(ws: np.ndarray, states: np.ndarray) -> np.ndarray:
+        res, u_q = np.split(states[0], [mesh.n_active])
+        wd = wts * g.derivative(u_q.reshape(pts.shape))
         jac = stiff.copy()
         jac[1] += to_nodes(wd * left * left, wd * right * right)
         off = np.sum(wd * left * right, axis=1)[couplings]
         jac[0, 1:] += off
         jac[2, :-1] += off
-        return _solve_tridiagonal(jac, res[0])[None]
+        return _solve_tridiagonal(jac, res)[None]
 
     sol = newton_solve(evaluate, direction, np.zeros((1, mesh.n_active)), tol, "newton")
     return sol.x[0], NewtonTrace(sol.merits[:, 0], sol.residuals[:, 0], sol.scales[1:, 0], tol)

@@ -292,9 +292,12 @@ class NewtonSolve:
 def newton_solve(evaluate, direction, x, tol: float, stage: str) -> NewtonSolve:
     """Damped Newton on the rows of the ``(rows, m)`` stack ``x``, from x.
 
-    ``evaluate(x, rows)`` returns the residuals, residual norms and merits
-    of iterates ``x`` of the batch rows ``rows``; ``direction(x, res)``
-    returns their Newton steps d.  The rows above tol step together: each
+    ``evaluate(x, rows)`` returns the states, residual norms and merits of
+    iterates ``x`` of the batch rows ``rows``: a state is one row of what
+    the step reads, the residual and whatever else ``evaluate`` computed
+    that the step reuses.  ``direction(x, state)`` returns the Newton steps
+    d of iterates from the states ``evaluate`` returned for them, kept for
+    each accepted trial.  The rows above tol step together: each
     trial x − λ·d, λ = 1, ½, … down to 1e-10, is one ``evaluate`` of the
     rows still searching, and a row accepts the first trial that lowers its
     merit, or ties it and lowers its residual norm.  A NaN residual is never
@@ -304,22 +307,23 @@ def newton_solve(evaluate, direction, x, tol: float, stage: str) -> NewtonSolve:
     if not 0.0 < tol < math.inf:
         raise ValueError(f"tolerance tol must be positive and finite, got {tol}")
     x = np.array(x, dtype=float)
-    res, rnorm, merit = evaluate(x, np.arange(len(x)))
+    state, rnorm, merit = evaluate(x, np.arange(len(x)))
     history = [(merit.copy(), rnorm.copy(), np.zeros(len(x)))]
     for _ in range(NEWTON_STEPS):
         act = np.flatnonzero(~(rnorm <= tol))
         if not act.size:
             break
-        steps, scale, lam = direction(x[act], res[act]), np.zeros(len(x)), 1.0
+        steps, scale, lam = direction(x[act], state[act]), np.zeros(len(x)), 1.0
         while act.size:
             if lam < 1e-10:
                 stalled = f"Newton line search stagnated at residual {rnorm[act[0]]:g}"
                 raise StageError(stage, stalled)
             cand = x[act] - lam * steps
-            cres, cnorm, cmerit = evaluate(cand, act)
+            cstate, cnorm, cmerit = evaluate(cand, act)
             ok = (cmerit < merit[act]) | ((cmerit == merit[act]) & (cnorm < rnorm[act]))
             done = act[ok]
-            x[done], res[done], rnorm[done], merit[done] = cand[ok], cres[ok], cnorm[ok], cmerit[ok]
+            x[done], state[done] = cand[ok], cstate[ok]
+            rnorm[done], merit[done] = cnorm[ok], cmerit[ok]
             scale[done] = lam
             act, steps = act[~ok], steps[~ok]
             lam *= 0.5
@@ -391,7 +395,7 @@ class ChainInverseResult:
 def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInverseResult:
     """Invert ``chain(a0(x)) = y``: blocks in reverse order, then the head.
 
-    ``chain`` is None or any chain carrying ``blocks`` with their certified
+    ``chain`` is any chain carrying ``blocks`` with their certified
     ``rates`` and ``radii``; a rate not below 1 is refused.  ``y`` holds one
     target ``(m,)`` or a ``(..., m)`` batch.  Each block makes one
     :func:`banach_solve` call on the batch's prefix coordinates at its rate
@@ -410,19 +414,16 @@ def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInvers
     GEMM rounds differently (by about 2e-16).  :meth:`targets` splits such
     a result into single-target ones.
     """
-    if chain is None:
-        blocks, rates, radii = (), (), ()
-    elif hasattr(chain, "rates"):
-        blocks, rates, radii = chain.blocks, chain.rates, chain.radii
-    else:
+    if not hasattr(chain, "rates"):
         raise TypeError(f"cannot invert an object of type {type(chain).__name__}")
+    blocks, rates, radii = chain.blocks, chain.rates, chain.radii
     for i, rate in enumerate(rates):
         if not rate < 1.0:
             raise StageError("invert", f"block {i} carries no contraction certificate "
                              f"(bound {rate:.6g}); give the chain a contraction bound delta, "
                              "and a ball_radius for a ball-local one")
     x = np.asarray(y, dtype=float)
-    if chain is not None and x.shape[-1:] != (chain.dim,):
+    if x.shape[-1:] != (chain.dim,):
         raise ValueError(
             f"y must have {chain.dim} coordinates on its last axis, got shape {x.shape}"
         )
@@ -447,7 +448,7 @@ def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInvers
         )
         traces.append(trace)
     n_blocks = len(blocks)
-    target = n_blocks * tol / (1.0 - max(rates)) ** n_blocks if n_blocks else 0.0
+    target = n_blocks * tol / (1.0 - max(rates)) ** n_blocks
     return ChainInverseResult(x=x, traces=tuple(traces), roundtrip_target=float(target))
 
 

@@ -212,13 +212,6 @@ class CoordinateNetwork:
         # one decomposition per stage: the raw draw's, carried over the rescaling
         return cls._from_arrays(tuple(ws), tuple(bs), act, tuple(norms))
 
-    def __repr__(self) -> str:
-        widths = (self.n_in,) + tuple(w.shape[0] for w in self.weights)
-        return (
-            f"CoordinateNetwork(widths={widths}, act={self.activation.name}, "
-            f"bound={self.spectral_bound:.6g})"
-        )
-
 
 # ---------------------------------------------------------------------------
 # layer nonlinearities
@@ -610,7 +603,6 @@ def make_layer(
         phi_prefix=out_phi_prefix,
     )
 
-    g: CoordinateNetNonlinearity
     if lip_g == 0.0:
         g = affine_nonlinearity(np.zeros((m, m)), np.zeros(m))
     elif nonlin == "coordinate_net":

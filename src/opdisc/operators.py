@@ -109,9 +109,6 @@ class FiniteRankOperator:
             return np.zeros((self.dim, self.dim))
         return (self.phi.T * self.omegas) @ self.psi
 
-    def __repr__(self) -> str:
-        return f"FiniteRankOperator(rank={self.rank}, dim={self.dim}, norm={self.norm:.6g})"
-
 
 def orthonormal_rows(a: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the columns of a (dim, rank) Gaussian draw:
@@ -185,9 +182,8 @@ def spectral_norm(w) -> float:
     w = np.asarray(w, dtype=float)
     if w.ndim != 2:
         raise ValueError(f"spectral norm needs a matrix, got shape {w.shape}")
-    if not w.size:
-        return 0.0
-    amax = max(float(w.max()), -float(w.min()))
+    # an empty matrix's amax is 0 too
+    amax = max(float(w.max(initial=0.0)), -float(w.min(initial=0.0)))
     if not math.isfinite(amax):
         raise ValueError("spectral norm of a matrix with non-finite entries")
     if amax == 0.0:
@@ -216,33 +212,38 @@ class Activation:
     coordinate pairs ascending, leaving a trailing odd coordinate fixed, and
     is 1-Lipschitz and idempotent.  ``lipschitz`` is infinite for the cubed
     rectifier, whose derivative is unbounded; :meth:`local_lipschitz` and
-    :meth:`range_radius` bound it on a ball instead.
+    :meth:`range_radius` bound it on a ball instead, from its ``growth``
+    (c, p): |σ(s)| <= c·|s|^p, with local constant p·c·|s|^(p−1).  The
+    cubed rectifier's is (1, 3); a finite constant's is (lipschitz, 1).
     """
 
     name: str
     fun: Callable[[np.ndarray], np.ndarray] = field(repr=False)
     lipschitz: float
     entrywise: bool = True
+    growth: tuple | None = None
+
+    def __post_init__(self) -> None:
+        if self.growth is None:
+            if not np.isfinite(self.lipschitz):
+                raise ValueError(f"{self.name} has no global Lipschitz constant: give its growth")
+            object.__setattr__(self, "growth", (self.lipschitz, 1))
 
     def __call__(self, v):
         return self.fun(np.asarray(v, dtype=float))
 
     def local_lipschitz(self, radius: float) -> float:
         """Lipschitz bound valid on inputs of magnitude <= radius."""
-        if self.name == "recu":
-            return 3.0 * float(radius) ** 2
-        if not np.isfinite(self.lipschitz):
-            raise ValueError(f"no local Lipschitz rule for {self.name}")
-        return self.lipschitz
+        c, p = self.growth
+        return p * c * float(radius) ** (p - 1)
 
     def range_radius(self, radius: float) -> float:
         """Bound on the output norm over inputs of norm <= radius (requires
         f(0) = 0)."""
         if abs(float(self(np.zeros(1))[0])) > 1e-15:
             raise ValueError("range propagation assumes f(0) = 0")
-        if self.name == "recu":
-            return float(radius) ** 3
-        return self.local_lipschitz(radius) * float(radius)
+        c, p = self.growth
+        return c * float(radius) ** p
 
 
 def scaled_leaky(scale: float) -> Activation:
@@ -282,7 +283,8 @@ def _leaky_relu(a: float = 0.2) -> Activation:
 _ACTIVATIONS = {
     "identity": (lambda: Activation("identity", lambda s: s, 1.0), None),
     "leaky_relu": (_leaky_relu, "optional"),
-    "recu": (lambda: Activation("recu", lambda s: np.maximum(s, 0.0) ** 3, math.inf), None),
+    "recu": (lambda: Activation("recu", lambda s: np.maximum(s, 0.0) ** 3, math.inf,
+                                growth=(1.0, 3)), None),
     "tanh": (lambda: Activation("tanh", np.tanh, 1.0), None),
     "scaled_leaky": (scaled_leaky, "required"),
     "groupsort2": (lambda: Activation("groupsort2", _groupsort2, 1.0, entrywise=False), None),

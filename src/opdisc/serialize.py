@@ -295,10 +295,8 @@ def _plain(obj):
     TypeError."""
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
         return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, np.ndarray | np.generic):
         return obj.tolist()
-    if isinstance(obj, np.generic):
-        return obj.item()
     raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 

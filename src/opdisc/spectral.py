@@ -135,12 +135,6 @@ class Space:
     def dim(self) -> int:
         return self.spec.ambient_dim
 
-    def __repr__(self) -> str:
-        return (
-            f"Space(kind={self.spec.kind!r}, dim={self.dim}, "
-            f"panels={self.spec.quadrature_panels})"
-        )
-
     # -- pointwise realization -------------------------------------------------
 
     @cached_property
@@ -221,23 +215,21 @@ def sign_crossings(
     for i, (t, d) in enumerate(zip(ts, dets)):
         if d == 0.0:
             yield float(t), float(t)
-            continue
-        if i + 1 == len(ts) or dets[i + 1] == 0.0 or (d > 0.0) == (dets[i + 1] > 0.0):
-            continue
-        lo, hi, d_lo = float(t), float(ts[i + 1]), d
-        while hi - lo > tol:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            d_mid = det_at(mid)
-            if d_mid == 0.0:
-                lo = hi = mid
-                break
-            if (d_mid > 0.0) == (d_lo > 0.0):
-                lo, d_lo = mid, d_mid
-            else:
-                hi = mid
-        yield lo, hi
+        elif i + 1 < len(ts) and dets[i + 1] != 0.0 and (d > 0.0) != (dets[i + 1] > 0.0):
+            lo, hi, d_lo = float(t), float(ts[i + 1]), d
+            while hi - lo > tol:
+                mid = 0.5 * (lo + hi)
+                if mid == lo or mid == hi:
+                    break
+                d_mid = det_at(mid)
+                if d_mid == 0.0:
+                    lo = hi = mid
+                    break
+                if (d_mid > 0.0) == (d_lo > 0.0):
+                    lo, d_lo = mid, d_mid
+                else:
+                    hi = mid
+            yield lo, hi
 
 
 @dataclass(frozen=True, eq=False)

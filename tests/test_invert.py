@@ -465,18 +465,12 @@ class TestInversionTrace:
 
 
 class TestChainInverse:
-    def test_empty_chain_identity_head_returns_y(self):
-        y = np.array([1.0, -2.0, 0.25])
-        out = invert_chain(None, Identity(), y)
-        assert np.array_equal(out.x, y)
-        assert out.trace.iteration_counts == ()
-        assert out.roundtrip_target == 0.0
-
     def test_reflection_head_is_its_own_inverse(self):
-        refl = Reflection.first_axis(5)
+        # the head is inverted last, by applying itself to the chain's preimage
+        chain, refl = seeded_chain(dim=5, blocks=1, bound=0.5, seed=7), Reflection.first_axis(5)
         y = np.arange(1.0, 6.0)
-        x = invert_chain(None, refl, y).x
-        np.testing.assert_array_equal(x, refl.eval_array(y))
+        x = invert_chain(chain, refl, y).x
+        np.testing.assert_array_equal(x, refl.eval_array(invert_chain(chain, Identity(), y).x))
 
     @pytest.mark.parametrize("head", [Identity(), Reflection.first_axis(16)])
     def test_three_block_half_delta_roundtrip(self, head):
@@ -535,12 +529,14 @@ class TestChainInverse:
             invert_chain(chain, None, np.zeros(4))
 
     def test_non_involutive_head_refused(self):
+        chain = seeded_chain(dim=2, blocks=1, bound=0.5, seed=0)
         with pytest.raises(TypeError, match="identity or a reflection; got FiniteRankOperator"):
-            invert_chain(None, FiniteRankOperator.seeded(2, 1, seed=0), np.zeros(2))
+            invert_chain(chain, FiniteRankOperator.seeded(2, 1, seed=0), np.zeros(2))
         with pytest.raises(TypeError, match="identity or a reflection; got str"):
-            invert_chain(None, "flip", np.zeros(2))
-        with pytest.raises(TypeError, match="cannot invert"):
-            invert_chain(("not", "a", "chain"), None, np.zeros(2))
+            invert_chain(chain, "flip", np.zeros(2))
+        for not_a_chain in (("not", "a", "chain"), None):
+            with pytest.raises(TypeError, match="cannot invert"):
+                invert_chain(not_a_chain, None, np.zeros(2))
 
     def test_ball_local_chain_refuses_targets_outside_its_ball(self):
         blocks = ResidualChain.seeded(
