@@ -20,7 +20,7 @@ import time
 import numpy as np
 
 from .decompose import decompose
-from .discretize import convergence_scan, functor_a_error, orientation_scan
+from .discretize import compress, convergence_scan, functor_a_error, orientation_scan
 from .galerkin import (
     SOURCES,
     ConvexNonlinearity,
@@ -175,18 +175,18 @@ def criterion_compression_continuity() -> dict:
 
     Scales one fixed compact operator K on 32 coefficients by 1/j,
     j = 1..16, and reads its largest image over one sample set in the
-    prefix of dimension 8: ambient_error = max ‖Kx‖/j and subspace_error =
-    max ‖(Kx)[:8]‖/j, the same after the prefix compression.  Consecutive
+    prefix V of dimension 8: ambient_error = max ‖Kx‖/j and subspace_error
+    = max ‖P_V K x‖/j, the same through ``compress(K, 8)``.  Consecutive
     ratios must match j/(j+1) within 10%, with the compressed error never
     exceeding the ambient one.  No layer is evaluated: a layer perturbed
     additively by K/j differs from itself by exactly K/j, so the columns
     read K alone.  ROADMAP item 5 will perturb inside the nonlinearity and
     evaluate the layer and its compression.
     """
-    xs = ball_samples(32, 1.0, 64, seed=3, prefix=8)
-    defects = FiniteRankOperator.seeded(32, 6, seed=33).eval_array(xs)
-    amb = float(np.max(np.linalg.norm(defects, axis=1)))
-    sub = float(np.max(np.linalg.norm(defects[:, :8], axis=1)))
+    compressed = compress(FiniteRankOperator.seeded(32, 6, seed=33), 8)
+    cs = ball_samples(8, 1.0, 64, seed=3)
+    amb = float(np.max(np.linalg.norm(eval_map(compressed.f, compressed.lift(cs)), axis=1)))
+    sub = float(np.max(np.linalg.norm(compressed.eval_array(cs), axis=1)))
     js = list(range(1, 17))
     ambient = [amb / j for j in js]
     subspace = [sub / j for j in js]

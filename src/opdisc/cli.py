@@ -750,15 +750,16 @@ def run_config(config: dict, out_dir: Path, jobs: int, seed_override: int | None
 
 
 def _finish(outcomes: list[dict], out_dir: Path) -> None:
+    """Echo each outcome and error, write ``failures.json``, and exit 1 or 2 on any error."""
     for o in outcomes:
         click.echo(f"{o['status']:>12}  {o['kind']}  {o['name']}")
-    config_errors = [o for o in outcomes if o["status"] == "config-error"]
-    for o in config_errors:
-        click.echo(f"config-error in {o['name']}: {o['error']}", err=True)
+    for o in outcomes:
+        if o["status"] != "ok":
+            click.echo(f"{o['status']} in {o['name']}: {o['error']}", err=True)
     failures = [o for o in outcomes if o["status"] == "failed"]
     if failures:
         write_json(out_dir / "failures.json", {"schema": SCHEMA_VERSION, "failed": failures})
-    if config_errors:
+    if any(o["status"] == "config-error" for o in outcomes):
         raise SystemExit(1)
     if failures:
         raise SystemExit(2)
@@ -794,14 +795,7 @@ def _run_subcommand(ctx, **flags) -> None:
     except SpecError as err:
         raise click.ClickException(str(err)) from err
     out_dir = ctx.obj["out"]
-    outcome = _run_experiment(exp, out_dir, _BuildMemo())
-    if outcome["status"] == "config-error":
-        raise click.ClickException(outcome["error"])
-    if outcome["status"] == "failed":
-        write_json(out_dir / "failures.json", {"schema": SCHEMA_VERSION, "failed": [outcome]})
-        click.echo(f"failed: {outcome['error']}", err=True)
-        raise SystemExit(2)
-    click.echo(f"          ok  {exp['kind']}  {exp['name']}")
+    _finish([_run_experiment(exp, out_dir, _BuildMemo())], out_dir)
 
 
 def _option(key: str, entry: _Key) -> click.Option:

@@ -69,7 +69,7 @@ import numpy as np
 from .invert import _apriori_iterations, _first_iterate, banach_solve, newton_solve
 from .layers import NeuralOperatorLayer, central_differences, eval_map
 from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate
-from .operators import Identity, Reflection, spectral_norm
+from .operators import Identity, Reflection, _orthonormal, spectral_norm
 from .spectral import StageError
 
 __all__ = [
@@ -110,10 +110,8 @@ class Frame:
         r = np.array(self.rows, dtype=float)
         if r.ndim != 2:
             raise ValueError("frame rows must form a 2-D array")
-        if r.shape[0] > 0:
-            gram = r @ r.T
-            if not np.allclose(gram, np.eye(r.shape[0]), atol=1e-9):
-                raise ValueError("frame rows must be orthonormal")
+        if not _orthonormal(r):
+            raise ValueError("frame rows must be orthonormal")
         r.flags.writeable = False
         object.__setattr__(self, "rows", r)
 

@@ -1,13 +1,13 @@
 """Prefix-subspace compression of operators and its approximation metrics.
 
-The compression of a map F through a prefix subspace V is P_V∘F restricted
-to V, where V is named by its dimension d: the span of the first d basis
-elements.  Every compressed quantity here is sampled on points of V, i.e.
-with all but the first d coordinates zero.  This module measures how
-faithful that compression is: the strong (range-tail) error; in
-:func:`convergence_scan` also the weak (tested-against-a-probe) error and
-monotonicity preservation; and the orientation of the compressed Jacobian
-along operator paths.
+The compression of a map F on ℝ^m to the prefix subspace V_d, the span of
+the first d basis elements, is P_d∘F∘ι_d: :func:`compress` builds it as a
+map on ℝ^d, whose ``lift`` is ι_d.  Every compressed quantity here is
+sampled on points of V_d, lifted from the ball of ℝ^d.  This module
+measures how faithful that compression is: the strong (range-tail) error;
+in :func:`convergence_scan` also the weak (tested-against-a-probe) error
+and monotonicity preservation; and the orientation of the compressed
+Jacobian along operator paths.
 
 Sup-over-ball quantities use one seeded sample set shared across dims, so
 the monotonicity of nested compressions is exact for the sampled set
@@ -16,21 +16,50 @@ rather than statistical.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
 from .layers import central_differences, eval_map
-from .monotone import _check_prefix, _resolve_dim, _sampled_alpha, ball_samples, pairwise_alpha
+from .monotone import _resolve_dim, _sampled_alpha, ball_samples, pairwise_alpha
 from .spectral import PathScan, path_scan
 
 __all__ = [
+    "Compression",
     "ConvergenceReport",
+    "compress",
     "functor_a_error",
     "convergence_scan",
     "orientation_scan",
 ]
+
+
+@dataclass(frozen=True, eq=False)
+class Compression:
+    """P_d∘F∘ι_d: f on ℝ^ambient_dim compressed to its first ``dim`` coordinates."""
+
+    f: object
+    dim: int
+    ambient_dim: int
+
+    def __post_init__(self) -> None:
+        if not 1 <= self.dim <= self.ambient_dim:
+            raise ValueError(f"compression dimension {self.dim} must lie in 1..{self.ambient_dim}")
+
+    def lift(self, c: np.ndarray) -> np.ndarray:
+        """ι_d: (..., dim) coefficients padded with zeros to (..., ambient_dim)."""
+        x = np.zeros(c.shape[:-1] + (self.ambient_dim,))
+        x[..., : self.dim] = c
+        return x
+
+    def eval_array(self, c: np.ndarray) -> np.ndarray:
+        return eval_map(self.f, self.lift(c))[..., : self.dim]
+
+
+def compress(f, d: int, dim: int | None = None) -> Compression:
+    """f compressed to its first d coordinates; ``dim`` is f's when it carries none."""
+    return Compression(f, d, _resolve_dim(f, dim))
 
 
 def _tail_error(fx: np.ndarray, d: int) -> float:
@@ -47,7 +76,7 @@ def functor_a_error(
 ) -> float:
     """Worst range tail over ball samples in the prefix V of dimension d:
     max ‖(Id − P_V) f(x)‖."""
-    xs = ball_samples(_resolve_dim(f, dim), r, n, seed=seed, prefix=d)
+    xs = compress(f, d, dim).lift(ball_samples(d, r, n, seed=seed))
     return _tail_error(eval_map(f, xs), d)
 
 
@@ -83,8 +112,9 @@ def convergence_scan(
     map over its own subspace: differences of samples in V lie in V, so
     <P_V Δf, Δx> = <Δf, Δx> and sampling f there is sampling P_V∘f.  The
     weak column tests against the first basis direction outside V.
-    Each row's estimate is :func:`pairwise_alpha`'s at that prefix, bit for
-    bit: the one prefix ladder that ``monotone-check`` and criterion 1 read.
+    Each row's estimate is :func:`pairwise_alpha`'s of ``compress(f, d)``,
+    bit for bit, with its minimizing pair lifted back to ℝ^m: the one
+    prefix ladder that ``monotone-check`` and criterion 1 read.
     """
     dims = [int(d) for d in dims]
     if not dims:
@@ -92,25 +122,26 @@ def convergence_scan(
     if any(b <= a for a, b in zip(dims, dims[1:])):
         raise ValueError("dims must be strictly ascending")
     m = _resolve_dim(f, dim)
-    _check_prefix(dims[0], m)
-    _check_prefix(dims[-1], m)
-    common = ball_samples(m, r, n, seed=seed, prefix=dims[0])
-    f_common = eval_map(f, common)
+    maps = [compress(f, d, m) for d in dims]
+    common = ball_samples(dims[0], r, n, seed=seed)
+    f_common = eval_map(f, maps[0].lift(common))
     rows = []
-    for d in dims:
+    for g in maps:
+        d = g.dim
         # f_V(x) − f(x) = −(Id − P_V) f(x), tested against the probe e_d
         weak = float(np.max(np.abs(f_common[:, d]), initial=0.0)) if d < m else 0.0
-        if d == dims[0]:  # pairwise_alpha would draw the common samples again
-            estimate = _sampled_alpha(common, f_common, r, seed, d)
+        if g is maps[0]:  # pairwise_alpha would draw the common samples again
+            estimate = _sampled_alpha(common, f_common[:, :d], r, seed)
         else:
-            estimate = pairwise_alpha(f, r=r, n=n, seed=seed, dim=m, prefix=d)
+            estimate = pairwise_alpha(g, r=r, n=n, seed=seed)
+        pair = tuple(g.lift(x) for x in estimate.minimizing_pair)
         rows.append(
             {
                 "dim": d,
                 "functor_a_error": _tail_error(f_common, d),
                 "weak_error": weak,
                 "alpha_hat": estimate.alpha,
-                "estimate": estimate,
+                "estimate": replace(estimate, minimizing_pair=pair),
             }
         )
     meta = {
@@ -140,16 +171,15 @@ def orientation_scan(
     t-window of at most ``refine_tol``; an exact zero of the determinant
     gives a ``(t, t)`` bracket.
     """
-    m = _resolve_dim(path(0.0), dim)
-    if _check_prefix(d, m) > 50:
+    m = compress(path(0.0), d, dim).ambient_dim
+    if d > 50:
         raise ValueError("the determinant scan needs a prefix of dimension at most 50")
-    base = np.zeros(m) if base_point is None else np.array(base_point, dtype=float)
-    base[d:] = 0.0
+    base = np.zeros(d) if base_point is None else np.array(base_point, dtype=float)[:d]
 
     def compressed_jacobians(ts: np.ndarray) -> np.ndarray:
-        # first d outputs along the first d basis directions, one per t
+        # the compressed map's derivatives along the basis of ℝ^d, one per t
         return np.stack(
-            [central_differences(path(float(t)), base, np.eye(m)[:d])[:, :d].T for t in ts]
+            [central_differences(compress(path(float(t)), d, m), base, np.eye(d)).T for t in ts]
         )
 
     return path_scan(compressed_jacobians, t_grid, refine_tol)

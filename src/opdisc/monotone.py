@@ -7,9 +7,10 @@ strongly monotone with modulus 1 - kappa, and every certified floor in the
 package comes from :func:`contraction_certificate`, which returns that
 modulus, or None when kappa gives none.
 
-The sampled estimators evaluate the map once on the whole (n, m) sample
-set and reduce over sample pairs with one shared pair-quotient kernel,
-which the factorization and acceptance modules reuse.
+The sampled estimators draw in the ball of the map's own dimension (a
+subspace is sampled through ``discretize.compress``), evaluate the map once
+on the whole (n, m) sample set and reduce over sample pairs with one shared
+pair-quotient kernel, which the factorization and acceptance modules reuse.
 """
 
 from __future__ import annotations
@@ -76,36 +77,19 @@ def _resolve_dim(f, dim: int | None) -> int:
     return m
 
 
-def _check_prefix(d: int, m: int) -> int:
-    """A prefix dimension: the span of the first d of m coordinates."""
-    if not 1 <= d <= m:
-        raise ValueError(f"prefix dimension {d} must lie in 1..{m}")
-    return d
-
-
-def ball_samples(
-    dim: int,
-    r: float,
-    n: int,
-    seed: int = 0,
-    prefix: int | None = None,
-) -> np.ndarray:
-    """(n, dim) rows in the closed ball of radius r, optionally confined to
-    the first ``prefix`` coordinates."""
+def ball_samples(dim: int, r: float, n: int, seed: int = 0) -> np.ndarray:
+    """(n, dim) rows in the closed ball of radius r."""
     if not 0.0 < r < math.inf:
         raise ValueError(f"ball radius r must be positive and finite, got {r}")
     if n < 0:
         raise ValueError("sample count must be nonnegative")
-    d = dim if prefix is None else _check_prefix(prefix, dim)
     rng = np.random.default_rng(seed)
-    g = rng.standard_normal((n, d))
+    g = rng.standard_normal((n, dim))
     radii = r * rng.uniform(size=n) ** (1.0 / 3.0)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0.0] = 1.0
     g *= (radii / norms)[:, None]
-    out = np.zeros((n, dim))
-    out[:, :d] = g
-    return out
+    return g
 
 
 # entries of one chunk's (pairs, m) difference block: 256 KB of float64
@@ -164,43 +148,32 @@ def pairwise_alpha(
     n: int = 256,
     seed: int = 0,
     dim: int | None = None,
-    prefix: int | None = None,
 ) -> ModulusEstimate:
-    """Sampled strong-monotonicity estimate over pairs in the ball, or in
-    its first ``prefix`` coordinates.
+    """Sampled strong-monotonicity estimate over pairs in the ball.
 
     The reported alpha is the minimum pair quotient
     <f(x1)-f(x2), x1-x2> / |x1-x2|^2, an upper bound for the true constant
     on that ball; the minimizing pair is recorded.  The n(n-1)/2 pairs are
-    reduced in chunks of about 2^15 / d, where d is the prefix (m without
-    one), so memory stays near one 256 KB chunk whatever n is.  A
-    non-finite alpha (NaN once |Δx|² overflows) is refused with a
-    StageError.
+    reduced in chunks of about 2^15 / m, so memory stays near one 256 KB
+    chunk whatever n is.  A non-finite alpha (NaN once |Δx|² overflows) is
+    refused with a StageError.
     """
-    xs = ball_samples(_resolve_dim(f, dim), r, n, seed=seed, prefix=prefix)
-    return _sampled_alpha(xs, eval_map(f, xs), r, seed, prefix)
+    xs = ball_samples(_resolve_dim(f, dim), r, n, seed=seed)
+    return _sampled_alpha(xs, eval_map(f, xs), r, seed)
 
 
-def _sampled_alpha(
-    xs: np.ndarray, ys: np.ndarray, r: float, seed: int, prefix: int | None
-) -> ModulusEstimate:
-    """:func:`pairwise_alpha` on samples it drew and their images.
-
-    Samples in a prefix have zeros past it, so <Δy, Δx> and |Δx|² are sums
-    over the first ``prefix`` columns alone; the recorded pair is the
-    full-width rows.
-    """
+def _sampled_alpha(xs: np.ndarray, ys: np.ndarray, r: float, seed: int) -> ModulusEstimate:
+    """:func:`pairwise_alpha` on samples it drew and their images."""
     if len(xs) < 2:
         raise ValueError("need at least two samples")
-    cols = slice(None) if prefix is None else slice(prefix)
-    i, j, quo = _pair_quotients(xs[:, cols], ys[:, cols], inner=True)
+    i, j, quo = _pair_quotients(xs, ys, inner=True)
     if quo.size == 0:
         raise StageError("pairwise_alpha", "all sampled pairs were degenerate")
     k = int(np.argmin(quo))  # the first NaN, if any
     alpha = float(quo[k])
     if not math.isfinite(alpha):
-        at = "" if prefix is None else f" at prefix {prefix}"
-        raise StageError("pairwise_alpha", f"sampled alpha{at} is {alpha:g}, not a finite modulus")
+        at = f"in dimension {xs.shape[1]}"
+        raise StageError("pairwise_alpha", f"sampled alpha {at} is {alpha:g}, not a finite modulus")
     return ModulusEstimate(
         alpha=alpha,
         ball_radius=r,

@@ -53,10 +53,9 @@ class FiniteRankOperator:
             raise ValueError("singular values must be nonnegative")
         if np.any(np.diff(w) > 0.0):
             raise ValueError("singular values must be nonincreasing")
-        if r:
-            for name, fam in (("psi", psi), ("phi", phi)):
-                if np.abs(fam @ fam.T - np.eye(r)).max() > 1e-10:
-                    raise ValueError(f"{name} rows are not orthonormal")
+        for name, fam in (("psi", psi), ("phi", phi)):
+            if not _orthonormal(fam):
+                raise ValueError(f"{name} rows are not orthonormal")
         for a in (w, psi, phi):
             a.flags.writeable = False
         object.__setattr__(self, "omegas", w)
@@ -108,6 +107,11 @@ class FiniteRankOperator:
         if not self.rank:
             return np.zeros((self.dim, self.dim))
         return (self.phi.T * self.omegas) @ self.psi
+
+
+def _orthonormal(rows: np.ndarray) -> bool:
+    """Whether the rows are orthonormal: max |R·Rᵀ − I| is at most 1e-10."""
+    return np.abs(rows @ rows.T - np.eye(len(rows))).max(initial=0.0) <= 1e-10
 
 
 def orthonormal_rows(a: np.ndarray) -> np.ndarray:

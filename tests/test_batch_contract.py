@@ -15,6 +15,7 @@ from opdisc.decompose import (
     choose_w,
     decompose,
 )
+from opdisc.discretize import compress
 from opdisc.layers import (
     CoordinateNetNonlinearity,
     CoordinateNetwork,
@@ -164,6 +165,40 @@ def test_a_folded_layer_equals_its_factors(m, activation, data):
     want = xs + t_out.eval_array(layer.nonlin.eval_array(t_in.eval_array(xs)))
     got = layer.eval_array(xs)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    m=st.integers(min_value=1, max_value=12),
+    lead=st.sampled_from([(1,), (5,), (2, 3)]),
+    data=st.data(),
+)
+def test_a_compressed_batch_equals_its_rows(m, lead, data):
+    """The compression of a map that evaluates rows alike, elementwise
+    and by a coordinate reversal, evaluates a (..., d) batch like its rows
+    to the bit."""
+    d = data.draw(st.integers(min_value=1, max_value=m))
+    seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
+    compressed = compress(lambda x: np.tanh(x) + 0.5 * x[..., ::-1], d, dim=m)
+    cs = ball_samples(d, 1.5, int(np.prod(lead)), seed=seed).reshape(*lead, d)
+    batch = compressed.eval_array(cs)
+    rows = np.stack([compressed.eval_array(c) for c in cs.reshape(-1, d)])
+    assert batch.shape == cs.shape
+    assert np.array_equal(batch, rows.reshape(batch.shape))
+
+
+@pytest.mark.parametrize("name", ["layer", "coordinate_network", "residual_chain"])
+def test_a_full_compression_is_the_map(maps, name):
+    f, m = maps[name]
+    xs = ball_samples(m, 1.5, 9, seed=4)
+    assert np.array_equal(compress(f, m, dim=m).eval_array(xs), eval_map(f, xs))
+
+
+@pytest.mark.parametrize("m", [1, 5, 12])
+def test_a_compression_outside_one_to_m_is_refused(m):
+    for d in (0, -1, m + 1):
+        with pytest.raises(ValueError, match=rf"dimension {d} must lie in 1\.\.{m}$"):
+            compress(Identity(), d, dim=m)
 
 
 # every decompose block, and the carry each hands on: the W-coordinate

@@ -410,9 +410,11 @@ class TestBatchMode:
             main, ["--config", str(write_config(tmp_path, experiments)), "--out", str(out)]
         )
         assert result.exit_code == 2, result.output
-        status = [line.split()[::2] for line in result.output.splitlines()]
+        status = [line.split()[::2] for line in result.stdout.splitlines()]
         assert status == [["ok", "norm0.5"], ["failed", "norm3"], ["failed", "norm10"],
                           ["failed", "norm30"]]
+        assert [line.split(":")[0] for line in result.stderr.splitlines()] == [
+            "failed in norm3", "failed in norm10", "failed in norm30"]
         failed = json.loads((out / "failures.json").read_text())["failed"]
         assert [f["name"] for f in failed] == ["norm3", "norm10", "norm30"]
         for f in failed:
@@ -894,7 +896,7 @@ FAILURE_TABLE = {
         "contraction bound delta, and a ball_radius for a ball-local one"),
     "monotone-check-radius-1e154": (
         {**_FAIL_SCAN, "kind": "monotone-check", "radius": 1e154}, "pairwise_alpha", "StageError",
-        "[pairwise_alpha] sampled alpha at prefix 1 is nan, not a finite modulus"),
+        "[pairwise_alpha] sampled alpha in dimension 1 is nan, not a finite modulus"),
     "discretize-scan-radius-1e-300": (
         {**_FAIL_SCAN, "kind": "discretize-scan", "radius": 1e-300}, "pairwise_alpha",
         "StageError", "[pairwise_alpha] all sampled pairs were degenerate"),
@@ -1550,7 +1552,8 @@ class TestSubcommands:
         out = tmp_path / "out"
         result = runner.invoke(main, ["--config", str(cfg), "--out", str(out), "monotone-check"])
         assert result.exit_code == 2
-        assert result.stderr.startswith("failed: [floor] sampled alpha")
+        assert result.stdout == "      failed  monotone-check  toohigh\n"
+        assert result.stderr.startswith("failed in toohigh: [floor] sampled alpha")
         failed = json.loads((out / "failures.json").read_text())["failed"]
         assert [o["name"] for o in failed] == ["toohigh"]
         assert json.loads((out / "toohigh.json").read_text())["pass"] is False

@@ -127,8 +127,10 @@ class TestFrame:
         assert np.allclose(fr.lift(fr.coords(px)), px, atol=1e-12)
 
     def test_rejects_non_orthonormal_rows(self):
-        with pytest.raises(ValueError, match="orthonormal"):
-            Frame(np.array([[1.0, 1.0], [0.0, 1.0]]))
+        # the second has max |R·Rᵀ − I| = 1e-5, inside allclose's default rtol
+        for rows in (np.array([[1.0, 1.0], [0.0, 1.0]]), np.eye(2, 3) * (1.0 + 5e-6)):
+            with pytest.raises(ValueError, match="orthonormal"):
+                Frame(rows)
 
     def test_empty_frame(self):
         fr = Frame(np.zeros((0, 5)))

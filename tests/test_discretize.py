@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from opdisc import discretize
 from opdisc.cli import run_config
-from opdisc.discretize import convergence_scan, functor_a_error, orientation_scan
+from opdisc.discretize import compress, convergence_scan, functor_a_error, orientation_scan
 from opdisc.layers import eval_map, make_layer
 from opdisc.monotone import ball_samples, pairwise_alpha
 from opdisc.operators import Identity, Reflection
@@ -119,11 +119,13 @@ class TestConvergenceScan:
         monkeypatch.setattr(discretize, "ball_samples", recorded)
         dims, n = [2, 3, 5, 9, 16], 48
         report = convergence_scan(Counted(), dims, n=n, seed=7)
-        common = drawn[0]
-        assert sum(x is common for x in batches) == 1
+        # the common samples, drawn in R^2 and evaluated once, lifted to R^16
+        common = np.zeros((n, 16))
+        common[:, : dims[0]] = drawn[0]
+        assert sum(np.array_equal(x, common) for x in batches) == 1
         # beyond that one: per dim after the first, alpha's samples
         assert sum(len(x) for x in batches) == len(dims) * n
-        standalone = pairwise_alpha(layer, n=n, seed=7, dim=16, prefix=dims[0])
+        standalone = pairwise_alpha(compress(layer, dims[0]), n=n, seed=7)
         assert report.rows[0]["alpha_hat"] == standalone.alpha
         # the error columns, recomputed with numpy from f on the common samples
         fx = layer.eval_array(common)
@@ -227,8 +229,8 @@ class TestPrefixDimension:
         report = convergence_scan(f, dims, n=12, seed=seed, dim=m)
         for row in report.rows:
             k = row["dim"]
-            direct = pairwise_alpha(f, n=12, seed=seed, dim=m, prefix=k).alpha
-            compressed = pairwise_alpha(_projected(f, k), n=12, seed=seed, dim=m, prefix=k)
+            direct = pairwise_alpha(compress(f, k, dim=m), n=12, seed=seed).alpha
+            compressed = pairwise_alpha(compress(_projected(f, k), k, dim=m), n=12, seed=seed)
             assert row["alpha_hat"] == direct == compressed.alpha
 
     @settings(max_examples=40, deadline=None)
@@ -248,8 +250,6 @@ class TestPrefixDimension:
             with pytest.raises(ValueError, match=f"1..{m}"):
                 functor_a_error(Identity(), d, n=4, dim=m)
             with pytest.raises(ValueError, match=f"1..{m}"):
-                pairwise_alpha(Identity(), n=4, dim=m, prefix=d)
+                compress(Identity(), d, dim=m)
             with pytest.raises(ValueError, match=f"1..{m}"):
                 orientation_scan(lambda t: Identity(), 2, d, dim=m)
-            with pytest.raises(ValueError, match=f"1..{m}"):
-                ball_samples(m, 1.0, 4, prefix=d)

@@ -275,6 +275,21 @@ def test_one_newton_step_budget():
     assert len(sites) == 1 and sites[0].startswith("invert:"), sites
 
 
+def test_no_prefix_parameter():
+    """A map on a prefix subspace is its compression, ``discretize.compress``:
+    no function in the package takes a ``prefix`` option beside it."""
+    src = Path(opdisc.__file__).resolve().parent
+    sites = [
+        f"{path.stem}:{getattr(node, 'name', 'lambda')}"
+        for path in sorted(src.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for arg in ast.walk(node.args)
+        if isinstance(arg, ast.arg) and arg.arg == "prefix"
+    ]
+    assert sites == []
+
+
 def _json_writes(path: Path) -> list[str]:
     """Every ``json.dump``/``json.dumps`` call in ``path``, and every import
     of either name from ``json``, as ``module:line``."""
@@ -335,7 +350,7 @@ def test_only_the_front_end_writes_artifacts():
     cli_path = Path(opdisc.__file__).resolve().parent / "cli.py"
     assert _users(cli_path, {"write_json", "write_csv"}) == {
         "write_csv": {"_outcome"},
-        "write_json": {"_outcome", "_run_subcommand", "_finish", "accept_cmd"},
+        "write_json": {"_outcome", "_finish", "accept_cmd"},
     }
 
 

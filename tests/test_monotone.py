@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from opdisc import monotone
 from opdisc.acceptance import mixing_bilipschitz_layer
+from opdisc.discretize import compress, convergence_scan
 from opdisc.layers import NeuralOperatorLayer, eval_map, make_layer
 from opdisc.monotone import (
     BilipschitzEstimate,
@@ -75,9 +76,10 @@ class TestPairwiseAlpha:
         assert 0.3 - 1e-12 <= cert.alpha <= 2.0 + 1e-12
 
     def test_subspace_confines_samples(self):
-        cert = pairwise_alpha(Identity(), dim=10, prefix=3, n=16, seed=0)
-        for x in cert.minimizing_pair:
-            assert np.all(x[3:] == 0.0)
+        # a scan row's pair is the compressed map's, lifted back to R^10
+        report = convergence_scan(Identity(), [3], n=16, seed=0, dim=10)
+        for x in report.rows[0]["estimate"].minimizing_pair:
+            assert x.shape == (10,) and np.all(x[3:] == 0.0)
 
     def test_seed_determinism(self):
         f = diagonal(np.linspace(0.5, 2.0, 6))
@@ -98,9 +100,9 @@ class TestPairwiseAlpha:
         # |dx|^2 overflows at radius 1e300, so every pair quotient is NaN
         with np.errstate(invalid="ignore", over="ignore"), pytest.raises(
             ValueError,
-            match=r"^\[pairwise_alpha\] sampled alpha at prefix 2 is nan, not a finite modulus$",
+            match=r"^\[pairwise_alpha\] sampled alpha in dimension 2 is nan, not a finite modulus$",
         ):
-            pairwise_alpha(Identity(), r=1e300, n=4, dim=3, prefix=2)
+            pairwise_alpha(compress(Identity(), 2, dim=3), r=1e300, n=4)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -203,7 +205,7 @@ class TestContractionCertificate:
         floor = contraction_certificate(layer.contraction)
         assert floor is not None
         for d in range(1, SPACE8.dim + 1):
-            sampled = pairwise_alpha(layer, n=24, seed=seed, prefix=d)
+            sampled = pairwise_alpha(compress(layer, d), n=24, seed=seed)
             assert sampled.alpha >= floor - 1e-9
 
 
@@ -261,12 +263,12 @@ class TestInvariants:
             y[..., 5:] = 0.0
             return y
 
-        full = pairwise_alpha(layer, prefix=5, n=96, seed=6)
-        compressed = pairwise_alpha(projected, dim=16, prefix=5, n=96, seed=6)
+        full = pairwise_alpha(compress(layer, 5), n=96, seed=6)
+        compressed = pairwise_alpha(compress(projected, 5, dim=16), n=96, seed=6)
         assert compressed.alpha >= full.alpha - 1e-9
 
     def test_ball_samples_respect_radius_and_support(self):
-        xs = ball_samples(10, 2.5, 200, seed=0, prefix=3)
+        xs = compress(Identity(), 3, dim=10).lift(ball_samples(3, 2.5, 200, seed=0))
         norms = np.linalg.norm(xs, axis=1)
         assert np.all(norms <= 2.5 + 1e-12)
         assert np.all(xs[:, 3:] == 0.0)
@@ -369,8 +371,8 @@ class TestPairQuotientKernel:
         data=st.data(),
     )
     def test_a_prefix_is_summed_over_its_columns(self, n, m, data):
-        """Prefix samples are zero past d, so reducing the first d columns
-        gives the full-width quotients; the recorded pair stays full width."""
+        """Lifted samples are zero past d, so the compressed map's quotients
+        over d columns are the full-width quotients of f on the lifts."""
         d = data.draw(st.integers(min_value=1, max_value=m))
         seed = data.draw(st.integers(min_value=0, max_value=2**31 - 1))
         a = np.random.default_rng(seed).standard_normal((m, m)) / (2.0 * np.sqrt(m))
@@ -378,12 +380,13 @@ class TestPairQuotientKernel:
         def f(x):
             return x + 0.5 * np.tanh(x @ a.T)
 
-        xs = ball_samples(m, 1.5, n, seed=seed, prefix=d)
+        g = compress(f, d, dim=m)
+        xs = g.lift(ball_samples(d, 1.5, n, seed=seed))
         ys = eval_map(f, xs)
         i, j, quo = monotone._pair_quotients(xs, ys, inner=True)
-        cert = pairwise_alpha(f, r=1.5, n=n, seed=seed, dim=m, prefix=d)
+        cert = pairwise_alpha(g, r=1.5, n=n, seed=seed)
         assert abs(cert.alpha - np.min(quo)) <= 1e-14 * max(1.0, abs(np.min(quo)))
-        assert all(row.shape == (m,) for row in cert.minimizing_pair)
+        assert all(row.shape == (d,) for row in cert.minimizing_pair)
         # the Lipschitz quotients keep the same pairs
         li, lj, _ = monotone._pair_quotients(xs, ys)
         assert np.array_equal(li, i) and np.array_equal(lj, j)

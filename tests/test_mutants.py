@@ -52,8 +52,8 @@ def _alpha_plus_0_2(*args):
     return dataclasses.replace(estimate, alpha=estimate.alpha + 0.2)
 
 
-def _on_small_sphere(dim, r, n, seed=0, prefix=None):
-    xs = BALL_SAMPLES(dim, r, n, seed, prefix)
+def _on_small_sphere(dim, r, n, seed=0):
+    xs = BALL_SAMPLES(dim, r, n, seed)
     return xs * (1e-3 * r / np.linalg.norm(xs, axis=1))[:, None]
 
 
@@ -181,7 +181,7 @@ SURVIVORS = {
     "acceptance-samples-cut-to-4": (
         (ACCEPTANCE,),
         "ball_samples",
-        lambda dim, r, n, seed=0, prefix=None: BALL_SAMPLES(dim, r, min(n, 4), seed, prefix),
+        lambda dim, r, n, seed=0: BALL_SAMPLES(dim, r, min(n, 4), seed),
         (3, 4, 5, 10),
         "fewer samples give fewer pairs, and every one-sided check on them "
         "(a maximum below its bound, a minimum above its floor) gets easier",
