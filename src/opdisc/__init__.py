@@ -10,7 +10,7 @@ from .galerkin import (
     singularity_scan,
     solve_semilinear,
 )
-from .invert import global_inverse_check, invert_chain
+from .invert import invert_chain
 from .layers import (
     CoordinateNetwork,
     FiniteRankOperator,
@@ -38,7 +38,6 @@ __all__ = [
     "decompose",
     "fem_convergence",
     "galerkin_path_matrix",
-    "global_inverse_check",
     "invert_chain",
     "make_layer",
     "pairwise_alpha",

@@ -402,6 +402,12 @@ def run_decompose(exp: dict, memo: _BuildMemo) -> tuple:
     return report, None
 
 
+def _inverse_artifact(x: np.ndarray, trace, roundtrip_target: float) -> tuple:
+    """The ``invert`` artifact of one target: its preimage, the audited
+    trace (written as its fields) and the chain's roundtrip target."""
+    return {"x": x.tolist(), "trace": trace, "roundtrip_target": roundtrip_target}, None
+
+
 def run_invert(exp: dict, memo: _BuildMemo) -> tuple:
     """Invert a certified residual chain by fixed-point iteration.
 
@@ -410,7 +416,7 @@ def run_invert(exp: dict, memo: _BuildMemo) -> tuple:
     """
     got = _read(exp, memo)
     result = invert_chain(got["chain"], got["head"], got["y"], tol=got["tol"])
-    return result.as_dict(), None
+    return _inverse_artifact(result.x, result.trace, result.roundtrip_target)
 
 
 def _run_inversions(group: list[dict], out_dir: Path, memo: _BuildMemo) -> list[dict]:
@@ -436,11 +442,14 @@ def _run_inversions(group: list[dict], out_dir: Path, memo: _BuildMemo) -> list[
         ys = np.stack([got["y"] for got in reads.values()])[:, None, :]
         with contextlib.suppress(*_FAILURES):
             result = invert_chain(first["chain"], first["head"], ys, tol=first["tol"])
-            rows = dict(zip(reads, result.targets()))
+            rows = {
+                name: _inverse_artifact(x, trace, result.roundtrip_target)
+                for name, x, trace in zip(reads, result.x[:, 0], result.traces)
+            }
     for exp in group:
         name = exp["name"]
         if name in rows:
-            outcomes[name] = _outcome(exp, out_dir, lambda: (rows[name].as_dict(), None))
+            outcomes[name] = _outcome(exp, out_dir, lambda: rows[name])
         elif name in reads:
             outcomes[name] = _run_experiment(exp, out_dir, memo)
     return [outcomes[exp["name"]] for exp in group]

@@ -520,24 +520,23 @@ def _c2_estimate(f, k: int, radius: float, seed: int) -> float:
 
 
 def path_blocks(
-    f,
-    k: int,
+    path: ScalingPath,
     epsilon: float,
     r1: float,
     c0: float,
     c1: float,
-    kappa: float | None = None,
     tol: float = 1e-9,
     seed: int = 0,
 ) -> tuple[list, dict]:
-    """Cutoff blocks along the scaling path from Df|₀ to f.
+    """Cutoff blocks along the scaling ``path`` from Df|₀ to f.
 
     The first grid point respects t₁ < 2c₀ε/(c₁ + ‖f‖_C²·R₁); the grid is
     then refined, up to MAX_BLOCKS blocks, until every block's Lip(block −
     Id) sampled at 40 points is below epsilon.  Blocks indistinguishable
-    from the identity are dropped.  ``kappa`` bounds Lip(f − Id) and selects
-    the Banach inverter; None selects Newton.  Each refinement round
-    measures the blocks it has not measured yet in one ``_measure_round``.
+    from the identity are dropped.  The path's ``kappa`` bounds Lip(f − Id)
+    and selects the Banach inverter; None selects Newton.  Each refinement
+    round measures the blocks it has not measured yet in one
+    ``_measure_round``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -545,11 +544,10 @@ def path_blocks(
         raise ValueError(f"r1 must be positive and finite, got {r1}")
     if not 0.0 < c0 <= c1 < math.inf:
         raise ValueError(f"need 0 < c0 <= c1 < inf, got c0={c0}, c1={c1}")
-    path = ScalingPath(f, k, kappa)
     r0 = float(np.linalg.norm(path.f0_val))
     r1_img = c1 * r1 + r0
     r2 = r1_img
-    c2 = _c2_estimate(f, k, 1.1 * r1_img, seed=seed + 1)
+    c2 = _c2_estimate(path.f, path.k, 1.1 * r1_img, seed=seed + 1)
     t1_bound = 2.0 * c0 * epsilon / (c1 + c2 * r1_img)
     t1 = min(0.9 * t1_bound, 0.5)
     m_theory = int(math.ceil(1.0 / max(t1, 1e-12)))
@@ -564,9 +562,9 @@ def path_blocks(
         "m_theory": m_theory,
     }
 
-    xs = ball_samples(k, 2.3 * r2, 40, seed=seed + 2)
+    xs = ball_samples(path.k, 2.3 * r2, 40, seed=seed + 2)
     lin_dev = float(
-        np.max(np.linalg.norm(eval_map(f, xs) - xs @ path.df0.T - path.f0_val, axis=1))
+        np.max(np.linalg.norm(eval_map(path.f, xs) - xs @ path.df0.T - path.f0_val, axis=1))
     )
     if lin_dev <= 1e-12 and r0 <= 1e-12:
         diag["linear_shortcut"] = True
@@ -844,6 +842,9 @@ def decompose(
         raise ValueError(f"validity radius r1 must be positive and finite, got {r1!r}")
     if not 0.0 < composite_tol < math.inf:
         raise ValueError(f"composite_tol must be positive and finite, got {composite_tol!r}")
+    if not (1 <= n_verify < math.inf and n_verify == int(n_verify)):
+        raise ValueError(f"n_verify must be a whole number of samples, at least 1, "
+                         f"got {n_verify!r}")
     diag: dict = {"epsilon": epsilon, "r1": r1, "seed": seed}
 
     with _stage("estimate"):
@@ -895,21 +896,19 @@ def decompose(
     a0_kind = "identity"
     if frame.dim > 0:
         with _stage("linear_path"):
-            df0 = _fd_jacobian(core, np.zeros(frame.dim))
-            a0_kind, lin_factors, lin_diag = linear_path_blocks(df0, epsilon)
+            path = ScalingPath(core, frame.dim, inv_kappa)
+            a0_kind, lin_factors, lin_diag = linear_path_blocks(path.df0, epsilon)
             diag["linear"] = lin_diag
         # one block per distinct factor matrix, shared by its repeats
         linear = {id(mat): LinearBlock(mat) for mat in lin_factors}
         blocks = [LiftedBlock(linear[id(mat)], frame) for mat in lin_factors]
         with _stage("path_blocks"):
             nl_blocks, diag["path"] = path_blocks(
-                core,
-                frame.dim,
+                path,
                 epsilon,
                 r1,
                 est_w.c_lower,
                 est_w.c_upper,
-                kappa=inv_kappa,
                 tol=block_tol,
                 seed=seed + 6,
             )

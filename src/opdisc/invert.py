@@ -21,12 +21,11 @@ A chain of residual blocks composed with an identity/reflection head is
 inverted block by block in reverse order, a whole batch of targets per
 kernel call.  A :class:`~opdisc.layers.ResidualChain` carries one
 certified rate and one radius (None: the rate holds globally) per block,
-and :func:`invert_chain` reads nothing else; :func:`global_inverse_check`
-turns a chain with a contraction bound delta into a sampled
-homeomorphism verdict: roundtrip errors in both directions plus one strong
-monotonicity certificate per block.  Every inverted target records an
-:class:`InversionTrace` that keeps the full residual history so the
-geometric decay can be audited after the fact.
+and :func:`invert_chain` reads nothing else.  Every inverted target records
+an :class:`InversionTrace` that keeps the full residual history so the
+geometric decay can be audited after the fact.  The module holds solvers
+only: checks of what they return belong to the acceptance criteria, and
+artifact layouts to the command-line runners.
 """
 
 from __future__ import annotations
@@ -37,8 +36,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .layers import ResidualChain, eval_map
-from .monotone import ball_samples, contraction_certificate, pairwise_alpha
+from .layers import eval_map
 from .operators import Identity, Reflection
 from .spectral import StageError
 
@@ -52,8 +50,6 @@ __all__ = [
     "newton_solve",
     "ChainInverseResult",
     "invert_chain",
-    "GlobalInverseReport",
-    "global_inverse_check",
 ]
 
 
@@ -373,24 +369,6 @@ class ChainInverseResult:
             raise ValueError("a batched inversion has one trace per target; read traces")
         return self.traces[0]
 
-    def targets(self) -> tuple["ChainInverseResult", ...]:
-        """One single-target result per target, in row-major order."""
-        xs = self.x.reshape(-1, self.x.shape[-1])
-        return tuple(
-            ChainInverseResult(x, (trace,), self.roundtrip_target)
-            for x, trace in zip(xs, self.traces)
-        )
-
-    def as_dict(self) -> dict:
-        """The ``invert`` artifact of a single target's inversion; its trace
-        is the record itself, which ``serialize.write_json`` writes as its
-        fields."""
-        return {
-            "x": self.x.tolist(),
-            "trace": self.trace,
-            "roundtrip_target": self.roundtrip_target,
-        }
-
 
 def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInverseResult:
     """Invert ``chain(a0(x)) = y``: blocks in reverse order, then the head.
@@ -411,8 +389,7 @@ def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInvers
     for bit those of solving it alone, stack them as ``(k, 1, m)``, not
     ``(k, m)``: numpy runs each item of a ``(k, 1, m) @ (m, n)`` product
     through the same GEMV a lone ``(m,)`` target gets, while a ``(k, m)``
-    GEMM rounds differently (by about 2e-16).  :meth:`targets` splits such
-    a result into single-target ones.
+    GEMM rounds differently (by about 2e-16).
     """
     if not hasattr(chain, "rates"):
         raise TypeError(f"cannot invert an object of type {type(chain).__name__}")
@@ -450,84 +427,3 @@ def invert_chain(chain, a0, y: np.ndarray, *, tol: float = 1e-10) -> ChainInvers
     n_blocks = len(blocks)
     target = n_blocks * tol / (1.0 - max(rates)) ** n_blocks
     return ChainInverseResult(x=x, traces=tuple(traces), roundtrip_target=float(target))
-
-
-# ---------------------------------------------------------------------------
-# sampled homeomorphism check
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GlobalInverseReport:
-    """Sampled two-sided roundtrip errors plus per-block monotonicity."""
-
-    roundtrip_inverse_of_forward: float
-    roundtrip_forward_of_inverse: float
-    block_alphas: tuple
-    alpha_floor: float
-    delta: float
-    radius: float
-    n_samples: int
-    seed: int
-    cert_method: str
-    tol: float
-
-
-def global_inverse_check(
-    chain: ResidualChain,
-    r: float,
-    n: int,
-    seed: int = 0,
-    *,
-    tol: float = 1e-10,
-) -> GlobalInverseReport:
-    """Sampled verdict that a certified residual chain is a homeomorphism.
-
-    Evaluates both roundtrips on ``n`` points of the ball of radius ``r``
-    (the same points serve as inputs and as targets) and certifies each
-    block's strong monotonicity: the sampled modulus must reach the
-    ``1 - delta`` floor that ``contraction_certificate(delta)`` gives.
-    """
-    if chain.delta is None:
-        raise TypeError("global_inverse_check needs a certified chain (one with a delta)")
-    if not 0.0 < r < math.inf:
-        raise ValueError(f"test radius r must be positive and finite, got {r}")
-    if n < 2:
-        raise ValueError("need at least two samples")
-    if chain.cert_method == "ball_local" and chain.ball_radius < r:
-        raise ValueError(
-            f"ball-local certificate (radius {chain.ball_radius:.6g}) does not "
-            f"cover the requested test ball of radius {r:.6g}"
-        )
-    dim = chain.dim
-    xs = ball_samples(dim, r, n, seed=seed)
-
-    x_rec = invert_chain(chain, None, chain.eval_array(xs), tol=tol).x
-    err_left = float(np.max(np.linalg.norm(x_rec - xs, axis=-1)))
-    x_rec = invert_chain(chain, None, xs, tol=tol).x
-    err_right = float(np.max(np.linalg.norm(chain.eval_array(x_rec) - xs, axis=-1)))
-
-    alphas = []
-    floor = contraction_certificate(chain.delta)
-    for i, net in enumerate(chain.blocks):
-        block = ResidualChain(dim, net.n_in, (net,))
-        estimate = pairwise_alpha(block, r=r, n=min(n, 64), seed=seed + 1 + i)
-        alphas.append(estimate.alpha)
-        if estimate.alpha < floor - 1e-6:
-            raise AssertionError(
-                f"block {i}: sampled strong-monotonicity modulus "
-                f"{estimate.alpha:.6g} fell below the certified floor "
-                f"{floor:.6g}"
-            )
-    return GlobalInverseReport(
-        roundtrip_inverse_of_forward=err_left,
-        roundtrip_forward_of_inverse=err_right,
-        block_alphas=tuple(alphas),
-        alpha_floor=floor,
-        delta=chain.delta,
-        radius=float(r),
-        n_samples=int(n),
-        seed=int(seed),
-        cert_method=chain.cert_method,
-        tol=tol,
-    )

@@ -404,7 +404,7 @@ class ResidualChain:
     certified Lipschitz bound <= delta, and its rate is min(bound, delta).
     For activations without a global constant, pass ``ball_radius`` so the
     certificate can use the ball-local bound; ``ball_radius`` without
-    ``delta`` is refused.  ``cert_method`` follows from the radii.
+    ``delta`` is refused.
     """
 
     ambient_dim: int
@@ -456,11 +456,6 @@ class ResidualChain:
                 )
             certs.append((min(float(bound), self.delta), radius))
         return certs
-
-    @property
-    def cert_method(self) -> str:
-        """``ball_local`` when some block's rate holds only on the ball, else ``spectral``."""
-        return "spectral" if all(r is None for r in self.radii) else "ball_local"
 
     @property
     def dim(self) -> int:

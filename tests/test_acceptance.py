@@ -94,18 +94,17 @@ def test_criterion_06_invertible_chain_certificates():
 
 
 def test_criterion_06_fails_on_a_nan_block_modulus(monkeypatch):
-    check = acceptance.global_inverse_check
+    estimate, seeds = acceptance.pairwise_alpha, []
 
     def nan_middle(*args, **kwargs):
-        report = check(*args, **kwargs)
-        alphas = list(report.block_alphas)
-        assert len(alphas) == 3
-        alphas[1] = math.nan
-        return dataclasses.replace(report, block_alphas=tuple(alphas))
+        seeds.append(kwargs["seed"])
+        result = estimate(*args, **kwargs)
+        return dataclasses.replace(result, alpha=math.nan) if len(seeds) == 2 else result
 
-    monkeypatch.setattr(acceptance, "global_inverse_check", nan_middle)
+    monkeypatch.setattr(acceptance, "pairwise_alpha", nan_middle)
     with pytest.raises(AssertionError, match="sampled modulus nan"):
         criterion_invertible_chain_certificates()
+    assert seeds == [64, 65, 66]
 
 
 def test_criterion_07_galerkin_singularity():
@@ -179,9 +178,9 @@ class TestSuiteRunner:
         results = run_suite()
         assert len(results) == 1
         assert results[0]["passed"] is False
-        assert results[0]["detail"]["error"] == (
-            "RuntimeError: measured the wrong universe"
-        )
+        assert results[0]["detail"] == {
+            "error": "RuntimeError: measured the wrong universe", "stage": None
+        }
 
     def test_worst_alpha_is_finite(self):
         # tiny smoke configuration: two layers, cheap sampling

@@ -1927,4 +1927,5 @@ class TestAccept:
         assert "FAIL  criterion  7" in result.output and "PASS  criterion  8" in result.output
         failed = json.loads((out / "failures.json").read_text())["failed"]
         assert [r["criterion"] for r in failed] == [7]
-        assert failed[0]["detail"] == {"error": "AssertionError: deliberately broken"}
+        assert failed[0]["detail"] == {"error": "AssertionError: deliberately broken",
+                                       "stage": None}

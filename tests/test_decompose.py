@@ -568,14 +568,15 @@ class TestPathBlocks:
     def test_linear_map_needs_no_blocks(self):
         a = np.diag([1.3, 0.8])
         f = lambda c: c @ a.T
-        blocks, diag = path_blocks(f, 2, epsilon=0.25, r1=1.0, c0=0.8, c1=1.3)
+        path = ScalingPath(f, 2, None)
+        blocks, diag = path_blocks(path, epsilon=0.25, r1=1.0, c0=0.8, c1=1.3)
         assert blocks == []
         assert diag["linear_shortcut"]
 
     def test_transport_reaches_the_map(self):
         f = tanh_contraction(3, seed=21)
         blocks, diag = path_blocks(
-            f, 3, epsilon=0.25, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, seed=1
+            ScalingPath(f, 3, 0.3), epsilon=0.25, r1=1.0, c0=0.7, c1=1.3, seed=1
         )
         assert len(blocks) >= 1
         assert not diag["linear_shortcut"]
@@ -593,7 +594,7 @@ class TestPathBlocks:
         f = tanh_contraction(3, seed=22, bias=0.2)
         eps = 0.25
         blocks, _ = path_blocks(
-            f, 3, epsilon=eps, r1=1.0, c0=0.7, c1=1.4, kappa=0.35, seed=3
+            ScalingPath(f, 3, 0.35), epsilon=eps, r1=1.0, c0=0.7, c1=1.4, seed=3
         )
         assert blocks
         for b in blocks:
@@ -603,12 +604,9 @@ class TestPathBlocks:
 
     def test_finer_epsilon_needs_more_blocks(self):
         f = tanh_contraction(3, seed=23)
-        coarse, _ = path_blocks(
-            f, 3, epsilon=0.4, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, seed=5
-        )
-        fine, _ = path_blocks(
-            f, 3, epsilon=0.1, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, seed=5
-        )
+        path = ScalingPath(f, 3, 0.3)
+        coarse, _ = path_blocks(path, epsilon=0.4, r1=1.0, c0=0.7, c1=1.3, seed=5)
+        fine, _ = path_blocks(path, epsilon=0.1, r1=1.0, c0=0.7, c1=1.3, seed=5)
         assert len(fine) >= len(coarse)
 
     def test_a_stack_takes_one_t_per_slice(self):
@@ -630,11 +628,11 @@ class TestPathBlocks:
         assert np.max(np.abs(pre - xs)) <= 1e-9
 
     def test_validation(self):
-        f = lambda c: c
+        path = ScalingPath(lambda c: c, 2, None)
         with pytest.raises(ValueError, match="epsilon"):
-            path_blocks(f, 2, epsilon=0.0, r1=1.0, c0=0.5, c1=1.5)
+            path_blocks(path, epsilon=0.0, r1=1.0, c0=0.5, c1=1.5)
         with pytest.raises(ValueError, match="c0"):
-            path_blocks(f, 2, epsilon=0.2, r1=1.0, c0=1.5, c1=0.5)
+            path_blocks(path, epsilon=0.2, r1=1.0, c0=1.5, c1=0.5)
 
 
 class TestMeasureRound:
@@ -1021,6 +1019,15 @@ class TestOnePass:
         assert len(calls) == 1
         assert result.diagnostics["block_tol"] == 1e-6 / 64
 
+    def test_the_core_is_differentiated_once(self, monkeypatch):
+        # the linear stage and the scaling path read one Df|₀; the
+        # fixed-point inverter takes no Jacobian of its own
+        calls = count_calls(monkeypatch, "_fd_jacobian")
+        result = decompose(mixing_bilipschitz_layer(16), 0.25, 1.0)
+        assert result.diagnostics["inverter"] == "fixed_point"
+        assert len(calls) == 1
+        assert not np.any(calls[0][1])
+
 
 @pytest.fixture(scope="module")
 def factored(flip_layer):
@@ -1136,7 +1143,7 @@ class TestWarmComposite:
         peel_tail(layer, core, 0.25, kappa=kappa, seed=4)
         assert starts and all(s is None for s in starts)
         starts.clear()
-        blocks, _ = path_blocks(core, frame.dim, 0.25, 1.0, 0.7, 1.3, kappa=kappa, seed=6)
+        blocks, _ = path_blocks(ScalingPath(core, frame.dim, kappa), 0.25, 1.0, 0.7, 1.3, seed=6)
         assert blocks
         assert starts and all(s is None for s in starts)
 

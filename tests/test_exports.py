@@ -19,12 +19,11 @@ import pytest
 
 import opdisc
 from opdisc.acceptance import mixing_bilipschitz_layer
-from opdisc.decompose import choose_w, linear_path_blocks, path_blocks
+from opdisc.decompose import choose_w, decompose, linear_path_blocks, path_blocks
 from opdisc.galerkin import ConvexNonlinearity, FemMesh, solve_semilinear_trace
 from opdisc.invert import (
     InversionTrace,
     banach_solve,
-    global_inverse_check,
     invert_chain,
     newton_solve,
 )
@@ -215,18 +214,18 @@ def test_only_stage_error_writes_a_stage_prefix():
     assert found == []
 
 
-_CHAIN = ResidualChain.seeded(4, 4, 1, delta=0.5)
+_LAYER = make_layer(Space(BasisSpec(ambient_dim=8)))
 
 # (the argument a guard names, a call passing it a value, a value out of range)
 GUARDS = {
     "choose_w": ("h", lambda v: choose_w(make_layer(Space(BasisSpec(ambient_dim=8))), v), -1.0),
     "linear_path_blocks": ("epsilon", lambda v: linear_path_blocks(np.diag([2.0, 3.0]), v), 2.0),
     "path_blocks-epsilon": (
-        "epsilon", lambda v: path_blocks(None, 2, epsilon=v, r1=1.0, c0=0.5, c1=1.5), 2.0),
+        "epsilon", lambda v: path_blocks(None, epsilon=v, r1=1.0, c0=0.5, c1=1.5), 2.0),
     "path_blocks-r1": (
-        "r1", lambda v: path_blocks(None, 2, epsilon=0.2, r1=v, c0=0.5, c1=1.5), 0.0),
+        "r1", lambda v: path_blocks(None, epsilon=0.2, r1=v, c0=0.5, c1=1.5), 0.0),
     "path_blocks-c1": (
-        "c1", lambda v: path_blocks(None, 2, epsilon=0.2, r1=1.0, c0=0.5, c1=v), 0.4),
+        "c1", lambda v: path_blocks(None, epsilon=0.2, r1=1.0, c0=0.5, c1=v), 0.4),
     "network-target_bound": (
         "target_bound", lambda v: CoordinateNetwork.seeded(3, 3, target_bound=v), -1.0),
     "sign_crossings": (
@@ -240,13 +239,13 @@ GUARDS = {
         "ball_radius", lambda v: ResidualChain.seeded(4, 4, 1, delta=0.5, ball_radius=v), -1.0),
     "InversionTrace": ("tol", lambda v: InversionTrace((2,), (1e-12,), ((0.1, 0.04),), (40,),
                                                         (0.5,), v), 0.0),
-    "global_inverse_check": ("r", lambda v: global_inverse_check(_CHAIN, v, 2), 0.0),
     "banach_solve": ("tol", lambda v: banach_solve(lambda x: 0.5 * x, np.ones(2), 0.5, v), 0.0),
     "newton_solve": ("tol", lambda v: newton_solve(
         lambda x, rows: (x, np.abs(x[:, 0]), np.abs(x[:, 0])), lambda x, res: res,
         np.ones((1, 1)), v, "newton"), -1.0),
     "central_differences": (
         "h", lambda v: central_differences(np.sin, np.zeros(2), np.eye(2), v), -1e-5),
+    "decompose": ("n_verify", lambda v: decompose(_LAYER, 0.25, 1.0, n_verify=v), 0),
     "make_layer": ("lip_g", lambda v: make_layer(Space(BasisSpec(ambient_dim=8)), lip_g=v), -1.0),
     "scaled_leaky": ("scale", scaled_leaky, -1.0),
 }
@@ -316,9 +315,10 @@ def test_only_serialize_writes_json():
     assert writes and all(w.startswith("serialize:") for w in writes), writes
 
 
-def test_the_only_as_dict_is_the_invert_layout():
-    """Records are written by their fields, which ``write_json`` reads; the
-    one hand-written layout is the ``invert`` artifact's."""
+def test_no_record_has_an_as_dict():
+    """Records are written by their fields, which ``write_json`` reads, and
+    each runner builds its artifact's layout itself: no class in the
+    package writes a hand-made layout."""
     src = Path(opdisc.__file__).resolve().parent
     owners = sorted(
         f"{path.stem}.{getattr(node, 'name', '<module>')}"
@@ -327,7 +327,19 @@ def test_the_only_as_dict_is_the_invert_layout():
         for child in ast.iter_child_nodes(node)
         if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) and child.name == "as_dict"
     )
-    assert owners == ["invert.ChainInverseResult"]
+    assert owners == []
+
+
+def test_invert_imports_nothing_from_monotone():
+    """``opdisc.invert`` holds solvers only; sampled checks of what they
+    return live with the criteria that make them."""
+    imported = set()
+    for node in ast.walk(ast.parse(Path(opdisc.invert.__file__).read_text())):
+        if isinstance(node, ast.ImportFrom):
+            imported |= {f"{node.module or ''}.{alias.name}" for alias in node.names}
+        elif isinstance(node, ast.Import):
+            imported |= {alias.name for alias in node.names}
+    assert imported and not [name for name in imported if "monotone" in name.split(".")]
 
 
 def _users(path: Path, names: set) -> dict:

@@ -14,17 +14,20 @@ from hypothesis import strategies as st
 from opdisc.invert import (
     ChainInverseResult,
     DomainError,
-    GlobalInverseReport,
     InversionError,
     InversionTrace,
     _apriori_iterations,
     banach_solve,
-    global_inverse_check,
     invert_chain,
     newton_solve,
 )
 from opdisc.layers import CoordinateNetwork, ResidualChain
-from opdisc.monotone import ball_samples, bilipschitz_estimate
+from opdisc.monotone import (
+    ball_samples,
+    bilipschitz_estimate,
+    contraction_certificate,
+    pairwise_alpha,
+)
 from opdisc.operators import FiniteRankOperator, Identity, Reflection, activation_from_name
 from opdisc.serialize import canonical_json
 from opdisc.spectral import StageError
@@ -54,6 +57,15 @@ def seeded_chain(
         bias_scale=0.1,
         seed=seed,
     )
+
+
+def roundtrips(chain, xs, tol=1e-10) -> tuple:
+    """The worst inverse-after-forward and forward-after-inverse errors of
+    a chain on the points xs, each inverted as one batch."""
+    back = invert_chain(chain, None, chain.eval_array(xs), tol=tol).x
+    forth = chain.eval_array(invert_chain(chain, None, xs, tol=tol).x)
+    return (float(np.max(np.linalg.norm(back - xs, axis=-1))),
+            float(np.max(np.linalg.norm(forth - xs, axis=-1))))
 
 
 class CountedMap:
@@ -544,7 +556,7 @@ class TestChainInverse:
             bias_scale=0.0, seed=5,
         )
         chain = replace(blocks, delta=0.5, ball_radius=1.0)
-        assert chain.cert_method == "ball_local"
+        assert chain.radii == (1.0,) * 3
         y = np.eye(8)[0]
         out = invert_chain(chain, None, 0.5 * y)
         assert np.linalg.norm(chain.eval_array(out.x) - 0.5 * y) <= out.roundtrip_target
@@ -574,14 +586,30 @@ class TestChainInverse:
         assert radii == []
         assert out.trace.deltas == chain.rates
 
-    def test_result_as_dict_is_json_ready(self):
-        chain = seeded_chain(dim=4, blocks=1, bound=0.3, seed=71)
-        out = invert_chain(chain, None, np.ones(4))
-        blob = json.loads(canonical_json(out.as_dict()))
-        assert len(blob["x"]) == 4
-        assert blob["trace"]["iteration_counts"] == list(out.trace.iteration_counts)
-        assert blob["roundtrip_target"] == out.roundtrip_target
+    def test_identity_chain_roundtrips_exactly(self):
+        certified = replace(ResidualChain(5, 5, (zero_net(5),)), delta=0.5)
+        assert roundtrips(certified, ball_samples(5, 1.0, 16, seed=0)) == (0.0, 0.0)
+        alpha = pairwise_alpha(certified, r=1.0, n=16, seed=1).alpha
+        assert abs(alpha - 1.0) <= 1e-12
 
+    def test_high_delta_groupsort_chain_roundtrips(self):
+        chain = ResidualChain.seeded(
+            12,
+            12,
+            3,
+            block_bound=0.9,
+            activation=activation_from_name("groupsort2"),
+            bias_scale=0.1,
+            seed=73,
+        )
+        certified = replace(chain, delta=0.9)
+        xs = ball_samples(12, 1.0, 40, seed=5)
+        assert max(roundtrips(certified, xs, tol=1e-9)) <= 1e-6
+        floor = contraction_certificate(0.9)
+        assert floor == pytest.approx(0.1)
+        for i, net in enumerate(certified.blocks):
+            block = ResidualChain(12, 12, (net,))
+            assert pairwise_alpha(block, r=1.0, n=40, seed=6 + i).alpha >= floor - 1e-6
 
     def test_batch_result_has_one_trace_per_target(self):
         chain = seeded_chain(dim=4, blocks=2, bound=0.3, seed=71)
@@ -638,32 +666,7 @@ class TestChainInverse:
         assert per_block(ys) == slowest.tolist()
 
 
-class TestGlobalInverseCheck:
-    def test_identity_chain_roundtrips_exactly(self):
-        chain = ResidualChain(5, 5, (zero_net(5),))
-        certified = replace(chain, delta=0.5)
-        report = global_inverse_check(certified, r=1.0, n=16, seed=0)
-        assert report.roundtrip_inverse_of_forward == 0.0
-        assert report.roundtrip_forward_of_inverse == 0.0
-        assert all(abs(a - 1.0) <= 1e-12 for a in report.block_alphas)
-
-    def test_high_delta_groupsort_chain(self):
-        chain = ResidualChain.seeded(
-            12,
-            12,
-            3,
-            block_bound=0.9,
-            activation=activation_from_name("groupsort2"),
-            bias_scale=0.1,
-            seed=73,
-        )
-        certified = replace(chain, delta=0.9)
-        report = global_inverse_check(certified, r=1.0, n=40, seed=5, tol=1e-9)
-        assert report.roundtrip_inverse_of_forward <= 1e-6
-        assert report.roundtrip_forward_of_inverse <= 1e-6
-        assert all(a >= 1.0 - 0.9 - 1e-6 for a in report.block_alphas)
-        assert report.alpha_floor == pytest.approx(0.1)
-
+class TestChainCertificate:
     def test_delta_at_or_above_one_refused_at_certification(self):
         chain = seeded_chain(dim=4, blocks=2, bound=0.4, seed=79)
         with pytest.raises(ValueError, match=r"must lie in \(0, 1\)"):
@@ -675,25 +678,3 @@ class TestGlobalInverseCheck:
         )
         with pytest.raises(ValueError, match="no global Lipschitz certificate"):
             replace(chain, delta=0.5)
-
-    def test_ball_certificate_must_cover_the_test_ball(self):
-        w = 0.05 * np.eye(4)
-        net = CoordinateNetwork(
-            (w, w), (np.zeros(4), np.zeros(4)), activation_from_name("recu")
-        )
-        chain = ResidualChain(4, 4, (net,), delta=0.5, ball_radius=2.0)
-        assert chain.cert_method == "ball_local"
-        with pytest.raises(ValueError, match="does not cover"):
-            global_inverse_check(chain, r=3.0, n=8, seed=0)
-        report = global_inverse_check(chain, r=1.0, n=8, seed=0)
-        assert report.cert_method == "ball_local"
-        assert report.roundtrip_inverse_of_forward <= 1e-9
-
-    def test_argument_validation(self):
-        chain = replace(seeded_chain(dim=4, blocks=1), delta=0.6)
-        with pytest.raises(TypeError, match="certified chain"):
-            global_inverse_check(seeded_chain(dim=4, blocks=1), r=1.0, n=8)
-        with pytest.raises(ValueError, match="radius"):
-            global_inverse_check(chain, r=0.0, n=8)
-        with pytest.raises(ValueError, match="two samples"):
-            global_inverse_check(chain, r=1.0, n=1)

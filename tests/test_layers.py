@@ -312,7 +312,7 @@ class TestResidualChain:
     def test_invertible_chain_certification(self):
         chain = ResidualChain.seeded(8, 4, 2, block_bound=0.6, seed=3)
         inv = replace(chain, delta=0.6)
-        assert inv.cert_method == "spectral"
+        assert inv.radii == (None, None)
         with pytest.raises(ValueError, match="exceeds"):
             replace(chain, delta=0.3)
 
@@ -346,7 +346,7 @@ class TestResidualChain:
         with pytest.raises(ValueError, match="ball_radius"):
             replace(chain, delta=0.9)
         inv = replace(chain, delta=0.9, ball_radius=1.0)
-        assert inv.cert_method == "ball_local"
+        assert inv.radii == (1.0,)
 
     def test_sampled_residual_lipschitz_below_delta(self):
         delta = 0.7

@@ -172,7 +172,7 @@ SURVIVORS = {
         (ACCEPTANCE,),
         "ball_samples",
         _on_small_sphere,
-        (3, 4, 5, 10),
+        (3, 4, 5, 6, 10),
         "every check on these samples is one-sided (a sampled Lipschitz "
         "constant below epsilon, a gap or an iteration count below its "
         "bound), and points near 0 only move each to its safe side",
@@ -182,7 +182,7 @@ SURVIVORS = {
         (ACCEPTANCE,),
         "ball_samples",
         lambda dim, r, n, seed=0: BALL_SAMPLES(dim, r, min(n, 4), seed),
-        (3, 4, 5, 10),
+        (3, 4, 5, 6, 10),
         "fewer samples give fewer pairs, and every one-sided check on them "
         "(a maximum below its bound, a minimum above its floor) gets easier",
         "item 4: the sandwich's adversarial side searches the whole ball",

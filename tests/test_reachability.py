@@ -3,6 +3,9 @@
 The product runs are these invocations, all under ``sys.settrace``:
 
 - ``opdisc`` alone (its help), ``opdisc accept`` and ``opdisc accept --only 7``;
+- ``opdisc accept --only 7`` with criterion 7 patched to raise a ``StageError``
+  (``FAILING_CRITERIA``): the suite reports it, writes ``failures.json`` and
+  exits 2;
 - ``BATCH`` at ``--jobs 1``, which holds every CLI kind and every spec kind and
   runs in order;
 - ``PAIR`` at ``--jobs 2``, which enters the fork branch: its child inherits the
@@ -58,8 +61,9 @@ import pytest
 from click.testing import CliRunner
 
 import opdisc
-from opdisc import cli, serialize
+from opdisc import acceptance, cli, serialize
 from opdisc.cli import main
+from opdisc.spectral import StageError
 
 SRC = Path(opdisc.__file__).resolve().parent
 
@@ -275,6 +279,17 @@ FAILING = [
 ]
 
 
+
+def _broken_criterion():
+    raise StageError("scan", "a criterion patched to fail")
+
+
+# the suite with criterion 7 failing, for the accept run that exits 2
+FAILING_CRITERIA = tuple(
+    (num, name, _broken_criterion if num == 7 else fn) for num, name, fn in acceptance.CRITERIA
+)
+
+
 class _Trace:
     """A ``sys.settrace`` hook that keeps the code objects entered and the
     ``(file, line)`` line events fired in ``src/opdisc``."""
@@ -360,6 +375,7 @@ def _invocations(tmp: Path) -> dict:
         "help": ([], 0),
         "accept": (run("accept", "accept"), 0),
         "accept-only": (run("accept-only", "accept", "--only", "7"), 0),
+        "accept-failing": (run("accept-failing", "accept", "--only", "7"), 2),
         "batch": (run("batch", "--config", str(paths["batch"]), "--jobs", "1"), 0),
         "pair": (run("pair", "--config", str(paths["pair"]), "--jobs", "2"), 0),
         "refused": (run("refused", "--config", str(paths["refused"])), 1),
@@ -403,7 +419,12 @@ def runs(tmp_path_factory):
         patch.setattr(os, "_exit", exit_and_log)
         sys.settrace(trace)
         try:
-            results = {name: runner.invoke(main, args) for name, (args, _) in invocations.items()}
+            results = {}
+            for name, (args, _) in invocations.items():
+                with pytest.MonkeyPatch.context() as failing:
+                    if name == "accept-failing":
+                        failing.setattr(acceptance, "CRITERIA", FAILING_CRITERIA)
+                    results[name] = runner.invoke(main, args)
         finally:
             sys.settrace(None)
     for name, (_, code) in invocations.items():
@@ -591,6 +612,15 @@ def test_a_failed_check_is_recorded_with_its_stage(runs):
     high = _load_strict(runs.out / "failing" / "high-floor.json")
     assert high["seed"] == 5 and high["alpha_min"] < high["floor"] == 1.6
     assert (runs.out / "failing" / "ball-near.json").exists()
+
+
+
+def test_a_failed_criterion_is_recorded_with_its_stage(runs):
+    assert "FAIL  criterion  7" in runs.results["accept-failing"].output
+    failed = _load_strict(runs.out / "accept-failing" / "failures.json")["failed"]
+    assert [(r["criterion"], r["detail"]) for r in failed] == [
+        (7, {"error": "StageError: [scan] a criterion patched to fail", "stage": "scan"})
+    ]
 
 
 def test_every_function_is_reached(runs):

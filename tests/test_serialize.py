@@ -444,15 +444,15 @@ class TestChain:
         )
         assert isinstance(cert, ResidualChain)
         assert cert.delta == 0.5
-        assert cert.cert_method == "spectral"
+        assert cert.radii == (None,)
         xs = probe_points(5)
         assert np.array_equal(cert.eval_array(xs), chain_from_spec(inner).eval_array(xs))
         local = chain_from_spec(
             {"kind": "invertible_residual_chain", "delta": 0.5, "chain": inner,
              "ball_radius": 2.0}
         )
-        # the recorded method is the one that certified: tanh has a global bound
-        assert (local.cert_method, local.ball_radius) == ("spectral", 2.0)
+        # the recorded radii are those that certified: tanh has a global bound
+        assert (local.radii, local.ball_radius) == ((None,), 2.0)
 
     def test_seeded_chain_without_delta_is_uncertified(self):
         spec = {"kind": "seeded_chain", "ambient_dim": 6, "num_blocks": 2, "seed": 1}
@@ -512,7 +512,8 @@ RESIDUAL_SPEC = {"kind": "residual_chain", "ambient_dim": 5, "prefix_n": 2,
                  "blocks": [NET_SPEC, NET_SPEC]}
 RECU_SPEC = {"kind": "seeded_chain", "ambient_dim": 6, "prefix_n": 3, "num_blocks": 2,
              "block_bound": 0.05, "activation": "recu", "bias_scale": 0.0, "seed": 5}
-# (spec, cert_method or None for a plain chain, the ball of a ball-local rate)
+# (spec, how the chain is certified or None for a plain chain, the ball of a
+#  ball-local rate)
 CERTIFICATE_CASES = {
     "residual_chain": (RESIDUAL_SPEC, None, None),
     "invertible_residual_chain/spectral": (
@@ -545,7 +546,6 @@ class TestChainCertificates:
         if method is None:
             assert chain.rates == tuple(net.spectral_bound for net in nets)
         else:
-            assert chain.cert_method == method
             bounds = [net.spectral_bound if ball is None else net.ball_bound(ball)
                       for net in nets]
             assert chain.rates == tuple(min(b, chain.delta) for b in bounds)
@@ -561,9 +561,8 @@ class TestChainCertificates:
         chain = chain_from_spec(spec if ball is None else {**spec, "ball_radius": ball})
         literal = net_from_literal(activation_from_name(activation))
         direct = ResidualChain(5, 2, (literal, literal), delta=0.9, ball_radius=ball)
-        assert (chain.rates, chain.radii, chain.cert_method) == (
-            direct.rates, direct.radii, direct.cert_method)
-        assert chain.cert_method == ("spectral" if ball is None else "ball_local")
+        assert (chain.rates, chain.radii) == (direct.rates, direct.radii)
+        assert chain.radii == (ball, ball)
         xs = probe_points(5)
         assert chain.eval_array(xs).tobytes() == direct.eval_array(xs).tobytes()
 
