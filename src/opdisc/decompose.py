@@ -21,10 +21,10 @@ runs each stage once:
    decomposition into a positive part (matrix-power path) and a rotation
    (a path of equal n-th roots).
 
-The core F^W is evaluated directly in W coordinates through two (k, m)
-matrices fixed at construction, c ↦ c + G(c·M_in)·M_out, around the
-nonlinearity.  Where the ambient F^W is needed it is the core lifted with
-the identity on W⊥.
+The core F^W is the layer's network folded onto W once, at construction
+(``NeuralOperatorLayer.fold``): c ↦ c + net(c) on k-wide ends, plus c·S for a
+middle map on a coefficient prefix.  Where the ambient F^W is needed it is
+the core lifted with the identity on W⊥.
 
 Every map inverted along the way is Id + B with Lip(B) ≤ κ, the layer's
 contraction product.  Inverses are computed on demand, by one of two
@@ -67,7 +67,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .invert import _apriori_iterations, _first_iterate, banach_solve, newton_solve
-from .layers import NeuralOperatorLayer, central_differences, eval_map
+from .layers import CoordinateNetwork, NeuralOperatorLayer, central_differences, eval_map
 from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate
 from .operators import Identity, Reflection, _orthonormal, spectral_norm
 from .spectral import StageError
@@ -183,10 +183,12 @@ def choose_w(layer: NeuralOperatorLayer, h: float) -> tuple[Frame, dict]:
 class CoreCompressedLayer:
     """The core map F^W = Id + P_W∘T₂∘G∘T₁∘P_W in W coordinates: ℝᵏ → ℝᵏ.
 
-    The linear maps on either side of G fold into two matrices built once:
-    M_in = T₁ applied to the frame rows (k, m), so c·M_in = T₁(lift(c)), and
-    M_out = (rows·T₂)ᵀ (m, k), so z·M_out = coords(T₂ z).  An evaluation is
-    then c + G(c·M_in)·M_out, two products around the nonlinearity.
+    The layer folds the frame into its network once, with enter = rows·Ψ_inᵀ
+    ahead of T₁ and leave = Φ_out·rowsᵀ behind T₂ (``NeuralOperatorLayer.fold``):
+    ``net`` is the resulting k-to-k network, read-only, and ``skip`` the
+    k × k matrix of the coordinates a prefix middle map passes through, or
+    None.  An evaluation is c + net(c) (+ c·S); it reads no operator, frame
+    or middle map.
 
     F^W fixes the frame complement pointwise, so on the ambient space it is
     ``LiftedBlock(core, frame)``.
@@ -195,15 +197,21 @@ class CoreCompressedLayer:
     def __init__(self, layer: NeuralOperatorLayer, frame: Frame):
         if frame.ambient_dim != layer.dim:
             raise ValueError("frame and layer live in different ambient spaces")
-        self.layer = layer
         self.frame = frame
         self.dim = frame.dim
-        self.m_in = layer.in_op.eval_array(frame.rows)
-        self.m_out = (frame.rows @ layer.out_op.as_matrix()).T
+        rows = frame.rows
+        mats, biases, activation, self.skip = layer.fold(rows @ layer.in_op.psi.T,
+                                                         layer.out_op.phi @ rows.T)
+        # the stage norms are never read, so nothing decomposes
+        self.net = CoordinateNetwork._from_arrays(tuple(a.T for a in mats), biases, activation)
 
     def eval_array(self, c: np.ndarray) -> np.ndarray:
         c = np.asarray(c, dtype=float)
-        return c + self.layer.nonlin.eval_array(c @ self.m_in) @ self.m_out
+        out = self.net.eval_array(c)
+        if self.skip is not None:
+            out += c @ self.skip
+        out += c
+        return out
 
     def forward(self, c: np.ndarray, start=None) -> tuple[np.ndarray, None]:
         return self.eval_array(c), None
@@ -212,12 +220,6 @@ class CoreCompressedLayer:
 # ---------------------------------------------------------------------------
 # on-demand inversion
 # ---------------------------------------------------------------------------
-
-
-def _fd_jacobian(f, x: np.ndarray) -> np.ndarray:
-    """Jacobian of f at x, or a (..., k, k) stack of them at a batch of x."""
-    k = x.shape[-1]
-    return np.swapaxes(central_differences(f, x, np.eye(k)), -1, -2)
 
 
 # cap on the scaling path's blocks while its t-grid is refined
@@ -235,7 +237,8 @@ def _newton_invert(f, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
         return res, rnorm, rnorm
 
     def direction(xs: np.ndarray, res: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(_fd_jacobian(f, xs), res[..., None])[..., 0]
+        jac = central_differences(f, xs, np.eye(xs.shape[-1]))
+        return np.linalg.solve(jac, res[..., None])[..., 0]
 
     return newton_solve(evaluate, direction, _first_iterate(ys, start), tol, "invert").x
 
@@ -388,7 +391,7 @@ class ScalingPath:
         self.f = f
         self.k = k
         self.f0_val = eval_map(f, np.zeros(k))
-        self.df0 = _fd_jacobian(f, np.zeros(k))
+        self.df0 = central_differences(f, np.zeros(k), np.eye(k))
         self.kappa = kappa
 
     @property

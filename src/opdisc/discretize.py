@@ -179,7 +179,7 @@ def orientation_scan(
     def compressed_jacobians(ts: np.ndarray) -> np.ndarray:
         # the compressed map's derivatives along the basis of ℝ^d, one per t
         return np.stack(
-            [central_differences(compress(path(float(t)), d, m), base, np.eye(d)).T for t in ts]
+            [central_differences(compress(path(float(t)), d, m), base, np.eye(d)) for t in ts]
         )
 
     return path_scan(compressed_jacobians, t_grid, refine_tol)

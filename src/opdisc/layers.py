@@ -225,7 +225,8 @@ class CoordinateNetNonlinearity:
 
     With ``ambient_dim == net.n_in`` the map is the network itself; with a
     shorter prefix the remaining coefficients pass through unchanged, which
-    forces the recorded bound up to at least 1.
+    forces the recorded bound up to at least 1.  It has no evaluation of its
+    own: a layer folds its network (:meth:`NeuralOperatorLayer.fold`).
     """
 
     net: CoordinateNetwork
@@ -241,17 +242,6 @@ class CoordinateNetNonlinearity:
     def lip(self) -> float:
         b = self.net.spectral_bound
         return b if self.net.n_in == self.ambient_dim else max(1.0, b)
-
-    def eval_array(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        if x.shape[-1] != self.ambient_dim:
-            raise ValueError("dimension mismatch for coordinate-net nonlinearity")
-        n = self.net.n_in
-        if n == self.ambient_dim:
-            return self.net.eval_array(x)
-        y = np.array(x, dtype=float, copy=True)
-        y[..., :n] = self.net.eval_array(x[..., :n])
-        return y
 
 
 @dataclass(frozen=True, eq=False)
@@ -333,16 +323,24 @@ class NeuralOperatorLayer:
     def __post_init__(self) -> None:
         if not self.in_op.dim == self.out_op.dim == self.nonlin.ambient_dim:
             raise ValueError("in/out operators and middle map must share the ambient dimension")
-        object.__setattr__(self, "_folded", self._fold(self.nonlin.net))
+        object.__setattr__(self, "_folded", self.fold())
 
-    def _fold(self, net: CoordinateNetwork) -> tuple:
-        """The network's stage matrices and biases with T_in folded into the
-        first stage and T_out into the last (one stage takes both), its
-        activation, and the skip matrix of the coordinates past its prefix
-        (None when it spans all m)."""
+    def fold(self, enter: np.ndarray | None = None, leave: np.ndarray | None = None) -> tuple:
+        """The middle network's stage matrices (inputs, outputs) and biases
+        with T_in folded into the first stage and T_out into the last (one
+        stage takes both), its activation, and the skip matrix of the
+        coordinates past its prefix (None when it spans all m).  ``enter``
+        (·, r_in) folds in ahead of T_in and ``leave`` (r_out, ·) behind
+        T_out, as ``opdisc.decompose`` folds its frame; the layer passes
+        neither."""
+        net = self.nonlin.net
         n = net.n_in
         in_frame = self.in_op.omegas[:, None] * self.in_op.phi
         out_frame = self.out_op.psi.T * self.out_op.omegas
+        if enter is not None:
+            in_frame = enter @ in_frame
+        if leave is not None:
+            out_frame = out_frame @ leave
         mats = [w.T for w in net.weights]
         biases = list(net.biases)
         mats[0] = in_frame[:, :n] @ mats[0]
@@ -527,14 +525,14 @@ def eval_map(f, x: np.ndarray) -> np.ndarray:
 
 
 def central_differences(f, x: np.ndarray, dirs: np.ndarray, h: float = 1e-5) -> np.ndarray:
-    """Directional derivatives of f at x along each row of ``dirs``.
+    """Directional derivatives of f at x along each row of ``dirs``, in the
+    Jacobian layout (..., m, n).
 
     Central differences, O(h^2) for C^2 maps.  ``x`` holds one base point
     or a (..., m) batch of them; all 2n perturbed points of every base
-    point go through f as one (..., 2n, m) batch.  Row i (axis −2) of the
-    result is the derivative along dirs[i], so the Jacobian's columns for
-    the directions are the result with its last two axes swapped.
-    Non-finite entries are an error.
+    point go through f as one (..., 2n, m) batch.  Column i (axis −1) of
+    the result is the derivative along dirs[i], so ``dirs = np.eye(m)``
+    gives the Jacobian.  Non-finite entries are an error.
     """
     if not 0.0 < h < math.inf:
         raise ValueError(f"step size h must be positive and finite, got {h}")
@@ -545,7 +543,7 @@ def central_differences(f, x: np.ndarray, dirs: np.ndarray, h: float = 1e-5) -> 
     deriv = (out[..., :n, :] - out[..., n:, :]) / (2.0 * h)
     if not np.all(np.isfinite(deriv)):
         raise ValueError("finite-difference failure: non-finite Jacobian entries")
-    return deriv
+    return np.swapaxes(deriv, -1, -2)
 
 
 # ---------------------------------------------------------------------------

@@ -99,13 +99,9 @@ class FiniteRankOperator:
     def eval_array(self, x: np.ndarray) -> np.ndarray:
         if x.shape[-1] != self.dim:
             raise ValueError(f"dimension mismatch: operator dim {self.dim}, vector {x.shape[-1]}")
-        if not self.rank:
-            return np.zeros_like(x, dtype=float)
         return (x @ self.psi.T * self.omegas) @ self.phi
 
     def as_matrix(self) -> np.ndarray:
-        if not self.rank:
-            return np.zeros((self.dim, self.dim))
         return (self.phi.T * self.omegas) @ self.psi
 
 

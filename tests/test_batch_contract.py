@@ -19,7 +19,6 @@ from opdisc.discretize import compress
 from opdisc.layers import (
     CoordinateNetNonlinearity,
     CoordinateNetwork,
-    NemytskiiNonlinearity,
     NeuralOperatorLayer,
     ResidualChain,
     affine_nonlinearity,
@@ -59,22 +58,25 @@ def maps():
 
     net = CoordinateNetwork.seeded(m, m, target_bound=0.5, bias_scale=0.3, seed=2)
     window = CoordinateNetwork.seeded(5, 5, target_bound=0.5, seed=3)
-    operators_heads_and_middle_maps = {
+    operators_and_heads = {
         "finite_rank": FiniteRankOperator.seeded(m, 4, seed=1),
         "identity": Identity(),
         "reflection": Reflection.first_axis(m),
-        "zero_nonlinearity": affine_nonlinearity(np.zeros((m, m)), np.zeros(m)),
-        "nemytskii": NemytskiiNonlinearity(space, activation_from_name("scaled_leaky(0.4)")),
-        "coordinate_net_nonlinearity": CoordinateNetNonlinearity(net, m),
-        "coordinate_net_window": CoordinateNetNonlinearity(window, m),
-        "affine_nonlinearity": affine_nonlinearity(0.3 * np.eye(m), np.ones(m)),
     }
-    for name, f in operators_heads_and_middle_maps.items():
+    for name, f in operators_and_heads.items():
         out[name] = (f, m)
 
+    # middle maps have no evaluation of their own: each kind is checked in
+    # the layer that folds it
     layer = make_layer(space, rank=6, lip_g=0.3, activation="tanh", seed=4)
     out["layer"] = (layer, m)
     out["nemytskii_layer"] = (make_layer(space, nonlin="nemytskii", lip_g=0.4, seed=5), m)
+    out["zero_layer"] = (make_layer(space, lip_g=0.0, seed=8), m)
+    out["affine_layer"] = (
+        make_layer(space, nonlin="affine_contraction", lip_g=0.3, bias_scale=0.3, seed=8), m
+    )
+    prefix_layer = NeuralOperatorLayer(layer.in_op, layer.out_op, CoordinateNetNonlinearity(window, m))
+    out["prefix_layer"] = (prefix_layer, m)
     out["coordinate_network"] = (net, m)
     chain = ResidualChain.seeded(m, 5, 2, block_bound=0.6, seed=6)
     out["residual_chain"] = (chain, m)
@@ -87,6 +89,8 @@ def maps():
     core = CoreCompressedLayer(narrow, frame)
     k = frame.dim
     out["core_compressed_layer"] = (core, k)
+    prefix_frame, _ = choose_w(prefix_layer, 0.4)
+    out["prefix_core"] = (CoreCompressedLayer(prefix_layer, prefix_frame), prefix_frame.dim)
     out["tail_fixed_point"] = (TailBlock(narrow, core, 0.3, TIGHT), m)
     out["tail_newton"] = (TailBlock(narrow, core, None, TIGHT), m)
 
@@ -111,10 +115,9 @@ def maps():
 
 
 NAMES = [
-    "finite_rank", "identity", "reflection", "zero_nonlinearity", "nemytskii",
-    "coordinate_net_nonlinearity", "coordinate_net_window", "affine_nonlinearity",
-    "layer", "nemytskii_layer", "coordinate_network", "residual_chain",
-    "invertible_chain", "core_compressed_layer", "tail_fixed_point",
+    "finite_rank", "identity", "reflection", "layer", "nemytskii_layer", "zero_layer",
+    "affine_layer", "prefix_layer", "coordinate_network", "residual_chain",
+    "invertible_chain", "core_compressed_layer", "prefix_core", "tail_fixed_point",
     "tail_newton", "path_block_fixed_point", "path_block_newton", "linear_block",
     "lifted_block", "decomposition", "decomposition_reflection",
     "activation_identity", "activation_leaky_relu", "activation_recu", "activation_tanh",
@@ -162,7 +165,8 @@ def test_a_folded_layer_equals_its_factors(m, activation, data):
     layer = NeuralOperatorLayer(t_in, t_out, CoordinateNetNonlinearity(net, m))
     assert layer._folded is not None
     xs = ball_samples(m, 1.5, 7, seed=seed)
-    want = xs + t_out.eval_array(layer.nonlin.eval_array(t_in.eval_array(xs)))
+    # the network spans the ambient dimension, so G is the network
+    want = xs + t_out.eval_array(net.eval_array(t_in.eval_array(xs)))
     got = layer.eval_array(xs)
     assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, float(np.max(np.abs(want))))
 

@@ -875,7 +875,7 @@ FAILURE_TABLE = {
         "2.04217e-16, 2.06879e-16"),
     "decompose-composite_tol-1e-300": (
         {**_FAIL_DECOMPOSE, "composite_tol": 1e-300}, "path_blocks", "StageError",
-        "[path_blocks] [invert] Newton line search stagnated at residual 1.14439e-16"),
+        "[path_blocks] [invert] Newton line search stagnated at residual 5.55112e-17"),
     "invert-tol-1e-300": (
         {"kind": "invert", "seed": 0, "chain": _FAIL_CHAIN, "y": [0.1, 0.2, 0, 0], "tol": 1e-300},
         "invert", "InversionError",

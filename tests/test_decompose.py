@@ -21,7 +21,6 @@ from opdisc.decompose import (
     ScalingPath,
     TailBlock,
     _choose_inverter,
-    _fd_jacobian,
     _invert,
     _measure,
     _newton_invert,
@@ -33,13 +32,16 @@ from opdisc.decompose import (
     quintic_smoothstep,
 )
 from opdisc.layers import (
+    CoordinateNetNonlinearity,
+    CoordinateNetwork,
     NeuralOperatorLayer,
     affine_nonlinearity,
+    central_differences,
     eval_map,
     make_layer,
 )
 from opdisc.monotone import ball_samples, pairwise_alpha
-from opdisc.operators import FiniteRankOperator, Identity, Reflection
+from opdisc.operators import FiniteRankOperator, Identity, Reflection, activation_from_name
 from opdisc.spectral import BasisSpec, Space, StageError
 
 
@@ -204,6 +206,23 @@ class TestChooseW:
             choose_w(smooth_layer, 0.0)
 
 
+FOURIER16 = Space(BasisSpec("fourier", 16))
+
+
+def core_layer(kind, seed):
+    """A rank-6 layer on 16 Fourier coefficients whose middle map is a tanh
+    network on all of them, a tanh network on the first 6 (the other 10
+    pass through, so the layer folds a skip matrix) or a Nemytskii map."""
+    if kind == "nemytskii":
+        return make_layer(FOURIER16, rank=6, lip_g=0.3, nonlin="nemytskii", seed=seed)
+    layer = make_layer(FOURIER16, rank=6, lip_g=0.3, activation="tanh", seed=seed)
+    if kind == "prefix":
+        net = CoordinateNetwork.seeded(6, 6, activation=activation_from_name("tanh"),
+                                       target_bound=0.3, bias_scale=0.3, seed=seed)
+        layer = NeuralOperatorLayer(layer.in_op, layer.out_op, CoordinateNetNonlinearity(net, 16))
+    return layer
+
+
 def ambient_core(layer, frame):
     """F^W on the ambient space: the W-coordinate core, identity on W⊥."""
     return LiftedBlock(CoreCompressedLayer(layer, frame), frame)
@@ -255,40 +274,56 @@ class TestBuildFW:
         h=st.floats(min_value=0.02, max_value=0.6),
         rows=st.integers(min_value=0, max_value=5),
     )
-    def test_core_map_matches_ambient_action(self, space16, seed, h, rows):
-        # rows == 0 evaluates a single vector, otherwise a (rows, k) batch
-        layer = make_layer(space16, rank=6, lip_g=0.3, activation="tanh", seed=seed)
-        frame, _ = choose_w(layer, h)
-        core = CoreCompressedLayer(layer, frame)
-        assert core.dim == frame.dim
-        c = ball_samples(frame.dim, 1.5, max(rows, 1), seed=seed)
-        if rows == 0:
-            c = c[0]
-        got = core.eval_array(c)
-        assert got.shape == c.shape
-        want = frame.coords(layer.eval_array(frame.lift(c)))
-        assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
+    def test_core_map_matches_ambient_action(self, seed, h, rows):
+        # rows == 0 evaluates a single vector, otherwise a (rows, k) batch;
+        # every middle-map kind is folded with the frame
+        for kind in ("coordinate_net", "prefix", "nemytskii"):
+            layer = core_layer(kind, seed)
+            frame, _ = choose_w(layer, h)
+            core = CoreCompressedLayer(layer, frame)
+            assert core.dim == frame.dim
+            assert (core.skip is None) == (kind != "prefix")
+            c = ball_samples(frame.dim, 1.5, max(rows, 1), seed=seed)
+            if rows == 0:
+                c = c[0]
+            got = core.eval_array(c)
+            assert got.shape == c.shape
+            want = frame.coords(layer.eval_array(frame.lift(c)))
+            assert np.max(np.abs(got - want), initial=0.0) <= 1e-13
 
     def test_evaluation_uses_no_frame_or_operator_products(self, smooth_layer, monkeypatch):
-        # T₁ and T₂ fold into the core's two matrices at construction, so
-        # an evaluation never lifts, projects or applies an operator
+        # the layer folds T₁, T₂ and the frame into the core's network at
+        # construction, so an evaluation never lifts, projects, applies or
+        # forms an operator, and never reads the layer's middle map
         frame, _ = choose_w(smooth_layer, 0.05)
         core = CoreCompressedLayer(smooth_layer, frame)
         calls = []
         for owner, name in (
-            (Frame, "lift"), (Frame, "coords"), (FiniteRankOperator, "eval_array")
+            (Frame, "lift"),
+            (Frame, "coords"),
+            (FiniteRankOperator, "eval_array"),
+            (FiniteRankOperator, "as_matrix"),
         ):
             original = getattr(owner, name)
 
-            def counted(self, x, _name=name, _original=original):
+            def counted(self, *args, _name=name, _original=original):
                 calls.append(_name)
-                return _original(self, x)
+                return _original(self, *args)
 
             monkeypatch.setattr(owner, name, counted)
+        nonlin = smooth_layer.nonlin
+        monkeypatch.setattr(
+            NeuralOperatorLayer, "nonlin",
+            property(lambda self: calls.append("nonlin") or nonlin), raising=False,
+        )
         c = ball_samples(frame.dim, 1.0, 8, seed=4)
         out = core.eval_array(c)
         assert calls == []
         assert out.shape == c.shape
+        # the probes are live
+        smooth_layer.in_op.as_matrix()
+        assert smooth_layer.nonlin is nonlin
+        assert calls == ["as_matrix", "nonlin"]
 
 
 class CountedMap:
@@ -416,7 +451,7 @@ def _newton_rows(f, ys, tol, max_iter, trace=None):
         for _ in range(max_iter):
             if rnorm <= tol:
                 break
-            step = np.linalg.solve(_fd_jacobian(f, x), res)
+            step = np.linalg.solve(central_differences(f, x, np.eye(x.size)), res)
             lam = 1.0
             while lam >= 1e-10:
                 cand = x - lam * step
@@ -1022,7 +1057,7 @@ class TestOnePass:
     def test_the_core_is_differentiated_once(self, monkeypatch):
         # the linear stage and the scaling path read one Df|₀; the
         # fixed-point inverter takes no Jacobian of its own
-        calls = count_calls(monkeypatch, "_fd_jacobian")
+        calls = count_calls(monkeypatch, "central_differences")
         result = decompose(mixing_bilipschitz_layer(16), 0.25, 1.0)
         assert result.diagnostics["inverter"] == "fixed_point"
         assert len(calls) == 1

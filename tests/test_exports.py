@@ -330,6 +330,21 @@ def test_no_record_has_an_as_dict():
     assert owners == []
 
 
+def test_only_layers_reads_a_middle_map():
+    """A layer's middle map is read where the layer folds it: no module but
+    ``opdisc.layers`` reads a ``.nonlin`` attribute, so every other caller
+    evaluates a layer, or its core map, through the folded stages."""
+    src = Path(opdisc.__file__).resolve().parent
+    sites = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(src.glob("*.py"))
+        if path.stem != "layers"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and node.attr == "nonlin"
+    ]
+    assert sites == []
+
+
 def test_invert_imports_nothing_from_monotone():
     """``opdisc.invert`` holds solvers only; sampled checks of what they
     return live with the criteria that make them."""
@@ -441,7 +456,7 @@ def _named(node: ast.AST) -> str | None:
 
 
 def test_every_map_evaluates_through_eval_array():
-    """Operators, heads, middle maps and layers share one method: no
+    """Operators, heads, layers and networks share one method: no
     ``apply_array`` is defined or read and no ``LinearExpr`` marker is
     named anywhere in the package, and ``eval_map`` dispatches on no type."""
     src = Path(opdisc.__file__).resolve().parent

@@ -254,8 +254,9 @@ class TestLayer:
     def test_matches_manual_composition(self, space16):
         layer = make_layer(space16, rank=5, lip_g=0.7, seed=2)
         x = ball_samples(16, 1.0, 1, seed=0)[0]
+        # the middle network spans all 16 coordinates, so G is the network
         manual = x + layer.out_op.eval_array(
-            layer.nonlin.eval_array(layer.in_op.eval_array(x))
+            layer.nonlin.net.eval_array(layer.in_op.eval_array(x))
         )
         assert np.array_equal(layer.eval_array(x), manual)
 
@@ -369,10 +370,10 @@ class TestJvp:
 
     def test_identity_and_linear(self, space16):
         x, v = ball_samples(16, 1.0, 2, seed=0)
-        got = central_differences(lambda z: z, x, v[None], h=1e-5)[0]
+        got = central_differences(lambda z: z, x, v[None], h=1e-5)[..., 0]
         assert np.allclose(got, v, atol=1e-12)
         t = FiniteRankOperator.seeded(16, 4, seed=2)
-        got = central_differences(t, x, v[None], h=1e-5)[0]
+        got = central_differences(t, x, v[None], h=1e-5)[..., 0]
         assert np.allclose(got, t.eval_array(v), atol=1e-10)
 
     def test_quadratic_map_hand_derivative(self, space16):
@@ -381,7 +382,7 @@ class TestJvp:
         def f(z):
             return z + 0.1 * ((z @ e1) ** 2)[..., None] * e1
 
-        got = central_differences(f, e1, e1[None], h=1e-4)[0]
+        got = central_differences(f, e1, e1[None], h=1e-4)[..., 0]
         want = e1 + 0.2 * e1
         assert np.abs(got - want).max() < 1e-6
 
@@ -394,7 +395,7 @@ class TestJvp:
         exact = v + 0.05 * 3.0 * x**2 * v
         errs = []
         for h in (1e-2, 5e-3, 2.5e-3):
-            got = central_differences(f, x, v[None], h=h)[0]
+            got = central_differences(f, x, v[None], h=h)[..., 0]
             errs.append(np.linalg.norm(got - exact))
         assert errs[0] / errs[1] == pytest.approx(4.0, rel=0.05)
         assert errs[1] / errs[2] == pytest.approx(4.0, rel=0.05)
@@ -403,8 +404,8 @@ class TestJvp:
         layer = make_layer(space16, rank=4, lip_g=0.6, seed=5)
         x, v = ball_samples(16, 1.0, 2, seed=6)
         for a in (0.5, 2.0, -3.0):
-            lhs = central_differences(layer, x, a * v[None], h=1e-5)[0]
-            rhs = a * central_differences(layer, x, v[None], h=1e-5)[0]
+            lhs = central_differences(layer, x, a * v[None], h=1e-5)[..., 0]
+            rhs = a * central_differences(layer, x, v[None], h=1e-5)[..., 0]
             assert np.linalg.norm(lhs - rhs) <= 1e-6 * abs(a) * np.linalg.norm(v)
 
     def test_h_validation(self, space16):
@@ -417,7 +418,7 @@ class TestCentralDifferences:
     def test_linear_map_gives_its_matrix(self):
         t = FiniteRankOperator.seeded(6, 3, seed=1)
         x = ball_samples(6, 1.0, 1, seed=2)[0]
-        jac = central_differences(t, x, np.eye(6)).T
+        jac = central_differences(t, x, np.eye(6))
         assert np.abs(jac - t.as_matrix()).max() < 1e-10
 
     def test_certified_layer_keeps_half(self, space16):
@@ -425,7 +426,7 @@ class TestCentralDifferences:
         # Jacobian stays at or above 1/2 and its determinant positive
         compressed = compress(make_layer(space16, lip_g=0.4, seed=13), 6)
         for c in ball_samples(6, 1.0, 8, seed=2):
-            jac = central_differences(compressed, c, np.eye(6)).T
+            jac = central_differences(compressed, c, np.eye(6))
             assert np.linalg.eigvalsh((jac + jac.T) / 2.0)[0] >= 0.5 - 1e-4
             assert np.linalg.det(jac) > 0.0
 
@@ -446,7 +447,7 @@ class TestCentralDifferences:
         dirs = np.eye(16)[:6]
         batch = central_differences(layer, xs, dirs)
         loop = np.stack([central_differences(layer, x, dirs) for x in xs])
-        assert batch.shape == (7, 6, 16)
+        assert batch.shape == (7, 16, 6)
         assert np.max(np.abs(batch - loop)) <= 1e-12 * np.max(np.abs(loop))
 
 
@@ -471,7 +472,7 @@ def test_a_non_finite_affine_bias_is_refused(bad):
 def test_zero_nonlinearity():
     z = affine_nonlinearity(np.zeros((4, 4)), np.zeros(4))
     assert z.lip == 0.0
-    assert np.array_equal(z.eval_array(np.ones(4)), np.zeros(4))
+    assert np.array_equal(z.net.eval_array(np.ones(4)), np.zeros(4))
 
 
 @pytest.mark.parametrize(
@@ -562,19 +563,17 @@ def test_every_middle_map_evaluates_through_its_folded_stages(kind, panels, lip,
 
 def test_a_middle_map_of_another_dimension_is_refused(space16):
     g = NemytskiiNonlinearity(space16, activation_from_name("identity"))
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        g.eval_array(np.zeros(3))
     op = FiniteRankOperator.seeded(8, 4, seed=1)
     with pytest.raises(ValueError, match="share the ambient dimension"):
         NeuralOperatorLayer(op, op, g)
 
 
 def test_the_layer_evaluation_calls_no_middle_map():
-    """NeuralOperatorLayer.eval_array runs the folded stages alone: it calls
-    no eval_array of its nonlinearity, and a Nemytskii map evaluates as the
-    network it is."""
+    """NeuralOperatorLayer.eval_array runs the folded stages alone: it reads
+    no nonlinearity, and no middle map has an evaluation of its own."""
     source = textwrap.dedent(inspect.getsource(NeuralOperatorLayer.eval_array))
     named = {node.attr for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Attribute)}
     assert "_folded" in named
     assert {"nonlin", "eval_array"} & named == set()
     assert "eval_array" not in vars(NemytskiiNonlinearity)
+    assert "eval_array" not in vars(CoordinateNetNonlinearity)

@@ -26,7 +26,7 @@ INVERT_MODULE = importlib.import_module("opdisc.invert")
 LAYERS = importlib.import_module("opdisc.layers")
 MONOTONE = importlib.import_module("opdisc.monotone")
 INVERT, TRANSPORT, PATH_BLOCKS = DECOMPOSE._invert, DECOMPOSE._transport, DECOMPOSE.path_blocks
-SPECTRAL_NORM = LAYERS.spectral_norm
+SPECTRAL_NORM, FOLD = LAYERS.spectral_norm, LAYERS.NeuralOperatorLayer.fold
 COMPOSITE = DECOMPOSE.DecompositionResult.eval_array
 SUP_QUOTIENT, SAMPLED_ALPHA, BALL_SAMPLES = (
     MONOTONE._sup_quotient, MONOTONE._sampled_alpha, MONOTONE.ball_samples
@@ -98,6 +98,15 @@ MUTANTS = {
         "eval_array",
         _nan_in_one_row,
         r"^\[verify\] composite reproduces the layer only to nan",
+    ),
+    # the core's fold without its leave end: criterion 4's frame is -I, so
+    # the core's residual comes out with its sign flipped
+    "core-fold-drops-leave": (
+        4,
+        LAYERS.NeuralOperatorLayer,
+        "fold",
+        lambda self, enter=None, leave=None: FOLD(self, enter),
+        r"^\[build_fw\] core deviation ",
     ),
     # every certified stage norm 10% low: the layer's contraction bound is
     # then optimistic, and a block inverter priced by it runs out of steps

@@ -368,19 +368,19 @@ def _nemytskii(space, name: str) -> NemytskiiNonlinearity:
 class TestNemytskii:
     def test_identity_exact(self, space16):
         u = ball_samples(16, 1.0, 3, seed=0)
-        assert np.array_equal(_nemytskii(space16, "identity").eval_array(u), u)
+        assert np.array_equal(_nemytskii(space16, "identity").net.eval_array(u), u)
         # an exact copy is 1-Lipschitz, however coarse the quadrature
         coarse = Space(BasisSpec("fourier", 16, quadrature_panels=2))
         g = _nemytskii(coarse, "identity")
-        assert np.array_equal(g.eval_array(u), u)
+        assert np.array_equal(g.net.eval_array(u), u)
         assert g.lip == 1.0 < 2.0 < coarse.quadrature_gram_max
 
     def test_unit_slope_leaky_relu_is_identity(self, space16):
         u = ball_samples(16, 1.0, 3, seed=1)
-        assert np.abs(_nemytskii(space16, "leaky_relu(1)").eval_array(u) - u).max() < 1e-12
+        assert np.abs(_nemytskii(space16, "leaky_relu(1)").net.eval_array(u) - u).max() < 1e-12
 
     def test_negative_constant_scales_by_slope(self, space16):
         u = -e(0, 16)  # the function identically -1
-        got = _nemytskii(space16, "leaky_relu").eval_array(u)
+        got = _nemytskii(space16, "leaky_relu").net.eval_array(u)
         assert np.abs(got - 0.2 * u).max() < 1e-8
 
