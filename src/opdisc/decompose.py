@@ -411,8 +411,9 @@ class ScalingPath:
         return np.linalg.solve(self.df0, rows.T).T.reshape(ys.shape)
 
     def invert_t_rows(self, t, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
-        """f_t⁻¹ at the rows ys, iterated from ``start``; t = 0 solves exactly.
-        A stack's t > 0 slices are one batch; Newton takes a scalar t only."""
+        """f_t⁻¹ at the rows ys; t = 0 solves exactly.  A scalar t is iterated
+        from ``start``; a stack's t > 0 slices are one batch, iterated cold.
+        Newton takes a scalar t only."""
         t = np.asarray(t, dtype=float)
         if t.ndim == 0:
             if t == 0.0:
@@ -421,10 +422,8 @@ class ScalingPath:
         lin = t == 0.0
         xs = np.empty(ys.shape)
         xs[lin] = self._solve_df0(ys[lin])
-        if not lin.all():
-            guess = None if start is None else start[~lin]
-            f = functools.partial(self.eval_t_rows, t[~lin])
-            xs[~lin] = _invert(f, ys[~lin], self.kappa, tol, start=guess)
+        f = functools.partial(self.eval_t_rows, t[~lin])
+        xs[~lin] = _invert(f, ys[~lin], self.kappa, tol)
         return xs
 
 
@@ -433,21 +432,20 @@ def _transport(path: ScalingPath, t_lo, t_hi, r2: float, tol: float, rows, start
     and the preimages p = f_{t_lo}⁻¹(x) they solve for.
 
     φ is the radial quintic cutoff of radius ``r2``: a row with φ = 0 is
-    not inverted and carries itself.  ``start`` is the inversion's first
-    iterate.  Scalar ``t_lo``, ``t_hi`` give one block, with (n, k)
-    results; (B,) arrays give B blocks at the same rows, inverted and
+    not inverted and carries itself.  Scalar ``t_lo``, ``t_hi`` give one
+    block, with (n, k) results, and ``start`` is its inversion's first
+    iterate; (B,) arrays give B blocks at the same rows, inverted cold and
     evaluated as one (B, n, k) stack.
     """
     phi = 1.0 - quintic_smoothstep((np.linalg.norm(rows, axis=1) - r2) / r2)
     act = phi > 0.0
     out = np.broadcast_to(rows, np.shape(t_lo) + rows.shape).copy()
     pre = out.copy()
-    if np.any(act):
-        moved = out[..., act, :]
-        guess = None if start is None else start[..., act, :]
-        pre[..., act, :] = path.invert_t_rows(t_lo, moved, tol, start=guess)
-        post = path.eval_t_rows(t_hi, pre[..., act, :])
-        out[..., act, :] = moved + phi[act, None] * (post - moved)
+    moved = out[..., act, :]
+    guess = None if start is None else start[..., act, :]
+    pre[..., act, :] = path.invert_t_rows(t_lo, moved, tol, start=guess)
+    post = path.eval_t_rows(t_hi, pre[..., act, :])
+    out[..., act, :] = moved + phi[act, None] * (post - moved)
     return out, pre
 
 
@@ -528,16 +526,21 @@ def path_blocks(
     r1: float,
     c0: float,
     c1: float,
+    kappa: float,
     tol: float = 1e-9,
     seed: int = 0,
 ) -> tuple[list, dict]:
     """Cutoff blocks along the scaling ``path`` from Df|₀ to f.
 
-    The first grid point respects t₁ < 2c₀ε/(c₁ + ‖f‖_C²·R₁); the grid is
-    then refined, up to MAX_BLOCKS blocks, until every block's Lip(block −
-    Id) sampled at 40 points is below epsilon.  Blocks indistinguishable
-    from the identity are dropped.  The path's ``kappa`` bounds Lip(f − Id)
-    and selects the Banach inverter; None selects Newton.  Each refinement
+    The first grid point respects t₁ < 2c₀ε/(c₁ + ‖f‖_C²·R₁), with R₁ =
+    c₁·r₁ + ‖f(0)‖ from the sampled upper constant c₁; the grid is then
+    refined, up to MAX_BLOCKS blocks, until every block's Lip(block − Id)
+    sampled at 40 points is below epsilon.  Blocks indistinguishable from
+    the identity are dropped.  ``kappa`` is the layer's bound on Lip(f −
+    Id), so every f_t maps the ball of radius r1 into the ball of radius
+    R₂ = (1 + κ)·r1 + ‖f(0)‖, on which the cutoff is 1: each block then
+    moves the input it gets in the composite.  The path's own ``kappa``
+    selects the Banach inverter; None selects Newton.  Each refinement
     round measures the blocks it has not measured yet in one
     ``_measure_round``.
     """
@@ -547,9 +550,11 @@ def path_blocks(
         raise ValueError(f"r1 must be positive and finite, got {r1}")
     if not 0.0 < c0 <= c1 < math.inf:
         raise ValueError(f"need 0 < c0 <= c1 < inf, got c0={c0}, c1={c1}")
+    if not 0.0 <= kappa < math.inf:
+        raise ValueError(f"kappa must be nonnegative and finite, got {kappa}")
     r0 = float(np.linalg.norm(path.f0_val))
     r1_img = c1 * r1 + r0
-    r2 = r1_img
+    r2 = (1.0 + kappa) * r1 + r0
     c2 = _c2_estimate(path.f, path.k, 1.1 * r1_img, seed=seed + 1)
     t1_bound = 2.0 * c0 * epsilon / (c1 + c2 * r1_img)
     t1 = min(0.9 * t1_bound, 0.5)
@@ -912,6 +917,7 @@ def decompose(
                 r1,
                 est_w.c_lower,
                 est_w.c_upper,
+                kappa,
                 tol=block_tol,
                 seed=seed + 6,
             )

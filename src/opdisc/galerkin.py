@@ -420,10 +420,7 @@ def fem_convergence(
         mesh = FemMesh(m)
         w, trace = solve_semilinear_trace(x_source, mesh, g, tol)
         errors.append(h1_seminorm_difference(mesh, w, oracle_mesh, w_oracle))
-    ratios = tuple(
-        errors[i] / errors[i + 1] if errors[i + 1] > 0.0 else math.inf
-        for i in range(len(errors) - 1)
-    )
+    ratios = tuple(errors[i] / errors[i + 1] for i in range(len(errors) - 1))
     return FemConvergence(
         mesh_sizes=tuple(sizes),
         errors=tuple(errors),
@@ -469,9 +466,8 @@ def galerkin_path_matrix(kind: str, s, n: int) -> np.ndarray:
     only, so the last hat is a half hat (a weighted, indefinite
     stiffness).  All entries are exact, split at t = s, so the endpoint
     matrices are the (possibly weighted) Gram matrices with exact signs.
-    A scalar ``s`` gives one (n, n) matrix, an array of k parameters the
-    (k, n, n) stack; each matrix of a stack is bit for bit the one its
-    parameter gets alone.
+    The k parameters ``s`` give the (k, n, n) stack; each matrix of a stack
+    is bit for bit the one its parameter gets alone.
     """
     kind = str(kind).lower()
     ss = _unit_parameters(s)
@@ -524,7 +520,7 @@ def galerkin_path_matrix(kind: str, s, n: int) -> np.ndarray:
         mats[:, j[1:], j[:-1]] = 0.0 + weight[:, 1:] * rise * fall
     else:
         raise ValueError(f"unknown path kind {kind!r}; expected 'a' or 'b'")
-    return mats if np.ndim(s) else mats[0]
+    return mats
 
 
 def singularity_scan(

@@ -102,9 +102,7 @@ class InversionTrace:
         for b, hist in enumerate(hists):
             if len(hist) != counts[b]:
                 raise ValueError(f"block {b}: history length disagrees with its count")
-            block_ratios = tuple(
-                hist[k] / hist[k - 1] for k in range(1, len(hist)) if hist[k - 1] > 0.0
-            )
+            block_ratios = tuple(hist[k] / hist[k - 1] for k in range(1, len(hist)))
             ratios.append(block_ratios)
             if block_ratios and statistics.median(block_ratios) > deltas[b] + 0.05:
                 raise ValueError(
@@ -244,18 +242,16 @@ def banach_solve(
             )
         if k == 1:
             budgets = _apriori_iterations(rnorm, q, tol)
-            first_deadline = budgets.min(initial=1)
         if worst <= tol:
             break
-        if k >= first_deadline:
-            spent = (rnorm > tol) & (budgets <= k)
-            if spent.any():
-                i = spent.argmax()
-                raise InversionError(
-                    "invert", f"fixed-point iteration did not reach tol={tol:g} within "
-                    f"its derived budget of {budgets[i]} evaluations at rate q={q:g} "
-                    f"(row {i}, last residual {rnorm[i]:g})"
-                )
+        spent = (rnorm > tol) & (budgets <= k)
+        if spent.any():
+            i = spent.argmax()
+            raise InversionError(
+                "invert", f"fixed-point iteration did not reach tol={tol:g} within "
+                f"its derived budget of {budgets[i]} evaluations at rate q={q:g} "
+                f"(row {i}, last residual {rnorm[i]:g})"
+            )
         # a single row below tol has ended the loop, so only a batch holds
         if rnorm.size > 1 and rnorm.min() <= tol:
             x = np.where((rnorm <= tol).reshape(x.shape[:-1] + (1,)), x, x - res)

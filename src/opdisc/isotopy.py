@@ -58,7 +58,7 @@ def rotation_cascade(t, m: int) -> np.ndarray:
     block and the matrix is exactly -I.  Orthogonal for every ``t``, and its
     determinant is +1 throughout: rotations cannot change orientation.  A
     scalar ``t`` gives one matrix, an array of k parameters the (k, m, m)
-    stack; so do the other path builders of this module.
+    stack; so do the reflected cascade and the aligned truncation.
     """
     ts = _unit_parameters(t)
     if m < 2 or m % 2 != 0:
@@ -104,26 +104,25 @@ def reflected_rotation_cascade(t, m: int) -> np.ndarray:
 
 
 def glued_truncation_matrix(t, m: int) -> np.ndarray:
-    """Leading m-by-m corner of the glued path at parameter ``t``.
+    """Leading m-by-m corners of the glued path at the parameters ``t``, as
+    a (k, m, m) stack, for an odd ``m`` of at least 3.
 
     The glued path runs the rotation cascade forward on ``t <= 1/2`` (at
     doubled speed) and the reflected cascade backward on ``t > 1/2``; both
-    halves equal -I at the seam.  The corner is extracted from an ambient
-    matrix large enough to hold every whole block, so a prefix that ends
-    mid-block keeps only the ``cos`` entry of the block it cuts.
+    halves equal -I at the seam.  On the first half the corner is cut from
+    the (m + 1)-dimensional cascade, so it keeps only the ``cos`` entry of
+    the block that dimension m cuts; on the second half the reflected
+    cascade of dimension m holds whole blocks.
     """
     ts = _unit_parameters(t)
-    if m < 1:
-        raise ValueError("need at least one coordinate")
+    if m < 3 or m % 2 != 1:
+        raise ValueError(f"need an odd truncation of at least 3, got m={m}")
     first = ts <= 0.5
     mats = np.empty((ts.size, m, m))
-    if first.any():
-        ambient = m if m % 2 == 0 else m + 1
-        mats[first] = rotation_cascade(2.0 * ts[first], ambient)[:, :m, :m]
+    mats[first] = rotation_cascade(2.0 * ts[first], m + 1)[:, :m, :m]
     if not first.all():
-        ambient = m if m % 2 == 1 else m + 1
-        mats[~first] = reflected_rotation_cascade(2.0 - 2.0 * ts[~first], ambient)[:, :m, :m]
-    return mats if np.ndim(t) else mats[0]
+        mats[~first] = reflected_rotation_cascade(2.0 - 2.0 * ts[~first], m)
+    return mats
 
 
 def aligned_truncation_matrix(t, m: int) -> np.ndarray:

@@ -64,17 +64,16 @@ class BilipschitzEstimate:
             )
 
 
-def map_dim(f) -> int | None:
-    """Ambient dimension of a map, when it carries one."""
+def map_dim(f) -> int:
+    """Ambient dimension of a map; a map that carries none is refused."""
     d = getattr(f, "dim", None)
-    return int(d) if isinstance(d, (int, np.integer)) else None
+    if not isinstance(d, (int, np.integer)):
+        raise ValueError("map has no intrinsic dimension; pass dim=")
+    return int(d)
 
 
 def _resolve_dim(f, dim: int | None) -> int:
-    m = dim if dim is not None else map_dim(f)
-    if m is None:
-        raise ValueError("map has no intrinsic dimension; pass dim=")
-    return m
+    return dim if dim is not None else map_dim(f)
 
 
 def ball_samples(dim: int, r: float, n: int, seed: int = 0) -> np.ndarray:
@@ -158,15 +157,10 @@ def pairwise_alpha(
     chunk whatever n is.  A non-finite alpha (NaN once |Δx|² overflows) is
     refused with a StageError.
     """
-    xs = ball_samples(_resolve_dim(f, dim), r, n, seed=seed)
-    return _sampled_alpha(xs, eval_map(f, xs), r, seed)
-
-
-def _sampled_alpha(xs: np.ndarray, ys: np.ndarray, r: float, seed: int) -> ModulusEstimate:
-    """:func:`pairwise_alpha` on samples it drew and their images."""
-    if len(xs) < 2:
+    if n < 2:
         raise ValueError("need at least two samples")
-    i, j, quo = _pair_quotients(xs, ys, inner=True)
+    xs = ball_samples(_resolve_dim(f, dim), r, n, seed=seed)
+    i, j, quo = _pair_quotients(xs, eval_map(f, xs), inner=True)
     if quo.size == 0:
         raise StageError("pairwise_alpha", "all sampled pairs were degenerate")
     k = int(np.argmin(quo))  # the first NaN, if any

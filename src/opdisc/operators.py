@@ -194,7 +194,7 @@ def spectral_norm(w) -> float:
     if v is w:
         gram *= math.ldexp(1.0, -2 * exp)
     top = float(np.linalg.eigvalsh(gram)[-1])
-    return math.ldexp(math.sqrt(top), exp) if top > 0.0 else 0.0
+    return math.ldexp(math.sqrt(top), exp)
 
 
 # ---------------------------------------------------------------------------

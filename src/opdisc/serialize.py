@@ -252,16 +252,15 @@ def _numbers_fault(value, got):
 
 def _unit_vector(e, got) -> Reflection:
     """The reflection through a unit vector ``e``, with one entry per
-    coordinate of the chain it heads when that dimension is known."""
-    want = "" if got.dim is None else f"{got.dim} "
+    coordinate of the chain it heads."""
     try:
         e = _number_array(e)
-        if got.dim is not None and e.shape != (got.dim,):
+        if e.shape != (got.dim,):
             raise ValueError(f"got shape {e.shape}")
         return Reflection(e)
     except (TypeError, ValueError) as err:
         raise ValueError(
-            f"'e' must be a flat list of {want}finite numbers of unit length ({err})"
+            f"'e' must be a flat list of {got.dim} finite numbers of unit length ({err})"
         ) from err
 
 
@@ -273,8 +272,7 @@ _WIDTHS = _Type("int list", "a list of integers", _ints)
 _LIST = _Type("list", "a list", _list)
 _ACTIVATION = _Type("activation", None, lambda name, got: activation_from_name(name))
 _UNIT = _Type("unit vector", None, _unit_vector)
-_OPERATOR = _Type("operator spec", None, lambda d, got: operator_from_spec(
-    d, None if got.space is None else got.space.dim))
+_OPERATOR = _Type("operator spec", None, lambda d, got: operator_from_spec(d, got.space.dim))
 _NONLIN = _Type("nonlinearity spec", None, lambda d, got: nonlinearity_from_spec(d, got.space))
 _NETWORK = _Type("network spec", None, lambda d, got: network_from_spec(d))
 _NETWORKS = _Type("network specs", "a list of network specs", lambda value, got: tuple(
@@ -412,15 +410,8 @@ def network_from_spec(d: dict) -> CoordinateNetwork:
 # nonlinearities and layers
 
 
-def _the_space(got: _Values, what: str) -> Space:
-    """The space the reader was given, which ``what`` needs."""
-    if got.space is None:
-        raise ValueError(f"{what} needs the space")
-    return got.space
-
-
 def _zero(got: _Values) -> CoordinateNetNonlinearity:
-    m = _the_space(got, "a zero map").dim
+    m = got.space.dim
     return affine_nonlinearity(np.zeros((m, m)), np.zeros(m))
 
 
@@ -435,11 +426,12 @@ NONLINEARITIES = {
         "ambient_dim": _Key(_INT, _REQUIRED),
     }, lambda got: CoordinateNetNonlinearity(**got)),
     "nemytskii": ({"activation": _Key(_ACTIVATION, _REQUIRED)}, lambda got: (
-        NemytskiiNonlinearity(_the_space(got, "a Nemytskii map"), got["activation"]))),
+        NemytskiiNonlinearity(got.space, got["activation"]))),
 }
 
 
-def nonlinearity_from_spec(d: dict, space: Space | None = None):
+def nonlinearity_from_spec(d: dict, space: Space):
+    """The middle map a spec describes, in ``space``."""
     return _build_kind(NONLINEARITIES, d, "nonlinearity", space=space)
 
 
@@ -461,11 +453,12 @@ LAYERS = {
         "bias_scale": _Key(_FLOAT, 0.0, _FINITE),
         "hidden": _Key(_WIDTHS, None, _EACH_ONE_OR_MORE),
         "activation": _Key(_ACTIVATION, "leaky_relu"),
-    }, lambda got: make_layer(_the_space(got, "a seeded layer"), **got)),
+    }, lambda got: make_layer(got.space, **got)),
 }
 
 
-def layer_from_spec(d: dict, space: Space | None = None) -> NeuralOperatorLayer:
+def layer_from_spec(d: dict, space: Space) -> NeuralOperatorLayer:
+    """The layer a spec describes, in ``space``."""
     return _build_kind(LAYERS, d, "layer", space=space)
 
 
@@ -516,12 +509,9 @@ def _reflection(got: _Values) -> Reflection:
     ``axis_dim`` (default: the chain's dimension)."""
     if got["e"] is not None:
         return got["e"]
-    n = got.dim if got["axis_dim"] is None else got["axis_dim"]
-    if n is None:
-        raise ValueError("a reflection needs 'e' or 'axis_dim'")
-    if got.dim is not None and n != got.dim:
-        raise ValueError(f"axis_dim {n} does not match the dimension {got.dim}")
-    return Reflection.first_axis(n)
+    if got["axis_dim"] not in (None, got.dim):
+        raise ValueError(f"axis_dim {got['axis_dim']} does not match the dimension {got.dim}")
+    return Reflection.first_axis(got.dim)
 
 
 HEADS = {
@@ -530,7 +520,8 @@ HEADS = {
 }
 
 
-def head_from_spec(d: dict, dim: int | None = None):
+def head_from_spec(d: dict, dim: int):
+    """The linear head a spec describes, for a chain of dimension ``dim``."""
     return _build_kind(HEADS, d, "head", dim=dim)
 
 

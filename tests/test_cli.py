@@ -768,6 +768,19 @@ GROUP_CHAINS = {
 ISOTOPY = {"name": "iso", "kind": "nogo-isotopy", "seed": 0, "m": 3, "grid": 5}
 
 
+def test_a_batch_runs_here_without_fork_or_an_affinity_mask(tmp_path, monkeypatch):
+    # run_config's platform arms: no os.fork (Windows), no
+    # os.sched_getaffinity (macOS) and a CPU count the system cannot tell
+    monkeypatch.delattr(os, "fork", raising=False)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    outcomes = _run_batch([ISOTOPY, *INVERT_BATCH], tmp_path / "here", 2)
+    assert [o["status"] for o in outcomes] == ["ok"] * 7
+    monkeypatch.undo()
+    _run_batch([ISOTOPY, *INVERT_BATCH], tmp_path / "alone", 1)
+    assert _artifacts(tmp_path / "here") == _artifacts(tmp_path / "alone")
+
+
 def _group(chain: str, norms, tol=None, seed=0) -> list[dict]:
     spec, head = GROUP_CHAINS[chain]
     dim = spec["ambient_dim"]
@@ -875,7 +888,7 @@ FAILURE_TABLE = {
         "2.04217e-16, 2.06879e-16"),
     "decompose-composite_tol-1e-300": (
         {**_FAIL_DECOMPOSE, "composite_tol": 1e-300}, "path_blocks", "StageError",
-        "[path_blocks] [invert] Newton line search stagnated at residual 5.55112e-17"),
+        "[path_blocks] [invert] Newton line search stagnated at residual 2.23773e-16"),
     "invert-tol-1e-300": (
         {"kind": "invert", "seed": 0, "chain": _FAIL_CHAIN, "y": [0.1, 0.2, 0, 0], "tol": 1e-300},
         "invert", "InversionError",

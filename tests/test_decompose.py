@@ -604,14 +604,14 @@ class TestPathBlocks:
         a = np.diag([1.3, 0.8])
         f = lambda c: c @ a.T
         path = ScalingPath(f, 2, None)
-        blocks, diag = path_blocks(path, epsilon=0.25, r1=1.0, c0=0.8, c1=1.3)
+        blocks, diag = path_blocks(path, epsilon=0.25, r1=1.0, c0=0.8, c1=1.3, kappa=0.3)
         assert blocks == []
         assert diag["linear_shortcut"]
 
     def test_transport_reaches_the_map(self):
         f = tanh_contraction(3, seed=21)
         blocks, diag = path_blocks(
-            ScalingPath(f, 3, 0.3), epsilon=0.25, r1=1.0, c0=0.7, c1=1.3, seed=1
+            ScalingPath(f, 3, 0.3), epsilon=0.25, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, seed=1
         )
         assert len(blocks) >= 1
         assert not diag["linear_shortcut"]
@@ -629,7 +629,7 @@ class TestPathBlocks:
         f = tanh_contraction(3, seed=22, bias=0.2)
         eps = 0.25
         blocks, _ = path_blocks(
-            ScalingPath(f, 3, 0.35), epsilon=eps, r1=1.0, c0=0.7, c1=1.4, seed=3
+            ScalingPath(f, 3, 0.35), epsilon=eps, r1=1.0, c0=0.7, c1=1.4, kappa=0.35, seed=3
         )
         assert blocks
         for b in blocks:
@@ -640,8 +640,8 @@ class TestPathBlocks:
     def test_finer_epsilon_needs_more_blocks(self):
         f = tanh_contraction(3, seed=23)
         path = ScalingPath(f, 3, 0.3)
-        coarse, _ = path_blocks(path, epsilon=0.4, r1=1.0, c0=0.7, c1=1.3, seed=5)
-        fine, _ = path_blocks(path, epsilon=0.1, r1=1.0, c0=0.7, c1=1.3, seed=5)
+        coarse, _ = path_blocks(path, epsilon=0.4, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, seed=5)
+        fine, _ = path_blocks(path, epsilon=0.1, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, seed=5)
         assert len(fine) >= len(coarse)
 
     def test_a_stack_takes_one_t_per_slice(self):
@@ -665,9 +665,9 @@ class TestPathBlocks:
     def test_validation(self):
         path = ScalingPath(lambda c: c, 2, None)
         with pytest.raises(ValueError, match="epsilon"):
-            path_blocks(path, epsilon=0.0, r1=1.0, c0=0.5, c1=1.5)
+            path_blocks(path, epsilon=0.0, r1=1.0, c0=0.5, c1=1.5, kappa=0.0)
         with pytest.raises(ValueError, match="c0"):
-            path_blocks(path, epsilon=0.2, r1=1.0, c0=1.5, c1=0.5)
+            path_blocks(path, epsilon=0.2, r1=1.0, c0=1.5, c1=0.5, kappa=0.0)
 
 
 class TestMeasureRound:
@@ -877,6 +877,16 @@ class TestLinearPathBlocks:
 
 
 class TestDecompose:
+    @pytest.mark.parametrize("gain,r1", [(40.0, 1.0), (0.4, 30.0), (0.4, 100.0)])
+    def test_the_cutoff_covers_every_block_input(self, gain, r1):
+        # a block's input f_t(p), |p| <= r1, reaches (1 + κ)·r1 + |f(0)|; on
+        # these saturating layers (κ = 0.25) the sampled upper constant is
+        # below 1 + κ, so a cutoff radius taken from it leaves outer inputs
+        # unmoved and the composite misses the layer
+        result = decompose(mixing_bilipschitz_layer(16, gain=gain), 0.25, r1)
+        assert result.diagnostics["path"]["r2"] >= 1.25 * r1
+        assert result.diagnostics["composite_error"] <= 1e-10
+
     def test_identity_layer_decomposes_to_nothing(self, space16):
         layer = make_layer(space16, lip_g=0.0, seed=1)
         result = decompose(layer, epsilon=0.25, r1=1.0)
@@ -1178,7 +1188,8 @@ class TestWarmComposite:
         peel_tail(layer, core, 0.25, kappa=kappa, seed=4)
         assert starts and all(s is None for s in starts)
         starts.clear()
-        blocks, _ = path_blocks(ScalingPath(core, frame.dim, kappa), 0.25, 1.0, 0.7, 1.3, seed=6)
+        blocks, _ = path_blocks(ScalingPath(core, frame.dim, kappa), 0.25, 1.0, 0.7, 1.3, kappa,
+                                seed=6)
         assert blocks
         assert starts and all(s is None for s in starts)
 
@@ -1187,7 +1198,7 @@ class TestInverterChoice:
     """Banach or Newton, whichever costs fewer core-map evaluations per row."""
 
     @pytest.mark.parametrize(
-        "kappa, seed, blocks", [(0.7, 3, 8), (0.7, 11, 9), (0.95, 3, 22)]
+        "kappa, seed, blocks", [(0.7, 3, 8), (0.7, 11, 9), (0.95, 3, 23)]
     )
     def test_mixing_layers(self, kappa, seed, blocks):
         result = decompose(mixing_bilipschitz_layer(16, kappa=kappa, seed=seed), 0.4, 1.0)

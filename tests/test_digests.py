@@ -14,7 +14,9 @@ each moved file in CHANGES.md::
 
     PYTHONPATH=src python tests/test_digests.py --write
 
-Run without ``--write``, the script prints the digests it measures.
+Run without ``--write``, the script prints the digests it measures, BLAS
+pinned as the test and ``--write`` pin it; ``--here`` measures in the calling
+interpreter as it is.
 """
 
 import contextlib
@@ -85,7 +87,7 @@ def measure_pinned() -> dict:
     src = str(Path(opdisc.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, __file__], env={**os.environ, **PINNED, "PYTHONPATH": path},
+        [sys.executable, __file__, "--here"], env={**os.environ, **PINNED, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr
@@ -121,5 +123,7 @@ def test_the_artifacts_match_the_ledger():
 if __name__ == "__main__":
     if sys.argv[1:] == ["--write"]:
         LEDGER.write_text(json.dumps(measure_pinned(), indent=2, sort_keys=True) + "\n")
-    else:
+    elif sys.argv[1:] == ["--here"]:
         print(json.dumps(measure(), sort_keys=True))
+    else:
+        print(json.dumps(measure_pinned(), sort_keys=True))

@@ -221,11 +221,13 @@ GUARDS = {
     "choose_w": ("h", lambda v: choose_w(make_layer(Space(BasisSpec(ambient_dim=8))), v), -1.0),
     "linear_path_blocks": ("epsilon", lambda v: linear_path_blocks(np.diag([2.0, 3.0]), v), 2.0),
     "path_blocks-epsilon": (
-        "epsilon", lambda v: path_blocks(None, epsilon=v, r1=1.0, c0=0.5, c1=1.5), 2.0),
+        "epsilon", lambda v: path_blocks(None, epsilon=v, r1=1.0, c0=0.5, c1=1.5, kappa=0.5), 2.0),
     "path_blocks-r1": (
-        "r1", lambda v: path_blocks(None, epsilon=0.2, r1=v, c0=0.5, c1=1.5), 0.0),
+        "r1", lambda v: path_blocks(None, epsilon=0.2, r1=v, c0=0.5, c1=1.5, kappa=0.5), 0.0),
     "path_blocks-c1": (
-        "c1", lambda v: path_blocks(None, epsilon=0.2, r1=1.0, c0=0.5, c1=v), 0.4),
+        "c1", lambda v: path_blocks(None, epsilon=0.2, r1=1.0, c0=0.5, c1=v, kappa=0.5), 0.4),
+    "path_blocks-kappa": (
+        "kappa", lambda v: path_blocks(None, epsilon=0.2, r1=1.0, c0=0.5, c1=1.5, kappa=v), -1.0),
     "network-target_bound": (
         "target_bound", lambda v: CoordinateNetwork.seeded(3, 3, target_bound=v), -1.0),
     "sign_crossings": (

@@ -440,10 +440,11 @@ class TestGalerkinPathMatrix:
     @pytest.mark.parametrize("kind", ["a", "b"])
     @pytest.mark.parametrize("n", [1, 5, 8, 21])
     def test_a_stack_equals_its_scalar_calls(self, kind, n):
+        # each parameter alone, as a one-element stack
         stack = galerkin_path_matrix(kind, STACKED_S, n)
         assert stack.shape == (STACKED_S.size, n, n)
         for s, mat in zip(STACKED_S, stack):
-            assert _same_bits(mat, galerkin_path_matrix(kind, float(s), n)), s
+            assert _same_bits(mat, galerkin_path_matrix(kind, np.array([s]), n)[0]), s
 
     @pytest.mark.parametrize("n", [1, 2, 5, 8, 21])
     def test_weighted_section_matches_the_cell_by_cell_oracle(self, n):
@@ -456,25 +457,25 @@ class TestGalerkinPathMatrix:
             galerkin_path_matrix("b", np.array([0.0, -0.5, 0.5]), 3)
 
     def test_single_constant_mode_closed_form(self):
-        for s in (0.0, 0.2, 0.5, 0.77, 1.0):
-            mat = galerkin_path_matrix("a", s, 1)
-            assert mat.shape == (1, 1)
-            assert mat[0, 0] == pytest.approx(1.0 - 2.0 * s, abs=1e-14)
+        ss = np.array([0.0, 0.2, 0.5, 0.77, 1.0])
+        mats = galerkin_path_matrix("a", ss, 1)
+        assert mats.shape == (5, 1, 1)
+        np.testing.assert_allclose(mats[:, 0, 0], 1.0 - 2.0 * ss, rtol=0, atol=1e-14)
 
     def test_endpoints_are_exact_signed_identities(self):
         n = 5
-        assert np.array_equal(galerkin_path_matrix("a", 0.0, n), np.eye(n))
-        assert np.array_equal(galerkin_path_matrix("a", 1.0, n), -np.eye(n))
+        start, end = galerkin_path_matrix("a", np.array([0.0, 1.0]), n)
+        assert np.array_equal(start, np.eye(n))
+        assert np.array_equal(end, -np.eye(n))
 
     def test_weighted_path_single_mode_closed_form(self):
         # half-hat slope 1 on one cell: entry = integral (1+t) sign(t-s)
-        for s in (0.0, 0.3, 0.9, 1.0):
-            mat = galerkin_path_matrix("b", s, 1)
-            assert mat[0, 0] == pytest.approx(1.5 - 2.0 * s - s * s, abs=1e-14)
+        ss = np.array([0.0, 0.3, 0.9, 1.0])
+        entries = galerkin_path_matrix("b", ss, 1)[:, 0, 0]
+        np.testing.assert_allclose(entries, 1.5 - 2.0 * ss - ss * ss, rtol=0, atol=1e-14)
 
     def test_weighted_endpoints_are_signed_stiffness(self):
-        mat0 = galerkin_path_matrix("b", 0.0, 7)
-        mat1 = galerkin_path_matrix("b", 1.0, 7)
+        mat0, mat1 = galerkin_path_matrix("b", np.array([0.0, 1.0]), 7)
         np.linalg.cholesky(mat0)
         np.testing.assert_allclose(mat1, -mat0, rtol=0, atol=1e-15)
 
@@ -482,9 +483,9 @@ class TestGalerkinPathMatrix:
     def test_symmetry_and_continuity(self, kind, n):
         scale = 8.0 * n if kind == "a" else 16.0 * n * n
         for s in (0.1, 0.5, 0.93):
-            mat = galerkin_path_matrix(kind, s, n)
+            mat, moved = galerkin_path_matrix(kind, np.array([s, s + 1e-4]), n)
             assert np.max(np.abs(mat - mat.T)) <= 1e-12
-            step = galerkin_path_matrix(kind, s + 1e-4, n) - mat
+            step = moved - mat
             assert np.linalg.norm(step, 2) <= scale * 1e-4
 
     def test_validation(self):
@@ -498,7 +499,7 @@ class TestGalerkinPathMatrix:
     @pytest.mark.parametrize("n", [1, 3, 5, 11, 21])
     def test_trig_section_matches_the_scalar_product_to_sum_oracle(self, n):
         for s in [*unit_grid(101), 0.123456789, 1.0]:
-            mat = galerkin_path_matrix("a", float(s), n)
+            mat = galerkin_path_matrix("a", np.array([s]), n)[0]
             want = _trig_section_oracle(float(s), n)
             assert np.array_equal(mat, want), s
             assert np.array_equal(np.signbit(mat), np.signbit(want)), s
@@ -506,7 +507,7 @@ class TestGalerkinPathMatrix:
     @settings(max_examples=30, deadline=None)
     @given(s=st.floats(min_value=0.0, max_value=1.0))
     def test_symmetric_with_real_spectrum_everywhere(self, s):
-        mat = galerkin_path_matrix("a", s, 3)
+        mat = galerkin_path_matrix("a", np.array([s]), 3)[0]
         assert np.max(np.abs(mat - mat.T)) <= 1e-12
         assert np.all(np.isfinite(np.linalg.eigvalsh(mat)))
 

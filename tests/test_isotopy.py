@@ -53,13 +53,14 @@ class TestStackedParameters:
     @pytest.mark.parametrize(
         "builder,m",
         [(rotation_cascade, 8), (reflected_rotation_cascade, 7),
-         (glued_truncation_matrix, 7), (glued_truncation_matrix, 8)],
+         (glued_truncation_matrix, 7)],
     )
     def test_a_stack_equals_its_scalar_calls(self, builder, m):
+        # each parameter alone, as a one-element stack
         stack = builder(STACKED_T, m)
         assert stack.shape == (STACKED_T.size, m, m)
         for t, mat in zip(STACKED_T, stack):
-            assert _same_bits(mat, builder(float(t), m)), t
+            assert _same_bits(mat, builder(np.array([t]), m)[0]), t
 
     @pytest.mark.parametrize("m", [2, 8, 32])
     def test_the_cascade_matches_the_scalar_block_oracle(self, m):
@@ -173,25 +174,27 @@ class TestIsotopyMap:
 
     def test_path_endpoints_and_seam(self):
         v = np.arange(1.0, 8.0)
-        assert np.array_equal(v @ glued_truncation_matrix(0.0, 7).T, v)
-        assert np.array_equal(v @ glued_truncation_matrix(0.5, 7).T, -v)
+        start, seam, end = glued_truncation_matrix(np.array([0.0, 0.5, 1.0]), 7)
+        assert np.array_equal(v @ start.T, v)
+        assert np.array_equal(v @ seam.T, -v)
         flipped = np.concatenate([[-1.0], v[1:]])
-        assert np.array_equal(v @ glued_truncation_matrix(1.0, 7).T, flipped)
+        assert np.array_equal(v @ end.T, flipped)
 
     def test_low_modes_finish_early(self):
         # a vector living in the first block stops moving once the sweep passes it
-        v = np.array([0.7, -0.2] + [0.0] * 14)
-        for t in (0.25, 0.3, 0.4, 0.5):
-            assert np.array_equal(v @ glued_truncation_matrix(t, 16).T, -v)
+        v = np.array([0.7, -0.2] + [0.0] * 13)
+        for mat in glued_truncation_matrix(np.array([0.25, 0.3, 0.4, 0.5]), 15):
+            assert np.array_equal(v @ mat.T, -v)
 
     def test_tail_estimate_at_dyadic_steps(self):
         # between t_k = (1 - 2^-k)/2 and t_{k+1} only blocks past 2^k move,
         # so the step is bounded by twice the coordinate tail from there on
-        v = 2.0 ** -np.arange(1, 17)
+        v = 2.0 ** -np.arange(1, 16)
         for k in (1, 2, 3):
             t0 = 0.5 * (1.0 - 2.0**-k)
             t1 = 0.5 * (1.0 - 2.0 ** -(k + 1))
-            moved = glued_truncation_matrix(t1, 16) - glued_truncation_matrix(t0, 16)
+            before, after = glued_truncation_matrix(np.array([t0, t1]), 15)
+            moved = after - before
             step = np.linalg.norm(v @ moved.T)
             k_star = int(1.0 / (1.0 - 2.0 * t0))
             tail = 2.0 * np.sqrt(np.sum(v[2 * k_star - 2 :] ** 2))
@@ -270,6 +273,6 @@ class TestTruncatedDetScan:
     @settings(max_examples=40, deadline=None)
     @given(t=st.floats(min_value=0.0, max_value=1.0))
     def test_truncation_never_expands(self, t):
-        mat = glued_truncation_matrix(t, 7)
+        mat = glued_truncation_matrix(np.array([t]), 7)[0]
         svs = np.linalg.svd(mat, compute_uv=False)
         assert svs[0] <= 1.0 + 1e-12

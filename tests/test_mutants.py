@@ -28,8 +28,8 @@ MONOTONE = importlib.import_module("opdisc.monotone")
 INVERT, TRANSPORT, PATH_BLOCKS = DECOMPOSE._invert, DECOMPOSE._transport, DECOMPOSE.path_blocks
 SPECTRAL_NORM, FOLD = LAYERS.spectral_norm, LAYERS.NeuralOperatorLayer.fold
 COMPOSITE = DECOMPOSE.DecompositionResult.eval_array
-SUP_QUOTIENT, SAMPLED_ALPHA, BALL_SAMPLES = (
-    MONOTONE._sup_quotient, MONOTONE._sampled_alpha, MONOTONE.ball_samples
+SUP_QUOTIENT, PAIRWISE_ALPHA, BALL_SAMPLES = (
+    MONOTONE._sup_quotient, MONOTONE.pairwise_alpha, MONOTONE.ball_samples
 )
 APRIORI = INVERT_MODULE._apriori_iterations
 CRITERION = {num: criterion for num, _, criterion in CRITERIA}
@@ -47,8 +47,8 @@ def _nan_in_one_row(self, x):
     return y
 
 
-def _alpha_plus_0_2(*args):
-    estimate = SAMPLED_ALPHA(*args)
+def _alpha_plus_0_2(*args, **kwargs):
+    estimate = PAIRWISE_ALPHA(*args, **kwargs)
     return dataclasses.replace(estimate, alpha=estimate.alpha + 0.2)
 
 
@@ -168,8 +168,8 @@ SURVIVORS = {
         "two-sided to 1e-12",
     ),
     "sampled-alpha+0.2": (
-        (MONOTONE, DISCRETIZE),
-        "_sampled_alpha",
+        (DISCRETIZE, ACCEPTANCE),
+        "pairwise_alpha",
         _alpha_plus_0_2,
         (1, 2, 4, 6),
         "every sampled modulus is checked from below only, against a floor "

@@ -1,6 +1,7 @@
-"""Every function and every line in ``src/opdisc`` is run by the command line.
+"""Every function, line and branch in ``src/opdisc`` is run by the command line.
 
-The product runs are these invocations, all under ``sys.settrace``:
+The product runs are these invocations, all under ``sys.settrace`` with
+opcode events on (``reach_trace.Trace``):
 
 - ``opdisc`` alone (its help), ``opdisc accept`` and ``opdisc accept --only 7``;
 - ``opdisc accept --only 7`` with criterion 7 patched to raise a ``StageError``
@@ -10,10 +11,12 @@ The product runs are these invocations, all under ``sys.settrace``:
   runs in order;
 - ``PAIR`` at ``--jobs 2``, which enters the fork branch: its child inherits the
   tracer and writes down what it ran as it leaves through ``os._exit``;
-- one subcommand per kind (``SUBCOMMANDS``), with its ``--layer``, ``--chain``
-  and ``--y`` files;
+- the subcommand runs (``SUBCOMMANDS``, every kind at least once), with their
+  ``--layer``, ``--chain``, ``--y`` and ``--config`` files;
 - ``REFUSED``, a malformed config: each experiment trips one value check and
-  must end as a config error naming its key (exit code 1);
+  must end as a config error that says which (exit code 1); one clean
+  experiment (``BESIDE_REFUSED``) shares an ``invert`` group with a refused
+  one;
 - ``FAILING`` at ``--seed 5``: a ``monotone-check`` whose floor is above its
   sampled alpha, and an ``invert`` group whose stacked solve fails, so each of
   its experiments runs alone (exit code 2, with ``failures.json``).
@@ -41,6 +44,20 @@ entry that names no unrun statement is stale and fails too.  No line is ever
 exempted to make this test pass: an unrun line is reached from a batch entry
 or a criterion, or deleted.
 
+The branch pass holds every ``if``/``elif`` test, conditional expression,
+``while`` test and comprehension ``if`` to it too: each must have been
+followed into both its true and its false successor.  The tracer keeps the
+``(from, to)`` offsets of every step out of a conditional jump; a jump
+belongs to the innermost test that holds the instruction before it, and a
+step's destination is followed through straight code until it enters the
+test's true arm, another branch or an exit.  So a test is judged whole: the
+operands of ``and``/``or``, the links of a chained comparison and the two
+compiled copies of a ``while`` test are not separate findings.  The line
+pass's exemptions carry over, and an ``if`` whose false arm is a ``raise``
+(its ``else``, or the statement after it) is a refusal too.  A one-way test
+is named ``module.qualname: snippet``, with the test's own text, and must be
+an entry of ``ALLOWED_BRANCHES``, which is kept like ``ALLOWED_LINES``.
+
 Every JSON file these runs write must parse as strict JSON, with no NaN or
 Infinity, and must keep its records honest: a sampled estimate is never
 called certified, and each ``monotone-check`` row cites its estimate by that
@@ -48,6 +65,7 @@ estimate's own hash.
 """
 
 import ast
+import dis
 import json
 import os
 import re
@@ -61,6 +79,7 @@ import pytest
 from click.testing import CliRunner
 
 import opdisc
+import reach_trace
 from opdisc import acceptance, cli, serialize
 from opdisc.cli import main
 from opdisc.spectral import StageError
@@ -82,6 +101,17 @@ _REFINE = ("path_blocks' t-grid refinement: no product run refines its first gri
 ALLOWED_LINES = {
     "decompose.path_blocks: for b in bad:": _REFINE,
     "decompose.path_blocks: ts = sorted(set(ts))": _REFINE,
+}
+# "module.qualname: snippet" -> (reason, the ROADMAP item or test that owns it)
+_PLATFORM = ("a platform arm: Linux has os.fork and os.sched_getaffinity, so no product run "
+             "here takes the other way",
+             "tests/test_cli.py::test_a_batch_runs_here_without_fork_or_an_affinity_mask")
+ALLOWED_BRANCHES = {
+    'cli.run_config: ... if hasattr(os, "fork") else ...': _PLATFORM,
+    'cli.run_config: ... if hasattr(os, "sched_getaffinity") else ...': _PLATFORM,
+    "decompose.path_blocks: if not bad:": _REFINE,
+    "decompose.path_blocks: for ... if (lo, hi) not in measured": _REFINE,
+    "decompose.path_blocks: for ... if measured[i].lip_sampled >= 0.97 * epsilon": _REFINE,
 }
 
 I3 = np.eye(3).tolist()
@@ -229,45 +259,95 @@ LAYER4 = {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5}
 PLAIN = next(exp for exp in BATCH if exp["name"] == "plain")
 BALL = next(exp for exp in BATCH if exp["name"] == "ball-local")
 
-# the files the subcommands read, by the placeholder their flags name
+# a layer spec that names every default: an explicit seeded_finite_rank dim
+# and a network whose weights (1e-30) make spectral_norm rescale them first
+EXPLICIT_LAYER4 = {
+    "kind": "layer",
+    "in_op": {"kind": "seeded_finite_rank", "dim": 4, "rank": 2, "seed": 1},
+    "out_op": {"kind": "seeded_finite_rank", "dim": 4, "rank": 2, "seed": 2},
+    "nonlin": {"kind": "coordinate_net", "ambient_dim": 4,
+               "net": {"kind": "coordinate_network", "weights": [(1e-30 * np.eye(2)).tolist()],
+                       "biases": [[0.0, 0.0]], "activation": "identity"}},
+}
+# the files the subcommands read, by the placeholder their arguments name
 FILES = {
     "layer": {"schema": 1, "space": SPACE4, "layer": LAYER4},
-    "chain": {"schema": 1, "chain": PLAIN["chain"], "head": PLAIN["head"]},
+    "layer-explicit": {"schema": 1, "space": SPACE4, "layer": EXPLICIT_LAYER4},
+    # no head: the identity; and a reflection with neither e nor axis_dim,
+    # through the first axis of the chain's dimension
+    "chain": {"schema": 1, "chain": PLAIN["chain"]},
+    "chain-reflected": {"schema": 1, "chain": PLAIN["chain"], "head": {"kind": "reflection"}},
     "y": {"schema": 1, "y": PLAIN["y"]},
+    "y-bare": PLAIN["y"],
+    # a single-experiment config for a subcommand, carrying its own seed
+    "fem": {"schema": 1, "seed": 0, "g": "cubic"},
 }
+# the arguments after --out of each subcommand run; every kind runs at least once
 SUBCOMMANDS = {
-    "monotone-check": ["--layer", "{layer}", "--seed", "5", "--samples", "8", "--dims", "2,4"],
-    "discretize-scan": ["--layer", "{layer}", "--seed", "3", "--samples", "8", "--dims", "2,4"],
-    "decompose": ["--layer", "{layer}", "--seed", "0", "--epsilon", "0.25", "--radius", "1"],
-    "invert": ["--chain", "{chain}", "--y", "{y}", "--seed", "0"],
-    "nogo-galerkin": ["--kind", "b", "--n", "3", "--grid", "11", "--seed", "0"],
-    "nogo-isotopy": ["--m", "3", "--grid", "11", "--bisect-tol", "1e-300", "--seed", "0"],
-    "fem-solve": ["--g", "cubic", "--mesh", "4,8", "--seed", "0"],
-    "quant-report": ["--layer", "{layer}", "--dims", "2,4", "--samples", "8", "--seed", "1"],
+    "monotone-check": ["monotone-check", "--layer", "{layer-explicit}", "--seed", "5",
+                       "--samples", "8", "--dims", "2,4"],
+    "discretize-scan": ["discretize-scan", "--layer", "{layer}", "--seed", "3", "--samples", "8",
+                        "--dims", "2,4"],
+    "decompose": ["decompose", "--layer", "{layer}", "--seed", "0", "--epsilon", "0.25",
+                  "--radius", "1"],
+    "invert": ["invert", "--chain", "{chain}", "--y", "{y}", "--seed", "0"],
+    "invert-reflected": ["invert", "--chain", "{chain-reflected}", "--y", "{y-bare}",
+                         "--seed", "0"],
+    "nogo-galerkin": ["nogo-galerkin", "--kind", "b", "--n", "3", "--grid", "11", "--seed", "0"],
+    "nogo-isotopy": ["nogo-isotopy", "--m", "3", "--grid", "11", "--bisect-tol", "1e-300",
+                     "--seed", "0"],
+    # no --seed: the config's seed stands
+    "fem-solve": ["--config", "{fem}", "fem-solve", "--mesh", "4,8"],
+    "quant-report": ["quant-report", "--layer", "{layer}", "--dims", "2,4", "--samples", "8",
+                     "--seed", "1"],
 }
 
-# a malformed config: each experiment trips one value check, and its
-# config error reads "{key} {fault}"
-_SCAN = {"kind": "discretize-scan", "seed": 0, "space": SPACE4, "layer": LAYER4}
-_FEM = {"kind": "fem-solve", "seed": 0, "g": "cubic"}
+# a malformed config: each experiment trips one value check, and its config
+# error holds the text given
+_SCAN = {"kind": "discretize-scan", "seed": 0, "space": SPACE4, "layer": LAYER4, "dims": [2]}
+_FEM = {"kind": "fem-solve", "seed": 0, "g": "cubic", "mesh": [4, 8]}
+_GALERKIN = {"kind": "nogo-galerkin", "seed": 0, "path_kind": "a", "n": 3}
+_OPS = {"in_op": SEEDED_OP, "nonlin": {"kind": "zero"}}
 REFUSED = {
-    "dims-empty": ("dims", "must be nonempty", {**_SCAN, "dims": []}),
-    "dims-descending": ("dims", "must be strictly ascending", {**_SCAN, "dims": [4, 2]}),
-    "dims-outside": ("dims", "must lie in 1..4", {**_SCAN, "dims": [2, 9]}),
-    "mesh-single": ("mesh", "needs at least two strictly increasing cell counts",
+    "dims-empty": ("dims must be nonempty", {**_SCAN, "dims": []}),
+    "dims-descending": ("dims must be strictly ascending", {**_SCAN, "dims": [4, 2]}),
+    "dims-outside": ("dims must lie in 1..4", {**_SCAN, "dims": [2, 9]}),
+    "mesh-single": ("mesh needs at least two strictly increasing cell counts",
                     {**_FEM, "mesh": [8]}),
-    "mesh-coarse": ("mesh", "needs at least 2 cells in its coarsest size",
-                    {**_FEM, "mesh": [1, 2]}),
-    "mesh-divides": ("mesh", "sizes must each divide the reference mesh of 40 cells",
+    "mesh-coarse": ("mesh needs at least 2 cells in its coarsest size", {**_FEM, "mesh": [1, 2]}),
+    "mesh-divides": ("mesh sizes must each divide the reference mesh of 40 cells",
                      {**_FEM, "mesh": [3, 5]}),
-    "m-even": ("m", "must be odd and at least 3", {"kind": "nogo-isotopy", "seed": 0, "m": 4}),
-    "y-length": ("y", "must be 4 finite numbers", {**PLAIN, "y": [0.1, 0.2]}),
-    "omegas-text": ("omegas", "must hold numbers, all finite",
-                    {**_SCAN, "dims": [2],
-                     "layer": {"kind": "layer", "in_op": SEEDED_OP, "nonlin": {"kind": "zero"},
-                               "out_op": {"kind": "finite_rank", "omegas": [1, "a"],
-                                          "psi_seed": 2, "phi_seed": 3}}}),
+    "m-even": ("m must be odd and at least 3", {"kind": "nogo-isotopy", "seed": 0, "m": 4}),
+    "y-length": ("y must be 4 finite numbers", {**PLAIN, "y": [0.1, 0.2]}),
+    # both share chain, head and tol: an invert group whose every read is refused
+    "tol-negative": ("tol must be positive and finite", {**PLAIN, "tol": -1.0}),
+    "y-text": ("y must be a number array", {**PLAIN, "y": "text", "tol": -1.0}),
+    "epsilon-one": ("epsilon must be in (0, 1)",
+                    {"kind": "decompose", "seed": 0, "space": SPACE4, "layer": LAYER4,
+                     "epsilon": 1.0, "radius": 1.0}),
+    "samples-one": ("samples must be at least 2", {**_SCAN, "samples": 1}),
+    "samples-zero": ("samples must be at least 1", {**_SCAN, "kind": "quant-report", "samples": 0}),
+    "floor-infinite": ("floor must be finite",
+                       {**_SCAN, "kind": "monotone-check", "floor": float("inf")}),
+    "n-even": ("n must be an odd positive count", {**_GALERKIN, "n": 4}),
+    "path-kind": ("path_kind must be 'a' or 'b'", {**_GALERKIN, "path_kind": "c"}),
+    "g-unknown": ("g must be one of", {**_FEM, "g": "quartic"}),
+    "hidden-zero": ("hidden must each be at least 1",
+                    {**_SCAN, "layer": {**LAYER4, "hidden": [0]}}),
+    "activation-number": ("unknown activation 3", {**_SCAN, "layer": {**LAYER4, "activation": 3}}),
+    "omegas-text": ("omegas must hold numbers, all finite",
+                    {**_SCAN, "layer": {"kind": "layer", **_OPS,
+                                        "out_op": {"kind": "finite_rank", "omegas": [1, "a"],
+                                                   "psi_seed": 2, "phi_seed": 3}}}),
+    "omegas-infinite": ("omegas must hold numbers, all finite",
+                        {**_SCAN, "layer": {"kind": "layer", **_OPS,
+                                            "out_op": {"kind": "finite_rank",
+                                                       "omegas": [1, float("inf")],
+                                                       "psi_seed": 2, "phi_seed": 3}}}),
 }
+# an invert experiment that reads cleanly in the group of y-length, so that
+# group runs with one refused read; the one artifact the refused config writes
+BESIDE_REFUSED = {**PLAIN, "name": "beside-y-length"}
 # experiments that run and fail: a floor above every sampled alpha of a layer
 # with contraction 0.5 (alpha <= 1.5), and a ball-local group whose far target
 # leaves the ball, so the stacked solve fails and each target is solved alone
@@ -290,61 +370,12 @@ FAILING_CRITERIA = tuple(
 )
 
 
-class _Trace:
-    """A ``sys.settrace`` hook that keeps the code objects entered and the
-    ``(file, line)`` line events fired in ``src/opdisc``."""
-
-    def __init__(self) -> None:
-        self.entered, self.fired, self._ours = set(), set(), {}
-
-    def __call__(self, frame, event, arg):
-        name = frame.f_code.co_filename
-        ours = self._ours.get(name)
-        if ours is None:
-            ours = self._ours[name] = Path(name).resolve().parent == SRC
-        if not ours:
-            return None
-        self.entered.add(frame.f_code)
-        return self.line
-
-    def line(self, frame, event, arg):
-        if event == "line":
-            self.fired.add((frame.f_code.co_filename, frame.f_lineno))
-        return self.line
-
-    def log(self) -> list:
-        return [[(c.co_filename, c.co_firstlineno) for c in self.entered], sorted(self.fired)]
-
-
-# prints what importing opdisc.cli enters and runs in src/opdisc (argv[1]):
-# [[file, first line] of each code object, [file, line] of each line event]
-IMPORT_TRACE = """
-import json, os, sys
-src, ours, entered, fired = sys.argv[1], {}, set(), set()
-def line(frame, event, arg):
-    if event == "line":
-        fired.add((frame.f_code.co_filename, frame.f_lineno))
-    return line
-def trace(frame, event, arg):
-    name = frame.f_code.co_filename
-    if name not in ours:
-        ours[name] = os.path.dirname(os.path.realpath(name)) == src
-    if not ours[name]:
-        return None
-    entered.add((name, frame.f_code.co_firstlineno))
-    return line
-sys.settrace(trace)
-import opdisc.cli
-sys.settrace(None)
-print(json.dumps([sorted(entered), sorted(fired)]))
-"""
-
-
 def _traced_import() -> list:
-    """What a fresh interpreter enters and runs while it imports ``opdisc.cli``."""
+    """What a fresh interpreter enters, runs and branches on while it
+    imports ``opdisc.cli``."""
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     done = subprocess.run(
-        [sys.executable, "-c", IMPORT_TRACE, str(SRC)], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, reach_trace.__file__, str(SRC)], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, timeout=120, check=True,
     )
     return json.loads(done.stdout)
@@ -355,17 +386,20 @@ class _Runs(NamedTuple):
     out: Path
     reached: set  # (file, first line) of every code object entered
     ran: dict  # file -> every line a line event fired on
+    steps: dict  # code key -> every (from, to) offset pair out of a conditional jump
 
 
-def _invocations(tmp: Path) -> dict:
-    """Each product run: its name -> (arguments, the exit code it must end with)."""
+def _invocations(tmp: Path, inputs: Path) -> dict:
+    """Each product run: its name -> (arguments, the exit code it must end with).
+    The runs write under ``tmp``, and the files they read are in ``inputs``."""
     paths = {}
     for name, blob in {**FILES, "batch": {"schema": 1, "experiments": BATCH},
                        "pair": {"schema": 1, "experiments": PAIR},
                        "refused": {"schema": 1, "experiments": [
-                           {**exp, "name": name} for name, (_, _, exp) in REFUSED.items()]},
+                           *({**exp, "name": name} for name, (_, exp) in REFUSED.items()),
+                           BESIDE_REFUSED]},
                        "failing": {"schema": 1, "experiments": FAILING}}.items():
-        paths[name] = tmp / f"{name}.json"
+        paths[name] = inputs / f"{name}.json"
         paths[name].write_text(json.dumps(blob))
 
     def run(name: str, *args: str) -> list:
@@ -381,26 +415,29 @@ def _invocations(tmp: Path) -> dict:
         "refused": (run("refused", "--config", str(paths["refused"])), 1),
         "failing": (run("failing", "--config", str(paths["failing"]), "--seed", "5"), 2),
     }
-    for kind, flags in SUBCOMMANDS.items():
-        runs[kind] = (run("subcommands", kind, *(f.format(**paths) for f in flags)), 0)
+    for name, args in SUBCOMMANDS.items():
+        runs[name] = (run("subcommands", *(arg.format(**paths) for arg in args)), 0)
     return runs
 
 
-def _normal(log) -> tuple[set, dict]:
-    """A logged ``[entered, fired]`` pair with resolved file names."""
-    entered, fired = log
-    reached = {(str(Path(name).resolve()), line) for name, line in entered}
-    ran: dict = {}
-    for name, line in fired:
-        ran.setdefault(str(Path(name).resolve()), set()).add(line)
-    return reached, ran
+def _merge(logs) -> tuple[set, dict, dict]:
+    """The logged ``[entered, fired, steps]`` triples, merged, with resolved
+    file names."""
+    reached, ran, steps = set(), {}, {}
+    for entered, fired, edges in logs:
+        reached |= {(str(Path(key[0]).resolve()), key[1]) for key in entered}
+        for name, line in fired:
+            ran.setdefault(str(Path(name).resolve()), set()).add(line)
+        for (name, *key), pairs in edges:
+            steps.setdefault((str(Path(name).resolve()), *key), set()).update(map(tuple, pairs))
+    return reached, ran, steps
 
 
 @pytest.fixture(scope="module")
 def runs(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("runs")
-    invocations = _invocations(tmp)
-    trace = _Trace()
+    invocations = _invocations(tmp, tmp_path_factory.mktemp("inputs"))
+    trace = reach_trace.Trace(str(SRC))
     runner_pid, real_exit = os.getpid(), os._exit
     child_log = tmp / "child-trace.jsonl"
 
@@ -431,13 +468,7 @@ def runs(tmp_path_factory):
         assert results[name].exit_code == code, (name, results[name].output)
     children = child_log.read_text().splitlines()
     assert len(children) == 1, "the --jobs 2 pair forks one child"
-    reached, ran = _normal(trace.log())
-    for log in (json.loads(children[0]), _traced_import()):
-        more_reached, more_ran = _normal(log)
-        reached |= more_reached
-        for name, lines in more_ran.items():
-            ran.setdefault(name, set()).update(lines)
-    return _Runs(results, tmp, reached, ran)
+    return _Runs(results, tmp, *_merge([trace.log(), json.loads(children[0]), _traced_import()]))
 
 
 def _spec_kinds(obj) -> set:
@@ -451,7 +482,8 @@ def _spec_kinds(obj) -> set:
 
 def test_the_batch_holds_every_kind():
     # the function pass counts only defs, and many spec builds are lambdas
-    assert {exp["kind"] for exp in BATCH} == set(cli.RUNNERS) == set(SUBCOMMANDS)
+    kinds = {next(arg for arg in args if arg in cli.RUNNERS) for args in SUBCOMMANDS.values()}
+    assert {exp["kind"] for exp in BATCH} == set(cli.RUNNERS) == kinds
     tables = (serialize.OPERATORS, serialize.NETWORKS, serialize.NONLINEARITIES,
               serialize.LAYERS, serialize.CHAINS, serialize.HEADS)
     nested = [value for exp in BATCH for key, value in exp.items() if key != "kind"]
@@ -556,6 +588,189 @@ def test_the_line_pass_names_each_unrun_statement():
     assert _unrun(source, "m", ran={1}, skip={"m.f"}) == []
 
 
+class _Test(NamedTuple):
+    node: ast.expr  # the test
+    arm: tuple  # (line, column, end line, end column) of what runs when it is true
+    name: str  # "module.qualname: snippet"
+    exempt: bool
+
+
+def _span(first: ast.AST, last: ast.AST) -> tuple:
+    return first.lineno, first.col_offset, last.end_lineno, last.end_col_offset
+
+
+def _tests(source: str, module: str, skip=frozenset()) -> list[_Test]:
+    """Every ``if``/``elif``/``while`` test, conditional expression test and
+    comprehension ``if`` of ``source``, named and marked exempt the way
+    :func:`_unrun` marks statements.  An ``if`` with an arm that ends in
+    ``raise`` is a refusal, so its test is exempt too; the false arm of an
+    ``if`` without ``else`` is the statement after it."""
+    text, found = source.splitlines(), []
+
+    def snippet(node: ast.AST) -> str:
+        """The node's source text on one line (its columns count UTF-8 bytes)."""
+        lines = [line.encode() for line in text[node.lineno - 1 : node.end_lineno]]
+        lines[-1] = lines[-1][: node.end_col_offset]
+        lines[0] = lines[0][node.col_offset :]
+        return " ".join(b" ".join(lines).decode().split())
+
+    def expressions(stmt: ast.stmt, scope: str, exempt: bool) -> None:
+        """The tests in ``stmt``'s own expressions, outside the bodies it holds."""
+        for field, value in ast.iter_fields(stmt):
+            if field in ("body", "orelse", "finalbody", "handlers"):
+                continue
+            for root in value if isinstance(value, list) else [value]:
+                for node in ast.walk(root) if isinstance(root, ast.AST) else ():
+                    if isinstance(node, ast.IfExp):
+                        name = f"{module}.{scope}: ... if {snippet(node.test)} else ..."
+                        found.append(_Test(node.test, _span(node.body, node.body), name, exempt))
+                    if not isinstance(node, (ast.ListComp, ast.SetComp, ast.GeneratorExp,
+                                             ast.DictComp)):
+                        continue
+                    # a true test runs the next if, the next for's iterable or the element
+                    nexts = [part for gen in node.generators for part in (gen.iter, *gen.ifs)][1:]
+                    nexts.append(node.key if isinstance(node, ast.DictComp) else node.elt)
+                    for gen in node.generators:
+                        for test in gen.ifs:
+                            after = nexts[nexts.index(test) + 1]
+                            found.append(_Test(test, _span(after, after),
+                                               f"{module}.{scope}: for ... if {snippet(test)}",
+                                               exempt))
+
+    def visit(body: list, scope: str, prefix: str, exempt: bool) -> None:
+        for stmt, after in zip(body, [*body[1:], None]):
+            inner, inner_prefix = scope, prefix
+            is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            if is_def or isinstance(stmt, ast.ClassDef):
+                inner = f"{prefix}{stmt.name}"
+                inner_prefix = f"{inner}.<locals>." if is_def else f"{inner}."
+            quiet = exempt or isinstance(stmt, (ast.Raise, ast.Assert))
+            expressions(stmt, scope, quiet)
+            if isinstance(stmt, (ast.If, ast.While)):
+                # an if without else falls through to the statement after it
+                orelse = stmt.orelse or ([after] if after else [])
+                refusal = isinstance(stmt, ast.If) and (
+                    _ends_in_raise(stmt.body) or _ends_in_raise(orelse))
+                word = text[stmt.lineno - 1][stmt.col_offset:].split(None, 1)[0]
+                found.append(_Test(stmt.test, _span(stmt.body[0], stmt.body[-1]),
+                                   f"{module}.{scope}: {word} {snippet(stmt.test)}:",
+                                   quiet or refusal))
+            skipped = is_def and f"{module}.{inner}" in skip
+            for sub, refusal in _bodies(stmt):
+                visit(sub, inner, inner_prefix, exempt or refusal or skipped)
+
+    visit(ast.parse(source).body, "<module>", "", False)
+    return found
+
+
+def _inside(pos, span: tuple) -> bool:
+    """Whether an instruction's source position lies within ``span``."""
+    return (None not in pos and span[:2] <= (pos.lineno, pos.col_offset)
+            and (pos.end_lineno, pos.end_col_offset) <= span[2:])
+
+
+def _codes(code):
+    """``code`` and every code object nested in it."""
+    yield code
+    for const in code.co_consts:
+        if hasattr(const, "co_code"):
+            yield from _codes(const)
+
+
+# where a straight run of code ends without deciding a test: it leaves the
+# frame, raises or takes a loop's next item
+_ENDS = {"RETURN_VALUE", "RETURN_CONST", "RAISE_VARARGS", "RERAISE", "FOR_ITER", "YIELD_VALUE"}
+_GOTOS = {"JUMP_FORWARD", "JUMP_BACKWARD", "JUMP_BACKWARD_NO_INTERRUPT"}
+
+
+def _sides(code, tests: list[_Test]) -> dict:
+    """Where each step out of ``code``'s conditional jumps leads: its
+    ``(site, to)`` offsets -> (the test the jump belongs to, True when the
+    step enters the test's true successor, False when it enters the false
+    one, None when it goes on to another jump of the same test).
+
+    A jump belongs to the innermost test that holds the instruction before
+    it, the last one of its operand, so the operands of ``and``/``or``, the
+    links of a chained comparison and both compiled copies of a ``while``
+    test are one test's jumps.  A step's destination is followed through
+    straight code and unconditional jumps: it is the true successor once it
+    reaches the first instruction of the test's true arm, and the false one
+    once it reaches any other branch, loop or exit first.
+    """
+    instructions = list(dis.get_instructions(code))
+    index = {ins.offset: i for i, ins in enumerate(instructions)}
+    owned, site = {}, None  # jump offset -> (the offset its event reports, its test)
+    for i, ins in enumerate(instructions):
+        site = ins.offset if site is None else site
+        if ins.opname == "EXTENDED_ARG":
+            continue
+        if ins.opcode in reach_trace.JUMPS:
+            before = next(b for b in reversed(instructions[:i]) if b.opname != "EXTENDED_ARG")
+            holders = [t for t in tests if _inside(before.positions, _span(t.node, t.node))]
+            if holders:
+                test = max(holders, key=lambda t: (t.node.lineno, t.node.col_offset,
+                                                   -t.node.end_lineno, -t.node.end_col_offset))
+                owned[ins.offset] = (site, test)
+        site = None
+    sides = {}
+    for test in {id(t): t for _, t in owned.values()}.values():
+        jumps = {offset for offset, (_, t) in owned.items() if t is test}
+        arm = [ins.offset for ins in instructions
+               if ins.offset > min(jumps) and _inside(ins.positions, test.arm)]
+        assert arm, f"{test.name}: no instruction of its true arm"
+
+        def side(to: int, jumps=jumps, start=min(arm)):
+            seen = set()
+            while to not in seen:
+                seen.add(to)
+                if to == start:
+                    return True
+                if to in jumps:
+                    return None
+                ins = instructions[index[to]]
+                if ins.opname in _GOTOS:
+                    to = ins.argval
+                elif ins.opcode in reach_trace.JUMPS or ins.opname in _ENDS:
+                    return False
+                else:
+                    to = instructions[index[to] + 1].offset
+            return False
+
+        for offset in jumps:
+            ins = instructions[index[offset]]
+            for to in (ins.argval, instructions[index[offset] + 1].offset):
+                sides[(owned[offset][0], to)] = (test, side(to))
+    return sides
+
+
+def _one_way(source: str, path: Path, module: str, steps: dict, ran: set,
+             skip=frozenset()) -> dict:
+    """``module.qualname: snippet`` of every test of ``source`` that is not
+    exempt and was not followed into both its successors, given the
+    ``steps`` out of each code object's jumps and the ``ran`` lines -> the
+    side it never took ("true", "false" or "either").  A test that never ran
+    is the line pass's finding, unless its line ran."""
+    tests = _tests(source, module, skip)
+    compiled, taken = set(), {id(t): set() for t in tests}
+    for code in _codes(compile(source, str(path), "exec")):
+        sides = _sides(code, tests)
+        compiled.update(id(test) for test, _ in sides.values())
+        for step in steps.get((str(path), *reach_trace.code_key(code)[1:]), ()):
+            if step in sides and sides[step][1] is not None:
+                taken[id(sides[step][0])].add(sides[step][1])
+    found = {}
+    for test in tests:
+        if id(test) not in compiled:  # a constant test compiles to no jump
+            assert isinstance(test.node, ast.Constant), f"{test.name}: no jump of its own"
+            continue
+        seen = taken[id(test)]
+        if test.exempt or seen == {True, False} or (not seen and test.node.lineno not in ran):
+            continue
+        never = "either" if not seen else "false" if True in seen else "true"
+        found[test.name] = never
+    return found
+
+
 def _refuse(constant: str):
     raise ValueError(f"{constant} is not strict JSON")
 
@@ -599,11 +814,12 @@ def test_every_written_file_is_strict_json_and_honest(runs):
 
 
 def test_a_malformed_config_is_refused_key_by_key(runs):
-    assert not (runs.out / "refused").exists(), "a refused experiment writes nothing"
+    written = [path.name for path in (runs.out / "refused").iterdir()]
+    assert written == [f"{BESIDE_REFUSED['name']}.json"], "a refused experiment writes nothing"
     errors = dict(re.findall(r"config-error in (\S+): (.*)", runs.results["refused"].output))
     assert set(errors) == set(REFUSED)
-    for name, (key, fault, _) in REFUSED.items():
-        assert f"{key} {fault}" in errors[name], name
+    for name, (text, _) in REFUSED.items():
+        assert text in errors[name], name
 
 
 def test_a_failed_check_is_recorded_with_its_stage(runs):
@@ -648,6 +864,61 @@ def test_every_line_is_run(runs):
     assert not stale, f"ALLOWED_LINES entries that name no unrun line: {stale}"
 
 
+def _verdict(one_way: dict, allowed: dict) -> tuple[list, list]:
+    """The one-way tests ``allowed`` does not name, each with the side it
+    never took, and the entries of ``allowed`` that name no one-way test."""
+    flagged = [f"{name}  (never {one_way[name]})" for name in sorted(set(one_way) - set(allowed))]
+    return flagged, sorted(set(allowed) - set(one_way))
+
+
+def test_every_branch_is_taken(runs):
+    one_way = {}
+    for path in sorted(SRC.glob("*.py")):
+        one_way.update(_one_way(path.read_text(), path, path.stem, runs.steps,
+                                runs.ran.get(str(path), set()), skip=set(ALLOWED)))
+    flagged, stale = _verdict(one_way, ALLOWED_BRANCHES)
+    assert not flagged, (
+        "no CLI kind or acceptance criterion takes both ways of these tests; reach "
+        "the other way from a batch entry or a criterion, or delete the test:\n  "
+        + "\n  ".join(flagged)
+    )
+    assert not stale, f"ALLOWED_BRANCHES entries that name no one-way test: {stale}"
+
+
+def test_the_branch_pass_names_each_one_way_test(tmp_path):
+    source = (
+        "def f(x, y, w):\n"
+        "    if x > 0:\n"
+        "        y = -y\n"
+        "    z = 1 if w else 2\n"
+        "    if x > 1 and y:\n"
+        "        z += 1\n"
+        "    if x > 5:\n"
+        "        raise ValueError(x)\n"
+        "    return [v for v in range(x) if v % 2]\n"
+    )
+    path = tmp_path.resolve() / "m.py"
+    path.write_text(source)
+    namespace = {}
+    exec(compile(source, str(path), "exec"), namespace)
+    trace = reach_trace.Trace(str(path.parent))
+    sys.settrace(trace)
+    try:
+        # x > 0 and w hold in both calls, so do y and the refusal's x <= 5;
+        # x > 1 and y, and the comprehension's v % 2, go both ways
+        namespace["f"](1, 1, True)
+        namespace["f"](2, 1, True)
+    finally:
+        sys.settrace(None)
+    _, ran, steps = _merge([trace.log()])
+    one_way = _one_way(source, path, "m", steps, ran[str(path)])
+    assert one_way == {"m.f: if x > 0:": "false", "m.f: ... if w else ...": "false"}
+    gone = {"m.f: if x > 9:": ("a test that was deleted", "ROADMAP item 30")}
+    flagged, stale = _verdict(one_way, {"m.f: if x > 0:": gone["m.f: if x > 9:"], **gone})
+    assert flagged == ["m.f: ... if w else ...  (never false)"]
+    assert stale == ["m.f: if x > 9:"]
+
+
 def test_each_allowed_line_has_a_reason_and_an_owner():
-    for line, (reason, owner) in ALLOWED_LINES.items():
+    for line, (reason, owner) in {**ALLOWED_LINES, **ALLOWED_BRANCHES}.items():
         assert reason and re.fullmatch(r"ROADMAP item \d+|tests/test_\w+\.py::\w+", owner), line
