@@ -95,7 +95,7 @@ class CheckFailure(StageError):
 
 
 # exceptions a runner raises when the experiment ran but failed (exit code 2)
-_FAILURES = (AssertionError, RuntimeError, ValueError)
+_FAILURES = (RuntimeError, ValueError)
 
 
 # ---------------------------------------------------------------------------

@@ -167,7 +167,8 @@ def choose_w(layer: NeuralOperatorLayer, h: float) -> tuple[Frame, dict]:
         right = spectral_norm(mat @ comp)
         left = spectral_norm(comp @ mat)
         if right >= h or left >= h:
-            raise AssertionError(
+            raise StageError(
+                "choose_w",
                 f"frame tails for the {name} operator are not below h={h:g}: "
                 f"{right:g}, {left:g}"
             )
@@ -749,7 +750,7 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
     err = spectral_norm(acc - df0)
     diag["product_error"] = err
     if not err <= 1e-8:
-        raise AssertionError(f"linear factor product misses the matrix by {err:g}")
+        raise StageError("linear_path", f"linear factor product misses the matrix by {err:g}")
     return ("reflection" if a0[0, 0] < 0.0 else "identity"), factors, diag
 
 
@@ -803,7 +804,9 @@ class LiftedBlock(_Block):
 @dataclass(frozen=True, eq=False)
 class DecompositionResult:
     """F = blocks[-1]∘…∘blocks[0]∘A₀ on the validity ball, all blocks
-    near-identity with recorded sampled Lipschitz constants below epsilon.
+    near-identity with recorded sampled Lipschitz constants below epsilon;
+    a block whose constant is missing or not below epsilon fails at stage
+    ``blocks``.
 
     ``eval_array`` runs every block's ``forward`` in turn and hands each
     block's carry to the next as its start (see the module notes); each
@@ -823,7 +826,8 @@ class DecompositionResult:
         for b in self.blocks:
             lip = b.lip_sampled
             if lip is None or not lip < self.epsilon:
-                raise AssertionError(
+                raise StageError(
+                    "blocks",
                     f"block {getattr(b, 'label', '?')} has Lip {lip}, "
                     f"not below epsilon={self.epsilon}"
                 )
@@ -881,9 +885,8 @@ def decompose(
         diag["fw_deviation"] = fw_dev
         diag["fw_deviation_bound"] = fw_bound
         if not fw_dev <= fw_bound:
-            raise AssertionError(
-                f"core deviation {fw_dev:g} exceeds the bound {fw_bound:g}"
-            )
+            raise StageError("build_fw",
+                             f"core deviation {fw_dev:g} exceeds the bound {fw_bound:g}")
 
     # each block's inversion tolerance protects that block taken alone: its
     # sampled lip_sampled, peel_tail's 1e-8 roundtrip and the cold composite
@@ -952,7 +955,8 @@ def decompose(
         )
         diag["composite_error"] = err
         if not err <= composite_tol:
-            raise AssertionError(
+            raise StageError(
+                "verify",
                 f"composite reproduces the layer only to {err:g} "
                 f"(target {composite_tol:g})"
             )

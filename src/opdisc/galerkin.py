@@ -111,37 +111,26 @@ class FemMesh:
 
 @dataclass(frozen=True)
 class ConvexNonlinearity:
-    """Reaction term g = G' of one real variable, with a convex primitive and growth data.
+    """Reaction term g = G' of one real variable, with a convex primitive G.
 
-    The growth constants bound the primitive, -c0 <= G(r) <= c1 (1 + r**p);
-    both the bound and the monotonicity of g (= convexity of G) are checked
-    on a sample grid at construction.  ``gprime`` is the exact derivative
-    g', which the Newton solve reads.
+    The monotonicity of g (= convexity of G), which the Newton solve's
+    energy descent relies on, is checked on a sample grid at construction.
+    The solve reads G for its energy and ``gprime``, the exact derivative
+    g', for its steps.
     """
 
     g: Callable
     primitive: Callable
-    c0: float
-    c1: float
-    p: float
     gprime: Callable
     name: str = "custom"
 
     def __post_init__(self) -> None:
-        for name, value in (("c0", self.c0), ("c1", self.c1), ("p", self.p)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"growth constant {name} must be positive and finite, got {value}")
         r = np.linspace(-8.0, 8.0, 321)
         gr = np.asarray(self.g(r), dtype=float)
         if gr.shape != r.shape or not np.all(np.isfinite(gr)):
             raise ValueError("g must map a sample grid to finite values")
         if np.any(np.diff(gr) < -1e-9):
             raise ValueError("g is not nondecreasing on the sample grid")
-        big_g = np.asarray(self.primitive(r), dtype=float)
-        if np.any(big_g < -self.c0 - 1e-9):
-            raise ValueError("primitive drops below its stated lower bound -c0")
-        if np.any(big_g > self.c1 * (1.0 + np.abs(r) ** self.p) + 1e-9):
-            raise ValueError("primitive exceeds its stated growth bound")
 
     def derivative(self, values: np.ndarray) -> np.ndarray:
         return np.asarray(self.gprime(values), dtype=float)
@@ -151,9 +140,6 @@ class ConvexNonlinearity:
         return cls(
             g=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
             primitive=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            c0=1.0,
-            c1=1.0,
-            p=1.0,
             gprime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
             name="zero",
         )
@@ -163,9 +149,6 @@ class ConvexNonlinearity:
         return cls(
             g=lambda r: np.asarray(r, dtype=float),
             primitive=lambda r: 0.5 * np.asarray(r, dtype=float) ** 2,
-            c0=1.0,
-            c1=1.0,
-            p=2.0,
             gprime=lambda r: np.ones_like(np.asarray(r, dtype=float)),
             name="linear",
         )
@@ -175,9 +158,6 @@ class ConvexNonlinearity:
         return cls(
             g=lambda r: np.asarray(r, dtype=float) ** 3,
             primitive=lambda r: 0.25 * np.asarray(r, dtype=float) ** 4,
-            c0=1.0,
-            c1=1.0,
-            p=4.0,
             gprime=lambda r: 3.0 * np.asarray(r, dtype=float) ** 2,
             name="cubic",
         )

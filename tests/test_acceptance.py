@@ -2,14 +2,20 @@
 
 Each test drives the same ``criterion_*`` function the ``accept`` command
 runs, so the pass/fail line ``pytest -v`` prints here is the acceptance
-verdict for that criterion.  The hard assertions (tolerances, budgets)
+verdict for that criterion.  The hard checks (tolerances, budgets)
 live inside the criterion functions; the asserts below re-state the
 headline numbers from the returned detail so a failure message shows the
 measurement, not just a stack trace.
 """
 
+import ast
 import dataclasses
+import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,6 +35,9 @@ from opdisc.acceptance import (
     criterion_range_tail_convergence,
     run_suite,
 )
+from opdisc.spectral import StageError
+
+SRC = Path(acceptance.__file__).resolve().parent
 
 
 def test_criterion_01_monotonicity_under_compression():
@@ -80,7 +89,7 @@ def test_criterion_04_fails_on_a_nan_block_lipschitz_constant(monkeypatch):
 
     sup_quotient = acceptance._sup_quotient
     monkeypatch.setattr(acceptance, "_sup_quotient", nan_second)
-    with pytest.raises(AssertionError, match="residual Lipschitz constant nan"):
+    with pytest.raises(StageError, match=r"^\[block_lips_resampled\] nan is not < 0\.25$"):
         criterion_block_factorization()
     assert len(calls) >= 3
 
@@ -102,7 +111,7 @@ def test_criterion_06_fails_on_a_nan_block_modulus(monkeypatch):
         return dataclasses.replace(result, alpha=math.nan) if len(seeds) == 2 else result
 
     monkeypatch.setattr(acceptance, "pairwise_alpha", nan_middle)
-    with pytest.raises(AssertionError, match="sampled modulus nan"):
+    with pytest.raises(StageError, match=r"^\[block_alphas\] nan is not >= 0\.0999"):
         criterion_invertible_chain_certificates()
     assert seeds == [64, 65, 66]
 
@@ -129,7 +138,7 @@ def test_criterion_08_fails_on_a_nan_path_matrix(monkeypatch):
         return np.full_like(full, math.nan) if t == 0.5 else full
 
     monkeypatch.setattr(acceptance, "aligned_truncation_matrix", nan_at_half)
-    with pytest.raises(AssertionError, match="strays from orthogonality by nan"):
+    with pytest.raises(StageError, match=r"^\[worst_orthogonality_defect\] nan is not <= 1e-10$"):
         criterion_isotopy_crossing()
 
 
@@ -187,3 +196,33 @@ class TestSuiteRunner:
         detail = criterion_monotonicity_under_compression(n_layers=2, n_samples=16)
         assert math.isfinite(detail["worst_alpha"])
         assert detail["layers"] == 2
+
+    def test_a_failed_check_holds_under_python_O(self):
+        """``python -O`` strips every ``assert``; a check is a raise, so with
+        the structural certificate patched to 5.0 criterion 6 still fails,
+        and its record names the check."""
+        probe = (
+            "import json, opdisc.acceptance as acceptance\n"
+            "acceptance.contraction_certificate = lambda kappa: 5.0\n"
+            "(record,) = acceptance.run_suite([6])\n"
+            "print(json.dumps([record['passed'], record['detail'].get('stage')]))\n"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-O", "-c", probe], env={**os.environ, "PYTHONPATH": path},
+            capture_output=True, text=True, check=True,
+        )
+        assert json.loads(done.stdout) == [False, "block_alphas"]
+
+
+def test_the_package_holds_no_assert():
+    """Every check in the package raises a named error: no ``assert``, which
+    ``python -O`` strips, and no ``AssertionError``, which names no stage."""
+    found = [
+        f"{path.stem}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+        or (isinstance(node, ast.Name) and node.id == "AssertionError")
+    ]
+    assert found == []

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import math
@@ -993,6 +994,26 @@ class TestFailClosed:
         assert outcome["status"] == "failed"
         assert outcome["stage"] == "pairwise_alpha"
         assert "all sampled pairs were degenerate" in outcome["error"]
+
+    def test_a_block_at_epsilon_fails_at_stage_blocks(self, tmp_path, monkeypatch):
+        # the assembled result checks its blocks outside every decompose
+        # stage; that check used to record stage null
+        module = importlib.import_module("opdisc.decompose")
+        path_blocks = module.path_blocks
+
+        def first_block_at_epsilon(path, epsilon, *args, **kwargs):
+            blocks, diag = path_blocks(path, epsilon, *args, **kwargs)
+            return [dataclasses.replace(blocks[0], lip_sampled=epsilon), *blocks[1:]], diag
+
+        monkeypatch.setattr(module, "path_blocks", first_block_at_epsilon)
+        outcomes = _run_batch([{"name": "lip-at-eps", **_FAIL_DECOMPOSE}], tmp_path)
+        with pytest.raises(SystemExit, match="^2$"):
+            cli._finish(outcomes, tmp_path)
+        (entry,) = json.loads((tmp_path / "failures.json").read_text())["failed"]
+        assert entry["stage"] == "blocks"
+        assert entry["error_type"] == "StageError"
+        assert re.match(r"\[blocks\] block \S+ has Lip 0\.25, not below epsilon=0\.25$",
+                        entry["error"])
 
 
 class TestNumericFields:

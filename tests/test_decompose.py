@@ -1007,7 +1007,7 @@ class TestDecompose:
             lip_sampled = 0.5
             label = "fake"
 
-        with pytest.raises(AssertionError, match="not below epsilon"):
+        with pytest.raises(StageError, match=r"^\[blocks\] block fake has Lip 0\.5, not below"):
             DecompositionResult(
                 a0=Identity(), blocks=(FakeBlock(),), r1=1.0, epsilon=0.25
             )

@@ -11,7 +11,6 @@ import importlib.util
 import inspect
 import re
 import textwrap
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -235,7 +234,6 @@ GUARDS = {
     "ball_samples": ("r", lambda v: ball_samples(3, v, 2), -1.0),
     "solve_semilinear_trace": ("tol", lambda v: solve_semilinear_trace(
         lambda t: 0.0 * t, FemMesh(4), ConvexNonlinearity.zero(), tol=v), -1.0),
-    "nonlinearity-p": ("p", lambda v: replace(ConvexNonlinearity.zero(), p=v), 0.0),
     "chain-delta": ("delta", lambda v: ResidualChain.seeded(4, 4, 1, delta=v), -0.5),
     "chain-ball_radius": (
         "ball_radius", lambda v: ResidualChain.seeded(4, 4, 1, delta=0.5, ball_radius=v), -1.0),

@@ -89,43 +89,7 @@ class TestConvexNonlinearity:
             ConvexNonlinearity(
                 g=lambda r: -np.asarray(r, dtype=float),
                 primitive=lambda r: -0.5 * np.asarray(r, dtype=float) ** 2 + 40.0,
-                c0=1.0,
-                c1=50.0,
-                p=2.0,
                 gprime=lambda r: -np.ones_like(np.asarray(r, dtype=float)),
-            )
-
-    def test_growth_bound_violation_rejected(self):
-        with pytest.raises(ValueError, match="growth bound"):
-            ConvexNonlinearity(
-                g=lambda r: np.asarray(r, dtype=float),
-                primitive=lambda r: 0.5 * np.asarray(r, dtype=float) ** 2,
-                c0=1.0,
-                c1=0.01,
-                p=1.0,
-                gprime=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-            )
-
-    def test_lower_bound_violation_rejected(self):
-        with pytest.raises(ValueError, match="lower bound"):
-            ConvexNonlinearity(
-                g=lambda r: np.ones_like(np.asarray(r, dtype=float)),
-                primitive=lambda r: np.asarray(r, dtype=float),
-                c0=1.0,
-                c1=2.0,
-                p=1.0,
-                gprime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-            )
-
-    def test_constants_must_be_positive(self):
-        with pytest.raises(ValueError, match="must be positive"):
-            ConvexNonlinearity(
-                g=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                primitive=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
-                c0=0.0,
-                c1=1.0,
-                p=1.0,
-                gprime=lambda r: np.zeros_like(np.asarray(r, dtype=float)),
             )
 
 
