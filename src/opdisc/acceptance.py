@@ -289,7 +289,9 @@ def criterion_block_factorization() -> dict:
         pairwise_alpha(b.eval_array, r=1.0, n=48, seed=13, dim=dim).alpha
         for b in result.blocks
     ]
-    _check("block_alphas", np.min(alphas), ">=", contraction_certificate(epsilon) - 1e-6)
+    floor = contraction_certificate(epsilon)
+    _check("structural_floor", floor, ">=", 1.0 - epsilon - 1e-12)
+    _check("block_alphas", np.min(alphas), ">=", floor - 1e-6)
 
     eps_grid = (0.4, 0.2, 0.1, 0.05)
     counts = [decompose(layer, e, 1.0, seed=0).j for e in eps_grid]
@@ -404,7 +406,9 @@ def criterion_invertible_chain_certificates() -> dict:
         pairwise_alpha(ResidualChain(cert.dim, net.n_in, (net,)), r=1.0, n=40, seed=64 + i).alpha
         for i, net in enumerate(cert.blocks)
     ]
-    _check("block_alphas", np.min(alphas), ">=", contraction_certificate(delta) - 1e-6)
+    floor = contraction_certificate(delta)
+    _check("structural_floor", floor, ">=", 1.0 - delta - 1e-12)
+    _check("block_alphas", np.min(alphas), ">=", floor - 1e-6)
 
     refused, message = False, ""
     try:
@@ -438,10 +442,12 @@ def criterion_galerkin_singularity() -> dict:
     """
     scan5 = singularity_scan("a", 5, s_grid=101, bisect_tol=1e-12)
     _check("endpoint_signs", scan5.endpoint_signs, "==", (1, -1))
+    _check("crossings", len(scan5.stars), ">=", 1)
     s_star, det_at_star, min_sv_at_star = scan5.stars[0]
     _check("abs_det_at_star", abs(det_at_star), "<", 1e-10)
 
     scan1 = singularity_scan("a", 1, s_grid=101, bisect_tol=1e-12)
+    _check("one_mode_crossings", len(scan1.stars), ">=", 1)
     one_mode_s_star = scan1.stars[0][0]
     _check("one_mode_offset", abs(one_mode_s_star - 0.5), "<=", 1e-9,
            f" for the one-mode crossing at {one_mode_s_star!r}")
@@ -472,6 +478,7 @@ def criterion_isotopy_crossing() -> dict:
     scan = truncated_det_scan(m, t_grid=101, bisect_tol=1e-9)
     _check("endpoint_signs", scan.endpoint_signs, "==", (1, -1))
     t_true = m / (2.0 * (m + 2.0))
+    _check("crossings", len(scan.stars), ">=", 1)
     t_star, det_at_star, min_sv_at_star = scan.stars[0]
     _check("t_star_offset", abs(t_star - t_true), "<=", 1e-6, f" for the crossing at {t_star!r}")
 

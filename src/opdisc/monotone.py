@@ -190,7 +190,7 @@ def contraction_certificate(kappa: float) -> float | None:
 
 def bilipschitz_estimate(
     f,
-    r: float = 1.0,
+    r: float,
     n: int = 256,
     seed: int = 0,
     dim: int | None = None,

@@ -191,6 +191,33 @@ class TestSuiteRunner:
             "error": "RuntimeError: measured the wrong universe", "stage": None
         }
 
+    def test_a_missing_certificate_fails_by_name(self, monkeypatch):
+        # a None floor, not a TypeError from None - 1e-6
+        monkeypatch.setattr(acceptance, "contraction_certificate", lambda kappa: None)
+        records = run_suite([4, 6])
+        assert [(r["passed"], r["detail"]["stage"]) for r in records] == [
+            (False, "structural_floor"), (False, "structural_floor")
+        ]
+        assert records[0]["detail"]["error"] == (
+            "StageError: [structural_floor] None is not >= 0.749999999999"
+        )
+
+    def test_a_scan_without_a_crossing_fails_by_name(self, monkeypatch):
+        # no one-mode crossing, not an IndexError from stars[0]
+        scan = acceptance.singularity_scan
+
+        def no_one_mode_crossing(kind, n, **kwargs):
+            found = scan(kind, n, **kwargs)
+            return dataclasses.replace(found, stars=()) if n == 1 else found
+
+        monkeypatch.setattr(acceptance, "singularity_scan", no_one_mode_crossing)
+        (record,) = run_suite([7])
+        assert record["passed"] is False
+        assert record["detail"] == {
+            "error": "StageError: [one_mode_crossings] 0 is not >= 1",
+            "stage": "one_mode_crossings",
+        }
+
     def test_worst_alpha_is_finite(self):
         # tiny smoke configuration: two layers, cheap sampling
         detail = criterion_monotonicity_under_compression(n_layers=2, n_samples=16)

@@ -2,9 +2,11 @@
 writes, so a change that moves an artifact shows up here as a failed test.
 
 The ledger holds the sha256 of every file that the reachability batch
-(``test_reachability.BATCH``, every CLI kind) writes at ``--jobs 1``, and of
-each ``opdisc accept`` criterion's result in ``acceptance.json``, without
-its wall time ``elapsed``.  Both runs happen in a fresh interpreter with
+(``test_reachability.BATCH``, every CLI kind) writes at ``--jobs 1``, of
+every file that each reachability subcommand run
+(``test_reachability.SUBCOMMANDS``, each into a directory of its own) writes,
+keyed ``run/file``, and of each ``opdisc accept`` criterion's result in
+``acceptance.json``, without its wall time ``elapsed``.  All runs happen in a fresh interpreter with
 BLAS pinned to one thread, because criterion 2's details depend on the
 thread count.  The ledger records the numpy version and the BLAS build it
 was made with; on a mismatch elsewhere the failure says so.
@@ -53,29 +55,37 @@ def _criterion_digest(result: dict) -> str:
 
 
 def measure() -> dict:
-    """Run the reachability batch and ``opdisc accept`` in this process and
-    digest what they write."""
+    """Run the reachability batch, its subcommand runs and ``opdisc accept``
+    in this process and digest what they write."""
     import numpy as np
 
     from opdisc.cli import main
-    from test_reachability import BATCH
+    from test_reachability import BATCH, FILES, SUBCOMMANDS
 
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        config = tmp / "batch.json"
-        config.write_text(json.dumps({"schema": 1, "experiments": BATCH}))
-        batch, accept = tmp / "batch", tmp / "accept"
+        inputs = {"batch": {"schema": 1, "experiments": BATCH}, **FILES}
+        paths = {name: tmp / f"{name}.json" for name in inputs}
+        for name, blob in inputs.items():
+            paths[name].write_text(json.dumps(blob))
+        batch, subcommands, accept = tmp / "batch", tmp / "subcommands", tmp / "accept"
         # the status lines go to stderr: stdout carries only the digests
         with contextlib.redirect_stdout(sys.stderr):
-            main(["--config", str(config), "--out", str(batch), "--jobs", "1"],
+            main(["--config", str(paths["batch"]), "--out", str(batch), "--jobs", "1"],
                  standalone_mode=False)
+            for name, args in SUBCOMMANDS.items():
+                main(["--out", str(subcommands / name), *(arg.format(**paths) for arg in args)],
+                     standalone_mode=False)
             main(["--out", str(accept), "accept"], standalone_mode=False)
         files = {path.name: _sha256(path.read_bytes()) for path in sorted(batch.iterdir())}
+        runs = {path.relative_to(subcommands).as_posix(): _sha256(path.read_bytes())
+                for path in sorted(subcommands.glob("*/*"))}
         results = json.loads((accept / "acceptance.json").read_text())["results"]
     return {
         "numpy": np.__version__,
         "blas": _blas_build(),
         "files": files,
+        "subcommands": runs,
         "criteria": {str(r["criterion"]): _criterion_digest(r) for r in results},
     }
 
@@ -106,8 +116,8 @@ def test_the_artifacts_match_the_ledger():
     ledger = json.loads(LEDGER.read_text())
     now = measure_pinned()
     moved = _moved(ledger["files"], now["files"]) + [
-        f"criterion {line}" for line in _moved(ledger["criteria"], now["criteria"])
-    ]
+        f"subcommand {line}" for line in _moved(ledger["subcommands"], now["subcommands"])
+    ] + [f"criterion {line}" for line in _moved(ledger["criteria"], now["criteria"])]
     setting = [
         f"{key} is {now[key]!r} here but {ledger[key]!r} in the ledger"
         for key in ("numpy", "blas")

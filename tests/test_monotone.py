@@ -211,12 +211,12 @@ class TestContractionCertificate:
 
 class TestBilipschitz:
     def test_identity(self):
-        est = bilipschitz_estimate(Identity(), dim=6, seed=0)
+        est = bilipschitz_estimate(Identity(), 1.0, dim=6, seed=0)
         assert est.c_lower == 1.0
         assert est.c_upper == 1.0
 
     def test_doubling(self):
-        est = bilipschitz_estimate(lambda x: 2.0 * x, dim=6, seed=0)
+        est = bilipschitz_estimate(lambda x: 2.0 * x, 1.0, dim=6, seed=0)
         assert est.c_lower == pytest.approx(2.0)
         assert est.c_upper == pytest.approx(2.0)
 
@@ -224,13 +224,13 @@ class TestBilipschitz:
         """A residual layer with contraction product 0.4 distorts distances
         by at most 1 +/- 0.4."""
         layer = make_layer(space16, lip_g=0.4, seed=21)
-        est = bilipschitz_estimate(layer, n=256, seed=4)
+        est = bilipschitz_estimate(layer, 1.0, n=256, seed=4)
         assert est.c_lower >= 0.6 - 1e-9
         assert est.c_upper <= 1.4 + 1e-9
 
     def test_validation(self):
         with pytest.raises(ValueError, match="two samples"):
-            bilipschitz_estimate(Identity(), dim=4, n=1)
+            bilipschitz_estimate(Identity(), 1.0, dim=4, n=1)
 
     @pytest.mark.parametrize("estimate", [pairwise_alpha, bilipschitz_estimate])
     def test_all_degenerate_pairs_name_the_stage(self, estimate):

@@ -258,7 +258,7 @@ class TestActivations:
         got = gs(v)
         assert np.allclose(got, [1.0, 3.0, -1.0, 5.0, 2.0])  # odd tail fixed
 
-    @pytest.mark.parametrize("a", [0.2, 1.0, 0.0, -0.5, 3.0])
+    @pytest.mark.parametrize("a", [0.2, 1.0, 0.0, -0.5, 1.5, 3.0])
     def test_leaky_relu_is_the_select_to_the_bit(self, a):
         """Slopes in (0, 1] take max(s, a·s); every slope gives the bits of
         where(s >= 0, s, a·s), signed zeros, infinities and NaN included."""

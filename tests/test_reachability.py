@@ -80,6 +80,7 @@ from click.testing import CliRunner
 
 import opdisc
 import reach_trace
+from mutate import bodies, ends_in_raise
 from opdisc import acceptance, cli, serialize
 from opdisc.cli import main
 from opdisc.spectral import StageError
@@ -516,19 +517,6 @@ def _is_dunder(qualname: str) -> bool:
     return last.startswith("__") and last.endswith("__")
 
 
-def _ends_in_raise(body: list) -> bool:
-    return bool(body) and isinstance(body[-1], ast.Raise)
-
-
-def _bodies(stmt: ast.stmt) -> list[tuple[list, bool]]:
-    """The statement lists ``stmt`` holds, each with whether it is exempt: a
-    refusal (an ``if`` or ``else`` body ending in ``raise``) or a handler."""
-    if isinstance(stmt, ast.If):
-        return [(stmt.body, _ends_in_raise(stmt.body)), (stmt.orelse, _ends_in_raise(stmt.orelse))]
-    bodies = [(getattr(stmt, field, []), False) for field in ("body", "orelse", "finalbody")]
-    return bodies + [(handler.body, True) for handler in getattr(stmt, "handlers", [])]
-
-
 def _unrun(source: str, module: str, ran: set, skip=frozenset()) -> list[str]:
     """``module.qualname: snippet`` of every statement of ``source`` that is
     not exempt and has not run, given the ``ran`` lines; an unrun compound
@@ -550,7 +538,7 @@ def _unrun(source: str, module: str, ran: set, skip=frozenset()) -> list[str]:
                 inner_class = not is_def
             skipped = is_def and f"{module}.{inner}" in skip
             held, mark, inner_ran = set(), len(unrun), False
-            for sub, refusal in _bodies(stmt):
+            for sub, refusal in bodies(stmt):
                 held.update(n for child in sub for n in range(child.lineno, child.end_lineno + 1))
                 inner_ran |= visit(sub, inner, inner_prefix, exempt or refusal or skipped,
                                    inner_class)
@@ -650,13 +638,13 @@ def _tests(source: str, module: str, skip=frozenset()) -> list[_Test]:
                 # an if without else falls through to the statement after it
                 orelse = stmt.orelse or ([after] if after else [])
                 refusal = isinstance(stmt, ast.If) and (
-                    _ends_in_raise(stmt.body) or _ends_in_raise(orelse))
+                    ends_in_raise(stmt.body) or ends_in_raise(orelse))
                 word = text[stmt.lineno - 1][stmt.col_offset:].split(None, 1)[0]
                 found.append(_Test(stmt.test, _span(stmt.body[0], stmt.body[-1]),
                                    f"{module}.{scope}: {word} {snippet(stmt.test)}:",
                                    quiet or refusal))
             skipped = is_def and f"{module}.{inner}" in skip
-            for sub, refusal in _bodies(stmt):
+            for sub, refusal in bodies(stmt):
                 visit(sub, inner, inner_prefix, exempt or refusal or skipped)
 
     visit(ast.parse(source).body, "<module>", "", False)
