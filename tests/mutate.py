@@ -21,26 +21,32 @@ Each mutant is judged in a temporary copy of the repository's ``src``,
 ``tests``, ``bench``, ``README.md`` and ``pyproject.toml``, never in the
 checkout, at most two at once.
 The digest ledger judges first: ``tests/test_digests.py --here`` with BLAS
-pinned to one thread, in a fresh interpreter.  A moved digest, a failed run
-or a run longer than ``LEDGER_TIMEOUT`` seconds kills the mutant as
-``"ledger"``.  A ledger survivor then runs tier-1 with ``-x``; the first
-failing test's node id kills it.  A mutant that both pass is a
-``"survivor"``.
+pinned to one thread, in a fresh interpreter.  A moved digest kills the
+mutant as ``"ledger section/key"``, naming the first moved entry of
+``tests/digests.json``; a failed run, or one longer than ``LEDGER_TIMEOUT``
+seconds, kills it as ``"ledger"``.  A ledger survivor then runs tier-1 with
+``-x``; the first failing test's node id kills it, or the id of the test
+that was running when tier-1 went over ``TIER1_TIMEOUT`` seconds.  A mutant
+that both pass is a ``"survivor"``.
 
 ``tests/mutants.json`` keeps one verdict per site, keyed
 ``module.qualname: line: operator`` (the site's source line, without its
 comment; `` (2)``, `` (3)`` … tell apart repeats within one function), with a
 hash of the source of the function that holds the site (of the top-level
-statement, outside every function).  An edit to a function makes its
-verdicts stale, and ``tests/test_mutate.py`` fails until ``--stale`` judges
-them again; it also fails on a survivor that its ``ALLOWED_SURVIVORS`` does
-not name.
+statement, outside every function) and a hash of the check that killed it
+(:func:`check`): the killing test's source, decorators included, or the
+committed digest of the moved ledger entry (the whole ledger, for a failed
+run).  An edit to the function, or to the check, makes the verdict stale,
+and ``tests/test_mutate.py`` fails until ``--stale`` judges it again; it
+also fails on a kill whose check is gone, and on a survivor that its
+``ALLOWED_SURVIVORS`` does not name.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import functools
 import hashlib
 import io
 import json
@@ -60,6 +66,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 SRC = ROOT / "src" / "opdisc"
 VERDICTS = Path(__file__).with_name("mutants.json")
+LEDGER = Path(__file__).with_name("digests.json")
+SECTIONS = ("files", "subcommands", "criteria")
 MODULES = ("monotone", "discretize", "invert", "operators")
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 LEDGER_TIMEOUT = 60
@@ -69,6 +77,16 @@ MAX_JOBS = 2
 _FLIP = {ast.Lt: ">=", ast.GtE: "<", ast.LtE: ">", ast.Gt: "<=", ast.Eq: "!=", ast.NotEq: "==",
          ast.Is: "is not", ast.IsNot: "is", ast.In: "not in", ast.NotIn: "in"}
 _SWAP = {ast.Add: "-", ast.Sub: "+"}
+
+
+def _hash(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
+
+
+def source_hash(lines: list[str], stmt: ast.stmt) -> str:
+    """The hash of ``stmt``'s source lines, its decorators included."""
+    first = min([d.lineno for d in getattr(stmt, "decorator_list", [])] + [stmt.lineno])
+    return _hash("\n".join(lines[first - 1 : stmt.end_lineno]))
 
 
 def ends_in_raise(body: list) -> bool:
@@ -146,21 +164,16 @@ def sites(source: str, module: str) -> list[Site]:
                         (node.end_lineno, char(node.end_lineno, node.end_col_offset)))
                 add(scope, owner, span, new, f"double {old} to {new}")
 
-    def digest(stmt: ast.stmt) -> str:
-        first = min([d.lineno for d in getattr(stmt, "decorator_list", [])] + [stmt.lineno])
-        text = "\n".join(lines[first - 1 : stmt.end_lineno])
-        return hashlib.sha256(text.encode()).hexdigest()[:16]
-
     def visit(body: list, scope: str, prefix: str, owner: str | None, exempt: bool,
               in_class: bool) -> None:
         for stmt, after in zip(body, [*body[1:], None]):
-            inner, inner_prefix, inner_owner = scope, prefix, owner or digest(stmt)
+            inner, inner_prefix, inner_owner = scope, prefix, owner or source_hash(lines, stmt)
             is_def = isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
             if is_def or isinstance(stmt, ast.ClassDef):
                 inner = f"{prefix}{stmt.name}"
                 inner_prefix = f"{inner}.<locals>." if is_def else f"{inner}."
             if is_def:
-                inner_owner = digest(stmt)
+                inner_owner = source_hash(lines, stmt)
             quiet = (exempt or (in_class and not is_def) or isinstance(stmt, (ast.Raise, ast.Assert))
                      or isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Constant))
             # a refusal guard: an arm, or the statement an if without else falls to, raises
@@ -197,10 +210,65 @@ def current_sites(src: Path = SRC) -> dict[str, Site]:
             for site in sites((src / f"{module}.py").read_text(), module)}
 
 
+@functools.lru_cache(maxsize=None)
+def _parsed(path: Path) -> tuple[list[str], ast.Module] | None:
+    if not path.is_file():
+        return None
+    source = path.read_text()
+    return source.splitlines(), ast.parse(source)
+
+
+def _test_hash(node: str) -> str | None:
+    """The hash of the test with node id ``node`` (``path::Class::name[id]``):
+    its source, decorators included, and the module-level assignments that
+    the decorators of it and its classes name (a parametrize table).  None
+    when it is gone: no such function, or an ``[id]`` that is no constant of
+    those decorators and tables, whole or in its ``-``-separated parts."""
+    path, *names = node.split("::")
+    names[-1:] = [names[-1].partition("[")[0]] if names else []
+    param = node.partition("[")[2].removesuffix("]")
+    parsed = _parsed(ROOT / path)
+    if parsed is None or not names:
+        return None
+    lines, module = parsed
+    held, body = [], module.body
+    for name in names:
+        stmt = next((s for s in body if getattr(s, "name", None) == name), None)
+        if stmt is None:
+            return None
+        held, body = held + getattr(stmt, "decorator_list", []), getattr(stmt, "body", [])
+    used = {n.id for d in held for n in ast.walk(d) if isinstance(n, ast.Name)}
+    tables = [s for s in module.body if isinstance(s, (ast.Assign, ast.AnnAssign))
+              and any(getattr(t, "id", None) in used
+                      for t in (s.targets if isinstance(s, ast.Assign) else [s.target]))]
+    constants = {str(c.value) for root in held + tables for c in ast.walk(root)
+                 if isinstance(c, ast.Constant)}
+    if param and param not in constants and not set(param.split("-")) <= constants:
+        return None
+    return _hash(" ".join([*(source_hash(lines, s) for s in [stmt, *tables]), param]))
+
+
+def check(verdict: str, ledger: dict) -> str | None:
+    """The hash of the check that ``verdict`` names, as ``ledger`` (the
+    committed ``digests.json``) and the tests are now; None for a survivor,
+    or for a check that is gone."""
+    if verdict == "survivor":
+        return None
+    if verdict.partition(" ")[0] == "ledger":
+        entry = verdict.partition(" ")[2]
+        section, _, key = entry.partition("/")
+        value = ledger.get(section, {}).get(key) if entry else {s: ledger[s] for s in SECTIONS}
+        return None if value is None else _hash(json.dumps(value, sort_keys=True))
+    return _test_hash(verdict)
+
+
 def stale_keys(sites_now: dict, recorded: dict) -> list[str]:
-    """The keys of the sites with no verdict, or one for another function source."""
+    """The keys of the sites with no verdict, or one for another function
+    source or another check than those it was judged with."""
+    ledger = json.loads(LEDGER.read_text())
     return sorted(key for key, site in sites_now.items()
-                  if recorded.get(key, {}).get("hash") != site.hash)
+                  if key not in recorded or recorded[key]["hash"] != site.hash
+                  or recorded[key].get("check") != check(recorded[key]["verdict"], ledger))
 
 
 # ---------------------------------------------------------------------------
@@ -229,40 +297,45 @@ def _env(copy: Path) -> dict:
 
 def _ledger(copy: Path) -> str | None:
     """None when the ledger run in ``copy`` writes the committed digests,
-    else why it does not."""
+    else its verdict: ``"ledger section/key"`` for the first moved entry, or
+    ``"ledger"`` for a failed or overlong run."""
     try:
         done = subprocess.run(
             [sys.executable, "tests/test_digests.py", "--here"], cwd=copy, env=_env(copy),
             capture_output=True, text=True, timeout=LEDGER_TIMEOUT,
         )
     except subprocess.TimeoutExpired:
-        return f"ran over {LEDGER_TIMEOUT} s"
+        return "ledger"
     if done.returncode != 0:
-        return f"exit {done.returncode}"
+        return "ledger"
     ledger, now = json.loads((copy / "tests" / "digests.json").read_text()), json.loads(done.stdout)
-    moved = [section for section in ("files", "subcommands", "criteria")
-             if ledger[section] != now[section]]
-    return f"moved {', '.join(moved)}" if moved else None
+    moved = [f"ledger {section}/{key}" for section in SECTIONS
+             for key in sorted(ledger[section].keys() | now[section].keys())
+             if ledger[section].get(key) != now[section].get(key)]
+    return moved[0] if moved else None
 
 
 def _tier1(copy: Path) -> str | None:
-    """None when tier-1 passes in ``copy``, else its first failing test."""
-    command = [sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
+    """None when tier-1 passes in ``copy``, else its first failing test, or
+    the test it was running when it ran over ``TIER1_TIMEOUT``."""
+    command = [sys.executable, "-m", "pytest", "-v", "-x", "-rfE", "-p", "no:cacheprovider",
                "--continue-on-collection-errors", "--ignore=tests/test_mutate.py", "tests"]
     try:
         done = subprocess.run(command, cwd=copy, env=_env(copy), capture_output=True, text=True,
                               timeout=TIER1_TIMEOUT)
-    except subprocess.TimeoutExpired:
-        return f"tier-1 ran over {TIER1_TIMEOUT} s"
+    except subprocess.TimeoutExpired as over:
+        out = over.stdout.decode() if isinstance(over.stdout, bytes) else over.stdout or ""
+        running = re.findall(r"^(tests/\S+::\S+)", out, re.MULTILINE)
+        return running[-1] if running else f"tier-1 ran over {TIER1_TIMEOUT} s"
     if done.returncode == 0:
         return None
     failed = re.search(r"^(?:FAILED|ERROR) (\S+)", done.stdout, re.MULTILINE)
     return failed[1] if failed else f"tier-1 exit {done.returncode}"
 
 
-def judge(todo: list[Site], jobs: int) -> dict[str, dict]:
-    """The verdict of each site in ``todo``, from at most ``jobs`` judges at once."""
-    jobs = max(1, min(jobs, MAX_JOBS, len(todo)))
+def judge(todo: list[Site]) -> dict[str, dict]:
+    """The verdict of each site in ``todo``, from at most ``MAX_JOBS`` judges at once."""
+    jobs = min(MAX_JOBS, len(todo))
     originals = {module: (SRC / f"{module}.py").read_text() for module in MODULES}
     with tempfile.TemporaryDirectory(prefix="opdisc-mutate-") as tmp:
         copies = queue.Queue()
@@ -283,14 +356,14 @@ def judge(todo: list[Site], jobs: int) -> dict[str, dict]:
             path = copy / "src" / "opdisc" / f"{site.module}.py"
             try:
                 path.write_text(mutant(originals[site.module], site))
-                why = _ledger(copy)
-                verdict = "ledger" if why is not None else _tier1(copy) or "survivor"
+                verdict = _ledger(copy) or _tier1(copy) or "survivor"
             finally:
                 path.write_text(originals[site.module])
                 copies.put(copy)
             print(f"[{n}/{len(todo)}] {verdict:<10} {time.perf_counter() - started:5.1f} s  "
                   f"{site.key}", file=sys.stderr, flush=True)
-            return site.key, {"hash": site.hash, "verdict": verdict}
+            return site.key, {"hash": site.hash, "verdict": verdict,
+                              "check": check(verdict, json.loads(LEDGER.read_text()))}
 
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             return dict(pool.map(one, enumerate(todo, 1)))
@@ -300,15 +373,13 @@ def main(argv=None) -> None:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--stale", action="store_true",
                         help="judge only the sites with no current verdict in mutants.json")
-    parser.add_argument("--jobs", type=int, default=MAX_JOBS, choices=range(1, MAX_JOBS + 1),
-                        help="judges at once (at most 2)")
     args = parser.parse_args(argv)
     now = current_sites()
     recorded = json.loads(VERDICTS.read_text()) if VERDICTS.exists() else {}
     todo = [now[key] for key in (stale_keys(now, recorded) if args.stale else now)]
     print(f"{len(todo)} of {len(now)} sites to judge", file=sys.stderr)
     verdicts = {key: recorded[key] for key in now if key in recorded}
-    verdicts.update(judge(todo, args.jobs) if todo else {})
+    verdicts.update(judge(todo) if todo else {})
     VERDICTS.write_text(json.dumps(dict(sorted(verdicts.items())), indent=1) + "\n")
     survivors = sorted(key for key, entry in verdicts.items() if entry["verdict"] == "survivor")
     print(f"{len(survivors)} survivors", *survivors, sep="\n  ", file=sys.stderr)

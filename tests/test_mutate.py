@@ -1,9 +1,10 @@
 """Every mutation site of ``mutate.MODULES`` has a current verdict in
 ``tests/mutants.json``, and every survivor is allowed with its reason.
 
-These tests run no mutant: they parse the modules' AST and read the
-committed verdicts.  ``python tests/mutate.py --stale`` judges again the
-sites of an edited function.
+These tests run no mutant: they parse the modules' and the tests' AST and
+read the committed verdicts and ledger.  ``python tests/mutate.py --stale``
+judges again the sites of an edited function, and the kills of an edited
+check.
 """
 
 import json
@@ -48,8 +49,30 @@ def test_every_site_has_a_current_verdict():
     stale = mutate.stale_keys(now, recorded)
     gone = sorted(set(recorded) - set(now))
     assert not stale and not gone, "\n  ".join(
-        ["sites with no current verdict in tests/mutants.json:", *stale,
+        ["sites with no verdict in tests/mutants.json, or one judged with another "
+         "function source or killing check:", *stale,
          "verdicts of sites that are gone:", *gone, _STALE])
+
+
+def test_every_kill_names_a_check_that_exists():
+    ledger = json.loads(mutate.LEDGER.read_text())
+    lost = sorted(f"{key}: {entry['verdict']}" for key, entry in _recorded().items()
+                  if entry["verdict"] != "survivor" and mutate.check(entry["verdict"], ledger) is None)
+    assert not lost, "\n  ".join(["kills whose test or ledger entry is gone:", *lost, _STALE])
+
+
+def test_a_check_is_gone_with_its_test_case_or_ledger_entry():
+    ledger = json.loads(mutate.LEDGER.read_text())
+    leaky = "tests/test_operators.py::TestActivations::test_leaky_relu_is_the_select_to_the_bit"
+    assert mutate.check(f"{leaky}[1.5]", ledger) is not None
+    assert mutate.check(f"{leaky}[2.5]", ledger) is None  # no such case
+    assert mutate.check(f"{leaky}_gone[1.5]", ledger) is None
+    assert mutate.check("tests/test_gone.py::test_x", ledger) is None
+    assert mutate.check("ledger criteria/4", ledger) is not None
+    assert mutate.check("ledger criteria/99", ledger) is None
+    moved = {**ledger, "criteria": {**ledger["criteria"], "4": "0" * 64}}
+    assert mutate.check("ledger criteria/4", moved) != mutate.check("ledger criteria/4", ledger)
+    assert mutate.check("ledger", moved) != mutate.check("ledger", ledger)
 
 
 def test_every_survivor_is_allowed():
