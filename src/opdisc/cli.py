@@ -42,7 +42,7 @@ import numpy as np
 
 from . import acceptance as acceptance_mod
 from .discretize import convergence_scan, functor_a_error
-from .decompose import decompose
+from .decompose import TailBlock, decompose
 from .galerkin import (
     ORACLE_FACTOR,
     SOURCES,
@@ -383,10 +383,14 @@ def run_decompose(exp: dict, memo: _BuildMemo) -> tuple:
         seed=got["seed"],
         n_verify=got["n_verify"],
     )
+    tail = next((b for b in result.blocks if isinstance(b, TailBlock)), None)
     report = {
         "j": result.j,
         "epsilon": result.epsilon,
         "r1": result.r1,
+        "blocks": [{"label": b.label, "lip_sampled": b.lip_sampled} for b in result.blocks],
+        "tail": None if tail is None else {"deviation": tail.deviation,
+                                          "roundtrip_error": tail.roundtrip_error},
         "diagnostics": result.diagnostics,
         "replay": {
             "space": exp["space"],

@@ -340,15 +340,8 @@ class TailBlock:
         return self.eval_array(x, start), None
 
 
-def peel_tail(
-    source,
-    core: CoreCompressedLayer,
-    epsilon: float,
-    tol: float = 1e-9,
-    kappa: float | None = None,
-    seed: int = 0,
-    sample_radius: float = 2.0,
-) -> TailBlock:
+def peel_tail(source, core: CoreCompressedLayer, epsilon: float, tol: float,
+              kappa: float | None, seed: int, sample_radius: float) -> TailBlock:
     """Near-identity factor B̃ with F = (Id + B̃)∘F^W, verified by sampling.
 
     ``core`` is F^W in W coordinates.  ``kappa`` bounds Lip(F^W − Id) and
@@ -528,7 +521,7 @@ def path_blocks(
     c0: float,
     c1: float,
     kappa: float,
-    tol: float = 1e-9,
+    tol: float,
     seed: int = 0,
 ) -> tuple[list, dict]:
     """Cutoff blocks along the scaling ``path`` from Df|₀ to f.
@@ -559,7 +552,10 @@ def path_blocks(
     c2 = _c2_estimate(path.f, path.k, 1.1 * r1_img, seed=seed + 1)
     t1_bound = 2.0 * c0 * epsilon / (c1 + c2 * r1_img)
     t1 = min(0.9 * t1_bound, 0.5)
-    m_theory = int(math.ceil(1.0 / max(t1, 1e-12)))
+    if not t1 * MAX_BLOCKS >= 1.0:
+        raise StageError("path_blocks", f"the first grid step {t1:g} needs more blocks "
+                         f"than the cap {MAX_BLOCKS}")
+    m_theory = int(math.ceil(1.0 / t1))
 
     diag = {
         "r0": r0,
@@ -572,9 +568,8 @@ def path_blocks(
     }
 
     xs = ball_samples(path.k, 2.3 * r2, 40, seed=seed + 2)
-    lin_dev = float(
-        np.max(np.linalg.norm(eval_map(path.f, xs) - xs @ path.df0.T - path.f0_val, axis=1))
-    )
+    # f is linear when it matches Df|₀ at the samples and f(0) vanishes
+    lin_dev = float(np.max(np.linalg.norm(eval_map(path.f, xs) - xs @ path.df0.T, axis=1)))
     if lin_dev <= 1e-12 and r0 <= 1e-12:
         diag["linear_shortcut"] = True
         diag["t_grid"] = [0.0, 1.0]
@@ -582,7 +577,7 @@ def path_blocks(
 
     ts = [0.0, t1]
     while ts[-1] < 1.0 - 1e-12:
-        ts.append(min(ts[-1] + t1, 1.0))
+        ts.append(ts[-1] + t1)
     ts[-1] = 1.0
 
     measured: dict[tuple[float, float], PathBlock] = {}
@@ -734,7 +729,7 @@ def linear_path_blocks(df0: np.ndarray, epsilon: float) -> tuple[str, list, dict
     angles = angles[angles > 1e-10][0::2]  # one per plane: ±θ, or a pair of −1s
     diag["rotation_angles"] = angles.tolist()
 
-    max_step = 2.0 * math.asin(min(step_cap / 2.0, 1.0))
+    max_step = 2.0 * math.asin(step_cap / 2.0)
     factors_u: list[np.ndarray] = []
     if angles.size:
         n_u = max(1, int(math.ceil(angles[0] / max_step)))

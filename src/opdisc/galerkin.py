@@ -327,12 +327,8 @@ def solve_semilinear_trace(
     return sol.x[0], NewtonTrace(sol.merits[:, 0], sol.residuals[:, 0], sol.scales[1:, 0], tol)
 
 
-def solve_semilinear(
-    x_source: Callable,
-    mesh: FemMesh,
-    g: ConvexNonlinearity,
-    tol: float = 1e-10,
-) -> np.ndarray:
+def solve_semilinear(x_source: Callable, mesh: FemMesh, g: ConvexNonlinearity,
+                     tol: float) -> np.ndarray:
     """Coefficients (= nodal values at the unknown nodes) of the solution."""
     return solve_semilinear_trace(x_source, mesh, g, tol)[0]
 
@@ -503,12 +499,7 @@ def galerkin_path_matrix(kind: str, s, n: int) -> np.ndarray:
     return mats
 
 
-def singularity_scan(
-    kind: str,
-    n: int,
-    s_grid: int = 101,
-    bisect_tol: float = 1e-12,
-) -> PathScan:
+def singularity_scan(kind: str, n: int, s_grid: int, bisect_tol: float) -> PathScan:
     """Locate a singular parameter of the matrix path by sign bisection.
 
     The determinant and least singular value are recorded on ``s_grid``

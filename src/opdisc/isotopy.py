@@ -153,9 +153,7 @@ def aligned_dets(ts: np.ndarray, m: int) -> list[float]:
     return np.concatenate(dets).tolist()
 
 
-def truncated_det_scan(
-    m: int, t_grid: int = 101, bisect_tol: float = 1e-12
-) -> PathScan:
+def truncated_det_scan(m: int, t_grid: int, bisect_tol: float) -> PathScan:
     """Scan det and least singular value of the m-truncated glued path.
 
     ``m`` must be odd and at least 3 so that the first half of the path cuts a

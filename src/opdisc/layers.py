@@ -557,7 +557,7 @@ def make_layer(
     seed: int = 0,
     rank: int | None = None,
     decay: float = 1.0,
-    lip_g: float = 0.5,
+    lip_g: float,
     nonlin: str = "coordinate_net",
     norm_in: float = 1.0,
     norm_out: float = 1.0,

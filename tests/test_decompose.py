@@ -562,9 +562,8 @@ class TestPeelTail:
     def test_exact_core_leaves_no_tail(self, smooth_layer):
         frame, _ = choose_w(smooth_layer, 1e-6)
         core = CoreCompressedLayer(smooth_layer, frame)
-        block = peel_tail(
-            smooth_layer, core, epsilon=0.25, kappa=0.2, seed=9
-        )
+        block = peel_tail(smooth_layer, core, epsilon=0.25, tol=1e-9, kappa=0.2, seed=9,
+                          sample_radius=2.0)
         assert block.deviation <= 1e-7
         assert block.lip_sampled <= 1e-6
 
@@ -584,8 +583,10 @@ class TestPeelTail:
             decayed_layer,
             core,
             epsilon=eps,
+            tol=1e-9,
             kappa=kappa,
             seed=10,
+            sample_radius=2.0,
         )
         assert block.roundtrip_error < 1e-8
         assert block.lip_sampled < eps
@@ -604,14 +605,15 @@ class TestPathBlocks:
         a = np.diag([1.3, 0.8])
         f = lambda c: c @ a.T
         path = ScalingPath(f, 2, None)
-        blocks, diag = path_blocks(path, epsilon=0.25, r1=1.0, c0=0.8, c1=1.3, kappa=0.3)
+        blocks, diag = path_blocks(path, epsilon=0.25, r1=1.0, c0=0.8, c1=1.3, kappa=0.3, tol=1e-9)
         assert blocks == []
         assert diag["linear_shortcut"]
 
     def test_transport_reaches_the_map(self):
         f = tanh_contraction(3, seed=21)
         blocks, diag = path_blocks(
-            ScalingPath(f, 3, 0.3), epsilon=0.25, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, seed=1
+            ScalingPath(f, 3, 0.3), epsilon=0.25, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, tol=1e-9,
+            seed=1
         )
         assert len(blocks) >= 1
         assert not diag["linear_shortcut"]
@@ -629,7 +631,8 @@ class TestPathBlocks:
         f = tanh_contraction(3, seed=22, bias=0.2)
         eps = 0.25
         blocks, _ = path_blocks(
-            ScalingPath(f, 3, 0.35), epsilon=eps, r1=1.0, c0=0.7, c1=1.4, kappa=0.35, seed=3
+            ScalingPath(f, 3, 0.35), epsilon=eps, r1=1.0, c0=0.7, c1=1.4, kappa=0.35, tol=1e-9,
+            seed=3
         )
         assert blocks
         for b in blocks:
@@ -640,8 +643,8 @@ class TestPathBlocks:
     def test_finer_epsilon_needs_more_blocks(self):
         f = tanh_contraction(3, seed=23)
         path = ScalingPath(f, 3, 0.3)
-        coarse, _ = path_blocks(path, epsilon=0.4, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, seed=5)
-        fine, _ = path_blocks(path, epsilon=0.1, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, seed=5)
+        coarse, _ = path_blocks(path, 0.4, 1.0, 0.7, 1.3, 0.3, 1e-9, seed=5)
+        fine, _ = path_blocks(path, 0.1, 1.0, 0.7, 1.3, 0.3, 1e-9, seed=5)
         assert len(fine) >= len(coarse)
 
     def test_a_stack_takes_one_t_per_slice(self):
@@ -665,9 +668,9 @@ class TestPathBlocks:
     def test_validation(self):
         path = ScalingPath(lambda c: c, 2, None)
         with pytest.raises(ValueError, match="epsilon"):
-            path_blocks(path, epsilon=0.0, r1=1.0, c0=0.5, c1=1.5, kappa=0.0)
+            path_blocks(path, epsilon=0.0, r1=1.0, c0=0.5, c1=1.5, kappa=0.0, tol=1e-9)
         with pytest.raises(ValueError, match="c0"):
-            path_blocks(path, epsilon=0.2, r1=1.0, c0=1.5, c1=0.5, kappa=0.0)
+            path_blocks(path, epsilon=0.2, r1=1.0, c0=1.5, c1=0.5, kappa=0.0, tol=1e-9)
 
 
 class TestMeasureRound:
@@ -867,6 +870,36 @@ class TestLinearPathBlocks:
         assert diag["product_error"] <= 1e-8
         self.assert_matches_schur_path(m, 0.25)
 
+    @pytest.mark.parametrize("cosines, direct", [
+        # one plane: the widest gap of [-0.8, -0.3, -0.2] lies below it
+        ((-0.3,), (-0.3,)),
+        # ... and above it at -0.55
+        ((-0.55,), ()),
+        # -0.3 splits [-0.8, -0.2], so the cut lies below -0.52 too
+        ((-0.3, -0.52), (-0.3, -0.52)),
+        # the π-plane's cosine -1 is no mark: the widest gap is [-0.7, -0.52]
+        ((-1.0, -0.7, -0.52, -0.38, -0.25), (-0.52, -0.38, -0.25)),
+    ], ids=["above", "below", "split", "half-turn"])
+    def test_the_cut_sits_in_the_widest_gap_of_the_cosines(self, monkeypatch, cosines, direct):
+        """``_orthogonal_root`` turns the planes above the cut by
+        ``_cos_root`` directly, and the others through −U; the cut is the
+        middle of the widest gap of the cosines over [−0.8, −0.2]."""
+        r = scipy.linalg.block_diag(*[rotation(math.acos(c)) for c in cosines], np.eye(1))
+        q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal(r.shape))
+        module = importlib.import_module("opdisc.decompose")
+        cos_root, turned = module._cos_root, []
+
+        def recorded(c, *args):
+            turned.append(c)
+            return cos_root(c, *args)
+
+        monkeypatch.setattr(module, "_cos_root", recorded)
+        _, factors, diag = linear_path_blocks(q @ r @ q.T, 0.25)
+        assert diag["product_error"] <= 1e-12
+        # each plane's cosine twice, and the fixed axis's 1
+        np.testing.assert_allclose(np.sort(turned[0]), sorted([*direct, *direct, 1.0]),
+                                   atol=1e-12)
+
     def test_rejects_near_singular_and_bad_input(self):
         with pytest.raises(ValueError, match="singular"):
             linear_path_blocks(np.diag([1.0, 1e-9]), 0.25)
@@ -1047,6 +1080,21 @@ class TestOnePass:
         assert calls == []
         assert not any(isinstance(b, TailBlock) for b in result.blocks)
 
+    def test_a_small_ball_samples_its_tail_out_to_radius_1(self, monkeypatch):
+        layer = make_layer(
+            Space(BasisSpec(ambient_dim=64)), seed=71, lip_g=0.5, rank=64, decay=2.0
+        )
+        module = importlib.import_module("opdisc.decompose")
+        peel_tail, radii = module.peel_tail, []
+
+        def recorded(*args, **kwargs):
+            radii.append(kwargs["sample_radius"])
+            return peel_tail(*args, **kwargs)
+
+        monkeypatch.setattr(module, "peel_tail", recorded)
+        decompose(layer, 0.25, 0.25)
+        assert radii == [1.0]
+
     def test_a_compressing_frame_peels_its_tail_once(self, monkeypatch):
         layer = make_layer(
             Space(BasisSpec(ambient_dim=64)), seed=71, lip_g=0.5, rank=64, decay=2.0
@@ -1185,11 +1233,11 @@ class TestWarmComposite:
             return invert(f, ys, kappa, tol, **kwargs)
 
         monkeypatch.setattr(module, "_invert", recorded)
-        peel_tail(layer, core, 0.25, kappa=kappa, seed=4)
+        peel_tail(layer, core, 0.25, 1e-9, kappa, 4, 2.0)
         assert starts and all(s is None for s in starts)
         starts.clear()
         blocks, _ = path_blocks(ScalingPath(core, frame.dim, kappa), 0.25, 1.0, 0.7, 1.3, kappa,
-                                seed=6)
+                                1e-9, seed=6)
         assert blocks
         assert starts and all(s is None for s in starts)
 
@@ -1228,8 +1276,15 @@ class TestInverterChoice:
             0.5,
             {"r0": 0.5, "tol": 2.0**-15, "banach_evals": 16, "newton_evals": 32},
         )
+        # log2(r0 / tol) = 15 needs exactly ceil(log2(1 + 15)) = 4 rounds
+        assert _choose_inverter(0.5, 3, 1.0, 2.0**-16)[1]["newton_evals"] == 4 * 8
         # a slow rate on one coordinate makes Newton the cheaper one
         assert _choose_inverter(0.9, 1, 1.0, 2.0**-15)[0] is None
+        # κ ≥ 1 has no Banach rate, also below 2
+        assert _choose_inverter(1.5, 2, 1.0, 1e-9) == (
+            None,
+            {"r0": 1.5, "tol": 1e-9, "banach_evals": None, "newton_evals": 30},
+        )
         # a constant B is inverted by one Banach step
         assert _choose_inverter(0.0, 4, 1.0, 1e-9) == (
             0.0,
@@ -1264,14 +1319,14 @@ class TestFailClosed:
         core = CoreCompressedLayer(smooth_layer, frame)
         poison(monkeypatch, self.module, "eval_map", "peel_tail")
         with pytest.raises(StageError, match=r"^\[peel_tail\] factor roundtrip error nan"):
-            peel_tail(smooth_layer, core, epsilon=0.25, kappa=0.2, seed=9)
+            peel_tail(smooth_layer, core, 0.25, 1e-9, 0.2, 9, 2.0)
 
     def test_a_nan_tail_lipschitz_fails_peel_tail(self, smooth_layer, monkeypatch):
         frame, _ = choose_w(smooth_layer, 1e-6)
         core = CoreCompressedLayer(smooth_layer, frame)
         poison(monkeypatch, self.module, "_measure", "peel_tail")
         with pytest.raises(StageError, match=r"^\[peel_tail\] sampled Lip .* is nan"):
-            peel_tail(smooth_layer, core, epsilon=0.25, kappa=0.2, seed=9)
+            peel_tail(smooth_layer, core, 0.25, 1e-9, 0.2, 9, 2.0)
 
     def test_a_nan_core_deviation_fails_build_fw(self, smooth_layer, monkeypatch):
         poison(monkeypatch, LiftedBlock, "eval_array", "decompose")

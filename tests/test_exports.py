@@ -213,20 +213,18 @@ def test_only_stage_error_writes_a_stage_prefix():
     assert found == []
 
 
-_LAYER = make_layer(Space(BasisSpec(ambient_dim=8)))
+_LAYER = make_layer(Space(BasisSpec(ambient_dim=8)), lip_g=0.5)
 
 # (the argument a guard names, a call passing it a value, a value out of range)
 GUARDS = {
-    "choose_w": ("h", lambda v: choose_w(make_layer(Space(BasisSpec(ambient_dim=8))), v), -1.0),
+    "choose_w": ("h", lambda v: choose_w(_LAYER, v), -1.0),
     "linear_path_blocks": ("epsilon", lambda v: linear_path_blocks(np.diag([2.0, 3.0]), v), 2.0),
     "path_blocks-epsilon": (
-        "epsilon", lambda v: path_blocks(None, epsilon=v, r1=1.0, c0=0.5, c1=1.5, kappa=0.5), 2.0),
-    "path_blocks-r1": (
-        "r1", lambda v: path_blocks(None, epsilon=0.2, r1=v, c0=0.5, c1=1.5, kappa=0.5), 0.0),
-    "path_blocks-c1": (
-        "c1", lambda v: path_blocks(None, epsilon=0.2, r1=1.0, c0=0.5, c1=v, kappa=0.5), 0.4),
+        "epsilon", lambda v: path_blocks(None, v, 1.0, 0.5, 1.5, 0.5, 1e-9), 2.0),
+    "path_blocks-r1": ("r1", lambda v: path_blocks(None, 0.2, v, 0.5, 1.5, 0.5, 1e-9), 0.0),
+    "path_blocks-c1": ("c1", lambda v: path_blocks(None, 0.2, 1.0, 0.5, v, 0.5, 1e-9), 0.4),
     "path_blocks-kappa": (
-        "kappa", lambda v: path_blocks(None, epsilon=0.2, r1=1.0, c0=0.5, c1=1.5, kappa=v), -1.0),
+        "kappa", lambda v: path_blocks(None, 0.2, 1.0, 0.5, 1.5, v, 1e-9), -1.0),
     "network-target_bound": (
         "target_bound", lambda v: CoordinateNetwork.seeded(3, 3, target_bound=v), -1.0),
     "sign_crossings": (

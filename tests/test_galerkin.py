@@ -154,7 +154,7 @@ class TestSolveTridiagonal:
 class TestSolveSemilinear:
     def test_laplace_is_nodally_exact(self):
         mesh = FemMesh(64)
-        w = solve_semilinear(source_for_zero_g, mesh, ConvexNonlinearity.zero())
+        w = solve_semilinear(source_for_zero_g, mesh, ConvexNonlinearity.zero(), 1e-10)
         exact = sin_pi(mesh.nodes[mesh.active_nodes])
         assert np.max(np.abs(w - exact)) <= 1e-8
 
@@ -162,19 +162,19 @@ class TestSolveSemilinear:
         errs = []
         for m in (16, 32):
             mesh = FemMesh(m)
-            w = solve_semilinear(source_for_linear_g, mesh, ConvexNonlinearity.linear())
+            w = solve_semilinear(source_for_linear_g, mesh, ConvexNonlinearity.linear(), 1e-10)
             errs.append(np.max(np.abs(w - sin_pi(mesh.nodes[mesh.active_nodes]))))
         assert errs[1] < errs[0]
         assert 3.0 <= errs[0] / errs[1] <= 5.0
 
     def test_cubic_reaction_converges_to_the_manufactured_solution(self):
         mesh = FemMesh(64)
-        w = solve_semilinear(source_for_cubic_g, mesh, ConvexNonlinearity.cubic())
+        w = solve_semilinear(source_for_cubic_g, mesh, ConvexNonlinearity.cubic(), 1e-10)
         assert np.max(np.abs(w - sin_pi(mesh.nodes[mesh.active_nodes]))) <= 1e-3
 
     def test_zero_source_gives_the_zero_solution(self):
         w = solve_semilinear(
-            lambda t: np.zeros_like(t), FemMesh(8), ConvexNonlinearity.cubic()
+            lambda t: np.zeros_like(t), FemMesh(8), ConvexNonlinearity.cubic(), 1e-10
         )
         np.testing.assert_array_equal(w, np.zeros(7))
 
@@ -283,7 +283,7 @@ class TestBandedAgainstDense:
         mesh = FemMesh(2048)
         tracemalloc.start()
         try:
-            solve_semilinear(source_for_cubic_g, mesh, ConvexNonlinearity.cubic())
+            solve_semilinear(source_for_cubic_g, mesh, ConvexNonlinearity.cubic(), 1e-10)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -524,11 +524,11 @@ class TestSingularityScan:
 
     def test_even_basis_count_refused(self):
         with pytest.raises(ValueError, match="odd"):
-            singularity_scan("a", 4)
+            singularity_scan("a", 4, 101, 1e-12)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError, match="at least two grid points"):
-            singularity_scan("a", 3, 1)
+            singularity_scan("a", 3, 1, 1e-12)
         with pytest.raises(ValueError, match="bisection tolerance"):
             singularity_scan("a", 3, 11, 0.0)
 

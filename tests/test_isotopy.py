@@ -243,13 +243,13 @@ class TestTruncatedDetScan:
 
     def test_validation(self):
         with pytest.raises(ValueError, match="odd truncation"):
-            truncated_det_scan(8)
+            truncated_det_scan(8, 101, 1e-12)
         with pytest.raises(ValueError, match="odd truncation"):
-            truncated_det_scan(1)
+            truncated_det_scan(1, 101, 1e-12)
         with pytest.raises(ValueError, match="bisection tolerance"):
             truncated_det_scan(7, 11, 0.0)
         with pytest.raises(ValueError, match="at least two"):
-            truncated_det_scan(7, 1)
+            truncated_det_scan(7, 1, 1e-12)
 
     def test_rows_and_dict_round_trip(self, tmp_path, monkeypatch):
         scan = truncated_det_scan(5, 21, 1e-10)

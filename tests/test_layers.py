@@ -34,9 +34,18 @@ class TestCoordinateNetwork:
             net = CoordinateNetwork.seeded(6, 6, target_bound=target, seed=3)
             assert net.spectral_bound == pytest.approx(target, rel=1e-12)
 
+    def test_seeded_hits_target_bound_through_a_steep_activation(self):
+        # leaky_relu(2) has Lipschitz constant 2 at each of the two junctions
+        steep = activation_from_name("leaky_relu(2)")
+        net = CoordinateNetwork.seeded(4, 4, activation=steep, target_bound=0.5, seed=1)
+        assert net.activation.lipschitz == 2.0
+        assert net.spectral_bound == pytest.approx(0.5, rel=1e-12)
+
     def test_default_architecture(self):
         net = CoordinateNetwork.seeded(5, 5, seed=0)
         assert [w.shape for w in net.weights] == [(20, 5), (20, 20), (5, 20)]
+        # the default target, which the benchmark's tracer test builds with
+        assert net.spectral_bound == pytest.approx(1.0, rel=1e-12)
 
     def test_bound_dominates_sampled_lipschitz(self):
         net = CoordinateNetwork.seeded(4, 4, target_bound=0.8, bias_scale=0.5, seed=1)
@@ -66,6 +75,15 @@ class TestCoordinateNetwork:
             b *= 0.5 / max(1.0, np.linalg.norm(b))
             lhs = np.linalg.norm(net.eval_array(a) - net.eval_array(b))
             assert lhs <= local * np.linalg.norm(a - b) + 1e-12
+
+    def test_ball_bound_widens_the_range_radius_by_the_biases(self):
+        recu = activation_from_name("recu")
+        net = CoordinateNetwork.seeded(3, 3, hidden=(5,), activation=recu, target_bound=0.5,
+                                       bias_scale=0.3, seed=5)
+        w_in, w_out = net.stage_norms
+        reach = w_in * 0.5 + np.linalg.norm(net.biases[0])
+        assert net.ball_bound(0.5) == pytest.approx(w_in * recu.local_lipschitz(reach) * w_out,
+                                                     rel=1e-15)
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="width"):
@@ -243,7 +261,7 @@ class TestSpectralNormCalls:
         # the map's bound is its quadrature Gram's, so its grid network's
         # stage norms are never read
         space = Space(BasisSpec("fourier", 32))
-        layer = make_layer(space, nonlin="nemytskii", seed=1)
+        layer = make_layer(space, lip_g=0.5, nonlin="nemytskii", seed=1)
         if sigma == "identity":
             layer = replace(layer, nonlin=NemytskiiNonlinearity(space, activation_from_name(sigma)))
         assert 0.0 < layer.contraction < np.inf
@@ -287,11 +305,11 @@ class TestLayer:
 
     def test_infeasible_rank(self, space16):
         with pytest.raises(ValueError, match="rank"):
-            make_layer(space16, rank=17)
+            make_layer(space16, lip_g=0.5, rank=17)
 
     def test_unknown_keys_rejected(self, space16):
         with pytest.raises(TypeError, match="unexpected keyword argument 'rnk'"):
-            make_layer(space16, rnk=3)
+            make_layer(space16, lip_g=0.5, rnk=3)
 
     def test_contraction_product(self, space16):
         layer = make_layer(space16, rank=4, lip_g=0.4, norm_in=0.8, norm_out=1.25, seed=8)

@@ -17,7 +17,77 @@ _STALE = "judge them again: python tests/mutate.py --stale"
 # "module.qualname: line: operator" -> (reason, the interval of values that
 # gives the same bytes, the ROADMAP item or test that owns it)
 _NEVER_DRAWN = "a guard against a Gaussian draw of probability zero, which no product run makes"
+_TRACER = ("read only by bench/tracer.py, until its counts come from the run itself "
+           "(ROADMAP item 1, step B)")
+_DROP = ("the threshold below which a block is the identity and is dropped: every product "
+         "block moves by far more, or by nothing")
+_ZERO_GAP = "any tolerance from rounding up to the smallest nonzero value a product run tests"
 ALLOWED_SURVIVORS = {
+    'cli.run_monotone_check: "pass": bool(worst >= floor - 1e-6),: double 1e-6 to 2e-06': (
+        "the slack of the sampled worst quotient against its floor: no product run's worst "
+        "lies within 2e-6 of its floor", "any slack below the smallest gap between a product "
+        "run's worst quotient and its floor", "ROADMAP item 32"),
+    "decompose.choose_w: basis = vt[sv > 1e-10]: double 1e-10 to 2e-10": (
+        "the SVD cutoff of the stacked singular directions: a product stack's singular values "
+        "are O(1) or rounding", _ZERO_GAP, "ROADMAP item 33"),
+    "decompose.TailBlock.alpha: return None if self.kappa is None else 1.0 - self.kappa: "
+    "swap - to +": (_TRACER, "any value", "ROADMAP item 1"),
+    "decompose.TailBlock.alpha: return None if self.kappa is None else 1.0 - self.kappa: "
+    "double 1.0 to 2.0": (_TRACER, "any value", "ROADMAP item 1"),
+    "decompose.ScalingPath.alpha: return None if self.kappa is None else 1.0 - self.kappa: "
+    "swap - to +": (_TRACER, "any value", "ROADMAP item 1"),
+    "decompose.ScalingPath.alpha: return None if self.kappa is None else 1.0 - self.kappa: "
+    "double 1.0 to 2.0": (_TRACER, "any value", "ROADMAP item 1"),
+    "decompose.path_blocks: if lin_dev <= 1e-12 and r0 <= 1e-12:: double 1e-12 to 2e-12": (
+        "the linear shortcut's rounding tolerance on f − Df|₀: a product core is linear to "
+        "rounding or nonlinear by far more", _ZERO_GAP, "ROADMAP item 33"),
+    "decompose.path_blocks: if lin_dev <= 1e-12 and r0 <= 1e-12:: double 1e-12 to 2e-12 (2)": (
+        "the linear shortcut's rounding tolerance on ‖f(0)‖: a product core's f(0) is 0 or "
+        "far from it", _ZERO_GAP, "ROADMAP item 33"),
+    "decompose.path_blocks: while ts[-1] < 1.0 - 1e-12:: double 1e-12 to 2e-12": (
+        "the t-grid's end tolerance: no product grid point falls within 2e-12 below 1",
+        "any tolerance below the distance to 1 of a product grid's last inner point",
+        "ROADMAP item 33"),
+    "decompose.path_blocks: drop_tol = max(1e-10, 4.0 * tol): double 1e-10 to 2e-10": (
+        _DROP, _ZERO_GAP, "ROADMAP item 33"),
+    "decompose.path_blocks: drop_tol = max(1e-10, 4.0 * tol): double 4.0 to 8.0": (
+        _DROP, "any factor that keeps the threshold below the smallest moving block's "
+        "deviation", "ROADMAP item 33"),
+    "decompose._cos_root: theta = np.arccos(np.clip(c, -1.0, 1.0)): double 1.0 to 2.0 (2)": (
+        "the clip of cos θ at 1 against rounding: no eigenvalue of a product rotation's "
+        "symmetric part rounds above 1", "any clip of at least 1", "ROADMAP item 33"),
+    "decompose._complex_structure: keep = int(np.count_nonzero(sv > 1e-10)): "
+    "double 1e-10 to 2e-10": (
+        "the SVD cutoff of the planes turned through −U: their singular values are sin θ "
+        "of a product rotation, or rounding", _ZERO_GAP, "ROADMAP item 33"),
+    "decompose._complex_structure: keep += keep % 2: swap += to -=": (
+        "pairs a skew matrix's singular values again when a pair straddles the cutoff, "
+        "which no product rotation has", "any change of an odd count: every product count is "
+        "even", "ROADMAP item 33"),
+    "decompose.linear_path_blocks: if dev > 1e-14:: double 1e-14 to 2e-14": (
+        "the shortcut past a positive part that is the identity to rounding",
+        _ZERO_GAP, "ROADMAP item 33"),
+    "decompose.linear_path_blocks: angles = angles[angles > 1e-10][0::2]: "
+    "double 1e-10 to 2e-10": (
+        "the angle cutoff of a rotation plane against rounding", _ZERO_GAP, "ROADMAP item 33"),
+    "decompose.decompose: if tail.deviation > max(1e-10, 4.0 * block_tol):: "
+    "double 1e-10 to 2e-10": (_DROP, _ZERO_GAP, "ROADMAP item 33"),
+    "decompose.decompose: if tail.deviation > max(1e-10, 4.0 * block_tol):: "
+    "double 4.0 to 8.0": (
+        _DROP, "any factor that keeps the threshold below the smallest kept tail's deviation",
+        "ROADMAP item 33"),
+    "galerkin.ConvexNonlinearity.__post_init__: r = np.linspace(-8.0, 8.0, 321): "
+    "double 8.0 to 16.0": (
+        "the grid of the constructor's sampled monotonicity check: the three built-in g's are "
+        "monotone on every grid", "any grid radius", "ROADMAP item 33"),
+    "galerkin.ConvexNonlinearity.__post_init__: r = np.linspace(-8.0, 8.0, 321): "
+    "double 8.0 to 16.0 (2)": (
+        "the grid of the constructor's sampled monotonicity check: the three built-in g's are "
+        "monotone on every grid", "any grid radius", "ROADMAP item 33"),
+    "galerkin._cos_integrals: moving = (np.sin(omega * s + phase) - np.sin(phase)) / "
+    "np.where(still, 1.0, omega): double 1.0 to 2.0": (
+        "a placeholder divisor for the rows at ω = 0, whose result the next line replaces",
+        "any nonzero value", "ROADMAP item 33"),
     "discretize.orientation_scan: refine_tol: float = 1e-6,: double 1e-6 to 2e-06": (
         "criterion 10's monotone path, the one product call that takes the default, has no "
         "sign change to bisect; its scalar path passes refine_tol itself",
@@ -68,6 +138,10 @@ def test_a_check_is_gone_with_its_test_case_or_ledger_entry():
     assert mutate.check(f"{leaky}[2.5]", ledger) is None  # no such case
     assert mutate.check(f"{leaky}_gone[1.5]", ledger) is None
     assert mutate.check("tests/test_gone.py::test_x", ledger) is None
+    # an id of a name and a constant that holds a hyphen
+    shares = "tests/test_cli.py::TestWorkerProcesses::test_an_error_in_either_share_leaves_no_child"
+    assert mutate.check(f"{shares}[KeyError-child-share]", ledger) is not None
+    assert mutate.check(f"{shares}[KeyError-child]", ledger) is None
     assert mutate.check("ledger criteria/4", ledger) is not None
     assert mutate.check("ledger criteria/99", ledger) is None
     moved = {**ledger, "criteria": {**ledger["criteria"], "4": "0" * 64}}
@@ -105,6 +179,7 @@ def test_the_site_lister_exempts_refusals_and_names_each_operator():
         "        x -= 0.5  # a comment\n"
         "    except ZeroDivisionError:\n"
         "        return x + 1.0\n"
+        '    print(f"x={x + 1.0:.3g}, {x > 2.0}")  # a message: an f-string holds no site\n'
         "    return x if x is not None else 0.0\n"
     )
     found = {site.key: mutate.mutant(source, site).splitlines()[site.line - 1]
@@ -116,3 +191,18 @@ def test_the_site_lister_exempts_refusals_and_names_each_operator():
         "m.f: return x if x is not None else 0.0: flip is not to is":
             "    return x if x is None else 0.0",
     }
+
+
+def test_the_tier1_judge_needs_a_summary_and_no_failure():
+    started = "tests/test_cli.py::TestBuildMemo::test_shared[2]"
+    head = "=== test session starts ===\ntests/test_a.py::test_x PASSED [ 50%]\n"
+    passed = head + "tests/test_a.py::test_y PASSED [100%]\n\n=== 2 passed in 0.52s ===\n"
+    assert mutate.tier1_verdict(passed, 0) is None
+    assert mutate.tier1_verdict(passed, 1) == "tier-1 exit 1"
+    # a runner that left through os._exit(0) as its test started
+    assert mutate.tier1_verdict(head + started + " ", 0) == started
+    # ... while a forked child went on with the session and failed
+    child = ("PASSED [ 75%]\ntests/test_a.py::test_z FAILED [100%]\n=== FAILURES ===\n"
+             "=== short test summary info ===\nFAILED tests/test_a.py::test_z\n"
+             "=== 1 failed, 3 passed in 5.20s ===\n")
+    assert mutate.tier1_verdict(head + started + " " + child, 0) == "tests/test_a.py::test_z"

@@ -241,6 +241,13 @@ BATCH = [
      "layer": {"kind": "layer", "in_op": HALF_I3, "out_op": HALF_I3,
                "nonlin": {"kind": "coordinate_net", "ambient_dim": 3,
                           "net": {**TANH_NET, "n_in": 2, "n_out": 2}}}},
+    # a bias moves f(0) off 0: the scaling path carries the offset t·f(0), and
+    # f(0) widens the image and cutoff radii; at this epsilon the first grid
+    # step is its cap, 0.5
+    {"name": "biased", "kind": "decompose", "seed": 0, "epsilon": 0.4, "radius": 1.0,
+     "space": {"basis": "abstract_orthonormal", "ambient_dim": 3},
+     "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.5, "activation": "tanh",
+               "bias_scale": 0.3}},
     # zero blocks have rate 0: each block's first step is exact
     {"name": "zero-blocks", "kind": "invert", "seed": 0,
      "chain": {"kind": "seeded_chain", "ambient_dim": 4, "num_blocks": 2, "seed": 9,
