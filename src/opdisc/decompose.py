@@ -27,14 +27,13 @@ middle map on a coefficient prefix.  Where the ambient F^W is needed it is
 the core lifted with the identity on W⊥.
 
 Every map inverted along the way is Id + B with Lip(B) ≤ κ, the layer's
-contraction product.  Inverses are computed on demand, by one of two
-solvers chosen once per run by their cost in core-map evaluations per row
-(``_choose_inverter``): the Banach fixed-point iteration x ← y − B(x) at
+contraction product, and κ alone picks its solver.  Inverses are computed
+on demand: at κ < 1 by the Banach fixed-point iteration x ← y − B(x) at
 rate κ (``opdisc.invert``'s kernel, which derives each row's step budget
-from κ and its initial residual), or a finite-difference Newton solver,
-which also serves κ ≥ 1, where Banach has no rate: ``opdisc.invert``'s
-damped Newton kernel with the residual norm as its merit and a batch of
-finite-difference Jacobians for its steps.  Both take a batch of targets.
+from κ and its initial residual); at κ ≥ 1, where Banach has no rate, by
+``opdisc.invert``'s damped Newton kernel with the residual norm as its
+merit and a batch of finite-difference Jacobians for its steps.  Both take
+a batch of targets.
 
 Every block is a frozen record with one evaluation, ``forward(x, start) ->
 (y, carry)``: ``start`` is the first iterate of the block's W-coordinate
@@ -66,7 +65,7 @@ from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
-from .invert import _apriori_iterations, _first_iterate, banach_solve, newton_solve
+from .invert import _first_iterate, banach_solve, newton_solve
 from .layers import CoordinateNetwork, NeuralOperatorLayer, central_differences, eval_map
 from .monotone import _sup_quotient, ball_samples, bilipschitz_estimate
 from .operators import Identity, Reflection, _orthonormal, spectral_norm
@@ -244,38 +243,13 @@ def _newton_invert(f, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
     return newton_solve(evaluate, direction, _first_iterate(ys, start), tol, "invert").x
 
 
-def _invert(f, ys: np.ndarray, kappa: float | None, tol: float, *, start=None) -> np.ndarray:
-    """Banach iteration at rate kappa for f = Id + B, Lip(B) ≤ kappa; Newton
-    when kappa is None.  Either starts at ``start`` (ys when None)."""
-    if kappa is None:
+def _invert(f, ys: np.ndarray, kappa: float, tol: float, *, start=None) -> np.ndarray:
+    """f⁻¹ at the rows ys for f = Id + B, Lip(B) ≤ kappa: Newton when kappa ≥
+    1, else Banach iteration at rate kappa.  Either starts at ``start`` (ys
+    when None)."""
+    if kappa >= 1.0:
         return _newton_invert(f, ys, tol, start)
     return banach_solve(f, ys, kappa, tol, start=start).x
-
-
-def _choose_inverter(kappa: float, k: int, r1: float, tol: float) -> tuple[float | None, dict]:
-    """The cheaper inverter for Id + B on k coordinates, Lip(B) ≤ kappa.
-
-    Returns the ``kappa`` that ``_invert`` takes (None selects Newton) and
-    the costs it compared, in core-map evaluations per inverted row, from a
-    first residual r0 = κ·r1 down to ``tol``.  That r0 bounds ‖B(y)‖ for a
-    target y on the validity sphere when B(0) = 0; the budget grows only
-    with log r0, so targets somewhat further out change little.
-
-    * Banach: its a priori budget ``_apriori_iterations(r0, κ, tol)``.
-    * Newton: 2k + 2 evaluations per round (a 2k-point central-difference
-      Jacobian and two line-search trials) over the rounds a residual that
-      halves in the first round and squares in every later one needs to get
-      from r0 to tol: ceil(log2(1 + log2(r0 / tol))).
-
-    Banach runs when its budget is no larger.  κ ≥ 1 always takes Newton.
-    """
-    r0 = kappa * r1
-    rounds = math.ceil(math.log2(1.0 + math.log2(r0 / tol))) if r0 > tol else 1
-    newton = rounds * (2 * k + 2)
-    banach = int(_apriori_iterations(r0, kappa, tol)) if kappa < 1.0 else None
-    use_banach = banach is not None and banach <= newton
-    cost = {"r0": r0, "tol": tol, "banach_evals": banach, "newton_evals": newton}
-    return (kappa if use_banach else None), cost
 
 
 # ---------------------------------------------------------------------------
@@ -306,15 +280,15 @@ class TailBlock:
     """H = Id + B̃ with B̃ = F∘(F^W)⁻¹ − Id, so that F = H∘F^W.
 
     Inversion exploits the frame split: F^W is the identity on W⊥, so only
-    the W-coordinate core ``fw`` needs solving, by Banach iteration at rate
-    ``kappa`` or by Newton when ``kappa`` is None, from a W-coordinate
-    ``start`` when one is given.  ``eval_array`` takes the start itself: it
-    is the entry of every tail inversion.  The tail hands on no carry.
+    the W-coordinate core ``fw`` needs solving, with Lip(``fw`` − Id) ≤
+    ``kappa`` (``_invert``), from a W-coordinate ``start`` when one is
+    given.  ``eval_array`` takes the start itself: it is the entry of every
+    tail inversion.  The tail hands on no carry.
     """
 
     source: object
     fw: CoreCompressedLayer
-    kappa: float | None
+    kappa: float
     tol: float
     lip_sampled: float | None = None
     deviation: float | None = None
@@ -324,7 +298,7 @@ class TailBlock:
     @property
     def alpha(self) -> float | None:
         """Monotonicity constant 1 − κ of the inverted core; None under Newton."""
-        return None if self.kappa is None else 1.0 - self.kappa
+        return None if self.kappa >= 1.0 else 1.0 - self.kappa
 
     def eval_array(self, x: np.ndarray, start=None) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -341,11 +315,10 @@ class TailBlock:
 
 
 def peel_tail(source, core: CoreCompressedLayer, epsilon: float, tol: float,
-              kappa: float | None, seed: int, sample_radius: float) -> TailBlock:
+              kappa: float, seed: int, sample_radius: float) -> TailBlock:
     """Near-identity factor B̃ with F = (Id + B̃)∘F^W, verified by sampling.
 
-    ``core`` is F^W in W coordinates.  ``kappa`` bounds Lip(F^W − Id) and
-    selects the Banach inverter; None selects Newton.
+    ``core`` is F^W in W coordinates, and ``kappa`` bounds Lip(F^W − Id).
     """
     block = TailBlock(source, core, kappa, tol)
     xs = ball_samples(core.frame.ambient_dim, sample_radius, 100, seed=seed)
@@ -376,12 +349,12 @@ class ScalingPath:
     """f_t(x) = (1/t)(f(tx) − f(0)) + t·f(0), with f₀ = Df|₀.
 
     For f = Id + B with Lip(B) ≤ κ every f_t with t > 0 is Id plus a
-    κ-Lipschitz map, so ``kappa`` serves the whole path; None selects Newton.
+    κ-Lipschitz map, so ``kappa`` serves the whole path.
     Both evaluations take a scalar t, or one t per leading slice of a
     (B, n, k) stack of rows.
     """
 
-    def __init__(self, f, k: int, kappa: float | None):
+    def __init__(self, f, k: int, kappa: float):
         self.f = f
         self.k = k
         self.f0_val = eval_map(f, np.zeros(k))
@@ -391,7 +364,7 @@ class ScalingPath:
     @property
     def alpha(self) -> float | None:
         """Monotonicity constant 1 − κ of every f_t; None under Newton."""
-        return None if self.kappa is None else 1.0 - self.kappa
+        return None if self.kappa >= 1.0 else 1.0 - self.kappa
 
     def eval_t_rows(self, t, xs: np.ndarray) -> np.ndarray:
         """f_t at the rows xs, for t in (0, 1]; f₀ = Df|₀ is never evaluated
@@ -483,7 +456,7 @@ def _measure_round(blocks: list, xs: np.ndarray) -> list:
     path, r2, tol = blocks[0].path, blocks[0].r2, blocks[0].tol
     t_lo = np.array([b.t_lo for b in blocks])
     t_hi = np.array([b.t_hi for b in blocks])
-    stacks = [slice(None)] if path.kappa is not None else range(len(blocks))
+    stacks = range(len(blocks)) if path.kappa >= 1.0 else [slice(None)]
     ys = np.empty((len(blocks),) + xs.shape)
     for s in stacks:
         ys[s] = _transport(path, t_lo[s], t_hi[s], r2, tol, xs)[0]
@@ -520,7 +493,6 @@ def path_blocks(
     r1: float,
     c0: float,
     c1: float,
-    kappa: float,
     tol: float,
     seed: int = 0,
 ) -> tuple[list, dict]:
@@ -530,13 +502,11 @@ def path_blocks(
     c₁·r₁ + ‖f(0)‖ from the sampled upper constant c₁; the grid is then
     refined, up to MAX_BLOCKS blocks, until every block's Lip(block − Id)
     sampled at 40 points is below epsilon.  Blocks indistinguishable from
-    the identity are dropped.  ``kappa`` is the layer's bound on Lip(f −
-    Id), so every f_t maps the ball of radius r1 into the ball of radius
+    the identity are dropped.  The path's ``kappa`` bounds Lip(f − Id), so
+    every f_t maps the ball of radius r1 into the ball of radius
     R₂ = (1 + κ)·r1 + ‖f(0)‖, on which the cutoff is 1: each block then
-    moves the input it gets in the composite.  The path's own ``kappa``
-    selects the Banach inverter; None selects Newton.  Each refinement
-    round measures the blocks it has not measured yet in one
-    ``_measure_round``.
+    moves the input it gets in the composite.  Each refinement round
+    measures the blocks it has not measured yet in one ``_measure_round``.
     """
     if not 0.0 < epsilon < 1.0:
         raise ValueError(f"epsilon must lie in (0, 1), got {epsilon}")
@@ -544,11 +514,11 @@ def path_blocks(
         raise ValueError(f"r1 must be positive and finite, got {r1}")
     if not 0.0 < c0 <= c1 < math.inf:
         raise ValueError(f"need 0 < c0 <= c1 < inf, got c0={c0}, c1={c1}")
-    if not 0.0 <= kappa < math.inf:
-        raise ValueError(f"kappa must be nonnegative and finite, got {kappa}")
+    if not 0.0 <= path.kappa < math.inf:
+        raise ValueError(f"the path's kappa must be nonnegative and finite, got {path.kappa}")
     r0 = float(np.linalg.norm(path.f0_val))
     r1_img = c1 * r1 + r0
-    r2 = (1.0 + kappa) * r1 + r0
+    r2 = (1.0 + path.kappa) * r1 + r0
     c2 = _c2_estimate(path.f, path.k, 1.1 * r1_img, seed=seed + 1)
     t1_bound = 2.0 * c0 * epsilon / (c1 + c2 * r1_img)
     t1 = min(0.9 * t1_bound, 0.5)
@@ -863,6 +833,7 @@ def decompose(
             )
         kappa = layer.contraction
         diag["contraction_product"] = kappa
+        diag["inverter"] = "newton" if kappa >= 1.0 else "fixed_point"
 
     with _stage("choose_w"):
         h = epsilon / (
@@ -890,10 +861,8 @@ def decompose(
     diag["block_tol"] = block_tol = composite_tol / 64.0
 
     # the stage resumes once the core exists: its sampled bracket sets
-    # path_blocks' first grid step, and its dimension prices Newton
+    # path_blocks' first grid step
     with _stage("estimate"):
-        inv_kappa, diag["inverter_cost"] = _choose_inverter(kappa, frame.dim, r1, block_tol)
-        diag["inverter"] = "fixed_point" if inv_kappa is not None else "newton"
         if frame.dim > 0:
             est_w = bilipschitz_estimate(core, r=r1, n=128, seed=seed + 5, dim=frame.dim)
             diag["core_bilipschitz"] = {**asdict(est_w), "is_estimate": True}
@@ -902,7 +871,7 @@ def decompose(
     a0_kind = "identity"
     if frame.dim > 0:
         with _stage("linear_path"):
-            path = ScalingPath(core, frame.dim, inv_kappa)
+            path = ScalingPath(core, frame.dim, kappa)
             a0_kind, lin_factors, lin_diag = linear_path_blocks(path.df0, epsilon)
             diag["linear"] = lin_diag
         # one block per distinct factor matrix, shared by its repeats
@@ -915,7 +884,6 @@ def decompose(
                 r1,
                 est_w.c_lower,
                 est_w.c_upper,
-                kappa,
                 tol=block_tol,
                 seed=seed + 6,
             )
@@ -931,7 +899,7 @@ def decompose(
                 core,
                 epsilon,
                 tol=min(block_tol, 1e-9),
-                kappa=inv_kappa,
+                kappa=kappa,
                 seed=seed + 4,
                 sample_radius=max(2.0 * r1, 1.0),
             )

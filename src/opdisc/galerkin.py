@@ -33,7 +33,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .invert import newton_solve
-from .spectral import PathScan, _unit_parameters, gauss_legendre_panels, path_scan
+from .spectral import PathScan, StageError, _unit_parameters, gauss_legendre_panels, path_scan
 
 __all__ = [
     "FemMesh",
@@ -242,7 +242,7 @@ class NewtonTrace:
     """Energies and residual norms across accepted Newton steps.
 
     The merit function is the problem's convex energy, so an accepted step
-    can never raise it; that is validated here.
+    can never raise it; that is validated here, as stage ``newton``.
     """
 
     energies: tuple
@@ -256,7 +256,7 @@ class NewtonTrace:
         e = self.energies
         for a, b in zip(e, e[1:]):
             if b > a:
-                raise ValueError(f"energy rose across an accepted step: {a} -> {b}")
+                raise StageError("newton", f"energy rose across an accepted step: {a} -> {b}")
 
     @property
     def iterations(self) -> int:

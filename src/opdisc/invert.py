@@ -76,7 +76,8 @@ class InversionTrace:
     ratios are consecutive residual quotients; their sampled median must
     stay within 0.05 of the certified bound, and residuals must decrease
     strictly once the first step is taken — both are checked here, at
-    construction, so a trace object is itself the audit.
+    construction, so a trace object is itself the audit.  A failed check
+    raises :class:`StageError` of stage ``invert``.
     """
 
     iteration_counts: tuple
@@ -105,8 +106,8 @@ class InversionTrace:
             block_ratios = tuple(hist[k] / hist[k - 1] for k in range(1, len(hist)))
             ratios.append(block_ratios)
             if block_ratios and statistics.median(block_ratios) > deltas[b] + 0.05:
-                raise ValueError(
-                    f"block {b}: median contraction ratio "
+                raise StageError(
+                    "invert", f"block {b}: median contraction ratio "
                     f"{statistics.median(block_ratios):.6g} exceeds delta + 0.05 = "
                     f"{deltas[b] + 0.05:.6g}"
                 )
@@ -114,13 +115,13 @@ class InversionTrace:
             # i.e. from the second recorded residual on
             for k in range(2, len(hist)):
                 if not (hist[k] < hist[k - 1] or hist[k] == 0.0):
-                    raise ValueError(
-                        f"block {b}: residual rose at iteration {k + 1} "
+                    raise StageError(
+                        "invert", f"block {b}: residual rose at iteration {k + 1} "
                         f"({hist[k - 1]:.6g} -> {hist[k]:.6g})"
                     )
             if counts[b] > bounds[b]:
-                raise ValueError(
-                    f"block {b}: took {counts[b]} iterations, a priori bound "
+                raise StageError(
+                    "invert", f"block {b}: took {counts[b]} iterations, a priori bound "
                     f"allows {bounds[b]}"
                 )
         object.__setattr__(self, "iteration_counts", counts)
@@ -263,9 +264,13 @@ def banach_solve(
 
 
 # Per-row step budget of the Newton kernel.  Hand-set and unproven: no
-# convergence bound derives it.  The most steps any row takes is 8, in
-# decompose at κ = 0.99, and 4 in a finite-element solve of the solve bench.
+# convergence bound derives it.  The most steps any row takes is 4, in
+# decompose at κ = 1.5 and in a finite-element solve of the solve bench.
 NEWTON_STEPS = 100
+
+# The step scales λ = 2⁰, 2⁻¹, …, 2⁻³³ that a Newton line search tries, in
+# order: a fixed ladder, so every search ends after at most 34 trials.
+LINE_SEARCH = 0.5 ** np.arange(34)
 
 
 @dataclass(frozen=True)
@@ -290,8 +295,8 @@ def newton_solve(evaluate, direction, x, tol: float, stage: str) -> NewtonSolve:
     that the step reuses.  ``direction(x, state)`` returns the Newton steps
     d of iterates from the states ``evaluate`` returned for them, kept for
     each accepted trial.  The rows above tol step together: each
-    trial x − λ·d, λ = 1, ½, … down to 1e-10, is one ``evaluate`` of the
-    rows still searching, and a row accepts the first trial that lowers its
+    trial x − λ·d, λ in ``LINE_SEARCH``, is one ``evaluate`` of the rows
+    still searching, and a row accepts the first trial that lowers its
     merit, or ties it and lowers its residual norm.  A NaN residual is never
     below tol.  A line search out of λ, or a row above tol after
     ``NEWTON_STEPS`` steps, raises :class:`StageError` of ``stage``.
@@ -305,11 +310,10 @@ def newton_solve(evaluate, direction, x, tol: float, stage: str) -> NewtonSolve:
         act = np.flatnonzero(~(rnorm <= tol))
         if not act.size:
             break
-        steps, scale, lam = direction(x[act], state[act]), np.zeros(len(x)), 1.0
-        while act.size:
-            if lam < 1e-10:
-                stalled = f"Newton line search stagnated at residual {rnorm[act[0]]:g}"
-                raise StageError(stage, stalled)
+        steps, scale = direction(x[act], state[act]), np.zeros(len(x))
+        for lam in LINE_SEARCH:
+            if not act.size:
+                break
             cand = x[act] - lam * steps
             cstate, cnorm, cmerit = evaluate(cand, act)
             ok = (cmerit < merit[act]) | ((cmerit == merit[act]) & (cnorm < rnorm[act]))
@@ -318,7 +322,8 @@ def newton_solve(evaluate, direction, x, tol: float, stage: str) -> NewtonSolve:
             rnorm[done], merit[done] = cnorm[ok], cmerit[ok]
             scale[done] = lam
             act, steps = act[~ok], steps[~ok]
-            lam *= 0.5
+        if act.size:
+            raise StageError(stage, f"Newton line search stagnated at residual {rnorm[act[0]]:g}")
         history.append((merit.copy(), rnorm.copy(), scale))
     bad = np.flatnonzero(~(rnorm <= tol))
     if bad.size:

@@ -36,10 +36,11 @@ comment; `` (2)``, `` (3)`` … tell apart repeats within one function), with a
 hash of the source of the function that holds the site (of the top-level
 statement, outside every function) and a hash of the check that killed it
 (:func:`check`): the killing test's source, decorators included, or the
-committed digest of the moved ledger entry (the whole ledger, for a failed
-run).  An edit to the function, or to the check, makes the verdict stale,
-and ``tests/test_mutate.py`` fails until ``--stale`` judges it again; it
-also fails on a kill whose check is gone, and on a survivor that its
+committed digest of the moved ledger entry (for a failed run, the ledger
+script and the tables it replays, :func:`ledger_run_hash`).  An edit to the
+function, or to the check, makes the verdict stale, and
+``tests/test_mutate.py`` fails until ``--stale`` judges it again; it also
+fails on a kill whose check is gone, and on a survivor that its
 ``ALLOWED_SURVIVORS`` does not name.
 """
 
@@ -273,16 +274,46 @@ def _test_hash(node: str) -> str | None:
     return _hash(" ".join([*(source_hash(lines, s) for s in [stmt, *tables]), param]))
 
 
+def ledger_run_hash(tests: Path = ROOT / "tests") -> str:
+    """The hash of what a ledger run is, apart from ``src``: ``test_digests.py``
+    in ``tests`` and the tables of ``test_reachability.py`` that it imports,
+    with every module-level table those name, in source order.  A crashed
+    or overlong run depends on these, not on the digests it would write."""
+    return _ledger_run_hash((tests / "test_digests.py").read_text(),
+                            (tests / "test_reachability.py").read_text())
+
+
+@functools.lru_cache(maxsize=None)
+def _ledger_run_hash(source: str, reach: str) -> str:
+    imported = {alias.name for node in ast.walk(ast.parse(source))
+                if isinstance(node, ast.ImportFrom) and node.module == "test_reachability"
+                for alias in node.names}
+    lines, tables = reach.splitlines(), {}
+    for stmt in ast.parse(reach).body:
+        if isinstance(stmt, ast.Assign):
+            tables.update((target.id, stmt) for target in stmt.targets
+                          if isinstance(target, ast.Name))
+    held, todo = {}, sorted(imported & tables.keys())
+    while todo:
+        stmt = tables[todo.pop()]
+        if stmt.lineno not in held:
+            held[stmt.lineno] = stmt
+            todo += [n.id for n in ast.walk(stmt.value)
+                     if isinstance(n, ast.Name) and n.id in tables]
+    return _hash(" ".join([_hash(source), *(source_hash(lines, held[k]) for k in sorted(held))]))
+
+
 def check(verdict: str, ledger: dict) -> str | None:
     """The hash of the check that ``verdict`` names, as ``ledger`` (the
     committed ``digests.json``) and the tests are now; None for a survivor,
     or for a check that is gone."""
     if verdict == "survivor":
         return None
+    if verdict == "ledger":
+        return ledger_run_hash()
     if verdict.partition(" ")[0] == "ledger":
-        entry = verdict.partition(" ")[2]
-        section, _, key = entry.partition("/")
-        value = ledger.get(section, {}).get(key) if entry else {s: ledger[s] for s in SECTIONS}
+        section, _, key = verdict.partition(" ")[2].partition("/")
+        value = ledger.get(section, {}).get(key)
         return None if value is None else _hash(json.dumps(value, sort_keys=True))
     return _test_hash(verdict)
 

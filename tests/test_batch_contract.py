@@ -91,11 +91,12 @@ def maps():
     out["core_compressed_layer"] = (core, k)
     prefix_frame, _ = choose_w(prefix_layer, 0.4)
     out["prefix_core"] = (CoreCompressedLayer(prefix_layer, prefix_frame), prefix_frame.dim)
+    # a bound of 1 or more on Lip(core − Id) gives Banach no rate: Newton inverts
     out["tail_fixed_point"] = (TailBlock(narrow, core, 0.3, TIGHT), m)
-    out["tail_newton"] = (TailBlock(narrow, core, None, TIGHT), m)
+    out["tail_newton"] = (TailBlock(narrow, core, 1.5, TIGHT), m)
 
     fixed_point = PathBlock(ScalingPath(core, k, 0.3), 0.25, 0.5, 1.0, TIGHT)
-    newton = PathBlock(ScalingPath(core, k, None), 0.25, 0.5, 1.0, TIGHT)
+    newton = PathBlock(ScalingPath(core, k, 1.5), 0.25, 0.5, 1.0, TIGHT)
     out["path_block_fixed_point"] = (fixed_point, k)
     out["path_block_newton"] = (newton, k)
     out["linear_block"] = (LinearBlock(np.eye(k) + 0.1 * rng.standard_normal((k, k))), k)

@@ -9,6 +9,7 @@ import sys
 import threading
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from opdisc.discretize import convergence_scan
 from opdisc.layers import CoordinateNetNonlinearity, NemytskiiNonlinearity, make_layer
 from opdisc.monotone import ball_samples
 from opdisc.serialize import blob_hash, chain_from_spec, layer_from_spec, space_from_config
+from test_reachability import SYMMETRIC_LAYER
 
 
 # every spec kind's (key table, build), one dict per spec reader
@@ -442,13 +444,12 @@ class TestBatchMode:
         assert failed[0]["stage"] == "estimate"
 
     def test_inverter_failure_names_its_stage(self, runner, tmp_path, monkeypatch):
-        # the path blocks of this kappa = 0.9 layer need more than one Newton step
+        # the path blocks of this kappa = 1.5 layer invert by Newton, in more
+        # than one step
         monkeypatch.setattr(importlib.import_module("opdisc.invert"), "NEWTON_STEPS", 1)
-        exp = {"name": "newton", "kind": "decompose", "seed": 0,
+        exp = {"name": "symmetric", "kind": "decompose", "seed": 0,
                "space": {"basis": "abstract_orthonormal", "ambient_dim": 3},
-               "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.9,
-                         "activation": "tanh"},
-               "epsilon": 0.25, "radius": 1.0}
+               "layer": SYMMETRIC_LAYER, "epsilon": 0.25, "radius": 1.0}
         out = tmp_path / "out"
         result = runner.invoke(main, ["--config", str(write_config(tmp_path, [exp])),
                                       "--out", str(out)])
@@ -889,7 +890,8 @@ FAILURE_TABLE = {
         "2.04217e-16, 2.06879e-16"),
     "decompose-composite_tol-1e-300": (
         {**_FAIL_DECOMPOSE, "composite_tol": 1e-300}, "path_blocks", "StageError",
-        "[path_blocks] [invert] Newton line search stagnated at residual 2.23773e-16"),
+        "[path_blocks] [invert] fixed-point iteration did not reach tol=1.5625e-302 within its "
+        "derived budget of 999 evaluations at rate q=0.5 (row 15, last residual 2.23773e-16)"),
     "invert-tol-1e-300": (
         {"kind": "invert", "seed": 0, "chain": _FAIL_CHAIN, "y": [0.1, 0.2, 0, 0], "tol": 1e-300},
         "invert", "InversionError",
@@ -1014,6 +1016,36 @@ class TestFailClosed:
         assert entry["error_type"] == "StageError"
         assert re.match(r"\[blocks\] block \S+ has Lip 0\.25, not below epsilon=0\.25$",
                         entry["error"])
+
+    def test_a_failed_inversion_audit_names_stage_invert(self, tmp_path, monkeypatch):
+        # every block's median residual ratio reads 2, far above its rate
+        # 0.5; the trace's refusal used to record stage null
+        monkeypatch.setattr(importlib.import_module("opdisc.invert"), "statistics",
+                            SimpleNamespace(median=lambda ratios: 2.0))
+        exp = {"name": "audit", "kind": "invert", "seed": 0, "chain": _FAIL_CHAIN,
+               "y": [0.1, 0.2, 0, 0]}
+        (outcome,) = _run_batch([exp], tmp_path)
+        assert outcome["status"] == "failed"
+        assert outcome["stage"] == "invert"
+        assert outcome["error_type"] == "StageError"
+        assert outcome["error"].startswith("[invert] block 0: median contraction ratio 2 ")
+
+    def test_a_failed_energy_audit_names_stage_newton(self, tmp_path, monkeypatch):
+        # the solve's energies handed to its trace backwards, so they rise
+        galerkin = importlib.import_module("opdisc.galerkin")
+        solve = galerkin.newton_solve
+
+        def backwards(*args, **kwargs):
+            sol = solve(*args, **kwargs)
+            return dataclasses.replace(sol, merits=sol.merits[::-1])
+
+        monkeypatch.setattr(galerkin, "newton_solve", backwards)
+        exp = {"name": "audit", "kind": "fem-solve", "seed": 0, "g": "cubic", "mesh": [4, 8]}
+        (outcome,) = _run_batch([exp], tmp_path)
+        assert outcome["status"] == "failed"
+        assert outcome["stage"] == "newton"
+        assert outcome["error_type"] == "StageError"
+        assert outcome["error"].startswith("[newton] energy rose across an accepted step")
 
 
 class TestNumericFields:

@@ -20,7 +20,6 @@ from opdisc.decompose import (
     PathBlock,
     ScalingPath,
     TailBlock,
-    _choose_inverter,
     _invert,
     _measure,
     _newton_invert,
@@ -420,8 +419,9 @@ class TestInvertMonotone:
         assert f.calls == max(counts)
 
     def test_parameter_validation(self):
+        # κ ≥ 1 is Newton's (TestInverterChoice)
         y = np.ones(2)
-        for kappa in (-0.1, 1.0, 1.5, float("nan")):
+        for kappa in (-0.1, float("nan")):
             with pytest.raises(ValueError, match="contraction bound"):
                 _invert(lambda v: v, y, kappa, 1e-10)
         for tol in (0.0, -1e-10, float("nan")):
@@ -483,7 +483,7 @@ def _newton_maps(kappa):
     layer = mixing_bilipschitz_layer(12, kappa=kappa, seed=3)
     frame, _ = choose_w(layer, 0.5)
     core = CoreCompressedLayer(layer, frame)
-    path = ScalingPath(core, frame.dim, None)
+    path = ScalingPath(core, frame.dim, layer.contraction)
     maps = {"core": core.eval_array, "path": functools.partial(path.eval_t_rows, 0.5)}
     return frame.dim, maps
 
@@ -604,15 +604,15 @@ class TestPathBlocks:
     def test_linear_map_needs_no_blocks(self):
         a = np.diag([1.3, 0.8])
         f = lambda c: c @ a.T
-        path = ScalingPath(f, 2, None)
-        blocks, diag = path_blocks(path, epsilon=0.25, r1=1.0, c0=0.8, c1=1.3, kappa=0.3, tol=1e-9)
+        path = ScalingPath(f, 2, 0.3)
+        blocks, diag = path_blocks(path, epsilon=0.25, r1=1.0, c0=0.8, c1=1.3, tol=1e-9)
         assert blocks == []
         assert diag["linear_shortcut"]
 
     def test_transport_reaches_the_map(self):
         f = tanh_contraction(3, seed=21)
         blocks, diag = path_blocks(
-            ScalingPath(f, 3, 0.3), epsilon=0.25, r1=1.0, c0=0.7, c1=1.3, kappa=0.3, tol=1e-9,
+            ScalingPath(f, 3, 0.3), epsilon=0.25, r1=1.0, c0=0.7, c1=1.3, tol=1e-9,
             seed=1
         )
         assert len(blocks) >= 1
@@ -631,7 +631,7 @@ class TestPathBlocks:
         f = tanh_contraction(3, seed=22, bias=0.2)
         eps = 0.25
         blocks, _ = path_blocks(
-            ScalingPath(f, 3, 0.35), epsilon=eps, r1=1.0, c0=0.7, c1=1.4, kappa=0.35, tol=1e-9,
+            ScalingPath(f, 3, 0.35), epsilon=eps, r1=1.0, c0=0.7, c1=1.4, tol=1e-9,
             seed=3
         )
         assert blocks
@@ -643,8 +643,8 @@ class TestPathBlocks:
     def test_finer_epsilon_needs_more_blocks(self):
         f = tanh_contraction(3, seed=23)
         path = ScalingPath(f, 3, 0.3)
-        coarse, _ = path_blocks(path, 0.4, 1.0, 0.7, 1.3, 0.3, 1e-9, seed=5)
-        fine, _ = path_blocks(path, 0.1, 1.0, 0.7, 1.3, 0.3, 1e-9, seed=5)
+        coarse, _ = path_blocks(path, 0.4, 1.0, 0.7, 1.3, 1e-9, seed=5)
+        fine, _ = path_blocks(path, 0.1, 1.0, 0.7, 1.3, 1e-9, seed=5)
         assert len(fine) >= len(coarse)
 
     def test_a_stack_takes_one_t_per_slice(self):
@@ -666,11 +666,11 @@ class TestPathBlocks:
         assert np.max(np.abs(pre - xs)) <= 1e-9
 
     def test_validation(self):
-        path = ScalingPath(lambda c: c, 2, None)
+        path = ScalingPath(lambda c: c, 2, 0.0)
         with pytest.raises(ValueError, match="epsilon"):
-            path_blocks(path, epsilon=0.0, r1=1.0, c0=0.5, c1=1.5, kappa=0.0, tol=1e-9)
+            path_blocks(path, epsilon=0.0, r1=1.0, c0=0.5, c1=1.5, tol=1e-9)
         with pytest.raises(ValueError, match="c0"):
-            path_blocks(path, epsilon=0.2, r1=1.0, c0=1.5, c1=0.5, kappa=0.0, tol=1e-9)
+            path_blocks(path, epsilon=0.2, r1=1.0, c0=1.5, c1=0.5, tol=1e-9)
 
 
 class TestMeasureRound:
@@ -1236,60 +1236,45 @@ class TestWarmComposite:
         peel_tail(layer, core, 0.25, 1e-9, kappa, 4, 2.0)
         assert starts and all(s is None for s in starts)
         starts.clear()
-        blocks, _ = path_blocks(ScalingPath(core, frame.dim, kappa), 0.25, 1.0, 0.7, 1.3, kappa,
-                                1e-9, seed=6)
+        blocks, _ = path_blocks(ScalingPath(core, frame.dim, kappa), 0.25, 1.0, 0.7, 1.3, 1e-9,
+                                seed=6)
         assert blocks
         assert starts and all(s is None for s in starts)
 
 
 class TestInverterChoice:
-    """Banach or Newton, whichever costs fewer core-map evaluations per row."""
+    """κ alone picks the inverter: Banach at rate κ when κ < 1, and Newton
+    only at κ ≥ 1, where Banach has no rate."""
 
     @pytest.mark.parametrize(
         "kappa, seed, blocks", [(0.7, 3, 8), (0.7, 11, 9), (0.95, 3, 23)]
     )
     def test_mixing_layers(self, kappa, seed, blocks):
         result = decompose(mixing_bilipschitz_layer(16, kappa=kappa, seed=seed), 0.4, 1.0)
-        cost = result.diagnostics["inverter_cost"]
-        banach_cheaper = cost["banach_evals"] <= cost["newton_evals"]
-        assert banach_cheaper == (kappa == 0.7)
-        assert result.diagnostics["inverter"] == ("fixed_point" if kappa == 0.7 else "newton")
-        # r0 = κ·r1 with r1 = 1
-        assert cost["r0"] == result.diagnostics["contraction_product"]
-        # priced at the block tolerance
-        assert cost["tol"] == 1e-6 / 64
-        # the same blocks the Newton inverter gave before Banach took κ = 0.7
+        assert result.diagnostics["contraction_product"] < 1.0
+        assert result.diagnostics["inverter"] == "fixed_point"
+        # Banach and Newton give these layers the same blocks
         assert result.j == blocks
 
     def test_no_banach_rate_at_kappa_one_or_more(self, flip_layer):
         result = decompose(flip_layer, epsilon=0.4, r1=1.0)
         assert result.diagnostics["contraction_product"] >= 1.0
         assert result.diagnostics["inverter"] == "newton"
-        cost = result.diagnostics["inverter_cost"]
-        assert cost["banach_evals"] is None
-        # 5 rounds from r0 = 2 to 1e-6/64, each of 2k + 2 evaluations on k = 2
-        assert cost["newton_evals"] == 5 * 6
 
-    def test_costs(self):
-        # Newton: ceil(log2(1 + log2(r0 / tol))) rounds of 2k + 2 evaluations
-        assert _choose_inverter(0.5, 3, 1.0, 2.0**-15) == (
-            0.5,
-            {"r0": 0.5, "tol": 2.0**-15, "banach_evals": 16, "newton_evals": 32},
-        )
-        # log2(r0 / tol) = 15 needs exactly ceil(log2(1 + 15)) = 4 rounds
-        assert _choose_inverter(0.5, 3, 1.0, 2.0**-16)[1]["newton_evals"] == 4 * 8
-        # a slow rate on one coordinate makes Newton the cheaper one
-        assert _choose_inverter(0.9, 1, 1.0, 2.0**-15)[0] is None
-        # κ ≥ 1 has no Banach rate, also below 2
-        assert _choose_inverter(1.5, 2, 1.0, 1e-9) == (
-            None,
-            {"r0": 1.5, "tol": 1e-9, "banach_evals": None, "newton_evals": 30},
-        )
-        # a constant B is inverted by one Banach step
-        assert _choose_inverter(0.0, 4, 1.0, 1e-9) == (
-            0.0,
-            {"r0": 0.0, "tol": 1e-9, "banach_evals": 1, "newton_evals": 10},
-        )
+    @pytest.mark.parametrize("kappa, solver", [
+        (0.0, "banach_solve"), (0.999, "banach_solve"), (1.0, "_newton_invert"),
+        (1.5, "_newton_invert"),
+    ])
+    def test_invert_runs_newton_from_kappa_one(self, kappa, solver, monkeypatch):
+        solvers = ("banach_solve", "_newton_invert")
+        calls = {name: count_calls(monkeypatch, name) for name in solvers}
+        # B = diag(0, min(κ, 0.5)) is bounded by every κ here
+        d = np.array([1.0, 1.0 + min(kappa, 0.5)])
+        ys = np.array([[0.7, -1.1], [0.2, 0.4]])
+        xs = _invert(lambda v: d * v, ys, kappa, 1e-10)
+        assert {name: len(c) for name, c in calls.items()} == {
+            name: int(name == solver) for name in calls}
+        assert np.max(np.linalg.norm(d * xs - ys, axis=1)) <= 1e-10
 
 
 def poison(monkeypatch, owner, name: str, caller: str) -> None:

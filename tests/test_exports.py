@@ -18,7 +18,7 @@ import pytest
 
 import opdisc
 from opdisc.acceptance import mixing_bilipschitz_layer
-from opdisc.decompose import choose_w, decompose, linear_path_blocks, path_blocks
+from opdisc.decompose import ScalingPath, choose_w, decompose, linear_path_blocks, path_blocks
 from opdisc.galerkin import ConvexNonlinearity, FemMesh, solve_semilinear_trace
 from opdisc.invert import (
     InversionTrace,
@@ -220,11 +220,11 @@ GUARDS = {
     "choose_w": ("h", lambda v: choose_w(_LAYER, v), -1.0),
     "linear_path_blocks": ("epsilon", lambda v: linear_path_blocks(np.diag([2.0, 3.0]), v), 2.0),
     "path_blocks-epsilon": (
-        "epsilon", lambda v: path_blocks(None, v, 1.0, 0.5, 1.5, 0.5, 1e-9), 2.0),
-    "path_blocks-r1": ("r1", lambda v: path_blocks(None, 0.2, v, 0.5, 1.5, 0.5, 1e-9), 0.0),
-    "path_blocks-c1": ("c1", lambda v: path_blocks(None, 0.2, 1.0, 0.5, v, 0.5, 1e-9), 0.4),
-    "path_blocks-kappa": (
-        "kappa", lambda v: path_blocks(None, 0.2, 1.0, 0.5, 1.5, v, 1e-9), -1.0),
+        "epsilon", lambda v: path_blocks(None, v, 1.0, 0.5, 1.5, 1e-9), 2.0),
+    "path_blocks-r1": ("r1", lambda v: path_blocks(None, 0.2, v, 0.5, 1.5, 1e-9), 0.0),
+    "path_blocks-c1": ("c1", lambda v: path_blocks(None, 0.2, 1.0, 0.5, v, 1e-9), 0.4),
+    "path_blocks-kappa": ("kappa", lambda v: path_blocks(
+        ScalingPath(lambda c: c, 2, v), 0.2, 1.0, 0.5, 1.5, 1e-9), -1.0),
     "network-target_bound": (
         "target_bound", lambda v: CoordinateNetwork.seeded(3, 3, target_bound=v), -1.0),
     "sign_crossings": (

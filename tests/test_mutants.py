@@ -110,7 +110,7 @@ MUTANTS = {
         r"^\[build_fw\] core deviation ",
     ),
     # every certified stage norm 10% low: the layer's contraction bound is
-    # then optimistic, and a block inverter priced by it runs out of steps
+    # then optimistic, and a block inverter at that rate runs out of steps
     "stage-norm-under-reported": (
         4,
         LAYERS,

@@ -30,14 +30,10 @@ ALLOWED_SURVIVORS = {
     "decompose.choose_w: basis = vt[sv > 1e-10]: double 1e-10 to 2e-10": (
         "the SVD cutoff of the stacked singular directions: a product stack's singular values "
         "are O(1) or rounding", _ZERO_GAP, "ROADMAP item 33"),
-    "decompose.TailBlock.alpha: return None if self.kappa is None else 1.0 - self.kappa: "
-    "swap - to +": (_TRACER, "any value", "ROADMAP item 1"),
-    "decompose.TailBlock.alpha: return None if self.kappa is None else 1.0 - self.kappa: "
-    "double 1.0 to 2.0": (_TRACER, "any value", "ROADMAP item 1"),
-    "decompose.ScalingPath.alpha: return None if self.kappa is None else 1.0 - self.kappa: "
-    "swap - to +": (_TRACER, "any value", "ROADMAP item 1"),
-    "decompose.ScalingPath.alpha: return None if self.kappa is None else 1.0 - self.kappa: "
-    "double 1.0 to 2.0": (_TRACER, "any value", "ROADMAP item 1"),
+    **{f"decompose.{owner}.alpha: return None if self.kappa >= 1.0 else 1.0 - self.kappa: "
+       f"{operator}": (_TRACER, "any value", "ROADMAP item 1")
+       for owner in ("TailBlock", "ScalingPath")
+       for operator in ("swap - to +", "double 1.0 to 2.0", "double 1.0 to 2.0 (2)")},
     "decompose.path_blocks: if lin_dev <= 1e-12 and r0 <= 1e-12:: double 1e-12 to 2e-12": (
         "the linear shortcut's rounding tolerance on f − Df|₀: a product core is linear to "
         "rounding or nonlinear by far more", _ZERO_GAP, "ROADMAP item 33"),
@@ -146,7 +142,25 @@ def test_a_check_is_gone_with_its_test_case_or_ledger_entry():
     assert mutate.check("ledger criteria/99", ledger) is None
     moved = {**ledger, "criteria": {**ledger["criteria"], "4": "0" * 64}}
     assert mutate.check("ledger criteria/4", moved) != mutate.check("ledger criteria/4", ledger)
-    assert mutate.check("ledger", moved) != mutate.check("ledger", ledger)
+    # a failed ledger run is judged by the run, not by the digests it writes
+    assert mutate.check("ledger", moved) == mutate.check("ledger", ledger)
+
+
+def test_a_failed_ledger_run_goes_stale_with_the_script_or_a_table_it_replays(tmp_path):
+    def edited(old: str, new: str, name: str) -> str:
+        for script in ("test_digests.py", "test_reachability.py"):
+            text = (mutate.ROOT / "tests" / script).read_text()
+            (tmp_path / script).write_text(text.replace(old, new, 1) if script == name else text)
+        return mutate.ledger_run_hash(tmp_path)
+
+    now = mutate.ledger_run_hash()
+    assert edited("", "", "test_digests.py") == now
+    assert edited('"--jobs", "1"', '"--jobs", "2"', "test_digests.py") != now
+    # BATCH, and a table that BATCH names
+    assert edited('"seed": 71', '"seed": 72', "test_reachability.py") != now
+    assert edited("[2, -1, 2]", "[2, -1, 2.0]", "test_reachability.py") != now
+    # REFUSED, a table that the ledger does not replay
+    assert edited('"y-length": (', '"y-length" : (', "test_reachability.py") == now
 
 
 def test_every_survivor_is_allowed():

@@ -116,6 +116,7 @@ ALLOWED_BRANCHES = {
 }
 
 I3 = np.eye(3).tolist()
+IDENTITY_I3 = {"kind": "finite_rank", "omegas": [1, 1, 1], "psi": I3, "phi": I3}
 FOURIER = {"basis": "fourier", "ambient_dim": 8}
 SEEDED_OP = {"kind": "seeded_finite_rank", "rank": 4, "seed": 1}
 # Df(0) = -I: kappa = 2, so decompose picks Newton (its affine core takes the
@@ -123,8 +124,8 @@ SEEDED_OP = {"kind": "seeded_finite_rank", "rank": 4, "seed": 1}
 # pi-rotations and needs the reflection A0
 FLIP_LAYER = {
     "kind": "layer",
-    "in_op": {"kind": "finite_rank", "omegas": [1, 1, 1], "psi": I3, "phi": I3},
-    "out_op": {"kind": "finite_rank", "omegas": [1, 1, 1], "psi": I3, "phi": I3},
+    "in_op": IDENTITY_I3,
+    "out_op": IDENTITY_I3,
     "nonlin": {"kind": "affine", "matrix": (-2.0 * np.eye(3)).tolist(), "bias": [0, 0, 0]},
 }
 EXPLICIT_NET = {
@@ -143,6 +144,15 @@ PREFIX_NET_LAYER = {
 TANH_NET = {"kind": "seeded_coordinate_network", "n_in": 3, "n_out": 3, "seed": 7,
             "target_bound": 0.5, "activation": "tanh"}
 HALF_I3 = {"kind": "finite_rank", "omegas": [0.5, 0.5, 0.5], "psi": I3, "phi": I3}
+# an orthogonal Q with rational entries
+Q3 = np.array([[2, -1, 2], [2, 2, -1], [-1, 2, 2]]) / 3.0
+SYMMETRIC_LAYER = {
+    "kind": "layer", "in_op": IDENTITY_I3, "out_op": IDENTITY_I3,
+    "nonlin": {"kind": "coordinate_net", "ambient_dim": 3,
+               "net": {"kind": "coordinate_network",
+                       "weights": [Q3.T.tolist(), (1.5 * Q3).tolist()],
+                       "biases": [[0, 0, 0], [0, 0, 0]], "activation": "tanh"}},
+}
 BATCH = [
     {"name": "nemytskii", "kind": "monotone-check", "seed": 5, "samples": 16,
      "dims": [2, 8], "space": FOURIER,
@@ -194,11 +204,16 @@ BATCH = [
                "nonlin": {"kind": "zero"}}},
     {"name": "flip", "kind": "decompose", "seed": 0, "epsilon": 0.25, "radius": 1.0,
      "space": {"basis": "abstract_orthonormal", "ambient_dim": 3}, "layer": FLIP_LAYER},
-    # kappa = 0.9 on three coordinates: Newton costs less than Banach, so the
-    # three path blocks invert by Newton
+    # kappa = 0.9 on three coordinates: its three path blocks invert by Banach
+    # at rate 0.9
     {"name": "newton", "kind": "decompose", "seed": 0, "epsilon": 0.25, "radius": 1.0,
      "space": {"basis": "abstract_orthonormal", "ambient_dim": 3},
      "layer": {"kind": "seeded_layer", "seed": 3, "lip_g": 0.9, "activation": "tanh"}},
+    # x + W₂·tanh(W₁x) with W₁ = Qᵀ, W₂ = 1.5·Q: kappa = 1.5 but DF ⪰ I, a
+    # strongly monotone layer that does not contract, so its path blocks
+    # invert by Newton
+    {"name": "symmetric", "kind": "decompose", "seed": 0, "epsilon": 0.25, "radius": 1.0,
+     "space": {"basis": "abstract_orthonormal", "ambient_dim": 3}, "layer": SYMMETRIC_LAYER},
     # a compressing frame (w_dim 36 of 64): the composite's tail takes a warm start
     {"name": "compressing", "kind": "decompose", "seed": 0, "epsilon": 0.25, "radius": 1.0,
      "space": {"basis": "fourier", "ambient_dim": 64},
