@@ -227,12 +227,15 @@ MAX_BLOCKS = 2048
 
 
 def _newton_invert(f, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
-    """Solve f(x) = y for each row of ys by ``newton_solve`` from ``start``
-    (ys when None; refused before any evaluation unless it has ys' shape),
-    with merit ||f(x) − y|| and finite-difference Jacobian steps."""
+    """Solve f(x) = y for one target ``(k,)`` or each row of a ``(..., k)``
+    stack ys by ``newton_solve`` from ``start`` (ys when None; refused
+    before any evaluation unless it has ys' shape), with merit ||f(x) − y||
+    and finite-difference Jacobian steps."""
+    x = _first_iterate(ys, start).reshape(-1, ys.shape[-1])
+    rows = ys.reshape(x.shape)
 
-    def evaluate(xs: np.ndarray, rows: np.ndarray) -> tuple:
-        res = eval_map(f, xs) - ys[rows]
+    def evaluate(xs: np.ndarray, at: np.ndarray) -> tuple:
+        res = eval_map(f, xs) - rows[at]
         rnorm = np.linalg.norm(res, axis=-1)
         return res, rnorm, rnorm
 
@@ -240,7 +243,7 @@ def _newton_invert(f, ys: np.ndarray, tol: float, start=None) -> np.ndarray:
         jac = central_differences(f, xs, np.eye(xs.shape[-1]))
         return np.linalg.solve(jac, res[..., None])[..., 0]
 
-    return newton_solve(evaluate, direction, _first_iterate(ys, start), tol, "invert").x
+    return newton_solve(evaluate, direction, x, tol, "invert").x.reshape(ys.shape)
 
 
 def _invert(f, ys: np.ndarray, kappa: float, tol: float, *, start=None) -> np.ndarray:

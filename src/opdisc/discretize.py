@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .layers import central_differences, eval_map
-from .monotone import _resolve_dim, ball_samples, pairwise_alpha
+from .monotone import _resolve_dim, _sampled_alpha, ball_samples, pairwise_alpha
 from .spectral import PathScan, path_scan
 
 __all__ = [
@@ -107,7 +107,8 @@ def convergence_scan(
 
     One sample set, drawn in the ball of the smallest prefix, feeds the
     error columns at every dim, so nested-projection monotonicity holds
-    exactly for what is reported, and f is evaluated on it once for them.  The
+    exactly for what is reported; f is evaluated on it once, for them and
+    the smallest prefix's alpha, and once more per larger prefix.  The
     alpha column is the sampled monotonicity constant of the compressed
     map over its own subspace: differences of samples in V lie in V, so
     <P_V Δf, Δx> = <Δf, Δx> and sampling f there is sampling P_V∘f.  The
@@ -130,7 +131,8 @@ def convergence_scan(
         d = g.dim
         # f_V(x) − f(x) = −(Id − P_V) f(x), tested against the probe e_d
         weak = float(np.max(np.abs(f_common[:, d]), initial=0.0)) if d < m else 0.0
-        estimate = pairwise_alpha(g, r=r, n=n, seed=seed)
+        estimate = (_sampled_alpha(common, f_common[:, :d], r, seed) if g is maps[0]
+                    else pairwise_alpha(g, r=r, n=n, seed=seed))
         pair = tuple(g.lift(x) for x in estimate.minimizing_pair)
         rows.append(
             {

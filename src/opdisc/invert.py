@@ -22,10 +22,10 @@ inverted block by block in reverse order, a whole batch of targets per
 kernel call.  A :class:`~opdisc.layers.ResidualChain` carries one
 certified rate and one radius (None: the rate holds globally) per block,
 and :func:`invert_chain` reads nothing else.  Every inverted target records
-an :class:`InversionTrace` that keeps the full residual history so the
-geometric decay can be audited after the fact.  The module holds solvers
-only: checks of what they return belong to the acceptance criteria, and
-artifact layouts to the command-line runners.
+an :class:`InversionTrace` of its residual histories, which audits them at
+construction: a failed ratio, decay or budget audit is a ``StageError`` of
+stage ``invert``.  Checks of what the solvers return belong to the
+acceptance criteria, and artifact layouts to the command-line runners.
 """
 
 from __future__ import annotations

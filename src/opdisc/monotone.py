@@ -160,7 +160,13 @@ def pairwise_alpha(
     if n < 2:
         raise ValueError("need at least two samples")
     xs = ball_samples(_resolve_dim(f, dim), r, n, seed=seed)
-    i, j, quo = _pair_quotients(xs, eval_map(f, xs), inner=True)
+    return _sampled_alpha(xs, eval_map(f, xs), r, seed)
+
+
+def _sampled_alpha(xs: np.ndarray, ys: np.ndarray, r: float, seed: int) -> ModulusEstimate:
+    """:func:`pairwise_alpha` of the ball samples ``xs``, drawn at radius r
+    from ``seed``, and their images ``ys``."""
+    i, j, quo = _pair_quotients(xs, ys, inner=True)
     if quo.size == 0:
         raise StageError("pairwise_alpha", "all sampled pairs were degenerate")
     k = int(np.argmin(quo))  # the first NaN, if any

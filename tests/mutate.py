@@ -2,7 +2,7 @@
 
 Run from anywhere, standard library only::
 
-    python tests/mutate.py            # judge every site of MODULES: each module but acceptance
+    python tests/mutate.py            # judge every site of MODULES: each module of src/opdisc
     python tests/mutate.py --stale    # judge only the sites without a current verdict
 
 A site is one place where one of three operators changes the program: flip a
@@ -71,10 +71,7 @@ SRC = ROOT / "src" / "opdisc"
 VERDICTS = Path(__file__).with_name("mutants.json")
 LEDGER = Path(__file__).with_name("digests.json")
 SECTIONS = ("files", "subcommands", "criteria")
-# every module but acceptance, whose check bounds reach no artifact byte until
-# ROADMAP item 32 writes them into the details: each with slack would survive
-MODULES = tuple(sorted(path.stem for path in SRC.glob("*.py")
-                       if path.stem not in ("__init__", "acceptance")))
+MODULES = tuple(sorted(path.stem for path in SRC.glob("*.py") if path.stem != "__init__"))
 PINNED = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
 LEDGER_TIMEOUT = 60
 TIER1_TIMEOUT = 300

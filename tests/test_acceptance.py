@@ -4,8 +4,9 @@ Each test drives the same ``criterion_*`` function the ``accept`` command
 runs, so the pass/fail line ``pytest -v`` prints here is the acceptance
 verdict for that criterion.  The hard checks (tolerances, budgets)
 live inside the criterion functions; the asserts below re-state the
-headline numbers from the returned detail so a failure message shows the
-measurement, not just a stack trace.
+headline numbers from the returned detail, and from its ``checks``
+records, so a failure message shows the measurement, not just a stack
+trace.
 """
 
 import ast
@@ -15,6 +16,7 @@ import math
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -35,30 +37,39 @@ from opdisc.acceptance import (
     criterion_range_tail_convergence,
     run_suite,
 )
+from opdisc.serialize import write_json
 from opdisc.spectral import StageError
 
 SRC = Path(acceptance.__file__).resolve().parent
 
 
+def checked(detail: dict, name: str) -> list:
+    """The values that the checks named ``name`` recorded in ``detail``."""
+    return [record.get("value") for record in detail["checks"] if record["name"] == name]
+
+
 def test_criterion_01_monotonicity_under_compression():
     detail = criterion_monotonicity_under_compression()
     assert detail["layers"] == 50
-    assert detail["worst_alpha"] >= 0.5 - 1e-6
-    # the wall time is the suite's "elapsed", kept out of the details
+    assert checked(detail, "sampled_alpha")[0] >= 0.5 - 1e-6
+    # the wall time is the suite's "elapsed", kept out of the details: its
+    # check records the budget alone
     assert "elapsed_s" not in detail
+    assert [r for r in detail["checks"] if r["name"] == "elapsed_s"] == [
+        {"name": "elapsed_s", "op": "<", "bound": 60.0, "where": ""}]
 
 
 def test_criterion_02_range_tail_convergence():
     detail = criterion_range_tail_convergence()
     tails = detail["decay_tails"]
     assert all(b < a for a, b in zip(tails, tails[1:]))
-    assert detail["tail_below_rank"] > 1e-9
+    assert checked(detail, "tail_below_rank")[0] > 1e-9
     assert all(v <= 1e-12 for v in detail["tails_at_or_above_rank"].values())
 
 
 def test_criterion_03_compression_continuity():
     detail = criterion_compression_continuity()
-    assert detail["worst_ratio_deviation"] <= 0.10
+    assert checked(detail, "worst_ratio_deviation")[0] <= 0.10
     for sub, amb in zip(detail["subspace_errors"], detail["ambient_errors"]):
         assert sub <= amb + 1e-15
 
@@ -66,17 +77,19 @@ def test_criterion_03_compression_continuity():
 def test_criterion_04_block_factorization():
     detail = criterion_block_factorization()
     assert detail["blocks"] >= 1
-    assert max(detail["block_lips_resampled"]) < detail["epsilon"]
-    assert detail["composite_gap"] <= 1e-6
-    assert min(detail["block_alphas"]) >= 1.0 - detail["epsilon"] - 1e-6
-    assert detail["loglog_slope"] <= 2.3
+    (lips,) = [r for r in detail["checks"] if r["name"] == "block_lips_resampled"]
+    assert max(detail["block_lips_resampled"]) == lips["value"] < lips["bound"] == 0.25
+    assert checked(detail, "composite_gap")[0] <= 1e-6
+    assert min(detail["block_alphas"]) >= 1.0 - 0.25 - 1e-6
+    assert checked(detail, "loglog_slope")[0] <= 2.3
 
 
 def test_criterion_05_fixed_point_inversion():
     detail = criterion_fixed_point_inversion()
-    assert detail["worst_roundtrip"] <= 1e-8
-    assert detail["worst_iteration_slack"] <= 0
-    assert detail["known_rate_slack"] <= detail["known_rate_slack_bound"] == 2
+    assert checked(detail, "worst_roundtrip")[0] <= 1e-8
+    assert checked(detail, "worst_iteration_slack")[0] <= 0
+    (known,) = [r for r in detail["checks"] if r["name"] == "known_rate_slack"]
+    assert known["value"] <= known["bound"] == 2
 
 
 def test_criterion_04_fails_on_a_nan_block_lipschitz_constant(monkeypatch):
@@ -96,8 +109,8 @@ def test_criterion_04_fails_on_a_nan_block_lipschitz_constant(monkeypatch):
 
 def test_criterion_06_invertible_chain_certificates():
     detail = criterion_invertible_chain_certificates()
-    assert detail["roundtrip_inverse_of_forward"] <= 1e-6
-    assert detail["roundtrip_forward_of_inverse"] <= 1e-6
+    assert checked(detail, "roundtrip_inverse_of_forward")[0] <= 1e-6
+    assert checked(detail, "roundtrip_forward_of_inverse")[0] <= 1e-6
     assert min(detail["block_alphas"]) >= 1.0 - detail["delta"] - 1e-6
     assert detail["refusal_message"]
 
@@ -126,7 +139,7 @@ def test_criterion_08_isotopy_crossing():
     detail = criterion_isotopy_crossing()
     assert abs(detail["t_star"] - detail["t_star_expected"]) <= 1e-6
     assert detail["t_star_expected"] == pytest.approx(7.0 / 18.0)
-    assert detail["worst_orthogonality_defect"] <= 1e-10
+    assert checked(detail, "worst_orthogonality_defect")[0] <= 1e-10
 
 
 def test_criterion_08_fails_on_a_nan_path_matrix(monkeypatch):
@@ -153,7 +166,7 @@ def test_criterion_09_fem_rates():
 
 def test_criterion_10_orientation_tracking():
     detail = criterion_orientation_tracking()
-    assert detail["monotone_sign_changes"] == 0
+    assert checked(detail, "monotone_sign_changes") == [0]
     assert detail["monotone_points_checked"] > 0
     assert abs(detail["scalar_flip_estimate"] - 0.5) <= 1e-6
 
@@ -218,11 +231,18 @@ class TestSuiteRunner:
             "stage": "one_mode_crossings",
         }
 
-    def test_worst_alpha_is_finite(self):
+    def test_worst_alpha_is_finite(self, monkeypatch):
         # tiny smoke configuration: two layers, cheap sampling
-        detail = criterion_monotonicity_under_compression(n_layers=2, n_samples=16)
-        assert math.isfinite(detail["worst_alpha"])
+        monkeypatch.setattr(acceptance, "_LAYERS", 2)
+        monkeypatch.setattr(acceptance, "_SAMPLES", 16)
+        detail = criterion_monotonicity_under_compression()
+        assert math.isfinite(checked(detail, "sampled_alpha")[0])
         assert detail["layers"] == 2
+
+    def test_each_elapsed_is_the_criterions_wall_time(self):
+        before = time.perf_counter()
+        (record,) = run_suite([7])
+        assert 0.0 <= record["elapsed"] <= time.perf_counter() - before
 
     def test_a_failed_check_holds_under_python_O(self):
         """``python -O`` strips every ``assert``; a check is a raise, so with
@@ -240,6 +260,42 @@ class TestSuiteRunner:
             capture_output=True, text=True, check=True,
         )
         assert json.loads(done.stdout) == [False, "block_alphas"]
+
+
+def test_every_check_writes_its_record(tmp_path):
+    """Each ``_check("name", ...)`` in a criterion's source leaves a record
+    of that name in the criterion's ``checks`` after one run of the suite,
+    and no other name does: an op, a bound, a location and, but for the
+    wall-time budget, a value.  The details are strict JSON."""
+    names = {}
+    for node in ast.parse((SRC / "acceptance.py").read_text()).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("criterion_"):
+            names[node.name] = {
+                call.args[0].value for call in ast.walk(node)
+                if isinstance(call, ast.Call) and getattr(call.func, "id", None) == "_check"}
+    numbers = {fn.__name__: num for num, _, fn in CRITERIA}
+    assert set(names) == set(numbers)
+    details = {r["criterion"]: r["detail"] for r in run_suite()}
+    for fn, wanted in names.items():
+        checks = details[numbers[fn]]["checks"]
+        assert {record["name"] for record in checks} == wanted, fn
+        for record in checks:
+            budget = set() if record["name"] == "elapsed_s" else {"value"}
+            assert set(record) == {"name", "op", "bound", "where"} | budget, record
+    write_json(tmp_path / "acceptance.json", details)
+
+
+def test_a_passing_infinite_value_is_recorded_as_text():
+    """An empty np.diff read with ``initial=-inf`` passes a ``< 0`` check;
+    its record must still be strict JSON."""
+    def step():
+        acceptance._check("residual_step", np.max(np.diff([1.0]), initial=-math.inf), "<", 0.0)
+        return {}
+
+    detail = acceptance._criterion(step)()
+    assert detail == {"checks": [
+        {"name": "residual_step", "op": "<", "bound": 0.0, "where": "", "value": "-inf"}]}
+    json.dumps(detail, allow_nan=False)
 
 
 def test_the_package_holds_no_assert():

@@ -1276,6 +1276,15 @@ class TestInverterChoice:
             name: int(name == solver) for name in calls}
         assert np.max(np.linalg.norm(d * xs - ys, axis=1)) <= 1e-10
 
+    @pytest.mark.parametrize("kappa", [0.5, 1.0])
+    @pytest.mark.parametrize("shape", [(2,), (3, 2, 2)])
+    def test_both_arms_take_one_target_or_a_stack(self, kappa, shape):
+        d = np.array([1.0, 1.5])
+        ys = np.random.default_rng(5).standard_normal(shape)
+        xs = _invert(lambda v: d * v, ys, kappa, 1e-10)
+        assert xs.shape == ys.shape
+        assert np.max(np.linalg.norm(d * xs - ys, axis=-1)) <= 1e-10
+
 
 def poison(monkeypatch, owner, name: str, caller: str) -> None:
     """Make ``owner.<name>`` answer NaN in every entry of its result when

@@ -97,9 +97,10 @@ class TestConvergenceScan:
             assert float(cells[3]) == row["alpha_hat"]
 
     def test_shared_samples_are_evaluated_once(self, space16, monkeypatch):
-        """The error columns of every dim read one evaluation of f on the
-        shared samples; each dim's alpha is its own ``pairwise_alpha`` call,
-        the first one's on those same samples, bit for bit."""
+        """The error columns of every dim and the first dim's alpha read one
+        evaluation of f on the shared samples; each later dim's alpha is its
+        own ``pairwise_alpha`` call; f is evaluated once per dim, and the
+        first alpha is ``pairwise_alpha``'s on those samples, bit for bit."""
         layer = make_layer(space16, lip_g=0.5, seed=23)
         batches = []
 
@@ -119,13 +120,13 @@ class TestConvergenceScan:
         monkeypatch.setattr(discretize, "ball_samples", recorded)
         dims, n = [2, 3, 5, 9, 16], 48
         report = convergence_scan(Counted(), dims, n=n, seed=7)
-        # the common samples, drawn in R^2 and lifted to R^16: evaluated once
-        # for the error columns and once more by the first dim's alpha
+        # the common samples, drawn in R^2 and lifted to R^16: evaluated once,
+        # for the error columns and the first dim's alpha
         common = np.zeros((n, 16))
         common[:, : dims[0]] = drawn[0]
-        assert sum(np.array_equal(x, common) for x in batches) == 2
+        assert np.array_equal(batches[0], common)
         # beyond those: per dim after the first, alpha's samples
-        assert sum(len(x) for x in batches) == (len(dims) + 1) * n
+        assert [len(x) for x in batches] == [n] * len(dims)
         standalone = pairwise_alpha(compress(layer, dims[0]), n=n, seed=7)
         assert report.rows[0]["alpha_hat"] == standalone.alpha
         # the error columns, recomputed with numpy from f on the common samples

@@ -85,9 +85,15 @@ ALLOWED_SURVIVORS = {
         "a placeholder divisor for the rows at ω = 0, whose result the next line replaces",
         "any nonzero value", "ROADMAP item 33"),
     "discretize.orientation_scan: refine_tol: float = 1e-6,: double 1e-6 to 2e-06": (
-        "criterion 10's monotone path, the one product call that takes the default, has no "
-        "sign change to bisect; its scalar path passes refine_tol itself",
-        "any positive tolerance", "ROADMAP item 33"),
+        "criterion 10's two scans, the product calls, take the default: its monotone path "
+        "has no sign change to bisect, and its scalar path's zero is the midpoint 0.5 of "
+        "its grid cell [9/19, 10/19], the first point bisection tries, so the bracket is "
+        "(0.5, 0.5) at any tolerance", "any positive tolerance", "ROADMAP item 33"),
+    "acceptance.criterion_fixed_point_inversion: scaled = banach_solve(lambda v: v + q * v, "
+    "xs, q, tol): swap + to -": (
+        "x ↦ x − q·x is the same known answer as x ↦ x + q·x: B = ±q·Id shrinks every "
+        "residual by exactly q, so every row's count and budget are the same",
+        "either sign of B = ±q·Id", "ROADMAP item 34"),
     "monotone._pair_quotients: ok = dist2 >= 1e-24: double 1e-24 to 2e-24": (
         "the degenerate-pair cutoff: no product run samples two points that close",
         "any cutoff from 0 up to the smallest squared pair distance a product run samples",

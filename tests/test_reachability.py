@@ -107,7 +107,11 @@ ALLOWED_LINES = {
 _PLATFORM = ("a platform arm: Linux has os.fork and os.sched_getaffinity, so no product run "
              "here takes the other way",
              "tests/test_cli.py::test_a_batch_runs_here_without_fork_or_an_affinity_mask")
+_NOT_FINITE = ("a passing check whose value is not finite, the -inf of an empty history's "
+               "largest step, which no product run's histories are short enough to give",
+               "tests/test_acceptance.py::test_a_passing_infinite_value_is_recorded_as_text")
 ALLOWED_BRANCHES = {
+    "acceptance._check: ... if finite else ...": _NOT_FINITE,
     'cli.run_config: ... if hasattr(os, "fork") else ...': _PLATFORM,
     'cli.run_config: ... if hasattr(os, "sched_getaffinity") else ...': _PLATFORM,
     "decompose.path_blocks: if not bad:": _REFINE,
